@@ -679,6 +679,8 @@ type serverStats struct {
 	Canceled            int64 `json:"canceled"`
 	RemoteStreamsOpened int64 `json:"remoteStreamsOpened"`
 	ShardsPruned        int64 `json:"shardsPruned"`
+	RemoteRowsFetched   int64 `json:"remoteRowsFetched"`
+	RemoteRowsConsumed  int64 `json:"remoteRowsConsumed"`
 }
 
 func fetchStats(client *http.Client, base string) (serverStats, error) {
@@ -706,6 +708,8 @@ func (a serverStats) sub(b serverStats) serverStats {
 		Canceled:            a.Canceled - b.Canceled,
 		RemoteStreamsOpened: a.RemoteStreamsOpened - b.RemoteStreamsOpened,
 		ShardsPruned:        a.ShardsPruned - b.ShardsPruned,
+		RemoteRowsFetched:   a.RemoteRowsFetched - b.RemoteRowsFetched,
+		RemoteRowsConsumed:  a.RemoteRowsConsumed - b.RemoteRowsConsumed,
 	}
 }
 
@@ -1100,6 +1104,8 @@ func (r report) print(w *os.File) {
 	if d.RemoteStreamsOpened > 0 || d.ShardsPruned > 0 {
 		fmt.Fprintf(w, "                remoteStreamsOpened %d, shardsPruned %d (%.0f%% of remote shard sources)\n",
 			d.RemoteStreamsOpened, d.ShardsPruned, pct(d.ShardsPruned, d.ShardsPruned+d.RemoteStreamsOpened))
+		fmt.Fprintf(w, "                remoteRowsFetched %d for %d consumed (%.1f fetched per row used)\n",
+			d.RemoteRowsFetched, d.RemoteRowsConsumed, float64(d.RemoteRowsFetched)/float64(max(d.RemoteRowsConsumed, 1)))
 	}
 	if r.SlowDropped > 0 {
 		fmt.Fprintf(w, "  slow clients dropped by overflow policy: %d\n", r.SlowDropped)

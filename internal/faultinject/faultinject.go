@@ -5,11 +5,11 @@
 // with jitter, slow-drip responses, and frame corruption.
 //
 // The wrapper understands the shardrpc framing (4-byte big-endian
-// length + JSON) just enough to find frame boundaries and sniff the
-// request verb, so rules can target a single verb ("pull", "next",
-// "hello", ...) and a specific occurrence (nth call, every Nth call, at
-// most N times). It has no dependency on shardrpc itself and works on
-// any protocol with the same framing.
+// length + payload, requests being JSON) just enough to find frame
+// boundaries and sniff the request verb, so rules can target a single
+// verb ("pull", "next", "hello", ...) and a specific occurrence (nth
+// call, every Nth call, at most N times). It has no dependency on
+// shardrpc itself and works on any protocol with the same framing.
 //
 // Faults are for tests and chaos builds only: proxserve refuses a
 // -fault-spec unless PROXSERVE_CHAOS=1 is set in the environment.
@@ -183,6 +183,19 @@ func (in *Injector) matchAccept(local, remote string) *Rule {
 	return nil
 }
 
+// Corrupt returns a copy of one frame (length header included) damaged
+// the way ActionCorrupt damages it: a byte flipped mid-payload and the
+// last byte flipped, under an honest header — so the client reads a
+// whole frame and must refuse to decode it.
+func Corrupt(frame []byte) []byte {
+	bad := append([]byte(nil), frame...)
+	if len(bad) > 4 {
+		bad[4+(len(bad)-4)/2] ^= 0xFF
+		bad[len(bad)-1] ^= 0xFF
+	}
+	return bad
+}
+
 // Listener wraps ln so every accepted connection passes through the
 // injector. Refuse rules close connections at accept; everything else
 // is applied per exchange by the wrapped conns.
@@ -350,14 +363,7 @@ func (c *conn) writeFrame(frame []byte) error {
 		}
 		return nil
 	case ActionCorrupt:
-		bad := append([]byte(nil), frame...)
-		// Flip bits mid-payload; the header stays honest so the client
-		// reads a whole frame and fails to decode it.
-		if len(bad) > 4 {
-			bad[4+(len(bad)-4)/2] ^= 0xFF
-			bad[len(bad)-1] ^= 0xFF
-		}
-		_, err := c.Conn.Write(bad)
+		_, err := c.Conn.Write(Corrupt(frame))
 		return err
 	case ActionReset:
 		half := frame[:4+(len(frame)-4)/2]

@@ -2,10 +2,11 @@ package shardrpc
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +51,9 @@ type Peer struct {
 	// whose response was adopted ahead of the primary's.
 	Hedges    atomic.Int64
 	HedgeWins atomic.Int64
+	// Rows counts tuple rows received in pull/next responses, consumed by
+	// a merge or not (a hedge's losing lane included).
+	Rows atomic.Int64
 
 	mu     sync.Mutex
 	idle   []net.Conn
@@ -57,17 +61,24 @@ type Peer struct {
 	closed bool
 	brk    *Breaker
 
-	// Recent exchange durations (successes only), the basis of the
-	// adaptive hedge trigger: hedge when the primary is slower than the
-	// peer's own recent p90.
+	// Recent exchange costs (successes only) in nanoseconds per costed
+	// row, the basis of the adaptive hedge trigger: hedge when the primary
+	// is slower than the peer's own recent p90 for a request of this size.
 	latMu sync.Mutex
-	lat   [latWindow]int64 // nanoseconds, ring
+	lat   [latWindow]int64 // ring
 	latN  int              // filled size
 	latI  int              // next write index
 }
 
 // latWindow is the size of the per-peer latency ring.
 const latWindow = 32
+
+// hedgeFixedRows is an exchange's fixed cost — the round trip, the
+// stream open — expressed in rows: asking for b rows is costed as
+// b + hedgeFixedRows. Ramped streams mix 16-row and 512-row exchanges on
+// one peer; a p90 over raw durations would be set by the small ones and
+// every full-size pull would spend a hedge on a healthy replica.
+const hedgeFixedRows = 64
 
 // Breaker returns the peer's circuit breaker, creating it with default
 // thresholds on first use.
@@ -88,10 +99,11 @@ func (p *Peer) SetBreakerConfig(cfg BreakerConfig) {
 	p.brk = NewBreaker(cfg)
 }
 
-// observeLatency records one successful exchange duration.
-func (p *Peer) observeLatency(d time.Duration) {
+// observeLatency records one successful exchange that asked for batch
+// rows.
+func (p *Peer) observeLatency(d time.Duration, batch int) {
 	p.latMu.Lock()
-	p.lat[p.latI] = int64(d)
+	p.lat[p.latI] = int64(d) / int64(batch+hedgeFixedRows)
 	p.latI = (p.latI + 1) % latWindow
 	if p.latN < latWindow {
 		p.latN++
@@ -103,10 +115,10 @@ func (p *Peer) observeLatency(d time.Duration) {
 // exists.
 const defaultHedgeDelay = 50 * time.Millisecond
 
-// hedgeDelay returns this peer's adaptive hedge trigger: the p90 of its
-// recent successful exchanges (so only the slowest decile of requests
-// hedge), clamped to [1ms, pullTimeout/2].
-func (p *Peer) hedgeDelay() time.Duration {
+// hedgeDelay returns this peer's adaptive hedge trigger for an exchange
+// asking for batch rows: its recent p90 cost per row scaled to that size
+// (so only the slowest decile hedges), clamped to [1ms, pullTimeout/2].
+func (p *Peer) hedgeDelay(batch int) time.Duration {
 	p.latMu.Lock()
 	n := p.latN
 	var buf [latWindow]int64
@@ -116,15 +128,9 @@ func (p *Peer) hedgeDelay() time.Duration {
 		return defaultHedgeDelay
 	}
 	s := buf[:n]
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	d := time.Duration(s[(n*9)/10])
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if hi := p.pullTimeout() / 2; d > hi {
-		d = hi
-	}
-	return d
+	slices.Sort(s)
+	d := time.Duration(s[(n*9)/10] * int64(batch+hedgeFixedRows))
+	return min(max(d, time.Millisecond), p.pullTimeout()/2)
 }
 
 // NewPeer returns a peer for addr with default timeouts.
@@ -194,37 +200,61 @@ func (p *Peer) Close() {
 	}
 }
 
+// reply is one decoded response frame: the JSON Response, or the rows of
+// a successful pull/next.
+type reply struct {
+	Response
+	rows []WireTuple
+	done bool // stream exhausted; no VerbNext needed
+}
+
 // exchange performs one request/response on a specific connection under
-// the pull deadline, reporting to ObservePull.
-func (p *Peer) exchange(c net.Conn, req *Request, resp *Response) error {
+// the pull deadline, reporting to ObservePull. limit caps the response
+// payload it will accept.
+func (p *Peer) exchange(c net.Conn, req *Request, limit int) (*reply, error) {
 	p.Pulls.Add(1)
 	start := time.Now()
-	err := func() error {
+	rep, err := func() (*reply, error) {
 		if err := c.SetDeadline(time.Now().Add(p.pullTimeout())); err != nil {
-			return err
+			return nil, err
 		}
 		if err := writeFrame(c, req); err != nil {
-			return err
+			return nil, err
 		}
-		*resp = Response{}
-		return readFrame(c, resp)
+		body, err := readPayload(c, limit)
+		if err != nil {
+			return nil, err
+		}
+		var rep reply
+		if len(body) > 0 && body[0] == '{' {
+			if err := json.Unmarshal(body, &rep.Response); err != nil {
+				return nil, fmt.Errorf("shardrpc: decode frame: %w", err)
+			}
+			if rep.Err == nil && (req.Verb == VerbPull || req.Verb == VerbNext) {
+				return nil, fmt.Errorf("shardrpc: peer %s answered %s with JSON instead of a row frame; every peer must run this build", p.Addr, req.Verb)
+			}
+			return &rep, nil
+		}
+		rep.rows, rep.done, err = decodeRowFrame(body)
+		return &rep, err
 	}()
 	d := time.Since(start)
 	if err == nil {
-		p.observeLatency(d)
+		p.Rows.Add(int64(len(rep.rows)))
+		p.observeLatency(d, req.Batch)
 	}
 	if p.ObservePull != nil {
 		p.ObservePull(d, err)
 	}
-	return err
+	return rep, err
 }
 
 // Call performs one pooled request/response exchange with retries: a
 // transport failure closes the connection, backs off, redials, and
-// re-issues the request. Safe for every verb except VerbNext, whose
-// stream state is connection-bound (remoteSource handles that case by
-// re-pulling at its offset instead). A structured server-side failure is
-// returned as its *api.Error without retrying.
+// re-issues the request. It is the control-plane path (hello, ping): row
+// streams go through RemoteSource, which owns the connection a VerbNext
+// is bound to and resumes by re-pulling at its offset. A structured
+// server-side failure is returned as its *api.Error without retrying.
 func (p *Peer) Call(ctx context.Context, req *Request) (*Response, error) {
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -249,8 +279,8 @@ func (p *Peer) Call(ctx context.Context, req *Request) (*Response, error) {
 			lastErr = err
 			continue
 		}
-		var resp Response
-		if err := p.exchange(c, req, &resp); err != nil {
+		rep, err := p.exchange(c, req, maxFrame)
+		if err != nil {
 			brk.Record(false)
 			c.Close()
 			lastErr = err
@@ -259,10 +289,10 @@ func (p *Peer) Call(ctx context.Context, req *Request) (*Response, error) {
 		// The peer answered — a structured refusal still proves liveness.
 		brk.Record(true)
 		p.put(c)
-		if resp.Err != nil {
-			return nil, resp.Err
+		if rep.Err != nil {
+			return nil, rep.Err
 		}
-		return &resp, nil
+		return &rep.Response, nil
 	}
 	return nil, api.Errorf(api.CodeUnavailable, "peer %s unreachable after %d attempts: %v", p.Addr, maxAttempts, lastErr)
 }

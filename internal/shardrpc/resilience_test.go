@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -310,5 +311,143 @@ func TestHedgedPullRescuesStalledReplica(t *testing.T) {
 		if w.Key != key || w.Ord != ord || w.ID != tp.ID || w.Score != tp.Score {
 			t.Fatalf("row %d differs: remote {%v %d %s %v}, local {%v %d %s %v}", i, w.Key, w.Ord, w.ID, w.Score, key, ord, tp.ID, tp.Score)
 		}
+	}
+}
+
+// TestHedgeTriggerScalesWithBatch: on a peer whose history is mostly the
+// 16-row first pulls of ramped streams, a p90 over raw durations sits
+// below what any full-size pull costs — every one of them would hedge a
+// healthy replica. Costing history per row requested and scaling by the
+// batch being sent keeps the trigger above a healthy exchange of either
+// size, inside the [1ms, pullTimeout/2] clamp.
+func TestHedgeTriggerScalesWithBatch(t *testing.T) {
+	// A healthy peer: 1ms of round trip and stream open, 2µs per row.
+	cost := func(batch int) time.Duration { return time.Millisecond + time.Duration(batch)*2*time.Microsecond }
+	p := NewPeer("unused")
+	var raw []time.Duration
+	for i := 0; i < latWindow; i++ {
+		batch := rampStart
+		if i%10 == 9 {
+			batch = DefaultBatch
+		}
+		p.observeLatency(cost(batch), batch)
+		raw = append(raw, cost(batch))
+	}
+	slices.Sort(raw)
+	if rawP90 := raw[len(raw)*9/10]; rawP90 >= cost(DefaultBatch) {
+		t.Fatalf("fixture does not show the problem: raw p90 %v is not below a full pull's %v", rawP90, cost(DefaultBatch))
+	}
+	for _, batch := range []int{rampStart, 4 * rampStart, DefaultBatch} {
+		if got := p.hedgeDelay(batch); got < cost(batch) {
+			t.Errorf("trigger for a %d-row exchange is %v, under the %v a healthy one takes", batch, got, cost(batch))
+		}
+	}
+	if small, full := p.hedgeDelay(rampStart), p.hedgeDelay(DefaultBatch); full <= small {
+		t.Errorf("trigger does not grow with the batch: %v for %d rows, %v for %d", small, rampStart, full, DefaultBatch)
+	}
+
+	fast := NewPeer("unused")
+	for i := 0; i < latWindow; i++ {
+		fast.observeLatency(20*time.Microsecond, rampStart)
+	}
+	if got := fast.hedgeDelay(rampStart); got != time.Millisecond {
+		t.Errorf("trigger on a fast peer = %v, want the 1ms floor", got)
+	}
+	slow := NewPeer("unused")
+	slow.PullTimeout = 2 * time.Second
+	for i := 0; i < latWindow; i++ {
+		slow.observeLatency(900*time.Millisecond, rampStart)
+	}
+	if got := slow.hedgeDelay(DefaultBatch); got != time.Second {
+		t.Errorf("trigger on a slow peer = %v, want pullTimeout/2", got)
+	}
+}
+
+// TestHedgeRampedStream drives the adaptive trigger end to end on a
+// two-replica fleet with a WAN-like 2ms on every exchange. A deep ramped
+// stream — sizes from 16 to 512 rows through one peer's history — issues
+// no hedge while both replicas are healthy; once the primary stalls, the
+// hedge still fires, wins, and the rows stay bit-for-bit the local
+// stream's.
+func TestHedgeRampedStream(t *testing.T) {
+	rel := testRelation(t, "pts", 7, 2600, 2)
+	sharded, err := relation.Partition(rel, 1, relation.HashPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := sharded.ShardSource(0, relation.ScoreAccess, nil, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainKeyed(t, local.(relation.KeyedSource), 1<<20)
+
+	const rtt, stall = 2 * time.Millisecond, 600 * time.Millisecond
+	delayAll := func(d time.Duration) *faultinject.Injector {
+		return faultinject.New(
+			&faultinject.Rule{Verb: VerbPull, Action: faultinject.ActionDelay, Delay: d},
+			&faultinject.Rule{Verb: VerbNext, Action: faultinject.ActionDelay, Delay: d})
+	}
+	stalled := delayAll(stall)
+	stalled.SetEnabled(false)
+	addrs := make([]string, 2)
+	for i := range addrs {
+		raw, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := delayAll(rtt).Listener(raw)
+		if i == 0 {
+			ln = stalled.Listener(ln) // the primary: fleet order is owner order
+		}
+		srv := NewServer(&testBackend{
+			name: fmt.Sprintf("replica%d", i),
+			rels: map[string]*relation.Sharded{"pts": sharded},
+			owns: func(int) bool { return true },
+		})
+		if err := srv.Serve(ln); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		addrs[i] = raw.Addr().String()
+	}
+	fleet := NewFleet(addrs) // zero HedgePolicy: the adaptive trigger
+	t.Cleanup(fleet.Close)
+	remotes, err := fleet.Discover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hedges := func() (issued, won int64) {
+		for _, p := range fleet.Peers() {
+			issued += p.Hedges.Load()
+			won += p.HedgeWins.Load()
+		}
+		return
+	}
+	stream := func() *RemoteSource {
+		src, err := OpenRemoteShard(context.Background(), rel, remotes["pts"], 0, api.AccessScore, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+
+	if got := drainKeyed(t, stream(), 1<<20); !rowsEqual(got, want) {
+		t.Fatalf("healthy stream differs from local (%d vs %d rows)", len(got), len(want))
+	}
+	if issued, _ := hedges(); issued != 0 {
+		t.Fatalf("a %d-row ramped stream over two healthy replicas issued %d hedges", len(want), issued)
+	}
+
+	stalled.SetEnabled(true)
+	start := time.Now()
+	got := drainKeyed(t, stream(), 1<<20)
+	if elapsed := time.Since(start); elapsed >= stall {
+		t.Fatalf("stream took %v — the hedge did not rescue it from the %v stall", elapsed, stall)
+	}
+	if !rowsEqual(got, want) {
+		t.Fatalf("hedged stream differs from local (%d vs %d rows)", len(got), len(want))
+	}
+	if issued, won := hedges(); issued == 0 || won == 0 {
+		t.Fatalf("primary stalled: %d hedges issued, %d won", issued, won)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/api"
+	"repro/internal/faultinject"
 	"repro/internal/relation"
 	"repro/internal/vec"
 )
@@ -43,10 +44,9 @@ func testRelation(t testing.TB, name string, seed int64, size, dim int) *relatio
 
 // testBackend serves one sharded relation with an ownership predicate.
 type testBackend struct {
-	name   string
-	rels   map[string]*relation.Sharded
-	owns   func(shard int) bool
-	events []api.ResultEvent
+	name string
+	rels map[string]*relation.Sharded
+	owns func(shard int) bool
 }
 
 func (b *testBackend) Hello() HelloInfo {
@@ -87,10 +87,6 @@ func (b *testBackend) OpenShard(relName string, shard int, access string, query 
 		return nil, err
 	}
 	return src.(relation.KeyedSource), nil
-}
-
-func (b *testBackend) Query(_ context.Context, _ *api.Request) ([]api.ResultEvent, error) {
-	return b.events, nil
 }
 
 // startServer runs a server over backend on a loopback port.
@@ -234,6 +230,114 @@ func TestRemoteStreamByteIdentity(t *testing.T) {
 			if !remote.Exhausted() {
 				t.Fatalf("%s shard %d: remote source not marked exhausted after drain", access, s)
 			}
+		}
+	}
+}
+
+// rampExchanges is how many exchanges drain rows rows when the first asks
+// for start and each later one for twice the last, up to DefaultBatch.
+// The last exchange is the one that reports done: an exactly-full final
+// batch is followed by one more, empty, exchange.
+func rampExchanges(rows, start int) int {
+	n := 0
+	for batch := start; ; batch = min(batch*rampGrowth, DefaultBatch) {
+		n++
+		if rows < batch {
+			return n
+		}
+		rows -= batch
+	}
+}
+
+// TestRampedStreamByteIdentity pins the ramp: a deep stream opened with
+// batch 0 is bit-for-bit its local twin whatever the start size, takes
+// exactly the exchanges the doubling schedule predicts, and a connection
+// reset in the middle of the ramp (the 3rd exchange dies half-written)
+// resumes at the same offset with the same batch — same rows, one retry,
+// one exchange more. A positive batch keeps the fixed size.
+func TestRampedStreamByteIdentity(t *testing.T) {
+	rel := testRelation(t, "pts", 7, 3000, 2)
+	sharded, err := relation.Partition(rel, 1, relation.HashPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := []float64{2, 2}
+	local, err := sharded.ShardSource(0, relation.DistanceAccess, q, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainKeyed(t, local.(relation.KeyedSource), 1<<20)
+
+	for _, tc := range []struct {
+		name         string
+		batch, start int // OpenRemoteShard's batch; the ramp's first size (0: as opened)
+	}{
+		{"start1", 0, 1},
+		{"start16", 0, 0},
+		{"fixed512", 512, 0},
+	} {
+		for _, reset := range []bool{false, true} {
+			name := tc.name
+			if reset {
+				name += "/reset"
+			}
+			t.Run(name, func(t *testing.T) {
+				pinJitter(t, func(time.Duration) time.Duration { return 0 })
+				inj := faultinject.New(&faultinject.Rule{Verb: VerbNext, Action: faultinject.ActionReset, Nth: 2})
+				inj.SetEnabled(reset)
+				addr := startFaultedServer(t, &testBackend{
+					name: "ramp",
+					rels: map[string]*relation.Sharded{"pts": sharded},
+					owns: func(int) bool { return true },
+				}, inj)
+				fleet := NewFleet([]string{addr})
+				t.Cleanup(fleet.Close)
+				remotes, err := fleet.Discover(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				peer := fleet.Peers()[0]
+				pulls0 := peer.Pulls.Load()
+
+				src, err := OpenRemoteShard(context.Background(), rel, remotes["pts"], 0, api.AccessDistance, q, tc.batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.start > 0 {
+					src.batch = tc.start
+				}
+				first := src.batch
+				if wantRamp := tc.batch <= 0; src.ramp != wantRamp {
+					t.Fatalf("batch %d opened with ramp=%v", tc.batch, src.ramp)
+				}
+				if got := drainKeyed(t, src, 1<<20); !rowsEqual(got, want) {
+					t.Fatalf("remote stream differs from local (%d vs %d rows)", len(got), len(want))
+				}
+
+				exchanges := (len(want) + first) / first // fixed size, done on a short batch
+				if src.ramp {
+					exchanges = rampExchanges(len(want), first)
+				}
+				retries := int64(0)
+				if reset {
+					retries = 1
+				}
+				if got := peer.Pulls.Load() - pulls0; got != int64(exchanges)+retries {
+					t.Fatalf("drained %d rows in %d exchanges, want %d + %d retried", len(want), got, exchanges, retries)
+				}
+				if got := peer.Retries.Load(); got != retries {
+					t.Fatalf("%d retries, want %d", got, retries)
+				}
+				if got := inj.Fired(); got != retries {
+					t.Fatalf("injector fired %d times, want %d", got, retries)
+				}
+				if got := peer.Rows.Load(); got != int64(len(want)) {
+					t.Fatalf("peer counted %d rows received, stream has %d", got, len(want))
+				}
+				if src.Consumed() != len(want) {
+					t.Fatalf("source consumed %d rows, stream has %d", src.Consumed(), len(want))
+				}
+			})
 		}
 	}
 }
@@ -417,27 +521,6 @@ func TestDeadPeerCleanError(t *testing.T) {
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeUnavailable {
 		t.Fatalf("dead peer: got %v, want *api.Error with code %q", err, api.CodeUnavailable)
-	}
-}
-
-// TestQueryForwarding: the query verb carries the event stream verbatim.
-func TestQueryForwarding(t *testing.T) {
-	score := 0.75
-	events := []api.ResultEvent{
-		{Type: api.EventResult, Rank: 1, Result: &api.Combination{Score: score}},
-		{Type: api.EventSummary, Summary: &api.Summary{Count: 1}},
-	}
-	addr := startServer(t, &testBackend{name: "q", rels: map[string]*relation.Sharded{},
-		owns: func(int) bool { return true }, events: events})
-	peer := NewPeer(addr)
-	defer peer.Close()
-	resp, err := peer.Call(context.Background(), &Request{Verb: VerbQuery, Request: &api.Request{Version: api.Version}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Events) != 2 || resp.Events[0].Result == nil ||
-		math.Float64bits(resp.Events[0].Result.Score) != math.Float64bits(score) {
-		t.Fatalf("forwarded events corrupted: %+v", resp.Events)
 	}
 }
 

@@ -1,7 +1,6 @@
 package shardrpc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -23,8 +22,6 @@ type Backend interface {
 	// structured api.Errors (an unowned shard or unknown relation should
 	// yield api.CodeNotFound).
 	OpenShard(relName string, shard int, access string, query []float64) (relation.KeyedSource, error)
-	// Query runs a whole request and returns its event stream.
-	Query(ctx context.Context, req *api.Request) ([]api.ResultEvent, error)
 }
 
 // Server accepts shardrpc connections and answers them from a Backend.
@@ -135,14 +132,21 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// stream is the connection's current shard stream (VerbNext target).
-	var stream relation.KeyedSource
+	var (
+		// stream is the connection's current shard stream (VerbNext target).
+		stream relation.KeyedSource
+		// frame is the connection's row-frame buffer, reused by every
+		// pull/next it answers.
+		frame []byte
+	)
 	for {
 		var req Request
 		if err := readFrame(conn, &req); err != nil {
 			return
 		}
 		var resp Response
+		var err error
+		rows := false // answer with a row frame of stream, not with resp
 		switch req.Verb {
 		case VerbPing:
 			// Empty success response.
@@ -150,50 +154,38 @@ func (s *Server) handle(conn net.Conn) {
 			h := s.backend.Hello()
 			resp.Hello = &h
 		case VerbPull:
-			src, err := s.backend.OpenShard(req.Relation, req.Shard, req.Access, req.Query)
+			stream, err = s.backend.OpenShard(req.Relation, req.Shard, req.Access, req.Query)
 			if err == nil {
-				err = skip(src, req.Offset)
+				err = skip(stream, req.Offset)
 			}
 			if err != nil {
 				stream = nil
-				resp.Err = asWireError(err)
-				break
 			}
-			stream = src
-			resp.Tuples, resp.Done, err = fill(stream, batchSize(req.Batch))
-			if err != nil {
-				stream = nil
-				resp = Response{Err: asWireError(err)}
-			}
+			rows = err == nil
 		case VerbNext:
 			if stream == nil {
-				resp.Err = api.Errorf(api.CodeBadRequest, "next without an open stream on this connection")
-				break
+				err = api.Errorf(api.CodeBadRequest, "next without an open stream on this connection")
 			}
-			var err error
-			resp.Tuples, resp.Done, err = fill(stream, batchSize(req.Batch))
-			if err != nil {
-				stream = nil
-				resp = Response{Err: asWireError(err)}
-			}
-		case VerbQuery:
-			if req.Request == nil {
-				resp.Err = api.Errorf(api.CodeBadRequest, "query verb needs a request body")
-				break
-			}
-			events, err := s.backend.Query(context.Background(), req.Request)
-			if err != nil {
-				resp.Err = asWireError(err)
-				break
-			}
-			resp.Events = events
+			rows = err == nil
 		default:
-			resp.Err = api.Errorf(api.CodeBadRequest, "unknown verb %q", req.Verb)
+			err = api.Errorf(api.CodeBadRequest, "unknown verb %q", req.Verb)
 		}
-		if resp.Done {
-			stream = nil
+		if rows {
+			var done bool
+			frame, done, err = appendRowFrame(frame, stream, batchSize(req.Batch))
+			if done || err != nil {
+				stream = nil
+			}
 		}
-		if err := writeFrame(conn, &resp); err != nil {
+		if err != nil {
+			resp.Err, rows = asWireError(err), false
+		}
+		if rows {
+			_, err = conn.Write(frame)
+		} else {
+			err = writeFrame(conn, &resp)
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -223,22 +215,6 @@ func skip(src relation.KeyedSource, n int) error {
 		}
 	}
 	return nil
-}
-
-// fill drains up to batch rows from the stream into wire form.
-func fill(src relation.KeyedSource, batch int) ([]WireTuple, bool, error) {
-	out := make([]WireTuple, 0, batch)
-	for len(out) < batch {
-		t, key, ord, err := src.NextKeyed()
-		if errors.Is(err, relation.ErrExhausted) {
-			return out, true, nil
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		out = append(out, WireTuple{Key: key, Ord: ord, ID: t.ID, Score: t.Score, Vec: t.Vec, Attrs: t.Attrs})
-	}
-	return out, false, nil
 }
 
 // asWireError shapes any backend failure as a structured api.Error so

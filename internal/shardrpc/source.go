@@ -27,7 +27,8 @@ type RemoteSource struct {
 	shard   int
 	access  string
 	query   []float64
-	batch   int
+	batch   int  // rows the next exchange asks for
+	ramp    bool // batch doubles per successful exchange up to DefaultBatch
 	owners  []*Peer
 	ctx     context.Context
 	hedge   HedgePolicy
@@ -62,7 +63,9 @@ type RemoteSource struct {
 // api.AccessScore) with query set for distance access. Nothing is sent
 // until the first read — constructing a RemoteSource is free, which is
 // what lets a coordinator set up every shard's source and let the merge
-// decide which ones to actually open. batch <= 0 selects DefaultBatch.
+// decide which ones to actually open. A positive batch fixes the rows
+// asked for per exchange; batch <= 0 ramps them from rampStart up to
+// DefaultBatch, so a shard the merge takes a few rows from ships a few.
 func OpenRemoteShard(ctx context.Context, parent *relation.Relation, rr *RemoteRelation, shard int, access string, query []float64, batch int) (*RemoteSource, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -89,8 +92,9 @@ func OpenRemoteShard(ctx context.Context, parent *relation.Relation, rr *RemoteR
 	default:
 		bound = bounds.DistanceLowerBound(query)
 	}
-	if batch <= 0 {
-		batch = DefaultBatch
+	ramp := batch <= 0
+	if ramp {
+		batch = rampStart
 	}
 	return &RemoteSource{
 		parent:  parent,
@@ -101,11 +105,21 @@ func OpenRemoteShard(ctx context.Context, parent *relation.Relation, rr *RemoteR
 		access:  access,
 		query:   query,
 		batch:   batch,
+		ramp:    ramp,
 		owners:  owners,
 		ctx:     ctx,
 		hedge:   rr.Hedge,
 	}, nil
 }
+
+// The ramp: the first exchange asks for rampStart rows, each successful
+// one multiplies the next request by rampGrowth. On coord3_wire start
+// sizes 4 and 16 read within noise of each other, 32 costs a tenth of
+// the throughput and 64 a fifth (EXPERIMENTS.md, PR 12).
+const (
+	rampStart  = 16
+	rampGrowth = 2
+)
 
 // kindOf maps a wire access name onto the relation-layer access kind.
 func kindOf(access string) (relation.AccessKind, error) {
@@ -131,6 +145,9 @@ func (r *RemoteSource) KeyLowerBound() float64 { return r.bound }
 // Opened reports whether the stream was ever read. False after a query
 // completes means the shard was pruned.
 func (r *RemoteSource) Opened() bool { return r.opened }
+
+// Consumed returns how many rows the stream has delivered.
+func (r *RemoteSource) Consumed() int { return r.offset }
 
 // Shard returns the shard index this source streams.
 func (r *RemoteSource) Shard() int { return r.shard }
@@ -223,7 +240,7 @@ func (r *RemoteSource) fetch() error {
 			Offset:   r.offset,
 			Batch:    r.batch,
 		}
-		resp, err := r.exchangeHedged(&req)
+		rep, err := r.exchangeHedged(&req)
 		if err != nil {
 			if r.ctx.Err() != nil {
 				return r.ctx.Err()
@@ -231,15 +248,17 @@ func (r *RemoteSource) fetch() error {
 			lastErr = err
 			continue
 		}
-		if resp.Err != nil {
+		if rep.Err != nil {
 			// The server answered: a structured refusal, not a transport
 			// fault. Surface it without burning retries.
 			r.release()
-			return resp.Err
+			return rep.Err
 		}
-		r.buf, r.pos, r.done = resp.Tuples, 0, resp.Done
+		r.buf, r.pos, r.done = rep.rows, 0, rep.done
 		if r.done {
 			r.release()
+		} else if r.ramp {
+			r.batch = min(r.batch*rampGrowth, DefaultBatch)
 		}
 		return nil
 	}
@@ -276,7 +295,7 @@ func (r *RemoteSource) unreachable(lastErr error) error {
 
 // exchResult is one lane of a (possibly hedged) exchange.
 type exchResult struct {
-	resp  *Response
+	rep   *reply
 	err   error
 	conn  net.Conn
 	peer  *Peer
@@ -290,20 +309,20 @@ type exchResult struct {
 // shard streams are deterministic and offset-addressed, the output is
 // byte-identical whichever lane wins. On success r.conn/r.peer hold the
 // winning lane's connection; on failure the connection state is cleared.
-func (r *RemoteSource) exchangeHedged(req *Request) (*Response, error) {
+func (r *RemoteSource) exchangeHedged(req *Request) (*reply, error) {
 	r.pulls++
 	primary, pconn := r.peer, r.conn
+	limit := pullFrameLimit(req.Batch, r.parent.Dim())
 	results := make(chan exchResult, 2)
 	inflight := 1
 	go func() {
-		var resp Response
-		err := primary.exchange(pconn, req, &resp)
-		results <- exchResult{resp: &resp, err: err, conn: pconn, peer: primary}
+		rep, err := primary.exchange(pconn, req, limit)
+		results <- exchResult{rep: rep, err: err, conn: pconn, peer: primary}
 	}()
 
 	var hedgeC <-chan time.Time
 	if r.hedgeAllowed() {
-		t := time.NewTimer(r.hedgeDelay(primary))
+		t := time.NewTimer(r.hedgeDelay(primary, req.Batch))
 		defer t.Stop()
 		hedgeC = t.C
 	}
@@ -319,7 +338,7 @@ func (r *RemoteSource) exchangeHedged(req *Request) (*Response, error) {
 				}
 				r.conn, r.peer = res.conn, res.peer
 				r.abandon(results, inflight, res.conn)
-				return res.resp, nil
+				return res.rep, nil
 			}
 			res.peer.Breaker().Record(false)
 			if res.conn != nil {
@@ -348,9 +367,8 @@ func (r *RemoteSource) exchangeHedged(req *Request) (*Response, error) {
 					results <- exchResult{err: err, peer: hp, hedge: true}
 					return
 				}
-				var resp Response
-				err = hp.exchange(c, &hreq, &resp)
-				results <- exchResult{resp: &resp, err: err, conn: c, peer: hp, hedge: true}
+				rep, err := hp.exchange(c, &hreq, limit)
+				results <- exchResult{rep: rep, err: err, conn: c, peer: hp, hedge: true}
 			}()
 		case <-r.ctx.Done():
 			// Closing the primary connection unblocks its exchange; the
@@ -392,14 +410,14 @@ func (r *RemoteSource) hedgeAllowed() bool {
 	return !r.hedge.Disable && len(r.owners) > 1 && r.hedges*10 < r.pulls+9
 }
 
-// hedgeDelay is the trigger for hedging one exchange: the fixed policy
-// value, or the primary's own recent p90 so only its slowest decile of
-// requests hedge.
-func (r *RemoteSource) hedgeDelay(primary *Peer) time.Duration {
+// hedgeDelay is the trigger for hedging one exchange of batch rows: the
+// fixed policy value, or the primary's own recent p90 for that size so
+// only its slowest decile of requests hedge.
+func (r *RemoteSource) hedgeDelay(primary *Peer, batch int) time.Duration {
 	if r.hedge.After > 0 {
 		return r.hedge.After
 	}
-	return primary.hedgeDelay()
+	return primary.hedgeDelay(batch)
 }
 
 // pickHedgePeer returns a replica other than the primary whose breaker

@@ -1,10 +1,10 @@
 // Package shardrpc is the distributed transport of the system: a
 // stdlib-only, server-streaming RPC over TCP that lets one proxserve
-// process (a coordinator) read shard streams and forward whole queries
-// to others (shard servers).
+// process (a coordinator) read the shard streams of others (shard
+// servers).
 //
 // The protocol is deliberately minimal. Every message is a frame — a
-// 4-byte big-endian length followed by that many bytes of JSON — and
+// 4-byte big-endian length followed by that many payload bytes — and
 // every exchange is strictly one request frame answered by one response
 // frame. Streaming is client-driven: the coordinator pulls batches of
 // tuples with repeated pull/next requests rather than the server pushing
@@ -14,10 +14,19 @@
 // server's stream cursor), and a retry after a broken connection resumes
 // byte-identically by re-pulling at the recorded offset.
 //
-// JSON is the payload encoding because Go's encoding/json marshals
-// float64 values shortest-round-trip: the exact bit pattern of every
-// key, score, and coordinate survives the wire, which is what makes a
-// coordinator's k-way merge byte-identical to a single-node run.
+// Two payload encodings share the frame. Requests, hello, ping and every
+// error response are JSON: control-plane messages, small and rare. The
+// rows of a successful pull/next travel as one binary row frame
+// (rowframe.go): fixed-width Float64bits for every key, score and
+// coordinate, so the exact bit pattern survives the wire — which is what
+// makes a coordinator's k-way merge byte-identical to a single-node run —
+// closed by a CRC-32C, because a flipped byte inside a float is still a
+// float. A reader tells the two apart by the first payload byte ('{' or
+// the row magic). There is no negotiation: every peer of a deployment
+// runs identical binaries over identical data, and a coordinator that
+// meets anything else fails loudly at its first pull. Pull sizes ramp
+// (source.go), so the wire carries what a merge consumes, not 512 rows
+// per opened shard.
 package shardrpc
 
 import (
@@ -43,9 +52,6 @@ const (
 	VerbPull = "pull"
 	// VerbNext returns the next batch of the connection's current stream.
 	VerbNext = "next"
-	// VerbQuery runs a whole api.Request on the server and returns its
-	// api.ResultEvent stream verbatim.
-	VerbQuery = "query"
 	// VerbPing checks liveness.
 	VerbPing = "ping"
 )
@@ -63,19 +69,14 @@ type Request struct {
 	// Batch caps the rows of a pull/next response; servers clamp it to
 	// [1, MaxBatch].
 	Batch int `json:"batch,omitempty"`
-	// Request carries the forwarded query for VerbQuery.
-	Request *api.Request `json:"request,omitempty"`
 }
 
-// Response is the single server→client message shape. Exactly one of
-// the verb-specific payloads is populated on success; Err reports a
-// structured failure (the connection stays usable after one).
+// Response is the JSON server→client message: the answer to hello and
+// ping, and any verb's structured failure (the connection stays usable
+// after one). A successful pull/next is answered by a row frame instead.
 type Response struct {
-	Err    *api.Error        `json:"err,omitempty"`
-	Hello  *HelloInfo        `json:"hello,omitempty"`
-	Tuples []WireTuple       `json:"tuples,omitempty"`
-	Done   bool              `json:"done,omitempty"` // stream exhausted; no VerbNext needed
-	Events []api.ResultEvent `json:"events,omitempty"`
+	Err   *api.Error `json:"err,omitempty"`
+	Hello *HelloInfo `json:"hello,omitempty"`
 }
 
 // HelloInfo describes one shard server.
@@ -113,12 +114,12 @@ type OwnedShard struct {
 // server's KeyedSource, so the coordinator merges on exactly the values
 // a local merge would have computed.
 type WireTuple struct {
-	Key   float64           `json:"key"`
-	Ord   int               `json:"ord"`
-	ID    string            `json:"id"`
-	Score float64           `json:"score"`
-	Vec   []float64         `json:"vec"`
-	Attrs map[string]string `json:"attrs,omitempty"`
+	Key   float64
+	Ord   int
+	ID    string
+	Score float64
+	Vec   []float64
+	Attrs map[string]string
 }
 
 // Tuple converts the wire row back into a relation tuple.
@@ -156,18 +157,35 @@ func writeFrame(w io.Writer, v any) error {
 	return err
 }
 
-// readFrame reads one length-prefixed JSON frame into v.
-func readFrame(r io.Reader, v any) error {
+// readPayload reads one frame's payload, refusing a length prefix over
+// limit before allocating anything for it. The buffer then grows only as
+// bytes arrive (never by more than it already holds, 64 KiB at first),
+// so a prefix that lies costs its sender real bytes, not the reader
+// memory.
+func readPayload(r io.Reader, limit int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return fmt.Errorf("shardrpc: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
+	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if n > limit {
+		return nil, fmt.Errorf("shardrpc: frame of %d bytes exceeds the %d-byte limit", n, limit)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	var buf []byte
+	for len(buf) < n {
+		chunk := min(n-len(buf), max(len(buf), 64<<10))
+		buf = append(buf, make([]byte, chunk)...)
+		if _, err := io.ReadFull(r, buf[len(buf)-chunk:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// readFrame reads one length-prefixed JSON frame into v.
+func readFrame(r io.Reader, v any) error {
+	body, err := readPayload(r, maxFrame)
+	if err != nil {
 		return err
 	}
 	if err := json.Unmarshal(body, v); err != nil {

@@ -3,7 +3,11 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -40,12 +44,19 @@ import (
 //	               fixture server; the next live-events block must equal
 //	               the actual NDJSON lines (volatile cost timings zeroed)
 //	live-events    see live-stream
+//	stats-peers    the block decodes strictly into /v1/stats' peers array
 //	rpc-request    the block decodes strictly into shardrpc.Request
 //	rpc-response   the block decodes strictly into shardrpc.Response
 //	rpc-live-request   the block is sent as a frame to the fixture shard
 //	                   server; the next rpc-live-response block must
 //	                   equal the actual response frame's JSON
 //	rpc-live-response  see rpc-live-request
+//	rpc-live-hex       answers an rpc-live-request block like
+//	                   rpc-live-response, for requests answered by a
+//	                   binary row frame: the block is an annotated hex
+//	                   dump (bytes, then "#" and a comment, per line)
+//	                   that must equal the response frame byte for byte,
+//	                   length prefix included
 func TestAPIDoc(t *testing.T) {
 	blocks := parseDocBlocks(t, "../docs/API.md")
 	if len(blocks) == 0 {
@@ -98,6 +109,14 @@ func TestAPIDoc(t *testing.T) {
 			requireLive(t, b, pendingLive, "live-stream")
 			checkLiveStream(t, srv, pendingLive, b)
 			pendingLive = nil
+		case "stats-peers":
+			var st struct {
+				Peers []service.PeerStats `json:"peers"`
+			}
+			strictDecode(t, b, &st)
+			if len(st.Peers) == 0 || st.Peers[0].Addr == "" || st.Peers[0].Rows == 0 {
+				t.Errorf("docs/API.md:%d: peers example shows no peer with its rows", b.line)
+			}
 		case "rpc-request":
 			var req shardrpc.Request
 			strictDecode(t, b, &req)
@@ -113,6 +132,10 @@ func TestAPIDoc(t *testing.T) {
 			requireLive(t, b, pendingLive, "rpc-live-request")
 			checkLiveRPC(t, rpcPeer, pendingLive, b)
 			pendingLive = nil
+		case "rpc-live-hex":
+			requireLive(t, b, pendingLive, "rpc-live-request")
+			checkLiveRPCHex(t, rpcPeer.Addr, pendingLive, b)
+			pendingLive = nil
 		default:
 			t.Errorf("docs/API.md:%d: unknown doctest mode %q", b.line, b.mode)
 		}
@@ -121,9 +144,32 @@ func TestAPIDoc(t *testing.T) {
 		t.Errorf("docs/API.md:%d: %s block without its answer block", pendingLive.line, pendingLive.mode)
 	}
 	// The reference must keep covering the core shapes.
-	for _, mode := range []string{"request", "events", "error", "live-response", "live-events", "rpc-request", "rpc-live-response"} {
+	for _, mode := range []string{"request", "events", "error", "live-response", "live-events", "rpc-request", "rpc-response", "rpc-live-response", "rpc-live-hex"} {
 		if counts[mode] == 0 {
 			t.Errorf("docs/API.md documents no %s example", mode)
+		}
+	}
+}
+
+// TestAPIDocStatsTable: every field GET /v1/stats serves is named in
+// docs/API.md, so a counter cannot be added without its table row.
+func TestAPIDocStatsTable(t *testing.T) {
+	raw, err := os.ReadFile("../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(docFixtureServer(t).URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	for field := range stats {
+		if !bytes.Contains(raw, []byte("`"+field+"`")) {
+			t.Errorf("docs/API.md does not document the /v1/stats field %q", field)
 		}
 	}
 }
@@ -318,6 +364,43 @@ func checkLiveRPC(t *testing.T, peer *shardrpc.Peer, reqB *docBlock, respB docBl
 	if !reflect.DeepEqual(want, have) {
 		gotJSON, _ := json.MarshalIndent(have, "", "  ")
 		t.Errorf("docs/API.md:%d: documented rpc response differs from the live shard server.\nlive:\n%s", respB.line, gotJSON)
+	}
+}
+
+// checkLiveRPCHex sends the documented request as one frame over a raw
+// connection to the fixture shard server and compares the response
+// frame, length prefix included, with the documented hex dump.
+func checkLiveRPCHex(t *testing.T, addr string, reqB *docBlock, hexB docBlock) {
+	t.Helper()
+	var want []byte
+	for _, line := range strings.Split(hexB.text, "\n") {
+		data, _, _ := strings.Cut(line, "#")
+		b, err := hex.DecodeString(strings.Join(strings.Fields(data), ""))
+		if err != nil {
+			t.Errorf("docs/API.md:%d: hex dump line %q: %v", hexB.line, line, err)
+			return
+		}
+		want = append(want, b...)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(reqB.text)))
+	if _, err := conn.Write(append(frame, reqB.text...)); err != nil {
+		t.Fatal(err)
+	}
+	have := make([]byte, 4)
+	if _, err := io.ReadFull(conn, have); err != nil {
+		t.Fatal(err)
+	}
+	have = append(have, make([]byte, binary.BigEndian.Uint32(have))...)
+	if _, err := io.ReadFull(conn, have[4:]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, have) {
+		t.Errorf("docs/API.md:%d: documented frame differs from the live shard server.\nlive:\n%s", hexB.line, hex.Dump(have))
 	}
 }
 

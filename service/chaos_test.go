@@ -283,16 +283,29 @@ func TestChaosHedgeRescuesStalledReplica(t *testing.T) {
 }
 
 // TestChaosCorruptFrameRetried: a corrupted response frame (intact
-// length header, garbled payload) is retried transparently at the same
-// offset — the query succeeds, undegraded and byte-identical.
+// length header, a byte flipped inside the row payload) is refused by
+// the row frame's checksum — never decoded into rows — and retried
+// transparently at the same offset: the query succeeds, undegraded and
+// byte-identical.
 func TestChaosCorruptFrameRetried(t *testing.T) {
 	rels := chaosRels(t, 80)
 	const shards = 2
 	corrupt := &faultinject.Rule{Verb: "pull", Action: faultinject.ActionCorrupt, Times: 1}
 	inj := faultinject.New(corrupt)
 	addr, _ := startChaosServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
-	coord, _, _ := chaosCoord(t, []string{addr}, shardrpc.HedgePolicy{Disable: true})
+	coord, _, fleet := chaosCoord(t, []string{addr}, shardrpc.HedgePolicy{Disable: true})
 	twin := localTwin(t, rels, shards, proxrank.HashPartition)
+	peer := fleet.Peers()[0]
+	var mu sync.Mutex
+	var refused []error
+	peer.ObservePull = func(_ time.Duration, err error) {
+		if err != nil {
+			mu.Lock()
+			refused = append(refused, err)
+			mu.Unlock()
+		}
+	}
+	rows0 := peer.Rows.Load()
 
 	req := &QueryRequest{Query: []float64{-0.2, 0.5}, Relations: []string{"A", "B"}, K: 4}
 	got, err := coord.Execute(context.Background(), req)
@@ -301,6 +314,19 @@ func TestChaosCorruptFrameRetried(t *testing.T) {
 	}
 	if corrupt.Fired() != 1 {
 		t.Fatalf("corrupt rule fired %d times, want 1", corrupt.Fired())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(refused) != 1 || !strings.Contains(refused[0].Error(), "checksum") {
+		t.Fatalf("the corrupted frame must be the one refused exchange, by checksum; refused: %v", refused)
+	}
+	if got := peer.Retries.Load(); got != 1 {
+		t.Fatalf("%d retries after one refused frame, want 1", got)
+	}
+	// Rows are credited only from frames that verified, so the merges
+	// cannot have consumed more than the peer is credited with.
+	if fetched, consumed := peer.Rows.Load()-rows0, coord.Stats().RemoteRowsConsumed; consumed == 0 || fetched < consumed {
+		t.Fatalf("rows fetched %d, consumed %d: a refused frame leaked rows", fetched, consumed)
 	}
 	if got.Degraded {
 		t.Fatal("corruption-retried query marked degraded")

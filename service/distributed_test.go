@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,6 +228,130 @@ func TestDistributedPruning(t *testing.T) {
 		// Every remote shard source ends the query either opened or pruned.
 		t.Fatalf("pruned %d + opened %d does not cover the %d shards",
 			st.ShardsPruned, st.RemoteStreamsOpened, f.coordCat.TotalShards())
+	}
+}
+
+// TestDistributedOverFetchBounded pins what a query pays on the wire to
+// what its merges consume. Every opened stream ramps from a 16-row first
+// pull, so rows fetched stay within 4 × rows consumed + 16 per opened
+// stream (a fixed 512-row pull would ship each 400-row shard whole), and
+// a shard the bounds prune appears on neither side: it costs zero rows.
+// Both sides are read where operators read them — /v1/stats and
+// /metrics.
+func TestDistributedOverFetchBounded(t *testing.T) {
+	f := newDistFixture(t, 2, 2400, 6, 2, proxrank.GridPartition)
+	srv := NewServer(f.coordCat, f.coord)
+	srv.AttachFleet(f.fleet)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	type wireStats struct {
+		StatsSnapshot
+		RemoteRowsFetched int64       `json:"remoteRowsFetched"`
+		Peers             []PeerStats `json:"peers"`
+	}
+	read := func() (st wireStats) {
+		getJSON(t, ts.URL+"/v1/stats", &st)
+		var perPeer int64
+		for _, p := range st.Peers {
+			perPeer += p.Rows
+		}
+		if perPeer != st.RemoteRowsFetched {
+			t.Fatalf("remoteRowsFetched %d is not the sum of the peers' rows %d", st.RemoteRowsFetched, perPeer)
+		}
+		return st
+	}
+	for _, tc := range []struct {
+		name       string
+		req        *QueryRequest
+		wantPruned bool
+	}{
+		{"center", &QueryRequest{Query: []float64{0, 0}, Relations: f.names, K: 20}, false},
+		{"edge", &QueryRequest{Query: []float64{-2.5, -2.5}, Relations: f.names, K: 2}, true},
+	} {
+		before := read()
+		want, err := f.local.Execute(context.Background(), tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.coord.Execute(context.Background(), tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, g := scrubResponse(t, want), scrubResponse(t, got); w != g {
+			t.Fatalf("%s: coordinator differs from local\nlocal:       %s\ncoordinator: %s", tc.name, w, g)
+		}
+		after := read()
+		fetched := after.RemoteRowsFetched - before.RemoteRowsFetched
+		consumed := after.RemoteRowsConsumed - before.RemoteRowsConsumed
+		opened := after.RemoteStreamsOpened - before.RemoteStreamsOpened
+		pruned := after.ShardsPruned - before.ShardsPruned
+		t.Logf("%s: %d streams opened, %d pruned; %d rows fetched for %d consumed", tc.name, opened, pruned, fetched, consumed)
+		if opened == 0 || consumed < opened || fetched < consumed {
+			t.Fatalf("%s: opened %d streams, consumed %d rows, fetched %d: every opened stream yields a row and rows are fetched before they are consumed",
+				tc.name, opened, consumed, fetched)
+		}
+		if fetched > 4*consumed+16*opened {
+			t.Fatalf("%s: fetched %d rows for %d consumed over %d opened streams, over the 4×consumed + 16×opened bound",
+				tc.name, fetched, consumed, opened)
+		}
+		if tc.wantPruned && pruned == 0 {
+			t.Fatalf("%s: far-corner K=2 query pruned nothing", tc.name)
+		}
+	}
+
+	body := getBody(t, ts.URL+"/metrics")
+	total := read()
+	if got := metricValue(t, body, "proxrank_remote_rows_consumed_total", ""); int64(got) != total.RemoteRowsConsumed {
+		t.Fatalf("proxrank_remote_rows_consumed_total = %v, /v1/stats says %d", got, total.RemoteRowsConsumed)
+	}
+	var perPeer float64
+	for _, p := range f.fleet.Peers() {
+		perPeer += metricValue(t, body, "proxrank_rpc_rows_total", p.Addr)
+	}
+	if int64(perPeer) != total.RemoteRowsFetched {
+		t.Fatalf("proxrank_rpc_rows_total sums to %v, /v1/stats says %d", perPeer, total.RemoteRowsFetched)
+	}
+}
+
+// TestDistributedConcurrentQueries runs the executor's remote path from
+// many goroutines at once — shared peers, pooled connections, the
+// latency rings and row counters behind them — and holds every answer to
+// the single-node twin. It is the test the race detector is pointed at
+// (CI runs it with -race -count=10).
+func TestDistributedConcurrentQueries(t *testing.T) {
+	f := newDistFixture(t, 2, 600, 6, 2, proxrank.GridPartition)
+	queries := [][]float64{{0, 0}, {-2.5, -2.5}, {1, -1}, {0.3, 2}}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		resp, err := f.local.Execute(context.Background(), &QueryRequest{Query: q, Relations: f.names, K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = scrubResponse(t, resp)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				i := (g + round) % len(queries)
+				resp, err := f.coord.Execute(context.Background(), &QueryRequest{Query: queries[i], Relations: f.names, K: 10})
+				if err != nil {
+					t.Errorf("goroutine %d round %d: %v", g, round, err)
+					return
+				}
+				if got := scrubResponse(t, resp); got != want[i] {
+					t.Errorf("goroutine %d round %d: answer differs from the single-node twin", g, round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := f.coord.Stats(); st.RemoteRowsConsumed == 0 || st.RemoteStreamsOpened == 0 {
+		t.Fatalf("no remote traffic recorded: %+v", st)
 	}
 }
 

@@ -196,6 +196,10 @@ type StatsSnapshot struct {
 	// could not contribute, so the coordinator never opened them.
 	RemoteStreamsOpened int64 `json:"remoteStreamsOpened"`
 	ShardsPruned        int64 `json:"shardsPruned"`
+	// RemoteRowsConsumed counts rows the merges actually took from remote
+	// shard streams — the useful share of the rows the peers sent (the
+	// coordinator's /v1/stats reports those as remoteRowsFetched).
+	RemoteRowsConsumed int64 `json:"remoteRowsConsumed"`
 	// TotalSpilledCombinations counts combinations BufferSpill sessions
 	// moved out of the ranked heap; TotalSpilledBytes is how many bytes of
 	// those reached the file spill tier.
@@ -251,6 +255,7 @@ type Executor struct {
 	totalEngineMicros atomic.Int64
 	remoteOpened      atomic.Int64
 	shardsPruned      atomic.Int64
+	remoteConsumed    atomic.Int64
 	totalSpilled      atomic.Int64
 	totalSpilledBytes atomic.Int64
 }
@@ -347,6 +352,7 @@ func (x *Executor) Stats() StatsSnapshot {
 		TotalEngineMicros:        x.totalEngineMicros.Load(),
 		RemoteStreamsOpened:      x.remoteOpened.Load(),
 		ShardsPruned:             x.shardsPruned.Load(),
+		RemoteRowsConsumed:       x.remoteConsumed.Load(),
 		TotalSpilledCombinations: x.totalSpilled.Load(),
 		TotalSpilledBytes:        x.totalSpilledBytes.Load(),
 	}
@@ -1299,8 +1305,10 @@ func wireAccess(kind proxrank.AccessKind) string {
 // every replica is unreachable ends its stream early (and is reported by
 // the returned missing collector) instead of failing the query. The
 // returned cleanup must run once the engine is done with the sources: it
-// releases remote connections and settles the pruning accounting (a
-// remote source the merge never opened is a pruned shard). It is always
+// releases remote connections and settles the pruning and over-fetch
+// accounting (a remote source the merge never opened is a pruned shard;
+// the rows it took from the others are the consumed side of rows
+// fetched ÷ rows consumed). It is always
 // non-nil, also on error. missing must be called by the goroutine that
 // drove the engine, after the run finishes and before the sources are
 // discarded.
@@ -1316,17 +1324,19 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 		return out
 	}
 	cleanup := func() {
-		var opened, pruned int64
+		var opened, pruned, consumed int64
 		for _, rs := range remotes {
 			if rs.Opened() {
 				opened++
 			} else {
 				pruned++
 			}
+			consumed += int64(rs.Consumed())
 			rs.Close()
 		}
 		x.remoteOpened.Add(opened)
 		x.shardsPruned.Add(pruned)
+		x.remoteConsumed.Add(consumed)
 	}
 
 	type job struct{ rel, shard int }

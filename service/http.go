@@ -409,12 +409,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // PeerStats is one fleet peer's cumulative RPC counters in /v1/stats.
 type PeerStats struct {
-	Addr       string `json:"addr"`
-	Pulls      int64  `json:"pulls"`
-	Retries    int64  `json:"retries"`
-	Reconnects int64  `json:"reconnects"`
-	Hedges     int64  `json:"hedges"`
-	HedgeWins  int64  `json:"hedgeWins"`
+	Addr  string `json:"addr"`
+	Pulls int64  `json:"pulls"`
+	// Rows counts tuple rows the peer sent in pull/next responses.
+	Rows       int64 `json:"rows"`
+	Retries    int64 `json:"retries"`
+	Reconnects int64 `json:"reconnects"`
+	Hedges     int64 `json:"hedges"`
+	HedgeWins  int64 `json:"hedgeWins"`
 	// Breaker is the peer's circuit-breaker position (closed, open,
 	// half-open); BreakerOpens counts its transitions into open.
 	Breaker      string `json:"breaker"`
@@ -423,11 +425,15 @@ type PeerStats struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	var peers []PeerStats
+	var fetched int64
 	if s.fleet != nil {
 		for _, p := range s.fleet.Peers() {
+			rows := p.Rows.Load()
+			fetched += rows
 			peers = append(peers, PeerStats{
 				Addr:         p.Addr,
 				Pulls:        p.Pulls.Load(),
+				Rows:         rows,
 				Retries:      p.Retries.Load(),
 				Reconnects:   p.Reconnects.Load(),
 				Hedges:       p.Hedges.Load(),
@@ -439,8 +445,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, struct {
 		StatsSnapshot
-		Relations   int         `json:"relations"`
-		TotalShards int         `json:"totalShards"`
-		Peers       []PeerStats `json:"peers,omitempty"`
-	}{s.exec.Stats(), s.cat.Len(), s.cat.TotalShards(), peers})
+		Relations   int `json:"relations"`
+		TotalShards int `json:"totalShards"`
+		// RemoteRowsFetched sums the peers' rows: with the snapshot's
+		// remoteRowsConsumed, how much of what the wire carried the merges
+		// used.
+		RemoteRowsFetched int64       `json:"remoteRowsFetched"`
+		Peers             []PeerStats `json:"peers,omitempty"`
+	}{s.exec.Stats(), s.cat.Len(), s.cat.TotalShards(), fetched, peers})
 }

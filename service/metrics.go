@@ -114,6 +114,7 @@ func newMetrics(reg *obs.Registry, x *Executor) *metrics {
 	c("proxrank_stream_midrun_attaches_total", "Coalesced stream followers that attached to a live topic mid-run.", &x.midRunAttaches)
 	c("proxrank_shards_pruned_total", "Remote shards whose bound proved they could not contribute, so their streams were never opened.", &x.shardsPruned)
 	c("proxrank_remote_streams_opened_total", "Remote shard streams a query actually pulled from.", &x.remoteOpened)
+	c("proxrank_remote_rows_consumed_total", "Rows the merges took from remote shard streams (compare proxrank_rpc_rows_total, the rows fetched).", &x.remoteConsumed)
 	c("proxrank_engine_sum_depths_total", "Cumulative access depth across completed runs.", &x.totalSumDepths)
 	c("proxrank_engine_combinations_total", "Cumulative combinations formed across completed runs.", &x.totalCombinations)
 	c("proxrank_engine_bound_updates_total", "Cumulative stopping-threshold recomputations across completed runs.", &x.totalBoundUpdates)
@@ -171,7 +172,7 @@ func (m *metrics) registerCatalog(cat *Catalog) {
 
 // registerFleet adds the coordinator's per-peer RPC families: a
 // round-trip latency histogram labeled by peer address and func-backed
-// mirrors of each peer's pull/retry/reconnect counters. Called once, at
+// mirrors of each peer's pull/row/retry/reconnect counters. Called once, at
 // coordinator startup, before the fleet serves queries.
 func (m *metrics) registerFleet(fleet *shardrpc.Fleet) {
 	pull := m.reg.HistogramVec("proxrank_rpc_pull_duration_seconds",
@@ -179,6 +180,8 @@ func (m *metrics) registerFleet(fleet *shardrpc.Fleet) {
 		obs.DurationBuckets(), "peer")
 	pulls := m.reg.CounterFuncVec("proxrank_rpc_pulls_total",
 		"Shardrpc exchanges attempted, by peer.", "peer")
+	rows := m.reg.CounterFuncVec("proxrank_rpc_rows_total",
+		"Tuple rows received in shardrpc pull/next responses, by peer.", "peer")
 	retries := m.reg.CounterFuncVec("proxrank_rpc_retries_total",
 		"Shardrpc exchanges re-issued after a transport failure, by peer.", "peer")
 	reconnects := m.reg.CounterFuncVec("proxrank_rpc_reconnects_total",
@@ -199,6 +202,7 @@ func (m *metrics) registerFleet(fleet *shardrpc.Fleet) {
 		h := pull.With(p.Addr)
 		p.ObservePull = func(d time.Duration, _ error) { h.ObserveDuration(d.Seconds()) }
 		pulls.Bind(func() float64 { return float64(p.Pulls.Load()) }, p.Addr)
+		rows.Bind(func() float64 { return float64(p.Rows.Load()) }, p.Addr)
 		retries.Bind(func() float64 { return float64(p.Retries.Load()) }, p.Addr)
 		reconnects.Bind(func() float64 { return float64(p.Reconnects.Load()) }, p.Addr)
 		hedges.Bind(func() float64 { return float64(p.Hedges.Load()) }, p.Addr)

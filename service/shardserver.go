@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -75,23 +74,22 @@ func (o Ownership) Owns(s int) bool {
 	return d < r
 }
 
-// ShardBackend serves a catalog's locally-loaded shards (and whole
-// queries through an executor) over shardrpc. It is the service half of
-// a shard server: shardrpc provides the transport, this type the
-// semantics.
+// ShardBackend serves a catalog's locally-loaded shards over shardrpc. It
+// is the service half of a shard server: shardrpc provides the
+// transport, this type the semantics.
 type ShardBackend struct {
-	cat  *Catalog
-	exec *Executor
-	own  Ownership
+	cat *Catalog
+	own Ownership
 	// name is the identity advertised in hello (the RPC listen address).
 	name string
 }
 
-// NewShardBackend builds a backend over cat and exec serving the shards
-// selected by own. Call SetName once the RPC listener's address is
-// known.
-func NewShardBackend(cat *Catalog, exec *Executor, own Ownership) *ShardBackend {
-	return &ShardBackend{cat: cat, exec: exec, own: own}
+// NewShardBackend builds a backend over cat serving the shards selected
+// by own. Call SetName once the RPC listener's address is known. The
+// executor parameter is unused since the query verb went; it stays
+// because bench/ compiles against this signature.
+func NewShardBackend(cat *Catalog, _ *Executor, own Ownership) *ShardBackend {
+	return &ShardBackend{cat: cat, own: own}
 }
 
 // SetName records the identity advertised in hello responses.
@@ -164,21 +162,6 @@ func (b *ShardBackend) OpenShard(relName string, shard int, access string, query
 		return nil, api.Errorf(api.CodeInternal, "shard %d of %q: stream %T carries no merge keys", shard, relName, src)
 	}
 	return ks, nil
-}
-
-// Query implements shardrpc.Backend: the whole request runs through the
-// executor's streaming path and the finished event sequence is returned
-// verbatim.
-func (b *ShardBackend) Query(ctx context.Context, req *api.Request) ([]api.ResultEvent, error) {
-	var events []api.ResultEvent
-	err := b.exec.ExecuteStream(ctx, req, func(ev api.ResultEvent) error {
-		events = append(events, ev)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return events, nil
 }
 
 var _ shardrpc.Backend = (*ShardBackend)(nil)
