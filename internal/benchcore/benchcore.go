@@ -1,8 +1,9 @@
 // Package benchcore defines the engine hot-path micro-benchmarks in one
 // place, so `go test -bench=HotPath` and the committed BENCH_core.json
 // snapshot (`proxbench -core-out`) measure exactly the same workloads:
-// batch TopK (tight and corner bounds), incremental session Next, and a
-// sharded-merge query. The JSON snapshot is the perf trajectory record —
+// batch TopK (tight and corner bounds), incremental session Next, a
+// sharded-merge query, and the R-tree distance stream every one of them
+// pulls from. The JSON snapshot is the perf trajectory record —
 // regenerate it on the same class of hardware before claiming a win or a
 // regression (see EXPERIMENTS.md).
 package benchcore
@@ -12,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -34,6 +36,8 @@ func Specs() []Spec {
 		{Name: "TopKCorner", Bench: BenchTopKCorner},
 		{Name: "SessionNext", Bench: BenchSessionNext},
 		{Name: "ShardedMerge", Bench: BenchShardedMerge},
+		{Name: "RTreeOpenFirst", Bench: BenchRTreeOpenFirst},
+		{Name: "RTreePrefix100", Bench: BenchRTreePrefix100},
 	}
 }
 
@@ -71,6 +75,10 @@ var (
 	shardOnce   sync.Once
 	shardInputs []proxrank.Input
 	shardQ      proxrank.Vector
+
+	rtreeOnce    sync.Once
+	rtreeIndex   *proxrank.RTreeIndex
+	rtreeQueries []proxrank.Vector
 )
 
 func batchSetup() ([]*proxrank.Relation, proxrank.Vector) {
@@ -97,6 +105,31 @@ func shardSetup() ([]proxrank.Input, proxrank.Vector) {
 		shardInputs, shardQ = inputs, q
 	})
 	return shardInputs, shardQ
+}
+
+// rtreeSetup indexes one 20 000-tuple dim-4 relation (the shape of the
+// proxserve benchmark's engine workloads) and fixes 64 query points spread
+// over the inner half of its region.
+func rtreeSetup() (*proxrank.RTreeIndex, []proxrank.Vector) {
+	rtreeOnce.Do(func() {
+		cfg := proxrank.DefaultSyntheticConfig()
+		cfg.Dim, cfg.BaseTuples, cfg.Seed = 4, 20_000, 11
+		rels, err := proxrank.SyntheticRelations(cfg)
+		if err != nil {
+			panic(err)
+		}
+		rtreeIndex = proxrank.NewRTreeIndex(rels[0])
+		r := rand.New(rand.NewSource(12))
+		rtreeQueries = make([]proxrank.Vector, 64)
+		for i := range rtreeQueries {
+			q := make(proxrank.Vector, cfg.Dim)
+			for c := range q {
+				q[c] = (r.Float64() - 0.5) * cfg.SideLength() / 2
+			}
+			rtreeQueries[i] = q
+		}
+	})
+	return rtreeIndex, rtreeQueries
 }
 
 // BenchTopK is the headline batch query at the paper's default operating
@@ -168,6 +201,34 @@ func BenchShardedMerge(b *testing.B) {
 	}
 }
 
+// benchRTreePrefix opens a distance stream on the shared index and pulls
+// its first k tuples, one query point after another.
+func benchRTreePrefix(b *testing.B, k int) {
+	ix, queries := rtreeSetup()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := ix.Source(queries[i%len(queries)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < k; j++ {
+			if _, err := src.Next(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchRTreeOpenFirst is what a distance stream costs before its first
+// tuple: open an incremental traversal on a shared R-tree and take one
+// neighbour. Every shard stream a query opens pays this once.
+func BenchRTreeOpenFirst(b *testing.B) { benchRTreePrefix(b, 1) }
+
+// BenchRTreePrefix100 is the steady-state step: open and pull 100 tuples,
+// a typical depth for one relation of a top-10 query.
+func BenchRTreePrefix100(b *testing.B) { benchRTreePrefix(b, 100) }
+
 // Result is one benchmark measurement of a Snapshot.
 type Result struct {
 	Name        string  `json:"name"`
@@ -183,6 +244,7 @@ type Snapshot struct {
 	GoOS        string   `json:"goos"`
 	GoArch      string   `json:"goarch"`
 	NumCPU      int      `json:"numCPU"`
+	GoMaxProcs  int      `json:"gomaxprocs"`
 	Benchmarks  []Result `json:"benchmarks"`
 }
 
@@ -194,6 +256,7 @@ func Run() Snapshot {
 		GoOS:        runtime.GOOS,
 		GoArch:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
 	}
 	for _, spec := range Specs() {
 		r := testing.Benchmark(spec.Bench)

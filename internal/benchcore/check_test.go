@@ -60,7 +60,7 @@ func TestCheckAllocs(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := snap(Result{Name: "TopK", Iterations: 3, NsPerOp: 1.5, BytesPerOp: 64, AllocsPerOp: 2})
-	s.GoOS, s.GoArch, s.NumCPU = "linux", "amd64", 4
+	s.GoOS, s.GoArch, s.NumCPU, s.GoMaxProcs = "linux", "amd64", 4, 2
 	var b strings.Builder
 	if err := s.Write(&b); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Benchmarks) != 1 || got.Benchmarks[0] != s.Benchmarks[0] || got.GoOS != "linux" {
+	if len(got.Benchmarks) != 1 || got.Benchmarks[0] != s.Benchmarks[0] || got.GoOS != "linux" || got.GoMaxProcs != 2 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }

@@ -1,6 +1,7 @@
-// Package pqueue provides generic binary heaps used throughout the library:
-// the engine's top-K output buffer, the lazy bound heaps of the tight
-// bounding scheme, and the R-tree's incremental nearest-neighbor traversal.
+// Package pqueue provides generic binary heaps used by the engine: the
+// top-K output buffer and the lazy bound heaps of the tight bounding
+// scheme. (The R-tree's nearest-neighbor traversal keeps its own inlined
+// heap of 16-byte items; see internal/rtree.)
 //
 // Heap is a plain priority queue ordered by a user-supplied less function.
 // Indexed is a priority queue that additionally tracks element positions so

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/rtree"
 	"repro/internal/vec"
 )
 
@@ -40,9 +39,12 @@ type FileShard struct {
 
 // lazyRTree builds a shard's R-tree on first distance access instead of
 // at assembly: a file-backed relation serving only score access never
-// pays the O(n·dim) heap of tree rectangles. sync.Once makes the build
-// safe under concurrent first queries; the resulting tree is the same
-// bulk load Partition performs eagerly, so emissions are identical.
+// pays for the index, which is the one part of a loaded shard that lives
+// on the heap — a copy of every vector in leaf order (8·dim bytes a
+// tuple) plus about a sixteenth of that again in inner boxes. sync.Once
+// makes the build safe under concurrent first queries; the resulting tree
+// is the same bulk load Partition performs eagerly, so emissions are
+// identical.
 type lazyRTree struct {
 	once sync.Once
 	ix   *RTreeIndex
@@ -50,22 +52,17 @@ type lazyRTree struct {
 
 func (l *lazyRTree) index(sh *shard) *RTreeIndex {
 	l.once.Do(func() {
-		n := sh.cols.Len()
-		pts := make([]vec.Vector, n)
-		vals := make([]int, n)
-		for i := 0; i < n; i++ {
-			pts[i] = sh.cols.Vec(i)
-			vals[i] = i
-		}
-		l.ix = &RTreeIndex{rel: sh.rel, tree: rtree.BulkLoad(sh.rel.Dim(), pts, vals)}
+		l.ix = newRTreeIndex(sh.rel, sh.cols.Len(), sh.cols.Vec)
 	})
 	return l.ix
 }
 
 // autoShardTarget is the tuples-per-shard the admission heuristic aims
-// for: small enough that a shard's R-tree builds in single-digit
-// milliseconds and bounding metadata stays selective, large enough that
-// the k-way merge over shard heads stays shallow.
+// for: small enough that a shard's R-tree builds in milliseconds (measured
+// on the proxserve benchmark: ≈ 5 ms of bulk load for a 7 500-tuple dim-8
+// shard, 7–9 ms for the first distance read of a relfile shard, page
+// faults included) and bounding metadata stays selective, large enough
+// that the k-way merge over shard heads stays shallow.
 const autoShardTarget = 8192
 
 // AutoShardCount picks a shard count from a relation's size: one shard

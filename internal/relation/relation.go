@@ -372,6 +372,7 @@ type rtreeSource struct {
 	look    nnHit // one-item lookahead past the current tie run
 	hasLook bool
 	batch   []nnHit // current equal-distance run, ordinal-sorted
+	pos     int     // next unread element of batch
 }
 
 // nnHit is one materialized traversal result.
@@ -394,10 +395,17 @@ type RTreeIndex struct {
 
 // NewRTreeIndex bulk-loads r's vectors into an R-tree.
 func NewRTreeIndex(r *Relation) *RTreeIndex {
-	pts := make([]vec.Vector, len(r.tuples))
-	vals := make([]int, len(r.tuples))
-	for i, t := range r.tuples {
-		pts[i] = t.Vec
+	return newRTreeIndex(r, len(r.tuples), func(i int) vec.Vector { return r.tuples[i].Vec })
+}
+
+// newRTreeIndex bulk-loads the n vectors vecOf yields, keyed by storage
+// index. The tree copies each vector once into its own slab, so vecOf may
+// return views of storage the index must not pin (a file mapping).
+func newRTreeIndex(r *Relation, n int, vecOf func(i int) vec.Vector) *RTreeIndex {
+	pts := make([]vec.Vector, n)
+	vals := make([]int, n)
+	for i := range pts {
+		pts[i] = vecOf(i)
 		vals[i] = i
 	}
 	return &RTreeIndex{rel: r, tree: rtree.BulkLoad(r.dim, pts, vals)}
@@ -450,12 +458,14 @@ func (s *rtreeSource) take() (nnHit, bool) {
 
 // NextKeyed implements KeyedSource.
 func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
-	if len(s.batch) == 0 {
+	if s.pos == len(s.batch) {
 		first, ok := s.take()
 		if !ok {
 			return Tuple{}, 0, 0, ErrExhausted
 		}
-		s.batch = append(s.batch[:0], first)
+		// Refill in place: consuming by re-slicing would walk the capacity
+		// down to zero and allocate a fresh run on every call.
+		s.batch, s.pos = append(s.batch[:0], first), 0
 		for {
 			h, ok := s.take()
 			if !ok {
@@ -476,8 +486,8 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 			}
 		}
 	}
-	h := s.batch[0]
-	s.batch = s.batch[1:]
+	h := s.batch[s.pos]
+	s.pos++
 	if s.cols != nil {
 		return s.cols.Tuple(h.idx), h.dist, h.ord, nil
 	}

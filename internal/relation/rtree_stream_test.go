@@ -1,0 +1,217 @@
+package relation
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/vec"
+)
+
+// memColumns is an in-memory Columns: what a file-backed shard looks like
+// to this package, minus the file.
+type memColumns struct {
+	tuples []Tuple
+	ords   []int
+}
+
+func (c *memColumns) Len() int             { return len(c.tuples) }
+func (c *memColumns) Tuple(i int) Tuple    { return c.tuples[i] }
+func (c *memColumns) Vec(i int) vec.Vector { return c.tuples[i].Vec }
+func (c *memColumns) Ordinal(i int) int    { return c.ords[i] }
+
+// columnsTwin rebuilds a RAM-partitioned relation as a Sharded over
+// Columns-backed shards holding the same tuples under the same ordinals,
+// each shard in the canonical score order the Columns contract asks for.
+func columnsTwin(t testing.TB, ram *Sharded) *Sharded {
+	t.Helper()
+	parent := ram.Relation()
+	stub, err := NewStub(parent.Name, parent.MaxScore, parent.Dim(), parent.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]FileShard, ram.NumShards())
+	for i := range shards {
+		tuples, ords := ram.ShardRelation(i).Tuples(), ram.ShardOrdinals(i)
+		order := make([]int, len(tuples))
+		for j := range order {
+			order[j] = j
+		}
+		sort.Slice(order, func(a, b int) bool {
+			ta, tb := tuples[order[a]], tuples[order[b]]
+			if ta.Score != tb.Score {
+				return ta.Score > tb.Score
+			}
+			return ords[order[a]] < ords[order[b]]
+		})
+		cols := &memColumns{tuples: make([]Tuple, len(order)), ords: make([]int, len(order))}
+		for j, k := range order {
+			cols.tuples[j], cols.ords[j] = tuples[k], ords[k]
+		}
+		shards[i] = FileShard{Cols: cols, Bounds: ram.ShardBounds(i)}
+	}
+	twin, err := AssembleSharded(stub, shards, ram.Strategy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return twin
+}
+
+// dim8Relation mixes Gaussian vectors with a coarse grid and exact
+// duplicates, so a dim-8 stream has both long untied stretches and
+// exact-distance tie runs.
+func dim8Relation(t testing.TB, seed int64, size int) *Relation {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	tuples := make([]Tuple, size)
+	for i := range tuples {
+		v := vec.New(8)
+		switch {
+		case i > 0 && i%9 == 0:
+			v = tuples[r.Intn(i)].Vec
+		case i%3 == 0:
+			for c := range v {
+				v[c] = float64(r.Intn(3))
+			}
+		default:
+			for c := range v {
+				v[c] = r.NormFloat64()
+			}
+		}
+		tuples[i] = Tuple{ID: fmt.Sprintf("t%04d", i), Score: 0.1 + 0.1*float64(r.Intn(9)), Vec: v}
+	}
+	rel, err := New("dim8", 1.0, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// pullKeyed reads one element with its merge key and ordinal where the
+// source reports them (a MergedSource does not: zeroes).
+func pullKeyed(s Source) (Tuple, float64, int, error) {
+	if k, ok := s.(KeyedSource); ok {
+		return k.NextKeyed()
+	}
+	t, err := s.Next()
+	return t, 0, 0, err
+}
+
+// sameKeyedStream drains two streams side by side and reports the first
+// element that differs in tuple, key bits or ordinal. Both must be keyed,
+// or neither.
+func sameKeyedStream(got, want Source) error {
+	for rank := 0; ; rank++ {
+		gt, gk, go_, gerr := pullKeyed(got)
+		wt, wk, wo, werr := pullKeyed(want)
+		if errors.Is(gerr, ErrExhausted) || errors.Is(werr, ErrExhausted) {
+			if !errors.Is(gerr, ErrExhausted) || !errors.Is(werr, ErrExhausted) {
+				return fmt.Errorf("rank %d: one stream ended (%v / %v)", rank, gerr, werr)
+			}
+			return nil
+		}
+		if gerr != nil || werr != nil {
+			return fmt.Errorf("rank %d: %v / %v", rank, gerr, werr)
+		}
+		if gt.ID != wt.ID || gt.Score != wt.Score || !gt.Vec.Equal(wt.Vec) ||
+			math.Float64bits(gk) != math.Float64bits(wk) || go_ != wo {
+			return fmt.Errorf("rank %d: got %s key %x ord %d, want %s key %x ord %d",
+				rank, gt.ID, math.Float64bits(gk), go_, wt.ID, math.Float64bits(wk), wo)
+		}
+	}
+}
+
+// TestConcurrentRTreeStreamsMatchSorted: at dim 8, every shard's R-tree
+// stream — over RAM tuples and over a Columns-backed twin — equals the
+// full-sort stream element for element, key bits and ordinals included,
+// and so do the merged streams. Eight goroutines traverse the same shared
+// (and, on the Columns side, lazily built) indexes at once, so under -race
+// this is also the shared-read-only-tree check.
+func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
+	rel := dim8Relation(t, 5, 3000)
+	ram, err := Partition(rel, 3, GridPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := columnsTwin(t, ram)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			q := vec.New(8)
+			for c := range q {
+				q[c] = r.NormFloat64()
+			}
+			if g%2 == 0 {
+				q = rel.At(r.Intn(rel.Len())).Vec // coincident with a tuple
+			}
+			open := func(s *Sharded, i int, useRTree bool) Source {
+				src, err := s.ShardSource(i, DistanceAccess, q, nil, useRTree)
+				if err != nil {
+					t.Error(err)
+				}
+				return src
+			}
+			for i := 0; i < ram.NumShards(); i++ {
+				if err := sameKeyedStream(open(ram, i, true), open(ram, i, false)); err != nil {
+					t.Errorf("query %d shard %d, RAM R-tree vs sort: %v", g, i, err)
+				}
+				if err := sameKeyedStream(open(cols, i, true), open(ram, i, false)); err != nil {
+					t.Errorf("query %d shard %d, Columns R-tree vs sort: %v", g, i, err)
+				}
+			}
+			merged, err := cols.DistanceSource(q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sorted, err := ram.openSource(DistanceAccess, q, nil, false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := sameKeyedStream(merged, sorted); err != nil {
+				t.Errorf("query %d, merged Columns R-trees vs merged sorts: %v", g, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestRTreeSourceDrainDoesNotAllocate pins the per-pull cost of a warmed
+// R-tree stream at zero allocations, over RAM tuples and over Columns. The
+// source is warmed past the traversal's peak so the iterator's heap has
+// stopped growing; what is left is the tie-run buffer, which must be
+// reused rather than re-sliced away.
+func TestRTreeSourceDrainDoesNotAllocate(t *testing.T) {
+	rel := dim8Relation(t, 9, 1000)
+	ram, err := Partition(rel, 1, HashPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Sharded{"ram": ram, "columns": columnsTwin(t, ram)} {
+		src, err := s.ShardSource(0, DistanceAccess, vec.New(8), nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drain := func(n int) {
+			for i := 0; i < n; i++ {
+				if _, err := src.Next(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		drain(600)
+		// AllocsPerRun calls the function once to warm up and once to
+		// measure: two drains of 200, ending exactly at the last tuple.
+		if allocs := testing.AllocsPerRun(1, func() { drain(200) }); allocs != 0 {
+			t.Errorf("%s: a 200-tuple drain of a warmed source allocates %v times", name, allocs)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,47 +21,6 @@ func benchPoints(n, d int) []vec.Vector {
 	return pts
 }
 
-func BenchmarkBulkLoad10k(b *testing.B) {
-	pts := benchPoints(10_000, 2)
-	vals := make([]int, len(pts))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BulkLoad(2, pts, vals)
-	}
-}
-
-func BenchmarkInsert10k(b *testing.B) {
-	pts := benchPoints(10_000, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := New[int](2)
-		for j, p := range pts {
-			tr.Insert(p, j)
-		}
-	}
-}
-
-// The distance-access pattern of the engine: construct once, then consume
-// a short prefix of the NN stream.
-func BenchmarkNNPrefix100of10k(b *testing.B) {
-	pts := benchPoints(10_000, 2)
-	vals := make([]int, len(pts))
-	tr := BulkLoad(2, pts, vals)
-	q := vec.Of(0, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := tr.NearestNeighbors(q)
-		for j := 0; j < 100; j++ {
-			if _, _, ok := it.Next(); !ok {
-				b.Fatal("stream ended early")
-			}
-		}
-	}
-}
-
 func BenchmarkKNearest10(b *testing.B) {
 	pts := benchPoints(10_000, 4)
 	vals := make([]int, len(pts))
@@ -70,5 +30,49 @@ func BenchmarkKNearest10(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.KNearest(q, 10)
+	}
+}
+
+// A small planar set, then the two operating points of the proxserve
+// benchmark: a 20 000-tuple dim-4 relation (single_engine, coord3_wire)
+// and a 7 500-tuple dim-8 relfile shard (relfile_spill).
+var benchShapes = []struct {
+	name string
+	n, d int
+}{{"10000x2", 10_000, 2}, {"20000x4", 20_000, 4}, {"7500x8", 7_500, 8}}
+
+func BenchmarkBulkLoad(b *testing.B) {
+	for _, s := range benchShapes {
+		b.Run(s.name, func(b *testing.B) {
+			pts := benchPoints(s.n, s.d)
+			vals := make([]int, len(pts))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				BulkLoad(s.d, pts, vals)
+			}
+		})
+	}
+}
+
+// Open a traversal and take k neighbours: k = 1 is what a shard stream pays
+// before its first row, k = 100 a typical pulled prefix.
+func BenchmarkNNPrefix(b *testing.B) {
+	for _, s := range benchShapes {
+		pts := benchPoints(s.n, s.d)
+		tr := BulkLoad(s.d, pts, make([]int, len(pts)))
+		for _, k := range []int{1, 100} {
+			b.Run(fmt.Sprintf("%s/k%d", s.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					it := tr.NearestNeighbors(pts[i%len(pts)])
+					for j := 0; j < k; j++ {
+						if _, _, ok := it.Next(); !ok {
+							b.Fatal("stream ended early")
+						}
+					}
+				}
+			})
+		}
 	}
 }

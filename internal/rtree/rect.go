@@ -1,10 +1,3 @@
-// Package rtree implements an in-memory R-tree over d-dimensional points
-// and rectangles, with Guttman quadratic-split insertion, STR bulk loading,
-// range search, and the incremental nearest-neighbor traversal of
-// Hjaltason & Samet (SIGMOD 1998) — the access paradigm cited by the paper
-// as the natural provider of distance-ordered streams. The proximity rank
-// join access layer uses it to serve distance-based sequential access
-// without materializing a fully sorted relation.
 package rtree
 
 import (
@@ -13,14 +6,10 @@ import (
 	"repro/internal/vec"
 )
 
-// Rect is an axis-aligned hyperrectangle (minimum bounding rectangle).
+// Rect is an axis-aligned hyperrectangle (minimum bounding rectangle). The
+// tree stores its boxes in flat slabs; a Rect is a view of one of them.
 type Rect struct {
 	Min, Max vec.Vector
-}
-
-// PointRect returns the degenerate rectangle covering exactly p.
-func PointRect(p vec.Vector) Rect {
-	return Rect{Min: p.Clone(), Max: p.Clone()}
 }
 
 // NewRect validates and returns a rectangle.
@@ -36,9 +25,6 @@ func NewRect(min, max vec.Vector) (Rect, error) {
 	return Rect{Min: min.Clone(), Max: max.Clone()}, nil
 }
 
-// Dim returns the dimensionality.
-func (r Rect) Dim() int { return r.Min.Dim() }
-
 // Contains reports whether p lies inside r (boundaries inclusive).
 func (r Rect) Contains(p vec.Vector) bool {
 	for i := range p {
@@ -49,57 +35,10 @@ func (r Rect) Contains(p vec.Vector) bool {
 	return true
 }
 
-// Intersects reports whether r and o overlap (boundaries inclusive).
-func (r Rect) Intersects(o Rect) bool {
-	for i := range r.Min {
-		if r.Max[i] < o.Min[i] || o.Max[i] < r.Min[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Enlarged returns the smallest rectangle covering both r and o.
-func (r Rect) Enlarged(o Rect) Rect {
-	min := r.Min.Clone()
-	max := r.Max.Clone()
-	for i := range min {
-		if o.Min[i] < min[i] {
-			min[i] = o.Min[i]
-		}
-		if o.Max[i] > max[i] {
-			max[i] = o.Max[i]
-		}
-	}
-	return Rect{Min: min, Max: max}
-}
-
-// Volume returns the hypervolume of r.
-func (r Rect) Volume() float64 {
-	v := 1.0
-	for i := range r.Min {
-		v *= r.Max[i] - r.Min[i]
-	}
-	return v
-}
-
-// Margin returns the sum of edge lengths (used as a split tiebreaker).
-func (r Rect) Margin() float64 {
-	var s float64
-	for i := range r.Min {
-		s += r.Max[i] - r.Min[i]
-	}
-	return s
-}
-
-// Enlargement returns the volume increase needed for r to cover o.
-func (r Rect) Enlargement(o Rect) float64 {
-	return r.Enlarged(o).Volume() - r.Volume()
-}
-
 // MinDist2 returns the squared Euclidean distance from p to the closest
 // point of r (zero when p is inside). This is the standard R-tree NN
-// pruning bound.
+// pruning bound. Rounding is monotone in every term, so the bound never
+// exceeds the computed squared distance from p to a point inside r.
 func (r Rect) MinDist2(p vec.Vector) float64 {
 	var s float64
 	for i := range p {
@@ -113,13 +52,4 @@ func (r Rect) MinDist2(p vec.Vector) float64 {
 		}
 	}
 	return s
-}
-
-// Center returns the midpoint of r.
-func (r Rect) Center() vec.Vector {
-	c := vec.New(r.Dim())
-	for i := range c {
-		c[i] = (r.Min[i] + r.Max[i]) / 2
-	}
-	return c
 }

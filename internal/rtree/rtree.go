@@ -1,296 +1,190 @@
+// Package rtree implements an immutable, bulk-loaded R-tree over
+// d-dimensional points and the incremental nearest-neighbor traversal of
+// Hjaltason & Samet (SIGMOD 1998) — the access paradigm cited by the paper
+// as the natural provider of distance-ordered streams. The proximity rank
+// join access layer uses it to serve distance-based sequential access
+// without materializing a fully sorted relation.
+//
+// The tree is packed once by Sort-Tile-Recursive and never mutated: there
+// are no node objects, only flat slabs (point coordinates, payloads, inner
+// bounding boxes, child ids) that hold no pointers, so a built index costs
+// the garbage collector nothing to scan and a node's entries sit on
+// adjacent cache lines. Any number of traversals may share one tree.
 package rtree
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/vec"
 )
 
-const (
-	defaultMaxEntries = 16
-	defaultMinEntries = 4
-)
+// nodeCap is the number of entries in every node but the last of a level.
+const nodeCap = 16
 
-// Tree is an R-tree mapping rectangles (or points) to payloads of type T.
-// The zero value is not usable; construct with New or BulkLoad.
+// Tree is an STR-packed R-tree mapping points to payloads of type T.
+// Construct with BulkLoad.
+//
+// Nodes are numbered level by level from the leaves up, the root last.
+// Leaf node j owns point entries [j·nodeCap, (j+1)·nodeCap); inner node
+// leaves+m owns inner entries [first[m], first[m+1]). Only the last node of
+// a level can be short.
 type Tree[T any] struct {
-	dim        int
-	root       *node[T]
-	size       int
-	maxEntries int
-	minEntries int
-	height     int
+	dim    int
+	leaves int       // number of leaf nodes; smaller node ids are leaves
+	root   int32     // node id of the root
+	pts    []float64 // point entries in leaf order, dim coordinates each
+	vals   []T       // payload of each point entry
+	boxes  []float64 // inner entries: box lo then hi, 2·dim each
+	child  []int32   // node id each inner entry points to
+	first  []int32   // entry range of each inner node, one sentinel at the end
 }
 
-type entry[T any] struct {
-	rect  Rect
-	child *node[T] // non-nil for inner entries
-	value T        // payload for leaf entries
-}
+// nodesFor returns how many nodes hold the given number of entries.
+func nodesFor(entries int) int { return (entries + nodeCap - 1) / nodeCap }
 
-type node[T any] struct {
-	leaf    bool
-	entries []entry[T]
-}
-
-// New returns an empty R-tree over R^dim.
-func New[T any](dim int) *Tree[T] {
-	if dim <= 0 {
-		panic("rtree: dimension must be positive")
-	}
-	return &Tree[T]{
-		dim:        dim,
-		root:       &node[T]{leaf: true},
-		maxEntries: defaultMaxEntries,
-		minEntries: defaultMinEntries,
-		height:     1,
-	}
-}
-
-// Len returns the number of stored entries.
-func (t *Tree[T]) Len() int { return t.size }
+// Len returns the number of stored points.
+func (t *Tree[T]) Len() int { return len(t.vals) }
 
 // Dim returns the tree's dimensionality.
 func (t *Tree[T]) Dim() int { return t.dim }
 
-// Height returns the number of levels (1 for a leaf-only tree).
-func (t *Tree[T]) Height() int { return t.height }
-
-// Insert adds a point entry.
-func (t *Tree[T]) Insert(p vec.Vector, value T) {
-	t.InsertRect(PointRect(p), value)
-}
-
-// InsertRect adds a rectangle entry using Guttman's algorithm with
-// quadratic split.
-func (t *Tree[T]) InsertRect(r Rect, value T) {
-	if r.Dim() != t.dim {
-		panic(fmt.Sprintf("rtree: insert dim %d into %d-dim tree", r.Dim(), t.dim))
-	}
-	e := entry[T]{rect: r, value: value}
-	split := t.insert(t.root, e, t.height)
-	if split != nil {
-		// Root split: grow the tree.
-		oldRoot := t.root
-		t.root = &node[T]{leaf: false, entries: []entry[T]{
-			{rect: nodeRect(oldRoot), child: oldRoot},
-			{rect: nodeRect(split), child: split},
-		}}
-		t.height++
-	}
-	t.size++
-}
-
-// insert descends to a leaf (level counts down from t.height) and returns a
-// new sibling node if the visited node was split.
-func (t *Tree[T]) insert(n *node[T], e entry[T], level int) *node[T] {
-	if n.leaf {
-		n.entries = append(n.entries, e)
-		if len(n.entries) > t.maxEntries {
-			return t.splitNode(n)
-		}
-		return nil
-	}
-	i := chooseSubtree(n, e.rect)
-	child := n.entries[i].child
-	split := t.insert(child, e, level-1)
-	n.entries[i].rect = nodeRect(child)
-	if split != nil {
-		n.entries = append(n.entries, entry[T]{rect: nodeRect(split), child: split})
-		if len(n.entries) > t.maxEntries {
-			return t.splitNode(n)
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the child whose MBR needs least enlargement
-// (ties: smallest volume, then lowest index).
-func chooseSubtree[T any](n *node[T], r Rect) int {
-	best := 0
-	bestEnl := math.Inf(1)
-	bestVol := math.Inf(1)
-	for i, e := range n.entries {
-		enl := e.rect.Enlargement(r)
-		vol := e.rect.Volume()
-		if enl < bestEnl-1e-15 || (enl <= bestEnl+1e-15 && vol < bestVol) {
-			best, bestEnl, bestVol = i, enl, vol
-		}
-	}
-	return best
-}
-
-// splitNode performs Guttman's quadratic split in place, returning the new
-// sibling that receives part of the entries.
-func (t *Tree[T]) splitNode(n *node[T]) *node[T] {
-	entries := n.entries
-	// Pick seeds: the pair wasting the most volume if grouped together.
-	seedA, seedB := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].rect.Enlarged(entries[j].rect).Volume() -
-				entries[i].rect.Volume() - entries[j].rect.Volume()
-			if d > worst {
-				worst, seedA, seedB = d, i, j
-			}
-		}
-	}
-	groupA := []entry[T]{entries[seedA]}
-	groupB := []entry[T]{entries[seedB]}
-	rectA, rectB := entries[seedA].rect, entries[seedB].rect
-	rest := make([]entry[T], 0, len(entries)-2)
-	for i, e := range entries {
-		if i != seedA && i != seedB {
-			rest = append(rest, e)
-		}
-	}
-	for len(rest) > 0 {
-		// If one group must take all remaining to reach minEntries, do so.
-		if len(groupA)+len(rest) <= t.minEntries {
-			groupA = append(groupA, rest...)
-			for _, e := range rest {
-				rectA = rectA.Enlarged(e.rect)
-			}
-			break
-		}
-		if len(groupB)+len(rest) <= t.minEntries {
-			groupB = append(groupB, rest...)
-			for _, e := range rest {
-				rectB = rectB.Enlarged(e.rect)
-			}
-			break
-		}
-		// PickNext: entry with greatest preference difference.
-		bestIdx, bestDiff := 0, -1.0
-		for i, e := range rest {
-			dA := rectA.Enlargement(e.rect)
-			dB := rectB.Enlargement(e.rect)
-			if diff := math.Abs(dA - dB); diff > bestDiff {
-				bestIdx, bestDiff = i, diff
-			}
-		}
-		e := rest[bestIdx]
-		rest = append(rest[:bestIdx], rest[bestIdx+1:]...)
-		dA := rectA.Enlargement(e.rect)
-		dB := rectB.Enlargement(e.rect)
-		if dA < dB || (dA == dB && rectA.Volume() <= rectB.Volume()) {
-			groupA = append(groupA, e)
-			rectA = rectA.Enlarged(e.rect)
-		} else {
-			groupB = append(groupB, e)
-			rectB = rectB.Enlarged(e.rect)
-		}
-	}
-	n.entries = groupA
-	return &node[T]{leaf: n.leaf, entries: groupB}
-}
-
-func nodeRect[T any](n *node[T]) Rect {
-	r := n.entries[0].rect
-	for _, e := range n.entries[1:] {
-		r = r.Enlarged(e.rect)
-	}
-	return r
-}
-
-// SearchIntersect invokes fn for every entry whose rectangle intersects q;
-// fn returning false stops the search early.
-func (t *Tree[T]) SearchIntersect(q Rect, fn func(Rect, T) bool) {
-	if t.size == 0 {
-		return
-	}
-	t.search(t.root, q, fn)
-}
-
-func (t *Tree[T]) search(n *node[T], q Rect, fn func(Rect, T) bool) bool {
-	for _, e := range n.entries {
-		if !e.rect.Intersects(q) {
-			continue
-		}
-		if n.leaf {
-			if !fn(e.rect, e.value) {
-				return false
-			}
-		} else if !t.search(e.child, q, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // BulkLoad builds a tree over point data with the Sort-Tile-Recursive (STR)
-// algorithm. pts and values must have equal length.
+// algorithm. pts and values must have equal length and every point must
+// have dim coordinates. The points are copied once, into leaf order; the
+// tree keeps no reference to pts.
 func BulkLoad[T any](dim int, pts []vec.Vector, values []T) *Tree[T] {
+	if dim <= 0 {
+		panic("rtree: dimension must be positive")
+	}
 	if len(pts) != len(values) {
 		panic("rtree: pts/values length mismatch")
 	}
-	t := New[T](dim)
-	if len(pts) == 0 {
-		return t
+	if len(pts) > math.MaxInt32 {
+		panic("rtree: more points than entry ids")
 	}
-	leafEntries := make([]entry[T], len(pts))
 	for i, p := range pts {
 		if p.Dim() != dim {
 			panic(fmt.Sprintf("rtree: point %d has dim %d, want %d", i, p.Dim(), dim))
 		}
-		leafEntries[i] = entry[T]{rect: PointRect(p), value: values[i]}
 	}
-	strSort(leafEntries, 0, dim, t.maxEntries)
-	// Pack leaves.
-	level := packLevel(leafEntries, t.maxEntries, true)
-	t.height = 1
-	// Pack upper levels until a single root remains.
-	for len(level) > 1 {
-		upper := make([]entry[T], len(level))
-		for i, n := range level {
-			upper[i] = entry[T]{rect: nodeRect(n), child: n}
+	n := len(pts)
+	t := &Tree[T]{dim: dim}
+	if n == 0 {
+		return t
+	}
+
+	order := make([]int32, n)
+	col := make([]float64, n)
+	strTile(order, dim, col, func(i int32, axis int) float64 { return pts[i][axis] })
+
+	t.pts = make([]float64, n*dim)
+	t.vals = make([]T, n)
+	for e, i := range order {
+		copy(t.pts[e*dim:], pts[i])
+		t.vals[e] = values[i]
+	}
+	t.leaves = nodesFor(n)
+	// level holds one box (lo then hi) per node of the level being packed.
+	level := emptyBoxes(t.leaves, dim)
+	for e := 0; e < n; e++ {
+		p := t.pts[e*dim : (e+1)*dim]
+		extend(level[e/nodeCap*2*dim:], p, p)
+	}
+
+	inner := 0
+	for c := t.leaves; c > 1; c = nodesFor(c) {
+		inner += c
+	}
+	t.boxes = make([]float64, 0, inner*2*dim)
+	t.child = make([]int32, 0, inner)
+	t.first = []int32{0}
+	base := 0 // node id of the level's first node
+	for count := t.leaves; count > 1; {
+		// Tile this level's nodes by box midpoint, then cut the order into
+		// parents; each parent's entries land contiguously in the slabs.
+		order = order[:count]
+		strTile(order, dim, col, func(k int32, axis int) float64 {
+			box := level[int(k)*2*dim:]
+			return (box[axis] + box[dim+axis]) / 2
+		})
+		parents := nodesFor(count)
+		next := emptyBoxes(parents, dim)
+		for i, k := range order {
+			box := level[int(k)*2*dim:][:2*dim]
+			t.boxes = append(t.boxes, box...)
+			t.child = append(t.child, int32(base)+k)
+			extend(next[i/nodeCap*2*dim:], box[:dim], box[dim:])
+			if i%nodeCap == nodeCap-1 || i == count-1 {
+				t.first = append(t.first, int32(len(t.child)))
+			}
 		}
-		strSort(upper, 0, dim, t.maxEntries)
-		level = packLevel(upper, t.maxEntries, false)
-		t.height++
+		base += count
+		count, level = parents, next
 	}
-	t.root = level[0]
-	t.size = len(pts)
+	t.root = int32(base)
 	return t
 }
 
-// strSort orders entries by the STR tiling recursion on rect centers.
-func strSort[T any](entries []entry[T], axis, dim, capacity int) {
-	if len(entries) <= capacity || axis >= dim {
-		return
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		return entries[i].rect.Center()[axis] < entries[j].rect.Center()[axis]
-	})
-	// Number of slabs along this axis.
-	nLeaves := (len(entries) + capacity - 1) / capacity
-	slabs := int(math.Ceil(math.Pow(float64(nLeaves), 1/float64(dim-axis))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	slabSize := (len(entries) + slabs - 1) / slabs
-	for start := 0; start < len(entries); start += slabSize {
-		end := start + slabSize
-		if end > len(entries) {
-			end = len(entries)
+// emptyBoxes returns n boxes (lo then hi, 2·dim each) that cover nothing.
+func emptyBoxes(n, dim int) []float64 {
+	boxes := make([]float64, n*2*dim)
+	for i := range boxes {
+		if i/dim%2 == 0 {
+			boxes[i] = math.Inf(1) // a lo coordinate
+		} else {
+			boxes[i] = math.Inf(-1) // a hi coordinate
 		}
-		strSort(entries[start:end], axis+1, dim, capacity)
+	}
+	return boxes
+}
+
+// extend grows the box at the head of box to cover [lo, hi].
+func extend(box, lo, hi []float64) {
+	dim := len(lo)
+	for a := 0; a < dim; a++ {
+		box[a] = min(box[a], lo[a])
+		box[dim+a] = max(box[dim+a], hi[a])
 	}
 }
 
-func packLevel[T any](entries []entry[T], capacity int, leaf bool) []*node[T] {
-	var nodes []*node[T]
-	for start := 0; start < len(entries); start += capacity {
-		end := start + capacity
-		if end > len(entries) {
-			end = len(entries)
-		}
-		chunk := make([]entry[T], end-start)
-		copy(chunk, entries[start:end])
-		nodes = append(nodes, &node[T]{leaf: leaf, entries: chunk})
+// strTile fills ids with 0..len(ids)-1 in Sort-Tile-Recursive order under
+// key: sort on the first axis, cut the order into slabs, recurse on the
+// next axis inside each slab. A slab is a whole number of nodes, so when
+// the caller cuts the final order into consecutive runs of nodeCap no node
+// straddles two tiles. col is scratch indexed by id; the sort reads keys
+// from it rather than through key, which is called once per id and axis.
+// Equal keys order by id, which makes the comparison a total order: the
+// result depends on the input alone, not on the sort algorithm, and the
+// unstable sort is free to be the fast one.
+func strTile(ids []int32, dim int, col []float64, key func(id int32, axis int) float64) {
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	return nodes
+	strTileAxis(ids, 0, dim, col, key)
+}
+
+func strTileAxis(ids []int32, axis, dim int, col []float64, key func(id int32, axis int) float64) {
+	if len(ids) <= nodeCap || axis >= dim {
+		return
+	}
+	for _, id := range ids {
+		col[id] = key(id, axis)
+	}
+	slices.SortFunc(ids, func(a, b int32) int {
+		switch x, y := col[a], col[b]; {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
+		}
+		return int(a - b)
+	})
+	nodes := nodesFor(len(ids))
+	slabs := int(math.Ceil(math.Pow(float64(nodes), 1/float64(dim-axis))))
+	size := (nodes + slabs - 1) / slabs * nodeCap
+	for start := 0; start < len(ids); start += size {
+		strTileAxis(ids[start:min(start+size, len(ids))], axis+1, dim, col, key)
+	}
 }

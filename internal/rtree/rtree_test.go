@@ -15,25 +15,11 @@ func TestRectBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Volume() != 6 || r.Margin() != 5 {
-		t.Fatalf("vol=%v margin=%v", r.Volume(), r.Margin())
+	if !r.Min.Equal(vec.Of(0, 0)) || !r.Max.Equal(vec.Of(2, 3)) {
+		t.Fatalf("NewRect = %+v", r)
 	}
-	if !r.Contains(vec.Of(1, 1)) || r.Contains(vec.Of(3, 1)) {
+	if !r.Contains(vec.Of(1, 1)) || !r.Contains(vec.Of(2, 3)) || r.Contains(vec.Of(3, 1)) {
 		t.Fatal("Contains wrong")
-	}
-	if !r.Center().Equal(vec.Of(1, 1.5)) {
-		t.Fatalf("Center = %v", r.Center())
-	}
-	o := Rect{Min: vec.Of(1, 1), Max: vec.Of(5, 5)}
-	if !r.Intersects(o) {
-		t.Fatal("overlapping rects reported disjoint")
-	}
-	if r.Intersects(Rect{Min: vec.Of(10, 10), Max: vec.Of(11, 11)}) {
-		t.Fatal("disjoint rects reported overlapping")
-	}
-	e := r.Enlarged(o)
-	if !e.Min.Equal(vec.Of(0, 0)) || !e.Max.Equal(vec.Of(5, 5)) {
-		t.Fatalf("Enlarged = %+v", e)
 	}
 }
 
@@ -56,75 +42,6 @@ func TestRectMinDist2(t *testing.T) {
 	}
 	if d := r.MinDist2(vec.Of(2, 2)); d != 2 {
 		t.Fatalf("corner dist = %v", d)
-	}
-}
-
-func TestInsertSearchSmall(t *testing.T) {
-	tr := New[int](2)
-	pts := []vec.Vector{
-		vec.Of(0, 0), vec.Of(1, 1), vec.Of(2, 2), vec.Of(5, 5), vec.Of(-1, 3),
-	}
-	for i, p := range pts {
-		tr.Insert(p, i)
-	}
-	if tr.Len() != len(pts) {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	var got []int
-	tr.SearchIntersect(Rect{Min: vec.Of(0, 0), Max: vec.Of(2.5, 2.5)}, func(_ Rect, v int) bool {
-		got = append(got, v)
-		return true
-	})
-	sort.Ints(got)
-	want := []int{0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("search got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("search got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSearchEarlyStop(t *testing.T) {
-	tr := New[int](1)
-	for i := 0; i < 100; i++ {
-		tr.Insert(vec.Of(float64(i)), i)
-	}
-	count := 0
-	tr.SearchIntersect(Rect{Min: vec.Of(0), Max: vec.Of(99)}, func(_ Rect, _ int) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("early stop visited %d", count)
-	}
-}
-
-func TestInsertManySplits(t *testing.T) {
-	tr := New[int](2)
-	r := rand.New(rand.NewSource(1))
-	n := 500
-	for i := 0; i < n; i++ {
-		tr.Insert(vec.Of(r.Float64()*100, r.Float64()*100), i)
-	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if tr.Height() < 2 {
-		t.Fatalf("expected splits; height = %d", tr.Height())
-	}
-	// Every value must be findable.
-	seen := make([]bool, n)
-	tr.SearchIntersect(Rect{Min: vec.Of(-1, -1), Max: vec.Of(101, 101)}, func(_ Rect, v int) bool {
-		seen[v] = true
-		return true
-	})
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("value %d lost after splits", i)
-		}
 	}
 }
 
@@ -157,25 +74,29 @@ func TestBulkLoadAndKNearest(t *testing.T) {
 }
 
 func TestNNIteratorEmptyAndExhaustion(t *testing.T) {
-	tr := New[string](2)
+	tr := BulkLoad[string](2, nil, nil)
+	if tr.Len() != 0 || tr.Dim() != 2 {
+		t.Fatalf("empty tree: Len %d Dim %d", tr.Len(), tr.Dim())
+	}
 	it := tr.NearestNeighbors(vec.Of(0, 0))
 	if _, _, ok := it.Next(); ok {
 		t.Fatal("empty tree yielded an entry")
 	}
-	tr.Insert(vec.Of(1, 0), "a")
+	tr = BulkLoad(2, []vec.Vector{vec.Of(1, 0)}, []string{"a"})
 	it = tr.NearestNeighbors(vec.Of(0, 0))
 	v, d, ok := it.Next()
-	if !ok || v != "a" || math.Abs(d-1) > 1e-12 {
+	if !ok || v != "a" || d != 1 {
 		t.Fatalf("Next = %v %v %v", v, d, ok)
 	}
-	if _, _, ok := it.Next(); ok {
-		t.Fatal("exhausted iterator yielded an entry")
+	for i := 0; i < 2; i++ {
+		if _, _, ok := it.Next(); ok {
+			t.Fatal("exhausted iterator yielded an entry")
+		}
 	}
 }
 
 // Property: the incremental NN iterator emits every point exactly once, in
-// exactly brute-force distance order, for both inserted and bulk-loaded
-// trees across dimensions.
+// exactly brute-force distance order, across dimensions and sizes.
 func TestQuickNNMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -195,16 +116,7 @@ func TestQuickNNMatchesBruteForce(t *testing.T) {
 		for j := range q {
 			q[j] = r.NormFloat64() * 5
 		}
-		var tr *Tree[int]
-		if seed%2 == 0 {
-			tr = BulkLoad(d, pts, vals)
-		} else {
-			tr = New[int](d)
-			for i, p := range pts {
-				tr.Insert(p, i)
-			}
-		}
-		it := tr.NearestNeighbors(q)
+		it := BulkLoad(d, pts, vals).NearestNeighbors(q)
 		prev := -1.0
 		seen := make([]bool, n)
 		count := 0
@@ -213,13 +125,13 @@ func TestQuickNNMatchesBruteForce(t *testing.T) {
 			if !ok {
 				break
 			}
-			if dist < prev-1e-12 {
+			if dist < prev {
 				return false // out of order
 			}
 			if seen[v] {
 				return false // duplicate
 			}
-			if math.Abs(dist-pts[v].Dist(q)) > 1e-9 {
+			if dist != pts[v].Dist(q) {
 				return false // wrong distance
 			}
 			seen[v] = true
@@ -227,45 +139,6 @@ func TestQuickNNMatchesBruteForce(t *testing.T) {
 			count++
 		}
 		return count == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: range search agrees with a brute-force filter.
-func TestQuickSearchMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 1 + r.Intn(3)
-		n := r.Intn(150)
-		tr := New[int](d)
-		pts := make([]vec.Vector, n)
-		for i := 0; i < n; i++ {
-			p := vec.New(d)
-			for j := range p {
-				p[j] = r.Float64() * 10
-			}
-			pts[i] = p
-			tr.Insert(p, i)
-		}
-		lo, hi := vec.New(d), vec.New(d)
-		for j := 0; j < d; j++ {
-			a, b := r.Float64()*10, r.Float64()*10
-			if a > b {
-				a, b = b, a
-			}
-			lo[j], hi[j] = a, b
-		}
-		q := Rect{Min: lo, Max: hi}
-		got := map[int]bool{}
-		tr.SearchIntersect(q, func(_ Rect, v int) bool { got[v] = true; return true })
-		for i, p := range pts {
-			if q.Contains(p) != got[i] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -281,11 +154,11 @@ func TestBulkLoadMismatchPanics(t *testing.T) {
 	BulkLoad(2, []vec.Vector{vec.Of(0, 0)}, []int{})
 }
 
-func TestInsertWrongDimPanics(t *testing.T) {
+func TestBulkLoadWrongDimPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("wrong-dim insert did not panic")
+			t.Fatal("wrong-dim point did not panic")
 		}
 	}()
-	New[int](2).Insert(vec.Of(1), 0)
+	BulkLoad(2, []vec.Vector{vec.Of(0, 0), vec.Of(1)}, []int{0, 1})
 }
