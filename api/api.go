@@ -41,8 +41,7 @@ const (
 // are required; Normalize fills every other field with the paper's best
 // configuration (TBPA, distance access, unit weights, log scores).
 //
-// The JSON shape is shared by POST /v1/query, POST /v1/query/stream, and
-// the legacy POST /v1/topk endpoint.
+// The JSON shape is shared by POST /v1/query and POST /v1/query/stream.
 type Request struct {
 	// Version is the protocol version ("" = v1).
 	Version string `json:"version,omitempty"`

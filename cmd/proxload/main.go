@@ -21,11 +21,10 @@
 //
 //	proxload -addr http://localhost:8080 -rate 200 -duration 10s
 //	proxload -selfserve -rate 500 -duration 5s -stream 0.5 -slow-clients 4
-//	proxload -selfserve -stream-buffer -1 ...   # legacy coupled delivery
 //
 // -selfserve spins up an in-process proxserve (bundled city data) and
-// drives it over a real TCP socket, so a before/after broker study needs
-// no external setup: the -stream-buffer/-stream-overflow/
+// drives it over a real TCP socket, so a delivery-broker study needs no
+// external setup: the -stream-buffer/-stream-overflow/
 // -stream-block-timeout flags configure the in-process server exactly
 // like proxserve.
 //
@@ -104,7 +103,7 @@ func main() {
 
 		// In-process server knobs, mirroring proxserve.
 		workers   = flag.Int("workers", 0, "selfserve: max concurrent engine executions (0 = GOMAXPROCS)")
-		streamBuf = flag.Int("stream-buffer", service.DefaultStreamBuffer, "selfserve: stream delivery buffer (negative = legacy coupled delivery)")
+		streamBuf = flag.Int("stream-buffer", service.DefaultStreamBuffer, "selfserve: stream delivery buffer (events a client may lag behind the engine)")
 		overflowS = flag.String("stream-overflow", service.DefaultStreamOverflow, "selfserve: server-side overflow policy (block|drop)")
 		blockTo   = flag.Duration("stream-block-timeout", service.DefaultStreamBlockTimeout, "selfserve: engine wait on block-policy laggards")
 		cacheSz   = flag.Int("cache", service.DefaultCacheSize, "selfserve: LRU result-cache capacity")

@@ -37,13 +37,11 @@
 //	proxserve -city SF -shards 8 -shard-server -rpc-addr :9002 -own 1/2
 //	proxserve -coordinator -peers localhost:9001,localhost:9002 -addr :8080
 //
-// Endpoints (queries speak the versioned api.Request model; /v1/topk is
-// the legacy alias of /v1/query):
+// Endpoints (queries speak the versioned api.Request model):
 //
 //	POST   /v1/query         {"query":[x,y],"relations":["SF-hotels","SF-restaurants"],"k":5}
 //	POST   /v1/query/stream  same body; NDJSON result events, first result
 //	                         flushed as soon as the engine certifies it
-//	POST   /v1/topk          legacy alias of /v1/query
 //	GET    /v1/relations
 //	POST   /v1/relations?name=bars&shards=4   (CSV body)
 //	DELETE /v1/relations/{name}
@@ -110,7 +108,7 @@ func main() {
 		shards     = flag.Int("shards", 1, "default shard count per relation (partitioned indexes, merged per query)")
 		strategyFl = flag.String("shard-strategy", "hash", "partitioning strategy: hash or grid")
 		streamBuf  = flag.Int("stream-buffer", service.DefaultStreamBuffer,
-			"stream delivery buffer: events a client may lag behind the engine (negative couples delivery to the sink)")
+			"stream delivery buffer: events a client may lag behind the engine")
 		overflowFl = flag.String("stream-overflow", service.DefaultStreamOverflow,
 			"policy for a stream client that falls a full buffer behind: block (wait, then drop) or drop (immediately)")
 		blockFl = flag.Duration("stream-block-timeout", service.DefaultStreamBlockTimeout,

@@ -94,6 +94,10 @@ type Topic[T any] struct {
 	// close+remake of advanced when Publish is actually parked on a
 	// laggard, keeping the common uncontended path signal-free.
 	producerWaiting bool
+	// parked gates wakeSubscribers the same way: it counts the
+	// subscribers waiting on the current arrived channel, so a producer
+	// nobody is waiting on publishes without the close+remake.
+	parked int
 
 	subs    map[*Sub[T]]struct{}
 	dropped int // subscribers removed by overflow, for stats
@@ -257,8 +261,13 @@ func (t *Topic[T]) drop(s *Sub[T]) {
 	t.wakeSubscribers()
 }
 
-// wakeSubscribers signals every waiting subscriber. Callers hold t.mu.
+// wakeSubscribers signals every waiting subscriber, if any. Callers hold
+// t.mu.
 func (t *Topic[T]) wakeSubscribers() {
+	if t.parked == 0 {
+		return
+	}
+	t.parked = 0
 	close(t.arrived)
 	t.arrived = make(chan struct{})
 }
@@ -331,10 +340,16 @@ func (s *Sub[T]) Next(ctx context.Context) (T, error) {
 			return zero, err
 		}
 		arrived := t.arrived
+		t.parked++
 		t.mu.Unlock()
 		select {
 		case <-arrived:
 		case <-ctx.Done():
+			t.mu.Lock()
+			if t.arrived == arrived { // not woken meanwhile: still counted
+				t.parked--
+			}
+			t.mu.Unlock()
 			return zero, ctx.Err()
 		}
 	}

@@ -60,10 +60,10 @@ func (t *Topic[T]) maxLag() int {
 	return max
 }
 
-// notePeakLag folds the current maximum lag into the instruments.
-// Callers hold t.mu.
+// notePeakLag folds the current maximum lag into the instruments; with
+// no subscriber attached there is no lag to observe. Callers hold t.mu.
 func (t *Topic[T]) notePeakLag() {
-	if t.ins == nil {
+	if t.ins == nil || len(t.subs) == 0 {
 		return
 	}
 	lag := t.maxLag()

@@ -154,8 +154,9 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 	}
 
 	// Byte-identity across delivery paths: the follower's collected
-	// stream equals the coalesced batch response, which equals a legacy
-	// (broker-disabled) run over the same catalog.
+	// stream equals the coalesced batch response, which equals the
+	// library's answer over the same relations — a reference that shares
+	// no service code.
 	collected, aerr := api.CollectStream(followerEvents)
 	if aerr != nil {
 		t.Fatal(aerr)
@@ -166,13 +167,9 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 	if sum := followerEvents[len(followerEvents)-1].Summary; sum == nil || !sum.Cached {
 		t.Errorf("follower summary not marked cached: %+v", sum)
 	}
-	legacy := NewExecutor(cat, Config{Workers: 1, CacheSize: 16, StreamBuffer: -1})
-	legacyResp, err := legacy.Execute(context.Background(), baseRequest2(names, req.K))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchResp.Results, legacyResp.Results) {
-		t.Fatalf("brokered results differ from pre-broker output:\n%v\n%v", batchResp.Results, legacyResp.Results)
+	ref := referenceResults(t, cat, baseRequest2(names, req.K))
+	if !reflect.DeepEqual(batchResp.Results, ref) {
+		t.Fatalf("brokered results differ from the library's own answer:\n%v\n%v", batchResp.Results, ref)
 	}
 
 	// Release the slow client: it was dropped by the overflow policy
@@ -193,6 +190,39 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 	if st.SlowSubscriberDrops != 1 {
 		t.Errorf("slowSubscriberDrops = %d, want 1", st.SlowSubscriberDrops)
 	}
+}
+
+// referenceResults answers req with the library alone — proxrank.TopKInputs
+// over the catalog's relations, no executor, flight, or broker — in the
+// wire shape the service reports.
+func referenceResults(t *testing.T, cat *Catalog, req *QueryRequest) []ResultCombination {
+	t.Helper()
+	norm := *req
+	query, opts, err := proxrank.OptionsFromRequest(&norm, api.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := cat.Resolve(norm.Relations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]proxrank.Input, len(entries))
+	for i, e := range entries {
+		inputs[i] = e.Sharded()
+	}
+	res, err := proxrank.TopKInputs(query, inputs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]ResultCombination, len(res.Combinations))
+	for i, c := range res.Combinations {
+		tuples := make([]ResultTuple, len(c.Tuples))
+		for j, tp := range c.Tuples {
+			tuples[j] = ResultTuple{Relation: norm.Relations[j], ID: tp.ID, Score: tp.Score, Vec: []float64(tp.Vec), Attrs: tp.Attrs}
+		}
+		out[i] = ResultCombination{Score: c.Score, Tuples: tuples}
+	}
+	return out
 }
 
 func baseRequest2(names []string, k int) *QueryRequest {
@@ -309,36 +339,50 @@ func TestBrokeredBlockPolicyBoundsDelay(t *testing.T) {
 }
 
 // TestBrokeredLeaderDisconnectDoesNotAbortRun: once a run is
-// coalescable, the leader's client going away must not abort it — the
-// engine completes under its own deadline and the response lands in the
-// cache for everyone after.
+// coalescable, the leader's client going away must not abort it —
+// whether that leader asked for a stream or a batch, the engine
+// completes under its own deadline and the response lands in the cache
+// for everyone after.
 func TestBrokeredLeaderDisconnectDoesNotAbortRun(t *testing.T) {
-	cat, names := testSetup(t, 2, 24, 2)
-	x := NewExecutor(cat, Config{Workers: 2, CacheSize: 16})
-	g := newGate()
-	x.wrapSource = func(s proxrank.Source) proxrank.Source { return gatedSource{Source: s, g: g} }
+	leaders := map[string]func(*Executor, context.Context, *QueryRequest) error{
+		"stream": func(x *Executor, ctx context.Context, req *QueryRequest) error {
+			return x.ExecuteStream(ctx, req, func(api.ResultEvent) error { return nil })
+		},
+		"batch": func(x *Executor, ctx context.Context, req *QueryRequest) error {
+			_, err := x.Execute(ctx, req)
+			return err
+		},
+	}
+	for name, lead := range leaders {
+		t.Run(name, func(t *testing.T) {
+			cat, names := testSetup(t, 2, 24, 2)
+			x := NewExecutor(cat, Config{Workers: 2, CacheSize: 16})
+			g := newGate()
+			x.wrapSource = func(s proxrank.Source) proxrank.Source { return gatedSource{Source: s, g: g} }
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- x.ExecuteStream(ctx, baseRequest(names), func(api.ResultEvent) error { return nil }) }()
-	<-g.started
-	cancel() // client disconnects mid-run
-	if err := <-done; asAPIError(err).Code != CodeCanceled {
-		t.Fatalf("disconnected leader error = %v, want %s", err, CodeCanceled)
-	}
-	close(g.open)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- lead(x, ctx, baseRequest(names)) }()
+			<-g.started
+			cancel() // client disconnects mid-run
+			if err := <-done; asAPIError(err).Code != CodeCanceled {
+				t.Fatalf("disconnected leader error = %v, want %s", err, CodeCanceled)
+			}
+			close(g.open)
 
-	waitStat(t, func() int64 { return int64(x.Stats().CacheEntries) }, 1, "cacheEntries")
-	x.wrapSource = nil
-	resp, err := x.Execute(context.Background(), baseRequest(names))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Cached {
-		t.Error("abandoned run's response not served from cache")
-	}
-	if st := x.Stats(); st.EngineRuns != 1 {
-		t.Errorf("engineRuns = %d, want 1 (the abandoned run completed; no rerun)", st.EngineRuns)
+			waitStat(t, func() int64 { return int64(x.Stats().CacheEntries) }, 1, "cacheEntries")
+			x.wrapSource = nil
+			resp, err := x.Execute(context.Background(), baseRequest(names))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Cached {
+				t.Error("abandoned run's response not served from cache")
+			}
+			if st := x.Stats(); st.EngineRuns != 1 {
+				t.Errorf("engineRuns = %d, want 1 (the abandoned run completed; no rerun)", st.EngineRuns)
+			}
+		})
 	}
 }
 
@@ -401,27 +445,5 @@ func TestBrokeredFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	}
 	if st.Coalesced != 0 {
 		t.Errorf("coalesced = %d, want 0 (nothing was shared)", st.Coalesced)
-	}
-}
-
-// TestBrokerDisabledLegacyDelivery: StreamBuffer < 0 restores the
-// sink-paced leader and completed-response follower replay.
-func TestBrokerDisabledLegacyDelivery(t *testing.T) {
-	cat, names := testSetup(t, 2, 24, 2)
-	x := NewExecutor(cat, Config{Workers: 2, CacheSize: 16, StreamBuffer: -1})
-
-	events, err := collectEvents(t, x, baseRequest(names))
-	if err != nil {
-		t.Fatal(err)
-	}
-	collected, aerr := api.CollectStream(events)
-	if aerr != nil {
-		t.Fatal(aerr)
-	}
-	if len(collected.Results) != 3 {
-		t.Fatalf("legacy stream returned %d results", len(collected.Results))
-	}
-	if st := x.Stats(); st.StreamsBrokered != 0 {
-		t.Errorf("streamsBrokered = %d with the broker disabled", st.StreamsBrokered)
 	}
 }

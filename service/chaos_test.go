@@ -142,7 +142,11 @@ func survivorResults(t *testing.T, twin *Executor, req *QueryRequest, survives f
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buildResponse(res, entries)
+	results := make([]ResultCombination, len(res.Combinations))
+	for i, c := range res.Combinations {
+		results[i] = wireCombination(c, entries)
+	}
+	return buildResponse(results, res.Threshold, res.DNF, res.Stats)
 }
 
 func marshalResults(t testing.TB, results []ResultCombination) string {
@@ -446,33 +450,23 @@ func TestChaosBreakerOnMetrics(t *testing.T) {
 // Retry-After header instead of piling onto the queue.
 func TestChaosAdmissionControl(t *testing.T) {
 	cat, names := testSetup(t, 2, 40, 2)
-	x := NewExecutor(cat, Config{Workers: 1, AdmissionQueue: 1, CacheSize: -1, StreamBuffer: -1})
+	x := NewExecutor(cat, Config{Workers: 1, AdmissionQueue: 1, CacheSize: -1})
+	g := newGate()
+	x.wrapSource = func(s proxrank.Source) proxrank.Source { return gatedSource{Source: s, g: g} }
 	ts := httptest.NewServer(NewServer(cat, x).Handler())
 	t.Cleanup(ts.Close)
 
-	// Hold the only worker slot: a legacy-coupled stream whose sink
-	// blocks after the first event keeps its engine (and slot) pinned.
-	held := make(chan struct{})
-	release := make(chan struct{})
+	// Hold the only worker slot: a query whose engine is parked mid-pull
+	// on the gate keeps its slot pinned until the gate opens.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		first := true
-		err := x.ExecuteStream(context.Background(), &QueryRequest{Query: []float64{0.1, 0.2}, Relations: names, K: 3},
-			func(api.ResultEvent) error {
-				if first {
-					first = false
-					close(held)
-					<-release
-				}
-				return nil
-			})
-		if err != nil {
-			t.Errorf("slot-holding stream failed: %v", err)
+		if _, err := x.Execute(context.Background(), &QueryRequest{Query: []float64{0.1, 0.2}, Relations: names, K: 3}); err != nil {
+			t.Errorf("slot-holding query failed: %v", err)
 		}
 	}()
-	<-held
+	<-g.started
 
 	// Second query: admitted to the queue (depth 1 = the watermark).
 	wg.Add(1)
@@ -516,7 +510,7 @@ func TestChaosAdmissionControl(t *testing.T) {
 		t.Fatal("rejected counter did not move")
 	}
 
-	close(release)
+	close(g.open)
 	wg.Wait()
 }
 

@@ -15,20 +15,17 @@
 //     bounded worker pool with per-query deadlines, an LRU result cache
 //     keyed by the canonical request encoding plus catalog generations,
 //     and a single-flight group so identical concurrent misses run the
-//     engine once. Batch (Execute) and streaming (ExecuteStream)
-//     consumption share all of it, so a query coalesces across
-//     consumption models.
-//
-//   - Stream delivery broker: a streamed query's engine runs to
-//     completion at engine speed, publishing events into a bounded
-//     per-query topic (internal/broker) and releasing its worker slot
-//     when enumeration finishes; the leader's sink and coalesced
-//     followers drain the topic each at their own pace, and a follower
-//     arriving mid-run replays the certified prefix before tailing live
-//     events. A consumer that falls a full buffer behind is handled by
-//     the configured overflow policy (block briefly then drop, or drop
-//     immediately). Config.StreamBuffer < 0 disables the broker,
-//     restoring sink-paced delivery.
+//     engine once. Every query takes one path: whoever leads a flight
+//     call starts its engine, which runs to completion at engine speed —
+//     publishing events into a bounded per-run topic (internal/broker)
+//     and releasing its worker slot when enumeration finishes — and
+//     every caller is a consumer of that call. A batch caller (Execute)
+//     waits for the settled response; a stream caller (ExecuteStream)
+//     drains the topic at its own pace, a follower arriving mid-run
+//     replaying the certified prefix before tailing live events. A
+//     consumer that falls a full buffer behind is handled by the
+//     configured overflow policy (block briefly then drop, or drop
+//     immediately).
 //
 //   - Server: the HTTP JSON front end — batch and NDJSON streaming query
 //     endpoints, runtime relation management, health and stats. See the

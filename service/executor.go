@@ -49,11 +49,8 @@ type Config struct {
 	MaxK int
 	// StreamBuffer is the stream delivery broker's per-subscriber lag
 	// window, in events: how far the engine may run ahead of a stream
-	// consumer before the overflow policy intervenes. 0 takes
-	// DefaultStreamBuffer; a negative value disables the broker entirely,
-	// restoring the legacy coupled delivery in which a streaming leader
-	// advances at its sink's pace and holds its worker slot while doing
-	// so.
+	// consumer before the overflow policy intervenes (0 =
+	// DefaultStreamBuffer).
 	StreamBuffer int
 	// StreamOverflow is the default policy for a stream subscriber that
 	// exhausts its lag window: api.OverflowBlock (the default — the
@@ -125,8 +122,7 @@ const DefaultStreamOverflow = api.OverflowBlock
 // the historical service names compiling while guaranteeing the wire
 // shape is defined in exactly one place.
 type (
-	// QueryRequest is the JSON body of POST /v1/query (and the legacy
-	// POST /v1/topk).
+	// QueryRequest is the JSON body of POST /v1/query.
 	QueryRequest = api.Request
 	// WeightsSpec mirrors proxrank.Weights in JSON.
 	WeightsSpec = api.Weights
@@ -143,8 +139,8 @@ type (
 )
 
 // EventSink receives streaming result events in order. A sink returning
-// an error aborts the run; the executor treats that as the caller going
-// away (the engine work is discarded, not cached).
+// an error ends that consumer's stream; the executor treats it as the
+// caller going away (CodeCanceled).
 type EventSink func(api.ResultEvent) error
 
 // StatsSnapshot is the executor's cumulative view served by GET /v1/stats.
@@ -167,8 +163,8 @@ type StatsSnapshot struct {
 	Queued     int64 `json:"queued"`
 	Degraded   int64 `json:"degraded"`
 	EngineRuns int64 `json:"engineRuns"`
-	// StreamsBrokered counts streaming leaders whose delivery went
-	// through the broker (engine decoupled from the sink).
+	// StreamsBrokered counts streaming leaders: runs started by a stream
+	// caller (every run is brokered, whoever starts it).
 	StreamsBrokered int64 `json:"streamsBrokered"`
 	// MidRunAttaches counts coalesced stream followers that attached to a
 	// live topic mid-run (replaying the certified prefix, tailing live
@@ -209,10 +205,10 @@ type StatsSnapshot struct {
 
 // Executor answers queries against a catalog through a bounded worker
 // pool with per-query deadlines and an LRU result cache. Batch
-// (Execute) and streaming (ExecuteStream) consumption share one
-// validation path, one canonical cache key, and one single-flight
-// group, so identical concurrent queries coalesce across consumption
-// models. It is safe for concurrent use.
+// (Execute) and streaming (ExecuteStream) callers are two kinds of
+// consumer of one brokered engine run (see serve), so identical
+// concurrent queries coalesce across consumption models. It is safe for
+// concurrent use.
 type Executor struct {
 	cat    *Catalog
 	cfg    Config
@@ -221,7 +217,7 @@ type Executor struct {
 	flight *flightGroup
 
 	// m is the metric instrument set; bins the broker instruments every
-	// stream topic attaches, so delivery health aggregates across runs.
+	// run's topic attaches, so delivery health aggregates across runs.
 	m    *metrics
 	bins *broker.Instruments
 	// slowMu serializes slow-query log lines (the sink is shared).
@@ -277,7 +273,7 @@ func NewExecutor(cat *Catalog, cfg Config) *Executor {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
 	}
-	if cfg.StreamBuffer == 0 {
+	if cfg.StreamBuffer <= 0 {
 		cfg.StreamBuffer = DefaultStreamBuffer
 	}
 	if cfg.StreamBlockTimeout <= 0 {
@@ -364,15 +360,13 @@ func (x *Executor) Stats() StatsSnapshot {
 // dimensionality pre-check. The caller's request is never mutated —
 // normalization happens on a private copy (callers may legally share one
 // request across concurrent queries), which is returned for canonical
-// cache keying. Client mistakes are tracked apart from Failed so the
-// latter stays a server-health signal.
+// cache keying.
 func (x *Executor) prepare(req *QueryRequest) (*QueryRequest, proxrank.Vector, proxrank.Options, []*Entry, *APIError) {
 	// Shallow copy is enough: Normalize rewrites fields of the copy and
 	// only ever replaces (never writes through) the Weights pointer.
 	norm := *req
 	query, opts, err := proxrank.OptionsFromRequest(&norm, api.Limits{MaxK: x.cfg.MaxK})
 	if err != nil {
-		x.badRequests.Add(1)
 		return nil, nil, proxrank.Options{}, nil, asAPIError(err)
 	}
 	// Server-side engine tuning the wire request has no say over: where
@@ -381,13 +375,11 @@ func (x *Executor) prepare(req *QueryRequest) (*QueryRequest, proxrank.Vector, p
 	opts.SpillMemBytes = x.cfg.SpillMemBytes
 	entries, err := x.cat.Resolve(norm.Relations)
 	if err != nil {
-		x.badRequests.Add(1)
 		return nil, nil, proxrank.Options{}, nil, asAPIError(err)
 	}
 	for _, e := range entries {
 		rel := e.Relation()
 		if rel.Dim() != len(norm.Query) {
-			x.badRequests.Add(1)
 			return nil, nil, proxrank.Options{}, nil, apiErrorf(CodeBadRequest, "relation %q has dim %d, query has dim %d",
 				rel.Name, rel.Dim(), len(norm.Query))
 		}
@@ -417,11 +409,8 @@ func cacheKey(req *QueryRequest, entries []*Entry) string {
 	return b.String()
 }
 
-// Execute answers one query: validate and default through the api
-// model, resolve the relations, consult the cache, coalesce concurrent
-// identical misses into one engine run, wait for a worker slot (bounded
-// by the query's deadline), run the engine with cancellation, record
-// stats, and cache the outcome.
+// Execute answers one query as a batch: it takes the one path every
+// query takes (serve) and waits for the run's settled response.
 //
 // The returned response may share its Results and Cost.Depths backing
 // arrays with the executor's cache — treat it as read-only. Callers that
@@ -429,7 +418,7 @@ func cacheKey(req *QueryRequest, entries []*Entry) string {
 func (x *Executor) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
 	x.queries.Add(1)
 	o := x.beginObs(labelModeBatch, req)
-	resp, err := x.execute(ctx, req, o)
+	resp, err := x.serve(ctx, req, o, nil)
 	if resp != nil {
 		o.noteDegraded(resp.Degraded, resp.ShardsMissing)
 	}
@@ -444,126 +433,26 @@ func (x *Executor) Execute(ctx context.Context, req *QueryRequest) (*QueryRespon
 	return resp, err
 }
 
-// execute is the uninstrumented body of Execute; o records the phase
-// spans and (for traced requests) carries the engine's trace recorder.
-func (x *Executor) execute(ctx context.Context, req *QueryRequest, o *queryObs) (*QueryResponse, error) {
-	norm, query, opts, entries, aerr := x.prepare(req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	o.algo = norm.Algorithm
-	o.phase(api.PhaseValidate)
-	if o.rec != nil {
-		opts.Tracer = o.rec
-	}
-	req = norm
-	partial := req.Partial != api.PartialForbid
-	if req.NoCache || !x.cache.enabled() {
-		o.cache = api.CacheBypass
-		ctx, cancel := x.applyDeadline(ctx, req)
-		defer cancel()
-		resp, err := x.run(ctx, query, opts, entries, "", false, partial)
-		o.phase(api.PhaseEngine)
-		return resp, err
-	}
-	key := cacheKey(req, entries)
-	if cached, ok := x.cache.get(key); ok {
-		x.cacheHits.Add(1)
-		o.cache = api.CacheHit
-		o.phase(api.PhaseCache)
-		hit := *cached // shallow copy; cached value stays immutable
-		hit.Cached = true
-		return &hit, nil
-	}
-	x.cacheMisses.Add(1)
-	o.cache = api.CacheMiss
-	o.phase(api.PhaseCache)
-	// The deadline is applied before the flight so a follower's wait is
-	// bounded by its own requested timeout, not the leader's.
-	ctx, cancel := x.applyDeadline(ctx, req)
-	defer cancel()
-	// Single-flight: identical concurrent misses run the engine once. The
-	// leader executes; followers wait for its outcome. A leader failure is
-	// not shared — its error may be specific to its own deadline — so each
-	// waiting follower retries, one of them becoming the next leader.
-	for {
-		c, leader := x.flight.join(key)
-		if leader {
-			o.phase(api.PhaseFlight)
-			finished := false
-			// If a panic unwinds through the engine run, retire the flight
-			// before it continues so followers are woken to retry instead
-			// of waiting forever on a key that can never complete.
-			defer func() {
-				if !finished {
-					x.flight.leave(key, c, nil, apiErrorf(CodeInternal, "query leader aborted"))
-				}
-			}()
-			resp, err := x.run(ctx, query, opts, entries, key, true, partial)
-			o.phase(api.PhaseEngine)
-			finished = true
-			x.flight.leave(key, c, resp, err)
-			return resp, err
-		}
-		select {
-		case <-c.done:
-			if c.err != nil {
-				continue
-			}
-			// Partial is a per-request policy, not part of the flight key:
-			// a forbid follower that coalesced onto an allow leader whose
-			// run degraded gets the failure it asked for, not the leader's
-			// partial answer.
-			if c.resp.Degraded && !partial {
-				return nil, degradedForbidden(c.resp)
-			}
-			x.coalesced.Add(1)
-			o.cache = api.CacheCoalesced
-			o.phase(api.PhaseFlight)
-			hit := *c.resp // shallow copy, like a cache hit
-			hit.Cached = true
-			return &hit, nil
-		case <-ctx.Done():
-			x.canceled.Add(1)
-			return nil, asAPIError(ctx.Err())
-		}
-	}
-}
-
 // ExecuteStream answers one query incrementally: result events reach the
 // sink as the engine certifies each combination — the first one long
 // before the run completes — followed by exactly one summary event. The
 // collected results are byte-identical to what Execute returns for the
-// same request: both paths share validation, the canonical cache key,
-// the result cache (a hit or a coalesced follower replays the cached
-// response as events, summary marked cached), and the single-flight
-// group.
+// same request: both consume one run (see serve), and a cache hit or a
+// follower of a settled run replays the response as events, summary
+// marked cached.
 //
 // Validation and resolution failures are returned before the sink sees
 // any event, so transports can still answer with a plain error; once
 // events have flowed, a failure is returned after them and the transport
-// appends it in-band.
+// appends it in-band. A sink that fails is the client going away: the
+// call returns CodeCanceled, whichever stage was feeding it.
 //
-// Delivery is brokered (unless Config.StreamBuffer is negative): the
-// leader's engine runs to completion at engine speed under its own
-// deadline, publishing events into a bounded per-query topic and
-// releasing its worker slot when enumeration finishes, while the
-// leader's sink and any coalesced followers drain the topic at their own
-// pace. A follower that arrives mid-run attaches to the live topic —
-// replaying the certified prefix, then tailing live events — so its
-// time-to-first-event does not depend on how fast any other consumer
-// reads. A subscriber that falls a full buffer behind is handled by the
-// overflow policy (Config.StreamOverflow, overridable per request):
-// blocked-then-dropped or dropped immediately, with the drop surfacing
-// as a CodeOverloaded error on that subscriber only.
-//
-// NoCache forks a private, legacy-style run: the engine advances at the
-// sink's pace, a sink failure aborts it, and the work is discarded — the
-// escape hatch for a caller that wants strict engine-consumer coupling.
-// A server whose result cache is disabled still brokers delivery: its
-// streams run as private brokered runs (no coalescing, nothing stored,
-// client disconnect aborts the engine) with the same slot-release and
-// bounded-slow-sink guarantees.
+// The engine never runs at the sink's pace (see lead): this consumer
+// drains the run's topic at its own, and one that falls a full buffer
+// behind is handled by the overflow policy (Config.StreamOverflow,
+// overridable per request) — blocked-then-dropped or dropped
+// immediately, the drop surfacing as CodeOverloaded on that subscriber
+// only.
 func (x *Executor) ExecuteStream(ctx context.Context, req *QueryRequest, sink EventSink) error {
 	x.queries.Add(1)
 	x.streamed.Add(1)
@@ -577,26 +466,33 @@ func (x *Executor) ExecuteStream(ctx context.Context, req *QueryRequest, sink Ev
 		}
 		return sink(ev)
 	}
-	err := x.executeStream(ctx, req, o, wrapped)
+	_, err := x.serve(ctx, req, o, wrapped)
 	o.finish(req, err)
 	if err == nil && req.Trace {
 		// The terminal trace event rides this subscriber's own sink after
 		// its summary — it is never published into the shared topic, so
 		// untraced consumers of the same run see an unchanged stream.
-		if serr := sink(api.ResultEvent{Type: api.EventTrace, Trace: o.trace()}); serr != nil {
-			x.canceled.Add(1)
-			return apiErrorf(CodeCanceled, "stream sink: %v", serr)
-		}
+		return x.deliver(sink, api.ResultEvent{Type: api.EventTrace, Trace: o.trace()})
 	}
 	return err
 }
 
-// executeStream is the uninstrumented body of ExecuteStream; o records
-// the phase spans and carries the trace recorder for traced requests.
-func (x *Executor) executeStream(ctx context.Context, req *QueryRequest, o *queryObs, sink EventSink) error {
+// serve is the one path every query takes: prepare, cache lookup,
+// flight.join, and then every caller — the leader included — is a
+// consumer of a flight call. Whoever leads starts the call's engine
+// (lead); a batch caller (sink == nil) waits for the settled response, a
+// stream caller drains a subscription to the call's topic, or replays
+// the response when the call has already settled or the cache had it. A
+// request that must not share — NoCache, or a server with no cache —
+// leads a private call: no coalescing, nothing stored. o records the
+// phase spans and (for traced requests) carries the trace recorder.
+func (x *Executor) serve(ctx context.Context, req *QueryRequest, o *queryObs, sink EventSink) (*QueryResponse, error) {
 	norm, query, opts, entries, aerr := x.prepare(req)
 	if aerr != nil {
-		return aerr
+		// Client mistakes are tracked apart from Failed so the latter
+		// stays a server-health signal.
+		x.badRequests.Add(1)
+		return nil, aerr
 	}
 	o.algo = norm.Algorithm
 	o.phase(api.PhaseValidate)
@@ -605,120 +501,117 @@ func (x *Executor) executeStream(ctx context.Context, req *QueryRequest, o *quer
 	}
 	req = norm
 	partial := req.Partial != api.PartialForbid
+	key := "" // the private call: nothing stored, nobody joins
 	if req.NoCache || !x.cache.enabled() {
 		o.cache = api.CacheBypass
-		ctx, cancel := x.applyDeadline(ctx, req)
-		defer cancel()
-		if req.NoCache || !x.brokerEnabled() {
-			// NoCache is the documented opt-out into strict coupling;
-			// a disabled broker couples everything.
-			_, err := x.runStream(ctx, query, opts, entries, "", false, partial, sink)
-			o.phase(api.PhaseEngine)
-			return err
+	} else {
+		key = cacheKey(req, entries)
+		if cached, ok := x.cache.get(key); ok {
+			x.cacheHits.Add(1)
+			o.cache = api.CacheHit
+			o.phase(api.PhaseCache)
+			return x.replayResponse(cached, o, sink)
 		}
-		// Cache disabled but broker on: a private brokered run — no
-		// flight, nothing stored, but the delivery guarantees (slot
-		// released at enumeration end, slow sink bounded by the overflow
-		// policy) still hold.
-		err := x.leadBrokered(ctx, req, query, opts, entries, "", nil, sink)
-		o.phase(api.PhaseDrain)
-		return err
-	}
-	key := cacheKey(req, entries)
-	if cached, ok := x.cache.get(key); ok {
-		x.cacheHits.Add(1)
-		o.cache = api.CacheHit
+		x.cacheMisses.Add(1)
+		o.cache = api.CacheMiss
 		o.phase(api.PhaseCache)
-		err := replayResponse(cached, sink)
-		o.phase(api.PhaseDrain)
-		return err
 	}
-	x.cacheMisses.Add(1)
-	o.cache = api.CacheMiss
-	o.phase(api.PhaseCache)
-	ctx, cancel := x.applyDeadline(ctx, req)
+	// The deadline is applied before the flight so a follower's wait is
+	// bounded by its own requested timeout, not the leader's.
+	ctx, cancel := x.applyDeadline(ctx, req, 0)
 	defer cancel()
+	// Single-flight: identical concurrent misses run the engine once. A
+	// leader failure is not shared — its error may be specific to its own
+	// deadline — so each waiting follower retries, one of them becoming
+	// the next leader.
 	for {
 		c, leader := x.flight.join(key)
 		if leader {
-			o.phase(api.PhaseFlight)
-			if x.brokerEnabled() {
+			if key != "" {
+				o.phase(api.PhaseFlight)
+			}
+			sub, aerr := x.lead(ctx, req, query, opts, entries, c, sink != nil)
+			if aerr != nil {
+				return nil, aerr
+			}
+			if sink != nil {
 				// The leader's drain overlaps its own engine run, so the
 				// span from here to completion is delivery time.
-				err := x.leadBrokered(ctx, req, query, opts, entries, key, c, sink)
+				_, err := x.drainSub(ctx, sub, sink, false)
 				o.phase(api.PhaseDrain)
-				return err
+				return nil, err
 			}
-			finished := false
-			defer func() {
-				if !finished {
-					x.flight.leave(key, c, nil, apiErrorf(CodeInternal, "query leader aborted"))
-				}
-			}()
-			resp, err := x.runStream(ctx, query, opts, entries, key, true, partial, sink)
+			aerr = x.await(ctx, c)
 			o.phase(api.PhaseEngine)
-			finished = true
-			x.flight.leave(key, c, resp, err)
-			return err
+			if aerr != nil {
+				return nil, aerr
+			}
+			return c.resp, c.err
 		}
-		// A live topic means a brokered stream leader is mid-run: attach
-		// and consume independently instead of waiting for it to finish.
-		// A forbid request skips mid-run attachment: the leader's run may
-		// yet degrade, and this subscriber must not deliver a partial
-		// prefix — it waits for the settled outcome below instead.
-		if topic := c.topic.Load(); topic != nil && partial {
+		// A live topic means the leader's engine is mid-run: a stream
+		// follower attaches and consumes independently instead of waiting
+		// for it to finish. A forbid request skips mid-run attachment: the
+		// run may yet degrade, and this subscriber must not deliver a
+		// partial prefix — it waits for the settled outcome below instead.
+		if topic := c.topic.Load(); topic != nil && sink != nil && partial {
 			x.coalesced.Add(1)
 			x.midRunAttaches.Add(1)
 			o.cache = api.CacheCoalesced
 			o.phase(api.PhaseFlight)
-			delivered := 0
-			counting := func(ev api.ResultEvent) error {
-				delivered++
-				return sink(ev)
-			}
-			err := x.drainSub(ctx, topic.Subscribe(x.subPolicy(req)), counting, true)
-			var lf leaderFailedError
-			if errors.As(err, &lf) {
-				if delivered == 0 {
-					// The leader failed before this follower saw anything:
-					// like a done-channel follower, retry — a leader error
-					// may be specific to its own deadline, and this caller
-					// may become the next leader. Undo the share counters;
-					// nothing was shared.
-					x.coalesced.Add(-1)
-					x.midRunAttaches.Add(-1)
-					o.cache = api.CacheMiss
-					continue
-				}
-				return lf.err
-			}
-			o.phase(api.PhaseDrain)
-			return err
-		}
-		select {
-		case <-c.done:
-			if c.err != nil {
+			retry, err := x.drainSub(ctx, topic.Subscribe(x.subPolicy(req)), sink, true)
+			if retry {
+				// The run failed before this follower saw anything: like a
+				// follower of a settled failure, retry — a leader error may
+				// be specific to its own deadline, and this caller may
+				// become the next leader. Undo the share counters; nothing
+				// was shared.
+				x.coalesced.Add(-1)
+				x.midRunAttaches.Add(-1)
+				o.cache = api.CacheMiss
 				continue
 			}
-			if c.resp.Degraded && !partial {
-				return degradedForbidden(c.resp)
-			}
-			x.coalesced.Add(1)
-			o.cache = api.CacheCoalesced
-			o.phase(api.PhaseFlight)
-			err := replayResponse(c.resp, sink)
 			o.phase(api.PhaseDrain)
-			return err
-		case <-ctx.Done():
-			x.canceled.Add(1)
-			return asAPIError(ctx.Err())
+			return nil, err
 		}
+		if aerr := x.await(ctx, c); aerr != nil {
+			return nil, aerr
+		}
+		if c.err != nil {
+			continue
+		}
+		// Partial is a per-request policy, not part of the flight key: a
+		// forbid follower that coalesced onto an allow leader whose run
+		// degraded gets the failure it asked for, not the leader's partial
+		// answer.
+		if c.resp.Degraded && !partial {
+			return nil, apiErrorf(CodeUnavailable,
+				"query degraded: %d shard(s) had no reachable replica and the request forbids partial results",
+				len(c.resp.ShardsMissing))
+		}
+		x.coalesced.Add(1)
+		o.cache = api.CacheCoalesced
+		o.phase(api.PhaseFlight)
+		return x.replayResponse(c.resp, o, sink)
 	}
 }
 
-// brokerEnabled reports whether stream delivery is decoupled from the
-// engine.
-func (x *Executor) brokerEnabled() bool { return x.cfg.StreamBuffer > 0 }
+// await blocks until the call settles, or until a consumer of a shared
+// run walks away with its own ctx. A private run is coupled to its one
+// caller's ctx and counts the cancellation itself, so that caller waits
+// on done alone.
+func (x *Executor) await(ctx context.Context, c *flightCall) *APIError {
+	abandon := ctx.Done()
+	if c.key == "" {
+		abandon = nil
+	}
+	select {
+	case <-c.done:
+		return nil
+	case <-abandon:
+		x.canceled.Add(1)
+		return asAPIError(ctx.Err())
+	}
+}
 
 // subPolicy maps the request's overflow choice (or the server default)
 // onto the broker's policy enum.
@@ -733,134 +626,105 @@ func (x *Executor) subPolicy(req *QueryRequest) broker.Policy {
 	return broker.PolicyBlock
 }
 
-// leadBrokered is the brokered streaming leader: set up the engine
-// synchronously (so admission and setup failures still surface before
-// any event), then run it in a goroutine that publishes into the topic,
-// caches the response, retires the flight, and releases the worker slot
-// the moment enumeration finishes — all independent of how fast anyone
-// reads. The caller's half just drains its own subscription into its
-// sink.
-func (x *Executor) leadBrokered(ctx context.Context, req *QueryRequest, query proxrank.Vector, opts proxrank.Options, entries []*Entry, key string, c *flightCall, sink EventSink) error {
+// lead starts the engine run behind a flight call — the only place an
+// engine starts. Admission and session setup are synchronous, so slot
+// and setup failures still surface before any event; then one goroutine
+// drives the run at engine speed, independent of how fast anyone reads:
+// publish into the call's topic, cache the response, hand back the slot
+// and the sources the moment enumeration finishes, then settle the
+// flight and close the topic. A streaming leader gets its own
+// subscription, attached before the first publish so its lag window
+// covers the whole run; a batch leader waits on the call like a follower.
+//
+// A shared run (c.key set) is detached from its leader's cancellation:
+// a leader whose client goes away must not abort work that followers
+// and the cache will consume. The trade-off is deliberate — a run every
+// consumer has abandoned still finishes and fills the cache, holding
+// its slot until then — and since detachment removes the disconnect as
+// a backstop, a shared run always gets a deadline ceiling: MaxTimeout
+// (always set) when neither the request nor the server configures one,
+// so a blocking source cannot pin a slot forever. A private run serves
+// one caller and keeps that caller's already-deadlined context.
+func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.Vector, opts proxrank.Options, entries []*Entry, c *flightCall, stream bool) (sub *broker.Sub[api.ResultEvent], aerr *APIError) {
+	shared := c.key != ""
 	topic := broker.New[api.ResultEvent](x.cfg.StreamBuffer, x.cfg.StreamBlockTimeout)
 	topic.Attach(x.bins)
-	// A coalescable run (c != nil) is detached from the leader's
-	// cancellation: a leader whose client goes away must not abort work
-	// that followers and the cache will consume. This is a deliberate
-	// trade-off — a run every subscriber has abandoned still finishes
-	// and fills the cache (the next identical query is then free), at
-	// the cost of holding its slot until completion. Detachment removes
-	// the client disconnect as a backstop, so a detached run always gets
-	// a deadline ceiling: when neither the request nor the server
-	// configures one, MaxTimeout (always set) bounds it — a blocking
-	// source must not pin a worker slot forever. A private run (cache
-	// disabled: c == nil, no flight, nothing stored) keeps the client's
-	// cancellation: its work serves exactly one caller.
-	base := ctx
-	if c != nil {
-		base = context.WithoutCancel(ctx)
+	engCtx, engCancel := ctx, context.CancelFunc(func() {})
+	if shared {
+		engCtx, engCancel = x.applyDeadline(context.WithoutCancel(ctx), req, x.cfg.MaxTimeout)
 	}
-	engCtx, engCancel := x.applyDeadline(base, req)
-	if req.TimeoutMillis == 0 && x.cfg.DefaultTimeout <= 0 {
+	// settle publishes the call's terminal outcome, exactly once: from
+	// this setup half if it fails, from the engine goroutine otherwise.
+	settle := func(resp *QueryResponse, err error) {
 		engCancel()
-		engCtx, engCancel = context.WithTimeout(base, x.cfg.MaxTimeout)
+		x.flight.leave(c, resp, err)
+		topic.Close(err)
 	}
-	// settle publishes the run's terminal outcome exactly once: retire
-	// the flight (when coalescable) and poison or complete the topic.
-	// Idempotent, and never called concurrently: the setup half only
-	// settles before the engine goroutine exists, the goroutine after.
-	settled := false
-	settle := func(resp *QueryResponse, aerr *APIError) {
-		if settled {
+	started := false
+	defer func() {
+		if started {
 			return
 		}
-		settled = true
-		if c != nil {
-			var err error
-			if aerr != nil {
-				err = aerr
-			}
-			x.flight.leave(key, c, resp, err)
+		if aerr == nil {
+			// A panic is unwinding through setup: retire the flight so
+			// followers retry instead of waiting on a key that never settles.
+			aerr = apiErrorf(CodeInternal, "query leader aborted")
 		}
-		if aerr != nil {
-			topic.Close(aerr)
-		} else {
-			topic.Close(nil)
-		}
-	}
-	handled := false
-	fail := func(aerr *APIError) error {
-		handled = true
-		engCancel()
 		settle(nil, aerr)
-		return aerr
-	}
-	// If a panic unwinds through setup, retire the flight and poison the
-	// topic so neither followers nor subscribers wait on a key that can
-	// never complete.
-	defer func() {
-		if !handled {
-			fail(apiErrorf(CodeInternal, "query leader aborted"))
-		}
 	}()
+	if err := ctx.Err(); err != nil {
+		x.canceled.Add(1)
+		return nil, asAPIError(err)
+	}
 	q, missing, release, aerr := x.openSession(ctx, query, opts, entries, req.Partial != api.PartialForbid)
 	if aerr != nil {
-		return fail(aerr)
+		return nil, aerr
 	}
 
 	x.engineRuns.Add(1)
-	x.streamsBrokered.Add(1)
-	handled = true // the engine goroutine owns flight retirement from here
-	sub := topic.Subscribe(x.subPolicy(req))
-	if c != nil {
-		// Published before the engine starts: from here on followers
-		// attach mid-run.
-		c.topic.Store(topic)
+	if stream {
+		x.streamsBrokered.Add(1)
+		sub = topic.Subscribe(x.subPolicy(req))
 	}
+	// Published before the engine starts: from here on stream followers
+	// attach mid-run.
+	c.topic.Store(topic)
+	started = true // the engine goroutine owns the settlement from here
 	go func() {
+		var resp *QueryResponse
+		var err error // an interface, so that success settles as a true nil
 		defer func() {
-			release()
-			engCancel()
-			// The goroutine is detached from any request handler, so an
-			// engine panic must be contained here: without recover() it
-			// would kill the whole process, not one query. settle is
-			// idempotent, so the normal path's outcome is never
-			// overwritten — this only retires the flight and poisons the
-			// topic when the run really died mid-way.
+			// Detached from any request handler: uncontained, an engine
+			// panic here would kill the whole process, not one query.
 			if r := recover(); r != nil {
 				x.failed.Add(1)
-				settle(nil, apiErrorf(CodeInternal, "stream leader panicked: %v", r))
+				resp, err = nil, apiErrorf(CodeInternal, "query leader panicked: %v", r)
 			}
+			// Before the flight settles: a batch caller returns the instant
+			// done closes, and InFlight and the pruning counters must
+			// already account for its query.
+			release()
+			settle(resp, err)
 		}()
 		resp, runErr := x.publishRun(engCtx, q, opts, entries, missing, topic)
-		var aerr *APIError
-		switch {
-		case runErr == nil:
-			// Degraded responses are never cached (the shard may come
-			// back any moment); followers still share this run's outcome
-			// through the flight and re-check their own partial policy.
-			if c != nil && !resp.Degraded {
-				x.cache.put(key, resp)
-			}
-		case c != nil:
-			aerr = x.classifyRunError(runErr)
-		default:
-			// A private run's cancellation is the client's own (the engine
-			// context is coupled to it) and the client's drain already
-			// counted it; only genuine failures count here.
-			aerr = asAPIError(runErr)
+		if runErr != nil {
+			aerr := asAPIError(runErr)
+			err = aerr
 			if aerr.Code != CodeTimeout && aerr.Code != CodeCanceled {
 				x.failed.Add(1)
+			} else if shared || !stream {
+				// A private stream's cancellation is its one client's own,
+				// and that client's drain already counted it.
+				x.canceled.Add(1)
 			}
+		} else if shared && !resp.Degraded {
+			// Degraded responses are never cached (the shard may come back
+			// any moment); followers still share this run's outcome through
+			// the flight and re-check their own partial policy.
+			x.cache.put(c.key, resp)
 		}
-		settle(resp, aerr)
 	}()
-	err := x.drainSub(ctx, sub, sink, false)
-	var lf leaderFailedError
-	if errors.As(err, &lf) {
-		// The leader's caller reports its own run's failure plainly.
-		return lf.err
-	}
-	return err
+	return sub, nil
 }
 
 // publishRun drives the engine to completion at engine speed, publishing
@@ -869,55 +733,71 @@ func (x *Executor) leadBrokered(ctx context.Context, req *QueryRequest, query pr
 // subscribers are dropped by the topic per their policy; the run itself
 // never waits on a consumer beyond that consumer's cumulative block
 // budget. An engine failure comes back raw — the caller decides how to
-// classify and count it.
-func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxrank.Options, entries []*Entry, missing func() []api.MissingShard, topic *streamTopic) (*QueryResponse, error) {
-	var combos []proxrank.Combination
+// classify and count it. Each result event points at its element of the
+// response's Results, so a combination is converted to wire form once;
+// the slice is allocated at its K ceiling and must never grow, which
+// would strand the published pointers on the old backing array.
+func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxrank.Options, entries []*Entry, missing func() []api.MissingShard, topic *broker.Topic[api.ResultEvent]) (*QueryResponse, error) {
 	publish := func(ev api.ResultEvent) {
 		if n := topic.Publish(ev); n > 0 {
 			x.slowDrops.Add(int64(n))
 		}
 	}
+	results := make([]ResultCombination, 0, opts.K)
 	gap := x.m.newGapObserver(opts.Algorithm)
-	dnf, err := pullCombinations(ctx, q, opts.K, func(c proxrank.Combination) error {
-		combos = append(combos, c)
+	dnf, err := pullCombinations(ctx, q, opts.K, func(c proxrank.Combination) {
 		gap()
-		wire := wireCombination(c, entries)
-		publish(api.ResultEvent{Type: api.EventResult, Rank: len(combos), Result: &wire})
-		return nil
+		results = append(results, wireCombination(c, entries))
+		publish(api.ResultEvent{Type: api.EventResult, Rank: len(results), Result: &results[len(results)-1]})
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := proxrank.Result{
-		Combinations: combos,
-		Threshold:    q.Threshold(),
-		DNF:          dnf,
-		Stats:        q.Stats(),
-	}
-	resp := buildResponse(res, entries)
+	stats := q.Stats()
+	resp := buildResponse(results, q.Threshold(), dnf, stats)
 	x.stampDegraded(resp, missing())
-	x.recordOutcome(res.Stats)
-	publish(api.ResultEvent{Type: api.EventSummary, Summary: &api.Summary{
+	x.recordOutcome(stats)
+	publish(api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, false)})
+	return resp, nil
+}
+
+// summaryOf is the trailing summary of a response's stream, marked
+// cached on a replay. The degraded fields carry over (a replay reaches
+// them only via the flight: degraded responses are never cached).
+func summaryOf(resp *QueryResponse, cached bool) *api.Summary {
+	return &api.Summary{
 		Count:            len(resp.Results),
 		DNF:              resp.DNF,
-		Cached:           false,
+		Cached:           cached,
 		Cost:             resp.Cost,
 		Degraded:         resp.Degraded,
 		ShardsMissing:    resp.ShardsMissing,
 		ResultsCertified: resp.ResultsCertified,
-	}})
-	return resp, nil
+	}
+}
+
+// deliver hands one event to a sink. A sink that fails is the client
+// going away, whichever loop was feeding it — counted and reported as a
+// cancellation, never as a server fault.
+func (x *Executor) deliver(sink EventSink, ev api.ResultEvent) error {
+	if err := sink(ev); err != nil {
+		x.canceled.Add(1)
+		return apiErrorf(CodeCanceled, "stream sink: %v", err)
+	}
+	return nil
 }
 
 // drainSub delivers one subscription to one sink at the sink's own pace
 // — the consumer half of brokered delivery. markCached rewrites the
 // summary on a copy (events are shared across subscribers) the way
-// replayResponse marks a follower's replay.
-func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent], sink EventSink, markCached bool) error {
+// replayResponse marks a replay. retry reports that the run
+// itself failed before this consumer delivered anything — a follower's
+// cue to retry the flight instead of inheriting the leader's failure.
+func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent], sink EventSink, markCached bool) (retry bool, _ error) {
 	// Detach on every exit so an abandoned subscription never constrains
 	// the engine.
 	defer sub.Cancel()
-	for {
+	for delivered := 0; ; delivered++ {
 		ev, err := sub.Next(ctx)
 		switch {
 		case err == nil:
@@ -926,69 +806,49 @@ func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent
 				s.Cached = true
 				ev.Summary = &s
 			}
-			if serr := sink(ev); serr != nil {
-				x.canceled.Add(1)
-				return apiErrorf(CodeCanceled, "stream sink: %v", serr)
+			if err := x.deliver(sink, ev); err != nil {
+				return false, err
 			}
 		case errors.Is(err, broker.ErrDone):
-			return nil
+			return false, nil
 		case errors.Is(err, broker.ErrSlowSubscriber):
-			return apiErrorf(CodeOverloaded, "stream consumer too slow: fell more than %d events behind the engine", x.cfg.StreamBuffer)
+			return false, apiErrorf(CodeOverloaded, "stream consumer too slow: fell more than %d events behind the engine", x.cfg.StreamBuffer)
 		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 			x.canceled.Add(1)
-			return asAPIError(err)
+			return false, asAPIError(err)
 		default:
 			// The topic's terminal error: the engine side already recorded
-			// and classified it. Wrapped so a follower that saw no events
-			// yet can retry instead of inheriting the leader's failure.
-			return leaderFailedError{asAPIError(err)}
+			// and classified it.
+			return delivered == 0, asAPIError(err)
 		}
 	}
 }
 
-// leaderFailedError relays a brokered leader's terminal failure to a
-// subscriber. The leader's own caller unwraps it; a follower that has
-// delivered nothing yet treats it as a cue to retry the flight.
-type leaderFailedError struct{ err *APIError }
-
-func (e leaderFailedError) Error() string { return e.err.Error() }
-func (e leaderFailedError) Unwrap() error { return e.err }
-
-// replayResponse streams an already-computed response as events, summary
-// marked cached — the follower/cache-hit half of ExecuteStream. The
-// degraded fields carry over (reachable only via the flight: degraded
-// responses are never cached).
-func replayResponse(resp *QueryResponse, sink EventSink) error {
+// replayResponse hands an already-computed response to a caller that did
+// not lead its run — a cache hit, or a follower of a settled flight: a
+// batch caller gets a copy marked cached, a stream caller the response
+// as events, summary marked cached.
+func (x *Executor) replayResponse(resp *QueryResponse, o *queryObs, sink EventSink) (*QueryResponse, error) {
+	if sink == nil {
+		hit := *resp // shallow copy; the shared value stays immutable
+		hit.Cached = true
+		return &hit, nil
+	}
+	defer o.phase(api.PhaseDrain)
 	for i := range resp.Results {
 		ev := api.ResultEvent{Type: api.EventResult, Rank: i + 1, Result: &resp.Results[i]}
-		if err := sink(ev); err != nil {
-			return asAPIError(err)
+		if err := x.deliver(sink, ev); err != nil {
+			return nil, err
 		}
 	}
-	return sink(api.ResultEvent{Type: api.EventSummary, Summary: &api.Summary{
-		Count:            len(resp.Results),
-		DNF:              resp.DNF,
-		Cached:           true,
-		Cost:             resp.Cost,
-		Degraded:         resp.Degraded,
-		ShardsMissing:    resp.ShardsMissing,
-		ResultsCertified: resp.ResultsCertified,
-	}})
-}
-
-// degradedForbidden is the failure a partial=forbid request gets when
-// the flight outcome it shared completed degraded: the results exist,
-// but the caller asked for all shards or nothing.
-func degradedForbidden(resp *QueryResponse) *APIError {
-	return apiErrorf(CodeUnavailable,
-		"query degraded: %d shard(s) had no reachable replica and the request forbids partial results",
-		len(resp.ShardsMissing))
+	return nil, x.deliver(sink, api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, true)})
 }
 
 // applyDeadline wraps ctx with the query's effective deadline: the
-// clamped client-requested TimeoutMillis, else the configured default.
-// The returned cancel is never nil.
-func (x *Executor) applyDeadline(ctx context.Context, req *QueryRequest) (context.Context, context.CancelFunc) {
+// clamped client-requested TimeoutMillis, else the configured default,
+// else fallback (0 = no deadline). The returned cancel is never nil.
+func (x *Executor) applyDeadline(ctx context.Context, req *QueryRequest, fallback time.Duration) (context.Context, context.CancelFunc) {
+	d := fallback
 	if req.TimeoutMillis > 0 {
 		// Clamp in milliseconds before converting: a huge TimeoutMillis
 		// would overflow the Duration multiply into a negative (instantly
@@ -997,10 +857,12 @@ func (x *Executor) applyDeadline(ctx context.Context, req *QueryRequest) (contex
 		if maxMillis := x.cfg.MaxTimeout.Milliseconds(); millis > maxMillis {
 			millis = maxMillis
 		}
-		return context.WithTimeout(ctx, time.Duration(millis)*time.Millisecond)
+		d = time.Duration(millis) * time.Millisecond
+	} else if x.cfg.DefaultTimeout > 0 {
+		d = x.cfg.DefaultTimeout
 	}
-	if x.cfg.DefaultTimeout > 0 {
-		return context.WithTimeout(ctx, x.cfg.DefaultTimeout)
+	if d > 0 {
+		return context.WithTimeout(ctx, d)
 	}
 	return ctx, func() {}
 }
@@ -1070,18 +932,6 @@ func (x *Executor) recordOutcome(stats proxrank.Stats) {
 	}
 }
 
-// classifyRunError records the failure counters for an engine-run error
-// and returns its API form.
-func (x *Executor) classifyRunError(err error) *APIError {
-	ae := asAPIError(err)
-	if ae.Code == CodeTimeout || ae.Code == CodeCanceled {
-		x.canceled.Add(1)
-	} else {
-		x.failed.Add(1)
-	}
-	return ae
-}
-
 // stampDegraded marks resp degraded when the run abandoned shards:
 // Degraded, the missing shard list, and the certified count over the
 // data that was actually reachable (zero when a DNF cap also cut the
@@ -1099,135 +949,38 @@ func (x *Executor) stampDegraded(resp *QueryResponse, missing []api.MissingShard
 	x.degraded.Add(1)
 }
 
-// run executes the engine for one resolved query under an
-// already-deadlined context: acquire a worker slot, fan out per-shard
-// source creation, run with cancellation, record stats, and (when store
-// is set) cache the response under key. Degraded responses — partial
-// mode let a dead shard drop out — are stamped but never cached: the
-// shard may come back any moment, and a cached degraded answer would
-// outlive the outage.
-func (x *Executor) run(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, key string, store, partial bool) (*QueryResponse, error) {
-	if err := ctx.Err(); err != nil {
-		x.canceled.Add(1)
-		return nil, asAPIError(err)
-	}
-	release, aerr := x.acquireSlot(ctx)
-	if aerr != nil {
-		return nil, aerr
-	}
-	defer release()
-
-	sources, missing, cleanup, aerr := x.buildSources(ctx, opts, query, entries, partial)
-	if aerr != nil {
-		x.failed.Add(1)
-		return nil, aerr
-	}
-	defer cleanup()
-
-	x.engineRuns.Add(1)
-	res, err := proxrank.TopKFromSourcesContext(ctx, query, sources, opts)
-	if err != nil {
-		return nil, x.classifyRunError(err)
-	}
-
-	resp := buildResponse(res, entries)
-	x.stampDegraded(resp, missing())
-	x.recordOutcome(res.Stats)
-	if store && !resp.Degraded {
-		x.cache.put(key, resp)
-	}
-	return resp, nil
-}
-
-// runStream is run's incremental twin: the same slot, source fan-out,
-// stats, and caching discipline, but the engine is driven through a
-// Query session and every certified combination is handed to the sink
-// the moment it exists. A capped run streams its best-effort tail too
-// (so collected results match the batch DNF response) and flags DNF on
-// the summary.
-func (x *Executor) runStream(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, key string, store, partial bool, sink EventSink) (*QueryResponse, error) {
-	if err := ctx.Err(); err != nil {
-		x.canceled.Add(1)
-		return nil, asAPIError(err)
-	}
-	q, missing, release, aerr := x.openSession(ctx, query, opts, entries, partial)
-	if aerr != nil {
-		return nil, aerr
-	}
-	defer release()
-
-	x.engineRuns.Add(1)
-	var combos []proxrank.Combination
-	gap := x.m.newGapObserver(opts.Algorithm)
-	dnf, err := pullCombinations(ctx, q, opts.K, func(c proxrank.Combination) error {
-		combos = append(combos, c)
-		gap()
-		wire := wireCombination(c, entries)
-		return sink(api.ResultEvent{Type: api.EventResult, Rank: len(combos), Result: &wire})
-	})
-	if err != nil {
-		var serr sinkError
-		if errors.As(err, &serr) {
-			x.canceled.Add(1)
-			return nil, apiErrorf(CodeCanceled, "stream sink: %v", serr.err)
-		}
-		return nil, x.classifyRunError(err)
-	}
-
-	res := proxrank.Result{
-		Combinations: combos,
-		Threshold:    q.Threshold(),
-		DNF:          dnf,
-		Stats:        q.Stats(),
-	}
-	resp := buildResponse(res, entries)
-	x.stampDegraded(resp, missing())
-	x.recordOutcome(res.Stats)
-	if store && !resp.Degraded {
-		x.cache.put(key, resp)
-	}
-	if serr := sink(api.ResultEvent{Type: api.EventSummary, Summary: &api.Summary{
-		Count:            len(resp.Results),
-		DNF:              resp.DNF,
-		Cached:           false,
-		Cost:             resp.Cost,
-		Degraded:         resp.Degraded,
-		ShardsMissing:    resp.ShardsMissing,
-		ResultsCertified: resp.ResultsCertified,
-	}}); serr != nil {
-		return resp, apiErrorf(CodeCanceled, "stream sink: %v", serr)
-	}
-	return resp, nil
-}
-
-// openSession is the setup half shared by both streaming delivery paths
-// (sink-coupled runStream and brokered leadBrokered): claim a worker
-// slot, open the per-relation sources, and build the bounded query
-// session. On error the slot is already released and the failure
-// counters recorded; on success the caller owns release.
+// openSession is the setup half of an engine run: claim a worker slot,
+// open the per-relation sources, and build the bounded query session. On
+// error the slot is already released and the failure counters recorded;
+// on success the caller owns release, which settles the sources'
+// accounting before handing the slot back.
 //
-// The session buffer is bounded to K exactly like the batch path — a
-// streamed query delivers at most K results (certified prefix plus DNF
-// drain) — so peak memory is O(K) with byte-identical events.
+// The session buffer is bounded to K — a query delivers at most K
+// results (certified prefix plus DNF drain) — so peak memory is O(K).
 // Validation guarantees an explicit client MaxBuffered is >= K.
 func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, partial bool) (*proxrank.Query, func() []api.MissingShard, func(), *APIError) {
 	release, aerr := x.acquireSlot(ctx)
 	if aerr != nil {
 		return nil, nil, nil, aerr
 	}
+	opened := false
+	defer func() {
+		if !opened {
+			release()
+		}
+	}()
 	sources, missing, cleanup, aerr := x.buildSources(ctx, opts, query, entries, partial)
 	if aerr != nil {
-		release()
 		x.failed.Add(1)
 		return nil, nil, nil, aerr
 	}
 	q, err := proxrank.NewQuerySources(query, sources, opts.BoundedToK())
 	if err != nil {
 		cleanup()
-		release()
 		x.failed.Add(1)
 		return nil, nil, nil, asAPIError(err)
 	}
+	opened = true
 	done := func() {
 		cleanup()
 		release()
@@ -1235,34 +988,19 @@ func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts 
 	return q, missing, done, nil
 }
 
-// sinkError marks an emit failure inside pullCombinations, so callers
-// can tell a consumer that went away apart from an engine failure.
-type sinkError struct{ err error }
-
-func (e sinkError) Error() string { return e.err.Error() }
-
 // pullCombinations drives a query session to at most k results, handing
 // each to emit the moment it is certified. A capped run delivers the
 // uncertified best-effort tail in report order too — matching the batch
-// DNF contract — and returns dnf true. The error is a sinkError if emit
-// failed, or the engine's own failure otherwise; both streaming delivery
-// paths (sink-coupled and brokered) share this one loop, which is what
-// keeps their event sequences identical.
-func pullCombinations(ctx context.Context, q *proxrank.Query, k int, emit func(proxrank.Combination) error) (bool, error) {
+// DNF contract — and returns dnf true; the error is the engine's own
+// failure. Every run goes through this one loop, which is what keeps
+// batch responses and event sequences identical.
+func pullCombinations(ctx context.Context, q *proxrank.Query, k int, emit func(proxrank.Combination)) (bool, error) {
 	emitted := 0
-	send := func(c proxrank.Combination) error {
-		emitted++
-		if err := emit(c); err != nil {
-			return sinkError{err}
-		}
-		return nil
-	}
 	for emitted < k {
 		batch, err := q.NextContext(ctx, 1)
 		for _, c := range batch {
-			if serr := send(c); serr != nil {
-				return false, serr
-			}
+			emitted++
+			emit(c)
 		}
 		switch {
 		case err == nil:
@@ -1270,9 +1008,7 @@ func pullCombinations(ctx context.Context, q *proxrank.Query, k int, emit func(p
 			return false, nil
 		case errors.Is(err, proxrank.ErrDNF):
 			for _, c := range q.DrainBest(k - emitted) {
-				if serr := send(c); serr != nil {
-					return false, serr
-				}
+				emit(c)
 			}
 			return true, nil
 		default:
@@ -1453,27 +1189,25 @@ func wireCombination(c proxrank.Combination, entries []*Entry) ResultCombination
 	return rc
 }
 
-// buildResponse converts an engine result into the wire form.
-func buildResponse(res proxrank.Result, entries []*Entry) *QueryResponse {
+// buildResponse assembles the wire response around already-converted
+// results.
+func buildResponse(results []ResultCombination, threshold float64, dnf bool, stats proxrank.Stats) *QueryResponse {
 	out := &QueryResponse{
-		Results: make([]ResultCombination, len(res.Combinations)),
-		DNF:     res.DNF,
+		Results: results,
+		DNF:     dnf,
 		Cost: QueryCost{
-			SumDepths:           res.Stats.SumDepths,
-			Depths:              res.Stats.Depths,
-			Combinations:        res.Stats.CombinationsFormed,
-			BoundUpdates:        res.Stats.BoundUpdates,
-			QPSolves:            res.Stats.QPSolves,
-			ElapsedMicros:       res.Stats.TotalTime.Microseconds(),
-			SpilledCombinations: res.Stats.SpilledCombinations,
-			SpilledBytes:        res.Stats.SpilledBytes,
+			SumDepths:           stats.SumDepths,
+			Depths:              stats.Depths,
+			Combinations:        stats.CombinationsFormed,
+			BoundUpdates:        stats.BoundUpdates,
+			QPSolves:            stats.QPSolves,
+			ElapsedMicros:       stats.TotalTime.Microseconds(),
+			SpilledCombinations: stats.SpilledCombinations,
+			SpilledBytes:        stats.SpilledBytes,
 		},
 	}
-	if t := res.Threshold; !math.IsInf(t, 0) && !math.IsNaN(t) {
-		out.Cost.Threshold = &t
-	}
-	for i, c := range res.Combinations {
-		out.Results[i] = wireCombination(c, entries)
+	if !math.IsInf(threshold, 0) && !math.IsNaN(threshold) {
+		out.Cost.Threshold = &threshold
 	}
 	return out
 }

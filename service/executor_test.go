@@ -152,8 +152,8 @@ func TestExecutorExpiredContext(t *testing.T) {
 		t.Fatalf("Canceled+Rejected = %d, want 16", st.Canceled+st.Rejected)
 	}
 
-	// The executor runs queries on the caller's goroutine; nothing may
-	// linger. Allow the runtime a moment to settle.
+	// A query that is already expired never starts an engine goroutine;
+	// nothing may linger. Allow the runtime a moment to settle.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		runtime.GC()

@@ -8,35 +8,31 @@ import (
 	"repro/internal/broker"
 )
 
-// streamTopic is the delivery topic of one in-flight streamed query: the
-// engine publishes wire events into it at engine speed, subscribers
-// (the leader's sink, coalesced followers) drain at their own.
-type streamTopic = broker.Topic[api.ResultEvent]
-
 // flightGroup coalesces concurrent identical cache misses: the first
-// caller of a key becomes the leader and runs the engine; every caller
-// that arrives before the leader finishes waits for the leader's outcome
-// instead of racing a duplicate engine run. Keys are the executor's
-// cache keys, so "identical" carries the same meaning as cache identity,
-// catalog generations included.
+// caller of a key becomes the leader and starts the engine; every caller
+// that arrives before the run settles consumes the leader's run instead
+// of racing a duplicate. Keys are the executor's cache keys, so
+// "identical" carries the same meaning as cache identity, catalog
+// generations included.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
 }
 
-// flightCall is one in-flight engine run. resp and err are written by
-// the leader before done is closed and read-only afterwards.
+// flightCall is one engine run and everything its consumers need from
+// it. resp and err are written by leave before done is closed and
+// read-only afterwards.
 type flightCall struct {
+	key  string // empty for a private call: never registered, never joined
 	done chan struct{}
 	resp *QueryResponse
 	err  error
-	// topic, when set, is a streaming leader's live delivery topic: a
-	// follower that finds one attaches mid-run — replaying the certified
-	// prefix, then tailing live events — instead of waiting on done for
-	// the completed response. Stored by the leader after setup succeeds;
-	// a follower that loads nil (the leader is still setting up, or it is
-	// a batch leader) falls back to waiting on done.
-	topic atomic.Pointer[streamTopic]
+	// topic is the run's delivery topic: the engine publishes wire events
+	// into it at engine speed, and a stream follower that finds one
+	// attaches mid-run — replaying the certified prefix, then tailing
+	// live events — instead of waiting on done. Stored by the leader once
+	// setup succeeds; until then followers load nil and wait on done.
+	topic atomic.Pointer[broker.Topic[api.ResultEvent]]
 }
 
 func newFlightGroup() *flightGroup {
@@ -45,25 +41,31 @@ func newFlightGroup() *flightGroup {
 
 // join registers interest in key. The boolean is true for the leader —
 // who must eventually call leave — and false for followers, who wait on
-// the call's done channel (or attach to its topic).
+// the call's done channel (or attach to its topic). The empty key hands
+// back a private call: always led, never shared.
 func (g *flightGroup) join(key string) (*flightCall, bool) {
+	if key == "" {
+		return &flightCall{done: make(chan struct{})}, true
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {
 		return c, false
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{key: key, done: make(chan struct{})}
 	g.calls[key] = c
 	return c, true
 }
 
-// leave publishes the leader's outcome and wakes the followers. The key
-// is retired before done is closed, so a follower that retries after a
-// leader failure can become the next leader.
-func (g *flightGroup) leave(key string, c *flightCall, resp *QueryResponse, err error) {
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
+// leave publishes the call's outcome and wakes everyone waiting on it.
+// The key is retired before done is closed, so a follower that retries
+// after a leader failure can become the next leader.
+func (g *flightGroup) leave(c *flightCall, resp *QueryResponse, err error) {
+	if c.key != "" {
+		g.mu.Lock()
+		delete(g.calls, c.key)
+		g.mu.Unlock()
+	}
 	c.resp, c.err = resp, err
 	close(c.done)
 }

@@ -27,7 +27,6 @@ const maxRelationBody = 32 << 20
 //	POST   /v1/query/stream     — answer a query incrementally (NDJSON
 //	                              api.ResultEvent lines, flushed as the
 //	                              engine certifies each result)
-//	POST   /v1/topk             — legacy alias of /v1/query
 //	GET    /v1/relations        — list the registered relations
 //	POST   /v1/relations        — register a relation from a CSV body
 //	DELETE /v1/relations/{name} — evict a relation
@@ -55,7 +54,6 @@ func NewServer(cat *Catalog, exec *Executor) *Server {
 	s := &Server{exec: exec, cat: cat, start: time.Now(), mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/query/stream", s.handleQueryStream)
-	s.mux.HandleFunc("POST /v1/topk", s.handleTopK)
 	s.mux.HandleFunc("GET /v1/relations", s.handleRelations)
 	s.mux.HandleFunc("POST /v1/relations", s.handleRegisterRelation)
 	s.mux.HandleFunc("DELETE /v1/relations/{name}", s.handleEvictRelation)
@@ -144,13 +142,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleTopK is the legacy spelling of /v1/query, kept as a thin adapter:
-// the body and response shapes are identical (the api model is a
-// superset of the historical one), so it simply delegates.
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	s.handleQuery(w, r)
 }
 
 // handleQueryStream answers POST /v1/query/stream with NDJSON: one

@@ -31,7 +31,7 @@ func postTopK(url string, req *QueryRequest) (*http.Response, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := http.Post(url+"/v1/topk", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -176,7 +176,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Malformed JSON → 400.
-	r2, err := http.Post(srv.URL+"/v1/topk", "application/json", strings.NewReader("{nope"))
+	r2, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Unknown field → 400 (catches client typos).
-	r3, err := http.Post(srv.URL+"/v1/topk", "application/json",
+	r3, err := http.Post(srv.URL+"/v1/query", "application/json",
 		strings.NewReader(`{"query":[0,0],"relations":["A","B"],"k":1,"kay":2}`))
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	// Oversized body → 400 naming the limit, not a confusing JSON error.
 	big := `{"query":[0,0],"relations":["A","B"],"k":1,"algorithm":"` +
 		strings.Repeat("x", maxRequestBody) + `"}`
-	r5, err := http.Post(srv.URL+"/v1/topk", "application/json", strings.NewReader(big))
+	r5, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +210,24 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Wrong method → 405 from the router.
-	r4, err := http.Get(srv.URL + "/v1/topk")
+	r4, err := http.Get(srv.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r4.Body.Close()
 	if r4.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/topk: status %d, want 405", r4.StatusCode)
+		t.Fatalf("GET /v1/query: status %d, want 405", r4.StatusCode)
+	}
+
+	// The removed legacy alias → the router's plain 404.
+	r6, err := http.Post(srv.URL+"/v1/topk", "application/json",
+		strings.NewReader(`{"query":[0,0],"relations":["A","B"],"k":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r6.Body.Close()
+	if r6.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/topk: status %d, want 404 (the alias is gone)", r6.StatusCode)
 	}
 }
 

@@ -251,7 +251,7 @@ func readEvent(t *testing.T, br *bufio.Reader) (api.ResultEvent, json.RawMessage
 // the client reads the rank-1 result while the run is provably still in
 // flight (the engine cannot finish: it would need more permits than
 // were granted), and after the gate opens the collected results are
-// byte-identical to POST /v1/topk for the same request.
+// byte-identical to POST /v1/query for the same request.
 func TestHTTPStreamDeliversBeforeCompletion(t *testing.T) {
 	cat, names := testSetup(t, 2, 12, 2)
 	exec := NewExecutor(cat, Config{Workers: 2, CacheSize: 16, DefaultTimeout: time.Minute})
@@ -324,14 +324,14 @@ func TestHTTPStreamDeliversBeforeCompletion(t *testing.T) {
 		t.Fatalf("stream delivered %d results, want 144", len(streamResults))
 	}
 
-	// Byte-identity with the legacy batch endpoint.
+	// Byte-identity with the batch endpoint.
 	exec.wrapSource = nil
 	httpResp, data, err := postTopK(srv.URL, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("topk status %d: %s", httpResp.StatusCode, data)
+		t.Fatalf("query status %d: %s", httpResp.StatusCode, data)
 	}
 	var batch struct {
 		Results []json.RawMessage `json:"results"`
@@ -360,9 +360,9 @@ func compactJSON(t *testing.T, raw json.RawMessage) []byte {
 	return buf.Bytes()
 }
 
-// TestQueryEndpointsEquivalent: /v1/topk, /v1/query, and the collected
-// output of /v1/query/stream answer one request with byte-identical
-// result arrays, across the live, cache-hit, and replayed paths.
+// TestQueryEndpointsEquivalent: /v1/query and the collected output of
+// /v1/query/stream answer one request with byte-identical result arrays,
+// across the live, cache-hit, and replayed paths.
 func TestQueryEndpointsEquivalent(t *testing.T) {
 	srv, names, exec := testServer(t)
 	req := &QueryRequest{Query: []float64{0.2, -0.15}, Relations: names, K: 5}
@@ -383,25 +383,24 @@ func TestQueryEndpointsEquivalent(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	// Live run through the legacy endpoint, then a cache hit through the
-	// versioned one.
-	legacy := post("/v1/topk")
-	versioned := post("/v1/query")
+	// A live run, then a cache hit.
+	live := post("/v1/query")
+	hit := post("/v1/query")
 	var a, b struct {
 		Results json.RawMessage `json:"results"`
 		Cached  bool            `json:"cached"`
 	}
-	if err := json.Unmarshal(legacy, &a); err != nil {
+	if err := json.Unmarshal(live, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(versioned, &b); err != nil {
+	if err := json.Unmarshal(hit, &b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Cached || !b.Cached {
 		t.Fatalf("expected live-then-cached, got %v/%v", a.Cached, b.Cached)
 	}
 	if !bytes.Equal(compactJSON(t, a.Results), compactJSON(t, b.Results)) {
-		t.Fatalf("legacy and versioned results differ:\n%s\n%s", a.Results, b.Results)
+		t.Fatalf("live and cached results differ:\n%s\n%s", a.Results, b.Results)
 	}
 
 	// The stream replays the same cached response event by event.

@@ -17,10 +17,9 @@ const maxTraceEvents = 4096
 
 // traceRecorder implements proxrank.Tracer for one traced engine run,
 // accumulating the pull-level detail of the api trace. The engine
-// invokes it from whichever goroutine drives the run (the request's own
-// for batch, the detached engine goroutine for brokered streams), while
-// the request goroutine snapshots it afterwards — hence the mutex. Only
-// traced runs pay for it.
+// invokes it from the run's own goroutine while the request goroutine
+// snapshots it afterwards — hence the mutex. Only traced runs pay for
+// it.
 type traceRecorder struct {
 	mu      sync.Mutex
 	pulls   []api.TracePull

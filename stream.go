@@ -17,8 +17,7 @@ import (
 // built on top of it (see NewQuery), which adds batch semantics, DNF
 // handling, and the api.Request surface.
 type Stream struct {
-	it   *core.Iterator
-	rels []*Relation
+	it *core.Iterator
 }
 
 // ErrStreamDone is returned by Stream.Next once the whole cross product
