@@ -146,7 +146,7 @@ func survivorResults(t *testing.T, twin *Executor, req *QueryRequest, survives f
 	for i, c := range res.Combinations {
 		results[i] = wireCombination(c, entries)
 	}
-	return buildResponse(results, res.Threshold, res.DNF, res.Stats)
+	return buildResponse(results, res.Threshold, res.DNF, res.Stats, nil)
 }
 
 func marshalResults(t testing.TB, results []ResultCombination) string {

@@ -292,7 +292,7 @@ func NewExecutor(cat *Catalog, cfg Config) *Executor {
 		cfg:    cfg,
 		slots:  make(chan struct{}, cfg.Workers),
 		cache:  newResultCache(cfg.CacheSize),
-		flight: newFlightGroup(),
+		flight: &flightGroup{calls: make(map[string]*flightCall)},
 		bins:   &broker.Instruments{},
 	}
 	reg := cfg.Registry
@@ -646,20 +646,6 @@ func (x *Executor) subPolicy(req *QueryRequest) broker.Policy {
 // so a blocking source cannot pin a slot forever. A private run serves
 // one caller and keeps that caller's already-deadlined context.
 func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.Vector, opts proxrank.Options, entries []*Entry, c *flightCall, stream bool) (sub *broker.Sub[api.ResultEvent], aerr *APIError) {
-	shared := c.key != ""
-	topic := broker.New[api.ResultEvent](x.cfg.StreamBuffer, x.cfg.StreamBlockTimeout)
-	topic.Attach(x.bins)
-	engCtx, engCancel := ctx, context.CancelFunc(func() {})
-	if shared {
-		engCtx, engCancel = x.applyDeadline(context.WithoutCancel(ctx), req, x.cfg.MaxTimeout)
-	}
-	// settle publishes the call's terminal outcome, exactly once: from
-	// this setup half if it fails, from the engine goroutine otherwise.
-	settle := func(resp *QueryResponse, err error) {
-		engCancel()
-		x.flight.leave(c, resp, err)
-		topic.Close(err)
-	}
 	started := false
 	defer func() {
 		if started {
@@ -670,7 +656,7 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 			// followers retry instead of waiting on a key that never settles.
 			aerr = apiErrorf(CodeInternal, "query leader aborted")
 		}
-		settle(nil, aerr)
+		x.flight.leave(c, nil, aerr)
 	}()
 	if err := ctx.Err(); err != nil {
 		x.canceled.Add(1)
@@ -682,6 +668,8 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 	}
 
 	x.engineRuns.Add(1)
+	topic := broker.New[api.ResultEvent](x.cfg.StreamBuffer, x.cfg.StreamBlockTimeout)
+	topic.Attach(x.bins)
 	if stream {
 		x.streamsBrokered.Add(1)
 		sub = topic.Subscribe(x.subPolicy(req))
@@ -689,7 +677,12 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 	// Published before the engine starts: from here on stream followers
 	// attach mid-run.
 	c.topic.Store(topic)
-	started = true // the engine goroutine owns the settlement from here
+	shared := c.key != ""
+	engCtx, engCancel := ctx, context.CancelFunc(func() {})
+	if shared {
+		engCtx, engCancel = x.applyDeadline(context.WithoutCancel(ctx), req, x.cfg.MaxTimeout)
+	}
+	started = true // the engine goroutine settles the call from here
 	go func() {
 		var resp *QueryResponse
 		var err error // an interface, so that success settles as a true nil
@@ -700,11 +693,13 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 				x.failed.Add(1)
 				resp, err = nil, apiErrorf(CodeInternal, "query leader panicked: %v", r)
 			}
-			// Before the flight settles: a batch caller returns the instant
-			// done closes, and InFlight and the pruning counters must
-			// already account for its query.
+			// Slot and sources go back before the flight settles: a batch
+			// caller returns the instant done closes, and InFlight and the
+			// pruning counters must already account for its query.
 			release()
-			settle(resp, err)
+			engCancel()
+			x.flight.leave(c, resp, err)
+			topic.Close(err)
 		}()
 		resp, runErr := x.publishRun(engCtx, q, opts, entries, missing, topic)
 		if runErr != nil {
@@ -754,8 +749,10 @@ func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxr
 		return nil, err
 	}
 	stats := q.Stats()
-	resp := buildResponse(results, q.Threshold(), dnf, stats)
-	x.stampDegraded(resp, missing())
+	resp := buildResponse(results, q.Threshold(), dnf, stats, missing())
+	if resp.Degraded {
+		x.degraded.Add(1)
+	}
 	x.recordOutcome(stats)
 	publish(api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, false)})
 	return resp, nil
@@ -930,23 +927,6 @@ func (x *Executor) recordOutcome(stats proxrank.Stats) {
 	if stats.CombinationsFormed > 0 {
 		x.m.pruneRatio.Observe(float64(stats.CombinationsPruned) / float64(stats.CombinationsFormed))
 	}
-}
-
-// stampDegraded marks resp degraded when the run abandoned shards:
-// Degraded, the missing shard list, and the certified count over the
-// data that was actually reachable (zero when a DNF cap also cut the
-// surviving-shard certification short). A no-op — and no counter bump —
-// when nothing was missing.
-func (x *Executor) stampDegraded(resp *QueryResponse, missing []api.MissingShard) {
-	if len(missing) == 0 {
-		return
-	}
-	resp.Degraded = true
-	resp.ShardsMissing = missing
-	if !resp.DNF {
-		resp.ResultsCertified = len(resp.Results)
-	}
-	x.degraded.Add(1)
 }
 
 // openSession is the setup half of an engine run: claim a worker slot,
@@ -1190,8 +1170,11 @@ func wireCombination(c proxrank.Combination, entries []*Entry) ResultCombination
 }
 
 // buildResponse assembles the wire response around already-converted
-// results.
-func buildResponse(results []ResultCombination, threshold float64, dnf bool, stats proxrank.Stats) *QueryResponse {
+// results. A run that abandoned shards is marked degraded, with the
+// missing shard list and the certified count over the data that was
+// actually reachable (zero when a DNF cap also cut the surviving-shard
+// certification short).
+func buildResponse(results []ResultCombination, threshold float64, dnf bool, stats proxrank.Stats, missing []api.MissingShard) *QueryResponse {
 	out := &QueryResponse{
 		Results: results,
 		DNF:     dnf,
@@ -1208,6 +1191,12 @@ func buildResponse(results []ResultCombination, threshold float64, dnf bool, sta
 	}
 	if !math.IsInf(threshold, 0) && !math.IsNaN(threshold) {
 		out.Cost.Threshold = &threshold
+	}
+	if len(missing) > 0 {
+		out.Degraded, out.ShardsMissing = true, missing
+		if !dnf {
+			out.ResultsCertified = len(results)
+		}
 	}
 	return out
 }

@@ -35,10 +35,6 @@ type flightCall struct {
 	topic atomic.Pointer[broker.Topic[api.ResultEvent]]
 }
 
-func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: make(map[string]*flightCall)}
-}
-
 // join registers interest in key. The boolean is true for the leader —
 // who must eventually call leave — and false for followers, who wait on
 // the call's done channel (or attach to its topic). The empty key hands
