@@ -2,11 +2,8 @@ package service
 
 import (
 	"context"
-	"errors"
 	"io"
-	"math"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +13,6 @@ import (
 	"repro/api"
 	"repro/internal/broker"
 	"repro/internal/obs"
-	"repro/internal/relation"
 	"repro/internal/shardrpc"
 )
 
@@ -387,28 +383,6 @@ func (x *Executor) prepare(req *QueryRequest) (*QueryRequest, proxrank.Vector, p
 	return &norm, query, opts, entries, nil
 }
 
-// cacheKey is the canonical encoding of the normalized request (see
-// api.Request.Canonical) suffixed with each resolved relation's catalog
-// generation — so re-registering a name invalidates its entries — and
-// shard count. Sharding does not change answers; the key carries it only
-// as a defensive marker of the serving configuration. The generations
-// align positionally with the request's relation list, which the
-// canonical encoding already names.
-func cacheKey(req *QueryRequest, entries []*Entry) string {
-	canon := req.Canonical()
-	var b strings.Builder
-	b.Grow(len(canon) + 3 + 16*len(entries))
-	b.WriteString(canon)
-	b.WriteString("|g=")
-	for _, e := range entries {
-		b.WriteString(strconv.FormatUint(e.gen, 10))
-		b.WriteByte('/')
-		b.WriteString(strconv.Itoa(e.Shards()))
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
 // Execute answers one query as a batch: it takes the one path every
 // query takes (serve) and waits for the run's settled response.
 //
@@ -624,579 +598,4 @@ func (x *Executor) subPolicy(req *QueryRequest) broker.Policy {
 		return broker.PolicyDrop
 	}
 	return broker.PolicyBlock
-}
-
-// lead starts the engine run behind a flight call — the only place an
-// engine starts. Admission and session setup are synchronous, so slot
-// and setup failures still surface before any event; then one goroutine
-// drives the run at engine speed, independent of how fast anyone reads:
-// publish into the call's topic, cache the response, hand back the slot
-// and the sources the moment enumeration finishes, then settle the
-// flight and close the topic. A streaming leader gets its own
-// subscription, attached before the first publish so its lag window
-// covers the whole run; a batch leader waits on the call like a follower.
-//
-// A shared run (c.key set) is detached from its leader's cancellation:
-// a leader whose client goes away must not abort work that followers
-// and the cache will consume. The trade-off is deliberate — a run every
-// consumer has abandoned still finishes and fills the cache, holding
-// its slot until then — and since detachment removes the disconnect as
-// a backstop, a shared run always gets a deadline ceiling: MaxTimeout
-// (always set) when neither the request nor the server configures one,
-// so a blocking source cannot pin a slot forever. A private run serves
-// one caller and keeps that caller's already-deadlined context.
-func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.Vector, opts proxrank.Options, entries []*Entry, c *flightCall, stream bool) (sub *broker.Sub[api.ResultEvent], aerr *APIError) {
-	started := false
-	defer func() {
-		if started {
-			return
-		}
-		if aerr == nil {
-			// A panic is unwinding through setup: retire the flight so
-			// followers retry instead of waiting on a key that never settles.
-			aerr = apiErrorf(CodeInternal, "query leader aborted")
-		}
-		x.flight.leave(c, nil, aerr)
-	}()
-	if err := ctx.Err(); err != nil {
-		x.canceled.Add(1)
-		return nil, asAPIError(err)
-	}
-	q, missing, release, aerr := x.openSession(ctx, query, opts, entries, req.Partial != api.PartialForbid)
-	if aerr != nil {
-		return nil, aerr
-	}
-
-	x.engineRuns.Add(1)
-	topic := broker.New[api.ResultEvent](x.cfg.StreamBuffer, x.cfg.StreamBlockTimeout)
-	topic.Attach(x.bins)
-	if stream {
-		x.streamsBrokered.Add(1)
-		sub = topic.Subscribe(x.subPolicy(req))
-	}
-	// Published before the engine starts: from here on stream followers
-	// attach mid-run.
-	c.topic.Store(topic)
-	shared := c.key != ""
-	engCtx, engCancel := ctx, context.CancelFunc(func() {})
-	if shared {
-		engCtx, engCancel = x.applyDeadline(context.WithoutCancel(ctx), req, x.cfg.MaxTimeout)
-	}
-	started = true // the engine goroutine settles the call from here
-	go func() {
-		var resp *QueryResponse
-		var err error // an interface, so that success settles as a true nil
-		defer func() {
-			// Detached from any request handler: uncontained, an engine
-			// panic here would kill the whole process, not one query.
-			if r := recover(); r != nil {
-				x.failed.Add(1)
-				resp, err = nil, apiErrorf(CodeInternal, "query leader panicked: %v", r)
-			}
-			// Slot and sources go back before the flight settles: a batch
-			// caller returns the instant done closes, and InFlight and the
-			// pruning counters must already account for its query.
-			release()
-			engCancel()
-			x.flight.leave(c, resp, err)
-			topic.Close(err)
-		}()
-		resp, runErr := x.publishRun(engCtx, q, opts, entries, missing, topic)
-		if runErr != nil {
-			aerr := asAPIError(runErr)
-			err = aerr
-			if aerr.Code != CodeTimeout && aerr.Code != CodeCanceled {
-				x.failed.Add(1)
-			} else if shared || !stream {
-				// A private stream's cancellation is its one client's own,
-				// and that client's drain already counted it.
-				x.canceled.Add(1)
-			}
-		} else if shared && !resp.Degraded {
-			// Degraded responses are never cached (the shard may come back
-			// any moment); followers still share this run's outcome through
-			// the flight and re-check their own partial policy.
-			x.cache.put(c.key, resp)
-		}
-	}()
-	return sub, nil
-}
-
-// publishRun drives the engine to completion at engine speed, publishing
-// every certified result (and the DNF best-effort tail, matching the
-// batch contract) plus the trailing summary into the topic. Overflowing
-// subscribers are dropped by the topic per their policy; the run itself
-// never waits on a consumer beyond that consumer's cumulative block
-// budget. An engine failure comes back raw — the caller decides how to
-// classify and count it. Each result event points at its element of the
-// response's Results, so a combination is converted to wire form once;
-// the slice is allocated at its K ceiling and must never grow, which
-// would strand the published pointers on the old backing array.
-func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxrank.Options, entries []*Entry, missing func() []api.MissingShard, topic *broker.Topic[api.ResultEvent]) (*QueryResponse, error) {
-	publish := func(ev api.ResultEvent) {
-		if n := topic.Publish(ev); n > 0 {
-			x.slowDrops.Add(int64(n))
-		}
-	}
-	results := make([]ResultCombination, 0, opts.K)
-	gap := x.m.newGapObserver(opts.Algorithm)
-	dnf, err := pullCombinations(ctx, q, opts.K, func(c proxrank.Combination) {
-		gap()
-		results = append(results, wireCombination(c, entries))
-		publish(api.ResultEvent{Type: api.EventResult, Rank: len(results), Result: &results[len(results)-1]})
-	})
-	if err != nil {
-		return nil, err
-	}
-	stats := q.Stats()
-	resp := buildResponse(results, q.Threshold(), dnf, stats, missing())
-	if resp.Degraded {
-		x.degraded.Add(1)
-	}
-	x.recordOutcome(stats)
-	publish(api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, false)})
-	return resp, nil
-}
-
-// summaryOf is the trailing summary of a response's stream, marked
-// cached on a replay. The degraded fields carry over (a replay reaches
-// them only via the flight: degraded responses are never cached).
-func summaryOf(resp *QueryResponse, cached bool) *api.Summary {
-	return &api.Summary{
-		Count:            len(resp.Results),
-		DNF:              resp.DNF,
-		Cached:           cached,
-		Cost:             resp.Cost,
-		Degraded:         resp.Degraded,
-		ShardsMissing:    resp.ShardsMissing,
-		ResultsCertified: resp.ResultsCertified,
-	}
-}
-
-// deliver hands one event to a sink. A sink that fails is the client
-// going away, whichever loop was feeding it — counted and reported as a
-// cancellation, never as a server fault.
-func (x *Executor) deliver(sink EventSink, ev api.ResultEvent) error {
-	if err := sink(ev); err != nil {
-		x.canceled.Add(1)
-		return apiErrorf(CodeCanceled, "stream sink: %v", err)
-	}
-	return nil
-}
-
-// drainSub delivers one subscription to one sink at the sink's own pace
-// — the consumer half of brokered delivery. markCached rewrites the
-// summary on a copy (events are shared across subscribers) the way
-// replayResponse marks a replay. retry reports that the run
-// itself failed before this consumer delivered anything — a follower's
-// cue to retry the flight instead of inheriting the leader's failure.
-func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent], sink EventSink, markCached bool) (retry bool, _ error) {
-	// Detach on every exit so an abandoned subscription never constrains
-	// the engine.
-	defer sub.Cancel()
-	for delivered := 0; ; delivered++ {
-		ev, err := sub.Next(ctx)
-		switch {
-		case err == nil:
-			if markCached && ev.Type == api.EventSummary && ev.Summary != nil {
-				s := *ev.Summary
-				s.Cached = true
-				ev.Summary = &s
-			}
-			if err := x.deliver(sink, ev); err != nil {
-				return false, err
-			}
-		case errors.Is(err, broker.ErrDone):
-			return false, nil
-		case errors.Is(err, broker.ErrSlowSubscriber):
-			return false, apiErrorf(CodeOverloaded, "stream consumer too slow: fell more than %d events behind the engine", x.cfg.StreamBuffer)
-		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-			x.canceled.Add(1)
-			return false, asAPIError(err)
-		default:
-			// The topic's terminal error: the engine side already recorded
-			// and classified it.
-			return delivered == 0, asAPIError(err)
-		}
-	}
-}
-
-// replayResponse hands an already-computed response to a caller that did
-// not lead its run — a cache hit, or a follower of a settled flight: a
-// batch caller gets a copy marked cached, a stream caller the response
-// as events, summary marked cached.
-func (x *Executor) replayResponse(resp *QueryResponse, o *queryObs, sink EventSink) (*QueryResponse, error) {
-	if sink == nil {
-		hit := *resp // shallow copy; the shared value stays immutable
-		hit.Cached = true
-		return &hit, nil
-	}
-	defer o.phase(api.PhaseDrain)
-	for i := range resp.Results {
-		ev := api.ResultEvent{Type: api.EventResult, Rank: i + 1, Result: &resp.Results[i]}
-		if err := x.deliver(sink, ev); err != nil {
-			return nil, err
-		}
-	}
-	return nil, x.deliver(sink, api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, true)})
-}
-
-// applyDeadline wraps ctx with the query's effective deadline: the
-// clamped client-requested TimeoutMillis, else the configured default,
-// else fallback (0 = no deadline). The returned cancel is never nil.
-func (x *Executor) applyDeadline(ctx context.Context, req *QueryRequest, fallback time.Duration) (context.Context, context.CancelFunc) {
-	d := fallback
-	if req.TimeoutMillis > 0 {
-		// Clamp in milliseconds before converting: a huge TimeoutMillis
-		// would overflow the Duration multiply into a negative (instantly
-		// expired) deadline.
-		millis := req.TimeoutMillis
-		if maxMillis := x.cfg.MaxTimeout.Milliseconds(); millis > maxMillis {
-			millis = maxMillis
-		}
-		d = time.Duration(millis) * time.Millisecond
-	} else if x.cfg.DefaultTimeout > 0 {
-		d = x.cfg.DefaultTimeout
-	}
-	if d > 0 {
-		return context.WithTimeout(ctx, d)
-	}
-	return ctx, func() {}
-}
-
-// acquireSlot claims a worker slot, bounded by the query's deadline; a
-// query that cannot start before its deadline is shed rather than queued
-// forever. A query that would have to wait is first admission-checked
-// against the queue-depth watermark (Config.AdmissionQueue): past it the
-// query is shed immediately with CodeOverloaded — a fast 503 the client
-// can retry elsewhere beats queueing into a deadline it cannot meet.
-// The release func is nil exactly when an error is returned.
-func (x *Executor) acquireSlot(ctx context.Context) (func(), *APIError) {
-	claim := func() func() {
-		x.inFlight.Add(1)
-		return func() {
-			x.inFlight.Add(-1)
-			<-x.slots
-		}
-	}
-	select {
-	case x.slots <- struct{}{}:
-		return claim(), nil
-	default:
-	}
-	// Every slot is busy: this query queues. Shed it at the watermark —
-	// the count below includes this query, so depth > limit means the
-	// queue was already full when it arrived.
-	if limit := x.cfg.AdmissionQueue; limit > 0 {
-		if depth := x.queued.Add(1); depth > int64(limit) {
-			x.queued.Add(-1)
-			x.rejected.Add(1)
-			return nil, apiErrorf(CodeOverloaded, "server overloaded: %d queries already queued (limit %d)", depth-1, limit)
-		}
-	} else {
-		x.queued.Add(1)
-	}
-	defer x.queued.Add(-1)
-	select {
-	case x.slots <- struct{}{}:
-		return claim(), nil
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.Canceled) {
-			// The caller went away while queued — that is cancellation,
-			// not overload; counting it as rejected would fake a capacity
-			// signal out of ordinary client disconnects.
-			x.canceled.Add(1)
-			return nil, asAPIError(ctx.Err())
-		}
-		x.rejected.Add(1)
-		return nil, apiErrorf(CodeOverloaded, "no worker available before the deadline: %v", ctx.Err())
-	}
-}
-
-// recordOutcome folds one finished engine run into the counters and the
-// per-run engine cost distributions.
-func (x *Executor) recordOutcome(stats proxrank.Stats) {
-	x.completed.Add(1)
-	x.totalSumDepths.Add(int64(stats.SumDepths))
-	x.totalCombinations.Add(stats.CombinationsFormed)
-	x.totalBoundUpdates.Add(stats.BoundUpdates)
-	x.totalEngineMicros.Add(stats.TotalTime.Microseconds())
-	x.totalSpilled.Add(stats.SpilledCombinations)
-	x.totalSpilledBytes.Add(stats.SpilledBytes)
-	x.m.sumDepths.Observe(float64(stats.SumDepths))
-	if stats.CombinationsFormed > 0 {
-		x.m.pruneRatio.Observe(float64(stats.CombinationsPruned) / float64(stats.CombinationsFormed))
-	}
-}
-
-// openSession is the setup half of an engine run: claim a worker slot,
-// open the per-relation sources, and build the bounded query session. On
-// error the slot is already released and the failure counters recorded;
-// on success the caller owns release, which settles the sources'
-// accounting before handing the slot back.
-//
-// The session buffer is bounded to K — a query delivers at most K
-// results (certified prefix plus DNF drain) — so peak memory is O(K).
-// Validation guarantees an explicit client MaxBuffered is >= K.
-func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, partial bool) (*proxrank.Query, func() []api.MissingShard, func(), *APIError) {
-	release, aerr := x.acquireSlot(ctx)
-	if aerr != nil {
-		return nil, nil, nil, aerr
-	}
-	opened := false
-	defer func() {
-		if !opened {
-			release()
-		}
-	}()
-	sources, missing, cleanup, aerr := x.buildSources(ctx, opts, query, entries, partial)
-	if aerr != nil {
-		x.failed.Add(1)
-		return nil, nil, nil, aerr
-	}
-	q, err := proxrank.NewQuerySources(query, sources, opts.BoundedToK())
-	if err != nil {
-		cleanup()
-		x.failed.Add(1)
-		return nil, nil, nil, asAPIError(err)
-	}
-	opened = true
-	done := func() {
-		cleanup()
-		release()
-	}
-	return q, missing, done, nil
-}
-
-// pullCombinations drives a query session to at most k results, handing
-// each to emit the moment it is certified. A capped run delivers the
-// uncertified best-effort tail in report order too — matching the batch
-// DNF contract — and returns dnf true; the error is the engine's own
-// failure. Every run goes through this one loop, which is what keeps
-// batch responses and event sequences identical.
-func pullCombinations(ctx context.Context, q *proxrank.Query, k int, emit func(proxrank.Combination)) (bool, error) {
-	emitted := 0
-	for emitted < k {
-		batch, err := q.NextContext(ctx, 1)
-		for _, c := range batch {
-			emitted++
-			emit(c)
-		}
-		switch {
-		case err == nil:
-		case errors.Is(err, proxrank.ErrStreamDone):
-			return false, nil
-		case errors.Is(err, proxrank.ErrDNF):
-			for _, c := range q.DrainBest(k - emitted) {
-				emit(c)
-			}
-			return true, nil
-		default:
-			return false, err
-		}
-	}
-	return false, nil
-}
-
-// wireAccess maps an engine access kind to its wire name.
-func wireAccess(kind proxrank.AccessKind) string {
-	if kind == proxrank.ScoreAccess {
-		return api.AccessScore
-	}
-	return api.AccessDistance
-}
-
-// buildSources opens one engine stream per relation: every shard of every
-// relation gets its ordered source, creation fans out across a bounded
-// pool when the entries hold more than one shard in total, and each
-// relation's shard streams are merged back into its canonical order. The
-// dim pre-check in prepare already rules out the only documented source
-// failure; anything surfacing here is a server-side problem, which the
-// caller reports as internal.
-//
-// Remote entries (coordinator mode) resolve each shard to a
-// shardrpc.RemoteSource — constructed lazily, so nothing touches the
-// network here — and merge them with the same k-way merge local shards
-// use. partial puts every remote source in partial mode: a shard whose
-// every replica is unreachable ends its stream early (and is reported by
-// the returned missing collector) instead of failing the query. The
-// returned cleanup must run once the engine is done with the sources: it
-// releases remote connections and settles the pruning and over-fetch
-// accounting (a remote source the merge never opened is a pruned shard;
-// the rows it took from the others are the consumed side of rows
-// fetched ÷ rows consumed). It is always
-// non-nil, also on error. missing must be called by the goroutine that
-// drove the engine, after the run finishes and before the sources are
-// discarded.
-func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, query proxrank.Vector, entries []*Entry, partial bool) ([]proxrank.Source, func() []api.MissingShard, func(), *APIError) {
-	var remotes []*shardrpc.RemoteSource
-	missing := func() []api.MissingShard {
-		var out []api.MissingShard
-		for _, rs := range remotes {
-			if rs.Missing() {
-				out = append(out, api.MissingShard{Relation: rs.RelationName(), Shard: rs.Shard()})
-			}
-		}
-		return out
-	}
-	cleanup := func() {
-		var opened, pruned, consumed int64
-		for _, rs := range remotes {
-			if rs.Opened() {
-				opened++
-			} else {
-				pruned++
-			}
-			consumed += int64(rs.Consumed())
-			rs.Close()
-		}
-		x.remoteOpened.Add(opened)
-		x.shardsPruned.Add(pruned)
-		x.remoteConsumed.Add(consumed)
-	}
-
-	type job struct{ rel, shard int }
-	var jobs []job
-	perRel := make([][]proxrank.Source, len(entries))
-	sources := make([]proxrank.Source, len(entries))
-	for i, e := range entries {
-		if rr := e.Remote(); rr != nil {
-			inputs := make([]relation.KeyedSource, rr.Shards)
-			for s := 0; s < rr.Shards; s++ {
-				rs, err := shardrpc.OpenRemoteShard(ctx, e.Relation(), rr, s, wireAccess(opts.Access), query, 0)
-				if err != nil {
-					cleanup()
-					return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
-				}
-				rs.SetPartial(partial)
-				remotes = append(remotes, rs)
-				inputs[s] = rs
-			}
-			merged, err := relation.NewMergedSource(e.Relation(), opts.Access, inputs)
-			if err != nil {
-				cleanup()
-				return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
-			}
-			if x.wrapSource != nil {
-				sources[i] = x.wrapSource(merged)
-			} else {
-				sources[i] = merged
-			}
-			continue
-		}
-		n := e.Shards()
-		perRel[i] = make([]proxrank.Source, n)
-		for s := 0; s < n; s++ {
-			jobs = append(jobs, job{rel: i, shard: s})
-		}
-	}
-	open := func(j job) error {
-		e := entries[j.rel]
-		src, err := e.Sharded().ShardSource(j.shard, opts.Access, query, nil, true)
-		if err != nil {
-			return err
-		}
-		perRel[j.rel][j.shard] = src
-		return nil
-	}
-	fail := func(err error) ([]proxrank.Source, func() []api.MissingShard, func(), *APIError) {
-		cleanup()
-		return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
-	}
-	// Opening an in-memory shard source is cheap (a cursor or an O(1)
-	// traversal setup), so the pool only pays for itself on wide fan-outs;
-	// below the threshold a sequential loop is strictly faster than
-	// spawning goroutines per query.
-	const fanOutThreshold = 16
-	if workers := min(x.cfg.Workers, len(jobs)); workers > 1 && len(jobs) >= fanOutThreshold {
-		feed := make(chan job)
-		var wg sync.WaitGroup
-		var firstErr atomic.Pointer[error]
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range feed {
-					if err := open(j); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-					}
-				}
-			}()
-		}
-		for _, j := range jobs {
-			feed <- j
-		}
-		close(feed)
-		wg.Wait()
-		if errp := firstErr.Load(); errp != nil {
-			return fail(*errp)
-		}
-	} else {
-		for _, j := range jobs {
-			if err := open(j); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	for i, e := range entries {
-		if e.IsRemote() {
-			continue // already merged above
-		}
-		merged, err := e.Sharded().Merge(perRel[i])
-		if err != nil {
-			return fail(err)
-		}
-		if x.wrapSource != nil {
-			merged = x.wrapSource(merged)
-		}
-		sources[i] = merged
-	}
-	return sources, missing, cleanup, nil
-}
-
-// wireCombination converts one engine combination into its wire form.
-func wireCombination(c proxrank.Combination, entries []*Entry) ResultCombination {
-	rc := ResultCombination{Score: c.Score, Tuples: make([]ResultTuple, len(c.Tuples))}
-	for j, t := range c.Tuples {
-		rc.Tuples[j] = ResultTuple{
-			Relation: entries[j].Relation().Name,
-			ID:       t.ID,
-			Score:    t.Score,
-			Vec:      []float64(t.Vec),
-			Attrs:    t.Attrs,
-		}
-	}
-	return rc
-}
-
-// buildResponse assembles the wire response around already-converted
-// results. A run that abandoned shards is marked degraded, with the
-// missing shard list and the certified count over the data that was
-// actually reachable (zero when a DNF cap also cut the surviving-shard
-// certification short).
-func buildResponse(results []ResultCombination, threshold float64, dnf bool, stats proxrank.Stats, missing []api.MissingShard) *QueryResponse {
-	out := &QueryResponse{
-		Results: results,
-		DNF:     dnf,
-		Cost: QueryCost{
-			SumDepths:           stats.SumDepths,
-			Depths:              stats.Depths,
-			Combinations:        stats.CombinationsFormed,
-			BoundUpdates:        stats.BoundUpdates,
-			QPSolves:            stats.QPSolves,
-			ElapsedMicros:       stats.TotalTime.Microseconds(),
-			SpilledCombinations: stats.SpilledCombinations,
-			SpilledBytes:        stats.SpilledBytes,
-		},
-	}
-	if !math.IsInf(threshold, 0) && !math.IsNaN(threshold) {
-		out.Cost.Threshold = &threshold
-	}
-	if len(missing) > 0 {
-		out.Degraded, out.ShardsMissing = true, missing
-		if !dnf {
-			out.ResultsCertified = len(results)
-		}
-	}
-	return out
 }

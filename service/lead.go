@@ -1,0 +1,271 @@
+package service
+
+import (
+	"context"
+	"errors"
+
+	proxrank "repro"
+	"repro/api"
+	"repro/internal/broker"
+)
+
+// lead starts the engine run behind a flight call — the only place an
+// engine starts. Admission and session setup are synchronous, so slot
+// and setup failures still surface before any event; then one goroutine
+// drives the run at engine speed, independent of how fast anyone reads:
+// publish into the call's topic, cache the response, hand back the slot
+// and the sources the moment enumeration finishes, then settle the
+// flight and close the topic. A streaming leader gets its own
+// subscription, attached before the first publish so its lag window
+// covers the whole run; a batch leader waits on the call like a follower.
+//
+// A shared run (c.key set) is detached from its leader's cancellation:
+// a leader whose client goes away must not abort work that followers
+// and the cache will consume. The trade-off is deliberate — a run every
+// consumer has abandoned still finishes and fills the cache, holding
+// its slot until then — and since detachment removes the disconnect as
+// a backstop, a shared run always gets a deadline ceiling: MaxTimeout
+// (always set) when neither the request nor the server configures one,
+// so a blocking source cannot pin a slot forever. A private run serves
+// one caller and keeps that caller's already-deadlined context.
+func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.Vector, opts proxrank.Options, entries []*Entry, c *flightCall, stream bool) (sub *broker.Sub[api.ResultEvent], aerr *APIError) {
+	started := false
+	defer func() {
+		if started {
+			return
+		}
+		if aerr == nil {
+			// A panic is unwinding through setup: retire the flight so
+			// followers retry instead of waiting on a key that never settles.
+			aerr = apiErrorf(CodeInternal, "query leader aborted")
+		}
+		x.flight.leave(c, nil, aerr)
+	}()
+	if err := ctx.Err(); err != nil {
+		x.canceled.Add(1)
+		return nil, asAPIError(err)
+	}
+	q, missing, release, aerr := x.openSession(ctx, query, opts, entries, req.Partial != api.PartialForbid)
+	if aerr != nil {
+		return nil, aerr
+	}
+
+	x.engineRuns.Add(1)
+	topic := broker.New[api.ResultEvent](x.cfg.StreamBuffer, x.cfg.StreamBlockTimeout)
+	topic.Attach(x.bins)
+	if stream {
+		x.streamsBrokered.Add(1)
+		sub = topic.Subscribe(x.subPolicy(req))
+	}
+	// Published before the engine starts: from here on stream followers
+	// attach mid-run.
+	c.topic.Store(topic)
+	shared := c.key != ""
+	engCtx, engCancel := ctx, context.CancelFunc(func() {})
+	if shared {
+		engCtx, engCancel = x.applyDeadline(context.WithoutCancel(ctx), req, x.cfg.MaxTimeout)
+	}
+	started = true // the engine goroutine settles the call from here
+	go func() {
+		var resp *QueryResponse
+		var err error // an interface, so that success settles as a true nil
+		defer func() {
+			// Detached from any request handler: uncontained, an engine
+			// panic here would kill the whole process, not one query.
+			if r := recover(); r != nil {
+				x.failed.Add(1)
+				resp, err = nil, apiErrorf(CodeInternal, "query leader panicked: %v", r)
+			}
+			// Slot and sources go back before the flight settles: a batch
+			// caller returns the instant done closes, and InFlight and the
+			// pruning counters must already account for its query.
+			release()
+			engCancel()
+			x.flight.leave(c, resp, err)
+			topic.Close(err)
+		}()
+		resp, runErr := x.publishRun(engCtx, q, opts, entries, missing, topic)
+		if runErr != nil {
+			aerr := asAPIError(runErr)
+			err = aerr
+			if aerr.Code != CodeTimeout && aerr.Code != CodeCanceled {
+				x.failed.Add(1)
+			} else if shared || !stream {
+				// A private stream's cancellation is its one client's own,
+				// and that client's drain already counted it.
+				x.canceled.Add(1)
+			}
+		} else if shared && !resp.Degraded {
+			// Degraded responses are never cached (the shard may come back
+			// any moment); followers still share this run's outcome through
+			// the flight and re-check their own partial policy.
+			x.cache.put(c.key, resp)
+		}
+	}()
+	return sub, nil
+}
+
+// publishRun drives the engine to completion at engine speed, publishing
+// every certified result (and the DNF best-effort tail, matching the
+// batch contract) plus the trailing summary into the topic. Overflowing
+// subscribers are dropped by the topic per their policy; the run itself
+// never waits on a consumer beyond that consumer's cumulative block
+// budget. An engine failure comes back raw — the caller decides how to
+// classify and count it. Each result event points at its element of the
+// response's Results, so a combination is converted to wire form once;
+// the slice is allocated at its K ceiling and must never grow, which
+// would strand the published pointers on the old backing array.
+func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxrank.Options, entries []*Entry, missing func() []api.MissingShard, topic *broker.Topic[api.ResultEvent]) (*QueryResponse, error) {
+	publish := func(ev api.ResultEvent) {
+		if n := topic.Publish(ev); n > 0 {
+			x.slowDrops.Add(int64(n))
+		}
+	}
+	results := make([]ResultCombination, 0, opts.K)
+	gap := x.m.newGapObserver(opts.Algorithm)
+	dnf, err := pullCombinations(ctx, q, opts.K, func(c proxrank.Combination) {
+		gap()
+		results = append(results, wireCombination(c, entries))
+		publish(api.ResultEvent{Type: api.EventResult, Rank: len(results), Result: &results[len(results)-1]})
+	})
+	if err != nil {
+		return nil, err
+	}
+	stats := q.Stats()
+	resp := buildResponse(results, q.Threshold(), dnf, stats, missing())
+	if resp.Degraded {
+		x.degraded.Add(1)
+	}
+	x.recordOutcome(stats)
+	publish(api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, false)})
+	return resp, nil
+}
+
+// summaryOf is the trailing summary of a response's stream, marked
+// cached on a replay. The degraded fields carry over (a replay reaches
+// them only via the flight: degraded responses are never cached).
+func summaryOf(resp *QueryResponse, cached bool) *api.Summary {
+	return &api.Summary{
+		Count:            len(resp.Results),
+		DNF:              resp.DNF,
+		Cached:           cached,
+		Cost:             resp.Cost,
+		Degraded:         resp.Degraded,
+		ShardsMissing:    resp.ShardsMissing,
+		ResultsCertified: resp.ResultsCertified,
+	}
+}
+
+// deliver hands one event to a sink. A sink that fails is the client
+// going away, whichever loop was feeding it — counted and reported as a
+// cancellation, never as a server fault.
+func (x *Executor) deliver(sink EventSink, ev api.ResultEvent) error {
+	if err := sink(ev); err != nil {
+		x.canceled.Add(1)
+		return apiErrorf(CodeCanceled, "stream sink: %v", err)
+	}
+	return nil
+}
+
+// drainSub delivers one subscription to one sink at the sink's own pace
+// — the consumer half of brokered delivery. markCached rewrites the
+// summary on a copy (events are shared across subscribers) the way
+// replayResponse marks a replay. retry reports that the run
+// itself failed before this consumer delivered anything — a follower's
+// cue to retry the flight instead of inheriting the leader's failure.
+func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent], sink EventSink, markCached bool) (retry bool, _ error) {
+	// Detach on every exit so an abandoned subscription never constrains
+	// the engine.
+	defer sub.Cancel()
+	for delivered := 0; ; delivered++ {
+		ev, err := sub.Next(ctx)
+		switch {
+		case err == nil:
+			if markCached && ev.Type == api.EventSummary && ev.Summary != nil {
+				s := *ev.Summary
+				s.Cached = true
+				ev.Summary = &s
+			}
+			if err := x.deliver(sink, ev); err != nil {
+				return false, err
+			}
+		case errors.Is(err, broker.ErrDone):
+			return false, nil
+		case errors.Is(err, broker.ErrSlowSubscriber):
+			return false, apiErrorf(CodeOverloaded, "stream consumer too slow: fell more than %d events behind the engine", x.cfg.StreamBuffer)
+		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+			x.canceled.Add(1)
+			return false, asAPIError(err)
+		default:
+			// The topic's terminal error: the engine side already recorded
+			// and classified it.
+			return delivered == 0, asAPIError(err)
+		}
+	}
+}
+
+// replayResponse hands an already-computed response to a caller that did
+// not lead its run — a cache hit, or a follower of a settled flight: a
+// batch caller gets a copy marked cached, a stream caller the response
+// as events, summary marked cached.
+func (x *Executor) replayResponse(resp *QueryResponse, o *queryObs, sink EventSink) (*QueryResponse, error) {
+	if sink == nil {
+		hit := *resp // shallow copy; the shared value stays immutable
+		hit.Cached = true
+		return &hit, nil
+	}
+	defer o.phase(api.PhaseDrain)
+	for i := range resp.Results {
+		ev := api.ResultEvent{Type: api.EventResult, Rank: i + 1, Result: &resp.Results[i]}
+		if err := x.deliver(sink, ev); err != nil {
+			return nil, err
+		}
+	}
+	return nil, x.deliver(sink, api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, true)})
+}
+
+// recordOutcome folds one finished engine run into the counters and the
+// per-run engine cost distributions.
+func (x *Executor) recordOutcome(stats proxrank.Stats) {
+	x.completed.Add(1)
+	x.totalSumDepths.Add(int64(stats.SumDepths))
+	x.totalCombinations.Add(stats.CombinationsFormed)
+	x.totalBoundUpdates.Add(stats.BoundUpdates)
+	x.totalEngineMicros.Add(stats.TotalTime.Microseconds())
+	x.totalSpilled.Add(stats.SpilledCombinations)
+	x.totalSpilledBytes.Add(stats.SpilledBytes)
+	x.m.sumDepths.Observe(float64(stats.SumDepths))
+	if stats.CombinationsFormed > 0 {
+		x.m.pruneRatio.Observe(float64(stats.CombinationsPruned) / float64(stats.CombinationsFormed))
+	}
+}
+
+// pullCombinations drives a query session to at most k results, handing
+// each to emit the moment it is certified. A capped run delivers the
+// uncertified best-effort tail in report order too — matching the batch
+// DNF contract — and returns dnf true; the error is the engine's own
+// failure. Every run goes through this one loop, which is what keeps
+// batch responses and event sequences identical.
+func pullCombinations(ctx context.Context, q *proxrank.Query, k int, emit func(proxrank.Combination)) (bool, error) {
+	emitted := 0
+	for emitted < k {
+		batch, err := q.NextContext(ctx, 1)
+		for _, c := range batch {
+			emitted++
+			emit(c)
+		}
+		switch {
+		case err == nil:
+		case errors.Is(err, proxrank.ErrStreamDone):
+			return false, nil
+		case errors.Is(err, proxrank.ErrDNF):
+			for _, c := range q.DrainBest(k - emitted) {
+				emit(c)
+			}
+			return true, nil
+		default:
+			return false, err
+		}
+	}
+	return false, nil
+}

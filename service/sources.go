@@ -1,0 +1,207 @@
+package service
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+
+	proxrank "repro"
+	"repro/api"
+	"repro/internal/relation"
+	"repro/internal/shardrpc"
+)
+
+// openSession is the setup half of an engine run: claim a worker slot,
+// open the per-relation sources, and build the bounded query session. On
+// error the slot is already released and the failure counters recorded;
+// on success the caller owns release, which settles the sources'
+// accounting before handing the slot back.
+//
+// The session buffer is bounded to K — a query delivers at most K
+// results (certified prefix plus DNF drain) — so peak memory is O(K).
+// Validation guarantees an explicit client MaxBuffered is >= K.
+func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, partial bool) (*proxrank.Query, func() []api.MissingShard, func(), *APIError) {
+	release, aerr := x.acquireSlot(ctx)
+	if aerr != nil {
+		return nil, nil, nil, aerr
+	}
+	opened := false
+	defer func() {
+		if !opened {
+			release()
+		}
+	}()
+	sources, missing, cleanup, aerr := x.buildSources(ctx, opts, query, entries, partial)
+	if aerr != nil {
+		x.failed.Add(1)
+		return nil, nil, nil, aerr
+	}
+	q, err := proxrank.NewQuerySources(query, sources, opts.BoundedToK())
+	if err != nil {
+		cleanup()
+		x.failed.Add(1)
+		return nil, nil, nil, asAPIError(err)
+	}
+	opened = true
+	done := func() {
+		cleanup()
+		release()
+	}
+	return q, missing, done, nil
+}
+
+// wireAccess maps an engine access kind to its wire name.
+func wireAccess(kind proxrank.AccessKind) string {
+	if kind == proxrank.ScoreAccess {
+		return api.AccessScore
+	}
+	return api.AccessDistance
+}
+
+// buildSources opens one engine stream per relation: every shard of every
+// relation gets its ordered source, creation fans out across a bounded
+// pool when the entries hold more than one shard in total, and each
+// relation's shard streams are merged back into its canonical order. The
+// dim pre-check in prepare already rules out the only documented source
+// failure; anything surfacing here is a server-side problem, which the
+// caller reports as internal.
+//
+// Remote entries (coordinator mode) resolve each shard to a
+// shardrpc.RemoteSource — constructed lazily, so nothing touches the
+// network here — and merge them with the same k-way merge local shards
+// use. partial puts every remote source in partial mode: a shard whose
+// every replica is unreachable ends its stream early (and is reported by
+// the returned missing collector) instead of failing the query. The
+// returned cleanup must run once the engine is done with the sources: it
+// releases remote connections and settles the pruning and over-fetch
+// accounting (a remote source the merge never opened is a pruned shard;
+// the rows it took from the others are the consumed side of rows
+// fetched ÷ rows consumed). It is always
+// non-nil, also on error. missing must be called by the goroutine that
+// drove the engine, after the run finishes and before the sources are
+// discarded.
+func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, query proxrank.Vector, entries []*Entry, partial bool) ([]proxrank.Source, func() []api.MissingShard, func(), *APIError) {
+	var remotes []*shardrpc.RemoteSource
+	missing := func() []api.MissingShard {
+		var out []api.MissingShard
+		for _, rs := range remotes {
+			if rs.Missing() {
+				out = append(out, api.MissingShard{Relation: rs.RelationName(), Shard: rs.Shard()})
+			}
+		}
+		return out
+	}
+	cleanup := func() {
+		var opened, pruned, consumed int64
+		for _, rs := range remotes {
+			if rs.Opened() {
+				opened++
+			} else {
+				pruned++
+			}
+			consumed += int64(rs.Consumed())
+			rs.Close()
+		}
+		x.remoteOpened.Add(opened)
+		x.shardsPruned.Add(pruned)
+		x.remoteConsumed.Add(consumed)
+	}
+
+	type job struct{ rel, shard int }
+	var jobs []job
+	perRel := make([][]proxrank.Source, len(entries))
+	sources := make([]proxrank.Source, len(entries))
+	for i, e := range entries {
+		if rr := e.Remote(); rr != nil {
+			inputs := make([]relation.KeyedSource, rr.Shards)
+			for s := 0; s < rr.Shards; s++ {
+				rs, err := shardrpc.OpenRemoteShard(ctx, e.Relation(), rr, s, wireAccess(opts.Access), query, 0)
+				if err != nil {
+					cleanup()
+					return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
+				}
+				rs.SetPartial(partial)
+				remotes = append(remotes, rs)
+				inputs[s] = rs
+			}
+			merged, err := relation.NewMergedSource(e.Relation(), opts.Access, inputs)
+			if err != nil {
+				cleanup()
+				return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
+			}
+			if x.wrapSource != nil {
+				sources[i] = x.wrapSource(merged)
+			} else {
+				sources[i] = merged
+			}
+			continue
+		}
+		n := e.Shards()
+		perRel[i] = make([]proxrank.Source, n)
+		for s := 0; s < n; s++ {
+			jobs = append(jobs, job{rel: i, shard: s})
+		}
+	}
+	open := func(j job) error {
+		e := entries[j.rel]
+		src, err := e.Sharded().ShardSource(j.shard, opts.Access, query, nil, true)
+		if err != nil {
+			return err
+		}
+		perRel[j.rel][j.shard] = src
+		return nil
+	}
+	fail := func(err error) ([]proxrank.Source, func() []api.MissingShard, func(), *APIError) {
+		cleanup()
+		return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
+	}
+	// Opening an in-memory shard source is cheap (a cursor or an O(1)
+	// traversal setup), so the pool only pays for itself on wide fan-outs;
+	// below the threshold a sequential loop is strictly faster than
+	// spawning goroutines per query.
+	const fanOutThreshold = 16
+	if workers := min(x.cfg.Workers, len(jobs)); workers > 1 && len(jobs) >= fanOutThreshold {
+		feed := make(chan job)
+		var wg sync.WaitGroup
+		var firstErr atomic.Pointer[error]
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := range feed {
+					if err := open(j); err != nil {
+						firstErr.CompareAndSwap(nil, &err)
+					}
+				}
+			}()
+		}
+		for _, j := range jobs {
+			feed <- j
+		}
+		close(feed)
+		wg.Wait()
+		if errp := firstErr.Load(); errp != nil {
+			return fail(*errp)
+		}
+	} else {
+		for _, j := range jobs {
+			if err := open(j); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	for i, e := range entries {
+		if e.IsRemote() {
+			continue // already merged above
+		}
+		merged, err := e.Sharded().Merge(perRel[i])
+		if err != nil {
+			return fail(err)
+		}
+		if x.wrapSource != nil {
+			merged = x.wrapSource(merged)
+		}
+		sources[i] = merged
+	}
+	return sources, missing, cleanup, nil
+}
