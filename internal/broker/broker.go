@@ -78,11 +78,13 @@ var ErrDone = errors.New("broker: topic done")
 // from any goroutine.
 type Topic[T any] struct {
 	mu sync.Mutex
-	// arrived is closed and replaced whenever state a subscriber may be
-	// waiting on changes (new event, close, drop).
-	arrived chan struct{}
-	// advanced is closed and replaced whenever state the producer may be
-	// waiting on changes (a subscriber consumed an event or detached).
+	// arrived is closed whenever state a parked subscriber is waiting on
+	// changes (new event, close, drop); advanced whenever state a parked
+	// producer is waiting on changes (a subscriber consumed an event or
+	// detached). Each is made by the side about to park on it and nil
+	// while nobody is parked, so the uncontended path is signal-free and
+	// a Topic nobody waits on never allocates a channel.
+	arrived  chan struct{}
 	advanced chan struct{}
 
 	events   []T
@@ -90,14 +92,6 @@ type Topic[T any] struct {
 	blockFor time.Duration
 	closed   bool
 	err      error // terminal error, valid once closed
-	// producerWaiting gates wakeProducer: consumers only pay the
-	// close+remake of advanced when Publish is actually parked on a
-	// laggard, keeping the common uncontended path signal-free.
-	producerWaiting bool
-	// parked gates wakeSubscribers the same way: it counts the
-	// subscribers waiting on the current arrived channel, so a producer
-	// nobody is waiting on publishes without the close+remake.
-	parked int
 
 	subs    map[*Sub[T]]struct{}
 	dropped int // subscribers removed by overflow, for stats
@@ -128,11 +122,11 @@ func New[T any](capacity int, blockFor time.Duration) *Topic[T] {
 		blockFor = DefaultBlockTimeout
 	}
 	return &Topic[T]{
-		arrived:  make(chan struct{}),
-		advanced: make(chan struct{}),
+		// Room up front instead of growing from nothing: a query's K
+		// results plus summary usually fit one default lag window.
+		events:   make([]T, 0, min(capacity, DefaultCapacity)),
 		capacity: capacity,
 		blockFor: blockFor,
-		subs:     make(map[*Sub[T]]struct{}),
 	}
 }
 
@@ -159,6 +153,9 @@ func (t *Topic[T]) Subscribe(policy Policy) *Sub[T] {
 	defer t.mu.Unlock()
 	s := &Sub[T]{topic: t, policy: policy, base: len(t.events)}
 	if !t.closed {
+		if t.subs == nil {
+			t.subs = make(map[*Sub[T]]struct{})
+		}
 		t.subs[s] = struct{}{}
 		if t.ins != nil {
 			t.ins.Subscribers.Add(1)
@@ -211,8 +208,8 @@ func (t *Topic[T]) Publish(ev T) int {
 		if len(blocking) == 0 {
 			break
 		}
-		t.producerWaiting = true
-		advanced := t.advanced
+		advanced := make(chan struct{})
+		t.advanced = advanced
 		t.mu.Unlock()
 		timer := time.NewTimer(minRemain)
 		start := time.Now()
@@ -223,7 +220,7 @@ func (t *Topic[T]) Publish(ev T) int {
 		timer.Stop()
 		elapsed := time.Since(start)
 		t.mu.Lock()
-		t.producerWaiting = false
+		t.advanced = nil // no longer parked, woken or timed out
 		for _, s := range blocking {
 			s.blockSpent += elapsed
 		}
@@ -264,21 +261,20 @@ func (t *Topic[T]) drop(s *Sub[T]) {
 // wakeSubscribers signals every waiting subscriber, if any. Callers hold
 // t.mu.
 func (t *Topic[T]) wakeSubscribers() {
-	if t.parked == 0 {
+	if t.arrived == nil {
 		return
 	}
-	t.parked = 0
 	close(t.arrived)
-	t.arrived = make(chan struct{})
+	t.arrived = nil
 }
 
 // wakeProducer signals a waiting Publish, if any. Callers hold t.mu.
 func (t *Topic[T]) wakeProducer() {
-	if !t.producerWaiting {
+	if t.advanced == nil {
 		return
 	}
 	close(t.advanced)
-	t.advanced = make(chan struct{})
+	t.advanced = nil
 }
 
 // Close marks the Topic complete with a terminal outcome. Subscribers
@@ -339,17 +335,14 @@ func (s *Sub[T]) Next(ctx context.Context) (T, error) {
 			}
 			return zero, err
 		}
+		if t.arrived == nil {
+			t.arrived = make(chan struct{})
+		}
 		arrived := t.arrived
-		t.parked++
 		t.mu.Unlock()
 		select {
 		case <-arrived:
 		case <-ctx.Done():
-			t.mu.Lock()
-			if t.arrived == arrived { // not woken meanwhile: still counted
-				t.parked--
-			}
-			t.mu.Unlock()
 			return zero, ctx.Err()
 		}
 	}

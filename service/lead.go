@@ -248,16 +248,13 @@ func (x *Executor) recordOutcome(stats proxrank.Stats) {
 // batch responses and event sequences identical.
 func pullCombinations(ctx context.Context, q *proxrank.Query, k int, emit func(proxrank.Combination)) (bool, error) {
 	emitted := 0
-	for emitted < k {
-		batch, err := q.NextContext(ctx, 1)
-		for _, c := range batch {
-			emitted++
-			emit(c)
-		}
+	for c, err := range q.Results(ctx) {
 		switch {
 		case err == nil:
-		case errors.Is(err, proxrank.ErrStreamDone):
-			return false, nil
+			emit(c)
+			if emitted++; emitted == k {
+				return false, nil
+			}
 		case errors.Is(err, proxrank.ErrDNF):
 			for _, c := range q.DrainBest(k - emitted) {
 				emit(c)
@@ -267,5 +264,5 @@ func pullCombinations(ctx context.Context, q *proxrank.Query, k int, emit func(p
 			return false, err
 		}
 	}
-	return false, nil
+	return false, nil // the cross product is exhausted
 }

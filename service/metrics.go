@@ -110,7 +110,7 @@ func newMetrics(reg *obs.Registry, x *Executor) *metrics {
 	c("proxrank_rejected_total", "Requests shed because no worker slot freed before the deadline or the admission queue was full.", &x.rejected)
 	c("proxrank_degraded_queries_total", "Queries that completed without some shard whose every replica was unreachable.", &x.degraded)
 	c("proxrank_engine_runs_total", "Engine executions started.", &x.engineRuns)
-	c("proxrank_streams_brokered_total", "Streaming leaders whose delivery went through the broker.", &x.streamsBrokered)
+	c("proxrank_streams_brokered_total", "Engine runs started by a streaming request.", &x.streamsBrokered)
 	c("proxrank_stream_midrun_attaches_total", "Coalesced stream followers that attached to a live topic mid-run.", &x.midRunAttaches)
 	c("proxrank_shards_pruned_total", "Remote shards whose bound proved they could not contribute, so their streams were never opened.", &x.shardsPruned)
 	c("proxrank_remote_streams_opened_total", "Remote shard streams a query actually pulled from.", &x.remoteOpened)
