@@ -170,9 +170,9 @@ func (x *Executor) deliver(sink EventSink, ev api.ResultEvent) error {
 // drainSub delivers one subscription to one sink at the sink's own pace
 // — the consumer half of brokered delivery. markCached rewrites the
 // summary on a copy (events are shared across subscribers) the way
-// replayResponse marks a replay. retry reports that the run
-// itself failed before this consumer delivered anything — a follower's
-// cue to retry the flight instead of inheriting the leader's failure.
+// replayResponse marks a replay. retry reports that the run itself
+// failed before this consumer delivered anything — a follower's cue to
+// retry the flight instead of inheriting the leader's failure.
 func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent], sink EventSink, markCached bool) (retry bool, _ error) {
 	// Detach on every exit so an abandoned subscription never constrains
 	// the engine.
