@@ -2,8 +2,8 @@
 // place, so `go test -bench=HotPath` and the committed BENCH_core.json
 // snapshot (`proxbench -core-out`) measure exactly the same workloads:
 // batch TopK (tight and corner bounds), incremental session Next, a
-// sharded-merge query, and the R-tree distance stream every one of them
-// pulls from. The JSON snapshot is the perf trajectory record —
+// sharded-merge query, the R-tree distance stream every one of them
+// pulls from, and a top-20 over deep prefixes where formation dominates. The JSON snapshot is the perf trajectory record —
 // regenerate it on the same class of hardware before claiming a win or a
 // regression (see EXPERIMENTS.md).
 package benchcore
@@ -38,6 +38,7 @@ func Specs() []Spec {
 		{Name: "ShardedMerge", Bench: BenchShardedMerge},
 		{Name: "RTreeOpenFirst", Bench: BenchRTreeOpenFirst},
 		{Name: "RTreePrefix100", Bench: BenchRTreePrefix100},
+		{Name: "FormationDeep", Bench: BenchFormationDeep},
 	}
 }
 
@@ -77,7 +78,7 @@ var (
 	shardQ      proxrank.Vector
 
 	rtreeOnce    sync.Once
-	rtreeIndex   *proxrank.RTreeIndex
+	rtreeIndexes []*proxrank.RTreeIndex // one per relation
 	rtreeQueries []proxrank.Vector
 )
 
@@ -107,10 +108,10 @@ func shardSetup() ([]proxrank.Input, proxrank.Vector) {
 	return shardInputs, shardQ
 }
 
-// rtreeSetup indexes one 20 000-tuple dim-4 relation (the shape of the
+// rtreeSetup indexes two 20 000-tuple dim-4 relations (the shape of the
 // proxserve benchmark's engine workloads) and fixes 64 query points spread
-// over the inner half of its region.
-func rtreeSetup() (*proxrank.RTreeIndex, []proxrank.Vector) {
+// over the inner half of their region.
+func rtreeSetup() ([]*proxrank.RTreeIndex, []proxrank.Vector) {
 	rtreeOnce.Do(func() {
 		cfg := proxrank.DefaultSyntheticConfig()
 		cfg.Dim, cfg.BaseTuples, cfg.Seed = 4, 20_000, 11
@@ -118,7 +119,9 @@ func rtreeSetup() (*proxrank.RTreeIndex, []proxrank.Vector) {
 		if err != nil {
 			panic(err)
 		}
-		rtreeIndex = proxrank.NewRTreeIndex(rels[0])
+		for _, rel := range rels {
+			rtreeIndexes = append(rtreeIndexes, proxrank.NewRTreeIndex(rel))
+		}
 		r := rand.New(rand.NewSource(12))
 		rtreeQueries = make([]proxrank.Vector, 64)
 		for i := range rtreeQueries {
@@ -129,7 +132,7 @@ func rtreeSetup() (*proxrank.RTreeIndex, []proxrank.Vector) {
 			rtreeQueries[i] = q
 		}
 	})
-	return rtreeIndex, rtreeQueries
+	return rtreeIndexes, rtreeQueries
 }
 
 // BenchTopK is the headline batch query at the paper's default operating
@@ -204,7 +207,8 @@ func BenchShardedMerge(b *testing.B) {
 // benchRTreePrefix opens a distance stream on the shared index and pulls
 // its first k tuples, one query point after another.
 func benchRTreePrefix(b *testing.B, k int) {
-	ix, queries := rtreeSetup()
+	ixs, queries := rtreeSetup()
+	ix := ixs[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -228,6 +232,36 @@ func BenchRTreeOpenFirst(b *testing.B) { benchRTreePrefix(b, 1) }
 // BenchRTreePrefix100 is the steady-state step: open and pull 100 tuples,
 // a typical depth for one relation of a top-10 query.
 func BenchRTreePrefix100(b *testing.B) { benchRTreePrefix(b, 100) }
+
+// BenchFormationDeep is the proxserve benchmark's single_engine shape as a
+// library call: top-20 (TBPA, then CBRR on every third query) over
+// 2 × 20 000 × dim 4 behind the shared R-trees, through the TopK family,
+// so the session buffer is bounded to K under the prune policy. Prefixes
+// run hundreds deep per relation: the workload where what a pull costs
+// per prefix tuple, not per surviving combination, shows.
+func BenchFormationDeep(b *testing.B) {
+	ixs, queries := rtreeSetup()
+	sources := make([]proxrank.Source, len(ixs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		for j, ix := range ixs {
+			src, err := ix.Source(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sources[j] = src
+		}
+		opts := proxrank.Options{K: 20}
+		if i%3 == 2 {
+			opts.Algorithm = proxrank.CBRR
+		}
+		if _, err := proxrank.TopKFromSources(q, sources, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // Result is one benchmark measurement of a Snapshot.
 type Result struct {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/agg"
@@ -31,12 +33,15 @@ type relState struct {
 	// solo holds each prefix tuple's separable upper contribution
 	// (agg.Separable.SoloBound), parallel to tuples; soloMax is its running
 	// maximum and soloAbsMax the running maximum magnitude (the scale of
-	// the floating-point error a sum of solo terms can carry). All three
-	// drive score-floor pruning during formation and stay empty when the
+	// the floating-point error a sum of solo terms can carry). bySolo lists
+	// the prefix ranks by descending solo: the order in which a pruned
+	// level's survivors form a prefix (see candidates). All four drive
+	// score-floor pruning during formation and stay empty when the
 	// aggregation is not separable.
 	solo       []float64
 	soloMax    float64
 	soloAbsMax float64
+	bySolo     []int32
 	// qterm caches each prefix tuple's centroid-independent score term
 	// (agg.BlockScorer.QTerm), parallel to tuples; the columnar input of
 	// the batched scoring kernel. Empty when block scoring is off.
@@ -139,11 +144,14 @@ type Engine struct {
 	sufBound  []float64 // sufBound[i]: Σ soloMax over levels ≥ i (skip excluded)
 	sufCount  []int64   // sufCount[i]: Π depth over levels ≥ i (skip excluded)
 	pruneMag  float64   // Σ soloAbsMax: term-magnitude scale for pruneSlack
+	// scrCands[i] is level i's candidate list (see candidates); one list
+	// per level, because an outer level's list stays live while the inner
+	// levels fill theirs.
+	scrCands [][]int32
 	// Block-mode scratch: per-slot cached qterms, the kernel's working
-	// storage, and the per-block candidate/column/output buffers.
+	// storage, and the per-block column/output buffers.
 	scrQterms []float64
 	blkScr    agg.BlockScratch
-	blkCands  []int32
 	blkQ      []float64
 	blkXs     []vec.Vector
 	blkOut    []float64
@@ -265,22 +273,28 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 	e.scrMu = vec.Vector(takeN(dim))
 
 	// Vector-view scratch shares one backing array the same way, and
-	// scrRanks shares its int32 backing with the block candidate list.
+	// scrRanks shares its int32 slab with the per-level candidate lists and
+	// the per-relation bySolo orders (all growable column views).
 	nv := n
 	if blk != nil {
 		nv += blockSize
 	}
 	vecs := make([]vec.Vector, nv)
 	e.scrXs = vecs[:n:n]
-	i32 := make([]int32, n, n+prefixCap)
-	e.scrRanks = i32[:n:n]
+	ni := n + colTotal
+	if sep != nil {
+		ni += colTotal
+	}
+	i32 := make([]int32, ni)
+	takeRanks := func(c int) []int32 { s := i32[:0:c]; i32 = i32[c:]; return s }
+	e.scrRanks = takeRanks(n)[:n]
+	e.scrCands = make([][]int32, n)
 
 	if blk != nil {
 		e.scrQterms = takeN(n)
 		e.blkQ = takeN(blockSize)
 		e.blkOut = takeN(blockSize)
 		e.blkXs = vecs[n : n+blockSize : n+blockSize]
-		e.blkCands = i32[n:n:cap(i32)]
 		// Pre-size the kernel scratch to the full block width: the widths
 		// ScoreBlock sees grow with the candidate lists, and regrowing
 		// lane buffers mid-run would allocate on the hot path.
@@ -301,8 +315,10 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 		rs.tuples = tupSlab[:0:c]
 		tupSlab = tupSlab[c:]
 		rs.dists = takeCol(c)
+		e.scrCands[i] = takeRanks(c)
 		if sep != nil {
 			rs.solo = takeCol(c)
+			rs.bySolo = takeRanks(c)
 		}
 		if blk != nil {
 			rs.qterm = takeCol(c)
@@ -486,6 +502,11 @@ func (e *Engine) step(ri int) error {
 	}
 	if e.sep != nil {
 		rs.solo = append(rs.solo, solo)
+		// The new rank goes behind every rank of at least its solo.
+		at := sort.Search(len(rs.bySolo), func(j int) bool { return rs.solo[rs.bySolo[j]] < solo })
+		rs.bySolo = append(rs.bySolo, 0)
+		copy(rs.bySolo[at+1:], rs.bySolo[at:])
+		rs.bySolo[at] = int32(len(rs.solo) - 1)
 		if len(rs.solo) == 1 || solo > rs.soloMax {
 			rs.soloMax = solo
 		}
@@ -566,11 +587,7 @@ func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo, qt float64) 
 				// leaf count past int64 (pruning is what makes that regime
 				// reachable at all), and a wrapped count would corrupt
 				// CombinationsFormed and defeat the MaxCombinations cap.
-				if d := int64(e.rels[i].depth()); sc > math.MaxInt64/d {
-					sc = math.MaxInt64
-				} else {
-					sc *= d
-				}
+				sc = satMul(sc, int64(e.rels[i].depth()))
 				mag += e.rels[i].soloAbsMax
 			}
 			e.sufBound[i] = sb
@@ -590,6 +607,15 @@ func satAdd(a, b int64) int64 {
 	return a + b
 }
 
+// satMul multiplies non-negative counts with the same saturation, so
+// satAdd(x, satMul(c, d)) equals c repeated satAdd(·, d)s.
+func satMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
 // pruneSlack is the safety margin under the score floor that keeps
 // pruning conservative against floating-point divergence between the
 // incremental solo sums and the full aggregation: a subtree is cut only
@@ -603,6 +629,45 @@ func satAdd(a, b int64) int64 {
 // being far below any meaningful score separation.
 func pruneSlack(floor, mag float64) float64 {
 	return 1e-9 * (1 + math.Abs(floor) + mag)
+}
+
+// candidates returns, in rank order, the ranks of level i that formation
+// descends into below the partial solo sum of the outer levels. Without a
+// score floor that is the whole prefix. With one it is the ranks r whose
+// best completion partial + solo[r] + sufBound[i+1] reaches floor − slack;
+// float addition is monotone, so walking bySolo (descending solo) and
+// stopping at the first failure finds exactly the set a scan of the prefix
+// would, at the cost of the survivors instead of the depth. Everything
+// behind the stop is charged to CombinationsFormed and CombinationsPruned
+// in one step. The floor is read once per call: offers made while the
+// returned list is being consumed do not refresh it.
+func (e *Engine) candidates(i int, partial float64) []int32 {
+	rs := e.rels[i]
+	out := e.scrCands[i][:0]
+	floor, pruned := negInf, false
+	if e.sep != nil {
+		floor, pruned = e.sink.floor()
+	}
+	if pruned {
+		bar := floor - pruneSlack(floor, e.pruneMag)
+		sufB := e.sufBound[i+1]
+		for _, r := range rs.bySolo {
+			if partial+rs.solo[r]+sufB < bar {
+				break
+			}
+			out = append(out, r)
+		}
+		cut := satMul(int64(len(rs.bySolo)-len(out)), e.sufCount[i+1])
+		e.stats.CombinationsFormed = satAdd(e.stats.CombinationsFormed, cut)
+		e.stats.CombinationsPruned = satAdd(e.stats.CombinationsPruned, cut)
+		slices.Sort(out)
+	} else {
+		for r := range rs.tuples {
+			out = append(out, int32(r))
+		}
+	}
+	e.scrCands[i] = out // keep any growth for the next formation
+	return out
 }
 
 // enumerate recurses over relation levels, carrying the partial solo sum
@@ -623,82 +688,33 @@ func (e *Engine) enumerate(i, skip int, partial float64) {
 		e.enumerate(i+1, skip, partial)
 		return
 	}
+	rs := e.rels[i]
+	cands := e.candidates(i, partial)
 	if e.blk != nil && i == e.lastVar {
-		e.enumerateBlock(i, partial)
+		e.scoreBlocks(i, cands)
 		return
 	}
-	rs := e.rels[i]
-	if e.sep != nil {
-		if floor, ok := e.sink.floor(); ok {
-			slack := pruneSlack(floor, e.pruneMag)
-			sufB, sufC := e.sufBound[i+1], e.sufCount[i+1]
-			for r, t := range rs.tuples {
-				next := partial + rs.solo[r]
-				if next+sufB < floor-slack {
-					e.stats.CombinationsFormed = satAdd(e.stats.CombinationsFormed, sufC)
-					e.stats.CombinationsPruned = satAdd(e.stats.CombinationsPruned, sufC)
-					continue
-				}
-				e.scrRanks[i] = int32(r)
-				e.scrSigmas[i] = t.Score
-				e.scrXs[i] = t.Vec
-				if e.blk != nil {
-					e.scrQterms[i] = rs.qterm[r]
-				}
-				e.enumerate(i+1, skip, next)
-			}
-			return
-		}
-	}
-	for r, t := range rs.tuples {
-		e.scrRanks[i] = int32(r)
-		e.scrSigmas[i] = t.Score
-		e.scrXs[i] = t.Vec
+	for _, r := range cands {
+		e.scrRanks[i] = r
+		e.scrSigmas[i] = rs.tuples[r].Score
+		e.scrXs[i] = rs.tuples[r].Vec
 		if e.blk != nil {
 			e.scrQterms[i] = rs.qterm[r]
 		}
-		var next float64
+		next := partial
 		if e.sep != nil {
-			next = partial + rs.solo[r]
+			next += rs.solo[r]
 		}
 		e.enumerate(i+1, skip, next)
 	}
 }
 
-// enumerateBlock replaces the innermost varying level of the recursion
-// with batched kernel calls. The prune filter runs first over the whole
-// prefix against the sink floor captured once at entry — exactly the
-// capture discipline of the scalar level, whose in-loop offers never
-// refresh the floor either — then survivors are scored blockSize at a
-// time and offered in rank order. Same offers, same stats, same bits.
-func (e *Engine) enumerateBlock(i int, partial float64) {
+// scoreBlocks replaces the innermost varying level of the recursion with
+// batched kernel calls: the level's candidates are scored blockSize at a
+// time and offered in rank order. Same offers, same stats, same bits as
+// the scalar level.
+func (e *Engine) scoreBlocks(i int, cands []int32) {
 	rs := e.rels[i]
-	cands := e.blkCands[:0]
-	pruned := false
-	var floor, slack float64
-	if e.sep != nil {
-		if f, ok := e.sink.floor(); ok {
-			pruned, floor = true, f
-			slack = pruneSlack(floor, e.pruneMag)
-		}
-	}
-	if pruned {
-		sufB, sufC := e.sufBound[i+1], e.sufCount[i+1]
-		for r := range rs.tuples {
-			next := partial + rs.solo[r]
-			if next+sufB < floor-slack {
-				e.stats.CombinationsFormed = satAdd(e.stats.CombinationsFormed, sufC)
-				e.stats.CombinationsPruned = satAdd(e.stats.CombinationsPruned, sufC)
-				continue
-			}
-			cands = append(cands, int32(r))
-		}
-	} else {
-		for r := range rs.tuples {
-			cands = append(cands, int32(r))
-		}
-	}
-	e.blkCands = cands // keep any growth for the next formation
 	for start := 0; start < len(cands); start += e.blockSize {
 		end := start + e.blockSize
 		if end > len(cands) {

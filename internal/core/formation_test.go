@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/agg"
+	"repro/internal/datagen"
 	"repro/internal/relation"
 	"repro/internal/vec"
 )
@@ -150,5 +153,208 @@ func TestFormationCountersPinned(t *testing.T) {
 		if got[i] != pinnedFormation[i] {
 			t.Errorf("row %d: got %+v, pinned %+v (%s)", i, got[i], pinnedFormation[i], strings.TrimSpace(rows[i]))
 		}
+	}
+}
+
+// TestSatMulMatchesRepeatedSatAdd: the one-step tail charge of candidates
+// equals what the linear scan charged — count separate satAdds of the
+// subtree size — including once the counter saturates.
+func TestSatMulMatchesRepeatedSatAdd(t *testing.T) {
+	const max = math.MaxInt64
+	starts := []int64{0, 1, 12345, max / 2, max - 100, max - 1, max}
+	counts := []int64{0, 1, 2, 7, 100}
+	sizes := []int64{1, 3, 1 << 20, max / 100, max / 7, max / 2, max - 1, max}
+	for _, a := range starts {
+		for _, count := range counts {
+			for _, c := range sizes {
+				want := a
+				for i := int64(0); i < count; i++ {
+					want = satAdd(want, c)
+				}
+				if got := satAdd(a, satMul(count, c)); got != want {
+					t.Errorf("satAdd(%d, satMul(%d, %d)) = %d, repeated satAdd = %d", a, count, c, got, want)
+				}
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(64))
+	for i := 0; i < 2000; i++ {
+		a, c := r.Int63(), r.Int63()>>uint(r.Intn(63))
+		count := int64(r.Intn(50))
+		want := a
+		for j := int64(0); j < count; j++ {
+			want = satAdd(want, c)
+		}
+		if got := satAdd(a, satMul(count, c)); got != want {
+			t.Fatalf("satAdd(%d, satMul(%d, %d)) = %d, repeated satAdd = %d", a, count, c, got, want)
+		}
+	}
+}
+
+// TestPruneFloorSurvivesEmission: a full prune buffer stays full — floor
+// on — across popBest, because it then retains only what the consumer can
+// still take.
+func TestPruneFloorSurvivesEmission(t *testing.T) {
+	const max = 5
+	var stats Stats
+	arena := newCombArena(2)
+	b := newSessionBuffer(arena, max, BufferPrune, &stats)
+	for i := 0; i < 3*max; i++ {
+		b.offer(float64(i), []int32{int32(i), 0})
+	}
+	for popped := 1; popped <= max+2; popped++ {
+		ref, ok := b.popBest()
+		if !ok {
+			t.Fatalf("pop %d: buffer empty", popped)
+		}
+		arena.release(ref.slot)
+		want := max - popped
+		if want < 1 {
+			want = 1 // past max: one at a time, refilled below
+		}
+		if popped < max {
+			if got := b.buffered(); got != want {
+				t.Fatalf("after %d pops: retained %d, want %d", popped, got, want)
+			}
+			floor, ok := b.floor()
+			if !ok {
+				t.Fatalf("after %d pops: full buffer reports no floor", popped)
+			}
+			if worst, _ := b.heap.PeekMin(); floor != worst.score {
+				t.Fatalf("after %d pops: floor %v, worst retained %v", popped, floor, worst.score)
+			}
+		}
+		// Offers below the floor bounce, offers above it replace the worst,
+		// and the retention never exceeds what is left to take.
+		b.offer(-1, []int32{99, 0})
+		b.offer(100+float64(popped), []int32{int32(100 + popped), 0})
+		if got := b.buffered(); got != want {
+			t.Fatalf("after %d pops and two offers: retained %d, want %d", popped, got, want)
+		}
+	}
+	if stats.PeakBuffered > max {
+		t.Fatalf("peak buffered %d exceeds cap %d", stats.PeakBuffered, max)
+	}
+
+	// End to end: under a DNF cap, certified emissions plus the drain are
+	// the batch top-K, and never more than MaxBuffered.
+	in := fixedInstance(rand.New(rand.NewSource(1616)), 2, 40, 2, 6)
+	for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
+		opts := Options{Algorithm: TBPA, MaxSumDepths: 14}
+		batch := runAlgo(t, in, kind, opts)
+		if !batch.DNF {
+			t.Fatalf("%v: fixture did not hit the cap", kind)
+		}
+		opts.MaxBuffered, opts.BufferPolicy = in.k, BufferPrune
+		emitted, drained, terminal, st := drainIterator(t, in, kind, opts)
+		if !errors.Is(terminal, ErrIteratorDNF) {
+			t.Fatalf("%v: terminal %v, want DNF", kind, terminal)
+		}
+		if err := combosIdentical(append(emitted, drained...), batch.Combinations); err != nil {
+			t.Fatalf("%v: emitted %d + drained %d vs batch top-%d: %v", kind, len(emitted), len(drained), in.k, err)
+		}
+		if st.PeakBuffered > in.k {
+			t.Fatalf("%v: peak buffered %d exceeds cap %d", kind, st.PeakBuffered, in.k)
+		}
+	}
+}
+
+// deepFixture is the shape of the benchmark's single_engine workload:
+// 2 relations × 20 000 tuples × dim 4 behind shared R-trees, unit weights.
+func deepFixture(t testing.TB) ([]*relation.RTreeIndex, agg.Function) {
+	t.Helper()
+	cfg := datagen.Defaults()
+	cfg.Dim, cfg.BaseTuples, cfg.Seed = 4, 20_000, 11
+	rels, err := datagen.Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ixs := make([]*relation.RTreeIndex, len(rels))
+	for i, rel := range rels {
+		ixs[i] = relation.NewRTreeIndex(rel)
+	}
+	return ixs, agg.MustEuclideanSum(agg.Weights{Ws: 1, Wq: 1, Wmu: 1}, agg.LogScore)
+}
+
+func deepSources(t testing.TB, ixs []*relation.RTreeIndex, q vec.Vector) []relation.Source {
+	t.Helper()
+	out := make([]relation.Source, len(ixs))
+	for i, ix := range ixs {
+		s, err := ix.Source(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestScoredCandidatesCeiling counts what formation costs after pruning:
+// the combinations that reach a scoring kernel (formed − pruned) for a
+// top-20 stream bounded to MaxBuffered = K. The count repeats exactly, so
+// losing either the floor across emissions or the pruning itself shows
+// here without a timing.
+func TestScoredCandidatesCeiling(t *testing.T) {
+	// Recorded 1 343 of 79 283 formed over the eight queries. With a floor
+	// that switches off after every emission (a buffer that counts as full
+	// only at MaxBuffered entries) the same run scores 15 550.
+	const ceiling = 1_500
+	ixs, fn := deepFixture(t)
+	r := rand.New(rand.NewSource(16))
+	var scored, formed int64
+	for trial := 0; trial < 8; trial++ {
+		q := vec.New(4)
+		for c := range q {
+			q[c] = (r.Float64() - 0.5) * 1.5
+		}
+		const k = 20
+		it, err := NewIterator(deepSources(t, ixs, q), Options{
+			Algorithm: TBPA, Query: q, Agg: fn, MaxBuffered: k, BufferPolicy: BufferPrune,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if _, err := it.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := it.Stats()
+		scored += st.CombinationsFormed - st.CombinationsPruned
+		formed += st.CombinationsFormed
+	}
+	if scored > ceiling {
+		t.Fatalf("%d of %d formed combinations reached the scorer, ceiling %d", scored, formed, ceiling)
+	}
+}
+
+// TestStepDoesNotAllocate: on a warmed engine a pull allocates nothing —
+// the per-level candidate lists and the bySolo orders grow by amortised
+// append like every other prefix column, never per formation. n = 3 puts
+// a pruned outer level above the block level.
+func TestStepDoesNotAllocate(t *testing.T) {
+	in := fixedInstance(rand.New(rand.NewSource(3)), 3, 2000, 3, 10)
+	it, err := NewIterator(in.sources(t, relation.DistanceAccess), Options{
+		Algorithm: CBRR, Query: in.q, Agg: in.fn, MaxBuffered: in.k, BufferPolicy: BufferPrune,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := it.e
+	step := func() {
+		if err := e.step(e.pull.choose(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 600; i++ {
+		step()
+	}
+	if e.stats.CombinationsPruned == 0 {
+		t.Fatal("warm-up never pruned: the fixture does not exercise the floor")
+	}
+	// AllocsPerRun reports the integer mean, so the handful of column
+	// doublings that may fall inside the window do not count.
+	if allocs := testing.AllocsPerRun(90, step); allocs != 0 {
+		t.Fatalf("step allocates %v times per pull on a warmed engine", allocs)
 	}
 }

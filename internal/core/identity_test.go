@@ -90,10 +90,51 @@ type identityCase struct {
 	opts Options // K/Query/Agg filled by runAlgo
 }
 
+// degenerateInstances are the tie-heavy and boundary inputs every
+// identity suite also runs: duplicate vectors, equal scores (hence equal
+// solo terms — pruning must not depend on how ties are ordered), both at
+// once, dim 1, a single-tuple relation, K larger than the cross product,
+// and n = 4.
+func degenerateInstances() []instance {
+	fn := agg.MustEuclideanSum(agg.Weights{Ws: 1, Wq: 0.5, Wmu: 0.25}, agg.IdentityScore)
+	// rel builds relation i from parallel score and coordinate lists;
+	// coordinates cycle when shorter than the score list.
+	rel := func(i, d int, scores []float64, coords ...float64) *relation.Relation {
+		tuples := make([]relation.Tuple, len(scores))
+		for j, s := range scores {
+			v := vec.New(d)
+			for c := range v {
+				v[c] = coords[(j*d+c)%len(coords)]
+			}
+			tuples[j] = relation.Tuple{ID: fmt.Sprintf("%c%d", 'a'+i, j), Score: s, Vec: v}
+		}
+		return relation.MustNew(string(rune('A'+i)), 1.0, tuples)
+	}
+	ramp := []float64{0.9, 0.2, 0.7, 0.4, 0.6, 0.3, 0.8, 0.5}
+	flat := []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
+	spread := []float64{1, -2, 0.5, 3, -1, 2, -3, 0.25, 1.5, -0.5, 4, -4, 2.5, 0, -1.5, 0.75}
+	return []instance{
+		// Duplicate vectors: two distinct points, eight tuples.
+		{rels: []*relation.Relation{rel(0, 2, ramp, 1, 1, -2, 0.5), rel(1, 2, ramp, 1, 1, 0, 3)}, q: vec.Vector{0.5, 0.5}, fn: fn, k: 5},
+		// Equal scores.
+		{rels: []*relation.Relation{rel(0, 2, flat, spread...), rel(1, 2, flat, spread[3:]...)}, q: vec.Vector{0, 1}, fn: fn, k: 4},
+		// Both: every tuple of a relation carries the same solo term.
+		{rels: []*relation.Relation{rel(0, 2, flat, 1, 1), rel(1, 2, flat, -1, 2), rel(2, 2, flat[:3], 0, 0)}, q: vec.Vector{0, 0}, fn: fn, k: 6},
+		// Dim 1.
+		{rels: []*relation.Relation{rel(0, 1, ramp, spread...), rel(1, 1, ramp, spread[5:]...)}, q: vec.Vector{0.3}, fn: fn, k: 3},
+		// A single-tuple relation.
+		{rels: []*relation.Relation{rel(0, 2, ramp, spread...), rel(1, 2, ramp[:1], 0.5, -0.5)}, q: vec.Vector{1, 0}, fn: fn, k: 4},
+		// K larger than the cross product.
+		{rels: []*relation.Relation{rel(0, 2, ramp[:3], spread...), rel(1, 2, ramp[:2], spread[2:]...)}, q: vec.Vector{0, 0}, fn: fn, k: 10},
+		// n = 4.
+		{rels: []*relation.Relation{rel(0, 2, ramp[:5], spread...), rel(1, 2, ramp[1:6], spread[1:]...),
+			rel(2, 2, ramp[2:7], spread[2:]...), rel(3, 2, ramp[3:], spread[3:]...)}, q: vec.Vector{0.5, -0.5}, fn: fn, k: 5},
+	}
+}
+
 func identityCases(r *rand.Rand, trials int) []identityCase {
 	var out []identityCase
-	for i := 0; i < trials; i++ {
-		in := randomInstance(r, 3, 14)
+	add := func(in instance) {
 		for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
 			for _, algo := range Algorithms {
 				opts := Options{Algorithm: algo}
@@ -114,6 +155,14 @@ func identityCases(r *rand.Rand, trials int) []identityCase {
 				out = append(out, identityCase{in: in, kind: kind, opts: opts})
 			}
 		}
+	}
+	for i := 0; i < trials; i++ {
+		add(randomInstance(r, 3, 14))
+	}
+	// The degenerate instances go last so the random cases draw exactly
+	// what they drew before these were added.
+	for _, in := range degenerateInstances() {
+		add(in)
 	}
 	return out
 }

@@ -20,7 +20,12 @@ import (
 //   - BufferPrune: combinations below the buffer's score floor (the worst
 //     retained entry) are rejected — and, through refSink.floor, never even
 //     materialized by the enumeration. Exact for consumers taking at most
-//     MaxBuffered results; O(MaxBuffered) memory.
+//     MaxBuffered results; O(MaxBuffered) memory. Such a consumer has
+//     MaxBuffered − emitted results left to take, so that is all the buffer
+//     retains (keep): the best MaxBuffered − emitted, at least one. The
+//     buffer therefore stays full across emissions and the floor stays on
+//     for the whole run; emitted + drained ≤ MaxBuffered until a session
+//     is driven past MaxBuffered, where results may be skipped.
 //   - BufferSpill: overflow moves to a flat columnar spill slab (score +
 //     ranks, no heap structure, no per-entry allocation) and is revived in
 //     sorted batches once the ranked heap drains. Exact for open
@@ -34,6 +39,7 @@ import (
 type sessionBuffer struct {
 	arena  *combArena
 	max    int
+	keep   int // BufferPrune retention: max less the pops so far, at least 1
 	policy BufferPolicy
 	heap   *pqueue.MinMax[combRef] // min = worst, max = best
 	stats  *Stats
@@ -59,6 +65,7 @@ func newSessionBuffer(arena *combArena, max int, policy BufferPolicy, stats *Sta
 	return &sessionBuffer{
 		arena:  arena,
 		max:    max,
+		keep:   max,
 		policy: policy,
 		heap:   pqueue.NewMinMax(arena.refWorse),
 		stats:  stats,
@@ -174,7 +181,7 @@ func (b *sessionBuffer) offer(score float64, ranks []int32) {
 		}
 		b.trackPeak()
 	default: // BufferPrune
-		if b.heap.Len() < b.max {
+		if b.heap.Len() < b.keep {
 			b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
 			b.trackPeak()
 			return
@@ -188,12 +195,12 @@ func (b *sessionBuffer) offer(score float64, ranks []int32) {
 	}
 }
 
-// floor implements refSink: under the prune policy a full buffer rejects
-// everything below its worst retained entry, so the enumeration can cut
-// those subtrees pre-materialization. The spill policy retains everything
-// and exposes no floor.
+// floor implements refSink: under the prune policy a full buffer (keep
+// entries) rejects everything below its worst retained entry, so the
+// enumeration can cut those subtrees pre-materialization. The spill policy
+// retains everything and exposes no floor.
 func (b *sessionBuffer) floor() (float64, bool) {
-	if b.max > 0 && b.policy == BufferPrune && b.heap.Len() == b.max {
+	if b.max > 0 && b.policy == BufferPrune && b.heap.Len() == b.keep {
 		worst, _ := b.heap.PeekMin()
 		return worst.score, true
 	}
@@ -211,11 +218,18 @@ func (b *sessionBuffer) peekBest() (combRef, bool) {
 
 // popBest removes and returns the best retained combination. The caller
 // owns the ref's arena slot and must release it after materializing.
+// Under the prune policy each pop is one result fewer the consumer can
+// still take, so the retention shrinks with it (never below one: a session
+// driven past MaxBuffered keeps running in the may-skip-results regime).
 func (b *sessionBuffer) popBest() (combRef, bool) {
 	if b.heap.Len() == 0 {
 		b.revive()
 	}
-	return b.heap.PopMax()
+	ref, ok := b.heap.PopMax()
+	if ok && b.keep > 1 {
+		b.keep--
+	}
+	return ref, ok
 }
 
 // revive moves the best spilled entries back into the ranked heap (at

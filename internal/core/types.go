@@ -167,8 +167,9 @@ type Options struct {
 	// MaxBuffered bounds the session buffer of a pipelined Iterator: the
 	// number of formed-but-unemitted combinations retained in ranked form.
 	// 0 means unbounded. What happens past the bound is BufferPolicy's
-	// choice. Batch engines (Run) ignore it — their buffer is K by
-	// construction.
+	// choice; under BufferPrune the bound shrinks with every result taken
+	// (the best MaxBuffered − emitted are retained, at least one). Batch
+	// engines (Run) ignore it — their buffer is K by construction.
 	MaxBuffered int
 	// BufferPolicy selects the overflow behavior once MaxBuffered is
 	// reached (meaningful only with MaxBuffered > 0).
@@ -236,6 +237,10 @@ const (
 	// stream are exactly the unbounded stream's — a consumer that takes at
 	// most MaxBuffered results (a batch run drained to K with
 	// MaxBuffered = K) sees identical output in O(MaxBuffered) memory.
+	// Because such a consumer has only MaxBuffered − emitted results left
+	// to take, that is what the buffer retains (at least one): emitted +
+	// drained ≤ MaxBuffered, and a session driven past MaxBuffered may
+	// skip results.
 	BufferPrune BufferPolicy = iota
 	// BufferSpill keeps every combination: the ranked heap stays capped at
 	// MaxBuffered and overflow moves to a flat, append-only spill slab in

@@ -160,17 +160,19 @@ type Options struct {
 	MaxCombinations int64
 	// MaxBuffered bounds a session's buffer of formed-but-unemitted
 	// combinations (0 = unbounded). The batch TopK* entry points default
-	// it to K, restoring O(K) peak memory with byte-identical results; a
-	// Query or Stream consumed past MaxBuffered results under the default
-	// BufferPrune policy may skip results, so open-ended sessions should
-	// leave it 0 or select BufferSpill.
+	// it to K, restoring O(K) peak memory with byte-identical results.
+	// Under the default BufferPrune policy the session retains the best
+	// MaxBuffered − emitted combinations (at least one): emitted plus
+	// drained results stay within MaxBuffered, and a Query or Stream
+	// consumed past MaxBuffered results may skip results, so open-ended
+	// sessions should leave it 0 or select BufferSpill.
 	MaxBuffered int
 	// BufferPolicy selects the overflow behavior at MaxBuffered:
 	// BufferPrune (default) drops combinations below the buffer's score
 	// floor — exact for the first MaxBuffered results in O(MaxBuffered)
-	// memory; BufferSpill keeps everything, moving overflow to a compact
-	// append-only slab — exact for open enumeration with the ranked heap
-	// still bounded.
+	// memory, retaining only as many as are left to take; BufferSpill
+	// keeps everything, moving overflow to a compact append-only slab —
+	// exact for open enumeration with the ranked heap still bounded.
 	BufferPolicy BufferPolicy
 	// BlockSize sets the width of the engine's batched scoring kernel at
 	// the innermost combination-formation level (0 = the benchmarked

@@ -159,6 +159,11 @@ func TestMetricsInvariants(t *testing.T) {
 	if depthCount != runs {
 		t.Fatalf("sum_depths histogram saw %v runs, want %v", depthCount, runs)
 	}
+	// Bounded runs prune nearly everything they form: the ratio histogram
+	// has to resolve above 0.99.
+	if !strings.Contains(body, `proxrank_engine_prune_ratio_bucket{le="0.999"}`) {
+		t.Fatal("prune ratio histogram has no 0.999 bucket")
+	}
 }
 
 // TestStatsAndMetricsAgree asserts the two observability surfaces are
