@@ -26,7 +26,8 @@ import (
 // committed BENCH_core.json snapshot (cmd/proxbench -core-out): batch
 // TopK under both bounds, incremental session Next, a sharded-merge
 // query, the R-tree stream, and FormationDeep (the proxserve benchmark's
-// single_engine shape, deep prefixes under a K-bounded buffer). benchstat on `-bench=HotPath` before/after a change is the
+// single_engine shape, deep prefixes under a K-bounded buffer).
+// benchstat on `-bench=HotPath` before/after a change is the
 // canonical way to claim a hot-path win.
 func BenchmarkHotPath(b *testing.B) {
 	for _, spec := range benchcore.Specs() {

@@ -3,7 +3,8 @@
 // snapshot (`proxbench -core-out`) measure exactly the same workloads:
 // batch TopK (tight and corner bounds), incremental session Next, a
 // sharded-merge query, the R-tree distance stream every one of them
-// pulls from, and a top-20 over deep prefixes where formation dominates. The JSON snapshot is the perf trajectory record —
+// pulls from, and a top-20 over prefixes hundreds of tuples deep. The
+// JSON snapshot is the perf trajectory record —
 // regenerate it on the same class of hardware before claiming a win or a
 // regression (see EXPERIMENTS.md).
 package benchcore

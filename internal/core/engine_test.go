@@ -21,13 +21,12 @@ type instance struct {
 	k    int
 }
 
-func randomInstance(r *rand.Rand, maxN, maxSize int) instance {
-	n := 2 + r.Intn(maxN-1)
-	d := 1 + r.Intn(3)
+// instanceData draws n relations of dimensionality d, each of sizeOf()
+// tuples, and a query point.
+func instanceData(r *rand.Rand, n, d int, sizeOf func() int) ([]*relation.Relation, vec.Vector) {
 	rels := make([]*relation.Relation, n)
 	for i := 0; i < n; i++ {
-		size := 2 + r.Intn(maxSize-1)
-		tuples := make([]relation.Tuple, size)
+		tuples := make([]relation.Tuple, sizeOf())
 		for j := range tuples {
 			v := vec.New(d)
 			for c := range v {
@@ -45,6 +44,13 @@ func randomInstance(r *rand.Rand, maxN, maxSize int) instance {
 	for c := range q {
 		q[c] = r.NormFloat64()
 	}
+	return rels, q
+}
+
+func randomInstance(r *rand.Rand, maxN, maxSize int) instance {
+	n := 2 + r.Intn(maxN-1)
+	d := 1 + r.Intn(3)
+	rels, q := instanceData(r, n, d, func() int { return 2 + r.Intn(maxSize-1) })
 	transform := agg.LogScore
 	if r.Intn(2) == 0 {
 		transform = agg.IdentityScore

@@ -14,29 +14,10 @@ import (
 	"repro/internal/vec"
 )
 
-// fixedInstance is randomInstance with the arity, relation size and
-// dimensionality chosen by the caller.
+// fixedInstance is randomInstance with the arity, relation size,
+// dimensionality, K and weights fixed by the caller or here.
 func fixedInstance(r *rand.Rand, n, size, d, k int) instance {
-	rels := make([]*relation.Relation, n)
-	for i := range rels {
-		tuples := make([]relation.Tuple, size)
-		for j := range tuples {
-			v := vec.New(d)
-			for c := range v {
-				v[c] = r.NormFloat64() * 3
-			}
-			tuples[j] = relation.Tuple{
-				ID:    fmt.Sprintf("%c%d", 'a'+i, j),
-				Score: 0.05 + 0.95*r.Float64(),
-				Vec:   v,
-			}
-		}
-		rels[i] = relation.MustNew(string(rune('A'+i)), 1.0, tuples)
-	}
-	q := vec.New(d)
-	for c := range q {
-		q[c] = r.NormFloat64()
-	}
+	rels, q := instanceData(r, n, d, func() int { return size })
 	fn := agg.MustEuclideanSum(agg.Weights{Ws: 1, Wq: 0.1, Wmu: 0.05}, agg.LogScore)
 	return instance{rels: rels, q: q, fn: fn, k: k}
 }
