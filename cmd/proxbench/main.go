@@ -52,7 +52,7 @@ func main() {
 		}
 		fresh := benchcore.Run()
 		for _, b := range fresh.Benchmarks {
-			fmt.Fprintf(os.Stderr, "%-14s %12.0f ns/op %10d B/op %8d allocs/op\n",
+			fmt.Fprintf(os.Stderr, "%-17s %12.0f ns/op %10d B/op %8d allocs/op\n",
 				b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
 		}
 		if err := benchcore.CheckAllocs(fresh, committed, *allocTol); err != nil {
@@ -80,7 +80,7 @@ func main() {
 			os.Exit(1)
 		}
 		for _, b := range snap.Benchmarks {
-			fmt.Fprintf(os.Stderr, "%-14s %12.0f ns/op %10d B/op %8d allocs/op\n",
+			fmt.Fprintf(os.Stderr, "%-17s %12.0f ns/op %10d B/op %8d allocs/op\n",
 				b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
 		}
 		return

@@ -2,9 +2,9 @@
 // place, so `go test -bench=HotPath` and the committed BENCH_core.json
 // snapshot (`proxbench -core-out`) measure exactly the same workloads:
 // batch TopK (tight and corner bounds), incremental session Next, a
-// sharded-merge query, the R-tree distance stream every one of them
-// pulls from, and a top-20 over prefixes hundreds of tuples deep. The
-// JSON snapshot is the perf trajectory record —
+// sharded-merge query over full sorts and over per-shard R-trees, the
+// R-tree distance stream itself, and a top-20 over prefixes hundreds of
+// tuples deep. The JSON snapshot is the perf trajectory record —
 // regenerate it on the same class of hardware before claiming a win or a
 // regression (see EXPERIMENTS.md).
 package benchcore
@@ -37,6 +37,7 @@ func Specs() []Spec {
 		{Name: "TopKCorner", Bench: BenchTopKCorner},
 		{Name: "SessionNext", Bench: BenchSessionNext},
 		{Name: "ShardedMerge", Bench: BenchShardedMerge},
+		{Name: "ShardedRTreeMerge", Bench: BenchShardedRTreeMerge},
 		{Name: "RTreeOpenFirst", Bench: BenchRTreeOpenFirst},
 		{Name: "RTreePrefix100", Bench: BenchRTreePrefix100},
 		{Name: "FormationDeep", Bench: BenchFormationDeep},
@@ -194,12 +195,19 @@ func BenchSessionNext(b *testing.B) {
 
 // BenchShardedMerge runs the batch query over hash-sharded relations
 // (8 shards each), so every pull crosses the k-way merged shard streams.
-func BenchShardedMerge(b *testing.B) {
+func BenchShardedMerge(b *testing.B) { benchSharded(b, proxrank.Options{K: 10}) }
+
+// BenchShardedRTreeMerge is the same query over the per-shard R-trees: the
+// source plan a single node or a shard server actually opens, where
+// BenchShardedMerge's full sorts are only the library default.
+func BenchShardedRTreeMerge(b *testing.B) { benchSharded(b, proxrank.Options{K: 10, UseRTree: true}) }
+
+func benchSharded(b *testing.B, opts proxrank.Options) {
 	inputs, q := shardSetup()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := proxrank.TopKInputs(q, inputs, proxrank.Options{K: 10}); err != nil {
+		if _, err := proxrank.TopKInputs(q, inputs, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
