@@ -41,7 +41,7 @@ func main() {
 		maxSum  = flag.Int("max-sum-depths", 0, "abort after this many accesses (0 = unlimited)")
 		maxBuf  = flag.Int("max-buffered", 0, "bound the buffer of formed-but-unemitted combinations (0 = K)")
 		blockSz = flag.Int("block-size", 0, "batched scoring kernel width (0 = engine default; results identical at any width)")
-		useTree = flag.Bool("rtree", false, "serve distance access via R-tree incremental NN")
+		useTree = flag.Bool("rtree", false, "serve distance access via R-tree incremental NN instead of a full sort (same results; Euclidean proximity only, which is all this command offers)")
 		stream  = flag.Bool("stream", false, "print each result as soon as it is certified")
 	)
 	flag.Parse()

@@ -4,20 +4,25 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/rtree"
 	"repro/internal/vec"
 )
 
-// Columns is the read-only columnar storage contract a file-backed shard
-// provides (see internal/relfile): tuples addressed by storage index,
-// where storage order IS the canonical score-access order — scores
-// non-increasing, ties by ascending parent ordinal. Tuple and Vec may
-// return views aliasing a memory-mapped file; the implementation must
-// keep the mapping valid for as long as the Columns value is reachable.
+// Columns is the read-only storage every shard reads from: tuples
+// addressed by storage index, each beside its ordinal in the parent
+// relation. Partition builds it on the heap; internal/relfile provides it
+// over a memory-mapped file, where Tuple and Vec may return views aliasing
+// the mapping — that implementation must keep the mapping valid for as
+// long as the Columns value is reachable.
+//
+// A shard's storage order IS the canonical score-access order — scores
+// non-increasing, ties by ascending parent ordinal — so its score stream
+// is a cursor, not a sort.
 type Columns interface {
 	// Len returns the shard's tuple count.
 	Len() int
 	// Tuple materializes the i-th tuple. ID and Vec may alias backing
-	// storage; Attrs is built per call (nil when the tuple has none).
+	// storage; Attrs may be built per call (nil when the tuple has none).
 	Tuple(i int) Tuple
 	// Vec returns the i-th feature vector without materializing the rest
 	// of the tuple (index builds touch only vectors).
@@ -26,35 +31,178 @@ type Columns interface {
 	Ordinal(i int) int
 }
 
+// heapColumns is the heap-resident Columns: tuple headers in canonical
+// score order beside their parent ordinals. Vectors, IDs and attribute
+// maps are shared with the relation the tuples came from.
+type heapColumns struct {
+	tuples []Tuple
+	ords   []int
+}
+
+func (c *heapColumns) Len() int             { return len(c.tuples) }
+func (c *heapColumns) Tuple(i int) Tuple    { return c.tuples[i] }
+func (c *heapColumns) Vec(i int) vec.Vector { return c.tuples[i].Vec }
+func (c *heapColumns) Ordinal(i int) int    { return c.ords[i] }
+
+// scoreOrdered copies the tuples of r that group names (by parent
+// ordinal) into canonical score order.
+func scoreOrdered(r *Relation, group []int) *heapColumns {
+	ks := make([]sortKey, len(group))
+	for j, ord := range group {
+		ks[j] = sortKey{key: -r.tuples[ord].Score, ord: ord}
+	}
+	sortKeys(ks)
+	c := &heapColumns{tuples: make([]Tuple, len(ks)), ords: make([]int, len(ks))}
+	for j, k := range ks {
+		c.tuples[j], c.ords[j] = r.tuples[k.ord], k.ord
+	}
+	return c
+}
+
+// wholeGroup is the group naming all n tuples of a relation in storage
+// order.
+func wholeGroup(n int) []int {
+	g := make([]int, n)
+	for i := range g {
+		g[i] = i
+	}
+	return g
+}
+
+// storageOrder views a whole relation as Columns without copying it:
+// storage order, identity ordinals. Not score-ordered, so only distance
+// access — which orders by its own key — reads a relation through it.
+type storageOrder Relation
+
+func (c *storageOrder) Len() int             { return len(c.tuples) }
+func (c *storageOrder) Tuple(i int) Tuple    { return c.tuples[i] }
+func (c *storageOrder) Vec(i int) vec.Vector { return c.tuples[i].Vec }
+func (c *storageOrder) Ordinal(i int) int    { return i }
+
 // FileShard describes one shard of a relation assembled from external
 // columnar storage: the columns themselves plus the bounding metadata
 // computed at build time. Bounds are stored, not recomputed, because
-// computeBounds sums vectors in the builder's storage order and
-// re-deriving them over a different permutation would drift the float
+// computeBounds sums vectors in the partitioner's group order and
+// re-deriving them over the score-ordered columns would drift the float
 // bits advertised to coordinators.
 type FileShard struct {
 	Cols   Columns
 	Bounds ShardBounds
 }
 
-// lazyRTree builds a shard's R-tree on first distance access instead of
-// at assembly: a file-backed relation serving only score access never
-// pays for the index, which is the one part of a loaded shard that lives
-// on the heap — a copy of every vector in leaf order (8·dim bytes a
-// tuple) plus about a sixteenth of that again in inner boxes. sync.Once
-// makes the build safe under concurrent first queries; the resulting tree
-// is the same bulk load Partition performs eagerly, so emissions are
-// identical.
-type lazyRTree struct {
-	once sync.Once
-	ix   *RTreeIndex
+// shard is one piece of a partitioned relation: its storage, the bounds
+// it advertises, and its R-tree. rel carries the shard's name, σ_max and
+// dimensionality to the streams opened over it; it is the caller's own
+// relation when the shard is the whole of it, a metadata stub otherwise.
+type shard struct {
+	rel    *Relation
+	cols   Columns
+	bounds ShardBounds
+	lazy   lazyRTree
 }
 
-func (l *lazyRTree) index(sh *shard) *RTreeIndex {
-	l.once.Do(func() {
-		l.ix = newRTreeIndex(sh.rel, sh.cols.Len(), sh.cols.Vec)
+// lazyRTree builds a shard's R-tree on first distance access: a mapped
+// relation serving only score access never pays for the index, which is
+// the one part of a loaded shard that lives on the heap — a copy of every
+// vector in leaf order (8·dim bytes a tuple) plus about a sixteenth of
+// that again in inner boxes. sync.Once makes the build safe under
+// concurrent first queries. Partition forces the build, so a registered
+// heap relation never pays it on a query.
+type lazyRTree struct {
+	once sync.Once
+	tree *rtree.Tree[nnRef]
+}
+
+// rtree returns the shard's R-tree, bulk-loading it on first use. The
+// tree copies each vector once into its own slab, so it never pins a file
+// mapping.
+func (sh *shard) rtree() *rtree.Tree[nnRef] {
+	sh.lazy.once.Do(func() {
+		n := sh.cols.Len()
+		pts := make([]vec.Vector, n)
+		refs := make([]nnRef, n)
+		for i := range pts {
+			pts[i] = sh.cols.Vec(i)
+			refs[i] = nnRef{idx: int32(i), ord: uint32(sh.cols.Ordinal(i))}
+		}
+		sh.lazy.tree = rtree.BulkLoad(sh.rel.dim, pts, refs)
 	})
-	return l.ix
+	return sh.lazy.tree
+}
+
+// openShards opens one stream per shard into dst for one access
+// configuration. It is the only place an access path is chosen, for
+// partitioned and plain relations alike (a plain relation is a one-shard
+// run): the score order is a cursor over the columns; a distance order is
+// an incremental R-tree traversal when useRTree is set and the metric is
+// Euclidean (nil = Euclidean) — the R-tree orders by Euclidean distance
+// and nothing else — and a full sort under the metric otherwise.
+func openShards(dst []Source, shards []shard, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) error {
+	if kind == ScoreAccess {
+		for i := range shards {
+			dst[i] = &colScoreSource{rel: shards[i].rel, cols: shards[i].cols, n: shards[i].cols.Len()}
+		}
+		return nil
+	}
+	if rel := shards[0].rel; q.Dim() != rel.dim {
+		return fmt.Errorf("relation %q: query dim %d, want %d", rel.Name, q.Dim(), rel.dim)
+	}
+	if metric == nil {
+		metric = vec.Euclidean{}
+	}
+	if _, euclidean := metric.(vec.Euclidean); euclidean && useRTree {
+		for i := range shards {
+			sh := &shards[i]
+			dst[i] = &rtreeSource{rel: sh.rel, cols: sh.cols, it: sh.rtree().NearestNeighbors(q)}
+		}
+		return nil
+	}
+	sortedSources(dst, shards, q, metric)
+	return nil
+}
+
+// openOne is openShards over a one-shard run.
+func openOne(one []shard, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
+	var dst [1]Source
+	err := openShards(dst[:], one, kind, q, metric, useRTree)
+	return dst[0], err
+}
+
+// sortedSources builds the sorted distance stream of every shard in one
+// pass over shared slabs: one tuple/key/ordinal column set for all
+// shards, one reused sort scratch, and one sliceSource backing array,
+// instead of five allocations a shard. The streams are what per-shard
+// construction would emit — only the placement of their backing memory
+// differs. Per query O(n log n); the R-tree route is the scalable one.
+func sortedSources(dst []Source, shards []shard, q vec.Vector, metric vec.Metric) {
+	total, maxLen := 0, 0
+	for i := range shards {
+		n := shards[i].cols.Len()
+		total += n
+		maxLen = max(maxLen, n)
+	}
+	states := make([]sliceSource, len(shards))
+	ordSlab := make([]Tuple, total)
+	keySlab := make([]float64, total)
+	ordsSlab := make([]int, total)
+	ks := make([]sortKey, maxLen)
+	off := 0
+	for i := range shards {
+		sh := &shards[i]
+		kss := ks[:sh.cols.Len()]
+		for j := range kss {
+			kss[j] = sortKey{key: metric.Distance(sh.cols.Vec(j), q), ord: sh.cols.Ordinal(j), idx: j}
+		}
+		sortKeys(kss)
+		end := off + len(kss)
+		st := &states[i]
+		*st = sliceSource{rel: sh.rel, ord: ordSlab[off:end:end], keys: keySlab[off:end:end], ords: ordsSlab[off:end:end]}
+		for j, k := range kss {
+			st.ord[j], st.keys[j], st.ords[j] = sh.cols.Tuple(k.idx), k.key, k.ord
+		}
+		dst[i] = st
+		off = end
+	}
 }
 
 // autoShardTarget is the tuples-per-shard the admission heuristic aims
@@ -80,14 +228,14 @@ func AutoShardCount(tuples int) int {
 	return s
 }
 
-// AssembleSharded builds a Sharded over prebuilt file-backed shards.
-// Unlike Partition it copies no tuples and sorts nothing: each shard's
-// storage order is already the canonical score order (the loader
-// validated it), bounds come stored from the file, and R-trees build
-// lazily on first distance access. parent is typically a metadata-only
-// stub (NewStub) — the engine reconstructs emitted tuples from its own
-// pulled prefixes, never from the parent's tuple storage, which is what
-// lets a loaded relation's tuples stay on disk.
+// AssembleSharded builds a Sharded over prebuilt shards in external
+// columnar storage. Unlike Partition it copies no tuples and sorts
+// nothing: each shard's storage order is already the canonical score
+// order (the loader validated it), bounds come stored from the file, and
+// R-trees build lazily on first distance access. parent is typically a
+// metadata-only stub (NewStub) — the engine reconstructs emitted tuples
+// from its own pulled prefixes, never from the parent's tuple storage,
+// which is what lets a loaded relation's tuples stay on disk.
 func AssembleSharded(parent *Relation, shards []FileShard, strategy PartitionStrategy) (*Sharded, error) {
 	if parent == nil {
 		return nil, fmt.Errorf("relation: cannot assemble a nil relation")
@@ -117,26 +265,29 @@ func AssembleSharded(parent *Relation, shards []FileShard, strategy PartitionStr
 	for i, fs := range shards {
 		rel := parent
 		if len(shards) > 1 {
-			sub, err := NewStub(fmt.Sprintf("%s#%d", parent.Name, i), parent.MaxScore, parent.dim, fs.Cols.Len())
-			if err != nil {
-				return nil, err
-			}
-			rel = sub
+			rel = shardStub(parent, i, fs.Cols.Len())
 		}
-		s.shards[i] = shard{rel: rel, cols: fs.Cols, bounds: fs.Bounds, lazy: &lazyRTree{}}
+		s.shards[i] = shard{rel: rel, cols: fs.Cols, bounds: fs.Bounds}
 	}
 	return s, nil
 }
 
-// colScoreSource streams a file-backed shard in score order straight off
-// its columns: storage order is the canonical (−score, ordinal) order,
-// so no sort, no materialized tuple slice, and no per-tuple heap beyond
-// what the caller retains. The engine keeps only the pulled prefix, so a
-// score-access query over an arbitrarily large shard touches heap
+// shardStub is the metadata relation of shard i of parent: name, σ_max
+// and dimensionality for the streams opened over the shard's columns.
+func shardStub(parent *Relation, i, tuples int) *Relation {
+	return &Relation{Name: fmt.Sprintf("%s#%d", parent.Name, i), MaxScore: parent.MaxScore, dim: parent.dim, stubLen: tuples}
+}
+
+// colScoreSource streams a shard in score order straight off its
+// columns: storage order is the canonical (−score, ordinal) order, so no
+// sort, no materialized tuple slice, and no per-tuple heap beyond what
+// the caller retains. The engine keeps only the pulled prefix, so a
+// score-access query over an arbitrarily large mapped shard touches heap
 // proportional to its depth, not the shard size.
 type colScoreSource struct {
 	rel  *Relation
 	cols Columns
+	n    int // cols.Len()
 	pos  int
 }
 
@@ -145,11 +296,11 @@ func (s *colScoreSource) Next() (Tuple, error) {
 	return t, err
 }
 
-// NextKeyed implements KeyedSource. The merge key is −score, exactly
-// what newScoreSource computes: float negation is exact, so merged
-// emissions are bit-identical to the materialized index's.
+// NextKeyed implements KeyedSource. The merge key is −score; float
+// negation is exact, so a k-way merge on it is a merge on the scores'
+// own bits.
 func (s *colScoreSource) NextKeyed() (Tuple, float64, int, error) {
-	if s.pos >= s.cols.Len() {
+	if s.pos >= s.n {
 		return Tuple{}, 0, 0, ErrExhausted
 	}
 	i := s.pos
@@ -160,43 +311,3 @@ func (s *colScoreSource) NextKeyed() (Tuple, float64, int, error) {
 
 func (s *colScoreSource) Kind() AccessKind    { return ScoreAccess }
 func (s *colScoreSource) Relation() *Relation { return s.rel }
-
-// newColDistanceSource is the sorted (non-R-tree) distance stream over a
-// file-backed shard: materialize the keyed view from the columns, sort
-// by (distance, ordinal), serve. Per-query O(n) like the in-memory
-// sorted path it mirrors; the R-tree route is the scalable one.
-func newColDistanceSource(rel *Relation, cols Columns, q vec.Vector, metric vec.Metric) (*sliceSource, error) {
-	if q.Dim() != rel.dim {
-		return nil, fmt.Errorf("relation %q: query dim %d, want %d", rel.Name, q.Dim(), rel.dim)
-	}
-	if metric == nil {
-		metric = vec.Euclidean{}
-	}
-	n := cols.Len()
-	ks := make([]keyedTuple, n)
-	for i := 0; i < n; i++ {
-		t := cols.Tuple(i)
-		ks[i] = keyedTuple{t: t, key: metric.Distance(t.Vec, q), ord: cols.Ordinal(i)}
-	}
-	sortKeyed(ks)
-	ord := make([]Tuple, n)
-	keys := make([]float64, n)
-	ords := make([]int, n)
-	unpackKeyed(ks, ord, keys, ords)
-	return &sliceSource{rel: rel, kind: DistanceAccess, ord: ord, keys: keys, ords: ords}, nil
-}
-
-// colSource opens one access stream over a file-backed shard.
-func (sh *shard) colSource(kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
-	switch {
-	case kind == ScoreAccess:
-		return &colScoreSource{rel: sh.rel, cols: sh.cols}, nil
-	case useRTree:
-		if q.Dim() != sh.rel.dim {
-			return nil, fmt.Errorf("relation %q: query dim %d, want %d", sh.rel.Name, q.Dim(), sh.rel.dim)
-		}
-		return &rtreeSource{rel: sh.rel, cols: sh.cols, it: sh.lazy.index(sh).tree.NearestNeighbors(q)}, nil
-	default:
-		return newColDistanceSource(sh.rel, sh.cols, q, metric)
-	}
-}

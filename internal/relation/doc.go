@@ -17,11 +17,17 @@
 //
 //   - Tuple, Relation: the data model; New validates scores against the
 //     relation's σ_max and fixes the canonical base order.
-//   - Sources: sequential access with per-call cost, for both access
-//     kinds, optionally R-tree-accelerated (distance) or sorted-index
-//     (score) via the shared RTreeIndex / ScoreIndex.
+//   - Columns: the one shard storage — tuples in canonical score order
+//     beside their parent ordinals, on the heap (Partition) or over a
+//     mapped file (AssembleSharded, internal/relfile). A plain relation
+//     reads as one shard in its own storage order.
+//   - openShards (columnar.go): the one place an access path is chosen —
+//     a cursor over the columns for score access; for distance access an
+//     incremental R-tree traversal (Euclidean metric, on request) or a
+//     full sort under the metric. RTreeIndex and ScoreIndex are views of
+//     a relation as one shard with the respective work done up front.
 //   - Partition, Sharded, MergedSource: hash or grid partitioning,
-//     per-shard index builds, and the ordinal-aware merge that restores
-//     the canonical order across shard streams.
+//     parallel per-shard builds, and the ordinal-aware merge that
+//     restores the canonical order across shard streams.
 //   - CSV reading for data import (ReadCSV and friends).
 package relation

@@ -23,27 +23,28 @@ type Input interface {
 // InputRelation implements Input: a relation is its own logical relation.
 func (r *Relation) InputRelation() *Relation { return r }
 
-// openSource implements Input for a plain relation, dispatching exactly
-// as the facade's historical source construction did.
+// openSource implements Input for a plain relation: a one-shard run over
+// the relation as it stands. Only a score stream needs more than that —
+// it is a cursor over score-ordered columns, which a relation that was
+// never partitioned or indexed has to sort first.
 func (r *Relation) openSource(kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
 	if r.IsStub() {
 		return nil, fmt.Errorf("relation %q: cannot open a local source over a remote stub", r.Name)
 	}
-	switch {
-	case kind == ScoreAccess:
-		return NewScoreSource(r), nil
-	case useRTree:
-		return NewRTreeDistanceSource(r, q)
-	default:
-		return NewDistanceSource(r, q, metric)
+	if kind == ScoreAccess {
+		return NewScoreIndex(r).Source(), nil
 	}
+	one := [1]shard{{rel: r, cols: (*storageOrder)(r)}}
+	return openOne(one[:], kind, q, metric, useRTree)
 }
 
 // OpenSource builds the ordered stream of in for one access
 // configuration: the score order when kind is ScoreAccess, otherwise a
-// distance order from q — incremental R-tree traversal when useRTree is
-// set, a full sort under metric (nil = Euclidean) when not. Sharded
-// inputs return a merged stream over their shards.
+// distance order from q under metric (nil = Euclidean) — incremental
+// R-tree traversal when useRTree is set and the metric is Euclidean, a
+// full sort otherwise: the R-tree orders by Euclidean distance only, so
+// under any other metric useRTree has no effect. Sharded inputs return a
+// merged stream over their shards.
 func OpenSource(in Input, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
 	return in.openSource(kind, q, metric, useRTree)
 }

@@ -192,10 +192,10 @@ type BoundedSource interface {
 	KeyLowerBound() float64
 }
 
-// sliceSource streams a pre-ordered copy of the tuples.
+// sliceSource streams one shard's tuples in a materialized distance order
+// (see sortedSources).
 type sliceSource struct {
 	rel  *Relation
-	kind AccessKind
 	ord  []Tuple
 	keys []float64 // ascending merge key per position
 	ords []int     // parent-relation ordinal per position
@@ -217,35 +217,25 @@ func (s *sliceSource) NextKeyed() (Tuple, float64, int, error) {
 	return s.ord[i], s.keys[i], s.ords[i], nil
 }
 
-func (s *sliceSource) Kind() AccessKind    { return s.kind }
+func (s *sliceSource) Kind() AccessKind    { return DistanceAccess }
 func (s *sliceSource) Relation() *Relation { return s.rel }
 
-// ordinalOf maps a storage index to its parent-relation ordinal: identity
-// for a whole relation, orig[i] for a shard (see Partition).
-func ordinalOf(orig []int, i int) int {
-	if orig == nil {
-		return i
-	}
-	return orig[i]
-}
-
-// keyedTuple pairs a tuple with its ascending merge key and its
-// parent-relation ordinal, the sort unit of every materialized access
-// order.
-type keyedTuple struct {
-	t   Tuple
+// sortKey is the sort unit of every materialized access order: a tuple's
+// ascending merge key, the parent-relation ordinal that breaks key ties,
+// and the tuple's storage index. Pointer-free, so sorting moves 24 bytes
+// an element past the garbage collector's write barriers; the tuples are
+// gathered once, in final order.
+type sortKey struct {
 	key float64
 	ord int
+	idx int
 }
 
-// sortKeyed orders by (key, ordinal) ascending. Ordinals are unique
-// within one relation, so the comparator is a total order and the
-// resulting permutation is independent of the sorting algorithm — an
-// unstable slices.SortFunc yields exactly the order the previous
-// reflection-based sort.Slice did, without its per-call Swapper
-// allocations.
-func sortKeyed(ks []keyedTuple) {
-	slices.SortFunc(ks, func(a, b keyedTuple) int {
+// sortKeys orders by (key, ordinal) ascending. Ordinals are unique within
+// one relation, so the comparator is a total order and the resulting
+// permutation is independent of the sorting algorithm.
+func sortKeys(ks []sortKey) {
+	slices.SortFunc(ks, func(a, b sortKey) int {
 		switch {
 		case a.key < b.key:
 			return -1
@@ -260,100 +250,40 @@ func sortKeyed(ks []keyedTuple) {
 	})
 }
 
-// fillKeyed computes the keyed view of r's tuples into ks (len must equal
-// r.Len()).
-func fillKeyed(ks []keyedTuple, r *Relation, orig []int, keyOf func(Tuple) float64) {
-	for i, t := range r.tuples {
-		ks[i] = keyedTuple{t: t, key: keyOf(t), ord: ordinalOf(orig, i)}
-	}
-}
-
-// unpackKeyed scatters a sorted keyed view into parallel columns.
-func unpackKeyed(ks []keyedTuple, ord []Tuple, keys []float64, ords []int) {
-	for i, k := range ks {
-		ord[i] = k.t
-		keys[i] = k.key
-		ords[i] = k.ord
-	}
-}
-
-// newSortedSource sorts r's tuples by (key, ordinal) ascending and wraps
-// them in a sliceSource. orig is nil for a whole relation; for shards it
-// maps storage indexes back to parent ordinals so that ties resolve in
-// the parent's order.
-func newSortedSource(r *Relation, kind AccessKind, orig []int, keyOf func(Tuple) float64) *sliceSource {
-	ks := make([]keyedTuple, len(r.tuples))
-	fillKeyed(ks, r, orig, keyOf)
-	sortKeyed(ks)
-	ord := make([]Tuple, len(ks))
-	keys := make([]float64, len(ks))
-	ords := make([]int, len(ks))
-	unpackKeyed(ks, ord, keys, ords)
-	return &sliceSource{rel: r, kind: kind, ord: ord, keys: keys, ords: ords}
-}
-
-// newDistanceSource is NewDistanceSource with an optional shard ordinal
-// mapping.
-func newDistanceSource(r *Relation, orig []int, q vec.Vector, metric vec.Metric) (*sliceSource, error) {
-	if q.Dim() != r.dim {
-		return nil, fmt.Errorf("relation %q: query dim %d, want %d", r.Name, q.Dim(), r.dim)
-	}
-	if metric == nil {
-		metric = vec.Euclidean{}
-	}
-	return newSortedSource(r, DistanceAccess, orig, func(t Tuple) float64 {
-		return metric.Distance(t.Vec, q)
-	}), nil
-}
-
 // NewDistanceSource returns a source that yields tuples of r sorted by
 // increasing metric distance from q (ties broken by storage index for
 // determinism). The whole order is computed up front; for large relations
 // prefer NewRTreeDistanceSource, which sorts incrementally.
 func NewDistanceSource(r *Relation, q vec.Vector, metric vec.Metric) (Source, error) {
-	return newDistanceSource(r, nil, q, metric)
-}
-
-// newScoreSource is NewScoreSource with an optional shard ordinal mapping.
-func newScoreSource(r *Relation, orig []int) *sliceSource {
-	return newSortedSource(r, ScoreAccess, orig, func(t Tuple) float64 { return -t.Score })
+	return r.openSource(DistanceAccess, q, metric, false)
 }
 
 // NewScoreSource returns a source that yields tuples of r sorted by
 // decreasing score (ties broken by storage index).
 func NewScoreSource(r *Relation) Source {
-	return newScoreSource(r, nil)
+	return NewScoreIndex(r).Source()
 }
 
 // ScoreIndex is the score-sorted order of a relation, computed once and
 // shared read-only across queries: each Source call opens an independent
-// cursor over the same slice, so concurrent score-access queries skip the
-// per-query sort.
-type ScoreIndex struct {
-	rel  *Relation
-	ord  []Tuple
-	keys []float64
-	ords []int
-}
-
-// newScoreIndex is NewScoreIndex with an optional shard ordinal mapping.
-func newScoreIndex(r *Relation, orig []int) *ScoreIndex {
-	src := newScoreSource(r, orig)
-	return &ScoreIndex{rel: r, ord: src.ord, keys: src.keys, ords: src.ords}
-}
+// cursor over the same columns, so concurrent score-access queries skip
+// the per-query sort. It is the relation viewed as one score-ordered
+// shard.
+type ScoreIndex struct{ one [1]shard }
 
 // NewScoreIndex sorts r by decreasing score (ties by storage index) once.
 func NewScoreIndex(r *Relation) *ScoreIndex {
-	return newScoreIndex(r, nil)
+	return &ScoreIndex{one: [1]shard{{rel: r, cols: scoreOrdered(r, wholeGroup(len(r.tuples)))}}}
 }
 
 // Relation returns the indexed relation.
-func (ix *ScoreIndex) Relation() *Relation { return ix.rel }
+func (ix *ScoreIndex) Relation() *Relation { return ix.one[0].rel }
 
 // Source opens a score-access source over the precomputed order. Safe to
 // call from multiple goroutines.
 func (ix *ScoreIndex) Source() Source {
-	return &sliceSource{rel: ix.rel, kind: ScoreAccess, ord: ix.ord, keys: ix.keys, ords: ix.ords}
+	src, _ := openOne(ix.one[:], ScoreAccess, nil, nil, false) // only distance access can fail
+	return src
 }
 
 // rtreeSource serves distance-based access through an R-tree's incremental
@@ -366,19 +296,26 @@ func (ix *ScoreIndex) Source() Source {
 // emits one canonical (distance, ordinal) sequence.
 type rtreeSource struct {
 	rel     *Relation
-	orig    []int   // shard ordinal mapping; nil = identity
-	cols    Columns // file-backed shard storage; nil = rel.tuples
-	it      *rtree.NNIterator[int]
+	cols    Columns
+	it      *rtree.NNIterator[nnRef]
 	look    nnHit // one-item lookahead past the current tie run
 	hasLook bool
 	batch   []nnHit // current equal-distance run, ordinal-sorted
 	pos     int     // next unread element of batch
 }
 
+// nnRef is the R-tree's payload: a tuple's storage index beside its
+// parent-relation ordinal, so ordering a tie run reads nothing but the
+// traversal's own results. Eight pointer-free bytes a tuple; ordinals are
+// 32-bit as in the relfile ordinal column.
+type nnRef struct {
+	idx int32
+	ord uint32
+}
+
 // nnHit is one materialized traversal result.
 type nnHit struct {
-	idx  int // storage index within rel
-	ord  int // parent-relation ordinal
+	nnRef
 	dist float64
 }
 
@@ -387,40 +324,24 @@ type nnHit struct {
 // an independent incremental nearest-neighbor traversal over the same
 // tree, so concurrent queries pay only the O(1) iterator setup instead of
 // a per-query bulk load. The tree is never mutated after construction,
-// which makes Source safe for concurrent use.
-type RTreeIndex struct {
-	rel  *Relation
-	tree *rtree.Tree[int]
-}
+// which makes Source safe for concurrent use. It is the relation viewed
+// as one shard in storage order with its tree already built.
+type RTreeIndex struct{ one [1]shard }
 
 // NewRTreeIndex bulk-loads r's vectors into an R-tree.
 func NewRTreeIndex(r *Relation) *RTreeIndex {
-	return newRTreeIndex(r, len(r.tuples), func(i int) vec.Vector { return r.tuples[i].Vec })
-}
-
-// newRTreeIndex bulk-loads the n vectors vecOf yields, keyed by storage
-// index. The tree copies each vector once into its own slab, so vecOf may
-// return views of storage the index must not pin (a file mapping).
-func newRTreeIndex(r *Relation, n int, vecOf func(i int) vec.Vector) *RTreeIndex {
-	pts := make([]vec.Vector, n)
-	vals := make([]int, n)
-	for i := range pts {
-		pts[i] = vecOf(i)
-		vals[i] = i
-	}
-	return &RTreeIndex{rel: r, tree: rtree.BulkLoad(r.dim, pts, vals)}
+	ix := &RTreeIndex{one: [1]shard{{rel: r, cols: (*storageOrder)(r)}}}
+	ix.one[0].rtree()
+	return ix
 }
 
 // Relation returns the indexed relation.
-func (ix *RTreeIndex) Relation() *Relation { return ix.rel }
+func (ix *RTreeIndex) Relation() *Relation { return ix.one[0].rel }
 
 // Source opens a distance-access source that streams tuples by increasing
 // Euclidean distance from q. Safe to call from multiple goroutines.
 func (ix *RTreeIndex) Source(q vec.Vector) (Source, error) {
-	if q.Dim() != ix.rel.dim {
-		return nil, fmt.Errorf("relation %q: query dim %d, want %d", ix.rel.Name, q.Dim(), ix.rel.dim)
-	}
-	return &rtreeSource{rel: ix.rel, it: ix.tree.NearestNeighbors(q)}, nil
+	return openOne(ix.one[:], DistanceAccess, q, nil, true)
 }
 
 // NewRTreeDistanceSource bulk-loads r into an R-tree and streams tuples by
@@ -428,10 +349,7 @@ func (ix *RTreeIndex) Source(q vec.Vector) (Source, error) {
 // repeated queries over one relation, build a shared NewRTreeIndex once
 // and call its Source method instead.
 func NewRTreeDistanceSource(r *Relation, q vec.Vector) (Source, error) {
-	if q.Dim() != r.dim {
-		return nil, fmt.Errorf("relation %q: query dim %d, want %d", r.Name, q.Dim(), r.dim)
-	}
-	return NewRTreeIndex(r).Source(q)
+	return r.openSource(DistanceAccess, q, nil, true)
 }
 
 func (s *rtreeSource) Next() (Tuple, error) {
@@ -445,15 +363,8 @@ func (s *rtreeSource) take() (nnHit, bool) {
 		s.hasLook = false
 		return s.look, true
 	}
-	idx, d, ok := s.it.Next()
-	if !ok {
-		return nnHit{}, false
-	}
-	ord := ordinalOf(s.orig, idx)
-	if s.cols != nil {
-		ord = s.cols.Ordinal(idx)
-	}
-	return nnHit{idx: idx, ord: ord, dist: d}, true
+	ref, d, ok := s.it.Next()
+	return nnHit{nnRef: ref, dist: d}, ok
 }
 
 // NextKeyed implements KeyedSource.
@@ -488,10 +399,7 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 	}
 	h := s.batch[s.pos]
 	s.pos++
-	if s.cols != nil {
-		return s.cols.Tuple(h.idx), h.dist, h.ord, nil
-	}
-	return s.rel.tuples[h.idx], h.dist, h.ord, nil
+	return s.cols.Tuple(int(h.idx)), h.dist, int(h.ord), nil
 }
 
 func (s *rtreeSource) Kind() AccessKind    { return DistanceAccess }

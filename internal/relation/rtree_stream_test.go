@@ -5,28 +5,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/vec"
 )
 
-// memColumns is an in-memory Columns: what a file-backed shard looks like
-// to this package, minus the file.
-type memColumns struct {
-	tuples []Tuple
-	ords   []int
-}
-
-func (c *memColumns) Len() int             { return len(c.tuples) }
-func (c *memColumns) Tuple(i int) Tuple    { return c.tuples[i] }
-func (c *memColumns) Vec(i int) vec.Vector { return c.tuples[i].Vec }
-func (c *memColumns) Ordinal(i int) int    { return c.ords[i] }
-
-// columnsTwin rebuilds a RAM-partitioned relation as a Sharded over
-// Columns-backed shards holding the same tuples under the same ordinals,
-// each shard in the canonical score order the Columns contract asks for.
+// columnsTwin reassembles a partitioned relation from its own shard
+// columns under a stub parent — the AssembleSharded product a relfile
+// loads into, minus the file: no tuples on the parent, R-trees built
+// lazily.
 func columnsTwin(t testing.TB, ram *Sharded) *Sharded {
 	t.Helper()
 	parent := ram.Relation()
@@ -36,23 +24,7 @@ func columnsTwin(t testing.TB, ram *Sharded) *Sharded {
 	}
 	shards := make([]FileShard, ram.NumShards())
 	for i := range shards {
-		tuples, ords := ram.ShardRelation(i).Tuples(), ram.ShardOrdinals(i)
-		order := make([]int, len(tuples))
-		for j := range order {
-			order[j] = j
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ta, tb := tuples[order[a]], tuples[order[b]]
-			if ta.Score != tb.Score {
-				return ta.Score > tb.Score
-			}
-			return ords[order[a]] < ords[order[b]]
-		})
-		cols := &memColumns{tuples: make([]Tuple, len(order)), ords: make([]int, len(order))}
-		for j, k := range order {
-			cols.tuples[j], cols.ords[j] = tuples[k], ords[k]
-		}
-		shards[i] = FileShard{Cols: cols, Bounds: ram.ShardBounds(i)}
+		shards[i] = FileShard{Cols: ram.ShardColumns(i), Bounds: ram.ShardBounds(i)}
 	}
 	twin, err := AssembleSharded(stub, shards, ram.Strategy())
 	if err != nil {
@@ -126,11 +98,11 @@ func sameKeyedStream(got, want Source) error {
 }
 
 // TestConcurrentRTreeStreamsMatchSorted: at dim 8, every shard's R-tree
-// stream — over RAM tuples and over a Columns-backed twin — equals the
-// full-sort stream element for element, key bits and ordinals included,
-// and so do the merged streams. Eight goroutines traverse the same shared
-// (and, on the Columns side, lazily built) indexes at once, so under -race
-// this is also the shared-read-only-tree check.
+// stream — over a Partition product and over its AssembleSharded twin —
+// equals the full-sort stream element for element, key bits and ordinals
+// included, and so do the merged streams. Eight goroutines traverse the
+// same shared (and, on the twin's side, lazily built) indexes at once, so
+// under -race this is also the shared-read-only-tree check.
 func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
 	rel := dim8Relation(t, 5, 3000)
 	ram, err := Partition(rel, 3, GridPartition)
@@ -160,10 +132,10 @@ func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
 			}
 			for i := 0; i < ram.NumShards(); i++ {
 				if err := sameKeyedStream(open(ram, i, true), open(ram, i, false)); err != nil {
-					t.Errorf("query %d shard %d, RAM R-tree vs sort: %v", g, i, err)
+					t.Errorf("query %d shard %d, Partition R-tree vs sort: %v", g, i, err)
 				}
 				if err := sameKeyedStream(open(cols, i, true), open(ram, i, false)); err != nil {
-					t.Errorf("query %d shard %d, Columns R-tree vs sort: %v", g, i, err)
+					t.Errorf("query %d shard %d, twin R-tree vs sort: %v", g, i, err)
 				}
 			}
 			merged, err := cols.DistanceSource(q)
@@ -177,7 +149,7 @@ func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
 				return
 			}
 			if err := sameKeyedStream(merged, sorted); err != nil {
-				t.Errorf("query %d, merged Columns R-trees vs merged sorts: %v", g, err)
+				t.Errorf("query %d, merged twin R-trees vs merged sorts: %v", g, err)
 			}
 		}(g)
 	}
@@ -185,17 +157,17 @@ func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
 }
 
 // TestRTreeSourceDrainDoesNotAllocate pins the per-pull cost of a warmed
-// R-tree stream at zero allocations, over RAM tuples and over Columns. The
-// source is warmed past the traversal's peak so the iterator's heap has
-// stopped growing; what is left is the tie-run buffer, which must be
-// reused rather than re-sliced away.
+// R-tree stream at zero allocations, over a Partition product and its
+// AssembleSharded twin. The source is warmed past the traversal's peak so
+// the iterator's heap has stopped growing; what is left is the tie-run
+// buffer, which must be reused rather than re-sliced away.
 func TestRTreeSourceDrainDoesNotAllocate(t *testing.T) {
 	rel := dim8Relation(t, 9, 1000)
 	ram, err := Partition(rel, 1, HashPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*Sharded{"ram": ram, "columns": columnsTwin(t, ram)} {
+	for name, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
 		src, err := s.ShardSource(0, DistanceAccess, vec.New(8), nil, true)
 		if err != nil {
 			t.Fatal(err)
@@ -213,5 +185,29 @@ func TestRTreeSourceDrainDoesNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1, func() { drain(200) }); allocs != 0 {
 			t.Errorf("%s: a 200-tuple drain of a warmed source allocates %v times", name, allocs)
 		}
+	}
+}
+
+// TestScoreSourceDrainDoesNotAllocate: a score stream over a heap shard is
+// a cursor over its columns — nothing is allocated per pull once it is
+// open.
+func TestScoreSourceDrainDoesNotAllocate(t *testing.T) {
+	s, err := Partition(dim8Relation(t, 9, 1000), 2, HashPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := s.ShardSource(0, ScoreAccess, nil, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulls := s.ShardColumns(0).Len() / 2
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < pulls; i++ {
+			if _, err := src.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("a %d-tuple drain of an open score stream allocates %v times", pulls, allocs)
 	}
 }

@@ -52,24 +52,6 @@ func ParsePartitionStrategy(name string) (PartitionStrategy, error) {
 // bookkeeping dwarfs any conceivable win.
 const maxShards = 1 << 16
 
-// shard is one piece of a partitioned relation: its own relation (and
-// hence its own indexes) plus the mapping from shard storage indexes back
-// to parent ordinals. orig is nil when the shard IS the parent (the
-// single-shard fast path), making ordinals the identity.
-type shard struct {
-	rel    *Relation
-	orig   []int
-	rtree  *RTreeIndex
-	score  *ScoreIndex
-	bounds ShardBounds
-	// File-backed shards (see AssembleSharded) read straight from
-	// columnar storage instead of a materialized tuple slice: cols is the
-	// storage, lazy builds the R-tree on first distance access, and rel is
-	// a metadata stub.
-	cols Columns
-	lazy *lazyRTree
-}
-
 // ShardBounds is one shard's bounding metadata: a bounding ball
 // (centroid + radius) over its vectors and its true maximum score. From
 // it a coordinator derives, without touching the shard's tuples, a lower
@@ -109,9 +91,11 @@ func (b ShardBounds) DistanceLowerBound(q vec.Vector) float64 {
 	return d * (1 - boundSlack)
 }
 
-// computeBounds derives the bounding metadata of one shard's relation.
-func computeBounds(r *Relation) ShardBounds {
-	n := len(r.tuples)
+// computeBounds derives the bounding metadata of the shard holding the
+// tuples of r that group names, summing in group order: the float bits a
+// coordinator cross-checks depend on that order.
+func computeBounds(r *Relation, group []int) ShardBounds {
+	n := len(group)
 	b := ShardBounds{Tuples: n, MaxScore: math.Inf(-1)}
 	if n == 0 {
 		b.MaxScore = 0
@@ -119,7 +103,8 @@ func computeBounds(r *Relation) ShardBounds {
 		return b
 	}
 	c := make([]float64, r.dim)
-	for _, t := range r.tuples {
+	for _, ord := range group {
+		t := r.tuples[ord]
 		for d := 0; d < r.dim; d++ {
 			c[d] += t.Vec[d]
 		}
@@ -131,21 +116,20 @@ func computeBounds(r *Relation) ShardBounds {
 		c[d] /= float64(n)
 	}
 	b.Centroid = c
-	for _, t := range r.tuples {
-		if d := (vec.Euclidean{}).Distance(t.Vec, c); d > b.Radius {
+	for _, ord := range group {
+		if d := (vec.Euclidean{}).Distance(r.tuples[ord].Vec, c); d > b.Radius {
 			b.Radius = d
 		}
 	}
 	return b
 }
 
-// Sharded is a relation partitioned into shards, each with its own
-// R-tree and score order, built in parallel at construction and shared
-// read-only across queries. Query-time streams are per-shard sources
-// k-way-merged back into one canonical order (see MergedSource), so a
-// sharded relation answers byte-identically to its unsharded form while
-// bounding per-shard index memory and enabling parallel builds and
-// fan-out.
+// Sharded is a relation partitioned into shards, each one Columns in
+// score order with its own R-tree, shared read-only across queries.
+// Query-time streams are per-shard sources k-way-merged back into one
+// canonical order (see MergedSource), so a sharded relation answers
+// byte-identically to its unsharded form while bounding per-shard index
+// memory and enabling parallel builds and fan-out.
 type Sharded struct {
 	parent   *Relation
 	shards   []shard
@@ -153,9 +137,10 @@ type Sharded struct {
 }
 
 // Partition splits r into at most n shards under the given strategy and
-// builds the per-shard indexes in parallel. Fewer than n shards are
-// returned when the strategy leaves some empty (n exceeding the tuple
-// count, or hash skew). n = 1 reuses r itself as the sole shard.
+// builds each shard's score-ordered columns, bounds and R-tree in
+// parallel. Fewer than n shards are returned when the strategy leaves
+// some empty (n exceeding the tuple count, or hash skew). A sole shard
+// serves r itself: ShardRelation(0) is r, untouched.
 func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error) {
 	if r == nil {
 		return nil, fmt.Errorf("relation: cannot partition a nil relation")
@@ -188,41 +173,28 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 		}
 	}
 	groups = kept
-
-	s := &Sharded{parent: r, strategy: strategy}
 	if len(groups) <= 1 {
-		// One shard is the relation itself: no tuple copies, identity
-		// ordinals, and per-query streams with zero merge overhead.
-		s.shards = []shard{{rel: r}}
-	} else {
-		s.shards = make([]shard, len(groups))
-		for i, g := range groups {
-			tuples := make([]Tuple, len(g))
-			for j, idx := range g {
-				tuples[j] = r.tuples[idx]
-			}
-			s.shards[i] = shard{
-				rel: &Relation{
-					Name:     fmt.Sprintf("%s#%d", r.Name, i),
-					MaxScore: r.MaxScore,
-					tuples:   tuples,
-					dim:      r.dim,
-				},
-				orig: g,
-			}
-		}
+		groups = [][]int{wholeGroup(len(r.tuples))}
 	}
-	// Index construction dominates partitioning cost; build every shard's
-	// R-tree and score order concurrently.
+
+	s := &Sharded{parent: r, strategy: strategy, shards: make([]shard, len(groups))}
+	// Sorting and index construction dominate partitioning cost; build
+	// every shard concurrently. Bounds sum in group order, before the
+	// columns re-order the tuples by score.
 	var wg sync.WaitGroup
-	for i := range s.shards {
+	for i, g := range groups {
+		sh := &s.shards[i]
+		sh.rel = r
+		if len(groups) > 1 {
+			sh.rel = shardStub(r, i, len(g))
+		}
 		wg.Add(1)
-		go func(sh *shard) {
+		go func(g []int) {
 			defer wg.Done()
-			sh.rtree = NewRTreeIndex(sh.rel)
-			sh.score = newScoreIndex(sh.rel, sh.orig)
-			sh.bounds = computeBounds(sh.rel)
-		}(&s.shards[i])
+			sh.bounds = computeBounds(r, g)
+			sh.cols = scoreOrdered(r, g)
+			sh.rtree()
+		}(g)
 	}
 	wg.Wait()
 	return s, nil
@@ -330,71 +302,43 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 func (s *Sharded) Strategy() PartitionStrategy { return s.strategy }
 
 // FileBacked reports whether the shards read from external columnar
-// storage (AssembleSharded) rather than materialized tuple slices.
+// storage (AssembleSharded) rather than the heap columns Partition builds.
 func (s *Sharded) FileBacked() bool {
-	return len(s.shards) > 0 && s.shards[0].cols != nil
+	_, heap := s.shards[0].cols.(*heapColumns)
+	return !heap
 }
 
-// ShardOrdinals returns shard i's parent-relation ordinals in shard
-// storage order (a fresh slice). The file writer persists these so a
-// loaded shard can keep breaking merge-key ties in the parent's order.
-func (s *Sharded) ShardOrdinals(i int) []int {
-	sh := &s.shards[i]
-	out := make([]int, sh.rel.Len())
-	switch {
-	case sh.cols != nil:
-		for j := range out {
-			out[j] = sh.cols.Ordinal(j)
-		}
-	case sh.orig == nil:
-		for j := range out {
-			out[j] = j
-		}
-	default:
-		copy(out, sh.orig)
-	}
-	return out
-}
+// ShardColumns returns shard i's storage: its tuples in canonical score
+// order beside their parent-relation ordinals. The file writer dumps
+// exactly this.
+func (s *Sharded) ShardColumns(i int) Columns { return s.shards[i].cols }
 
 // ShardSizes returns the tuple count of each shard.
 func (s *Sharded) ShardSizes() []int {
 	out := make([]int, len(s.shards))
 	for i := range s.shards {
-		out[i] = s.shards[i].rel.Len()
+		out[i] = s.shards[i].cols.Len()
 	}
 	return out
 }
 
-// ShardRelation returns shard i's backing relation (for introspection and
-// tests; its tuple order is shard storage order, not access order).
+// ShardRelation returns shard i's relation: the partitioned relation
+// itself when it is the sole shard, otherwise a metadata stub (name,
+// σ_max, dimensionality, tuple count) — the tuples are in ShardColumns.
 func (s *Sharded) ShardRelation(i int) *Relation { return s.shards[i].rel }
 
 // ShardBounds returns shard i's bounding metadata.
 func (s *Sharded) ShardBounds(i int) ShardBounds { return s.shards[i].bounds }
 
 // ShardSource opens the ordered stream of shard i for one access
-// configuration, using the shard's precomputed indexes where possible.
-// The streams of all shards under one configuration merge back into the
-// canonical relation order via Merge.
+// configuration (see OpenSource for how the path is chosen). The streams
+// of all shards under one configuration merge back into the canonical
+// relation order via Merge.
 func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
 	if i < 0 || i >= len(s.shards) {
 		return nil, fmt.Errorf("relation %q: shard %d out of range [0,%d)", s.parent.Name, i, len(s.shards))
 	}
-	sh := &s.shards[i]
-	if sh.cols != nil {
-		return sh.colSource(kind, q, metric, useRTree)
-	}
-	switch {
-	case kind == ScoreAccess:
-		return sh.score.Source(), nil
-	case useRTree:
-		if q.Dim() != s.parent.dim {
-			return nil, fmt.Errorf("relation %q: query dim %d, want %d", s.parent.Name, q.Dim(), s.parent.dim)
-		}
-		return &rtreeSource{rel: sh.rel, orig: sh.orig, it: sh.rtree.tree.NearestNeighbors(q)}, nil
-	default:
-		return newDistanceSource(sh.rel, sh.orig, q, metric)
-	}
+	return openOne(s.shards[i:i+1], kind, q, metric, useRTree)
 }
 
 // Merge k-way-merges one stream per shard (as produced by ShardSource,
@@ -422,69 +366,11 @@ func (s *Sharded) Merge(sources []Source) (Source, error) {
 	return newMergedSource(s.parent, kind, ks), nil
 }
 
-// distanceSources builds the sorted distance stream of every shard in one
-// pass over shared columnar slabs: one tuple/key/ordinal column set for
-// all shards, one reused sort scratch, and one sliceSource backing array,
-// instead of newDistanceSource's per-shard allocations. The emitted
-// streams are element-for-element identical to per-shard construction —
-// only the placement of their backing memory changes.
-func (s *Sharded) distanceSources(q vec.Vector, metric vec.Metric) ([]Source, error) {
-	if q.Dim() != s.parent.dim {
-		return nil, fmt.Errorf("relation %q: query dim %d, want %d", s.parent.Name, q.Dim(), s.parent.dim)
-	}
-	if metric == nil {
-		metric = vec.Euclidean{}
-	}
-	total, maxLen := 0, 0
-	for i := range s.shards {
-		n := s.shards[i].rel.Len()
-		total += n
-		if n > maxLen {
-			maxLen = n
-		}
-	}
-	sources := make([]Source, len(s.shards))
-	states := make([]sliceSource, len(s.shards))
-	ordSlab := make([]Tuple, total)
-	keySlab := make([]float64, total)
-	ordsSlab := make([]int, total)
-	ks := make([]keyedTuple, maxLen)
-	off := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		n := sh.rel.Len()
-		kss := ks[:n]
-		fillKeyed(kss, sh.rel, sh.orig, func(t Tuple) float64 {
-			return metric.Distance(t.Vec, q)
-		})
-		sortKeyed(kss)
-		ord := ordSlab[off : off+n : off+n]
-		keys := keySlab[off : off+n : off+n]
-		ords := ordsSlab[off : off+n : off+n]
-		off += n
-		unpackKeyed(kss, ord, keys, ords)
-		states[i] = sliceSource{rel: sh.rel, kind: DistanceAccess, ord: ord, keys: keys, ords: ords}
-		sources[i] = &states[i]
-	}
-	return sources, nil
-}
-
 // openSource implements Input: per-shard streams merged into one.
 func (s *Sharded) openSource(kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
-	if kind == DistanceAccess && !useRTree && len(s.shards) > 1 && !s.FileBacked() {
-		sources, err := s.distanceSources(q, metric)
-		if err != nil {
-			return nil, err
-		}
-		return s.Merge(sources)
-	}
 	sources := make([]Source, len(s.shards))
-	for i := range s.shards {
-		src, err := s.ShardSource(i, kind, q, metric, useRTree)
-		if err != nil {
-			return nil, err
-		}
-		sources[i] = src
+	if err := openShards(sources, s.shards, kind, q, metric, useRTree); err != nil {
+		return nil, err
 	}
 	return s.Merge(sources)
 }

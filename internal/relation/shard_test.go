@@ -69,10 +69,10 @@ func TestPartitionCoversEveryTuple(t *testing.T) {
 		seen := make(map[string]int)
 		total := 0
 		for i := 0; i < s.NumShards(); i++ {
-			sh := s.ShardRelation(i)
+			sh := s.ShardColumns(i)
 			total += sh.Len()
 			for j := 0; j < sh.Len(); j++ {
-				seen[sh.At(j).ID]++
+				seen[sh.Tuple(j).ID]++
 			}
 		}
 		if total != rel.Len() {
@@ -86,16 +86,32 @@ func TestPartitionCoversEveryTuple(t *testing.T) {
 	}
 }
 
-// TestPartitionDegenerateCounts: n = 1 reuses the relation itself, and n
-// beyond the tuple count collapses to at most Len() non-empty shards.
+// TestPartitionDegenerateCounts: n = 1 serves the caller's relation as it
+// stands — same pointer, storage order untouched — beside a score-ordered
+// copy in the shard's columns, and n beyond the tuple count collapses to
+// at most Len() non-empty shards.
 func TestPartitionDegenerateCounts(t *testing.T) {
 	rel := tieRelation(t, 13, 6, 2)
+	before := rel.Tuples()
 	one, err := Partition(rel, 1, GridPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if one.NumShards() != 1 || one.ShardRelation(0) != rel {
 		t.Fatalf("single-shard partition did not reuse the relation")
+	}
+	cols := one.ShardColumns(0)
+	for i, want := range before {
+		if !reflect.DeepEqual(rel.At(i), want) {
+			t.Fatalf("partitioning reordered the relation: At(%d) = %+v, was %+v", i, rel.At(i), want)
+		}
+		if i == 0 {
+			continue
+		}
+		prev, cur := cols.Tuple(i-1), cols.Tuple(i)
+		if cur.Score > prev.Score || (cur.Score == prev.Score && cols.Ordinal(i) <= cols.Ordinal(i-1)) {
+			t.Fatalf("shard columns break the (score desc, ordinal asc) order at %d", i)
+		}
 	}
 	many, err := Partition(rel, 50, GridPartition)
 	if err != nil {
@@ -114,58 +130,63 @@ func TestPartitionDegenerateCounts(t *testing.T) {
 
 // TestMergedSourceMatchesUnsharded is the ordering-invariant acceptance
 // test at the relation layer: for both access kinds, both strategies,
-// and all three distance backends, a merged stream over ≥4 shards must
-// be byte-identical to the unsharded stream — ties included.
+// and all three distance backends, a merged stream over ≥4 shards — a
+// Partition product's and its AssembleSharded twin's — must be
+// byte-identical to the unsharded stream, ties included.
 func TestMergedSourceMatchesUnsharded(t *testing.T) {
 	rel := tieRelation(t, 17, 120, 2)
 	q := vec.Of(1.3, 2.1)
 	for _, strategy := range []PartitionStrategy{HashPartition, GridPartition} {
-		s, err := Partition(rel, 4, strategy)
+		ram, err := Partition(rel, 4, strategy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.NumShards() < 4 {
-			t.Fatalf("%v: got %d shards, want 4", strategy, s.NumShards())
+		if ram.NumShards() < 4 {
+			t.Fatalf("%v: got %d shards, want 4", strategy, ram.NumShards())
 		}
+		for product, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
+			label := strategy.String() + "/" + product
 
-		wantScore := drain(t, NewScoreSource(rel))
-		gotSrc, err := s.ScoreSource()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSrc.Kind() != ScoreAccess || gotSrc.Relation() != rel {
-			t.Fatalf("%v: merged score source kind/relation wrong", strategy)
-		}
-		sameSequence(t, strategy.String()+"/score", drain(t, gotSrc), wantScore)
+			wantScore := drain(t, NewScoreSource(rel))
+			gotSrc, err := s.ScoreSource()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotSrc.Kind() != ScoreAccess || gotSrc.Relation() != s.Relation() {
+				t.Fatalf("%s: merged score source kind/relation wrong", label)
+			}
+			sameSequence(t, label+"/score", drain(t, gotSrc), wantScore)
 
-		wantSorted, err := NewDistanceSource(rel, q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mergedSorted, err := OpenSource(s, DistanceAccess, q, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSequence(t, strategy.String()+"/distance-sorted", drain(t, mergedSorted), drain(t, wantSorted))
+			wantSorted, err := NewDistanceSource(rel, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mergedSorted, err := OpenSource(s, DistanceAccess, q, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSequence(t, label+"/distance-sorted", drain(t, mergedSorted), drain(t, wantSorted))
 
-		wantRTree, err := NewRTreeIndex(rel).Source(q)
-		if err != nil {
-			t.Fatal(err)
+			wantRTree, err := NewRTreeIndex(rel).Source(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mergedRTree, err := s.DistanceSource(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mergedRTree.Kind() != DistanceAccess || mergedRTree.Relation() != s.Relation() {
+				t.Fatalf("%s: merged distance source kind/relation wrong", label)
+			}
+			sameSequence(t, label+"/distance-rtree", drain(t, mergedRTree), drain(t, wantRTree))
 		}
-		mergedRTree, err := s.DistanceSource(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mergedRTree.Kind() != DistanceAccess || mergedRTree.Relation() != rel {
-			t.Fatalf("%v: merged distance source kind/relation wrong", strategy)
-		}
-		sameSequence(t, strategy.String()+"/distance-rtree", drain(t, mergedRTree), drain(t, wantRTree))
 	}
 }
 
 // TestCanonicalDistanceOrderAcrossBackends: with ordinal tie-batching,
 // the R-tree traversal and the full sort agree on one canonical
-// sequence even in the presence of exact distance ties.
+// sequence even in the presence of exact distance ties — over the plain
+// relation, a one-shard Partition product and its AssembleSharded twin.
 func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 	rel := tieRelation(t, 23, 80, 2)
 	q := vec.Of(2, 2)
@@ -173,11 +194,26 @@ func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := drain(t, sorted)
 	viaTree, err := NewRTreeDistanceSource(rel, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSequence(t, "rtree vs sort", drain(t, viaTree), drain(t, sorted))
+	sameSequence(t, "rtree vs sort", drain(t, viaTree), want)
+
+	ram, err := Partition(rel, 1, HashPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for product, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
+		for _, useRTree := range []bool{true, false} {
+			src, err := s.ShardSource(0, DistanceAccess, q, vec.Euclidean{}, useRTree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSequence(t, fmt.Sprintf("%s shard, rtree=%v, vs sort", product, useRTree), drain(t, src), want)
+		}
+	}
 }
 
 // TestMergedSourceLazyPulls: a merged stream that is only partially

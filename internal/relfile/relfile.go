@@ -27,9 +27,9 @@
 // All integers and float bit patterns are little-endian; checksums are
 // CRC-32C (Castagnoli). Every shard's storage order is the canonical
 // score-access order — scores non-increasing, equal scores by ascending
-// parent ordinal — which is the same total order the in-memory
-// ScoreIndex sorts into, so a loaded shard streams score access with no
-// sort and byte-identical emissions. The grid/hash partitioner's shard
+// parent ordinal — which is the order relation.Partition keeps its heap
+// columns in, so Write dumps them as they are and a loaded shard streams
+// score access with no sort. The grid/hash partitioner's shard
 // assignment maps one shard to one contiguous run of file regions;
 // per-shard index builds and shardrpc bounding metadata read straight
 // from those regions.

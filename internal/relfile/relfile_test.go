@@ -1,6 +1,7 @@
 package relfile
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -172,23 +173,40 @@ func TestDecodeMatchesOpen(t *testing.T) {
 	}
 }
 
+// TestWriteRejectsUnencodable: a nil relation is refused; anything else
+// encodes — a relfile mapped back re-encodes to the bytes it was loaded
+// from.
 func TestWriteRejectsUnencodable(t *testing.T) {
 	if err := Write(filepath.Join(t.TempDir(), "x.prox"), nil); err == nil {
 		t.Fatal("nil relation accepted")
 	}
-	rel := testRelation(t, 1, 16, 2)
-	path, _ := writeTemp(t, rel, 2, relation.HashPartition)
-	f, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	loaded, err := f.Load("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(filepath.Join(t.TempDir(), "y.prox"), loaded); err == nil {
-		t.Fatal("file-backed relation re-encoded")
+	for _, shards := range []int{1, 3} {
+		rel := testRelation(t, 1, 16, 2)
+		path, _ := writeTemp(t, rel, shards, relation.GridPartition)
+		f, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		loaded, err := f.Load("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := filepath.Join(t.TempDir(), "y.prox")
+		if err := Write(again, loaded); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d shards: re-encoding the loaded relfile changed its bytes", shards)
+		}
 	}
 }
 

@@ -13,27 +13,20 @@ import (
 	"repro/internal/relation"
 )
 
-// Write serializes a partitioned in-memory relation to path in relfile
-// format, atomically (write to a temp file in the same directory, then
-// rename). Each shard's slabs are emitted in the canonical score-access
-// order — score descending, ties by ascending parent ordinal — so the
-// loader can stream score access without sorting, and the bounds the
-// partitioner computed are stored verbatim (never recomputed at load,
-// where the float summation order would differ).
-//
-// s must hold its tuples in memory: a file-backed or remote-stub
-// Sharded cannot be re-encoded.
+// Write serializes a partitioned relation to path in relfile format,
+// atomically (write to a temp file in the same directory, then rename).
+// It is a straight dump of each shard's Columns, which are already in the
+// canonical score-access order — score descending, ties by ascending
+// parent ordinal — so the loader can stream score access without
+// sorting, and the bounds the partitioner computed are stored verbatim
+// (never recomputed, where the float summation order would differ). Any
+// Sharded encodes, a loaded relfile included: re-encoding one reproduces
+// its bytes.
 func Write(path string, s *relation.Sharded) error {
 	if s == nil {
 		return fmt.Errorf("relfile: cannot write a nil relation")
 	}
-	if s.FileBacked() {
-		return fmt.Errorf("relfile: relation %q is file-backed; re-encoding views is not supported", s.Relation().Name)
-	}
 	parent := s.Relation()
-	if parent.IsStub() {
-		return fmt.Errorf("relfile: relation %q holds its tuples remotely", parent.Name)
-	}
 	dim := parent.Dim()
 	shards := s.NumShards()
 	dirLen := uint64(shards) * uint64(entrySize(dim))
@@ -49,11 +42,12 @@ func Write(path string, s *relation.Sharded) error {
 	enc := make([]encShard, shards)
 	off := dataOff
 	for i := 0; i < shards; i++ {
-		regions, n, err := encodeShard(s.ShardRelation(i), s.ShardOrdinals(i))
+		cols := s.ShardColumns(i)
+		regions, err := encodeShard(cols, dim)
 		if err != nil {
 			return fmt.Errorf("relfile: relation %q shard %d: %w", parent.Name, i, err)
 		}
-		e := encShard{regions: regions, n: n, bounds: s.ShardBounds(i)}
+		e := encShard{regions: regions, n: cols.Len(), bounds: s.ShardBounds(i)}
 		for r := range e.regions {
 			e.offs[r] = off
 			off = align8(off + uint64(len(e.regions[r])))
@@ -146,49 +140,32 @@ func Write(path string, s *relation.Sharded) error {
 	return nil
 }
 
-// encodeShard builds one shard's seven region buffers in canonical
-// score order. ords maps the shard's storage index to the parent
-// ordinal.
-func encodeShard(rel *relation.Relation, ords []int) ([7][]byte, int, error) {
-	if rel.IsStub() {
-		return [7][]byte{}, 0, fmt.Errorf("tuples are held remotely")
-	}
-	n := rel.Len()
-	dim := rel.Dim()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ta, tb := rel.At(idx[a]), rel.At(idx[b])
-		if ta.Score != tb.Score {
-			return ta.Score > tb.Score
-		}
-		return ords[idx[a]] < ords[idx[b]]
-	})
-
+// encodeShard builds one shard's seven region buffers, tuples in storage
+// order.
+func encodeShard(cols relation.Columns, dim int) ([7][]byte, error) {
+	n := cols.Len()
 	scores := make([]byte, 8*n)
 	vecs := make([]byte, 8*n*dim)
 	ordB := make([]byte, 4*n)
 	idOffs := make([]byte, 4*(n+1))
 	var idBytes, attrBytes []byte
 	attrOffs := make([]byte, 4*(n+1))
-	for i, j := range idx {
-		t := rel.At(j)
+	for i := 0; i < n; i++ {
+		t := cols.Tuple(i)
 		binary.LittleEndian.PutUint64(scores[8*i:], math.Float64bits(t.Score))
 		for d := 0; d < dim; d++ {
 			binary.LittleEndian.PutUint64(vecs[8*(i*dim+d):], math.Float64bits(t.Vec[d]))
 		}
-		binary.LittleEndian.PutUint32(ordB[4*i:], uint32(ords[j]))
+		binary.LittleEndian.PutUint32(ordB[4*i:], uint32(cols.Ordinal(i)))
 		idBytes = append(idBytes, t.ID...)
 		binary.LittleEndian.PutUint32(idOffs[4*(i+1):], uint32(len(idBytes)))
 		attrBytes = appendAttrBlob(attrBytes, t.Attrs)
 		binary.LittleEndian.PutUint32(attrOffs[4*(i+1):], uint32(len(attrBytes)))
 	}
 	if len(idBytes) > math.MaxUint32 || len(attrBytes) > math.MaxUint32 {
-		return [7][]byte{}, 0, fmt.Errorf("id/attr bytes exceed the 4 GiB per-shard limit")
+		return [7][]byte{}, fmt.Errorf("id/attr bytes exceed the 4 GiB per-shard limit")
 	}
-	return [7][]byte{scores, vecs, ordB, idOffs, idBytes, attrOffs, attrBytes}, n, nil
+	return [7][]byte{scores, vecs, ordB, idOffs, idBytes, attrOffs, attrBytes}, nil
 }
 
 // appendAttrBlob appends one tuple's attribute encoding: nothing for an

@@ -148,7 +148,9 @@ type Options struct {
 	// read. 0 or 1 recomputes on every pull.
 	BoundPeriod int
 	// UseRTree serves distance-based access through R-tree incremental
-	// nearest-neighbor traversal instead of a full sort.
+	// nearest-neighbor traversal instead of a full sort. The R-tree orders
+	// by Euclidean distance only, so the option has no effect under
+	// CosineProximity, which always sorts; results are the same either way.
 	UseRTree bool
 	// Epsilon relaxes the stopping test: the run may finish earlier and
 	// every returned combination scores within Epsilon of any combination

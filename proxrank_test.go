@@ -2,8 +2,10 @@ package proxrank_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -146,6 +148,79 @@ func TestCosineProximityOption(t *testing.T) {
 	for i := range want {
 		if math.Abs(res.Combinations[i].Score-want[i].Score) > 1e-9 {
 			t.Fatalf("cosine scores diverge from oracle")
+		}
+	}
+}
+
+// TestCosineProximityIgnoresRTree: the R-tree orders by Euclidean distance
+// only, so under cosine proximity UseRTree must not change the stream —
+// plain and sharded inputs return the oracle's answer and exactly what the
+// sorted path returns, for every algorithm.
+func TestCosineProximityIgnoresRTree(t *testing.T) {
+	algos := []proxrank.Algorithm{proxrank.CBRR, proxrank.CBPA, proxrank.TBRR, proxrank.TBPA}
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		rels := make([]*proxrank.Relation, 2)
+		for i := range rels {
+			tuples := make([]proxrank.Tuple, 60)
+			for j := range tuples {
+				tuples[j] = proxrank.Tuple{
+					ID:    fmt.Sprintf("r%d-%02d", i, j),
+					Score: 0.05 + 0.95*r.Float64(),
+					Vec:   proxrank.Vector{r.NormFloat64(), r.NormFloat64()},
+				}
+			}
+			rel, err := proxrank.NewRelation(fmt.Sprintf("R%d", i), 1, tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rels[i] = rel
+		}
+		q := proxrank.Vector{r.NormFloat64(), r.NormFloat64()}
+		plain := []proxrank.Input{rels[0], rels[1]}
+		layouts := map[string][]proxrank.Input{"plain": plain}
+		for _, strategy := range []proxrank.PartitionStrategy{proxrank.HashPartition, proxrank.GridPartition} {
+			sharded := make([]proxrank.Input, len(rels))
+			for i, rel := range rels {
+				s, err := proxrank.NewShardedRelation(rel, 4, strategy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sharded[i] = s
+			}
+			layouts[strategy.String()] = sharded
+		}
+		for _, algo := range algos {
+			opts := proxrank.Options{K: 5, Algorithm: algo, CosineProximity: true}
+			oracle, err := proxrank.NaiveTopK(q, rels, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorted, err := proxrank.TopK(q, rels, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.UseRTree = true
+			check := func(label string, res proxrank.Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("seed %d %v %s: %v", seed, algo, label, err)
+				}
+				if !reflect.DeepEqual(res.Combinations, sorted.Combinations) {
+					t.Fatalf("seed %d %v %s: UseRTree changed the answer", seed, algo, label)
+				}
+				for i, w := range oracle {
+					if math.Abs(res.Combinations[i].Score-w.Score) > 1e-9 {
+						t.Fatalf("seed %d %v %s: rank %d scores %v, oracle %v", seed, algo, label, i, res.Combinations[i].Score, w.Score)
+					}
+				}
+			}
+			res, err := proxrank.TopK(q, rels, opts)
+			check("TopK", res, err)
+			for label, inputs := range layouts {
+				res, err := proxrank.TopKInputs(q, inputs, opts)
+				check("TopKInputs/"+label, res, err)
+			}
 		}
 	}
 }
