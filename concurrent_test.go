@@ -12,10 +12,10 @@ import (
 )
 
 // TestStreamFromSourcesKindValidation is the regression test for the
-// missing access-kind check: a score-ordered source handed to a stream
+// missing access-kind check: a score-ordered source handed to a session
 // configured for distance access used to be accepted silently, producing
-// wrong bounds. It must now fail construction, exactly like
-// TopKFromSources does.
+// wrong bounds. It must fail construction, for a session enumerated
+// result by result exactly as for TopKFromSources.
 func TestStreamFromSourcesKindValidation(t *testing.T) {
 	rels := smallRelations(t)
 	q := proxrank.Vector{0, 0}
@@ -23,9 +23,9 @@ func TestStreamFromSourcesKindValidation(t *testing.T) {
 		proxrank.NewScoreSource(rels[0]), // wrong kind for DistanceAccess below
 		mustDistanceSource(t, rels[1], q),
 	}
-	_, err := proxrank.NewStreamFromSources(q, sources, proxrank.Options{Access: proxrank.DistanceAccess})
+	_, err := proxrank.NewQuerySources(q, sources, proxrank.Options{K: 1, Access: proxrank.DistanceAccess})
 	if err == nil {
-		t.Fatal("NewStreamFromSources accepted a score source under distance access")
+		t.Fatal("NewQuerySources accepted a score source under distance access")
 	}
 	if !strings.Contains(err.Error(), "access kind") {
 		t.Fatalf("unhelpful error: %v", err)
@@ -42,7 +42,7 @@ func TestStreamFromSourcesKindValidation(t *testing.T) {
 		proxrank.NewScoreSource(rels[0]),
 		proxrank.NewScoreSource(rels[1]),
 	}
-	if _, err := proxrank.NewStreamFromSources(q, ok, proxrank.Options{Access: proxrank.ScoreAccess}); err != nil {
+	if _, err := proxrank.NewQuerySources(q, ok, proxrank.Options{K: 1, Access: proxrank.ScoreAccess}); err != nil {
 		t.Fatalf("consistent sources rejected: %v", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestConcurrentSharedIndexQueries(t *testing.T) {
 		}()
 	}
 
-	// Streams over sources opened from the shared score indexes, driven
+	// Sessions over sources opened from the shared score indexes, driven
 	// through NextContext.
 	for g := 0; g < 12; g++ {
 		wg.Add(1)
@@ -124,18 +124,18 @@ func TestConcurrentSharedIndexQueries(t *testing.T) {
 			for i, ix := range scores {
 				sources[i] = ix.Source()
 			}
-			st, err := proxrank.NewStreamFromSources(q, sources, proxrank.Options{Access: proxrank.ScoreAccess})
+			st, err := proxrank.NewQuerySources(q, sources, proxrank.Options{K: 1, Access: proxrank.ScoreAccess})
 			if err != nil {
 				fail(err)
 				return
 			}
 			for i := 0; i < 3; i++ {
-				c, err := st.NextContext(context.Background())
+				cs, err := st.NextContext(context.Background(), 1)
 				if err != nil {
 					fail(err)
 					return
 				}
-				if math.Abs(c.Score-want[i].Score) > 1e-9 {
+				if math.Abs(cs[0].Score-want[i].Score) > 1e-9 {
 					fail(errors.New("score-index stream diverged from oracle"))
 					return
 				}

@@ -113,9 +113,9 @@ func ExampleQuery_Results() {
 	// a2+b1
 }
 
-// ExampleNewStream consumes the first two results of the pipelined
-// operator over the same data.
-func ExampleNewStream() {
+// ExampleQuery_Results_exhaustion ranges over the whole cross product of
+// the same data: exhaustion ends the sequence silently.
+func ExampleQuery_Results_exhaustion() {
 	r1, _ := proxrank.NewRelation("R1", 1.0, []proxrank.Tuple{
 		{ID: "a1", Score: 0.9, Vec: proxrank.Vector{0.1, 0}},
 		{ID: "a2", Score: 0.2, Vec: proxrank.Vector{5, 5}},
@@ -124,17 +124,13 @@ func ExampleNewStream() {
 		{ID: "b1", Score: 0.8, Vec: proxrank.Vector{0, 0.2}},
 		{ID: "b2", Score: 0.3, Vec: proxrank.Vector{-4, 4}},
 	})
-	s, err := proxrank.NewStream(proxrank.Vector{0, 0},
-		[]*proxrank.Relation{r1, r2}, proxrank.Options{})
+	sess, err := proxrank.NewQueryInputs(proxrank.Vector{0, 0},
+		[]proxrank.Input{r1, r2}, proxrank.Options{K: 1})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	for {
-		c, err := s.Next()
-		if errors.Is(err, proxrank.ErrStreamDone) {
-			break
-		}
+	for c, err := range sess.Results(context.Background()) {
 		if err != nil {
 			fmt.Println(err)
 			return

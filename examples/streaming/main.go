@@ -7,7 +7,7 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"log"
 
@@ -24,12 +24,14 @@ func main() {
 		log.Fatal(err)
 	}
 	total := 0
-	for _, r := range rels {
+	inputs := make([]proxrank.Input, len(rels))
+	for i, r := range rels {
 		total += r.Len()
+		inputs[i] = r
 	}
 	query := proxrank.Vector{0, 0}
 
-	s, err := proxrank.NewStream(query, rels, proxrank.Options{})
+	sess, err := proxrank.NewQueryInputs(query, inputs, proxrank.Options{K: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,16 +40,15 @@ func main() {
 		rels[0].Len(), rels[1].Len(), rels[2].Len(),
 		rels[0].Len()*rels[1].Len()*rels[2].Len())
 	fmt.Println("rank  score     tuples read so far (of", total, "available)")
-	for i := 0; i < 8; i++ {
-		c, err := s.Next()
-		if errors.Is(err, proxrank.ErrStreamDone) {
-			break
-		}
+	for c, err := range sess.Results(context.Background()) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%4d  %8.4f  %d\n", i+1, c.Score, s.Stats().SumDepths)
+		fmt.Printf("%4d  %8.4f  %d\n", sess.Emitted(), c.Score, sess.Stats().SumDepths)
+		if sess.Emitted() == sess.K() {
+			break
+		}
 	}
 	fmt.Printf("\nEight results certified after touching %.1f%% of the input.\n",
-		100*float64(s.Stats().SumDepths)/float64(total))
+		100*float64(sess.Stats().SumDepths)/float64(total))
 }

@@ -165,9 +165,9 @@ type Options struct {
 	// it to K, restoring O(K) peak memory with byte-identical results.
 	// Under the default BufferPrune policy the session retains the best
 	// MaxBuffered − emitted combinations (at least one): emitted plus
-	// drained results stay within MaxBuffered, and a Query or Stream
-	// consumed past MaxBuffered results may skip results, so open-ended
-	// sessions should leave it 0 or select BufferSpill.
+	// drained results stay within MaxBuffered, and a Query consumed past
+	// MaxBuffered results may skip results, so open-ended sessions should
+	// leave it 0 or select BufferSpill.
 	MaxBuffered int
 	// BufferPolicy selects the overflow behavior at MaxBuffered:
 	// BufferPrune (default) drops combinations below the buffer's score
@@ -261,7 +261,7 @@ func NewScoreSource(rel *Relation) Source {
 // NewShardedRelation partitions rel into at most shards shards under the
 // given strategy and builds every shard's R-tree and score order in
 // parallel. The result is immutable and safe for concurrent use, and any
-// query over it — TopKInputs, NewStreamInputs, or the service layer —
+// query over it — TopKInputs, NewQueryInputs, or the service layer —
 // returns byte-identical results to the unsharded relation, while
 // bounding per-shard index memory and enabling parallel builds. Fewer
 // shards may be returned when some would be empty.
@@ -415,8 +415,7 @@ func relationInputs(rels []*Relation) []Input {
 }
 
 // buildSources constructs one source per input for the configured access
-// kind (shared by the batch and streaming entry points). Sharded inputs
-// yield merged per-shard streams.
+// kind. Sharded inputs yield merged per-shard streams.
 func buildSources(query Vector, inputs []Input, opts Options, fn agg.Function) ([]Source, error) {
 	sources := make([]Source, len(inputs))
 	for i, in := range inputs {
@@ -482,9 +481,8 @@ func NaiveTopK(query Vector, rels []*Relation, opts Options) ([]Combination, err
 // ErrDNF is a sentinel clients can use to detect capped runs. One
 // condition, three surfaces (see api.CodeDNF for the wire mapping):
 // batch results carry it as the Result.DNF flag with best-effort
-// combinations attached; Query.Next and Stream.Next return ErrDNF once
-// no buffered combination can be certified anymore; MustTopK panics
-// with it.
+// combinations attached; Query.Next returns ErrDNF once no buffered
+// combination can be certified anymore; MustTopK panics with it.
 var ErrDNF = errors.New("proxrank: run aborted by MaxSumDepths/MaxCombinations cap")
 
 // MustTopK is TopK that panics on error or DNF; for examples and tests.

@@ -60,12 +60,15 @@ func OptionsFromRequest(req *api.Request, limits ...api.Limits) (Vector, Options
 	return Vector(req.Query), opts, nil
 }
 
-// Query is a first-class query session: the ranked-enumeration form of
-// the operator. Where TopK answers a fixed batch, a session delivers
-// results incrementally — Next(1) returns the rank-1 combination as soon
-// as the bound certifies it, long before a full run would finish — and
-// keeps the engine state alive, so enumeration can continue past the
-// initial K without restarting or re-reading input.
+// Query is a first-class query session: the pipelined, ranked-enumeration
+// form of the operator. Where TopK answers a fixed batch, a session
+// delivers results one at a time, best first, each certified against the
+// bound before it is emitted — Next(1) returns the rank-1 combination long
+// before a full run would finish — and input is pulled lazily, so
+// consuming only a prefix pays only that prefix's I/O, the way HRJN
+// composes into a relational query pipeline. The engine state stays alive,
+// so enumeration can continue past the initial K without restarting or
+// re-reading input.
 //
 // All batch entry points (TopK and friends) are reimplemented as a
 // session that is drained to K, so there is exactly one engine
@@ -74,9 +77,13 @@ func OptionsFromRequest(req *api.Request, limits ...api.Limits) (Vector, Options
 // A Query is single-goroutine; concurrent sessions over shared
 // relations or indexes are safe.
 type Query struct {
-	stream *Stream
-	k      int
+	it *core.Iterator
+	k  int
 }
+
+// ErrStreamDone is returned by Query.Next once the whole cross product
+// has been emitted.
+var ErrStreamDone = core.ErrIteratorDone
 
 // NewQuery builds a session from a transport-neutral request and the
 // inputs its Relations field names, in order. The request is validated
@@ -96,7 +103,9 @@ func NewQuery(req *api.Request, inputs ...Input) (*Query, error) {
 
 // NewQueryInputs is the Options-level session constructor, for callers
 // holding typed options (cosine proximity, R-tree access) rather than a
-// wire request.
+// wire request. Sharded inputs are read through a lazy k-way merge of
+// their shard streams, so consuming a prefix of the output still pays
+// only that prefix's I/O.
 func NewQueryInputs(query Vector, inputs []Input, opts Options) (*Query, error) {
 	fn, err := opts.aggregation()
 	if err != nil {
@@ -111,16 +120,33 @@ func NewQueryInputs(query Vector, inputs []Input, opts Options) (*Query, error) 
 
 // NewQuerySources builds a session over caller-supplied sources (remote
 // services, fault-injected wrappers, custom orders). All sources must
-// share one access kind consistent with opts.Access.
+// share one access kind consistent with opts.Access — a mismatched source
+// would silently corrupt the bounds. This is the single point where
+// streaming and batch execution invoke the engine: every facade entry
+// point (TopK*, NewQuery*) funnels through it, so validation cannot drift
+// between consumption models.
+//
+// An unbounded session retains every formed-but-unemitted combination in
+// compact rank form; set MaxBuffered (with BufferSpill to keep open
+// enumeration exact, or BufferPrune when at most MaxBuffered results will
+// be consumed) to bound it. Epsilon relaxes per-result certification
+// exactly as it relaxes the batch stopping test.
 func NewQuerySources(query Vector, sources []Source, opts Options) (*Query, error) {
 	if opts.K < 1 {
 		return nil, core.ErrBadK
 	}
-	s, err := NewStreamFromSources(query, sources, opts)
+	fn, err := opts.aggregation()
 	if err != nil {
 		return nil, err
 	}
-	return &Query{stream: s, k: opts.K}, nil
+	if err := checkSourceKinds(sources, opts.Access); err != nil {
+		return nil, err
+	}
+	it, err := core.NewIterator(sources, opts.engineOptions(query, fn))
+	if err != nil {
+		return nil, err
+	}
+	return &Query{it: it, k: opts.K}, nil
 }
 
 // K returns the session's initial batch size.
@@ -142,13 +168,23 @@ func (q *Query) Next(n int) ([]Combination, error) {
 func (q *Query) NextContext(ctx context.Context, n int) ([]Combination, error) {
 	var out []Combination
 	for len(out) < n {
-		c, err := q.stream.NextContext(ctx)
+		c, err := q.next(ctx)
 		if err != nil {
 			return out, err
 		}
 		out = append(out, c)
 	}
 	return out, nil
+}
+
+// next certifies and returns the next-best combination, under the facade's
+// own sentinel for a fired cap.
+func (q *Query) next(ctx context.Context) (Combination, error) {
+	c, err := q.it.NextContext(ctx)
+	if errors.Is(err, core.ErrIteratorDNF) {
+		return c, ErrDNF
+	}
+	return c, err
 }
 
 // Results returns an iterator over the remaining results in rank order,
@@ -159,7 +195,7 @@ func (q *Query) NextContext(ctx context.Context, n int) ([]Combination, error) {
 func (q *Query) Results(ctx context.Context) iter.Seq2[Combination, error] {
 	return func(yield func(Combination, error) bool) {
 		for {
-			c, err := q.stream.NextContext(ctx)
+			c, err := q.next(ctx)
 			if errors.Is(err, ErrStreamDone) {
 				return
 			}
@@ -183,7 +219,7 @@ func (q *Query) Run() (Result, error) { return q.RunContext(context.Background()
 
 // RunContext is Run with cooperative cancellation.
 func (q *Query) RunContext(ctx context.Context) (Result, error) {
-	n := q.k - int(q.stream.Emitted())
+	n := q.k - q.Emitted()
 	out, err := q.NextContext(ctx, n)
 	res := Result{}
 	switch {
@@ -193,7 +229,7 @@ func (q *Query) RunContext(ctx context.Context) (Result, error) {
 		// certified prefix was already emitted; the buffer holds the rest.
 		res.DNF = true
 		for len(out) < n {
-			c, ok := q.stream.DrainBest()
+			c, ok := q.it.DrainBest()
 			if !ok {
 				break
 			}
@@ -203,8 +239,8 @@ func (q *Query) RunContext(ctx context.Context) (Result, error) {
 		return Result{}, err
 	}
 	res.Combinations = out
-	res.Threshold = q.stream.Threshold()
-	res.Stats = q.stream.Stats()
+	res.Threshold = q.it.Threshold()
+	res.Stats = q.it.Stats()
 	return res, nil
 }
 
@@ -214,7 +250,7 @@ func (q *Query) RunContext(ctx context.Context) (Result, error) {
 func (q *Query) DrainBest(n int) []Combination {
 	var out []Combination
 	for len(out) < n {
-		c, ok := q.stream.DrainBest()
+		c, ok := q.it.DrainBest()
 		if !ok {
 			break
 		}
@@ -224,10 +260,13 @@ func (q *Query) DrainBest(n int) []Combination {
 }
 
 // Emitted returns the number of results delivered so far.
-func (q *Query) Emitted() int { return int(q.stream.Emitted()) }
+func (q *Query) Emitted() int { return int(q.it.Emitted()) }
+
+// Buffered returns the number of formed combinations awaiting emission.
+func (q *Query) Buffered() int { return q.it.Buffered() }
 
 // Threshold returns the current upper bound on undelivered combinations.
-func (q *Query) Threshold() float64 { return q.stream.Threshold() }
+func (q *Query) Threshold() float64 { return q.it.Threshold() }
 
 // Stats exposes the I/O and CPU cost paid so far.
-func (q *Query) Stats() Stats { return q.stream.Stats() }
+func (q *Query) Stats() Stats { return q.it.Stats() }

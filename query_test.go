@@ -31,6 +31,15 @@ func inputsOf(rels []*proxrank.Relation) []proxrank.Input {
 	return inputs
 }
 
+// nextOne pulls one result from a session.
+func nextOne(q *proxrank.Query) (proxrank.Combination, error) {
+	out, err := q.Next(1)
+	if err != nil {
+		return proxrank.Combination{}, err
+	}
+	return out[0], nil
+}
+
 // TestQuerySessionMatchesTopK: draining a session to K reproduces the
 // batch answer exactly (it IS the batch path now), and Next afterwards
 // keeps enumerating past K in the order of the full sorted cross
@@ -234,9 +243,6 @@ func TestSourceKindMismatchSharded(t *testing.T) {
 		return []proxrank.Source{s0, proxrank.NewScoreSource(rels[1])}
 	}
 	opts := proxrank.Options{K: 3, Access: proxrank.DistanceAccess}
-	if _, err := proxrank.NewStreamFromSources(q, mkSources(), opts); err == nil {
-		t.Error("NewStreamFromSources accepted a sharded source with mismatched access kind")
-	}
 	if _, err := proxrank.NewQuerySources(q, mkSources(), opts); err == nil {
 		t.Error("NewQuerySources accepted a sharded source with mismatched access kind")
 	}
@@ -244,7 +250,7 @@ func TestSourceKindMismatchSharded(t *testing.T) {
 		t.Error("TopKFromSources accepted a sharded source with mismatched access kind")
 	}
 	// Sanity: the same sources are accepted when the options agree.
-	if _, err := proxrank.NewStreamFromSources(q, mkSources(), proxrank.Options{K: 3, Access: proxrank.ScoreAccess}); err != nil {
+	if _, err := proxrank.NewQuerySources(q, mkSources(), proxrank.Options{K: 3, Access: proxrank.ScoreAccess}); err != nil {
 		t.Errorf("consistent access kind rejected: %v", err)
 	}
 }

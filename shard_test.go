@@ -149,8 +149,9 @@ func benchShardedBuild(b *testing.B, shards int) {
 func BenchmarkShardedBuild1(b *testing.B) { benchShardedBuild(b, 1) }
 func BenchmarkShardedBuild8(b *testing.B) { benchShardedBuild(b, 8) }
 
-// TestStreamInputsSharded: the streaming operator over sharded inputs
-// emits the same ranked sequence as over plain relations.
+// TestStreamInputsSharded: a session enumerated one result at a time
+// over sharded inputs emits the same ranked sequence as over plain
+// relations.
 func TestStreamInputsSharded(t *testing.T) {
 	relA := shardTestRelation(t, "A", 11, 35, 2)
 	relB := shardTestRelation(t, "B", 12, 45, 2)
@@ -163,18 +164,18 @@ func TestStreamInputsSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := proxrank.Vector{3, 2}
-	opts := proxrank.Options{Access: proxrank.ScoreAccess}
-	plain, err := proxrank.NewStream(query, []*proxrank.Relation{relA, relB}, opts)
+	opts := proxrank.Options{K: 1, Access: proxrank.ScoreAccess}
+	plain, err := proxrank.NewQueryInputs(query, []proxrank.Input{relA, relB}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := proxrank.NewStreamInputs(query, []proxrank.Input{shardedA, shardedB}, opts)
+	sharded, err := proxrank.NewQueryInputs(query, []proxrank.Input{shardedA, shardedB}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
-		want, werr := plain.Next()
-		got, gerr := sharded.Next()
+		want, werr := nextOne(plain)
+		got, gerr := nextOne(sharded)
 		if errors.Is(werr, proxrank.ErrStreamDone) || errors.Is(gerr, proxrank.ErrStreamDone) {
 			if !errors.Is(werr, proxrank.ErrStreamDone) || !errors.Is(gerr, proxrank.ErrStreamDone) {
 				t.Fatalf("rank %d: exhaustion mismatch (plain %v, sharded %v)", i, werr, gerr)

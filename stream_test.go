@@ -16,12 +16,12 @@ func TestStreamMatchesTopKPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := proxrank.NewStream(q, rels, proxrank.Options{})
+	s, err := proxrank.NewQueryInputs(q, inputsOf(rels), proxrank.Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range want {
-		got, err := s.Next()
+		got, err := nextOne(s)
 		if err != nil {
 			t.Fatalf("result %d: %v", i, err)
 		}
@@ -29,10 +29,10 @@ func TestStreamMatchesTopKPrefix(t *testing.T) {
 			t.Fatalf("result %d score %v, want %v", i, got.Score, w.Score)
 		}
 	}
-	if _, err := s.Next(); !errors.Is(err, proxrank.ErrStreamDone) {
+	if _, err := nextOne(s); !errors.Is(err, proxrank.ErrStreamDone) {
 		t.Fatalf("after exhaustion: %v", err)
 	}
-	if s.Emitted() != int64(len(want)) {
+	if s.Emitted() != len(want) {
 		t.Fatalf("Emitted = %d", s.Emitted())
 	}
 	if s.Stats().SumDepths == 0 {
@@ -43,11 +43,11 @@ func TestStreamMatchesTopKPrefix(t *testing.T) {
 func TestStreamScoreAccessAndValidation(t *testing.T) {
 	rels := smallRelations(t)
 	q := proxrank.Vector{0, 0}
-	s, err := proxrank.NewStream(q, rels, proxrank.Options{Access: proxrank.ScoreAccess})
+	s, err := proxrank.NewQueryInputs(q, inputsOf(rels), proxrank.Options{K: 1, Access: proxrank.ScoreAccess})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.Next()
+	first, err := nextOne(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +58,15 @@ func TestStreamScoreAccessAndValidation(t *testing.T) {
 	if math.Abs(first.Score-want[0].Score) > 1e-9 {
 		t.Fatalf("stream top %v, oracle %v", first.Score, want[0].Score)
 	}
-	if _, err := proxrank.NewStream(q, rels, proxrank.Options{Weights: proxrank.Weights{Ws: -1}}); err == nil {
+	if _, err := proxrank.NewQueryInputs(q, inputsOf(rels), proxrank.Options{K: 1, Weights: proxrank.Weights{Ws: -1}}); err == nil {
 		t.Fatal("bad weights accepted")
 	}
-	if _, err := proxrank.NewStream(proxrank.Vector{0}, rels, proxrank.Options{}); err == nil {
+	if _, err := proxrank.NewQueryInputs(proxrank.Vector{0}, inputsOf(rels), proxrank.Options{K: 1}); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
 }
 
-// TestParallelQueries runs many concurrent TopK and Stream queries over
+// TestParallelQueries runs many concurrent TopK and Query sessions over
 // shared immutable relations; run with -race to check for data races
 // (sources are per-query, relations are read-only).
 func TestParallelQueries(t *testing.T) {
@@ -112,13 +112,13 @@ func TestParallelQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := proxrank.NewStream(q, rels, proxrank.Options{})
+			s, err := proxrank.NewQueryInputs(q, inputsOf(rels), proxrank.Options{K: 1})
 			if err != nil {
 				errs <- err
 				return
 			}
 			for i := 0; i < 3; i++ {
-				got, err := s.Next()
+				got, err := nextOne(s)
 				if err != nil {
 					errs <- err
 					return
