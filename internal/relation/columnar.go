@@ -140,7 +140,7 @@ func (sh *shard) rtree() *rtree.Tree[nnRef] {
 func openShards(dst []Source, shards []shard, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) error {
 	if kind == ScoreAccess {
 		for i := range shards {
-			dst[i] = &colScoreSource{rel: shards[i].rel, cols: shards[i].cols, n: shards[i].cols.Len()}
+			dst[i] = &colScoreSource{rel: shards[i].rel, cols: shards[i].cols}
 		}
 		return nil
 	}
@@ -263,18 +263,18 @@ func AssembleSharded(parent *Relation, shards []FileShard, strategy PartitionStr
 	s := &Sharded{parent: parent, strategy: strategy}
 	s.shards = make([]shard, len(shards))
 	for i, fs := range shards {
-		rel := parent
-		if len(shards) > 1 {
-			rel = shardStub(parent, i, fs.Cols.Len())
-		}
-		s.shards[i] = shard{rel: rel, cols: fs.Cols, bounds: fs.Bounds}
+		s.shards[i] = shard{rel: shardRel(parent, i, len(shards), fs.Cols.Len()), cols: fs.Cols, bounds: fs.Bounds}
 	}
 	return s, nil
 }
 
-// shardStub is the metadata relation of shard i of parent: name, σ_max
-// and dimensionality for the streams opened over the shard's columns.
-func shardStub(parent *Relation, i, tuples int) *Relation {
+// shardRel is the relation the streams of shard i of parent report: parent
+// itself for a sole shard, otherwise a metadata stub carrying the shard's
+// name, σ_max, dimensionality and tuple count.
+func shardRel(parent *Relation, i, shards, tuples int) *Relation {
+	if shards == 1 {
+		return parent
+	}
 	return &Relation{Name: fmt.Sprintf("%s#%d", parent.Name, i), MaxScore: parent.MaxScore, dim: parent.dim, stubLen: tuples}
 }
 
@@ -287,7 +287,6 @@ func shardStub(parent *Relation, i, tuples int) *Relation {
 type colScoreSource struct {
 	rel  *Relation
 	cols Columns
-	n    int // cols.Len()
 	pos  int
 }
 
@@ -300,7 +299,7 @@ func (s *colScoreSource) Next() (Tuple, error) {
 // negation is exact, so a k-way merge on it is a merge on the scores'
 // own bits.
 func (s *colScoreSource) NextKeyed() (Tuple, float64, int, error) {
-	if s.pos >= s.n {
+	if s.pos >= s.cols.Len() {
 		return Tuple{}, 0, 0, ErrExhausted
 	}
 	i := s.pos

@@ -32,7 +32,7 @@ func (r *Relation) openSource(kind AccessKind, q vec.Vector, metric vec.Metric, 
 		return nil, fmt.Errorf("relation %q: cannot open a local source over a remote stub", r.Name)
 	}
 	if kind == ScoreAccess {
-		return NewScoreIndex(r).Source(), nil
+		return NewScoreSource(r), nil
 	}
 	one := [1]shard{{rel: r, cols: (*storageOrder)(r)}}
 	return openOne(one[:], kind, q, metric, useRTree)

@@ -184,10 +184,7 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 	var wg sync.WaitGroup
 	for i, g := range groups {
 		sh := &s.shards[i]
-		sh.rel = r
-		if len(groups) > 1 {
-			sh.rel = shardStub(r, i, len(g))
-		}
+		sh.rel = shardRel(r, i, len(groups), len(g))
 		wg.Add(1)
 		go func(g []int) {
 			defer wg.Done()

@@ -228,13 +228,7 @@ func (q *Query) RunContext(ctx context.Context) (Result, error) {
 		// Batch DNF contract: report the best K formed so far. The
 		// certified prefix was already emitted; the buffer holds the rest.
 		res.DNF = true
-		for len(out) < n {
-			c, ok := q.it.DrainBest()
-			if !ok {
-				break
-			}
-			out = append(out, c)
-		}
+		out = append(out, q.DrainBest(n-len(out))...)
 	default:
 		return Result{}, err
 	}
