@@ -89,12 +89,6 @@ type Request struct {
 	// not part of the canonical encoding, so requests differing only
 	// here share cache entries and coalesce.
 	BufferPolicy string `json:"bufferPolicy,omitempty"`
-	// BlockSize sets the width of the engine's batched scoring kernel at
-	// the innermost enumeration level. 0 lets the engine choose its
-	// benchmarked default; any width produces byte-identical results.
-	// Engine-tuning concern: not part of the canonical encoding, so
-	// requests differing only here share cache entries and coalesce.
-	BlockSize int `json:"blockSize,omitempty"`
 	// Overflow picks this client's stream-delivery overflow policy when
 	// the server brokers stream delivery: "block" asks the engine to wait
 	// (up to the server's block deadline) when this client falls a full

@@ -9,12 +9,12 @@ import (
 // deterministic string covering exactly the fields the answer depends on
 // — version, k, algorithm, access, transform, weights, epsilon, the
 // period/cap knobs, the query vector bit-exactly, and the relation list.
-// Transport, delivery, and engine-tuning concerns (TimeoutMillis,
-// NoCache, Trace, Overflow, MaxBuffered, BufferPolicy, BlockSize —
-// validation guarantees a bounded buffer cannot change the response
-// under either buffer policy, and the batched kernel is byte-identical
-// at any width) are excluded, so requests differing only in delivery
-// knobs share one encoding.
+// The transport, delivery and engine-tuning fields that never change the
+// answer (MaxBuffered, BufferPolicy, Overflow, TimeoutMillis, NoCache,
+// Trace, Partial) are excluded, so requests differing only in them share
+// one encoding: validation guarantees a bounded buffer cannot change the
+// response under either buffer policy, and a degraded answer is never
+// cached, so both Partial settings can share an entry.
 //
 // Because Normalize folds aliases and fills defaults first, semantically
 // equal requests encode identically: this string is the service cache

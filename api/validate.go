@@ -149,10 +149,5 @@ func (r *Request) Normalize(limits Limits) *Error {
 	default:
 		return Errorf(CodeBadRequest, "unknown bufferPolicy %q (want prune|spill)", r.BufferPolicy)
 	}
-	// Any block width yields byte-identical results, so only the sign can
-	// be wrong; 0 delegates the choice to the engine.
-	if r.BlockSize < 0 {
-		return Errorf(CodeBadRequest, "blockSize must be non-negative")
-	}
 	return nil
 }

@@ -25,7 +25,7 @@ import (
 // BenchmarkHotPath runs the engine hot-path suite shared with the
 // committed BENCH_core.json snapshot (cmd/proxbench -core-out): batch
 // TopK under both bounds, incremental session Next, a sharded-merge
-// query over sorts and over R-trees, the R-tree stream, and
+// query over per-shard R-trees, the R-tree stream, and
 // FormationDeep (the proxserve benchmark's single_engine shape, deep
 // prefixes under a K-bounded buffer).
 // benchstat on `-bench=HotPath` before/after a change is the
@@ -143,7 +143,9 @@ func BenchmarkDominancePeriod8(b *testing.B) {
 	benchTopK(b, rels, q, proxrank.Options{K: 10, Algorithm: proxrank.TBRR, EagerBounds: true, DominancePeriod: 8})
 }
 
-// Ablation: sorted distance access vs R-tree incremental NN access.
+// Ablation: sorted distance access vs R-tree incremental NN access. The
+// access path follows from the input: plain relations are sorted per
+// query, the same relations as one-shard sharded inputs own an R-tree.
 func BenchmarkAccessSorted(b *testing.B) {
 	rels, q := benchRels(b, 2, 2000)
 	benchTopK(b, rels, q, proxrank.Options{K: 10})
@@ -151,7 +153,21 @@ func BenchmarkAccessSorted(b *testing.B) {
 
 func BenchmarkAccessRTree(b *testing.B) {
 	rels, q := benchRels(b, 2, 2000)
-	benchTopK(b, rels, q, proxrank.Options{K: 10, UseRTree: true})
+	inputs := make([]proxrank.Input, len(rels))
+	for i, rel := range rels {
+		s, err := proxrank.NewShardedRelation(rel, 1, proxrank.HashPartition)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs[i] = s
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := proxrank.TopKInputs(q, inputs, proxrank.Options{K: 10}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // Score-based access (Appendix C algorithms).

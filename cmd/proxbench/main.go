@@ -33,8 +33,7 @@ func main() {
 		list      = flag.Bool("list", false, "list available figures and exit")
 		seed      = flag.Int64("seed", 0, "base seed for data generation")
 		coreOut   = flag.String("core-out", "", "run the hot-path micro-benchmarks and write the JSON snapshot here ('-' for stdout)")
-		coreCheck = flag.String("core-check", "", "run the hot-path micro-benchmarks and fail if any exceeds the committed snapshot's allocs/op by more than -alloc-tol")
-		allocTol  = flag.Float64("alloc-tol", 0.10, "allocs/op headroom for -core-check, as a fraction of the committed value")
+		coreCheck = flag.String("core-check", "", "run the hot-path micro-benchmarks and fail if any exceeds the committed snapshot's allocs/op by more than 10%")
 	)
 	flag.Parse()
 
@@ -55,11 +54,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%-17s %12.0f ns/op %10d B/op %8d allocs/op\n",
 				b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
 		}
-		if err := benchcore.CheckAllocs(fresh, committed, *allocTol); err != nil {
+		if err := benchcore.CheckAllocs(fresh, committed); err != nil {
 			fmt.Fprintf(os.Stderr, "proxbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "proxbench: allocs/op within %.0f%% of %s\n", *allocTol*100, *coreCheck)
+		fmt.Fprintf(os.Stderr, "proxbench: allocs/op within 10%% of %s\n", *coreCheck)
 		return
 	}
 

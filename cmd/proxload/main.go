@@ -62,6 +62,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"reflect"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -73,6 +74,7 @@ import (
 	"repro/api"
 	"repro/internal/faultinject"
 	"repro/internal/shardrpc"
+	"repro/internal/vec"
 	"repro/service"
 )
 
@@ -188,7 +190,7 @@ func main() {
 		log.Fatal("proxload: -topology/-identity-check/-chaos/-replicas require -selfserve")
 	}
 	if *baseFl != "" {
-		v, err := parseVector(*baseFl)
+		v, err := vec.Parse(*baseFl)
 		if err != nil {
 			log.Fatalf("proxload: -query-base: %v", err)
 		}
@@ -664,26 +666,9 @@ func pickRelations(client *http.Client, base, flagVal string) ([]string, error) 
 	return names, nil
 }
 
-// serverStats is the slice of /v1/stats proxload reports deltas of.
-type serverStats struct {
-	Queries             int64 `json:"queries"`
-	CacheHits           int64 `json:"cacheHits"`
-	CacheMisses         int64 `json:"cacheMisses"`
-	Coalesced           int64 `json:"coalesced"`
-	EngineRuns          int64 `json:"engineRuns"`
-	StreamsBrokered     int64 `json:"streamsBrokered"`
-	MidRunAttaches      int64 `json:"midRunAttaches"`
-	SlowSubscriberDrops int64 `json:"slowSubscriberDrops"`
-	Rejected            int64 `json:"rejected"`
-	Canceled            int64 `json:"canceled"`
-	RemoteStreamsOpened int64 `json:"remoteStreamsOpened"`
-	ShardsPruned        int64 `json:"shardsPruned"`
-	RemoteRowsFetched   int64 `json:"remoteRowsFetched"`
-	RemoteRowsConsumed  int64 `json:"remoteRowsConsumed"`
-}
-
-func fetchStats(client *http.Client, base string) (serverStats, error) {
-	var st serverStats
+// fetchStats reads GET /v1/stats into the server's own document type.
+func fetchStats(client *http.Client, base string) (service.StatsResponse, error) {
+	var st service.StatsResponse
 	resp, err := client.Get(base + "/v1/stats")
 	if err != nil {
 		return st, err
@@ -693,22 +678,18 @@ func fetchStats(client *http.Client, base string) (serverStats, error) {
 	return st, err
 }
 
-func (a serverStats) sub(b serverStats) serverStats {
-	return serverStats{
-		Queries:             a.Queries - b.Queries,
-		CacheHits:           a.CacheHits - b.CacheHits,
-		CacheMisses:         a.CacheMisses - b.CacheMisses,
-		Coalesced:           a.Coalesced - b.Coalesced,
-		EngineRuns:          a.EngineRuns - b.EngineRuns,
-		StreamsBrokered:     a.StreamsBrokered - b.StreamsBrokered,
-		MidRunAttaches:      a.MidRunAttaches - b.MidRunAttaches,
-		SlowSubscriberDrops: a.SlowSubscriberDrops - b.SlowSubscriberDrops,
-		Rejected:            a.Rejected - b.Rejected,
-		Canceled:            a.Canceled - b.Canceled,
-		RemoteStreamsOpened: a.RemoteStreamsOpened - b.RemoteStreamsOpened,
-		ShardsPruned:        a.ShardsPruned - b.ShardsPruned,
-		RemoteRowsFetched:   a.RemoteRowsFetched - b.RemoteRowsFetched,
-		RemoteRowsConsumed:  a.RemoteRowsConsumed - b.RemoteRowsConsumed,
+// subCounters subtracts b from a on every int64 field, the embedded
+// executor snapshot included, so a counter the server adds is reported
+// without a line here. Gauges (inFlight, queued, …) subtract too; the
+// report reads none of them.
+func subCounters(a, b reflect.Value) {
+	for i := 0; i < a.NumField(); i++ {
+		switch f := a.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(f.Int() - b.Field(i).Int())
+		case reflect.Struct:
+			subCounters(f, b.Field(i))
+		}
 	}
 }
 
@@ -812,18 +793,6 @@ func (g *generator) body(vec []float64) []byte {
 	req := api.Request{Query: vec, Relations: g.relations, K: g.k, Access: g.access, Overflow: g.overflow, BufferPolicy: g.bufPolicy}
 	buf, _ := json.Marshal(&req)
 	return buf
-}
-
-// parseVector parses "x,y,..." into a float vector.
-func parseVector(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	v := make([]float64, len(parts))
-	for i, p := range parts {
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%g", &v[i]); err != nil {
-			return nil, fmt.Errorf("component %d %q: %w", i, p, err)
-		}
-	}
-	return v, nil
 }
 
 // fire issues one query and records its measurements.
@@ -1012,18 +981,18 @@ func summarize(ns []float64) latencyMs {
 
 // report is the run's full output, printable and JSON-serializable.
 type report struct {
-	ElapsedSec   float64        `json:"elapsedSec"`
-	OfferedRPS   float64        `json:"offeredRps"`
-	AchievedRPS  float64        `json:"achievedRps"`
-	Shed         int64          `json:"shed"`
-	Errors       int            `json:"errors"`
-	ErrorsByCode map[string]int `json:"errorsByCode,omitempty"`
-	FirstError   string         `json:"firstError,omitempty"`
-	Batch        latencyMs      `json:"batch"`
-	Stream       latencyMs      `json:"stream"`
-	TTFE         latencyMs      `json:"ttfe"`
-	SlowDropped  int64          `json:"slowClientDrops"`
-	Server       serverStats    `json:"serverDelta"`
+	ElapsedSec   float64               `json:"elapsedSec"`
+	OfferedRPS   float64               `json:"offeredRps"`
+	AchievedRPS  float64               `json:"achievedRps"`
+	Shed         int64                 `json:"shed"`
+	Errors       int                   `json:"errors"`
+	ErrorsByCode map[string]int        `json:"errorsByCode,omitempty"`
+	FirstError   string                `json:"firstError,omitempty"`
+	Batch        latencyMs             `json:"batch"`
+	Stream       latencyMs             `json:"stream"`
+	TTFE         latencyMs             `json:"ttfe"`
+	SlowDropped  int64                 `json:"slowClientDrops"`
+	Server       service.StatsResponse `json:"serverDelta"`
 	// ServerDuration/ServerTTFE are the run's deltas of the server's own
 	// /metrics histograms (all modes and cache states folded together) —
 	// the executor's view of the same requests the client percentiles
@@ -1037,10 +1006,10 @@ type report struct {
 	SpillBytes        int64 `json:"spillBytes,omitempty"`
 }
 
-func (g *generator) report(elapsed time.Duration, before, after serverStats, slowDropped int64) report {
+func (g *generator) report(elapsed time.Duration, before, after service.StatsResponse, slowDropped int64) report {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	delta := after.sub(before)
+	subCounters(reflect.ValueOf(&after).Elem(), reflect.ValueOf(before))
 	done := len(g.batchNs) + len(g.strmNs)
 	r := report{
 		ElapsedSec:   elapsed.Seconds(),
@@ -1053,7 +1022,7 @@ func (g *generator) report(elapsed time.Duration, before, after serverStats, slo
 		Stream:       summarize(g.strmNs),
 		TTFE:         summarize(g.ttfeNs),
 		SlowDropped:  slowDropped,
-		Server:       delta,
+		Server:       after,
 	}
 	if g.firstEr != nil {
 		r.FirstError = g.firstEr.Error()

@@ -75,13 +75,15 @@ func scrapeMetrics(client *http.Client, base string) (*metricsSnap, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		name, labels, value, ok := parseSampleLine(line)
-		if !ok {
-			continue
+		sample, err := obs.ParseSample(line)
+		if err != nil {
+			return nil, fmt.Errorf("malformed /metrics exposition: %w", err)
 		}
+		name, value := sample.Name, sample.Value
 		switch {
 		case strings.HasSuffix(name, "_bucket"):
-			le, err := strconv.ParseFloat(labels["le"], 64)
+			bound, _ := sample.Label("le")
+			le, err := strconv.ParseFloat(bound, 64)
 			if err != nil {
 				continue
 			}
@@ -189,89 +191,4 @@ func summarizeHist(d histSnap) serverHist {
 	s.P99Ms = d.quantile(0.99) * 1e3
 	s.MeanMs = d.sum / float64(d.count) * 1e3
 	return s
-}
-
-// parseSampleLine splits one exposition sample into name, labels, and
-// value. Quote-aware so escaped label values cannot derail the scan;
-// lenient because CheckExposition already validated the format.
-func parseSampleLine(line string) (name string, labels map[string]string, value float64, ok bool) {
-	labels = map[string]string{}
-	rest := line
-	if i := strings.IndexByte(line, '{'); i >= 0 && i < strings.IndexByte(line+" ", ' ') {
-		name = line[:i]
-		body, tail, found := cutLabelBody(line[i+1:])
-		if !found {
-			return "", nil, 0, false
-		}
-		for _, pair := range splitLabelPairs(body) {
-			k, v, found := strings.Cut(pair, "=")
-			if !found {
-				continue
-			}
-			labels[k] = unquoteLabel(v)
-		}
-		rest = strings.TrimSpace(tail)
-	} else {
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return "", nil, 0, false
-		}
-		name = fields[0]
-		rest = fields[1]
-	}
-	fields := strings.Fields(rest)
-	if len(fields) < 1 {
-		return "", nil, 0, false
-	}
-	v, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return "", nil, 0, false
-	}
-	return name, labels, v, true
-}
-
-// cutLabelBody scans to the '}' closing a label body, respecting quoted
-// strings and their escapes.
-func cutLabelBody(s string) (body, tail string, ok bool) {
-	inQuote := false
-	for i := 0; i < len(s); i++ {
-		switch {
-		case inQuote && s[i] == '\\':
-			i++
-		case s[i] == '"':
-			inQuote = !inQuote
-		case !inQuote && s[i] == '}':
-			return s[:i], s[i+1:], true
-		}
-	}
-	return "", "", false
-}
-
-// splitLabelPairs splits "a=\"x\",b=\"y\"" on commas outside quotes.
-func splitLabelPairs(s string) []string {
-	var out []string
-	start, inQuote := 0, false
-	for i := 0; i < len(s); i++ {
-		switch {
-		case inQuote && s[i] == '\\':
-			i++
-		case s[i] == '"':
-			inQuote = !inQuote
-		case !inQuote && s[i] == ',':
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
-}
-
-// unquoteLabel undoes the exposition's label escaping.
-func unquoteLabel(v string) string {
-	v = strings.TrimPrefix(v, `"`)
-	v = strings.TrimSuffix(v, `"`)
-	r := strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
-	return r.Replace(v)
 }

@@ -28,21 +28,19 @@ import (
 
 func main() {
 	var (
-		csvs    = flag.String("csv", "", "comma-separated relation CSV files")
-		city    = flag.String("city", "", "simulated city dataset (SF, NY, BO, DA, HO)")
-		queryS  = flag.String("query", "", "query vector, e.g. \"0.1,0.2\" (defaults to the city landmark)")
-		k       = flag.Int("k", 10, "number of results")
-		algoS   = flag.String("algo", "tbpa", "algorithm: cbrr|cbpa|tbrr|tbpa")
-		access  = flag.String("access", "distance", "access kind: distance|score")
-		ws      = flag.Float64("ws", 1, "score weight w_s")
-		wq      = flag.Float64("wq", 1, "query-distance weight w_q")
-		wmu     = flag.Float64("wmu", 1, "centroid-distance weight w_mu")
-		showIO  = flag.Bool("stats", false, "print access statistics")
-		maxSum  = flag.Int("max-sum-depths", 0, "abort after this many accesses (0 = unlimited)")
-		maxBuf  = flag.Int("max-buffered", 0, "bound the buffer of formed-but-unemitted combinations (0 = K)")
-		blockSz = flag.Int("block-size", 0, "batched scoring kernel width (0 = engine default; results identical at any width)")
-		useTree = flag.Bool("rtree", false, "serve distance access via R-tree incremental NN instead of a full sort (same results; Euclidean proximity only, which is all this command offers)")
-		stream  = flag.Bool("stream", false, "print each result as soon as it is certified")
+		csvs   = flag.String("csv", "", "comma-separated relation CSV files")
+		city   = flag.String("city", "", "simulated city dataset (SF, NY, BO, DA, HO)")
+		queryS = flag.String("query", "", "query vector, e.g. \"0.1,0.2\" (defaults to the city landmark)")
+		k      = flag.Int("k", 10, "number of results")
+		algoS  = flag.String("algo", "tbpa", "algorithm: cbrr|cbpa|tbrr|tbpa")
+		access = flag.String("access", "distance", "access kind: distance|score")
+		ws     = flag.Float64("ws", 1, "score weight w_s")
+		wq     = flag.Float64("wq", 1, "query-distance weight w_q")
+		wmu    = flag.Float64("wmu", 1, "centroid-distance weight w_mu")
+		showIO = flag.Bool("stats", false, "print access statistics")
+		maxSum = flag.Int("max-sum-depths", 0, "abort after this many accesses (0 = unlimited)")
+		maxBuf = flag.Int("max-buffered", 0, "bound the buffer of formed-but-unemitted combinations (0 = K)")
+		stream = flag.Bool("stream", false, "print each result as soon as it is certified")
 	)
 	flag.Parse()
 
@@ -105,15 +103,11 @@ func main() {
 		Weights:      &api.Weights{Ws: *ws, Wq: *wq, Wmu: *wmu},
 		MaxSumDepths: *maxSum,
 		MaxBuffered:  *maxBuf,
-		BlockSize:    *blockSz,
 	}
 	qvec, opts, err := proxrank.OptionsFromRequest(req)
 	if err != nil {
 		fatal("%v", err)
 	}
-	// The R-tree toggle is a physical knob of the local engine, not part
-	// of the wire request (results are identical either way).
-	opts.UseRTree = *useTree
 	// The CLI consumes at most K results, so the buffer can always be
 	// bounded (the service executor applies the same default).
 	opts = opts.BoundedToK()

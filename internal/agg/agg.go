@@ -8,9 +8,11 @@
 // arithmetic mean, which is the arg-min of the summed squared Euclidean
 // distances used by the quadratic form.
 //
-// The corner bounding scheme works for any Function; the tight bounding
-// scheme additionally requires the Quadratic interface, which exposes the
-// weights of the closed-form geometry.
+// Function is the whole contract an aggregation meets — both reference
+// aggregations implement all of it, and the engine asserts nothing
+// further. The corner bounding scheme works for any Function; the tight
+// bounding scheme additionally requires the Quadratic interface, which
+// exposes the weights of the closed-form geometry.
 package agg
 
 import (
@@ -21,8 +23,12 @@ import (
 	"repro/internal/vec"
 )
 
-// Function is an aggregation function in the shape of paper eq. (1):
-// a per-relation proximity weighting g_i combined by a monotone f.
+// Function is an aggregation function in the shape of paper eq. (1): a
+// per-relation proximity weighting g_i combined by a monotone f, together
+// with the three evaluation forms the engine runs it through — scoring
+// into a caller-owned centroid buffer, a separable per-tuple upper bound,
+// and a batched kernel over candidate blocks. Score is the definition;
+// the other forms must agree with it as documented on each method.
 type Function interface {
 	// G is the proximity weighting g_i: monotone non-decreasing in sigma,
 	// non-increasing in the query distance dq and the centroid distance dmu.
@@ -33,6 +39,35 @@ type Function interface {
 	// Score evaluates the full combination: distances are derived from the
 	// query q and the centroid of xs.
 	Score(q vec.Vector, sigmas []float64, xs []vec.Vector) float64
+	// ScoreScratch is Score with mu (len = dim) as centroid scratch space,
+	// avoiding the per-combination centroid allocation on the formation hot
+	// path. The result must be bit-identical to Score.
+	ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64
+	// SoloBound returns an upper bound on tuple i's contribution to any
+	// combination containing it; dq is the Metric distance to the query:
+	//
+	//	Score(q, σ, x) ≤ Σ_i SoloBound(i, σ_i, δ(x_i, q))
+	//
+	// For the reference aggregations the bound is G with the centroid
+	// distance zeroed — the centroid term only ever subtracts. The engine
+	// uses this to prune cross-product subtrees during combination
+	// formation: a partial combination whose best possible completion (its
+	// seen tuples' solo terms plus the per-relation maxima of the unseen
+	// slots) cannot reach the current score floor is cut without being
+	// materialized.
+	SoloBound(i int, sigma, dq float64) float64
+	// QTerm returns the centroid-independent part of slot i's term for a
+	// tuple with the given score and feature vector: exactly the value
+	// the ScoreScratch accumulation adds before subtracting the weighted
+	// centroid distance.
+	QTerm(i int, sigma float64, x, q vec.Vector) float64
+	// ScoreBlock scores len(out) combinations that agree with (qterms,
+	// xs) on every slot except vary, where candidate j places the tuple
+	// with cached term candQ[j] and vector candXs[j]. qterms[vary] and
+	// xs[vary] are ignored. Scores land in out, bit-identical to a
+	// ScoreScratch call per candidate (see block.go).
+	ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
+		candQ []float64, candXs []vec.Vector, scr *BlockScratch, out []float64)
 	// Metric is the distance δ the function's G consumes; distance-based
 	// access must stream tuples in increasing order of this metric for the
 	// bounding schemes to be correct.
@@ -43,41 +78,15 @@ type Function interface {
 
 // Quadratic is implemented by aggregation functions whose geometry is the
 // quadratic Euclidean form of eq. (2); it unlocks the tight bounding
-// machinery (ray reduction + 1-D QP) and dominance half-spaces.
+// machinery (ray reduction + 1-D QP) and dominance half-spaces. It is the
+// one optional capability: CosineProximity is a Function but not
+// Quadratic.
 type Quadratic interface {
 	Function
 	// Weights returns (w_s, w_q, w_µ).
 	Weights() (ws, wq, wmu float64)
 	// TransformScore applies the score transform T (ln or identity).
 	TransformScore(sigma float64) float64
-}
-
-// Separable is implemented by aggregation functions whose combination
-// score is bounded above by a sum of per-tuple terms:
-//
-//	Score(q, σ, x) ≤ Σ_i SoloBound(i, σ_i, δ(x_i, q))
-//
-// For the reference aggregations the bound is G with the centroid
-// distance zeroed — the centroid term only ever subtracts. The engine
-// uses this to prune cross-product subtrees during combination formation:
-// a partial combination whose best possible completion (its seen tuples'
-// solo terms plus the per-relation maxima of the unseen slots) cannot
-// reach the current score floor is cut without being materialized.
-type Separable interface {
-	Function
-	// SoloBound returns an upper bound on tuple i's contribution to any
-	// combination containing it; dq is the Metric distance to the query.
-	SoloBound(i int, sigma, dq float64) float64
-}
-
-// ScratchScorer is implemented by aggregation functions that can evaluate
-// Score through a caller-provided centroid scratch vector, avoiding the
-// per-combination centroid allocation on the formation hot path. The
-// result must be bit-identical to Score.
-type ScratchScorer interface {
-	Function
-	// ScoreScratch is Score with mu (len = dim) as centroid scratch space.
-	ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64
 }
 
 // ScoreTransform selects how σ enters the aggregation.
@@ -182,7 +191,7 @@ func (e *EuclideanSum) Score(q vec.Vector, sigmas []float64, xs []vec.Vector) fl
 	return s
 }
 
-// ScoreScratch implements ScratchScorer: the operation sequence matches
+// ScoreScratch implements Function: the operation sequence matches
 // Score exactly (MeanInto mirrors Mean bit-for-bit), only the centroid
 // buffer is caller-owned.
 func (e *EuclideanSum) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64 {
@@ -197,7 +206,7 @@ func (e *EuclideanSum) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vec
 	return s
 }
 
-// SoloBound implements Separable: g with the centroid distance zeroed.
+// SoloBound implements Function: g with the centroid distance zeroed.
 // The dropped −w_µ·dmu² term is never positive, so the sum of solo bounds
 // dominates the full score.
 func (e *EuclideanSum) SoloBound(_ int, sigma, dq float64) float64 {
@@ -266,7 +275,7 @@ func (c *CosineProximity) Score(q vec.Vector, sigmas []float64, xs []vec.Vector)
 	return s
 }
 
-// ScoreScratch implements ScratchScorer (see EuclideanSum.ScoreScratch).
+// ScoreScratch implements Function (see EuclideanSum.ScoreScratch).
 func (c *CosineProximity) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64 {
 	if len(sigmas) != len(xs) || len(xs) == 0 {
 		panic("agg: sigmas/xs mismatch or empty")
@@ -279,7 +288,7 @@ func (c *CosineProximity) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.
 	return s
 }
 
-// SoloBound implements Separable: g with the centroid dissimilarity
+// SoloBound implements Function: g with the centroid dissimilarity
 // zeroed (cosine dissimilarity is non-negative, so the dropped term only
 // subtracts).
 func (c *CosineProximity) SoloBound(i int, sigma, dq float64) float64 {

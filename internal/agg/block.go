@@ -8,9 +8,9 @@ import (
 
 // Block scoring: the engine's combination-formation hot path evaluates,
 // at the innermost enumeration level, a run of candidate combinations
-// that share every slot except one. BlockScorer turns that run into a
-// single kernel call over columnar state instead of one ScoreScratch
-// call per leaf.
+// that share every slot except one. Function.ScoreBlock turns that run
+// into a single kernel call over columnar state instead of one
+// ScoreScratch call per leaf.
 //
 // The contract is bitwise identity with the scalar path, which two
 // observations make possible:
@@ -24,21 +24,6 @@ import (
 //     the partial sum over the fixed slots before the varying one is a
 //     shared prefix: computed once per block, then extended per candidate
 //     with the same operation sequence MeanInto would have used.
-type BlockScorer interface {
-	ScratchScorer
-	// QTerm returns the centroid-independent part of slot i's term for a
-	// tuple with the given score and feature vector: exactly the value
-	// the ScoreScratch accumulation adds before subtracting the weighted
-	// centroid distance.
-	QTerm(i int, sigma float64, x, q vec.Vector) float64
-	// ScoreBlock scores len(out) combinations that agree with (qterms,
-	// xs) on every slot except vary, where candidate j places the tuple
-	// with cached term candQ[j] and vector candXs[j]. qterms[vary] and
-	// xs[vary] are ignored. Scores land in out, bit-identical to a
-	// ScoreScratch call per candidate.
-	ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
-		candQ []float64, candXs []vec.Vector, scr *BlockScratch, out []float64)
-}
 
 // BlockScratch is the reusable working storage of ScoreBlock: the shared
 // centroid prefix, one centroid per block lane (views into a flat slab),
@@ -113,13 +98,13 @@ func (s *BlockScratch) centroids(xs []vec.Vector, vary int, candXs []vec.Vector)
 	}
 }
 
-// QTerm implements BlockScorer: w_s·T(σ) − w_q·‖x−q‖², the first two
+// QTerm implements Function: w_s·T(σ) − w_q·‖x−q‖², the first two
 // operands of the ScoreScratch slot term.
 func (e *EuclideanSum) QTerm(_ int, sigma float64, x, q vec.Vector) float64 {
 	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*x.Dist2(q)
 }
 
-// ScoreBlock implements BlockScorer.
+// ScoreBlock implements Function.
 func (e *EuclideanSum) ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
 	candQ []float64, candXs []vec.Vector, scr *BlockScratch, out []float64) {
 	n := len(xs)
@@ -148,7 +133,7 @@ func (e *EuclideanSum) ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vecto
 	}
 }
 
-// QTerm implements BlockScorer: w_s·T(σ) − w_q·cosdist(x, q).
+// QTerm implements Function: w_s·T(σ) − w_q·cosdist(x, q).
 func (c *CosineProximity) QTerm(i int, sigma float64, x, q vec.Vector) float64 {
 	t := sigma
 	if c.Transform == LogScore {
@@ -157,7 +142,7 @@ func (c *CosineProximity) QTerm(i int, sigma float64, x, q vec.Vector) float64 {
 	return c.W.Ws*t - c.W.Wq*c.metric.Distance(x, q)
 }
 
-// ScoreBlock implements BlockScorer.
+// ScoreBlock implements Function.
 func (c *CosineProximity) ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
 	candQ []float64, candXs []vec.Vector, scr *BlockScratch, out []float64) {
 	n := len(xs)

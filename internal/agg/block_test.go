@@ -14,7 +14,7 @@ import (
 // exactly as the engine caches them.
 func TestScoreBlockBitIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
-	aggs := []BlockScorer{
+	aggs := []Function{
 		MustEuclideanSum(Weights{Ws: 1, Wq: 1, Wmu: 1}, LogScore),
 		MustEuclideanSum(Weights{Ws: 2, Wq: 0.5, Wmu: 3}, IdentityScore),
 		mustCosine(Weights{Ws: 1, Wq: 1, Wmu: 1}, LogScore),

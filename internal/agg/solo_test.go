@@ -46,12 +46,8 @@ func TestScoreScratchBitIdentical(t *testing.T) {
 		q, sigmas, xs := randomCombo(r, n, d)
 		mu := vec.New(d)
 		for _, fn := range testFunctions(r) {
-			ss, ok := fn.(ScratchScorer)
-			if !ok {
-				t.Fatalf("%s does not implement ScratchScorer", fn.Name())
-			}
 			want := fn.Score(q, sigmas, xs)
-			got := ss.ScoreScratch(q, sigmas, xs, mu)
+			got := fn.ScoreScratch(q, sigmas, xs, mu)
 			if math.Float64bits(want) != math.Float64bits(got) {
 				t.Fatalf("%s: ScoreScratch %v != Score %v", fn.Name(), got, want)
 			}
@@ -69,13 +65,9 @@ func TestSoloBoundDominatesScore(t *testing.T) {
 		d := 1 + r.Intn(4)
 		q, sigmas, xs := randomCombo(r, n, d)
 		for _, fn := range testFunctions(r) {
-			sep, ok := fn.(Separable)
-			if !ok {
-				t.Fatalf("%s does not implement Separable", fn.Name())
-			}
 			var ub float64
 			for i, x := range xs {
-				ub += sep.SoloBound(i, sigmas[i], fn.Metric().Distance(x, q))
+				ub += fn.SoloBound(i, sigmas[i], fn.Metric().Distance(x, q))
 			}
 			score := fn.Score(q, sigmas, xs)
 			if score > ub+1e-9*(1+math.Abs(ub)) {

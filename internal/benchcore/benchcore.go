@@ -2,9 +2,8 @@
 // place, so `go test -bench=HotPath` and the committed BENCH_core.json
 // snapshot (`proxbench -core-out`) measure exactly the same workloads:
 // batch TopK (tight and corner bounds), incremental session Next, a
-// sharded-merge query over full sorts and over per-shard R-trees, the
-// R-tree distance stream itself, and a top-20 over prefixes hundreds of
-// tuples deep. The JSON snapshot is the perf trajectory record —
+// sharded-merge query over per-shard R-trees, the R-tree distance stream
+// itself, and a top-20 over prefixes hundreds of tuples deep. The JSON snapshot is the perf trajectory record —
 // regenerate it on the same class of hardware before claiming a win or a
 // regression (see EXPERIMENTS.md).
 package benchcore
@@ -37,7 +36,6 @@ func Specs() []Spec {
 		{Name: "TopKCorner", Bench: BenchTopKCorner},
 		{Name: "SessionNext", Bench: BenchSessionNext},
 		{Name: "ShardedMerge", Bench: BenchShardedMerge},
-		{Name: "ShardedRTreeMerge", Bench: BenchShardedRTreeMerge},
 		{Name: "RTreeOpenFirst", Bench: BenchRTreeOpenFirst},
 		{Name: "RTreePrefix100", Bench: BenchRTreePrefix100},
 		{Name: "FormationDeep", Bench: BenchFormationDeep},
@@ -194,20 +192,14 @@ func BenchSessionNext(b *testing.B) {
 }
 
 // BenchShardedMerge runs the batch query over hash-sharded relations
-// (8 shards each), so every pull crosses the k-way merged shard streams.
-func BenchShardedMerge(b *testing.B) { benchSharded(b, proxrank.Options{K: 10}) }
-
-// BenchShardedRTreeMerge is the same query over the per-shard R-trees: the
-// source plan a single node or a shard server actually opens, where
-// BenchShardedMerge's full sorts are only the library default.
-func BenchShardedRTreeMerge(b *testing.B) { benchSharded(b, proxrank.Options{K: 10, UseRTree: true}) }
-
-func benchSharded(b *testing.B, opts proxrank.Options) {
+// (8 shards each), so every pull crosses the k-way merge of the per-shard
+// R-tree streams: the source plan a single node opens for a query.
+func BenchShardedMerge(b *testing.B) {
 	inputs, q := shardSetup()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := proxrank.TopKInputs(q, inputs, opts); err != nil {
+		if _, err := proxrank.TopKInputs(q, inputs, proxrank.Options{K: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -333,16 +325,20 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	return s, nil
 }
 
+// allocTolerance is the allocs/op headroom CheckAllocs allows over the
+// committed value, as a fraction of it.
+const allocTolerance = 0.10
+
 // CheckAllocs gates allocation regressions: every benchmark present in
 // both snapshots must not exceed the committed allocs/op by more than
-// tol (a fraction; 0.10 allows 10% headroom). Allocation counts are the
+// allocTolerance. Allocation counts are the
 // one hot-path metric that is deterministic across hardware — unlike
 // ns/op, which CI runners make too noisy to gate on — so this is the
 // check that keeps the arena'd partial state and the allocation-free
 // merge from silently regressing. Benchmarks appearing in only one
 // snapshot are skipped (renames and additions are not regressions); all
 // violations are reported together.
-func CheckAllocs(fresh, committed Snapshot, tol float64) error {
+func CheckAllocs(fresh, committed Snapshot) error {
 	base := make(map[string]Result, len(committed.Benchmarks))
 	for _, b := range committed.Benchmarks {
 		base[b.Name] = b
@@ -355,10 +351,10 @@ func CheckAllocs(fresh, committed Snapshot, tol float64) error {
 		}
 		// The +1 floor keeps a tiny committed count (0 or 1 allocs/op)
 		// from turning one stray allocation into a hard failure.
-		limit := int64(float64(ref.AllocsPerOp)*(1+tol)) + 1
+		limit := int64(float64(ref.AllocsPerOp)*(1+allocTolerance)) + 1
 		if b.AllocsPerOp > limit {
 			bad = append(bad, fmt.Sprintf("%s: %d allocs/op exceeds committed %d (+%.0f%% tolerance → limit %d)",
-				b.Name, b.AllocsPerOp, ref.AllocsPerOp, tol*100, limit))
+				b.Name, b.AllocsPerOp, ref.AllocsPerOp, allocTolerance*100, limit))
 		}
 	}
 	if len(bad) > 0 {

@@ -21,7 +21,7 @@ func TestCheckAllocs(t *testing.T) {
 			Result{Name: "TopK", AllocsPerOp: 110}, // exactly +10%
 			Result{Name: "SessionNext", AllocsPerOp: 5},
 		)
-		if err := CheckAllocs(fresh, committed, 0.10); err != nil {
+		if err := CheckAllocs(fresh, committed); err != nil {
 			t.Fatalf("unexpected failure: %v", err)
 		}
 	})
@@ -31,7 +31,7 @@ func TestCheckAllocs(t *testing.T) {
 			Result{Name: "TopK", AllocsPerOp: 150},
 			Result{Name: "SessionNext", AllocsPerOp: 40},
 		)
-		err := CheckAllocs(fresh, committed, 0.10)
+		err := CheckAllocs(fresh, committed)
 		if err == nil {
 			t.Fatal("want regression error")
 		}
@@ -42,17 +42,17 @@ func TestCheckAllocs(t *testing.T) {
 
 	t.Run("small-count floor allows one stray allocation", func(t *testing.T) {
 		committed := snap(Result{Name: "ZeroAlloc", AllocsPerOp: 0})
-		if err := CheckAllocs(snap(Result{Name: "ZeroAlloc", AllocsPerOp: 1}), committed, 0.10); err != nil {
+		if err := CheckAllocs(snap(Result{Name: "ZeroAlloc", AllocsPerOp: 1}), committed); err != nil {
 			t.Fatalf("+1 over a zero baseline must pass: %v", err)
 		}
-		if err := CheckAllocs(snap(Result{Name: "ZeroAlloc", AllocsPerOp: 2}), committed, 0.10); err == nil {
+		if err := CheckAllocs(snap(Result{Name: "ZeroAlloc", AllocsPerOp: 2}), committed); err == nil {
 			t.Fatal("+2 over a zero baseline must fail")
 		}
 	})
 
 	t.Run("unknown and retired benchmarks are skipped", func(t *testing.T) {
 		fresh := snap(Result{Name: "BrandNew", AllocsPerOp: 1 << 30})
-		if err := CheckAllocs(fresh, committed, 0.10); err != nil {
+		if err := CheckAllocs(fresh, committed); err != nil {
 			t.Fatalf("new benchmark must not fail the gate: %v", err)
 		}
 	})

@@ -31,19 +31,19 @@ type relState struct {
 	exhausted bool
 	maxScore  float64
 	// solo holds each prefix tuple's separable upper contribution
-	// (agg.Separable.SoloBound), parallel to tuples; soloMax is its running
+	// (agg.Function.SoloBound), parallel to tuples; soloMax is its running
 	// maximum and soloAbsMax the running maximum magnitude (the scale of
 	// the floating-point error a sum of solo terms can carry). bySolo lists
 	// the prefix ranks by descending solo: the order in which a pruned
 	// level's survivors form a prefix (see candidates). All four drive
-	// score-floor pruning during formation and stay empty when the
-	// aggregation is not separable.
+	// score-floor pruning during formation and stay empty when pruning is
+	// off.
 	solo       []float64
 	soloMax    float64
 	soloAbsMax float64
 	bySolo     []int32
 	// qterm caches each prefix tuple's centroid-independent score term
-	// (agg.BlockScorer.QTerm), parallel to tuples; the columnar input of
+	// (agg.Function.QTerm), parallel to tuples; the columnar input of
 	// the batched scoring kernel. Empty when block scoring is off.
 	qterm []float64
 }
@@ -126,14 +126,12 @@ type Engine struct {
 	stats Stats
 	t     float64 // current upper bound
 	pulls int64   // global access counter (epoch for lazy bounds)
-	// sep/scorer are the optional aggregation fast paths: sep unlocks
-	// score-floor pruning, scorer the allocation-free leaf evaluation.
-	sep    agg.Separable
-	scorer agg.ScratchScorer
-	// blk is the batched-kernel fast path: the innermost enumeration level
-	// scores candidate blocks of width blockSize in one kernel call over
-	// the columnar qterm/vector state instead of one leaf at a time.
-	blk       agg.BlockScorer
+	// prune turns score-floor pruning on. blockSize > 0 turns the batched
+	// kernel on: the innermost enumeration level scores candidate blocks of
+	// that width in one kernel call over the columnar qterm/vector state
+	// instead of one leaf at a time. Both are on in every run but the
+	// identity suites' oracles (Options.disablePrune, disableBlock).
+	prune     bool
 	blockSize int
 	lastVar   int // innermost non-pulled level of the current formation
 	// Formation scratch, reused across every formCombinations call.
@@ -179,9 +177,6 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 	if opts.MaxBuffered < 0 {
 		return nil, fmt.Errorf("core: MaxBuffered must be non-negative, got %d", opts.MaxBuffered)
 	}
-	if opts.BlockSize < 0 {
-		return nil, fmt.Errorf("core: BlockSize must be non-negative, got %d", opts.BlockSize)
-	}
 	kind := sources[0].Kind()
 	dim := sources[0].Relation().Dim()
 	if opts.Query.Dim() != dim {
@@ -196,22 +191,14 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 				ErrDimMismatch, s.Relation().Name, s.Relation().Dim(), dim)
 		}
 	}
-	// Detect the aggregation fast paths up front: the scratch slab layout
-	// below depends on which of them are active.
-	scorer, _ := opts.Agg.(agg.ScratchScorer)
-	var sep agg.Separable
-	if !opts.disablePrune {
-		sep, _ = opts.Agg.(agg.Separable)
-	}
-	var blk agg.BlockScorer
-	if !opts.disableBlock {
-		blk, _ = opts.Agg.(agg.BlockScorer)
-	}
+	// The scratch slab layout below depends on which of the two test
+	// switches are thrown.
+	prune := !opts.disablePrune
 	blockSize := 0
-	if blk != nil {
-		blockSize = opts.BlockSize
-		if blockSize == 0 {
-			blockSize = DefaultBlockSize
+	if !opts.disableBlock {
+		blockSize = DefaultBlockSize
+		if opts.blockSize > 0 {
+			blockSize = opts.blockSize
 		}
 	}
 
@@ -224,9 +211,7 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 		kind:      kind,
 		arena:     newCombArena(n),
 		t:         posInf,
-		sep:       sep,
-		scorer:    scorer,
-		blk:       blk,
+		prune:     prune,
 		blockSize: blockSize,
 		sufCount:  make([]int64, n+1),
 	}
@@ -255,14 +240,14 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 	// three-index slices below), so an append that outgrows its segment
 	// relocates that column without touching its neighbors.
 	cols := 1 // dists
-	if sep != nil {
+	if prune {
 		cols++ // solo
 	}
-	if blk != nil {
+	if blockSize > 0 {
 		cols++ // qterm
 	}
 	nf := n + (n + 1) + dim + cols*colTotal
-	if blk != nil {
+	if blockSize > 0 {
 		nf += 2*blockSize + n
 	}
 	floats := make([]float64, nf)
@@ -275,14 +260,11 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 	// Vector-view scratch shares one backing array the same way, and
 	// scrRanks shares its int32 slab with the per-level candidate lists and
 	// the per-relation bySolo orders (all growable column views).
-	nv := n
-	if blk != nil {
-		nv += blockSize
-	}
+	nv := n + blockSize
 	vecs := make([]vec.Vector, nv)
 	e.scrXs = vecs[:n:n]
 	ni := n + colTotal
-	if sep != nil {
+	if prune {
 		ni += colTotal
 	}
 	i32 := make([]int32, ni)
@@ -290,7 +272,7 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 	e.scrRanks = takeRanks(n)[:n]
 	e.scrCands = make([][]int32, n)
 
-	if blk != nil {
+	if blockSize > 0 {
 		e.scrQterms = takeN(n)
 		e.blkQ = takeN(blockSize)
 		e.blkOut = takeN(blockSize)
@@ -316,11 +298,11 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 		tupSlab = tupSlab[c:]
 		rs.dists = takeCol(c)
 		e.scrCands[i] = takeRanks(c)
-		if sep != nil {
+		if prune {
 			rs.solo = takeCol(c)
 			rs.bySolo = takeRanks(c)
 		}
-		if blk != nil {
+		if blockSize > 0 {
 			rs.qterm = takeCol(c)
 		}
 		e.rels[i] = rs
@@ -485,22 +467,22 @@ func (e *Engine) step(ri int) error {
 	// bounders read, and the separable pruning term.
 	dist := e.opts.Agg.Metric().Distance(tup.Vec, e.q)
 	var solo float64
-	if e.sep != nil {
-		solo = e.sep.SoloBound(ri, tup.Score, dist)
+	if e.prune {
+		solo = e.opts.Agg.SoloBound(ri, tup.Score, dist)
 	}
 	var qt float64
-	if e.blk != nil {
-		qt = e.blk.QTerm(ri, tup.Score, tup.Vec, e.q)
+	if e.blockSize > 0 {
+		qt = e.opts.Agg.QTerm(ri, tup.Score, tup.Vec, e.q)
 	}
 
 	e.formCombinations(ri, tup, solo, qt)
 
 	rs.tuples = append(rs.tuples, tup)
 	rs.dists = append(rs.dists, dist)
-	if e.blk != nil {
+	if e.blockSize > 0 {
 		rs.qterm = append(rs.qterm, qt)
 	}
-	if e.sep != nil {
+	if e.prune {
 		rs.solo = append(rs.solo, solo)
 		// The new rank goes behind every rank of at least its solo.
 		at := sort.Search(len(rs.bySolo), func(j int) bool { return rs.solo[rs.bySolo[j]] < solo })
@@ -543,8 +525,8 @@ func (e *Engine) step(ri int) error {
 }
 
 // formCombinations enumerates P_1 × … × {τ} × … × P_n and offers each
-// member to the output buffer (Algorithm 1 lines 6-7). With a separable
-// aggregation, subtrees whose best possible completion cannot beat the
+// member to the output buffer (Algorithm 1 lines 6-7). Subtrees whose best
+// possible completion (by the aggregation's SoloBound) cannot beat the
 // sink's score floor are cut before materialization; the skipped members
 // still count into Stats.CombinationsFormed (and CombinationsPruned), so
 // the paper's cost metric and the MaxCombinations cap semantics are
@@ -560,7 +542,7 @@ func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo, qt float64) 
 	e.scrRanks[ri] = int32(e.rels[ri].depth())
 	e.scrSigmas[ri] = tup.Score
 	e.scrXs[ri] = tup.Vec
-	if e.blk != nil {
+	if e.blockSize > 0 {
 		e.scrQterms[ri] = qt
 		// The innermost level that varies (the pulled slot never does) is
 		// where the batched kernel takes over from the recursion.
@@ -570,7 +552,7 @@ func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo, qt float64) 
 		}
 		e.lastVar = last
 	}
-	if e.sep != nil {
+	if e.prune {
 		// Suffix tables over the remaining levels: the best additional solo
 		// mass and the number of leaves below each level. pruneMag collects
 		// the largest term magnitude any partial sum can contain, which
@@ -645,7 +627,7 @@ func (e *Engine) candidates(i int, partial float64) []int32 {
 	rs := e.rels[i]
 	out := e.scrCands[i][:0]
 	floor, pruned := negInf, false
-	if e.sep != nil {
+	if e.prune {
 		floor, pruned = e.sink.floor()
 	}
 	if pruned {
@@ -671,17 +653,11 @@ func (e *Engine) candidates(i int, partial float64) []int32 {
 }
 
 // enumerate recurses over relation levels, carrying the partial solo sum
-// of the chosen tuples (meaningful only when e.sep != nil).
+// of the chosen tuples (meaningful only when e.prune).
 func (e *Engine) enumerate(i, skip int, partial float64) {
 	if i == e.n {
 		e.stats.CombinationsFormed++
-		var score float64
-		if e.scorer != nil {
-			score = e.scorer.ScoreScratch(e.q, e.scrSigmas, e.scrXs, e.scrMu)
-		} else {
-			score = e.opts.Agg.Score(e.q, e.scrSigmas, e.scrXs)
-		}
-		e.sink.offer(score, e.scrRanks)
+		e.sink.offer(e.opts.Agg.ScoreScratch(e.q, e.scrSigmas, e.scrXs, e.scrMu), e.scrRanks)
 		return
 	}
 	if i == skip {
@@ -690,7 +666,7 @@ func (e *Engine) enumerate(i, skip int, partial float64) {
 	}
 	rs := e.rels[i]
 	cands := e.candidates(i, partial)
-	if e.blk != nil && i == e.lastVar {
+	if e.blockSize > 0 && i == e.lastVar {
 		e.scoreBlocks(i, cands)
 		return
 	}
@@ -698,11 +674,11 @@ func (e *Engine) enumerate(i, skip int, partial float64) {
 		e.scrRanks[i] = r
 		e.scrSigmas[i] = rs.tuples[r].Score
 		e.scrXs[i] = rs.tuples[r].Vec
-		if e.blk != nil {
+		if e.blockSize > 0 {
 			e.scrQterms[i] = rs.qterm[r]
 		}
 		next := partial
-		if e.sep != nil {
+		if e.prune {
 			next += rs.solo[r]
 		}
 		e.enumerate(i+1, skip, next)
@@ -726,7 +702,7 @@ func (e *Engine) scoreBlocks(i int, cands []int32) {
 			e.blkQ[j] = rs.qterm[r]
 			e.blkXs[j] = rs.tuples[r].Vec
 		}
-		e.blk.ScoreBlock(e.q, e.scrQterms, e.scrXs, i, e.blkQ[:w], e.blkXs[:w], &e.blkScr, e.blkOut[:w])
+		e.opts.Agg.ScoreBlock(e.q, e.scrQterms, e.scrXs, i, e.blkQ[:w], e.blkXs[:w], &e.blkScr, e.blkOut[:w])
 		for j, r := range chunk {
 			e.stats.CombinationsFormed++
 			e.scrRanks[i] = r

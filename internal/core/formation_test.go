@@ -118,7 +118,7 @@ func TestFormationCountersPinned(t *testing.T) {
 		for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
 			for _, algo := range Algorithms {
 				for _, bs := range []int{1, 7, 64} {
-					res := runAlgo(t, in, kind, Options{Algorithm: algo, BlockSize: bs})
+					res := runAlgo(t, in, kind, Options{Algorithm: algo, blockSize: bs})
 					st := res.Stats
 					got = append(got, formationCounters{st.CombinationsFormed, st.CombinationsPruned, st.SumDepths})
 					rows = append(rows, fmt.Sprintf("\t{%d, %d, %d}, // n=%d %v %v bs=%d",

@@ -312,7 +312,7 @@ func TestQuickBlockByteIdentity(t *testing.T) {
 		plain := runAlgo(t, c.in, c.kind, scalar)
 		for _, bs := range []int{1, 7, 64} {
 			blocked := c.opts
-			blocked.BlockSize = bs
+			blocked.blockSize = bs
 			res := runAlgo(t, c.in, c.kind, blocked)
 			if err := combosIdentical(res.Combinations, plain.Combinations); err != nil {
 				t.Fatalf("case %d bs=%d (%v, %v): %v", ci, bs, c.opts.Algorithm, c.kind, err)
@@ -345,7 +345,7 @@ func TestQuickBlockByteIdentityStream(t *testing.T) {
 		baseEmit, baseDrain, baseErr, baseStats := drainIterator(t, c.in, c.kind, scalar)
 		for _, bs := range []int{1, 7, 64} {
 			blocked := c.opts
-			blocked.BlockSize = bs
+			blocked.blockSize = bs
 			emit, drain, terminal, stats := drainIterator(t, c.in, c.kind, blocked)
 			if !errors.Is(terminal, baseErr) {
 				t.Fatalf("case %d bs=%d: terminal %v vs %v", ci, bs, terminal, baseErr)

@@ -25,7 +25,8 @@ import (
 // Entries are written in descending (score, then ascending lexicographic
 // ranks) order — exactly the order revive sorts the in-memory slab into —
 // so revival is a k-way merge of already-sorted streams and emits the
-// same sequence the purely in-memory slab would.
+// same sequence the purely in-memory slab would. The checksum is verified
+// once per segment, when revival first reads it back (verifySpillSegment).
 const (
 	spillMagic      = "PROXSPL1"
 	spillHeaderSize = 16
@@ -129,44 +130,44 @@ func spillSegmentPid(name string) (int, bool) {
 	return pid, true
 }
 
-// validSpillSegment reports whether path holds a structurally complete
-// segment: intact header, exact size for its entry count, and a
-// matching checksum. A writer killed mid-segment fails this.
-func validSpillSegment(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
+// verifySpillSegment checks that f holds a structurally complete segment
+// — intact header, exact size for its entry count, and a matching
+// checksum — and returns the arity and entry count its header declares. A
+// writer killed mid-segment fails this, and so does a byte flipped on disk
+// since the write.
+func verifySpillSegment(f *os.File) (n, count int, err error) {
 	var hdr [spillHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return false
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return 0, 0, fmt.Errorf("header: %w", err)
 	}
 	if string(hdr[0:8]) != spillMagic {
-		return false
+		return 0, 0, fmt.Errorf("bad magic %q", hdr[0:8])
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	count := int(binary.LittleEndian.Uint32(hdr[12:16]))
+	n = int(binary.LittleEndian.Uint32(hdr[8:12]))
+	count = int(binary.LittleEndian.Uint32(hdr[12:16]))
 	if n < 1 || count < 1 || n > 1<<16 {
-		return false
+		return 0, 0, fmt.Errorf("header declares arity %d, %d entries", n, count)
 	}
 	st, err := f.Stat()
 	if err != nil {
-		return false
+		return 0, 0, err
 	}
 	body := int64(count) * int64(spillEntrySize(n))
-	if st.Size() != int64(spillHeaderSize)+body+4 {
-		return false
+	if want := int64(spillHeaderSize) + body + 4; st.Size() != want {
+		return 0, 0, fmt.Errorf("size %d, want %d for %d entries", st.Size(), want, count)
 	}
 	crc := crc32.New(spillCRC)
-	if _, err := io.CopyN(crc, f, body); err != nil {
-		return false
+	if _, err := io.Copy(crc, io.NewSectionReader(f, spillHeaderSize, body)); err != nil {
+		return 0, 0, err
 	}
 	var tail [4]byte
-	if _, err := io.ReadFull(f, tail[:]); err != nil {
-		return false
+	if _, err := f.ReadAt(tail[:], spillHeaderSize+body); err != nil {
+		return 0, 0, fmt.Errorf("trailer: %w", err)
 	}
-	return crc.Sum32() == binary.LittleEndian.Uint32(tail[:])
+	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(tail[:]); got != want {
+		return 0, 0, fmt.Errorf("checksum %08x, trailer says %08x", got, want)
+	}
+	return n, count, nil
 }
 
 // flush writes the slab (already sorted descending) as one segment file
@@ -243,8 +244,9 @@ func (t *spillTier) pending() int {
 	return total
 }
 
-// ensureHead loads the segment's next entry into head/headRanks.
-// Returns false when the segment is exhausted (and closes + removes it).
+// ensureHead loads the segment's next entry into head/headRanks, verifying
+// the whole segment against its checksum before the first one. Returns
+// false when the segment is exhausted; an error poisons the session.
 func (t *spillTier) ensureHead(s *spillSegment) (bool, error) {
 	if s.loaded {
 		return true, nil
@@ -253,10 +255,16 @@ func (t *spillTier) ensureHead(s *spillSegment) (bool, error) {
 		return false, nil
 	}
 	if s.r == nil {
-		if _, err := s.f.Seek(spillHeaderSize, 0); err != nil {
-			return false, fmt.Errorf("core: spill read: %w", err)
+		// First read of this segment: nothing in it is trusted until the
+		// whole file has passed the check its trailer exists for.
+		n, count, err := verifySpillSegment(s.f)
+		if err == nil && (n != t.n || count != s.count) {
+			err = fmt.Errorf("header declares arity %d, %d entries; wrote %d, %d", n, count, t.n, s.count)
 		}
-		s.r = bufio.NewReaderSize(s.f, 1<<16)
+		if err != nil {
+			return false, fmt.Errorf("core: spill segment %s: %w", s.path, err)
+		}
+		s.r = bufio.NewReaderSize(io.NewSectionReader(s.f, spillHeaderSize, int64(s.count)*int64(spillEntrySize(t.n))), 1<<16)
 	}
 	entry := make([]byte, spillEntrySize(t.n))
 	if _, err := io.ReadFull(s.r, entry); err != nil {

@@ -26,6 +26,17 @@ func spillingOptions(dir string) Options {
 	}
 }
 
+// validSpillSegment runs the tier's own open-time check on a file by path.
+func validSpillSegment(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	_, _, err = verifySpillSegment(f)
+	return err == nil
+}
+
 // TestSpillSegmentRoundTrip exercises the tier directly: flushed batches
 // come back through the head cursor in order, segments validate as
 // complete, and consumed segments are removed from disk.
@@ -167,6 +178,73 @@ func TestSpillCrashSafety(t *testing.T) {
 	}
 	if err := statsIdentical(stats, baseStats); err != nil {
 		t.Fatalf("stats after recovery: %v", err)
+	}
+}
+
+// TestSpillCorruptSegmentPoisonsSession: a segment is checked against its
+// CRC trailer before the first entry of it is trusted. One byte flipped
+// inside a live, not yet revived segment must surface from Next as an
+// error — never as a result ranked by the damaged score — and the session
+// stays poisoned.
+func TestSpillCorruptSegmentPoisonsSession(t *testing.T) {
+	r := rand.New(rand.NewSource(4242))
+	in := randomInstance(r, 2, 14)
+	opts := spillingOptions(t.TempDir())
+	opts.Query = in.q
+	opts.Agg = in.fn
+	it, err := NewIterator(in.sources(t, relation.ScoreAccess), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Run until some segment is on disk with its reader still unopened.
+	var victim *spillSegment
+	for victim == nil {
+		if _, err := it.Next(); err != nil {
+			t.Skipf("session ended before a segment was left unread: %v", err)
+		}
+		for _, s := range it.buf.tier.segs {
+			if s.r == nil {
+				victim = s
+				break
+			}
+		}
+	}
+	f, err := os.OpenFile(victim.path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	at := int64(spillHeaderSize + 3) // inside the first entry's score
+	if _, err := f.ReadAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; ; i++ {
+		_, err := it.Next()
+		if err == nil {
+			if i > 1<<16 {
+				t.Fatal("corrupted segment was never read back")
+			}
+			continue
+		}
+		if errors.Is(err, ErrIteratorDone) || errors.Is(err, ErrIteratorDNF) {
+			t.Fatalf("session over a corrupted segment terminated cleanly: %v", err)
+		}
+		if !strings.Contains(err.Error(), "checksum") || !strings.Contains(err.Error(), filepath.Base(victim.path)) {
+			t.Fatalf("terminal does not name the checksum failure and the segment: %v", err)
+		}
+		break
+	}
+	if _, err := it.Next(); err == nil {
+		t.Fatal("poisoned session emitted a result")
+	}
+	if _, ok := it.DrainBest(); ok {
+		t.Fatal("poisoned session still drains results")
 	}
 }
 

@@ -174,15 +174,6 @@ type Options struct {
 	// BufferPolicy selects the overflow behavior once MaxBuffered is
 	// reached (meaningful only with MaxBuffered > 0).
 	BufferPolicy BufferPolicy
-	// BlockSize sets the width of the batched scoring kernel: at the
-	// innermost enumeration level, surviving candidate combinations are
-	// scored against the columnar per-relation state in blocks of this
-	// size instead of one leaf at a time. 0 selects DefaultBlockSize;
-	// 1 degenerates to per-candidate kernel calls; negative is invalid.
-	// Results are byte-identical for every value (the batch kernels replay
-	// the scalar operation sequence exactly), so BlockSize is an engine
-	// tuning knob, not part of a query's identity.
-	BlockSize int
 	// CollectTimings enables the per-pull wall-clock sampling behind
 	// Stats.BoundTime and Stats.DominanceTime (the stacked bars of
 	// Fig. 3(d)-(n)). Off by default so stats collection does not tax
@@ -204,14 +195,18 @@ type Options struct {
 	// SpillMemBytes bounds the in-memory spill slab when SpillDir is set;
 	// 0 selects DefaultSpillMemBytes.
 	SpillMemBytes int
-	// disablePrune turns score-floor pruning off even for separable
-	// aggregations. Test-only: the unpruned run is the byte-identity
-	// oracle for the pruned one.
+	// disablePrune turns score-floor pruning off. Test-only: the unpruned
+	// run is the byte-identity oracle for the pruned one.
 	disablePrune bool
-	// disableBlock turns the batched scoring kernel off even for
-	// aggregations that support it. Test-only: the scalar formation path
-	// is the byte-identity oracle for the block-pull mode.
+	// disableBlock turns the batched scoring kernel off. Test-only: the
+	// scalar formation path is the byte-identity oracle for the block-pull
+	// mode.
 	disableBlock bool
+	// blockSize overrides DefaultBlockSize when positive (1 degenerates to
+	// per-candidate kernel calls). Test-only: the identity suites sweep it
+	// to show results are byte-identical at every width — the batch kernels
+	// replay the scalar operation sequence exactly.
+	blockSize int
 	// spillFault, when non-nil, is called before each entry written to a
 	// spill segment. Test-only: returning an error simulates a crash
 	// mid-segment — the torn file is left behind and the session poisons.
@@ -222,9 +217,12 @@ type Options struct {
 // Options.SpillDir is set and SpillMemBytes is 0.
 const DefaultSpillMemBytes = 4 << 20
 
-// DefaultBlockSize is the scoring block width used when Options.BlockSize
-// is 0; chosen by benchmark (see EXPERIMENTS.md) as the point where the
-// kernel's per-block overheads are fully amortized without outgrowing L1.
+// DefaultBlockSize is the width of the batched scoring kernel: at the
+// innermost enumeration level, surviving candidate combinations are scored
+// against the columnar per-relation state in blocks of this size instead
+// of one leaf at a time. Chosen by benchmark (see EXPERIMENTS.md) as the
+// point where the kernel's per-block overheads are fully amortized without
+// outgrowing L1.
 const DefaultBlockSize = 64
 
 // BufferPolicy selects what a pipelined Iterator does with formed

@@ -109,70 +109,3 @@ func Synthetic(c SyntheticConfig) ([]*relation.Relation, error) {
 	}
 	return rels, nil
 }
-
-// ClusterConfig parameterizes a Gaussian-mixture generator used for
-// stress-testing adaptive pulling on non-uniform data.
-type ClusterConfig struct {
-	Relations int
-	Dim       int
-	Clusters  int
-	Tuples    int     // per relation
-	Spread    float64 // cluster standard deviation
-	Extent    float64 // cluster centers uniform in [-Extent, Extent]^d
-	MinScore  float64
-	Seed      int64
-}
-
-// Clustered generates relations whose vectors form a shared Gaussian
-// mixture; scores are biased so that denser clusters carry better scores,
-// the regime where proximity and quality interact.
-func Clustered(c ClusterConfig) ([]*relation.Relation, error) {
-	if c.Relations < 2 || c.Dim < 1 || c.Clusters < 1 || c.Tuples < 1 {
-		return nil, fmt.Errorf("datagen: bad cluster config %+v", c)
-	}
-	if c.MinScore <= 0 || c.MinScore >= 1 {
-		return nil, fmt.Errorf("datagen: MinScore must be in (0,1), got %v", c.MinScore)
-	}
-	r := rand.New(rand.NewSource(c.Seed))
-	centers := make([]vec.Vector, c.Clusters)
-	quality := make([]float64, c.Clusters)
-	for i := range centers {
-		v := vec.New(c.Dim)
-		for k := range v {
-			v[k] = (r.Float64()*2 - 1) * c.Extent
-		}
-		centers[i] = v
-		quality[i] = r.Float64()
-	}
-	rels := make([]*relation.Relation, c.Relations)
-	for i := 0; i < c.Relations; i++ {
-		tuples := make([]relation.Tuple, c.Tuples)
-		for j := range tuples {
-			ci := r.Intn(c.Clusters)
-			v := centers[ci].Clone()
-			for k := range v {
-				v[k] += r.NormFloat64() * c.Spread
-			}
-			// Score mixes cluster quality with noise, clamped into
-			// (MinScore, 1].
-			s := 0.6*quality[ci] + 0.4*r.Float64()
-			if s < c.MinScore {
-				s = c.MinScore
-			}
-			if s > 1 {
-				s = 1
-			}
-			tuples[j] = relation.Tuple{
-				ID:    fmt.Sprintf("c%d_%d", i+1, j),
-				Score: s,
-				Vec:   v,
-			}
-		}
-		rel, err := relation.New(fmt.Sprintf("C%d", i+1), 1.0, tuples)
-		if err != nil {
-			return nil, err
-		}
-		rels[i] = rel
-	}
-	return rels, nil
-}

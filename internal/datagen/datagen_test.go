@@ -132,41 +132,3 @@ func TestQuickDensityEquation(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestClustered(t *testing.T) {
-	c := ClusterConfig{
-		Relations: 3, Dim: 2, Clusters: 4, Tuples: 100,
-		Spread: 0.3, Extent: 2, MinScore: 0.01, Seed: 5,
-	}
-	rels, err := Clustered(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rels) != 3 {
-		t.Fatalf("relations = %d", len(rels))
-	}
-	for _, rel := range rels {
-		if rel.Len() != 100 || rel.Dim() != 2 {
-			t.Fatalf("shape %d/%d", rel.Len(), rel.Dim())
-		}
-	}
-	// Determinism.
-	rels2, err := Clustered(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rels[0].At(0).Vec.Equal(rels2[0].At(0).Vec) {
-		t.Fatal("clustered generation not deterministic")
-	}
-	// Validation.
-	bad := c
-	bad.Relations = 1
-	if _, err := Clustered(bad); err == nil {
-		t.Error("bad cluster config accepted")
-	}
-	bad = c
-	bad.MinScore = 2
-	if _, err := Clustered(bad); err == nil {
-		t.Error("bad MinScore accepted")
-	}
-}

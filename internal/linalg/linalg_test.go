@@ -20,11 +20,10 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestMatrixFromRowsAndTranspose(t *testing.T) {
+func TestMatrixFromRows(t *testing.T) {
 	m := MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	mt := m.Transpose()
-	if mt.Rows() != 2 || mt.Cols() != 3 || mt.At(0, 2) != 5 || mt.At(1, 0) != 2 {
-		t.Fatalf("transpose wrong: %v", mt)
+	if m.Rows() != 3 || m.Cols() != 2 || m.At(2, 0) != 5 || m.At(0, 1) != 2 {
+		t.Fatalf("MatrixFromRows wrong: %v", m)
 	}
 }
 
@@ -46,18 +45,8 @@ func TestIndexOutOfRangePanics(t *testing.T) {
 	NewMatrix(1, 1).At(1, 0)
 }
 
-func TestMulAndMulVec(t *testing.T) {
+func TestMulVec(t *testing.T) {
 	a := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b := MatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := MatrixFromRows([][]float64{{19, 22}, {43, 50}})
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want.At(i, j) {
-				t.Fatalf("Mul = %v", c)
-			}
-		}
-	}
 	v := a.MulVec([]float64{1, -1})
 	if v[0] != -1 || v[1] != -1 {
 		t.Fatalf("MulVec = %v", v)
@@ -67,12 +56,14 @@ func TestMulAndMulVec(t *testing.T) {
 func TestIdentityAndAddScale(t *testing.T) {
 	i2 := Identity(2)
 	a := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	if got := a.Mul(i2); got.At(0, 1) != 2 || got.At(1, 0) != 3 {
-		t.Fatalf("A*I != A: %v", got)
+	if got := i2.MulVec([]float64{7, -3}); got[0] != 7 || got[1] != -3 {
+		t.Fatalf("I*x != x: %v", got)
 	}
-	s := a.AddMatrix(i2)
-	if s.At(0, 0) != 2 || s.At(1, 1) != 5 {
-		t.Fatalf("AddMatrix = %v", s)
+	s := a.Clone()
+	s.Add(0, 0, i2.At(0, 0))
+	s.Add(1, 1, i2.At(1, 1))
+	if s.At(0, 0) != 2 || s.At(1, 1) != 5 || s.At(0, 1) != 2 {
+		t.Fatalf("Add = %v", s)
 	}
 	sc := a.Clone().ScaleInPlace(2)
 	if sc.At(1, 1) != 8 || a.At(1, 1) != 4 {
@@ -121,55 +112,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a := MatrixFromRows([][]float64{{3, 8}, {4, 6}})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-(-14)) > 1e-12 {
-		t.Fatalf("Det = %v, want -14", d)
-	}
-}
-
-func TestCholeskyKnown(t *testing.T) {
-	a := MatrixFromRows([][]float64{
-		{4, 12, -16},
-		{12, 37, -43},
-		{-16, -43, 98},
-	})
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := c.L()
-	wantL := MatrixFromRows([][]float64{{2, 0, 0}, {6, 1, 0}, {-8, 5, 3}})
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if math.Abs(l.At(i, j)-wantL.At(i, j)) > 1e-10 {
-				t.Fatalf("L = %v", l)
-			}
-		}
-	}
-	x := c.Solve([]float64{1, 2, 3})
-	// Verify residual.
-	r := a.MulVec(x)
-	for i, b := range []float64{1, 2, 3} {
-		if math.Abs(r[i]-b) > 1e-9 {
-			t.Fatalf("residual %v", r)
-		}
-	}
-}
-
-func TestCholeskyRejectsNonSPD(t *testing.T) {
-	if _, err := FactorCholesky(MatrixFromRows([][]float64{{1, 2}, {2, 1}})); err != ErrNotSPD {
-		t.Fatalf("indefinite: err = %v", err)
-	}
-	if _, err := FactorCholesky(MatrixFromRows([][]float64{{1, 5}, {2, 1}})); err != ErrNotSPD {
-		t.Fatalf("asymmetric: err = %v", err)
-	}
-}
-
 func randomMatrix(r *rand.Rand, n int) *Matrix {
 	m := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
@@ -205,64 +147,6 @@ func TestQuickLUResidual(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Cholesky of AᵀA + I solves correctly, and L·Lᵀ reconstructs it.
-func TestQuickCholeskyReconstruction(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(6)
-		g := randomMatrix(r, n)
-		a := g.Transpose().Mul(g).AddMatrix(Identity(n))
-		c, err := FactorCholesky(a)
-		if err != nil {
-			return false
-		}
-		l := c.L()
-		rec := l.Mul(l.Transpose())
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if math.Abs(rec.At(i, j)-a.At(i, j)) > 1e-8*(1+a.MaxAbs()) {
-					return false
-				}
-			}
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = r.NormFloat64()
-		}
-		x := c.Solve(b)
-		res := a.MulVec(x)
-		for i := range b {
-			if math.Abs(res[i]-b[i]) > 1e-7*(1+a.MaxAbs()) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: det(A·B) = det(A)·det(B) for random small matrices.
-func TestQuickDetMultiplicative(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(4)
-		a, b := randomMatrix(r, n), randomMatrix(r, n)
-		fa, errA := FactorLU(a)
-		fb, errB := FactorLU(b)
-		fab, errAB := FactorLU(a.Mul(b))
-		if errA != nil || errB != nil || errAB != nil {
-			return true // singular draw; skip
-		}
-		lhs, rhs := fab.Det(), fa.Det()*fb.Det()
-		return math.Abs(lhs-rhs) <= 1e-8*(1+math.Abs(rhs))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -7,7 +7,6 @@ import "math"
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	sign  int
 }
 
 // FactorLU computes the LU factorization of a square matrix A.
@@ -20,7 +19,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	n := a.Rows()
 	lu := a.Clone()
 	pivot := make([]int, n)
-	sign := 1
 	scale := lu.MaxAbs()
 	if scale == 0 {
 		scale = 1
@@ -41,7 +39,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 			for j := 0; j < n; j++ {
 				lu.data[k*n+j], lu.data[p*n+j] = lu.data[p*n+j], lu.data[k*n+j]
 			}
-			sign = -sign
 		}
 		pv := lu.At(k, k)
 		if math.Abs(pv) <= tol {
@@ -58,7 +55,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // Solve solves A·x = b for the factored A. b is not modified.
@@ -94,16 +91,6 @@ func (f *LU) Solve(b []float64) []float64 {
 	return x
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows()
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveLinear solves A·x = b directly (factor + solve).
 func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)
@@ -112,71 +99,3 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return f.Solve(b), nil
 }
-
-// Cholesky is the lower-triangular factor of a symmetric positive definite
-// matrix: A = L·Lᵀ.
-type Cholesky struct {
-	l *Matrix
-}
-
-// FactorCholesky computes the Cholesky factorization of a symmetric positive
-// definite matrix.
-func FactorCholesky(a *Matrix) (*Cholesky, error) {
-	n := a.Rows()
-	if n != a.Cols() {
-		panic("linalg: Cholesky of non-square matrix")
-	}
-	if !a.IsSymmetric(1e-9 * (1 + a.MaxAbs())) {
-		return nil, ErrNotSPD
-	}
-	l := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		var d float64 = a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
-		}
-		if d <= 0 {
-			return nil, ErrNotSPD
-		}
-		dj := math.Sqrt(d)
-		l.Set(j, j, dj)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, s/dj)
-		}
-	}
-	return &Cholesky{l: l}, nil
-}
-
-// Solve solves A·x = b using the factorization.
-func (c *Cholesky) Solve(b []float64) []float64 {
-	n := c.l.Rows()
-	if len(b) != n {
-		panic("linalg: Cholesky solve dimension mismatch")
-	}
-	// Forward: L·y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= c.l.At(i, j) * y[j]
-		}
-		y[i] = s / c.l.At(i, i)
-	}
-	// Backward: Lᵀ·x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= c.l.At(j, i) * x[j]
-		}
-		x[i] = s / c.l.At(i, i)
-	}
-	return x
-}
-
-// L returns the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }

@@ -1,6 +1,6 @@
-// Package linalg implements small dense linear algebra: matrices,
-// LU factorization with partial pivoting, Cholesky factorization, and the
-// linear solves required by the QP and LP solvers. The systems arising in
+// Package linalg implements small dense linear algebra: matrices, LU
+// factorization with partial pivoting, and the linear solves required by
+// the QP solver. The systems arising in
 // proximity rank join are tiny (at most n ≈ number of joined relations, or
 // d ≈ feature-space dimensionality), so clarity and numerical robustness
 // are favored over blocking or vectorization.
@@ -22,10 +22,6 @@ type Matrix struct {
 // ErrSingular is returned when a factorization or solve encounters a
 // numerically singular matrix.
 var ErrSingular = errors.New("linalg: singular matrix")
-
-// ErrNotSPD is returned by Cholesky when the matrix is not symmetric
-// positive definite within tolerance.
-var ErrNotSPD = errors.New("linalg: matrix not symmetric positive definite")
 
 // NewMatrix returns an r×c zero matrix.
 func NewMatrix(r, c int) *Matrix {
@@ -98,37 +94,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m · other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.cols != other.rows {
-		panic(fmt.Sprintf("linalg: mul %dx%d by %dx%d", m.rows, m.cols, other.rows, other.cols))
-	}
-	out := NewMatrix(m.rows, other.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < other.cols; j++ {
-				out.Add(i, j, a*other.At(k, j))
-			}
-		}
-	}
-	return out
-}
-
 // MulVec returns m · x for a column vector x.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if m.cols != len(x) {
@@ -152,18 +117,6 @@ func (m *Matrix) ScaleInPlace(s float64) *Matrix {
 		m.data[i] *= s
 	}
 	return m
-}
-
-// AddMatrix returns m + other.
-func (m *Matrix) AddMatrix(other *Matrix) *Matrix {
-	if m.rows != other.rows || m.cols != other.cols {
-		panic("linalg: add shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += other.data[i]
-	}
-	return out
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.

@@ -55,48 +55,3 @@ func FeasibleHalfSpaces(g [][]float64, h []float64) (bool, error) {
 		return val >= -1e-9, nil
 	}
 }
-
-// MinimizeLeq solves  minimize cᵀx  s.t.  A·x ≤ b  with x free, by
-// splitting x = u − v (u, v ≥ 0) and adding slack variables. Intended for
-// small problems (tests, examples, witness extraction).
-func MinimizeLeq(a [][]float64, b, c []float64) (x []float64, value float64, status Status, err error) {
-	m := len(a)
-	if len(b) != m {
-		return nil, 0, 0, fmt.Errorf("lp: %d rows but %d rhs entries", m, len(b))
-	}
-	var n int
-	if m > 0 {
-		n = len(a[0])
-	} else {
-		n = len(c)
-	}
-	if len(c) != n {
-		return nil, 0, 0, fmt.Errorf("lp: objective has %d entries, want %d", len(c), n)
-	}
-	// Standard form variables: u (n), v (n), s (m).
-	cols := 2*n + m
-	sa := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		row := make([]float64, cols)
-		for j := 0; j < n; j++ {
-			row[j] = a[i][j]
-			row[n+j] = -a[i][j]
-		}
-		row[2*n+i] = 1
-		sa[i] = row
-	}
-	sc := make([]float64, cols)
-	for j := 0; j < n; j++ {
-		sc[j] = c[j]
-		sc[n+j] = -c[j]
-	}
-	z, v, status, err := SolveStandard(sa, b, sc)
-	if err != nil || status != Optimal {
-		return nil, 0, status, err
-	}
-	x = make([]float64, n)
-	for j := 0; j < n; j++ {
-		x[j] = z[j] - z[n+j]
-	}
-	return x, v, Optimal, nil
-}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -89,7 +90,7 @@ func TestMinimizeLeqFreeVariables(t *testing.T) {
 	a := [][]float64{{-1, 0}, {0, -1}}
 	b := []float64{2, 5}
 	c := []float64{1, 1}
-	x, v, status, err := MinimizeLeq(a, b, c)
+	x, v, status, err := minimizeLeq(a, b, c)
 	if err != nil || status != Optimal {
 		t.Fatalf("status=%v err=%v", status, err)
 	}
@@ -169,7 +170,7 @@ func TestQuickFeasibleAgreesWithOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Oracle: minimize max violation via MinimizeLeq on the epigraph
+		// Oracle: minimize max violation via minimizeLeq on the epigraph
 		// formulation min t s.t. G·y − t ≤ h.
 		a := make([][]float64, u)
 		for i := range a {
@@ -180,7 +181,7 @@ func TestQuickFeasibleAgreesWithOracle(t *testing.T) {
 		}
 		c := make([]float64, d+1)
 		c[d] = 1
-		_, v, status, err := MinimizeLeq(a, h, c)
+		_, v, status, err := minimizeLeq(a, h, c)
 		if err != nil {
 			return false
 		}
@@ -221,4 +222,49 @@ func TestQuickFeasibleWitnessConstruction(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// minimizeLeq solves  minimize cᵀx  s.t.  A·x ≤ b  with x free, by
+// splitting x = u − v (u, v ≥ 0) and adding slack variables: the primal
+// oracle FeasibleHalfSpaces' dual formulation is checked against.
+func minimizeLeq(a [][]float64, b, c []float64) (x []float64, value float64, status Status, err error) {
+	m := len(a)
+	if len(b) != m {
+		return nil, 0, 0, fmt.Errorf("lp: %d rows but %d rhs entries", m, len(b))
+	}
+	var n int
+	if m > 0 {
+		n = len(a[0])
+	} else {
+		n = len(c)
+	}
+	if len(c) != n {
+		return nil, 0, 0, fmt.Errorf("lp: objective has %d entries, want %d", len(c), n)
+	}
+	// Standard form variables: u (n), v (n), s (m).
+	cols := 2*n + m
+	sa := make([][]float64, m)
+	for i := 0; i < m; i++ {
+		row := make([]float64, cols)
+		for j := 0; j < n; j++ {
+			row[j] = a[i][j]
+			row[n+j] = -a[i][j]
+		}
+		row[2*n+i] = 1
+		sa[i] = row
+	}
+	sc := make([]float64, cols)
+	for j := 0; j < n; j++ {
+		sc[j] = c[j]
+		sc[n+j] = -c[j]
+	}
+	z, v, status, err := SolveStandard(sa, b, sc)
+	if err != nil || status != Optimal {
+		return nil, 0, status, err
+	}
+	x = make([]float64, n)
+	for j := 0; j < n; j++ {
+		x[j] = z[j] - z[n+j]
+	}
+	return x, v, Optimal, nil
 }

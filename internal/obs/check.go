@@ -62,10 +62,11 @@ func CheckExposition(r io.Reader) error {
 			}
 			continue
 		}
-		name, labels, value, err := parseSample(text)
+		sample, err := ParseSample(text)
 		if err != nil {
 			return fmt.Errorf("line %d: %v", line, err)
 		}
+		name, labels, value := sample.Name, sample.Labels, sample.Value
 		ident := name + labelIdentity(labels)
 		if prev, dup := seen[ident]; dup {
 			return fmt.Errorf("line %d: duplicate sample %s (first at line %d)", line, ident, prev)
@@ -84,7 +85,7 @@ func CheckExposition(r io.Reader) error {
 			}
 			switch suffix {
 			case "_bucket":
-				le, ok := labelValue(labels, "le")
+				le, ok := sample.Label("le")
 				if !ok {
 					return fmt.Errorf("line %d: histogram bucket %q lacks an le label", line, name)
 				}
@@ -163,44 +164,64 @@ func parseComment(text string) (name, kind string, ok bool) {
 	}
 }
 
-// label is one parsed k="v" pair.
-type label struct{ k, v string }
+// Label is one parsed name="value" pair, the value unescaped.
+type Label struct{ Name, Value string }
 
-// parseSample splits a sample line into name, labels, and value.
-func parseSample(text string) (string, []label, float64, error) {
+// Sample is one sample line of an exposition.
+type Sample struct {
+	Name   string
+	Labels []Label
+	Value  float64
+}
+
+// Label fetches a label's value by name.
+func (s Sample) Label(name string) (string, bool) {
+	for _, l := range s.Labels {
+		if l.Name == name {
+			return l.Value, true
+		}
+	}
+	return "", false
+}
+
+// ParseSample splits one sample line — name, optional {labels}, value,
+// optional timestamp — into its parts. It is the parser CheckExposition
+// runs on every line, exported so a scraper reads an exposition exactly
+// as the checker does.
+func ParseSample(text string) (Sample, error) {
 	i := strings.IndexAny(text, "{ ")
 	if i <= 0 {
-		return "", nil, 0, fmt.Errorf("malformed sample %q", text)
+		return Sample{}, fmt.Errorf("malformed sample %q", text)
 	}
-	name := text[:i]
-	if !validName(name) {
-		return "", nil, 0, fmt.Errorf("invalid metric name %q", name)
+	s := Sample{Name: text[:i]}
+	if !validName(s.Name) {
+		return Sample{}, fmt.Errorf("invalid metric name %q", s.Name)
 	}
-	var labels []label
 	rest := text[i:]
 	if rest[0] == '{' {
 		end, ls, err := parseLabels(rest)
 		if err != nil {
-			return "", nil, 0, err
+			return Sample{}, err
 		}
-		labels = ls
+		s.Labels = ls
 		rest = rest[end:]
 	}
 	fields := strings.Fields(rest)
 	if len(fields) < 1 || len(fields) > 2 { // optional trailing timestamp
-		return "", nil, 0, fmt.Errorf("malformed sample value in %q", text)
+		return Sample{}, fmt.Errorf("malformed sample value in %q", text)
 	}
 	v, err := parseValue(fields[0])
 	if err != nil {
-		return "", nil, 0, fmt.Errorf("bad sample value %q: %v", fields[0], err)
+		return Sample{}, fmt.Errorf("bad sample value %q: %v", fields[0], err)
 	}
-	return name, labels, v, nil
+	s.Value = v
+	return s, nil
 }
 
 // parseLabels parses a {k="v",...} block starting at s[0] == '{',
 // returning the index just past the closing brace.
-func parseLabels(s string) (int, []label, error) {
-	var labels []label
+func parseLabels(s string) (int, []Label, error) {
+	var labels []Label
 	i := 1
 	for {
 		for i < len(s) && (s[i] == ' ' || s[i] == ',') {
@@ -252,7 +273,7 @@ func parseLabels(s string) (int, []label, error) {
 			val.WriteByte(c)
 			i++
 		}
-		labels = append(labels, label{k: name, v: val.String()})
+		labels = append(labels, Label{Name: name, Value: val.String()})
 	}
 }
 
@@ -294,22 +315,22 @@ func familyOf(name string, types map[string]Kind) (family, suffix string) {
 }
 
 // labelIdentity renders labels sorted by name for duplicate detection.
-func labelIdentity(labels []label) string {
+func labelIdentity(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := make([]label, len(labels))
+	ls := make([]Label, len(labels))
 	copy(ls, labels)
-	sort.Slice(ls, func(a, b int) bool { return ls[a].k < ls[b].k })
+	sort.Slice(ls, func(a, b int) bool { return ls[a].Name < ls[b].Name })
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, l := range ls {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(l.k)
+		b.WriteString(l.Name)
 		b.WriteString("=")
-		b.WriteString(strconv.Quote(l.v))
+		b.WriteString(strconv.Quote(l.Value))
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -317,22 +338,12 @@ func labelIdentity(labels []label) string {
 
 // labelIdentityExcept is labelIdentity with one label dropped (used to
 // group histogram buckets across le).
-func labelIdentityExcept(labels []label, drop string) string {
+func labelIdentityExcept(labels []Label, drop string) string {
 	kept := labels[:0:0]
 	for _, l := range labels {
-		if l.k != drop {
+		if l.Name != drop {
 			kept = append(kept, l)
 		}
 	}
 	return labelIdentity(kept)
-}
-
-// labelValue fetches a label by name.
-func labelValue(labels []label, name string) (string, bool) {
-	for _, l := range labels {
-		if l.k == name {
-			return l.v, true
-		}
-	}
-	return "", false
 }

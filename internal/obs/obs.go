@@ -1,15 +1,14 @@
 // Package obs is the system's dependency-free observability substrate: a
-// metrics registry of atomic counters, gauges, and fixed-bucket
-// histograms with Prometheus text-format exposition.
+// metrics registry of fixed-bucket histograms and scrape-time counters
+// and gauges with Prometheus text-format exposition.
 //
 // The package deliberately implements the minimal slice of the
 // Prometheus data model the serving layer needs — no client_golang
 // dependency, no push, no summaries — while staying wire-compatible
 // with any Prometheus-format scraper:
 //
-//   - Counter / CounterVec: monotone event counts.
-//   - Gauge / GaugeFunc: instantaneous values; GaugeFunc reads a live
-//     value at scrape time, which is how counters that already exist as
+//   - CounterFunc / GaugeFunc and their Vec forms: a live value read at
+//     scrape time, which is how counts and levels that already exist as
 //     service atomics are exposed without a second source of truth.
 //   - Histogram / HistogramVec: fixed cumulative buckets with an
 //     implicit +Inf bucket, a sum, and a count.
@@ -118,32 +117,6 @@ func (r *Registry) register(f *family) {
 	r.families[f.name] = f
 	r.names = append(r.names, f.name)
 	sort.Strings(r.names)
-}
-
-// Counter registers a monotone counter with no labels.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := &family{name: name, help: help, kind: KindCounter, children: map[string]metric{}}
-	r.register(f)
-	c := &Counter{}
-	f.addChild("", c)
-	return c
-}
-
-// CounterVec registers a counter family with the given label names;
-// children are created on first With.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	f := &family{name: name, help: help, kind: KindCounter, labels: labels, children: map[string]metric{}}
-	r.register(f)
-	return &CounterVec{f: f}
-}
-
-// Gauge registers an instantaneous value with no labels.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := &family{name: name, help: help, kind: KindGauge, children: map[string]metric{}}
-	r.register(f)
-	g := &Gauge{}
-	f.addChild("", g)
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read by fn at scrape time.
@@ -296,73 +269,6 @@ func (f *family) child(values []string, make func() metric) metric {
 	copy(f.order[i+1:], f.order[i:])
 	f.order[i] = key
 	return m
-}
-
-// Counter is a monotone counter. The zero value is usable but must be
-// obtained from a Registry to be exposed.
-type Counter struct {
-	n atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add adds n, which must be non-negative (counters are monotone; a
-// negative add is silently ignored rather than corrupting the series).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.n.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
-
-func (c *Counter) write(b *strings.Builder, name, labelStr string) {
-	b.WriteString(name)
-	b.WriteString(labelStr)
-	b.WriteByte(' ')
-	fmt.Fprintf(b, "%d", c.n.Load())
-	b.WriteByte('\n')
-}
-
-// CounterVec is a counter family keyed by label values.
-type CounterVec struct{ f *family }
-
-// With returns the child counter for the given label values, creating
-// it on first use.
-func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.child(values, func() metric { return &Counter{} }).(*Counter)
-}
-
-// Gauge is an instantaneous float value.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (CAS loop; contended gauges should prefer Set from a
-// single writer).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) write(b *strings.Builder, name, labelStr string) {
-	b.WriteString(name)
-	b.WriteString(labelStr)
-	b.WriteByte(' ')
-	b.WriteString(formatFloat(g.Value()))
-	b.WriteByte('\n')
 }
 
 // funcGauge renders a live value at scrape time.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -59,10 +60,15 @@ func TestHistogramNaN(t *testing.T) {
 // totals check that no observation is lost.
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_counter", "c")
-	g := r.Gauge("test_gauge", "g")
+	var c, g atomic.Int64
+	var cv [3]atomic.Int64
+	r.CounterFunc("test_counter", "c", func() float64 { return float64(c.Load()) })
+	r.GaugeFunc("test_gauge", "g", func() float64 { return float64(g.Load()) })
 	h := r.Histogram("test_histogram", "h", ExpBuckets(1, 2, 8))
-	cv := r.CounterVec("test_counter_vec", "cv", "who")
+	cvec := r.CounterFuncVec("test_counter_vec", "cv", "who")
+	for i := range cv {
+		cvec.Bind(func() float64 { return float64(cv[i].Load()) }, string(rune('a'+i)))
+	}
 	hv := r.HistogramVec("test_histogram_vec", "hv", []float64{10, 100}, "who")
 
 	const goroutines = 8
@@ -74,10 +80,10 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			who := string(rune('a' + id%3))
 			for j := 0; j < perG; j++ {
-				c.Inc()
+				c.Add(1)
 				g.Add(1)
 				h.Observe(float64(j % 300))
-				cv.With(who).Inc()
+				cv[id%3].Add(1)
 				hv.With(who).Observe(float64(j))
 				if j%100 == 0 {
 					var b strings.Builder
@@ -89,21 +95,15 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 
 	const total = goroutines * perG
-	if c.Value() != total {
-		t.Errorf("counter = %d, want %d", c.Value(), total)
-	}
-	if g.Value() != total {
-		t.Errorf("gauge = %v, want %d", g.Value(), total)
-	}
 	if h.Count() != total {
 		t.Errorf("histogram count = %d, want %d", h.Count(), total)
 	}
 	sum := int64(0)
 	for _, who := range []string{"a", "b", "c"} {
-		sum += cv.With(who).Value()
+		sum += hv.With(who).Count()
 	}
 	if sum != total {
-		t.Errorf("counter vec total = %d, want %d", sum, total)
+		t.Errorf("histogram vec total = %d, want %d", sum, total)
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -112,6 +112,11 @@ func TestConcurrentRecording(t *testing.T) {
 	if err := CheckExposition(strings.NewReader(b.String())); err != nil {
 		t.Errorf("exposition after concurrent load: %v", err)
 	}
+	for _, want := range []string{"test_counter 8000\n", "test_gauge 8000\n", `test_counter_vec{who="a"} 3000` + "\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition after concurrent load lacks %q", want)
+		}
+	}
 }
 
 // TestExpositionGolden pins the full text format byte for byte: family
@@ -119,17 +124,17 @@ func TestConcurrentRecording(t *testing.T) {
 // escaping, histogram series shape, float formatting.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_last", "sorted last").Add(3)
-	g := r.Gauge("mid_gauge", "a gauge")
-	g.Set(2.5)
-	cv := r.CounterVec("aa_first", "sorted first, with labels", "mode", "algo")
-	cv.With("batch", "CBPA").Add(2)
-	cv.With("stream", `we"ird\value`).Inc()
+	constant := func(v float64) func() float64 { return func() float64 { return v } }
+	r.CounterFunc("zz_last", "sorted last", constant(3))
+	r.GaugeFunc("mid_gauge", "a gauge", constant(2.5))
+	cv := r.CounterFuncVec("aa_first", "sorted first, with labels", "mode", "algo")
+	cv.Bind(constant(2), "batch", "CBPA")
+	cv.Bind(constant(1), "stream", `we"ird\value`)
 	h := r.Histogram("hist_metric", "a histogram", []float64{0.5, 1})
 	h.Observe(0.25)
 	h.Observe(0.75)
 	h.Observe(2)
-	r.GaugeFunc("fn_gauge", "func-backed", func() float64 { return 7 })
+	r.GaugeFunc("fn_gauge", "func-backed", constant(7))
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -168,7 +173,7 @@ zz_last 3
 // headers-only family.
 func TestEmptyVecOmitted(t *testing.T) {
 	r := NewRegistry()
-	r.CounterVec("never_used", "no children", "x")
+	r.CounterFuncVec("never_used", "no children", "x")
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -185,14 +190,14 @@ func TestRegistrationPanics(t *testing.T) {
 		name string
 		fn   func(r *Registry)
 	}{
-		{"duplicate name", func(r *Registry) { r.Counter("dup", "a"); r.Gauge("dup", "b") }},
-		{"bad metric name", func(r *Registry) { r.Counter("bad-name", "x") }},
-		{"leading digit", func(r *Registry) { r.Counter("1bad", "x") }},
-		{"bad label name", func(r *Registry) { r.CounterVec("ok_name", "x", "bad-label") }},
+		{"duplicate name", func(r *Registry) { r.CounterFunc("dup", "a", nil); r.GaugeFunc("dup", "b", nil) }},
+		{"bad metric name", func(r *Registry) { r.CounterFunc("bad-name", "x", nil) }},
+		{"leading digit", func(r *Registry) { r.CounterFunc("1bad", "x", nil) }},
+		{"bad label name", func(r *Registry) { r.CounterFuncVec("ok_name", "x", "bad-label") }},
 		{"reserved le label", func(r *Registry) { r.HistogramVec("ok_hist", "x", []float64{1}, "le") }},
 		{"unsorted buckets", func(r *Registry) { r.Histogram("ok_hist2", "x", []float64{2, 1}) }},
 		{"empty buckets", func(r *Registry) { r.Histogram("ok_hist3", "x", nil) }},
-		{"label arity", func(r *Registry) { r.CounterVec("ok_vec", "x", "a", "b").With("only-one") }},
+		{"label arity", func(r *Registry) { r.HistogramVec("ok_vec", "x", []float64{1}, "a", "b").With("only-one") }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,17 +208,6 @@ func TestRegistrationPanics(t *testing.T) {
 			}()
 			tc.fn(NewRegistry())
 		})
-	}
-}
-
-// TestCounterMonotone: negative adds are ignored.
-func TestCounterMonotone(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("mono", "m")
-	c.Add(5)
-	c.Add(-3)
-	if c.Value() != 5 {
-		t.Errorf("counter after negative add = %d, want 5", c.Value())
 	}
 }
 

@@ -77,7 +77,22 @@ func transcribe(t *testing.T, h hash.Hash, s *relation.Sharded, queries []vec.Ve
 			src, err := s.ShardSource(i, kind, q, metric, useRTree)
 			drain(fmt.Sprintf("%s shard %d", label, i), src, err)
 		}
-		src, err := relation.OpenSource(s, kind, q, metric, useRTree)
+		// OpenSource picks the R-tree for a sharded input under the Euclidean
+		// metric; the sorted Euclidean merge it no longer reaches stays pinned
+		// through the same Merge over explicitly sorted shard streams.
+		if kind == relation.DistanceAccess && metric == nil && !useRTree {
+			shards := make([]relation.Source, s.NumShards())
+			for i := range shards {
+				var err error
+				if shards[i], err = s.ShardSource(i, kind, q, metric, false); err != nil {
+					t.Fatalf("%s shard %d: %v", label, i, err)
+				}
+			}
+			src, err := s.Merge(shards)
+			drain(label+" merged", src, err)
+			return
+		}
+		src, err := relation.OpenSource(s, kind, q, metric)
 		drain(label+" merged", src, err)
 	}
 	stream("score", relation.ScoreAccess, nil, nil, false)

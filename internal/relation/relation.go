@@ -252,10 +252,11 @@ func sortKeys(ks []sortKey) {
 
 // NewDistanceSource returns a source that yields tuples of r sorted by
 // increasing metric distance from q (ties broken by storage index for
-// determinism). The whole order is computed up front; for large relations
-// prefer NewRTreeDistanceSource, which sorts incrementally.
+// determinism). The whole order is computed up front; for repeated queries
+// over a large relation build a NewRTreeIndex once, which sorts
+// incrementally.
 func NewDistanceSource(r *Relation, q vec.Vector, metric vec.Metric) (Source, error) {
-	return r.openSource(DistanceAccess, q, metric, false)
+	return r.openSource(DistanceAccess, q, metric)
 }
 
 // NewScoreSource returns a source that yields tuples of r sorted by
@@ -342,14 +343,6 @@ func (ix *RTreeIndex) Relation() *Relation { return ix.one[0].rel }
 // Euclidean distance from q. Safe to call from multiple goroutines.
 func (ix *RTreeIndex) Source(q vec.Vector) (Source, error) {
 	return openOne(ix.one[:], DistanceAccess, q, nil, true)
-}
-
-// NewRTreeDistanceSource bulk-loads r into an R-tree and streams tuples by
-// increasing Euclidean distance from q via incremental NN traversal. For
-// repeated queries over one relation, build a shared NewRTreeIndex once
-// and call its Source method instead.
-func NewRTreeDistanceSource(r *Relation, q vec.Vector) (Source, error) {
-	return r.openSource(DistanceAccess, q, nil, true)
 }
 
 func (s *rtreeSource) Next() (Tuple, error) {

@@ -120,7 +120,7 @@ func TestDistanceSourceDimMismatch(t *testing.T) {
 	if _, err := NewDistanceSource(r, vec.Of(0), nil); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
-	if _, err := NewRTreeDistanceSource(r, vec.Of(0)); err == nil {
+	if _, err := NewRTreeIndex(r).Source(vec.Of(0)); err == nil {
 		t.Fatal("rtree dim mismatch accepted")
 	}
 }
@@ -149,7 +149,7 @@ func TestQuickRTreeSourceMatchesSorted(t *testing.T) {
 			q[j] = r.NormFloat64()
 		}
 		s1, err1 := NewDistanceSource(rel, q, nil)
-		s2, err2 := NewRTreeDistanceSource(rel, q)
+		s2, err2 := NewRTreeIndex(rel).Source(q)
 		if err1 != nil || err2 != nil {
 			return false
 		}

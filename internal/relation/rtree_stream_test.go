@@ -143,7 +143,7 @@ func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			sorted, err := ram.openSource(DistanceAccess, q, nil, false)
+			sorted, err := mergedSorted(ram, q)
 			if err != nil {
 				t.Error(err)
 				return

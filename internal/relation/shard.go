@@ -129,7 +129,8 @@ func computeBounds(r *Relation, group []int) ShardBounds {
 // Query-time streams are per-shard sources k-way-merged back into one
 // canonical order (see MergedSource), so a sharded relation answers
 // byte-identically to its unsharded form while bounding per-shard index
-// memory and enabling parallel builds and fan-out.
+// memory and enabling parallel builds and distribution across shard
+// servers.
 type Sharded struct {
 	parent   *Relation
 	shards   []shard
@@ -328,9 +329,10 @@ func (s *Sharded) ShardRelation(i int) *Relation { return s.shards[i].rel }
 func (s *Sharded) ShardBounds(i int) ShardBounds { return s.shards[i].bounds }
 
 // ShardSource opens the ordered stream of shard i for one access
-// configuration (see OpenSource for how the path is chosen). The streams
-// of all shards under one configuration merge back into the canonical
-// relation order via Merge.
+// configuration. The streams of all shards under one configuration merge
+// back into the canonical relation order via Merge. useRTree false sorts
+// the shard instead of traversing its R-tree — same stream, and no caller
+// outside the tests asks for it (OpenSource never does).
 func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
 	if i < 0 || i >= len(s.shards) {
 		return nil, fmt.Errorf("relation %q: shard %d out of range [0,%d)", s.parent.Name, i, len(s.shards))
@@ -363,10 +365,11 @@ func (s *Sharded) Merge(sources []Source) (Source, error) {
 	return newMergedSource(s.parent, kind, ks), nil
 }
 
-// openSource implements Input: per-shard streams merged into one.
-func (s *Sharded) openSource(kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
+// openSource implements Input: per-shard streams merged into one. Every
+// shard owns an R-tree, so that is what a Euclidean distance stream reads.
+func (s *Sharded) openSource(kind AccessKind, q vec.Vector, metric vec.Metric) (Source, error) {
 	sources := make([]Source, len(s.shards))
-	if err := openShards(sources, s.shards, kind, q, metric, useRTree); err != nil {
+	if err := openShards(sources, s.shards, kind, q, metric, true); err != nil {
 		return nil, err
 	}
 	return s.Merge(sources)
@@ -374,11 +377,11 @@ func (s *Sharded) openSource(kind AccessKind, q vec.Vector, metric vec.Metric, u
 
 // ScoreSource opens the merged score-access stream.
 func (s *Sharded) ScoreSource() (Source, error) {
-	return s.openSource(ScoreAccess, nil, nil, false)
+	return s.openSource(ScoreAccess, nil, nil)
 }
 
 // DistanceSource opens the merged distance-access stream from q, backed
 // by the per-shard R-trees.
 func (s *Sharded) DistanceSource(q vec.Vector) (Source, error) {
-	return s.openSource(DistanceAccess, q, nil, true)
+	return s.openSource(DistanceAccess, q, nil)
 }

@@ -63,13 +63,13 @@ func TestMergedSourceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSorted, err := OpenSource(s, DistanceAccess, q, nil, false)
+		gotSorted, err := mergedSorted(s, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameSequence(t, label+" distance-sorted", drain(t, gotSorted), drain(t, wantSorted))
 
-		wantTree, err := NewRTreeDistanceSource(rel, q)
+		wantTree, err := NewRTreeIndex(rel).Source(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -161,11 +161,11 @@ func TestMergedSourceMatchesUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mergedSorted, err := OpenSource(s, DistanceAccess, q, nil, false)
+			gotSorted, err := mergedSorted(s, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameSequence(t, label+"/distance-sorted", drain(t, mergedSorted), drain(t, wantSorted))
+			sameSequence(t, label+"/distance-sorted", drain(t, gotSorted), drain(t, wantSorted))
 
 			wantRTree, err := NewRTreeIndex(rel).Source(q)
 			if err != nil {
@@ -183,6 +183,21 @@ func TestMergedSourceMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// mergedSorted merges the full-sort distance streams of s's shards: the
+// plan OpenSource never picks for a sharded input, whose shards own
+// R-trees, and the reference the R-tree merge is compared with.
+func mergedSorted(s *Sharded, q vec.Vector) (Source, error) {
+	sources := make([]Source, s.NumShards())
+	for i := range sources {
+		src, err := s.ShardSource(i, DistanceAccess, q, nil, false)
+		if err != nil {
+			return nil, err
+		}
+		sources[i] = src
+	}
+	return s.Merge(sources)
+}
+
 // TestCanonicalDistanceOrderAcrossBackends: with ordinal tie-batching,
 // the R-tree traversal and the full sort agree on one canonical
 // sequence even in the presence of exact distance ties — over the plain
@@ -195,7 +210,7 @@ func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := drain(t, sorted)
-	viaTree, err := NewRTreeDistanceSource(rel, q)
+	viaTree, err := NewRTreeIndex(rel).Source(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +349,7 @@ func TestParallelShardBuildsAndQueries(t *testing.T) {
 	}
 	want := drain(t, NewScoreSource(rel))
 	q := vec.Of(1, 1, 1)
-	wantDist, err := NewRTreeDistanceSource(rel, q)
+	wantDist, err := NewRTreeIndex(rel).Source(q)
 	if err != nil {
 		t.Fatal(err)
 	}

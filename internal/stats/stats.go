@@ -6,8 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"time"
 )
 
@@ -90,28 +88,6 @@ func (c *Collector) Summarize() Summary {
 		s.OtherSeconds = 0
 	}
 	return s
-}
-
-// SumDepthsQuantile returns the q-quantile (0..1) of the non-DNF sumDepths.
-func (c *Collector) SumDepthsQuantile(q float64) float64 {
-	var vals []float64
-	for _, sm := range c.samples {
-		if !sm.DNF {
-			vals = append(vals, float64(sm.SumDepths))
-		}
-	}
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(vals)
-	idx := q * float64(len(vals)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return vals[lo]
-	}
-	frac := idx - float64(lo)
-	return vals[lo]*(1-frac) + vals[hi]*frac
 }
 
 // String renders the summary compactly.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -70,64 +69,11 @@ func TestOtherSecondsNeverNegative(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	var c Collector
-	for _, d := range []int{10, 20, 30, 40} {
-		c.Add(Sample{SumDepths: d})
-	}
-	c.Add(Sample{SumDepths: 9999, DNF: true})
-	if q := c.SumDepthsQuantile(0); q != 10 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := c.SumDepthsQuantile(1); q != 40 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := c.SumDepthsQuantile(0.5); q != 25 {
-		t.Errorf("median = %v", q)
-	}
-	var empty Collector
-	if q := empty.SumDepthsQuantile(0.5); !math.IsNaN(q) {
-		t.Errorf("empty quantile = %v, want NaN", q)
-	}
-}
-
 func TestGain(t *testing.T) {
 	if g := Gain(100, 70); g != 30 {
 		t.Errorf("Gain = %v", g)
 	}
 	if g := Gain(0, 5); g != 0 {
 		t.Errorf("Gain with zero base = %v", g)
-	}
-}
-
-// Property: quantiles are monotone in q and bracketed by min/max.
-func TestQuickQuantileMonotone(t *testing.T) {
-	f := func(depths []uint16) bool {
-		if len(depths) == 0 {
-			return true
-		}
-		var c Collector
-		lo, hi := int(depths[0]), int(depths[0])
-		for _, d := range depths {
-			c.Add(Sample{SumDepths: int(d)})
-			if int(d) < lo {
-				lo = int(d)
-			}
-			if int(d) > hi {
-				hi = int(d)
-			}
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := c.SumDepthsQuantile(q)
-			if v < prev-1e-9 || v < float64(lo)-1e-9 || v > float64(hi)+1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -33,21 +33,6 @@ func Dist2Into(dst []float64, vs []Vector, q Vector) {
 	}
 }
 
-// DotInto sets dst[j] = vs[j].Dot(q) for every j. dst must have len(vs).
-func DotInto(dst []float64, vs []Vector, q Vector) {
-	d := len(q)
-	_ = dst[:len(vs)]
-	for j, v := range vs {
-		v.mustMatch(q)
-		v = v[:d]
-		var s float64
-		for i, x := range v {
-			s += x * q[i]
-		}
-		dst[j] = s
-	}
-}
-
 // SubDot returns (a − b)·w without materializing the difference: the
 // addition order matches a.Sub(b).Dot(w), so the result is bit-identical.
 func SubDot(a, b, w Vector) float64 {

@@ -79,18 +79,3 @@ func (CosineDistance) Distance(a, b Vector) float64 {
 
 // Name implements Metric.
 func (CosineDistance) Name() string { return "cosine" }
-
-// MetricByName returns the metric registered under name, or nil.
-func MetricByName(name string) Metric {
-	switch name {
-	case "euclidean", "l2", "":
-		return Euclidean{}
-	case "manhattan", "l1":
-		return Manhattan{}
-	case "chebyshev", "linf":
-		return Chebyshev{}
-	case "cosine":
-		return CosineDistance{}
-	}
-	return nil
-}

@@ -181,13 +181,6 @@ func (v Vector) Unit() (Vector, bool) {
 	return v.Scale(1 / n), true
 }
 
-// ProjectOntoRay returns the scalar length of the orthogonal projection of
-// (v − origin) onto the unit direction u. This is the paper's P(x(τ_i))
-// operator (eq. 13) with u = (ν−q)/‖ν−q‖ and origin = q.
-func (v Vector) ProjectOntoRay(origin, u Vector) float64 {
-	return v.Sub(origin).Dot(u)
-}
-
 // Mean returns the arithmetic mean of the given vectors. It panics if the
 // list is empty or dimensions disagree. For the squared-Euclidean scoring
 // geometry of the paper this is the combination centroid µ(τ).

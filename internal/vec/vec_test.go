@@ -130,13 +130,16 @@ func TestMeanEmptyPanics(t *testing.T) {
 	Mean()
 }
 
+// TestProjectOntoRay: SubDot(x, q, u) is the paper's P(x(τ_i)) operator
+// (eq. 13), the scalar length of the orthogonal projection of x − q onto
+// the unit direction u.
 func TestProjectOntoRay(t *testing.T) {
 	// Paper Example 3.2: ν = [-0.5, 0.25], q = 0.
 	nu := Of(-0.5, 0.25)
 	u, _ := nu.Unit()
 	q := Of(0, 0)
-	theta1 := Of(0, -0.5).ProjectOntoRay(q, u)
-	theta3 := Of(-1, 1).ProjectOntoRay(q, u)
+	theta1 := SubDot(Of(0, -0.5), q, u)
+	theta3 := SubDot(Of(-1, 1), q, u)
 	if !almostEq(theta1, -0.2236, 1e-3) {
 		t.Errorf("θ1 = %v, want ≈ -0.22", theta1)
 	}
@@ -251,7 +254,7 @@ func TestQuickProjectionBound(t *testing.T) {
 			return true
 		}
 		x := randomVec(r, d)
-		return math.Abs(x.ProjectOntoRay(origin, u)) <= x.Dist(origin)+1e-9
+		return math.Abs(SubDot(x, origin, u)) <= x.Dist(origin)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -288,17 +291,6 @@ func TestCosineDistance(t *testing.T) {
 	}
 	if got := cd.Distance(Of(0, 0), Of(1, 0)); got != 1 {
 		t.Errorf("zero-vector cosine distance = %v, want 1", got)
-	}
-}
-
-func TestMetricByName(t *testing.T) {
-	for _, name := range []string{"euclidean", "l2", "", "manhattan", "l1", "chebyshev", "linf", "cosine"} {
-		if MetricByName(name) == nil {
-			t.Errorf("MetricByName(%q) = nil", name)
-		}
-	}
-	if MetricByName("nope") != nil {
-		t.Error("MetricByName(nope) != nil")
 	}
 }
 

@@ -147,11 +147,6 @@ type Options struct {
 	// Results are unchanged; at most BoundPeriod−1 extra tuples may be
 	// read. 0 or 1 recomputes on every pull.
 	BoundPeriod int
-	// UseRTree serves distance-based access through R-tree incremental
-	// nearest-neighbor traversal instead of a full sort. The R-tree orders
-	// by Euclidean distance only, so the option has no effect under
-	// CosineProximity, which always sorts; results are the same either way.
-	UseRTree bool
 	// Epsilon relaxes the stopping test: the run may finish earlier and
 	// every returned combination scores within Epsilon of any combination
 	// it displaced. 0 means exact top-K.
@@ -176,12 +171,6 @@ type Options struct {
 	// keeps everything, moving overflow to a compact append-only slab —
 	// exact for open enumeration with the ranked heap still bounded.
 	BufferPolicy BufferPolicy
-	// BlockSize sets the width of the engine's batched scoring kernel at
-	// the innermost combination-formation level (0 = the benchmarked
-	// default, core.DefaultBlockSize). Results are byte-identical at any
-	// width — the kernels replay the scalar operation sequence exactly —
-	// so this is purely an engine tuning knob, like MaxBuffered.
-	BlockSize int
 	// CollectTimings enables the per-pull wall-clock sampling behind
 	// Stats.BoundTime and Stats.DominanceTime. Off by default: the
 	// timers measurably tax every pull, and most callers only need
@@ -233,15 +222,10 @@ func NewDistanceSource(rel *Relation, query Vector, metric Metric) (Source, erro
 	return relation.NewDistanceSource(rel, query, metric)
 }
 
-// NewRTreeDistanceSource streams rel by increasing Euclidean distance via
-// incremental R-tree traversal.
-func NewRTreeDistanceSource(rel *Relation, query Vector) (Source, error) {
-	return relation.NewRTreeDistanceSource(rel, query)
-}
-
 // NewRTreeIndex bulk-loads rel into an R-tree once; the returned index is
 // immutable and its Source method is safe for concurrent use, so repeated
-// queries over one relation skip the per-query bulk load.
+// queries over one relation stream from the tree (TopKFromSources)
+// instead of sorting the relation per query.
 func NewRTreeIndex(rel *Relation) *RTreeIndex {
 	return relation.NewRTreeIndex(rel)
 }
@@ -263,8 +247,10 @@ func NewScoreSource(rel *Relation) Source {
 // parallel. The result is immutable and safe for concurrent use, and any
 // query over it — TopKInputs, NewQueryInputs, or the service layer —
 // returns byte-identical results to the unsharded relation, while
-// bounding per-shard index memory and enabling parallel builds. Fewer
-// shards may be returned when some would be empty.
+// bounding per-shard index memory and enabling parallel builds. A
+// sharded input owns its indexes, so Euclidean distance access over it
+// streams from the shard R-trees where a plain relation is sorted per
+// query. Fewer shards may be returned when some would be empty.
 func NewShardedRelation(rel *Relation, shards int, strategy PartitionStrategy) (*ShardedRelation, error) {
 	return relation.Partition(rel, shards, strategy)
 }
@@ -350,7 +336,6 @@ func (o Options) engineOptions(query Vector, fn agg.Function) core.Options {
 		MaxCombinations: o.MaxCombinations,
 		MaxBuffered:     o.MaxBuffered,
 		BufferPolicy:    o.BufferPolicy,
-		BlockSize:       o.BlockSize,
 		CollectTimings:  o.CollectTimings,
 		Tracer:          o.Tracer,
 		SpillDir:        o.SpillDir,
@@ -415,11 +400,13 @@ func relationInputs(rels []*Relation) []Input {
 }
 
 // buildSources constructs one source per input for the configured access
-// kind. Sharded inputs yield merged per-shard streams.
+// kind, over the access path the input owns (see relation.OpenSource): a
+// sharded input streams a merge of its per-shard R-trees, a plain
+// relation is sorted in full.
 func buildSources(query Vector, inputs []Input, opts Options, fn agg.Function) ([]Source, error) {
 	sources := make([]Source, len(inputs))
 	for i, in := range inputs {
-		s, err := relation.OpenSource(in, opts.Access, query, fn.Metric(), opts.UseRTree)
+		s, err := relation.OpenSource(in, opts.Access, query, fn.Metric())
 		if err != nil {
 			return nil, err
 		}

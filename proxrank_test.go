@@ -64,8 +64,8 @@ func TestTopKPaperExample(t *testing.T) {
 	}
 }
 
-// TestTopKAgreesAcrossConfigurations: every option combination returns the
-// oracle's scores.
+// TestTopKAgreesAcrossConfigurations: every option combination over every
+// kind of input returns the oracle's scores.
 func TestTopKAgreesAcrossConfigurations(t *testing.T) {
 	rels := smallRelations(t)
 	q := proxrank.Vector{0.2, -0.1}
@@ -73,22 +73,22 @@ func TestTopKAgreesAcrossConfigurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kinds := inputKinds(t, rels, 2)
 	for _, algo := range []proxrank.Algorithm{proxrank.CBRR, proxrank.CBPA, proxrank.TBRR, proxrank.TBPA} {
 		for _, access := range []proxrank.AccessKind{proxrank.DistanceAccess, proxrank.ScoreAccess} {
-			for _, rtree := range []bool{false, true} {
-				if rtree && access == proxrank.ScoreAccess {
+			opts := proxrank.Options{K: 4, Algorithm: algo, Access: access}
+			for _, kind := range kinds {
+				if !kind.serves(opts) {
 					continue
 				}
-				res, err := proxrank.TopK(q, rels, proxrank.Options{
-					K: 4, Algorithm: algo, Access: access, UseRTree: rtree,
-				})
+				res, err := kind.topK(q, opts)
 				if err != nil {
-					t.Fatalf("%v/%v/rtree=%v: %v", algo, access, rtree, err)
+					t.Fatalf("%v/%v/%s: %v", algo, access, kind.name, err)
 				}
 				for i := range want {
 					if math.Abs(res.Combinations[i].Score-want[i].Score) > 1e-9 {
-						t.Fatalf("%v/%v/rtree=%v: scores %v vs oracle %v",
-							algo, access, rtree, res.Combinations[i].Score, want[i].Score)
+						t.Fatalf("%v/%v/%s: scores %v vs oracle %v",
+							algo, access, kind.name, res.Combinations[i].Score, want[i].Score)
 					}
 				}
 			}
@@ -153,9 +153,10 @@ func TestCosineProximityOption(t *testing.T) {
 }
 
 // TestCosineProximityIgnoresRTree: the R-tree orders by Euclidean distance
-// only, so under cosine proximity UseRTree must not change the stream —
-// plain and sharded inputs return the oracle's answer and exactly what the
-// sorted path returns, for every algorithm.
+// only, so under cosine proximity an input that owns R-trees must not
+// stream from them — sharded inputs and their relfile twins return the
+// oracle's answer and exactly what the plain relations, which can only
+// sort, return, for every algorithm.
 func TestCosineProximityIgnoresRTree(t *testing.T) {
 	algos := []proxrank.Algorithm{proxrank.CBRR, proxrank.CBPA, proxrank.TBRR, proxrank.TBPA}
 	for seed := int64(1); seed <= 30; seed++ {
@@ -177,19 +178,7 @@ func TestCosineProximityIgnoresRTree(t *testing.T) {
 			rels[i] = rel
 		}
 		q := proxrank.Vector{r.NormFloat64(), r.NormFloat64()}
-		plain := []proxrank.Input{rels[0], rels[1]}
-		layouts := map[string][]proxrank.Input{"plain": plain}
-		for _, strategy := range []proxrank.PartitionStrategy{proxrank.HashPartition, proxrank.GridPartition} {
-			sharded := make([]proxrank.Input, len(rels))
-			for i, rel := range rels {
-				s, err := proxrank.NewShardedRelation(rel, 4, strategy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sharded[i] = s
-			}
-			layouts[strategy.String()] = sharded
-		}
+		kinds := inputKinds(t, rels, 4)
 		for _, algo := range algos {
 			opts := proxrank.Options{K: 5, Algorithm: algo, CosineProximity: true}
 			oracle, err := proxrank.NaiveTopK(q, rels, opts)
@@ -200,26 +189,22 @@ func TestCosineProximityIgnoresRTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.UseRTree = true
-			check := func(label string, res proxrank.Result, err error) {
-				t.Helper()
+			for _, kind := range kinds {
+				if !kind.serves(opts) {
+					continue
+				}
+				res, err := kind.topK(q, opts)
 				if err != nil {
-					t.Fatalf("seed %d %v %s: %v", seed, algo, label, err)
+					t.Fatalf("seed %d %v %s: %v", seed, algo, kind.name, err)
 				}
 				if !reflect.DeepEqual(res.Combinations, sorted.Combinations) {
-					t.Fatalf("seed %d %v %s: UseRTree changed the answer", seed, algo, label)
+					t.Fatalf("seed %d %v %s: owning an R-tree changed the answer", seed, algo, kind.name)
 				}
 				for i, w := range oracle {
 					if math.Abs(res.Combinations[i].Score-w.Score) > 1e-9 {
-						t.Fatalf("seed %d %v %s: rank %d scores %v, oracle %v", seed, algo, label, i, res.Combinations[i].Score, w.Score)
+						t.Fatalf("seed %d %v %s: rank %d scores %v, oracle %v", seed, algo, kind.name, i, res.Combinations[i].Score, w.Score)
 					}
 				}
-			}
-			res, err := proxrank.TopK(q, rels, opts)
-			check("TopK", res, err)
-			for label, inputs := range layouts {
-				res, err := proxrank.TopKInputs(q, inputs, opts)
-				check("TopKInputs/"+label, res, err)
 			}
 		}
 	}

@@ -38,7 +38,6 @@ func OptionsFromRequest(req *api.Request, limits ...api.Limits) (Vector, Options
 		MaxSumDepths:    req.MaxSumDepths,
 		MaxCombinations: req.MaxCombinations,
 		MaxBuffered:     req.MaxBuffered,
-		BlockSize:       req.BlockSize,
 	}
 	algo, err := ParseAlgorithm(req.Algorithm)
 	if err != nil {
@@ -102,8 +101,8 @@ func NewQuery(req *api.Request, inputs ...Input) (*Query, error) {
 }
 
 // NewQueryInputs is the Options-level session constructor, for callers
-// holding typed options (cosine proximity, R-tree access) rather than a
-// wire request. Sharded inputs are read through a lazy k-way merge of
+// holding typed options (cosine proximity, a tracer, a spill directory)
+// rather than a wire request. Sharded inputs are read through a lazy k-way merge of
 // their shard streams, so consuming a prefix of the output still pays
 // only that prefix's I/O.
 func NewQueryInputs(query Vector, inputs []Input, opts Options) (*Query, error) {

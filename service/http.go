@@ -414,6 +414,20 @@ type PeerStats struct {
 	BreakerOpens int64  `json:"breakerOpens"`
 }
 
+// StatsResponse is the GET /v1/stats document: the executor's cumulative
+// snapshot beside the catalog's size and, on a coordinator, the fleet's
+// per-peer counters.
+type StatsResponse struct {
+	StatsSnapshot
+	Relations   int `json:"relations"`
+	TotalShards int `json:"totalShards"`
+	// RemoteRowsFetched sums the peers' rows: with the snapshot's
+	// remoteRowsConsumed, how much of what the wire carried the merges
+	// used.
+	RemoteRowsFetched int64       `json:"remoteRowsFetched"`
+	Peers             []PeerStats `json:"peers,omitempty"`
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	var peers []PeerStats
 	var fetched int64
@@ -434,14 +448,5 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, struct {
-		StatsSnapshot
-		Relations   int `json:"relations"`
-		TotalShards int `json:"totalShards"`
-		// RemoteRowsFetched sums the peers' rows: with the snapshot's
-		// remoteRowsConsumed, how much of what the wire carried the merges
-		// used.
-		RemoteRowsFetched int64       `json:"remoteRowsFetched"`
-		Peers             []PeerStats `json:"peers,omitempty"`
-	}{s.exec.Stats(), s.cat.Len(), s.cat.TotalShards(), fetched, peers})
+	writeJSON(w, http.StatusOK, StatsResponse{s.exec.Stats(), s.cat.Len(), s.cat.TotalShards(), fetched, peers})
 }

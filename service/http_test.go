@@ -185,15 +185,25 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("malformed body: status %d", r2.StatusCode)
 	}
 
-	// Unknown field → 400 (catches client typos).
-	r3, err := http.Post(srv.URL+"/v1/query", "application/json",
-		strings.NewReader(`{"query":[0,0],"relations":["A","B"],"k":1,"kay":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3.Body.Close()
-	if r3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d", r3.StatusCode)
+	// Unknown field → structured 400 naming it: a client typo, or
+	// "blockSize", which left the request model (the engine's block width
+	// is a constant).
+	for _, field := range []string{"kay", "blockSize"} {
+		r3, err := http.Post(srv.URL+"/v1/query", "application/json",
+			strings.NewReader(`{"query":[0,0],"relations":["A","B"],"k":1,"`+field+`":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		unknown, _ := io.ReadAll(r3.Body)
+		r3.Body.Close()
+		apiBody.Error = nil
+		if err := json.Unmarshal(unknown, &apiBody); err != nil || apiBody.Error == nil {
+			t.Fatalf("unknown field %q: unstructured error body: %s", field, unknown)
+		}
+		if r3.StatusCode != http.StatusBadRequest || apiBody.Error.Code != CodeBadRequest ||
+			!strings.Contains(apiBody.Error.Message, `unknown field "`+field+`"`) {
+			t.Fatalf("unknown field %q: status %d: %s", field, r3.StatusCode, unknown)
+		}
 	}
 
 	// Oversized body → 400 naming the limit, not a confusing JSON error.

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	proxrank "repro"
 	"repro/api"
@@ -58,13 +56,14 @@ func wireAccess(kind proxrank.AccessKind) string {
 	return api.AccessDistance
 }
 
-// buildSources opens one engine stream per relation: every shard of every
-// relation gets its ordered source, creation fans out across a bounded
-// pool when the entries hold more than one shard in total, and each
-// relation's shard streams are merged back into its canonical order. The
-// dim pre-check in prepare already rules out the only documented source
-// failure; anything surfacing here is a server-side problem, which the
-// caller reports as internal.
+// buildSources opens one engine stream per relation. A local entry is one
+// relation.OpenSource call — the same call the library makes — which
+// picks the access path the entry's shards own (a cursor for score access,
+// the per-shard R-trees for distance access) and merges the shard streams
+// back into the relation's canonical order; opening is O(1) a shard, so
+// there is nothing to fan out. The dim pre-check in prepare already rules
+// out the only documented source failure; anything surfacing here is a
+// server-side problem, which the caller reports as internal.
 //
 // Remote entries (coordinator mode) resolve each shard to a
 // shardrpc.RemoteSource — constructed lazily, so nothing touches the
@@ -107,18 +106,19 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 		x.remoteConsumed.Add(consumed)
 	}
 
-	type job struct{ rel, shard int }
-	var jobs []job
-	perRel := make([][]proxrank.Source, len(entries))
+	fail := func(err error) ([]proxrank.Source, func() []api.MissingShard, func(), *APIError) {
+		cleanup()
+		return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
+	}
 	sources := make([]proxrank.Source, len(entries))
 	for i, e := range entries {
+		var src proxrank.Source
 		if rr := e.Remote(); rr != nil {
 			inputs := make([]relation.KeyedSource, rr.Shards)
 			for s := 0; s < rr.Shards; s++ {
 				rs, err := shardrpc.OpenRemoteShard(ctx, e.Relation(), rr, s, wireAccess(opts.Access), query, 0)
 				if err != nil {
-					cleanup()
-					return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
+					return fail(err)
 				}
 				rs.SetPartial(partial)
 				remotes = append(remotes, rs)
@@ -126,82 +126,20 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 			}
 			merged, err := relation.NewMergedSource(e.Relation(), opts.Access, inputs)
 			if err != nil {
-				cleanup()
-				return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
-			}
-			if x.wrapSource != nil {
-				sources[i] = x.wrapSource(merged)
-			} else {
-				sources[i] = merged
-			}
-			continue
-		}
-		n := e.Shards()
-		perRel[i] = make([]proxrank.Source, n)
-		for s := 0; s < n; s++ {
-			jobs = append(jobs, job{rel: i, shard: s})
-		}
-	}
-	open := func(j job) error {
-		e := entries[j.rel]
-		src, err := e.Sharded().ShardSource(j.shard, opts.Access, query, nil, true)
-		if err != nil {
-			return err
-		}
-		perRel[j.rel][j.shard] = src
-		return nil
-	}
-	fail := func(err error) ([]proxrank.Source, func() []api.MissingShard, func(), *APIError) {
-		cleanup()
-		return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
-	}
-	// Opening an in-memory shard source is cheap (a cursor or an O(1)
-	// traversal setup), so the pool only pays for itself on wide fan-outs;
-	// below the threshold a sequential loop is strictly faster than
-	// spawning goroutines per query.
-	const fanOutThreshold = 16
-	if workers := min(x.cfg.Workers, len(jobs)); workers > 1 && len(jobs) >= fanOutThreshold {
-		feed := make(chan job)
-		var wg sync.WaitGroup
-		var firstErr atomic.Pointer[error]
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range feed {
-					if err := open(j); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-					}
-				}
-			}()
-		}
-		for _, j := range jobs {
-			feed <- j
-		}
-		close(feed)
-		wg.Wait()
-		if errp := firstErr.Load(); errp != nil {
-			return fail(*errp)
-		}
-	} else {
-		for _, j := range jobs {
-			if err := open(j); err != nil {
 				return fail(err)
 			}
-		}
-	}
-	for i, e := range entries {
-		if e.IsRemote() {
-			continue // already merged above
-		}
-		merged, err := e.Sharded().Merge(perRel[i])
-		if err != nil {
-			return fail(err)
+			src = merged
+		} else {
+			local, err := relation.OpenSource(e.Sharded(), opts.Access, query, nil)
+			if err != nil {
+				return fail(err)
+			}
+			src = local
 		}
 		if x.wrapSource != nil {
-			merged = x.wrapSource(merged)
+			src = x.wrapSource(src)
 		}
-		sources[i] = merged
+		sources[i] = src
 	}
 	return sources, missing, cleanup, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -35,50 +36,113 @@ func shardTestRelation(t testing.TB, name string, seed int64, size, dim int) *pr
 	return rel
 }
 
+// inputKind is one way the library reads a set of relations. The access
+// path follows from the input, never from an option, so every kind must
+// return the same bytes for the same query.
+type inputKind struct {
+	name string
+	// serves reports whether the kind can answer under opts.
+	serves func(opts proxrank.Options) bool
+	topK   func(q proxrank.Vector, opts proxrank.Options) (proxrank.Result, error)
+}
+
+// inputKinds builds every kind of input over rels, the plain relations
+// (sorted per query) first: their partitions under each strategy (merged
+// per-shard R-trees), the relfile twin of each partition (mapped columns,
+// R-trees built on first use), and one shared RTreeIndex per relation read
+// through TopKFromSources — which orders by Euclidean distance and serves
+// nothing else.
+func inputKinds(t testing.TB, rels []*proxrank.Relation, shards int) []inputKind {
+	t.Helper()
+	always := func(proxrank.Options) bool { return true }
+	overInputs := func(name string, inputs []proxrank.Input) inputKind {
+		return inputKind{name, always, func(q proxrank.Vector, opts proxrank.Options) (proxrank.Result, error) {
+			return proxrank.TopKInputs(q, inputs, opts)
+		}}
+	}
+	kinds := []inputKind{overInputs("plain", inputsOf(rels))}
+	dir := t.TempDir()
+	for _, strategy := range []proxrank.PartitionStrategy{proxrank.HashPartition, proxrank.GridPartition} {
+		sharded := make([]proxrank.Input, len(rels))
+		mapped := make([]proxrank.Input, len(rels))
+		for i, rel := range rels {
+			s, err := proxrank.NewShardedRelation(rel, shards, strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.NumShards() != shards {
+				t.Fatalf("%v: relation %s has %d shards, want %d", strategy, rel.Name, s.NumShards(), shards)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("%v-%d%s", strategy, i, proxrank.RelFileExtension))
+			if err := proxrank.SaveRelFile(path, s); err != nil {
+				t.Fatal(err)
+			}
+			m, err := proxrank.LoadRelFile(path, rel.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded[i], mapped[i] = s, m
+		}
+		kinds = append(kinds, overInputs(strategy.String(), sharded), overInputs(strategy.String()+"-relfile", mapped))
+	}
+	indexes := make([]*proxrank.RTreeIndex, len(rels))
+	for i, rel := range rels {
+		indexes[i] = proxrank.NewRTreeIndex(rel)
+	}
+	return append(kinds, inputKind{
+		name: "rtree-index",
+		serves: func(opts proxrank.Options) bool {
+			return opts.Access == proxrank.DistanceAccess && !opts.CosineProximity
+		},
+		topK: func(q proxrank.Vector, opts proxrank.Options) (proxrank.Result, error) {
+			sources := make([]proxrank.Source, len(indexes))
+			for i, ix := range indexes {
+				src, err := ix.Source(q)
+				if err != nil {
+					return proxrank.Result{}, err
+				}
+				sources[i] = src
+			}
+			return proxrank.TopKFromSources(q, sources, opts)
+		},
+	})
+}
+
 // TestTopKShardedMatchesUnsharded is the facade-layer acceptance test:
-// relations partitioned into ≥4 shards must return byte-identical top-k
-// results (same tuples, same scores, same order) as the unsharded
-// relations, for both access kinds and both strategies.
+// every kind of input — relations partitioned into 4 shards under both
+// strategies, their relfile twins, shared R-tree indexes — must return
+// byte-identical top-k results (same tuples, same scores, same order) and
+// read exactly as deep as the plain relations, for both access kinds. The
+// plain relations sort and the rest traverse R-trees, so this is also the
+// sorted-versus-R-tree identity.
 func TestTopKShardedMatchesUnsharded(t *testing.T) {
 	relA := shardTestRelation(t, "A", 101, 90, 2)
 	relB := shardTestRelation(t, "B", 202, 110, 2)
 	query := proxrank.Vector{2.2, 1.4}
+	kinds := inputKinds(t, []*proxrank.Relation{relA, relB}, 4)
 
-	for _, strategy := range []proxrank.PartitionStrategy{proxrank.HashPartition, proxrank.GridPartition} {
-		shardedA, err := proxrank.NewShardedRelation(relA, 4, strategy)
+	for _, access := range []proxrank.AccessKind{proxrank.DistanceAccess, proxrank.ScoreAccess} {
+		opts := proxrank.Options{K: 12, Access: access}
+		want, err := kinds[0].topK(query, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shardedB, err := proxrank.NewShardedRelation(relB, 5, strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shardedA.NumShards() < 4 {
-			t.Fatalf("%v: relation A has %d shards, want 4", strategy, shardedA.NumShards())
-		}
-		for _, access := range []proxrank.AccessKind{proxrank.DistanceAccess, proxrank.ScoreAccess} {
-			for _, useRTree := range []bool{false, true} {
-				if access == proxrank.ScoreAccess && useRTree {
-					continue
-				}
-				opts := proxrank.Options{K: 12, Access: access, UseRTree: useRTree}
-				want, err := proxrank.TopK(query, []*proxrank.Relation{relA, relB}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := proxrank.TopKInputs(query, []proxrank.Input{shardedA, shardedB}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%v/%v/rtree=%v", strategy, access, useRTree)
-				if !reflect.DeepEqual(got.Combinations, want.Combinations) {
-					t.Fatalf("%s: sharded combinations diverge from unsharded\n got: %+v\nwant: %+v",
-						label, got.Combinations, want.Combinations)
-				}
-				if got.Stats.SumDepths != want.Stats.SumDepths {
-					t.Fatalf("%s: sharded sumDepths %d, unsharded %d (streams are not identical)",
-						label, got.Stats.SumDepths, want.Stats.SumDepths)
-				}
+		for _, kind := range kinds[1:] {
+			if !kind.serves(opts) {
+				continue
+			}
+			got, err := kind.topK(query, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s/%v", kind.name, access)
+			if !reflect.DeepEqual(got.Combinations, want.Combinations) {
+				t.Fatalf("%s: combinations diverge from the plain relations\n got: %+v\nwant: %+v",
+					label, got.Combinations, want.Combinations)
+			}
+			if got.Stats.SumDepths != want.Stats.SumDepths {
+				t.Fatalf("%s: sumDepths %d, plain relations %d (streams are not identical)",
+					label, got.Stats.SumDepths, want.Stats.SumDepths)
 			}
 		}
 	}
@@ -120,7 +184,7 @@ func benchShardedCity(b *testing.B, shards int, strategy proxrank.PartitionStrat
 		}
 		inputs[i] = s
 	}
-	opts := proxrank.Options{K: 10, UseRTree: true}
+	opts := proxrank.Options{K: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := proxrank.TopKInputs(query, inputs, opts); err != nil {

@@ -84,6 +84,9 @@ func TestParallelQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every kind of input — sorted relations, sharded and mapped R-trees,
+	// shared indexes — is read by several goroutines at once.
+	kinds := inputKinds(t, rels, 3)
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for g := 0; g < 16; g++ {
@@ -91,11 +94,11 @@ func TestParallelQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opts := proxrank.Options{K: 5, UseRTree: g%2 == 0}
+			opts := proxrank.Options{K: 5}
 			if g%4 == 1 {
 				opts.Algorithm = proxrank.CBPA
 			}
-			res, err := proxrank.TopK(q, rels, opts)
+			res, err := kinds[g%len(kinds)].topK(q, opts)
 			if err != nil {
 				errs <- err
 				return
