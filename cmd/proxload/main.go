@@ -22,11 +22,14 @@
 //	proxload -addr http://localhost:8080 -rate 200 -duration 10s
 //	proxload -selfserve -rate 500 -duration 5s -stream 0.5 -slow-clients 4
 //
-// -selfserve spins up an in-process proxserve (bundled city data) and
-// drives it over a real TCP socket, so a delivery-broker study needs no
-// external setup: the -stream-buffer/-stream-overflow/
-// -stream-block-timeout flags configure the in-process server exactly
-// like proxserve.
+// -selfserve spins up an in-process proxserve and drives it over a real
+// TCP socket, so a delivery-broker study needs no external setup: the
+// -stream-buffer/-stream-overflow/-stream-block-timeout flags configure
+// the in-process server exactly like proxserve. What it serves (bundled
+// city data, -selfserve-tuples synthetic relations, either one from
+// -selfserve-relfile mmap-backed files) and how it is deployed
+// (-topology) are independent choices; a combination that cannot be
+// built is refused, exit status 2, never quietly replaced.
 //
 // -topology coord:N upgrades -selfserve to a distributed deployment: N
 // in-process shard servers (each owning every Nth shard of every
@@ -57,11 +60,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime/debug"
 	"sort"
@@ -73,173 +78,248 @@ import (
 	proxrank "repro"
 	"repro/api"
 	"repro/internal/faultinject"
-	"repro/internal/shardrpc"
 	"repro/internal/vec"
 	"repro/service"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", "http://localhost:8080", "base URL of the target proxserve")
-		selfserve = flag.Bool("selfserve", false, "spin up an in-process proxserve on a loopback port and target it")
-		city      = flag.String("city", "SF", "city data set for -selfserve")
-		rate      = flag.Float64("rate", 100, "mean arrival rate in queries/sec (open loop, Poisson)")
-		duration  = flag.Duration("duration", 10*time.Second, "how long to generate load")
-		streamFr  = flag.Float64("stream", 0.5, "fraction of arrivals using /v1/query/stream (rest use /v1/query)")
-		k         = flag.Int("k", 10, "top-K per query")
-		accessF   = flag.String("access", "", "access kind sent on every query: distance, score, or empty for the server default (distance)")
-		hotFr     = flag.Float64("hot", 0.5, "fraction of arrivals drawn from the hot query set (cache hits after warmup)")
-		hotSet    = flag.Int("hot-set", 4, "number of distinct hot query vectors")
-		relsFl    = flag.String("rel", "", "comma-separated relation names (default: first two of GET /v1/relations)")
-		seed      = flag.Int64("seed", 1, "RNG seed for arrivals and query vectors")
-		maxInfl   = flag.Int("max-inflight", 512, "cap on concurrently outstanding requests; arrivals beyond are shed")
-		timeout   = flag.Duration("timeout", 10*time.Second, "per-request client timeout")
-		spread    = flag.Float64("query-spread", 0.02, "radius of random query vectors around the base point")
-		baseFl    = flag.String("query-base", "", "comma-separated base query vector (default: city landmark for -selfserve, origin otherwise)")
-		overflow  = flag.String("overflow", "", "overflow policy sent on stream requests: block, drop, or empty for the server default")
-		slowN     = flag.Int("slow-clients", 0, "deliberately slow stream readers pinned to the hottest query")
-		slowRead  = flag.Duration("slow-read", 200*time.Millisecond, "per-event stall of a slow client")
-		slowBuf   = flag.Int("slow-rcvbuf", 4096, "slow clients' socket receive buffer (small = real TCP backpressure)")
-		jsonOut   = flag.String("json", "", "also write the report as JSON to this file")
-		maxErrFr  = flag.Float64("max-error-rate", 1.0, "exit nonzero when failed requests exceed this fraction (CI gate; 0 = any error fails)")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		// In-process server knobs, mirroring proxserve.
-		workers   = flag.Int("workers", 0, "selfserve: max concurrent engine executions (0 = GOMAXPROCS)")
-		streamBuf = flag.Int("stream-buffer", service.DefaultStreamBuffer, "selfserve: stream delivery buffer (events a client may lag behind the engine)")
-		overflowS = flag.String("stream-overflow", service.DefaultStreamOverflow, "selfserve: server-side overflow policy (block|drop)")
-		blockTo   = flag.Duration("stream-block-timeout", service.DefaultStreamBlockTimeout, "selfserve: engine wait on block-policy laggards")
-		cacheSz   = flag.Int("cache", service.DefaultCacheSize, "selfserve: LRU result-cache capacity")
-		srvSndbuf = flag.Int("server-sndbuf", 0, "selfserve: cap accepted connections' send buffers (0 = kernel default; loopback autotuning otherwise hides slow readers)")
-
-		// Memory-bounded study knobs: serve big synthetic relations from
-		// mmap-backed relfiles, spill enumeration to disk, and gate the
-		// run on the server's own resident-memory gauge.
-		selfTuples = flag.Int("selfserve-tuples", 0, "selfserve: serve synthetic relations of this many tuples each instead of the bundled city data (0 = city data)")
-		selfDim    = flag.Int("selfserve-dim", 8, "selfserve: feature dimensionality of the -selfserve-tuples synthetic relations")
-		selfProx   = flag.Bool("selfserve-relfile", false, "selfserve: write the relations to mmap-ready .prox relfiles and serve them file-backed (flat-RSS mode)")
-		spillDirF  = flag.String("spill-dir", "", "selfserve: file spill tier for BufferSpill sessions, forwarded to the in-process server")
-		spillMemF  = flag.Int("spill-mem", 0, "selfserve: in-memory spill-slab watermark in bytes, forwarded to the in-process server (0 = 4 MiB default)")
-		bufPolicy  = flag.String("buffer-policy", "", "bufferPolicy sent on every query: prune, spill (engages the server's -spill-dir tier), or empty for the server default")
-		maxResib   = flag.Int64("max-resident-bytes", 0, "exit nonzero when the server's resident set (proxrank_process_resident_bytes, sampled during the run) ever exceeds this many bytes (0 = no gate)")
-
-		// Distributed selfserve knobs.
-		topology  = flag.String("topology", "single", `selfserve deployment: "single" or "coord:N" (N in-process shard servers behind a coordinator)`)
-		shardsFl  = flag.Int("shards", 6, "selfserve coord topology: shards per relation")
-		strategyF = flag.String("shard-strategy", "grid", "selfserve coord topology: partition strategy (hash|grid)")
-		replicasF = flag.Int("replicas", 1, "selfserve coord topology: consecutive-peer owners per shard (the r of proxserve -own i/n/r)")
-		identityF = flag.Bool("identity-check", false, "selfserve coord topology: replay fixed queries against a single-node twin and exit nonzero on any byte difference")
-		chaosF    = flag.String("chaos", "", "selfserve coord topology: fault-injection spec applied to the first shard server (same grammar as proxserve -fault-spec); pair with -replicas 2 to study hedging and failover under load")
-	)
-	flag.Parse()
-
-	base := *addr
-	var baseVec []float64
-	cfg := service.Config{
-		Workers:            *workers,
-		CacheSize:          *cacheSz,
-		DefaultTimeout:     *timeout,
-		StreamBuffer:       *streamBuf,
-		StreamOverflow:     *overflowS,
-		StreamBlockTimeout: *blockTo,
-		SpillDir:           *spillDirF,
-		SpillMemBytes:      *spillMemF,
-	}
-	if *selfserve {
-		switch {
-		case *topology == "single":
-			srvURL, landmark, shutdown, err := startSelfServe(*city, *selfTuples, *selfDim, *selfProx, *srvSndbuf, cfg)
-			if err != nil {
-				log.Fatalf("proxload: selfserve: %v", err)
-			}
-			defer shutdown()
-			base = srvURL
-			baseVec = landmark
-			if *selfTuples > 0 {
-				log.Printf("selfserve: in-process proxserve on %s (synthetic %d tuples × dim %d, relfile=%v, streamBuffer %d)",
-					srvURL, *selfTuples, *selfDim, *selfProx, *streamBuf)
-			} else {
-				log.Printf("selfserve: in-process proxserve on %s (city %s, streamBuffer %d)", srvURL, strings.ToUpper(*city), *streamBuf)
-			}
-		case strings.HasPrefix(*topology, "coord:"):
-			n := 0
-			if _, err := fmt.Sscanf(*topology, "coord:%d", &n); err != nil || n < 1 {
-				log.Fatalf("proxload: -topology %q: want coord:N with N >= 1", *topology)
-			}
-			deploy, err := startCoordServe(*city, n, *shardsFl, *strategyF, *srvSndbuf, *replicasF, *chaosF, cfg)
-			if err != nil {
-				log.Fatalf("proxload: coord selfserve: %v", err)
-			}
-			defer deploy.shutdown()
-			base = deploy.url
-			baseVec = deploy.landmark
-			log.Printf("selfserve: coordinator on %s over %d shard servers (city %s, %d %s shards/relation, %d replica(s)/shard)",
-				deploy.url, n, strings.ToUpper(*city), *shardsFl, *strategyF, *replicasF)
-			if *chaosF != "" {
-				log.Printf("CHAOS: injecting faults into shard server 0 (%s)", *chaosF)
-			}
-			if *identityF {
-				if err := deploy.identityCheck(cfg); err != nil {
-					log.Fatalf("proxload: identity check FAILED: %v", err)
-				}
-				log.Printf("identity check: coordinator and single-node twin byte-identical on %d fixed queries", identityQueries)
-			}
-		default:
-			log.Fatalf("proxload: -topology %q: want single or coord:N", *topology)
-		}
-	} else if *topology != "single" || *identityF || *chaosF != "" || *replicasF != 1 {
-		log.Fatal("proxload: -topology/-identity-check/-chaos/-replicas require -selfserve")
-	}
-	if *baseFl != "" {
-		v, err := vec.Parse(*baseFl)
-		if err != nil {
-			log.Fatalf("proxload: -query-base: %v", err)
-		}
-		baseVec = v
-	}
-
-	client := &http.Client{Timeout: *timeout}
-	if err := waitReady(client, base, 30*time.Second); err != nil {
-		log.Fatalf("proxload: %v", err)
-	}
-	relations, err := pickRelations(client, base, *relsFl)
+// run is the whole command. It returns the exit status, which is the CI
+// contract: 2 for a command line it refuses, 1 when the run fails or a
+// gate (-max-error-rate, -max-resident-bytes, -identity-check) trips.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, err := parseFlags(args, stderr)
 	if err != nil {
-		log.Fatalf("proxload: %v", err)
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		fmt.Fprintf(stderr, "proxload: %v\n", err)
+		return 2
 	}
-	if baseVec == nil {
-		baseVec = make([]float64, 2)
+	if err := drive(o, stdout); err != nil {
+		fmt.Fprintf(stderr, "proxload: %v\n", err)
+		return 1
 	}
-	log.Printf("targeting %s, relations %v, rate %.0f/s for %v", base, relations, *rate, *duration)
+	return 0
+}
+
+// dataSpec says what -selfserve serves and how it is partitioned: the
+// bundled city data set, or synthetic relations of tuples × dim when
+// tuples > 0; heap-resident, or written to mmap-ready .prox files and
+// served file-backed when relfile is set.
+type dataSpec struct {
+	city        string
+	tuples, dim int
+	relfile     bool
+	shards      int // 0 = picked from each relation's size
+	strategy    proxrank.PartitionStrategy
+}
+
+// topology says how -selfserve deploys it: one node (servers == 0), or
+// a coordinator over servers shard servers, every shard on replicas
+// consecutive ones, the first behind chaos when set.
+type topology struct {
+	servers, replicas int
+	chaos             *faultinject.Injector
+}
+
+// options is a parsed command line: the generator with its traffic mix
+// bound, the -selfserve deployment, and the run's budget and gates.
+type options struct {
+	gen       *generator
+	addr      string
+	selfserve bool
+	data      dataSpec
+	topo      topology
+	topoName  string
+	cfg       service.Config
+	sndbuf    int
+	identity  bool
+
+	rate              float64
+	duration, timeout time.Duration
+	hotSet, maxInfl   int
+	rels, jsonOut     string
+	seed              int64
+	slowN, slowBuf    int
+	slowRead          time.Duration
+	maxErrFr          float64
+	maxResident       int64
+}
+
+// parseFlags turns the command line into options, refusing what it
+// cannot honour: every error it returns is a usage error.
+func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
+	o := &options{gen: &generator{}}
+	g, c, d := o.gen, &o.cfg, &o.data
+	var strategy string
+	fs := flag.NewFlagSet("proxload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", "http://localhost:8080", "base URL of the target proxserve")
+	fs.BoolVar(&o.selfserve, "selfserve", false, "spin up an in-process proxserve on a loopback port and target it")
+	fs.StringVar(&d.city, "city", "SF", "city data set for -selfserve")
+	fs.Float64Var(&o.rate, "rate", 100, "mean arrival rate in queries/sec (open loop, Poisson)")
+	fs.DurationVar(&o.duration, "duration", 10*time.Second, "how long to generate load")
+	fs.Float64Var(&g.streamFr, "stream", 0.5, "fraction of arrivals using /v1/query/stream (rest use /v1/query)")
+	fs.IntVar(&g.k, "k", 10, "top-K per query")
+	fs.StringVar(&g.access, "access", "", "access kind sent on every query: distance, score, or empty for the server default (distance)")
+	fs.Float64Var(&g.hotFr, "hot", 0.5, "fraction of arrivals drawn from the hot query set (cache hits after warmup)")
+	fs.IntVar(&o.hotSet, "hot-set", 4, "number of distinct hot query vectors")
+	fs.StringVar(&o.rels, "rel", "", "comma-separated relation names (default: first two of GET /v1/relations)")
+	fs.Int64Var(&o.seed, "seed", 1, "RNG seed for arrivals and query vectors")
+	fs.IntVar(&o.maxInfl, "max-inflight", 512, "cap on concurrently outstanding requests; arrivals beyond are shed")
+	fs.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-request client timeout")
+	fs.Float64Var(&g.spread, "query-spread", 0.02, "radius of random query vectors around the base point")
+	fs.Func("query-base", "comma-separated base query vector (default: city landmark for -selfserve, origin otherwise)",
+		func(v string) (err error) { g.baseVec, err = vec.Parse(v); return err })
+	fs.StringVar(&g.overflow, "overflow", "", "overflow policy sent on stream requests: block, drop, or empty for the server default")
+	fs.IntVar(&o.slowN, "slow-clients", 0, "deliberately slow stream readers pinned to the hottest query")
+	fs.DurationVar(&o.slowRead, "slow-read", 200*time.Millisecond, "per-event stall of a slow client")
+	fs.IntVar(&o.slowBuf, "slow-rcvbuf", 4096, "slow clients' socket receive buffer (small = real TCP backpressure)")
+	fs.StringVar(&o.jsonOut, "json", "", "also write the report as JSON to this file")
+	fs.Float64Var(&o.maxErrFr, "max-error-rate", 1.0, "exit nonzero when failed requests exceed this fraction (CI gate; 0 = any error fails)")
+
+	// In-process server knobs, mirroring proxserve.
+	fs.IntVar(&c.Workers, "workers", 0, "selfserve: max concurrent engine executions (0 = GOMAXPROCS)")
+	fs.IntVar(&c.StreamBuffer, "stream-buffer", service.DefaultStreamBuffer, "selfserve: stream delivery buffer (events a client may lag behind the engine)")
+	fs.StringVar(&c.StreamOverflow, "stream-overflow", service.DefaultStreamOverflow, "selfserve: server-side overflow policy (block|drop)")
+	fs.DurationVar(&c.StreamBlockTimeout, "stream-block-timeout", service.DefaultStreamBlockTimeout, "selfserve: engine wait on block-policy laggards")
+	fs.IntVar(&c.CacheSize, "cache", service.DefaultCacheSize, "selfserve: LRU result-cache capacity")
+	fs.IntVar(&o.sndbuf, "server-sndbuf", 0, "selfserve: cap accepted connections' send buffers (0 = kernel default; loopback autotuning otherwise hides slow readers)")
+
+	// Memory-bounded study knobs: serve big synthetic relations from
+	// mmap-backed relfiles, spill enumeration to disk, and gate the
+	// run on the server's own resident-memory gauge.
+	fs.IntVar(&d.tuples, "selfserve-tuples", 0, "selfserve: serve synthetic relations of this many tuples each instead of the bundled city data (0 = city data)")
+	fs.IntVar(&d.dim, "selfserve-dim", 8, "selfserve: feature dimensionality of the -selfserve-tuples synthetic relations")
+	fs.BoolVar(&d.relfile, "selfserve-relfile", false, "selfserve: write the relations to mmap-ready .prox relfiles and serve them file-backed (flat-RSS mode)")
+	fs.StringVar(&c.SpillDir, "spill-dir", "", "selfserve: file spill tier for BufferSpill sessions, forwarded to the in-process server")
+	fs.IntVar(&c.SpillMemBytes, "spill-mem", 0, "selfserve: in-memory spill-slab watermark in bytes, forwarded to the in-process server (0 = 4 MiB default)")
+	fs.StringVar(&g.bufPolicy, "buffer-policy", "", "bufferPolicy sent on every query: prune, spill (engages the server's -spill-dir tier), or empty for the server default")
+	fs.Int64Var(&o.maxResident, "max-resident-bytes", 0, "exit nonzero when the server's resident set (proxrank_process_resident_bytes, sampled during the run) ever exceeds this many bytes (0 = no gate)")
+
+	// Distributed selfserve knobs.
+	fs.StringVar(&o.topoName, "topology", "single", `selfserve deployment: "single" or "coord:N" (N in-process shard servers behind a coordinator)`)
+	fs.IntVar(&d.shards, "shards", 6, "selfserve coord topology: shards per relation (single: only when given; otherwise picked from each relation's size)")
+	fs.StringVar(&strategy, "shard-strategy", "grid", "selfserve coord topology: partition strategy (hash|grid) (single: only when given; otherwise hash, grid for relfiles)")
+	fs.IntVar(&o.topo.replicas, "replicas", 1, "selfserve coord topology: consecutive-peer owners per shard (the r of proxserve -own i/n/r)")
+	fs.BoolVar(&o.identity, "identity-check", false, "selfserve: replay fixed queries against a single-node twin and exit nonzero on any byte difference")
+	fs.Func("chaos", "selfserve coord topology: fault-injection spec applied to the first shard server (same grammar as proxserve -fault-spec); pair with -replicas 2 to study hedging and failover under load",
+		func(v string) (err error) { o.topo.chaos, err = faultinject.Parse(v); return err })
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	c.DefaultTimeout = o.timeout
+	t := &o.topo
+	if !o.selfserve {
+		if o.topoName != "single" || o.identity || t.chaos != nil || t.replicas != 1 {
+			return nil, errors.New("-topology/-identity-check/-chaos/-replicas require -selfserve")
+		}
+		return o, nil
+	}
+	// The same check proxserve runs: a typo must not quietly mean block.
+	if c.StreamOverflow, err = service.ParseStreamOverflow(c.StreamOverflow); err != nil {
+		return nil, fmt.Errorf("-stream-overflow: %v", err)
+	}
+	if o.topoName == "single" {
+		if t.chaos != nil || t.replicas != 1 {
+			return nil, errors.New("-chaos/-replicas need -topology coord:N: a single node has no shard server to fault or replicate")
+		}
+		// -shards/-shard-strategy default to the coord topology's layout. A
+		// single node keeps what it always ran — a shard count picked from
+		// each relation's size, hash-partitioned in RAM and grid-partitioned
+		// in relfiles — unless the command line says otherwise (Visit tells
+		// given from default).
+		given := make(map[string]bool)
+		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		if !given["shards"] {
+			d.shards = 0
+		}
+		if !given["shard-strategy"] && !d.relfile {
+			strategy = "hash"
+		}
+	} else {
+		if _, err := fmt.Sscanf(o.topoName, "coord:%d", &t.servers); err != nil || t.servers < 1 {
+			return nil, fmt.Errorf("-topology %q: want single or coord:N with N >= 1", o.topoName)
+		}
+		if t.replicas < 1 || t.replicas > t.servers {
+			return nil, fmt.Errorf("-replicas %d: want 1 <= r <= %d shard servers", t.replicas, t.servers)
+		}
+	}
+	if d.strategy, err = proxrank.ParsePartitionStrategy(strategy); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// drive runs the load against the target — the -selfserve deployment it
+// starts first, or -addr — and prints the report; an error is a failed
+// run or a tripped gate.
+func drive(o *options, stdout io.Writer) error {
+	gen := o.gen
+	gen.base = o.addr
+	if o.selfserve {
+		data, err := newDataset(o.data)
+		if err != nil {
+			return fmt.Errorf("selfserve: %w", err)
+		}
+		deploy, err := startSelfServe(data, o.topo, o.sndbuf, o.cfg)
+		if err != nil {
+			return fmt.Errorf("selfserve: %w", err)
+		}
+		defer deploy.shutdown()
+		gen.base = deploy.url
+		if gen.baseVec == nil {
+			gen.baseVec = data.query
+		}
+		what := "city " + strings.ToUpper(o.data.city)
+		if o.data.tuples > 0 {
+			what = fmt.Sprintf("synthetic %d tuples × dim %d", o.data.tuples, o.data.dim)
+		}
+		log.Printf("selfserve: in-process proxserve on %s (%s, relfile=%v, topology %s, %d replica(s)/shard, streamBuffer %d)",
+			gen.base, what, o.data.relfile, o.topoName, o.topo.replicas, o.cfg.StreamBuffer)
+		if o.topo.chaos != nil {
+			log.Printf("CHAOS: injecting faults into shard server 0 (%d rule(s))", len(o.topo.chaos.Rules()))
+		}
+		if o.identity {
+			if err := deploy.identityCheck(o.cfg); err != nil {
+				return fmt.Errorf("identity check FAILED: %w", err)
+			}
+			log.Printf("identity check: served deployment and single-node twin byte-identical on %d fixed queries", identityQueries)
+		}
+	}
+	if gen.baseVec == nil {
+		gen.baseVec = make([]float64, 2)
+	}
+
+	client, base := &http.Client{Timeout: o.timeout}, gen.base
+	gen.client = client
+	if err := waitReady(client, base, 30*time.Second); err != nil {
+		return err
+	}
+	var err error
+	if gen.relations, err = pickRelations(client, base, o.rels); err != nil {
+		return err
+	}
+	log.Printf("targeting %s, relations %v, rate %.0f/s for %v", base, gen.relations, o.rate, o.duration)
 
 	statsBefore, err := fetchStats(client, base)
 	if err != nil {
-		log.Fatalf("proxload: reading /v1/stats: %v", err)
+		return fmt.Errorf("reading /v1/stats: %w", err)
 	}
 	metricsBefore, err := scrapeMetrics(client, base)
 	if err != nil {
-		log.Fatalf("proxload: %v", err)
+		return err
 	}
 
-	gen := &generator{
-		client:    client,
-		base:      base,
-		relations: relations,
-		k:         *k,
-		access:    *accessF,
-		overflow:  *overflow,
-		bufPolicy: *bufPolicy,
-		streamFr:  *streamFr,
-		hotFr:     *hotFr,
-		baseVec:   baseVec,
-		spread:    *spread,
-		inflight:  make(chan struct{}, max(1, *maxInfl)),
-	}
-	rng := rand.New(rand.NewSource(*seed))
-	gen.hot = make([][]float64, max(1, *hotSet))
+	gen.inflight = make(chan struct{}, max(1, o.maxInfl))
+	rng := rand.New(rand.NewSource(o.seed))
+	gen.hot = make([][]float64, max(1, o.hotSet))
 	for i := range gen.hot {
 		gen.hot[i] = gen.randVec(rng)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *duration)
+	ctx, cancel := context.WithTimeout(context.Background(), o.duration)
 	defer cancel()
 
 	// Resident-memory sampler: poll the server's own RSS gauge while the
@@ -247,10 +327,10 @@ func main() {
 	// -max-resident-bytes — the CI check behind the flat-RSS claim of
 	// mmap-backed relations and the file spill tier.
 	var residentPeak atomic.Int64
-	var samplerWG sync.WaitGroup
-	samplerWG.Add(1)
+	var background sync.WaitGroup // the sampler and the slow clients: all end with ctx
+	background.Add(1)
 	go func() {
-		defer samplerWG.Done()
+		defer background.Done()
 		tick := time.NewTicker(200 * time.Millisecond)
 		defer tick.Stop()
 		for {
@@ -270,286 +350,235 @@ func main() {
 	// Slow clients: the adversarial subscribers. They all chase the
 	// hottest query so they coalesce with (and pre-broker, delay) the
 	// regular traffic on that key.
-	var slowWG sync.WaitGroup
 	var slowDropped atomic.Int64
 	slowHTTP := &http.Client{Transport: &http.Transport{
-		DialContext:     smallRcvbufDialer(*slowBuf).DialContext,
-		MaxIdleConns:    *slowN,
+		DialContext:     smallRcvbufDialer(o.slowBuf).DialContext,
+		MaxIdleConns:    o.slowN,
 		IdleConnTimeout: time.Second,
 	}}
-	for i := 0; i < *slowN; i++ {
-		slowWG.Add(1)
-		slowRng := rand.New(rand.NewSource(*seed + 1000 + int64(i)))
+	defer slowHTTP.CloseIdleConnections()
+	for i := 0; i < o.slowN; i++ {
+		background.Add(1)
+		slowRng := rand.New(rand.NewSource(o.seed + 1000 + int64(i)))
 		go func() {
-			defer slowWG.Done()
-			gen.slowClient(ctx, slowHTTP, slowRng, *slowRead, &slowDropped)
+			defer background.Done()
+			gen.slowClient(ctx, slowHTTP, slowRng, o.slowRead, &slowDropped)
 		}()
 	}
 
 	start := time.Now()
-	gen.run(ctx, rng, *rate)
+	gen.run(ctx, rng, o.rate)
 	gen.wg.Wait()
 	elapsed := time.Since(start)
 	cancel()
-	slowWG.Wait()
-	samplerWG.Wait()
+	background.Wait()
 
 	statsAfter, err := fetchStats(client, base)
 	if err != nil {
-		log.Fatalf("proxload: reading /v1/stats: %v", err)
+		return fmt.Errorf("reading /v1/stats: %w", err)
 	}
 	metricsAfter, err := scrapeMetrics(client, base)
 	if err != nil {
-		log.Fatalf("proxload: %v", err)
+		return err
 	}
 
 	rep := gen.report(elapsed, statsBefore, statsAfter, slowDropped.Load())
-	if metricsAfter != nil {
-		rep.ServerDuration = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_duration_seconds"))
-		rep.ServerTTFE = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_ttfe_seconds"))
-		rep.SpillBytes = int64(metricsAfter.gauge("proxrank_spill_bytes_total") - metricsBefore.gauge("proxrank_spill_bytes_total"))
-	}
+	rep.ServerDuration = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_duration_seconds"))
+	rep.ServerTTFE = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_ttfe_seconds"))
+	rep.SpillBytes = int64(metricsAfter.gauge("proxrank_spill_bytes_total") - metricsBefore.gauge("proxrank_spill_bytes_total"))
 	rep.ResidentPeakBytes = residentPeak.Load()
-	rep.print(os.Stdout)
-	if *jsonOut != "" {
+	rep.print(stdout)
+	if o.jsonOut != "" {
 		buf, _ := json.MarshalIndent(rep, "", "  ")
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-			log.Fatalf("proxload: writing %s: %v", *jsonOut, err)
+		if err := os.WriteFile(o.jsonOut, append(buf, '\n'), 0o644); err != nil {
+			return fmt.Errorf("writing %s: %w", o.jsonOut, err)
 		}
 	}
 	// The exit code is the CI contract: a smoke run must fail loudly when
 	// the server misbehaves, not just print an error count.
 	done := rep.Batch.Count + rep.Stream.Count
 	if done == 0 {
-		log.Fatal("proxload: no request completed successfully")
+		return errors.New("no request completed successfully")
 	}
-	if rate := float64(rep.Errors) / float64(done+rep.Errors); rate > *maxErrFr {
-		log.Fatalf("proxload: error rate %.1f%% exceeds -max-error-rate %.1f%%", 100*rate, 100**maxErrFr)
+	if rate := float64(rep.Errors) / float64(done+rep.Errors); rate > o.maxErrFr {
+		return fmt.Errorf("error rate %.1f%% exceeds -max-error-rate %.1f%%", 100*rate, 100*o.maxErrFr)
 	}
-	if *maxResib > 0 {
-		if peak := rep.ResidentPeakBytes; peak == 0 {
-			log.Fatal("proxload: -max-resident-bytes set but the server exposed no proxrank_process_resident_bytes gauge")
-		} else if peak > *maxResib {
-			log.Fatalf("proxload: peak resident %d bytes (%.1f MiB) exceeds -max-resident-bytes %d",
-				peak, float64(peak)/(1<<20), *maxResib)
-		} else {
-			log.Printf("resident gate OK: peak %.1f MiB <= ceiling %.1f MiB",
-				float64(peak)/(1<<20), float64(*maxResib)/(1<<20))
+	if o.maxResident > 0 {
+		peak := rep.ResidentPeakBytes
+		if peak == 0 {
+			return errors.New("-max-resident-bytes set but the server exposed no proxrank_process_resident_bytes gauge")
 		}
+		if peak > o.maxResident {
+			return fmt.Errorf("peak resident %d bytes (%.1f MiB) exceeds -max-resident-bytes %d",
+				peak, float64(peak)/(1<<20), o.maxResident)
+		}
+		log.Printf("resident gate OK: peak %.1f MiB <= ceiling %.1f MiB",
+			float64(peak)/(1<<20), float64(o.maxResident)/(1<<20))
 	}
+	return nil
 }
 
-// startSelfServe builds a catalog — the bundled city data set, or
-// synthetic relations of tuples × dim when tuples > 0 — and serves it on
-// a loopback port, returning the base URL, a sensible base query vector,
-// and a shutdown func. With useRelfile the relations are written to
-// mmap-ready .prox files in a temp directory and loaded file-backed:
-// after admission the build-time heap is released, so the serving
-// process's resident set reflects only what queries touch.
-func startSelfServe(city string, tuples, dim int, useRelfile bool, sndbuf int, cfg service.Config) (string, []float64, func(), error) {
+// dataset is a dataSpec made real: fill loads it into one more catalog,
+// partitioned identically every time — each shard server, the single
+// node and the identity twin all hold the same global partition — query
+// is a sensible base query vector for it, and cleanup removes what it
+// left on disk.
+type dataset struct {
+	query   []float64
+	fill    func(*service.Catalog) error
+	cleanup func()
+}
+
+// newDataset generates the relations and, for relfiles, writes them to
+// a temp directory and drops the build-time copies: every catalog then
+// maps the same files, so the serving process's resident set reflects
+// only what queries touch.
+func newDataset(d dataSpec) (*dataset, error) {
+	ds := &dataset{cleanup: func() {}}
 	var rels []*proxrank.Relation
-	var query []float64
-	if tuples > 0 {
+	if d.tuples > 0 {
 		gcfg := proxrank.DefaultSyntheticConfig()
-		gcfg.BaseTuples = tuples
-		gcfg.Dim = dim
-		gcfg.Seed = 11
+		gcfg.BaseTuples, gcfg.Dim, gcfg.Seed = d.tuples, d.dim, 11
 		var err error
-		rels, err = proxrank.SyntheticRelations(gcfg)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		query = make([]float64, dim) // the shared region is centered at the origin
-	} else {
-		var cq proxrank.Vector
-		var err error
-		rels, cq, _, err = proxrank.CityDataset(strings.ToUpper(city))
-		if err != nil {
-			return "", nil, nil, err
-		}
-		query = []float64(cq)
-	}
-	cat := service.NewCatalog()
-	cleanup := func() {}
-	if useRelfile {
-		dir, err := os.MkdirTemp("", "proxload-relfile-*")
-		if err != nil {
-			return "", nil, nil, err
-		}
-		cleanup = func() { _ = os.RemoveAll(dir) }
-		for i, rel := range rels {
-			sharded, err := proxrank.NewShardedRelation(rel, proxrank.AutoShardCount(rel.Len()), proxrank.GridPartition)
-			if err != nil {
-				cleanup()
-				return "", nil, nil, err
-			}
-			path := fmt.Sprintf("%s/r%d%s", dir, i, proxrank.RelFileExtension)
-			if err := proxrank.SaveRelFile(path, sharded); err != nil {
-				cleanup()
-				return "", nil, nil, err
-			}
-			if err := cat.LoadRelFile(rel.Name, path); err != nil {
-				cleanup()
-				return "", nil, nil, err
-			}
-		}
-		// Drop the build-time copies and hand the pages back to the OS so
-		// the resident gauge measures serving, not generation.
-		rels = nil
-		debug.FreeOSMemory()
-	} else {
-		for _, rel := range rels {
-			// shards == 0: catalog admission auto-picks from relation size.
-			if err := cat.RegisterSharded(rel.Name, rel, 0, proxrank.HashPartition); err != nil {
-				cleanup()
-				return "", nil, nil, err
-			}
-		}
-	}
-	exec := service.NewExecutor(cat, cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		cleanup()
-		return "", nil, nil, err
-	}
-	if sndbuf > 0 {
-		ln = clampSndbufListener(ln, sndbuf)
-	}
-	srv := &http.Server{Handler: service.NewServer(cat, exec).Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	shutdown := func() { _ = srv.Close(); cleanup() }
-	return "http://" + ln.Addr().String(), query, shutdown, nil
-}
-
-// coordDeploy is an in-process distributed deployment: N shard servers,
-// a coordinator serving HTTP, and enough bookkeeping to replay queries
-// against a single-node twin of the same data.
-type coordDeploy struct {
-	url      string
-	landmark []float64
-	coord    *service.Executor
-	rels     []*proxrank.Relation
-	names    []string
-	shards   int
-	strategy proxrank.PartitionStrategy
-	shutdown func()
-}
-
-// startCoordServe builds the bundled city data set, partitions every
-// relation, serves the shards from n in-process shard servers (server i
-// owns shard s when i is among the replicas consecutive peers starting
-// at s%n), and fronts them with a coordinator listening on a loopback
-// port — the same deployment `proxserve -shard-server` × n plus
-// `proxserve -coordinator` builds across processes, minus the process
-// boundaries. A non-empty chaosSpec puts server 0 behind a
-// fault-injecting listener, so the run measures resilience (hedges,
-// failover, degradation) instead of the happy path.
-func startCoordServe(city string, n, shards int, strategyName string, sndbuf, replicas int, chaosSpec string, cfg service.Config) (*coordDeploy, error) {
-	rels, query, _, err := proxrank.CityDataset(strings.ToUpper(city))
-	if err != nil {
-		return nil, err
-	}
-	strategy, err := proxrank.ParsePartitionStrategy(strategyName)
-	if err != nil {
-		return nil, err
-	}
-	if replicas < 1 || replicas > n {
-		return nil, fmt.Errorf("-replicas %d: want 1 <= r <= %d shard servers", replicas, n)
-	}
-	var inj *faultinject.Injector
-	if chaosSpec != "" {
-		inj, err = faultinject.Parse(chaosSpec)
-		if err != nil {
-			return nil, fmt.Errorf("-chaos: %w", err)
-		}
-	}
-	var cleanups []func()
-	shutdown := func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		cat := service.NewCatalog()
-		for _, rel := range rels {
-			if err := cat.RegisterSharded(rel.Name, rel, shards, strategy); err != nil {
-				shutdown()
-				return nil, err
-			}
-		}
-		exec := service.NewExecutor(cat, cfg)
-		backend := service.NewShardBackend(cat, exec, service.Ownership{Index: i, Count: n, Replicas: replicas})
-		srv := shardrpc.NewServer(backend)
-		var bound net.Addr
-		if i == 0 && inj != nil {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				shutdown()
-				return nil, err
-			}
-			if err := srv.Serve(inj.Listener(ln)); err != nil {
-				shutdown()
-				return nil, err
-			}
-			bound = ln.Addr()
-		} else {
-			bound, err = srv.Listen("127.0.0.1:0")
-			if err != nil {
-				shutdown()
-				return nil, err
-			}
-		}
-		backend.SetName(bound.String())
-		addrs[i] = bound.String()
-		cleanups = append(cleanups, srv.Close)
-	}
-
-	fleet := shardrpc.NewFleet(addrs)
-	cleanups = append(cleanups, fleet.Close)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	remotes, err := fleet.Discover(ctx)
-	cancel()
-	if err != nil {
-		shutdown()
-		return nil, err
-	}
-	coordCat := service.NewCatalog()
-	var names []string
-	for name, rr := range remotes {
-		if err := coordCat.RegisterRemote(name, rr); err != nil {
-			shutdown()
+		if rels, err = proxrank.SyntheticRelations(gcfg); err != nil {
 			return nil, err
 		}
-		names = append(names, name)
+		ds.query = make([]float64, d.dim) // the shared region is centered at the origin
+	} else {
+		cityRels, landmark, _, err := proxrank.CityDataset(strings.ToUpper(d.city))
+		if err != nil {
+			return nil, err
+		}
+		rels, ds.query = cityRels, landmark
 	}
-	sort.Strings(names)
-	coordExec := service.NewExecutor(coordCat, cfg)
-	apiSrv := service.NewServer(coordCat, coordExec)
-	apiSrv.AttachFleet(fleet)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if !d.relfile {
+		ds.fill = func(cat *service.Catalog) error {
+			for _, rel := range rels {
+				if err := cat.RegisterSharded(rel.Name, rel, d.shards, d.strategy); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		return ds, nil
+	}
+	dir, err := os.MkdirTemp("", "proxload-relfile-*")
 	if err != nil {
-		shutdown()
 		return nil, err
 	}
+	ds.cleanup = func() { _ = os.RemoveAll(dir) }
+	paths := make(map[string]string, len(rels))
+	for i, rel := range rels {
+		shards := d.shards
+		if shards == 0 {
+			shards = proxrank.AutoShardCount(rel.Len())
+		}
+		sharded, err := proxrank.NewShardedRelation(rel, shards, d.strategy)
+		if err == nil {
+			paths[rel.Name] = filepath.Join(dir, fmt.Sprintf("r%d%s", i, proxrank.RelFileExtension))
+			err = proxrank.SaveRelFile(paths[rel.Name], sharded)
+		}
+		if err != nil {
+			ds.cleanup()
+			return nil, err
+		}
+	}
+	// Hand the build-time pages back to the OS so the resident gauge
+	// measures serving, not generation.
+	rels = nil
+	debug.FreeOSMemory()
+	ds.fill = func(cat *service.Catalog) error {
+		for name, path := range paths {
+			if err := cat.LoadRelFile(name, path); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return ds, nil
+}
+
+// deployment is a running -selfserve topology: front answers HTTP on
+// url — the single node, or the coordinator over the shard servers that
+// precede it in nodes.
+type deployment struct {
+	url   string
+	front *service.Node
+	nodes []*service.Node
+	http  *http.Server
+	data  *dataset
+}
+
+// startSelfServe opens topo.servers shard-server nodes and the front
+// node — servers+1 service.Open calls, the same bring-up `proxserve
+// -shard-server` × n plus `proxserve -coordinator` runs across processes
+// — and serves the front node's handler on a loopback port. It owns data
+// from the call on.
+func startSelfServe(data *dataset, topo topology, sndbuf int, cfg service.Config) (_ *deployment, err error) {
+	d := &deployment{data: data}
+	defer func() {
+		if err != nil {
+			d.shutdown()
+		}
+	}()
+	open := func(nc service.NodeConfig, loaded bool) (*service.Node, error) {
+		cat := service.NewCatalog()
+		if loaded {
+			if err := data.fill(cat); err != nil {
+				return nil, err
+			}
+		}
+		nc.Config = cfg
+		n, err := service.Open(context.Background(), cat, nc)
+		if err == nil {
+			d.nodes = append(d.nodes, n)
+		}
+		return n, err
+	}
+	var front service.NodeConfig
+	for i := 0; i < topo.servers; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 && topo.chaos != nil {
+			ln = topo.chaos.Listener(ln)
+		}
+		own := service.Ownership{Index: i, Count: topo.servers, Replicas: topo.replicas}
+		n, err := open(service.NodeConfig{RPCListener: ln, Own: own}, true)
+		if err != nil {
+			return nil, err
+		}
+		front.Peers = append(front.Peers, n.RPCAddr)
+	}
+	// A single node holds the data itself; a coordinator's catalog fills
+	// from what its peers advertise.
+	if d.front, err = open(front, topo.servers == 0); err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	d.url = "http://" + ln.Addr().String()
 	if sndbuf > 0 {
 		ln = clampSndbufListener(ln, sndbuf)
 	}
-	httpSrv := &http.Server{Handler: apiSrv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	cleanups = append(cleanups, func() { _ = httpSrv.Close() })
+	d.http = &http.Server{Handler: d.front.Handler()}
+	go func() { _ = d.http.Serve(ln) }()
+	return d, nil
+}
 
-	return &coordDeploy{
-		url:      "http://" + ln.Addr().String(),
-		landmark: []float64(query),
-		coord:    coordExec,
-		rels:     rels,
-		names:    names,
-		shards:   shards,
-		strategy: strategy,
-		shutdown: shutdown,
-	}, nil
+// shutdown stops HTTP, then the nodes front first, then removes the
+// data set's files.
+func (d *deployment) shutdown() {
+	if d.http != nil {
+		_ = d.http.Close()
+	}
+	for i := len(d.nodes) - 1; i >= 0; i-- {
+		d.nodes[i].Close()
+	}
+	d.data.cleanup()
 }
 
 // identityQueries is the size of the fixed query set -identity-check
@@ -557,27 +586,26 @@ func startCoordServe(city string, n, shards int, strategyName string, sndbuf, re
 // different K, batch path, default algorithm and access.
 const identityQueries = 8
 
-// identityCheck replays the fixed query set against the coordinator
-// executor and a freshly built single-node twin of the same relations,
-// failing on the first byte-level difference between the canonicalized
-// responses (wall-clock cost fields excluded — everything else,
-// including float score bits, must match).
-func (d *coordDeploy) identityCheck(cfg service.Config) error {
+// identityCheck replays the fixed query set against the front node's
+// executor and a freshly built single-node twin of the same data,
+// failing on the first byte-level difference between the canonical
+// responses (service.CanonicalResponse: wall-clock cost and the cached
+// marker excluded — everything else, float score bits included, must
+// match).
+func (d *deployment) identityCheck(cfg service.Config) error {
 	cfg.CacheSize = -1 // compare engine answers, not cache luck
 	twinCat := service.NewCatalog()
-	for _, rel := range d.rels {
-		if err := twinCat.RegisterSharded(rel.Name, rel, d.shards, d.strategy); err != nil {
-			return err
-		}
+	if err := d.data.fill(twinCat); err != nil {
+		return err
 	}
 	twin := service.NewExecutor(twinCat, cfg)
-	relations := d.names
+	relations := twinCat.Names()
 	if len(relations) > 2 {
 		relations = relations[:2]
 	}
 	for i := 0; i < identityQueries; i++ {
-		vec := make([]float64, len(d.landmark))
-		for j, b := range d.landmark {
+		vec := make([]float64, len(d.data.query))
+		for j, b := range d.data.query {
 			vec[j] = b + 0.01*float64(i-identityQueries/2)*float64(j+1)
 		}
 		req := &service.QueryRequest{Query: vec, Relations: relations, K: 2 + i%5}
@@ -585,51 +613,35 @@ func (d *coordDeploy) identityCheck(cfg service.Config) error {
 		if err != nil {
 			return fmt.Errorf("query %d: single-node twin: %w", i, err)
 		}
-		got, err := d.coord.Execute(context.Background(), req)
+		got, err := d.front.Executor.Execute(context.Background(), req)
 		if err != nil {
-			return fmt.Errorf("query %d: coordinator: %w", i, err)
+			return fmt.Errorf("query %d: served deployment: %w", i, err)
 		}
-		w, g := canonicalResponse(want), canonicalResponse(got)
-		if w != g {
-			return fmt.Errorf("query %d: responses differ\nsingle-node: %s\ncoordinator: %s", i, w, g)
+		if w, g := service.CanonicalResponse(want), service.CanonicalResponse(got); w != g {
+			return fmt.Errorf("query %d: responses differ\nsingle-node: %s\nserved:      %s", i, w, g)
 		}
 	}
 	return nil
 }
 
-// canonicalResponse strips wall-clock fields and renders the response as
-// JSON; Go's float64 marshaling is shortest-round-trip, so score bits
-// survive into the comparison.
-func canonicalResponse(resp *service.QueryResponse) string {
-	c := *resp
-	c.Cost.ElapsedMicros = 0
-	c.Cached = false
-	buf, _ := json.Marshal(&c)
-	return string(buf)
-}
-
 // waitReady blocks until the target answers GET /v1/readyz with 200 —
 // the startup gate that keeps the load run from measuring index builds
-// or an uncovered fleet as query latency. Servers predating the
-// endpoint (404) fall back to /v1/healthz.
+// or an uncovered fleet as query latency. Any other answer keeps it
+// waiting, a 404 included: every target runs this build (the
+// no-negotiation rule internal/shardrpc/wire.go states), so a server
+// without the endpoint is not one to fall back to liveness for.
 func waitReady(client *http.Client, base string, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
-	probe := base + "/v1/readyz"
 	for {
-		resp, err := client.Get(probe)
+		resp, err := client.Get(base + "/v1/readyz")
 		if err == nil {
-			code := resp.StatusCode
 			resp.Body.Close()
-			if code == http.StatusOK {
+			if resp.StatusCode == http.StatusOK {
 				return nil
-			}
-			if code == http.StatusNotFound && strings.HasSuffix(probe, "/v1/readyz") {
-				probe = base + "/v1/healthz"
-				continue
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("server not ready after %v (last probe %s)", budget, probe)
+			return fmt.Errorf("server not ready after %v (GET /v1/readyz)", budget)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -652,9 +664,7 @@ func pickRelations(client *http.Client, base, flagVal string) ([]string, error) 
 		return nil, fmt.Errorf("GET /v1/relations: status %d: %s", resp.StatusCode, bytes.TrimSpace(raw.Bytes()))
 	}
 	var body struct {
-		Relations []struct {
-			Name string `json:"name"`
-		} `json:"relations"`
+		Relations []service.RelationInfo `json:"relations"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return nil, fmt.Errorf("decoding /v1/relations: %w", err)
@@ -662,8 +672,7 @@ func pickRelations(client *http.Client, base, flagVal string) ([]string, error) 
 	if len(body.Relations) < 2 {
 		return nil, fmt.Errorf("server has %d relations; need at least 2 (or pass -rel)", len(body.Relations))
 	}
-	names := []string{body.Relations[0].Name, body.Relations[1].Name}
-	return names, nil
+	return []string{body.Relations[0].Name, body.Relations[1].Name}, nil
 }
 
 // fetchStats reads GET /v1/stats into the server's own document type.
@@ -678,16 +687,21 @@ func fetchStats(client *http.Client, base string) (service.StatsResponse, error)
 	return st, err
 }
 
-// subCounters subtracts b from a on every int64 field, the embedded
+// statGauges are the int64 fields of the stats document that read an
+// instant or a peak, not a running total: "after minus before" of them
+// means nothing, so the report keeps their after-run reading.
+var statGauges = map[string]bool{"InFlight": true, "Queued": true, "StreamSubscribers": true, "StreamPeakLag": true}
+
+// subCounters subtracts b from a on every int64 counter, the embedded
 // executor snapshot included, so a counter the server adds is reported
-// without a line here. Gauges (inFlight, queued, …) subtract too; the
-// report reads none of them.
+// without a line here.
 func subCounters(a, b reflect.Value) {
 	for i := 0; i < a.NumField(); i++ {
-		switch f := a.Field(i); f.Kind() {
-		case reflect.Int64:
+		switch f := a.Field(i); {
+		case statGauges[a.Type().Field(i).Name]:
+		case f.Kind() == reflect.Int64:
 			f.SetInt(f.Int() - b.Field(i).Int())
-		case reflect.Struct:
+		case f.Kind() == reflect.Struct:
 			subCounters(f, b.Field(i))
 		}
 	}
@@ -1030,7 +1044,7 @@ func (g *generator) report(elapsed time.Duration, before, after service.StatsRes
 	return r
 }
 
-func (r report) print(w *os.File) {
+func (r report) print(w io.Writer) {
 	fmt.Fprintf(w, "\nproxload report (%.1fs, offered %.0f rps, achieved %.0f rps, shed %d, errors %d)\n",
 		r.ElapsedSec, r.OfferedRPS, r.AchievedRPS, r.Shed, r.Errors)
 	if r.FirstError != "" {

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"net/http"
 	"sort"
@@ -39,26 +38,17 @@ type metricsSnap struct {
 }
 
 // gauge returns a plain sample by family name (0 when absent).
-func (s *metricsSnap) gauge(name string) float64 {
-	if s == nil {
-		return 0
-	}
-	return s.scalar[name]
-}
+func (s *metricsSnap) gauge(name string) float64 { return s.scalar[name] }
 
 // scrapeMetrics reads GET /metrics and parses the histogram families. A
-// missing endpoint (older server) returns nil without error so the rest
-// of the report still works; a malformed exposition is a hard failure.
+// missing endpoint or a malformed exposition is a hard failure: every
+// target runs this build.
 func scrapeMetrics(client *http.Client, base string) (*metricsSnap, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		log.Printf("server has no /metrics endpoint; skipping server-side histograms")
-		return nil, nil
-	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
 	}
@@ -109,17 +99,11 @@ func (s *metricsSnap) hist(family string) *histSnap {
 	return h
 }
 
-// delta subtracts an earlier scrape of the same family; either side may
-// be missing (nil is an empty histogram).
+// delta subtracts an earlier scrape of the same family; a family either
+// scrape lacks is an empty histogram.
 func (s *metricsSnap) delta(before *metricsSnap, family string) histSnap {
 	d := histSnap{buckets: make(map[float64]int64)}
-	var a, b *histSnap
-	if s != nil {
-		a = s.hists[family]
-	}
-	if before != nil {
-		b = before.hists[family]
-	}
+	a, b := s.hists[family], before.hists[family]
 	if a == nil {
 		return d
 	}

@@ -15,7 +15,7 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -132,42 +132,24 @@ func main() {
 		}
 	}
 
-	dnf := false
-	if *stream {
-		// Incremental retrieval: rank 1 appears as soon as the bound
-		// certifies it, long before the run would complete.
-		rank := 0
-		for rank < *k {
-			batch, err := sess.Next(1)
-			for _, c := range batch {
-				rank++
-				print(rank, c)
-			}
-			if err == nil {
-				continue
-			}
-			if errors.Is(err, proxrank.ErrStreamDone) {
-				break
-			}
-			if errors.Is(err, proxrank.ErrDNF) {
-				dnf = true
-				for _, c := range sess.DrainBest(*k - rank) {
-					rank++
-					print(rank, c)
-				}
-				break
-			}
-			fatal("%v", err)
+	// One drain for both modes: -stream prints each result as the bound
+	// certifies it — rank 1 long before the run completes — and the default
+	// holds them until the run is over.
+	var held []proxrank.Combination
+	rank := 0
+	dnf, err := sess.Drain(context.Background(), func(c proxrank.Combination) {
+		if !*stream {
+			held = append(held, c)
+			return
 		}
-	} else {
-		res, err := sess.Run()
-		if err != nil {
-			fatal("%v", err)
-		}
-		dnf = res.DNF
-		for i, c := range res.Combinations {
-			print(i+1, c)
-		}
+		rank++
+		print(rank, c)
+	})
+	if err != nil {
+		fatal("%v", err)
+	}
+	for i, c := range held {
+		print(i+1, c)
 	}
 	if dnf {
 		fmt.Println("warning: run aborted by cap before the bound certified the result (DNF)")

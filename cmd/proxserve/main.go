@@ -37,19 +37,15 @@
 //	proxserve -city SF -shards 8 -shard-server -rpc-addr :9002 -own 1/2
 //	proxserve -coordinator -peers localhost:9001,localhost:9002 -addr :8080
 //
-// Endpoints (queries speak the versioned api.Request model):
+// Endpoints: queries speak the versioned api.Request model on POST
+// /v1/query and /v1/query/stream, beside relation management, /v1/healthz
+// (liveness), /v1/readyz (readiness), /v1/stats and /metrics. The route
+// table is kept once, on service.Server; docs/API.md is the wire
+// reference.
 //
-//	POST   /v1/query         {"query":[x,y],"relations":["SF-hotels","SF-restaurants"],"k":5}
-//	POST   /v1/query/stream  same body; NDJSON result events, first result
-//	                         flushed as soon as the engine certifies it
-//	GET    /v1/relations
-//	POST   /v1/relations?name=bars&shards=4   (CSV body)
-//	DELETE /v1/relations/{name}
-//	GET    /v1/healthz       liveness (200 while the process runs)
-//	GET    /v1/readyz        readiness (503 while the catalog builds or
-//	                         some shard has no reachable replica)
-//	GET    /v1/stats
-//	GET    /metrics          Prometheus text exposition
+// Flags that belong to a role (-own, -rpc-addr, -fault-spec to
+// -shard-server; -peers, -hedge-after, -breaker-cooldown to -coordinator)
+// are refused without it, exit status 2, rather than ignored.
 //
 // Observability: -slow-query logs requests past a duration threshold as
 // JSON lines (same trace structure the api's trace flag returns), and
@@ -62,10 +58,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -74,304 +71,316 @@ import (
 	"time"
 
 	proxrank "repro"
-	"repro/api"
 	"repro/internal/faultinject"
 	"repro/internal/shardrpc"
 	"repro/service"
 )
 
-// listFlag collects a repeatable string flag.
-type listFlag []string
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
-
-// logRegistered reports one registration with its catalog-side shape.
-func logRegistered(cat *service.Catalog, name, origin string) {
-	if e, err := cat.Get(name); err == nil {
-		log.Printf("registered %s (%d tuples, %d shard(s), %s)", name, e.Relation().Len(), e.Shards(), origin)
+// run is the whole command: parse, start, serve until ctx ends (the
+// signal, in main), stop. It returns the exit status: 2 for a command
+// line it refuses, 1 for a start or serve failure.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	o, err := parseFlags(args, stderr)
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		fmt.Fprintf(stderr, "proxserve: %v\n", err)
+		return 2
+	}
+	in, err := start(ctx, o)
+	if err != nil {
+		fmt.Fprintf(stderr, "proxserve: %v\n", err)
+		return 1
+	}
+	defer in.stop()
+	select {
+	case err := <-in.errc:
+		fmt.Fprintf(stderr, "proxserve: %v\n", err)
+		return 1
+	case <-ctx.Done():
+		log.Print("shutting down")
+		return 0
 	}
 }
 
-func main() {
-	var (
-		rels   listFlag
-		cities listFlag
-	)
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 0, "max concurrent engine executions (0 = GOMAXPROCS)")
-		cache      = flag.Int("cache", service.DefaultCacheSize, "LRU result-cache capacity in responses (negative disables)")
-		timeout    = flag.Duration("timeout", 10*time.Second, "default per-query deadline (0 = none)")
-		maxTimeout = flag.Duration("max-timeout", service.DefaultMaxTimeout, "cap on client-requested timeoutMillis")
-		maxK       = flag.Int("maxk", service.DefaultMaxK, "largest accepted K")
-		shards     = flag.Int("shards", 1, "default shard count per relation (partitioned indexes, merged per query)")
-		strategyFl = flag.String("shard-strategy", "hash", "partitioning strategy: hash or grid")
-		streamBuf  = flag.Int("stream-buffer", service.DefaultStreamBuffer,
-			"stream delivery buffer: events a client may lag behind the engine")
-		overflowFl = flag.String("stream-overflow", service.DefaultStreamOverflow,
-			"policy for a stream client that falls a full buffer behind: block (wait, then drop) or drop (immediately)")
-		blockFl = flag.Duration("stream-block-timeout", service.DefaultStreamBlockTimeout,
-			"total time the engine will wait on one block-policy laggard before dropping it")
-		debugAddr = flag.String("debug-addr", "",
-			"listen address for the net/http/pprof profiling endpoints (empty = disabled); keep it off public interfaces")
-		slowQuery = flag.Duration("slow-query", 0,
-			"log every request at least this slow as a JSON line on stderr, with its per-phase trace (0 = disabled)")
-		shardServer = flag.Bool("shard-server", false,
-			"serve locally-owned shards to coordinators over the shard RPC protocol on -rpc-addr")
-		rpcAddr = flag.String("rpc-addr", ":8081",
-			"shard RPC listen address (with -shard-server)")
-		ownFl = flag.String("own", "",
-			"shard ownership as i/n or i/n/r: serve shard s when this server is one of its r consecutive ring owners starting at s%n (empty = every shard)")
-		coordinator = flag.Bool("coordinator", false,
-			"discover relations from -peers shard servers and answer queries by merging their shard streams")
-		peersFl = flag.String("peers", "",
-			"comma-separated shard-server RPC addresses (with -coordinator)")
-		hedgeAfter = flag.Duration("hedge-after", 0,
-			"coordinator: hedge a slow shard pull to another replica after this delay (0 = adaptive per-peer p90, negative = never hedge)")
-		breakerCooldown = flag.Duration("breaker-cooldown", 0,
-			"coordinator: how long a peer's circuit breaker stays open before probing it again (0 = default 1s)")
-		faultSpec = flag.String("fault-spec", "",
-			"inject faults into the shard RPC listener per this spec (chaos testing only; refused unless PROXSERVE_CHAOS=1)")
-		spillDir = flag.String("spill-dir", "",
-			"directory for the file spill tier of BufferSpill sessions: enumeration past the in-memory slab goes to disk segments, keeping resident memory flat (empty = RAM only)")
-		spillMem = flag.Int("spill-mem", 0,
-			"per-session in-memory spill slab budget in bytes before segments go to -spill-dir (0 = 4 MiB default)")
-	)
-	flag.Var(&rels, "rel", "relation to serve, as name=path.csv[:shards] or name=path.prox (mmap-backed relfile; repeatable)")
-	flag.Var(&cities, "city", "simulated city data set to serve: SF, NY, BO, DA, HO (repeatable)")
-	flag.Parse()
+// options is a parsed command line: where to listen, what to load, and
+// the node to open over it.
+type options struct {
+	addr, debugAddr string
+	rels            [][2]string // -rel, as name and path[:shards]
+	cities          []string
+	shards          int
+	strategy        proxrank.PartitionStrategy
+	// node lacks only its RPCListener, which start binds on rpcAddr —
+	// empty without -shard-server — behind faults when -fault-spec is set.
+	node         service.NodeConfig
+	rpcAddr, own string
+	faults       *faultinject.Injector
+}
 
-	strategy, err := proxrank.ParsePartitionStrategy(*strategyFl)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "proxserve: %v\n", err)
-		os.Exit(2)
-	}
-	overflow := strings.ToLower(*overflowFl)
-	if overflow != api.OverflowBlock && overflow != api.OverflowDrop {
-		fmt.Fprintf(os.Stderr, "proxserve: -stream-overflow %q must be %s or %s\n",
-			*overflowFl, api.OverflowBlock, api.OverflowDrop)
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "proxserve: -shards %d must be at least 1\n", *shards)
-		os.Exit(2)
-	}
-
-	cat := service.NewCatalog()
-	for _, spec := range rels {
-		name, path, ok := strings.Cut(spec, "=")
+// parseFlags turns the command line into options, refusing what it
+// cannot honour: every error it returns is a usage error.
+func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
+	o := &options{}
+	c := &o.node.Config
+	c.SlowQueryLog = stderr
+	var shardServer, coordinator bool
+	var strategy, peers string
+	var hedgeAfter time.Duration
+	fs := flag.NewFlagSet("proxserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.Workers, "workers", 0, "max concurrent engine executions (0 = GOMAXPROCS)")
+	fs.IntVar(&c.CacheSize, "cache", service.DefaultCacheSize, "LRU result-cache capacity in responses (negative disables)")
+	fs.DurationVar(&c.DefaultTimeout, "timeout", 10*time.Second, "default per-query deadline (0 = none)")
+	fs.DurationVar(&c.MaxTimeout, "max-timeout", service.DefaultMaxTimeout, "cap on client-requested timeoutMillis")
+	fs.IntVar(&c.MaxK, "maxk", service.DefaultMaxK, "largest accepted K")
+	fs.IntVar(&o.shards, "shards", 1, "default shard count per relation (partitioned indexes, merged per query)")
+	fs.StringVar(&strategy, "shard-strategy", "hash", "partitioning strategy: hash or grid")
+	fs.IntVar(&c.StreamBuffer, "stream-buffer", service.DefaultStreamBuffer,
+		"stream delivery buffer: events a client may lag behind the engine")
+	fs.StringVar(&c.StreamOverflow, "stream-overflow", service.DefaultStreamOverflow,
+		"policy for a stream client that falls a full buffer behind: block (wait, then drop) or drop (immediately)")
+	fs.DurationVar(&c.StreamBlockTimeout, "stream-block-timeout", service.DefaultStreamBlockTimeout,
+		"total time the engine will wait on one block-policy laggard before dropping it")
+	fs.StringVar(&o.debugAddr, "debug-addr", "",
+		"listen address for the net/http/pprof profiling endpoints (empty = disabled); keep it off public interfaces")
+	fs.DurationVar(&c.SlowQueryThreshold, "slow-query", 0,
+		"log every request at least this slow as a JSON line on stderr, with its per-phase trace (0 = disabled)")
+	fs.BoolVar(&shardServer, "shard-server", false,
+		"serve locally-owned shards to coordinators over the shard RPC protocol on -rpc-addr")
+	fs.StringVar(&o.rpcAddr, "rpc-addr", ":8081",
+		"shard RPC listen address (with -shard-server)")
+	fs.Func("own",
+		"shard ownership as i/n or i/n/r: serve shard s when this server is one of its r consecutive ring owners starting at s%n (empty = every shard)",
+		func(v string) (err error) { o.own = v; o.node.Own, err = service.ParseOwnership(v); return err })
+	fs.BoolVar(&coordinator, "coordinator", false,
+		"discover relations from -peers shard servers and answer queries by merging their shard streams")
+	fs.StringVar(&peers, "peers", "",
+		"comma-separated shard-server RPC addresses (with -coordinator)")
+	fs.DurationVar(&hedgeAfter, "hedge-after", 0,
+		"coordinator: hedge a slow shard pull to another replica after this delay (0 = adaptive per-peer p90, negative = never hedge)")
+	fs.DurationVar(&o.node.Breaker.Cooldown, "breaker-cooldown", 0,
+		"coordinator: how long a peer's circuit breaker stays open before probing it again (0 = default 1s)")
+	fs.Func("fault-spec",
+		"inject faults into the shard RPC listener per this spec (chaos testing only; refused unless PROXSERVE_CHAOS=1)",
+		func(v string) (err error) { o.faults, err = faultinject.Parse(v); return err })
+	fs.StringVar(&c.SpillDir, "spill-dir", "",
+		"directory for the file spill tier of BufferSpill sessions: enumeration past the in-memory slab goes to disk segments, keeping resident memory flat (empty = RAM only)")
+	fs.IntVar(&c.SpillMemBytes, "spill-mem", 0,
+		"per-session in-memory spill slab budget in bytes before segments go to -spill-dir (0 = 4 MiB default)")
+	fs.Func("rel", "relation to serve, as name=path.csv[:shards] or name=path.prox (mmap-backed relfile; repeatable)", func(v string) error {
+		name, path, ok := strings.Cut(v, "=")
 		if !ok || name == "" || path == "" {
-			fmt.Fprintf(os.Stderr, "proxserve: -rel wants name=path.csv[:shards], got %q\n", spec)
-			os.Exit(2)
+			return fmt.Errorf("want name=path.csv[:shards], got %q", v)
 		}
+		o.rels = append(o.rels, [2]string{name, path})
+		return nil
+	})
+	fs.Func("city", "simulated city data set to serve: SF, NY, BO, DA, HO (repeatable)",
+		func(v string) error { o.cities = append(o.cities, v); return nil })
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	// A role's flag without the role used to be dropped on the floor: a
+	// server started with -own 0/2 alone served every shard. Visit, not
+	// the values, says what was given: -rpc-addr has a default.
+	roleOf := map[string]string{
+		"own": "-shard-server", "rpc-addr": "-shard-server", "fault-spec": "-shard-server",
+		"peers": "-coordinator", "hedge-after": "-coordinator", "breaker-cooldown": "-coordinator",
+	}
+	roleOn := map[string]bool{"-shard-server": shardServer, "-coordinator": coordinator}
+	fs.Visit(func(f *flag.Flag) {
+		if role, ok := roleOf[f.Name]; ok && !roleOn[role] && err == nil {
+			err = fmt.Errorf("-%s needs %s", f.Name, role)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if o.strategy, err = proxrank.ParsePartitionStrategy(strategy); err != nil {
+		return nil, err
+	}
+	if c.StreamOverflow, err = service.ParseStreamOverflow(c.StreamOverflow); err != nil {
+		return nil, fmt.Errorf("-stream-overflow: %v", err)
+	}
+	switch {
+	case o.shards < 1:
+		return nil, fmt.Errorf("-shards %d must be at least 1", o.shards)
+	case len(o.rels)+len(o.cities) == 0 && !coordinator:
+		return nil, errors.New("no relations to serve; pass -rel, -city, or -coordinator -peers")
+	case coordinator && peers == "":
+		return nil, errors.New("-coordinator needs -peers host:port,...")
+	case o.faults != nil && os.Getenv("PROXSERVE_CHAOS") != "1":
+		// Chaos builds only: the env gate keeps a copy-pasted chaos command
+		// line from silently corrupting a production server.
+		return nil, errors.New("-fault-spec is a chaos-testing flag; set PROXSERVE_CHAOS=1 to confirm")
+	}
+	if !shardServer {
+		o.rpcAddr = ""
+	}
+	if coordinator {
+		o.node.Peers = strings.Split(peers, ",")
+		switch {
+		case hedgeAfter < 0:
+			o.node.Hedge = shardrpc.HedgePolicy{Disable: true}
+		case hedgeAfter > 0:
+			o.node.Hedge = shardrpc.HedgePolicy{After: hedgeAfter}
+		}
+	}
+	return o, nil
+}
+
+// loadCatalog loads the -rel files and -city data sets, indexes built.
+func loadCatalog(o *options) (*service.Catalog, error) {
+	cat := service.NewCatalog()
+	// registered reports one registration with its catalog-side shape.
+	registered := func(name, origin string) {
+		if e, err := cat.Get(name); err == nil {
+			log.Printf("registered %s (%d tuples, %d shard(s), %s)", name, e.Relation().Len(), e.Shards(), origin)
+		}
+	}
+	for _, rel := range o.rels {
+		name, path, shards := rel[0], rel[1], o.shards
 		// A trailing ":N" on the path overrides the global -shards default
 		// for this relation.
-		relShards := *shards
 		if i := strings.LastIndex(path, ":"); i >= 0 {
 			if n, err := strconv.Atoi(path[i+1:]); err == nil && n >= 1 {
-				relShards = n
-				path = path[:i]
+				path, shards = path[:i], n
 			}
 		}
 		// A .prox path is a prebuilt relfile: memory-map it as-is (its
 		// shard layout was fixed at build time, so ":N" does not apply).
 		if strings.HasSuffix(path, proxrank.RelFileExtension) {
 			if err := cat.LoadRelFile(name, path); err != nil {
-				fmt.Fprintf(os.Stderr, "proxserve: %v\n", err)
-				os.Exit(1)
+				return nil, err
 			}
-			logRegistered(cat, name, "mmap from "+path)
+			registered(name, "mmap from "+path)
 			continue
 		}
-		if err := cat.LoadCSVFileSharded(name, path, 0, relShards, strategy); err != nil {
-			fmt.Fprintf(os.Stderr, "proxserve: %v\n", err)
-			os.Exit(1)
+		if err := cat.LoadCSVFileSharded(name, path, 0, shards, o.strategy); err != nil {
+			return nil, err
 		}
-		logRegistered(cat, name, "from "+path)
+		registered(name, "from "+path)
 	}
-	for _, code := range cities {
+	for _, code := range o.cities {
 		cityRels, _, landmark, err := proxrank.CityDataset(strings.ToUpper(code))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "proxserve: %v\n", err)
-			os.Exit(1)
+			return nil, err
 		}
 		for _, rel := range cityRels {
-			if err := cat.RegisterSharded(rel.Name, rel, *shards, strategy); err != nil {
-				fmt.Fprintf(os.Stderr, "proxserve: %v\n", err)
-				os.Exit(1)
+			if err := cat.RegisterSharded(rel.Name, rel, o.shards, o.strategy); err != nil {
+				return nil, err
 			}
-			logRegistered(cat, rel.Name, "landmark "+landmark)
+			registered(rel.Name, "landmark "+landmark)
 		}
 	}
-	// Coordinator mode: hello every peer, cross-check what they agree to
-	// serve, and register each remote relation as a metadata-only entry
-	// whose shards resolve to RPC streams at query time. Locally loaded
-	// relations keep precedence over a remote relation of the same name.
-	var fleet *shardrpc.Fleet
-	if *coordinator {
-		if *peersFl == "" {
-			fmt.Fprintln(os.Stderr, "proxserve: -coordinator needs -peers host:port,...")
-			os.Exit(2)
-		}
-		fleet = shardrpc.NewFleet(strings.Split(*peersFl, ","))
-		// Resilience policy must be set before Discover: discovery stamps
-		// the hedge policy into every remote relation it registers.
-		switch {
-		case *hedgeAfter < 0:
-			fleet.Hedge = shardrpc.HedgePolicy{Disable: true}
-		case *hedgeAfter > 0:
-			fleet.Hedge = shardrpc.HedgePolicy{After: *hedgeAfter}
-		}
-		if *breakerCooldown > 0 {
-			fleet.SetBreakerConfig(shardrpc.BreakerConfig{Cooldown: *breakerCooldown})
-		}
-		discoverCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		remotes, err := fleet.Discover(discoverCtx)
-		cancel()
+	return cat, nil
+}
+
+// instance is one running proxserve: a node behind its HTTP listener
+// (and, with -debug-addr, the pprof one).
+type instance struct {
+	node  *service.Node
+	http  *http.Server
+	debug *http.Server
+	// addr is the bound HTTP address; errc carries the API server's
+	// failure.
+	addr net.Addr
+	errc chan error
+}
+
+// start loads the catalog, opens the node over it (service.Open does the
+// role bring-up) and begins serving HTTP. On failure nothing is left
+// running.
+func start(ctx context.Context, o *options) (*instance, error) {
+	cat, err := loadCatalog(o)
+	if err != nil {
+		return nil, err
+	}
+	cfg := o.node
+	if o.rpcAddr != "" {
+		ln, err := net.Listen("tcp", o.rpcAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "proxserve: %v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("shard RPC listener: %w", err)
 		}
-		for name, rr := range remotes {
-			if _, err := cat.Get(name); err == nil {
-				log.Printf("relation %s is loaded locally; ignoring the remote copy", name)
-				continue
-			}
-			if err := cat.RegisterRemote(name, rr); err != nil {
-				fmt.Fprintf(os.Stderr, "proxserve: %v\n", err)
-				os.Exit(1)
-			}
-			log.Printf("registered %s (%d tuples, %d shard(s), remote via %d peer(s))",
-				name, rr.Tuples, rr.Shards, len(fleet.Peers()))
+		if o.faults != nil {
+			ln = o.faults.Listener(ln)
+			log.Printf("CHAOS: injecting faults on the shard RPC listener (%d rule(s))", len(o.faults.Rules()))
 		}
+		cfg.RPCListener = ln
+	}
+	node, err := service.Open(ctx, cat, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cat.Len() == 0 {
-		fmt.Fprintln(os.Stderr, "proxserve: no relations to serve; pass -rel, -city, or -coordinator -peers")
-		os.Exit(2)
+		node.Close()
+		return nil, errors.New("no relations to serve: the peers advertise none")
 	}
-
-	exec := service.NewExecutor(cat, service.Config{
-		Workers:            *workers,
-		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTimeout,
-		CacheSize:          *cache,
-		MaxK:               *maxK,
-		StreamBuffer:       *streamBuf,
-		StreamOverflow:     overflow,
-		StreamBlockTimeout: *blockFl,
-		SlowQueryThreshold: *slowQuery,
-		SlowQueryLog:       os.Stderr,
-		SpillDir:           *spillDir,
-		SpillMemBytes:      *spillMem,
-	})
-	apiServer := service.NewServer(cat, exec)
-	if fleet != nil {
-		apiServer.AttachFleet(fleet)
+	for _, name := range node.Shadowed {
+		log.Printf("relation %s is loaded locally; ignoring the remote copy", name)
 	}
-
-	// Shard-server mode: expose this process's owned shards (and whole
-	// queries) over the RPC listener, alongside the normal HTTP API.
-	var rpcSrv *shardrpc.Server
-	if *shardServer {
-		own, err := service.ParseOwnership(*ownFl)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "proxserve: %v\n", err)
-			os.Exit(2)
+	for _, ri := range cat.Infos() {
+		if ri.Remote {
+			log.Printf("registered %s (%d tuples, %d shard(s), remote via %d peer(s))",
+				ri.Name, ri.Tuples, ri.Shards, len(node.Fleet.Peers()))
 		}
-		backend := service.NewShardBackend(cat, exec, own)
-		rpcSrv = shardrpc.NewServer(backend)
-		var bound net.Addr
-		if *faultSpec != "" {
-			// Chaos builds only: the env gate keeps a copy-pasted chaos
-			// command line from silently corrupting a production server.
-			if os.Getenv("PROXSERVE_CHAOS") != "1" {
-				fmt.Fprintln(os.Stderr, "proxserve: -fault-spec is a chaos-testing flag; set PROXSERVE_CHAOS=1 to confirm")
-				os.Exit(2)
-			}
-			inj, err := faultinject.Parse(*faultSpec)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "proxserve: %v\n", err)
-				os.Exit(2)
-			}
-			ln, err := net.Listen("tcp", *rpcAddr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "proxserve: shard RPC listener: %v\n", err)
-				os.Exit(1)
-			}
-			if err := rpcSrv.Serve(inj.Listener(ln)); err != nil {
-				fmt.Fprintf(os.Stderr, "proxserve: shard RPC listener: %v\n", err)
-				os.Exit(1)
-			}
-			bound = ln.Addr()
-			log.Printf("CHAOS: injecting faults on the shard RPC listener (%d rule(s))", len(inj.Rules()))
-		} else {
-			b, err := rpcSrv.Listen(*rpcAddr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "proxserve: shard RPC listener: %v\n", err)
-				os.Exit(1)
-			}
-			bound = b
+	}
+	if node.RPCAddr != "" {
+		own := "every shard"
+		if o.own != "" {
+			own = "shards " + o.own
 		}
-		backend.SetName(bound.String())
-		log.Printf("shard RPC on %s (owning %s)", bound, ownDesc(*ownFl))
+		log.Printf("shard RPC on %s (owning %s)", node.RPCAddr, own)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           apiServer.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		node.Close()
+		return nil, err
 	}
-	if *debugAddr != "" {
-		// The profiling endpoints live on their own listener and mux so
-		// they can stay bound to localhost while the API faces the world,
-		// and so the serving mux never inherits the pprof routes.
-		dbg := http.NewServeMux()
-		dbg.HandleFunc("/debug/pprof/", pprof.Index)
-		dbg.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	in := &instance{node: node, addr: ln.Addr(), errc: make(chan error, 1)}
+	in.http = &http.Server{Handler: node.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	go func() { in.errc <- in.http.Serve(ln) }()
+	if o.debugAddr != "" {
+		// The profiling endpoints (registered on the default mux by the
+		// net/http/pprof import) live on their own listener so they can stay
+		// bound to localhost while the API faces the world; the serving mux
+		// is the node's own and never inherits them.
+		in.debug = &http.Server{Addr: o.debugAddr, ReadHeaderTimeout: 10 * time.Second}
+		log.Printf("pprof on %s/debug/pprof/", o.debugAddr)
 		go func() {
-			dbgSrv := &http.Server{Addr: *debugAddr, Handler: dbg, ReadHeaderTimeout: 10 * time.Second}
-			log.Printf("pprof on %s/debug/pprof/", *debugAddr)
-			if err := dbgSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := in.debug.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("proxserve: pprof listener: %v", err)
 			}
 		}()
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("serving %d relations on %s", cat.Len(), *addr)
-
-	select {
-	case err := <-errc:
-		log.Fatalf("proxserve: %v", err)
-	case <-ctx.Done():
-		log.Print("shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			log.Printf("proxserve: shutdown: %v", err)
-		}
-		if rpcSrv != nil {
-			rpcSrv.Close()
-		}
-		if fleet != nil {
-			fleet.Close()
-		}
-		st := exec.Stats()
-		log.Printf("served %d queries (%d cache hits, %d canceled)", st.Queries, st.CacheHits, st.Canceled)
-	}
+	log.Printf("serving %d relations on %s", cat.Len(), in.addr)
+	return in, nil
 }
 
-// ownDesc renders the -own flag for logs.
-func ownDesc(own string) string {
-	if own == "" {
-		return "every shard"
+// stop shuts the instance down: HTTP drains for up to five seconds, then
+// the node closes (RPC server, then fleet), then the final tally.
+func (in *instance) stop() {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := in.http.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		log.Printf("proxserve: shutdown: %v", err)
 	}
-	return "shards " + own
+	if in.debug != nil {
+		_ = in.debug.Close()
+	}
+	in.node.Close()
+	st := in.node.Executor.Stats()
+	log.Printf("served %d queries (%d cache hits, %d canceled)", st.Queries, st.CacheHits, st.Canceled)
 }

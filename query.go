@@ -209,29 +209,51 @@ func (q *Query) Results(ctx context.Context) iter.Seq2[Combination, error] {
 	}
 }
 
+// Drain delivers results to emit, best first and each the moment it is
+// certified, until the session has emitted its initial K. A run a
+// MaxSumDepths/MaxCombinations cap cuts short delivers the uncertified
+// best-effort tail (DrainBest) in report order too and returns dnf true;
+// exhausting the cross product first is not an error. It is the one
+// "drain to K" loop: Run collects from it, the service publishes from
+// it, the CLI prints from it — which is what keeps batch responses and
+// event sequences identical. Calling Next afterwards resumes enumeration
+// past K on the same engine state.
+func (q *Query) Drain(ctx context.Context, emit func(Combination)) (dnf bool, err error) {
+	for n := q.k - q.Emitted(); n > 0; n-- {
+		c, err := q.next(ctx)
+		switch {
+		case err == nil:
+			emit(c)
+		case errors.Is(err, ErrStreamDone):
+			return false, nil
+		case errors.Is(err, ErrDNF):
+			// Batch DNF contract: report the best K formed so far. The
+			// certified prefix was already emitted; the buffer holds the rest.
+			for _, c := range q.DrainBest(n) {
+				emit(c)
+			}
+			return true, nil
+		default:
+			return false, err
+		}
+	}
+	return false, nil
+}
+
 // Run drains the session to its initial K with batch semantics and
 // returns the familiar Result: a capped run comes back with DNF set and
 // the engine's best-effort combinations instead of an error, exactly as
-// the historical TopK did. Calling Next afterwards resumes enumeration
-// past K on the same engine state.
+// the historical TopK did.
 func (q *Query) Run() (Result, error) { return q.RunContext(context.Background()) }
 
 // RunContext is Run with cooperative cancellation.
 func (q *Query) RunContext(ctx context.Context) (Result, error) {
-	n := q.k - q.Emitted()
-	out, err := q.NextContext(ctx, n)
-	res := Result{}
-	switch {
-	case err == nil, errors.Is(err, ErrStreamDone):
-	case errors.Is(err, ErrDNF):
-		// Batch DNF contract: report the best K formed so far. The
-		// certified prefix was already emitted; the buffer holds the rest.
-		res.DNF = true
-		out = append(out, q.DrainBest(n-len(out))...)
-	default:
+	var res Result
+	var err error
+	res.DNF, err = q.Drain(ctx, func(c Combination) { res.Combinations = append(res.Combinations, c) })
+	if err != nil {
 		return Result{}, err
 	}
-	res.Combinations = out
 	res.Threshold = q.it.Threshold()
 	res.Stats = q.it.Stats()
 	return res, nil

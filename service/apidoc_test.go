@@ -265,10 +265,10 @@ func requireLive(t *testing.T, b docBlock, pending *docBlock, want string) {
 	}
 }
 
-// docFixtureServer serves the dataset every live example in docs/API.md
-// is written against: hotels{h1,h2} and restaurants{r1,r2} with the
+// docCatalog holds the dataset every live example in docs/API.md is
+// written against: hotels{h1,h2} and restaurants{r1,r2} with the
 // documented scores and positions.
-func docFixtureServer(t *testing.T) *httptest.Server {
+func docCatalog(t *testing.T) *service.Catalog {
 	t.Helper()
 	hotels, err := proxrank.NewRelation("hotels", 1.0, []proxrank.Tuple{
 		{ID: "h1", Score: 0.9, Vec: proxrank.Vector{0.1, 0}},
@@ -291,11 +291,43 @@ func docFixtureServer(t *testing.T) *httptest.Server {
 	if err := cat.Register("restaurants", food); err != nil {
 		t.Fatal(err)
 	}
-	exec := service.NewExecutor(cat, service.Config{Workers: 2, CacheSize: -1})
-	srv := httptest.NewServer(service.NewServer(cat, exec).Handler())
+	return cat
+}
+
+// docNode opens a node over the documentation dataset.
+func docNode(t *testing.T, rpc net.Listener) *service.Node {
+	t.Helper()
+	node, err := service.Open(context.Background(), docCatalog(t), service.NodeConfig{
+		Config:      service.Config{Workers: 2, CacheSize: -1},
+		RPCListener: rpc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	return node
+}
+
+// docFixtureServer serves the documentation dataset over HTTP; every
+// live example runs against it.
+func docFixtureServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(docNode(t, nil).Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
+
+// docListener advertises the fixed server name the documentation shows
+// while accepting on a loopback port: a node names itself after its RPC
+// listener's address.
+type docListener struct{ net.Listener }
+
+func (docListener) Addr() net.Addr { return docAddr{} }
+
+type docAddr struct{}
+
+func (docAddr) Network() string { return "tcp" }
+func (docAddr) String() string  { return "shard-a.internal:8081" }
 
 // docShardServer serves the same fixture data set over the shardrpc
 // wire protocol, each relation as a single owned shard, under the fixed
@@ -303,37 +335,12 @@ func docFixtureServer(t *testing.T) *httptest.Server {
 // against it.
 func docShardServer(t *testing.T) *shardrpc.Peer {
 	t.Helper()
-	hotels, err := proxrank.NewRelation("hotels", 1.0, []proxrank.Tuple{
-		{ID: "h1", Score: 0.9, Vec: proxrank.Vector{0.1, 0}},
-		{ID: "h2", Score: 0.2, Vec: proxrank.Vector{5, 5}},
-	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	food, err := proxrank.NewRelation("restaurants", 1.0, []proxrank.Tuple{
-		{ID: "r1", Score: 0.8, Vec: proxrank.Vector{0, 0.2}},
-		{ID: "r2", Score: 0.3, Vec: proxrank.Vector{-4, 4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := service.NewCatalog()
-	if err := cat.Register("hotels", hotels); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.Register("restaurants", food); err != nil {
-		t.Fatal(err)
-	}
-	exec := service.NewExecutor(cat, service.Config{Workers: 2, CacheSize: -1})
-	backend := service.NewShardBackend(cat, exec, service.Ownership{})
-	backend.SetName("shard-a.internal:8081")
-	rpcSrv := shardrpc.NewServer(backend)
-	addr, err := rpcSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rpcSrv.Close)
-	peer := shardrpc.NewPeer(addr.String())
+	docNode(t, docListener{ln})
+	peer := shardrpc.NewPeer(ln.Addr().String())
 	t.Cleanup(peer.Close)
 	return peer
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -32,76 +31,23 @@ func chaosRels(t testing.TB, size int) []*proxrank.Relation {
 	}
 }
 
-// startChaosServer serves rels from one shard server, optionally behind
-// a fault-injecting listener. Returns the bound address.
-func startChaosServer(t testing.TB, rels []*proxrank.Relation, shards int, strategy proxrank.PartitionStrategy, own Ownership, inj *faultinject.Injector) (string, *shardrpc.Server) {
-	t.Helper()
-	cat := NewCatalog()
-	for _, rel := range rels {
-		if err := cat.RegisterSharded(rel.Name, rel, shards, strategy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exec := NewExecutor(cat, Config{Workers: 2, CacheSize: -1})
-	backend := NewShardBackend(cat, exec, own)
-	srv := shardrpc.NewServer(backend)
-	var bound net.Addr
-	if inj != nil {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Serve(inj.Listener(ln)); err != nil {
-			t.Fatal(err)
-		}
-		bound = ln.Addr()
-	} else {
-		b, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound = b
-	}
-	backend.SetName(bound.String())
-	t.Cleanup(srv.Close)
-	return bound.String(), srv
-}
-
-// chaosCoord fronts the given shard servers with a coordinator executor.
+// chaosCoord fronts the given shard servers with a coordinator node.
 // Short per-peer timeouts keep dead-peer tests fast.
-func chaosCoord(t testing.TB, addrs []string, hedge shardrpc.HedgePolicy) (*Executor, *Catalog, *shardrpc.Fleet) {
+func chaosCoord(t testing.TB, servers []*Node, hedge shardrpc.HedgePolicy) *Node {
 	t.Helper()
-	fleet := shardrpc.NewFleet(addrs)
-	fleet.Hedge = hedge
-	t.Cleanup(fleet.Close)
-	remotes, err := fleet.Discover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := NewCatalog()
-	for name, rr := range remotes {
-		if err := cat.RegisterRemote(name, rr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range fleet.Peers() {
+	n := openNode(t, NewCatalog(), NodeConfig{Peers: rpcAddrs(servers), Hedge: hedge})
+	for _, p := range n.Fleet.Peers() {
 		p.DialTimeout = 200 * time.Millisecond
 		p.PullTimeout = 5 * time.Second
 	}
-	return NewExecutor(cat, Config{Workers: 2, CacheSize: -1}), cat, fleet
+	return n
 }
 
 // localTwin registers the same relations locally, for byte-identity
-// comparisons against a chaos deployment.
+// comparisons against a distributed deployment.
 func localTwin(t testing.TB, rels []*proxrank.Relation, shards int, strategy proxrank.PartitionStrategy) *Executor {
 	t.Helper()
-	cat := NewCatalog()
-	for _, rel := range rels {
-		if err := cat.RegisterSharded(rel.Name, rel, shards, strategy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return NewExecutor(cat, Config{Workers: 2, CacheSize: -1})
+	return NewExecutor(shardedCatalog(t, rels, shards, strategy), nodeTestConfig)
 }
 
 // survivorResults computes the exact answer a degraded query must give:
@@ -166,12 +112,11 @@ func marshalResults(t testing.TB, results []ResultCombination) string {
 func TestChaosDegradedByteIdentity(t *testing.T) {
 	rels := chaosRels(t, 100)
 	const shards = 4
-	addrs := make([]string, 2)
-	servers := make([]*shardrpc.Server, 2)
-	for i := 0; i < 2; i++ {
-		addrs[i], servers[i] = startChaosServer(t, rels, shards, proxrank.HashPartition, Ownership{Index: i, Count: 2}, nil)
+	servers := make([]*Node, 2)
+	for i := range servers {
+		servers[i] = openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{Index: i, Count: 2}, nil)
 	}
-	coord, _, _ := chaosCoord(t, addrs, shardrpc.HedgePolicy{})
+	coord := chaosCoord(t, servers, shardrpc.HedgePolicy{}).Executor
 	servers[1].Close() // shards s with s%2 == 1 lose their only replica
 
 	req := &QueryRequest{Query: []float64{0.2, -0.3}, Relations: []string{"A", "B"}, K: 5}
@@ -249,9 +194,10 @@ func TestChaosHedgeRescuesStalledReplica(t *testing.T) {
 	const shards = 2
 	stall := &faultinject.Rule{Verb: "pull", Action: faultinject.ActionDelay, Delay: 2500 * time.Millisecond, Times: 1}
 	inj := faultinject.New(stall)
-	slowAddr, _ := startChaosServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
-	fastAddr, _ := startChaosServer(t, rels, shards, proxrank.HashPartition, Ownership{}, nil)
-	coord, _, fleet := chaosCoord(t, []string{slowAddr, fastAddr}, shardrpc.HedgePolicy{After: 25 * time.Millisecond})
+	slow := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
+	fast := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, nil)
+	node := chaosCoord(t, []*Node{slow, fast}, shardrpc.HedgePolicy{After: 25 * time.Millisecond})
+	coord, fleet := node.Executor, node.Fleet
 	twin := localTwin(t, rels, shards, proxrank.HashPartition)
 
 	req := &QueryRequest{Query: []float64{0.4, 0.1}, Relations: []string{"A", "B"}, K: 4}
@@ -281,7 +227,7 @@ func TestChaosHedgeRescuesStalledReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, g := scrubResponse(t, want), scrubResponse(t, got); w != g {
+	if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
 		t.Fatalf("hedged answer differs from local\nlocal:  %s\nhedged: %s", w, g)
 	}
 }
@@ -296,8 +242,9 @@ func TestChaosCorruptFrameRetried(t *testing.T) {
 	const shards = 2
 	corrupt := &faultinject.Rule{Verb: "pull", Action: faultinject.ActionCorrupt, Times: 1}
 	inj := faultinject.New(corrupt)
-	addr, _ := startChaosServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
-	coord, _, fleet := chaosCoord(t, []string{addr}, shardrpc.HedgePolicy{Disable: true})
+	server := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
+	node := chaosCoord(t, []*Node{server}, shardrpc.HedgePolicy{Disable: true})
+	coord, fleet := node.Executor, node.Fleet
 	twin := localTwin(t, rels, shards, proxrank.HashPartition)
 	peer := fleet.Peers()[0]
 	var mu sync.Mutex
@@ -339,7 +286,7 @@ func TestChaosCorruptFrameRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, g := scrubResponse(t, want), scrubResponse(t, got); w != g {
+	if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
 		t.Fatalf("answer through corruption differs from local\nlocal: %s\ngot:   %s", w, g)
 	}
 }
@@ -380,17 +327,15 @@ func metricValue(t testing.TB, body, name, labelSub string) float64 {
 func TestChaosBreakerOnMetrics(t *testing.T) {
 	rels := chaosRels(t, 80)
 	const shards = 4
-	addrs := make([]string, 2)
-	servers := make([]*shardrpc.Server, 2)
-	for i := 0; i < 2; i++ {
-		addrs[i], servers[i] = startChaosServer(t, rels, shards, proxrank.HashPartition, Ownership{Index: i, Count: 2}, nil)
+	servers := make([]*Node, 2)
+	for i := range servers {
+		servers[i] = openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{Index: i, Count: 2}, nil)
 	}
-	coord, cat, fleet := chaosCoord(t, addrs, shardrpc.HedgePolicy{})
+	node := chaosCoord(t, servers, shardrpc.HedgePolicy{})
+	coord, fleet := node.Executor, node.Fleet
 	// A long cooldown keeps the breaker visibly open for the scrape.
 	fleet.SetBreakerConfig(shardrpc.BreakerConfig{Cooldown: time.Minute})
-	srv := NewServer(cat, coord)
-	srv.AttachFleet(fleet)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(node.Handler())
 	t.Cleanup(ts.Close)
 
 	servers[1].Close()
@@ -521,15 +466,11 @@ func TestChaosReadyz(t *testing.T) {
 	rels := chaosRels(t, 60)
 	const shards = 4
 	run := func(t *testing.T, own func(i int) Ownership, wantReadyAfterKill bool) {
-		addrs := make([]string, 2)
-		servers := make([]*shardrpc.Server, 2)
-		for i := 0; i < 2; i++ {
-			addrs[i], servers[i] = startChaosServer(t, rels, shards, proxrank.HashPartition, own(i), nil)
+		servers := make([]*Node, 2)
+		for i := range servers {
+			servers[i] = openShardServer(t, rels, shards, proxrank.HashPartition, own(i), nil)
 		}
-		coord, cat, fleet := chaosCoord(t, addrs, shardrpc.HedgePolicy{})
-		srv := NewServer(cat, coord)
-		srv.AttachFleet(fleet)
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(chaosCoord(t, servers, shardrpc.HedgePolicy{}).Handler())
 		t.Cleanup(ts.Close)
 
 		check := func(wantReady bool) {
@@ -585,9 +526,9 @@ func TestChaosInjectorHeals(t *testing.T) {
 	const shards = 2
 	reset := &faultinject.Rule{Verb: "pull", Action: faultinject.ActionReset}
 	inj := faultinject.New(reset)
-	addr, _ := startChaosServer(t, rels, shards, proxrank.HashPartition, Ownership{}, nil)
-	faultedAddr, _ := startChaosServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
-	coord, _, _ := chaosCoord(t, []string{faultedAddr, addr}, shardrpc.HedgePolicy{Disable: true})
+	healthy := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, nil)
+	faulted := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
+	coord := chaosCoord(t, []*Node{faulted, healthy}, shardrpc.HedgePolicy{Disable: true}).Executor
 	twin := localTwin(t, rels, shards, proxrank.HashPartition)
 
 	req := &QueryRequest{Query: []float64{0.0, 0.7}, Relations: []string{"A", "B"}, K: 3}
@@ -608,7 +549,7 @@ func TestChaosInjectorHeals(t *testing.T) {
 		if got.Degraded {
 			t.Fatalf("%s: query degraded despite a live replica", phase)
 		}
-		if w, g := scrubResponse(t, want), scrubResponse(t, got); w != g {
+		if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
 			t.Fatalf("%s: answer differs from local\nlocal: %s\ngot:   %s", phase, w, g)
 		}
 	}

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,8 +18,62 @@ import (
 
 	proxrank "repro"
 	"repro/api"
+	"repro/internal/faultinject"
 	"repro/internal/shardrpc"
 )
+
+// nodeTestConfig is the executor tuning every fixture node runs under:
+// caching off, so identity checks compare engine answers.
+var nodeTestConfig = Config{Workers: 2, CacheSize: -1}
+
+// shardedCatalog registers rels partitioned into shards under strategy.
+func shardedCatalog(t testing.TB, rels []*proxrank.Relation, shards int, strategy proxrank.PartitionStrategy) *Catalog {
+	t.Helper()
+	cat := NewCatalog()
+	for _, rel := range rels {
+		if err := cat.RegisterSharded(rel.Name, rel, shards, strategy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// openNode assembles one fixture node through Open — the only way a
+// test stands one up — and closes it with the test. Killing a node
+// mid-test is Close, which is idempotent.
+func openNode(t testing.TB, cat *Catalog, cfg NodeConfig) *Node {
+	t.Helper()
+	cfg.Config = nodeTestConfig
+	n, err := Open(context.Background(), cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	return n
+}
+
+// openShardServer serves rels from one shard-server node on a loopback
+// port, behind a fault-injecting listener when inj is set.
+func openShardServer(t testing.TB, rels []*proxrank.Relation, shards int, strategy proxrank.PartitionStrategy, own Ownership, inj *faultinject.Injector) *Node {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inj != nil {
+		ln = inj.Listener(ln)
+	}
+	return openNode(t, shardedCatalog(t, rels, shards, strategy), NodeConfig{RPCListener: ln, Own: own})
+}
+
+// rpcAddrs lists the shard RPC addresses of servers, in order.
+func rpcAddrs(servers []*Node) []string {
+	addrs := make([]string, len(servers))
+	for i, n := range servers {
+		addrs[i] = n.RPCAddr
+	}
+	return addrs
+}
 
 // distFixture is one distributed deployment next to its single-node
 // twin: the same relations, partitioned identically, served once by a
@@ -26,13 +82,15 @@ import (
 // distributed invariant.
 type distFixture struct {
 	names []string
+	rels  []*proxrank.Relation
 	// single-node twin
 	local *Executor
-	// coordinator over the fleet
+	// coordinator over the fleet, and its parts by the names the tests use
+	node     *Node
 	coord    *Executor
 	coordCat *Catalog
 	fleet    *shardrpc.Fleet
-	servers  []*shardrpc.Server
+	servers  []*Node
 }
 
 // newDistFixture partitions nRels tie-prone relations into shards and
@@ -40,71 +98,19 @@ type distFixture struct {
 // s%n == i), plus a coordinator and a single-node twin.
 func newDistFixture(t testing.TB, nRels, size, shards, nServers int, strategy proxrank.PartitionStrategy) *distFixture {
 	t.Helper()
-	f := &distFixture{}
-	rels := make([]*proxrank.Relation, nRels)
-	for i := range rels {
+	f := &distFixture{rels: make([]*proxrank.Relation, nRels)}
+	for i := range f.rels {
 		f.names = append(f.names, string(rune('A'+i)))
-		rels[i] = testRelation(t, f.names[i], int64(300+i), size, 2)
+		f.rels[i] = testRelation(t, f.names[i], int64(300+i), size, 2)
 	}
-
-	localCat := NewCatalog()
-	addrs := make([]string, nServers)
 	for i := 0; i < nServers; i++ {
-		cat := NewCatalog()
-		for _, rel := range rels {
-			if err := cat.RegisterSharded(rel.Name, rel, shards, strategy); err != nil {
-				t.Fatal(err)
-			}
-		}
-		exec := NewExecutor(cat, Config{Workers: 2, CacheSize: -1})
-		backend := NewShardBackend(cat, exec, Ownership{Index: i, Count: nServers})
-		srv := shardrpc.NewServer(backend)
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		backend.SetName(bound.String())
-		addrs[i] = bound.String()
-		f.servers = append(f.servers, srv)
-		t.Cleanup(srv.Close)
+		f.servers = append(f.servers, openShardServer(t, f.rels, shards, strategy, Ownership{Index: i, Count: nServers}, nil))
 	}
-	for _, rel := range rels {
-		if err := localCat.RegisterSharded(rel.Name, rel, shards, strategy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.local = NewExecutor(localCat, Config{Workers: 2, CacheSize: -1})
-
-	f.fleet = shardrpc.NewFleet(addrs)
-	t.Cleanup(f.fleet.Close)
-	remotes, err := f.fleet.Discover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f.local = NewExecutor(shardedCatalog(t, f.rels, shards, strategy), nodeTestConfig)
 	f.coordCat = NewCatalog()
-	for name, rr := range remotes {
-		if err := f.coordCat.RegisterRemote(name, rr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.coord = NewExecutor(f.coordCat, Config{Workers: 2, CacheSize: -1})
+	f.node = openNode(t, f.coordCat, NodeConfig{Peers: rpcAddrs(f.servers)})
+	f.coord, f.fleet = f.node.Executor, f.node.Fleet
 	return f
-}
-
-// scrubResponse canonicalizes a response for comparison: wall-time
-// fields are the only legitimate difference between a local and a
-// distributed answer, so they are zeroed before the byte comparison.
-// Scores survive via Float64bits inside the JSON encoding (Go marshals
-// float64 shortest-round-trip).
-func scrubResponse(t testing.TB, resp *api.Response) string {
-	t.Helper()
-	c := *resp
-	c.Cost.ElapsedMicros = 0
-	buf, err := json.Marshal(&c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(buf)
 }
 
 // scrubEvents canonicalizes a streamed event sequence the same way.
@@ -181,7 +187,7 @@ func TestDistributedByteIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: coordinator: %v", name, err)
 				}
-				if w, g := scrubResponse(t, want), scrubResponse(t, got); w != g {
+				if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
 					t.Fatalf("%s: batch responses differ\nlocal:       %s\ncoordinator: %s", name, w, g)
 				}
 				wantEv, err := collectEvents(t, f.local, req)
@@ -217,7 +223,7 @@ func TestDistributedPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, g := scrubResponse(t, want), scrubResponse(t, got); w != g {
+	if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
 		t.Fatalf("pruned answer differs from local\nlocal:       %s\ncoordinator: %s", w, g)
 	}
 	st := f.coord.Stats()
@@ -240,9 +246,7 @@ func TestDistributedPruning(t *testing.T) {
 // /metrics.
 func TestDistributedOverFetchBounded(t *testing.T) {
 	f := newDistFixture(t, 2, 2400, 6, 2, proxrank.GridPartition)
-	srv := NewServer(f.coordCat, f.coord)
-	srv.AttachFleet(f.fleet)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(f.node.Handler())
 	t.Cleanup(ts.Close)
 
 	type wireStats struct {
@@ -278,7 +282,7 @@ func TestDistributedOverFetchBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w, g := scrubResponse(t, want), scrubResponse(t, got); w != g {
+		if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
 			t.Fatalf("%s: coordinator differs from local\nlocal:       %s\ncoordinator: %s", tc.name, w, g)
 		}
 		after := read()
@@ -328,7 +332,7 @@ func TestDistributedConcurrentQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = scrubResponse(t, resp)
+		want[i] = CanonicalResponse(resp)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -342,7 +346,7 @@ func TestDistributedConcurrentQueries(t *testing.T) {
 					t.Errorf("goroutine %d round %d: %v", g, round, err)
 					return
 				}
-				if got := scrubResponse(t, resp); got != want[i] {
+				if got := CanonicalResponse(resp); got != want[i] {
 					t.Errorf("goroutine %d round %d: answer differs from the single-node twin", g, round)
 					return
 				}
@@ -356,22 +360,22 @@ func TestDistributedConcurrentQueries(t *testing.T) {
 }
 
 // TestDistributedMixedLocalRemote: a coordinator holding one relation
-// locally and one remotely merges both worlds byte-identically.
+// locally and one remotely merges both worlds byte-identically. It is
+// the test of the shadowing rule: the catalog already holds A when the
+// node is opened over a fleet serving A and B, so only B arrives remote.
 func TestDistributedMixedLocalRemote(t *testing.T) {
 	f := newDistFixture(t, 2, 100, 4, 2, proxrank.HashPartition)
-	// Rebuild the coordinator catalog: A local, B remote.
-	remotes, err := f.fleet.Discover(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	mixedCat := shardedCatalog(t, f.rels[:1], 4, proxrank.HashPartition)
+	node := openNode(t, mixedCat, NodeConfig{Peers: rpcAddrs(f.servers)})
+	if !reflect.DeepEqual(node.Shadowed, []string{"A"}) {
+		t.Fatalf("shadowed %v, want [A]: the local copy must win", node.Shadowed)
 	}
-	mixedCat := NewCatalog()
-	if err := mixedCat.RegisterSharded("A", testRelation(t, "A", 300, 100, 2), 4, proxrank.HashPartition); err != nil {
-		t.Fatal(err)
+	for name, wantRemote := range map[string]bool{"A": false, "B": true} {
+		if e, err := mixedCat.Get(name); err != nil || e.IsRemote() != wantRemote {
+			t.Fatalf("relation %s: remote=%v err=%v, want remote=%v", name, e.IsRemote(), err, wantRemote)
+		}
 	}
-	if err := mixedCat.RegisterRemote("B", remotes["B"]); err != nil {
-		t.Fatal(err)
-	}
-	mixed := NewExecutor(mixedCat, Config{Workers: 2, CacheSize: -1})
+	mixed := node.Executor
 	req := &QueryRequest{Query: []float64{0.3, 0.3}, Relations: f.names, K: 5}
 	want, err := f.local.Execute(context.Background(), req)
 	if err != nil {
@@ -381,7 +385,7 @@ func TestDistributedMixedLocalRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, g := scrubResponse(t, want), scrubResponse(t, got); w != g {
+	if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
 		t.Fatalf("mixed local+remote differs\nlocal: %s\nmixed: %s", w, g)
 	}
 }
@@ -427,54 +431,19 @@ func TestDistributedPeerDeath(t *testing.T) {
 // TestDistributedReplicaFailover: when every shard is replicated on a
 // second peer, losing one mid-deployment is invisible to queries.
 func TestDistributedReplicaFailover(t *testing.T) {
-	relA := testRelation(t, "A", 300, 100, 2)
-	relB := testRelation(t, "B", 301, 100, 2)
-	var servers []*shardrpc.Server
-	addrs := make([]string, 2)
+	rels := chaosRels(t, 100)
+	var servers []*Node
 	for i := 0; i < 2; i++ {
-		cat := NewCatalog()
-		for _, rel := range []*proxrank.Relation{relA, relB} {
-			if err := cat.RegisterSharded(rel.Name, rel, 4, proxrank.HashPartition); err != nil {
-				t.Fatal(err)
-			}
-		}
-		exec := NewExecutor(cat, Config{Workers: 2, CacheSize: -1})
-		backend := NewShardBackend(cat, exec, Ownership{}) // owns everything
-		srv := shardrpc.NewServer(backend)
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		backend.SetName(bound.String())
-		addrs[i] = bound.String()
-		servers = append(servers, srv)
-		t.Cleanup(srv.Close)
+		// Ownership{}: both servers own everything.
+		servers = append(servers, openShardServer(t, rels, 4, proxrank.HashPartition, Ownership{}, nil))
 	}
-	fleet := shardrpc.NewFleet(addrs)
-	t.Cleanup(fleet.Close)
-	remotes, err := fleet.Discover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := NewCatalog()
-	for _, name := range []string{"A", "B"} {
-		if err := cat.RegisterRemote(name, remotes[name]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	coord := NewExecutor(cat, Config{Workers: 2, CacheSize: -1})
-	for _, p := range fleet.Peers() {
+	node := openNode(t, NewCatalog(), NodeConfig{Peers: rpcAddrs(servers)})
+	coord := node.Executor
+	for _, p := range node.Fleet.Peers() {
 		p.DialTimeout = 200 * time.Millisecond
 		p.PullTimeout = 500 * time.Millisecond
 	}
-
-	localCat := NewCatalog()
-	for _, rel := range []*proxrank.Relation{relA, relB} {
-		if err := localCat.RegisterSharded(rel.Name, rel, 4, proxrank.HashPartition); err != nil {
-			t.Fatal(err)
-		}
-	}
-	local := NewExecutor(localCat, Config{Workers: 2, CacheSize: -1})
+	local := localTwin(t, rels, 4, proxrank.HashPartition)
 
 	servers[0].Close() // first-choice owner dies; replica carries on
 	req := &QueryRequest{Query: []float64{0.1, 0.1}, Relations: []string{"A", "B"}, K: 3}
@@ -486,7 +455,7 @@ func TestDistributedReplicaFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("failover query failed: %v", err)
 	}
-	if w, g := scrubResponse(t, want), scrubResponse(t, got); w != g {
+	if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
 		t.Fatalf("failover answer differs\nlocal:       %s\ncoordinator: %s", w, g)
 	}
 }
@@ -500,9 +469,7 @@ func TestCoordinatorEndpoints(t *testing.T) {
 		p.DialTimeout = 200 * time.Millisecond
 		p.PullTimeout = 500 * time.Millisecond
 	}
-	srv := NewServer(f.coordCat, f.coord)
-	srv.AttachFleet(f.fleet)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(f.node.Handler())
 	t.Cleanup(ts.Close)
 
 	var rels struct {

@@ -32,6 +32,13 @@
 //     Server type for the route table and docs/API.md for the full wire
 //     reference.
 //
+//   - Node (Open): the assembler. Given a loaded catalog and a
+//     NodeConfig it stands up one serving process — executor, Server
+//     and, by role, the shard RPC server and the coordinator's fleet —
+//     in the one legal order, and Close takes it down in the reverse
+//     one. proxserve, proxload -selfserve and every distributed test
+//     fixture start a node this way and no other.
+//
 // ARCHITECTURE.md at the repository root walks a request through these
 // layers end to end.
 package service

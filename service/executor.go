@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -113,6 +114,17 @@ const DefaultStreamBlockTimeout = time.Second
 // first keeps honest-but-momentarily-unscheduled consumers attached even
 // when the engine publishes much faster than any sink can read.
 const DefaultStreamOverflow = api.OverflowBlock
+
+// ParseStreamOverflow reads a -stream-overflow flag value, block or drop
+// in any case. NewExecutor folds anything else to the default, so a
+// binary that wants a typo refused rather than served calls this first.
+func ParseStreamOverflow(s string) (string, error) {
+	switch policy := strings.ToLower(s); policy {
+	case api.OverflowBlock, api.OverflowDrop:
+		return policy, nil
+	}
+	return "", fmt.Errorf("stream overflow policy %q: want %s or %s", s, api.OverflowBlock, api.OverflowDrop)
+}
 
 // The service speaks the transport-neutral api model; these aliases keep
 // the historical service names compiling while guaranteeing the wire
@@ -278,9 +290,8 @@ func NewExecutor(cat *Catalog, cfg Config) *Executor {
 	// Fold the policy to its two legal values once, here, so subPolicy
 	// never has to interpret free-form strings. Case is forgiven ("Drop"
 	// means drop); anything else gets the safe default.
-	if strings.EqualFold(cfg.StreamOverflow, api.OverflowDrop) {
-		cfg.StreamOverflow = api.OverflowDrop
-	} else {
+	var err error
+	if cfg.StreamOverflow, err = ParseStreamOverflow(cfg.StreamOverflow); err != nil {
 		cfg.StreamOverflow = DefaultStreamOverflow
 	}
 	x := &Executor{

@@ -30,7 +30,9 @@ const maxRelationBody = 32 << 20
 //	GET    /v1/relations        — list the registered relations
 //	POST   /v1/relations        — register a relation from a CSV body
 //	DELETE /v1/relations/{name} — evict a relation
-//	GET    /v1/healthz          — liveness probe
+//	GET    /v1/healthz          — liveness probe (200 while the process runs)
+//	GET    /v1/readyz           — readiness probe (503 while the catalog
+//	                              builds or a shard has no live replica)
 //	GET    /v1/stats            — cumulative serving counters
 //	GET    /metrics             — Prometheus text exposition of the same
 //	                              counters plus latency/TTFE/engine-cost

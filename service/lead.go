@@ -123,7 +123,7 @@ func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxr
 	}
 	results := make([]ResultCombination, 0, opts.K)
 	gap := x.m.newGapObserver(opts.Algorithm)
-	dnf, err := pullCombinations(ctx, q, opts.K, func(c proxrank.Combination) {
+	dnf, err := q.Drain(ctx, func(c proxrank.Combination) {
 		gap()
 		results = append(results, wireCombination(c, entries))
 		publish(api.ResultEvent{Type: api.EventResult, Rank: len(results), Result: &results[len(results)-1]})
@@ -238,31 +238,4 @@ func (x *Executor) recordOutcome(stats proxrank.Stats) {
 	if stats.CombinationsFormed > 0 {
 		x.m.pruneRatio.Observe(float64(stats.CombinationsPruned) / float64(stats.CombinationsFormed))
 	}
-}
-
-// pullCombinations drives a query session to at most k results, handing
-// each to emit the moment it is certified. A capped run delivers the
-// uncertified best-effort tail in report order too — matching the batch
-// DNF contract — and returns dnf true; the error is the engine's own
-// failure. Every run goes through this one loop, which is what keeps
-// batch responses and event sequences identical.
-func pullCombinations(ctx context.Context, q *proxrank.Query, k int, emit func(proxrank.Combination)) (bool, error) {
-	emitted := 0
-	for c, err := range q.Results(ctx) {
-		switch {
-		case err == nil:
-			emit(c)
-			if emitted++; emitted == k {
-				return false, nil
-			}
-		case errors.Is(err, proxrank.ErrDNF):
-			for _, c := range q.DrainBest(k - emitted) {
-				emit(c)
-			}
-			return true, nil
-		default:
-			return false, err
-		}
-	}
-	return false, nil // the cross product is exhausted
 }

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -76,4 +78,24 @@ func buildResponse(results []ResultCombination, threshold float64, dnf bool, sta
 		}
 	}
 	return out
+}
+
+// CanonicalResponse renders a response for byte comparison with what may
+// legitimately differ between two correct answers to one query removed:
+// the engine's wall time and the cached marker. Everything else must
+// match, float bits included — Go marshals float64 shortest-round-trip,
+// so score bits survive the encoding. It is the one scrub behind every
+// identity check outside bench/ (proxload -identity-check and the
+// distributed, chaos and node fixtures).
+func CanonicalResponse(resp *QueryResponse) string {
+	c := *resp
+	c.Cost.ElapsedMicros = 0
+	c.Cached = false
+	buf, err := json.Marshal(&c)
+	if err != nil {
+		// Every field is marshalable and the engine emits finite scores
+		// only; a failure here is a bug, not an input.
+		panic(fmt.Sprintf("service: canonical response: %v", err))
+	}
+	return string(buf)
 }
