@@ -15,7 +15,7 @@ import (
 // shards, each with its indexes precomputed at registration time so that
 // queries share them read-only — per-shard R-trees for distance access,
 // per-shard score orders for score access — and a generation number that
-// makes cache keys self-invalidating across re-registration. A relation
+// stamps cached answers, so none outlives a re-registration in service. A relation
 // registered without a shard count holds exactly one shard, which the
 // query path streams with zero merge overhead.
 type Entry struct {

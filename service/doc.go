@@ -9,11 +9,12 @@
 //     be sharded (per-shard indexes built in parallel; per-query streams
 //     k-way-merged back into the canonical order, so sharding never
 //     changes answers). Re-registering a name bumps its generation,
-//     which invalidates every cached answer built on the old data.
+//     after which no answer cached on the old data is served again.
 //
 //   - Executor: validation and defaulting through the api package, a
 //     bounded worker pool with per-query deadlines, an LRU result cache
-//     keyed by the canonical request encoding plus catalog generations,
+//     of answers and the wire bytes their replays copy, keyed by the
+//     canonical request encoding and stamped with catalog generations,
 //     and a single-flight group so identical concurrent misses run the
 //     engine once. Every query takes one path: whoever leads a flight
 //     call starts its engine, which runs to completion at engine speed —

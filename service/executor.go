@@ -235,6 +235,7 @@ type Executor struct {
 	// source before the engine reads it — the hook used to prove
 	// incremental delivery against a deliberately slow source.
 	wrapSource func(proxrank.Source) proxrank.Source
+	formsBuilt atomic.Int64 // wire forms encoded (answer.form); tests pin it
 
 	queries           atomic.Int64
 	streamed          atomic.Int64
@@ -401,9 +402,16 @@ func (x *Executor) prepare(req *QueryRequest) (*QueryRequest, proxrank.Vector, p
 // arrays with the executor's cache — treat it as read-only. Callers that
 // need to mutate a response must copy those slices first.
 func (x *Executor) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
+	return x.execute(ctx, req, nil)
+}
+
+// execute is Execute for a transport: when the response is a replay,
+// wire has been handed its encoded body (see replayResponse) — without
+// the trace, which is this request's own and rides the response.
+func (x *Executor) execute(ctx context.Context, req *QueryRequest, wire func([]byte) error) (*QueryResponse, error) {
 	x.queries.Add(1)
 	o := x.beginObs(labelModeBatch, req)
-	resp, err := x.serve(ctx, req, o, nil)
+	resp, err := x.serve(ctx, req, o, nil, wire)
 	if resp != nil {
 		o.noteDegraded(resp.Degraded, resp.ShardsMissing)
 	}
@@ -439,6 +447,13 @@ func (x *Executor) Execute(ctx context.Context, req *QueryRequest) (*QueryRespon
 // immediately, the drop surfacing as CodeOverloaded on that subscriber
 // only.
 func (x *Executor) ExecuteStream(ctx context.Context, req *QueryRequest, sink EventSink) error {
+	return x.executeStream(ctx, req, sink, nil)
+}
+
+// executeStream is ExecuteStream for a transport: a replay reaches wire
+// as its result and summary lines in one piece, not sink as events. Live
+// events, and a traced request's trace event, still go to sink.
+func (x *Executor) executeStream(ctx context.Context, req *QueryRequest, sink EventSink, wire func([]byte) error) error {
 	x.queries.Add(1)
 	x.streamed.Add(1)
 	o := x.beginObs(labelModeStream, req)
@@ -451,13 +466,13 @@ func (x *Executor) ExecuteStream(ctx context.Context, req *QueryRequest, sink Ev
 		}
 		return sink(ev)
 	}
-	_, err := x.serve(ctx, req, o, wrapped)
+	_, err := x.serve(ctx, req, o, wrapped, wire)
 	o.finish(req, err)
 	if err == nil && req.Trace {
 		// The terminal trace event rides this subscriber's own sink after
 		// its summary — it is never published into the shared topic, so
 		// untraced consumers of the same run see an unchanged stream.
-		return x.deliver(sink, api.ResultEvent{Type: api.EventTrace, Trace: o.trace()})
+		return x.delivered(sink(api.ResultEvent{Type: api.EventTrace, Trace: o.trace()}))
 	}
 	return err
 }
@@ -469,9 +484,9 @@ func (x *Executor) ExecuteStream(ctx context.Context, req *QueryRequest, sink Ev
 // stream caller drains a subscription to the call's topic, or replays
 // the response when the call has already settled or the cache had it. A
 // request that must not share — NoCache, or a server with no cache —
-// leads a private call: no coalescing, nothing stored. o records the
-// phase spans and (for traced requests) carries the trace recorder.
-func (x *Executor) serve(ctx context.Context, req *QueryRequest, o *queryObs, sink EventSink) (*QueryResponse, error) {
+// leads a private call: no coalescing, nothing stored. o records phase
+// spans and carries a traced request's recorder; only a replay uses wire.
+func (x *Executor) serve(ctx context.Context, req *QueryRequest, o *queryObs, sink EventSink, wire func([]byte) error) (*QueryResponse, error) {
 	norm, query, opts, entries, aerr := x.prepare(req)
 	if aerr != nil {
 		// Client mistakes are tracked apart from Failed so the latter
@@ -490,12 +505,13 @@ func (x *Executor) serve(ctx context.Context, req *QueryRequest, o *queryObs, si
 	if req.NoCache || !x.cache.enabled() {
 		o.cache = api.CacheBypass
 	} else {
-		key = cacheKey(req, entries)
-		if cached, ok := x.cache.get(key); ok {
+		canon := req.Canonical()
+		key = flightKey(canon, entries)
+		if cached, ok := x.cache.get(canon, newestGen(entries)); ok {
 			x.cacheHits.Add(1)
 			o.cache = api.CacheHit
 			o.phase(api.PhaseCache)
-			return x.replayResponse(cached, o, sink)
+			return x.replayResponse(cached, o, sink, wire)
 		}
 		x.cacheMisses.Add(1)
 		o.cache = api.CacheMiss
@@ -531,7 +547,7 @@ func (x *Executor) serve(ctx context.Context, req *QueryRequest, o *queryObs, si
 			if aerr != nil {
 				return nil, aerr
 			}
-			return c.resp, c.err
+			return c.ans.resp, c.err
 		}
 		// A live topic means the leader's engine is mid-run: a stream
 		// follower attaches and consumes independently instead of waiting
@@ -568,15 +584,15 @@ func (x *Executor) serve(ctx context.Context, req *QueryRequest, o *queryObs, si
 		// forbid follower that coalesced onto an allow leader whose run
 		// degraded gets the failure it asked for, not the leader's partial
 		// answer.
-		if c.resp.Degraded && !partial {
+		if c.ans.resp.Degraded && !partial {
 			return nil, apiErrorf(CodeUnavailable,
 				"query degraded: %d shard(s) had no reachable replica and the request forbids partial results",
-				len(c.resp.ShardsMissing))
+				len(c.ans.resp.ShardsMissing))
 		}
 		x.coalesced.Add(1)
 		o.cache = api.CacheCoalesced
 		o.phase(api.PhaseFlight)
-		return x.replayResponse(c.resp, o, sink)
+		return x.replayResponse(c.ans, o, sink, wire)
 	}
 }
 

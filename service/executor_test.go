@@ -322,8 +322,8 @@ func TestCacheKeyNoCollision(t *testing.T) {
 	list2 := []*Entry{entry("a,1", 1), entry("b", 2)}
 	req1 := &QueryRequest{Query: []float64{0, 0}, Relations: []string{"a", "1,b"}, K: 1}
 	req2 := &QueryRequest{Query: []float64{0, 0}, Relations: []string{"a,1", "b"}, K: 1}
-	k1 := cacheKey(req1, list1)
-	k2 := cacheKey(req2, list2)
+	k1 := flightKey(req1.Canonical(), list1)
+	k2 := flightKey(req2.Canonical(), list2)
 	if k1 == k2 {
 		t.Fatalf("distinct relation lists collided in the cache key: %q", k1)
 	}

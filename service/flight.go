@@ -20,12 +20,12 @@ type flightGroup struct {
 }
 
 // flightCall is one engine run and everything its consumers need from
-// it. resp and err are written by leave before done is closed and
-// read-only afterwards.
+// it. ans (the value the cache holds too) and err are written by leave
+// before done is closed and read-only afterwards.
 type flightCall struct {
 	key  string // empty for a private call: never registered, never joined
 	done chan struct{}
-	resp *QueryResponse
+	ans  *answer
 	err  error
 	// topic is the run's delivery topic: the engine publishes wire events
 	// into it at engine speed, and a stream follower that finds one
@@ -56,12 +56,12 @@ func (g *flightGroup) join(key string) (*flightCall, bool) {
 // leave publishes the call's outcome and wakes everyone waiting on it.
 // The key is retired before done is closed, so a follower that retries
 // after a leader failure can become the next leader.
-func (g *flightGroup) leave(c *flightCall, resp *QueryResponse, err error) {
+func (g *flightGroup) leave(c *flightCall, ans *answer, err error) {
 	if c.key != "" {
 		g.mu.Lock()
 		delete(g.calls, c.key)
 		g.mu.Unlock()
 	}
-	c.resp, c.err = resp, err
+	c.ans, c.err = ans, err
 	close(c.done)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -79,20 +80,26 @@ func (s *Server) AttachFleet(fleet *shardrpc.Fleet) {
 	s.exec.AttachFleet(fleet)
 }
 
-// writeJSON serializes v with status code. Marshaling happens before the
+// writeJSON serializes v with status code. Encoding happens before the
 // header is written so an encode failure can still surface as a
 // structured 500 instead of a silent 200 with a truncated body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf, err := json.Marshal(v)
+	body, err := encodeJSON(v)
 	if err != nil {
 		status = http.StatusInternalServerError
-		buf, _ = json.Marshal(struct {
+		body, _ = encodeJSON(struct {
 			Error *APIError `json:"error"`
 		}{apiErrorf(CodeInternal, "encoding response: %v", err)})
 	}
+	writeBody(w, status, body)
+}
+
+// writeBody sends an encoded JSON body, whole and so with its length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_, _ = w.Write(append(buf, '\n'))
+	_, _ = w.Write(body)
 }
 
 // writeError emits the structured error body. Overload rejections get a
@@ -138,17 +145,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := s.exec.Execute(r.Context(), req)
-	if err != nil {
+	var body []byte // set when resp is a replay: the answer's shared wire form
+	resp, err := s.exec.execute(r.Context(), req, func(b []byte) error { body = b; return nil })
+	switch {
+	case err != nil:
 		writeError(w, err)
-		return
+	case body == nil:
+		writeJSON(w, http.StatusOK, resp)
+	case resp.Trace == nil:
+		writeBody(w, http.StatusOK, body)
+	default:
+		// Its own trace, spliced in where Response declares it: last.
+		if trace, err := json.Marshal(resp.Trace); err == nil {
+			body = slices.Concat(body[:len(body)-2], []byte(`,"trace":`), trace, []byte("}\n"))
+		}
+		writeBody(w, http.StatusOK, body)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleQueryStream answers POST /v1/query/stream with NDJSON: one
 // api.ResultEvent per line, the first result flushed as soon as the
-// engine certifies it, a summary line last. Failures before the first
+// engine certifies it, a summary line last; a replayed answer's lines
+// are already encoded and go out in one write. Failures before the first
 // event are ordinary structured errors with a proper status; failures
 // after it are appended in-band as an error event (the status line has
 // already been sent).
@@ -159,21 +177,21 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
+	w.Header().Set("Content-Type", "application/x-ndjson") // writeError resets it
 	wrote := false
-	sink := func(ev api.ResultEvent) error {
-		if !wrote {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			wrote = true
-		}
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-		if flusher != nil {
+	flushed := func(err error) error {
+		wrote = true
+		if err == nil && flusher != nil {
 			flusher.Flush()
 		}
-		return nil
+		return err
 	}
-	if err := s.exec.ExecuteStream(r.Context(), req, sink); err != nil {
+	sink := func(ev api.ResultEvent) error { return flushed(enc.Encode(ev)) }
+	wire := func(lines []byte) error {
+		_, err := w.Write(lines)
+		return flushed(err)
+	}
+	if err := s.exec.executeStream(r.Context(), req, sink, wire); err != nil {
 		if !wrote {
 			writeError(w, err)
 			return
@@ -198,7 +216,7 @@ func (s *Server) handleRelations(w http.ResponseWriter, _ *http.Request) {
 //	strategy — partitioning strategy: hash (default) or grid
 //
 // A taken name answers 409; evict it first to replace a relation, which
-// bumps the generation and invalidates every cached answer built on it.
+// bumps the generation: no answer cached on the old one is served again.
 func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("name")
@@ -255,8 +273,8 @@ func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleEvictRelation removes a relation from the catalog. In-flight
-// queries holding the entry finish against it; cached answers die with
-// the generation.
+// queries holding the entry finish against it; cached answers over it
+// are unreachable from here on and age out of the LRU.
 func (s *Server) handleEvictRelation(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !s.cat.Evict(name) {

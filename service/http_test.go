@@ -320,3 +320,44 @@ func TestHTTPTimeoutStatus(t *testing.T) {
 		t.Fatalf("timeout body: %s", data)
 	}
 }
+
+// TestHTTPBodiesCarryTheirLength: writeJSON has the whole body in hand
+// before the first byte goes out, so an answer — a K = 100 one well past
+// the server's buffer included — and a structured error both arrive with
+// Content-Length, not chunked.
+func TestHTTPBodiesCarryTheirLength(t *testing.T) {
+	srv, names, _ := testServer(t)
+	big, err := json.Marshal(&QueryRequest{Query: []float64{0.1, -0.2}, Relations: names, K: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		atLeast    int64
+	}{
+		{"k100 miss", string(big), http.StatusOK, 16 << 10},
+		{"k100 hit", string(big), http.StatusOK, 16 << 10},
+		{"bad request", "{nope", http.StatusBadRequest, 1},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d: %s", tc.name, resp.StatusCode, data)
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(data)) || resp.ContentLength < tc.atLeast {
+			t.Fatalf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				tc.name, resp.ContentLength, resp.TransferEncoding, len(data))
+		}
+		if !bytes.HasSuffix(data, []byte("}\n")) || !json.Valid(data) {
+			t.Fatalf("%s: body is not one JSON object and a newline: %.80s", tc.name, data)
+		}
+	}
+}

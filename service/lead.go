@@ -67,24 +67,25 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 	}
 	started = true // the engine goroutine settles the call from here
 	go func() {
-		var resp *QueryResponse
-		var err error // an interface, so that success settles as a true nil
+		ans := &answer{} // its response stays nil if the run fails
+		var err error    // an interface, so that success settles as a true nil
 		defer func() {
 			// Detached from any request handler: uncontained, an engine
 			// panic here would kill the whole process, not one query.
 			if r := recover(); r != nil {
 				x.failed.Add(1)
-				resp, err = nil, apiErrorf(CodeInternal, "query leader panicked: %v", r)
+				ans.resp, err = nil, apiErrorf(CodeInternal, "query leader panicked: %v", r)
 			}
 			// Slot and sources go back before the flight settles: a batch
 			// caller returns the instant done closes, and InFlight and the
 			// pruning counters must already account for its query.
 			release()
 			engCancel()
-			x.flight.leave(c, resp, err)
+			x.flight.leave(c, ans, err)
 			topic.Close(err)
 		}()
 		resp, runErr := x.publishRun(engCtx, q, opts, entries, missing, topic)
+		ans.resp = resp
 		if runErr != nil {
 			aerr := asAPIError(runErr)
 			err = aerr
@@ -99,7 +100,7 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 			// Degraded responses are never cached (the shard may come back
 			// any moment); followers still share this run's outcome through
 			// the flight and re-check their own partial policy.
-			x.cache.put(c.key, resp)
+			x.cache.put(req.Canonical(), newestGen(entries), ans)
 		}
 	}()
 	return sub, nil
@@ -156,11 +157,11 @@ func summaryOf(resp *QueryResponse, cached bool) *api.Summary {
 	}
 }
 
-// deliver hands one event to a sink. A sink that fails is the client
-// going away, whichever loop was feeding it — counted and reported as a
-// cancellation, never as a server fault.
-func (x *Executor) deliver(sink EventSink, ev api.ResultEvent) error {
-	if err := sink(ev); err != nil {
+// delivered folds the outcome of one write to a consumer. One that fails
+// is the client going away, whichever loop was feeding it — counted and
+// reported as a cancellation, never as a server fault.
+func (x *Executor) delivered(err error) error {
+	if err != nil {
 		x.canceled.Add(1)
 		return apiErrorf(CodeCanceled, "stream sink: %v", err)
 	}
@@ -186,7 +187,7 @@ func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent
 				s.Cached = true
 				ev.Summary = &s
 			}
-			if err := x.deliver(sink, ev); err != nil {
+			if err := x.delivered(sink(ev)); err != nil {
 				return false, err
 			}
 		case errors.Is(err, broker.ErrDone):
@@ -204,24 +205,32 @@ func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent
 	}
 }
 
-// replayResponse hands an already-computed response to a caller that did
-// not lead its run — a cache hit, or a follower of a settled flight: a
-// batch caller gets a copy marked cached, a stream caller the response
-// as events, summary marked cached.
-func (x *Executor) replayResponse(resp *QueryResponse, o *queryObs, sink EventSink) (*QueryResponse, error) {
+// replayResponse hands a settled answer to a caller that did not lead
+// its run — a cache hit, or a follower of a settled flight — and is the
+// only place a replay happens. A batch caller gets a copy marked cached,
+// a stream caller the response as events, summary marked cached; a
+// transport (wire set) gets the answer's shared wire form instead of the
+// events, and beside the copy — bytes encoded once however often they
+// are replayed.
+func (x *Executor) replayResponse(a *answer, o *queryObs, sink EventSink, wire func([]byte) error) (*QueryResponse, error) {
+	var form []byte
+	if wire != nil {
+		form = a.form(sink != nil, &x.formsBuilt)
+	}
 	if sink == nil {
-		hit := *resp // shallow copy; the shared value stays immutable
+		hit := *a.resp // shallow copy; the shared value stays immutable
 		hit.Cached = true
+		if form != nil {
+			_ = wire(form) // a batch transport only keeps it
+		}
 		return &hit, nil
 	}
 	defer o.phase(api.PhaseDrain)
-	for i := range resp.Results {
-		ev := api.ResultEvent{Type: api.EventResult, Rank: i + 1, Result: &resp.Results[i]}
-		if err := x.deliver(sink, ev); err != nil {
-			return nil, err
-		}
+	if form != nil {
+		o.firstEvent()
+		return nil, x.delivered(wire(form))
 	}
-	return nil, x.deliver(sink, api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, true)})
+	return nil, replayEvents(a.resp, func(ev api.ResultEvent) error { return x.delivered(sink(ev)) })
 }
 
 // recordOutcome folds one finished engine run into the counters and the

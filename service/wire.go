@@ -1,25 +1,27 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	proxrank "repro"
 	"repro/api"
 )
 
-// cacheKey is the canonical encoding of the normalized request (see
-// api.Request.Canonical) suffixed with each resolved relation's catalog
-// generation — so re-registering a name invalidates its entries — and
-// shard count. Sharding does not change answers; the key carries it only
-// as a defensive marker of the serving configuration. The generations
-// align positionally with the request's relation list, which the
-// canonical encoding already names.
-func cacheKey(req *QueryRequest, entries []*Entry) string {
-	canon := req.Canonical()
+// flightKey is the canonical encoding of the normalized request (see
+// api.Request.Canonical; alone, it is the cache's key) suffixed with each
+// resolved relation's catalog generation — so a run that started before
+// a catalog write is never joined after it — and shard count. Sharding
+// does not change answers; the key carries it only as a defensive marker
+// of the serving configuration. The generations align positionally with
+// the request's relation list, which the canonical encoding names.
+func flightKey(canon string, entries []*Entry) string {
 	var b strings.Builder
 	b.Grow(len(canon) + 3 + 16*len(entries))
 	b.WriteString(canon)
@@ -31,6 +33,76 @@ func cacheKey(req *QueryRequest, entries []*Entry) string {
 		b.WriteByte(',')
 	}
 	return b.String()
+}
+
+// newestGen stamps an answer computed on entries with their largest
+// generation. Generations are monotone across the catalog and Resolve
+// reads them under one lock, so for one relation list equal stamps mean
+// the same entries and a larger stamp the later catalog state.
+func newestGen(entries []*Entry) uint64 {
+	var g uint64
+	for _, e := range entries {
+		g = max(g, e.gen)
+	}
+	return g
+}
+
+// answer is a settled response and its two wire forms: the batch body
+// marked cached, and the NDJSON result lines plus cached summary line.
+// The first replay that needs a form encodes it — never the settle: a
+// cold key is not asked twice and pays neither the encode nor the bytes.
+type answer struct {
+	resp  *QueryResponse
+	once  [2]sync.Once // batch, stream
+	forms [2][]byte
+}
+
+// form returns the batch or stream wire form, built once by the encoders
+// the live path uses (built counts builds). A degraded response has none
+// and is replayed the ordinary way: it is never cached, and its fields
+// sort after the trace, which a traced batch caller appends.
+func (a *answer) form(stream bool, built *atomic.Int64) []byte {
+	if a.resp.Degraded {
+		return nil
+	}
+	i := 0
+	if stream {
+		i = 1
+	}
+	a.once[i].Do(func() {
+		built.Add(1)
+		if !stream {
+			hit := *a.resp
+			hit.Cached = true
+			a.forms[i], _ = encodeJSON(&hit)
+			return
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		if replayEvents(a.resp, func(ev api.ResultEvent) error { return enc.Encode(ev) }) == nil {
+			a.forms[i] = bytes.Clone(buf.Bytes()) // without the buffer's growth slack
+		}
+	})
+	return a.forms[i]
+}
+
+// replayEvents emits a settled response as the events of its stream: one
+// result event per combination, then the summary marked cached.
+func replayEvents(resp *QueryResponse, emit func(api.ResultEvent) error) error {
+	for i := range resp.Results {
+		if err := emit(api.ResultEvent{Type: api.EventResult, Rank: i + 1, Result: &resp.Results[i]}); err != nil {
+			return err
+		}
+	}
+	return emit(api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, true)})
+}
+
+// encodeJSON is json.Marshal plus the newline every body ends with,
+// without the copy appending one to Marshal's exact-sized slice costs.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
 }
 
 // wireCombination converts one engine combination into its wire form.
