@@ -16,9 +16,11 @@ import (
 )
 
 // pin is what one partitioned fixture looked like at the commit that
-// recorded it: a digest of every stream it serves, of the bounds it
-// advertises, and of the relfile it encodes to.
-type pin struct{ streams, bounds, relfile string }
+// recorded it: a digest of every per-shard stream it serves, of every
+// merged stream, of the bounds it advertises, and of the relfile it
+// encodes to. Shard and merged streams are digested apart because a
+// change of partitioner moves the former and must not move the latter.
+type pin struct{ shards, merged, bounds, relfile string }
 
 // pinned is the independent witness for the identity suites. Those compare
 // access paths and storage tiers with each other, so a change that moves
@@ -27,24 +29,24 @@ type pin struct{ streams, bounds, relfile string }
 // bytes do. Regenerate an entry from the failure message, and only for a
 // change that means to alter what it pins.
 var pinned = map[string]pin{
-	"tied/hash/1": {"f78d78267a5f15daa4c0b5da1321eceadcb5e2b25259e5c3c99e40e2936fbae6", "66505302c8e0b39a80ec48c4bfad8d74d205203725bcd16704e37b27772d56e9", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
-	"tied/hash/5": {"640eb591145dcdd111fdcf8992eea6547df176be7efc27e5d2cea7ce6049a6f0", "ce046e10d3d4771d8c45209b0efe996a8996c3a6b207dc84beedf0734ed197bb", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
-	"tied/grid/1": {"f78d78267a5f15daa4c0b5da1321eceadcb5e2b25259e5c3c99e40e2936fbae6", "66505302c8e0b39a80ec48c4bfad8d74d205203725bcd16704e37b27772d56e9", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
-	"tied/grid/5": {"0370f9981fcc887e4a83d3a1cee14e5ce03d1b951c17f8f529d890e35afc1576", "6a049daff2e67849beaa2a3425f2a1321020d326f47d0a0602ee450d69815e5a", "e18c7108f95b2c5806163a9122492678ff0ac85138dda2b20cb8544540793f96"},
-	"dim8/hash/1": {"4da4bf2381a4063f9191aa41ac946a8e71f17278c46e14559e18038f0573531a", "30a3310f3d01721012c0caf17412f8c52f67abcaf17987e4514d5b8365cf77c4", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
-	"dim8/hash/5": {"9e21ece5fe046b88b0de9b4d86963869e9227a4ff3105e3d4a31a604417b7f85", "c75be68fc33a3323d1db8acd3cf64697318fd54440ff9d6b846d7421c45ec303", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
-	"dim8/grid/1": {"4da4bf2381a4063f9191aa41ac946a8e71f17278c46e14559e18038f0573531a", "30a3310f3d01721012c0caf17412f8c52f67abcaf17987e4514d5b8365cf77c4", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
-	"dim8/grid/5": {"6f956834b1c34d9d4708c9c7043e77944c6f4f00e0653f9e7ac91b4ff36d474d", "40df13d404f5bd39c1afa5965cbed77559a8f2655eeac7721923e1a7dcd2ed38", "60ea5dd1be7385225c832355dbe7343b017cf0d47baeaf501b9585410304df8a"},
+	"tied/hash/1": {"8f0845272d3635a675cc5cdaa98d3b758cfc941e8c06517532928b2f6479f97c", "9424f88a15af9bbb0eea8966a66001a09205c1bb298247ce57b6b1bb2e7ad19b", "66505302c8e0b39a80ec48c4bfad8d74d205203725bcd16704e37b27772d56e9", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
+	"tied/hash/5": {"5b612c94bc4c265eab1045859bc8d32f7805059d972e02768791231eb09a8fef", "955bfebfa373a25d583442ae8423576a72f4dd08273f18d24fd6364cfd3ab8db", "ce046e10d3d4771d8c45209b0efe996a8996c3a6b207dc84beedf0734ed197bb", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
+	"tied/grid/1": {"8f0845272d3635a675cc5cdaa98d3b758cfc941e8c06517532928b2f6479f97c", "9424f88a15af9bbb0eea8966a66001a09205c1bb298247ce57b6b1bb2e7ad19b", "66505302c8e0b39a80ec48c4bfad8d74d205203725bcd16704e37b27772d56e9", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
+	"tied/grid/5": {"31e7cb4e0bd5f9ad5d735884803611de79125297127679568a5a22f38a446988", "955bfebfa373a25d583442ae8423576a72f4dd08273f18d24fd6364cfd3ab8db", "6a049daff2e67849beaa2a3425f2a1321020d326f47d0a0602ee450d69815e5a", "e18c7108f95b2c5806163a9122492678ff0ac85138dda2b20cb8544540793f96"},
+	"dim8/hash/1": {"6086dc15b5aec5623727e8320cf5a4f29a87cc1655bef4e65f7de2949ad82db2", "8162a085bfffb416959011481587ea8575f983872ff0187e73b0f61a56a514e7", "30a3310f3d01721012c0caf17412f8c52f67abcaf17987e4514d5b8365cf77c4", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
+	"dim8/hash/5": {"f3b5254cf4654e3e462dbe00e4a0885c7e8ed292e63432a3dbbeccb3d496d338", "34e4ed2c0ff430906359123d308904b824701d879c670a910d2f50d809914ff1", "c75be68fc33a3323d1db8acd3cf64697318fd54440ff9d6b846d7421c45ec303", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
+	"dim8/grid/1": {"6086dc15b5aec5623727e8320cf5a4f29a87cc1655bef4e65f7de2949ad82db2", "8162a085bfffb416959011481587ea8575f983872ff0187e73b0f61a56a514e7", "30a3310f3d01721012c0caf17412f8c52f67abcaf17987e4514d5b8365cf77c4", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
+	"dim8/grid/5": {"11aa9010ce0becf264a75408c685b2252e8369e1a96b2d2889562372d3a8d05f", "34e4ed2c0ff430906359123d308904b824701d879c670a910d2f50d809914ff1", "40df13d404f5bd39c1afa5965cbed77559a8f2655eeac7721923e1a7dcd2ed38", "60ea5dd1be7385225c832355dbe7343b017cf0d47baeaf501b9585410304df8a"},
 }
 
-// transcribe writes every stream s serves into h — score access, then per
-// query R-tree, sorted and sorted-cosine distance access; each shard's
-// stream, then the merged one — as one line per pulled tuple: ID, merge-key
-// bits and parent ordinal (zeroes where a k-way merge does not report
-// them).
-func transcribe(t *testing.T, h hash.Hash, s *relation.Sharded, queries []vec.Vector) {
+// transcribe writes every stream s serves — score access, then per query
+// R-tree, sorted and sorted-cosine distance access — as one line per
+// pulled tuple: ID, merge-key bits and parent ordinal (zeroes where a
+// k-way merge does not report them). Each shard's stream goes into
+// shardH, the merged one into mergedH.
+func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, queries []vec.Vector) {
 	t.Helper()
-	drain := func(label string, src relation.Source, err error) {
+	drain := func(h hash.Hash, label string, src relation.Source, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -75,7 +77,7 @@ func transcribe(t *testing.T, h hash.Hash, s *relation.Sharded, queries []vec.Ve
 		t.Helper()
 		for i := 0; i < s.NumShards(); i++ {
 			src, err := s.ShardSource(i, kind, q, metric, useRTree)
-			drain(fmt.Sprintf("%s shard %d", label, i), src, err)
+			drain(shardH, fmt.Sprintf("%s shard %d", label, i), src, err)
 		}
 		// OpenSource picks the R-tree for a sharded input under the Euclidean
 		// metric; the sorted Euclidean merge it no longer reaches stays pinned
@@ -89,11 +91,11 @@ func transcribe(t *testing.T, h hash.Hash, s *relation.Sharded, queries []vec.Ve
 				}
 			}
 			src, err := s.Merge(shards)
-			drain(label+" merged", src, err)
+			drain(mergedH, label+" merged", src, err)
 			return
 		}
 		src, err := relation.OpenSource(s, kind, q, metric)
-		drain(label+" merged", src, err)
+		drain(mergedH, label+" merged", src, err)
 	}
 	stream("score", relation.ScoreAccess, nil, nil, false)
 	for i, q := range queries {
@@ -105,7 +107,7 @@ func transcribe(t *testing.T, h hash.Hash, s *relation.Sharded, queries []vec.Ve
 
 // TestPinnedStreamsBoundsAndRelfileBytes checks tie-heavy dim-2 and dim-8
 // fixtures × {hash, grid} × {1, 5 shards} against pinned: the partitioned
-// relation's stream transcript, the same transcript over its relfile
+// relation's two stream transcripts, the same two over its relfile
 // mapped back, the float bits of every ShardBounds field, and the sha256
 // of the relfile itself.
 func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
@@ -132,11 +134,12 @@ func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
 					}
 					var got pin
 
-					h := sha256.New()
-					transcribe(t, h, s, fx.queries)
-					got.streams = fmt.Sprintf("%x", h.Sum(nil))
+					shardH, mergedH := sha256.New(), sha256.New()
+					transcribe(t, shardH, mergedH, s, fx.queries)
+					got.shards = fmt.Sprintf("%x", shardH.Sum(nil))
+					got.merged = fmt.Sprintf("%x", mergedH.Sum(nil))
 
-					h = sha256.New()
+					h := sha256.New()
 					for i := 0; i < s.NumShards(); i++ {
 						b := s.ShardBounds(i)
 						for _, c := range b.Centroid {
@@ -157,7 +160,7 @@ func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
 					got.relfile = fmt.Sprintf("%x", sha256.Sum256(raw))
 
 					if got != pinned[name] {
-						t.Errorf("pin moved; got\n\t%q: {%q, %q, %q},\nwant\n\t%+v", name, got.streams, got.bounds, got.relfile, pinned[name])
+						t.Errorf("pin moved; got\n\t%q: {%q, %q, %q, %q},\nwant\n\t%+v", name, got.shards, got.merged, got.bounds, got.relfile, pinned[name])
 					}
 
 					f, err := relfile.Open(path)
@@ -169,10 +172,13 @@ func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					h = sha256.New()
-					transcribe(t, h, loaded, fx.queries)
-					if mapped := fmt.Sprintf("%x", h.Sum(nil)); mapped != got.streams {
-						t.Errorf("mapped relfile streams %s, heap streams %s", mapped, got.streams)
+					shardH, mergedH = sha256.New(), sha256.New()
+					transcribe(t, shardH, mergedH, loaded, fx.queries)
+					if mapped := fmt.Sprintf("%x", shardH.Sum(nil)); mapped != got.shards {
+						t.Errorf("mapped relfile shard streams %s, heap %s", mapped, got.shards)
+					}
+					if mapped := fmt.Sprintf("%x", mergedH.Sum(nil)); mapped != got.merged {
+						t.Errorf("mapped relfile merged streams %s, heap %s", mapped, got.merged)
 					}
 				})
 			}
