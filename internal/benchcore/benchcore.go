@@ -3,7 +3,8 @@
 // snapshot (`proxbench -core-out`) measure exactly the same workloads:
 // batch TopK (tight and corner bounds), incremental session Next, a
 // sharded-merge query over per-shard R-trees, the R-tree distance stream
-// itself, and a top-20 over prefixes hundreds of tuples deep. The JSON snapshot is the perf trajectory record —
+// itself, a top-20 over prefixes hundreds of tuples deep, and the grid
+// partitioning of one relation. The JSON snapshot is the perf trajectory record —
 // regenerate it on the same class of hardware before claiming a win or a
 // regression (see EXPERIMENTS.md).
 package benchcore
@@ -39,6 +40,7 @@ func Specs() []Spec {
 		{Name: "RTreeOpenFirst", Bench: BenchRTreeOpenFirst},
 		{Name: "RTreePrefix100", Bench: BenchRTreePrefix100},
 		{Name: "FormationDeep", Bench: BenchFormationDeep},
+		{Name: "PartitionGrid", Bench: BenchPartitionGrid},
 	}
 }
 
@@ -259,6 +261,22 @@ func BenchFormationDeep(b *testing.B) {
 			opts.Algorithm = proxrank.CBRR
 		}
 		if _, err := proxrank.TopKFromSources(q, sources, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchPartitionGrid is what admitting a relation costs: one 20 000-tuple
+// dim-4 relation cut into 12 grid shards, score order and R-tree of every
+// shard included. The proxserve benchmark's coord3_wire set-up does this
+// six times and hot_stream once per catalog write.
+func BenchPartitionGrid(b *testing.B) {
+	ixs, _ := rtreeSetup()
+	rel := ixs[0].Relation()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := proxrank.NewShardedRelation(rel, 12, proxrank.GridPartition); err != nil {
 			b.Fatal(err)
 		}
 	}

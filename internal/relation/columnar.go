@@ -81,10 +81,11 @@ func (c *storageOrder) Ordinal(i int) int    { return i }
 
 // FileShard describes one shard of a relation assembled from external
 // columnar storage: the columns themselves plus the bounding metadata
-// computed at build time. Bounds are stored, not recomputed, because
+// computed at build time. The ball is stored, not recomputed, because
 // computeBounds sums vectors in the partitioner's group order and
-// re-deriving them over the score-ordered columns would drift the float
-// bits advertised to coordinators.
+// re-deriving it over the score-ordered columns would drift the float
+// bits advertised to coordinators; the rectangle is order-independent
+// and may be derived from the columns (ExtendRect).
 type FileShard struct {
 	Cols   Columns
 	Bounds ShardBounds

@@ -1,6 +1,7 @@
 package relation_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -29,14 +30,14 @@ type pin struct{ shards, merged, bounds, relfile string }
 // bytes do. Regenerate an entry from the failure message, and only for a
 // change that means to alter what it pins.
 var pinned = map[string]pin{
-	"tied/hash/1": {"8f0845272d3635a675cc5cdaa98d3b758cfc941e8c06517532928b2f6479f97c", "9424f88a15af9bbb0eea8966a66001a09205c1bb298247ce57b6b1bb2e7ad19b", "66505302c8e0b39a80ec48c4bfad8d74d205203725bcd16704e37b27772d56e9", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
-	"tied/hash/5": {"5b612c94bc4c265eab1045859bc8d32f7805059d972e02768791231eb09a8fef", "955bfebfa373a25d583442ae8423576a72f4dd08273f18d24fd6364cfd3ab8db", "ce046e10d3d4771d8c45209b0efe996a8996c3a6b207dc84beedf0734ed197bb", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
-	"tied/grid/1": {"8f0845272d3635a675cc5cdaa98d3b758cfc941e8c06517532928b2f6479f97c", "9424f88a15af9bbb0eea8966a66001a09205c1bb298247ce57b6b1bb2e7ad19b", "66505302c8e0b39a80ec48c4bfad8d74d205203725bcd16704e37b27772d56e9", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
-	"tied/grid/5": {"31e7cb4e0bd5f9ad5d735884803611de79125297127679568a5a22f38a446988", "955bfebfa373a25d583442ae8423576a72f4dd08273f18d24fd6364cfd3ab8db", "6a049daff2e67849beaa2a3425f2a1321020d326f47d0a0602ee450d69815e5a", "e18c7108f95b2c5806163a9122492678ff0ac85138dda2b20cb8544540793f96"},
-	"dim8/hash/1": {"6086dc15b5aec5623727e8320cf5a4f29a87cc1655bef4e65f7de2949ad82db2", "8162a085bfffb416959011481587ea8575f983872ff0187e73b0f61a56a514e7", "30a3310f3d01721012c0caf17412f8c52f67abcaf17987e4514d5b8365cf77c4", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
-	"dim8/hash/5": {"f3b5254cf4654e3e462dbe00e4a0885c7e8ed292e63432a3dbbeccb3d496d338", "34e4ed2c0ff430906359123d308904b824701d879c670a910d2f50d809914ff1", "c75be68fc33a3323d1db8acd3cf64697318fd54440ff9d6b846d7421c45ec303", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
-	"dim8/grid/1": {"6086dc15b5aec5623727e8320cf5a4f29a87cc1655bef4e65f7de2949ad82db2", "8162a085bfffb416959011481587ea8575f983872ff0187e73b0f61a56a514e7", "30a3310f3d01721012c0caf17412f8c52f67abcaf17987e4514d5b8365cf77c4", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
-	"dim8/grid/5": {"11aa9010ce0becf264a75408c685b2252e8369e1a96b2d2889562372d3a8d05f", "34e4ed2c0ff430906359123d308904b824701d879c670a910d2f50d809914ff1", "40df13d404f5bd39c1afa5965cbed77559a8f2655eeac7721923e1a7dcd2ed38", "60ea5dd1be7385225c832355dbe7343b017cf0d47baeaf501b9585410304df8a"},
+	"tied/hash/1": {"8f0845272d3635a675cc5cdaa98d3b758cfc941e8c06517532928b2f6479f97c", "9424f88a15af9bbb0eea8966a66001a09205c1bb298247ce57b6b1bb2e7ad19b", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
+	"tied/hash/5": {"5b612c94bc4c265eab1045859bc8d32f7805059d972e02768791231eb09a8fef", "955bfebfa373a25d583442ae8423576a72f4dd08273f18d24fd6364cfd3ab8db", "87ed14acb7a8a17e2fb277a434257531e74f11b01077eb96f8c9f519c4fdd062", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
+	"tied/grid/1": {"8f0845272d3635a675cc5cdaa98d3b758cfc941e8c06517532928b2f6479f97c", "9424f88a15af9bbb0eea8966a66001a09205c1bb298247ce57b6b1bb2e7ad19b", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
+	"tied/grid/5": {"87706c6a3af8f3bc750d887ed39c4e631ef83fc5d3b16e16de60b340c55958d2", "955bfebfa373a25d583442ae8423576a72f4dd08273f18d24fd6364cfd3ab8db", "33fd4524175783679a205fe2661977b2af4adcf9e7353a96190994d318dad6b8", "0091cf3de65819453348f49089ad9cb3cb0e9cf735d211bea0a603320063468d"},
+	"dim8/hash/1": {"6086dc15b5aec5623727e8320cf5a4f29a87cc1655bef4e65f7de2949ad82db2", "8162a085bfffb416959011481587ea8575f983872ff0187e73b0f61a56a514e7", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
+	"dim8/hash/5": {"f3b5254cf4654e3e462dbe00e4a0885c7e8ed292e63432a3dbbeccb3d496d338", "34e4ed2c0ff430906359123d308904b824701d879c670a910d2f50d809914ff1", "14237cd990803eba67a9652eec7bb89b96a39c6f08843db8350d0372a318c14c", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
+	"dim8/grid/1": {"6086dc15b5aec5623727e8320cf5a4f29a87cc1655bef4e65f7de2949ad82db2", "8162a085bfffb416959011481587ea8575f983872ff0187e73b0f61a56a514e7", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
+	"dim8/grid/5": {"b39b1d0af1fa5649ab56b21d8fb63a88cae0232e1ce20ac6c461992baa86b440", "34e4ed2c0ff430906359123d308904b824701d879c670a910d2f50d809914ff1", "35a51167050f4ae06291c5dfb22e84bd28e20c9f62a0561575d27878ad9f90e7", "33b344f89a1887b02352189bc9cb1fdbd6ebf8fd952632761f9b891a6024a4c4"},
 }
 
 // transcribe writes every stream s serves — score access, then per query
@@ -105,11 +106,30 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 	}
 }
 
+// boundsDigest hashes the float bits of every field of every shard's
+// bounds, rectangle included.
+func boundsDigest(s *relation.Sharded) string {
+	h := sha256.New()
+	for i := 0; i < s.NumShards(); i++ {
+		b := s.ShardBounds(i)
+		for _, xs := range [][]float64{b.Centroid, b.Min, b.Max, {b.Radius, b.MaxScore}} {
+			for _, x := range xs {
+				fmt.Fprintf(h, "%016x ", math.Float64bits(x))
+			}
+			fmt.Fprint(h, "| ")
+		}
+		fmt.Fprintf(h, "%d\n", b.Tuples)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // TestPinnedStreamsBoundsAndRelfileBytes checks tie-heavy dim-2 and dim-8
 // fixtures × {hash, grid} × {1, 5 shards} against pinned: the partitioned
 // relation's two stream transcripts, the same two over its relfile
-// mapped back, the float bits of every ShardBounds field, and the sha256
-// of the relfile itself.
+// mapped back, the float bits of every ShardBounds field — the same from
+// the partitioner and from the file, which stores no rectangle and
+// derives it — and the sha256 of the relfile itself, which the mapped
+// relation re-encodes to.
 func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
 	tied := relation.TieRelation(t, 41, 150, 2)
 	dim8 := relation.Dim8Relation(t, 43, 400)
@@ -139,15 +159,7 @@ func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
 					got.shards = fmt.Sprintf("%x", shardH.Sum(nil))
 					got.merged = fmt.Sprintf("%x", mergedH.Sum(nil))
 
-					h := sha256.New()
-					for i := 0; i < s.NumShards(); i++ {
-						b := s.ShardBounds(i)
-						for _, c := range b.Centroid {
-							fmt.Fprintf(h, "%016x ", math.Float64bits(c))
-						}
-						fmt.Fprintf(h, "%016x %016x %d\n", math.Float64bits(b.Radius), math.Float64bits(b.MaxScore), b.Tuples)
-					}
-					got.bounds = fmt.Sprintf("%x", h.Sum(nil))
+					got.bounds = boundsDigest(s)
 
 					path := filepath.Join(t.TempDir(), "pin.prox")
 					if err := relfile.Write(path, s); err != nil {
@@ -171,6 +183,16 @@ func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
 					loaded, err := f.Load(fx.rel.Name)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if mapped := boundsDigest(loaded); mapped != got.bounds {
+						t.Errorf("mapped relfile bounds %s, heap %s", mapped, got.bounds)
+					}
+					again := filepath.Join(t.TempDir(), "again.prox")
+					if err := relfile.Write(again, loaded); err != nil {
+						t.Fatal(err)
+					}
+					if rewritten, err := os.ReadFile(again); err != nil || !bytes.Equal(rewritten, raw) {
+						t.Errorf("re-encoding the mapped relfile changed its bytes (err %v)", err)
 					}
 					shardH, mergedH = sha256.New(), sha256.New()
 					transcribe(t, shardH, mergedH, loaded, fx.queries)

@@ -3,10 +3,11 @@ package relation
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
+	"repro/internal/rtree"
 	"repro/internal/vec"
 )
 
@@ -18,10 +19,11 @@ const (
 	// size-balanced in expectation, oblivious to geometry. The right
 	// default for score access and mixed workloads.
 	HashPartition PartitionStrategy = iota
-	// GridPartition packs spatially close tuples into the same shard via
-	// an equal-width grid over the bounding box (the spatial-partitioning
-	// idea of MapReduce kNN joins): per-shard R-trees stay compact and a
-	// distance query drains mostly one shard's stream.
+	// GridPartition packs spatially close tuples into the same shard:
+	// size-balanced axis-aligned boxes by recursive median cut (the
+	// spatial-partitioning idea of MapReduce kNN joins). Per-shard R-trees
+	// stay compact, a distance query drains mostly one shard's stream, and
+	// a coordinator prunes the boxes its query is far from.
 	GridPartition
 )
 
@@ -53,17 +55,22 @@ func ParsePartitionStrategy(name string) (PartitionStrategy, error) {
 const maxShards = 1 << 16
 
 // ShardBounds is one shard's bounding metadata: a bounding ball
-// (centroid + radius) over its vectors and its true maximum score. From
-// it a coordinator derives, without touching the shard's tuples, a lower
-// bound on any sort key the shard can produce — the basis for
-// distance-aware shard pruning (the partition-pruning idea of the
-// MapReduce kNN-join literature applied to rank-join sources).
+// (centroid + radius) and the minimum bounding rectangle of its vectors,
+// and its true maximum score. From it a coordinator derives, without
+// touching the shard's tuples, a lower bound on any sort key the shard
+// can produce — the basis for distance-aware shard pruning (the
+// partition-pruning idea of the MapReduce kNN-join literature applied to
+// rank-join sources).
 type ShardBounds struct {
 	// Centroid is the mean of the shard's vectors.
 	Centroid []float64 `json:"centroid"`
 	// Radius is the maximum Euclidean distance from Centroid to any
 	// tuple in the shard.
 	Radius float64 `json:"radius"`
+	// Min and Max are the corners of the shard's minimum bounding
+	// rectangle. Bounds built without them (nil) are a ball only.
+	Min []float64 `json:"min"`
+	Max []float64 `json:"max"`
 	// MaxScore is the largest tuple score present in the shard (its
 	// effective σ_max, at most the parent's declared bound).
 	MaxScore float64 `json:"maxScore"`
@@ -80,11 +87,23 @@ type ShardBounds struct {
 const boundSlack = 1e-9
 
 // DistanceLowerBound returns a sound lower bound on the Euclidean
-// distance from q to any tuple in the shard: max(0, d(q,centroid) −
-// radius), deflated by boundSlack. Valid only for the plain Euclidean
-// metric (the triangle inequality is what makes it sound).
+// distance from q to any tuple in the shard: the larger of d(q,centroid)
+// − radius and the distance from q to the rectangle, floored at 0 and
+// deflated by boundSlack. Valid only for the plain Euclidean metric (the
+// triangle inequality is what makes the ball sound). The rectangle is
+// the tighter of the two for a box-shaped shard; the ball stays because
+// .prox files store and verify it.
+//
+// The ball's operands are slackened apart, the distance down and the
+// radius up, before they are subtracted: the difference cancels, so a
+// slack relative to it alone does not cover their rounding when q lies
+// within a few ulps of the ball's surface. The rectangle's distance is
+// monotone in every rounding step (rtree.Rect.MinDist2) and needs none.
 func (b ShardBounds) DistanceLowerBound(q vec.Vector) float64 {
-	d := vec.Euclidean{}.Distance(vec.Vector(b.Centroid), q) - b.Radius
+	d := vec.Euclidean{}.Distance(vec.Vector(b.Centroid), q)*(1-boundSlack) - b.Radius*(1+boundSlack)
+	if b.Min != nil {
+		d = max(d, math.Sqrt(rtree.Rect{Min: b.Min, Max: b.Max}.MinDist2(q)))
+	}
 	if d <= 0 {
 		return 0
 	}
@@ -92,22 +111,21 @@ func (b ShardBounds) DistanceLowerBound(q vec.Vector) float64 {
 }
 
 // computeBounds derives the bounding metadata of the shard holding the
-// tuples of r that group names, summing in group order: the float bits a
-// coordinator cross-checks depend on that order.
+// tuples of r that group names — at least one — summing in group order:
+// the centroid's float bits, which a coordinator cross-checks, depend on
+// it. The rectangle's do not (ExtendRect is order-independent), so a
+// relfile re-derives it bit-exactly from its score-ordered columns.
 func computeBounds(r *Relation, group []int) ShardBounds {
 	n := len(group)
 	b := ShardBounds{Tuples: n, MaxScore: math.Inf(-1)}
-	if n == 0 {
-		b.MaxScore = 0
-		b.Centroid = make([]float64, r.dim)
-		return b
-	}
 	c := make([]float64, r.dim)
+	b.Min, b.Max = EmptyRect(r.dim)
 	for _, ord := range group {
 		t := r.tuples[ord]
 		for d := 0; d < r.dim; d++ {
 			c[d] += t.Vec[d]
 		}
+		ExtendRect(b.Min, b.Max, t.Vec)
 		if t.Score > b.MaxScore {
 			b.MaxScore = t.Score
 		}
@@ -122,6 +140,26 @@ func computeBounds(r *Relation, group []int) ShardBounds {
 		}
 	}
 	return b
+}
+
+// EmptyRect returns the corners of the rectangle containing no point of
+// dimension dim: the start of an ExtendRect fold.
+func EmptyRect(dim int) (lo, hi []float64) {
+	box := make([]float64, 2*dim)
+	lo, hi = box[:dim:dim], box[dim:]
+	for d := range lo {
+		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
+	}
+	return lo, hi
+}
+
+// ExtendRect grows the rectangle lo..hi to contain v. min and max are
+// exact and commutative, so the corners reached do not depend on the
+// order vectors are folded in.
+func ExtendRect(lo, hi []float64, v vec.Vector) {
+	for d, x := range v {
+		lo[d], hi[d] = min(lo[d], x), max(hi[d], x)
+	}
 }
 
 // Sharded is a relation partitioned into shards, each one Columns in
@@ -220,71 +258,90 @@ func hashGroups(r *Relation, n int) [][]int {
 	return groups
 }
 
-// gridGroups lays an equal-width grid of at least n cells over the
-// bounding box, orders tuples by cell (row-major, storage order within a
-// cell), and cuts the ordering into n size-balanced contiguous runs:
-// spatial locality from the grid, balance from the cut.
+// gridGroups cuts r into n size-balanced axis-aligned boxes by recursive
+// median cut: a run of tuples due n boxes is split across its axis of
+// widest extent, the len·⌊n/2⌋/n smallest under (coordinate, ordinal)
+// going left with ⌊n/2⌋ boxes and the rest right with the others. That
+// order is total, so the boxes are a function of the tuples alone, and
+// every box lists its ordinals ascending: computeBounds sums in that
+// order. Boxes, unlike runs of a cell ordering, have rectangles that do
+// not overlap beyond shared faces — what lets ShardBounds' rectangle prune.
 func gridGroups(r *Relation, n int) [][]int {
-	dim := r.dim
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
-	for d := 0; d < dim; d++ {
-		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
+	items := make([]cutItem, len(r.tuples))
+	for i := range items {
+		items[i].ord = i
 	}
-	for _, t := range r.tuples {
-		for d := 0; d < dim; d++ {
-			lo[d] = math.Min(lo[d], t.Vec[d])
-			hi[d] = math.Max(hi[d], t.Vec[d])
-		}
-	}
-	// Cells per axis: the smallest g with g^dim >= n, so the grid is at
-	// least as fine as the shard count.
-	g := 1
-	for pow(g, dim) < n {
-		g++
-	}
-	cellOf := func(t Tuple) int {
-		id := 0
-		for d := 0; d < dim; d++ {
-			c := 0
-			if span := hi[d] - lo[d]; span > 0 {
-				c = int(float64(g) * (t.Vec[d] - lo[d]) / span)
-				if c >= g {
-					c = g - 1
-				}
-			}
-			id = id*g + c
-		}
-		return id
-	}
-	order := make([]int, len(r.tuples))
-	cells := make([]int, len(r.tuples))
-	for i, t := range r.tuples {
-		order[i] = i
-		cells[i] = cellOf(t)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return cells[order[a]] < cells[order[b]] })
-	groups := make([][]int, n)
-	for i := 0; i < n; i++ {
-		from, to := i*len(order)/n, (i+1)*len(order)/n
-		if from < to {
-			groups[i] = order[from:to]
-		}
-	}
-	return groups
+	return cutBoxes(r, items, make([]int, len(items)), n, make([][]int, 0, n))
 }
 
-// pow is integer exponentiation, saturating at maxShards to keep the
-// grid-resolution search loop bounded.
-func pow(base, exp int) int {
-	out := 1
-	for i := 0; i < exp; i++ {
-		out *= base
-		if out >= maxShards {
-			return maxShards
+// cutItem is one tuple in a median cut: its coordinate on the axis being
+// cut and its ordinal.
+type cutItem struct {
+	key float64
+	ord int
+}
+
+func (a cutItem) before(b cutItem) bool {
+	return a.key < b.key || (a.key == b.key && a.ord < b.ord)
+}
+
+// cutBoxes appends to out the n boxes of items; ords is the slab, as long
+// as items, the boxes are carved from.
+func cutBoxes(r *Relation, items []cutItem, ords []int, n int, out [][]int) [][]int {
+	if n == 1 {
+		for i, it := range items {
+			ords[i] = it.ord
+		}
+		slices.Sort(ords)
+		return append(out, ords)
+	}
+	lo, hi := EmptyRect(r.dim)
+	for _, it := range items {
+		ExtendRect(lo, hi, r.tuples[it.ord].Vec)
+	}
+	axis := 0
+	for d := range lo {
+		if hi[d]-lo[d] > hi[axis]-lo[axis] {
+			axis = d
 		}
 	}
-	return out
+	for i := range items {
+		items[i].key = r.tuples[items[i].ord].Vec[axis]
+	}
+	k := len(items) * (n / 2) / n
+	selectSmallest(items, k)
+	out = cutBoxes(r, items[:k], ords[:k], n/2, out)
+	return cutBoxes(r, items[k:], ords[k:], n-n/2, out)
+}
+
+// selectSmallest reorders items so that items[:k] are its k smallest: a
+// quickselect (Hoare's FIND), linear in expectation where sorting every
+// level of the cut was measured at half again the cost of Partition.
+func selectSmallest(items []cutItem, k int) {
+	l, r := 0, len(items)-1
+	for l < r {
+		pivot := items[k]
+		i, j := l, r
+		for i <= j {
+			for items[i].before(pivot) {
+				i++
+			}
+			for pivot.before(items[j]) {
+				j--
+			}
+			if i <= j {
+				items[i], items[j] = items[j], items[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			l = i
+		}
+		if k < i {
+			r = j
+		}
+	}
 }
 
 // Relation returns the parent relation.

@@ -13,7 +13,8 @@
 //	shard directory (shards × (104 + 8·dim) B, CRC-guarded)
 //	  per shard: tuple count, absolute offsets of its seven regions,
 //	  region CRC, and the stored bounding metadata (radius, max score,
-//	  centroid) advertised to coordinators
+//	  centroid) advertised to coordinators; the bounding rectangle
+//	  advertised beside it is derived from the vectors at Open
 //	per-shard regions (8-byte aligned, zero-padded between)
 //	  scores  n × f64   rank slab: non-increasing, ties by ordinal
 //	  vecs    n × dim × f64
@@ -474,13 +475,19 @@ func (f *File) validateContent() error {
 		// The radius is order-independent (a max over per-tuple distances
 		// to the stored centroid), so it must reproduce bit-exactly from
 		// the mapped vectors — the deepest corruption check we can run
-		// without the writer's original tuple order.
+		// without the writer's original tuple order. The same walk derives
+		// the bounding rectangle, which the directory has no field for: min
+		// and max are order-independent too, so it comes out with the bits
+		// the partitioner computed.
 		maxDist := 0.0
 		c := vec.Vector(v.bounds.Centroid)
+		v.bounds.Min, v.bounds.Max = relation.EmptyRect(f.dim)
 		for i := 0; i < v.n; i++ {
-			if d := (vec.Euclidean{}).Distance(vec.Vector(v.vecs[i*f.dim:(i+1)*f.dim]), c); d > maxDist {
+			x := vec.Vector(v.vecs[i*f.dim : (i+1)*f.dim])
+			if d := (vec.Euclidean{}).Distance(x, c); d > maxDist {
 				maxDist = d
 			}
+			relation.ExtendRect(v.bounds.Min, v.bounds.Max, x)
 		}
 		if maxDist != v.bounds.Radius {
 			return corruptf("shard %d: stored radius %v, vectors reach %v", s, v.bounds.Radius, maxDist)

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -108,8 +109,10 @@ func compareSharded(t *testing.T, rel *relation.Relation, orig *relation.Sharded
 			t.Fatalf("shard %d bounds drifted: %+v vs %+v", i, ob, lb)
 		}
 		for d := range ob.Centroid {
-			if math.Float64bits(ob.Centroid[d]) != math.Float64bits(lb.Centroid[d]) {
-				t.Fatalf("shard %d centroid drifted", i)
+			if math.Float64bits(ob.Centroid[d]) != math.Float64bits(lb.Centroid[d]) ||
+				math.Float64bits(ob.Min[d]) != math.Float64bits(lb.Min[d]) ||
+				math.Float64bits(ob.Max[d]) != math.Float64bits(lb.Max[d]) {
+				t.Fatalf("shard %d centroid or rectangle drifted: %+v vs %+v", i, ob, lb)
 			}
 		}
 		view := &shardView{f: f, d: &f.views[i], dim: f.dim}
@@ -149,6 +152,75 @@ func compareSharded(t *testing.T, rel *relation.Relation, orig *relation.Sharded
 		if !ok {
 			t.Fatalf("ordinal %d missing from file", ord)
 		}
+	}
+}
+
+// TestLoadsFileWrittenBeforeRectangles: testdata/grid4_bab7b5c.prox is
+// testRelation(23, 60, 3) in 4 grid shards as relfile.Write encoded it at
+// commit bab7b5c — shards that are runs of a cell ordering, and no
+// rectangle anywhere in the format. It must still open, answer every
+// stream as the relation itself does, advertise a rectangle derived from
+// its vectors, and re-encode to its own bytes.
+func TestLoadsFileWrittenBeforeRectangles(t *testing.T) {
+	const path = "testdata/grid4_bab7b5c.prox"
+	rel := testRelation(t, 23, 60, 3)
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if f.Shards() != 4 || f.Strategy() != relation.GridPartition || f.Tuples() != rel.Len() || f.Dim() != rel.Dim() {
+		t.Fatalf("fixture metadata: %d shards, %v, %d tuples, dim %d", f.Shards(), f.Strategy(), f.Tuples(), f.Dim())
+	}
+	loaded, err := f.Load("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(src relation.Source, err error) []string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for {
+			tu, err := src.Next()
+			if errors.Is(err, relation.ErrExhausted) {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("%q %x %x", tu.ID, math.Float64bits(tu.Score), tu.Vec))
+		}
+	}
+	if got, want := ids(loaded.ScoreSource()), ids(relation.NewScoreSource(rel), nil); !slices.Equal(got, want) {
+		t.Fatalf("score stream of the fixture differs from the relation's")
+	}
+	for _, q := range []vec.Vector{vec.Of(0, 0, 0), vec.Of(2.5, -1, 0.3), rel.At(7).Vec} {
+		if got, want := ids(loaded.DistanceSource(q)), ids(relation.NewRTreeIndex(rel).Source(q)); !slices.Equal(got, want) {
+			t.Fatalf("distance stream from %v of the fixture differs from the relation's", q)
+		}
+		for i := 0; i < loaded.NumShards(); i++ {
+			src, err := loaded.ShardSource(i, relation.DistanceAccess, q, nil, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, key, _, err := src.(relation.KeyedSource).NextKeyed()
+			if b := loaded.ShardBounds(i); err != nil || len(b.Min) != rel.Dim() || b.DistanceLowerBound(q) > key {
+				t.Fatalf("shard %d from %v: bounds %+v give %v, first key %v (err %v)", i, q, b, b.DistanceLowerBound(q), key, err)
+			}
+		}
+	}
+	again := filepath.Join(t.TempDir(), "again.prox")
+	if err := Write(again, loaded); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-encoding the fixture changed its bytes (err %v)", err)
 	}
 }
 

@@ -461,14 +461,10 @@ func (f *Fleet) Discover(ctx context.Context) (map[string]*RemoteRelation, error
 	return rels, nil
 }
 
+// boundsEqual compares every field a coordinator prunes by: two owners of
+// one shard that differ in any of them would be merged under whichever
+// bound discovery saw last.
 func boundsEqual(a, b relation.ShardBounds) bool {
-	if a.Radius != b.Radius || a.MaxScore != b.MaxScore || a.Tuples != b.Tuples || len(a.Centroid) != len(b.Centroid) {
-		return false
-	}
-	for i := range a.Centroid {
-		if a.Centroid[i] != b.Centroid[i] {
-			return false
-		}
-	}
-	return true
+	return a.Radius == b.Radius && a.MaxScore == b.MaxScore && a.Tuples == b.Tuples &&
+		slices.Equal(a.Centroid, b.Centroid) && slices.Equal(a.Min, b.Min) && slices.Equal(a.Max, b.Max)
 }

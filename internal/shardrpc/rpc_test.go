@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,7 +107,13 @@ func startServer(t *testing.T, backend Backend) (addr string) {
 // and the discovered remote view.
 func shardedFixture(t *testing.T, shards, servers int, strategy relation.PartitionStrategy) (*relation.Sharded, *Fleet, *RemoteRelation) {
 	t.Helper()
-	rel := testRelation(t, "pts", 7, 90, 2)
+	return serveSharded(t, testRelation(t, "pts", 7, 90, 2), shards, servers, strategy)
+}
+
+// serveSharded is shardedFixture over a relation of the caller's, which
+// must be named "pts".
+func serveSharded(t *testing.T, rel *relation.Relation, shards, servers int, strategy relation.PartitionStrategy) (*relation.Sharded, *Fleet, *RemoteRelation) {
+	t.Helper()
 	sharded, err := relation.Partition(rel, shards, strategy)
 	if err != nil {
 		t.Fatal(err)
@@ -395,42 +402,70 @@ func TestRemoteMergeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRemoteMergePrunesFarShards: under grid partitioning, draining only
-// a short prefix near the query must leave at least one far shard's
-// stream unopened — the observable form of distance-aware pruning.
-func TestRemoteMergePrunesFarShards(t *testing.T) {
-	sharded, _, rr := shardedFixture(t, 6, 2, relation.GridPartition)
-	stub, err := rr.Stub()
+// uniformRelation fills the unit hypercube of dimension dim evenly: the
+// data a grid partition cuts into boxes of about equal volume.
+func uniformRelation(t testing.TB, seed int64, size, dim int) *relation.Relation {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	tuples := make([]relation.Tuple, size)
+	for i := range tuples {
+		v := vec.New(dim)
+		for c := range v {
+			v[c] = r.Float64()
+		}
+		tuples[i] = relation.Tuple{ID: fmt.Sprintf("u%04d", i), Score: 0.05 + 0.95*r.Float64(), Vec: v}
+	}
+	rel, err := relation.New("pts", 1.0, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := []float64{0, 0}
-	inputs := make([]relation.KeyedSource, sharded.NumShards())
-	remotes := make([]*RemoteSource, sharded.NumShards())
-	for s := range inputs {
-		rs, err := OpenRemoteShard(context.Background(), stub, rr, s, api.AccessDistance, q, 8)
+	return rel
+}
+
+// TestRemoteMergePrunesFarShards: grid shards are boxes and advertise
+// them, so a short prefix drawn from a corner of uniform data opens the
+// box holding the corner and at most one neighbour — 2 of 12 streams, at
+// dim 2 and at the benchmark's dim 4 (6 of 12 when shards were runs of a
+// cell ordering bounded by balls).
+func TestRemoteMergePrunesFarShards(t *testing.T) {
+	for _, dim := range []int{2, 4} {
+		sharded, _, rr := serveSharded(t, uniformRelation(t, 19, 2400, dim), 12, 3, relation.GridPartition)
+		stub, err := rr.Stub()
 		if err != nil {
 			t.Fatal(err)
 		}
-		inputs[s], remotes[s] = rs, rs
-	}
-	merged, err := relation.NewMergedSource(stub, relation.DistanceAccess, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := merged.Next(); err != nil {
+		q := make([]float64, dim)
+		for c := range q {
+			q[c] = 0.03
+		}
+		inputs := make([]relation.KeyedSource, sharded.NumShards())
+		remotes := make([]*RemoteSource, sharded.NumShards())
+		for s := range inputs {
+			rs, err := OpenRemoteShard(context.Background(), stub, rr, s, api.AccessDistance, q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs[s], remotes[s] = rs, rs
+		}
+		merged, err := relation.NewMergedSource(stub, relation.DistanceAccess, inputs)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	opened := 0
-	for _, rs := range remotes {
-		if rs.Opened() {
-			opened++
+		for i := 0; i < 4; i++ {
+			if _, err := merged.Next(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if opened == len(remotes) {
-		t.Fatalf("short prefix opened all %d shards; bounds pruned nothing", opened)
+		opened := 0
+		for _, rs := range remotes {
+			if rs.Opened() {
+				opened++
+			}
+			rs.Close()
+		}
+		if opened > 2 {
+			t.Fatalf("dim %d: a corner prefix opened %d of %d shard streams, want at most 2", dim, opened, len(remotes))
+		}
 	}
 }
 
@@ -546,6 +581,42 @@ func TestDiscoverRejectsDisagreement(t *testing.T) {
 	}
 }
 
+// skewedBackend is a testBackend that advertises shard 0's rectangle one
+// unit too wide: a replica that loaded the same tuples and disagrees on
+// nothing else.
+type skewedBackend struct{ *testBackend }
+
+func (b skewedBackend) Hello() HelloInfo {
+	h := b.testBackend.Hello()
+	bounds := &h.Relations[0].Owned[0].Bounds
+	bounds.Max = append([]float64(nil), bounds.Max...)
+	bounds.Max[0]++
+	return h
+}
+
+// TestDiscoverRejectsRectangleDisagreement: two owners of one shard that
+// agree on its ball and differ on its rectangle must fail discovery — the
+// coordinator prunes by the rectangle, so merging them would prune by
+// whichever replica answered hello last.
+func TestDiscoverRejectsRectangleDisagreement(t *testing.T) {
+	s, err := relation.Partition(testRelation(t, "pts", 5, 40, 2), 2, relation.GridPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := &testBackend{name: "a", rels: map[string]*relation.Sharded{"pts": s}, owns: func(int) bool { return true }}
+	fleet := NewFleet([]string{startServer(t, honest), startServer(t, skewedBackend{honest})})
+	defer fleet.Close()
+	_, err = fleet.Discover(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "disagree on the bounds") {
+		t.Fatalf("discovery over replicas with different rectangles: %v, want the bounds disagreement", err)
+	}
+	agreeing := NewFleet([]string{startServer(t, honest), startServer(t, honest)})
+	defer agreeing.Close()
+	if _, err := agreeing.Discover(context.Background()); err != nil {
+		t.Fatalf("discovery over agreeing replicas: %v", err)
+	}
+}
+
 // TestDiscoverRejectsCoverageGaps: a shard nobody owns fails discovery.
 func TestDiscoverRejectsCoverageGaps(t *testing.T) {
 	rel := testRelation(t, "pts", 3, 40, 2)
@@ -587,30 +658,46 @@ func TestScoreBoundIsFirstKey(t *testing.T) {
 	}
 }
 
-// TestDistanceBoundIsSound: for many random queries, every shard's
-// advertised distance bound must lower-bound its true first key.
+// TestDistanceBoundIsSound: the distance bound a coordinator derives from
+// bounds that crossed the wire must lower-bound the shard's true first
+// key, under both strategies, for queries anywhere — random, on each
+// shard's rectangle corners and faces, an ulp outside it, and far away.
 func TestDistanceBoundIsSound(t *testing.T) {
-	sharded, _, rr := shardedFixture(t, 5, 2, relation.GridPartition)
-	stub, err := rr.Stub()
-	if err != nil {
-		t.Fatal(err)
-	}
 	rnd := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		q := []float64{rnd.Float64() * 6, rnd.Float64() * 6}
-		for s := 0; s < sharded.NumShards(); s++ {
-			rs, err := OpenRemoteShard(context.Background(), stub, rr, s, api.AccessDistance, q, 0)
+	for _, strategy := range []relation.PartitionStrategy{relation.HashPartition, relation.GridPartition} {
+		for _, shards := range []int{1, 5, 12} {
+			sharded, _, rr := shardedFixture(t, shards, 2, strategy)
+			stub, err := rr.Stub()
 			if err != nil {
 				t.Fatal(err)
 			}
-			bound := rs.KeyLowerBound()
-			_, key, _, err := rs.NextKeyed()
-			if err != nil {
-				t.Fatal(err)
+			var queries [][]float64
+			for trial := 0; trial < 10; trial++ {
+				queries = append(queries, []float64{rnd.Float64() * 6, rnd.Float64() * 6})
 			}
-			rs.Close()
-			if bound > key {
-				t.Fatalf("trial %d shard %d: bound %v exceeds first key %v", trial, s, bound, key)
+			for s := 0; s < sharded.NumShards(); s++ {
+				b := rr.Bounds[s]
+				queries = append(queries, b.Min, b.Max,
+					[]float64{b.Max[0], (b.Min[1] + b.Max[1]) / 2},
+					[]float64{math.Nextafter(b.Min[0], math.Inf(-1)), b.Min[1]},
+					[]float64{b.Max[0] + 1e6, b.Min[1] - 1e6})
+			}
+			for qi, q := range queries {
+				for s := 0; s < sharded.NumShards(); s++ {
+					rs, err := OpenRemoteShard(context.Background(), stub, rr, s, api.AccessDistance, q, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bound := rs.KeyLowerBound()
+					_, key, _, err := rs.NextKeyed()
+					if err != nil {
+						t.Fatal(err)
+					}
+					rs.Close()
+					if bound > key {
+						t.Fatalf("%v/%d query %d %v shard %d: bound %v exceeds first key %v", strategy, shards, qi, q, s, bound, key)
+					}
+				}
 			}
 		}
 	}
