@@ -98,7 +98,8 @@ const boundSlack = 1e-9
 // radius up, before they are subtracted: the difference cancels, so a
 // slack relative to it alone does not cover their rounding when q lies
 // within a few ulps of the ball's surface. The rectangle's distance is
-// monotone in every rounding step (rtree.Rect.MinDist2) and needs none.
+// monotone in every rounding step (rtree.Rect.MinDist2) and needs none of
+// its own; the closing factor is the one slack applied to both.
 func (b ShardBounds) DistanceLowerBound(q vec.Vector) float64 {
 	d := vec.Euclidean{}.Distance(vec.Vector(b.Centroid), q)*(1-boundSlack) - b.Radius*(1+boundSlack)
 	if b.Min != nil {

@@ -99,7 +99,8 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 const (
 	// HashPartition spreads tuples across shards by a hash of their ID.
 	HashPartition = relation.HashPartition
-	// GridPartition packs spatially close tuples into the same shard.
+	// GridPartition packs spatially close tuples into the same shard:
+	// size-balanced axis-aligned boxes.
 	GridPartition = relation.GridPartition
 )
 
