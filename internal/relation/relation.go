@@ -395,6 +395,15 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 	return s.cols.Tuple(int(h.idx)), h.dist, int(h.ord), nil
 }
 
+// Release ends the stream — every later read reports ErrExhausted — and
+// gives the traversal's queue to the next one opened. For an owner that
+// knows when a stream is over, as a shard server does for each
+// connection's; a stream that is merely dropped is collected as before.
+func (s *rtreeSource) Release() {
+	s.hasLook, s.pos = false, len(s.batch)
+	s.it.Release()
+}
+
 func (s *rtreeSource) Kind() AccessKind    { return DistanceAccess }
 func (s *rtreeSource) Relation() *Relation { return s.rel }
 

@@ -156,6 +156,59 @@ func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
 	wg.Wait()
 }
 
+// TestReleasedRTreeStreamsRecycle: what a shard server does to its
+// connections' streams. Four goroutines open a shard's R-tree stream, read
+// a prefix (stopping inside a tie run as often as not), release it and
+// open the next, so every traversal after the first few runs on a queue
+// some other query left behind — and each prefix still equals the full-sort
+// stream's, key bits and ordinals included. A released stream is over.
+// Under -race this is the check that a recycled queue has one owner.
+func TestReleasedRTreeStreamsRecycle(t *testing.T) {
+	rel := dim8Relation(t, 6, 2000)
+	s, err := Partition(rel, 3, GridPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for round := 0; round < 60; round++ {
+				q := rel.At(r.Intn(rel.Len())).Vec
+				shard, depth := r.Intn(s.NumShards()), 1+r.Intn(200)
+				got, err := s.ShardSource(shard, DistanceAccess, q, nil, true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want, _ := s.ShardSource(shard, DistanceAccess, q, nil, false)
+				for i := 0; i < depth; i++ {
+					gt, gk, go_, gerr := pullKeyed(got)
+					wt, wk, wo, werr := pullKeyed(want)
+					if gerr != nil || werr != nil {
+						if !errors.Is(gerr, ErrExhausted) || !errors.Is(werr, ErrExhausted) {
+							t.Errorf("goroutine %d round %d rank %d: errors %v vs %v", g, round, i, gerr, werr)
+						}
+						break
+					}
+					if gt.ID != wt.ID || math.Float64bits(gk) != math.Float64bits(wk) || go_ != wo {
+						t.Errorf("goroutine %d round %d rank %d: (%s, %v, %d) on a recycled queue, (%s, %v, %d) sorted",
+							g, round, i, gt.ID, gk, go_, wt.ID, wk, wo)
+						return
+					}
+				}
+				got.(*rtreeSource).Release()
+				if _, err := got.Next(); !errors.Is(err, ErrExhausted) {
+					t.Errorf("goroutine %d round %d: read after Release: %v", g, round, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestRTreeSourceDrainDoesNotAllocate pins the per-pull cost of a warmed
 // R-tree stream at zero allocations, over a Partition product and its
 // AssembleSharded twin. The source is warmed past the traversal's peak so

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/vec"
 )
@@ -12,7 +13,8 @@ import (
 // mixes nodes (keyed by the minimum distance to their bounding box) and
 // point entries (keyed by exact distance). The queue is a binary heap of
 // 16-byte pointer-free items kept inline; a steady-state Next allocates
-// nothing but the amortised growth of that slice.
+// nothing but the amortised growth of that slice, and a traversal whose
+// owner calls Release hands the slice to the next one.
 type NNIterator[T any] struct {
 	tree  *Tree[T]
 	query []float64
@@ -48,11 +50,35 @@ func (t *Tree[T]) NearestNeighbors(q vec.Vector) *NNIterator[T] {
 	}
 	// A first neighbour costs about nodeCap pushes per level; 128 items
 	// (2 KiB) get a traversal there without regrowing the heap.
-	it := &NNIterator[T]{tree: t, query: q.Clone(), heap: make([]nnItem, 0, 128)}
+	var heap []nnItem
+	if released, _ := heapPool.Get().(*[]nnItem); released != nil {
+		heap = *released
+	} else {
+		heap = make([]nnItem, 0, 128)
+	}
+	it := &NNIterator[T]{tree: t, query: q.Clone(), heap: heap}
 	if t.Len() > 0 {
 		it.push(0, t.root)
 	}
 	return it
+}
+
+// heapPool holds the queues of released traversals. A shard server opens a
+// traversal per remote stream and most end after one batch of rows: their
+// queues (2 KiB, 6 KiB once grown) were a quarter of what a coordinator
+// topology allocated per query, and the collector's cycles are its
+// latency tail.
+var heapPool sync.Pool
+
+// Release ends the traversal — Next reports no more points — and hands
+// its queue to a later NearestNeighbors. For owners that know when a
+// traversal is over; one that is merely dropped is collected as before.
+func (it *NNIterator[T]) Release() {
+	if it.heap != nil {
+		heap := it.heap[:0]
+		it.heap = nil
+		heapPool.Put(&heap)
+	}
 }
 
 // Next returns the next closest point's payload and its Euclidean distance.
@@ -148,5 +174,6 @@ func (t *Tree[T]) KNearest(q vec.Vector, k int) (values []T, dists []float64) {
 		values = append(values, v)
 		dists = append(dists, d)
 	}
+	it.Release()
 	return values, dists
 }

@@ -279,3 +279,58 @@ func TestBulkLoadAllocations(t *testing.T) {
 		t.Fatalf("BulkLoad of 20000 x dim 4 allocates %v times, want under 5000", allocs)
 	}
 }
+
+// TestReleaseRecyclesQueue: a released traversal reports no more points,
+// releasing twice is harmless, and a traversal that starts on a released
+// queue — grown, and full of another query's items — emits exactly what a
+// fresh one does. Opening, reading a batch and releasing then costs the
+// iterator and its query, not a queue each time.
+func TestReleaseRecyclesQueue(t *testing.T) {
+	tr, queries := pushFixture()
+	type hit struct {
+		val  int
+		dist uint64
+	}
+	prefix := func(it *NNIterator[int], n int) []hit {
+		var out []hit
+		for len(out) < n {
+			v, d, ok := it.Next()
+			if !ok {
+				break
+			}
+			out = append(out, hit{v, math.Float64bits(d)})
+		}
+		return out
+	}
+	var want [][]hit
+	for _, q := range queries {
+		want = append(want, prefix(tr.NearestNeighbors(q), 300)) // never released: fresh queues throughout
+	}
+	for i, q := range queries {
+		it := tr.NearestNeighbors(q)
+		if got := prefix(it, 300); !slices.Equal(got, want[i]) {
+			t.Fatalf("query %d: a traversal on a recycled queue differs from a fresh one", i)
+		}
+		it.Release()
+		it.Release()
+		if _, _, ok := it.Next(); ok {
+			t.Fatalf("query %d: Next after Release produced a point", i)
+		}
+	}
+	if vals, _ := tr.KNearest(queries[0], 5); len(vals) != 5 {
+		t.Fatalf("KNearest returned %d of 5", len(vals))
+	}
+	// 3 = iterator + query clone + the pool's slice header; an unreleased
+	// open that reads 16 points costs those two plus the queue and its
+	// growth. A collection mid-run empties the pool, so leave slack.
+	allocs := testing.AllocsPerRun(200, func() {
+		it := tr.NearestNeighbors(queries[1])
+		for i := 0; i < 16; i++ {
+			it.Next()
+		}
+		it.Release()
+	})
+	if allocs > 3.5 {
+		t.Fatalf("open, 16 steps, release: %v allocations, want 3", allocs)
+	}
+}

@@ -208,6 +208,9 @@ type reply struct {
 	done bool // stream exhausted; no VerbNext needed
 }
 
+// payloadPool holds response payload buffers between exchanges.
+var payloadPool sync.Pool
+
 // exchange performs one request/response on a specific connection under
 // the pull deadline, reporting to ObservePull. limit caps the response
 // payload it will accept.
@@ -221,10 +224,18 @@ func (p *Peer) exchange(c net.Conn, req *Request, limit int) (*reply, error) {
 		if err := writeFrame(c, req); err != nil {
 			return nil, err
 		}
-		body, err := readPayload(c, limit)
+		// Both decoders below copy what they keep, so the payload's bytes
+		// serve the next exchange.
+		buf, _ := payloadPool.Get().(*[]byte)
+		if buf == nil {
+			buf = new([]byte)
+		}
+		body, err := readPayload(c, limit, *buf)
 		if err != nil {
 			return nil, err
 		}
+		*buf = body
+		defer payloadPool.Put(buf)
 		var rep reply
 		if len(body) > 0 && body[0] == '{' {
 			if err := json.Unmarshal(body, &rep.Response); err != nil {

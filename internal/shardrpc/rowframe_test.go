@@ -210,13 +210,13 @@ func TestReadPayloadBoundsAllocation(t *testing.T) {
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(limit+1))
-	if _, err := readPayload(bytes.NewReader(hdr[:]), limit); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := readPayload(bytes.NewReader(hdr[:]), limit, nil); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("over-limit prefix: err = %v, want a refusal before reading", err)
 	}
 	binary.BigEndian.PutUint32(hdr[:], maxFrame)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readPayload(bytes.NewReader(hdr[:]), maxFrame)
+	_, err := readPayload(bytes.NewReader(hdr[:]), maxFrame, nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a 64 MiB prefix with no payload behind it read cleanly")
@@ -227,9 +227,17 @@ func TestReadPayloadBoundsAllocation(t *testing.T) {
 	// A long honest payload still arrives whole, across several chunks.
 	long := bytes.Repeat([]byte("0123456789abcdef"), 40<<10) // 640 KiB
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(long)))
-	got, err := readPayload(io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(long)), maxFrame)
+	got, err := readPayload(io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(long)), maxFrame, nil)
 	if err != nil || !bytes.Equal(got, long) {
 		t.Fatalf("chunked read: %d bytes, err %v", len(got), err)
+	}
+	// A buffer handed in is read into from its start: a shorter payload
+	// lands in the same memory and is exactly as long as its prefix says.
+	short := []byte("short")
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(short)))
+	again, err := readPayload(io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(short)), maxFrame, got)
+	if err != nil || !bytes.Equal(again, short) || &again[0] != &got[0] {
+		t.Fatalf("read into a used buffer: %q, err %v, same memory %v", again, err, err == nil && &again[0] == &got[0])
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -239,6 +240,51 @@ func TestRemoteStreamByteIdentity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAbandonedStreamsRecycle: what a coordinator does all day — open a
+// shard's stream, take a few rows, hand the connection back with the
+// server's stream still open — with the server releasing each abandoned
+// stream's scratch at the next pull and the client reading every response
+// into a recycled payload buffer. Four goroutines over shared peers; every
+// prefix is bit-for-bit the local stream's, and a frame shorter than the
+// one its buffer last held carries nothing of it. Run under -race.
+func TestAbandonedStreamsRecycle(t *testing.T) {
+	sharded, _, rr := shardedFixture(t, 4, 2, relation.GridPartition)
+	stub, err := rr.Stub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for round := 0; round < 40; round++ {
+				q := []float64{10 * r.Float64(), 10 * r.Float64()}
+				shard, depth, batch := r.Intn(sharded.NumShards()), 1+r.Intn(30), []int{0, 3, 40}[r.Intn(3)]
+				local, err := sharded.ShardSource(shard, relation.DistanceAccess, q, nil, true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				remote, err := OpenRemoteShard(context.Background(), stub, rr, shard, api.AccessDistance, q, batch)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := drainKeyed(t, local.(relation.KeyedSource), depth)
+				got := drainKeyed(t, remote, depth)
+				remote.Close()
+				if !rowsEqual(got, want) {
+					t.Errorf("goroutine %d round %d: shard %d, %d rows at batch %d differ from the local stream", g, round, shard, depth, batch)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // rampExchanges is how many exchanges drain rows rows when the first asks

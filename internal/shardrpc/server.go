@@ -126,19 +126,21 @@ func (s *Server) Close() {
 // hangs up or a transport error occurs. Structured failures (unknown
 // relation, bad verb) are answered in-band and do not end the loop.
 func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	var (
-		// stream is the connection's current shard stream (VerbNext target).
+		// stream is the connection's current shard stream (VerbNext target),
+		// released when it ends, is replaced, or the connection goes.
 		stream relation.KeyedSource
 		// frame is the connection's row-frame buffer, reused by every
 		// pull/next it answers.
 		frame []byte
 	)
+	defer func() {
+		release(stream)
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
 	for {
 		var req Request
 		if err := readFrame(conn, &req); err != nil {
@@ -154,11 +156,13 @@ func (s *Server) handle(conn net.Conn) {
 			h := s.backend.Hello()
 			resp.Hello = &h
 		case VerbPull:
+			release(stream)
 			stream, err = s.backend.OpenShard(req.Relation, req.Shard, req.Access, req.Query)
 			if err == nil {
 				err = skip(stream, req.Offset)
 			}
 			if err != nil {
+				release(stream)
 				stream = nil
 			}
 			rows = err == nil
@@ -174,6 +178,7 @@ func (s *Server) handle(conn net.Conn) {
 			var done bool
 			frame, done, err = appendRowFrame(frame, stream, batchSize(req.Batch))
 			if done || err != nil {
+				release(stream)
 				stream = nil
 			}
 		}
@@ -188,6 +193,14 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
+	}
+}
+
+// release tells a stream nothing more will be read from it, so that one
+// holding reusable scratch (an R-tree traversal's queue) can hand it on.
+func release(stream relation.KeyedSource) {
+	if r, ok := stream.(interface{ Release() }); ok {
+		r.Release()
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/api"
 	"repro/internal/relation"
@@ -157,12 +158,12 @@ func writeFrame(w io.Writer, v any) error {
 	return err
 }
 
-// readPayload reads one frame's payload, refusing a length prefix over
-// limit before allocating anything for it. The buffer then grows only as
-// bytes arrive (never by more than it already holds, 64 KiB at first),
-// so a prefix that lies costs its sender real bytes, not the reader
-// memory.
-func readPayload(r io.Reader, limit int) ([]byte, error) {
+// readPayload reads one frame's payload into buf (from its start; nil is
+// fine), refusing a length prefix over limit before allocating anything
+// for it. Past buf's capacity the buffer grows only as bytes arrive
+// (never by more than it already holds, 64 KiB at first), so a prefix
+// that lies costs its sender real bytes, not the reader memory.
+func readPayload(r io.Reader, limit int, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -171,10 +172,10 @@ func readPayload(r io.Reader, limit int) ([]byte, error) {
 	if n > limit {
 		return nil, fmt.Errorf("shardrpc: frame of %d bytes exceeds the %d-byte limit", n, limit)
 	}
-	var buf []byte
+	buf = buf[:0]
 	for len(buf) < n {
 		chunk := min(n-len(buf), max(len(buf), 64<<10))
-		buf = append(buf, make([]byte, chunk)...)
+		buf = slices.Grow(buf, chunk)[:len(buf)+chunk]
 		if _, err := io.ReadFull(r, buf[len(buf)-chunk:]); err != nil {
 			return nil, err
 		}
@@ -184,7 +185,7 @@ func readPayload(r io.Reader, limit int) ([]byte, error) {
 
 // readFrame reads one length-prefixed JSON frame into v.
 func readFrame(r io.Reader, v any) error {
-	body, err := readPayload(r, maxFrame)
+	body, err := readPayload(r, maxFrame, nil)
 	if err != nil {
 		return err
 	}
