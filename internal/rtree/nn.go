@@ -174,6 +174,5 @@ func (t *Tree[T]) KNearest(q vec.Vector, k int) (values []T, dists []float64) {
 		values = append(values, v)
 		dists = append(dists, d)
 	}
-	it.Release()
 	return values, dists
 }

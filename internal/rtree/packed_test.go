@@ -317,9 +317,6 @@ func TestReleaseRecyclesQueue(t *testing.T) {
 			t.Fatalf("query %d: Next after Release produced a point", i)
 		}
 	}
-	if vals, _ := tr.KNearest(queries[0], 5); len(vals) != 5 {
-		t.Fatalf("KNearest returned %d of 5", len(vals))
-	}
 	// 3 = iterator + query clone + the pool's slice header; an unreleased
 	// open that reads 16 points costs those two plus the queue and its
 	// growth. A collection mid-run empties the pool, so leave slack.
