@@ -66,25 +66,16 @@ type Request struct {
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// BoundPeriod recomputes the stopping threshold every so many pulls.
 	BoundPeriod int `json:"boundPeriod,omitempty"`
-	// DominancePeriod enables dominance pruning every so many accesses.
-	DominancePeriod int `json:"dominancePeriod,omitempty"`
 	// MaxSumDepths / MaxCombinations abort long runs with a DNF result.
 	MaxSumDepths    int   `json:"maxSumDepths,omitempty"`
 	MaxCombinations int64 `json:"maxCombinations,omitempty"`
-	// MaxBuffered bounds the engine's buffer of formed-but-unemitted
-	// combinations. 0 lets the server choose (it bounds the buffer to K,
-	// which is exact for the at-most-K results a query delivers); an
-	// explicit value must be at least K so the bounded buffer cannot
-	// change the response. Engine-tuning concern: not part of the
-	// canonical encoding, so requests differing only here share cache
-	// entries and coalesce.
-	MaxBuffered int `json:"maxBuffered,omitempty"`
-	// BufferPolicy selects what the bounded buffer does at MaxBuffered:
-	// "prune" (default) drops combinations ranking below the buffer's
-	// score floor — exact for the at-most-K results a query delivers —
-	// while "spill" retains them in a compact columnar slab that
-	// overflows to the server's file spill tier when one is configured
-	// (-spill-dir), keeping heap resident memory O(maxBuffered). Both
+	// BufferPolicy selects what the engine's buffer of formed-but-
+	// unemitted combinations — which the server bounds to K — does when
+	// full: "prune" (default) drops combinations ranking below the
+	// buffer's score floor — exact for the at-most-K results a query
+	// delivers — while "spill" retains them in a compact columnar slab
+	// that overflows to the server's file spill tier when one is
+	// configured (-spill-dir), keeping heap resident memory O(K). Both
 	// policies produce byte-identical responses. Engine-tuning concern:
 	// not part of the canonical encoding, so requests differing only
 	// here share cache entries and coalesce.

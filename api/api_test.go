@@ -100,9 +100,6 @@ func TestNormalizeRejects(t *testing.T) {
 		{"negative maxSumDepths", func(r *Request) { r.MaxSumDepths = -100 }},
 		{"negative maxCombinations", func(r *Request) { r.MaxCombinations = -1 }},
 		{"negative boundPeriod", func(r *Request) { r.BoundPeriod = -2 }},
-		{"negative dominancePeriod", func(r *Request) { r.DominancePeriod = -2 }},
-		{"negative maxBuffered", func(r *Request) { r.MaxBuffered = -1 }},
-		{"maxBuffered below k", func(r *Request) { r.K = 5; r.MaxBuffered = 4 }},
 	}
 	for _, tc := range cases {
 		r := validRequest()
@@ -167,10 +164,10 @@ func TestCanonicalEquivalence(t *testing.T) {
 		func(r *Request) { r.TimeoutMillis = 5000 },    // transport knob: excluded
 		func(r *Request) { r.NoCache = true },          // transport knob: excluded
 		func(r *Request) { r.Overflow = OverflowDrop }, // delivery knob: excluded
-		// Engine-tuning knob: excluded (validation guarantees a bounded
-		// buffer cannot change the response, so caching/coalescing across
-		// it is sound).
-		func(r *Request) { r.MaxBuffered = 64 },
+		// Engine-tuning knob: excluded (the buffer is bounded to K under
+		// either policy and cannot change the response, so
+		// caching/coalescing across it is sound).
+		func(r *Request) { r.BufferPolicy = BufferSpill },
 	}
 	for i, mutate := range variants {
 		r := validRequest()

@@ -10,11 +10,11 @@ import (
 // — version, k, algorithm, access, transform, weights, epsilon, the
 // period/cap knobs, the query vector bit-exactly, and the relation list.
 // The transport, delivery and engine-tuning fields that never change the
-// answer (MaxBuffered, BufferPolicy, Overflow, TimeoutMillis, NoCache,
-// Trace, Partial) are excluded, so requests differing only in them share
-// one encoding: validation guarantees a bounded buffer cannot change the
-// response under either buffer policy, and a degraded answer is never
-// cached, so both Partial settings can share an entry.
+// answer (BufferPolicy, Overflow, TimeoutMillis, NoCache, Trace,
+// Partial) are excluded, so requests differing only in them share one
+// encoding: the buffer the server bounds to K cannot change the response
+// under either buffer policy, and a degraded answer is never cached, so
+// both Partial settings can share an entry.
 //
 // Because Normalize folds aliases and fills defaults first, semantically
 // equal requests encode identically: this string is the service cache
@@ -49,8 +49,6 @@ func (r *Request) Canonical() string {
 	b.WriteString(strconv.FormatFloat(r.Epsilon, 'b', -1, 64))
 	b.WriteString("|bp=")
 	b.WriteString(strconv.Itoa(r.BoundPeriod))
-	b.WriteString("|dp=")
-	b.WriteString(strconv.Itoa(r.DominancePeriod))
 	b.WriteString("|msd=")
 	b.WriteString(strconv.Itoa(r.MaxSumDepths))
 	b.WriteString("|mc=")

@@ -27,10 +27,8 @@ var requestSurface = []struct {
 	{"transform", func(r *Request) { r.Transform = TransformIdentity }, true},
 	{"epsilon", func(r *Request) { r.Epsilon++ }, true},
 	{"boundPeriod", func(r *Request) { r.BoundPeriod++ }, true},
-	{"dominancePeriod", func(r *Request) { r.DominancePeriod++ }, true},
 	{"maxSumDepths", func(r *Request) { r.MaxSumDepths++ }, true},
 	{"maxCombinations", func(r *Request) { r.MaxCombinations++ }, true},
-	{"maxBuffered", func(r *Request) { r.MaxBuffered += r.K }, false},
 	{"bufferPolicy", func(r *Request) { r.BufferPolicy = BufferSpill }, false},
 	{"overflow", func(r *Request) { r.Overflow = OverflowDrop }, false},
 	{"timeoutMillis", func(r *Request) { r.TimeoutMillis++ }, false},

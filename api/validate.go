@@ -126,16 +126,8 @@ func (r *Request) Normalize(limits Limits) *Error {
 	if r.MaxSumDepths < 0 || r.MaxCombinations < 0 {
 		return Errorf(CodeBadRequest, "maxSumDepths and maxCombinations must be non-negative")
 	}
-	if r.BoundPeriod < 0 || r.DominancePeriod < 0 {
-		return Errorf(CodeBadRequest, "boundPeriod and dominancePeriod must be non-negative")
-	}
-	// A buffer smaller than K could silently change which results a query
-	// returns; 0 delegates the choice to the server (which uses K).
-	if r.MaxBuffered < 0 {
-		return Errorf(CodeBadRequest, "maxBuffered must be non-negative")
-	}
-	if r.MaxBuffered > 0 && r.MaxBuffered < r.K {
-		return Errorf(CodeBadRequest, "maxBuffered %d must be 0 or at least k %d", r.MaxBuffered, r.K)
+	if r.BoundPeriod < 0 {
+		return Errorf(CodeBadRequest, "boundPeriod must be non-negative")
 	}
 	switch strings.ToLower(r.BufferPolicy) {
 	case "", BufferPrune:

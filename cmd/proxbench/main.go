@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,70 +28,83 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command. It returns the exit status: 2 for a command
+// line it refuses (an unknown flag or figure), 1 for a failed run or a
+// tripped -core-check.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("proxbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		figs      = flag.String("fig", "all", "comma-separated figure ids (3a..3n) or 'all'")
-		quick     = flag.Bool("quick", false, "reduced repetitions and data sizes")
-		reps      = flag.Int("reps", 0, "override the number of seeded data sets per point")
-		list      = flag.Bool("list", false, "list available figures and exit")
-		seed      = flag.Int64("seed", 0, "base seed for data generation")
-		coreOut   = flag.String("core-out", "", "run the hot-path micro-benchmarks and write the JSON snapshot here ('-' for stdout)")
-		coreCheck = flag.String("core-check", "", "run the hot-path micro-benchmarks and fail if any exceeds the committed snapshot's allocs/op by more than 10%")
+		figs      = fs.String("fig", "all", "comma-separated figure ids (3a..3l, t1..t3) or 'all'")
+		quick     = fs.Bool("quick", false, "reduced repetitions and data sizes")
+		reps      = fs.Int("reps", 0, "override the number of seeded data sets per point")
+		list      = fs.Bool("list", false, "list available figures and exit")
+		seed      = fs.Int64("seed", 0, "base seed for data generation")
+		coreOut   = fs.String("core-out", "", "run the hot-path micro-benchmarks and write the JSON snapshot here ('-' for stdout)")
+		coreCheck = fs.String("core-check", "", "run the hot-path micro-benchmarks and fail if any exceeds the committed snapshot's allocs/op by more than 10%")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "proxbench: "+format+"\n", args...)
+		return 1
+	}
+	report := func(snap benchcore.Snapshot) {
+		for _, b := range snap.Benchmarks {
+			fmt.Fprintf(stderr, "%-17s %12.0f ns/op %10d B/op %8d allocs/op\n",
+				b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
+		}
+	}
 
 	if *coreCheck != "" {
 		f, err := os.Open(*coreCheck)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "proxbench: %v\n", err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
 		committed, err := benchcore.ReadSnapshot(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "proxbench: %v\n", err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
 		fresh := benchcore.Run()
-		for _, b := range fresh.Benchmarks {
-			fmt.Fprintf(os.Stderr, "%-17s %12.0f ns/op %10d B/op %8d allocs/op\n",
-				b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
-		}
+		report(fresh)
 		if err := benchcore.CheckAllocs(fresh, committed); err != nil {
-			fmt.Fprintf(os.Stderr, "proxbench: %v\n", err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "proxbench: allocs/op within 10%% of %s\n", *coreCheck)
-		return
+		fmt.Fprintf(stderr, "proxbench: allocs/op within 10%% of %s\n", *coreCheck)
+		return 0
 	}
 
 	if *coreOut != "" {
 		snap := benchcore.Run()
-		out := os.Stdout
+		out := stdout
 		if *coreOut != "-" {
 			f, err := os.Create(*coreOut)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "proxbench: %v\n", err)
-				os.Exit(1)
+				return fail("%v", err)
 			}
 			defer f.Close()
 			out = f
 		}
 		if err := snap.Write(out); err != nil {
-			fmt.Fprintf(os.Stderr, "proxbench: %v\n", err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
-		for _, b := range snap.Benchmarks {
-			fmt.Fprintf(os.Stderr, "%-17s %12.0f ns/op %10d B/op %8d allocs/op\n",
-				b.Name, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp)
-		}
-		return
+		report(snap)
+		return 0
 	}
 
 	if *list {
 		for _, f := range experiments.Registry() {
-			fmt.Printf("%-4s %s\n", f.ID, f.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", f.ID, f.Title)
 		}
-		return
+		return 0
 	}
 
 	st := experiments.DefaultSettings()
@@ -108,8 +123,8 @@ func main() {
 		for _, id := range strings.Split(*figs, ",") {
 			f, ok := experiments.ByID(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "proxbench: unknown figure %q (use -list)\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "proxbench: unknown figure %q (use -list)\n", id)
+				return 2
 			}
 			selected = append(selected, f)
 		}
@@ -118,12 +133,11 @@ func main() {
 	for _, f := range selected {
 		tbl, err := f.Run(st)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "proxbench: figure %s: %v\n", f.ID, err)
-			os.Exit(1)
+			return fail("figure %s: %v", f.ID, err)
 		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "proxbench: render %s: %v\n", f.ID, err)
-			os.Exit(1)
+		if err := tbl.Render(stdout); err != nil {
+			return fail("render %s: %v", f.ID, err)
 		}
 	}
+	return 0
 }

@@ -16,8 +16,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,22 +29,39 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command. It returns the exit status: 2 for a command
+// line the flag package refuses, 1 for every other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("proxrank", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		csvs   = flag.String("csv", "", "comma-separated relation CSV files")
-		city   = flag.String("city", "", "simulated city dataset (SF, NY, BO, DA, HO)")
-		queryS = flag.String("query", "", "query vector, e.g. \"0.1,0.2\" (defaults to the city landmark)")
-		k      = flag.Int("k", 10, "number of results")
-		algoS  = flag.String("algo", "tbpa", "algorithm: cbrr|cbpa|tbrr|tbpa")
-		access = flag.String("access", "distance", "access kind: distance|score")
-		ws     = flag.Float64("ws", 1, "score weight w_s")
-		wq     = flag.Float64("wq", 1, "query-distance weight w_q")
-		wmu    = flag.Float64("wmu", 1, "centroid-distance weight w_mu")
-		showIO = flag.Bool("stats", false, "print access statistics")
-		maxSum = flag.Int("max-sum-depths", 0, "abort after this many accesses (0 = unlimited)")
-		maxBuf = flag.Int("max-buffered", 0, "bound the buffer of formed-but-unemitted combinations (0 = K)")
-		stream = flag.Bool("stream", false, "print each result as soon as it is certified")
+		csvs   = fs.String("csv", "", "comma-separated relation CSV files")
+		city   = fs.String("city", "", "simulated city dataset (SF, NY, BO, DA, HO)")
+		queryS = fs.String("query", "", "query vector, e.g. \"0.1,0.2\" (defaults to the city landmark)")
+		k      = fs.Int("k", 10, "number of results")
+		algoS  = fs.String("algo", "tbpa", "algorithm: cbrr|cbpa|tbrr|tbpa")
+		access = fs.String("access", "distance", "access kind: distance|score")
+		ws     = fs.Float64("ws", 1, "score weight w_s")
+		wq     = fs.Float64("wq", 1, "query-distance weight w_q")
+		wmu    = fs.Float64("wmu", 1, "centroid-distance weight w_mu")
+		showIO = fs.Bool("stats", false, "print access statistics")
+		maxSum = fs.Int("max-sum-depths", 0, "abort after this many accesses (0 = unlimited)")
+		maxBuf = fs.Int("max-buffered", 0, "bound the buffer of formed-but-unemitted combinations (0 = K)")
+		stream = fs.Bool("stream", false, "print each result as soon as it is certified")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "proxrank: "+format+"\n", args...)
+		return 1
+	}
 
 	var (
 		rels     []*proxrank.Relation
@@ -54,7 +73,7 @@ func main() {
 		var err error
 		rels, query, landmark, err = proxrank.CityDataset(strings.ToUpper(*city))
 		if err != nil {
-			fatal("%v", err)
+			return fail("%v", err)
 		}
 		// The bundled city study weights geography up (degree-scale coords).
 		if *wq == 1 && *wmu == 1 {
@@ -66,23 +85,23 @@ func main() {
 			// named after its file, which is what the result listing prints.
 			rel, err := proxrank.LoadRelationCSV(strings.TrimSpace(path), "", 0)
 			if err != nil {
-				fatal("loading %s: %v", path, err)
+				return fail("loading %s: %v", path, err)
 			}
 			rels = append(rels, rel)
 		}
 	default:
-		fatal("provide -csv or -city (see -h)")
+		return fail("provide -csv or -city (see -h)")
 	}
 
 	if *queryS != "" {
 		q, err := vec.Parse(*queryS)
 		if err != nil {
-			fatal("bad query: %v", err)
+			return fail("bad query: %v", err)
 		}
 		query = q
 	}
 	if query == nil {
-		fatal("no query vector: pass -query")
+		return fail("no query vector: pass -query")
 	}
 
 	// One request shape across every surface: the CLI fills the same
@@ -102,33 +121,37 @@ func main() {
 		Access:       *access,
 		Weights:      &api.Weights{Ws: *ws, Wq: *wq, Wmu: *wmu},
 		MaxSumDepths: *maxSum,
-		MaxBuffered:  *maxBuf,
 	}
 	qvec, opts, err := proxrank.OptionsFromRequest(req)
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 	// The CLI consumes at most K results, so the buffer can always be
-	// bounded (the service executor applies the same default).
+	// bounded (the service executor applies the same default) — but not
+	// below K, which could silently change which results it prints.
+	if *maxBuf < 0 || (*maxBuf > 0 && *maxBuf < *k) {
+		return fail("-max-buffered %d must be 0 or at least -k %d", *maxBuf, *k)
+	}
+	opts.MaxBuffered = *maxBuf
 	opts = opts.BoundedToK()
 	// Per-pull timing only matters when the stats line is requested.
 	opts.CollectTimings = *showIO
 
 	sess, err := proxrank.NewQueryInputs(qvec, inputs, opts)
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 
 	if landmark != "" {
-		fmt.Printf("query: %s (%v)\n", landmark, qvec)
+		fmt.Fprintf(stdout, "query: %s (%v)\n", landmark, qvec)
 	} else {
-		fmt.Printf("query: %v\n", qvec)
+		fmt.Fprintf(stdout, "query: %v\n", qvec)
 	}
 
 	print := func(rank int, c proxrank.Combination) {
-		fmt.Printf("#%d  score %.4f\n", rank, c.Score)
+		fmt.Fprintf(stdout, "#%d  score %.4f\n", rank, c.Score)
 		for j, tup := range c.Tuples {
-			fmt.Printf("    %-14s %-24s score %.2f at %v\n", rels[j].Name, tup.ID, tup.Score, tup.Vec)
+			fmt.Fprintf(stdout, "    %-14s %-24s score %.2f at %v\n", rels[j].Name, tup.ID, tup.Score, tup.Vec)
 		}
 	}
 
@@ -146,22 +169,18 @@ func main() {
 		print(rank, c)
 	})
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 	for i, c := range held {
 		print(i+1, c)
 	}
 	if dnf {
-		fmt.Println("warning: run aborted by cap before the bound certified the result (DNF)")
+		fmt.Fprintln(stdout, "warning: run aborted by cap before the bound certified the result (DNF)")
 	}
 	if *showIO {
 		st := sess.Stats()
-		fmt.Printf("sumDepths=%d depths=%v combinations=%d cpu=%v (bound %v)\n",
+		fmt.Fprintf(stdout, "sumDepths=%d depths=%v combinations=%d cpu=%v (bound %v)\n",
 			st.SumDepths, st.Depths, st.CombinationsFormed, st.TotalTime, st.BoundTime)
 	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "proxrank: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

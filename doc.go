@@ -35,8 +35,7 @@
 // Options.Algorithm defaults to TBPA, the paper's best algorithm. Use
 // Options.Access to switch between distance-based (default) and
 // score-based access; Options.Weights to tune the score/query-proximity/
-// mutual-proximity trade-off of paper eq. (2); Options.DominancePeriod to
-// enable the geometric dominance pruning of §3.2.2.
+// mutual-proximity trade-off of paper eq. (2).
 //
 // # Incremental retrieval
 //

@@ -78,9 +78,8 @@ type Function interface {
 
 // Quadratic is implemented by aggregation functions whose geometry is the
 // quadratic Euclidean form of eq. (2); it unlocks the tight bounding
-// machinery (ray reduction + 1-D QP) and dominance half-spaces. It is the
-// one optional capability: CosineProximity is a Function but not
-// Quadratic.
+// machinery (ray reduction + 1-D QP). It is the one optional capability:
+// CosineProximity is a Function but not Quadratic.
 type Quadratic interface {
 	Function
 	// Weights returns (w_s, w_q, w_µ).

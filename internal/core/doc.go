@@ -16,15 +16,13 @@
 //     bound.
 //
 // The Engine (engine.go) owns the pulled prefixes, forms combinations
-// incrementally as tuples arrive, and maintains the stopping threshold;
-// dominance pruning (dominance.go) discards tuples that can never
-// appear in a top combination. Enumeration is allocation-free on the
-// hot path: combinations live in a rank-slab arena (arena.go) as
-// (slot, score) references with tuples reconstructed from prefixes on
-// emission, subtree pruning cuts combination formation below the buffer
-// floor, and the session buffer (buffer.go) holds candidates in a
-// min-max heap (internal/pqueue) bounded by Options.MaxBuffered with
-// prune or spill overflow policies.
+// incrementally as tuples arrive, and maintains the stopping threshold.
+// Enumeration is allocation-free on the hot path: combinations live in
+// a rank-slab arena (arena.go) as (slot, score) references with tuples
+// reconstructed from prefixes on emission, subtree pruning cuts
+// combination formation below the buffer floor, and the session buffer
+// (buffer.go) holds candidates in a min-max heap (internal/pqueue)
+// bounded by Options.MaxBuffered with prune or spill overflow policies.
 //
 // Iterator (iterator.go) is the ranked-enumeration surface the facade's
 // Stream/Query sessions wrap: Next certifies and emits one combination

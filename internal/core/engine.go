@@ -498,10 +498,8 @@ func (e *Engine) step(ri int) error {
 	}
 
 	var bStart time.Time
-	var domBefore time.Duration
 	if e.opts.CollectTimings {
 		bStart = time.Now()
-		domBefore = e.stats.DominanceTime
 	}
 	e.bound.register(ri)
 	updated := false
@@ -511,9 +509,7 @@ func (e *Engine) step(ri int) error {
 		updated = true
 	}
 	if e.opts.CollectTimings {
-		// Dominance testing runs inside register but is reported as its own
-		// stacked component (Fig 3(m)/(n)); keep BoundTime disjoint from it.
-		e.stats.BoundTime += time.Since(bStart) - (e.stats.DominanceTime - domBefore)
+		e.stats.BoundTime += time.Since(bStart)
 	}
 	if tr := e.opts.Tracer; tr != nil {
 		tr.TracePull(ri, rs.depth(), time.Since(pStart))

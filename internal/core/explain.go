@@ -11,8 +11,6 @@ type PartialBound struct {
 	// Bound is t(τ), freshly computed against the current distance
 	// constraints.
 	Bound float64
-	// Dominated reports whether dominance pruning removed the partial.
-	Dominated bool
 }
 
 // SubsetBound describes one proper subset M of relations.
@@ -54,12 +52,8 @@ func (e *Engine) TightBoundBreakdown() (subsets []SubsetBound, ok bool) {
 			for k, x := range p.xs {
 				ids[k] = b.tupleIDByVector(ss.members[k], x)
 			}
-			sb.Partials = append(sb.Partials, PartialBound{
-				TupleIDs:  ids,
-				Bound:     p.bound,
-				Dominated: p.dominated,
-			})
-			if !p.dominated && p.bound > sb.TM {
+			sb.Partials = append(sb.Partials, PartialBound{TupleIDs: ids, Bound: p.bound})
+			if p.bound > sb.TM {
 				sb.TM = p.bound
 			}
 		}

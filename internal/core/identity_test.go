@@ -74,9 +74,6 @@ func statsIdentical(a, b Stats) error {
 	if a.PartialsTracked != b.PartialsTracked {
 		return fmt.Errorf("partialsTracked %d vs %d", a.PartialsTracked, b.PartialsTracked)
 	}
-	if a.DominanceLPs != b.DominanceLPs || a.DominatedPartials != b.DominatedPartials {
-		return fmt.Errorf("dominance counters differ")
-	}
 	if a.BoundDowngraded != b.BoundDowngraded {
 		return fmt.Errorf("boundDowngraded %v vs %v", a.BoundDowngraded, b.BoundDowngraded)
 	}
@@ -143,9 +140,6 @@ func identityCases(r *rand.Rand, trials int) []identityCase {
 				}
 				if r.Intn(3) == 0 {
 					opts.BoundPeriod = 1 + r.Intn(4)
-				}
-				if kind == relation.DistanceAccess && algo.Bound() == TightBound && r.Intn(2) == 0 {
-					opts.DominancePeriod = 1 + r.Intn(6)
 				}
 				if r.Intn(4) == 0 {
 					// A tight cap forces the DNF path through the same

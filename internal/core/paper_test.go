@@ -262,35 +262,6 @@ func TestPaperExample32Reconstruction(t *testing.T) {
 	}
 }
 
-// TestPaperExample33Dominance checks that none of the four partials of
-// PC({2,3}) is dominated (Figure 2).
-func TestPaperExample33Dominance(t *testing.T) {
-	rels := table1Relations(t)
-	q := vec.Of(0, 0)
-	e, err := NewEngine(distanceSources(t, rels, q), Options{
-		K: 1, Algorithm: TBRR, Query: q, Agg: defaultAgg(), DominancePeriod: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ri := range []int{0, 0, 1, 1, 2, 2} {
-		if err := e.step(ri); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b := e.bound.(*tightDistBounder)
-	ss := b.subsets[6] // {2,3}
-	if len(ss.partials) != 4 {
-		t.Fatalf("PC({2,3}) has %d partials, want 4", len(ss.partials))
-	}
-	b.dominanceSweep(ss)
-	for i, p := range ss.partials {
-		if p.dominated {
-			t.Errorf("partial %d of PC({2,3}) dominated; Figure 2 shows all regions non-empty", i)
-		}
-	}
-}
-
 // TestPaperTheorem31 reproduces the adversarial instance of the Theorem 3.1
 // proof: with the corner bound the depth on R1 grows with the number of
 // filler tuples, while the tight bound stops after a bounded prefix.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/agg"
 	"repro/internal/pqueue"
 	"repro/internal/qp"
@@ -22,15 +20,16 @@ import (
 // the exact t_M while recomputing only candidates that could be maximal.
 // Options.EagerBounds reproduces the paper's Algorithm 2 schedule instead
 // (recompute every affected partial on every pull).
+// There is no dominance test (paper §3.2.2): a dominated partial never stays on the heap top, so laziness already skips it (EXPERIMENTS.md, "Dominance pruning: not reproduced").
 //
 // Partial state is arena'd: the partials of a subset live in one value
 // slice (the heap id is the index), and their vector payloads — seen
-// tuples, centroid, dominance gradient — are views into per-subset slabs
-// appended in id order. Growing a slab relocates future segments only;
-// committed views keep pointing at the retired array, which is written
-// exactly once at partial creation and read-only afterwards, so no view
-// ever dangles. Bound recomputation runs through per-bounder scratch
-// buffers and qp.Eval, making the steady-state hot path allocation-free.
+// tuples, centroid — are views into per-subset slabs appended in id
+// order. Growing a slab relocates future segments only; committed views
+// keep pointing at the retired array, which is written exactly once at
+// partial creation and read-only afterwards, so no view ever dangles.
+// Bound recomputation runs through per-bounder scratch buffers and
+// qp.Eval, making the steady-state hot path allocation-free.
 type tightDistBounder struct {
 	e             *Engine
 	quad          agg.Quadratic
@@ -46,12 +45,6 @@ type tightDistBounder struct {
 	unseenSlab []float64 // reconstruction points, dim floats per unseen
 	muBuf      vec.Vector
 	qpScr      qp.Scratch
-	// Dominance scratch (see dominance.go).
-	domNuT  vec.Vector
-	domBNu  vec.Vector
-	domXT   vec.Vector
-	domPeak vec.Vector
-	liveBuf []int
 }
 
 // subsetState holds PC(M) for one proper subset M (identified by bitmask).
@@ -62,7 +55,6 @@ type subsetState struct {
 	partials   []distPartial         // arena: index = partial id = heap id
 	xsSlab     []vec.Vector          // len(members) tuple views per partial, id order
 	nuSlab     []float64             // dim floats per partial: centroid storage
-	domGSlab   []float64             // dim floats per partial: dominance gradients
 	heap       pqueue.Dense[float64] // max-heap: partial id -> cached bound
 	deltaEpoch int64                 // pull counter when an unseen δ last changed
 }
@@ -70,15 +62,12 @@ type subsetState struct {
 // distPartial is one partial combination τ ∈ PC(M). The slice fields are
 // views into the owning subset's slabs.
 type distPartial struct {
-	id        int
-	xs        []vec.Vector // seen feature vectors, member order
-	sumT      float64      // Σ w_s·T(σ) over seen tuples
-	nu        vec.Vector   // centroid of seen tuples (nil when m = 0)
-	bound     float64      // cached t(τ)
-	epoch     int64        // pull counter at last bound computation
-	dominated bool
-	domG      vec.Vector // 2·b_α of the dominance form (shifted by q)
-	domK      float64    // constant K_α of the dominance form
+	id    int
+	xs    []vec.Vector // seen feature vectors, member order
+	sumT  float64      // Σ w_s·T(σ) over seen tuples
+	nu    vec.Vector   // centroid of seen tuples (nil when m = 0)
+	bound float64      // cached t(τ)
+	epoch int64        // pull counter at last bound computation
 }
 
 // growFloats extends s to length n, doubling capacity on reallocation
@@ -105,14 +94,9 @@ func newTightDistBounder(e *Engine, quad agg.Quadratic) *tightDistBounder {
 		ws:   ws, wq: wq, wmu: wmu,
 		ptsBuf: make([]vec.Vector, 0, e.n),
 	}
-	// All float scratch — ray directions, per-relation columns, the
-	// unseen reconstruction points, and (when dominance screening is on)
-	// the dominance work vectors — comes from one slab.
-	nf := 3*e.dim + 2*e.n + e.n*e.dim
-	if e.opts.DominancePeriod > 0 {
-		nf += 4 * e.dim
-	}
-	fs := make([]float64, nf)
+	// All float scratch — ray directions, per-relation columns and the
+	// unseen reconstruction points — comes from one slab.
+	fs := make([]float64, 3*e.dim+2*e.n+e.n*e.dim)
 	take := func(k int) []float64 { s := fs[:k:k]; fs = fs[k:]; return s }
 	b.baseDir = vec.Vector(take(e.dim))
 	b.dirBuf = vec.Vector(take(e.dim))
@@ -121,12 +105,6 @@ func newTightDistBounder(e *Engine, quad agg.Quadratic) *tightDistBounder {
 	b.lowerBuf = take(e.n)
 	b.unseenSlab = take(e.n * e.dim)
 	b.baseDir[0] = 1
-	if e.opts.DominancePeriod > 0 {
-		b.domNuT = vec.Vector(take(e.dim))
-		b.domBNu = vec.Vector(take(e.dim))
-		b.domXT = vec.Vector(take(e.dim))
-		b.domPeak = vec.Vector(take(e.dim))
-	}
 	full := 1 << e.n
 	// Subset states are one backing array behind the by-mask pointer
 	// index, and the members/unseen lists are carved from one int slab
@@ -185,7 +163,7 @@ func (b *tightDistBounder) register(ri int) {
 			}
 			for id := range ss.partials {
 				p := &ss.partials[id]
-				if p.dominated || p.epoch >= ss.deltaEpoch {
+				if p.epoch >= ss.deltaEpoch {
 					continue
 				}
 				b.computeBound(ss, p)
@@ -193,26 +171,12 @@ func (b *tightDistBounder) register(ri int) {
 			}
 		}
 	}
-	if period := b.e.opts.DominancePeriod; period > 0 && b.e.pulls%int64(period) == 0 {
-		var dStart time.Time
-		if b.e.opts.CollectTimings {
-			dStart = time.Now()
-		}
-		for _, ss := range b.subsets {
-			if ss.mask&(1<<ri) != 0 {
-				b.dominanceSweep(ss)
-			}
-		}
-		if b.e.opts.CollectTimings {
-			b.e.stats.DominanceTime += time.Since(dStart)
-		}
-	}
 }
 
 // extendSubset adds the partial combinations of M that use the new tuple:
 // PC(M − {ri}) × {τ}. Each new partial appends exactly len(members) tuple
-// views, one centroid, and (under dominance) one gradient to the subset
-// slabs, so segment offsets are a multiple of the id.
+// views and one centroid to the subset slabs, so segment offsets are a
+// multiple of the id.
 func (b *tightDistBounder) extendSubset(ss *subsetState, ri int, tau relation.Tuple) {
 	baseMask := ss.mask &^ (1 << ri)
 	base := b.subsets[baseMask]
@@ -244,11 +208,6 @@ func (b *tightDistBounder) extendSubset(ss *subsetState, ri int, tau relation.Tu
 		ss.nuSlab = growFloats(ss.nuSlab, (id+1)*dim)
 		nu := vec.MeanInto(vec.Vector(ss.nuSlab[id*dim:(id+1)*dim]), xs)
 		p := distPartial{id: id, xs: xs, sumT: bp.sumT + tauT, nu: nu}
-		if b.e.opts.DominancePeriod > 0 {
-			ss.domGSlab = growFloats(ss.domGSlab, (id+1)*dim)
-			p.domG = vec.Vector(ss.domGSlab[id*dim : (id+1)*dim])
-			b.dominanceCoeffs(ss, &p)
-		}
 		b.computeBound(ss, &p)
 		ss.partials = append(ss.partials, p)
 		ss.heap.Push(id, p.bound)

@@ -138,10 +138,6 @@ type Options struct {
 	// implement agg.Quadratic (the engine falls back to the corner bound
 	// otherwise and records the downgrade in Stats.BoundDowngraded).
 	Agg agg.Function
-	// DominancePeriod enables dominance pruning for the distance-based
-	// tight bound: every DominancePeriod pulls the dominance LPs are run
-	// (paper §3.2.2 and Fig. 3(m)/(n)). 0 disables dominance.
-	DominancePeriod int
 	// EagerBounds recomputes every affected partial-combination bound on
 	// each pull, exactly as paper Algorithm 2; the default (false) uses a
 	// lazy max-heap that yields identical thresholds with fewer QP solves.
@@ -175,9 +171,9 @@ type Options struct {
 	// reached (meaningful only with MaxBuffered > 0).
 	BufferPolicy BufferPolicy
 	// CollectTimings enables the per-pull wall-clock sampling behind
-	// Stats.BoundTime and Stats.DominanceTime (the stacked bars of
-	// Fig. 3(d)-(n)). Off by default so stats collection does not tax
-	// every pull; Stats.TotalTime is always collected.
+	// Stats.BoundTime (the stacked bars of Fig. 3(d)-(l)). Off by default
+	// so stats collection does not tax every pull; Stats.TotalTime is
+	// always collected.
 	CollectTimings bool
 	// Tracer, when non-nil, observes the run at pull granularity: every
 	// access with its depth and wall time, every threshold update, every
@@ -300,19 +296,13 @@ type Stats struct {
 	QPSolves int64
 	// PartialsTracked counts partial combinations ever registered.
 	PartialsTracked int64
-	// DominanceLPs counts feasibility LPs solved; DominatedPartials counts
-	// partials pruned by dominance.
-	DominanceLPs      int64
-	DominatedPartials int64
 	// BoundDowngraded is set when a tight bound was requested but the
 	// aggregation is not Quadratic, so the corner bound was used.
 	BoundDowngraded bool
-	// TotalTime is wall-clock for the whole run; BoundTime and
-	// DominanceTime are the fractions spent in updateBound and in the
-	// dominance test (the stacked bars of Fig. 3(d)-(n)).
-	TotalTime     time.Duration
-	BoundTime     time.Duration
-	DominanceTime time.Duration
+	// TotalTime is wall-clock for the whole run; BoundTime is the fraction
+	// spent in updateBound (the stacked bars of Fig. 3(d)-(l)).
+	TotalTime time.Duration
+	BoundTime time.Duration
 }
 
 // Result is the output of a ProxRJ run.

@@ -10,7 +10,7 @@ import (
 
 // Figure is one reproducible experiment of the paper's Figure 3.
 type Figure struct {
-	// ID is the paper panel label ("3a" … "3n").
+	// ID is the paper panel label ("3a" … "3l") or table label ("t1" … "t3").
 	ID string
 	// Title describes the sweep.
 	Title string
@@ -33,8 +33,6 @@ func Registry() []Figure {
 		{ID: "3j", Title: "Fig 3(j): total CPU time vs skewness", Run: fig3j},
 		{ID: "3k", Title: "Fig 3(k): total CPU time vs number of relations n", Run: fig3k},
 		{ID: "3l", Title: "Fig 3(l): total CPU time on the five city data sets", Run: fig3l},
-		{ID: "3m", Title: "Fig 3(m): total CPU time vs dominance period, n = 2", Run: fig3m},
-		{ID: "3n", Title: "Fig 3(n): total CPU time vs dominance period, n = 3", Run: fig3n},
 		{ID: "t1", Title: "Table 1: worked-example combination scores", Run: table1},
 		{ID: "t2", Title: "Table 2: operating parameter grid", Run: table2},
 		{ID: "t3", Title: "Table 3: partial combinations and tight bounds", Run: table3},
@@ -51,6 +49,33 @@ func ByID(id string) (Figure, bool) {
 	return Figure{}, false
 }
 
+// dnfCell renders one point's cell: v is the mean over the repetitions
+// that finished, so a point where some did not says how many — a bare
+// mean of the survivors would read as a cheaper join — and a point where
+// none did reads DNF.
+func dnfCell(s stats.Summary, v string) string {
+	switch {
+	case s.DNFs == s.Runs:
+		return "DNF"
+	case s.DNFs > 0:
+		return fmt.Sprintf("%s (%d/%d DNF)", v, s.DNFs, s.Runs)
+	}
+	return v
+}
+
+// depthsCell is a cell of the sumDepths panels.
+func depthsCell(s stats.Summary) string { return dnfCell(s, cell(s.SumDepths)) }
+
+// cpuCell is a cell of the CPU panels: total time, with the updateBound
+// fraction in parentheses for the tight-bound algorithms.
+func cpuCell(s stats.Summary, a core.Algorithm) string {
+	v := secCell(s.TotalSeconds)
+	if a.Bound() == core.TightBound {
+		v = fmt.Sprintf("%s(%s)", v, secCell(s.BoundSeconds))
+	}
+	return dnfCell(s, v)
+}
+
 // sweepDepths renders a sumDepths table with one row per parameter value
 // and one column per algorithm.
 func sweepDepths(st Settings, title, param string, values []string, point func(i int) Point) (*Table, error) {
@@ -59,15 +84,11 @@ func sweepDepths(st Settings, title, param string, values []string, point func(i
 	for i, label := range values {
 		row := []string{label}
 		for _, a := range algorithms {
-			s, err := RunSyntheticPoint(st, point(i), a, 0, false)
+			s, err := RunSyntheticPoint(st, point(i), a, false)
 			if err != nil {
 				return nil, err
 			}
-			if s.DNFs == s.Runs {
-				row = append(row, "DNF")
-			} else {
-				row = append(row, cell(s.SumDepths))
-			}
+			row = append(row, depthsCell(s))
 			if a == core.CBPA {
 				lastCBPA = s.SumDepths
 			}
@@ -94,19 +115,11 @@ func sweepCPU(st Settings, title, param string, values []string, point func(i in
 	for i, label := range values {
 		row := []string{label}
 		for _, a := range algorithms {
-			s, err := RunSyntheticPoint(st, point(i), a, 0, st.EagerCPU)
+			s, err := RunSyntheticPoint(st, point(i), a, st.EagerCPU)
 			if err != nil {
 				return nil, err
 			}
-			if s.DNFs == s.Runs {
-				row = append(row, "DNF")
-				continue
-			}
-			if a == core.TBRR || a == core.TBPA {
-				row = append(row, fmt.Sprintf("%s(%s)", secCell(s.TotalSeconds), secCell(s.BoundSeconds)))
-			} else {
-				row = append(row, secCell(s.TotalSeconds))
-			}
+			row = append(row, cpuCell(s, a))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -226,11 +239,7 @@ func fig3i(st Settings) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if s.DNFs == s.Runs {
-				row = append(row, "DNF")
-			} else {
-				row = append(row, cell(s.SumDepths))
-			}
+			row = append(row, depthsCell(s))
 			if a == core.CBPA {
 				cbpaSum += s.SumDepths
 			}
@@ -281,55 +290,9 @@ func fig3l(st Settings) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if s.DNFs == s.Runs {
-				row = append(row, "DNF")
-				continue
-			}
-			if a == core.TBRR || a == core.TBPA {
-				row = append(row, fmt.Sprintf("%s(%s)", secCell(s.TotalSeconds), secCell(s.BoundSeconds)))
-			} else {
-				row = append(row, secCell(s.TotalSeconds))
-			}
+			row = append(row, cpuCell(s, a))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
-}
-
-// dominanceSweep is shared by Fig 3(m)/(n).
-func dominanceSweep(st Settings, title string, n int) (*Table, error) {
-	t := &Table{
-		Title:  title,
-		Header: []string{"period", "TBRR total(bound+dom)", "TBPA total(bound+dom)"},
-	}
-	for _, period := range DominancePeriods {
-		label := fmt.Sprintf("%d", period)
-		if period == 0 {
-			label = "inf"
-		}
-		row := []string{label}
-		for _, a := range []core.Algorithm{core.TBRR, core.TBPA} {
-			p := DefaultPoint()
-			p.N = n
-			s, err := RunSyntheticPoint(st, p, a, period, st.EagerCPU)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%s(%s+%s)",
-				secCell(s.TotalSeconds), secCell(s.BoundSeconds), secCell(s.DominanceSeconds)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
-		"parenthesized values: updateBound time + dominance-test time (the two lighter stacked bars)",
-		"period inf disables the dominance test")
-	return t, nil
-}
-
-func fig3m(st Settings) (*Table, error) {
-	return dominanceSweep(st, "Fig 3(m): CPU time vs dominance period (n=2)", 2)
-}
-
-func fig3n(st Settings) (*Table, error) {
-	return dominanceSweep(st, "Fig 3(n): CPU time vs dominance period (n=3)", 3)
 }

@@ -19,9 +19,6 @@ var (
 	SkewValues = []float64{1, 2, 4, 8}
 	// NValues is the number-of-relations sweep (default 2).
 	NValues = []int{2, 3, 4}
-	// DominancePeriods is the Fig. 3(m)/(n) sweep; 0 renders as ∞
-	// (dominance disabled).
-	DominancePeriods = []int{1, 2, 4, 8, 12, 16, 0}
 )
 
 // Point is one synthetic operating point.

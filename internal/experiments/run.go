@@ -41,11 +41,8 @@ func toSample(res core.Result) stats.Sample {
 		Depths:             res.Stats.Depths,
 		CombinationsFormed: res.Stats.CombinationsFormed,
 		QPSolves:           res.Stats.QPSolves,
-		DominanceLPs:       res.Stats.DominanceLPs,
-		DominatedPartials:  res.Stats.DominatedPartials,
 		TotalTime:          res.Stats.TotalTime,
 		BoundTime:          res.Stats.BoundTime,
-		DominanceTime:      res.Stats.DominanceTime,
 		DNF:                res.DNF,
 	}
 }
@@ -53,7 +50,7 @@ func toSample(res core.Result) stats.Sample {
 // RunSyntheticPoint averages one algorithm at one synthetic operating
 // point over Settings.Reps seeded data sets. The query is the origin (the
 // center of the generated region, as in Appendix D.1).
-func RunSyntheticPoint(st Settings, p Point, algo core.Algorithm, domPeriod int, eager bool) (stats.Summary, error) {
+func RunSyntheticPoint(st Settings, p Point, algo core.Algorithm, eager bool) (stats.Summary, error) {
 	var col stats.Collector
 	for rep := 0; rep < st.Reps; rep++ {
 		cfg := datagen.SyntheticConfig{
@@ -74,7 +71,6 @@ func RunSyntheticPoint(st Settings, p Point, algo core.Algorithm, domPeriod int,
 			Algorithm:       algo,
 			Query:           vec.New(p.Dim),
 			Agg:             defaultAgg(),
-			DominancePeriod: domPeriod,
 			EagerBounds:     eager,
 			MaxSumDepths:    st.MaxSumDepths,
 			MaxCombinations: st.MaxCombinations,

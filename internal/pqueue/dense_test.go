@@ -2,6 +2,7 @@ package pqueue
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,21 +18,12 @@ func TestDenseBasic(t *testing.T) {
 	if k, v, _ := h.Peek(); k != 20 || v != 9.5 {
 		t.Fatalf("Peek = %d %v", k, v)
 	}
-	if !h.Contains(30) || h.Contains(99) || h.Contains(-1) {
-		t.Fatal("Contains wrong")
-	}
-	if v, ok := h.Get(30); !ok || v != 4.5 {
-		t.Fatalf("Get = %v %v", v, ok)
-	}
 	h.Update(10, 100)
 	if k, _, _ := h.Peek(); k != 10 {
 		t.Fatalf("after Update peek key = %d", k)
 	}
-	if !h.Remove(10) {
-		t.Fatal("Remove existing failed")
-	}
-	if h.Remove(10) {
-		t.Fatal("Remove of absent key reported true")
+	if k, v, ok := h.Pop(); !ok || k != 10 || v != 100 {
+		t.Fatalf("Pop = %d %v %v", k, v, ok)
 	}
 	k, v, ok := h.Pop()
 	if !ok || k != 20 || v != 9.5 {
@@ -40,10 +32,10 @@ func TestDenseBasic(t *testing.T) {
 	if h.Len() != 1 {
 		t.Fatalf("Len = %d", h.Len())
 	}
-	// A removed key can be pushed again.
+	// A popped key can be pushed again.
 	h.Push(10, 2.5)
-	if v, ok := h.Get(10); !ok || v != 2.5 {
-		t.Fatalf("re-push Get = %v %v", v, ok)
+	if k, v, _ := h.Peek(); k != 30 || v != 4.5 {
+		t.Fatalf("re-push Peek = %d %v", k, v)
 	}
 }
 
@@ -77,10 +69,10 @@ func TestDenseUpdateMissingPanics(t *testing.T) {
 }
 
 // Property: Dense agrees with Indexed operation for operation — same
-// peeks, same pop order — under a random push/update/remove sequence
-// with dense arena-style keys. Dense replaced Indexed under the tight
-// bound's per-subset heap, so behavioral equality is what keeps that
-// swap invisible.
+// peeks, same pop order — under a random push/update/pop sequence with
+// dense arena-style keys. Dense replaced Indexed under the tight bound's
+// per-subset heap, so behavioral equality is what keeps that swap
+// invisible.
 func TestQuickDenseMatchesIndexed(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -105,15 +97,14 @@ func TestQuickDenseMatchesIndexed(t *testing.T) {
 				v := r.Float64() * 2
 				d.Update(k, v)
 				ix.Update(k, v)
-			case 3: // remove random existing
-				if len(live) == 0 {
-					continue
-				}
-				i := r.Intn(len(live))
-				k := live[i]
-				live = append(live[:i], live[i+1:]...)
-				if !d.Remove(k) || !ix.Remove(k) {
+			case 3: // pop
+				dk, dv, dok := d.Pop()
+				ik, iv, iok := ix.Pop()
+				if dok != iok || dv != iv || dk != ik {
 					return false
+				}
+				if i := slices.Index(live, dk); dok {
+					live = slices.Delete(live, i, i+1)
 				}
 			}
 			dk, dv, dok := d.Peek()
@@ -138,4 +129,106 @@ func TestQuickDenseMatchesIndexed(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Indexed is the oracle of the Dense property test: the textbook indexed
+// heap, its key→position table a map. Keys must be unique among live
+// elements.
+type Indexed[T any] struct {
+	items []indexedItem[T]
+	pos   map[int]int // key -> index in items
+	less  func(a, b T) bool
+}
+
+// NewIndexed returns an empty indexed heap ordered by less.
+func NewIndexed[T any](less func(a, b T) bool) *Indexed[T] {
+	return &Indexed[T]{pos: make(map[int]int), less: less}
+}
+
+// Len returns the number of queued elements.
+func (h *Indexed[T]) Len() int { return len(h.items) }
+
+// Push inserts val under key. It panics if key is already present.
+func (h *Indexed[T]) Push(key int, val T) {
+	if _, dup := h.pos[key]; dup {
+		panic("pqueue: duplicate key")
+	}
+	h.items = append(h.items, indexedItem[T]{key: key, val: val})
+	i := len(h.items) - 1
+	h.pos[key] = i
+	h.up(i)
+}
+
+// Peek returns the highest-priority key and value.
+func (h *Indexed[T]) Peek() (key int, val T, ok bool) {
+	if len(h.items) == 0 {
+		return 0, val, false
+	}
+	return h.items[0].key, h.items[0].val, true
+}
+
+// Pop removes and returns the highest-priority key and value.
+func (h *Indexed[T]) Pop() (key int, val T, ok bool) {
+	if len(h.items) == 0 {
+		return 0, val, false
+	}
+	it := h.items[0]
+	last := len(h.items) - 1
+	delete(h.pos, it.key)
+	if last > 0 {
+		h.items[0] = h.items[last]
+		h.pos[h.items[0].key] = 0
+	}
+	h.items[last] = indexedItem[T]{}
+	h.items = h.items[:last]
+	h.down(0)
+	return it.key, it.val, true
+}
+
+// Update replaces the value under key and restores heap order. It panics
+// if key is absent.
+func (h *Indexed[T]) Update(key int, val T) {
+	i, ok := h.pos[key]
+	if !ok {
+		panic("pqueue: update of missing key")
+	}
+	h.items[i].val = val
+	h.up(i)
+	h.down(i)
+}
+
+func (h *Indexed[T]) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(h.items[i].val, h.items[parent].val) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *Indexed[T]) down(i int) {
+	n := len(h.items)
+	for {
+		l, r := 2*i+1, 2*i+2
+		if l >= n {
+			return
+		}
+		best := l
+		if r < n && h.less(h.items[r].val, h.items[l].val) {
+			best = r
+		}
+		if !h.less(h.items[best].val, h.items[i].val) {
+			return
+		}
+		h.swap(i, best)
+		i = best
+	}
+}
+
+func (h *Indexed[T]) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.pos[h.items[i].key] = i
+	h.pos[h.items[j].key] = j
 }

@@ -4,10 +4,10 @@
 // heap of 16-byte items; see internal/rtree.)
 //
 // Heap is a plain priority queue ordered by a user-supplied less function.
-// Indexed is a priority queue that additionally tracks element positions so
-// that priorities can be updated or elements removed in O(log n). Dense is
-// Indexed specialized for small dense non-negative keys: the position table
-// is a slice, making the steady state allocation-free.
+// Dense additionally tracks element positions, so that the priority stored
+// under a key can be updated in O(log n); keys are small dense non-negative
+// integers and the position table is a slice, making the steady state
+// allocation-free.
 package pqueue
 
 // Heap is a binary heap over T. The zero value is not usable; construct
@@ -111,154 +111,12 @@ func (h *Heap[T]) down(i int) {
 	}
 }
 
-// Indexed is a priority queue whose elements carry a stable integer key;
-// priorities can be changed (Fix) and arbitrary elements removed in
-// O(log n). Keys must be unique among live elements.
-type Indexed[T any] struct {
-	items []indexedItem[T]
-	pos   map[int]int // key -> index in items
-	less  func(a, b T) bool
-}
-
-type indexedItem[T any] struct {
-	key int
-	val T
-}
-
-// NewIndexed returns an empty indexed heap ordered by less.
-func NewIndexed[T any](less func(a, b T) bool) *Indexed[T] {
-	return &Indexed[T]{pos: make(map[int]int), less: less}
-}
-
-// Len returns the number of queued elements.
-func (h *Indexed[T]) Len() int { return len(h.items) }
-
-// Contains reports whether key is queued.
-func (h *Indexed[T]) Contains(key int) bool {
-	_, ok := h.pos[key]
-	return ok
-}
-
-// Get returns the value stored under key.
-func (h *Indexed[T]) Get(key int) (val T, ok bool) {
-	i, ok := h.pos[key]
-	if !ok {
-		return val, false
-	}
-	return h.items[i].val, true
-}
-
-// Push inserts val under key. It panics if key is already present.
-func (h *Indexed[T]) Push(key int, val T) {
-	if _, dup := h.pos[key]; dup {
-		panic("pqueue: duplicate key")
-	}
-	h.items = append(h.items, indexedItem[T]{key: key, val: val})
-	i := len(h.items) - 1
-	h.pos[key] = i
-	h.up(i)
-}
-
-// Peek returns the highest-priority key and value.
-func (h *Indexed[T]) Peek() (key int, val T, ok bool) {
-	if len(h.items) == 0 {
-		return 0, val, false
-	}
-	return h.items[0].key, h.items[0].val, true
-}
-
-// Pop removes and returns the highest-priority key and value.
-func (h *Indexed[T]) Pop() (key int, val T, ok bool) {
-	if len(h.items) == 0 {
-		return 0, val, false
-	}
-	it := h.items[0]
-	h.removeAt(0)
-	return it.key, it.val, true
-}
-
-// Update replaces the value under key and restores heap order. It panics
-// if key is absent.
-func (h *Indexed[T]) Update(key int, val T) {
-	i, ok := h.pos[key]
-	if !ok {
-		panic("pqueue: update of missing key")
-	}
-	h.items[i].val = val
-	h.fix(i)
-}
-
-// Remove deletes key if present and reports whether it was there.
-func (h *Indexed[T]) Remove(key int) bool {
-	i, ok := h.pos[key]
-	if !ok {
-		return false
-	}
-	h.removeAt(i)
-	return true
-}
-
-func (h *Indexed[T]) removeAt(i int) {
-	last := len(h.items) - 1
-	delete(h.pos, h.items[i].key)
-	if i != last {
-		h.items[i] = h.items[last]
-		h.pos[h.items[i].key] = i
-	}
-	h.items[last] = indexedItem[T]{}
-	h.items = h.items[:last]
-	if i < len(h.items) {
-		h.fix(i)
-	}
-}
-
-func (h *Indexed[T]) fix(i int) {
-	h.up(i)
-	h.down(i)
-}
-
-func (h *Indexed[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.items[i].val, h.items[parent].val) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *Indexed[T]) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			return
-		}
-		best := l
-		if r < n && h.less(h.items[r].val, h.items[l].val) {
-			best = r
-		}
-		if !h.less(h.items[best].val, h.items[i].val) {
-			return
-		}
-		h.swap(i, best)
-		i = best
-	}
-}
-
-func (h *Indexed[T]) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].key] = i
-	h.pos[h.items[j].key] = j
-}
-
 // Dense is an indexed priority queue specialized for small, dense,
 // non-negative keys (array indices): the key→position table is a slice
-// instead of a map, so Push, Update, and Remove allocate only when the
-// backing arrays grow — the steady state is allocation-free. Sift order
-// is identical to Indexed, so replacing one with the other preserves
-// heap layout (and therefore Peek tie-breaking) exactly.
+// instead of a map, so Push and Update allocate only when the backing
+// arrays grow — the steady state is allocation-free. Sift order is that
+// of the textbook map-indexed heap the property test keeps as its oracle,
+// so heap layout (and therefore Peek tie-breaking) matches it exactly.
 //
 // Keys must be non-negative; the position table grows to the largest
 // key ever pushed, so keys should stay proportional to the number of
@@ -267,6 +125,11 @@ type Dense[T any] struct {
 	items []indexedItem[T]
 	pos   []int32 // key -> index in items, -1 when absent
 	less  func(a, b T) bool
+}
+
+type indexedItem[T any] struct {
+	key int
+	val T
 }
 
 // NewDense returns an empty dense-key indexed heap ordered by less.
@@ -302,17 +165,9 @@ func (h *Dense[T]) Grow(n int) {
 	}
 }
 
-// Contains reports whether key is queued.
-func (h *Dense[T]) Contains(key int) bool {
+// has reports whether key is queued.
+func (h *Dense[T]) has(key int) bool {
 	return key >= 0 && key < len(h.pos) && h.pos[key] >= 0
-}
-
-// Get returns the value stored under key.
-func (h *Dense[T]) Get(key int) (val T, ok bool) {
-	if !h.Contains(key) {
-		return val, false
-	}
-	return h.items[h.pos[key]].val, true
 }
 
 // Push inserts val under key. It panics if key is negative or already
@@ -321,7 +176,7 @@ func (h *Dense[T]) Push(key int, val T) {
 	if key < 0 {
 		panic("pqueue: negative key")
 	}
-	if h.Contains(key) {
+	if h.has(key) {
 		panic("pqueue: duplicate key")
 	}
 	for key >= len(h.pos) {
@@ -358,45 +213,26 @@ func (h *Dense[T]) Pop() (key int, val T, ok bool) {
 		return 0, val, false
 	}
 	it := h.items[0]
-	h.removeAt(0)
+	last := len(h.items) - 1
+	h.pos[it.key] = -1
+	if last > 0 {
+		h.items[0] = h.items[last]
+		h.pos[h.items[0].key] = 0
+	}
+	h.items[last] = indexedItem[T]{}
+	h.items = h.items[:last]
+	h.down(0)
 	return it.key, it.val, true
 }
 
 // Update replaces the value under key and restores heap order. It panics
 // if key is absent.
 func (h *Dense[T]) Update(key int, val T) {
-	if !h.Contains(key) {
+	if !h.has(key) {
 		panic("pqueue: update of missing key")
 	}
 	i := int(h.pos[key])
 	h.items[i].val = val
-	h.fix(i)
-}
-
-// Remove deletes key if present and reports whether it was there.
-func (h *Dense[T]) Remove(key int) bool {
-	if !h.Contains(key) {
-		return false
-	}
-	h.removeAt(int(h.pos[key]))
-	return true
-}
-
-func (h *Dense[T]) removeAt(i int) {
-	last := len(h.items) - 1
-	h.pos[h.items[i].key] = -1
-	if i != last {
-		h.items[i] = h.items[last]
-		h.pos[h.items[i].key] = int32(i)
-	}
-	h.items[last] = indexedItem[T]{}
-	h.items = h.items[:last]
-	if i < len(h.items) {
-		h.fix(i)
-	}
-}
-
-func (h *Dense[T]) fix(i int) {
 	h.up(i)
 	h.down(i)
 }

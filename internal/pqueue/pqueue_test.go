@@ -84,21 +84,12 @@ func TestIndexedBasic(t *testing.T) {
 	if k, v, _ := h.Peek(); k != 20 || v != 9.5 {
 		t.Fatalf("Peek = %d %v", k, v)
 	}
-	if !h.Contains(30) || h.Contains(99) {
-		t.Fatal("Contains wrong")
-	}
-	if v, ok := h.Get(30); !ok || v != 4.5 {
-		t.Fatalf("Get = %v %v", v, ok)
-	}
 	h.Update(10, 100)
 	if k, _, _ := h.Peek(); k != 10 {
 		t.Fatalf("after Update peek key = %d", k)
 	}
-	if !h.Remove(10) {
-		t.Fatal("Remove existing failed")
-	}
-	if h.Remove(10) {
-		t.Fatal("Remove of absent key reported true")
+	if k, v, ok := h.Pop(); !ok || k != 10 || v != 100 {
+		t.Fatalf("Pop = %d %v %v", k, v, ok)
 	}
 	k, v, ok := h.Pop()
 	if !ok || k != 20 || v != 9.5 {
@@ -129,7 +120,7 @@ func TestIndexedUpdateMissingPanics(t *testing.T) {
 	NewIndexed[int](intMin).Update(5, 1)
 }
 
-// Property: under a random sequence of push/update/remove operations the
+// Property: under a random sequence of push/update/pop operations the
 // indexed heap always pops the true maximum remaining value.
 func TestQuickIndexedMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
@@ -152,12 +143,9 @@ func TestQuickIndexedMatchesOracle(t *testing.T) {
 				v := r.Float64() * 2
 				h.Update(k, v)
 				oracle[k] = v
-			case 3: // remove random existing
-				if len(oracle) == 0 {
-					continue
-				}
-				k := randomKey(r, oracle)
-				if !h.Remove(k) {
+			case 3: // pop: the value the previous step's peek check vouched for
+				k, v, ok := h.Pop()
+				if ok != (len(oracle) > 0) || (ok && v != oracle[k]) {
 					return false
 				}
 				delete(oracle, k)

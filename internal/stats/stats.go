@@ -1,7 +1,7 @@
 // Package stats aggregates run metrics across repeated experiments: the
 // paper reports every figure as the average over ten seeded data sets
-// (§4.1), with CPU time split into combination-forming, bound-update and
-// dominance fractions (the stacked bars of Figure 3).
+// (§4.1), with CPU time split into combination-forming and bound-update
+// fractions (the stacked bars of Figure 3).
 package stats
 
 import (
@@ -15,11 +15,8 @@ type Sample struct {
 	Depths             []int
 	CombinationsFormed int64
 	QPSolves           int64
-	DominanceLPs       int64
-	DominatedPartials  int64
 	TotalTime          time.Duration
 	BoundTime          time.Duration
-	DominanceTime      time.Duration
 	DNF                bool
 }
 
@@ -30,13 +27,10 @@ type Summary struct {
 	SumDepths          float64
 	CombinationsFormed float64
 	QPSolves           float64
-	DominanceLPs       float64
-	DominatedPartials  float64
 	TotalSeconds       float64
 	BoundSeconds       float64
-	DominanceSeconds   float64
-	// OtherSeconds is Total − Bound − Dominance: the combination-forming
-	// cost (the darker bottom bar in the paper's stacked charts).
+	// OtherSeconds is Total − Bound: the combination-forming cost (the
+	// darker bottom bar in the paper's stacked charts).
 	OtherSeconds float64
 }
 
@@ -66,24 +60,18 @@ func (c *Collector) Summarize() Summary {
 		s.SumDepths += float64(sm.SumDepths)
 		s.CombinationsFormed += float64(sm.CombinationsFormed)
 		s.QPSolves += float64(sm.QPSolves)
-		s.DominanceLPs += float64(sm.DominanceLPs)
-		s.DominatedPartials += float64(sm.DominatedPartials)
 		s.TotalSeconds += sm.TotalTime.Seconds()
 		s.BoundSeconds += sm.BoundTime.Seconds()
-		s.DominanceSeconds += sm.DominanceTime.Seconds()
 	}
 	if n > 0 {
 		f := 1 / float64(n)
 		s.SumDepths *= f
 		s.CombinationsFormed *= f
 		s.QPSolves *= f
-		s.DominanceLPs *= f
-		s.DominatedPartials *= f
 		s.TotalSeconds *= f
 		s.BoundSeconds *= f
-		s.DominanceSeconds *= f
 	}
-	s.OtherSeconds = s.TotalSeconds - s.BoundSeconds - s.DominanceSeconds
+	s.OtherSeconds = s.TotalSeconds - s.BoundSeconds
 	if s.OtherSeconds < 0 {
 		s.OtherSeconds = 0
 	}
@@ -92,8 +80,8 @@ func (c *Collector) Summarize() Summary {
 
 // String renders the summary compactly.
 func (s Summary) String() string {
-	out := fmt.Sprintf("sumDepths=%.1f cpu=%.4fs (bound %.4fs, dominance %.4fs)",
-		s.SumDepths, s.TotalSeconds, s.BoundSeconds, s.DominanceSeconds)
+	out := fmt.Sprintf("sumDepths=%.1f cpu=%.4fs (bound %.4fs)",
+		s.SumDepths, s.TotalSeconds, s.BoundSeconds)
 	if s.DNFs > 0 {
 		out += fmt.Sprintf(" [%d/%d DNF]", s.DNFs, s.Runs)
 	}

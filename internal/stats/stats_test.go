@@ -10,9 +10,9 @@ import (
 func TestSummarizeAverages(t *testing.T) {
 	var c Collector
 	c.Add(Sample{SumDepths: 10, CombinationsFormed: 100, QPSolves: 4,
-		TotalTime: 2 * time.Second, BoundTime: time.Second, DominanceTime: 500 * time.Millisecond})
+		TotalTime: 2 * time.Second, BoundTime: time.Second})
 	c.Add(Sample{SumDepths: 20, CombinationsFormed: 300, QPSolves: 8,
-		TotalTime: 4 * time.Second, BoundTime: 2 * time.Second, DominanceTime: 500 * time.Millisecond})
+		TotalTime: 4 * time.Second, BoundTime: 2 * time.Second})
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
 	}
@@ -23,11 +23,11 @@ func TestSummarizeAverages(t *testing.T) {
 	if s.SumDepths != 15 || s.CombinationsFormed != 200 || s.QPSolves != 6 {
 		t.Fatalf("averages wrong: %+v", s)
 	}
-	if s.TotalSeconds != 3 || s.BoundSeconds != 1.5 || s.DominanceSeconds != 0.5 {
+	if s.TotalSeconds != 3 || s.BoundSeconds != 1.5 {
 		t.Fatalf("time averages wrong: %+v", s)
 	}
-	if math.Abs(s.OtherSeconds-1.0) > 1e-12 {
-		t.Fatalf("OtherSeconds = %v, want 1.0", s.OtherSeconds)
+	if math.Abs(s.OtherSeconds-1.5) > 1e-12 {
+		t.Fatalf("OtherSeconds = %v, want 1.5", s.OtherSeconds)
 	}
 }
 

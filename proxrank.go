@@ -137,12 +137,6 @@ type Options struct {
 	// then uses the corner bound, as the tight bound's closed-form
 	// geometry is Euclidean.
 	CosineProximity bool
-	// DominancePeriod enables dominance pruning every so many accesses for
-	// the distance-based tight bound (0 = off).
-	DominancePeriod int
-	// EagerBounds switches from lazy bound maintenance to the paper's
-	// eager Algorithm 2 schedule (identical results, more CPU).
-	EagerBounds bool
 	// BoundPeriod recomputes the stopping threshold only every so many
 	// pulls — the "blocks of tuples" CPU/I/O trade-off of paper §4.2.
 	// Results are unchanged; at most BoundPeriod−1 extra tuples may be
@@ -173,9 +167,9 @@ type Options struct {
 	// exact for open enumeration with the ranked heap still bounded.
 	BufferPolicy BufferPolicy
 	// CollectTimings enables the per-pull wall-clock sampling behind
-	// Stats.BoundTime and Stats.DominanceTime. Off by default: the
-	// timers measurably tax every pull, and most callers only need
-	// Stats.TotalTime (always collected).
+	// Stats.BoundTime. Off by default: the timers measurably tax every
+	// pull, and most callers only need Stats.TotalTime (always
+	// collected).
 	CollectTimings bool
 	// Tracer, when non-nil, observes the run at pull granularity — every
 	// access with its depth and wall time, every threshold update, every
@@ -329,8 +323,6 @@ func (o Options) engineOptions(query Vector, fn agg.Function) core.Options {
 		Algorithm:       o.Algorithm,
 		Query:           query,
 		Agg:             fn,
-		DominancePeriod: o.DominancePeriod,
-		EagerBounds:     o.EagerBounds,
 		BoundPeriod:     o.BoundPeriod,
 		Epsilon:         o.Epsilon,
 		MaxSumDepths:    o.MaxSumDepths,

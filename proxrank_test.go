@@ -300,34 +300,3 @@ func TestQuickPublicAPIRandom(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestDominanceAndEagerOptionsEndToEnd exercises the remaining option
-// surface through the public API.
-func TestDominanceAndEagerOptionsEndToEnd(t *testing.T) {
-	cfg := proxrank.DefaultSyntheticConfig()
-	cfg.BaseTuples = 60
-	cfg.Seed = 4
-	rels, err := proxrank.SyntheticRelations(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := proxrank.Vector{0, 0}
-	base, err := proxrank.TopK(q, rels, proxrank.Options{K: 5, Algorithm: proxrank.TBPA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withDom, err := proxrank.TopK(q, rels, proxrank.Options{
-		K: 5, Algorithm: proxrank.TBPA, DominancePeriod: 4, EagerBounds: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Stats.SumDepths != withDom.Stats.SumDepths {
-		t.Fatalf("dominance/eager changed I/O: %d vs %d", base.Stats.SumDepths, withDom.Stats.SumDepths)
-	}
-	for i := range base.Combinations {
-		if math.Abs(base.Combinations[i].Score-withDom.Combinations[i].Score) > 1e-12 {
-			t.Fatal("dominance/eager changed results")
-		}
-	}
-}

@@ -34,10 +34,8 @@ func OptionsFromRequest(req *api.Request, limits ...api.Limits) (Vector, Options
 		K:               req.K,
 		Epsilon:         req.Epsilon,
 		BoundPeriod:     req.BoundPeriod,
-		DominancePeriod: req.DominancePeriod,
 		MaxSumDepths:    req.MaxSumDepths,
 		MaxCombinations: req.MaxCombinations,
-		MaxBuffered:     req.MaxBuffered,
 	}
 	algo, err := ParseAlgorithm(req.Algorithm)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 //
 // The session buffer is bounded to K — a query delivers at most K
 // results (certified prefix plus DNF drain) — so peak memory is O(K).
-// Validation guarantees an explicit client MaxBuffered is >= K.
 func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, partial bool) (*proxrank.Query, func() []api.MissingShard, func(), *APIError) {
 	release, aerr := x.acquireSlot(ctx)
 	if aerr != nil {
