@@ -64,8 +64,6 @@ type Request struct {
 	Transform string `json:"transform,omitempty"`
 	// Epsilon relaxes the stopping test (0 = exact top-K).
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// BoundPeriod recomputes the stopping threshold every so many pulls.
-	BoundPeriod int `json:"boundPeriod,omitempty"`
 	// MaxSumDepths / MaxCombinations abort long runs with a DNF result.
 	MaxSumDepths    int   `json:"maxSumDepths,omitempty"`
 	MaxCombinations int64 `json:"maxCombinations,omitempty"`

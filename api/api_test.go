@@ -99,7 +99,6 @@ func TestNormalizeRejects(t *testing.T) {
 		{"negative timeout", func(r *Request) { r.TimeoutMillis = -5 }},
 		{"negative maxSumDepths", func(r *Request) { r.MaxSumDepths = -100 }},
 		{"negative maxCombinations", func(r *Request) { r.MaxCombinations = -1 }},
-		{"negative boundPeriod", func(r *Request) { r.BoundPeriod = -2 }},
 	}
 	for _, tc := range cases {
 		r := validRequest()

@@ -47,8 +47,6 @@ func (r *Request) Canonical() string {
 	}
 	b.WriteString("|e=")
 	b.WriteString(strconv.FormatFloat(r.Epsilon, 'b', -1, 64))
-	b.WriteString("|bp=")
-	b.WriteString(strconv.Itoa(r.BoundPeriod))
 	b.WriteString("|msd=")
 	b.WriteString(strconv.Itoa(r.MaxSumDepths))
 	b.WriteString("|mc=")

@@ -26,7 +26,6 @@ var requestSurface = []struct {
 	{"weights", func(r *Request) { r.Weights.Wq++ }, true},
 	{"transform", func(r *Request) { r.Transform = TransformIdentity }, true},
 	{"epsilon", func(r *Request) { r.Epsilon++ }, true},
-	{"boundPeriod", func(r *Request) { r.BoundPeriod++ }, true},
 	{"maxSumDepths", func(r *Request) { r.MaxSumDepths++ }, true},
 	{"maxCombinations", func(r *Request) { r.MaxCombinations++ }, true},
 	{"bufferPolicy", func(r *Request) { r.BufferPolicy = BufferSpill }, false},

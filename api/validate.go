@@ -126,9 +126,6 @@ func (r *Request) Normalize(limits Limits) *Error {
 	if r.MaxSumDepths < 0 || r.MaxCombinations < 0 {
 		return Errorf(CodeBadRequest, "maxSumDepths and maxCombinations must be non-negative")
 	}
-	if r.BoundPeriod < 0 {
-		return Errorf(CodeBadRequest, "boundPeriod must be non-negative")
-	}
 	switch strings.ToLower(r.BufferPolicy) {
 	case "", BufferPrune:
 		// Empty stays empty: both mean prune, and neither enters the

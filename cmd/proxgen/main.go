@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,31 +22,48 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command. It returns the exit status: 2 for a command
+// line the flag package refuses, 1 for every other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("proxgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out      = flag.String("out", ".", "output directory")
-		city     = flag.String("city", "", "emit a simulated city dataset instead of synthetic data")
-		n        = flag.Int("n", 2, "number of relations")
-		d        = flag.Int("d", 2, "feature dimensions")
-		density  = flag.Float64("density", 100, "tuples per volume unit (rho)")
-		skew     = flag.Float64("skew", 1, "density multiplier of relation 1 (rho1/rho2)")
-		tuples   = flag.Int("tuples", 400, "tuples per unskewed relation")
-		seed     = flag.Int64("seed", 0, "generator seed")
-		format   = flag.String("format", "csv", "output format: csv or relfile (.prox, columnar, opened O(1) by proxserve)")
-		shards   = flag.Int("shards", 0, "relfile shard count (0 = auto from relation size)")
-		strategy = flag.String("shard-strategy", "hash", "relfile partition strategy: hash or grid")
+		out      = fs.String("out", ".", "output directory")
+		city     = fs.String("city", "", "emit a simulated city dataset instead of synthetic data")
+		n        = fs.Int("n", 2, "number of relations")
+		d        = fs.Int("d", 2, "feature dimensions")
+		density  = fs.Float64("density", 100, "tuples per volume unit (rho)")
+		skew     = fs.Float64("skew", 1, "density multiplier of relation 1 (rho1/rho2)")
+		tuples   = fs.Int("tuples", 400, "tuples per unskewed relation")
+		seed     = fs.Int64("seed", 0, "generator seed")
+		format   = fs.String("format", "csv", "output format: csv or relfile (.prox, columnar, opened O(1) by proxserve)")
+		shards   = fs.Int("shards", 0, "relfile shard count (0 = auto from relation size)")
+		strategy = fs.String("shard-strategy", "hash", "relfile partition strategy: hash or grid")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "proxgen: "+format+"\n", args...)
+		return 1
+	}
 
 	if *format != "csv" && *format != "relfile" {
-		fatal("unknown -format %q (want csv or relfile)", *format)
+		return fail("unknown -format %q (want csv or relfile)", *format)
 	}
 	strat, err := proxrank.ParsePartitionStrategy(*strategy)
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 
 	var rels []*proxrank.Relation
@@ -52,7 +71,7 @@ func main() {
 		var err error
 		rels, _, _, err = proxrank.CityDataset(strings.ToUpper(*city))
 		if err != nil {
-			fatal("%v", err)
+			return fail("%v", err)
 		}
 	} else {
 		cfg := proxrank.DefaultSyntheticConfig()
@@ -65,7 +84,7 @@ func main() {
 		var err error
 		rels, err = proxrank.SyntheticRelations(cfg)
 		if err != nil {
-			fatal("%v", err)
+			return fail("%v", err)
 		}
 	}
 
@@ -77,22 +96,23 @@ func main() {
 			}
 			sharded, err := proxrank.NewShardedRelation(rel, count, strat)
 			if err != nil {
-				fatal("partitioning %s: %v", rel.Name, err)
+				return fail("partitioning %s: %v", rel.Name, err)
 			}
 			path := filepath.Join(*out, sanitize(rel.Name)+proxrank.RelFileExtension)
 			if err := proxrank.SaveRelFile(path, sharded); err != nil {
-				fatal("writing %s: %v", path, err)
+				return fail("writing %s: %v", path, err)
 			}
-			fmt.Printf("wrote %s (%d tuples, dim %d, %d shards, %s)\n",
+			fmt.Fprintf(stdout, "wrote %s (%d tuples, dim %d, %d shards, %s)\n",
 				path, rel.Len(), rel.Dim(), sharded.NumShards(), *strategy)
 			continue
 		}
 		path := filepath.Join(*out, sanitize(rel.Name)+".csv")
 		if err := proxrank.SaveRelationCSV(path, rel); err != nil {
-			fatal("writing %s: %v", path, err)
+			return fail("writing %s: %v", path, err)
 		}
-		fmt.Printf("wrote %s (%d tuples, dim %d)\n", path, rel.Len(), rel.Dim())
+		fmt.Fprintf(stdout, "wrote %s (%d tuples, dim %d)\n", path, rel.Len(), rel.Dim())
 	}
+	return 0
 }
 
 func sanitize(name string) string {
@@ -103,9 +123,4 @@ func sanitize(name string) string {
 		}
 		return '_'
 	}, name)
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "proxgen: "+format+"\n", args...)
-	os.Exit(1)
 }

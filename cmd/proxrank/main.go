@@ -141,6 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
+	defer sess.Close()
 
 	if landmark != "" {
 		fmt.Fprintf(stdout, "query: %s (%v)\n", landmark, qvec)

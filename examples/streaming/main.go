@@ -35,6 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sess.Close() // a session is open until its consumer says it is over
 
 	fmt.Printf("Streaming the best of %d × %d × %d = %d combinations:\n\n",
 		rels[0].Len(), rels[1].Len(), rels[2].Len(),

@@ -182,6 +182,7 @@ func BenchSessionNext(b *testing.B) {
 		if _, err := sess.Next(1); err != nil {
 			if errors.Is(err, proxrank.ErrStreamDone) {
 				b.StopTimer()
+				sess.Close()
 				if sess, err = proxrank.NewQueryInputs(q, inputs, opts); err != nil {
 					b.Fatal(err)
 				}

@@ -83,12 +83,9 @@ func (r *relState) lastScore() float64 {
 	return r.tuples[len(r.tuples)-1].Score
 }
 
-// bounder is the BS component of the ProxRJ template. Registration
-// (integrating a new tuple or an exhaustion) is separated from threshold
-// computation so that the engine can skip recomputation between blocks of
-// pulls (Options.BoundPeriod, the practical trade-off of paper §4.2): a
-// stale threshold remains a correct upper bound because the unseen set
-// only shrinks.
+// bounder is the BS component of the ProxRJ template: registration
+// integrates a new tuple or an exhaustion, threshold reads the bound they
+// leave.
 type bounder interface {
 	// register integrates the tuple just appended to relation ri.
 	register(ri int)
@@ -502,20 +499,14 @@ func (e *Engine) step(ri int) error {
 		bStart = time.Now()
 	}
 	e.bound.register(ri)
-	updated := false
-	if p := e.opts.BoundPeriod; p <= 1 || e.pulls%int64(p) == 0 {
-		e.t = e.bound.threshold()
-		e.stats.BoundUpdates++
-		updated = true
-	}
+	e.t = e.bound.threshold()
+	e.stats.BoundUpdates++
 	if e.opts.CollectTimings {
 		e.stats.BoundTime += time.Since(bStart)
 	}
 	if tr := e.opts.Tracer; tr != nil {
 		tr.TracePull(ri, rs.depth(), time.Since(pStart))
-		if updated {
-			tr.TraceBound(e.stats.SumDepths, e.t)
-		}
+		tr.TraceBound(e.stats.SumDepths, e.t)
 	}
 	return nil
 }

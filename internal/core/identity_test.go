@@ -138,9 +138,6 @@ func identityCases(r *rand.Rand, trials int) []identityCase {
 				if r.Intn(3) == 0 {
 					opts.Epsilon = r.Float64() * 0.2
 				}
-				if r.Intn(3) == 0 {
-					opts.BoundPeriod = 1 + r.Intn(4)
-				}
 				if r.Intn(4) == 0 {
 					// A tight cap forces the DNF path through the same
 					// comparison.
@@ -164,8 +161,7 @@ func identityCases(r *rand.Rand, trials int) []identityCase {
 // TestQuickPruneByteIdentity: a batch run with score-floor pruning (the
 // default) is byte-identical — combinations, ranks, threshold, DNF flag,
 // and every schedule counter — to the unpruned run, across both access
-// kinds, all four bound/pull instantiations, tight caps, epsilon, and
-// bound periods.
+// kinds, all four bound/pull instantiations, tight caps and epsilon.
 func TestQuickPruneByteIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(417))
 	for ci, c := range identityCases(r, 20) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"time"
 
@@ -147,12 +148,10 @@ func (b *sessionBuffer) flushSlab() {
 		scores[o] = b.spillScores[i]
 		copy(ranks[o*n:(o+1)*n], b.spillRanks[i*n:(i+1)*n])
 	}
-	written, err := b.tier.flush(scores, ranks)
-	if err != nil {
+	if err := b.tier.flush(scores, ranks); err != nil {
 		b.err = err
 		return
 	}
-	b.stats.SpilledBytes += written
 	b.spillScores = b.spillScores[:0]
 	b.spillRanks = b.spillRanks[:0]
 }
@@ -367,6 +366,10 @@ func (b *sessionBuffer) refreshBoundary() {
 // been emitted yet (any of them may eventually surface), in compact
 // arena-backed rank form. Options.MaxBuffered bounds that retention — see
 // BufferPolicy for the prune/spill trade-off.
+//
+// A session ends in Close, whenever its consumer decides it is over; what
+// the session holds outside the heap — spill segments, the sources'
+// connections and traversal queues — is let go there and nowhere else.
 type Iterator struct {
 	e       *Engine
 	buf     *sessionBuffer
@@ -385,9 +388,12 @@ var ErrIteratorDone = errors.New("core: iterator exhausted")
 // results remain reachable through DrainBest.
 var ErrIteratorDNF = errors.New("core: iterator aborted by MaxSumDepths/MaxCombinations cap")
 
+// errIteratorClosed is what Next returns after Close.
+var errIteratorClosed = fmt.Errorf("core: iterator: %w", os.ErrClosed)
+
 // NewIterator builds a pipelined proximity rank join operator. Options.K
 // is ignored (results stream indefinitely); all other options behave as in
-// NewEngine.
+// NewEngine. The iterator owns the sources from here on: Close closes them.
 func NewIterator(sources []relation.Source, opts Options) (*Iterator, error) {
 	bufMax, policy := opts.MaxBuffered, opts.BufferPolicy
 	opts.K = 1 // engine validation only; the iterator manages its own buffer
@@ -401,7 +407,7 @@ func NewIterator(sources []relation.Source, opts Options) (*Iterator, error) {
 	}
 	it.buf.tracer = opts.Tracer
 	if bufMax > 0 && policy == BufferSpill && opts.SpillDir != "" {
-		tier, err := newSpillTier(opts.SpillDir, e.arena.n, opts.SpillMemBytes, opts.spillFault)
+		tier, err := newSpillTier(opts.SpillDir, e.arena.n, opts.SpillMemBytes, &e.stats, opts.spillFault)
 		if err != nil {
 			return nil, err
 		}
@@ -494,6 +500,26 @@ func (it *Iterator) DrainBest() (Combination, bool) {
 		return Combination{}, false
 	}
 	return it.emitBest(), true
+}
+
+// Close ends the session: it discards the spill tier's segments, then
+// closes every source that implements relation.Closer. Idempotent, and
+// clean after any terminal state, an I/O-poisoned one included. Afterwards
+// Next fails with an error wrapping os.ErrClosed and DrainBest yields
+// nothing; Stats, Threshold and Emitted keep their last values.
+func (it *Iterator) Close() {
+	if it.err == errIteratorClosed {
+		return
+	}
+	it.err, it.buf.err = errIteratorClosed, errIteratorClosed
+	if it.buf.tier != nil {
+		it.buf.tier.discard()
+	}
+	for _, rs := range it.e.rels {
+		if c, ok := rs.src.(relation.Closer); ok {
+			c.Close()
+		}
+	}
 }
 
 // Buffered returns the number of formed combinations awaiting emission.

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -40,14 +39,8 @@ var tierSeq atomic.Int64
 // spillTier is the file-backed tier of a session buffer's spill store.
 // It owns a set of segment files, each sorted internally, plus the read
 // cursors over them. Not safe for concurrent use — like the session
-// buffer it extends, it belongs to a single Iterator.
-// The tier must not reference the engine (directly or through &Stats,
-// which points into the engine allocation): the session buffer holds the
-// tier and the engine holds the buffer, so a back-pointer would close a
-// reference cycle through the finalizer target — and Go never runs
-// finalizers on objects inside such cycles, leaking every abandoned
-// session's segments until process exit. Byte accounting therefore lives
-// with the caller (flush returns the written size).
+// buffer it extends, it belongs to a single Iterator, whose Close is what
+// releases the segments of a session that stops before draining them.
 type spillTier struct {
 	dir       string
 	n         int // ranks per entry
@@ -55,6 +48,7 @@ type spillTier struct {
 	id        int64
 	seq       int
 	segs      []*spillSegment
+	stats     *Stats // SpilledBytes grows by every segment written
 	fault     func() error
 }
 
@@ -75,10 +69,8 @@ type spillSegment struct {
 func spillEntrySize(n int) int { return 8 + 4*n }
 
 // newSpillTier prepares a file-backed tier rooted at dir and sweeps
-// leftovers from dead processes. The finalizer covers sessions that are
-// abandoned without draining (Iterator has no Close); a drained tier has
-// already removed its files and the finalizer is a no-op.
-func newSpillTier(dir string, n, memBytes int, fault func() error) (*spillTier, error) {
+// leftovers from dead processes.
+func newSpillTier(dir string, n, memBytes int, stats *Stats, fault func() error) (*spillTier, error) {
 	if memBytes <= 0 {
 		memBytes = DefaultSpillMemBytes
 	}
@@ -90,9 +82,7 @@ func newSpillTier(dir string, n, memBytes int, fault func() error) (*spillTier, 
 	if w < 1 {
 		w = 1
 	}
-	t := &spillTier{dir: dir, n: n, watermark: w, id: tierSeq.Add(1), fault: fault}
-	runtime.SetFinalizer(t, func(t *spillTier) { t.discard() })
-	return t, nil
+	return &spillTier{dir: dir, n: n, watermark: w, id: tierSeq.Add(1), stats: stats, fault: fault}, nil
 }
 
 // sweepSpillDir removes spill segments left behind by processes that no
@@ -171,18 +161,19 @@ func verifySpillSegment(f *os.File) (n, count int, err error) {
 }
 
 // flush writes the slab (already sorted descending) as one segment file
-// and returns the bytes written. The file descriptor stays open: reads
-// go through the same fd, so an external unlink cannot hurt a live
-// session. On a write error (including an injected fault) the torn file
-// is left behind, exactly as a crash would leave it, and the error
-// poisons the session.
-func (t *spillTier) flush(scores []float64, ranks []int32) (int64, error) {
+// and counts its bytes. The file descriptor stays open: reads go through
+// the same fd, so an external unlink cannot hurt a live session. Any
+// failure poisons the session. A write the system refused (ENOSPC, EIO)
+// also unlinks what it left — this process is alive, so no sweep would
+// ever take the torn file — while an injected fault stands for the
+// process dying mid-segment and leaves it, exactly as a crash would.
+func (t *spillTier) flush(scores []float64, ranks []int32) error {
 	name := fmt.Sprintf("prox-%d-%d-%d.spill", os.Getpid(), t.id, t.seq)
 	t.seq++
 	path := filepath.Join(t.dir, name)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
-		return 0, fmt.Errorf("core: spill segment: %w", err)
+		return fmt.Errorf("core: spill segment: %w", err)
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
 	var hdr [spillHeaderSize]byte
@@ -191,15 +182,15 @@ func (t *spillTier) flush(scores []float64, ranks []int32) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(scores)))
 	crc := crc32.New(spillCRC)
 	var entry = make([]byte, spillEntrySize(t.n))
-	written := int64(0)
+	crashed := false
 	werr := func() error {
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
-		written += spillHeaderSize
 		for i, s := range scores {
 			if t.fault != nil {
 				if err := t.fault(); err != nil {
+					crashed = true
 					return err
 				}
 			}
@@ -211,25 +202,27 @@ func (t *spillTier) flush(scores []float64, ranks []int32) (int64, error) {
 			if _, err := w.Write(entry); err != nil {
 				return err
 			}
-			written += int64(len(entry))
 		}
 		var tail [4]byte
 		binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
 		if _, err := w.Write(tail[:]); err != nil {
 			return err
 		}
-		written += 4
 		return w.Flush()
 	}()
 	if werr != nil {
-		// Simulate the crash faithfully: push what the OS already has,
-		// close, and leave the partial file for the next sweep.
-		w.Flush()
+		if crashed {
+			w.Flush() // what the OS would already have had
+		}
 		f.Close()
-		return written, fmt.Errorf("core: spill segment %s: %w", name, werr)
+		if !crashed {
+			os.Remove(path)
+		}
+		return fmt.Errorf("core: spill segment %s: %w", name, werr)
 	}
 	t.segs = append(t.segs, &spillSegment{f: f, path: path, count: len(scores)})
-	return written, nil
+	t.stats.SpilledBytes += int64(spillHeaderSize + len(scores)*len(entry) + 4)
+	return nil
 }
 
 // pending is the number of unconsumed entries across all segments.
@@ -296,8 +289,7 @@ func (t *spillTier) compact() {
 	t.segs = live
 }
 
-// discard releases every segment; used when the session is dropped
-// without draining.
+// discard closes and unlinks every segment still held.
 func (t *spillTier) discard() {
 	for _, s := range t.segs {
 		s.f.Close()

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/relation"
 )
@@ -42,18 +41,18 @@ func validSpillSegment(path string) bool {
 // complete, and consumed segments are removed from disk.
 func TestSpillSegmentRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	tier, err := newSpillTier(dir, 2, 1, nil)
+	var stats Stats
+	tier, err := newSpillTier(dir, 2, 1, &stats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scores := []float64{0.9, 0.5, 0.5, 0.1}
 	ranks := []int32{0, 1, 2, 3, 2, 4, 5, 6}
-	written, err := tier.flush(scores, ranks)
-	if err != nil {
+	if err := tier.flush(scores, ranks); err != nil {
 		t.Fatal(err)
 	}
-	if written == 0 {
-		t.Fatal("no bytes accounted")
+	if want := int64(spillHeaderSize + 4*spillEntrySize(2) + 4); stats.SpilledBytes != want {
+		t.Fatalf("%d bytes accounted, segment is %d", stats.SpilledBytes, want)
 	}
 	if got := tier.pending(); got != 4 {
 		t.Fatalf("pending %d, want 4", got)
@@ -273,55 +272,101 @@ func TestSpillSweepSparesLiveFiles(t *testing.T) {
 	}
 }
 
-// TestSpillAbandonedSessionReleasesSegments pins the finalizer path: a
-// session dropped without draining must release its segment files at the
-// next collection, not at process exit. This regressed once when the
-// tier held a *Stats pointing into the engine allocation — the session
-// buffer holds the tier and the engine holds the buffer, so that
-// back-pointer closed a reference cycle through the finalizer target,
-// and Go never runs finalizers on objects inside such cycles.
-func TestSpillAbandonedSessionReleasesSegments(t *testing.T) {
+// spillFiles lists the segment files under dir.
+func spillFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.spill"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// TestSpillClosedSessionsLeaveNothing is the lifetime contract: a session
+// its consumer stops mid-enumeration, segments on disk, is over at Close —
+// the directory is empty the moment each of a thousand Closes returns, not
+// at some later collection, and no goroutine outlives them. A second Close
+// is a no-op, Next then fails with the one closed-session error, DrainBest
+// yields nothing, and the counters the service reads after a run stay
+// readable.
+func TestSpillClosedSessionsLeaveNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	in := randomInstance(r, 2, 14)
 	dir := t.TempDir()
-	glob := func() []string {
-		segs, err := filepath.Glob(filepath.Join(dir, "*.spill"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return segs
-	}
-
 	opts := spillingOptions(dir)
+	opts.SpillMemBytes = 8 * spillEntrySize(2) // a segment per 8 spilled, not per 1: creating files is the test's cost
 	opts.Query = in.q
 	opts.Agg = in.fn
-	spilled := func() bool {
+	baseline := runtime.NumGoroutine()
+	for session := 0; session < 1000; session++ {
 		it, err := NewIterator(in.sources(t, relation.ScoreAccess), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 1000; i++ {
+		for len(it.buf.tier.segs) == 0 {
 			if _, err := it.Next(); err != nil {
-				break
-			}
-			if len(glob()) > 0 {
-				return true // abandon mid-session with segments on disk
+				t.Skipf("instance too small to leave segments on disk: %v", err)
 			}
 		}
-		return false
-	}()
-	if !spilled {
-		t.Skip("instance too small to leave segments on disk")
+		if session == 0 && len(spillFiles(t, dir)) == 0 {
+			t.Fatal("a live segment is not a file under the spill directory")
+		}
+		emitted, stats, threshold := it.Emitted(), it.Stats(), it.Threshold()
+		it.Close()
+		if left := spillFiles(t, dir); len(left) != 0 {
+			t.Fatalf("session %d: Close left %d segment files", session, len(left))
+		}
+		it.Close()
+		for i := 0; i < 2; i++ {
+			if _, err := it.Next(); !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("session %d: Next after Close: %v", session, err)
+			}
+		}
+		if _, ok := it.DrainBest(); ok {
+			t.Fatalf("session %d: a closed session drains results", session)
+		}
+		if it.Emitted() != emitted || it.Threshold() != threshold || statsIdentical(it.Stats(), stats) != nil {
+			t.Fatalf("session %d: Close moved the session's counters", session)
+		}
 	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after the last Close, %d before the first session", n, baseline)
+	}
+}
 
-	// The finalizer needs one collection to queue and its own goroutine
-	// to run; poll a few cycles before declaring a leak.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(glob()) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned session leaked %d segment files", len(glob()))
+// TestSpillCloseAfterPoison: Close on a session an I/O failure already
+// poisoned returns cleanly, takes what the session still held, and leaves
+// exactly what the simulated crash left.
+func TestSpillCloseAfterPoison(t *testing.T) {
+	r := rand.New(rand.NewSource(4242))
+	in := randomInstance(r, 2, 14)
+	dir := t.TempDir()
+	opts := spillingOptions(dir)
+	opts.Query = in.q
+	opts.Agg = in.fn
+	flushes := 0
+	opts.spillFault = func() error {
+		if flushes++; flushes > 3 {
+			return errors.New("injected media failure")
 		}
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
+		return nil
+	}
+	it, err := NewIterator(in.sources(t, relation.ScoreAccess), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil {
+		_, err = it.Next()
+	}
+	if !strings.Contains(err.Error(), "injected media failure") {
+		t.Skipf("session ended before the fault: %v", err)
+	}
+	it.Close()
+	it.Close()
+	if left := spillFiles(t, dir); len(left) != 1 || validSpillSegment(left[0]) {
+		t.Fatalf("after Close: %v, want only the torn segment of the simulated crash", left)
+	}
+	if _, err := it.Next(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Next after Close of a poisoned session: %v", err)
 	}
 }

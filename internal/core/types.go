@@ -142,12 +142,6 @@ type Options struct {
 	// each pull, exactly as paper Algorithm 2; the default (false) uses a
 	// lazy max-heap that yields identical thresholds with fewer QP solves.
 	EagerBounds bool
-	// BoundPeriod recomputes the stopping threshold only every so many
-	// pulls (the "blocks of tuples" trade-off of paper §4.2). A stale
-	// threshold is still a correct upper bound, so correctness is
-	// unaffected; at most BoundPeriod−1 extra pulls may happen before the
-	// stopping condition is noticed. 0 or 1 means every pull.
-	BoundPeriod int
 	// Epsilon relaxes the stopping condition to kth-best ≥ t − Epsilon:
 	// the run may stop earlier, and every returned combination is
 	// guaranteed to score within Epsilon of any combination it displaced

@@ -1,4 +1,4 @@
-package linalg
+package qp
 
 import (
 	"math"

@@ -1,10 +1,10 @@
-// Package linalg implements small dense linear algebra: matrices, LU
-// factorization with partial pivoting, and the linear solves required by
-// the QP solver. The systems arising in
-// proximity rank join are tiny (at most n ≈ number of joined relations, or
-// d ≈ feature-space dimensionality), so clarity and numerical robustness
-// are favored over blocking or vectorization.
-package linalg
+package qp
+
+// Small dense linear algebra — matrices, LU factorization with partial
+// pivoting, linear solves — for SolveBounded, the active-set oracle that
+// Solve14 is checked against (bounded_test.go). Test-only: nothing that
+// ships solves a linear system. The systems are tiny, so clarity and
+// numerical robustness are favored over blocking or vectorization.
 
 import (
 	"errors"

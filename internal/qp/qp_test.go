@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/linalg"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -274,7 +272,7 @@ func TestSolveBoundedSimple(t *testing.T) {
 	// minimize (x−3)² + (y−1)² s.t. x ≥ 4, y free:
 	// ½xᵀQx + cᵀx with Q = 2I, c = (−6, −2).
 	p := &BoundedProblem{
-		Q:        linalg.Identity(2).ScaleInPlace(2),
+		Q:        Identity(2).ScaleInPlace(2),
 		C:        []float64{-6, -2},
 		Fixed:    []bool{false, false},
 		FixedVal: []float64{0, 0},
@@ -294,7 +292,7 @@ func TestSolveBoundedReleasesConstraint(t *testing.T) {
 	// minimize (x−3)² with x ≥ 1: the bound is initially active at the
 	// start point but must be released to reach x = 3.
 	p := &BoundedProblem{
-		Q:        linalg.Identity(1).ScaleInPlace(2),
+		Q:        Identity(1).ScaleInPlace(2),
 		C:        []float64{-6},
 		Fixed:    []bool{false},
 		FixedVal: []float64{0},
@@ -311,12 +309,12 @@ func TestSolveBoundedReleasesConstraint(t *testing.T) {
 }
 
 func TestSolveBoundedValidate(t *testing.T) {
-	p := &BoundedProblem{Q: linalg.NewMatrix(2, 2), C: []float64{1}}
+	p := &BoundedProblem{Q: NewMatrix(2, 2), C: []float64{1}}
 	if _, _, err := SolveBounded(p); err == nil {
 		t.Fatal("mismatched problem accepted")
 	}
 	bad := &BoundedProblem{
-		Q:        linalg.MatrixFromRows([][]float64{{1, 5}, {0, 1}}),
+		Q:        MatrixFromRows([][]float64{{1, 5}, {0, 1}}),
 		C:        []float64{0, 0},
 		Fixed:    make([]bool, 2),
 		FixedVal: make([]float64, 2),

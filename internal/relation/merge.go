@@ -231,6 +231,18 @@ func (m *MergedSource) Next() (Tuple, error) {
 	return m.heads[0].t, nil
 }
 
+// Close implements Closer: it closes every input that has a Close — opened,
+// latent or retired alike — and ends the merge, so later reads report
+// ErrExhausted.
+func (m *MergedSource) Close() {
+	for _, in := range m.inputs {
+		if c, ok := in.(Closer); ok {
+			c.Close()
+		}
+	}
+	m.heads, m.primed, m.pending = nil, len(m.inputs), false
+}
+
 // Kind implements Source.
 func (m *MergedSource) Kind() AccessKind { return m.kind }
 

@@ -155,6 +155,17 @@ type Source interface {
 	Relation() *Relation
 }
 
+// Closer is the one optional method of a Source: the end of its life.
+// Whoever owns a stream calls Close, if the source has one, when the
+// stream is over — an engine session at its own Close, a merge for its
+// inputs, a shard server for a connection's stream — and every wrapper
+// forwards it. What the source held outside the heap (a pooled
+// connection, a reusable traversal queue) is handed on. Close is
+// idempotent.
+type Closer interface {
+	Close()
+}
+
 // KeyedSource is the contract merged shard streams rely on: alongside
 // each tuple, the source reports the ascending sort key its order is
 // defined by (distance, or negated score for score access) and the
@@ -395,11 +406,10 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 	return s.cols.Tuple(int(h.idx)), h.dist, int(h.ord), nil
 }
 
-// Release ends the stream — every later read reports ErrExhausted — and
-// gives the traversal's queue to the next one opened. For an owner that
-// knows when a stream is over, as a shard server does for each
-// connection's; a stream that is merely dropped is collected as before.
-func (s *rtreeSource) Release() {
+// Close implements Closer: every later read reports ErrExhausted, and the
+// traversal's queue goes to the next one opened. A stream that is merely
+// dropped is collected as before.
+func (s *rtreeSource) Close() {
 	s.hasLook, s.pos = false, len(s.batch)
 	s.it.Release()
 }
@@ -432,6 +442,13 @@ func (f *FaultySource) Next() (Tuple, error) {
 	return t, err
 }
 
+// Close implements Closer by forwarding.
+func (f *FaultySource) Close() {
+	if c, ok := f.Inner.(Closer); ok {
+		c.Close()
+	}
+}
+
 // Kind implements Source.
 func (f *FaultySource) Kind() AccessKind { return f.Inner.Kind() }
 
@@ -452,6 +469,13 @@ func (c *CountingSource) Next() (Tuple, error) {
 		c.Reads++
 	}
 	return t, err
+}
+
+// Close implements Closer by forwarding.
+func (c *CountingSource) Close() {
+	if in, ok := c.Inner.(Closer); ok {
+		in.Close()
+	}
 }
 
 // Kind implements Source.

@@ -199,9 +199,9 @@ func TestReleasedRTreeStreamsRecycle(t *testing.T) {
 						return
 					}
 				}
-				got.(*rtreeSource).Release()
+				got.(*rtreeSource).Close()
 				if _, err := got.Next(); !errors.Is(err, ErrExhausted) {
-					t.Errorf("goroutine %d round %d: read after Release: %v", g, round, err)
+					t.Errorf("goroutine %d round %d: read after Close: %v", g, round, err)
 				}
 			}
 		}(g)

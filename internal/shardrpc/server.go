@@ -128,14 +128,14 @@ func (s *Server) Close() {
 func (s *Server) handle(conn net.Conn) {
 	var (
 		// stream is the connection's current shard stream (VerbNext target),
-		// released when it ends, is replaced, or the connection goes.
+		// closed when it ends, is replaced, or the connection goes.
 		stream relation.KeyedSource
 		// frame is the connection's row-frame buffer, reused by every
 		// pull/next it answers.
 		frame []byte
 	)
 	defer func() {
-		release(stream)
+		closeStream(stream)
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -156,13 +156,13 @@ func (s *Server) handle(conn net.Conn) {
 			h := s.backend.Hello()
 			resp.Hello = &h
 		case VerbPull:
-			release(stream)
+			closeStream(stream)
 			stream, err = s.backend.OpenShard(req.Relation, req.Shard, req.Access, req.Query)
 			if err == nil {
 				err = skip(stream, req.Offset)
 			}
 			if err != nil {
-				release(stream)
+				closeStream(stream)
 				stream = nil
 			}
 			rows = err == nil
@@ -178,7 +178,7 @@ func (s *Server) handle(conn net.Conn) {
 			var done bool
 			frame, done, err = appendRowFrame(frame, stream, batchSize(req.Batch))
 			if done || err != nil {
-				release(stream)
+				closeStream(stream)
 				stream = nil
 			}
 		}
@@ -196,11 +196,12 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// release tells a stream nothing more will be read from it, so that one
-// holding reusable scratch (an R-tree traversal's queue) can hand it on.
-func release(stream relation.KeyedSource) {
-	if r, ok := stream.(interface{ Release() }); ok {
-		r.Release()
+// closeStream ends a stream (nil when the connection has none) the way an
+// engine session ends its sources, so that one holding reusable scratch —
+// an R-tree traversal's queue — hands it on.
+func closeStream(stream relation.KeyedSource) {
+	if c, ok := stream.(relation.Closer); ok {
+		c.Close()
 	}
 }
 

@@ -137,11 +137,6 @@ type Options struct {
 	// then uses the corner bound, as the tight bound's closed-form
 	// geometry is Euclidean.
 	CosineProximity bool
-	// BoundPeriod recomputes the stopping threshold only every so many
-	// pulls — the "blocks of tuples" CPU/I/O trade-off of paper §4.2.
-	// Results are unchanged; at most BoundPeriod−1 extra tuples may be
-	// read. 0 or 1 recomputes on every pull.
-	BoundPeriod int
 	// Epsilon relaxes the stopping test: the run may finish earlier and
 	// every returned combination scores within Epsilon of any combination
 	// it displaced. 0 means exact top-K.
@@ -323,7 +318,6 @@ func (o Options) engineOptions(query Vector, fn agg.Function) core.Options {
 		Algorithm:       o.Algorithm,
 		Query:           query,
 		Agg:             fn,
-		BoundPeriod:     o.BoundPeriod,
 		Epsilon:         o.Epsilon,
 		MaxSumDepths:    o.MaxSumDepths,
 		MaxCombinations: o.MaxCombinations,

@@ -33,7 +33,6 @@ func OptionsFromRequest(req *api.Request, limits ...api.Limits) (Vector, Options
 	opts := Options{
 		K:               req.K,
 		Epsilon:         req.Epsilon,
-		BoundPeriod:     req.BoundPeriod,
 		MaxSumDepths:    req.MaxSumDepths,
 		MaxCombinations: req.MaxCombinations,
 	}
@@ -70,6 +69,11 @@ func OptionsFromRequest(req *api.Request, limits ...api.Limits) (Vector, Options
 // All batch entry points (TopK and friends) are reimplemented as a
 // session that is drained to K, so there is exactly one engine
 // invocation path.
+//
+// A session ends in Close — the consumer decides when — which lets go of
+// what it holds outside the heap: spill segment files, remote
+// connections, R-tree traversal queues. Run closes by itself; every other
+// way of consuming leaves the session open for more.
 //
 // A Query is single-goroutine; concurrent sessions over shared
 // relations or indexes are safe.
@@ -241,11 +245,13 @@ func (q *Query) Drain(ctx context.Context, emit func(Combination)) (dnf bool, er
 // Run drains the session to its initial K with batch semantics and
 // returns the familiar Result: a capped run comes back with DNF set and
 // the engine's best-effort combinations instead of an error, exactly as
-// the historical TopK did.
+// the historical TopK did. It ends the session (see RunContext).
 func (q *Query) Run() (Result, error) { return q.RunContext(context.Background()) }
 
-// RunContext is Run with cooperative cancellation.
+// RunContext is Run with cooperative cancellation. Run is the one-shot
+// form: it closes the session before returning, whatever the outcome.
 func (q *Query) RunContext(ctx context.Context) (Result, error) {
+	defer q.Close()
 	var res Result
 	var err error
 	res.DNF, err = q.Drain(ctx, func(c Combination) { res.Combinations = append(res.Combinations, c) })
@@ -271,6 +277,13 @@ func (q *Query) DrainBest(n int) []Combination {
 	}
 	return out
 }
+
+// Close ends the session: spill segments are removed and every source
+// with a Close method (the library's own R-tree and merged streams, remote
+// shard streams, a caller's) is closed. Idempotent. Afterwards Next fails
+// with an error wrapping os.ErrClosed; Stats, Threshold and Emitted stay
+// readable.
+func (q *Query) Close() { q.it.Close() }
 
 // Emitted returns the number of results delivered so far.
 func (q *Query) Emitted() int { return int(q.it.Emitted()) }

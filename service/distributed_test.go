@@ -262,7 +262,8 @@ func TestDistributedPruning(t *testing.T) {
 // stream (a fixed 512-row pull would ship each 400-row shard whole), and
 // a shard the bounds prune appears on neither side: it costs zero rows.
 // Both sides are read where operators read them — /v1/stats and
-// /metrics.
+// /metrics. The counts themselves are pinned: they are settled where the
+// session ends, and moving that must not move them.
 func TestDistributedOverFetchBounded(t *testing.T) {
 	f := newDistFixture(t, 2, 2400, 6, 2, proxrank.GridPartition)
 	ts := httptest.NewServer(f.node.Handler())
@@ -285,12 +286,12 @@ func TestDistributedOverFetchBounded(t *testing.T) {
 		return st
 	}
 	for _, tc := range []struct {
-		name       string
-		req        *QueryRequest
-		wantPruned bool
+		name                     string
+		req                      *QueryRequest
+		opened, pruned, consumed int64
 	}{
-		{"center", &QueryRequest{Query: []float64{0, 0}, Relations: f.names, K: 20}, false},
-		{"edge", &QueryRequest{Query: []float64{-2.5, -2.5}, Relations: f.names, K: 2}, true},
+		{"center", &QueryRequest{Query: []float64{0, 0}, Relations: f.names, K: 20}, 4, 8, 285},
+		{"edge", &QueryRequest{Query: []float64{-2.5, -2.5}, Relations: f.names, K: 2}, 2, 10, 28},
 	} {
 		before := read()
 		want, err := f.local.Execute(context.Background(), tc.req)
@@ -318,15 +319,22 @@ func TestDistributedOverFetchBounded(t *testing.T) {
 			t.Fatalf("%s: fetched %d rows for %d consumed over %d opened streams, over the 4×consumed + 16×opened bound",
 				tc.name, fetched, consumed, opened)
 		}
-		if tc.wantPruned && pruned == 0 {
-			t.Fatalf("%s: far-corner K=2 query pruned nothing", tc.name)
+		if opened != tc.opened || pruned != tc.pruned || consumed != tc.consumed {
+			t.Fatalf("%s: opened %d, pruned %d, consumed %d; recorded %d, %d, %d",
+				tc.name, opened, pruned, consumed, tc.opened, tc.pruned, tc.consumed)
 		}
 	}
 
 	body := getBody(t, ts.URL+"/metrics")
 	total := read()
-	if got := metricValue(t, body, "proxrank_remote_rows_consumed_total", ""); int64(got) != total.RemoteRowsConsumed {
-		t.Fatalf("proxrank_remote_rows_consumed_total = %v, /v1/stats says %d", got, total.RemoteRowsConsumed)
+	for name, want := range map[string]int64{
+		"proxrank_remote_rows_consumed_total":  total.RemoteRowsConsumed,
+		"proxrank_remote_streams_opened_total": total.RemoteStreamsOpened,
+		"proxrank_shards_pruned_total":         total.ShardsPruned,
+	} {
+		if got := metricValue(t, body, name, ""); int64(got) != want {
+			t.Fatalf("%s = %v, /v1/stats says %d", name, got, want)
+		}
 	}
 	var perPeer float64
 	for _, p := range f.fleet.Peers() {

@@ -263,7 +263,6 @@ func TestExecutorValidation(t *testing.T) {
 		{"negative timeout", func(r *QueryRequest) { r.TimeoutMillis = -5 }, CodeBadRequest},
 		{"negative maxSumDepths", func(r *QueryRequest) { r.MaxSumDepths = -100 }, CodeBadRequest},
 		{"negative maxCombinations", func(r *QueryRequest) { r.MaxCombinations = -1 }, CodeBadRequest},
-		{"negative boundPeriod", func(r *QueryRequest) { r.BoundPeriod = -2 }, CodeBadRequest},
 		{"dim mismatch", func(r *QueryRequest) { r.Query = []float64{1, 2, 3} }, CodeBadRequest},
 	}
 	for _, tc := range cases {

@@ -188,8 +188,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	// Unknown field → structured 400 naming it: a client typo, or a field
 	// that left the request model — "blockSize" (the engine's block width
 	// is a constant), "dominancePeriod" (the engine has no such test),
-	// "maxBuffered" (the server bounds every buffer to K).
-	for _, field := range []string{"kay", "blockSize", "dominancePeriod", "maxBuffered"} {
+	// "maxBuffered" (the server bounds every buffer to K), "boundPeriod"
+	// (the bound is read on every pull).
+	for _, field := range []string{"kay", "blockSize", "dominancePeriod", "maxBuffered", "boundPeriod"} {
 		r3, err := http.Post(srv.URL+"/v1/query", "application/json",
 			strings.NewReader(`{"query":[0,0],"relations":["A","B"],"k":1,"`+field+`":2}`))
 		if err != nil {

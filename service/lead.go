@@ -45,7 +45,7 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 		x.canceled.Add(1)
 		return nil, asAPIError(err)
 	}
-	q, missing, release, aerr := x.openSession(ctx, query, opts, entries, req.Partial != api.PartialForbid)
+	q, missing, endSession, aerr := x.openSession(ctx, query, opts, entries, req.Partial != api.PartialForbid)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -76,10 +76,12 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 				x.failed.Add(1)
 				ans.resp, err = nil, apiErrorf(CodeInternal, "query leader panicked: %v", r)
 			}
-			// Slot and sources go back before the flight settles: a batch
-			// caller returns the instant done closes, and InFlight and the
-			// pruning counters must already account for its query.
-			release()
+			// The session ends here, on every exit — q.Close, the pruning
+			// counters, the slot — and before the flight settles: a batch
+			// caller returns the instant done closes, and InFlight, the
+			// counters and the spill directory must already account for
+			// its query.
+			endSession()
 			engCancel()
 			x.flight.leave(c, ans, err)
 			topic.Close(err)

@@ -1,0 +1,147 @@
+package service
+
+import (
+	"context"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	proxrank "repro"
+	"repro/api"
+)
+
+// segmentWatch is a source that looks at the spill directory on every
+// pull and, once the session has segment files there, runs then — the
+// point at which each case of TestSessionEndLeavesNoSegments ends its run.
+type segmentWatch struct {
+	proxrank.Source
+	dir  string
+	seen *atomic.Bool
+	then func()
+}
+
+func (s segmentWatch) Next() (proxrank.Tuple, error) {
+	if segs, _ := filepath.Glob(filepath.Join(s.dir, "*.spill")); len(segs) > 0 {
+		s.seen.Store(true)
+		if s.then != nil {
+			s.then()
+		}
+	}
+	return s.Source.Next()
+}
+
+// TestSessionEndLeavesNoSegments: every way a run ends goes through the
+// one end of its session (lead → q.Close), so a spill-policy query — which
+// stops at K with segments still on disk by construction — leaves the
+// spill directory empty the moment its slot comes back: for a batch caller
+// that is the moment Execute returns; a stream caller that walked away or
+// was dropped can return before its run notices, so those cases wait for
+// the slot. Nothing here collects garbage or sleeps for a finalizer.
+func TestSessionEndLeavesNoSegments(t *testing.T) {
+	cat := NewCatalog()
+	for i, name := range []string{"A", "B"} {
+		if err := cat.Register(name, testRelation(t, name, int64(51+i), 500, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	request := func(k int) *QueryRequest {
+		return &QueryRequest{Query: []float64{0, 0}, Relations: []string{"A", "B"}, K: k, BufferPolicy: api.BufferSpill}
+	}
+	discard := func(api.ResultEvent) error { return nil }
+
+	for _, tc := range []struct {
+		name string
+		req  *QueryRequest
+		// then runs inside the engine once segments are on disk; call runs
+		// the query and returns its error.
+		then func(cancel context.CancelFunc)
+		call func(ctx context.Context, x *Executor, req *QueryRequest, idle func()) error
+		want ErrorCode
+	}{
+		{name: "complete", req: request(3)},
+		{name: "DNF cap", req: func() *QueryRequest { r := request(3); r.MaxSumDepths = 60; return r }()},
+		{
+			name: "deadline", req: func() *QueryRequest { r := request(3); r.TimeoutMillis = 20; return r }(),
+			then: func(context.CancelFunc) { time.Sleep(40 * time.Millisecond) },
+			want: CodeTimeout,
+		},
+		{
+			name: "cancelled private stream", req: request(3),
+			then: func(cancel context.CancelFunc) { cancel() },
+			call: func(ctx context.Context, x *Executor, req *QueryRequest, idle func()) error {
+				err := x.ExecuteStream(ctx, req, discard)
+				idle()
+				return err
+			},
+			want: CodeCanceled,
+		},
+		{
+			name: "dropped slow subscriber", req: func() *QueryRequest { r := request(8); r.Overflow = api.OverflowDrop; return r }(),
+			call: func(ctx context.Context, x *Executor, req *QueryRequest, idle func()) error {
+				// The sink sits on the first event until the run is over:
+				// the engine drops it and finishes without it.
+				stalled := false
+				return x.ExecuteStream(ctx, req, func(api.ResultEvent) error {
+					if !stalled {
+						stalled = true
+						idle()
+					}
+					return nil
+				})
+			},
+			want: CodeOverloaded,
+		},
+		{
+			name: "engine panic", req: request(3),
+			then: func(context.CancelFunc) { panic("source exploded") },
+			want: CodeInternal,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			x := NewExecutor(cat, Config{Workers: 2, CacheSize: -1, SpillDir: dir, SpillMemBytes: 64, StreamBuffer: 1})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var seen atomic.Bool
+			var then func()
+			if tc.then != nil {
+				then = func() { tc.then(cancel) }
+			}
+			x.wrapSource = func(s proxrank.Source) proxrank.Source {
+				return segmentWatch{Source: s, dir: dir, seen: &seen, then: then}
+			}
+			empty := func(when string) {
+				t.Helper()
+				if segs, _ := filepath.Glob(filepath.Join(dir, "*.spill")); len(segs) != 0 {
+					t.Fatalf("%d segment files %s", len(segs), when)
+				}
+			}
+			idle := func() {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); x.Stats().InFlight != 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the run never handed its slot back")
+					}
+				}
+				empty("when the slot came back")
+			}
+			var err error
+			if tc.call != nil {
+				err = tc.call(ctx, x, tc.req, idle)
+			} else {
+				_, err = x.Execute(ctx, tc.req)
+				if n := x.Stats().InFlight; n != 0 {
+					t.Fatalf("Execute returned with %d runs in flight", n)
+				}
+			}
+			empty("when the call returned")
+			if codeOf(err) != tc.want {
+				t.Fatalf("error %v, want code %q", err, tc.want)
+			}
+			if !seen.Load() {
+				t.Fatal("the run never had a segment on disk: the case checks nothing")
+			}
+		})
+	}
+}

@@ -12,8 +12,10 @@ import (
 // openSession is the setup half of an engine run: claim a worker slot,
 // open the per-relation sources, and build the bounded query session. On
 // error the slot is already released and the failure counters recorded;
-// on success the caller owns release, which settles the sources'
-// accounting before handing the slot back.
+// on success the caller owns done, the end of the session: close the
+// query — which closes every source, returning remote connections and
+// traversal queues, and removes its spill segments — then settle the
+// remote sources' accounting, then hand the slot back.
 //
 // The session buffer is bounded to K — a query delivers at most K
 // results (certified prefix plus DNF drain) — so peak memory is O(K).
@@ -28,20 +30,21 @@ func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts 
 			release()
 		}
 	}()
-	sources, missing, cleanup, aerr := x.buildSources(ctx, opts, query, entries, partial)
+	sources, missing, settle, aerr := x.buildSources(ctx, opts, query, entries, partial)
 	if aerr != nil {
 		x.failed.Add(1)
 		return nil, nil, nil, aerr
 	}
 	q, err := proxrank.NewQuerySources(query, sources, opts.BoundedToK())
 	if err != nil {
-		cleanup()
+		settle() // nothing to close: no source has been read yet
 		x.failed.Add(1)
 		return nil, nil, nil, asAPIError(err)
 	}
 	opened = true
 	done := func() {
-		cleanup()
+		q.Close()
+		settle()
 		release()
 	}
 	return q, missing, done, nil
@@ -89,7 +92,7 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 		}
 		return out
 	}
-	cleanup := func() {
+	settle := func() {
 		var opened, pruned, consumed int64
 		for _, rs := range remotes {
 			if rs.Opened() {
@@ -98,7 +101,6 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 				pruned++
 			}
 			consumed += int64(rs.Consumed())
-			rs.Close()
 		}
 		x.remoteOpened.Add(opened)
 		x.shardsPruned.Add(pruned)
@@ -106,7 +108,7 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 	}
 
 	fail := func(err error) ([]proxrank.Source, func() []api.MissingShard, func(), *APIError) {
-		cleanup()
+		settle()
 		return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
 	}
 	sources := make([]proxrank.Source, len(entries))
@@ -140,5 +142,5 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 		}
 		sources[i] = src
 	}
-	return sources, missing, cleanup, nil
+	return sources, missing, settle, nil
 }
