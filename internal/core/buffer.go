@@ -75,11 +75,44 @@ func (t *topK) sorted() []Combination {
 // batch refTopK or the iterator's session buffer. offer receives the
 // aggregate score and the scratch rank vector (copied only if the
 // combination is retained); floor exposes the score below which an
-// incoming combination is certain to be rejected, which enumerate uses to
-// prune cross-product subtrees before they are materialized.
+// incoming combination is certain not to be retained in ranked form, which
+// enumerate uses to cut cross-product subtrees before they are
+// materialized. What becomes of
+// a cut is the engine's cuts store: dropped without one, a deferredCut
+// with one.
 type refSink interface {
 	offer(score float64, ranks []int32)
 	floor() (float64, bool)
+}
+
+// deferredCut is one subtree Engine.candidates cut below the floor of a
+// BufferSpill session, kept as a record instead of dropped. Its members
+// are the ranks below the recorded depth of the cut level that fail the
+// cut test partial + solo[r] + sufB ≥ bar, crossed with every inner
+// level's prefix as deep as it was at cut time, under the fixed ranks of
+// the outer levels and the pulled slot. Replaying the test with the same
+// operands recomputes the tail bit for bit, so nothing is enumerated until
+// Engine.expandCut. By pruneSlack's argument every member scores strictly
+// below key, the floor the cut was made against.
+type deferredCut struct {
+	key, partial, sufB, bar float64
+	level, skip             int32
+	slot                    int32 // cutHeap.arena: n fixed ranks, then n prefix depths
+}
+
+// cutHeap holds a spill session's deferred cuts, best key first.
+type cutHeap struct {
+	arena *combArena // 2n int32 per record
+	heap  *pqueue.Heap[deferredCut]
+	scr   []int32 // one record's payload while it is being filled
+}
+
+func newCutHeap(n int) *cutHeap {
+	return &cutHeap{
+		arena: newCombArena(2 * n),
+		heap:  pqueue.New(func(a, b deferredCut) bool { return a.key > b.key }),
+		scr:   make([]int32, 2*n),
+	}
 }
 
 // refTopK is the arena-backed output buffer O of Algorithm 1: it retains

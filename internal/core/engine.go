@@ -131,6 +131,12 @@ type Engine struct {
 	prune     bool
 	blockSize int
 	lastVar   int // innermost non-pulled level of the current formation
+	// cuts, non-nil in a bounded BufferSpill session, keeps every subtree
+	// candidates cuts as a deferredCut; without it a cut is dropped. exp is
+	// the record expandCut is re-forming while expanding is set.
+	cuts      *cutHeap
+	exp       deferredCut
+	expanding bool
 	// Formation scratch, reused across every formCombinations call.
 	scrRanks  []int32
 	scrSigmas []float64
@@ -512,12 +518,12 @@ func (e *Engine) step(ri int) error {
 }
 
 // formCombinations enumerates P_1 × … × {τ} × … × P_n and offers each
-// member to the output buffer (Algorithm 1 lines 6-7). Subtrees whose best
-// possible completion (by the aggregation's SoloBound) cannot beat the
-// sink's score floor are cut before materialization; the skipped members
-// still count into Stats.CombinationsFormed (and CombinationsPruned), so
-// the paper's cost metric and the MaxCombinations cap semantics are
-// unchanged by pruning.
+// member to the output buffer (Algorithm 1 lines 6-7). The whole product
+// counts into Stats.CombinationsFormed up front, so the paper's cost
+// metric and the MaxCombinations cap semantics are unchanged by pruning:
+// subtrees whose best possible completion (by the aggregation's
+// SoloBound) cannot beat the sink's score floor are cut before
+// materialization and tallied again in CombinationsPruned.
 func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo, qt float64) {
 	for _, rs := range e.rels {
 		if rs.index != ri && rs.depth() == 0 {
@@ -531,40 +537,56 @@ func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo, qt float64) 
 	e.scrXs[ri] = tup.Vec
 	if e.blockSize > 0 {
 		e.scrQterms[ri] = qt
-		// The innermost level that varies (the pulled slot never does) is
-		// where the batched kernel takes over from the recursion.
-		last := e.n - 1
-		if last == ri {
-			last--
-		}
-		e.lastVar = last
 	}
-	if e.prune {
-		// Suffix tables over the remaining levels: the best additional solo
-		// mass and the number of leaves below each level. pruneMag collects
-		// the largest term magnitude any partial sum can contain, which
-		// sets the scale of its floating-point error (see pruneSlack).
-		var sb float64
-		sc := int64(1)
-		mag := math.Abs(solo)
-		e.sufBound[e.n] = 0
-		e.sufCount[e.n] = 1
-		for i := e.n - 1; i >= 0; i-- {
-			if i != ri {
+	e.setLastVar(ri)
+	// Suffix tables over the remaining levels: the best additional solo
+	// mass and the number of leaves below each level. pruneMag collects the
+	// largest term magnitude any partial sum can contain, which sets the
+	// scale of its floating-point error (see pruneSlack).
+	var sb float64
+	sc := int64(1)
+	mag := math.Abs(solo)
+	e.sufBound[e.n] = 0
+	e.sufCount[e.n] = 1
+	for i := e.n - 1; i >= 0; i-- {
+		if i != ri {
+			// Saturate: wide joins over deep prefixes can push the leaf
+			// count past int64 (pruning is what makes that regime reachable
+			// at all), and a wrapped count would corrupt CombinationsFormed
+			// and defeat the MaxCombinations cap.
+			sc = satMul(sc, int64(e.rels[i].depth()))
+			if e.prune {
 				sb += e.rels[i].soloMax
-				// Saturate: wide joins over deep prefixes can push the
-				// leaf count past int64 (pruning is what makes that regime
-				// reachable at all), and a wrapped count would corrupt
-				// CombinationsFormed and defeat the MaxCombinations cap.
-				sc = satMul(sc, int64(e.rels[i].depth()))
 				mag += e.rels[i].soloAbsMax
 			}
-			e.sufBound[i] = sb
-			e.sufCount[i] = sc
 		}
-		e.pruneMag = mag
+		e.sufBound[i] = sb
+		e.sufCount[i] = sc
 	}
+	e.pruneMag = mag
+	e.stats.CombinationsFormed = satAdd(e.stats.CombinationsFormed, sc)
 	e.enumerate(0, ri, solo)
+}
+
+// setLastVar records the innermost level that varies when ri is the
+// pulled slot (which never does): where the batched kernel takes over from
+// the recursion.
+func (e *Engine) setLastVar(ri int) {
+	e.lastVar = e.n - 1
+	if e.lastVar == ri {
+		e.lastVar--
+	}
+}
+
+// place fixes level i of the formation scratch to rank r.
+func (e *Engine) place(i int, r int32) {
+	rs := e.rels[i]
+	e.scrRanks[i] = r
+	e.scrSigmas[i] = rs.tuples[r].Score
+	e.scrXs[i] = rs.tuples[r].Vec
+	if e.blockSize > 0 {
+		e.scrQterms[i] = rs.qterm[r]
+	}
 }
 
 // satAdd adds counter deltas with saturation at MaxInt64, matching the
@@ -607,10 +629,16 @@ func pruneSlack(floor, mag float64) float64 {
 // float addition is monotone, so walking bySolo (descending solo) and
 // stopping at the first failure finds exactly the set a scan of the prefix
 // would, at the cost of the survivors instead of the depth. Everything
-// behind the stop is charged to CombinationsFormed and CombinationsPruned
-// in one step. The floor is read once per call: offers made while the
-// returned list is being consumed do not refresh it.
-func (e *Engine) candidates(i int, partial float64) []int32 {
+// behind the stop is the cut: charged to CombinationsPruned in one step,
+// then dropped, or kept as one deferredCut when the engine has a cuts
+// store. This is the only place a tail is cut. The floor is read once per
+// call: offers made while the returned list is being consumed do not
+// refresh it. While expandCut replays a record, the list is the record's
+// instead (see expansion).
+func (e *Engine) candidates(i, skip int, partial float64) []int32 {
+	if e.expanding {
+		return e.expansion(i, partial)
+	}
 	rs := e.rels[i]
 	out := e.scrCands[i][:0]
 	floor, pruned := negInf, false
@@ -626,9 +654,12 @@ func (e *Engine) candidates(i int, partial float64) []int32 {
 			}
 			out = append(out, r)
 		}
-		cut := satMul(int64(len(rs.bySolo)-len(out)), e.sufCount[i+1])
-		e.stats.CombinationsFormed = satAdd(e.stats.CombinationsFormed, cut)
-		e.stats.CombinationsPruned = satAdd(e.stats.CombinationsPruned, cut)
+		if cut := len(rs.bySolo) - len(out); cut > 0 {
+			e.stats.CombinationsPruned = satAdd(e.stats.CombinationsPruned, satMul(int64(cut), e.sufCount[i+1]))
+			if e.cuts != nil {
+				e.deferCut(deferredCut{key: floor, partial: partial, sufB: sufB, bar: bar, level: int32(i), skip: int32(skip)})
+			}
+		}
 		slices.Sort(out)
 	} else {
 		for r := range rs.tuples {
@@ -639,11 +670,57 @@ func (e *Engine) candidates(i int, partial float64) []int32 {
 	return out
 }
 
+// deferCut stores c with its payload: the fixed ranks of the outer levels
+// and the pulled slot, and the prefix depths of the cut level and every
+// level inside it. O(n), nothing enumerated.
+func (e *Engine) deferCut(c deferredCut) {
+	p := e.cuts.scr
+	copy(p, e.scrRanks)
+	for j := int(c.level); j < e.n; j++ {
+		p[e.n+j] = int32(e.rels[j].depth())
+	}
+	c.slot = e.cuts.arena.alloc(p)
+	e.cuts.heap.Push(c)
+}
+
+// expandCut re-forms a deferred record's members through the formation
+// path — the same fixed slots, the same block level, so the same scores
+// bit for bit — and offers each to the sink. The members were counted in
+// CombinationsFormed when the record was cut, so nothing is counted here.
+func (e *Engine) expandCut(c deferredCut) {
+	p := e.cuts.arena.ranksAt(c.slot)
+	for j := 0; j < int(c.level); j++ {
+		e.place(j, p[j])
+	}
+	e.place(int(c.skip), p[c.skip])
+	e.setLastVar(int(c.skip))
+	e.exp, e.expanding = c, true
+	e.enumerate(int(c.level), int(c.skip), c.partial)
+	e.expanding = false
+	e.cuts.arena.release(c.slot)
+}
+
+// expansion is candidates while e.exp is being re-formed: at the cut level
+// the ranks below the recorded depth that fail the recorded test — the
+// cut, recomputed from the same operands — and at every inner level its
+// whole prefix as deep as it was at cut time.
+func (e *Engine) expansion(i int, partial float64) []int32 {
+	c, rs := &e.exp, e.rels[i]
+	depth := e.cuts.arena.ranksAt(c.slot)[e.n+i]
+	out := e.scrCands[i][:0]
+	for r := int32(0); r < depth; r++ {
+		if i != int(c.level) || partial+rs.solo[r]+c.sufB < c.bar {
+			out = append(out, r)
+		}
+	}
+	e.scrCands[i] = out
+	return out
+}
+
 // enumerate recurses over relation levels, carrying the partial solo sum
 // of the chosen tuples (meaningful only when e.prune).
 func (e *Engine) enumerate(i, skip int, partial float64) {
 	if i == e.n {
-		e.stats.CombinationsFormed++
 		e.sink.offer(e.opts.Agg.ScoreScratch(e.q, e.scrSigmas, e.scrXs, e.scrMu), e.scrRanks)
 		return
 	}
@@ -652,18 +729,13 @@ func (e *Engine) enumerate(i, skip int, partial float64) {
 		return
 	}
 	rs := e.rels[i]
-	cands := e.candidates(i, partial)
+	cands := e.candidates(i, skip, partial)
 	if e.blockSize > 0 && i == e.lastVar {
 		e.scoreBlocks(i, cands)
 		return
 	}
 	for _, r := range cands {
-		e.scrRanks[i] = r
-		e.scrSigmas[i] = rs.tuples[r].Score
-		e.scrXs[i] = rs.tuples[r].Vec
-		if e.blockSize > 0 {
-			e.scrQterms[i] = rs.qterm[r]
-		}
+		e.place(i, r)
 		next := partial
 		if e.prune {
 			next += rs.solo[r]
@@ -674,8 +746,8 @@ func (e *Engine) enumerate(i, skip int, partial float64) {
 
 // scoreBlocks replaces the innermost varying level of the recursion with
 // batched kernel calls: the level's candidates are scored blockSize at a
-// time and offered in rank order. Same offers, same stats, same bits as
-// the scalar level.
+// time and offered in rank order. Same offers, same bits as the scalar
+// level.
 func (e *Engine) scoreBlocks(i int, cands []int32) {
 	rs := e.rels[i]
 	for start := 0; start < len(cands); start += e.blockSize {
@@ -691,7 +763,6 @@ func (e *Engine) scoreBlocks(i int, cands []int32) {
 		}
 		e.opts.Agg.ScoreBlock(e.q, e.scrQterms, e.scrXs, i, e.blkQ[:w], e.blkXs[:w], &e.blkScr, e.blkOut[:w])
 		for j, r := range chunk {
-			e.stats.CombinationsFormed++
 			e.scrRanks[i] = r
 			e.sink.offer(e.blkOut[j], e.scrRanks)
 		}

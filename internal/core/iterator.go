@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/agg"
@@ -16,35 +16,48 @@ import (
 
 // sessionBuffer holds a session's formed-but-unemitted combinations in
 // arena-backed rank form. Unbounded by default, it supports a cap
-// (Options.MaxBuffered) with two overflow policies:
+// (Options.MaxBuffered). A consumer taking at most MaxBuffered results has
+// MaxBuffered − emitted left to take, so under either policy the ranked
+// heap retains that many (keep, at least one): the buffer stays full
+// across emissions and its worst entry is a score floor for the whole
+// run, below which formation cuts subtrees before materializing them
+// (refSink.floor, Engine.candidates). The two policies differ only in
+// what becomes of what the heap does not keep:
 //
-//   - BufferPrune: combinations below the buffer's score floor (the worst
-//     retained entry) are rejected — and, through refSink.floor, never even
-//     materialized by the enumeration. Exact for consumers taking at most
-//     MaxBuffered results; O(MaxBuffered) memory. Such a consumer has
-//     MaxBuffered − emitted results left to take, so that is all the buffer
-//     retains (keep): the best MaxBuffered − emitted, at least one. The
-//     buffer therefore stays full across emissions and the floor stays on
-//     for the whole run; emitted + drained ≤ MaxBuffered until a session
-//     is driven past MaxBuffered, where results may be skipped.
-//   - BufferSpill: overflow moves to a flat columnar spill slab (score +
-//     ranks, no heap structure, no per-entry allocation) and is revived in
-//     sorted batches once the ranked heap drains. Exact for open
-//     enumeration; the heap and arena stay O(MaxBuffered).
+//   - BufferPrune drops it: a cut subtree, and an offer the full heap
+//     rejects. Exact for consumers taking at most MaxBuffered results;
+//     O(MaxBuffered) memory; a session driven past MaxBuffered may skip
+//     results.
+//   - BufferSpill keeps it: an eviction moves to a flat columnar spill
+//     slab (score + ranks, no heap structure, no per-entry allocation),
+//     revived in sorted batches once the ranked heap drains (each revival
+//     opens a fresh window: keep is MaxBuffered again), and a cut subtree
+//     becomes one deferredCut, expanded only when emission reaches its
+//     key. Exact for open enumeration; the heap and arena stay
+//     O(MaxBuffered). A K-bounded consumer never drains the heap before
+//     its last result, so it never reaches a key or revives: it pays what
+//     the prune twin pays plus its evictions.
 //
 // The ranked heap is a min-max heap: emission pops the best while the cap
-// evicts the worst. Spill invariant: every heap entry is strictly better
-// (score, then lexicographic ranks) than the boundary — the best spilled
-// entry — so the heap maximum is always the global best and emission
-// order matches the unbounded buffer exactly.
+// evicts the worst, and it evolves identically under both policies until
+// the heap first drains. Spill invariant: every heap entry is strictly
+// better (score, then lexicographic ranks) than the boundary — the best
+// spilled entry — and nothing is handed out while a deferred record's key
+// exceeds it, so what peekBest returns is always the global best and
+// emission order matches the unbounded buffer exactly.
 type sessionBuffer struct {
 	arena  *combArena
 	max    int
-	keep   int // BufferPrune retention: max less the pops so far, at least 1
+	keep   int // retention: max less the pops since the heap last filled, at least 1
 	policy BufferPolicy
 	heap   *pqueue.MinMax[combRef] // min = worst, max = best
 	stats  *Stats
 	tracer Tracer // nil unless the run is traced
+
+	// cuts holds a spill session's deferred records (nil otherwise), each
+	// re-formed and offered back by expand (Engine.expandCut).
+	cuts   *cutHeap
+	expand func(deferredCut)
 
 	spillScores []float64
 	spillRanks  []int32 // entry i occupies [i*n : (i+1)*n]
@@ -119,18 +132,21 @@ func (b *sessionBuffer) spillAppend(score float64, ranks []int32) {
 
 // sortedSpillIndex returns slab indices in the canonical spill order:
 // score descending, ties by ascending lexicographic ranks — the exact
-// order revive emits and segment files are written in.
-func sortedSpillIndex(scores []float64, ranks []int32, n int) []int {
-	idx := make([]int, len(scores))
+// order revive emits and segment files are written in. (score, ranks) keys
+// are unique, so any correct sort yields this one order.
+func sortedSpillIndex(scores []float64, ranks []int32, n int) []int32 {
+	idx := make([]int32, len(scores))
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
-	sort.Slice(idx, func(x, y int) bool {
-		ix, iy := idx[x], idx[y]
-		if scores[ix] != scores[iy] {
-			return scores[ix] > scores[iy]
+	slices.SortFunc(idx, func(x, y int32) int {
+		switch sx, sy := scores[x], scores[y]; {
+		case sx > sy:
+			return -1
+		case sx < sy:
+			return 1
 		}
-		return lexLess32(ranks[ix*n:(ix+1)*n], ranks[iy*n:(iy+1)*n])
+		return slices.Compare(ranks[int(x)*n:(int(x)+1)*n], ranks[int(y)*n:(int(y)+1)*n])
 	})
 	return idx
 }
@@ -146,7 +162,7 @@ func (b *sessionBuffer) flushSlab() {
 	ranks := make([]int32, m*n)
 	for o, i := range idx {
 		scores[o] = b.spillScores[i]
-		copy(ranks[o*n:(o+1)*n], b.spillRanks[i*n:(i+1)*n])
+		copy(ranks[o*n:(o+1)*n], b.slabRanks(i))
 	}
 	if err := b.tier.flush(scores, ranks); err != nil {
 		b.err = err
@@ -156,7 +172,15 @@ func (b *sessionBuffer) flushSlab() {
 	b.spillRanks = b.spillRanks[:0]
 }
 
-// offer implements refSink.
+// slabRanks returns the ranks of slab entry i.
+func (b *sessionBuffer) slabRanks(i int32) []int32 {
+	n := b.arena.n
+	return b.spillRanks[int(i)*n : (int(i)+1)*n]
+}
+
+// offer implements refSink. A bounded heap keeps the best keep offers
+// under either policy; what it does not keep is spilled under the spill
+// policy and dropped under the prune policy.
 func (b *sessionBuffer) offer(score float64, ranks []int32) {
 	if b.max <= 0 {
 		b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
@@ -171,7 +195,7 @@ func (b *sessionBuffer) offer(score float64, ranks []int32) {
 			return
 		}
 		b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
-		if b.heap.Len() > b.max {
+		if b.heap.Len() > b.keep {
 			ev, _ := b.heap.PopMin()
 			evRanks := b.arena.ranksAt(ev.slot)
 			b.spillAppend(ev.score, evRanks)
@@ -194,36 +218,71 @@ func (b *sessionBuffer) offer(score float64, ranks []int32) {
 	}
 }
 
-// floor implements refSink: under the prune policy a full buffer (keep
-// entries) rejects everything below its worst retained entry, so the
-// enumeration can cut those subtrees pre-materialization. The spill policy
-// retains everything and exposes no floor.
+// floor implements refSink: a full buffer (keep entries) keeps nothing
+// below its worst retained entry, so the enumeration can cut those
+// subtrees pre-materialization.
 func (b *sessionBuffer) floor() (float64, bool) {
-	if b.max > 0 && b.policy == BufferPrune && b.heap.Len() == b.keep {
+	if b.max > 0 && b.heap.Len() == b.keep {
 		worst, _ := b.heap.PeekMin()
 		return worst.score, true
 	}
 	return negInf, false
 }
 
-// peekBest returns the best retained combination, reviving spilled
-// entries when the ranked heap has drained.
+// topCut returns the best deferred record's key.
+func (b *sessionBuffer) topCut() (float64, bool) {
+	if b.cuts == nil {
+		return 0, false
+	}
+	c, ok := b.cuts.heap.Peek()
+	return c.key, ok
+}
+
+// cutFirst reports whether the best deferred record must be expanded
+// before anything else is handed out: its key exceeds the heap maximum
+// (best, when ok), or — the heap drained — the best spilled entry, or
+// nothing else is left. A key equal to a score is not enough, since every
+// member scores strictly below its key.
+func (b *sessionBuffer) cutFirst(best combRef, ok bool) bool {
+	key, has := b.topCut()
+	switch {
+	case !has:
+		return false
+	case ok:
+		return key > best.score
+	case b.hasBoundary:
+		return key > b.boundScore
+	}
+	return true
+}
+
+// peekBest returns the best retained combination: deferred records whose
+// key exceeds it are expanded first, and spilled entries are revived when
+// the ranked heap has drained.
 func (b *sessionBuffer) peekBest() (combRef, bool) {
-	if b.heap.Len() == 0 {
-		b.revive()
+	for b.err == nil {
+		best, ok := b.heap.PeekMax()
+		switch {
+		case b.cutFirst(best, ok):
+			c, _ := b.cuts.heap.Pop()
+			b.expand(c)
+		case !ok && b.spillCount() > 0:
+			b.revive()
+		default:
+			return best, ok
+		}
 	}
 	return b.heap.PeekMax()
 }
 
 // popBest removes and returns the best retained combination. The caller
 // owns the ref's arena slot and must release it after materializing.
-// Under the prune policy each pop is one result fewer the consumer can
-// still take, so the retention shrinks with it (never below one: a session
-// driven past MaxBuffered keeps running in the may-skip-results regime).
+// Each pop is one result fewer the consumer can still take, so the
+// retention shrinks with it (never below one: a prune session driven past
+// MaxBuffered keeps running with a one-entry heap, a spill session until
+// its next revival).
 func (b *sessionBuffer) popBest() (combRef, bool) {
-	if b.heap.Len() == 0 {
-		b.revive()
-	}
+	b.peekBest()
 	ref, ok := b.heap.PopMax()
 	if ok && b.keep > 1 {
 		b.keep--
@@ -233,8 +292,12 @@ func (b *sessionBuffer) popBest() (combRef, bool) {
 
 // revive moves the best spilled entries back into the ranked heap (at
 // most max of them), keeping the rest — in the slab and in any spill
-// segments — in sorted order behind a refreshed boundary. With a file
-// tier this is a k-way selection over the sorted slab and the sorted
+// segments — in sorted order behind a refreshed boundary. The refilled
+// heap opens a fresh window (keep = max), so the floor is back on once it
+// is full. A deferred record ranks like a spilled entry at its key:
+// peekBest expands it instead of reviving when its key exceeds the best
+// spilled entry, and before handing out a revived entry below it. With a
+// file tier this is a k-way selection over the sorted slab and the sorted
 // segment streams; (score, ranks) keys are unique, so the merge emits
 // exactly the order a global in-memory sort would.
 func (b *sessionBuffer) revive() {
@@ -272,16 +335,17 @@ func (b *sessionBuffer) revive() {
 		b.tier.compact()
 	} else {
 		for _, i := range idx[:take] {
-			b.heap.Push(combRef{slot: b.arena.alloc(b.spillRanks[i*n : (i+1)*n]), score: b.spillScores[i]})
+			b.heap.Push(combRef{slot: b.arena.alloc(b.slabRanks(i)), score: b.spillScores[i]})
 		}
 		cursor = take
 	}
+	b.keep = b.max
 	rest := idx[cursor:]
 	scores := make([]float64, 0, len(rest))
 	ranks := make([]int32, 0, len(rest)*n)
 	for _, i := range rest {
 		scores = append(scores, b.spillScores[i])
-		ranks = append(ranks, b.spillRanks[i*n:(i+1)*n]...)
+		ranks = append(ranks, b.slabRanks(i)...)
 	}
 	b.spillScores = scores
 	b.spillRanks = ranks
@@ -293,15 +357,14 @@ func (b *sessionBuffer) revive() {
 // it: the caller pops the winner (advance cursor or clear seg.loaded).
 // The returned ranks alias either the slab or the segment's head buffer
 // and must be copied (arena.alloc does) before the next call.
-func (b *sessionBuffer) bestSpilled(idx []int, cursor int) (float64, []int32, *spillSegment, error) {
-	n := b.arena.n
+func (b *sessionBuffer) bestSpilled(idx []int32, cursor int) (float64, []int32, *spillSegment, error) {
 	have := false
 	var bestScore float64
 	var bestRanks []int32
 	var fromSeg *spillSegment
 	if cursor < len(idx) {
 		i := idx[cursor]
-		bestScore, bestRanks, have = b.spillScores[i], b.spillRanks[i*n:(i+1)*n], true
+		bestScore, bestRanks, have = b.spillScores[i], b.slabRanks(i), true
 	}
 	for _, s := range b.tier.segs {
 		ok, err := b.tier.ensureHead(s)
@@ -406,12 +469,12 @@ func NewIterator(sources []relation.Source, opts Options) (*Iterator, error) {
 		buf: newSessionBuffer(e.arena, bufMax, policy, &e.stats),
 	}
 	it.buf.tracer = opts.Tracer
-	if bufMax > 0 && policy == BufferSpill && opts.SpillDir != "" {
-		tier, err := newSpillTier(opts.SpillDir, e.arena.n, opts.SpillMemBytes, &e.stats, opts.spillFault)
-		if err != nil {
-			return nil, err
+	if bufMax > 0 && policy == BufferSpill {
+		e.cuts = newCutHeap(e.n)
+		it.buf.cuts, it.buf.expand = e.cuts, e.expandCut
+		if opts.SpillDir != "" {
+			it.buf.tier = newSpillTier(opts.SpillDir, e.arena.n, opts.SpillMemBytes, &e.stats, opts.spillFault)
 		}
-		it.buf.tier = tier
 	}
 	// Reroute formed combinations into the session buffer.
 	e.sink = it.buf
@@ -522,7 +585,8 @@ func (it *Iterator) Close() {
 	}
 }
 
-// Buffered returns the number of formed combinations awaiting emission.
+// Buffered returns the number of scored combinations awaiting emission;
+// a spill session's deferred records count once emission expands them.
 func (it *Iterator) Buffered() int { return it.buf.buffered() }
 
 // Emitted returns how many combinations have been produced so far.

@@ -50,6 +50,8 @@ type spillTier struct {
 	segs      []*spillSegment
 	stats     *Stats // SpilledBytes grows by every segment written
 	fault     func() error
+	prepared  bool   // dir created and swept, by the first flush
+	entry     []byte // one entry's encoding, shared by every write and read
 }
 
 // spillSegment is one on-disk sorted batch plus its streaming read
@@ -68,21 +70,26 @@ type spillSegment struct {
 // spillEntrySize is the on-disk size of one combination.
 func spillEntrySize(n int) int { return 8 + 4*n }
 
-// newSpillTier prepares a file-backed tier rooted at dir and sweeps
-// leftovers from dead processes.
-func newSpillTier(dir string, n, memBytes int, stats *Stats, fault func() error) (*spillTier, error) {
+// newSpillTier returns a file-backed tier rooted at dir. It touches no
+// file: most spill sessions never reach the watermark, so the directory is
+// created, and swept of leftovers from dead processes, by the first flush.
+func newSpillTier(dir string, n, memBytes int, stats *Stats, fault func() error) *spillTier {
 	if memBytes <= 0 {
 		memBytes = DefaultSpillMemBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: spill dir: %w", err)
-	}
-	sweepSpillDir(dir)
 	w := memBytes / spillEntrySize(n)
 	if w < 1 {
 		w = 1
 	}
-	return &spillTier{dir: dir, n: n, watermark: w, id: tierSeq.Add(1), stats: stats, fault: fault}, nil
+	return &spillTier{dir: dir, n: n, watermark: w, id: tierSeq.Add(1), stats: stats, fault: fault}
+}
+
+// entryBuf returns the tier's one entry buffer.
+func (t *spillTier) entryBuf() []byte {
+	if t.entry == nil {
+		t.entry = make([]byte, spillEntrySize(t.n))
+	}
+	return t.entry
 }
 
 // sweepSpillDir removes spill segments left behind by processes that no
@@ -168,6 +175,13 @@ func verifySpillSegment(f *os.File) (n, count int, err error) {
 // ever take the torn file — while an injected fault stands for the
 // process dying mid-segment and leaves it, exactly as a crash would.
 func (t *spillTier) flush(scores []float64, ranks []int32) error {
+	if !t.prepared {
+		if err := os.MkdirAll(t.dir, 0o755); err != nil {
+			return fmt.Errorf("core: spill dir: %w", err)
+		}
+		sweepSpillDir(t.dir)
+		t.prepared = true
+	}
 	name := fmt.Sprintf("prox-%d-%d-%d.spill", os.Getpid(), t.id, t.seq)
 	t.seq++
 	path := filepath.Join(t.dir, name)
@@ -181,7 +195,7 @@ func (t *spillTier) flush(scores []float64, ranks []int32) error {
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(t.n))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(scores)))
 	crc := crc32.New(spillCRC)
-	var entry = make([]byte, spillEntrySize(t.n))
+	entry := t.entryBuf()
 	crashed := false
 	werr := func() error {
 		if _, err := w.Write(hdr[:]); err != nil {
@@ -259,7 +273,7 @@ func (t *spillTier) ensureHead(s *spillSegment) (bool, error) {
 		}
 		s.r = bufio.NewReaderSize(io.NewSectionReader(s.f, spillHeaderSize, int64(s.count)*int64(spillEntrySize(t.n))), 1<<16)
 	}
-	entry := make([]byte, spillEntrySize(t.n))
+	entry := t.entryBuf()
 	if _, err := io.ReadFull(s.r, entry); err != nil {
 		return false, fmt.Errorf("core: spill read %s: %w", s.path, err)
 	}

@@ -42,10 +42,7 @@ func validSpillSegment(path string) bool {
 func TestSpillSegmentRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var stats Stats
-	tier, err := newSpillTier(dir, 2, 1, &stats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tier := newSpillTier(dir, 2, 1, &stats, nil)
 	scores := []float64{0.9, 0.5, 0.5, 0.1}
 	ranks := []int32{0, 1, 2, 3, 2, 4, 5, 6}
 	if err := tier.flush(scores, ranks); err != nil {
@@ -155,8 +152,8 @@ func TestSpillCrashSafety(t *testing.T) {
 	}
 
 	// Reopen after the "crash": rename the leftover to a dead pid (the
-	// in-process fault kept our own pid alive) and let tier creation
-	// sweep it, then verify the rerun is byte-identical to the baseline.
+	// in-process fault kept our own pid alive) and let the tier's first
+	// flush sweep it, then verify the rerun is byte-identical to the baseline.
 	dead := filepath.Join(dir, "prox-999999999-1-0.spill")
 	if err := os.Rename(torn, dead); err != nil {
 		t.Fatal(err)

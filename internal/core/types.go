@@ -156,10 +156,11 @@ type Options struct {
 	MaxCombinations int64
 	// MaxBuffered bounds the session buffer of a pipelined Iterator: the
 	// number of formed-but-unemitted combinations retained in ranked form.
-	// 0 means unbounded. What happens past the bound is BufferPolicy's
-	// choice; under BufferPrune the bound shrinks with every result taken
-	// (the best MaxBuffered − emitted are retained, at least one). Batch
-	// engines (Run) ignore it — their buffer is K by construction.
+	// 0 means unbounded. The bound shrinks with every result taken (the
+	// best MaxBuffered − emitted are retained, at least one), and a full
+	// buffer's worst entry is a score floor below which formation cuts
+	// whole subtrees; what becomes of the rest is BufferPolicy's choice.
+	// Batch engines (Run) ignore it — their buffer is K by construction.
 	MaxBuffered int
 	// BufferPolicy selects the overflow behavior once MaxBuffered is
 	// reached (meaningful only with MaxBuffered > 0).
@@ -230,11 +231,14 @@ const (
 	// drained ≤ MaxBuffered, and a session driven past MaxBuffered may
 	// skip results.
 	BufferPrune BufferPolicy = iota
-	// BufferSpill keeps every combination: the ranked heap stays capped at
-	// MaxBuffered and overflow moves to a flat, append-only spill slab in
-	// compact rank form, revived in sorted batches as the heap drains.
-	// Open enumeration stays exact; memory grows with the spilled count at
-	// the compact per-entry cost instead of heap-managed combinations.
+	// BufferSpill keeps every combination: the ranked heap is bounded as
+	// under BufferPrune, its evictions move to a flat, append-only spill
+	// slab in compact rank form, revived in sorted batches as the heap
+	// drains, and below-floor subtrees are kept as deferred records —
+	// O(n) each, scored only when emission reaches them. Open enumeration
+	// stays exact; a consumer taking at most MaxBuffered results never
+	// reaches a record and does the BufferPrune session's work plus its
+	// evictions.
 	BufferSpill
 )
 
@@ -273,13 +277,17 @@ type Stats struct {
 	// or off.
 	CombinationsFormed int64
 	// CombinationsPruned counts the CombinationsFormed members that
-	// score-floor pruning skipped without materializing.
+	// score-floor pruning cut without materializing. A BufferSpill session
+	// keeps them as deferred records, scored later only if emission
+	// reaches them; they stay counted here.
 	CombinationsPruned int64
 	// PeakBuffered is the high-water mark of retained combinations (the
-	// output buffer plus, for sessions, the spill slab).
+	// output buffer plus, for sessions, the spill slab; deferred records
+	// count only once expanded).
 	PeakBuffered int
 	// SpilledCombinations counts combinations moved to a session buffer's
-	// compact spill slab (BufferSpill policy only).
+	// compact spill slab (BufferSpill policy only): the ranked heap's
+	// evictions, and deferred record members that land below it.
 	SpilledCombinations int64
 	// SpilledBytes counts bytes written to file-backed spill segments
 	// (Options.SpillDir); zero when the slab never reached the watermark.

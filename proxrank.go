@@ -148,9 +148,10 @@ type Options struct {
 	// MaxBuffered bounds a session's buffer of formed-but-unemitted
 	// combinations (0 = unbounded). The batch TopK* entry points default
 	// it to K, restoring O(K) peak memory with byte-identical results.
-	// Under the default BufferPrune policy the session retains the best
-	// MaxBuffered − emitted combinations (at least one): emitted plus
-	// drained results stay within MaxBuffered, and a Query consumed past
+	// The session retains the best MaxBuffered − emitted combinations (at
+	// least one), and formation skips whole subtrees below the worst of
+	// them. Under the default BufferPrune policy emitted plus drained
+	// results stay within MaxBuffered, and a Query consumed past
 	// MaxBuffered results may skip results, so open-ended sessions should
 	// leave it 0 or select BufferSpill.
 	MaxBuffered int
@@ -158,8 +159,11 @@ type Options struct {
 	// BufferPrune (default) drops combinations below the buffer's score
 	// floor — exact for the first MaxBuffered results in O(MaxBuffered)
 	// memory, retaining only as many as are left to take; BufferSpill
-	// keeps everything, moving overflow to a compact append-only slab —
-	// exact for open enumeration with the ranked heap still bounded.
+	// keeps everything, below-floor subtrees as deferred records scored
+	// only if enumeration reaches them and evictions in a compact
+	// append-only slab — exact for open enumeration with the ranked heap
+	// still bounded, and as cheap as BufferPrune for the first
+	// MaxBuffered results.
 	BufferPolicy BufferPolicy
 	// CollectTimings enables the per-pull wall-clock sampling behind
 	// Stats.BoundTime. Off by default: the timers measurably tax every
@@ -195,8 +199,9 @@ const (
 	// BufferPrune drops below-floor combinations (exact first MaxBuffered
 	// results, O(MaxBuffered) memory).
 	BufferPrune = core.BufferPrune
-	// BufferSpill keeps every combination, spilling overflow to a compact
-	// slab (exact open enumeration, bounded ranked heap).
+	// BufferSpill keeps every combination, below-floor subtrees as
+	// deferred records and evictions in a compact slab (exact open
+	// enumeration, bounded ranked heap).
 	BufferSpill = core.BufferSpill
 )
 
@@ -335,8 +340,10 @@ func (o Options) engineOptions(query Vector, fn agg.Function) core.Options {
 // the output byte-identical while restoring O(K) peak heap memory (the
 // buffer otherwise grows with CombinationsFormed). An explicit
 // MaxBuffered wins, and the configured BufferPolicy is honored — the
-// default prune drops below-floor combinations, BufferSpill moves them
-// to the compact spill slab (and the file tier, with SpillDir) instead.
+// default prune drops below-floor combinations, BufferSpill keeps them
+// (cut subtrees as deferred records that an at-most-K consumer never
+// scores, evictions in the compact spill slab and, with SpillDir, the
+// file tier) at the same cost.
 // Every at-most-K consumer — the batch TopK* entry points, the service
 // executor's streamed runs, the CLI — applies exactly this rule; do not
 // use it for sessions that may enumerate past K with the prune policy,

@@ -288,7 +288,8 @@ func (q *Query) Close() { q.it.Close() }
 // Emitted returns the number of results delivered so far.
 func (q *Query) Emitted() int { return int(q.it.Emitted()) }
 
-// Buffered returns the number of formed combinations awaiting emission.
+// Buffered returns the number of scored combinations awaiting emission;
+// a BufferSpill session's deferred subtrees count once expanded.
 func (q *Query) Buffered() int { return q.it.Buffered() }
 
 // Threshold returns the current upper bound on undelivered combinations.
