@@ -23,10 +23,9 @@ const (
 	OverflowBlock = "block"
 	OverflowDrop  = "drop"
 
-	// BufferPrune (the default) drops buffered combinations ranking
-	// below the bounded buffer's score floor; BufferSpill keeps them in
-	// a compact columnar slab that overflows to the server's file spill
-	// tier. Both produce byte-identical responses.
+	// BufferPrune and BufferSpill are the two values Request.BufferPolicy
+	// accepts. Both are ignored; they leave with the field (ROADMAP
+	// item 1).
 	BufferPrune = "prune"
 	BufferSpill = "spill"
 
@@ -67,16 +66,12 @@ type Request struct {
 	// MaxSumDepths / MaxCombinations abort long runs with a DNF result.
 	MaxSumDepths    int   `json:"maxSumDepths,omitempty"`
 	MaxCombinations int64 `json:"maxCombinations,omitempty"`
-	// BufferPolicy selects what the engine's buffer of formed-but-
-	// unemitted combinations — which the server bounds to K — does when
-	// full: "prune" (default) drops combinations ranking below the
-	// buffer's score floor — exact for the at-most-K results a query
-	// delivers — while "spill" retains them in a compact columnar slab
-	// that overflows to the server's file spill tier when one is
-	// configured (-spill-dir), keeping heap resident memory O(K). Both
-	// policies produce byte-identical responses. Engine-tuning concern:
-	// not part of the canonical encoding, so requests differing only
-	// here share cache entries and coalesce.
+	// BufferPolicy is validated ("prune" or "spill", case-insensitive;
+	// anything else is a bad request) and then ignored: every query a
+	// server runs stops at K, so its buffer is a bounded consumer that
+	// drops what ranks below its floor, whatever this says. Not part of
+	// the canonical encoding. It stays only while the benchmark harness
+	// still sends it, and leaves with ROADMAP item 1.
 	BufferPolicy string `json:"bufferPolicy,omitempty"`
 	// Overflow picks this client's stream-delivery overflow policy when
 	// the server brokers stream delivery: "block" asks the engine to wait
@@ -145,11 +140,9 @@ type Cost struct {
 	// not representable in JSON — −Inf after full exhaustion, +Inf when a
 	// cap fired before the first bound update).
 	Threshold *float64 `json:"threshold,omitempty"`
-	// SpilledCombinations counts buffered combinations the session's
-	// BufferSpill policy moved out of the ranked heap; SpilledBytes is how
-	// many of those bytes reached the file spill tier (0 when the server
-	// runs without a spill directory or the slab never crossed its
-	// watermark).
+	// SpilledCombinations and SpilledBytes are never set: a server never
+	// spills (every query it runs stops at K). They stay only while the
+	// benchmark harness still zeroes them, and leave with ROADMAP item 1.
 	SpilledCombinations int64 `json:"spilledCombinations,omitempty"`
 	SpilledBytes        int64 `json:"spilledBytes,omitempty"`
 }

@@ -163,9 +163,8 @@ func TestCanonicalEquivalence(t *testing.T) {
 		func(r *Request) { r.TimeoutMillis = 5000 },    // transport knob: excluded
 		func(r *Request) { r.NoCache = true },          // transport knob: excluded
 		func(r *Request) { r.Overflow = OverflowDrop }, // delivery knob: excluded
-		// Engine-tuning knob: excluded (the buffer is bounded to K under
-		// either policy and cannot change the response, so
-		// caching/coalescing across it is sound).
+		// Ignored by servers: excluded, so caching/coalescing across it
+		// is sound.
 		func(r *Request) { r.BufferPolicy = BufferSpill },
 	}
 	for i, mutate := range variants {

@@ -12,9 +12,8 @@ import (
 // The transport, delivery and engine-tuning fields that never change the
 // answer (BufferPolicy, Overflow, TimeoutMillis, NoCache, Trace,
 // Partial) are excluded, so requests differing only in them share one
-// encoding: the buffer the server bounds to K cannot change the response
-// under either buffer policy, and a degraded answer is never cached, so
-// both Partial settings can share an entry.
+// encoding: servers ignore BufferPolicy, and a degraded answer is never
+// cached, so both Partial settings can share an entry.
 //
 // Because Normalize folds aliases and fills defaults first, semantically
 // equal requests encode identically: this string is the service cache

@@ -188,14 +188,11 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	fs.IntVar(&o.sndbuf, "server-sndbuf", 0, "selfserve: cap accepted connections' send buffers (0 = kernel default; loopback autotuning otherwise hides slow readers)")
 
 	// Memory-bounded study knobs: serve big synthetic relations from
-	// mmap-backed relfiles, spill enumeration to disk, and gate the
-	// run on the server's own resident-memory gauge.
+	// mmap-backed relfiles and gate the run on the server's own
+	// resident-memory gauge.
 	fs.IntVar(&d.tuples, "selfserve-tuples", 0, "selfserve: serve synthetic relations of this many tuples each instead of the bundled city data (0 = city data)")
 	fs.IntVar(&d.dim, "selfserve-dim", 8, "selfserve: feature dimensionality of the -selfserve-tuples synthetic relations")
 	fs.BoolVar(&d.relfile, "selfserve-relfile", false, "selfserve: write the relations to mmap-ready .prox relfiles and serve them file-backed (flat-RSS mode)")
-	fs.StringVar(&c.SpillDir, "spill-dir", "", "selfserve: file spill tier for BufferSpill sessions, forwarded to the in-process server")
-	fs.IntVar(&c.SpillMemBytes, "spill-mem", 0, "selfserve: in-memory spill-slab watermark in bytes, forwarded to the in-process server (0 = 4 MiB default)")
-	fs.StringVar(&g.bufPolicy, "buffer-policy", "", "bufferPolicy sent on every query: prune, spill (engages the server's -spill-dir tier), or empty for the server default")
 	fs.Int64Var(&o.maxResident, "max-resident-bytes", 0, "exit nonzero when the server's resident set (proxrank_process_resident_bytes, sampled during the run) ever exceeds this many bytes (0 = no gate)")
 
 	// Distributed selfserve knobs.
@@ -325,7 +322,7 @@ func drive(o *options, stdout io.Writer) error {
 	// Resident-memory sampler: poll the server's own RSS gauge while the
 	// load runs. The peak is reported always and gated by
 	// -max-resident-bytes — the CI check behind the flat-RSS claim of
-	// mmap-backed relations and the file spill tier.
+	// mmap-backed relations.
 	var residentPeak atomic.Int64
 	var background sync.WaitGroup // the sampler and the slow clients: all end with ctx
 	background.Add(1)
@@ -385,7 +382,6 @@ func drive(o *options, stdout io.Writer) error {
 	rep := gen.report(elapsed, statsBefore, statsAfter, slowDropped.Load())
 	rep.ServerDuration = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_duration_seconds"))
 	rep.ServerTTFE = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_ttfe_seconds"))
-	rep.SpillBytes = int64(metricsAfter.gauge("proxrank_spill_bytes_total") - metricsBefore.gauge("proxrank_spill_bytes_total"))
 	rep.ResidentPeakBytes = residentPeak.Load()
 	rep.print(stdout)
 	if o.jsonOut != "" {
@@ -715,7 +711,6 @@ type generator struct {
 	k         int
 	access    string
 	overflow  string
-	bufPolicy string
 	streamFr  float64
 	hotFr     float64
 	hot       [][]float64
@@ -804,7 +799,7 @@ func (g *generator) run(ctx context.Context, rng *rand.Rand, rate float64) {
 
 // body builds the request JSON once per arrival.
 func (g *generator) body(vec []float64) []byte {
-	req := api.Request{Query: vec, Relations: g.relations, K: g.k, Access: g.access, Overflow: g.overflow, BufferPolicy: g.bufPolicy}
+	req := api.Request{Query: vec, Relations: g.relations, K: g.k, Access: g.access, Overflow: g.overflow}
 	buf, _ := json.Marshal(&req)
 	return buf
 }
@@ -1015,9 +1010,8 @@ type report struct {
 	ServerTTFE     serverHist `json:"serverTtfeHist"`
 	// ResidentPeakBytes is the largest proxrank_process_resident_bytes
 	// sample observed while the load ran (0 when the server exposes no
-	// gauge); SpillBytes is the run's delta of proxrank_spill_bytes_total.
+	// gauge).
 	ResidentPeakBytes int64 `json:"residentPeakBytes,omitempty"`
-	SpillBytes        int64 `json:"spillBytes,omitempty"`
 }
 
 func (g *generator) report(elapsed time.Duration, before, after service.StatsResponse, slowDropped int64) report {
@@ -1093,11 +1087,7 @@ func (r report) print(w io.Writer) {
 		fmt.Fprintf(w, "  slow clients dropped by overflow policy: %d\n", r.SlowDropped)
 	}
 	if r.ResidentPeakBytes > 0 {
-		fmt.Fprintf(w, "  server resident peak: %.1f MiB", float64(r.ResidentPeakBytes)/(1<<20))
-		if r.SpillBytes > 0 {
-			fmt.Fprintf(w, "  (spilled %.1f MiB to disk)", float64(r.SpillBytes)/(1<<20))
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  server resident peak: %.1f MiB\n", float64(r.ResidentPeakBytes)/(1<<20))
 	}
 }
 

@@ -66,9 +66,9 @@ func TestFlagTable(t *testing.T) {
 				t.Errorf("config %+v, want %+v", o.cfg, wantCfg)
 			}
 		}},
-		{name: "single relfile", args: "-selfserve -selfserve-tuples 60000 -selfserve-dim 8 -selfserve-relfile -spill-dir /tmp/sp -spill-mem 65536 -cache -1 -workers 4", check: func(t *testing.T, o *options) {
+		{name: "single relfile", args: "-selfserve -selfserve-tuples 60000 -selfserve-dim 8 -selfserve-relfile -cache -1 -workers 4", check: func(t *testing.T, o *options) {
 			want := dataSpec{city: "SF", tuples: 60000, dim: 8, relfile: true, shards: 0, strategy: proxrank.GridPartition}
-			if o.data != want || o.cfg.SpillDir != "/tmp/sp" || o.cfg.SpillMemBytes != 65536 || o.cfg.CacheSize != -1 || o.cfg.Workers != 4 {
+			if o.data != want || o.cfg.CacheSize != -1 || o.cfg.Workers != 4 {
 				t.Errorf("data %+v cfg %+v, want %+v", o.data, o.cfg, want)
 			}
 		}},
@@ -124,7 +124,7 @@ func TestFlagTable(t *testing.T) {
 }
 
 // TestFlagSurface: the flag set is the regression surface of ci.yml and
-// the studies in EXPERIMENTS.md — 41 flags, and -h is not a failure.
+// the studies in EXPERIMENTS.md — 38 flags, and -h is not a failure.
 func TestFlagSurface(t *testing.T) {
 	var stdout, usage bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &usage); code != 0 {
@@ -136,8 +136,8 @@ func TestFlagSurface(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 41 {
-		t.Fatalf("%d flags, want 41:\n%s", flags, usage.String())
+	if flags != 38 {
+		t.Fatalf("%d flags, want 38:\n%s", flags, usage.String())
 	}
 }
 

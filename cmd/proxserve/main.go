@@ -28,9 +28,7 @@
 //	proxserve -rel hotels=hotels.csv -rel food=food.csv -workers 8
 //	proxserve -city NY -shards 8 -shard-strategy grid
 //	proxserve -rel hotels=hotels.csv:4 -rel food=food.csv
-//
-//	# memory-bounded: mmap prebuilt relfiles, spill enumeration to disk
-//	proxserve -rel hotels=hotels.prox -rel food=food.prox -spill-dir /tmp/spill
+//	proxserve -rel hotels=hotels.prox -rel food=food.prox
 //
 //	# a 2-server distributed deployment plus its coordinator:
 //	proxserve -city SF -shards 8 -shard-server -rpc-addr :9001 -own 0/2
@@ -173,10 +171,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	fs.Func("fault-spec",
 		"inject faults into the shard RPC listener per this spec (chaos testing only; refused unless PROXSERVE_CHAOS=1)",
 		func(v string) (err error) { o.faults, err = faultinject.Parse(v); return err })
-	fs.StringVar(&c.SpillDir, "spill-dir", "",
-		"directory for the file spill tier of BufferSpill sessions: enumeration past the in-memory slab goes to disk segments, keeping resident memory flat (empty = RAM only)")
-	fs.IntVar(&c.SpillMemBytes, "spill-mem", 0,
-		"per-session in-memory spill slab budget in bytes before segments go to -spill-dir (0 = 4 MiB default)")
 	fs.Func("rel", "relation to serve, as name=path.csv[:shards] or name=path.prox (mmap-backed relfile; repeatable)", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")
 		if !ok || name == "" || path == "" {

@@ -69,11 +69,11 @@ func TestFlagTable(t *testing.T) {
 			}
 		}},
 		{name: "executor knobs", args: "-city SF -workers 3 -cache -1 -timeout 2s -max-timeout 5s -maxk 7 -stream-buffer 9 -stream-overflow DROP " +
-			"-stream-block-timeout 50ms -slow-query 1ms -spill-dir /tmp/sp -spill-mem 4096 -debug-addr 127.0.0.1:6060 -addr :9", check: func(t *testing.T, o *options) {
+			"-stream-block-timeout 50ms -slow-query 1ms -debug-addr 127.0.0.1:6060 -addr :9", check: func(t *testing.T, o *options) {
 			want := service.Config{
 				Workers: 3, CacheSize: -1, DefaultTimeout: 2 * time.Second, MaxTimeout: 5 * time.Second, MaxK: 7,
 				StreamBuffer: 9, StreamOverflow: api.OverflowDrop, StreamBlockTimeout: 50 * time.Millisecond,
-				SlowQueryThreshold: time.Millisecond, SlowQueryLog: o.node.SlowQueryLog, SpillDir: "/tmp/sp", SpillMemBytes: 4096,
+				SlowQueryThreshold: time.Millisecond, SlowQueryLog: o.node.SlowQueryLog,
 			}
 			if !reflect.DeepEqual(o.node.Config, want) {
 				t.Errorf("config %+v, want %+v", o.node.Config, want)
@@ -153,7 +153,7 @@ func TestFlagTable(t *testing.T) {
 }
 
 // TestFlagSurface: the flag set is the regression surface of ci.yml and
-// the studies in EXPERIMENTS.md — 25 flags, and -h is not a failure.
+// the studies in EXPERIMENTS.md — 23 flags, and -h is not a failure.
 func TestFlagSurface(t *testing.T) {
 	var usage bytes.Buffer
 	if code := run(context.Background(), []string{"-h"}, &usage); code != 0 {
@@ -165,8 +165,8 @@ func TestFlagSurface(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 25 {
-		t.Fatalf("%d flags, want 25:\n%s", flags, usage.String())
+	if flags != 23 {
+		t.Fatalf("%d flags, want 23:\n%s", flags, usage.String())
 	}
 }
 

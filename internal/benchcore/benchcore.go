@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -166,16 +167,23 @@ func BenchTopKCorner(b *testing.B) {
 
 // BenchSessionNext measures one incremental Next(1) on a long-lived
 // ranked-enumeration session over 2 × 2000 tuples, with the session
-// buffer bounded under the spill policy (the open-enumeration
-// configuration). The session is rebuilt off the clock when exhausted.
+// buffer bounded and a spill tier in a temporary directory (the exact
+// open-enumeration configuration: Next runs far past MaxBuffered). The
+// session is rebuilt off the clock when exhausted.
 func BenchSessionNext(b *testing.B) {
 	rels, q := sessSetup()
-	opts := proxrank.Options{K: 10, MaxBuffered: 1024, BufferPolicy: proxrank.BufferSpill}
+	dir, err := os.MkdirTemp("", "benchcore-spill-")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	opts := proxrank.Options{K: 10, MaxBuffered: 1024, SpillDir: dir}
 	inputs := inputsOf(rels)
 	sess, err := proxrank.NewQueryInputs(q, inputs, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer func() { sess.Close() }()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -240,7 +248,7 @@ func BenchRTreePrefix100(b *testing.B) { benchRTreePrefix(b, 100) }
 // BenchFormationDeep is the proxserve benchmark's single_engine shape as a
 // library call: top-20 (TBPA, then CBRR on every third query) over
 // 2 × 20 000 × dim 4 behind the shared R-trees, through the TopK family,
-// so the session buffer is bounded to K under the prune policy. Prefixes
+// so each query is a bounded consumer with its buffer bounded to K. Prefixes
 // run hundreds deep per relation: the workload where what a pull costs
 // per prefix tuple, not per surviving combination, shows.
 func BenchFormationDeep(b *testing.B) {

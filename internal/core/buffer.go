@@ -86,7 +86,7 @@ type refSink interface {
 }
 
 // deferredCut is one subtree Engine.candidates cut below the floor of a
-// BufferSpill session, kept as a record instead of dropped. Its members
+// session with a spill tier, kept as a record instead of dropped. Its members
 // are the ranks below the recorded depth of the cut level that fail the
 // cut test partial + solo[r] + sufB ≥ bar, crossed with every inner
 // level's prefix as deep as it was at cut time, under the fixed ranks of

@@ -209,8 +209,9 @@ func (a diskRun) mustMatch(t *testing.T, label string, b diskRun) {
 
 // TestDiskIdentity is the storage byte-identity property: for all four
 // algorithms and both access kinds, a session served from mmap-backed
-// relfile shards — with and without the file spill tier — emits exactly
-// what the all-RAM session emits: Float64bits-equal scores, identical
+// relfile shards — its spill slab in memory or flushed to segment files
+// at every entry — emits exactly what the all-RAM session (relations in
+// memory, slab under the default watermark) emits: Float64bits-equal scores, identical
 // rank vectors and tuples, identical stats including the optimization
 // counters, and the identical pull/bound/buffer schedule.
 func TestDiskIdentity(t *testing.T) {
@@ -219,7 +220,7 @@ func TestDiskIdentity(t *testing.T) {
 	for ci, c := range identityCases(r, 6) {
 		opts := c.opts
 		opts.MaxBuffered = 1 + r.Intn(5)
-		opts.BufferPolicy = BufferSpill
+		opts.SpillDir = t.TempDir()
 		shards := 1 + r.Intn(3)
 		strategy := relation.HashPartition
 		if r.Intn(2) == 0 {
@@ -263,7 +264,6 @@ func TestDiskSpillDrainsClean(t *testing.T) {
 	opts := Options{
 		Algorithm:     CBRR,
 		MaxBuffered:   2,
-		BufferPolicy:  BufferSpill,
 		SpillDir:      dir,
 		SpillMemBytes: 1,
 	}

@@ -22,13 +22,15 @@
 // reconstructed from prefixes on emission, subtree pruning cuts
 // combination formation below the buffer floor, and the session buffer
 // (buffer.go) holds candidates in a min-max heap (internal/pqueue)
-// bounded by Options.MaxBuffered with prune or spill overflow policies.
+// bounded by Options.MaxBuffered: a bounded consumer drops what it cannot
+// return, a session with Options.SpillDir keeps it in a spill tier.
 //
 // Iterator (iterator.go) is the ranked-enumeration surface the facade's
 // Stream/Query sessions wrap: Next certifies and emits one combination
 // at a time — the rank-1 result long before a full run would finish —
-// enforces the MaxSumDepths/MaxCombinations caps as ErrIteratorDNF, and
-// DrainBest yields the uncertified best-effort tail after a cap. Stats
+// enforces the MaxSumDepths/MaxCombinations caps as ErrIteratorDNF and a
+// bounded consumer's MaxBuffered as ErrIteratorPastBound, and DrainBest
+// yields the uncertified best-effort tail after a cap. Stats
 // carries the paper's cost model (per-relation depths, sumDepths,
 // combinations formed/pruned, bound updates, QP solves) for every run.
 package core

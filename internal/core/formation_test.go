@@ -179,7 +179,7 @@ func TestPruneFloorSurvivesEmission(t *testing.T) {
 	const max = 5
 	var stats Stats
 	arena := newCombArena(2)
-	b := newSessionBuffer(arena, max, BufferPrune, &stats)
+	b := newSessionBuffer(arena, max, &stats)
 	for i := 0; i < 3*max; i++ {
 		b.offer(float64(i), []int32{int32(i), 0})
 	}
@@ -226,7 +226,7 @@ func TestPruneFloorSurvivesEmission(t *testing.T) {
 		if !batch.DNF {
 			t.Fatalf("%v: fixture did not hit the cap", kind)
 		}
-		opts.MaxBuffered, opts.BufferPolicy = in.k, BufferPrune
+		opts.MaxBuffered = in.k
 		emitted, drained, terminal, st := drainIterator(t, in, kind, opts)
 		if !errors.Is(terminal, ErrIteratorDNF) {
 			t.Fatalf("%v: terminal %v, want DNF", kind, terminal)
@@ -290,7 +290,7 @@ func TestScoredCandidatesCeiling(t *testing.T) {
 		}
 		const k = 20
 		it, err := NewIterator(deepSources(t, ixs, q), Options{
-			Algorithm: TBPA, Query: q, Agg: fn, MaxBuffered: k, BufferPolicy: BufferPrune,
+			Algorithm: TBPA, Query: q, Agg: fn, MaxBuffered: k,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +316,7 @@ func TestScoredCandidatesCeiling(t *testing.T) {
 func TestStepDoesNotAllocate(t *testing.T) {
 	in := fixedInstance(rand.New(rand.NewSource(3)), 3, 2000, 3, 10)
 	it, err := NewIterator(in.sources(t, relation.DistanceAccess), Options{
-		Algorithm: CBRR, Query: in.q, Agg: in.fn, MaxBuffered: in.k, BufferPolicy: BufferPrune,
+		Algorithm: CBRR, Query: in.q, Agg: in.fn, MaxBuffered: in.k,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -203,7 +203,7 @@ func drainIterator(t *testing.T, in instance, kind relation.AccessKind, opts Opt
 	for {
 		c, err := it.Next()
 		if err != nil {
-			if !errors.Is(err, ErrIteratorDone) && !errors.Is(err, ErrIteratorDNF) {
+			if !errors.Is(err, ErrIteratorDone) && !errors.Is(err, ErrIteratorDNF) && !errors.Is(err, ErrIteratorPastBound) {
 				t.Fatalf("iterator failed: %v", err)
 			}
 			terminal = err
@@ -221,12 +221,33 @@ func drainIterator(t *testing.T, in instance, kind relation.AccessKind, opts Opt
 	return emitted, drained, terminal, it.Stats()
 }
 
+// statsAfter is the oracle stopped at an emission count: the stats of an
+// iterator that has called Next at most n times, the last being the
+// terminal call if the stream ended first.
+func statsAfter(t *testing.T, in instance, kind relation.AccessKind, opts Options, n int) Stats {
+	t.Helper()
+	opts.Query, opts.Agg = in.q, in.fn
+	it, err := NewIterator(in.sources(t, kind), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for i := 0; i < n; i++ {
+		if _, err := it.Next(); err != nil {
+			break
+		}
+	}
+	return it.Stats()
+}
+
 // TestQuickSessionBufferByteIdentity: the bounded session buffer is
-// invisible in the stream. BufferSpill reproduces the unbounded stream in
-// full (emissions, terminal condition, drain order); BufferPrune
-// reproduces its first MaxBuffered results and the drained-to-K batch
-// contract under DNF caps; and the bounded runs pull exactly the same
-// input (identical schedule counters).
+// invisible in the stream. With a spill tier it reproduces the unbounded
+// stream in full (emissions, terminal condition, drain order); without
+// one — a bounded consumer — it reproduces the first MaxBuffered results
+// and the drained-to-K batch contract under DNF caps, then refuses to go
+// on (ErrIteratorPastBound); and the bounded runs pull exactly the same
+// input as the unbounded one up to where they stop (identical schedule
+// counters).
 func TestQuickSessionBufferByteIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(2718))
 	for ci, c := range identityCases(r, 8) {
@@ -236,7 +257,7 @@ func TestQuickSessionBufferByteIdentity(t *testing.T) {
 
 		spill := c.opts
 		spill.MaxBuffered = 1 + r.Intn(5)
-		spill.BufferPolicy = BufferSpill
+		spill.SpillDir = t.TempDir()
 		spEmit, spDrain, spErr, spStats := drainIterator(t, c.in, c.kind, spill)
 		if !errors.Is(spErr, baseErr) {
 			t.Fatalf("case %d: spill terminal %v vs %v", ci, spErr, baseErr)
@@ -254,10 +275,16 @@ func TestQuickSessionBufferByteIdentity(t *testing.T) {
 		k := c.in.k
 		prune := c.opts
 		prune.MaxBuffered = k
-		prune.BufferPolicy = BufferPrune
 		prEmit, prDrain, prErr, prStats := drainIterator(t, c.in, c.kind, prune)
-		if !errors.Is(prErr, baseErr) {
-			t.Fatalf("case %d: prune terminal %v vs %v", ci, prErr, baseErr)
+		wantErr := baseErr
+		if len(baseEmit) >= k {
+			wantErr = ErrIteratorPastBound
+		}
+		if !errors.Is(prErr, wantErr) {
+			t.Fatalf("case %d: prune terminal %v, want %v", ci, prErr, wantErr)
+		}
+		if len(prEmit)+len(prDrain) > k {
+			t.Fatalf("case %d: prune delivered %d + %d past its bound %d", ci, len(prEmit), len(prDrain), k)
 		}
 		// The batch contract: emissions plus the best-effort drain,
 		// truncated to K, match the unbounded run result for result.
@@ -272,7 +299,7 @@ func TestQuickSessionBufferByteIdentity(t *testing.T) {
 		if err := combosIdentical(prK, baseK); err != nil {
 			t.Fatalf("case %d (%v, %v): prune first-K: %v", ci, c.opts.Algorithm, c.kind, err)
 		}
-		if err := statsIdentical(prStats, baseStats); err != nil {
+		if err := statsIdentical(prStats, statsAfter(t, c.in, c.kind, base, k)); err != nil {
 			t.Fatalf("case %d: prune stats: %v", ci, err)
 		}
 		if prStats.PeakBuffered > k {

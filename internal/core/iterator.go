@@ -17,39 +17,36 @@ import (
 // sessionBuffer holds a session's formed-but-unemitted combinations in
 // arena-backed rank form. Unbounded by default, it supports a cap
 // (Options.MaxBuffered). A consumer taking at most MaxBuffered results has
-// MaxBuffered − emitted left to take, so under either policy the ranked
-// heap retains that many (keep, at least one): the buffer stays full
-// across emissions and its worst entry is a score floor for the whole
-// run, below which formation cuts subtrees before materializing them
-// (refSink.floor, Engine.candidates). The two policies differ only in
-// what becomes of what the heap does not keep:
+// MaxBuffered − emitted left to take, so a bounded ranked heap retains
+// that many (keep, at least one): the buffer stays full across emissions
+// and its worst entry is a score floor for the whole run, below which
+// formation cuts subtrees before materializing them (refSink.floor,
+// Engine.candidates). What becomes of what the heap does not keep follows
+// from whether the session has a spill tier (Options.SpillDir):
 //
-//   - BufferPrune drops it: a cut subtree, and an offer the full heap
-//     rejects. Exact for consumers taking at most MaxBuffered results;
-//     O(MaxBuffered) memory; a session driven past MaxBuffered may skip
-//     results.
-//   - BufferSpill keeps it: an eviction moves to a flat columnar spill
-//     slab (score + ranks, no heap structure, no per-entry allocation),
-//     revived in sorted batches once the ranked heap drains (each revival
-//     opens a fresh window: keep is MaxBuffered again), and a cut subtree
-//     becomes one deferredCut, expanded only when emission reaches its
-//     key. Exact for open enumeration; the heap and arena stay
-//     O(MaxBuffered). A K-bounded consumer never drains the heap before
-//     its last result, so it never reaches a key or revives: it pays what
-//     the prune twin pays plus its evictions.
+//   - Without one the session is a bounded consumer and drops it: a cut
+//     subtree, and an offer the full heap rejects. Exact for the first
+//     MaxBuffered results in O(MaxBuffered) memory, and the Iterator
+//     refuses to go past them (ErrIteratorPastBound).
+//   - With one it keeps it: an eviction moves to a flat columnar spill
+//     slab (score + ranks, no heap structure, no per-entry allocation)
+//     that flushes to segment files at the tier's watermark, revived in
+//     sorted batches once the ranked heap drains (each revival opens a
+//     fresh window: keep is MaxBuffered again), and a cut subtree becomes
+//     one deferredCut, expanded only when emission reaches its key. Exact
+//     for open enumeration; the heap and arena stay O(MaxBuffered).
 //
 // The ranked heap is a min-max heap: emission pops the best while the cap
-// evicts the worst, and it evolves identically under both policies until
-// the heap first drains. Spill invariant: every heap entry is strictly
-// better (score, then lexicographic ranks) than the boundary — the best
-// spilled entry — and nothing is handed out while a deferred record's key
-// exceeds it, so what peekBest returns is always the global best and
-// emission order matches the unbounded buffer exactly.
+// evicts the worst, and it evolves identically with or without a tier
+// until the heap first drains. Spill invariant: every heap entry is
+// strictly better (score, then lexicographic ranks) than the boundary —
+// the best spilled entry — and nothing is handed out while a deferred
+// record's key exceeds it, so what peekBest returns is always the global
+// best and emission order matches the unbounded buffer exactly.
 type sessionBuffer struct {
 	arena  *combArena
 	max    int
-	keep   int // retention: max less the pops since the heap last filled, at least 1
-	policy BufferPolicy
+	keep   int                     // retention: max less the pops since the heap last filled, at least 1
 	heap   *pqueue.MinMax[combRef] // min = worst, max = best
 	stats  *Stats
 	tracer Tracer // nil unless the run is traced
@@ -65,24 +62,22 @@ type sessionBuffer struct {
 	boundScore  float64
 	boundRanks  []int32
 
-	// tier, when non-nil (Options.SpillDir), extends the slab with
-	// file-backed segments: the slab flushes to disk at the tier's
-	// watermark and revival k-way merges the slab with the segment
-	// streams — the same global order the in-memory sort produces, so
-	// emissions are byte-identical. err poisons the session on the first
-	// segment I/O failure; Iterator surfaces it instead of emitting.
+	// tier is non-nil exactly in a spill session. The slab flushes to its
+	// segment files at the tier's watermark, and revival k-way merges the
+	// slab with the segment streams — the global order an in-memory sort
+	// would produce. err poisons the session on the first segment I/O
+	// failure; Iterator surfaces it instead of emitting.
 	tier *spillTier
 	err  error
 }
 
-func newSessionBuffer(arena *combArena, max int, policy BufferPolicy, stats *Stats) *sessionBuffer {
+func newSessionBuffer(arena *combArena, max int, stats *Stats) *sessionBuffer {
 	return &sessionBuffer{
-		arena:  arena,
-		max:    max,
-		keep:   max,
-		policy: policy,
-		heap:   pqueue.NewMinMax(arena.refWorse),
-		stats:  stats,
+		arena: arena,
+		max:   max,
+		keep:  max,
+		heap:  pqueue.NewMinMax(arena.refWorse),
+		stats: stats,
 	}
 }
 
@@ -125,7 +120,7 @@ func (b *sessionBuffer) spillAppend(score float64, ranks []int32) {
 	if b.tracer != nil {
 		b.tracer.TraceBuffer(TraceActionSpill, 1)
 	}
-	if b.tier != nil && b.err == nil && len(b.spillScores) >= b.tier.watermark {
+	if b.err == nil && len(b.spillScores) >= b.tier.watermark {
 		b.flushSlab()
 	}
 }
@@ -178,17 +173,15 @@ func (b *sessionBuffer) slabRanks(i int32) []int32 {
 	return b.spillRanks[int(i)*n : (int(i)+1)*n]
 }
 
-// offer implements refSink. A bounded heap keeps the best keep offers
-// under either policy; what it does not keep is spilled under the spill
-// policy and dropped under the prune policy.
+// offer implements refSink. A bounded heap keeps the best keep offers;
+// what it does not keep is spilled in a spill session and dropped in a
+// bounded consumer.
 func (b *sessionBuffer) offer(score float64, ranks []int32) {
-	if b.max <= 0 {
+	switch {
+	case b.max <= 0:
 		b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
 		b.trackPeak()
-		return
-	}
-	switch b.policy {
-	case BufferSpill:
+	case b.tier != nil:
 		if b.hasBoundary && !b.betterThanBoundary(score, ranks) {
 			b.spillAppend(score, ranks)
 			b.trackPeak()
@@ -203,7 +196,7 @@ func (b *sessionBuffer) offer(score float64, ranks []int32) {
 			b.arena.release(ev.slot)
 		}
 		b.trackPeak()
-	default: // BufferPrune
+	default:
 		if b.heap.Len() < b.keep {
 			b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
 			b.trackPeak()
@@ -278,9 +271,8 @@ func (b *sessionBuffer) peekBest() (combRef, bool) {
 // popBest removes and returns the best retained combination. The caller
 // owns the ref's arena slot and must release it after materializing.
 // Each pop is one result fewer the consumer can still take, so the
-// retention shrinks with it (never below one: a prune session driven past
-// MaxBuffered keeps running with a one-entry heap, a spill session until
-// its next revival).
+// retention shrinks with it (never below one: a spill session keeps
+// running with a one-entry heap until its next revival).
 func (b *sessionBuffer) popBest() (combRef, bool) {
 	b.peekBest()
 	ref, ok := b.heap.PopMax()
@@ -296,10 +288,10 @@ func (b *sessionBuffer) popBest() (combRef, bool) {
 // heap opens a fresh window (keep = max), so the floor is back on once it
 // is full. A deferred record ranks like a spilled entry at its key:
 // peekBest expands it instead of reviving when its key exceeds the best
-// spilled entry, and before handing out a revived entry below it. With a
-// file tier this is a k-way selection over the sorted slab and the sorted
-// segment streams; (score, ranks) keys are unique, so the merge emits
-// exactly the order a global in-memory sort would.
+// spilled entry, and before handing out a revived entry below it. Revival
+// is a k-way selection over the sorted slab and the sorted segment
+// streams; (score, ranks) keys are unique, so the merge emits exactly the
+// order a global in-memory sort would.
 func (b *sessionBuffer) revive() {
 	if b.err != nil {
 		return
@@ -308,37 +300,31 @@ func (b *sessionBuffer) revive() {
 	if m == 0 {
 		return
 	}
-	take := m
-	if b.max > 0 && take > b.max {
-		take = b.max
-	}
+	take := min(m, b.max)
 	if b.tracer != nil {
 		b.tracer.TraceBuffer(TraceActionRevive, take)
 	}
 	n := b.arena.n
 	idx := sortedSpillIndex(b.spillScores, b.spillRanks, n)
 	cursor := 0
-	if b.tier != nil && len(b.tier.segs) > 0 {
-		for pushed := 0; pushed < take; pushed++ {
-			score, ranks, fromSeg, err := b.bestSpilled(idx, cursor)
-			if err != nil {
-				b.err = err
-				return
-			}
-			b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
-			if fromSeg != nil {
-				fromSeg.loaded = false
-			} else {
-				cursor++
-			}
+	for pushed := 0; pushed < take; pushed++ {
+		head := int32(-1)
+		if cursor < len(idx) {
+			head = idx[cursor]
 		}
-		b.tier.compact()
-	} else {
-		for _, i := range idx[:take] {
-			b.heap.Push(combRef{slot: b.arena.alloc(b.slabRanks(i)), score: b.spillScores[i]})
+		score, ranks, fromSeg, err := b.bestSpilled(head)
+		if err != nil {
+			b.err = err
+			return
 		}
-		cursor = take
+		b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
+		if fromSeg != nil {
+			fromSeg.loaded = false
+		} else {
+			cursor++
+		}
 	}
+	b.tier.compact()
 	b.keep = b.max
 	rest := idx[cursor:]
 	scores := make([]float64, 0, len(rest))
@@ -352,19 +338,19 @@ func (b *sessionBuffer) revive() {
 	b.refreshBoundary()
 }
 
-// bestSpilled returns the best unconsumed spilled entry across the
-// sorted slab (idx[cursor:]) and every segment head, without consuming
-// it: the caller pops the winner (advance cursor or clear seg.loaded).
-// The returned ranks alias either the slab or the segment's head buffer
-// and must be copied (arena.alloc does) before the next call.
-func (b *sessionBuffer) bestSpilled(idx []int32, cursor int) (float64, []int32, *spillSegment, error) {
-	have := false
+// bestSpilled returns the best unconsumed spilled entry across the slab's
+// best entry (slab entry head, or none when head < 0) and every segment
+// head, without consuming it: the caller pops the winner (advance its
+// slab cursor or clear seg.loaded). The returned ranks alias either the
+// slab or the segment's head buffer and must be copied (arena.alloc and
+// setBoundary do) before the next call.
+func (b *sessionBuffer) bestSpilled(head int32) (float64, []int32, *spillSegment, error) {
+	have := head >= 0
 	var bestScore float64
 	var bestRanks []int32
 	var fromSeg *spillSegment
-	if cursor < len(idx) {
-		i := idx[cursor]
-		bestScore, bestRanks, have = b.spillScores[i], b.slabRanks(i), true
+	if have {
+		bestScore, bestRanks = b.spillScores[head], b.slabRanks(head)
 	}
 	for _, s := range b.tier.segs {
 		ok, err := b.tier.ensureHead(s)
@@ -385,33 +371,20 @@ func (b *sessionBuffer) bestSpilled(idx []int32, cursor int) (float64, []int32, 
 }
 
 // refreshBoundary recomputes the spill boundary as the best remaining
-// spilled entry — the head of the compacted slab or of a segment — or
-// clears it when nothing remains spilled.
+// spilled entry — the head of the compacted, sorted slab or of a segment
+// — or clears it when nothing remains spilled.
 func (b *sessionBuffer) refreshBoundary() {
-	n := b.arena.n
-	have := false
-	var score float64
-	var ranks []int32
-	if len(b.spillScores) > 0 {
-		score, ranks, have = b.spillScores[0], b.spillRanks[:n], true
-	}
-	if b.tier != nil {
-		for _, s := range b.tier.segs {
-			ok, err := b.tier.ensureHead(s)
-			if err != nil {
-				b.err = err
-				return
-			}
-			if !ok {
-				continue
-			}
-			if !have || s.head > score || (s.head == score && lexLess32(s.headRanks, ranks)) {
-				score, ranks, have = s.head, s.headRanks, true
-			}
-		}
-	}
-	if !have {
+	if b.spillCount() == 0 {
 		b.hasBoundary = false
+		return
+	}
+	head := int32(-1)
+	if len(b.spillScores) > 0 {
+		head = 0
+	}
+	score, ranks, _, err := b.bestSpilled(head)
+	if err != nil {
+		b.err = err
 		return
 	}
 	b.setBoundary(score, ranks)
@@ -427,8 +400,9 @@ func (b *sessionBuffer) refreshBoundary() {
 //
 // Unbounded, the iterator retains every formed combination that has not
 // been emitted yet (any of them may eventually surface), in compact
-// arena-backed rank form. Options.MaxBuffered bounds that retention — see
-// BufferPolicy for the prune/spill trade-off.
+// arena-backed rank form. Options.MaxBuffered bounds that retention, and
+// Options.SpillDir says whether the bounded session keeps what it does
+// not retain (see sessionBuffer).
 //
 // A session ends in Close, whenever its consumer decides it is over; what
 // the session holds outside the heap — spill segments, the sources'
@@ -451,6 +425,13 @@ var ErrIteratorDone = errors.New("core: iterator exhausted")
 // results remain reachable through DrainBest.
 var ErrIteratorDNF = errors.New("core: iterator aborted by MaxSumDepths/MaxCombinations cap")
 
+// ErrIteratorPastBound is returned by Next once a bounded consumer — a
+// session with MaxBuffered > 0 and no SpillDir — has taken MaxBuffered
+// results, emitted and drained together: its buffer dropped what ranks
+// below them, so a further result could be wrong. A session that must
+// enumerate past the bound leaves MaxBuffered 0 or gives it a SpillDir.
+var ErrIteratorPastBound = errors.New("core: iterator: bounded consumer has taken MaxBuffered results")
+
 // errIteratorClosed is what Next returns after Close.
 var errIteratorClosed = fmt.Errorf("core: iterator: %w", os.ErrClosed)
 
@@ -458,7 +439,7 @@ var errIteratorClosed = fmt.Errorf("core: iterator: %w", os.ErrClosed)
 // is ignored (results stream indefinitely); all other options behave as in
 // NewEngine. The iterator owns the sources from here on: Close closes them.
 func NewIterator(sources []relation.Source, opts Options) (*Iterator, error) {
-	bufMax, policy := opts.MaxBuffered, opts.BufferPolicy
+	bufMax := opts.MaxBuffered
 	opts.K = 1 // engine validation only; the iterator manages its own buffer
 	e, err := NewEngine(sources, opts)
 	if err != nil {
@@ -466,15 +447,13 @@ func NewIterator(sources []relation.Source, opts Options) (*Iterator, error) {
 	}
 	it := &Iterator{
 		e:   e,
-		buf: newSessionBuffer(e.arena, bufMax, policy, &e.stats),
+		buf: newSessionBuffer(e.arena, bufMax, &e.stats),
 	}
 	it.buf.tracer = opts.Tracer
-	if bufMax > 0 && policy == BufferSpill {
+	if bufMax > 0 && opts.SpillDir != "" {
 		e.cuts = newCutHeap(e.n)
 		it.buf.cuts, it.buf.expand = e.cuts, e.expandCut
-		if opts.SpillDir != "" {
-			it.buf.tier = newSpillTier(opts.SpillDir, e.arena.n, opts.SpillMemBytes, &e.stats, opts.spillFault)
-		}
+		it.buf.tier = newSpillTier(opts.SpillDir, e.arena.n, opts.SpillMemBytes, &e.stats, opts.spillFault)
 	}
 	// Reroute formed combinations into the session buffer.
 	e.sink = it.buf
@@ -483,7 +462,8 @@ func NewIterator(sources []relation.Source, opts Options) (*Iterator, error) {
 
 // Next returns the next-best combination, pulling as little input as
 // possible to certify it. It returns ErrIteratorDone when every
-// combination has been emitted, or the underlying access error.
+// combination has been emitted, ErrIteratorPastBound once a bounded
+// consumer has taken its MaxBuffered, or the underlying access error.
 func (it *Iterator) Next() (Combination, error) {
 	return it.NextContext(context.Background())
 }
@@ -496,6 +476,9 @@ func (it *Iterator) Next() (Combination, error) {
 func (it *Iterator) NextContext(ctx context.Context) (Combination, error) {
 	if it.err != nil {
 		return Combination{}, it.err
+	}
+	if it.pastBound() {
+		return Combination{}, ErrIteratorPastBound
 	}
 	start := time.Now()
 	defer func() { it.e.stats.TotalTime += time.Since(start) }()
@@ -553,12 +536,23 @@ func (it *Iterator) emitBest() Combination {
 	return c
 }
 
+// pastBound reports whether a bounded consumer — a bounded buffer without
+// a spill tier — has taken all it may.
+func (it *Iterator) pastBound() bool {
+	return it.buf.max > 0 && it.buf.tier == nil && it.emitted >= int64(it.buf.max)
+}
+
 // DrainBest pops the best buffered combination without certifying it
 // against the bound. After ErrIteratorDNF this yields the engine's
 // best-effort tail in the same order a capped batch run reports: the
 // buffer holds the best formed-but-unemitted combinations, so emitted
-// results plus the drain reproduce the batch top-K exactly.
+// results plus the drain reproduce the batch top-K exactly. A bounded
+// consumer's drain stops where its Next would fail with
+// ErrIteratorPastBound.
 func (it *Iterator) DrainBest() (Combination, bool) {
+	if it.pastBound() {
+		return Combination{}, false
+	}
 	if _, ok := it.buf.peekBest(); !ok || it.buf.err != nil {
 		return Combination{}, false
 	}

@@ -170,3 +170,63 @@ func TestIteratorThresholdMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedConsumerRefusesPastBound: a session with MaxBuffered = k and
+// no SpillDir, on every identity case whose stream runs past k, gives its
+// first k results exactly as the unbounded oracle does, then fails every
+// further Next with ErrIteratorPastBound and drains nothing. Lifting the
+// bound on the same session shows what the error replaces: the buffer
+// dropped what ranks below the k-th result, and on some cases the next
+// combination it would hand out is not the oracle's. (Streams that end
+// before k are TestQuickSessionBufferByteIdentity's bounded leg.)
+func TestBoundedConsumerRefusesPastBound(t *testing.T) {
+	r := rand.New(rand.NewSource(3131))
+	checked, wrong := 0, 0
+	for ci, c := range identityCases(r, 8) {
+		k := c.in.k
+		oracle := c.opts
+		oracle.disablePrune = true
+		want, _, _, _ := drainIterator(t, c.in, c.kind, oracle)
+		if len(want) <= k {
+			continue
+		}
+		checked++
+		opts := c.opts
+		opts.MaxBuffered = k
+		opts.Query, opts.Agg = c.in.q, c.in.fn
+		it, err := NewIterator(c.in.sources(t, c.kind), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Combination
+		for len(got) <= k {
+			cmb, err := it.Next()
+			if err != nil {
+				if !errors.Is(err, ErrIteratorPastBound) || len(got) != k {
+					t.Fatalf("case %d: call %d: %v, want ErrIteratorPastBound at call %d", ci, len(got)+1, err, k+1)
+				}
+				break
+			}
+			got = append(got, cmb)
+		}
+		if err := combosIdentical(got, want[:k]); err != nil {
+			t.Fatalf("case %d: first %d: %v", ci, k, err)
+		}
+		if _, err := it.Next(); !errors.Is(err, ErrIteratorPastBound) {
+			t.Fatalf("case %d: call %d: %v, want ErrIteratorPastBound again", ci, k+2, err)
+		}
+		if _, ok := it.DrainBest(); ok {
+			t.Fatalf("case %d: DrainBest went past the bound", ci)
+		}
+		// The session as it answered before the bound was enforced.
+		it.emitted = 0
+		if next, err := it.Next(); err != nil || combosIdentical([]Combination{next}, want[k:k+1]) != nil {
+			wrong++
+		}
+		it.Close()
+	}
+	if wrong == 0 {
+		t.Fatalf("none of %d cases answers wrong past the bound: the sentinel replaces nothing", checked)
+	}
+	t.Logf("%d of %d cases would have answered call k+1 wrong", wrong, checked)
+}

@@ -20,12 +20,12 @@ type boundedRun struct {
 	expanded, revived int
 }
 
-func drainBounded(t *testing.T, c identityCase, policy BufferPolicy) boundedRun {
+func drainBounded(t *testing.T, c identityCase, spillDir string) boundedRun {
 	t.Helper()
 	k := c.in.k
 	opts := c.opts
 	opts.Query, opts.Agg = c.in.q, c.in.fn
-	opts.MaxBuffered, opts.BufferPolicy = k, policy
+	opts.MaxBuffered, opts.SpillDir = k, spillDir
 	tr := &seqTracer{}
 	opts.Tracer = tr
 	it, err := NewIterator(c.in.sources(t, c.kind), opts)
@@ -68,7 +68,8 @@ func drainBounded(t *testing.T, c identityCase, policy BufferPolicy) boundedRun 
 }
 
 // TestSpillBoundedCountsLikePrune: drained to K with MaxBuffered = K, a
-// spill session does its prune twin's work — the same pulls and bound, the
+// session with a spill tier does the work of its twin without one, the
+// bounded consumer — the same pulls and bound, the
 // same cuts, the same scored count, bit-equal results — because its heap
 // evolves identically and it keeps every cut as a deferred record that
 // emission never reaches: no record is expanded and nothing is revived.
@@ -77,8 +78,8 @@ func TestSpillBoundedCountsLikePrune(t *testing.T) {
 	r := rand.New(rand.NewSource(2929))
 	deferred := 0
 	for ci, c := range identityCases(r, 8) {
-		prune := drainBounded(t, c, BufferPrune)
-		spill := drainBounded(t, c, BufferSpill)
+		prune := drainBounded(t, c, "")
+		spill := drainBounded(t, c, t.TempDir())
 		label := func() string { return c.opts.Algorithm.String() + "/" + c.kind.String() }
 		if err := combosIdentical(spill.out, prune.out); err != nil {
 			t.Fatalf("case %d (%s): results: %v", ci, label(), err)
@@ -116,7 +117,7 @@ func (s *memberSink) floor() (float64, bool)         { return negInf, false }
 func deferredMembersBelowKey(t *testing.T, in instance, kind relation.AccessKind, opts Options) (int, bool) {
 	t.Helper()
 	opts.Query, opts.Agg = in.q, in.fn
-	opts.BufferPolicy = BufferSpill
+	opts.SpillDir = t.TempDir()
 	it, err := NewIterator(in.sources(t, kind), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +201,7 @@ func TestSpillPastCapExpandsAndRevives(t *testing.T) {
 
 		opts := base
 		opts.disablePrune = false
-		opts.MaxBuffered, opts.BufferPolicy = 2, BufferSpill
+		opts.MaxBuffered = 2
 		opts.SpillDir, opts.SpillMemBytes = t.TempDir(), 1
 		opts.Query, opts.Agg = in.q, in.fn
 		tr := &seqTracer{}
@@ -251,7 +252,7 @@ func TestSpillTierIdleTouchesNothing(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "never")
 	it, err := NewIterator(in.sources(t, relation.ScoreAccess), Options{
 		Algorithm: TBPA, Query: in.q, Agg: in.fn,
-		MaxBuffered: in.k, BufferPolicy: BufferSpill, SpillDir: dir,
+		MaxBuffered: in.k, SpillDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)

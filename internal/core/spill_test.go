@@ -19,7 +19,6 @@ func spillingOptions(dir string) Options {
 	return Options{
 		Algorithm:     CBRR,
 		MaxBuffered:   1,
-		BufferPolicy:  BufferSpill,
 		SpillDir:      dir,
 		SpillMemBytes: 1,
 	}
@@ -93,8 +92,8 @@ func TestSpillCrashSafety(t *testing.T) {
 	in := randomInstance(r, 2, 14)
 	dir := t.TempDir()
 
-	// Baseline: the all-RAM spill session.
-	base := Options{Algorithm: CBRR, MaxBuffered: 1, BufferPolicy: BufferSpill}
+	// Baseline: a spill session under the default watermark, all in RAM.
+	base := Options{Algorithm: CBRR, MaxBuffered: 1, SpillDir: t.TempDir()}
 	baseEmit, baseDrain, baseErr, baseStats := drainSources(t, in.sources(t, relation.ScoreAccess), in, base)
 	if baseStats.SpilledCombinations == 0 {
 		t.Skip("instance too small to spill")

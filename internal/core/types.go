@@ -156,15 +156,17 @@ type Options struct {
 	MaxCombinations int64
 	// MaxBuffered bounds the session buffer of a pipelined Iterator: the
 	// number of formed-but-unemitted combinations retained in ranked form.
-	// 0 means unbounded. The bound shrinks with every result taken (the
-	// best MaxBuffered − emitted are retained, at least one), and a full
-	// buffer's worst entry is a score floor below which formation cuts
-	// whole subtrees; what becomes of the rest is BufferPolicy's choice.
-	// Batch engines (Run) ignore it — their buffer is K by construction.
+	// 0 means unbounded and exact. The bound shrinks with every result
+	// taken (the best MaxBuffered − emitted are retained, at least one),
+	// and a full buffer's worst entry is a score floor below which
+	// formation cuts whole subtrees. Without SpillDir the session is a
+	// bounded consumer: what the buffer does not retain is dropped, and
+	// once emitted plus drained results reach MaxBuffered, Next fails with
+	// ErrIteratorPastBound and DrainBest yields nothing. With SpillDir it
+	// is kept in the spill tier and enumeration stays exact past the
+	// bound. Batch engines (Run) ignore it — their buffer is K by
+	// construction.
 	MaxBuffered int
-	// BufferPolicy selects the overflow behavior once MaxBuffered is
-	// reached (meaningful only with MaxBuffered > 0).
-	BufferPolicy BufferPolicy
 	// CollectTimings enables the per-pull wall-clock sampling behind
 	// Stats.BoundTime (the stacked bars of Fig. 3(d)-(l)). Off by default
 	// so stats collection does not tax every pull; Stats.TotalTime is
@@ -174,14 +176,14 @@ type Options struct {
 	// access with its depth and wall time, every threshold update, every
 	// buffer pressure event. Nil costs one pointer check per pull.
 	Tracer Tracer
-	// SpillDir, when non-empty, gives a BufferSpill session a file-backed
-	// spill tier: once the in-memory spill slab reaches the SpillMemBytes
-	// watermark it is sorted and flushed to a compact columnar segment
-	// file under SpillDir, and revival merges the slab with the segment
-	// streams. Emissions are byte-identical to the purely in-memory slab;
-	// resident memory stays O(MaxBuffered + SpillMemBytes) however far
-	// the enumeration outruns the consumer. Ignored unless the session
-	// runs MaxBuffered > 0 with BufferSpill.
+	// SpillDir, when non-empty, gives a bounded session (MaxBuffered > 0)
+	// a spill tier that keeps what the ranked heap does not: below-floor
+	// subtrees as deferred records, evictions in an in-memory slab that is
+	// sorted and flushed to a compact columnar segment file under SpillDir
+	// once it reaches the SpillMemBytes watermark. Revival merges the slab
+	// with the segment streams, so the stream is exact past MaxBuffered
+	// with resident memory O(MaxBuffered + SpillMemBytes) however far the
+	// enumeration outruns the consumer. Ignored when MaxBuffered is 0.
 	SpillDir string
 	// SpillMemBytes bounds the in-memory spill slab when SpillDir is set;
 	// 0 selects DefaultSpillMemBytes.
@@ -216,43 +218,6 @@ const DefaultSpillMemBytes = 4 << 20
 // outgrowing L1.
 const DefaultBlockSize = 64
 
-// BufferPolicy selects what a pipelined Iterator does with formed
-// combinations once its buffer holds Options.MaxBuffered of them.
-type BufferPolicy int
-
-const (
-	// BufferPrune drops the combination ranking below the buffer's score
-	// floor (the worst retained one). The first MaxBuffered results of the
-	// stream are exactly the unbounded stream's — a consumer that takes at
-	// most MaxBuffered results (a batch run drained to K with
-	// MaxBuffered = K) sees identical output in O(MaxBuffered) memory.
-	// Because such a consumer has only MaxBuffered − emitted results left
-	// to take, that is what the buffer retains (at least one): emitted +
-	// drained ≤ MaxBuffered, and a session driven past MaxBuffered may
-	// skip results.
-	BufferPrune BufferPolicy = iota
-	// BufferSpill keeps every combination: the ranked heap is bounded as
-	// under BufferPrune, its evictions move to a flat, append-only spill
-	// slab in compact rank form, revived in sorted batches as the heap
-	// drains, and below-floor subtrees are kept as deferred records —
-	// O(n) each, scored only when emission reaches them. Open enumeration
-	// stays exact; a consumer taking at most MaxBuffered results never
-	// reaches a record and does the BufferPrune session's work plus its
-	// evictions.
-	BufferSpill
-)
-
-// String implements fmt.Stringer.
-func (p BufferPolicy) String() string {
-	switch p {
-	case BufferPrune:
-		return "prune"
-	case BufferSpill:
-		return "spill"
-	}
-	return fmt.Sprintf("BufferPolicy(%d)", int(p))
-}
-
 // Combination is one joined result with its aggregate score.
 type Combination struct {
 	// Tuples holds one tuple per input relation, in relation order.
@@ -277,20 +242,20 @@ type Stats struct {
 	// or off.
 	CombinationsFormed int64
 	// CombinationsPruned counts the CombinationsFormed members that
-	// score-floor pruning cut without materializing. A BufferSpill session
-	// keeps them as deferred records, scored later only if emission
-	// reaches them; they stay counted here.
+	// score-floor pruning cut without materializing. A session with a
+	// spill tier keeps them as deferred records, scored later only if
+	// emission reaches them; they stay counted here.
 	CombinationsPruned int64
 	// PeakBuffered is the high-water mark of retained combinations (the
 	// output buffer plus, for sessions, the spill slab; deferred records
 	// count only once expanded).
 	PeakBuffered int
-	// SpilledCombinations counts combinations moved to a session buffer's
-	// compact spill slab (BufferSpill policy only): the ranked heap's
-	// evictions, and deferred record members that land below it.
+	// SpilledCombinations counts combinations moved to the spill slab of
+	// a session with a spill tier: the ranked heap's evictions, and
+	// deferred record members that land below it.
 	SpilledCombinations int64
-	// SpilledBytes counts bytes written to file-backed spill segments
-	// (Options.SpillDir); zero when the slab never reached the watermark.
+	// SpilledBytes counts bytes written to spill segment files; zero when
+	// the slab never reached the watermark.
 	SpilledBytes int64
 	// BoundUpdates counts updateBound invocations (one per pull).
 	BoundUpdates int64

@@ -146,25 +146,15 @@ type Options struct {
 	MaxSumDepths    int
 	MaxCombinations int64
 	// MaxBuffered bounds a session's buffer of formed-but-unemitted
-	// combinations (0 = unbounded). The batch TopK* entry points default
-	// it to K, restoring O(K) peak memory with byte-identical results.
-	// The session retains the best MaxBuffered − emitted combinations (at
-	// least one), and formation skips whole subtrees below the worst of
-	// them. Under the default BufferPrune policy emitted plus drained
-	// results stay within MaxBuffered, and a Query consumed past
-	// MaxBuffered results may skip results, so open-ended sessions should
-	// leave it 0 or select BufferSpill.
+	// combinations (0 = unbounded and exact). The batch TopK* entry points
+	// default it to K, restoring O(K) peak memory with byte-identical
+	// results. The session retains the best MaxBuffered − emitted
+	// combinations (at least one), and formation skips whole subtrees
+	// below the worst of them. Without SpillDir the session is a bounded
+	// consumer: it drops what it cannot return, and once it has delivered
+	// MaxBuffered results (Next and DrainBest together) Next fails with
+	// ErrPastBound. With SpillDir it enumerates exactly past MaxBuffered.
 	MaxBuffered int
-	// BufferPolicy selects the overflow behavior at MaxBuffered:
-	// BufferPrune (default) drops combinations below the buffer's score
-	// floor — exact for the first MaxBuffered results in O(MaxBuffered)
-	// memory, retaining only as many as are left to take; BufferSpill
-	// keeps everything, below-floor subtrees as deferred records scored
-	// only if enumeration reaches them and evictions in a compact
-	// append-only slab — exact for open enumeration with the ranked heap
-	// still bounded, and as cheap as BufferPrune for the first
-	// MaxBuffered results.
-	BufferPolicy BufferPolicy
 	// CollectTimings enables the per-pull wall-clock sampling behind
 	// Stats.BoundTime. Off by default: the timers measurably tax every
 	// pull, and most callers only need Stats.TotalTime (always
@@ -175,12 +165,13 @@ type Options struct {
 	// buffer pressure event. The hook behind per-query tracing; nil (the
 	// default) costs one pointer check per pull.
 	Tracer Tracer
-	// SpillDir, when non-empty, gives BufferSpill sessions a file-backed
-	// spill tier: overflow past the SpillMemBytes in-memory slab moves to
-	// checksummed segment files under SpillDir, byte-identically to the
-	// in-memory slab, so open enumeration over huge cross products runs
-	// at flat resident memory. Ignored unless MaxBuffered > 0 with
-	// BufferSpill.
+	// SpillDir, when non-empty, gives a session with MaxBuffered > 0 a
+	// spill tier: below-floor subtrees are kept as deferred records scored
+	// only if enumeration reaches them, evictions in a compact slab that
+	// moves to checksummed segment files under SpillDir past
+	// SpillMemBytes, so open enumeration over huge cross products stays
+	// exact at flat resident memory. Ignored when MaxBuffered is 0, and
+	// cleared by BoundedToK.
 	SpillDir string
 	// SpillMemBytes bounds the in-memory slab ahead of the file tier
 	// (0 = core.DefaultSpillMemBytes).
@@ -190,20 +181,6 @@ type Options struct {
 // Tracer observes one run at pull granularity (see core.Tracer for the
 // callback contract).
 type Tracer = core.Tracer
-
-// BufferPolicy selects what a bounded session buffer does at its cap.
-type BufferPolicy = core.BufferPolicy
-
-// Buffer policies.
-const (
-	// BufferPrune drops below-floor combinations (exact first MaxBuffered
-	// results, O(MaxBuffered) memory).
-	BufferPrune = core.BufferPrune
-	// BufferSpill keeps every combination, below-floor subtrees as
-	// deferred records and evictions in a compact slab (exact open
-	// enumeration, bounded ranked heap).
-	BufferSpill = core.BufferSpill
-)
 
 // NewRelation validates tuples and builds a relation; maxScore is the
 // a-priori maximum score σ_max the bounding schemes rely on.
@@ -327,7 +304,6 @@ func (o Options) engineOptions(query Vector, fn agg.Function) core.Options {
 		MaxSumDepths:    o.MaxSumDepths,
 		MaxCombinations: o.MaxCombinations,
 		MaxBuffered:     o.MaxBuffered,
-		BufferPolicy:    o.BufferPolicy,
 		CollectTimings:  o.CollectTimings,
 		Tracer:          o.Tracer,
 		SpillDir:        o.SpillDir,
@@ -335,23 +311,20 @@ func (o Options) engineOptions(query Vector, fn agg.Function) core.Options {
 	}
 }
 
-// BoundedToK returns the options with the session buffer defaulted for a
-// run that consumes at most K results: bounding MaxBuffered to K keeps
-// the output byte-identical while restoring O(K) peak heap memory (the
-// buffer otherwise grows with CombinationsFormed). An explicit
-// MaxBuffered wins, and the configured BufferPolicy is honored — the
-// default prune drops below-floor combinations, BufferSpill keeps them
-// (cut subtrees as deferred records that an at-most-K consumer never
-// scores, evictions in the compact spill slab and, with SpillDir, the
-// file tier) at the same cost.
-// Every at-most-K consumer — the batch TopK* entry points, the service
-// executor's streamed runs, the CLI — applies exactly this rule; do not
-// use it for sessions that may enumerate past K with the prune policy,
-// where the pruned buffer could skip results.
+// BoundedToK returns the options of a bounded consumer, a run that
+// consumes at most K results: bounding MaxBuffered to K keeps the output
+// byte-identical while restoring O(K) peak heap memory (the buffer
+// otherwise grows with CombinationsFormed), and SpillDir is cleared,
+// since a consumer that stops at K never reads what a spill tier would
+// keep. An explicit MaxBuffered wins. Every at-most-K consumer — the
+// batch TopK* entry points, the service executor, the CLI — applies
+// exactly this rule; a session that may enumerate past K must not, or
+// it fails with ErrPastBound there.
 func (o Options) BoundedToK() Options {
 	if o.MaxBuffered == 0 && o.K > 0 {
 		o.MaxBuffered = o.K
 	}
+	o.SpillDir = ""
 	return o
 }
 
@@ -436,9 +409,9 @@ func TopKFromSources(query Vector, sources []Source, opts Options) (Result, erro
 // NewQuerySources): the engine is invoked through one path whether
 // results are consumed as a batch or enumerated incrementally, and the
 // pull sequence — hence every cost metric — is identical either way.
-// Because the run consumes at most K results, the session buffer is
-// bounded to K under the drop-below-floor policy (unless the caller set
-// MaxBuffered explicitly): peak retained combinations are O(K) even
+// Because the run consumes at most K results, it is a bounded consumer
+// with its buffer bounded to K (unless the caller set MaxBuffered
+// explicitly): peak retained combinations are O(K) even
 // though Stats.CombinationsFormed can be orders of magnitude larger, and
 // the results are byte-identical to an unbounded run's.
 func TopKFromSourcesContext(ctx context.Context, query Vector, sources []Source, opts Options) (Result, error) {
@@ -465,6 +438,12 @@ func NaiveTopK(query Vector, rels []*Relation, opts Options) ([]Combination, err
 // combinations attached; Query.Next returns ErrDNF once no buffered
 // combination can be certified anymore; MustTopK panics with it.
 var ErrDNF = errors.New("proxrank: run aborted by MaxSumDepths/MaxCombinations cap")
+
+// ErrPastBound is returned by Query.Next once a bounded consumer — a
+// session with MaxBuffered > 0 and no SpillDir — has delivered
+// MaxBuffered results: what ranks below them was dropped, so the session
+// refuses to answer rather than answer wrong.
+var ErrPastBound = core.ErrIteratorPastBound
 
 // MustTopK is TopK that panics on error or DNF; for examples and tests.
 func MustTopK(query Vector, rels []*Relation, opts Options) Result {

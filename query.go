@@ -44,9 +44,6 @@ func OptionsFromRequest(req *api.Request, limits ...api.Limits) (Vector, Options
 	if req.Access == api.AccessScore {
 		opts.Access = ScoreAccess
 	}
-	if req.BufferPolicy == api.BufferSpill {
-		opts.BufferPolicy = BufferSpill
-	}
 	if req.Transform == api.TransformIdentity {
 		opts.Transform = IdentityScore
 	}
@@ -128,10 +125,10 @@ func NewQueryInputs(query Vector, inputs []Input, opts Options) (*Query, error) 
 // between consumption models.
 //
 // An unbounded session retains every formed-but-unemitted combination in
-// compact rank form; set MaxBuffered (with BufferSpill to keep open
-// enumeration exact, or BufferPrune when at most MaxBuffered results will
-// be consumed) to bound it. Epsilon relaxes per-result certification
-// exactly as it relaxes the batch stopping test.
+// compact rank form; set MaxBuffered to bound it — alone when at most
+// MaxBuffered results will be consumed, with SpillDir to keep open
+// enumeration exact. Epsilon relaxes per-result certification exactly as
+// it relaxes the batch stopping test.
 func NewQuerySources(query Vector, sources []Source, opts Options) (*Query, error) {
 	if opts.K < 1 {
 		return nil, core.ErrBadK
@@ -157,7 +154,8 @@ func (q *Query) K() int { return q.k }
 // than n come back only together with a non-nil error explaining why the
 // stream ended there: ErrStreamDone after full exhaustion, ErrDNF once a
 // MaxSumDepths/MaxCombinations cap fired (see DrainBest for the
-// best-effort tail), or an access error. Results already collected are
+// best-effort tail), ErrPastBound once a bounded consumer has delivered
+// MaxBuffered results, or an access error. Results already collected are
 // always returned alongside the error.
 func (q *Query) Next(n int) ([]Combination, error) {
 	return q.NextContext(context.Background(), n)
@@ -289,7 +287,7 @@ func (q *Query) Close() { q.it.Close() }
 func (q *Query) Emitted() int { return int(q.it.Emitted()) }
 
 // Buffered returns the number of scored combinations awaiting emission;
-// a BufferSpill session's deferred subtrees count once expanded.
+// a spill session's deferred subtrees count once expanded.
 func (q *Query) Buffered() int { return q.it.Buffered() }
 
 // Threshold returns the current upper bound on undelivered combinations.

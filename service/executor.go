@@ -76,14 +76,11 @@ type Config struct {
 	// SlowQueryLog is where slow-query lines go. Nil disables logging
 	// even when the threshold is set.
 	SlowQueryLog io.Writer
-	// SpillDir, when non-empty, gives every BufferSpill session a
-	// file-backed spill tier rooted here: combinations past the in-memory
-	// slab watermark move to compact on-disk segments and revive in exact
-	// rank order, so open enumeration over huge cross products runs at
-	// flat resident memory. Empty keeps spill purely in RAM.
-	SpillDir string
-	// SpillMemBytes is the per-session in-memory slab budget before
-	// overflow goes to SpillDir (0 = the engine default, 4 MiB).
+	// SpillDir and SpillMemBytes are ignored: every query the executor
+	// runs consumes at most K results, and such a session never carries a
+	// spill tier (proxrank.Options.BoundedToK). They stay only while the
+	// benchmark harness still sets them, and leave with ROADMAP item 1.
+	SpillDir      string
 	SpillMemBytes int
 }
 
@@ -204,11 +201,6 @@ type StatsSnapshot struct {
 	// shard streams — the useful share of the rows the peers sent (the
 	// coordinator's /v1/stats reports those as remoteRowsFetched).
 	RemoteRowsConsumed int64 `json:"remoteRowsConsumed"`
-	// TotalSpilledCombinations counts combinations BufferSpill sessions
-	// moved out of the ranked heap; TotalSpilledBytes is how many bytes of
-	// those reached the file spill tier.
-	TotalSpilledCombinations int64 `json:"totalSpilledCombinations"`
-	TotalSpilledBytes        int64 `json:"totalSpilledBytes"`
 }
 
 // Executor answers queries against a catalog through a bounded worker
@@ -261,8 +253,6 @@ type Executor struct {
 	remoteOpened      atomic.Int64
 	shardsPruned      atomic.Int64
 	remoteConsumed    atomic.Int64
-	totalSpilled      atomic.Int64
-	totalSpilledBytes atomic.Int64
 }
 
 // NewExecutor builds an executor over cat.
@@ -329,36 +319,34 @@ func (x *Executor) AttachFleet(fleet *shardrpc.Fleet) { x.m.registerFleet(fleet)
 // Stats returns a consistent-enough snapshot of the counters.
 func (x *Executor) Stats() StatsSnapshot {
 	return StatsSnapshot{
-		Queries:                  x.queries.Load(),
-		Streamed:                 x.streamed.Load(),
-		Completed:                x.completed.Load(),
-		CacheHits:                x.cacheHits.Load(),
-		CacheMisses:              x.cacheMisses.Load(),
-		Coalesced:                x.coalesced.Load(),
-		CacheEntries:             x.cache.len(),
-		Canceled:                 x.canceled.Load(),
-		BadRequests:              x.badRequests.Load(),
-		Failed:                   x.failed.Load(),
-		Rejected:                 x.rejected.Load(),
-		InFlight:                 x.inFlight.Load(),
-		Queued:                   x.queued.Load(),
-		Degraded:                 x.degraded.Load(),
-		EngineRuns:               x.engineRuns.Load(),
-		StreamsBrokered:          x.streamsBrokered.Load(),
-		MidRunAttaches:           x.midRunAttaches.Load(),
-		SlowSubscriberDrops:      x.slowDrops.Load(),
-		StreamSubscribers:        x.bins.Subscribers.Load(),
-		StreamPeakLag:            x.bins.PeakLag.Load(),
-		StreamBlockedMicros:      x.bins.BlockedNanos.Load() / 1e3,
-		TotalSumDepths:           x.totalSumDepths.Load(),
-		TotalCombinations:        x.totalCombinations.Load(),
-		TotalBoundUpdates:        x.totalBoundUpdates.Load(),
-		TotalEngineMicros:        x.totalEngineMicros.Load(),
-		RemoteStreamsOpened:      x.remoteOpened.Load(),
-		ShardsPruned:             x.shardsPruned.Load(),
-		RemoteRowsConsumed:       x.remoteConsumed.Load(),
-		TotalSpilledCombinations: x.totalSpilled.Load(),
-		TotalSpilledBytes:        x.totalSpilledBytes.Load(),
+		Queries:             x.queries.Load(),
+		Streamed:            x.streamed.Load(),
+		Completed:           x.completed.Load(),
+		CacheHits:           x.cacheHits.Load(),
+		CacheMisses:         x.cacheMisses.Load(),
+		Coalesced:           x.coalesced.Load(),
+		CacheEntries:        x.cache.len(),
+		Canceled:            x.canceled.Load(),
+		BadRequests:         x.badRequests.Load(),
+		Failed:              x.failed.Load(),
+		Rejected:            x.rejected.Load(),
+		InFlight:            x.inFlight.Load(),
+		Queued:              x.queued.Load(),
+		Degraded:            x.degraded.Load(),
+		EngineRuns:          x.engineRuns.Load(),
+		StreamsBrokered:     x.streamsBrokered.Load(),
+		MidRunAttaches:      x.midRunAttaches.Load(),
+		SlowSubscriberDrops: x.slowDrops.Load(),
+		StreamSubscribers:   x.bins.Subscribers.Load(),
+		StreamPeakLag:       x.bins.PeakLag.Load(),
+		StreamBlockedMicros: x.bins.BlockedNanos.Load() / 1e3,
+		TotalSumDepths:      x.totalSumDepths.Load(),
+		TotalCombinations:   x.totalCombinations.Load(),
+		TotalBoundUpdates:   x.totalBoundUpdates.Load(),
+		TotalEngineMicros:   x.totalEngineMicros.Load(),
+		RemoteStreamsOpened: x.remoteOpened.Load(),
+		ShardsPruned:        x.shardsPruned.Load(),
+		RemoteRowsConsumed:  x.remoteConsumed.Load(),
 	}
 }
 
@@ -377,10 +365,6 @@ func (x *Executor) prepare(req *QueryRequest) (*QueryRequest, proxrank.Vector, p
 	if err != nil {
 		return nil, nil, proxrank.Options{}, nil, asAPIError(err)
 	}
-	// Server-side engine tuning the wire request has no say over: where
-	// (and whether) BufferSpill sessions overflow to disk.
-	opts.SpillDir = x.cfg.SpillDir
-	opts.SpillMemBytes = x.cfg.SpillMemBytes
 	entries, err := x.cat.Resolve(norm.Relations)
 	if err != nil {
 		return nil, nil, proxrank.Options{}, nil, asAPIError(err)

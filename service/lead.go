@@ -78,9 +78,8 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 			}
 			// The session ends here, on every exit — q.Close, the pruning
 			// counters, the slot — and before the flight settles: a batch
-			// caller returns the instant done closes, and InFlight, the
-			// counters and the spill directory must already account for
-			// its query.
+			// caller returns the instant done closes, and InFlight and the
+			// counters must already account for its query.
 			endSession()
 			engCancel()
 			x.flight.leave(c, ans, err)
@@ -243,8 +242,6 @@ func (x *Executor) recordOutcome(stats proxrank.Stats) {
 	x.totalCombinations.Add(stats.CombinationsFormed)
 	x.totalBoundUpdates.Add(stats.BoundUpdates)
 	x.totalEngineMicros.Add(stats.TotalTime.Microseconds())
-	x.totalSpilled.Add(stats.SpilledCombinations)
-	x.totalSpilledBytes.Add(stats.SpilledBytes)
 	x.m.sumDepths.Observe(float64(stats.SumDepths))
 	if stats.CombinationsFormed > 0 {
 		x.m.pruneRatio.Observe(float64(stats.CombinationsPruned) / float64(stats.CombinationsFormed))

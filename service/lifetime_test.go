@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"errors"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -11,33 +13,37 @@ import (
 	"repro/api"
 )
 
-// segmentWatch is a source that looks at the spill directory on every
-// pull and, once the session has segment files there, runs then — the
-// point at which each case of TestSessionEndLeavesNoSegments ends its run.
-type segmentWatch struct {
+// spillWatch is a source that notes, on every pull, whether the spill
+// directory exists, then runs then — the point at which each case of
+// TestSessionEndLeavesNoSegments ends its run.
+type spillWatch struct {
 	proxrank.Source
-	dir  string
-	seen *atomic.Bool
-	then func()
+	dir     string
+	pulls   *atomic.Int64
+	touched *atomic.Bool
+	then    func()
 }
 
-func (s segmentWatch) Next() (proxrank.Tuple, error) {
-	if segs, _ := filepath.Glob(filepath.Join(s.dir, "*.spill")); len(segs) > 0 {
-		s.seen.Store(true)
-		if s.then != nil {
-			s.then()
-		}
+func (s spillWatch) Next() (proxrank.Tuple, error) {
+	s.pulls.Add(1)
+	if _, err := os.Stat(s.dir); !errors.Is(err, os.ErrNotExist) {
+		s.touched.Store(true)
+	}
+	if s.then != nil {
+		s.then()
 	}
 	return s.Source.Next()
 }
 
 // TestSessionEndLeavesNoSegments: every way a run ends goes through the
-// one end of its session (lead → q.Close), so a spill-policy query — which
-// stops at K with segments still on disk by construction — leaves the
-// spill directory empty the moment its slot comes back: for a batch caller
-// that is the moment Execute returns; a stream caller that walked away or
-// was dropped can return before its run notices, so those cases wait for
-// the slot. Nothing here collects garbage or sleeps for a finalizer.
+// one end of its session (lead → q.Close), and no way of running one
+// touches the spill directory. Every query the service runs is a bounded
+// consumer, so even a "spill" request against a server with a spill
+// directory and a 64-byte watermark creates nothing there: not while it
+// runs, not when its slot comes back. For a batch caller that is the
+// moment Execute returns; a stream caller that walked away or was dropped
+// can return before its run notices, so those cases wait for the slot.
+// Segment cleanup at Close is core's TestSpillClosedSessionsLeaveNothing.
 func TestSessionEndLeavesNoSegments(t *testing.T) {
 	cat := NewCatalog()
 	for i, name := range []string{"A", "B"} {
@@ -53,8 +59,8 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		req  *QueryRequest
-		// then runs inside the engine once segments are on disk; call runs
-		// the query and returns its error.
+		// then runs inside the engine on every pull; call runs the query
+		// and returns its error.
 		then func(cancel context.CancelFunc)
 		call func(ctx context.Context, x *Executor, req *QueryRequest, idle func()) error
 		want ErrorCode
@@ -99,22 +105,23 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
+			dir := filepath.Join(t.TempDir(), "spill")
 			x := NewExecutor(cat, Config{Workers: 2, CacheSize: -1, SpillDir: dir, SpillMemBytes: 64, StreamBuffer: 1})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			var seen atomic.Bool
+			var pulls atomic.Int64
+			var touched atomic.Bool
 			var then func()
 			if tc.then != nil {
 				then = func() { tc.then(cancel) }
 			}
 			x.wrapSource = func(s proxrank.Source) proxrank.Source {
-				return segmentWatch{Source: s, dir: dir, seen: &seen, then: then}
+				return spillWatch{Source: s, dir: dir, pulls: &pulls, touched: &touched, then: then}
 			}
-			empty := func(when string) {
+			untouched := func(when string) {
 				t.Helper()
-				if segs, _ := filepath.Glob(filepath.Join(dir, "*.spill")); len(segs) != 0 {
-					t.Fatalf("%d segment files %s", len(segs), when)
+				if _, err := os.Stat(dir); touched.Load() || !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("the spill directory was created (%v) %s", err, when)
 				}
 			}
 			idle := func() {
@@ -124,7 +131,7 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 						t.Fatal("the run never handed its slot back")
 					}
 				}
-				empty("when the slot came back")
+				untouched("when the slot came back")
 			}
 			var err error
 			if tc.call != nil {
@@ -135,12 +142,12 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 					t.Fatalf("Execute returned with %d runs in flight", n)
 				}
 			}
-			empty("when the call returned")
+			untouched("when the call returned")
 			if codeOf(err) != tc.want {
 				t.Fatalf("error %v, want code %q", err, tc.want)
 			}
-			if !seen.Load() {
-				t.Fatal("the run never had a segment on disk: the case checks nothing")
+			if pulls.Load() == 0 {
+				t.Fatal("the run never pulled: the case checks nothing")
 			}
 		})
 	}

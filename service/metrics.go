@@ -120,8 +120,6 @@ func newMetrics(reg *obs.Registry, x *Executor) *metrics {
 	c("proxrank_engine_sum_depths_total", "Cumulative access depth across completed runs.", &x.totalSumDepths)
 	c("proxrank_engine_combinations_total", "Cumulative combinations formed across completed runs.", &x.totalCombinations)
 	c("proxrank_engine_bound_updates_total", "Cumulative stopping-threshold recomputations across completed runs.", &x.totalBoundUpdates)
-	c("proxrank_spilled_combinations_total", "Cumulative combinations BufferSpill sessions moved out of the ranked heap.", &x.totalSpilled)
-	c("proxrank_spill_bytes_total", "Cumulative bytes written to file spill-tier segments across completed runs.", &x.totalSpilledBytes)
 	reg.CounterFunc("proxrank_engine_seconds_total",
 		"Cumulative engine wall time across completed runs.",
 		func() float64 { return float64(x.totalEngineMicros.Load()) / 1e6 })

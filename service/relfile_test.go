@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -102,72 +103,53 @@ func TestCatalogLoadRelFile(t *testing.T) {
 	}
 }
 
-// TestExecutorWireSpill: a wire request selecting bufferPolicy "spill"
-// against a server configured with a spill directory runs its session
-// through the file spill tier — byte-identical answers, with the spill
-// volume visible on the response cost, the executor totals, and the
-// /metrics counter wiring.
-func TestExecutorWireSpill(t *testing.T) {
-	relA := testRelation(t, "A", 51, 500, 2)
-	relB := testRelation(t, "B", 52, 500, 2)
+// TestExecutorIgnoresBufferPolicy: every query the service runs is a
+// bounded consumer, so the wire's bufferPolicy is validated and ignored
+// and a configured spill directory is never used. "", "prune" and "spill"
+// give byte-identical answers with a zero spill cost under one cache key,
+// and nothing is ever created under SpillDir, even at a 64-byte watermark.
+func TestExecutorIgnoresBufferPolicy(t *testing.T) {
 	cat := NewCatalog()
-	if err := cat.Register("A", relA); err != nil {
-		t.Fatal(err)
+	for i, name := range []string{"A", "B"} {
+		if err := cat.Register(name, testRelation(t, name, int64(51+i), 500, 2)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := cat.Register("B", relB); err != nil {
-		t.Fatal(err)
-	}
-	plain := NewExecutor(cat, Config{Workers: 2, CacheSize: -1})
-	spilly := NewExecutor(cat, Config{
-		Workers:   2,
-		CacheSize: -1,
-		SpillDir:  t.TempDir(),
-		// A tiny watermark so even this small run crosses into the file
-		// tier instead of staying in the in-memory slab.
-		SpillMemBytes: 64,
-	})
+	dir := filepath.Join(t.TempDir(), "spill")
+	x := NewExecutor(cat, Config{Workers: 2, CacheSize: -1, SpillDir: dir, SpillMemBytes: 64})
 
 	// A center query over everything forms far more combinations than
-	// K=3 keeps buffered, so the spill path has real overflow to carry.
+	// K=3 keeps buffered: a spill tier, were there one, would overflow.
 	mk := func(policy string) *QueryRequest {
 		return &QueryRequest{Query: []float64{0, 0}, Relations: []string{"A", "B"}, K: 3, BufferPolicy: policy}
 	}
-	want, err := plain.Execute(context.Background(), mk(""))
-	if err != nil {
-		t.Fatal(err)
+	var want, key string
+	for _, policy := range []string{"", api.BufferPrune, api.BufferSpill} {
+		resp, err := x.Execute(context.Background(), mk(policy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cost.SpilledCombinations != 0 || resp.Cost.SpilledBytes != 0 {
+			t.Fatalf("bufferPolicy %q: spill cost %+v", policy, resp.Cost)
+		}
+		got := CanonicalResponse(resp)
+		req := mk(policy)
+		if err := req.Normalize(api.Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		if want == "" {
+			want, key = got, req.Canonical()
+			continue
+		}
+		if got != want {
+			t.Fatalf("bufferPolicy %q changed the answer\nwant: %s\ngot:  %s", policy, want, got)
+		}
+		if req.Canonical() != key {
+			t.Fatalf("bufferPolicy %q leaked into the canonical encoding", policy)
+		}
 	}
-	got, err := spilly.Execute(context.Background(), mk("spill"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, g := resultsKey(t, want), resultsKey(t, got); w != g {
-		t.Fatalf("spill-backed answer diverged\nprune: %s\nspill: %s", w, g)
-	}
-	if got.Cost.SpilledCombinations == 0 || got.Cost.SpilledBytes == 0 {
-		t.Fatalf("spill session reported no spill: %+v", got.Cost)
-	}
-	if want.Cost.SpilledCombinations != 0 || want.Cost.SpilledBytes != 0 {
-		t.Fatalf("prune session reported spill: %+v", want.Cost)
-	}
-	snap := spilly.Stats()
-	if snap.TotalSpilledCombinations != got.Cost.SpilledCombinations ||
-		snap.TotalSpilledBytes != got.Cost.SpilledBytes {
-		t.Fatalf("executor totals %d/%d do not match the response cost %d/%d",
-			snap.TotalSpilledCombinations, snap.TotalSpilledBytes,
-			got.Cost.SpilledCombinations, got.Cost.SpilledBytes)
-	}
-
-	// The policy is engine tuning, not identity: both requests share one
-	// canonical encoding, so one cache entry serves both.
-	r1, r2 := mk(""), mk("spill")
-	if err := r1.Normalize(api.Limits{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Normalize(api.Limits{}); err != nil {
-		t.Fatal(err)
-	}
-	if r1.Canonical() != r2.Canonical() {
-		t.Fatal("bufferPolicy leaked into the canonical encoding")
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the service touched its spill directory: %v", err)
 	}
 }
 

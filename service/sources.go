@@ -14,11 +14,13 @@ import (
 // error the slot is already released and the failure counters recorded;
 // on success the caller owns done, the end of the session: close the
 // query — which closes every source, returning remote connections and
-// traversal queues, and removes its spill segments — then settle the
-// remote sources' accounting, then hand the slot back.
+// traversal queues — then settle the remote sources' accounting, then
+// hand the slot back.
 //
 // The session buffer is bounded to K — a query delivers at most K
-// results (certified prefix plus DNF drain) — so peak memory is O(K).
+// results (certified prefix plus DNF drain) — so peak memory is O(K),
+// and the session is a bounded consumer: no spill tier, whatever the
+// request's bufferPolicy says.
 func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, partial bool) (*proxrank.Query, func() []api.MissingShard, func(), *APIError) {
 	release, aerr := x.acquireSlot(ctx)
 	if aerr != nil {

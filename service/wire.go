@@ -130,14 +130,12 @@ func buildResponse(results []ResultCombination, threshold float64, dnf bool, sta
 		Results: results,
 		DNF:     dnf,
 		Cost: QueryCost{
-			SumDepths:           stats.SumDepths,
-			Depths:              stats.Depths,
-			Combinations:        stats.CombinationsFormed,
-			BoundUpdates:        stats.BoundUpdates,
-			QPSolves:            stats.QPSolves,
-			ElapsedMicros:       stats.TotalTime.Microseconds(),
-			SpilledCombinations: stats.SpilledCombinations,
-			SpilledBytes:        stats.SpilledBytes,
+			SumDepths:     stats.SumDepths,
+			Depths:        stats.Depths,
+			Combinations:  stats.CombinationsFormed,
+			BoundUpdates:  stats.BoundUpdates,
+			QPSolves:      stats.QPSolves,
+			ElapsedMicros: stats.TotalTime.Microseconds(),
 		},
 	}
 	if !math.IsInf(threshold, 0) && !math.IsNaN(threshold) {
