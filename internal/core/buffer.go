@@ -85,9 +85,9 @@ type refSink interface {
 	floor() (float64, bool)
 }
 
-// deferredCut is one subtree Engine.candidates cut below the floor of a
-// session with a spill tier, kept as a record instead of dropped. Its members
-// are the ranks below the recorded depth of the cut level that fail the
+// deferredCut is one subtree Engine.candidates cut below the floor of an
+// open session, kept as a record instead of dropped. Its members are the
+// ranks below the recorded depth of the cut level that fail the
 // cut test partial + solo[r] + sufB ≥ bar, crossed with every inner
 // level's prefix as deep as it was at cut time, under the fixed ranks of
 // the outer levels and the pulled slot. Replaying the test with the same
@@ -100,7 +100,7 @@ type deferredCut struct {
 	slot                    int32 // cutHeap.arena: n fixed ranks, then n prefix depths
 }
 
-// cutHeap holds a spill session's deferred cuts, best key first.
+// cutHeap holds an open session's deferred cuts, best key first.
 type cutHeap struct {
 	arena *combArena // 2n int32 per record
 	heap  *pqueue.Heap[deferredCut]

@@ -21,9 +21,10 @@
 // a rank-slab arena (arena.go) as (slot, score) references with tuples
 // reconstructed from prefixes on emission, subtree pruning cuts
 // combination formation below the buffer floor, and the session buffer
-// (buffer.go) holds candidates in a min-max heap (internal/pqueue)
-// bounded by Options.MaxBuffered: a bounded consumer drops what it cannot
-// return, a session with Options.SpillDir keeps it in a spill tier.
+// (iterator.go) holds candidates in a min-max heap window (internal/pqueue)
+// of Options.MaxBuffered entries: a bounded consumer drops what it cannot
+// return, an open session keeps it in a spill heap, and with
+// Options.SpillDir in segment files past a watermark.
 //
 // Iterator (iterator.go) is the ranked-enumeration surface the facade's
 // Stream/Query sessions wrap: Next certifies and emits one combination

@@ -131,9 +131,9 @@ type Engine struct {
 	prune     bool
 	blockSize int
 	lastVar   int // innermost non-pulled level of the current formation
-	// cuts, non-nil in a session with a spill tier, keeps every subtree
-	// candidates cuts as a deferredCut; without it a cut is dropped. exp is
-	// the record expandCut is re-forming while expanding is set.
+	// cuts, non-nil in an open session, keeps every subtree candidates
+	// cuts as a deferredCut; without it a cut is dropped. exp is the
+	// record expandCut is re-forming while expanding is set.
 	cuts      *cutHeap
 	exp       deferredCut
 	expanding bool

@@ -179,7 +179,7 @@ func TestPruneFloorSurvivesEmission(t *testing.T) {
 	const max = 5
 	var stats Stats
 	arena := newCombArena(2)
-	b := newSessionBuffer(arena, max, &stats)
+	b := newSessionBuffer(arena, max, &stats, nil)
 	for i := 0; i < 3*max; i++ {
 		b.offer(float64(i), []int32{int32(i), 0})
 	}
@@ -337,5 +337,39 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	// doublings that may fall inside the window do not count.
 	if allocs := testing.AllocsPerRun(90, step); allocs != 0 {
 		t.Fatalf("step allocates %v times per pull on a warmed engine", allocs)
+	}
+}
+
+// BenchmarkOpenSession is what open enumeration costs: the first 100,
+// 2 000 and 20 000 results of a TBPA session that leaves MaxBuffered at 0,
+// over deepFixture, cycling three query points. Run it at the parent of a
+// buffer change too (it uses nothing newer than NewIterator) to compare.
+func BenchmarkOpenSession(b *testing.B) {
+	ixs, fn := deepFixture(b)
+	r := rand.New(rand.NewSource(16))
+	queries := make([]vec.Vector, 3)
+	for i := range queries {
+		queries[i] = vec.New(4)
+		for c := range queries[i] {
+			queries[i][c] = (r.Float64() - 0.5) * 1.5
+		}
+	}
+	for _, n := range []int{100, 2000, 20000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := queries[i%len(queries)]
+				it, err := NewIterator(deepSources(b, ixs, q), Options{Algorithm: TBPA, Query: q, Agg: fn})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < n; j++ {
+					if _, err := it.Next(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				it.Close()
+			}
+		})
 	}
 }

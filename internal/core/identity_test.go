@@ -221,6 +221,17 @@ func drainIterator(t *testing.T, in instance, kind relation.AccessKind, opts Opt
 	return emitted, drained, terminal, it.Stats()
 }
 
+// oracleOptions is the session every buffer suite is held to: pruning off
+// and a window wider than any test's cross product, so nothing is ever cut,
+// evicted or spilled — every formed combination waits in the one ranked
+// heap until it is emitted. (The SpillDir is what makes a positive window
+// open; the tier never writes.)
+func oracleOptions(t *testing.T, opts Options) Options {
+	opts.disablePrune = true
+	opts.MaxBuffered, opts.SpillDir = 1<<30, t.TempDir()
+	return opts
+}
+
 // statsAfter is the oracle stopped at an emission count: the stats of an
 // iterator that has called Next at most n times, the last being the
 // terminal call if the stream ended first.
@@ -240,20 +251,33 @@ func statsAfter(t *testing.T, in instance, kind relation.AccessKind, opts Option
 	return it.Stats()
 }
 
-// TestQuickSessionBufferByteIdentity: the bounded session buffer is
-// invisible in the stream. With a spill tier it reproduces the unbounded
-// stream in full (emissions, terminal condition, drain order); without
-// one — a bounded consumer — it reproduces the first MaxBuffered results
-// and the drained-to-K batch contract under DNF caps, then refuses to go
-// on (ErrIteratorPastBound); and the bounded runs pull exactly the same
-// input as the unbounded one up to where they stop (identical schedule
-// counters).
+// TestQuickSessionBufferByteIdentity: the session window is invisible in
+// the stream. An open session — the default window, or a small one with a
+// file tier — reproduces the oracle's stream in full (emissions, terminal
+// condition, drain order); a bounded consumer reproduces the first
+// MaxBuffered results and the drained-to-K batch contract under DNF caps,
+// then refuses to go on (ErrIteratorPastBound); and every run pulls
+// exactly the same input as the oracle up to where it stops (identical
+// schedule counters).
 func TestQuickSessionBufferByteIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(2718))
 	for ci, c := range identityCases(r, 8) {
-		base := c.opts
-		base.disablePrune = true
+		base := oracleOptions(t, c.opts)
 		baseEmit, baseDrain, baseErr, baseStats := drainIterator(t, c.in, c.kind, base)
+
+		opEmit, opDrain, opErr, opStats := drainIterator(t, c.in, c.kind, c.opts)
+		if !errors.Is(opErr, baseErr) {
+			t.Fatalf("case %d: open terminal %v vs %v", ci, opErr, baseErr)
+		}
+		if err := combosIdentical(opEmit, baseEmit); err != nil {
+			t.Fatalf("case %d: open emissions: %v", ci, err)
+		}
+		if err := combosIdentical(opDrain, baseDrain); err != nil {
+			t.Fatalf("case %d: open drain: %v", ci, err)
+		}
+		if err := statsIdentical(opStats, baseStats); err != nil {
+			t.Fatalf("case %d: open stats: %v", ci, err)
+		}
 
 		spill := c.opts
 		spill.MaxBuffered = 1 + r.Intn(5)
@@ -287,7 +311,7 @@ func TestQuickSessionBufferByteIdentity(t *testing.T) {
 			t.Fatalf("case %d: prune delivered %d + %d past its bound %d", ci, len(prEmit), len(prDrain), k)
 		}
 		// The batch contract: emissions plus the best-effort drain,
-		// truncated to K, match the unbounded run result for result.
+		// truncated to K, match the oracle result for result.
 		baseK := append(append([]Combination{}, baseEmit...), baseDrain...)
 		prK := append(append([]Combination{}, prEmit...), prDrain...)
 		if len(baseK) > k {

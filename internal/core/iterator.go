@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"time"
 
 	"repro/internal/agg"
@@ -15,82 +14,91 @@ import (
 )
 
 // sessionBuffer holds a session's formed-but-unemitted combinations in
-// arena-backed rank form. Unbounded by default, it supports a cap
-// (Options.MaxBuffered). A consumer taking at most MaxBuffered results has
-// MaxBuffered − emitted left to take, so a bounded ranked heap retains
-// that many (keep, at least one): the buffer stays full across emissions
-// and its worst entry is a score floor for the whole run, below which
-// formation cuts subtrees before materializing them (refSink.floor,
-// Engine.candidates). What becomes of what the heap does not keep follows
-// from whether the session has a spill tier (Options.SpillDir):
+// arena-backed rank form. Its ranked heap is a window of max entries
+// (Options.MaxBuffered, or openWindow when that is 0), and a consumer
+// taking at most max results has max − emitted left to take, so the heap
+// retains that many (keep, at least one): the window stays full across
+// emissions and its worst entry is a score floor for the whole run, below
+// which formation cuts subtrees before materializing them (refSink.floor,
+// Engine.candidates). What becomes of what the window does not keep
+// follows from the session's declaration:
 //
-//   - Without one the session is a bounded consumer and drops it: a cut
+//   - A bounded consumer (MaxBuffered > 0, no SpillDir) drops it: a cut
 //     subtree, and an offer the full heap rejects. Exact for the first
 //     MaxBuffered results in O(MaxBuffered) memory, and the Iterator
 //     refuses to go past them (ErrIteratorPastBound).
-//   - With one it keeps it: an eviction moves to a flat columnar spill
-//     slab (score + ranks, no heap structure, no per-entry allocation)
-//     that flushes to segment files at the tier's watermark, revived in
-//     sorted batches once the ranked heap drains (each revival opens a
-//     fresh window: keep is MaxBuffered again), and a cut subtree becomes
-//     one deferredCut, expanded only when emission reaches its key. Exact
-//     for open enumeration; the heap and arena stay O(MaxBuffered).
+//   - An open session (MaxBuffered 0, or a SpillDir) keeps it: an eviction
+//     or an offer below the window moves to the spill heap, and a cut
+//     subtree becomes one deferredCut, expanded only when emission reaches
+//     its key. Once the window drains, revival pops the best spilled
+//     entries back into a fresh one (keep is max again). Exact for open
+//     enumeration.
 //
-// The ranked heap is a min-max heap: emission pops the best while the cap
-// evicts the worst, and it evolves identically with or without a tier
-// until the heap first drains. Spill invariant: every heap entry is
-// strictly better (score, then lexicographic ranks) than the boundary —
-// the best spilled entry — and nothing is handed out while a deferred
-// record's key exceeds it, so what peekBest returns is always the global
-// best and emission order matches the unbounded buffer exactly.
+// The window is a min-max heap: emission pops the best while the cap
+// evicts the worst, and it evolves identically in both kinds of session
+// until it first drains. Spill invariant: every window entry is strictly
+// better (score, then lexicographic ranks) than the boundary — the best
+// spilled entry — and nothing is handed out while a deferred record's key
+// exceeds it, so what peekBest returns is always the global best and
+// emission order matches the full sort of the cross product.
 type sessionBuffer struct {
 	arena  *combArena
 	max    int
 	keep   int                     // retention: max less the pops since the heap last filled, at least 1
-	heap   *pqueue.MinMax[combRef] // min = worst, max = best
+	heap   *pqueue.MinMax[combRef] // the window; min = worst, max = best
 	stats  *Stats
 	tracer Tracer // nil unless the run is traced
 
-	// cuts holds a spill session's deferred records (nil otherwise), each
-	// re-formed and offered back by expand (Engine.expandCut).
+	// cuts holds an open session's deferred records (nil in a bounded
+	// consumer), each re-formed and offered back by expand
+	// (Engine.expandCut).
 	cuts   *cutHeap
 	expand func(deferredCut)
 
-	spillScores []float64
-	spillRanks  []int32 // entry i occupies [i*n : (i+1)*n]
+	// spill holds an open session's spilled entries, best first, in the
+	// arena like the window's: an entry moves between the two as a slot,
+	// and is ordered by heap operations only — revival pays for what it
+	// takes, not for what it leaves. spilled counts them together with
+	// what the tier's segment files still hold.
+	spill       *pqueue.Heap[combRef]
+	spilled     int
 	hasBoundary bool
 	boundScore  float64
 	boundRanks  []int32
 
-	// tier is non-nil exactly in a spill session. The slab flushes to its
-	// segment files at the tier's watermark, and revival k-way merges the
-	// slab with the segment streams — the global order an in-memory sort
-	// would produce. err poisons the session on the first segment I/O
-	// failure; Iterator surfaces it instead of emitting.
+	// tier is the file tier of a session with a SpillDir: once the spill
+	// heap holds the tier's watermark, it moves to one sorted segment file,
+	// and revival merges the segment streams with the heap. err poisons
+	// the session on the first segment I/O failure; Iterator surfaces it
+	// instead of emitting.
 	tier *spillTier
 	err  error
 }
 
-func newSessionBuffer(arena *combArena, max int, stats *Stats) *sessionBuffer {
-	return &sessionBuffer{
+// openWindow is the window of an open session that leaves MaxBuffered at
+// 0: large enough that a revival refills it with a useful batch, small
+// enough that its floor cuts early.
+const openWindow = 1024
+
+// newSessionBuffer returns a bounded consumer's buffer when cuts is nil
+// and an open session's otherwise.
+func newSessionBuffer(arena *combArena, max int, stats *Stats, cuts *cutHeap) *sessionBuffer {
+	b := &sessionBuffer{
 		arena: arena,
 		max:   max,
 		keep:  max,
 		heap:  pqueue.NewMinMax(arena.refWorse),
 		stats: stats,
+		cuts:  cuts,
 	}
-}
-
-func (b *sessionBuffer) spillCount() int {
-	m := len(b.spillScores)
-	if b.tier != nil {
-		m += b.tier.pending()
+	if cuts != nil {
+		b.spill = pqueue.New(func(x, y combRef) bool { return arena.refWorse(y, x) })
 	}
-	return m
+	return b
 }
 
 // buffered is the total number of retained combinations.
-func (b *sessionBuffer) buffered() int { return b.heap.Len() + b.spillCount() }
+func (b *sessionBuffer) buffered() int { return b.heap.Len() + b.spilled }
 
 func (b *sessionBuffer) trackPeak() {
 	if l := b.buffered(); l > b.stats.PeakBuffered {
@@ -98,13 +106,14 @@ func (b *sessionBuffer) trackPeak() {
 	}
 }
 
-// betterThanBoundary reports whether an incoming combination beats the
-// spill boundary in the full result order.
-func (b *sessionBuffer) betterThanBoundary(score float64, ranks []int32) bool {
-	if score != b.boundScore {
-		return score > b.boundScore
+// spillBefore is the canonical spill order: score descending, ties by
+// ascending lexicographic ranks. (score, ranks) keys are unique, so it is
+// a total order, the order of the spill heap and of every segment file.
+func spillBefore(score float64, ranks []int32, thanScore float64, thanRanks []int32) bool {
+	if score != thanScore {
+		return score > thanScore
 	}
-	return lexLess32(ranks, b.boundRanks)
+	return lexLess32(ranks, thanRanks)
 }
 
 func (b *sessionBuffer) setBoundary(score float64, ranks []int32) {
@@ -113,90 +122,43 @@ func (b *sessionBuffer) setBoundary(score float64, ranks []int32) {
 	b.hasBoundary = true
 }
 
-func (b *sessionBuffer) spillAppend(score float64, ranks []int32) {
-	b.spillScores = append(b.spillScores, score)
-	b.spillRanks = append(b.spillRanks, ranks...)
+// spillRef moves a slot to the spill heap, and the heap to a segment file
+// once it holds the tier's watermark.
+func (b *sessionBuffer) spillRef(ref combRef) {
+	b.spill.Push(ref)
+	b.spilled++
 	b.stats.SpilledCombinations++
 	if b.tracer != nil {
 		b.tracer.TraceBuffer(TraceActionSpill, 1)
 	}
-	if b.err == nil && len(b.spillScores) >= b.tier.watermark {
-		b.flushSlab()
+	if b.tier != nil && b.err == nil && b.spill.Len() >= b.tier.watermark {
+		b.flush()
 	}
 }
 
-// sortedSpillIndex returns slab indices in the canonical spill order:
-// score descending, ties by ascending lexicographic ranks — the exact
-// order revive emits and segment files are written in. (score, ranks) keys
-// are unique, so any correct sort yields this one order.
-func sortedSpillIndex(scores []float64, ranks []int32, n int) []int32 {
-	idx := make([]int32, len(scores))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(x, y int32) int {
-		switch sx, sy := scores[x], scores[y]; {
-		case sx > sy:
-			return -1
-		case sx < sy:
-			return 1
-		}
-		return slices.Compare(ranks[int(x)*n:(int(x)+1)*n], ranks[int(y)*n:(int(y)+1)*n])
-	})
-	return idx
-}
-
-// flushSlab sorts the in-memory slab and moves it to one segment file.
-// On failure the slab is kept (nothing is lost) and the session is
-// poisoned — a spill tier that cannot write cannot stay exact.
-func (b *sessionBuffer) flushSlab() {
-	n := b.arena.n
-	m := len(b.spillScores)
-	idx := sortedSpillIndex(b.spillScores, b.spillRanks, n)
+// flush writes the spill heap, popped best first, as one segment file and
+// releases its slots. A failure poisons the session — a file tier that
+// cannot write cannot stay exact.
+func (b *sessionBuffer) flush() {
+	n, m := b.arena.n, b.spill.Len()
 	scores := make([]float64, m)
 	ranks := make([]int32, m*n)
-	for o, i := range idx {
-		scores[o] = b.spillScores[i]
-		copy(ranks[o*n:(o+1)*n], b.slabRanks(i))
+	for i := range scores {
+		ref, _ := b.spill.Pop()
+		scores[i] = ref.score
+		copy(ranks[i*n:(i+1)*n], b.arena.ranksAt(ref.slot))
+		b.arena.release(ref.slot)
 	}
 	if err := b.tier.flush(scores, ranks); err != nil {
 		b.err = err
-		return
 	}
-	b.spillScores = b.spillScores[:0]
-	b.spillRanks = b.spillRanks[:0]
-}
-
-// slabRanks returns the ranks of slab entry i.
-func (b *sessionBuffer) slabRanks(i int32) []int32 {
-	n := b.arena.n
-	return b.spillRanks[int(i)*n : (int(i)+1)*n]
 }
 
 // offer implements refSink. A bounded heap keeps the best keep offers;
-// what it does not keep is spilled in a spill session and dropped in a
+// what it does not keep is spilled in an open session and dropped in a
 // bounded consumer.
 func (b *sessionBuffer) offer(score float64, ranks []int32) {
-	switch {
-	case b.max <= 0:
-		b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
-		b.trackPeak()
-	case b.tier != nil:
-		if b.hasBoundary && !b.betterThanBoundary(score, ranks) {
-			b.spillAppend(score, ranks)
-			b.trackPeak()
-			return
-		}
-		b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
-		if b.heap.Len() > b.keep {
-			ev, _ := b.heap.PopMin()
-			evRanks := b.arena.ranksAt(ev.slot)
-			b.spillAppend(ev.score, evRanks)
-			b.setBoundary(ev.score, evRanks)
-			b.arena.release(ev.slot)
-		}
-		b.trackPeak()
-	default:
+	if b.cuts == nil {
 		if b.heap.Len() < b.keep {
 			b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
 			b.trackPeak()
@@ -208,14 +170,28 @@ func (b *sessionBuffer) offer(score float64, ranks []int32) {
 			b.arena.release(worst.slot)
 			b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
 		}
+		return
 	}
+	ref := combRef{slot: b.arena.alloc(ranks), score: score}
+	if b.hasBoundary && !spillBefore(score, ranks, b.boundScore, b.boundRanks) {
+		b.spillRef(ref)
+		b.trackPeak()
+		return
+	}
+	b.heap.Push(ref)
+	if b.heap.Len() > b.keep {
+		ev, _ := b.heap.PopMin()
+		b.setBoundary(ev.score, b.arena.ranksAt(ev.slot))
+		b.spillRef(ev)
+	}
+	b.trackPeak()
 }
 
 // floor implements refSink: a full buffer (keep entries) keeps nothing
 // below its worst retained entry, so the enumeration can cut those
 // subtrees pre-materialization.
 func (b *sessionBuffer) floor() (float64, bool) {
-	if b.max > 0 && b.heap.Len() == b.keep {
+	if b.heap.Len() == b.keep {
 		worst, _ := b.heap.PeekMin()
 		return worst.score, true
 	}
@@ -259,7 +235,7 @@ func (b *sessionBuffer) peekBest() (combRef, bool) {
 		case b.cutFirst(best, ok):
 			c, _ := b.cuts.heap.Pop()
 			b.expand(c)
-		case !ok && b.spillCount() > 0:
+		case !ok && b.spilled > 0:
 			b.revive()
 		default:
 			return best, ok
@@ -271,7 +247,7 @@ func (b *sessionBuffer) peekBest() (combRef, bool) {
 // popBest removes and returns the best retained combination. The caller
 // owns the ref's arena slot and must release it after materializing.
 // Each pop is one result fewer the consumer can still take, so the
-// retention shrinks with it (never below one: a spill session keeps
+// retention shrinks with it (never below one: an open session keeps
 // running with a one-entry heap until its next revival).
 func (b *sessionBuffer) popBest() (combRef, bool) {
 	b.peekBest()
@@ -282,112 +258,78 @@ func (b *sessionBuffer) popBest() (combRef, bool) {
 	return ref, ok
 }
 
-// revive moves the best spilled entries back into the ranked heap (at
-// most max of them), keeping the rest — in the slab and in any spill
-// segments — in sorted order behind a refreshed boundary. The refilled
-// heap opens a fresh window (keep = max), so the floor is back on once it
-// is full. A deferred record ranks like a spilled entry at its key:
-// peekBest expands it instead of reviving when its key exceeds the best
-// spilled entry, and before handing out a revived entry below it. Revival
-// is a k-way selection over the sorted slab and the sorted segment
-// streams; (score, ranks) keys are unique, so the merge emits exactly the
-// order a global in-memory sort would.
+// revive moves the best spilled entries back into the window (at most max
+// of them) behind a refreshed boundary. The refilled window opens afresh
+// (keep = max), so the floor is back on once it is full. A deferred record
+// ranks like a spilled entry at its key: peekBest expands it instead of
+// reviving when its key exceeds the best spilled entry, and before handing
+// out a revived entry below it. Revival is a k-way selection over the
+// spill heap and the sorted segment streams; (score, ranks) keys are
+// unique, so it takes exactly the entries, in the order, that a global
+// sort would.
 func (b *sessionBuffer) revive() {
-	if b.err != nil {
+	if b.err != nil || b.spilled == 0 {
 		return
 	}
-	m := b.spillCount()
-	if m == 0 {
-		return
-	}
-	take := min(m, b.max)
+	take := min(b.spilled, b.max)
 	if b.tracer != nil {
 		b.tracer.TraceBuffer(TraceActionRevive, take)
 	}
-	n := b.arena.n
-	idx := sortedSpillIndex(b.spillScores, b.spillRanks, n)
-	cursor := 0
 	for pushed := 0; pushed < take; pushed++ {
-		head := int32(-1)
-		if cursor < len(idx) {
-			head = idx[cursor]
-		}
-		score, ranks, fromSeg, err := b.bestSpilled(head)
+		score, ranks, seg, err := b.bestSpilled()
 		if err != nil {
 			b.err = err
 			return
 		}
-		b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
-		if fromSeg != nil {
-			fromSeg.loaded = false
+		if seg == nil {
+			ref, _ := b.spill.Pop()
+			b.heap.Push(ref)
 		} else {
-			cursor++
+			b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
+			seg.loaded = false
 		}
+		b.spilled--
 	}
-	b.tier.compact()
+	if b.tier != nil {
+		b.tier.compact()
+	}
 	b.keep = b.max
-	rest := idx[cursor:]
-	scores := make([]float64, 0, len(rest))
-	ranks := make([]int32, 0, len(rest)*n)
-	for _, i := range rest {
-		scores = append(scores, b.spillScores[i])
-		ranks = append(ranks, b.slabRanks(i)...)
-	}
-	b.spillScores = scores
-	b.spillRanks = ranks
-	b.refreshBoundary()
-}
-
-// bestSpilled returns the best unconsumed spilled entry across the slab's
-// best entry (slab entry head, or none when head < 0) and every segment
-// head, without consuming it: the caller pops the winner (advance its
-// slab cursor or clear seg.loaded). The returned ranks alias either the
-// slab or the segment's head buffer and must be copied (arena.alloc and
-// setBoundary do) before the next call.
-func (b *sessionBuffer) bestSpilled(head int32) (float64, []int32, *spillSegment, error) {
-	have := head >= 0
-	var bestScore float64
-	var bestRanks []int32
-	var fromSeg *spillSegment
-	if have {
-		bestScore, bestRanks = b.spillScores[head], b.slabRanks(head)
-	}
-	for _, s := range b.tier.segs {
-		ok, err := b.tier.ensureHead(s)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if !ok {
-			continue
-		}
-		if !have || s.head > bestScore || (s.head == bestScore && lexLess32(s.headRanks, bestRanks)) {
-			bestScore, bestRanks, fromSeg, have = s.head, s.headRanks, s, true
-		}
-	}
-	if !have {
-		return 0, nil, nil, fmt.Errorf("core: spill accounting lost entries")
-	}
-	return bestScore, bestRanks, fromSeg, nil
-}
-
-// refreshBoundary recomputes the spill boundary as the best remaining
-// spilled entry — the head of the compacted, sorted slab or of a segment
-// — or clears it when nothing remains spilled.
-func (b *sessionBuffer) refreshBoundary() {
-	if b.spillCount() == 0 {
+	if b.spilled == 0 {
 		b.hasBoundary = false
 		return
 	}
-	head := int32(-1)
-	if len(b.spillScores) > 0 {
-		head = 0
-	}
-	score, ranks, _, err := b.bestSpilled(head)
+	score, ranks, _, err := b.bestSpilled()
 	if err != nil {
 		b.err = err
 		return
 	}
 	b.setBoundary(score, ranks)
+}
+
+// bestSpilled returns the best spilled entry — the spill heap's top, or
+// the head of segment seg — without consuming it. The returned ranks
+// alias the arena or the segment's head buffer and must be copied
+// (arena.alloc and setBoundary do) before the next call.
+func (b *sessionBuffer) bestSpilled() (score float64, ranks []int32, seg *spillSegment, err error) {
+	top, have := b.spill.Peek()
+	if have {
+		score, ranks = top.score, b.arena.ranksAt(top.slot)
+	}
+	if b.tier != nil {
+		for _, s := range b.tier.segs {
+			ok, err := b.tier.ensureHead(s)
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			if ok && (!have || spillBefore(s.head, s.headRanks, score, ranks)) {
+				score, ranks, seg, have = s.head, s.headRanks, s, true
+			}
+		}
+	}
+	if !have {
+		return 0, nil, nil, fmt.Errorf("core: spill accounting lost entries")
+	}
+	return score, ranks, seg, nil
 }
 
 // Iterator is the pipelined form of the ProxRJ operator: instead of a
@@ -398,11 +340,11 @@ func (b *sessionBuffer) refreshBoundary() {
 // stop pulling at any time, having paid I/O only for the prefix they
 // consumed.
 //
-// Unbounded, the iterator retains every formed combination that has not
-// been emitted yet (any of them may eventually surface), in compact
-// arena-backed rank form. Options.MaxBuffered bounds that retention, and
-// Options.SpillDir says whether the bounded session keeps what it does
-// not retain (see sessionBuffer).
+// Every formed combination that has not been emitted yet may eventually
+// surface. An open session keeps each of them — the best in a ranked
+// window, the rest spilled in compact rank form or deferred unformed — and
+// a bounded consumer keeps only what it may still return
+// (see sessionBuffer).
 //
 // A session ends in Close, whenever its consumer decides it is over; what
 // the session holds outside the heap — spill segments, the sources'
@@ -429,7 +371,7 @@ var ErrIteratorDNF = errors.New("core: iterator aborted by MaxSumDepths/MaxCombi
 // session with MaxBuffered > 0 and no SpillDir — has taken MaxBuffered
 // results, emitted and drained together: its buffer dropped what ranks
 // below them, so a further result could be wrong. A session that must
-// enumerate past the bound leaves MaxBuffered 0 or gives it a SpillDir.
+// enumerate past the bound is an open one: MaxBuffered 0, or a SpillDir.
 var ErrIteratorPastBound = errors.New("core: iterator: bounded consumer has taken MaxBuffered results")
 
 // errIteratorClosed is what Next returns after Close.
@@ -439,20 +381,27 @@ var errIteratorClosed = fmt.Errorf("core: iterator: %w", os.ErrClosed)
 // is ignored (results stream indefinitely); all other options behave as in
 // NewEngine. The iterator owns the sources from here on: Close closes them.
 func NewIterator(sources []relation.Source, opts Options) (*Iterator, error) {
-	bufMax := opts.MaxBuffered
+	window := opts.MaxBuffered
+	if window == 0 {
+		window = openWindow
+	}
 	opts.K = 1 // engine validation only; the iterator manages its own buffer
 	e, err := NewEngine(sources, opts)
 	if err != nil {
 		return nil, err
 	}
+	if opts.MaxBuffered == 0 || opts.SpillDir != "" {
+		e.cuts = newCutHeap(e.n)
+	}
 	it := &Iterator{
 		e:   e,
-		buf: newSessionBuffer(e.arena, bufMax, &e.stats),
+		buf: newSessionBuffer(e.arena, window, &e.stats, e.cuts),
 	}
 	it.buf.tracer = opts.Tracer
-	if bufMax > 0 && opts.SpillDir != "" {
-		e.cuts = newCutHeap(e.n)
-		it.buf.cuts, it.buf.expand = e.cuts, e.expandCut
+	if e.cuts != nil {
+		it.buf.expand = e.expandCut
+	}
+	if opts.SpillDir != "" {
 		it.buf.tier = newSpillTier(opts.SpillDir, e.arena.n, opts.SpillMemBytes, &e.stats, opts.spillFault)
 	}
 	// Reroute formed combinations into the session buffer.
@@ -489,7 +438,7 @@ func (it *Iterator) NextContext(ctx context.Context) (Combination, error) {
 		// what the batch run would.
 		best, ok := it.buf.peekBest()
 		if it.buf.err != nil {
-			// A spill tier failure (write or revival) forfeits exactness;
+			// A file tier failure (write or revival) forfeits exactness;
 			// poison the iterator rather than emit a possibly wrong order.
 			it.err = it.buf.err
 			return Combination{}, it.err
@@ -536,10 +485,9 @@ func (it *Iterator) emitBest() Combination {
 	return c
 }
 
-// pastBound reports whether a bounded consumer — a bounded buffer without
-// a spill tier — has taken all it may.
+// pastBound reports whether a bounded consumer has taken all it may.
 func (it *Iterator) pastBound() bool {
-	return it.buf.max > 0 && it.buf.tier == nil && it.emitted >= int64(it.buf.max)
+	return it.buf.cuts == nil && it.emitted >= int64(it.buf.max)
 }
 
 // DrainBest pops the best buffered combination without certifying it
@@ -559,7 +507,7 @@ func (it *Iterator) DrainBest() (Combination, bool) {
 	return it.emitBest(), true
 }
 
-// Close ends the session: it discards the spill tier's segments, then
+// Close ends the session: it discards the file tier's segments, then
 // closes every source that implements relation.Closer. Idempotent, and
 // clean after any terminal state, an I/O-poisoned one included. Afterwards
 // Next fails with an error wrapping os.ErrClosed and DrainBest yields
@@ -580,7 +528,7 @@ func (it *Iterator) Close() {
 }
 
 // Buffered returns the number of scored combinations awaiting emission;
-// a spill session's deferred records count once emission expands them.
+// an open session's deferred records count once emission expands them.
 func (it *Iterator) Buffered() int { return it.buf.buffered() }
 
 // Emitted returns how many combinations have been produced so far.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -173,7 +174,7 @@ func TestIteratorThresholdMonotone(t *testing.T) {
 
 // TestBoundedConsumerRefusesPastBound: a session with MaxBuffered = k and
 // no SpillDir, on every identity case whose stream runs past k, gives its
-// first k results exactly as the unbounded oracle does, then fails every
+// first k results exactly as the oracle does, then fails every
 // further Next with ErrIteratorPastBound and drains nothing. Lifting the
 // bound on the same session shows what the error replaces: the buffer
 // dropped what ranks below the k-th result, and on some cases the next
@@ -184,9 +185,7 @@ func TestBoundedConsumerRefusesPastBound(t *testing.T) {
 	checked, wrong := 0, 0
 	for ci, c := range identityCases(r, 8) {
 		k := c.in.k
-		oracle := c.opts
-		oracle.disablePrune = true
-		want, _, _, _ := drainIterator(t, c.in, c.kind, oracle)
+		want, _, _, _ := drainIterator(t, c.in, c.kind, oracleOptions(t, c.opts))
 		if len(want) <= k {
 			continue
 		}
@@ -229,4 +228,114 @@ func TestBoundedConsumerRefusesPastBound(t *testing.T) {
 		t.Fatalf("none of %d cases answers wrong past the bound: the sentinel replaces nothing", checked)
 	}
 	t.Logf("%d of %d cases would have answered call k+1 wrong", wrong, checked)
+}
+
+// TestOpenSessionGetsTheWindow: a session that leaves MaxBuffered at 0 is
+// open and windowed. Over a cross product many windows wide, for every
+// algorithm and access kind, its ranked heap never holds more than
+// openWindow entries, its floor cuts subtrees into deferred records, it
+// spills and revives — and its whole stream is still the oracle's, result
+// for result and pull for pull. Given a SpillDir and a small watermark,
+// the same default window also writes segments and reads them back.
+func TestOpenSessionGetsTheWindow(t *testing.T) {
+	in := fixedInstance(rand.New(rand.NewSource(32)), 2, 110, 2, 10)
+	for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
+		for _, algo := range Algorithms {
+			want, _, wantErr, wantStats := drainIterator(t, in, kind, oracleOptions(t, Options{Algorithm: algo}))
+			for _, spillDir := range []string{"", t.TempDir()} {
+				label := fmt.Sprintf("%v/%v/tier=%v", algo, kind, spillDir != "")
+				tr := &seqTracer{}
+				it, err := NewIterator(in.sources(t, kind), Options{
+					Algorithm: algo, Query: in.q, Agg: in.fn, Tracer: tr,
+					SpillDir: spillDir, SpillMemBytes: 64 * spillEntrySize(2),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []Combination
+				for {
+					c, err := it.Next()
+					if err != nil {
+						if !errors.Is(err, wantErr) {
+							t.Fatalf("%s: terminal %v, want %v", label, err, wantErr)
+						}
+						break
+					}
+					got = append(got, c)
+					if l := it.buf.heap.Len(); l > openWindow {
+						t.Fatalf("%s: window holds %d entries", label, l)
+					}
+				}
+				it.Close()
+				if err := combosIdentical(got, want); err != nil {
+					t.Fatalf("%s: stream vs oracle: %v", label, err)
+				}
+				st := it.Stats()
+				if err := statsIdentical(st, wantStats); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				revived := 0
+				for _, b := range tr.bufs {
+					if b.action == TraceActionRevive {
+						revived++
+					}
+				}
+				if st.CombinationsPruned == 0 || st.SpilledCombinations == 0 || revived == 0 {
+					t.Fatalf("%s: pruned %d, spilled %d, revived %d times: the window never engaged",
+						label, st.CombinationsPruned, st.SpilledCombinations, revived)
+				}
+				if (spillDir != "") != (st.SpilledBytes > 0) {
+					t.Fatalf("%s: %d segment bytes written", label, st.SpilledBytes)
+				}
+			}
+		}
+	}
+}
+
+// TestReviveDoesNotAllocate: a revival moves slots from the spill heap
+// back into the window — it sorts and copies nothing it leaves behind, so
+// refilling a window allocates nothing however much is spilled — and the
+// stream of revived entries is the global order of everything offered.
+func TestReviveDoesNotAllocate(t *testing.T) {
+	const window, offers = 8, 4096
+	var stats Stats
+	arena := newCombArena(2)
+	b := newSessionBuffer(arena, window, &stats, newCutHeap(2))
+	r := rand.New(rand.NewSource(32))
+	for i := 0; i < offers; i++ {
+		b.offer(float64(r.Intn(offers/4)), []int32{int32(r.Intn(offers)), int32(i)})
+	}
+	if b.spilled != offers-window {
+		t.Fatalf("%d spilled, want %d", b.spilled, offers-window)
+	}
+	type entry struct {
+		score float64
+		ranks [2]int32
+	}
+	out := make([]entry, 0, offers)
+	// One call empties the window and revives it once.
+	drainWindow := func() {
+		for i := 0; i < window; i++ {
+			ref, ok := b.popBest()
+			if !ok {
+				return
+			}
+			out = append(out, entry{ref.score, [2]int32(arena.ranksAt(ref.slot))})
+			arena.release(ref.slot)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, drainWindow); allocs != 0 {
+		t.Fatalf("a revival allocates %v times", allocs)
+	}
+	for b.buffered() > 0 {
+		drainWindow()
+	}
+	if len(out) != offers {
+		t.Fatalf("%d of %d offers came back", len(out), offers)
+	}
+	for i := 1; i < len(out); i++ {
+		if !spillBefore(out[i-1].score, out[i-1].ranks[:], out[i].score, out[i].ranks[:]) {
+			t.Fatalf("pop %d: %+v after %+v", i, out[i], out[i-1])
+		}
+	}
 }

@@ -15,16 +15,16 @@ import (
 )
 
 // A spill segment file holds one sorted batch of spilled combinations in
-// the same compact columnar form as the in-memory slab:
+// compact columnar form:
 //
 //	magic "PROXSPL1" | arity u32 | count u32
 //	count × (score f64 | arity × rank i32)    little-endian
 //	crc u32                                   CRC-32C over the entry region
 //
 // Entries are written in descending (score, then ascending lexicographic
-// ranks) order — exactly the order revive sorts the in-memory slab into —
-// so revival is a k-way merge of already-sorted streams and emits the
-// same sequence the purely in-memory slab would. The checksum is verified
+// ranks) order — spillBefore, the order the spill heap pops in — so
+// revival is a k-way merge of the heap with already-sorted streams and
+// emits the same sequence a purely in-memory spill heap would. The checksum is verified
 // once per segment, when revival first reads it back (verifySpillSegment).
 const (
 	spillMagic      = "PROXSPL1"
@@ -44,7 +44,7 @@ var tierSeq atomic.Int64
 type spillTier struct {
 	dir       string
 	n         int // ranks per entry
-	watermark int // slab entries that trigger a flush
+	watermark int // spill heap entries that trigger a flush
 	id        int64
 	seq       int
 	segs      []*spillSegment
@@ -71,7 +71,7 @@ type spillSegment struct {
 func spillEntrySize(n int) int { return 8 + 4*n }
 
 // newSpillTier returns a file-backed tier rooted at dir. It touches no
-// file: most spill sessions never reach the watermark, so the directory is
+// file: most sessions never reach the watermark, so the directory is
 // created, and swept of leftovers from dead processes, by the first flush.
 func newSpillTier(dir string, n, memBytes int, stats *Stats, fault func() error) *spillTier {
 	if memBytes <= 0 {
@@ -167,7 +167,7 @@ func verifySpillSegment(f *os.File) (n, count int, err error) {
 	return n, count, nil
 }
 
-// flush writes the slab (already sorted descending) as one segment file
+// flush writes one sorted run as one segment file
 // and counts its bytes. The file descriptor stays open: reads go through
 // the same fd, so an external unlink cannot hurt a live session. Any
 // failure poisons the session. A write the system refused (ENOSPC, EIO)
@@ -237,18 +237,6 @@ func (t *spillTier) flush(scores []float64, ranks []int32) error {
 	t.segs = append(t.segs, &spillSegment{f: f, path: path, count: len(scores)})
 	t.stats.SpilledBytes += int64(spillHeaderSize + len(scores)*len(entry) + 4)
 	return nil
-}
-
-// pending is the number of unconsumed entries across all segments.
-func (t *spillTier) pending() int {
-	total := 0
-	for _, s := range t.segs {
-		total += s.count - s.pos
-		if s.loaded {
-			total++ // pos already counts the loaded-but-unpopped head
-		}
-	}
-	return total
 }
 
 // ensureHead loads the segment's next entry into head/headRanks, verifying

@@ -191,16 +191,15 @@ func TestSpillDeferredMembersBelowKey(t *testing.T) {
 // TestSpillPastCapExpandsAndRevives is the open-enumeration half of the
 // contract: a spill session driven far past MaxBuffered with a one-entry
 // watermark expands its deferred records, writes segments and reads them
-// back, and still emits exactly the unbounded session's stream.
+// back, and still emits exactly the oracle's stream.
 func TestSpillPastCapExpandsAndRevives(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	in := fixedInstance(r, 3, 7, 2, 4)
 	for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
-		base := Options{Algorithm: TBPA, disablePrune: true}
-		wantEmit, wantDrain, wantErr, _ := drainIterator(t, in, kind, base)
+		base := Options{Algorithm: TBPA}
+		wantEmit, wantDrain, wantErr, _ := drainIterator(t, in, kind, oracleOptions(t, base))
 
 		opts := base
-		opts.disablePrune = false
 		opts.MaxBuffered = 2
 		opts.SpillDir, opts.SpillMemBytes = t.TempDir(), 1
 		opts.Query, opts.Agg = in.q, in.fn
@@ -225,7 +224,7 @@ func TestSpillPastCapExpandsAndRevives(t *testing.T) {
 			emit = append(emit, c)
 		}
 		if err := combosIdentical(emit, wantEmit); err != nil || len(wantDrain) != 0 {
-			t.Fatalf("%v: stream vs unbounded: %v (unbounded drain %d)", kind, err, len(wantDrain))
+			t.Fatalf("%v: stream vs oracle: %v (oracle drain %d)", kind, err, len(wantDrain))
 		}
 		revived := 0
 		for _, b := range tr.bufs {

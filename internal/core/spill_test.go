@@ -50,8 +50,8 @@ func TestSpillSegmentRoundTrip(t *testing.T) {
 	if want := int64(spillHeaderSize + 4*spillEntrySize(2) + 4); stats.SpilledBytes != want {
 		t.Fatalf("%d bytes accounted, segment is %d", stats.SpilledBytes, want)
 	}
-	if got := tier.pending(); got != 4 {
-		t.Fatalf("pending %d, want 4", got)
+	if got := tier.segs[0].count; got != 4 {
+		t.Fatalf("segment holds %d entries, want 4", got)
 	}
 	if !validSpillSegment(tier.segs[0].path) {
 		t.Fatal("freshly written segment does not validate")
@@ -74,7 +74,7 @@ func TestSpillSegmentRoundTrip(t *testing.T) {
 		seg.loaded = false
 	}
 	tier.compact()
-	if len(tier.segs) != 0 || tier.pending() != 0 {
+	if len(tier.segs) != 0 {
 		t.Fatal("consumed segment not released")
 	}
 	if files, _ := os.ReadDir(dir); len(files) != 0 {

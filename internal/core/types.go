@@ -154,18 +154,19 @@ type Options struct {
 	// MaxCombinations aborts the run (DNF) once this many combinations
 	// have been formed; 0 means unlimited.
 	MaxCombinations int64
-	// MaxBuffered bounds the session buffer of a pipelined Iterator: the
-	// number of formed-but-unemitted combinations retained in ranked form.
-	// 0 means unbounded and exact. The bound shrinks with every result
-	// taken (the best MaxBuffered − emitted are retained, at least one),
-	// and a full buffer's worst entry is a score floor below which
-	// formation cuts whole subtrees. Without SpillDir the session is a
-	// bounded consumer: what the buffer does not retain is dropped, and
-	// once emitted plus drained results reach MaxBuffered, Next fails with
-	// ErrIteratorPastBound and DrainBest yields nothing. With SpillDir it
-	// is kept in the spill tier and enumeration stays exact past the
-	// bound. Batch engines (Run) ignore it — their buffer is K by
-	// construction.
+	// MaxBuffered is the window of a pipelined Iterator: the number of
+	// formed-but-unemitted combinations retained in ranked form. The
+	// window shrinks with every result taken (the best MaxBuffered −
+	// emitted are retained, at least one), and a full window's worst entry
+	// is a score floor below which formation cuts whole subtrees. A
+	// positive MaxBuffered without SpillDir is a bounded consumer: what the
+	// window does not retain is dropped, and once emitted plus drained
+	// results reach MaxBuffered, Next fails with ErrIteratorPastBound and
+	// DrainBest yields nothing. Otherwise the session is open and exact
+	// however far it enumerates: what the window does not retain is kept
+	// (spilled entries in a heap, cut subtrees as deferred records), and
+	// 0 selects a 1 024-entry window. Batch engines (Run) ignore it —
+	// their buffer is K by construction.
 	MaxBuffered int
 	// CollectTimings enables the per-pull wall-clock sampling behind
 	// Stats.BoundTime (the stacked bars of Fig. 3(d)-(l)). Off by default
@@ -176,17 +177,15 @@ type Options struct {
 	// access with its depth and wall time, every threshold update, every
 	// buffer pressure event. Nil costs one pointer check per pull.
 	Tracer Tracer
-	// SpillDir, when non-empty, gives a bounded session (MaxBuffered > 0)
-	// a spill tier that keeps what the ranked heap does not: below-floor
-	// subtrees as deferred records, evictions in an in-memory slab that is
-	// sorted and flushed to a compact columnar segment file under SpillDir
-	// once it reaches the SpillMemBytes watermark. Revival merges the slab
-	// with the segment streams, so the stream is exact past MaxBuffered
-	// with resident memory O(MaxBuffered + SpillMemBytes) however far the
-	// enumeration outruns the consumer. Ignored when MaxBuffered is 0.
+	// SpillDir, when non-empty, makes the session open (see MaxBuffered)
+	// and gives it a file tier: once the spill heap holds SpillMemBytes
+	// worth of entries, it is written, sorted, to a compact columnar
+	// segment file under SpillDir, and revival merges the heap with the
+	// segment streams. Spilled entries then take resident memory
+	// O(SpillMemBytes) however far the enumeration outruns the consumer.
 	SpillDir string
-	// SpillMemBytes bounds the in-memory spill slab when SpillDir is set;
-	// 0 selects DefaultSpillMemBytes.
+	// SpillMemBytes is the file tier's watermark, in entries of their
+	// segment size (8 + 4n bytes); 0 selects DefaultSpillMemBytes.
 	SpillMemBytes int
 	// disablePrune turns score-floor pruning off. Test-only: the unpruned
 	// run is the byte-identity oracle for the pruned one.
@@ -206,8 +205,8 @@ type Options struct {
 	spillFault func() error
 }
 
-// DefaultSpillMemBytes is the in-memory spill slab watermark used when
-// Options.SpillDir is set and SpillMemBytes is 0.
+// DefaultSpillMemBytes is the file tier's watermark when Options.SpillDir
+// is set and SpillMemBytes is 0.
 const DefaultSpillMemBytes = 4 << 20
 
 // DefaultBlockSize is the width of the batched scoring kernel: at the
@@ -242,20 +241,20 @@ type Stats struct {
 	// or off.
 	CombinationsFormed int64
 	// CombinationsPruned counts the CombinationsFormed members that
-	// score-floor pruning cut without materializing. A session with a
-	// spill tier keeps them as deferred records, scored later only if
-	// emission reaches them; they stay counted here.
+	// score-floor pruning cut without materializing. An open session keeps
+	// them as deferred records, scored later only if emission reaches
+	// them; they stay counted here.
 	CombinationsPruned int64
 	// PeakBuffered is the high-water mark of retained combinations (the
-	// output buffer plus, for sessions, the spill slab; deferred records
-	// count only once expanded).
+	// output buffer plus, for open sessions, the spill heap and segments;
+	// deferred records count only once expanded).
 	PeakBuffered int
-	// SpilledCombinations counts combinations moved to the spill slab of
-	// a session with a spill tier: the ranked heap's evictions, and
-	// deferred record members that land below it.
+	// SpilledCombinations counts combinations moved to the spill heap of
+	// an open session: the window's evictions, and offers (deferred record
+	// members among them) that land below it.
 	SpilledCombinations int64
 	// SpilledBytes counts bytes written to spill segment files; zero when
-	// the slab never reached the watermark.
+	// the spill heap never reached the watermark.
 	SpilledBytes int64
 	// BoundUpdates counts updateBound invocations (one per pull).
 	BoundUpdates int64

@@ -145,15 +145,17 @@ type Options struct {
 	// DNF (0 = unlimited).
 	MaxSumDepths    int
 	MaxCombinations int64
-	// MaxBuffered bounds a session's buffer of formed-but-unemitted
-	// combinations (0 = unbounded and exact). The batch TopK* entry points
-	// default it to K, restoring O(K) peak memory with byte-identical
-	// results. The session retains the best MaxBuffered − emitted
-	// combinations (at least one), and formation skips whole subtrees
-	// below the worst of them. Without SpillDir the session is a bounded
-	// consumer: it drops what it cannot return, and once it has delivered
-	// MaxBuffered results (Next and DrainBest together) Next fails with
-	// ErrPastBound. With SpillDir it enumerates exactly past MaxBuffered.
+	// MaxBuffered is a session's window of formed-but-unemitted
+	// combinations held in ranked form: it retains the best MaxBuffered −
+	// emitted (at least one), and formation skips whole subtrees below
+	// the worst of them. A positive MaxBuffered without SpillDir is a
+	// bounded consumer: it drops what it cannot return, and once it has
+	// delivered MaxBuffered results (Next and DrainBest together) Next
+	// fails with ErrPastBound. The batch TopK* entry points default it to
+	// K, which keeps peak memory O(K) with byte-identical results.
+	// Otherwise the session is open and enumerates exactly for as long as
+	// it is read, keeping what the window does not hold; 0 selects a
+	// 1 024-entry window.
 	MaxBuffered int
 	// CollectTimings enables the per-pull wall-clock sampling behind
 	// Stats.BoundTime. Off by default: the timers measurably tax every
@@ -165,15 +167,14 @@ type Options struct {
 	// buffer pressure event. The hook behind per-query tracing; nil (the
 	// default) costs one pointer check per pull.
 	Tracer Tracer
-	// SpillDir, when non-empty, gives a session with MaxBuffered > 0 a
-	// spill tier: below-floor subtrees are kept as deferred records scored
-	// only if enumeration reaches them, evictions in a compact slab that
-	// moves to checksummed segment files under SpillDir past
-	// SpillMemBytes, so open enumeration over huge cross products stays
-	// exact at flat resident memory. Ignored when MaxBuffered is 0, and
-	// cleared by BoundedToK.
+	// SpillDir, when non-empty, makes the session open and gives it a
+	// file tier: what the window evicts moves to checksummed, sorted
+	// segment files under SpillDir past SpillMemBytes, so open
+	// enumeration over huge cross products stays exact at flat resident
+	// memory. Cleared by BoundedToK.
 	SpillDir string
-	// SpillMemBytes bounds the in-memory slab ahead of the file tier
+	// SpillMemBytes is the file tier's watermark: the spilled entries,
+	// at 8 + 4n bytes each, held in memory before a segment is written
 	// (0 = core.DefaultSpillMemBytes).
 	SpillMemBytes int
 }
@@ -313,9 +314,9 @@ func (o Options) engineOptions(query Vector, fn agg.Function) core.Options {
 
 // BoundedToK returns the options of a bounded consumer, a run that
 // consumes at most K results: bounding MaxBuffered to K keeps the output
-// byte-identical while restoring O(K) peak heap memory (the buffer
-// otherwise grows with CombinationsFormed), and SpillDir is cleared,
-// since a consumer that stops at K never reads what a spill tier would
+// byte-identical while keeping O(K) peak heap memory (an open session
+// keeps what its window evicts), and SpillDir is cleared, since a
+// consumer that stops at K never reads what an open session would
 // keep. An explicit MaxBuffered wins. Every at-most-K consumer — the
 // batch TopK* entry points, the service executor, the CLI — applies
 // exactly this rule; a session that may enumerate past K must not, or
@@ -413,7 +414,7 @@ func TopKFromSources(query Vector, sources []Source, opts Options) (Result, erro
 // with its buffer bounded to K (unless the caller set MaxBuffered
 // explicitly): peak retained combinations are O(K) even
 // though Stats.CombinationsFormed can be orders of magnitude larger, and
-// the results are byte-identical to an unbounded run's.
+// the results are byte-identical to an open session's.
 func TopKFromSourcesContext(ctx context.Context, query Vector, sources []Source, opts Options) (Result, error) {
 	q, err := NewQuerySources(query, sources, opts.BoundedToK())
 	if err != nil {

@@ -124,11 +124,12 @@ func NewQueryInputs(query Vector, inputs []Input, opts Options) (*Query, error) 
 // point (TopK*, NewQuery*) funnels through it, so validation cannot drift
 // between consumption models.
 //
-// An unbounded session retains every formed-but-unemitted combination in
-// compact rank form; set MaxBuffered to bound it — alone when at most
-// MaxBuffered results will be consumed, with SpillDir to keep open
-// enumeration exact. Epsilon relaxes per-result certification exactly as
-// it relaxes the batch stopping test.
+// A session is open unless MaxBuffered alone bounds it: an open session
+// keeps every formed-but-unemitted combination (a ranked window, a spill
+// heap, deferred subtrees, segment files under SpillDir), a bounded
+// consumer keeps only the MaxBuffered it may return. Epsilon relaxes
+// per-result certification exactly as it relaxes the batch stopping
+// test.
 func NewQuerySources(query Vector, sources []Source, opts Options) (*Query, error) {
 	if opts.K < 1 {
 		return nil, core.ErrBadK
@@ -287,7 +288,7 @@ func (q *Query) Close() { q.it.Close() }
 func (q *Query) Emitted() int { return int(q.it.Emitted()) }
 
 // Buffered returns the number of scored combinations awaiting emission;
-// a spill session's deferred subtrees count once expanded.
+// an open session's deferred subtrees count once expanded.
 func (q *Query) Buffered() int { return q.it.Buffered() }
 
 // Threshold returns the current upper bound on undelivered combinations.
