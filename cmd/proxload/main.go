@@ -604,7 +604,7 @@ func (d *deployment) identityCheck(cfg service.Config) error {
 		for j, b := range d.data.query {
 			vec[j] = b + 0.01*float64(i-identityQueries/2)*float64(j+1)
 		}
-		req := &service.QueryRequest{Query: vec, Relations: relations, K: 2 + i%5}
+		req := &api.Request{Query: vec, Relations: relations, K: 2 + i%5}
 		want, err := twin.Execute(context.Background(), req)
 		if err != nil {
 			return fmt.Errorf("query %d: single-node twin: %w", i, err)

@@ -27,20 +27,6 @@ func newCombArena(n int) *combArena {
 	return &combArena{n: n}
 }
 
-// reserve pre-sizes the slab and freelist for the given number of live
-// slots, so a buffer with a known retention bound (the batch top-K)
-// never grows the arena incrementally.
-func (a *combArena) reserve(slots int) {
-	if cap(a.ranks) < slots*a.n {
-		ranks := make([]int32, len(a.ranks), slots*a.n)
-		copy(ranks, a.ranks)
-		a.ranks = ranks
-	}
-	if cap(a.free) < 1 {
-		a.free = make([]int32, 0, 8)
-	}
-}
-
 // alloc copies ranks into a fresh or recycled slot and returns its index.
 func (a *combArena) alloc(ranks []int32) int32 {
 	var s int32
@@ -81,22 +67,13 @@ func lexLess32(a, b []int32) bool {
 	return false
 }
 
-// refWorse reports whether a is a strictly worse result than b — the
-// arena-backed twin of combWorse, with identical tie-breaking (equal
-// scores: the higher rank vector loses).
-func (a *combArena) refWorse(x, y combRef) bool {
-	if x.score != y.score {
-		return x.score < y.score
+// before is the one result order: score descending, ties by ascending
+// lexicographic ranks. (score, ranks) keys are unique, so it is a total
+// order — of the window, the spill heap, every segment file and every
+// stream of results.
+func before(score float64, ranks []int32, thanScore float64, thanRanks []int32) bool {
+	if score != thanScore {
+		return score > thanScore
 	}
-	return lexLess32(a.ranksAt(y.slot), a.ranksAt(x.slot))
-}
-
-// beats reports whether an incoming combination (score + scratch ranks,
-// not yet in the arena) is strictly better than the buffered ref — the
-// allocation-free form of refWorse(ref, incoming).
-func (a *combArena) beats(score float64, ranks []int32, ref combRef) bool {
-	if score != ref.score {
-		return score > ref.score
-	}
-	return lexLess32(ranks, a.ranksAt(ref.slot))
+	return lexLess32(ranks, thanRanks)
 }

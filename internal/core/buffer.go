@@ -8,8 +8,8 @@ import (
 
 // topK is the slice-backed top-K buffer retained for the Naive oracle: it
 // keeps the K best combinations seen so far, with deterministic
-// tie-breaking (lower rank vectors win on equal scores). The engine's hot
-// path uses the arena-backed refTopK below instead.
+// tie-breaking (lower rank vectors win on equal scores). The engine's one
+// output buffer is the arena-backed sessionBuffer instead.
 type topK struct {
 	k    int
 	heap *pqueue.Heap[Combination] // worst-first
@@ -71,20 +71,6 @@ func (t *topK) sorted() []Combination {
 	return out
 }
 
-// refSink is the destination of formed combinations on the hot path: the
-// batch refTopK or the iterator's session buffer. offer receives the
-// aggregate score and the scratch rank vector (copied only if the
-// combination is retained); floor exposes the score below which an
-// incoming combination is certain not to be retained in ranked form, which
-// enumerate uses to cut cross-product subtrees before they are
-// materialized. What becomes of
-// a cut is the engine's cuts store: dropped without one, a deferredCut
-// with one.
-type refSink interface {
-	offer(score float64, ranks []int32)
-	floor() (float64, bool)
-}
-
 // deferredCut is one subtree Engine.candidates cut below the floor of an
 // open session, kept as a record instead of dropped. Its members are the
 // ranks below the recorded depth of the cut level that fail the
@@ -113,69 +99,4 @@ func newCutHeap(n int) *cutHeap {
 		heap:  pqueue.New(func(a, b deferredCut) bool { return a.key > b.key }),
 		scr:   make([]int32, 2*n),
 	}
-}
-
-// refTopK is the arena-backed output buffer O of Algorithm 1: it retains
-// the K best combinations with the same total order as topK, but one
-// retained combination costs one arena slot (n int32 ranks) instead of
-// two heap allocations, and evicted combinations recycle their slot.
-type refTopK struct {
-	k     int
-	arena *combArena
-	heap  *pqueue.Heap[combRef] // worst-first
-	peak  *int                  // high-water mark sink (Stats.PeakBuffered)
-}
-
-func newRefTopK(k int, arena *combArena, peak *int) *refTopK {
-	t := &refTopK{k: k, arena: arena, heap: pqueue.New(arena.refWorse), peak: peak}
-	t.heap.Grow(k)
-	return t
-}
-
-// offer implements refSink: combinations that cannot enter the top K are
-// rejected without touching the arena.
-func (t *refTopK) offer(score float64, ranks []int32) {
-	if t.heap.Len() < t.k {
-		t.heap.Push(combRef{slot: t.arena.alloc(ranks), score: score})
-		if t.heap.Len() > *t.peak {
-			*t.peak = t.heap.Len()
-		}
-		return
-	}
-	worst, _ := t.heap.Peek()
-	if t.arena.beats(score, ranks, worst) {
-		t.heap.Pop()
-		t.arena.release(worst.slot)
-		t.heap.Push(combRef{slot: t.arena.alloc(ranks), score: score})
-	}
-}
-
-// floor implements refSink: once the buffer holds K combinations, nothing
-// scoring below the current K-th best can ever be admitted.
-func (t *refTopK) floor() (float64, bool) {
-	if t.heap.Len() < t.k {
-		return negInf, false
-	}
-	worst, _ := t.heap.Peek()
-	return worst.score, true
-}
-
-// len returns the number of buffered combinations.
-func (t *refTopK) len() int { return t.heap.Len() }
-
-// kthScore returns the score of the worst buffered combination.
-func (t *refTopK) kthScore() float64 {
-	worst, ok := t.heap.Peek()
-	if !ok {
-		return negInf
-	}
-	return worst.score
-}
-
-// sortedRefs returns the buffered refs best-first.
-func (t *refTopK) sortedRefs() []combRef {
-	out := make([]combRef, len(t.heap.Items()))
-	copy(out, t.heap.Items())
-	sort.Slice(out, func(i, j int) bool { return t.arena.refWorse(out[j], out[i]) })
-	return out
 }

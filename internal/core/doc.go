@@ -20,11 +20,14 @@
 // Enumeration is allocation-free on the hot path: combinations live in
 // a rank-slab arena (arena.go) as (slot, score) references with tuples
 // reconstructed from prefixes on emission, subtree pruning cuts
-// combination formation below the buffer floor, and the session buffer
-// (iterator.go) holds candidates in a min-max heap window (internal/pqueue)
-// of Options.MaxBuffered entries: a bounded consumer drops what it cannot
+// combination formation below the buffer floor, and one output buffer O,
+// the session buffer (iterator.go), holds candidates in a min-max heap
+// window (internal/pqueue). A batch run's O is a bounded consumer of K
+// entries whose floor is the K-th best; an Iterator's window is
+// Options.MaxBuffered entries: a bounded consumer drops what it cannot
 // return, an open session keeps it in a spill heap, and with
-// Options.SpillDir in segment files past a watermark.
+// Options.SpillDir in segment files past a watermark. One order, before,
+// ranks every result: score descending, ties by ascending ranks.
 //
 // Iterator (iterator.go) is the ranked-enumeration surface the facade's
 // Stream/Query sessions wrap: Next certifies and emits one combination

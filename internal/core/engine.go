@@ -114,10 +114,10 @@ type Engine struct {
 	kind  relation.AccessKind
 	rels  []*relState
 	arena *combArena
-	out   *refTopK // the batch top-K buffer; also the default sink
-	// sink receives formed combinations: out in batch mode, the session
-	// buffer when a pipelined Iterator drives the engine.
-	sink  refSink
+	// buf is the output buffer O of Algorithm 1, which every formed
+	// combination is offered to: a bounded consumer of K entries in a batch
+	// run, the session's buffer when an Iterator drives the engine.
+	buf   *sessionBuffer
 	bound bounder
 	pull  puller
 	stats Stats
@@ -131,10 +131,8 @@ type Engine struct {
 	prune     bool
 	blockSize int
 	lastVar   int // innermost non-pulled level of the current formation
-	// cuts, non-nil in an open session, keeps every subtree candidates
-	// cuts as a deferredCut; without it a cut is dropped. exp is the
-	// record expandCut is re-forming while expanding is set.
-	cuts      *cutHeap
+	// exp is the deferred record expandCut is re-forming while expanding
+	// is set.
 	exp       deferredCut
 	expanding bool
 	// Formation scratch, reused across every formCombinations call.
@@ -165,10 +163,17 @@ type Engine struct {
 // NewEngine validates the configuration and builds an engine. All sources
 // must share one access kind and one dimensionality matching the query.
 func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
+	return newEngine(sources, opts, false)
+}
+
+// newEngine is NewEngine for a batch run or, when session is set, for an
+// Iterator: a session has no K, and its buffer follows from MaxBuffered
+// and SpillDir (sessionWindow).
+func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, error) {
 	if len(sources) < 2 {
 		return nil, ErrNoRelations
 	}
-	if opts.K < 1 {
+	if !session && opts.K < 1 {
 		return nil, ErrBadK
 	}
 	if opts.Agg == nil {
@@ -179,6 +184,9 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 	}
 	if opts.MaxBuffered < 0 {
 		return nil, fmt.Errorf("core: MaxBuffered must be non-negative, got %d", opts.MaxBuffered)
+	}
+	if opts.SpillMemBytes < 0 {
+		return nil, fmt.Errorf("core: SpillMemBytes must be non-negative, got %d", opts.SpillMemBytes)
 	}
 	kind := sources[0].Kind()
 	dim := sources[0].Relation().Dim()
@@ -218,9 +226,6 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 		blockSize: blockSize,
 		sufCount:  make([]int64, n+1),
 	}
-	e.arena.reserve(opts.K)
-	e.out = newRefTopK(opts.K, e.arena, &e.stats.PeakBuffered)
-	e.sink = e.out
 	e.stats.Depths = make([]int, n)
 
 	// colCap is the initial capacity of relation i's prefix columns.
@@ -331,6 +336,11 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 	} else {
 		e.pull = &roundRobin{}
 	}
+	if session {
+		e.buf = sessionWindow(e)
+	} else {
+		e.buf = newSessionBuffer(e.arena, opts.K, &e.stats, nil)
+	}
 	return e, nil
 }
 
@@ -367,10 +377,13 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 		}
 	}
 	e.stats.TotalTime = time.Since(start)
-	refs := e.out.sortedRefs()
-	combs := make([]Combination, len(refs))
-	for i, ref := range refs {
-		combs[i] = e.materialize(ref)
+	// The drain pops O best-first, carved from one chunk of emission arena.
+	held := e.buf.buffered()
+	e.matTuples = make([]relation.Tuple, 0, held*e.n)
+	e.matRanks = make([]int, 0, held*e.n)
+	combs := make([]Combination, held)
+	for i := range combs {
+		combs[i], _ = e.emit()
 	}
 	return Result{
 		Combinations: combs,
@@ -387,18 +400,16 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 // The emitted slices are carved from chunked backing arrays (capacity-
 // capped views, so callers appending to a Combination cannot clobber a
 // neighbor) instead of two allocations per emission: a batch drain of K
-// results costs two chunk allocations, and a long-lived iterator pays
-// two per matChunk emissions. A full chunk is abandoned to the garbage
-// collector once every Combination carved from it is dropped; one
-// retained Combination keeps at most matChunk·n entries alive.
+// results costs two chunk allocations (RunContext sizes them), and a
+// long-lived iterator pays two per matChunk emissions. A full chunk is
+// abandoned to the garbage collector once every Combination carved from
+// it is dropped; one retained Combination keeps at most matChunk·n
+// entries alive.
 func (e *Engine) materialize(ref combRef) Combination {
 	const matChunk = 16
 	rank32 := e.arena.ranksAt(ref.slot)
 	if len(e.matTuples)+e.n > cap(e.matTuples) {
 		c := matChunk * e.n
-		if k := e.opts.K * e.n; c < k {
-			c = k // a batch drain emits K at once; carve it in one chunk
-		}
 		e.matTuples = make([]relation.Tuple, 0, c)
 		e.matRanks = make([]int, 0, c)
 	}
@@ -412,14 +423,24 @@ func (e *Engine) materialize(ref combRef) Combination {
 	return Combination{Tuples: tuples, Ranks: ranks, Score: ref.score}
 }
 
-// satisfied implements the stopping test of Algorithm 1 line 3: the buffer
-// holds K combinations whose worst score is at least the bound (less the
-// optional approximation slack).
-func (e *Engine) satisfied() bool {
-	if e.out.len() < e.opts.K {
-		return false
+// emit pops the best buffered combination, materializes it, and recycles
+// its arena slot.
+func (e *Engine) emit() (Combination, bool) {
+	ref, ok := e.buf.popBest()
+	if !ok {
+		return Combination{}, false
 	}
-	return e.out.kthScore() >= e.t-e.opts.Epsilon-1e-9
+	c := e.materialize(ref)
+	e.arena.release(ref.slot)
+	return c, true
+}
+
+// satisfied implements the stopping test of Algorithm 1 line 3: the buffer
+// holds K combinations whose worst score — its floor — is at least the
+// bound (less the optional approximation slack).
+func (e *Engine) satisfied() bool {
+	kth, full := e.buf.floor()
+	return full && kth >= e.t-e.opts.Epsilon-1e-9
 }
 
 func (e *Engine) capped() bool {
@@ -522,7 +543,7 @@ func (e *Engine) step(ri int) error {
 // counts into Stats.CombinationsFormed up front, so the paper's cost
 // metric and the MaxCombinations cap semantics are unchanged by pruning:
 // subtrees whose best possible completion (by the aggregation's
-// SoloBound) cannot beat the sink's score floor are cut before
+// SoloBound) cannot beat the buffer's score floor are cut before
 // materialization and tallied again in CombinationsPruned.
 func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo, qt float64) {
 	for _, rs := range e.rels {
@@ -630,10 +651,10 @@ func pruneSlack(floor, mag float64) float64 {
 // stopping at the first failure finds exactly the set a scan of the prefix
 // would, at the cost of the survivors instead of the depth. Everything
 // behind the stop is the cut: charged to CombinationsPruned in one step,
-// then dropped, or kept as one deferredCut when the engine has a cuts
-// store. This is the only place a tail is cut. The floor is read once per
-// call: offers made while the returned list is being consumed do not
-// refresh it. While expandCut replays a record, the list is the record's
+// then dropped, or kept as one deferredCut when the buffer has a cuts
+// store (an open session). This is the only place a tail is cut. The
+// floor is read once per call: offers made while the returned list is
+// being consumed do not refresh it. While expandCut replays a record, the list is the record's
 // instead (see expansion).
 func (e *Engine) candidates(i, skip int, partial float64) []int32 {
 	if e.expanding {
@@ -643,7 +664,7 @@ func (e *Engine) candidates(i, skip int, partial float64) []int32 {
 	out := e.scrCands[i][:0]
 	floor, pruned := negInf, false
 	if e.prune {
-		floor, pruned = e.sink.floor()
+		floor, pruned = e.buf.floor()
 	}
 	if pruned {
 		bar := floor - pruneSlack(floor, e.pruneMag)
@@ -656,7 +677,7 @@ func (e *Engine) candidates(i, skip int, partial float64) []int32 {
 		}
 		if cut := len(rs.bySolo) - len(out); cut > 0 {
 			e.stats.CombinationsPruned = satAdd(e.stats.CombinationsPruned, satMul(int64(cut), e.sufCount[i+1]))
-			if e.cuts != nil {
+			if e.buf.cuts != nil {
 				e.deferCut(deferredCut{key: floor, partial: partial, sufB: sufB, bar: bar, level: int32(i), skip: int32(skip)})
 			}
 		}
@@ -674,21 +695,22 @@ func (e *Engine) candidates(i, skip int, partial float64) []int32 {
 // and the pulled slot, and the prefix depths of the cut level and every
 // level inside it. O(n), nothing enumerated.
 func (e *Engine) deferCut(c deferredCut) {
-	p := e.cuts.scr
+	cuts := e.buf.cuts
+	p := cuts.scr
 	copy(p, e.scrRanks)
 	for j := int(c.level); j < e.n; j++ {
 		p[e.n+j] = int32(e.rels[j].depth())
 	}
-	c.slot = e.cuts.arena.alloc(p)
-	e.cuts.heap.Push(c)
+	c.slot = cuts.arena.alloc(p)
+	cuts.heap.Push(c)
 }
 
 // expandCut re-forms a deferred record's members through the formation
 // path — the same fixed slots, the same block level, so the same scores
-// bit for bit — and offers each to the sink. The members were counted in
+// bit for bit — and offers each to the buffer. The members were counted in
 // CombinationsFormed when the record was cut, so nothing is counted here.
 func (e *Engine) expandCut(c deferredCut) {
-	p := e.cuts.arena.ranksAt(c.slot)
+	p := e.buf.cuts.arena.ranksAt(c.slot)
 	for j := 0; j < int(c.level); j++ {
 		e.place(j, p[j])
 	}
@@ -697,7 +719,7 @@ func (e *Engine) expandCut(c deferredCut) {
 	e.exp, e.expanding = c, true
 	e.enumerate(int(c.level), int(c.skip), c.partial)
 	e.expanding = false
-	e.cuts.arena.release(c.slot)
+	e.buf.cuts.arena.release(c.slot)
 }
 
 // expansion is candidates while e.exp is being re-formed: at the cut level
@@ -706,7 +728,7 @@ func (e *Engine) expandCut(c deferredCut) {
 // whole prefix as deep as it was at cut time.
 func (e *Engine) expansion(i int, partial float64) []int32 {
 	c, rs := &e.exp, e.rels[i]
-	depth := e.cuts.arena.ranksAt(c.slot)[e.n+i]
+	depth := e.buf.cuts.arena.ranksAt(c.slot)[e.n+i]
 	out := e.scrCands[i][:0]
 	for r := int32(0); r < depth; r++ {
 		if i != int(c.level) || partial+rs.solo[r]+c.sufB < c.bar {
@@ -721,7 +743,7 @@ func (e *Engine) expansion(i int, partial float64) []int32 {
 // of the chosen tuples (meaningful only when e.prune).
 func (e *Engine) enumerate(i, skip int, partial float64) {
 	if i == e.n {
-		e.sink.offer(e.opts.Agg.ScoreScratch(e.q, e.scrSigmas, e.scrXs, e.scrMu), e.scrRanks)
+		e.buf.offer(e.opts.Agg.ScoreScratch(e.q, e.scrSigmas, e.scrXs, e.scrMu), e.scrRanks)
 		return
 	}
 	if i == skip {
@@ -764,7 +786,7 @@ func (e *Engine) scoreBlocks(i int, cands []int32) {
 		e.opts.Agg.ScoreBlock(e.q, e.scrQterms, e.scrXs, i, e.blkQ[:w], e.blkXs[:w], &e.blkScr, e.blkOut[:w])
 		for j, r := range chunk {
 			e.scrRanks[i] = r
-			e.sink.offer(e.blkOut[j], e.scrRanks)
+			e.buf.offer(e.blkOut[j], e.scrRanks)
 		}
 	}
 }

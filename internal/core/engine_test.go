@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -332,6 +333,16 @@ func TestEngineValidation(t *testing.T) {
 	mixed := []relation.Source{srcs[0], relation.NewScoreSource(in.rels[1])}
 	if _, err := NewEngine(mixed, Options{K: 1, Query: in.q, Agg: in.fn}); !errors.Is(err, ErrMixedAccess) {
 		t.Errorf("mixed access: %v", err)
+	}
+	if _, err := NewEngine(srcs, Options{K: 1, Query: in.q, Agg: in.fn, SpillMemBytes: -1}); err == nil ||
+		!strings.Contains(err.Error(), "SpillMemBytes must be non-negative") {
+		t.Errorf("SpillMemBytes=-1: %v", err)
+	}
+	if _, err := NewIterator(srcs, Options{Query: in.q, Agg: in.fn, SpillDir: t.TempDir(), SpillMemBytes: -1}); err == nil {
+		t.Error("iterator accepted SpillMemBytes=-1")
+	}
+	if _, err := NewEngine(srcs, Options{K: 1, Query: in.q, Agg: in.fn, SpillMemBytes: 0}); err != nil {
+		t.Errorf("SpillMemBytes=0 is the default watermark: %v", err)
 	}
 }
 

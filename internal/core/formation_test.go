@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -341,9 +343,14 @@ func TestStepDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkOpenSession is what open enumeration costs: the first 100,
-// 2 000 and 20 000 results of a TBPA session that leaves MaxBuffered at 0,
-// over deepFixture, cycling three query points. Run it at the parent of a
-// buffer change too (it uses nothing newer than NewIterator) to compare.
+// 2 000, 20 000 and 100 000 results of a TBPA session that leaves
+// MaxBuffered at 0, over deepFixture, cycling three query points; the two
+// deep points run again with a SpillDir ("+tier", the default watermark).
+// Beside time and allocations it reports the peak live heap (the
+// runtime's post-GC figure, sampled every 1 024 results and once, forced,
+// at the end) and the entries spilled per session. Run it at the parent
+// of a buffer change too (it uses nothing newer than NewIterator) to
+// compare.
 func BenchmarkOpenSession(b *testing.B) {
 	ixs, fn := deepFixture(b)
 	r := rand.New(rand.NewSource(16))
@@ -354,22 +361,50 @@ func BenchmarkOpenSession(b *testing.B) {
 			queries[i][c] = (r.Float64() - 0.5) * 1.5
 		}
 	}
-	for _, n := range []int{100, 2000, 20000} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	liveHeap := func() uint64 {
+		metrics.Read(live)
+		return live[0].Value.Uint64()
+	}
+	for _, c := range []struct {
+		n    int
+		tier bool
+	}{{100, false}, {2000, false}, {20000, false}, {20000, true}, {100000, false}, {100000, true}} {
+		name := fmt.Sprint(c.n)
+		if c.tier {
+			name += "+tier"
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			var peak uint64
+			var spilled int64
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				it, err := NewIterator(deepSources(b, ixs, q), Options{Algorithm: TBPA, Query: q, Agg: fn})
+				opts := Options{Algorithm: TBPA, Query: q, Agg: fn}
+				if c.tier {
+					opts.SpillDir = b.TempDir()
+				}
+				it, err := NewIterator(deepSources(b, ixs, q), opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for j := 0; j < n; j++ {
+				for j := 0; j < c.n; j++ {
 					if _, err := it.Next(); err != nil {
 						b.Fatal(err)
 					}
+					if j%1024 == 1023 {
+						peak = max(peak, liveHeap())
+					}
 				}
+				b.StopTimer()
+				runtime.GC()
+				peak = max(peak, liveHeap())
+				spilled += it.Stats().SpilledCombinations
+				b.StartTimer()
 				it.Close()
 			}
+			b.ReportMetric(float64(peak)/(1<<20), "live-MiB")
+			b.ReportMetric(float64(spilled)/float64(b.N), "spilled/op")
 		})
 	}
 }

@@ -13,20 +13,21 @@ import (
 	"repro/internal/vec"
 )
 
-// sessionBuffer holds a session's formed-but-unemitted combinations in
-// arena-backed rank form. Its ranked heap is a window of max entries
-// (Options.MaxBuffered, or openWindow when that is 0), and a consumer
+// sessionBuffer is the engine's output buffer O (Algorithm 1): it holds
+// formed-but-unemitted combinations in arena-backed rank form. Its ranked
+// heap is a window of max entries (K in a batch run; in a session
+// Options.MaxBuffered, or openWindow when that is 0), and a consumer
 // taking at most max results has max − emitted left to take, so the heap
 // retains that many (keep, at least one): the window stays full across
 // emissions and its worst entry is a score floor for the whole run, below
-// which formation cuts subtrees before materializing them (refSink.floor,
+// which formation cuts subtrees before materializing them (floor,
 // Engine.candidates). What becomes of what the window does not keep
-// follows from the session's declaration:
+// follows from the run's declaration:
 //
-//   - A bounded consumer (MaxBuffered > 0, no SpillDir) drops it: a cut
-//     subtree, and an offer the full heap rejects. Exact for the first
-//     MaxBuffered results in O(MaxBuffered) memory, and the Iterator
-//     refuses to go past them (ErrIteratorPastBound).
+//   - A bounded consumer (a batch run; a session with MaxBuffered > 0 and
+//     no SpillDir) drops it: a cut subtree, and an offer the full heap
+//     rejects. Exact for the first max results in O(max) memory, and the
+//     Iterator refuses to go past them (ErrIteratorPastBound).
 //   - An open session (MaxBuffered 0, or a SpillDir) keeps it: an eviction
 //     or an offer below the window moves to the spill heap, and a cut
 //     subtree becomes one deferredCut, expanded only when emission reaches
@@ -83,16 +84,41 @@ const openWindow = 1024
 // newSessionBuffer returns a bounded consumer's buffer when cuts is nil
 // and an open session's otherwise.
 func newSessionBuffer(arena *combArena, max int, stats *Stats, cuts *cutHeap) *sessionBuffer {
+	refBefore := func(x, y combRef) bool {
+		return before(x.score, arena.ranksAt(x.slot), y.score, arena.ranksAt(y.slot))
+	}
 	b := &sessionBuffer{
 		arena: arena,
 		max:   max,
 		keep:  max,
-		heap:  pqueue.NewMinMax(arena.refWorse),
+		heap:  pqueue.NewMinMax(func(x, y combRef) bool { return refBefore(y, x) }),
 		stats: stats,
 		cuts:  cuts,
 	}
 	if cuts != nil {
-		b.spill = pqueue.New(func(x, y combRef) bool { return arena.refWorse(y, x) })
+		b.spill = pqueue.New(refBefore)
+	}
+	return b
+}
+
+// sessionWindow builds e's buffer as an Iterator's: a window of
+// MaxBuffered entries, or openWindow when that is 0, and open — spilled
+// entries, deferred records, the file tier under a SpillDir — unless
+// MaxBuffered alone bounds the session.
+func sessionWindow(e *Engine) *sessionBuffer {
+	opts := e.opts
+	window := opts.MaxBuffered
+	if window == 0 {
+		window = openWindow
+	}
+	if opts.MaxBuffered > 0 && opts.SpillDir == "" {
+		return newSessionBuffer(e.arena, window, &e.stats, nil)
+	}
+	b := newSessionBuffer(e.arena, window, &e.stats, newCutHeap(e.n))
+	b.tracer = opts.Tracer
+	b.expand = e.expandCut
+	if opts.SpillDir != "" {
+		b.tier = newSpillTier(opts.SpillDir, e.n, opts.SpillMemBytes, &e.stats, opts.spillFault)
 	}
 	return b
 }
@@ -104,16 +130,6 @@ func (b *sessionBuffer) trackPeak() {
 	if l := b.buffered(); l > b.stats.PeakBuffered {
 		b.stats.PeakBuffered = l
 	}
-}
-
-// spillBefore is the canonical spill order: score descending, ties by
-// ascending lexicographic ranks. (score, ranks) keys are unique, so it is
-// a total order, the order of the spill heap and of every segment file.
-func spillBefore(score float64, ranks []int32, thanScore float64, thanRanks []int32) bool {
-	if score != thanScore {
-		return score > thanScore
-	}
-	return lexLess32(ranks, thanRanks)
 }
 
 func (b *sessionBuffer) setBoundary(score float64, ranks []int32) {
@@ -154,9 +170,10 @@ func (b *sessionBuffer) flush() {
 	}
 }
 
-// offer implements refSink. A bounded heap keeps the best keep offers;
-// what it does not keep is spilled in an open session and dropped in a
-// bounded consumer.
+// offer receives a formed combination: its aggregate score and the
+// scratch rank vector, copied only if the combination is retained. A
+// bounded heap keeps the best keep offers; what it does not keep is
+// spilled in an open session and dropped in a bounded consumer.
 func (b *sessionBuffer) offer(score float64, ranks []int32) {
 	if b.cuts == nil {
 		if b.heap.Len() < b.keep {
@@ -165,7 +182,7 @@ func (b *sessionBuffer) offer(score float64, ranks []int32) {
 			return
 		}
 		worst, _ := b.heap.PeekMin()
-		if b.arena.beats(score, ranks, worst) {
+		if before(score, ranks, worst.score, b.arena.ranksAt(worst.slot)) {
 			b.heap.PopMin()
 			b.arena.release(worst.slot)
 			b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
@@ -173,7 +190,7 @@ func (b *sessionBuffer) offer(score float64, ranks []int32) {
 		return
 	}
 	ref := combRef{slot: b.arena.alloc(ranks), score: score}
-	if b.hasBoundary && !spillBefore(score, ranks, b.boundScore, b.boundRanks) {
+	if b.hasBoundary && !before(score, ranks, b.boundScore, b.boundRanks) {
 		b.spillRef(ref)
 		b.trackPeak()
 		return
@@ -187,9 +204,11 @@ func (b *sessionBuffer) offer(score float64, ranks []int32) {
 	b.trackPeak()
 }
 
-// floor implements refSink: a full buffer (keep entries) keeps nothing
-// below its worst retained entry, so the enumeration can cut those
-// subtrees pre-materialization.
+// floor is the score below which an offer is certain not to be retained
+// in ranked form: a full buffer (keep entries) keeps nothing below its
+// worst retained entry, so the enumeration can cut those subtrees
+// pre-materialization. In a batch run, full is K held, and the floor is
+// the K-th best.
 func (b *sessionBuffer) floor() (float64, bool) {
 	if b.heap.Len() == b.keep {
 		worst, _ := b.heap.PeekMin()
@@ -321,7 +340,7 @@ func (b *sessionBuffer) bestSpilled() (score float64, ranks []int32, seg *spillS
 			if err != nil {
 				return 0, nil, nil, err
 			}
-			if ok && (!have || spillBefore(s.head, s.headRanks, score, ranks)) {
+			if ok && (!have || before(s.head, s.headRanks, score, ranks)) {
 				score, ranks, seg, have = s.head, s.headRanks, s, true
 			}
 		}
@@ -351,7 +370,6 @@ func (b *sessionBuffer) bestSpilled() (score float64, ranks []int32, seg *spillS
 // connections and traversal queues — is let go there and nowhere else.
 type Iterator struct {
 	e       *Engine
-	buf     *sessionBuffer
 	emitted int64
 	err     error
 	done    bool
@@ -381,32 +399,11 @@ var errIteratorClosed = fmt.Errorf("core: iterator: %w", os.ErrClosed)
 // is ignored (results stream indefinitely); all other options behave as in
 // NewEngine. The iterator owns the sources from here on: Close closes them.
 func NewIterator(sources []relation.Source, opts Options) (*Iterator, error) {
-	window := opts.MaxBuffered
-	if window == 0 {
-		window = openWindow
-	}
-	opts.K = 1 // engine validation only; the iterator manages its own buffer
-	e, err := NewEngine(sources, opts)
+	e, err := newEngine(sources, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxBuffered == 0 || opts.SpillDir != "" {
-		e.cuts = newCutHeap(e.n)
-	}
-	it := &Iterator{
-		e:   e,
-		buf: newSessionBuffer(e.arena, window, &e.stats, e.cuts),
-	}
-	it.buf.tracer = opts.Tracer
-	if e.cuts != nil {
-		it.buf.expand = e.expandCut
-	}
-	if opts.SpillDir != "" {
-		it.buf.tier = newSpillTier(opts.SpillDir, e.arena.n, opts.SpillMemBytes, &e.stats, opts.spillFault)
-	}
-	// Reroute formed combinations into the session buffer.
-	e.sink = it.buf
-	return it, nil
+	return &Iterator{e: e}, nil
 }
 
 // Next returns the next-best combination, pulling as little input as
@@ -436,11 +433,11 @@ func (it *Iterator) NextContext(ctx context.Context) (Combination, error) {
 		// bound less the approximation slack — the per-result form of the
 		// batch stopping test, so a K-prefix of the stream pulls exactly
 		// what the batch run would.
-		best, ok := it.buf.peekBest()
-		if it.buf.err != nil {
+		best, ok := it.e.buf.peekBest()
+		if it.e.buf.err != nil {
 			// A file tier failure (write or revival) forfeits exactness;
 			// poison the iterator rather than emit a possibly wrong order.
-			it.err = it.buf.err
+			it.err = it.e.buf.err
 			return Combination{}, it.err
 		}
 		if ok && best.score >= it.e.t-it.e.opts.Epsilon-1e-9 {
@@ -448,7 +445,7 @@ func (it *Iterator) NextContext(ctx context.Context) (Combination, error) {
 		}
 		if it.done {
 			// Bound is −inf once everything is exhausted; flush the buffer.
-			if _, ok := it.buf.peekBest(); ok {
+			if _, ok := it.e.buf.peekBest(); ok {
 				return it.emitBest(), nil
 			}
 			it.err = ErrIteratorDone
@@ -475,19 +472,17 @@ func (it *Iterator) NextContext(ctx context.Context) (Combination, error) {
 	}
 }
 
-// emitBest pops, materializes, and recycles the best buffered
-// combination; callers must have checked the buffer is non-empty.
+// emitBest emits the best buffered combination; callers must have checked
+// the buffer is non-empty.
 func (it *Iterator) emitBest() Combination {
-	ref, _ := it.buf.popBest()
-	c := it.e.materialize(ref)
-	it.e.arena.release(ref.slot)
+	c, _ := it.e.emit()
 	it.emitted++
 	return c
 }
 
 // pastBound reports whether a bounded consumer has taken all it may.
 func (it *Iterator) pastBound() bool {
-	return it.buf.cuts == nil && it.emitted >= int64(it.buf.max)
+	return it.e.buf.cuts == nil && it.emitted >= int64(it.e.buf.max)
 }
 
 // DrainBest pops the best buffered combination without certifying it
@@ -501,7 +496,7 @@ func (it *Iterator) DrainBest() (Combination, bool) {
 	if it.pastBound() {
 		return Combination{}, false
 	}
-	if _, ok := it.buf.peekBest(); !ok || it.buf.err != nil {
+	if _, ok := it.e.buf.peekBest(); !ok || it.e.buf.err != nil {
 		return Combination{}, false
 	}
 	return it.emitBest(), true
@@ -516,9 +511,9 @@ func (it *Iterator) Close() {
 	if it.err == errIteratorClosed {
 		return
 	}
-	it.err, it.buf.err = errIteratorClosed, errIteratorClosed
-	if it.buf.tier != nil {
-		it.buf.tier.discard()
+	it.err, it.e.buf.err = errIteratorClosed, errIteratorClosed
+	if it.e.buf.tier != nil {
+		it.e.buf.tier.discard()
 	}
 	for _, rs := range it.e.rels {
 		if c, ok := rs.src.(relation.Closer); ok {
@@ -529,7 +524,7 @@ func (it *Iterator) Close() {
 
 // Buffered returns the number of scored combinations awaiting emission;
 // an open session's deferred records count once emission expands them.
-func (it *Iterator) Buffered() int { return it.buf.buffered() }
+func (it *Iterator) Buffered() int { return it.e.buf.buffered() }
 
 // Emitted returns how many combinations have been produced so far.
 func (it *Iterator) Emitted() int64 { return it.emitted }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -262,7 +264,7 @@ func TestOpenSessionGetsTheWindow(t *testing.T) {
 						break
 					}
 					got = append(got, c)
-					if l := it.buf.heap.Len(); l > openWindow {
+					if l := it.e.buf.heap.Len(); l > openWindow {
 						t.Fatalf("%s: window holds %d entries", label, l)
 					}
 				}
@@ -334,8 +336,68 @@ func TestReviveDoesNotAllocate(t *testing.T) {
 		t.Fatalf("%d of %d offers came back", len(out), offers)
 	}
 	for i := 1; i < len(out); i++ {
-		if !spillBefore(out[i-1].score, out[i-1].ranks[:], out[i].score, out[i].ranks[:]) {
+		if !before(out[i-1].score, out[i-1].ranks[:], out[i].score, out[i].ranks[:]) {
 			t.Fatalf("pop %d: %+v after %+v", i, out[i], out[i-1])
 		}
+	}
+}
+
+// TestQuickBoundedBufferMatchesSort: the batch run's output buffer is a
+// bounded sessionBuffer of size k, and it is the full sort cut at k. Fed a
+// stream of (score, ranks) offers heavy on ties, it reports no floor until
+// it holds k, then the k-th best offered so far; it never holds more than
+// k; and it pops exactly the k best under before, best first.
+func TestQuickBoundedBufferMatchesSort(t *testing.T) {
+	type entry struct {
+		score float64
+		ranks []int32
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n, k, offers := 2+r.Intn(2), 1+r.Intn(8), r.Intn(40)
+		var stats Stats
+		arena := newCombArena(n)
+		b := newSessionBuffer(arena, k, &stats, nil)
+		var seen []entry
+		keys := map[string]bool{}
+		for len(seen) < offers {
+			e := entry{score: float64(r.Intn(4)) / 2, ranks: make([]int32, n)}
+			for i := range e.ranks {
+				e.ranks[i] = int32(r.Intn(4))
+			}
+			key := fmt.Sprint(e)
+			if keys[key] {
+				continue // the engine never offers one (score, ranks) key twice
+			}
+			keys[key] = true
+			b.offer(e.score, e.ranks)
+			seen = append(seen, e)
+			sort.Slice(seen, func(i, j int) bool {
+				return before(seen[i].score, seen[i].ranks, seen[j].score, seen[j].ranks)
+			})
+			floor, full := b.floor()
+			if full != (len(seen) >= k) || full && floor != seen[k-1].score {
+				t.Logf("seed %d: after %d offers floor (%v, %v), k-th best %v", seed, len(seen), floor, full, seen[min(k, len(seen))-1])
+				return false
+			}
+		}
+		want := seen[:min(k, len(seen))]
+		if b.buffered() != len(want) || stats.PeakBuffered > k {
+			t.Logf("seed %d: holds %d (peak %d), want %d", seed, b.buffered(), stats.PeakBuffered, len(want))
+			return false
+		}
+		for i, w := range want {
+			ref, ok := b.popBest()
+			if !ok || ref.score != w.score || !slices.Equal(arena.ranksAt(ref.slot), w.ranks) {
+				t.Logf("seed %d: pop %d = %v %v, want %v", seed, i, ref.score, arena.ranksAt(ref.slot), w)
+				return false
+			}
+			arena.release(ref.slot)
+		}
+		_, ok := b.popBest()
+		return !ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

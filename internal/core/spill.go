@@ -22,9 +22,9 @@ import (
 //	crc u32                                   CRC-32C over the entry region
 //
 // Entries are written in descending (score, then ascending lexicographic
-// ranks) order — spillBefore, the order the spill heap pops in — so
-// revival is a k-way merge of the heap with already-sorted streams and
-// emits the same sequence a purely in-memory spill heap would. The checksum is verified
+// ranks) order — before, the order the spill heap pops in — so revival is
+// a k-way merge of the heap with already-sorted streams and emits the same
+// sequence a purely in-memory spill heap would. The checksum is verified
 // once per segment, when revival first reads it back (verifySpillSegment).
 const (
 	spillMagic      = "PROXSPL1"
@@ -74,7 +74,7 @@ func spillEntrySize(n int) int { return 8 + 4*n }
 // file: most sessions never reach the watermark, so the directory is
 // created, and swept of leftovers from dead processes, by the first flush.
 func newSpillTier(dir string, n, memBytes int, stats *Stats, fault func() error) *spillTier {
-	if memBytes <= 0 {
+	if memBytes == 0 {
 		memBytes = DefaultSpillMemBytes
 	}
 	w := memBytes / spillEntrySize(n)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -34,8 +35,8 @@ func drainBounded(t *testing.T, c identityCase, spillDir string) boundedRun {
 	}
 	defer it.Close()
 	var run boundedRun
-	if expand := it.buf.expand; expand != nil {
-		it.buf.expand = func(d deferredCut) { run.expanded++; expand(d) }
+	if expand := it.e.buf.expand; expand != nil {
+		it.e.buf.expand = func(d deferredCut) { run.expanded++; expand(d) }
 	}
 	for len(run.out) < k {
 		cmb, err := it.Next()
@@ -60,8 +61,8 @@ func drainBounded(t *testing.T, c identityCase, spillDir string) boundedRun {
 			run.revived++
 		}
 	}
-	if it.buf.cuts != nil {
-		run.records = it.buf.cuts.heap.Len()
+	if it.e.buf.cuts != nil {
+		run.records = it.e.buf.cuts.heap.Len()
 	}
 	run.stats = it.Stats()
 	return run
@@ -103,17 +104,12 @@ func TestSpillBoundedCountsLikePrune(t *testing.T) {
 	}
 }
 
-// memberSink collects what expandCut offers.
-type memberSink struct{ scores []float64 }
-
-func (s *memberSink) offer(score float64, _ []int32) { s.scores = append(s.scores, score) }
-func (s *memberSink) floor() (float64, bool)         { return negInf, false }
-
 // deferredMembersBelowKey drives a spill session to its cap (so no record
-// has been expanded yet), then expands every record into a collecting sink:
-// each member must score strictly below its record's key, and the members
-// must number exactly what candidates charged to CombinationsPruned. It
-// returns how many records there were.
+// has been expanded yet), then expands every record into an open buffer
+// whose window never fills — no floor, no eviction — and drains it after
+// each record: each member must score strictly below its record's key,
+// and the members must number exactly what candidates charged to
+// CombinationsPruned. It returns how many records there were.
 func deferredMembersBelowKey(t *testing.T, in instance, kind relation.AccessKind, opts Options) (int, bool) {
 	t.Helper()
 	opts.Query, opts.Agg = in.q, in.fn
@@ -128,21 +124,26 @@ func deferredMembersBelowKey(t *testing.T, in instance, kind relation.AccessKind
 			break
 		}
 	}
-	sink := &memberSink{}
-	it.e.sink = sink
-	records := it.e.cuts.heap.Len()
-	for it.e.cuts.heap.Len() > 0 {
-		c, _ := it.e.cuts.heap.Pop()
-		before := len(sink.scores)
+	session := it.e.buf
+	defer func() { it.e.buf = session }() // Close discards the session's tier
+	var scratch Stats
+	collect := newSessionBuffer(it.e.arena, math.MaxInt, &scratch, session.cuts)
+	it.e.buf = collect
+	records, members := collect.cuts.heap.Len(), int64(0)
+	for collect.cuts.heap.Len() > 0 {
+		c, _ := collect.cuts.heap.Pop()
 		it.e.expandCut(c)
-		for _, s := range sink.scores[before:] {
-			if !(s < c.key) {
-				t.Logf("member scores %v, record key %v", s, c.key)
+		for collect.heap.Len() > 0 {
+			ref, _ := collect.heap.PopMax()
+			it.e.arena.release(ref.slot)
+			members++
+			if !(ref.score < c.key) {
+				t.Logf("member scores %v, record key %v", ref.score, c.key)
 				return records, false
 			}
 		}
 	}
-	if got, want := int64(len(sink.scores)), it.Stats().CombinationsPruned; got != want {
+	if got, want := members, it.Stats().CombinationsPruned; got != want {
 		t.Logf("records hold %d members, candidates cut %d", got, want)
 		return records, false
 	}
@@ -210,8 +211,8 @@ func TestSpillPastCapExpandsAndRevives(t *testing.T) {
 			t.Fatal(err)
 		}
 		expanded := 0
-		expand := it.buf.expand
-		it.buf.expand = func(d deferredCut) { expanded++; expand(d) }
+		expand := it.e.buf.expand
+		it.e.buf.expand = func(d deferredCut) { expanded++; expand(d) }
 		var emit []Combination
 		for {
 			c, err := it.Next()

@@ -197,7 +197,7 @@ func TestSpillCorruptSegmentPoisonsSession(t *testing.T) {
 		if _, err := it.Next(); err != nil {
 			t.Skipf("session ended before a segment was left unread: %v", err)
 		}
-		for _, s := range it.buf.tier.segs {
+		for _, s := range it.e.buf.tier.segs {
 			if s.r == nil {
 				victim = s
 				break
@@ -299,7 +299,7 @@ func TestSpillClosedSessionsLeaveNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for len(it.buf.tier.segs) == 0 {
+		for len(it.e.buf.tier.segs) == 0 {
 			if _, err := it.Next(); err != nil {
 				t.Skipf("instance too small to leave segments on disk: %v", err)
 			}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"time"
+
+	"repro/api"
 )
 
 // applyDeadline wraps ctx with the query's effective deadline: the
 // clamped client-requested TimeoutMillis, else the configured default,
 // else fallback (0 = no deadline). The returned cancel is never nil.
-func (x *Executor) applyDeadline(ctx context.Context, req *QueryRequest, fallback time.Duration) (context.Context, context.CancelFunc) {
+func (x *Executor) applyDeadline(ctx context.Context, req *api.Request, fallback time.Duration) (context.Context, context.CancelFunc) {
 	d := fallback
 	if req.TimeoutMillis > 0 {
 		// Clamp in milliseconds before converting: a huge TimeoutMillis

@@ -94,7 +94,7 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 	// Coalesced batch query of the same key. Its coalesced counter only
 	// moves on completion, so give it a moment to join the flight.
 	batchDone := make(chan struct{})
-	var batchResp *QueryResponse
+	var batchResp *api.Response
 	var batchErr error
 	go func() {
 		defer close(batchDone)
@@ -195,7 +195,7 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 // referenceResults answers req with the library alone — proxrank.TopKInputs
 // over the catalog's relations, no executor, flight, or broker — in the
 // wire shape the service reports.
-func referenceResults(t *testing.T, cat *Catalog, req *QueryRequest) []ResultCombination {
+func referenceResults(t *testing.T, cat *Catalog, req *api.Request) []api.Combination {
 	t.Helper()
 	norm := *req
 	query, opts, err := proxrank.OptionsFromRequest(&norm, api.Limits{})
@@ -214,18 +214,18 @@ func referenceResults(t *testing.T, cat *Catalog, req *QueryRequest) []ResultCom
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]ResultCombination, len(res.Combinations))
+	out := make([]api.Combination, len(res.Combinations))
 	for i, c := range res.Combinations {
-		tuples := make([]ResultTuple, len(c.Tuples))
+		tuples := make([]api.Tuple, len(c.Tuples))
 		for j, tp := range c.Tuples {
-			tuples[j] = ResultTuple{Relation: norm.Relations[j], ID: tp.ID, Score: tp.Score, Vec: []float64(tp.Vec), Attrs: tp.Attrs}
+			tuples[j] = api.Tuple{Relation: norm.Relations[j], ID: tp.ID, Score: tp.Score, Vec: []float64(tp.Vec), Attrs: tp.Attrs}
 		}
-		out[i] = ResultCombination{Score: c.Score, Tuples: tuples}
+		out[i] = api.Combination{Score: c.Score, Tuples: tuples}
 	}
 	return out
 }
 
-func baseRequest2(names []string, k int) *QueryRequest {
+func baseRequest2(names []string, k int) *api.Request {
 	r := baseRequest(names)
 	r.K = k
 	return r
@@ -344,11 +344,11 @@ func TestBrokeredBlockPolicyBoundsDelay(t *testing.T) {
 // completes under its own deadline and the response lands in the cache
 // for everyone after.
 func TestBrokeredLeaderDisconnectDoesNotAbortRun(t *testing.T) {
-	leaders := map[string]func(*Executor, context.Context, *QueryRequest) error{
-		"stream": func(x *Executor, ctx context.Context, req *QueryRequest) error {
+	leaders := map[string]func(*Executor, context.Context, *api.Request) error{
+		"stream": func(x *Executor, ctx context.Context, req *api.Request) error {
 			return x.ExecuteStream(ctx, req, func(api.ResultEvent) error { return nil })
 		},
-		"batch": func(x *Executor, ctx context.Context, req *QueryRequest) error {
+		"batch": func(x *Executor, ctx context.Context, req *api.Request) error {
 			_, err := x.Execute(ctx, req)
 			return err
 		},

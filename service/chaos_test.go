@@ -55,7 +55,7 @@ func localTwin(t testing.TB, rels []*proxrank.Relation, shards int, strategy pro
 // merged in canonical order. It reuses the executor's own source
 // plumbing, so any divergence in a degraded response is the failover
 // path's fault, not this twin's.
-func survivorResults(t *testing.T, twin *Executor, req *QueryRequest, survives func(shard int) bool) *QueryResponse {
+func survivorResults(t *testing.T, twin *Executor, req *api.Request, survives func(shard int) bool) *api.Response {
 	t.Helper()
 	_, query, opts, entries, aerr := twin.prepare(req)
 	if aerr != nil {
@@ -88,14 +88,14 @@ func survivorResults(t *testing.T, twin *Executor, req *QueryRequest, survives f
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]ResultCombination, len(res.Combinations))
+	results := make([]api.Combination, len(res.Combinations))
 	for i, c := range res.Combinations {
 		results[i] = wireCombination(c, entries)
 	}
 	return buildResponse(results, res.Threshold, res.DNF, res.Stats, nil)
 }
 
-func marshalResults(t testing.TB, results []ResultCombination) string {
+func marshalResults(t testing.TB, results []api.Combination) string {
 	t.Helper()
 	buf, err := json.Marshal(results)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestChaosDegradedByteIdentity(t *testing.T) {
 	coord := chaosCoord(t, servers, shardrpc.HedgePolicy{}).Executor
 	servers[1].Close() // shards s with s%2 == 1 lose their only replica
 
-	req := &QueryRequest{Query: []float64{0.2, -0.3}, Relations: []string{"A", "B"}, K: 5}
+	req := &api.Request{Query: []float64{0.2, -0.3}, Relations: []string{"A", "B"}, K: 5}
 	resp, err := coord.Execute(context.Background(), req)
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
@@ -152,7 +152,7 @@ func TestChaosDegradedByteIdentity(t *testing.T) {
 		t.Fatalf("degraded stream failed: %v", err)
 	}
 	var summary *api.Summary
-	var streamed []ResultCombination
+	var streamed []api.Combination
 	for _, ev := range events {
 		if ev.Type == api.EventResult && ev.Result != nil {
 			streamed = append(streamed, *ev.Result)
@@ -170,7 +170,7 @@ func TestChaosDegradedByteIdentity(t *testing.T) {
 
 	// The opt-out: forbidding partial results turns the degradation into
 	// a clean structured failure on both paths.
-	forbid := &QueryRequest{Query: []float64{0.2, -0.3}, Relations: []string{"A", "B"}, K: 5, Partial: api.PartialForbid}
+	forbid := &api.Request{Query: []float64{0.2, -0.3}, Relations: []string{"A", "B"}, K: 5, Partial: api.PartialForbid}
 	if _, err := coord.Execute(context.Background(), forbid); !isUnavailable(err) {
 		t.Fatalf("batch partial=forbid: got %v, want %s", err, CodeUnavailable)
 	}
@@ -200,7 +200,7 @@ func TestChaosHedgeRescuesStalledReplica(t *testing.T) {
 	coord, fleet := node.Executor, node.Fleet
 	twin := localTwin(t, rels, shards, proxrank.HashPartition)
 
-	req := &QueryRequest{Query: []float64{0.4, 0.1}, Relations: []string{"A", "B"}, K: 4}
+	req := &api.Request{Query: []float64{0.4, 0.1}, Relations: []string{"A", "B"}, K: 4}
 	start := time.Now()
 	got, err := coord.Execute(context.Background(), req)
 	elapsed := time.Since(start)
@@ -258,7 +258,7 @@ func TestChaosCorruptFrameRetried(t *testing.T) {
 	}
 	rows0 := peer.Rows.Load()
 
-	req := &QueryRequest{Query: []float64{-0.2, 0.5}, Relations: []string{"A", "B"}, K: 4}
+	req := &api.Request{Query: []float64{-0.2, 0.5}, Relations: []string{"A", "B"}, K: 4}
 	got, err := coord.Execute(context.Background(), req)
 	if err != nil {
 		t.Fatalf("query through frame corruption failed: %v", err)
@@ -345,7 +345,7 @@ func TestChaosBreakerOnMetrics(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("breaker for %s never opened (state %s after repeated failures)", dead.Addr, dead.Breaker().State())
 		}
-		req := &QueryRequest{Query: []float64{0.1, 0.1}, Relations: []string{"A", "B"}, K: 3}
+		req := &api.Request{Query: []float64{0.1, 0.1}, Relations: []string{"A", "B"}, K: 3}
 		if _, err := coord.Execute(context.Background(), req); err != nil {
 			t.Fatalf("degraded query failed while tripping the breaker: %v", err)
 		}
@@ -407,7 +407,7 @@ func TestChaosAdmissionControl(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := x.Execute(context.Background(), &QueryRequest{Query: []float64{0.1, 0.2}, Relations: names, K: 3}); err != nil {
+		if _, err := x.Execute(context.Background(), &api.Request{Query: []float64{0.1, 0.2}, Relations: names, K: 3}); err != nil {
 			t.Errorf("slot-holding query failed: %v", err)
 		}
 	}()
@@ -417,7 +417,7 @@ func TestChaosAdmissionControl(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := x.Execute(context.Background(), &QueryRequest{Query: []float64{0.3, 0.4}, Relations: names, K: 3}); err != nil {
+		if _, err := x.Execute(context.Background(), &api.Request{Query: []float64{0.3, 0.4}, Relations: names, K: 3}); err != nil {
 			t.Errorf("queued query failed: %v", err)
 		}
 	}()
@@ -531,7 +531,7 @@ func TestChaosInjectorHeals(t *testing.T) {
 	coord := chaosCoord(t, []*Node{faulted, healthy}, shardrpc.HedgePolicy{Disable: true}).Executor
 	twin := localTwin(t, rels, shards, proxrank.HashPartition)
 
-	req := &QueryRequest{Query: []float64{0.0, 0.7}, Relations: []string{"A", "B"}, K: 3}
+	req := &api.Request{Query: []float64{0.0, 0.7}, Relations: []string{"A", "B"}, K: 3}
 	want, err := twin.Execute(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

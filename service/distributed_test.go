@@ -180,7 +180,7 @@ func TestDistributedByteIdentity(t *testing.T) {
 	for _, algo := range []string{"cbrr", "cbpa", "tbrr", "tbpa"} {
 		for _, access := range []string{api.AccessDistance, api.AccessScore} {
 			for qi, q := range queries {
-				req := &QueryRequest{
+				req := &api.Request{
 					Query:     q,
 					Relations: f.names,
 					K:         4,
@@ -229,7 +229,7 @@ func TestDistributedPruning(t *testing.T) {
 	}
 	f := newDistFixtureOver(t, rels, 12, 3, proxrank.GridPartition)
 	corner := 0.44 * cfg.SideLength()
-	req := &QueryRequest{
+	req := &api.Request{
 		Query:     []float64{corner, -corner, -corner, corner},
 		Relations: f.names,
 		K:         2,
@@ -287,11 +287,11 @@ func TestDistributedOverFetchBounded(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name                     string
-		req                      *QueryRequest
+		req                      *api.Request
 		opened, pruned, consumed int64
 	}{
-		{"center", &QueryRequest{Query: []float64{0, 0}, Relations: f.names, K: 20}, 4, 8, 285},
-		{"edge", &QueryRequest{Query: []float64{-2.5, -2.5}, Relations: f.names, K: 2}, 2, 10, 28},
+		{"center", &api.Request{Query: []float64{0, 0}, Relations: f.names, K: 20}, 4, 8, 285},
+		{"edge", &api.Request{Query: []float64{-2.5, -2.5}, Relations: f.names, K: 2}, 2, 10, 28},
 	} {
 		before := read()
 		want, err := f.local.Execute(context.Background(), tc.req)
@@ -355,7 +355,7 @@ func TestDistributedConcurrentQueries(t *testing.T) {
 	queries := [][]float64{{0, 0}, {-2.5, -2.5}, {1, -1}, {0.3, 2}}
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		resp, err := f.local.Execute(context.Background(), &QueryRequest{Query: q, Relations: f.names, K: 10})
+		resp, err := f.local.Execute(context.Background(), &api.Request{Query: q, Relations: f.names, K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestDistributedConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 6; round++ {
 				i := (g + round) % len(queries)
-				resp, err := f.coord.Execute(context.Background(), &QueryRequest{Query: queries[i], Relations: f.names, K: 10})
+				resp, err := f.coord.Execute(context.Background(), &api.Request{Query: queries[i], Relations: f.names, K: 10})
 				if err != nil {
 					t.Errorf("goroutine %d round %d: %v", g, round, err)
 					return
@@ -403,7 +403,7 @@ func TestDistributedMixedLocalRemote(t *testing.T) {
 		}
 	}
 	mixed := node.Executor
-	req := &QueryRequest{Query: []float64{0.3, 0.3}, Relations: f.names, K: 5}
+	req := &api.Request{Query: []float64{0.3, 0.3}, Relations: f.names, K: 5}
 	want, err := f.local.Execute(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestDistributedPeerDeath(t *testing.T) {
 		p.PullTimeout = 500 * time.Millisecond
 	}
 	f.servers[1].Close() // peer 1 dies for good
-	req := &QueryRequest{Query: []float64{0, 0}, Relations: f.names, K: 3, Partial: api.PartialForbid}
+	req := &api.Request{Query: []float64{0, 0}, Relations: f.names, K: 3, Partial: api.PartialForbid}
 	_, err := f.coord.Execute(context.Background(), req)
 	if err == nil {
 		t.Fatal("partial=forbid query over a dead, unreplicated peer succeeded")
@@ -440,7 +440,7 @@ func TestDistributedPeerDeath(t *testing.T) {
 
 	// The default policy degrades instead: the query completes over the
 	// surviving shards and says so.
-	resp, err := f.coord.Execute(context.Background(), &QueryRequest{Query: []float64{0, 0}, Relations: f.names, K: 3})
+	resp, err := f.coord.Execute(context.Background(), &api.Request{Query: []float64{0, 0}, Relations: f.names, K: 3})
 	if err != nil {
 		t.Fatalf("partial=allow query failed: %v", err)
 	}
@@ -473,7 +473,7 @@ func TestDistributedReplicaFailover(t *testing.T) {
 	local := localTwin(t, rels, 4, proxrank.HashPartition)
 
 	servers[0].Close() // first-choice owner dies; replica carries on
-	req := &QueryRequest{Query: []float64{0.1, 0.1}, Relations: []string{"A", "B"}, K: 3}
+	req := &api.Request{Query: []float64{0.1, 0.1}, Relations: []string{"A", "B"}, K: 3}
 	want, err := local.Execute(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -524,7 +524,7 @@ func TestCoordinatorEndpoints(t *testing.T) {
 	}
 
 	// Run one query so the stats carry remote counters.
-	req := &QueryRequest{Query: []float64{0, 0}, Relations: f.names, K: 3}
+	req := &api.Request{Query: []float64{0, 0}, Relations: f.names, K: 3}
 	if _, err := f.coord.Execute(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestCoordinatorEndpoints(t *testing.T) {
 // the remote response's scores must be bit-identical, not just close.
 func TestRemoteScoresBitExact(t *testing.T) {
 	f := newDistFixture(t, 2, 90, 3, 2, proxrank.HashPartition)
-	req := &QueryRequest{Query: []float64{0.7, -0.3}, Relations: f.names, K: 5}
+	req := &api.Request{Query: []float64{0.7, -0.3}, Relations: f.names, K: 5}
 	want, err := f.local.Execute(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

@@ -123,26 +123,6 @@ func ParseStreamOverflow(s string) (string, error) {
 	return "", fmt.Errorf("stream overflow policy %q: want %s or %s", s, api.OverflowBlock, api.OverflowDrop)
 }
 
-// The service speaks the transport-neutral api model; these aliases keep
-// the historical service names compiling while guaranteeing the wire
-// shape is defined in exactly one place.
-type (
-	// QueryRequest is the JSON body of POST /v1/query.
-	QueryRequest = api.Request
-	// WeightsSpec mirrors proxrank.Weights in JSON.
-	WeightsSpec = api.Weights
-	// ResultTuple is one member of a result combination.
-	ResultTuple = api.Tuple
-	// ResultCombination is one ranked join result.
-	ResultCombination = api.Combination
-	// QueryCost reports what a query cost the engine.
-	QueryCost = api.Cost
-	// QueryResponse is the JSON body answering a batch query. Responses
-	// returned by Executor.Execute may be shared with its result cache
-	// and must be treated as read-only.
-	QueryResponse = api.Response
-)
-
 // EventSink receives streaming result events in order. A sink returning
 // an error ends that consumer's stream; the executor treats it as the
 // caller going away (CodeCanceled).
@@ -357,7 +337,7 @@ func (x *Executor) Stats() StatsSnapshot {
 // normalization happens on a private copy (callers may legally share one
 // request across concurrent queries), which is returned for canonical
 // cache keying.
-func (x *Executor) prepare(req *QueryRequest) (*QueryRequest, proxrank.Vector, proxrank.Options, []*Entry, *APIError) {
+func (x *Executor) prepare(req *api.Request) (*api.Request, proxrank.Vector, proxrank.Options, []*Entry, *APIError) {
 	// Shallow copy is enough: Normalize rewrites fields of the copy and
 	// only ever replaces (never writes through) the Weights pointer.
 	norm := *req
@@ -385,14 +365,14 @@ func (x *Executor) prepare(req *QueryRequest) (*QueryRequest, proxrank.Vector, p
 // The returned response may share its Results and Cost.Depths backing
 // arrays with the executor's cache — treat it as read-only. Callers that
 // need to mutate a response must copy those slices first.
-func (x *Executor) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
+func (x *Executor) Execute(ctx context.Context, req *api.Request) (*api.Response, error) {
 	return x.execute(ctx, req, nil)
 }
 
 // execute is Execute for a transport: when the response is a replay,
 // wire has been handed its encoded body (see replayResponse) — without
 // the trace, which is this request's own and rides the response.
-func (x *Executor) execute(ctx context.Context, req *QueryRequest, wire func([]byte) error) (*QueryResponse, error) {
+func (x *Executor) execute(ctx context.Context, req *api.Request, wire func([]byte) error) (*api.Response, error) {
 	x.queries.Add(1)
 	o := x.beginObs(labelModeBatch, req)
 	resp, err := x.serve(ctx, req, o, nil, wire)
@@ -430,14 +410,14 @@ func (x *Executor) execute(ctx context.Context, req *QueryRequest, wire func([]b
 // overridable per request) — blocked-then-dropped or dropped
 // immediately, the drop surfacing as CodeOverloaded on that subscriber
 // only.
-func (x *Executor) ExecuteStream(ctx context.Context, req *QueryRequest, sink EventSink) error {
+func (x *Executor) ExecuteStream(ctx context.Context, req *api.Request, sink EventSink) error {
 	return x.executeStream(ctx, req, sink, nil)
 }
 
 // executeStream is ExecuteStream for a transport: a replay reaches wire
 // as its result and summary lines in one piece, not sink as events. Live
 // events, and a traced request's trace event, still go to sink.
-func (x *Executor) executeStream(ctx context.Context, req *QueryRequest, sink EventSink, wire func([]byte) error) error {
+func (x *Executor) executeStream(ctx context.Context, req *api.Request, sink EventSink, wire func([]byte) error) error {
 	x.queries.Add(1)
 	x.streamed.Add(1)
 	o := x.beginObs(labelModeStream, req)
@@ -470,7 +450,7 @@ func (x *Executor) executeStream(ctx context.Context, req *QueryRequest, sink Ev
 // request that must not share — NoCache, or a server with no cache —
 // leads a private call: no coalescing, nothing stored. o records phase
 // spans and carries a traced request's recorder; only a replay uses wire.
-func (x *Executor) serve(ctx context.Context, req *QueryRequest, o *queryObs, sink EventSink, wire func([]byte) error) (*QueryResponse, error) {
+func (x *Executor) serve(ctx context.Context, req *api.Request, o *queryObs, sink EventSink, wire func([]byte) error) (*api.Response, error) {
 	norm, query, opts, entries, aerr := x.prepare(req)
 	if aerr != nil {
 		// Client mistakes are tracked apart from Failed so the latter
@@ -600,7 +580,7 @@ func (x *Executor) await(ctx context.Context, c *flightCall) *APIError {
 
 // subPolicy maps the request's overflow choice (or the server default)
 // onto the broker's policy enum.
-func (x *Executor) subPolicy(req *QueryRequest) broker.Policy {
+func (x *Executor) subPolicy(req *api.Request) broker.Policy {
 	choice := req.Overflow
 	if choice == "" {
 		choice = x.cfg.StreamOverflow

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	proxrank "repro"
+	"repro/api"
 )
 
 // testSetup registers n relations and returns the catalog plus their
@@ -24,8 +25,8 @@ func testSetup(t testing.TB, n, size, dim int) (*Catalog, []string) {
 	return c, names
 }
 
-func baseRequest(names []string) *QueryRequest {
-	return &QueryRequest{
+func baseRequest(names []string) *api.Request {
+	return &api.Request{
 		Query:     []float64{0.1, -0.2},
 		Relations: names,
 		K:         3,
@@ -189,7 +190,7 @@ func TestExecutorMidRunTimeout(t *testing.T) {
 	x.wrapSource = func(s proxrank.Source) proxrank.Source {
 		return slowSource{Source: s, delay: 200 * time.Microsecond}
 	}
-	req := &QueryRequest{
+	req := &api.Request{
 		Query:     []float64{0, 0, 0},
 		Relations: names,
 		K:         100,
@@ -243,27 +244,27 @@ func TestExecutorValidation(t *testing.T) {
 	x := NewExecutor(cat, Config{Workers: 1})
 	cases := []struct {
 		name string
-		mut  func(*QueryRequest)
+		mut  func(*api.Request)
 		code ErrorCode
 	}{
-		{"no query", func(r *QueryRequest) { r.Query = nil }, CodeBadRequest},
-		{"NaN query", func(r *QueryRequest) { r.Query = []float64{0.1, nan()} }, CodeBadRequest},
-		{"one relation", func(r *QueryRequest) { r.Relations = names[:1] }, CodeBadRequest},
-		{"unknown relation", func(r *QueryRequest) { r.Relations = []string{names[0], "ghost"} }, CodeNotFound},
-		{"k zero", func(r *QueryRequest) { r.K = 0 }, CodeBadRequest},
-		{"k over limit", func(r *QueryRequest) { r.K = DefaultMaxK + 1 }, CodeBadRequest},
-		{"bad algorithm", func(r *QueryRequest) { r.Algorithm = "quantum" }, CodeBadRequest},
-		{"bad access", func(r *QueryRequest) { r.Access = "random" }, CodeBadRequest},
-		{"bad transform", func(r *QueryRequest) { r.Transform = "sqrt" }, CodeBadRequest},
-		{"negative weight", func(r *QueryRequest) { r.Weights = &WeightsSpec{Ws: -1, Wq: 1, Wmu: 1} }, CodeBadRequest},
-		{"infinite weight", func(r *QueryRequest) { r.Weights = &WeightsSpec{Ws: inf(), Wq: 1, Wmu: 1} }, CodeBadRequest},
-		{"all-zero weights", func(r *QueryRequest) { r.Weights = &WeightsSpec{} }, CodeBadRequest},
-		{"negative epsilon", func(r *QueryRequest) { r.Epsilon = -0.5 }, CodeBadRequest},
-		{"infinite epsilon", func(r *QueryRequest) { r.Epsilon = inf() }, CodeBadRequest},
-		{"negative timeout", func(r *QueryRequest) { r.TimeoutMillis = -5 }, CodeBadRequest},
-		{"negative maxSumDepths", func(r *QueryRequest) { r.MaxSumDepths = -100 }, CodeBadRequest},
-		{"negative maxCombinations", func(r *QueryRequest) { r.MaxCombinations = -1 }, CodeBadRequest},
-		{"dim mismatch", func(r *QueryRequest) { r.Query = []float64{1, 2, 3} }, CodeBadRequest},
+		{"no query", func(r *api.Request) { r.Query = nil }, CodeBadRequest},
+		{"NaN query", func(r *api.Request) { r.Query = []float64{0.1, nan()} }, CodeBadRequest},
+		{"one relation", func(r *api.Request) { r.Relations = names[:1] }, CodeBadRequest},
+		{"unknown relation", func(r *api.Request) { r.Relations = []string{names[0], "ghost"} }, CodeNotFound},
+		{"k zero", func(r *api.Request) { r.K = 0 }, CodeBadRequest},
+		{"k over limit", func(r *api.Request) { r.K = DefaultMaxK + 1 }, CodeBadRequest},
+		{"bad algorithm", func(r *api.Request) { r.Algorithm = "quantum" }, CodeBadRequest},
+		{"bad access", func(r *api.Request) { r.Access = "random" }, CodeBadRequest},
+		{"bad transform", func(r *api.Request) { r.Transform = "sqrt" }, CodeBadRequest},
+		{"negative weight", func(r *api.Request) { r.Weights = &api.Weights{Ws: -1, Wq: 1, Wmu: 1} }, CodeBadRequest},
+		{"infinite weight", func(r *api.Request) { r.Weights = &api.Weights{Ws: inf(), Wq: 1, Wmu: 1} }, CodeBadRequest},
+		{"all-zero weights", func(r *api.Request) { r.Weights = &api.Weights{} }, CodeBadRequest},
+		{"negative epsilon", func(r *api.Request) { r.Epsilon = -0.5 }, CodeBadRequest},
+		{"infinite epsilon", func(r *api.Request) { r.Epsilon = inf() }, CodeBadRequest},
+		{"negative timeout", func(r *api.Request) { r.TimeoutMillis = -5 }, CodeBadRequest},
+		{"negative maxSumDepths", func(r *api.Request) { r.MaxSumDepths = -100 }, CodeBadRequest},
+		{"negative maxCombinations", func(r *api.Request) { r.MaxCombinations = -1 }, CodeBadRequest},
+		{"dim mismatch", func(r *api.Request) { r.Query = []float64{1, 2, 3} }, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		req := baseRequest(names)
@@ -318,8 +319,8 @@ func TestCacheKeyNoCollision(t *testing.T) {
 	}
 	list1 := []*Entry{entry("a", 1), entry("1,b", 2)}
 	list2 := []*Entry{entry("a,1", 1), entry("b", 2)}
-	req1 := &QueryRequest{Query: []float64{0, 0}, Relations: []string{"a", "1,b"}, K: 1}
-	req2 := &QueryRequest{Query: []float64{0, 0}, Relations: []string{"a,1", "b"}, K: 1}
+	req1 := &api.Request{Query: []float64{0, 0}, Relations: []string{"a", "1,b"}, K: 1}
+	req2 := &api.Request{Query: []float64{0, 0}, Relations: []string{"a,1", "b"}, K: 1}
 	k1 := flightKey(req1.Canonical(), list1)
 	k2 := flightKey(req2.Canonical(), list2)
 	if k1 == k2 {

@@ -117,8 +117,8 @@ func writeError(w http.ResponseWriter, err error) {
 
 // decodeRequest reads one api.Request from the body, answering the
 // structured error itself on failure (ok reports whether req is usable).
-func decodeRequest(w http.ResponseWriter, r *http.Request) (*QueryRequest, bool) {
-	var req QueryRequest
+func decodeRequest(w http.ResponseWriter, r *http.Request) (*api.Request, bool) {
+	var req api.Request
 	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	proxrank "repro"
+	"repro/api"
 )
 
 func testServer(t testing.TB) (*httptest.Server, []string, *Executor) {
@@ -26,7 +27,7 @@ func testServer(t testing.TB) (*httptest.Server, []string, *Executor) {
 
 // postTopK sends one query; it returns errors rather than failing the
 // test so it is safe to call from worker goroutines.
-func postTopK(url string, req *QueryRequest) (*http.Response, []byte, error) {
+func postTopK(url string, req *api.Request) (*http.Response, []byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, nil, err
@@ -57,7 +58,7 @@ func TestHTTPConcurrentTopK(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				req := &QueryRequest{
+				req := &api.Request{
 					Query:     []float64{float64(i) * 0.05, -0.1},
 					Relations: names,
 					K:         4,
@@ -71,7 +72,7 @@ func TestHTTPConcurrentTopK(t *testing.T) {
 					errs <- fmt.Errorf("query %d: status %d: %s", i, resp.StatusCode, data)
 					return
 				}
-				var out QueryResponse
+				var out api.Response
 				if err := json.Unmarshal(data, &out); err != nil {
 					errs <- fmt.Errorf("query %d: bad body: %v", i, err)
 					return
@@ -156,7 +157,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Unknown relation → 404 with a structured body.
-	resp, data, err := postTopK(srv.URL, &QueryRequest{
+	resp, data, err := postTopK(srv.URL, &api.Request{
 		Query: []float64{0, 0}, Relations: []string{names[0], "ghost"}, K: 1,
 	})
 	if err != nil {
@@ -258,7 +259,7 @@ func TestHTTPExhaustedCrossProduct(t *testing.T) {
 	srv := httptest.NewServer(NewServer(cat, exec).Handler())
 	defer srv.Close()
 
-	req := &QueryRequest{Query: []float64{0, 0}, Relations: []string{"tinyA", "tinyB"}, K: 100}
+	req := &api.Request{Query: []float64{0, 0}, Relations: []string{"tinyA", "tinyB"}, K: 100}
 	for round := 0; round < 2; round++ { // second round exercises the cached copy
 		resp, data, err := postTopK(srv.URL, req)
 		if err != nil {
@@ -267,7 +268,7 @@ func TestHTTPExhaustedCrossProduct(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || len(data) == 0 {
 			t.Fatalf("round %d: status %d, %d body bytes", round, resp.StatusCode, len(data))
 		}
-		var out QueryResponse
+		var out api.Response
 		if err := json.Unmarshal(data, &out); err != nil {
 			t.Fatalf("round %d: invalid JSON: %v: %.200s", round, err, data)
 		}
@@ -291,7 +292,7 @@ func TestHTTPTimeoutStatus(t *testing.T) {
 	srv := httptest.NewServer(NewServer(cat, exec).Handler())
 	defer srv.Close()
 
-	probe := &QueryRequest{Query: []float64{0, 0, 0}, Relations: names, K: 100, Algorithm: "cbrr"}
+	probe := &api.Request{Query: []float64{0, 0, 0}, Relations: names, K: 100, Algorithm: "cbrr"}
 	resp, data, err := postTopK(srv.URL, probe)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +300,7 @@ func TestHTTPTimeoutStatus(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("probe failed: %d: %s", resp.StatusCode, data)
 	}
-	var probeOut QueryResponse
+	var probeOut api.Response
 	if err := json.Unmarshal(data, &probeOut); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestHTTPTimeoutStatus(t *testing.T) {
 // Content-Length, not chunked.
 func TestHTTPBodiesCarryTheirLength(t *testing.T) {
 	srv, names, _ := testServer(t)
-	big, err := json.Marshal(&QueryRequest{Query: []float64{0.1, -0.2}, Relations: names, K: 100})
+	big, err := json.Marshal(&api.Request{Query: []float64{0.1, -0.2}, Relations: names, K: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ import (
 // (always set) when neither the request nor the server configures one,
 // so a blocking source cannot pin a slot forever. A private run serves
 // one caller and keeps that caller's already-deadlined context.
-func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.Vector, opts proxrank.Options, entries []*Entry, c *flightCall, stream bool) (sub *broker.Sub[api.ResultEvent], aerr *APIError) {
+func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Vector, opts proxrank.Options, entries []*Entry, c *flightCall, stream bool) (sub *broker.Sub[api.ResultEvent], aerr *APIError) {
 	started := false
 	defer func() {
 		if started {
@@ -117,13 +117,13 @@ func (x *Executor) lead(ctx context.Context, req *QueryRequest, query proxrank.V
 // response's Results, so a combination is converted to wire form once;
 // the slice is allocated at its K ceiling and must never grow, which
 // would strand the published pointers on the old backing array.
-func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxrank.Options, entries []*Entry, missing func() []api.MissingShard, topic *broker.Topic[api.ResultEvent]) (*QueryResponse, error) {
+func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxrank.Options, entries []*Entry, missing func() []api.MissingShard, topic *broker.Topic[api.ResultEvent]) (*api.Response, error) {
 	publish := func(ev api.ResultEvent) {
 		if n := topic.Publish(ev); n > 0 {
 			x.slowDrops.Add(int64(n))
 		}
 	}
-	results := make([]ResultCombination, 0, opts.K)
+	results := make([]api.Combination, 0, opts.K)
 	gap := x.m.newGapObserver(opts.Algorithm)
 	dnf, err := q.Drain(ctx, func(c proxrank.Combination) {
 		gap()
@@ -146,7 +146,7 @@ func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxr
 // summaryOf is the trailing summary of a response's stream, marked
 // cached on a replay. The degraded fields carry over (a replay reaches
 // them only via the flight: degraded responses are never cached).
-func summaryOf(resp *QueryResponse, cached bool) *api.Summary {
+func summaryOf(resp *api.Response, cached bool) *api.Summary {
 	return &api.Summary{
 		Count:            len(resp.Results),
 		DNF:              resp.DNF,
@@ -213,7 +213,7 @@ func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent
 // transport (wire set) gets the answer's shared wire form instead of the
 // events, and beside the copy — bytes encoded once however often they
 // are replayed.
-func (x *Executor) replayResponse(a *answer, o *queryObs, sink EventSink, wire func([]byte) error) (*QueryResponse, error) {
+func (x *Executor) replayResponse(a *answer, o *queryObs, sink EventSink, wire func([]byte) error) (*api.Response, error) {
 	var form []byte
 	if wire != nil {
 		form = a.form(sink != nil, &x.formsBuilt)

@@ -66,14 +66,14 @@ func TestBrokeredSinkFailureIsCancellation(t *testing.T) {
 			return nil
 		},
 	}
-	paths := map[string]func(t *testing.T, x *Executor, req *QueryRequest, sink EventSink) error{
-		"cache hit": func(t *testing.T, x *Executor, req *QueryRequest, sink EventSink) error {
+	paths := map[string]func(t *testing.T, x *Executor, req *api.Request, sink EventSink) error{
+		"cache hit": func(t *testing.T, x *Executor, req *api.Request, sink EventSink) error {
 			if _, err := x.Execute(context.Background(), req); err != nil {
 				t.Fatal(err)
 			}
 			return x.ExecuteStream(context.Background(), req, sink)
 		},
-		"settled follower": func(t *testing.T, x *Executor, req *QueryRequest, sink EventSink) error {
+		"settled follower": func(t *testing.T, x *Executor, req *api.Request, sink EventSink) error {
 			g := newGate()
 			x.wrapSource = func(s proxrank.Source) proxrank.Source { return gatedSource{Source: s, g: g} }
 			leaderDone := make(chan error, 1)
@@ -95,7 +95,7 @@ func TestBrokeredSinkFailureIsCancellation(t *testing.T) {
 			}
 			return <-followerDone
 		},
-		"live run": func(t *testing.T, x *Executor, req *QueryRequest, sink EventSink) error {
+		"live run": func(t *testing.T, x *Executor, req *api.Request, sink EventSink) error {
 			return x.ExecuteStream(context.Background(), req, sink)
 		},
 	}
@@ -138,7 +138,7 @@ func TestStreamFollowerAttachesToBatchLedRun(t *testing.T) {
 	const tuples = 24
 
 	batchDone := make(chan struct{})
-	var batchResp *QueryResponse
+	var batchResp *api.Response
 	var batchErr error
 	go func() {
 		defer close(batchDone)
@@ -300,7 +300,7 @@ func TestEnginePanicIsContained(t *testing.T) {
 	}()
 	<-g.started
 	followerDone := make(chan struct{})
-	var followerResp *QueryResponse
+	var followerResp *api.Response
 	var followerErr error
 	go func() {
 		defer close(followerDone)
@@ -352,7 +352,7 @@ func TestStatsSettledWhenExecuteReturns(t *testing.T) {
 	f := newDistFixture(t, 2, 160, 6, 2, proxrank.GridPartition)
 	total := int64(f.coordCat.TotalShards())
 	for i := 0; i < 20; i++ {
-		req := &QueryRequest{Query: []float64{-2.5 + float64(i)/4, -2.5}, Relations: f.names, K: 2}
+		req := &api.Request{Query: []float64{-2.5 + float64(i)/4, -2.5}, Relations: f.names, K: 2}
 		before := f.coord.Stats()
 		if _, err := f.coord.Execute(context.Background(), req); err != nil {
 			t.Fatal(err)

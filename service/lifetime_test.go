@@ -51,31 +51,31 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	request := func(k int) *QueryRequest {
-		return &QueryRequest{Query: []float64{0, 0}, Relations: []string{"A", "B"}, K: k, BufferPolicy: api.BufferSpill}
+	request := func(k int) *api.Request {
+		return &api.Request{Query: []float64{0, 0}, Relations: []string{"A", "B"}, K: k, BufferPolicy: api.BufferSpill}
 	}
 	discard := func(api.ResultEvent) error { return nil }
 
 	for _, tc := range []struct {
 		name string
-		req  *QueryRequest
+		req  *api.Request
 		// then runs inside the engine on every pull; call runs the query
 		// and returns its error.
 		then func(cancel context.CancelFunc)
-		call func(ctx context.Context, x *Executor, req *QueryRequest, idle func()) error
+		call func(ctx context.Context, x *Executor, req *api.Request, idle func()) error
 		want ErrorCode
 	}{
 		{name: "complete", req: request(3)},
-		{name: "DNF cap", req: func() *QueryRequest { r := request(3); r.MaxSumDepths = 60; return r }()},
+		{name: "DNF cap", req: func() *api.Request { r := request(3); r.MaxSumDepths = 60; return r }()},
 		{
-			name: "deadline", req: func() *QueryRequest { r := request(3); r.TimeoutMillis = 20; return r }(),
+			name: "deadline", req: func() *api.Request { r := request(3); r.TimeoutMillis = 20; return r }(),
 			then: func(context.CancelFunc) { time.Sleep(40 * time.Millisecond) },
 			want: CodeTimeout,
 		},
 		{
 			name: "cancelled private stream", req: request(3),
 			then: func(cancel context.CancelFunc) { cancel() },
-			call: func(ctx context.Context, x *Executor, req *QueryRequest, idle func()) error {
+			call: func(ctx context.Context, x *Executor, req *api.Request, idle func()) error {
 				err := x.ExecuteStream(ctx, req, discard)
 				idle()
 				return err
@@ -83,8 +83,8 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 			want: CodeCanceled,
 		},
 		{
-			name: "dropped slow subscriber", req: func() *QueryRequest { r := request(8); r.Overflow = api.OverflowDrop; return r }(),
-			call: func(ctx context.Context, x *Executor, req *QueryRequest, idle func()) error {
+			name: "dropped slow subscriber", req: func() *api.Request { r := request(8); r.Overflow = api.OverflowDrop; return r }(),
+			call: func(ctx context.Context, x *Executor, req *api.Request, idle func()) error {
 				// The sink sits on the first event until the run is over:
 				// the engine drops it and finishes without it.
 				stalled := false

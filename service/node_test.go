@@ -11,6 +11,7 @@ import (
 	"time"
 
 	proxrank "repro"
+	"repro/api"
 	"repro/internal/shardrpc"
 )
 
@@ -111,7 +112,7 @@ func TestOpenBothRoles(t *testing.T) {
 	}
 
 	twin := localTwin(t, append(ab, c...), shards, proxrank.HashPartition)
-	req := &QueryRequest{Query: []float64{0.2, -0.4}, Relations: []string{"A", "B", "C"}, K: 4}
+	req := &api.Request{Query: []float64{0.2, -0.4}, Relations: []string{"A", "B", "C"}, K: 4}
 	want, err := twin.Execute(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func familySum(t *testing.T, body, name string) float64 {
 
 // drainStream posts one streaming query and reads NDJSON lines to the
 // end, returning the raw event lines.
-func drainStream(t *testing.T, baseURL string, req *QueryRequest) []string {
+func drainStream(t *testing.T, baseURL string, req *api.Request) []string {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(baseURL+"/v1/query/stream", "application/json", bytes.NewReader(body))
@@ -109,7 +109,7 @@ func TestMetricsInvariants(t *testing.T) {
 	// 4 distinct queries, each asked twice batch and once streamed: the
 	// repeats are cache hits.
 	for i := 0; i < 4; i++ {
-		req := &QueryRequest{Query: []float64{float64(i) * 0.03, -0.1}, Relations: names, K: 3}
+		req := &api.Request{Query: []float64{float64(i) * 0.03, -0.1}, Relations: names, K: 3}
 		for rep := 0; rep < 2; rep++ {
 			body, _ := json.Marshal(req)
 			resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
@@ -172,7 +172,7 @@ func TestMetricsInvariants(t *testing.T) {
 func TestStatsAndMetricsAgree(t *testing.T) {
 	srv, names, _ := testServer(t)
 	for i := 0; i < 3; i++ {
-		req := &QueryRequest{Query: []float64{0.02 * float64(i), 0.2}, Relations: names, K: 4}
+		req := &api.Request{Query: []float64{0.02 * float64(i), 0.2}, Relations: names, K: 4}
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -394,7 +394,7 @@ func TestSlowQueryLog(t *testing.T) {
 // terminal trace event and that it follows the summary.
 func TestHTTPStreamTraceEvent(t *testing.T) {
 	srv, names, _ := testServer(t)
-	req := &QueryRequest{Query: []float64{0.1, -0.2}, Relations: names, K: 3, Trace: true}
+	req := &api.Request{Query: []float64{0.1, -0.2}, Relations: names, K: 3, Trace: true}
 	lines := drainStream(t, srv.URL, req)
 	if len(lines) < 2 {
 		t.Fatalf("stream too short: %d lines", len(lines))

@@ -30,7 +30,7 @@ func writeRelFile(t testing.TB, rel *proxrank.Relation, shards int) string {
 
 // resultsKey renders just the answer part of a response — scores survive
 // as shortest-round-trip floats, so bit differences show.
-func resultsKey(t *testing.T, resp *QueryResponse) string {
+func resultsKey(t *testing.T, resp *api.Response) string {
 	t.Helper()
 	buf, err := json.Marshal(resp.Results)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestCatalogLoadRelFile(t *testing.T) {
 
 	ram := NewExecutor(ramCat, Config{Workers: 2, CacheSize: -1})
 	file := NewExecutor(fileCat, Config{Workers: 2, CacheSize: -1})
-	for _, req := range []*QueryRequest{
+	for _, req := range []*api.Request{
 		{Query: []float64{0.1, -0.2}, Relations: []string{"A", "B"}, K: 4},
 		{Query: []float64{-0.6, 0.4}, Relations: []string{"A", "B"}, K: 7, Access: "score"},
 	} {
@@ -120,8 +120,8 @@ func TestExecutorIgnoresBufferPolicy(t *testing.T) {
 
 	// A center query over everything forms far more combinations than
 	// K=3 keeps buffered: a spill tier, were there one, would overflow.
-	mk := func(policy string) *QueryRequest {
-		return &QueryRequest{Query: []float64{0, 0}, Relations: []string{"A", "B"}, K: 3, BufferPolicy: policy}
+	mk := func(policy string) *api.Request {
+		return &api.Request{Query: []float64{0, 0}, Relations: []string{"A", "B"}, K: 3, BufferPolicy: policy}
 	}
 	var want, key string
 	for _, policy := range []string{"", api.BufferPrune, api.BufferSpill} {
@@ -208,7 +208,7 @@ func TestCatalogRelFileConcurrentEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := NewExecutor(cat, Config{Workers: 4, CacheSize: -1})
-	req := &QueryRequest{Query: []float64{0.2, 0.1}, Relations: []string{"A", "B"}, K: 5}
+	req := &api.Request{Query: []float64{0.2, 0.1}, Relations: []string{"A", "B"}, K: 5}
 	golden, err := x.Execute(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

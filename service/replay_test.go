@@ -63,7 +63,7 @@ func replayFixture(t testing.TB, cfg Config) (*Catalog, *Executor, http.Handler,
 // post drives one request through the routed handler and returns what
 // went on the wire. It reports rather than aborts, so worker goroutines
 // may call it.
-func post(t testing.TB, h http.Handler, path string, req *QueryRequest) *httptest.ResponseRecorder {
+func post(t testing.TB, h http.Handler, path string, req *api.Request) *httptest.ResponseRecorder {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -79,7 +79,7 @@ func post(t testing.TB, h http.Handler, path string, req *QueryRequest) *httptes
 
 // eventLines encodes a response the way the event path puts it on the
 // wire: one encoder line per result event, then the cached summary.
-func eventLines(t testing.TB, resp *QueryResponse) []byte {
+func eventLines(t testing.TB, resp *api.Response) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -124,12 +124,12 @@ func decodeEvents(t testing.TB, ndjson []byte) []api.ResultEvent {
 func TestReplayByteIdentity(t *testing.T) {
 	cases := []struct {
 		name string
-		edit func(*QueryRequest)
+		edit func(*api.Request)
 		dnf  bool
 	}{
-		{"k100", func(r *QueryRequest) { r.K = 100 }, false},
-		{"k1", func(r *QueryRequest) { r.K = 1 }, false},
-		{"dnf", func(r *QueryRequest) { r.K = 100; r.MaxSumDepths = 6 }, true},
+		{"k100", func(r *api.Request) { r.K = 100 }, false},
+		{"k1", func(r *api.Request) { r.K = 1 }, false},
+		{"dnf", func(r *api.Request) { r.K = 100; r.MaxSumDepths = 6 }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,7 +183,7 @@ func TestReplayByteIdentity(t *testing.T) {
 			if aerr != nil {
 				t.Fatal(aerr)
 			}
-			var decoded QueryResponse
+			var decoded api.Response
 			if err := json.Unmarshal(wantBatch, &decoded); err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestReplayByteIdentity(t *testing.T) {
 			traced := *req
 			traced.Trace = true
 			got := post(t, h, "/v1/query", &traced).Body.Bytes()
-			var withTrace QueryResponse
+			var withTrace api.Response
 			if err := json.Unmarshal(got, &withTrace); err != nil {
 				t.Fatalf("traced batch hit is not JSON: %v\n%s", err, got)
 			}
@@ -286,7 +286,7 @@ func TestCacheReplacesDeadGeneration(t *testing.T) {
 	cat, names := testSetup(t, 2, 40, 2)
 	x := NewExecutor(cat, Config{Workers: 4, CacheSize: 32})
 	ctx := context.Background()
-	keys := make([]*QueryRequest, 5)
+	keys := make([]*api.Request, 5)
 	old := make([]string, len(keys))
 	for i := range keys {
 		keys[i] = baseRequest(names)
@@ -320,7 +320,7 @@ func TestCacheReplacesDeadGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	twin := NewExecutor(cat, Config{CacheSize: -1})
-	fresh := func(req *QueryRequest) string {
+	fresh := func(req *api.Request) string {
 		resp, err := twin.Execute(ctx, req)
 		if err != nil {
 			t.Fatal(err)
@@ -378,7 +378,7 @@ func TestReplayConcurrentFirstHits(t *testing.T) {
 	cat, x, h, names := replayFixture(t, Config{Workers: 4, CacheSize: 64})
 	ctx := context.Background()
 	const callers = 16
-	firstHits := func(req *QueryRequest, check func(caller int, got *QueryResponse)) {
+	firstHits := func(req *api.Request, check func(caller int, got *api.Response)) {
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for c := 0; c < callers; c++ {
@@ -387,7 +387,7 @@ func TestReplayConcurrentFirstHits(t *testing.T) {
 				defer wg.Done()
 				<-start
 				if c%2 == 0 {
-					var got QueryResponse
+					var got api.Response
 					if err := json.Unmarshal(post(t, h, "/v1/query", req).Body.Bytes(), &got); err != nil {
 						t.Error(err)
 						return
@@ -414,7 +414,7 @@ func TestReplayConcurrentFirstHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := marshalResults(t, primed.Results)
-	firstHits(req, func(c int, got *QueryResponse) {
+	firstHits(req, func(c int, got *api.Response) {
 		if !got.Cached || marshalResults(t, got.Results) != want {
 			t.Errorf("caller %d: cached %v, results differ %v", c, got.Cached, marshalResults(t, got.Results) != want)
 		}
@@ -466,7 +466,7 @@ func TestReplayConcurrentFirstHits(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo := done.Load()
-		firstHits(req, func(_ int, got *QueryResponse) {
+		firstHits(req, func(_ int, got *api.Response) {
 			s := seen{lo: lo, hi: begun.Load(), results: marshalResults(t, got.Results), q: req.Query}
 			mu.Lock()
 			all = append(all, s)

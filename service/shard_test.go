@@ -15,6 +15,7 @@ import (
 	"time"
 
 	proxrank "repro"
+	"repro/api"
 )
 
 // tieTestRelation builds a relation with engineered score and distance
@@ -65,7 +66,7 @@ func TestExecutorShardedParity(t *testing.T) {
 	xPlain := NewExecutor(plain, Config{Workers: 4, CacheSize: -1})
 	xSharded := NewExecutor(sharded, Config{Workers: 4, CacheSize: -1})
 	for _, access := range []string{"distance", "score"} {
-		req := &QueryRequest{
+		req := &api.Request{
 			Query:     []float64{2.5, 3.5},
 			Relations: []string{"A", "B"},
 			K:         10,
@@ -95,13 +96,13 @@ func TestExecutorShardedParity(t *testing.T) {
 func TestExecutorSingleFlight(t *testing.T) {
 	cat, names := testSetup(t, 2, 4000, 3)
 	x := NewExecutor(cat, Config{Workers: 8, CacheSize: 16})
-	req := &QueryRequest{
+	req := &api.Request{
 		Query:     []float64{0.05, -0.1, 0.2},
 		Relations: names,
 		K:         50,
 	}
 	const callers = 12
-	responses := make([]*QueryResponse, callers)
+	responses := make([]*api.Response, callers)
 	errs := make([]error, callers)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -137,7 +138,7 @@ func TestExecutorSingleFlight(t *testing.T) {
 func TestExecutorFollowerDeadline(t *testing.T) {
 	cat, names := testSetup(t, 2, 10000, 3)
 	x := NewExecutor(cat, Config{Workers: 4, CacheSize: 16})
-	req := &QueryRequest{
+	req := &api.Request{
 		Query:     []float64{0.02, 0.03, -0.04},
 		Relations: names,
 		K:         200,
@@ -175,12 +176,12 @@ func TestExecutorFollowerDeadline(t *testing.T) {
 func TestExecutorSingleFlightLeaderFailure(t *testing.T) {
 	cat, names := testSetup(t, 2, 3000, 3)
 	x := NewExecutor(cat, Config{Workers: 4, CacheSize: 16})
-	req := &QueryRequest{Query: []float64{0, 0, 0}, Relations: names, K: 40}
+	req := &api.Request{Query: []float64{0, 0, 0}, Relations: names, K: 40}
 
 	leadCtx, cancelLead := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	var leaderErr, followerErr error
-	var follower *QueryResponse
+	var follower *api.Response
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -316,7 +317,7 @@ func TestHTTPShardedParityAndManagement(t *testing.T) {
 		}
 	}
 	refExec := NewExecutor(refCat, Config{Workers: 2, CacheSize: -1})
-	query := &QueryRequest{Query: []float64{1.5, 2.5}, Relations: []string{"P", "Q"}, K: 8}
+	query := &api.Request{Query: []float64{1.5, 2.5}, Relations: []string{"P", "Q"}, K: 8}
 	want, err := refExec.Execute(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +329,7 @@ func TestHTTPShardedParityAndManagement(t *testing.T) {
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("topk status %d: %s", httpResp.StatusCode, data)
 	}
-	var got QueryResponse
+	var got api.Response
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestHTTPShardedParityAndManagement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got2 QueryResponse
+	var got2 api.Response
 	if err := json.Unmarshal(data2, &got2); err != nil {
 		t.Fatal(err)
 	}

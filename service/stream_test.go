@@ -17,7 +17,7 @@ import (
 )
 
 // collectEvents runs ExecuteStream and gathers the event sequence.
-func collectEvents(t *testing.T, x *Executor, req *QueryRequest) ([]api.ResultEvent, error) {
+func collectEvents(t *testing.T, x *Executor, req *api.Request) ([]api.ResultEvent, error) {
 	t.Helper()
 	var events []api.ResultEvent
 	err := x.ExecuteStream(context.Background(), req, func(ev api.ResultEvent) error {
@@ -72,7 +72,7 @@ func TestExecuteStreamEvents(t *testing.T) {
 	}
 }
 
-func baseRequestNoCache(names []string) *QueryRequest {
+func baseRequestNoCache(names []string) *api.Request {
 	r := baseRequest(names)
 	r.NoCache = true
 	return r
@@ -121,12 +121,12 @@ func TestExecuteStreamValidation(t *testing.T) {
 	x := NewExecutor(cat, Config{Workers: 2, CacheSize: 8})
 	for _, tc := range []struct {
 		name   string
-		mutate func(*QueryRequest)
+		mutate func(*api.Request)
 		code   ErrorCode
 	}{
-		{"bad k", func(r *QueryRequest) { r.K = 0 }, CodeBadRequest},
-		{"unknown relation", func(r *QueryRequest) { r.Relations = []string{"A", "ghost"} }, CodeNotFound},
-		{"dim mismatch", func(r *QueryRequest) { r.Query = []float64{1, 2, 3} }, CodeBadRequest},
+		{"bad k", func(r *api.Request) { r.K = 0 }, CodeBadRequest},
+		{"unknown relation", func(r *api.Request) { r.Relations = []string{"A", "ghost"} }, CodeNotFound},
+		{"dim mismatch", func(r *api.Request) { r.Query = []float64{1, 2, 3} }, CodeBadRequest},
 	} {
 		req := baseRequest(names)
 		tc.mutate(req)
@@ -194,7 +194,7 @@ func TestExecuteStreamCoalescesWithBatch(t *testing.T) {
 	<-g.started // leader owns the flight key and is parked on the gate
 
 	batchDone := make(chan struct{})
-	var batchResp *QueryResponse
+	var batchResp *api.Response
 	var batchErr error
 	go func() {
 		defer close(batchDone)
@@ -365,7 +365,7 @@ func compactJSON(t *testing.T, raw json.RawMessage) []byte {
 // across the live, cache-hit, and replayed paths.
 func TestQueryEndpointsEquivalent(t *testing.T) {
 	srv, names, exec := testServer(t)
-	req := &QueryRequest{Query: []float64{0.2, -0.15}, Relations: names, K: 5}
+	req := &api.Request{Query: []float64{0.2, -0.15}, Relations: names, K: 5}
 	post := func(path string) []byte {
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))

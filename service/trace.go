@@ -110,7 +110,7 @@ type queryObs struct {
 }
 
 // beginObs opens the observation for one request.
-func (x *Executor) beginObs(mode string, req *QueryRequest) *queryObs {
+func (x *Executor) beginObs(mode string, req *api.Request) *queryObs {
 	now := time.Now()
 	o := &queryObs{
 		x:          x,
@@ -178,7 +178,7 @@ func (o *queryObs) noteDegraded(degraded bool, missing []api.MissingShard) {
 // finish closes the request: observes the latency and TTFE histograms
 // and, past the threshold, emits the slow-query log line. Call exactly
 // once, after the last phase is recorded.
-func (o *queryObs) finish(req *QueryRequest, err error) {
+func (o *queryObs) finish(req *api.Request, err error) {
 	dur := time.Since(o.start)
 	if o.ttfe == 0 {
 		// Batch responses deliver everything at once; a stream that
@@ -212,7 +212,7 @@ type SlowQuery struct {
 // logSlowQuery emits one SlowQuery line. Marshal failures are
 // impossible for this shape (plain structs, no cycles) and would only
 // lose a log line; write failures are the sink's problem.
-func (x *Executor) logSlowQuery(req *QueryRequest, o *queryObs, dur time.Duration, outcome string) {
+func (x *Executor) logSlowQuery(req *api.Request, o *queryObs, dur time.Duration, outcome string) {
 	rec := SlowQuery{
 		Mode:           o.mode,
 		Relations:      req.Relations,

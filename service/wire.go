@@ -52,7 +52,7 @@ func newestGen(entries []*Entry) uint64 {
 // The first replay that needs a form encodes it — never the settle: a
 // cold key is not asked twice and pays neither the encode nor the bytes.
 type answer struct {
-	resp  *QueryResponse
+	resp  *api.Response
 	once  [2]sync.Once // batch, stream
 	forms [2][]byte
 }
@@ -88,7 +88,7 @@ func (a *answer) form(stream bool, built *atomic.Int64) []byte {
 
 // replayEvents emits a settled response as the events of its stream: one
 // result event per combination, then the summary marked cached.
-func replayEvents(resp *QueryResponse, emit func(api.ResultEvent) error) error {
+func replayEvents(resp *api.Response, emit func(api.ResultEvent) error) error {
 	for i := range resp.Results {
 		if err := emit(api.ResultEvent{Type: api.EventResult, Rank: i + 1, Result: &resp.Results[i]}); err != nil {
 			return err
@@ -106,10 +106,10 @@ func encodeJSON(v any) ([]byte, error) {
 }
 
 // wireCombination converts one engine combination into its wire form.
-func wireCombination(c proxrank.Combination, entries []*Entry) ResultCombination {
-	rc := ResultCombination{Score: c.Score, Tuples: make([]ResultTuple, len(c.Tuples))}
+func wireCombination(c proxrank.Combination, entries []*Entry) api.Combination {
+	rc := api.Combination{Score: c.Score, Tuples: make([]api.Tuple, len(c.Tuples))}
 	for j, t := range c.Tuples {
-		rc.Tuples[j] = ResultTuple{
+		rc.Tuples[j] = api.Tuple{
 			Relation: entries[j].Relation().Name,
 			ID:       t.ID,
 			Score:    t.Score,
@@ -125,11 +125,11 @@ func wireCombination(c proxrank.Combination, entries []*Entry) ResultCombination
 // missing shard list and the certified count over the data that was
 // actually reachable (zero when a DNF cap also cut the surviving-shard
 // certification short).
-func buildResponse(results []ResultCombination, threshold float64, dnf bool, stats proxrank.Stats, missing []api.MissingShard) *QueryResponse {
-	out := &QueryResponse{
+func buildResponse(results []api.Combination, threshold float64, dnf bool, stats proxrank.Stats, missing []api.MissingShard) *api.Response {
+	out := &api.Response{
 		Results: results,
 		DNF:     dnf,
-		Cost: QueryCost{
+		Cost: api.Cost{
 			SumDepths:     stats.SumDepths,
 			Depths:        stats.Depths,
 			Combinations:  stats.CombinationsFormed,
@@ -157,7 +157,7 @@ func buildResponse(results []ResultCombination, threshold float64, dnf bool, sta
 // so score bits survive the encoding. It is the one scrub behind every
 // identity check outside bench/ (proxload -identity-check and the
 // distributed, chaos and node fixtures).
-func CanonicalResponse(resp *QueryResponse) string {
+func CanonicalResponse(resp *api.Response) string {
 	c := *resp
 	c.Cost.ElapsedMicros = 0
 	c.Cached = false
