@@ -6,16 +6,36 @@ import "repro/internal/relation"
 // kinds (paper eq. (3)-(5) for distance access, eq. (36)-(38) for score
 // access). It is correct for any monotone aggregation but not tight, so
 // algorithms built on it are not instance-optimal (Theorems 3.1 and C.1).
+//
+// Each relation's two caps change only when it is pulled — the seen cap
+// on its first pull, the unseen cap on every pull — so register refreshes
+// the pulled relation's, with the same G arguments the formulas name,
+// and a read of the bound only combines cached values through F.
 type cornerBounder struct {
-	e     *Engine
-	parts []float64 // scratch for f's arguments
+	e      *Engine
+	parts  []float64 // scratch for f's arguments
+	seen   []float64 // seen[j] is seenCap of R_j
+	unseen []float64 // unseen[j] is unseenCap of R_j
 }
 
 func newCornerBounder(e *Engine) *cornerBounder {
-	return &cornerBounder{e: e, parts: make([]float64, e.n)}
+	fs := make([]float64, 3*e.n)
+	c := &cornerBounder{e: e, parts: fs[:e.n:e.n], seen: fs[e.n : 2*e.n : 2*e.n], unseen: fs[2*e.n:]}
+	for j, rs := range e.rels {
+		c.seen[j] = c.seenCap(rs)
+		c.unseen[j] = c.unseenCap(rs)
+	}
+	return c
 }
 
-func (c *cornerBounder) register(int)          {}
+func (c *cornerBounder) register(ri int) {
+	rs := c.e.rels[ri]
+	if rs.depth() == 1 {
+		c.seen[ri] = c.seenCap(rs)
+	}
+	c.unseen[ri] = c.unseenCap(rs)
+}
+
 func (c *cornerBounder) registerExhausted(int) {}
 
 // threshold is t_c = max_i t_i over relations that can still produce an
@@ -39,13 +59,8 @@ func (c *cornerBounder) potential(i int) float64 {
 	if c.e.rels[i].exhausted {
 		return negInf
 	}
-	for j, rs := range c.e.rels {
-		if j == i {
-			c.parts[j] = c.unseenCap(rs)
-		} else {
-			c.parts[j] = c.seenCap(rs)
-		}
-	}
+	copy(c.parts, c.seen)
+	c.parts[i] = c.unseen[i]
 	return c.e.opts.Agg.F(c.parts)
 }
 

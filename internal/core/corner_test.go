@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/relation"
@@ -97,6 +98,59 @@ func TestCornerDistanceAccessFormulas(t *testing.T) {
 	}
 	if got := c.threshold(); math.Abs(got-(-17)) > 1e-12 {
 		t.Errorf("threshold after exhaustion = %v, want -17", got)
+	}
+}
+
+// TestQuickCornerCapsFresh: the caps register caches are the ones the
+// formulas give at every state. Pull by pull, under both access kinds and
+// both pulling strategies, every potential and the threshold must be
+// bit-equal to F over seenCap and unseenCap evaluated afresh.
+func TestQuickCornerCapsFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 20; trial++ {
+		in := randomInstance(r, 4, 10)
+		for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
+			for _, algo := range []Algorithm{CBRR, CBPA} {
+				e, err := NewEngine(in.sources(t, kind), Options{K: in.k, Algorithm: algo, Query: in.q, Agg: in.fn})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := e.bound.(*cornerBounder)
+				parts := make([]float64, e.n)
+				fresh := func(i int) float64 {
+					if e.rels[i].exhausted {
+						return math.Inf(-1)
+					}
+					for j, rs := range e.rels {
+						parts[j] = c.seenCap(rs)
+					}
+					parts[i] = c.unseenCap(e.rels[i])
+					return in.fn.F(parts)
+				}
+				for pull := 0; ; pull++ {
+					want := math.Inf(-1)
+					for i := range e.rels {
+						p, f := c.potential(i), fresh(i)
+						if math.Float64bits(p) != math.Float64bits(f) {
+							t.Fatalf("trial %d %v %v pull %d: potential(R%d) %v, fresh %v", trial, kind, algo, pull, i, p, f)
+						}
+						if !e.rels[i].exhausted && f > want {
+							want = f
+						}
+					}
+					if got := c.threshold(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d %v %v pull %d: threshold %v, fresh %v", trial, kind, algo, pull, got, want)
+					}
+					ri := e.pull.choose(e)
+					if ri < 0 || e.satisfied() {
+						break
+					}
+					if err := e.step(ri); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 	}
 }
 

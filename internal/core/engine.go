@@ -36,8 +36,9 @@ type relState struct {
 	// the floating-point error a sum of solo terms can carry). bySolo lists
 	// the prefix ranks by descending solo: the order in which a pruned
 	// level's survivors form a prefix (see candidates). All four drive
-	// score-floor pruning during formation and stay empty when pruning is
-	// off.
+	// score-floor pruning during formation and the score-access tight
+	// bound's walk (tightScoreBounder.extend), so every engine keeps them,
+	// pruned or not.
 	solo       []float64
 	soloMax    float64
 	soloAbsMax float64
@@ -202,9 +203,8 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 				ErrDimMismatch, s.Relation().Name, s.Relation().Dim(), dim)
 		}
 	}
-	// The scratch slab layout below depends on which of the two test
-	// switches are thrown.
-	prune := !opts.disablePrune
+	// The scratch slab layout below depends on whether block scoring's test
+	// switch is thrown.
 	blockSize := 0
 	if !opts.disableBlock {
 		blockSize = DefaultBlockSize
@@ -222,7 +222,7 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 		kind:      kind,
 		arena:     newCombArena(n),
 		t:         posInf,
-		prune:     prune,
+		prune:     !opts.disablePrune,
 		blockSize: blockSize,
 		sufCount:  make([]int64, n+1),
 	}
@@ -247,10 +247,7 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	// per buffer. Columns take zero-length full-capacity views (the
 	// three-index slices below), so an append that outgrows its segment
 	// relocates that column without touching its neighbors.
-	cols := 1 // dists
-	if prune {
-		cols++ // solo
-	}
+	cols := 2 // dists, solo
 	if blockSize > 0 {
 		cols++ // qterm
 	}
@@ -271,11 +268,7 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	nv := n + blockSize
 	vecs := make([]vec.Vector, nv)
 	e.scrXs = vecs[:n:n]
-	ni := n + colTotal
-	if prune {
-		ni += colTotal
-	}
-	i32 := make([]int32, ni)
+	i32 := make([]int32, n+2*colTotal)
 	takeRanks := func(c int) []int32 { s := i32[:0:c]; i32 = i32[c:]; return s }
 	e.scrRanks = takeRanks(n)[:n]
 	e.scrCands = make([][]int32, n)
@@ -306,10 +299,8 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 		tupSlab = tupSlab[c:]
 		rs.dists = takeCol(c)
 		e.scrCands[i] = takeRanks(c)
-		if prune {
-			rs.solo = takeCol(c)
-			rs.bySolo = takeRanks(c)
-		}
+		rs.solo = takeCol(c)
+		rs.bySolo = takeRanks(c)
 		if blockSize > 0 {
 			rs.qterm = takeCol(c)
 		}
@@ -488,12 +479,9 @@ func (e *Engine) step(ri int) error {
 	e.stats.SumDepths++
 
 	// One distance evaluation serves formation, the prefix statistics the
-	// bounders read, and the separable pruning term.
+	// bounders read, and the separable term.
 	dist := e.opts.Agg.Metric().Distance(tup.Vec, e.q)
-	var solo float64
-	if e.prune {
-		solo = e.opts.Agg.SoloBound(ri, tup.Score, dist)
-	}
+	solo := e.opts.Agg.SoloBound(ri, tup.Score, dist)
 	var qt float64
 	if e.blockSize > 0 {
 		qt = e.opts.Agg.QTerm(ri, tup.Score, tup.Vec, e.q)
@@ -506,19 +494,17 @@ func (e *Engine) step(ri int) error {
 	if e.blockSize > 0 {
 		rs.qterm = append(rs.qterm, qt)
 	}
-	if e.prune {
-		rs.solo = append(rs.solo, solo)
-		// The new rank goes behind every rank of at least its solo.
-		at := sort.Search(len(rs.bySolo), func(j int) bool { return rs.solo[rs.bySolo[j]] < solo })
-		rs.bySolo = append(rs.bySolo, 0)
-		copy(rs.bySolo[at+1:], rs.bySolo[at:])
-		rs.bySolo[at] = int32(len(rs.solo) - 1)
-		if len(rs.solo) == 1 || solo > rs.soloMax {
-			rs.soloMax = solo
-		}
-		if a := math.Abs(solo); a > rs.soloAbsMax {
-			rs.soloAbsMax = a
-		}
+	rs.solo = append(rs.solo, solo)
+	// The new rank goes behind every rank of at least its solo.
+	at := sort.Search(len(rs.bySolo), func(j int) bool { return rs.solo[rs.bySolo[j]] < solo })
+	rs.bySolo = append(rs.bySolo, 0)
+	copy(rs.bySolo[at+1:], rs.bySolo[at:])
+	rs.bySolo[at] = int32(len(rs.solo) - 1)
+	if len(rs.solo) == 1 || solo > rs.soloMax {
+		rs.soloMax = solo
+	}
+	if a := math.Abs(solo); a > rs.soloAbsMax {
+		rs.soloAbsMax = a
 	}
 
 	var bStart time.Time
@@ -576,10 +562,8 @@ func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo, qt float64) 
 			// at all), and a wrapped count would corrupt CombinationsFormed
 			// and defeat the MaxCombinations cap.
 			sc = satMul(sc, int64(e.rels[i].depth()))
-			if e.prune {
-				sb += e.rels[i].soloMax
-				mag += e.rels[i].soloAbsMax
-			}
+			sb += e.rels[i].soloMax
+			mag += e.rels[i].soloAbsMax
 		}
 		e.sufBound[i] = sb
 		e.sufCount[i] = sc
@@ -740,7 +724,7 @@ func (e *Engine) expansion(i int, partial float64) []int32 {
 }
 
 // enumerate recurses over relation levels, carrying the partial solo sum
-// of the chosen tuples (meaningful only when e.prune).
+// of the chosen tuples.
 func (e *Engine) enumerate(i, skip int, partial float64) {
 	if i == e.n {
 		e.buf.offer(e.opts.Agg.ScoreScratch(e.q, e.scrSigmas, e.scrXs, e.scrMu), e.scrRanks)
@@ -758,11 +742,7 @@ func (e *Engine) enumerate(i, skip int, partial float64) {
 	}
 	for _, r := range cands {
 		e.place(i, r)
-		next := partial
-		if e.prune {
-			next += rs.solo[r]
-		}
-		e.enumerate(i+1, skip, next)
+		e.enumerate(i+1, skip, partial+rs.solo[r])
 	}
 }
 

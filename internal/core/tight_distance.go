@@ -37,6 +37,9 @@ type tightDistBounder struct {
 	subsets       []*subsetState
 	exhaustedMask int
 	baseDir       vec.Vector // fallback ray direction when ν = q or m = 0
+	// capMax[j] is w_s·T(σ_max) of R_j: an unseen member's score term,
+	// constant for the run.
+	capMax []float64
 	// computeBound scratch, reused across every bound evaluation.
 	dirBuf     vec.Vector
 	fixedBuf   []float64
@@ -96,15 +99,19 @@ func newTightDistBounder(e *Engine, quad agg.Quadratic) *tightDistBounder {
 	}
 	// All float scratch — ray directions, per-relation columns and the
 	// unseen reconstruction points — comes from one slab.
-	fs := make([]float64, 3*e.dim+2*e.n+e.n*e.dim)
+	fs := make([]float64, 3*e.dim+3*e.n+e.n*e.dim)
 	take := func(k int) []float64 { s := fs[:k:k]; fs = fs[k:]; return s }
 	b.baseDir = vec.Vector(take(e.dim))
 	b.dirBuf = vec.Vector(take(e.dim))
 	b.muBuf = vec.Vector(take(e.dim))
 	b.fixedBuf = take(e.n)
 	b.lowerBuf = take(e.n)
+	b.capMax = take(e.n)
 	b.unseenSlab = take(e.n * e.dim)
 	b.baseDir[0] = 1
+	for j, rs := range e.rels {
+		b.capMax[j] = ws * quad.TransformScore(rs.maxScore)
+	}
 	full := 1 << e.n
 	// Subset states are one backing array behind the by-mask pointer
 	// index, and the members/unseen lists are carved from one int slab
@@ -327,7 +334,7 @@ func (b *tightDistBounder) computeBound(ss *subsetState, p *distPartial) {
 	}
 	val := p.sumT
 	for _, j := range ss.unseen {
-		val += b.ws * b.quad.TransformScore(e.rels[j].maxScore)
+		val += b.capMax[j]
 	}
 	mu := vec.MeanInto(b.muBuf, pts)
 	for _, pt := range pts {

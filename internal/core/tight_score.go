@@ -1,8 +1,9 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/agg"
-	"repro/internal/relation"
 	"repro/internal/vec"
 )
 
@@ -18,6 +19,17 @@ import (
 // best geometric value per subset must be retained (Algorithm 3's
 // τ_best^M bookkeeping) — no partial list is stored at all.
 //
+// A pull pays only for what it changed. register computes the pulled
+// tuple's w_s·T(σ) once — the relation's new unseen cap and the walk's
+// seen term for τ — and marks the per-subset bounds stale; the next
+// threshold recomputes them into ts, which potential then reads.
+// The walk over the new partials PC(M−{i}) × {τ} is branch-and-bound:
+// geo only subtracts non-negative terms from the seen score sum, so the
+// separable sum of the engine's solo terms bounds it from above, and a
+// partial, or a whole subtree of them, whose separable bound cannot beat
+// bestGeo is never evaluated. bestGeo is a maximum, so it is bit-equal to
+// the one a walk over every partial would keep.
+//
 // The geometric evaluations run through per-bounder scratch (centroid,
 // optimal completion point, reconstruction list), so the steady state
 // allocates nothing per partial.
@@ -27,18 +39,40 @@ type tightScoreBounder struct {
 	ws, wq, wmu   float64
 	subsets       []*scoreSubset
 	exhaustedMask int
+	// caps[j] is w_s·T(σ) of R_j's last pulled tuple, or of σ_max before
+	// its first pull: the unseen cap of eq. (40). mag[j] is the running
+	// maximum of |w_s·T(σ)| + w_q·‖x−q‖² over R_j's prefix: the scale of
+	// the floating-point error in a geo value or a separable sum, which
+	// sets the walk's pruneSlack.
+	caps []float64
+	mag  []float64
+	// ts[mask] is t_s(M) of eq. (40), −∞ for a subset that cannot describe
+	// an unseen combination; stale until threshold or potential refreshes
+	// it after a register or registerExhausted.
+	ts    []float64
+	stale bool
 	// geo scratch, reused across every geometric evaluation.
 	nuBuf    vec.Vector
 	diffBuf  vec.Vector
 	ystarBuf vec.Vector
 	muBuf    vec.Vector
 	ptsBuf   []vec.Vector
-	// extendSubset walk state (single-threaded recursion scratch).
-	extOthers []int
-	extXs     []vec.Vector
-	extSS     *scoreSubset
-	extPos    int
-	extTauT   float64
+	walk     scoreWalk
+}
+
+// scoreWalk is extendSubset's state for one subset (single-threaded
+// recursion scratch, so the walk allocates nothing).
+type scoreWalk struct {
+	ss     *scoreSubset
+	others []int        // M − {i} in member order: the levels of the walk
+	xs     []vec.Vector // the partial being formed, member order
+	pos    int          // position of the pulled relation within xs
+	tauT   float64      // w_s·T(σ) of the pulled tuple
+	// suf[k] is Σ soloMax over the levels inside level k (others[k+1:]):
+	// the best separable completion of a partial fixed through level k.
+	suf []float64
+	mag float64 // Σ mag over M
+	bar float64 // bestGeo − pruneSlack: a separable bound below it is skipped
 }
 
 type scoreSubset struct {
@@ -51,19 +85,33 @@ type scoreSubset struct {
 
 func newTightScoreBounder(e *Engine, quad agg.Quadratic) *tightScoreBounder {
 	ws, wq, wmu := quad.Weights()
+	full := 1 << e.n
+	// Every float the bounder owns — the per-relation and per-subset
+	// columns and the geo scratch — is carved from one slab.
+	fs := make([]float64, 3*e.n+(full-1)+4*e.dim)
+	take := func(k int) []float64 { s := fs[:k:k]; fs = fs[k:]; return s }
 	b := &tightScoreBounder{
 		e:    e,
 		quad: quad,
 		ws:   ws, wq: wq, wmu: wmu,
-		nuBuf:     vec.New(e.dim),
-		diffBuf:   vec.New(e.dim),
-		ystarBuf:  vec.New(e.dim),
-		muBuf:     vec.New(e.dim),
-		ptsBuf:    make([]vec.Vector, 0, e.n),
-		extOthers: make([]int, 0, e.n),
-		extXs:     make([]vec.Vector, e.n),
+		caps:     take(e.n),
+		mag:      take(e.n),
+		ts:       take(full - 1),
+		stale:    true,
+		nuBuf:    take(e.dim),
+		diffBuf:  take(e.dim),
+		ystarBuf: take(e.dim),
+		muBuf:    take(e.dim),
+		ptsBuf:   make([]vec.Vector, 0, e.n),
+		walk: scoreWalk{
+			others: make([]int, 0, e.n),
+			xs:     make([]vec.Vector, e.n),
+			suf:    take(e.n),
+		},
 	}
-	full := 1 << e.n
+	for j, rs := range e.rels {
+		b.caps[j] = ws * quad.TransformScore(rs.maxScore)
+	}
 	b.subsets = make([]*scoreSubset, full-1)
 	for mask := 0; mask < full-1; mask++ {
 		ss := &scoreSubset{mask: mask, bestGeo: negInf}
@@ -87,59 +135,93 @@ func newTightScoreBounder(e *Engine, quad agg.Quadratic) *tightScoreBounder {
 func (b *tightScoreBounder) register(ri int) {
 	rs := b.e.rels[ri]
 	tau := rs.tuples[len(rs.tuples)-1]
+	c := b.ws * b.quad.TransformScore(tau.Score)
+	b.caps[ri] = c
+	if m := math.Abs(c) + b.wq*tau.Vec.Dist2(b.e.q); m > b.mag[ri] {
+		b.mag[ri] = m
+	}
+	b.stale = true
 	for _, ss := range b.subsets {
-		if ss.mask&(1<<ri) == 0 {
+		if ss.mask&(1<<ri) != 0 {
+			b.extendSubset(ss, ri)
+		}
+	}
+}
+
+// extendSubset raises ss.bestGeo to the best geometric bound among the new
+// partials PC(M−{ri}) × {τ}, τ being ri's last pulled tuple.
+func (b *tightScoreBounder) extendSubset(ss *scoreSubset, ri int) {
+	w := &b.walk
+	w.ss = ss
+	w.others = w.others[:0]
+	w.mag = b.mag[ri]
+	for k, j := range ss.members {
+		if j == ri {
+			w.pos = k
 			continue
 		}
-		b.extendSubset(ss, ri, tau)
-	}
-}
-
-// extendSubset evaluates the geometric bound of every new partial
-// PC(M−{ri}) × {τ} and keeps the per-subset maximum. The walk state lives
-// on the bounder (the engine is single-threaded), so the enumeration
-// itself allocates nothing.
-func (b *tightScoreBounder) extendSubset(ss *scoreSubset, ri int, tau relation.Tuple) {
-	// Enumerate the cartesian product of the other members' buffers.
-	others := b.extOthers[:0]
-	for _, j := range ss.members {
-		if j != ri {
-			others = append(others, j)
+		if b.e.rels[j].depth() == 0 {
+			return // PC(M − {ri}) is empty
 		}
+		w.others = append(w.others, j)
+		w.mag += b.mag[j]
 	}
-	b.extOthers = others
-	xs := b.extXs[:len(ss.members)]
-	// Position of ri within members.
-	pos := 0
-	for pos < len(ss.members) && ss.members[pos] != ri {
-		pos++
+	ss.any = true
+	rs := b.e.rels[ri]
+	last := rs.depth() - 1
+	w.xs[w.pos] = rs.tuples[last].Vec
+	w.tauT = b.caps[ri]
+	var sb float64
+	for k := len(w.others) - 1; k >= 0; k-- {
+		w.suf[k] = sb
+		sb += b.e.rels[w.others[k]].soloMax
 	}
-	xs[pos] = tau.Vec
-	b.extSS, b.extPos = ss, pos
-	b.extTauT = b.ws * b.quad.TransformScore(tau.Score)
-	b.extend(0, 0)
-}
-
-// extend recurses over the other members' prefixes (extendSubset's state).
-func (b *tightScoreBounder) extend(oi int, acc float64) {
-	ss := b.extSS
-	xs := b.extXs[:len(ss.members)]
-	if oi == len(b.extOthers) {
-		if g := b.geo(xs, acc+b.extTauT); g > ss.bestGeo {
-			ss.bestGeo = g
-		}
-		ss.any = true
+	w.bar = ss.bestGeo - pruneSlack(ss.bestGeo, w.mag)
+	if len(w.others) == 0 {
+		// M = {ri}: the one new partial is ⟨τ⟩.
 		b.e.stats.PartialsTracked++
+		if rs.solo[last] < w.bar {
+			return
+		}
+	}
+	b.extend(0, 0, rs.solo[last])
+}
+
+// extend walks level oi of the product, carrying the seen score sum accT
+// (summed in member order, τ's term last, exactly as geo always received
+// it) and the separable sum accSolo of the tuples fixed so far. Each level
+// is walked by descending solo, so the first candidate whose separable
+// bound — accSolo, its solo, and the best completion of the levels inside
+// it — falls below the bar ends the level: neither it nor anything behind
+// it, nor any partial below them, can raise bestGeo. PartialsTracked
+// counts the partials the walk reaches, each then either solved or
+// rejected on its own separable bound.
+func (b *tightScoreBounder) extend(oi int, accT, accSolo float64) {
+	w := &b.walk
+	if oi == len(w.others) {
+		if g := b.geo(w.xs[:len(w.ss.members)], accT+w.tauT); g > w.ss.bestGeo {
+			w.ss.bestGeo = g
+			w.bar = g - pruneSlack(g, w.mag)
+		}
 		return
 	}
-	j := b.extOthers[oi]
+	rs := b.e.rels[w.others[oi]]
+	suf := w.suf[oi]
+	leaf := oi == len(w.others)-1
 	xi := oi
-	if oi >= b.extPos {
+	if oi >= w.pos {
 		xi = oi + 1
 	}
-	for _, t := range b.e.rels[j].tuples {
-		xs[xi] = t.Vec
-		b.extend(oi+1, acc+b.ws*b.quad.TransformScore(t.Score))
+	for _, r := range rs.bySolo {
+		if leaf {
+			b.e.stats.PartialsTracked++
+		}
+		if accSolo+rs.solo[r]+suf < w.bar {
+			return
+		}
+		t := rs.tuples[r]
+		w.xs[xi] = t.Vec
+		b.extend(oi+1, accT+b.ws*b.quad.TransformScore(t.Score), accSolo+rs.solo[r])
 	}
 }
 
@@ -179,6 +261,7 @@ func (b *tightScoreBounder) geo(xs []vec.Vector, sumT float64) float64 {
 
 func (b *tightScoreBounder) registerExhausted(ri int) {
 	b.exhaustedMask |= 1 << ri
+	b.stale = true
 }
 
 func (b *tightScoreBounder) valid(ss *scoreSubset) bool {
@@ -190,18 +273,31 @@ func (b *tightScoreBounder) valid(ss *scoreSubset) bool {
 func (b *tightScoreBounder) tsM(ss *scoreSubset) float64 {
 	v := ss.bestGeo
 	for _, j := range ss.unseen {
-		v += b.ws * b.quad.TransformScore(b.e.rels[j].lastScore())
+		v += b.caps[j]
 	}
 	return v
 }
 
-func (b *tightScoreBounder) threshold() float64 {
-	t := negInf
+// refresh recomputes ts once per register or registerExhausted.
+func (b *tightScoreBounder) refresh() {
+	if !b.stale {
+		return
+	}
 	for _, ss := range b.subsets {
-		if !b.valid(ss) {
-			continue
+		v := negInf
+		if b.valid(ss) {
+			v = b.tsM(ss)
 		}
-		if tm := b.tsM(ss); tm > t {
+		b.ts[ss.mask] = v
+	}
+	b.stale = false
+}
+
+func (b *tightScoreBounder) threshold() float64 {
+	b.refresh()
+	t := negInf
+	for _, tm := range b.ts {
+		if tm > t {
 			t = tm
 		}
 	}
@@ -212,13 +308,11 @@ func (b *tightScoreBounder) potential(ri int) float64 {
 	if b.e.rels[ri].exhausted {
 		return negInf
 	}
+	b.refresh()
 	pot := negInf
 	bit := 1 << ri
-	for _, ss := range b.subsets {
-		if ss.mask&bit != 0 || !b.valid(ss) {
-			continue
-		}
-		if tm := b.tsM(ss); tm > pot {
+	for mask, tm := range b.ts {
+		if mask&bit == 0 && tm > pot {
 			pot = tm
 		}
 	}

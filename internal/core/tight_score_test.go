@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,5 +177,256 @@ func TestEpsilonValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("NaN epsilon accepted")
+	}
+}
+
+// BenchmarkScoreBound is what the score-access tight bound costs: one
+// TBPA run over score access at n = 3 and n = 4 on a fixed instance,
+// reporting the geometric evaluations (qp-solves/op) and the partials the
+// bound's walk reaches (partials/op) beside the time. Both counts are
+// deterministic, so one iteration (-benchtime 1x) reads them exactly.
+func BenchmarkScoreBound(b *testing.B) {
+	for _, shape := range []struct{ n, size int }{{3, 200}, {4, 60}} {
+		in := fixedInstance(rand.New(rand.NewSource(35)), shape.n, shape.size, 3, 10)
+		b.Run(fmt.Sprintf("n=%d", shape.n), func(b *testing.B) {
+			var solves, partials int64
+			for i := 0; i < b.N; i++ {
+				st := runAlgo(b, in, relation.ScoreAccess, Options{Algorithm: TBPA}).Stats
+				solves += st.QPSolves
+				partials += st.PartialsTracked
+			}
+			b.ReportMetric(float64(solves)/float64(b.N), "qp-solves/op")
+			b.ReportMetric(float64(partials)/float64(b.N), "partials/op")
+		})
+	}
+}
+
+// refScoreBounder is the score-access tight bound as Appendix C states it,
+// with no shortcut: every pull evaluates geo for every partial of
+// PC(M−{i}) × {τ}, and every read of a cap takes its logarithm afresh. It
+// borrows a tightScoreBounder only for geo and its scratch.
+type refScoreBounder struct {
+	b         *tightScoreBounder
+	best      []float64 // per mask: max geo over PC(M)
+	any       []bool
+	exhausted int
+	xs        []vec.Vector
+}
+
+func newRefScoreBounder(e *Engine) *refScoreBounder {
+	b := e.bound.(*tightScoreBounder)
+	r := &refScoreBounder{b: b, xs: make([]vec.Vector, e.n)}
+	for range b.subsets {
+		r.best = append(r.best, negInf)
+		r.any = append(r.any, false)
+	}
+	r.best[0], r.any[0] = 0, true
+	return r
+}
+
+func (r *refScoreBounder) wsT(sigma float64) float64 { return r.b.ws * r.b.quad.TransformScore(sigma) }
+
+func (r *refScoreBounder) register(ri int) {
+	e := r.b.e
+	tau := e.rels[ri].tuples[e.rels[ri].depth()-1]
+	for _, ss := range r.b.subsets {
+		if ss.mask&(1<<ri) == 0 {
+			continue
+		}
+		xs := r.xs[:len(ss.members)]
+		// walk fixes member k and recurses; the pulled member is τ, and its
+		// score term is added last, as the engine's walk adds it.
+		var walk func(k int, acc float64)
+		walk = func(k int, acc float64) {
+			if k == len(ss.members) {
+				if g := r.b.geo(xs, acc+r.wsT(tau.Score)); g > r.best[ss.mask] {
+					r.best[ss.mask] = g
+				}
+				r.any[ss.mask] = true
+				return
+			}
+			j := ss.members[k]
+			if j == ri {
+				xs[k] = tau.Vec
+				walk(k+1, acc)
+				return
+			}
+			for _, t := range e.rels[j].tuples {
+				xs[k] = t.Vec
+				walk(k+1, acc+r.wsT(t.Score))
+			}
+		}
+		walk(0, 0)
+	}
+}
+
+func (r *refScoreBounder) registerExhausted(ri int) { r.exhausted |= 1 << ri }
+
+func (r *refScoreBounder) tsM(mask int) float64 {
+	if !r.any[mask] || mask&r.exhausted != r.exhausted {
+		return negInf
+	}
+	v := r.best[mask]
+	for _, j := range r.b.subsets[mask].unseen {
+		v += r.wsT(r.b.e.rels[j].lastScore())
+	}
+	return v
+}
+
+func (r *refScoreBounder) threshold() float64 {
+	t := negInf
+	for mask := range r.best {
+		if tm := r.tsM(mask); tm > t {
+			t = tm
+		}
+	}
+	return t
+}
+
+func (r *refScoreBounder) potential(ri int) float64 {
+	if r.b.e.rels[ri].exhausted {
+		return negInf
+	}
+	pot := negInf
+	for mask := range r.best {
+		if tm := r.tsM(mask); mask&(1<<ri) == 0 && tm > pot {
+			pot = tm
+		}
+	}
+	return pot
+}
+
+// scoreWalkInstances are the exactness test's inputs: random instances at
+// n = 2, 3 and 4, tie-heavy ones (scores from three values, coordinates
+// on a coarse grid, so many partials share a separable bound and a geo
+// value, and half of them without the µ term) and large-magnitude ones (identity scores up to 1e6, coordinates
+// and proximity weights of 1e3, so the separable terms dwarf the scores),
+// each under both score transforms, plus the identity suites' degenerate
+// instances.
+func scoreWalkInstances(r *rand.Rand) []instance {
+	var out []instance
+	both := func(rels []*relation.Relation, q vec.Vector, w agg.Weights, k int) {
+		for _, tr := range []agg.ScoreTransform{agg.LogScore, agg.IdentityScore} {
+			out = append(out, instance{rels: rels, q: q, fn: agg.MustEuclideanSum(w, tr), k: k})
+		}
+	}
+	gen := func(n, size, d int, score func() float64, coord func() float64, maxScore float64) ([]*relation.Relation, vec.Vector) {
+		rels := make([]*relation.Relation, n)
+		for i := range rels {
+			tuples := make([]relation.Tuple, size)
+			for j := range tuples {
+				v := vec.New(d)
+				for c := range v {
+					v[c] = coord()
+				}
+				tuples[j] = relation.Tuple{ID: fmt.Sprintf("t%d-%d", i, j), Score: score(), Vec: v}
+			}
+			rels[i] = relation.MustNew(fmt.Sprintf("R%d", i), maxScore, tuples)
+		}
+		q := vec.New(d)
+		for c := range q {
+			q[c] = coord()
+		}
+		return rels, q
+	}
+	sizes := map[int]int{2: 40, 3: 14, 4: 7}
+	for trial := 0; trial < 4; trial++ {
+		for n := 2; n <= 4; n++ {
+			d := 1 + r.Intn(3)
+			w := agg.Weights{Ws: 0.2 + r.Float64()*2, Wq: 0.2 + r.Float64()*2, Wmu: r.Float64() * 2}
+			k := 1 + r.Intn(5)
+			rels, q := gen(n, sizes[n], d, func() float64 { return 0.05 + 0.95*r.Float64() },
+				func() float64 { return r.NormFloat64() * 3 }, 1)
+			both(rels, q, w, k)
+			levels := []float64{0.25, 0.5, 1}
+			rels, q = gen(n, sizes[n], d, func() float64 { return levels[r.Intn(len(levels))] },
+				func() float64 { return float64(r.Intn(3) - 1) }, 1)
+			// Without the µ term, geo is its separable bound up to rounding:
+			// the walk's slack is all that keeps a tie from being skipped.
+			both(rels, q, agg.Weights{Ws: 1, Wq: 0.5, Wmu: 0.25 * float64(trial%2)}, k)
+			rels, q = gen(n, sizes[n], d, func() float64 { return 1 + r.Float64()*1e6 },
+				func() float64 { return r.NormFloat64() * 1e3 }, 1e6+1)
+			both(rels, q, agg.Weights{Ws: 1, Wq: 1e3, Wmu: 1e3}, k)
+		}
+	}
+	for _, in := range degenerateInstances() {
+		w := in.fn.(*agg.EuclideanSum).W
+		both(in.rels, in.q, w, in.k)
+	}
+	return out
+}
+
+// TestQuickScoreBoundWalkExact: the branch-and-bound walk keeps exactly
+// the maximum a walk over every partial keeps. Two engines run in
+// lockstep, one with the score-access tight bound and one whose bound is
+// refScoreBounder; after every pull every subset's bestGeo, the
+// threshold and every relation's potential must be bit-equal, and the
+// runs must end with the same results, threshold and SumDepths.
+func TestQuickScoreBoundWalkExact(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	for ci, in := range scoreWalkInstances(r) {
+		for _, algo := range []Algorithm{TBRR, TBPA} {
+			name := fmt.Sprintf("case %d (n=%d, %s, %v)", ci, len(in.rels), in.fn.Name(), algo)
+			opts := Options{K: in.k, Algorithm: algo, Query: in.q, Agg: in.fn}
+			e, err := NewEngine(in.sources(t, relation.ScoreAccess), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := NewEngine(in.sources(t, relation.ScoreAccess), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := e.bound.(*tightScoreBounder)
+			ref := newRefScoreBounder(oracle)
+			oracle.bound = ref
+			for pull := 0; !e.satisfied(); pull++ {
+				ri := e.pull.choose(e)
+				if rj := oracle.pull.choose(oracle); rj != ri {
+					t.Fatalf("%s pull %d: chose R%d, reference chose R%d", name, pull, ri, rj)
+				}
+				if ri < 0 {
+					break
+				}
+				if err := e.step(ri); err != nil {
+					t.Fatal(err)
+				}
+				if err := oracle.step(ri); err != nil {
+					t.Fatal(err)
+				}
+				for _, ss := range b.subsets {
+					if math.Float64bits(ss.bestGeo) != math.Float64bits(ref.best[ss.mask]) {
+						t.Fatalf("%s pull %d mask %b: bestGeo %v, reference %v", name, pull, ss.mask, ss.bestGeo, ref.best[ss.mask])
+					}
+				}
+				if math.Float64bits(e.t) != math.Float64bits(oracle.t) {
+					t.Fatalf("%s pull %d: threshold %v, reference %v", name, pull, e.t, oracle.t)
+				}
+				for i := range e.rels {
+					if p, want := b.potential(i), ref.potential(i); math.Float64bits(p) != math.Float64bits(want) {
+						t.Fatalf("%s pull %d: potential(R%d) %v, reference %v", name, pull, i, p, want)
+					}
+				}
+			}
+			got, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracle.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := combosIdentical(got.Combinations, want.Combinations); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) {
+				t.Fatalf("%s: final threshold %v, reference %v", name, got.Threshold, want.Threshold)
+			}
+			if got.Stats.SumDepths != want.Stats.SumDepths {
+				t.Fatalf("%s: SumDepths %d, reference %d", name, got.Stats.SumDepths, want.Stats.SumDepths)
+			}
+			if got.Stats.QPSolves > want.Stats.QPSolves {
+				t.Fatalf("%s: %d geo evaluations, more than the full walk's %d", name, got.Stats.QPSolves, want.Stats.QPSolves)
+			}
+		}
 	}
 }

@@ -258,9 +258,12 @@ type Stats struct {
 	SpilledBytes int64
 	// BoundUpdates counts updateBound invocations (one per pull).
 	BoundUpdates int64
-	// QPSolves counts tight-bound optimizations (problem (14) instances).
+	// QPSolves counts tight-bound optimizations (problem (14) instances,
+	// or eq. (41) evaluations under score access).
 	QPSolves int64
-	// PartialsTracked counts partial combinations ever registered.
+	// PartialsTracked counts partial combinations ever registered; under
+	// score access, the partials the tight bound's walk reaches, since the
+	// subtrees it skips are never formed.
 	PartialsTracked int64
 	// BoundDowngraded is set when a tight bound was requested but the
 	// aggregation is not Quadratic, so the corner bound was used.
