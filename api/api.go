@@ -25,7 +25,7 @@ const (
 
 	// BufferPrune and BufferSpill are the two values Request.BufferPolicy
 	// accepts. Both are ignored; they leave with the field (ROADMAP
-	// item 1).
+	// item 3(a)).
 	BufferPrune = "prune"
 	BufferSpill = "spill"
 
@@ -71,7 +71,7 @@ type Request struct {
 	// server runs stops at K, so its buffer is a bounded consumer that
 	// drops what ranks below its floor, whatever this says. Not part of
 	// the canonical encoding. It stays only while the benchmark harness
-	// still sends it, and leaves with ROADMAP item 1.
+	// still sends it, and leaves with ROADMAP item 3(a).
 	BufferPolicy string `json:"bufferPolicy,omitempty"`
 	// Overflow picks this client's stream-delivery overflow policy when
 	// the server brokers stream delivery: "block" asks the engine to wait
@@ -142,7 +142,7 @@ type Cost struct {
 	Threshold *float64 `json:"threshold,omitempty"`
 	// SpilledCombinations and SpilledBytes are never set: a server never
 	// spills (every query it runs stops at K). They stay only while the
-	// benchmark harness still zeroes them, and leave with ROADMAP item 1.
+	// benchmark harness still zeroes them, and leave with ROADMAP item 3(a).
 	SpilledCombinations int64 `json:"spilledCombinations,omitempty"`
 	SpilledBytes        int64 `json:"spilledBytes,omitempty"`
 }

@@ -28,9 +28,10 @@ type SubsetBound struct {
 
 // TightBoundBreakdown exposes the per-subset state of the tight
 // bounding scheme (distance access). ok is false when the engine runs a
-// different bounding scheme. All stale cached bounds are refreshed, so
-// the reported values are current; this is a diagnostic call and its QP
-// work is excluded from the engine's cost statistics.
+// different bounding scheme. Every partial's bound is solved afresh
+// against the current distance constraints, leaving the cached bounds as
+// they were; this is a diagnostic call and its QP work is excluded from
+// the engine's cost statistics.
 func (e *Engine) TightBoundBreakdown() (subsets []SubsetBound, ok bool) {
 	b, isTight := e.bound.(*tightDistBounder)
 	if !isTight {
@@ -39,22 +40,17 @@ func (e *Engine) TightBoundBreakdown() (subsets []SubsetBound, ok bool) {
 	savedQP := e.stats.QPSolves
 	defer func() { e.stats.QPSolves = savedQP }()
 
-	for _, ss := range b.subsets {
+	for mask, ss := range b.subsets {
 		sb := SubsetBound{
-			Members: append([]int(nil), ss.members...),
-			Valid:   b.valid(ss),
+			Members: append([]int(nil), b.members[mask]...),
+			Valid:   b.completes(mask) && len(ss.partials) > 0,
 			TM:      negInf,
 		}
 		for id := range ss.partials {
-			p := &ss.partials[id]
-			b.computeBound(ss, p)
-			ids := make([]string, len(p.xs))
-			for k, x := range p.xs {
-				ids[k] = b.tupleIDByVector(ss.members[k], x)
-			}
-			sb.Partials = append(sb.Partials, PartialBound{TupleIDs: ids, Bound: p.bound})
-			if p.bound > sb.TM {
-				sb.TM = p.bound
+			bound := b.computeBound(mask, id)
+			sb.Partials = append(sb.Partials, PartialBound{TupleIDs: b.tupleIDs(mask, id), Bound: bound})
+			if bound > sb.TM {
+				sb.TM = bound
 			}
 		}
 		subsets = append(subsets, sb)
@@ -73,15 +69,15 @@ func (e *Engine) TightBoundBreakdown() (subsets []SubsetBound, ok bool) {
 	return subsets, true
 }
 
-// tupleIDByVector finds the ID of the buffered tuple of relation ri whose
-// vector is x (partials reference tuple vectors, not whole tuples).
-func (b *tightDistBounder) tupleIDByVector(ri int, x []float64) string {
-	for _, tup := range b.e.rels[ri].tuples {
-		if tup.Vec.Equal(x) {
-			return tup.ID
-		}
+// tupleIDs names partial id of M by the tuples its ranks point at, in
+// member order.
+func (b *tightDistBounder) tupleIDs(mask, id int) []string {
+	members := b.members[mask]
+	ids := make([]string, len(members))
+	for k, r := range b.subsets[mask].ranks.ranksAt(int32(id)) {
+		ids[k] = b.e.rels[members[k]].tuples[r].ID
 	}
-	return "?"
+	return ids
 }
 
 // StepForTest pulls one tuple from relation ri; exported for harnesses

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
@@ -103,7 +104,7 @@ func TestPaperTable3(t *testing.T) {
 		6: -7.0,  // {2,3}
 	}
 	for mask, want := range wantTM {
-		got := b.tM(b.subsets[mask])
+		got := b.tM(mask)
 		if math.Abs(got-want) > 0.05 {
 			t.Errorf("t_M for mask %03b = %.2f, want %.1f", mask, got, want)
 		}
@@ -123,7 +124,8 @@ func TestPaperTable3PerPartial(t *testing.T) {
 
 	// Within a subset, partials are created in pull order; for the Table 1
 	// pull sequence the partial list orders are deterministic. Identify
-	// each partial by the IDs of its seen tuples instead of list position.
+	// each partial by the IDs of the tuples its ranks name instead of list
+	// position.
 	wantByKey := map[string]float64{
 		"":          -19.2,
 		"t1_1":      -20.6,
@@ -145,36 +147,17 @@ func TestPaperTable3PerPartial(t *testing.T) {
 		"t2_2|t3_1": -13.1,
 		"t2_2|t3_2": -26.8,
 	}
-	rels := table1Relations(t)
-	idOf := func(ri int, x vec.Vector) string {
-		for i := 0; i < rels[ri].Len(); i++ {
-			if rels[ri].At(i).Vec.Equal(x) {
-				return rels[ri].At(i).ID
-			}
-		}
-		t.Fatalf("unknown vector %v in R%d", x, ri+1)
-		return ""
-	}
 	checked := 0
-	for _, ss := range b.subsets {
+	for mask, ss := range b.subsets {
 		for id := range ss.partials {
-			p := &ss.partials[id]
-			key := ""
-			for k, x := range p.xs {
-				if k > 0 {
-					key += "|"
-				}
-				key += idOf(ss.members[k], x)
-			}
+			key := strings.Join(b.tupleIDs(mask, id), "|")
 			want, ok := wantByKey[key]
 			if !ok {
 				t.Errorf("unexpected partial %q", key)
 				continue
 			}
-			// Refresh the cached bound through the subset (lazy mode).
-			b.computeBound(ss, p)
-			if math.Abs(p.bound-want) > 0.05 {
-				t.Errorf("t(%s) = %.2f, want %.1f", key, p.bound, want)
+			if got := b.computeBound(mask, id); math.Abs(got-want) > 0.05 {
+				t.Errorf("t(%s) = %.2f, want %.1f", key, got, want)
 			}
 			checked++
 		}
@@ -182,6 +165,19 @@ func TestPaperTable3PerPartial(t *testing.T) {
 	if checked != len(wantByKey) {
 		t.Errorf("checked %d partials, want %d", checked, len(wantByKey))
 	}
+}
+
+// findPartial returns the id of the partial of subset mask whose tuple IDs
+// joined by "|" are key.
+func findPartial(t *testing.T, b *tightDistBounder, mask int, key string) int {
+	t.Helper()
+	for id := range b.subsets[mask].partials {
+		if strings.Join(b.tupleIDs(mask, id), "|") == key {
+			return id
+		}
+	}
+	t.Fatalf("partial %s not found in subset %03b", key, mask)
+	return -1
 }
 
 // TestPaperExample31Corner checks the corner bound values of Example 3.1:
@@ -217,44 +213,25 @@ func TestPaperExample32Reconstruction(t *testing.T) {
 	b := e.bound.(*tightDistBounder)
 
 	// Partial τ2^(1) (mask {2} = bit 1): y1* = [√2/2, √2/2], y3* = [2, 2].
-	ss := b.subsets[2]
-	var p *distPartial
-	for id := range ss.partials {
-		if ss.partials[id].xs[0].Equal(vec.Of(1, 1)) {
-			p = &ss.partials[id]
-		}
-	}
-	if p == nil {
-		t.Fatal("partial τ2^(1) not found")
-	}
+	id := findPartial(t, b, 2, "t2_1")
 	lower := []float64{e.rels[0].lastDist(), e.rels[2].lastDist()}
 	if math.Abs(lower[0]-1) > 1e-12 || math.Abs(lower[1]-2*math.Sqrt2) > 1e-12 {
 		t.Fatalf("δ = %v, want (1, 2√2)", lower)
 	}
-	b.computeBound(ss, p)
-	if math.Abs(p.bound-(-12.8)) > 0.05 {
-		t.Fatalf("t(τ2^(1)) = %.2f, want -12.8", p.bound)
+	if got := b.computeBound(2, id); math.Abs(got-(-12.8)) > 0.05 {
+		t.Fatalf("t(τ2^(1)) = %.2f, want -12.8", got)
 	}
 
 	// Partial τ1^(1) × τ3^(1) (mask {1,3} = 5): y2* ≈ [−2.53, 1.26], t = −16.
-	ss = b.subsets[5]
-	p = nil
-	for id := range ss.partials {
-		if ss.partials[id].xs[0].Equal(vec.Of(0, -0.5)) && ss.partials[id].xs[1].Equal(vec.Of(-1, 1)) {
-			p = &ss.partials[id]
-		}
-	}
-	if p == nil {
-		t.Fatal("partial τ1^(1) × τ3^(1) not found")
-	}
-	b.computeBound(ss, p)
-	if math.Abs(p.bound-(-16)) > 0.05 {
-		t.Fatalf("t(τ1^(1)×τ3^(1)) = %.2f, want -16", p.bound)
+	id = findPartial(t, b, 5, "t1_1|t3_1")
+	if got := b.computeBound(5, id); math.Abs(got-(-16)) > 0.05 {
+		t.Fatalf("t(τ1^(1)×τ3^(1)) = %.2f, want -16", got)
 	}
 	// Reconstruct y2* explicitly.
-	dir, _ := p.nu.Sub(e.q).Unit()
-	if !p.nu.ApproxEqual(vec.Of(-0.5, 0.25), 1e-12) {
-		t.Fatalf("ν = %v, want [-0.5 0.25]", p.nu)
+	_, nu := b.seen(5, id)
+	dir, _ := nu.Sub(e.q).Unit()
+	if !nu.ApproxEqual(vec.Of(-0.5, 0.25), 1e-12) {
+		t.Fatalf("ν = %v, want [-0.5 0.25]", nu)
 	}
 	y2 := e.q.AddScaled(2*math.Sqrt2, dir)
 	if !y2.ApproxEqual(vec.Of(-2.5298, 1.2649), 1e-3) {

@@ -21,7 +21,7 @@ import (
 //
 // A pull pays only for what it changed. register computes the pulled
 // tuple's w_s·T(σ) once — the relation's new unseen cap and the walk's
-// seen term for τ — and marks the per-subset bounds stale; the next
+// seen term for τ — and marks the lattice's t_M values stale; the next
 // threshold recomputes them into ts, which potential then reads.
 // The walk over the new partials PC(M−{i}) × {τ} is branch-and-bound:
 // geo only subtracts non-negative terms from the seen score sum, so the
@@ -34,11 +34,13 @@ import (
 // optimal completion point, reconstruction list), so the steady state
 // allocates nothing per partial.
 type tightScoreBounder struct {
-	e             *Engine
-	quad          agg.Quadratic
-	ws, wq, wmu   float64
-	subsets       []*scoreSubset
-	exhaustedMask int
+	subsetLattice
+	e           *Engine
+	quad        agg.Quadratic
+	ws, wq, wmu float64
+	// bestGeo[mask] is the best geometric bound part over PC(M), −∞ while
+	// PC(M) is empty.
+	bestGeo []float64
 	// caps[j] is w_s·T(σ) of R_j's last pulled tuple, or of σ_max before
 	// its first pull: the unseen cap of eq. (40). mag[j] is the running
 	// maximum of |w_s·T(σ)| + w_q·‖x−q‖² over R_j's prefix: the scale of
@@ -46,11 +48,6 @@ type tightScoreBounder struct {
 	// sets the walk's pruneSlack.
 	caps []float64
 	mag  []float64
-	// ts[mask] is t_s(M) of eq. (40), −∞ for a subset that cannot describe
-	// an unseen combination; stale until threshold or potential refreshes
-	// it after a register or registerExhausted.
-	ts    []float64
-	stale bool
 	// geo scratch, reused across every geometric evaluation.
 	nuBuf    vec.Vector
 	diffBuf  vec.Vector
@@ -63,7 +60,7 @@ type tightScoreBounder struct {
 // scoreWalk is extendSubset's state for one subset (single-threaded
 // recursion scratch, so the walk allocates nothing).
 type scoreWalk struct {
-	ss     *scoreSubset
+	mask   int
 	others []int        // M − {i} in member order: the levels of the walk
 	xs     []vec.Vector // the partial being formed, member order
 	pos    int          // position of the pulled relation within xs
@@ -73,14 +70,6 @@ type scoreWalk struct {
 	suf []float64
 	mag float64 // Σ mag over M
 	bar float64 // bestGeo − pruneSlack: a separable bound below it is skipped
-}
-
-type scoreSubset struct {
-	mask    int
-	members []int
-	unseen  []int
-	bestGeo float64 // max over PC(M) of the geometric bound part
-	any     bool
 }
 
 func newTightScoreBounder(e *Engine, quad agg.Quadratic) *tightScoreBounder {
@@ -96,8 +85,7 @@ func newTightScoreBounder(e *Engine, quad agg.Quadratic) *tightScoreBounder {
 		ws:   ws, wq: wq, wmu: wmu,
 		caps:     take(e.n),
 		mag:      take(e.n),
-		ts:       take(full - 1),
-		stale:    true,
+		bestGeo:  take(full - 1),
 		nuBuf:    take(e.dim),
 		diffBuf:  take(e.dim),
 		ystarBuf: take(e.dim),
@@ -109,25 +97,16 @@ func newTightScoreBounder(e *Engine, quad agg.Quadratic) *tightScoreBounder {
 			suf:    take(e.n),
 		},
 	}
+	b.subsetLattice = newSubsetLattice(e.n, b)
 	for j, rs := range e.rels {
 		b.caps[j] = ws * quad.TransformScore(rs.maxScore)
 	}
-	b.subsets = make([]*scoreSubset, full-1)
-	for mask := 0; mask < full-1; mask++ {
-		ss := &scoreSubset{mask: mask, bestGeo: negInf}
-		for i := 0; i < e.n; i++ {
-			if mask&(1<<i) != 0 {
-				ss.members = append(ss.members, i)
-			} else {
-				ss.unseen = append(ss.unseen, i)
-			}
-		}
-		b.subsets[mask] = ss
-	}
 	// The empty partial: all n points at the optimum y* = q, zero distance
 	// penalties, zero seen score.
-	b.subsets[0].bestGeo = 0
-	b.subsets[0].any = true
+	b.bestGeo[0] = 0
+	for mask := 1; mask < full-1; mask++ {
+		b.bestGeo[mask] = negInf
+	}
 	e.stats.PartialsTracked++
 	return b
 }
@@ -141,21 +120,21 @@ func (b *tightScoreBounder) register(ri int) {
 		b.mag[ri] = m
 	}
 	b.stale = true
-	for _, ss := range b.subsets {
-		if ss.mask&(1<<ri) != 0 {
-			b.extendSubset(ss, ri)
+	for mask := range b.bestGeo {
+		if mask&(1<<ri) != 0 {
+			b.extendSubset(mask, ri)
 		}
 	}
 }
 
-// extendSubset raises ss.bestGeo to the best geometric bound among the new
-// partials PC(M−{ri}) × {τ}, τ being ri's last pulled tuple.
-func (b *tightScoreBounder) extendSubset(ss *scoreSubset, ri int) {
+// extendSubset raises bestGeo[mask] to the best geometric bound among the
+// new partials PC(M−{ri}) × {τ}, τ being ri's last pulled tuple.
+func (b *tightScoreBounder) extendSubset(mask, ri int) {
 	w := &b.walk
-	w.ss = ss
+	w.mask = mask
 	w.others = w.others[:0]
 	w.mag = b.mag[ri]
-	for k, j := range ss.members {
+	for k, j := range b.members[mask] {
 		if j == ri {
 			w.pos = k
 			continue
@@ -166,7 +145,6 @@ func (b *tightScoreBounder) extendSubset(ss *scoreSubset, ri int) {
 		w.others = append(w.others, j)
 		w.mag += b.mag[j]
 	}
-	ss.any = true
 	rs := b.e.rels[ri]
 	last := rs.depth() - 1
 	w.xs[w.pos] = rs.tuples[last].Vec
@@ -176,7 +154,7 @@ func (b *tightScoreBounder) extendSubset(ss *scoreSubset, ri int) {
 		w.suf[k] = sb
 		sb += b.e.rels[w.others[k]].soloMax
 	}
-	w.bar = ss.bestGeo - pruneSlack(ss.bestGeo, w.mag)
+	w.bar = b.bestGeo[mask] - pruneSlack(b.bestGeo[mask], w.mag)
 	if len(w.others) == 0 {
 		// M = {ri}: the one new partial is ⟨τ⟩.
 		b.e.stats.PartialsTracked++
@@ -199,8 +177,8 @@ func (b *tightScoreBounder) extendSubset(ss *scoreSubset, ri int) {
 func (b *tightScoreBounder) extend(oi int, accT, accSolo float64) {
 	w := &b.walk
 	if oi == len(w.others) {
-		if g := b.geo(w.xs[:len(w.ss.members)], accT+w.tauT); g > w.ss.bestGeo {
-			w.ss.bestGeo = g
+		if g := b.geo(w.xs[:len(w.others)+1], accT+w.tauT); g > b.bestGeo[w.mask] {
+			b.bestGeo[w.mask] = g
 			w.bar = g - pruneSlack(g, w.mag)
 		}
 		return
@@ -259,62 +237,13 @@ func (b *tightScoreBounder) geo(xs []vec.Vector, sumT float64) float64 {
 	return val
 }
 
-func (b *tightScoreBounder) registerExhausted(ri int) {
-	b.exhaustedMask |= 1 << ri
-	b.stale = true
-}
-
-func (b *tightScoreBounder) valid(ss *scoreSubset) bool {
-	return ss.any && ss.mask&b.exhaustedMask == b.exhaustedMask
-}
-
-// tsM is the subset bound: best geometric part plus the current unseen
-// score caps (eq. (40) with the Algorithm 3 incremental bookkeeping).
-func (b *tightScoreBounder) tsM(ss *scoreSubset) float64 {
-	v := ss.bestGeo
-	for _, j := range ss.unseen {
+// tM is the subset bound: best geometric part plus the current unseen
+// score caps (eq. (40) with the Algorithm 3 incremental bookkeeping); −∞
+// while PC(M) is empty, because bestGeo is.
+func (b *tightScoreBounder) tM(mask int) float64 {
+	v := b.bestGeo[mask]
+	for _, j := range b.unseen[mask] {
 		v += b.caps[j]
 	}
 	return v
-}
-
-// refresh recomputes ts once per register or registerExhausted.
-func (b *tightScoreBounder) refresh() {
-	if !b.stale {
-		return
-	}
-	for _, ss := range b.subsets {
-		v := negInf
-		if b.valid(ss) {
-			v = b.tsM(ss)
-		}
-		b.ts[ss.mask] = v
-	}
-	b.stale = false
-}
-
-func (b *tightScoreBounder) threshold() float64 {
-	b.refresh()
-	t := negInf
-	for _, tm := range b.ts {
-		if tm > t {
-			t = tm
-		}
-	}
-	return t
-}
-
-func (b *tightScoreBounder) potential(ri int) float64 {
-	if b.e.rels[ri].exhausted {
-		return negInf
-	}
-	b.refresh()
-	pot := negInf
-	bit := 1 << ri
-	for mask, tm := range b.ts {
-		if mask&bit == 0 && tm > pot {
-			pot = tm
-		}
-	}
-	return pot
 }

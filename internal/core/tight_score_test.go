@@ -42,7 +42,7 @@ func TestScoreBoundClosedFormC1(t *testing.T) {
 		t.Fatalf("geo = %v, want -4/3 (optimum at y* = 1/3)", geo)
 	}
 	// Subset {R1} (mask 1): ts_M = geo + ws·ln(lastScore of R2) = -4/3 + 0.
-	if got := b.tsM(b.subsets[1]); math.Abs(got-(-4.0/3.0)) > 1e-9 {
+	if got := b.tM(1); math.Abs(got-(-4.0/3.0)) > 1e-9 {
 		t.Fatalf("ts_M = %v, want -4/3", got)
 	}
 }
@@ -78,15 +78,15 @@ func TestQuickScoreGeoIsOptimal(t *testing.T) {
 			return false
 		}
 		// Random partial from a random non-empty subset.
-		for _, ss := range b.subsets {
-			m := len(ss.members)
-			if m == 0 || m == e.n {
+		for mask, members := range b.members {
+			m := len(members)
+			if m == 0 {
 				continue
 			}
 			xs := make([]vec.Vector, 0, m)
 			var sumT float64
 			okAll := true
-			for _, j := range ss.members {
+			for _, j := range members {
 				rs := e.rels[j]
 				if rs.depth() == 0 {
 					okAll = false
@@ -118,7 +118,7 @@ func TestQuickScoreGeoIsOptimal(t *testing.T) {
 					val -= wq*pt.Dist2(e.q) + wmu*pt.Dist2(mu)
 				}
 				if val > geo+1e-7 {
-					t.Logf("seed %d mask %b: random completion %v beats closed form %v", seed, ss.mask, val, geo)
+					t.Logf("seed %d mask %b: random completion %v beats closed form %v", seed, mask, val, geo)
 					return false
 				}
 			}
@@ -183,12 +183,13 @@ func TestEpsilonValidation(t *testing.T) {
 // BenchmarkScoreBound is what the score-access tight bound costs: one
 // TBPA run over score access at n = 3 and n = 4 on a fixed instance,
 // reporting the geometric evaluations (qp-solves/op) and the partials the
-// bound's walk reaches (partials/op) beside the time. Both counts are
-// deterministic, so one iteration (-benchtime 1x) reads them exactly.
+// bound's walk reaches (partials/op) beside time and memory. Both counts
+// are deterministic, so one iteration (-benchtime 1x) reads them exactly.
 func BenchmarkScoreBound(b *testing.B) {
 	for _, shape := range []struct{ n, size int }{{3, 200}, {4, 60}} {
 		in := fixedInstance(rand.New(rand.NewSource(35)), shape.n, shape.size, 3, 10)
 		b.Run(fmt.Sprintf("n=%d", shape.n), func(b *testing.B) {
+			b.ReportAllocs()
 			var solves, partials int64
 			for i := 0; i < b.N; i++ {
 				st := runAlgo(b, in, relation.ScoreAccess, Options{Algorithm: TBPA}).Stats
@@ -216,7 +217,7 @@ type refScoreBounder struct {
 func newRefScoreBounder(e *Engine) *refScoreBounder {
 	b := e.bound.(*tightScoreBounder)
 	r := &refScoreBounder{b: b, xs: make([]vec.Vector, e.n)}
-	for range b.subsets {
+	for range b.members {
 		r.best = append(r.best, negInf)
 		r.any = append(r.any, false)
 	}
@@ -229,23 +230,23 @@ func (r *refScoreBounder) wsT(sigma float64) float64 { return r.b.ws * r.b.quad.
 func (r *refScoreBounder) register(ri int) {
 	e := r.b.e
 	tau := e.rels[ri].tuples[e.rels[ri].depth()-1]
-	for _, ss := range r.b.subsets {
-		if ss.mask&(1<<ri) == 0 {
+	for mask, members := range r.b.members {
+		if mask&(1<<ri) == 0 {
 			continue
 		}
-		xs := r.xs[:len(ss.members)]
+		xs := r.xs[:len(members)]
 		// walk fixes member k and recurses; the pulled member is τ, and its
 		// score term is added last, as the engine's walk adds it.
 		var walk func(k int, acc float64)
 		walk = func(k int, acc float64) {
-			if k == len(ss.members) {
-				if g := r.b.geo(xs, acc+r.wsT(tau.Score)); g > r.best[ss.mask] {
-					r.best[ss.mask] = g
+			if k == len(members) {
+				if g := r.b.geo(xs, acc+r.wsT(tau.Score)); g > r.best[mask] {
+					r.best[mask] = g
 				}
-				r.any[ss.mask] = true
+				r.any[mask] = true
 				return
 			}
-			j := ss.members[k]
+			j := members[k]
 			if j == ri {
 				xs[k] = tau.Vec
 				walk(k+1, acc)
@@ -267,7 +268,7 @@ func (r *refScoreBounder) tsM(mask int) float64 {
 		return negInf
 	}
 	v := r.best[mask]
-	for _, j := range r.b.subsets[mask].unseen {
+	for _, j := range r.b.unseen[mask] {
 		v += r.wsT(r.b.e.rels[j].lastScore())
 	}
 	return v
@@ -393,9 +394,9 @@ func TestQuickScoreBoundWalkExact(t *testing.T) {
 				if err := oracle.step(ri); err != nil {
 					t.Fatal(err)
 				}
-				for _, ss := range b.subsets {
-					if math.Float64bits(ss.bestGeo) != math.Float64bits(ref.best[ss.mask]) {
-						t.Fatalf("%s pull %d mask %b: bestGeo %v, reference %v", name, pull, ss.mask, ss.bestGeo, ref.best[ss.mask])
+				for mask, g := range b.bestGeo {
+					if math.Float64bits(g) != math.Float64bits(ref.best[mask]) {
+						t.Fatalf("%s pull %d mask %b: bestGeo %v, reference %v", name, pull, mask, g, ref.best[mask])
 					}
 				}
 				if math.Float64bits(e.t) != math.Float64bits(oracle.t) {
