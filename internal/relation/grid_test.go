@@ -230,3 +230,65 @@ func TestShardBoundNeverExceedsFirstKey(t *testing.T) {
 		}
 	}
 }
+
+// branchyLowerBound is DistanceLowerBound with the rectangle's distance
+// summed the branchy way, a term only for the axes q lies outside of.
+func branchyLowerBound(b ShardBounds, q vec.Vector) float64 {
+	d := vec.Euclidean{}.Distance(vec.Vector(b.Centroid), q)*(1-boundSlack) - b.Radius*(1+boundSlack)
+	if b.Min != nil {
+		var s float64
+		for i := range q {
+			switch {
+			case q[i] < b.Min[i]:
+				x := b.Min[i] - q[i]
+				s += x * x
+			case q[i] > b.Max[i]:
+				x := q[i] - b.Max[i]
+				s += x * x
+			}
+		}
+		d = max(d, math.Sqrt(s))
+	}
+	if d <= 0 {
+		return 0
+	}
+	return d * (1 - boundSlack)
+}
+
+// TestShardBoundMatchesBranchyRect: the branch-free rectangle distance
+// leaves every shard's lower bound with the bits it had, on the grid
+// fixtures — ties, tenths, one-point rectangles — at every query position
+// boundQueries places against each shard's rectangle, and at ±0.
+func TestShardBoundMatchesBranchyRect(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 48; trial++ {
+		dim := 1 + trial%8
+		size := 1 + r.Intn(90)
+		var rel *Relation
+		switch trial % 3 {
+		case 0:
+			rel = tieRelation(t, int64(trial), size, dim)
+		case 1:
+			rel = decimalRelation(t, r, size, dim)
+		default:
+			rel = flatRelation(t, size, dim)
+		}
+		s, err := Partition(rel, 1+trial%16, GridPartition)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.NumShards(); i++ {
+			b := s.ShardBounds(i)
+			zero, negZero := vec.New(dim), vec.New(dim)
+			for c := range negZero {
+				negZero[c] = math.Copysign(0, -1)
+			}
+			for qi, q := range append(boundQueries(r, b.Min, b.Max), zero, negZero) {
+				got, want := b.DistanceLowerBound(q), branchyLowerBound(b, q)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d shard %d query %d: bound %v, branchy %v", trial, i, qi, got, want)
+				}
+			}
+		}
+	}
+}

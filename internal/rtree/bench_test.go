@@ -56,14 +56,21 @@ func BenchmarkBulkLoad(b *testing.B) {
 }
 
 // Open a traversal and take k neighbours: k = 1 is what a shard stream pays
-// before its first row, k = 100 a typical pulled prefix.
+// before its first row, k = 100 a typical pulled prefix, and k = 165 the
+// depth a relfile_spill query reaches in each relation. pushes/op and
+// leaves/op are the queue's counters, which repeat exactly.
 func BenchmarkNNPrefix(b *testing.B) {
 	for _, s := range benchShapes {
 		pts := benchPoints(s.n, s.d)
 		tr := BulkLoad(s.d, pts, make([]int, len(pts)))
-		for _, k := range []int{1, 100} {
+		ks := []int{1, 100}
+		if s.d == 8 {
+			ks = append(ks, 165)
+		}
+		for _, k := range ks {
 			b.Run(fmt.Sprintf("%s/k%d", s.name, k), func(b *testing.B) {
 				b.ReportAllocs()
+				var pushes, leaves int
 				for i := 0; i < b.N; i++ {
 					it := tr.NearestNeighbors(pts[i%len(pts)])
 					for j := 0; j < k; j++ {
@@ -71,7 +78,11 @@ func BenchmarkNNPrefix(b *testing.B) {
 							b.Fatal("stream ended early")
 						}
 					}
+					pushes += int(it.seq)
+					leaves += int(it.opened)
 				}
+				b.ReportMetric(float64(pushes)/float64(b.N), "pushes/op")
+				b.ReportMetric(float64(leaves)/float64(b.N), "leaves/op")
 			})
 		}
 	}

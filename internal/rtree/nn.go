@@ -10,28 +10,33 @@ import (
 // NNIterator streams points in non-decreasing Euclidean distance from a
 // query point using the incremental best-first traversal of Hjaltason &
 // Samet. Construction is O(1); each Next pops from a priority queue that
-// mixes nodes (keyed by the minimum distance to their bounding box) and
-// point entries (keyed by exact distance). The queue is a binary heap of
-// 16-byte pointer-free items kept inline; a steady-state Next allocates
-// nothing but the amortised growth of that slice, and a traversal whose
-// owner calls Release hands the slice to the next one.
+// holds nodes, keyed by the minimum distance to their bounding box, and
+// one cursor per opened leaf, keyed by the exact distance of the nearest
+// point of that leaf not yet returned. A cursor is one sorted run in the
+// queue: popping it returns its point and re-keys it in place at the
+// leaf's next point, so a leaf costs one push however many of its points
+// are returned, and a point never returned costs none. The queue is a
+// binary heap of 16-byte pointer-free items kept inline; a steady-state
+// Next allocates nothing but the amortised growth of that slice, and a
+// traversal whose owner calls Release hands the slice to the next one.
 type NNIterator[T any] struct {
-	tree  *Tree[T]
-	query []float64
-	heap  []nnItem
-	seq   uint32 // items pushed so far
+	tree   *Tree[T]
+	query  []float64
+	heap   []nnItem
+	seq    uint32 // items pushed so far
+	opened uint32 // leaves opened so far
 }
 
-// nnItem is one queued node or point entry.
+// nnItem is one queued node or leaf cursor.
 type nnItem struct {
 	dist2 float64
-	ref   int32  // node id, or ^index of a point entry
+	ref   int32  // node id, or ^index of a leaf cursor's current point entry
 	seq   uint32 // push order, the last tiebreaker
 }
 
-// before orders the queue: by squared distance, nodes before point entries
-// at equal distance (a node may still hold a point at exactly that
-// distance), then by push order so the traversal is deterministic.
+// before orders the queue: by squared distance, nodes before cursors at
+// equal distance (a node may still hold a point at exactly that distance),
+// then by push order so the traversal is deterministic.
 func (a nnItem) before(b nnItem) bool {
 	if a.dist2 != b.dist2 {
 		return a.dist2 < b.dist2
@@ -48,8 +53,8 @@ func (t *Tree[T]) NearestNeighbors(q vec.Vector) *NNIterator[T] {
 	if q.Dim() != t.dim {
 		panic("rtree: query dimension mismatch")
 	}
-	// A first neighbour costs about nodeCap pushes per level; 128 items
-	// (2 KiB) get a traversal there without regrowing the heap.
+	// A first neighbour costs about nodeCap pushes per inner level; 128
+	// items (2 KiB) get a traversal there without regrowing the heap.
 	var heap []nnItem
 	if released, _ := heapPool.Get().(*[]nnItem); released != nil {
 		heap = *released
@@ -65,7 +70,7 @@ func (t *Tree[T]) NearestNeighbors(q vec.Vector) *NNIterator[T] {
 
 // heapPool holds the queues of released traversals. A shard server opens a
 // traversal per remote stream and most end after one batch of rows: their
-// queues (2 KiB, 6 KiB once grown) were a quarter of what a coordinator
+// queues (2 KiB, more once grown) were a quarter of what a coordinator
 // topology allocated per query, and the collector's cycles are its
 // latency tail.
 var heapPool sync.Pool
@@ -91,22 +96,34 @@ func (it *NNIterator[T]) Release() {
 func (it *NNIterator[T]) Next() (value T, dist float64, ok bool) {
 	t, q := it.tree, it.query
 	dim := len(q)
+	var d2 [nodeCap]float64 // the open leaf's squared distances
 	for len(it.heap) > 0 {
-		top := it.pop()
+		top := it.heap[0]
 		if top.ref < 0 {
-			return t.vals[^top.ref], math.Sqrt(top.dist2), true
+			// A cursor: return its point, then move it to the leaf's
+			// next point in (distance, entry) order, or retire it.
+			e := int(^top.ref)
+			base := e / nodeCap * nodeCap
+			n := leafDist2(&d2, t.pts[base*dim:min(base+nodeCap, len(t.vals))*dim], q)
+			if j := nextInLeaf(d2[:n], top.dist2, e-base); j >= 0 {
+				it.heap[0] = nnItem{dist2: d2[j], ref: ^int32(base + j), seq: top.seq}
+				it.down()
+			} else {
+				it.pop()
+			}
+			return t.vals[e], math.Sqrt(top.dist2), true
 		}
 		if id := int(top.ref); id < t.leaves {
-			end := min((id+1)*nodeCap, len(t.vals))
-			for e := id * nodeCap; e < end; e++ {
-				var s float64
-				for i, x := range t.pts[e*dim : (e+1)*dim] {
-					d := x - q[i]
-					s += d * d
-				}
-				it.push(s, ^int32(e))
-			}
+			// Open the leaf: its cursor takes the node's place.
+			base := id * nodeCap
+			n := leafDist2(&d2, t.pts[base*dim:min(base+nodeCap, len(t.vals))*dim], q)
+			j := nextInLeaf(d2[:n], 0, -1)
+			it.heap[0] = nnItem{dist2: d2[j], ref: ^int32(base + j), seq: it.seq}
+			it.seq++
+			it.opened++
+			it.down()
 		} else {
+			it.pop()
 			m := id - t.leaves
 			for e := int(t.first[m]); e < int(t.first[m+1]); e++ {
 				box := t.boxes[e*2*dim : (e+1)*2*dim]
@@ -116,6 +133,67 @@ func (it *NNIterator[T]) Next() (value T, dist float64, ok bool) {
 	}
 	return value, 0, false
 }
+
+// leafDist2 fills d2 with the squared distances from q to the points
+// stored in pts (at most nodeCap of them, len(q) coordinates each) and
+// returns how many there are. Four points go at a time, on four
+// independent sums; each sum still starts at zero and adds d·d in
+// coordinate order, as vec.Vector.Dist2 does, so every value has its bits.
+func leafDist2(d2 *[nodeCap]float64, pts, q []float64) int {
+	dim := len(q)
+	n := len(pts) / dim
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		p0 := pts[j*dim:][:dim]
+		p1 := pts[(j+1)*dim:][:dim]
+		p2 := pts[(j+2)*dim:][:dim]
+		p3 := pts[(j+3)*dim:][:dim]
+		var s0, s1, s2, s3 float64
+		for i, x := range q {
+			a, b, c, d := p0[i]-x, p1[i]-x, p2[i]-x, p3[i]-x
+			s0 += a * a
+			s1 += b * b
+			s2 += c * c
+			s3 += d * d
+		}
+		d2[j], d2[j+1], d2[j+2], d2[j+3] = s0, s1, s2, s3
+	}
+	for ; j < n; j++ {
+		p := pts[j*dim:][:dim]
+		var s float64
+		for i, x := range q {
+			d := p[i] - x
+			s += d * d
+		}
+		d2[j] = s
+	}
+	return n
+}
+
+// nextInLeaf returns the entry j whose (d2[j], j) is the least pair after
+// (dist2, entry), or -1 when the leaf has none left: an entry up to entry
+// must lie beyond dist2, a later one may tie it. Keys compare as bit
+// patterns with the sign cleared. Squared distances are never negative, so
+// those order as the values do, and a NaN, which only a NaN query makes,
+// sorts last instead of stalling the leaf. k lies in [lo, least) exactly
+// when k−lo < least−lo in unsigned arithmetic, one compare the compiler
+// turns into a conditional move.
+func nextInLeaf(d2 []float64, dist2 float64, entry int) int {
+	next, least := -1, uint64(math.MaxUint64) // above every key
+	lo := distKey(dist2) + 1
+	for j, x := range d2 {
+		if j == entry+1 {
+			lo--
+		}
+		if k := distKey(x); k-lo < least-lo {
+			next, least = j, k
+		}
+	}
+	return next
+}
+
+// distKey is a squared distance's sort key.
+func distKey(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
 
 func (it *NNIterator[T]) push(dist2 float64, ref int32) {
 	item := nnItem{dist2: dist2, ref: ref, seq: it.seq}
@@ -134,13 +212,21 @@ func (it *NNIterator[T]) push(dist2 float64, ref int32) {
 	h[i] = item
 }
 
-func (it *NNIterator[T]) pop() nnItem {
+// pop removes the root.
+func (it *NNIterator[T]) pop() {
+	n := len(it.heap) - 1
+	it.heap[0] = it.heap[n]
+	it.heap = it.heap[:n]
+	if n > 0 {
+		it.down()
+	}
+}
+
+// down sifts the root down to its place.
+func (it *NNIterator[T]) down() {
 	h := it.heap
-	top := h[0]
-	n := len(h) - 1
-	item := h[n]
-	it.heap = h[:n]
-	h = h[:n]
+	n := len(h)
+	item := h[0]
 	i := 0
 	for {
 		c := 2*i + 1
@@ -156,23 +242,5 @@ func (it *NNIterator[T]) pop() nnItem {
 		h[i] = h[c]
 		i = c
 	}
-	if n > 0 {
-		h[i] = item
-	}
-	return top
-}
-
-// KNearest returns the k closest points to q with their distances (fewer
-// if the tree is smaller).
-func (t *Tree[T]) KNearest(q vec.Vector, k int) (values []T, dists []float64) {
-	it := t.NearestNeighbors(q)
-	for len(values) < k {
-		v, d, ok := it.Next()
-		if !ok {
-			break
-		}
-		values = append(values, v)
-		dists = append(dists, d)
-	}
-	return values, dists
+	h[i] = item
 }

@@ -216,42 +216,78 @@ func TestBulkLoadCopiesPoints(t *testing.T) {
 // pushFixture is the fixed 20 000 × dim 4 data set the push ceiling below
 // was recorded on.
 func pushFixture() (*Tree[int], []vec.Vector) {
-	r := rand.New(rand.NewSource(20000))
-	pts := make([]vec.Vector, 20000)
+	return uniformFixture(20000, 4, 20000)
+}
+
+// uniformFixture is n points and 20 queries drawn uniformly from the unit
+// cube of dimension d with the given seed.
+func uniformFixture(n, d int, seed int64) (*Tree[int], []vec.Vector) {
+	r := rand.New(rand.NewSource(seed))
+	draw := func() vec.Vector {
+		p := vec.New(d)
+		for j := range p {
+			p[j] = r.Float64()
+		}
+		return p
+	}
+	pts := make([]vec.Vector, n)
 	for i := range pts {
-		pts[i] = vec.Of(r.Float64(), r.Float64(), r.Float64(), r.Float64())
+		pts[i] = draw()
 	}
 	queries := make([]vec.Vector, 20)
 	for i := range queries {
-		queries[i] = vec.Of(r.Float64(), r.Float64(), r.Float64(), r.Float64())
+		queries[i] = draw()
 	}
-	return BulkLoad(4, pts, make([]int, len(pts))), queries
+	return BulkLoad(d, pts, make([]int, len(pts))), queries
 }
 
-// TestHeapPushCeiling guards the tiling: the heap pushes a 100-neighbour
-// prefix costs are a count that repeats exactly, so a bulk load that
-// starts cutting leaves across tile boundaries again (or any other loss of
-// packing quality) shows here without a timing.
-func TestHeapPushCeiling(t *testing.T) {
-	// Recorded 17 197 with tile-aligned slabs; the same load with slabs of
-	// ceil(len/slabs) entries, leaves straddling tiles, takes 29 112.
-	const ceiling = 17_500
-	tr, queries := pushFixture()
+// prefixPushes returns the heap pushes and leaf opens that k-neighbour
+// prefixes at every query cost together.
+func prefixPushes(t *testing.T, tr *Tree[int], queries []vec.Vector, k int) (pushes, opened int) {
+	t.Helper()
 	if err := tr.check(); err != nil {
 		t.Fatal(err)
 	}
-	pushes := 0
 	for _, q := range queries {
 		it := tr.NearestNeighbors(q)
-		for i := 0; i < 100; i++ {
+		for i := 0; i < k; i++ {
 			if _, _, ok := it.Next(); !ok {
 				t.Fatal("stream ended early")
 			}
 		}
 		pushes += int(it.seq)
+		opened += int(it.opened)
 	}
-	if pushes > ceiling {
+	return pushes, opened
+}
+
+// TestHeapPushCeiling guards the tiling and the leaf cursors: the heap
+// pushes a 100-neighbour prefix costs are a count that repeats exactly, so
+// a bulk load that starts cutting leaves across tile boundaries again (or
+// any other loss of packing quality), or a traversal that queues points one
+// by one again, shows here without a timing.
+func TestHeapPushCeiling(t *testing.T) {
+	// Recorded 6 232 (5 501 nodes, 731 leaf cursors) with one cursor per
+	// opened leaf. Queueing every point of an opened leaf took 17 197 with
+	// tile-aligned slabs, and 29 112 with slabs of ceil(len/slabs)
+	// entries, leaves straddling tiles.
+	const ceiling = 6_250
+	tr, queries := pushFixture()
+	if pushes, _ := prefixPushes(t, tr, queries, 100); pushes > ceiling {
 		t.Fatalf("%d heap pushes for %d 100-step prefixes, ceiling %d", pushes, len(queries), ceiling)
+	}
+}
+
+// TestHeapPushCeilingDim8: at dim 8 a prefix opens far more leaves than it
+// returns points from, which is where a cursor per leaf instead of an item
+// per point pays most.
+func TestHeapPushCeilingDim8(t *testing.T) {
+	// Recorded 12 409 (9 744 nodes, 2 665 leaf cursors); queueing every
+	// point of an opened leaf took 52 368.
+	const ceiling = 12_500
+	tr, queries := uniformFixture(7500, 8, 7500)
+	if pushes, _ := prefixPushes(t, tr, queries, 50); pushes > ceiling {
+		t.Fatalf("%d heap pushes for %d 50-step prefixes, ceiling %d", pushes, len(queries), ceiling)
 	}
 }
 

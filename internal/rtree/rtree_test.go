@@ -45,6 +45,81 @@ func TestRectMinDist2(t *testing.T) {
 	}
 }
 
+// branchyMinDist2 is MinDist2 as it was written before it went branch-free:
+// a term only for the axes p lies outside of.
+func branchyMinDist2(r Rect, p vec.Vector) float64 {
+	var s float64
+	for i := range p {
+		switch {
+		case p[i] < r.Min[i]:
+			d := r.Min[i] - p[i]
+			s += d * d
+		case p[i] > r.Max[i]:
+			d := p[i] - r.Max[i]
+			s += d * d
+		}
+	}
+	return s
+}
+
+// TestMinDist2MatchesBranchy: the branch-free MinDist2 has the bits of the
+// branchy one on random boxes (some flat on an axis, some with a ±0 face)
+// for points inside, outside, on a face and at ±0, axis by axis.
+func TestMinDist2MatchesBranchy(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := 1 + r.Intn(8)
+		lo, hi := vec.New(d), vec.New(d)
+		for i := range lo {
+			a, b := r.NormFloat64()*math.Pow(10, float64(r.Intn(7)-3)), r.NormFloat64()
+			switch r.Intn(5) {
+			case 0:
+				b = a // flat on this axis
+			case 1:
+				a = negZero
+			case 2:
+				b = 0
+			}
+			lo[i], hi[i] = min(a, b), max(a, b)
+			if lo[i] == hi[i] && r.Intn(2) == 0 {
+				lo[i], hi[i] = negZero, 0
+			}
+		}
+		box := Rect{Min: lo, Max: hi}
+		for trial := 0; trial < 20; trial++ {
+			p := vec.New(d)
+			for i := range p {
+				span := hi[i] - lo[i]
+				switch r.Intn(7) {
+				case 0:
+					p[i] = lo[i] + r.Float64()*span // inside
+				case 1:
+					p[i] = lo[i] // on a face
+				case 2:
+					p[i] = hi[i]
+				case 3:
+					p[i] = lo[i] - r.ExpFloat64()*(1+span) // below
+				case 4:
+					p[i] = hi[i] + r.ExpFloat64()*(1+span) // above
+				case 5:
+					p[i] = 0
+				case 6:
+					p[i] = negZero
+				}
+			}
+			if math.Float64bits(box.MinDist2(p)) != math.Float64bits(branchyMinDist2(box, p)) {
+				t.Logf("box %v point %v: %v, branchy %v", box, p, box.MinDist2(p), branchyMinDist2(box, p))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestBulkLoadAndKNearest(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	n := 300
@@ -92,6 +167,33 @@ func TestNNIteratorEmptyAndExhaustion(t *testing.T) {
 		if _, _, ok := it.Next(); ok {
 			t.Fatal("exhausted iterator yielded an entry")
 		}
+	}
+}
+
+// TestNNNaNQueryEmitsEveryPoint: a query with a NaN coordinate has no
+// distance order, but the traversal still ends, after every point exactly
+// once — a leaf's NaN distances keep a total order inside the leaf.
+func TestNNNaNQueryEmitsEveryPoint(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	pts := oracleData(r, 300, 3)
+	vals := make([]int, len(pts))
+	for i := range vals {
+		vals[i] = i
+	}
+	it := BulkLoad(3, pts, vals).NearestNeighbors(vec.Of(0.5, math.NaN(), 0.5))
+	seen := make([]bool, len(pts))
+	for rank := 0; ; rank++ {
+		v, d, ok := it.Next()
+		if !ok {
+			if rank != len(pts) {
+				t.Fatalf("stream ended after %d of %d points", rank, len(pts))
+			}
+			break
+		}
+		if seen[v] || !math.IsNaN(d) {
+			t.Fatalf("point %d emitted twice, or at %v from a NaN query", v, d)
+		}
+		seen[v] = true
 	}
 }
 
