@@ -20,8 +20,8 @@ func TestStreamFromSourcesKindValidation(t *testing.T) {
 	rels := smallRelations(t)
 	q := proxrank.Vector{0, 0}
 	sources := []proxrank.Source{
-		proxrank.NewScoreSource(rels[0]), // wrong kind for DistanceAccess below
-		mustDistanceSource(t, rels[1], q),
+		mustOpen(t, rels[0], proxrank.ScoreAccess, nil), // wrong kind for DistanceAccess below
+		mustOpen(t, rels[1], proxrank.DistanceAccess, q),
 	}
 	_, err := proxrank.NewQuerySources(q, sources, proxrank.Options{K: 1, Access: proxrank.DistanceAccess})
 	if err == nil {
@@ -39,17 +39,19 @@ func TestStreamFromSourcesKindValidation(t *testing.T) {
 
 	// Consistent sources still construct fine.
 	ok := []proxrank.Source{
-		proxrank.NewScoreSource(rels[0]),
-		proxrank.NewScoreSource(rels[1]),
+		mustOpen(t, rels[0], proxrank.ScoreAccess, nil),
+		mustOpen(t, rels[1], proxrank.ScoreAccess, nil),
 	}
 	if _, err := proxrank.NewQuerySources(q, ok, proxrank.Options{K: 1, Access: proxrank.ScoreAccess}); err != nil {
 		t.Fatalf("consistent sources rejected: %v", err)
 	}
 }
 
-func mustDistanceSource(t testing.TB, rel *proxrank.Relation, q proxrank.Vector) proxrank.Source {
+// mustOpen opens in's stream through OpenSource (Euclidean metric),
+// failing the test on error.
+func mustOpen(t testing.TB, in proxrank.Input, access proxrank.AccessKind, q proxrank.Vector) proxrank.Source {
 	t.Helper()
-	s, err := proxrank.NewDistanceSource(rel, q, nil)
+	s, err := proxrank.OpenSource(in, access, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +59,11 @@ func mustDistanceSource(t testing.TB, rel *proxrank.Relation, q proxrank.Vector)
 }
 
 // TestConcurrentSharedIndexQueries hammers one shared Relation and its
-// precomputed indexes from many goroutines: TopKContext over shared
-// R-tree sources, Stream.NextContext over shared score-order sources,
-// and plain TopK — all against the same oracle. Run with -race.
+// indexes, built once as a one-shard ShardedRelation, from many
+// goroutines: TopKContext over R-tree sources and NextContext over
+// score-order sources, each opened through OpenSource from the shared
+// partitions, and plain TopK — all against the same oracle. Run with
+// -race.
 func TestConcurrentSharedIndexQueries(t *testing.T) {
 	cfg := proxrank.DefaultSyntheticConfig()
 	cfg.Relations = 2
@@ -75,30 +79,37 @@ func TestConcurrentSharedIndexQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rtrees := make([]*proxrank.RTreeIndex, len(rels))
-	scores := make([]*proxrank.ScoreIndex, len(rels))
+	indexes := make([]proxrank.Input, len(rels))
 	for i, rel := range rels {
-		rtrees[i] = proxrank.NewRTreeIndex(rel)
-		scores[i] = proxrank.NewScoreIndex(rel)
+		if indexes[i], err = proxrank.NewShardedRelation(rel, 1, proxrank.HashPartition); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(access proxrank.AccessKind) ([]proxrank.Source, error) {
+		sources := make([]proxrank.Source, len(indexes))
+		for i, ix := range indexes {
+			s, err := proxrank.OpenSource(ix, access, q, nil)
+			if err != nil {
+				return nil, err
+			}
+			sources[i] = s
+		}
+		return sources, nil
 	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	fail := func(err error) { errs <- err }
 
-	// TopKContext over sources opened from the shared R-tree indexes.
+	// TopKContext over distance sources opened from the shared R-trees.
 	for g := 0; g < 12; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sources := make([]proxrank.Source, len(rtrees))
-			for i, ix := range rtrees {
-				s, err := ix.Source(q)
-				if err != nil {
-					fail(err)
-					return
-				}
-				sources[i] = s
+			sources, err := open(proxrank.DistanceAccess)
+			if err != nil {
+				fail(err)
+				return
 			}
 			res, err := proxrank.TopKFromSourcesContext(context.Background(), q, sources, proxrank.Options{K: 4})
 			if err != nil {
@@ -107,22 +118,23 @@ func TestConcurrentSharedIndexQueries(t *testing.T) {
 			}
 			for i := range want {
 				if math.Abs(res.Combinations[i].Score-want[i].Score) > 1e-9 {
-					fail(errors.New("rtree-index result diverged from oracle"))
+					fail(errors.New("one-shard R-tree result diverged from oracle"))
 					return
 				}
 			}
 		}()
 	}
 
-	// Sessions over sources opened from the shared score indexes, driven
-	// through NextContext.
+	// Sessions over score sources opened from the shared score orders,
+	// driven through NextContext.
 	for g := 0; g < 12; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sources := make([]proxrank.Source, len(scores))
-			for i, ix := range scores {
-				sources[i] = ix.Source()
+			sources, err := open(proxrank.ScoreAccess)
+			if err != nil {
+				fail(err)
+				return
 			}
 			st, err := proxrank.NewQuerySources(q, sources, proxrank.Options{K: 1, Access: proxrank.ScoreAccess})
 			if err != nil {
@@ -136,7 +148,7 @@ func TestConcurrentSharedIndexQueries(t *testing.T) {
 					return
 				}
 				if math.Abs(cs[0].Score-want[i].Score) > 1e-9 {
-					fail(errors.New("score-index stream diverged from oracle"))
+					fail(errors.New("one-shard score stream diverged from oracle"))
 					return
 				}
 			}

@@ -80,7 +80,7 @@ var (
 	shardQ      proxrank.Vector
 
 	rtreeOnce    sync.Once
-	rtreeIndexes []*proxrank.RTreeIndex // one per relation
+	rtreeIndexes []*proxrank.ShardedRelation // one shard per relation
 	rtreeQueries []proxrank.Vector
 )
 
@@ -111,9 +111,9 @@ func shardSetup() ([]proxrank.Input, proxrank.Vector) {
 }
 
 // rtreeSetup indexes two 20 000-tuple dim-4 relations (the shape of the
-// proxserve benchmark's engine workloads) and fixes 64 query points spread
-// over the inner half of their region.
-func rtreeSetup() ([]*proxrank.RTreeIndex, []proxrank.Vector) {
+// proxserve benchmark's engine workloads) as one-shard partitions and
+// fixes 64 query points spread over the inner half of their region.
+func rtreeSetup() ([]*proxrank.ShardedRelation, []proxrank.Vector) {
 	rtreeOnce.Do(func() {
 		cfg := proxrank.DefaultSyntheticConfig()
 		cfg.Dim, cfg.BaseTuples, cfg.Seed = 4, 20_000, 11
@@ -122,7 +122,11 @@ func rtreeSetup() ([]*proxrank.RTreeIndex, []proxrank.Vector) {
 			panic(err)
 		}
 		for _, rel := range rels {
-			rtreeIndexes = append(rtreeIndexes, proxrank.NewRTreeIndex(rel))
+			ix, err := proxrank.NewShardedRelation(rel, 1, proxrank.HashPartition)
+			if err != nil {
+				panic(err)
+			}
+			rtreeIndexes = append(rtreeIndexes, ix)
 		}
 		r := rand.New(rand.NewSource(12))
 		rtreeQueries = make([]proxrank.Vector, 64)
@@ -217,7 +221,7 @@ func benchRTreePrefix(b *testing.B, k int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, err := ix.Source(queries[i%len(queries)])
+		src, err := proxrank.OpenSource(ix, proxrank.DistanceAccess, queries[i%len(queries)], nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +256,7 @@ func BenchFormationDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
 		for j, ix := range ixs {
-			src, err := ix.Source(q)
+			src, err := proxrank.OpenSource(ix, proxrank.DistanceAccess, q, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

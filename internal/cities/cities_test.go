@@ -111,7 +111,7 @@ func TestSourcesUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rel := range rels {
-		src, err := relation.NewDistanceSource(rel, c.Query(), nil)
+		src, err := relation.OpenSource(rel, relation.DistanceAccess, c.Query(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func TestCornerScoreAccessFormulas(t *testing.T) {
 		{ID: "d", Score: 0.2, Vec: vec.Of(2, 2)},
 	})
 	e, err := NewEngine([]relation.Source{
-		relation.NewScoreSource(r1), relation.NewScoreSource(r2),
+		scoreSource(t, r1), scoreSource(t, r2),
 	}, Options{K: 1, Algorithm: CBRR, Query: vec.Of(0, 0), Agg: defaultAgg()})
 	if err != nil {
 		t.Fatal(err)

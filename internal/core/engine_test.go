@@ -68,17 +68,23 @@ func (in instance) sources(t testing.TB, kind relation.AccessKind) []relation.So
 	t.Helper()
 	out := make([]relation.Source, len(in.rels))
 	for i, rel := range in.rels {
-		if kind == relation.DistanceAccess {
-			s, err := relation.NewDistanceSource(rel, in.q, in.fn.Metric())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = s
-		} else {
-			out[i] = relation.NewScoreSource(rel)
+		s, err := relation.OpenSource(rel, kind, in.q, in.fn.Metric())
+		if err != nil {
+			t.Fatal(err)
 		}
+		out[i] = s
 	}
 	return out
+}
+
+// scoreSource opens rel's score stream.
+func scoreSource(t testing.TB, rel *relation.Relation) relation.Source {
+	t.Helper()
+	s, err := relation.OpenSource(rel, relation.ScoreAccess, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func runAlgo(t testing.TB, in instance, kind relation.AccessKind, opts Options) Result {
@@ -330,7 +336,7 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(srcs, Options{K: 1, Query: vec.Of(0), Agg: in.fn}); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("dim mismatch: %v", err)
 	}
-	mixed := []relation.Source{srcs[0], relation.NewScoreSource(in.rels[1])}
+	mixed := []relation.Source{srcs[0], scoreSource(t, in.rels[1])}
 	if _, err := NewEngine(mixed, Options{K: 1, Query: in.q, Agg: in.fn}); !errors.Is(err, ErrMixedAccess) {
 		t.Errorf("mixed access: %v", err)
 	}

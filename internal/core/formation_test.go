@@ -243,8 +243,9 @@ func TestPruneFloorSurvivesEmission(t *testing.T) {
 }
 
 // deepFixture is the shape of the benchmark's single_engine workload:
-// 2 relations × 20 000 tuples × dim 4 behind shared R-trees, unit weights.
-func deepFixture(t testing.TB) ([]*relation.RTreeIndex, agg.Function) {
+// 2 relations × 20 000 tuples × dim 4, each a one-shard partition behind
+// its shared R-tree, unit weights.
+func deepFixture(t testing.TB) ([]*relation.Sharded, agg.Function) {
 	t.Helper()
 	cfg := datagen.Defaults()
 	cfg.Dim, cfg.BaseTuples, cfg.Seed = 4, 20_000, 11
@@ -252,18 +253,20 @@ func deepFixture(t testing.TB) ([]*relation.RTreeIndex, agg.Function) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ixs := make([]*relation.RTreeIndex, len(rels))
+	ixs := make([]*relation.Sharded, len(rels))
 	for i, rel := range rels {
-		ixs[i] = relation.NewRTreeIndex(rel)
+		if ixs[i], err = relation.Partition(rel, 1, relation.HashPartition); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return ixs, agg.MustEuclideanSum(agg.Weights{Ws: 1, Wq: 1, Wmu: 1}, agg.LogScore)
 }
 
-func deepSources(t testing.TB, ixs []*relation.RTreeIndex, q vec.Vector) []relation.Source {
+func deepSources(t testing.TB, ixs []*relation.Sharded, q vec.Vector) []relation.Source {
 	t.Helper()
 	out := make([]relation.Source, len(ixs))
 	for i, ix := range ixs {
-		s, err := ix.Source(q)
+		s, err := relation.OpenSource(ix, relation.DistanceAccess, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func distanceSources(t testing.TB, rels []*relation.Relation, q vec.Vector) []re
 	t.Helper()
 	out := make([]relation.Source, len(rels))
 	for i, r := range rels {
-		s, err := relation.NewDistanceSource(r, q, nil)
+		s, err := relation.OpenSource(r, relation.DistanceAccess, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestPaperTheoremC1(t *testing.T) {
 
 	run := func(a Algorithm) Result {
 		e, err := NewEngine([]relation.Source{
-			relation.NewScoreSource(r1), relation.NewScoreSource(r2),
+			scoreSource(t, r1), scoreSource(t, r2),
 		}, Options{K: 1, Algorithm: a, Query: q, Agg: fn})
 		if err != nil {
 			t.Fatal(err)

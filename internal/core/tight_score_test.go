@@ -26,7 +26,7 @@ func TestScoreBoundClosedFormC1(t *testing.T) {
 		{ID: "d", Score: 1, Vec: vec.Of(1.0 / 3.0)},
 	})
 	e, err := NewEngine([]relation.Source{
-		relation.NewScoreSource(r1), relation.NewScoreSource(r2),
+		scoreSource(t, r1), scoreSource(t, r2),
 	}, Options{K: 1, Algorithm: TBRR, Query: vec.Of(0.0), Agg: defaultAgg()})
 	if err != nil {
 		t.Fatal(err)

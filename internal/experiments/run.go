@@ -22,7 +22,7 @@ func defaultAgg() agg.Function {
 func runOnce(rels []*relation.Relation, q vec.Vector, opts core.Options) (core.Result, error) {
 	sources := make([]relation.Source, len(rels))
 	for i, rel := range rels {
-		s, err := relation.NewDistanceSource(rel, q, opts.Agg.Metric())
+		s, err := relation.OpenSource(rel, relation.DistanceAccess, q, opts.Agg.Metric())
 		if err != nil {
 			return core.Result{}, err
 		}

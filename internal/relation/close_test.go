@@ -58,6 +58,6 @@ func TestCloseReachesEveryStream(t *testing.T) {
 		}
 	}
 	// A cursor has nothing to let go of and no Close; its wrappers still do.
-	(&CountingSource{Inner: NewScoreSource(rel)}).Close()
-	(&FaultySource{Inner: NewScoreSource(rel)}).Close()
+	(&CountingSource{Inner: mustOpen(t, rel, ScoreAccess, nil)}).Close()
+	(&FaultySource{Inner: mustOpen(t, rel, ScoreAccess, nil)}).Close()
 }

@@ -134,12 +134,13 @@ func (sh *shard) rtree() *rtree.Tree[nnRef] {
 // openShards opens one stream per shard into dst for one access
 // configuration. It is the only place an access path is chosen, for
 // partitioned and plain relations alike (a plain relation is a one-shard
-// run): the score order is a cursor over the columns; a distance order is
-// an incremental R-tree traversal when the shards own trees (useRTree:
-// true from Sharded and RTreeIndex, false from a plain relation, whose
-// tree would be built and thrown away per call) and the metric is
-// Euclidean (nil = Euclidean) — the R-tree orders by Euclidean distance
-// and nothing else — and a full sort under the metric otherwise.
+// run, and an index built once over a whole relation is a one-shard
+// Sharded): the score order is a cursor over the columns; a distance
+// order is an incremental R-tree traversal when the shards own trees
+// (useRTree: true from Sharded, false from a plain relation, whose tree
+// would be built and thrown away per call) and the metric is Euclidean
+// (nil = Euclidean) — the R-tree orders by Euclidean distance and nothing
+// else — and a full sort under the metric otherwise.
 func openShards(dst []Source, shards []shard, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) error {
 	if kind == ScoreAccess {
 		for i := range shards {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -115,7 +116,7 @@ func LoadCSVFile(path, name string, maxScore float64) (*Relation, error) {
 	}
 	defer f.Close()
 	if name == "" {
-		name = path
+		name = filepath.Base(path)
 	}
 	return ReadCSV(f, name, maxScore)
 }

@@ -21,14 +21,14 @@
 //     beside their parent ordinals, on the heap (Partition) or over a
 //     mapped file (AssembleSharded, internal/relfile). A plain relation
 //     reads as one shard in its own storage order.
-//   - OpenSource, openShards (input.go, columnar.go): the one place an
-//     access path is chosen, from the input and the metric, never from an
-//     option — a cursor over the columns for score access; for distance
-//     access an incremental traversal of the R-trees an input owns (a
-//     Sharded from Partition or a relfile, an RTreeIndex) under the
-//     Euclidean metric, and a full sort for a plain Relation or any other
-//     metric. RTreeIndex and ScoreIndex are views of a relation as one
-//     shard with the respective work done up front.
+//   - OpenSource, openShards (input.go, columnar.go): OpenSource is the
+//     one way to open a stream, and openShards the one place an access
+//     path is chosen, from the input and the metric, never from an option
+//     — a cursor over the columns for score access; for distance access an
+//     incremental traversal of the R-trees a Sharded owns (from Partition
+//     or a relfile) under the Euclidean metric, and a full sort for a
+//     plain Relation or any other metric. An index built once over a
+//     whole relation is a one-shard Partition.
 //   - Partition, Sharded, MergedSource: hash or grid partitioning,
 //     parallel per-shard builds, and the ordinal-aware merge that
 //     restores the canonical order across shard streams.

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -27,12 +26,36 @@ func randomRelation(t *testing.T, seed int64, size, dim int) *Relation {
 	return rel
 }
 
-// TestRTreeIndexSharedTraversals runs many concurrent traversals over one
-// shared index and checks each against the full-sort distance source for
-// the same query: same tuples, in non-decreasing distance order.
-func TestRTreeIndexSharedTraversals(t *testing.T) {
+// oneShard is the index built once over a whole relation: a one-shard
+// Partition, its score order and R-tree built up front.
+func oneShard(t testing.TB, rel *Relation) *Sharded {
+	t.Helper()
+	s, err := Partition(rel, 1, HashPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// mustOpen opens in's stream through OpenSource, failing the test on
+// error.
+func mustOpen(t testing.TB, in Input, kind AccessKind, q vec.Vector) Source {
+	t.Helper()
+	src, err := OpenSource(in, kind, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// TestOneShardSharedTraversals runs many concurrent traversals over one
+// shared one-shard partition, each opened through OpenSource, and checks
+// each against the plain relation's full-sort stream for the same query:
+// the same tuples in the same order, score and distance bits and
+// ordinals included.
+func TestOneShardSharedTraversals(t *testing.T) {
 	rel := randomRelation(t, 42, 120, 3)
-	ix := NewRTreeIndex(rel)
+	ix := oneShard(t, rel)
 	r := rand.New(rand.NewSource(43))
 	queries := make([]vec.Vector, 16)
 	for i := range queries {
@@ -44,57 +67,36 @@ func TestRTreeIndexSharedTraversals(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, len(queries))
 	for _, q := range queries {
 		wg.Add(1)
 		go func(q vec.Vector) {
 			defer wg.Done()
-			src, err := ix.Source(q)
+			src, err := OpenSource(ix, DistanceAccess, q, nil)
 			if err != nil {
-				errs <- err
+				t.Error(err)
 				return
 			}
-			want, err := NewDistanceSource(rel, q, vec.Euclidean{})
+			if src.Kind() != DistanceAccess || src.Relation() != rel {
+				t.Errorf("query %v: stream kind %v over %q, want distance over %q", q, src.Kind(), src.Relation().Name, rel.Name)
+			}
+			want, err := OpenSource(rel, DistanceAccess, q, vec.Euclidean{})
 			if err != nil {
-				errs <- err
+				t.Error(err)
 				return
 			}
-			prev := -1.0
-			for i := 0; ; i++ {
-				got, gerr := src.Next()
-				ref, werr := want.Next()
-				if errors.Is(gerr, ErrExhausted) != errors.Is(werr, ErrExhausted) {
-					t.Errorf("query %v: exhaustion mismatch at %d", q, i)
-					return
-				}
-				if errors.Is(gerr, ErrExhausted) {
-					return
-				}
-				gd := (vec.Euclidean{}).Distance(got.Vec, q)
-				wd := (vec.Euclidean{}).Distance(ref.Vec, q)
-				if gd < prev-1e-12 {
-					t.Errorf("query %v: distance went backwards at %d (%v after %v)", q, i, gd, prev)
-					return
-				}
-				if gd != wd {
-					t.Errorf("query %v: rank %d distance %v, full sort says %v", q, i, gd, wd)
-					return
-				}
-				prev = gd
+			if err := sameKeyedStream(src, want); err != nil {
+				t.Errorf("query %v: one-shard R-tree vs full sort: %v", q, err)
 			}
 		}(q)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }
 
-// TestRTreeIndexDimMismatch rejects queries of the wrong dimensionality.
-func TestRTreeIndexDimMismatch(t *testing.T) {
-	ix := NewRTreeIndex(randomRelation(t, 7, 10, 2))
-	if _, err := ix.Source(vec.Of(1, 2, 3)); err == nil {
-		t.Fatal("Source accepted a 3-d query over a 2-d relation")
+// TestOneShardDimMismatch: OpenSource over a one-shard partition rejects
+// a distance query of the wrong dimensionality.
+func TestOneShardDimMismatch(t *testing.T) {
+	ix := oneShard(t, randomRelation(t, 7, 10, 2))
+	if _, err := OpenSource(ix, DistanceAccess, vec.Of(1, 2, 3), nil); err == nil {
+		t.Fatal("OpenSource accepted a 3-d query over a 2-d relation")
 	}
 }

@@ -25,31 +25,30 @@ func (r *Relation) InputRelation() *Relation { return r }
 
 // openSource implements Input for a plain relation: a one-shard run over
 // the relation as it stands. It owns no index, so a distance stream is a
-// full sort; a score stream is a cursor over score-ordered columns, which
-// a relation that was never partitioned or indexed has to sort first.
+// full sort and a score stream a cursor over columns it sorts first.
 func (r *Relation) openSource(kind AccessKind, q vec.Vector, metric vec.Metric) (Source, error) {
 	if r.IsStub() {
 		return nil, fmt.Errorf("relation %q: cannot open a local source over a remote stub", r.Name)
 	}
-	if kind == ScoreAccess {
-		return NewScoreSource(r), nil
-	}
 	one := [1]shard{{rel: r, cols: (*storageOrder)(r)}}
+	if kind == ScoreAccess {
+		one[0].cols = scoreOrdered(r, wholeGroup(len(r.tuples)))
+	}
 	return openOne(one[:], kind, q, metric, false)
 }
 
 // OpenSource builds the ordered stream of in for one access
-// configuration: the score order when kind is ScoreAccess, otherwise a
-// distance order from q under metric (nil = Euclidean). The access path
-// follows from the input, not from a knob. An input that owns an index —
-// a *Sharded, whose shards carry the R-trees Partition built or build
-// them on first use over a relfile; likewise an RTreeIndex through its
-// own Source method — streams incremental nearest-neighbor traversals
-// under the Euclidean metric. A plain *Relation owns none and is sorted
-// in full on every call. The R-tree orders by Euclidean distance only, so
-// any other metric sorts, whatever the input. Every path emits the same
-// canonical sequence; sharded inputs return a merged stream over their
-// shards.
+// configuration, and is the one way to open one: the score order when
+// kind is ScoreAccess, otherwise a distance order from q under metric
+// (nil = Euclidean). The access path follows from the input, not from a
+// knob. A *Sharded owns its indexes — the R-trees Partition built, or a
+// relfile's, built on first use — and streams incremental
+// nearest-neighbor traversals under the Euclidean metric; an index built
+// once over a whole relation is a one-shard Partition. A plain *Relation
+// owns none and is sorted in full on every call. The R-tree orders by
+// Euclidean distance only, so any other metric sorts, whatever the input.
+// Every path emits the same canonical sequence; a sharded input returns a
+// merged stream over its shards. Safe for concurrent use.
 func OpenSource(in Input, kind AccessKind, q vec.Vector, metric vec.Metric) (Source, error) {
 	return in.openSource(kind, q, metric)
 }

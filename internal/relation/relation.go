@@ -261,50 +261,13 @@ func sortKeys(ks []sortKey) {
 	})
 }
 
-// NewDistanceSource returns a source that yields tuples of r sorted by
-// increasing metric distance from q (ties broken by storage index for
-// determinism). The whole order is computed up front; for repeated queries
-// over a large relation build a NewRTreeIndex once, which sorts
-// incrementally.
-func NewDistanceSource(r *Relation, q vec.Vector, metric vec.Metric) (Source, error) {
-	return r.openSource(DistanceAccess, q, metric)
-}
-
-// NewScoreSource returns a source that yields tuples of r sorted by
-// decreasing score (ties broken by storage index).
-func NewScoreSource(r *Relation) Source {
-	return NewScoreIndex(r).Source()
-}
-
-// ScoreIndex is the score-sorted order of a relation, computed once and
-// shared read-only across queries: each Source call opens an independent
-// cursor over the same columns, so concurrent score-access queries skip
-// the per-query sort. It is the relation viewed as one score-ordered
-// shard.
-type ScoreIndex struct{ one [1]shard }
-
-// NewScoreIndex sorts r by decreasing score (ties by storage index) once.
-func NewScoreIndex(r *Relation) *ScoreIndex {
-	return &ScoreIndex{one: [1]shard{{rel: r, cols: scoreOrdered(r, wholeGroup(len(r.tuples)))}}}
-}
-
-// Relation returns the indexed relation.
-func (ix *ScoreIndex) Relation() *Relation { return ix.one[0].rel }
-
-// Source opens a score-access source over the precomputed order. Safe to
-// call from multiple goroutines.
-func (ix *ScoreIndex) Source() Source {
-	src, _ := openOne(ix.one[:], ScoreAccess, nil, nil, false) // only distance access can fail
-	return src
-}
-
 // rtreeSource serves distance-based access through an R-tree's incremental
 // nearest-neighbor traversal, so no global sort is ever materialized.
 //
 // The raw traversal breaks exact-distance ties by heap insertion order,
 // which depends on tree structure. rtreeSource re-orders each run of
 // equal distances by parent ordinal instead, so that every distance
-// source — full sort, whole-relation R-tree, or merged shard R-trees —
+// source — full sort, one shard's R-tree, or merged shard R-trees —
 // emits one canonical (distance, ordinal) sequence.
 type rtreeSource struct {
 	rel     *Relation
@@ -329,31 +292,6 @@ type nnRef struct {
 type nnHit struct {
 	nnRef
 	dist float64
-}
-
-// RTreeIndex is a bulk-loaded R-tree over a relation's feature vectors,
-// built once and shared read-only across queries: each Source call opens
-// an independent incremental nearest-neighbor traversal over the same
-// tree, so concurrent queries pay only the O(1) iterator setup instead of
-// a per-query bulk load. The tree is never mutated after construction,
-// which makes Source safe for concurrent use. It is the relation viewed
-// as one shard in storage order with its tree already built.
-type RTreeIndex struct{ one [1]shard }
-
-// NewRTreeIndex bulk-loads r's vectors into an R-tree.
-func NewRTreeIndex(r *Relation) *RTreeIndex {
-	ix := &RTreeIndex{one: [1]shard{{rel: r, cols: (*storageOrder)(r)}}}
-	ix.one[0].rtree()
-	return ix
-}
-
-// Relation returns the indexed relation.
-func (ix *RTreeIndex) Relation() *Relation { return ix.one[0].rel }
-
-// Source opens a distance-access source that streams tuples by increasing
-// Euclidean distance from q. Safe to call from multiple goroutines.
-func (ix *RTreeIndex) Source(q vec.Vector) (Source, error) {
-	return openOne(ix.one[:], DistanceAccess, q, nil, true)
 }
 
 func (s *rtreeSource) Next() (Tuple, error) {

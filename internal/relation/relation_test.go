@@ -84,7 +84,7 @@ func drain(t *testing.T, s Source) []Tuple {
 
 func TestDistanceSourceOrder(t *testing.T) {
 	r := testRelation(t)
-	s, err := NewDistanceSource(r, vec.Of(0, 0), nil)
+	s, err := OpenSource(r, DistanceAccess, vec.Of(0, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestDistanceSourceOrder(t *testing.T) {
 
 func TestScoreSourceOrder(t *testing.T) {
 	r := testRelation(t)
-	s := NewScoreSource(r)
+	s := mustOpen(t, r, ScoreAccess, nil)
 	if s.Kind() != ScoreAccess {
 		t.Fatal("kind wrong")
 	}
@@ -117,11 +117,8 @@ func TestScoreSourceOrder(t *testing.T) {
 
 func TestDistanceSourceDimMismatch(t *testing.T) {
 	r := testRelation(t)
-	if _, err := NewDistanceSource(r, vec.Of(0), nil); err == nil {
+	if _, err := OpenSource(r, DistanceAccess, vec.Of(0), nil); err == nil {
 		t.Fatal("dim mismatch accepted")
-	}
-	if _, err := NewRTreeIndex(r).Source(vec.Of(0)); err == nil {
-		t.Fatal("rtree dim mismatch accepted")
 	}
 }
 
@@ -148,8 +145,12 @@ func TestQuickRTreeSourceMatchesSorted(t *testing.T) {
 		for j := range q {
 			q[j] = r.NormFloat64()
 		}
-		s1, err1 := NewDistanceSource(rel, q, nil)
-		s2, err2 := NewRTreeIndex(rel).Source(q)
+		ix, err := Partition(rel, 1, HashPartition)
+		if err != nil {
+			return false
+		}
+		s1, err1 := OpenSource(rel, DistanceAccess, q, nil)
+		s2, err2 := OpenSource(ix, DistanceAccess, q, nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -175,7 +176,7 @@ func TestQuickRTreeSourceMatchesSorted(t *testing.T) {
 func TestFaultySource(t *testing.T) {
 	r := testRelation(t)
 	wantErr := errors.New("boom")
-	s := &FaultySource{Inner: NewScoreSource(r), FailAfter: 2, Err: wantErr}
+	s := &FaultySource{Inner: mustOpen(t, r, ScoreAccess, nil), FailAfter: 2, Err: wantErr}
 	if _, err := s.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestFaultySource(t *testing.T) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// Default error when none specified.
-	s2 := &FaultySource{Inner: NewScoreSource(r), FailAfter: 0}
+	s2 := &FaultySource{Inner: mustOpen(t, r, ScoreAccess, nil), FailAfter: 0}
 	if _, err := s2.Next(); err == nil {
 		t.Fatal("no error from exhausted fault budget")
 	}
@@ -197,7 +198,7 @@ func TestFaultySource(t *testing.T) {
 
 func TestCountingSource(t *testing.T) {
 	r := testRelation(t)
-	s := &CountingSource{Inner: NewScoreSource(r)}
+	s := &CountingSource{Inner: mustOpen(t, r, ScoreAccess, nil)}
 	drainCount := 0
 	for {
 		if _, err := s.Next(); err != nil {
@@ -277,6 +278,9 @@ func TestCSVFileHelpers(t *testing.T) {
 	}
 	if back.Len() != r.Len() {
 		t.Fatalf("Len = %d", back.Len())
+	}
+	if back.Name != "rel.csv" {
+		t.Fatalf("Name = %q, want the file's base name rel.csv", back.Name)
 	}
 	if _, err := LoadCSVFile(dir+"/missing.csv", "", 1); err == nil {
 		t.Fatal("missing file accepted")

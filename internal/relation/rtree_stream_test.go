@@ -89,7 +89,7 @@ func sameKeyedStream(got, want Source) error {
 		if gerr != nil || werr != nil {
 			return fmt.Errorf("rank %d: %v / %v", rank, gerr, werr)
 		}
-		if gt.ID != wt.ID || gt.Score != wt.Score || !gt.Vec.Equal(wt.Vec) ||
+		if gt.ID != wt.ID || math.Float64bits(gt.Score) != math.Float64bits(wt.Score) || !gt.Vec.Equal(wt.Vec) ||
 			math.Float64bits(gk) != math.Float64bits(wk) || go_ != wo {
 			return fmt.Errorf("rank %d: got %s key %x ord %d, want %s key %x ord %d",
 				rank, gt.ID, math.Float64bits(gk), go_, wt.ID, math.Float64bits(wk), wo)
@@ -138,7 +138,7 @@ func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
 					t.Errorf("query %d shard %d, twin R-tree vs sort: %v", g, i, err)
 				}
 			}
-			merged, err := cols.DistanceSource(q)
+			merged, err := OpenSource(cols, DistanceAccess, q, nil)
 			if err != nil {
 				t.Error(err)
 				return

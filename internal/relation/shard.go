@@ -425,21 +425,15 @@ func (s *Sharded) Merge(sources []Source) (Source, error) {
 
 // openSource implements Input: per-shard streams merged into one. Every
 // shard owns an R-tree, so that is what a Euclidean distance stream reads.
+// A sole shard's stream is the whole stream, opened without the merge's
+// slice.
 func (s *Sharded) openSource(kind AccessKind, q vec.Vector, metric vec.Metric) (Source, error) {
+	if len(s.shards) == 1 {
+		return openOne(s.shards, kind, q, metric, true)
+	}
 	sources := make([]Source, len(s.shards))
 	if err := openShards(sources, s.shards, kind, q, metric, true); err != nil {
 		return nil, err
 	}
 	return s.Merge(sources)
-}
-
-// ScoreSource opens the merged score-access stream.
-func (s *Sharded) ScoreSource() (Source, error) {
-	return s.openSource(ScoreAccess, nil, nil)
-}
-
-// DistanceSource opens the merged distance-access stream from q, backed
-// by the per-shard R-trees.
-func (s *Sharded) DistanceSource(q vec.Vector) (Source, error) {
-	return s.openSource(DistanceAccess, q, nil)
 }

@@ -52,14 +52,14 @@ func TestMergedSourceProperty(t *testing.T) {
 		label := fmt.Sprintf("trial %d (size=%d dim=%d shards=%d/%d %v)",
 			trial, size, dim, s.NumShards(), shards, strategy)
 
-		wantScore := drain(t, NewScoreSource(rel))
-		gotScore, err := s.ScoreSource()
+		wantScore := drain(t, mustOpen(t, rel, ScoreAccess, nil))
+		gotScore, err := OpenSource(s, ScoreAccess, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameSequence(t, label+" score", drain(t, gotScore), wantScore)
 
-		wantSorted, err := NewDistanceSource(rel, q, nil)
+		wantSorted, err := OpenSource(rel, DistanceAccess, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +69,11 @@ func TestMergedSourceProperty(t *testing.T) {
 		}
 		sameSequence(t, label+" distance-sorted", drain(t, gotSorted), drain(t, wantSorted))
 
-		wantTree, err := NewRTreeIndex(rel).Source(q)
+		wantTree, err := OpenSource(oneShard(t, rel), DistanceAccess, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTree, err := s.DistanceSource(q)
+		gotTree, err := OpenSource(s, DistanceAccess, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

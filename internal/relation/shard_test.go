@@ -147,8 +147,8 @@ func TestMergedSourceMatchesUnsharded(t *testing.T) {
 		for product, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
 			label := strategy.String() + "/" + product
 
-			wantScore := drain(t, NewScoreSource(rel))
-			gotSrc, err := s.ScoreSource()
+			wantScore := drain(t, mustOpen(t, rel, ScoreAccess, nil))
+			gotSrc, err := OpenSource(s, ScoreAccess, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestMergedSourceMatchesUnsharded(t *testing.T) {
 			}
 			sameSequence(t, label+"/score", drain(t, gotSrc), wantScore)
 
-			wantSorted, err := NewDistanceSource(rel, q, nil)
+			wantSorted, err := OpenSource(rel, DistanceAccess, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,11 +167,11 @@ func TestMergedSourceMatchesUnsharded(t *testing.T) {
 			}
 			sameSequence(t, label+"/distance-sorted", drain(t, gotSorted), drain(t, wantSorted))
 
-			wantRTree, err := NewRTreeIndex(rel).Source(q)
+			wantRTree, err := OpenSource(oneShard(t, rel), DistanceAccess, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mergedRTree, err := s.DistanceSource(q)
+			mergedRTree, err := OpenSource(s, DistanceAccess, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,21 +205,14 @@ func mergedSorted(s *Sharded, q vec.Vector) (Source, error) {
 func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 	rel := tieRelation(t, 23, 80, 2)
 	q := vec.Of(2, 2)
-	sorted, err := NewDistanceSource(rel, q, vec.Euclidean{})
+	sorted, err := OpenSource(rel, DistanceAccess, q, vec.Euclidean{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := drain(t, sorted)
-	viaTree, err := NewRTreeIndex(rel).Source(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSequence(t, "rtree vs sort", drain(t, viaTree), want)
+	ram := oneShard(t, rel)
+	sameSequence(t, "one-shard OpenSource vs sort", drain(t, mustOpen(t, ram, DistanceAccess, q)), want)
 
-	ram, err := Partition(rel, 1, HashPartition)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for product, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
 		for _, useRTree := range []bool{true, false} {
 			src, err := s.ShardSource(0, DistanceAccess, q, vec.Euclidean{}, useRTree)
@@ -347,18 +340,14 @@ func TestParallelShardBuildsAndQueries(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	want := drain(t, NewScoreSource(rel))
+	want := drain(t, mustOpen(t, rel, ScoreAccess, nil))
 	q := vec.Of(1, 1, 1)
-	wantDist, err := NewRTreeIndex(rel).Source(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDistSeq := drain(t, wantDist)
+	wantDistSeq := drain(t, mustOpen(t, oneShard(t, rel), DistanceAccess, q))
 	for b, s := range built {
 		wg.Add(2)
 		go func(b int, s *Sharded) {
 			defer wg.Done()
-			src, err := s.ScoreSource()
+			src, err := OpenSource(s, ScoreAccess, nil, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -367,7 +356,7 @@ func TestParallelShardBuildsAndQueries(t *testing.T) {
 		}(b, s)
 		go func(b int, s *Sharded) {
 			defer wg.Done()
-			src, err := s.DistanceSource(q)
+			src, err := OpenSource(s, DistanceAccess, q, nil)
 			if err != nil {
 				t.Error(err)
 				return

@@ -120,7 +120,6 @@ type shardData struct {
 // File is an opened, fully validated relation file. Its views alias the
 // mapping; see the package comment for the lifetime contract.
 type File struct {
-	path     string
 	data     []byte
 	hold     any // retains the fallback read buffer (non-mmap platforms)
 	unmap    func() error
@@ -164,7 +163,7 @@ func Open(path string) (*File, error) {
 		}
 		return nil, fmt.Errorf("relfile: %s: %w", path, err)
 	}
-	f.path, f.unmap, f.hold = path, unmap, hold
+	f.unmap, f.hold = unmap, hold
 	return f, nil
 }
 
@@ -204,9 +203,6 @@ func (f *File) Close() error {
 	return f.closeErr
 }
 
-// Path returns the file path ("" for Decode-built files).
-func (f *File) Path() string { return f.path }
-
 // Dim returns the feature dimensionality.
 func (f *File) Dim() int { return f.dim }
 
@@ -224,9 +220,6 @@ func (f *File) Strategy() relation.PartitionStrategy { return f.strategy }
 
 // ShardBounds returns shard i's stored bounding metadata.
 func (f *File) ShardBounds(i int) relation.ShardBounds { return f.views[i].bounds }
-
-// ShardLen returns shard i's tuple count.
-func (f *File) ShardLen(i int) int { return f.views[i].n }
 
 // parse validates data (which must be 8-byte aligned) and builds the
 // typed views. It never reads outside data.

@@ -193,11 +193,11 @@ func TestLoadsFileWrittenBeforeRectangles(t *testing.T) {
 			out = append(out, fmt.Sprintf("%q %x %x", tu.ID, math.Float64bits(tu.Score), tu.Vec))
 		}
 	}
-	if got, want := ids(loaded.ScoreSource()), ids(relation.NewScoreSource(rel), nil); !slices.Equal(got, want) {
+	if got, want := ids(relation.OpenSource(loaded, relation.ScoreAccess, nil, nil)), ids(relation.OpenSource(rel, relation.ScoreAccess, nil, nil)); !slices.Equal(got, want) {
 		t.Fatalf("score stream of the fixture differs from the relation's")
 	}
 	for _, q := range []vec.Vector{vec.Of(0, 0, 0), vec.Of(2.5, -1, 0.3), rel.At(7).Vec} {
-		if got, want := ids(loaded.DistanceSource(q)), ids(relation.NewRTreeIndex(rel).Source(q)); !slices.Equal(got, want) {
+		if got, want := ids(relation.OpenSource(loaded, relation.DistanceAccess, q, nil)), ids(relation.OpenSource(rel, relation.DistanceAccess, q, nil)); !slices.Equal(got, want) {
 			t.Fatalf("distance stream from %v of the fixture differs from the relation's", q)
 		}
 		for i := 0; i < loaded.NumShards(); i++ {

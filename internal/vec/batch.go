@@ -67,16 +67,6 @@ func AddScaledInto(dst Vector, v Vector, s float64, w Vector) Vector {
 	return dst
 }
 
-// ScaleInto sets dst = s*v and returns dst. Bit-identical to v.Scale(s)
-// with a caller-owned destination.
-func ScaleInto(dst Vector, s float64, v Vector) Vector {
-	dst.mustMatch(v)
-	for i, x := range v {
-		dst[i] = s * x
-	}
-	return dst
-}
-
 // MeanAccumulate adds each vector of vs into acc in order and returns
 // acc. It is the accumulation phase of Mean/MeanInto factored out, so a
 // caller can build centroid prefix sums incrementally: MeanInto(dst, vs)

@@ -41,12 +41,6 @@ type (
 	Weights = agg.Weights
 	// ScoreTransform selects how scores enter the aggregation (ln or id).
 	ScoreTransform = agg.ScoreTransform
-	// RTreeIndex is a precomputed R-tree over one relation, shared
-	// read-only across concurrent queries (see NewRTreeIndex).
-	RTreeIndex = relation.RTreeIndex
-	// ScoreIndex is a relation's precomputed score order, shared
-	// read-only across concurrent queries (see NewScoreIndex).
-	ScoreIndex = relation.ScoreIndex
 	// ShardedRelation is a relation partitioned into shards with per-shard
 	// indexes built in parallel; queries stream a k-way merge of the shard
 	// orders that is byte-identical to the unsharded stream (see
@@ -189,30 +183,15 @@ func NewRelation(name string, maxScore float64, tuples []Tuple) (*Relation, erro
 	return relation.New(name, maxScore, tuples)
 }
 
-// NewDistanceSource streams rel by increasing metric distance from query
-// (pass nil for Euclidean).
-func NewDistanceSource(rel *Relation, query Vector, metric Metric) (Source, error) {
-	return relation.NewDistanceSource(rel, query, metric)
-}
-
-// NewRTreeIndex bulk-loads rel into an R-tree once; the returned index is
-// immutable and its Source method is safe for concurrent use, so repeated
-// queries over one relation stream from the tree (TopKFromSources)
-// instead of sorting the relation per query.
-func NewRTreeIndex(rel *Relation) *RTreeIndex {
-	return relation.NewRTreeIndex(rel)
-}
-
-// NewScoreIndex sorts rel by decreasing score once; the returned index is
-// immutable and its Source method is safe for concurrent use, so repeated
-// score-access queries skip the per-query sort.
-func NewScoreIndex(rel *Relation) *ScoreIndex {
-	return relation.NewScoreIndex(rel)
-}
-
-// NewScoreSource streams rel by decreasing score.
-func NewScoreSource(rel *Relation) Source {
-	return relation.NewScoreSource(rel)
+// OpenSource opens the ordered stream of in for one access kind — by
+// increasing metric distance from query (nil metric = Euclidean), or by
+// decreasing score, where query and metric are ignored — for
+// TopKFromSources and NewQuerySources. It is safe for concurrent use. A
+// plain relation is sorted on every call; a ShardedRelation streams from
+// the indexes it built once, so a relation queried repeatedly is best
+// held as NewShardedRelation(rel, 1, HashPartition).
+func OpenSource(in Input, access AccessKind, query Vector, metric Metric) (Source, error) {
+	return relation.OpenSource(in, access, query, metric)
 }
 
 // NewShardedRelation partitions rel into at most shards shards under the

@@ -109,8 +109,8 @@ func TestTopKValidation(t *testing.T) {
 		t.Error("dim mismatch accepted")
 	}
 	// Mismatched access kind through TopKFromSources.
-	src := proxrank.NewScoreSource(rels[0])
-	src2 := proxrank.NewScoreSource(rels[1])
+	src := mustOpen(t, rels[0], proxrank.ScoreAccess, nil)
+	src2 := mustOpen(t, rels[1], proxrank.ScoreAccess, nil)
 	if _, err := proxrank.TopKFromSources(q, []proxrank.Source{src, src2},
 		proxrank.Options{K: 1, Access: proxrank.DistanceAccess}); err == nil {
 		t.Error("access mismatch accepted")

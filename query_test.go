@@ -203,7 +203,7 @@ func TestQueryDeliversBeforeExhaustion(t *testing.T) {
 	pulls := 0
 	var sources []proxrank.Source
 	for _, rel := range rels {
-		src, err := proxrank.NewDistanceSource(rel, q, nil)
+		src, err := proxrank.OpenSource(rel, proxrank.DistanceAccess, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,11 +236,10 @@ func TestSourceKindMismatchSharded(t *testing.T) {
 	mkSources := func() []proxrank.Source {
 		// A merged *score* stream for a query whose options announce
 		// distance access.
-		s0, err := sharded.ScoreSource()
-		if err != nil {
-			t.Fatal(err)
+		return []proxrank.Source{
+			mustOpen(t, sharded, proxrank.ScoreAccess, nil),
+			mustOpen(t, rels[1], proxrank.ScoreAccess, nil),
 		}
-		return []proxrank.Source{s0, proxrank.NewScoreSource(rels[1])}
 	}
 	opts := proxrank.Options{K: 3, Access: proxrank.DistanceAccess}
 	if _, err := proxrank.NewQuerySources(q, mkSources(), opts); err == nil {

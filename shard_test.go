@@ -49,9 +49,9 @@ type inputKind struct {
 // inputKinds builds every kind of input over rels, the plain relations
 // (sorted per query) first: their partitions under each strategy (merged
 // per-shard R-trees), the relfile twin of each partition (mapped columns,
-// R-trees built on first use), and one shared RTreeIndex per relation read
-// through TopKFromSources — which orders by Euclidean distance and serves
-// nothing else.
+// R-trees built on first use), and one shared one-shard partition per
+// relation whose streams OpenSource opens for TopKFromSources — under the
+// Euclidean metric, so it serves no cosine query.
 func inputKinds(t testing.TB, rels []*proxrank.Relation, shards int) []inputKind {
 	t.Helper()
 	always := func(proxrank.Options) bool { return true }
@@ -85,19 +85,21 @@ func inputKinds(t testing.TB, rels []*proxrank.Relation, shards int) []inputKind
 		}
 		kinds = append(kinds, overInputs(strategy.String(), sharded), overInputs(strategy.String()+"-relfile", mapped))
 	}
-	indexes := make([]*proxrank.RTreeIndex, len(rels))
+	indexes := make([]proxrank.Input, len(rels))
 	for i, rel := range rels {
-		indexes[i] = proxrank.NewRTreeIndex(rel)
+		ix, err := proxrank.NewShardedRelation(rel, 1, proxrank.HashPartition)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes[i] = ix
 	}
 	return append(kinds, inputKind{
-		name: "rtree-index",
-		serves: func(opts proxrank.Options) bool {
-			return opts.Access == proxrank.DistanceAccess && !opts.CosineProximity
-		},
+		name:   "one-shard-sources",
+		serves: func(opts proxrank.Options) bool { return !opts.CosineProximity },
 		topK: func(q proxrank.Vector, opts proxrank.Options) (proxrank.Result, error) {
 			sources := make([]proxrank.Source, len(indexes))
 			for i, ix := range indexes {
-				src, err := ix.Source(q)
+				src, err := proxrank.OpenSource(ix, opts.Access, q, nil)
 				if err != nil {
 					return proxrank.Result{}, err
 				}
@@ -110,7 +112,8 @@ func inputKinds(t testing.TB, rels []*proxrank.Relation, shards int) []inputKind
 
 // TestTopKShardedMatchesUnsharded is the facade-layer acceptance test:
 // every kind of input — relations partitioned into 4 shards under both
-// strategies, their relfile twins, shared R-tree indexes — must return
+// strategies, their relfile twins, shared one-shard partitions read
+// through OpenSource — must return
 // byte-identical top-k results (same tuples, same scores, same order) and
 // read exactly as deep as the plain relations, for both access kinds. The
 // plain relations sort and the rest traverse R-trees, so this is also the
