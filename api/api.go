@@ -24,8 +24,8 @@ const (
 	OverflowDrop  = "drop"
 
 	// BufferPrune and BufferSpill are the two values Request.BufferPolicy
-	// accepts. Both are ignored; they leave with the field (ROADMAP
-	// item 3(a)).
+	// accepts. Both are ignored; they leave with the field (the ROADMAP
+	// item "`bench/` follows the code").
 	BufferPrune = "prune"
 	BufferSpill = "spill"
 
@@ -71,7 +71,8 @@ type Request struct {
 	// server runs stops at K, so its buffer is a bounded consumer that
 	// drops what ranks below its floor, whatever this says. Not part of
 	// the canonical encoding. It stays only while the benchmark harness
-	// still sends it, and leaves with ROADMAP item 3(a).
+	// still sends it, and leaves with the ROADMAP item "`bench/` follows
+	// the code".
 	BufferPolicy string `json:"bufferPolicy,omitempty"`
 	// Overflow picks this client's stream-delivery overflow policy when
 	// the server brokers stream delivery: "block" asks the engine to wait
@@ -142,7 +143,8 @@ type Cost struct {
 	Threshold *float64 `json:"threshold,omitempty"`
 	// SpilledCombinations and SpilledBytes are never set: a server never
 	// spills (every query it runs stops at K). They stay only while the
-	// benchmark harness still zeroes them, and leave with ROADMAP item 3(a).
+	// benchmark harness still zeroes them, and leave with the ROADMAP item
+	// "`bench/` follows the code".
 	SpilledCombinations int64 `json:"spilledCombinations,omitempty"`
 	SpilledBytes        int64 `json:"spilledBytes,omitempty"`
 }

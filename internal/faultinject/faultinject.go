@@ -5,11 +5,11 @@
 // with jitter, slow-drip responses, and frame corruption.
 //
 // The wrapper understands the shardrpc framing (4-byte big-endian
-// length + payload, requests being JSON) just enough to find frame
-// boundaries and sniff the request verb, so rules can target a single
-// verb ("pull", "next", "hello", ...) and a specific occurrence (nth
-// call, every Nth call, at most N times). It has no dependency on
-// shardrpc itself and works on any protocol with the same framing.
+// length + payload) just enough to find frame boundaries and sniff the
+// request verb (a request frame's verb byte, a JSON request's "verb"),
+// so rules can target a single verb and a specific occurrence (nth call,
+// every Nth call, at most N times). It has no dependency on shardrpc
+// itself and works on any protocol with the same framing.
 //
 // Faults are for tests and chaos builds only: proxserve refuses a
 // -fault-spec unless PROXSERVE_CHAOS=1 is set in the environment.
@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,16 +90,7 @@ func (r *Rule) take() bool {
 // matchAddr reports whether the rule's Peer selector matches either end
 // of the connection.
 func (r *Rule) matchAddr(local, remote string) bool {
-	return r.Peer == "" || contains(local, r.Peer) || contains(remote, r.Peer)
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
+	return r.Peer == "" || strings.Contains(local, r.Peer) || strings.Contains(remote, r.Peer)
 }
 
 // Injector holds a rule set and wraps listeners with it. Safe for
@@ -273,14 +265,26 @@ func (c *conn) scanRequests(b []byte) {
 			return
 		}
 		c.rbuf = rest
-		var req struct {
-			Verb string `json:"verb"`
-		}
-		_ = json.Unmarshal(frame[4:], &req)
-		if r := c.inj.match(req.Verb, addr(c.LocalAddr()), addr(c.RemoteAddr())); r != nil {
+		if r := c.inj.match(verbOf(frame[4:]), addr(c.LocalAddr()), addr(c.RemoteAddr())); r != nil {
 			c.pending = r
 		}
 	}
+}
+
+// requestVerbs names the verb bytes of a shardrpc request frame.
+var requestVerbs = map[byte]string{1: "pull", 2: "next"}
+
+// verbOf sniffs a request payload's verb: a request frame's ("PRXQ",
+// version, verb byte) from its verb byte, a JSON one's from "verb".
+func verbOf(payload []byte) string {
+	if len(payload) > 5 && string(payload[:4]) == "PRXQ" {
+		return requestVerbs[payload[5]]
+	}
+	var req struct {
+		Verb string `json:"verb"`
+	}
+	_ = json.Unmarshal(payload, &req)
+	return req.Verb
 }
 
 // splitFrame splits buf into its first complete frame (header included)
@@ -331,16 +335,13 @@ func (c *conn) writeFrame(frame []byte) error {
 	r := c.pending
 	c.pending = nil
 	c.mu.Unlock()
-	if r == nil {
-		_, err := c.Conn.Write(frame)
-		return err
-	}
-	switch r.Action {
-	case ActionDelay:
+	switch {
+	case r == nil:
+	case r.Action == ActionDelay:
 		time.Sleep(r.Delay + c.inj.jitter(r.Jitter))
-		_, err := c.Conn.Write(frame)
-		return err
-	case ActionDrip:
+	case r.Action == ActionCorrupt:
+		frame = Corrupt(frame)
+	case r.Action == ActionDrip:
 		chunk, gap := r.Chunk, r.Gap
 		if chunk <= 0 {
 			chunk = 8
@@ -349,10 +350,7 @@ func (c *conn) writeFrame(frame []byte) error {
 			gap = time.Millisecond
 		}
 		for len(frame) > 0 {
-			n := chunk
-			if n > len(frame) {
-				n = len(frame)
-			}
+			n := min(chunk, len(frame))
 			if _, err := c.Conn.Write(frame[:n]); err != nil {
 				return err
 			}
@@ -362,10 +360,7 @@ func (c *conn) writeFrame(frame []byte) error {
 			}
 		}
 		return nil
-	case ActionCorrupt:
-		_, err := c.Conn.Write(Corrupt(frame))
-		return err
-	case ActionReset:
+	case r.Action == ActionReset:
 		half := frame[:4+(len(frame)-4)/2]
 		_, _ = c.Conn.Write(half)
 		c.mu.Lock()
@@ -373,8 +368,7 @@ func (c *conn) writeFrame(frame []byte) error {
 		c.mu.Unlock()
 		c.Conn.Close()
 		return errReset{}
-	default:
-		_, err := c.Conn.Write(frame)
-		return err
 	}
+	_, err := c.Conn.Write(frame)
+	return err
 }

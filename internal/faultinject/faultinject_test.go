@@ -295,3 +295,55 @@ func TestSetEnabledHealsFaults(t *testing.T) {
 		t.Fatalf("disabled injector fired %d faults", in.Fired())
 	}
 }
+
+// requestFrame builds a shardrpc request frame with the given verb byte,
+// as far as the injector reads one: length prefix, magic, version, verb.
+func requestFrame(verb byte) []byte {
+	payload := append([]byte("PRXQ"), 1, verb, 0, 0)
+	payload = append(payload, make([]byte, 32)...)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// TestNextRuleFiresOnRequestFrame: a rule on "next" matches the verb
+// byte of a binary request frame, and leaves a "pull" frame alone.
+func TestNextRuleFiresOnRequestFrame(t *testing.T) {
+	in := New(&Rule{Verb: "next", Action: ActionReset})
+	ln := faultedListener(t, in)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for {
+			var hdr [4]byte
+			if _, err := io.ReadFull(c, hdr[:]); err != nil {
+				return
+			}
+			if _, err := io.CopyN(io.Discard, c, int64(binary.BigEndian.Uint32(hdr[:]))); err != nil {
+				return
+			}
+			if writeFrameErr(c, testMsg{Verb: "rows"}) != nil {
+				return
+			}
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var resp testMsg
+	for i, verb := range []byte{1, 2} {
+		if _, err := c.Write(requestFrame(verb)); err != nil {
+			t.Fatal(err)
+		}
+		err := readTestFrame(c, &resp)
+		if pull := i == 0; pull != (err == nil) {
+			t.Fatalf("verb byte %d: err = %v", verb, err)
+		}
+	}
+	if in.Fired() != 1 {
+		t.Fatalf("fired %d faults, want 1", in.Fired())
+	}
+}

@@ -208,34 +208,44 @@ type reply struct {
 	done bool // stream exhausted; no VerbNext needed
 }
 
-// payloadPool holds response payload buffers between exchanges.
-var payloadPool sync.Pool
+// framePool holds the buffers exchanges write and read their frames in.
+var framePool sync.Pool
 
 // exchange performs one request/response on a specific connection under
-// the pull deadline, reporting to ObservePull. limit caps the response
-// payload it will accept.
-func (p *Peer) exchange(c net.Conn, req *Request, limit int) (*reply, error) {
+// the pull deadline, reporting to ObservePull. Cancelling ctx interrupts
+// it through the deadline and fails it with ctx's error. limit caps the
+// response payload it will accept.
+func (p *Peer) exchange(ctx context.Context, c net.Conn, req *Request, limit int) (*reply, error) {
 	p.Pulls.Add(1)
 	start := time.Now()
 	rep, err := func() (*reply, error) {
-		if err := c.SetDeadline(time.Now().Add(p.pullTimeout())); err != nil {
-			return nil, err
-		}
-		if err := writeFrame(c, req); err != nil {
-			return nil, err
-		}
-		// Both decoders below copy what they keep, so the payload's bytes
-		// serve the next exchange.
-		buf, _ := payloadPool.Get().(*[]byte)
+		buf, _ := framePool.Get().(*[]byte)
 		if buf == nil {
 			buf = new([]byte)
 		}
-		body, err := readPayload(c, limit, *buf)
+		defer framePool.Put(buf)
+		body, err := req.AppendFrame((*buf)[:0])
 		if err != nil {
 			return nil, err
 		}
 		*buf = body
-		defer payloadPool.Put(buf)
+		if err := c.SetDeadline(start.Add(p.pullTimeout())); err != nil {
+			return nil, err
+		}
+		stop := context.AfterFunc(ctx, func() { c.SetDeadline(time.Unix(1, 0)) }) // a past deadline interrupts I/O
+		if _, err = c.Write(body); err == nil {
+			// Both decoders below copy what they keep, so the payload's
+			// bytes serve the next exchange.
+			body, err = readPayload(c, limit, body)
+		}
+		if !stop() {
+			// Cancelled, perhaps as the answer arrived: the deadline is spoiled.
+			return nil, ctx.Err()
+		}
+		if err != nil {
+			return nil, err
+		}
+		*buf = body
 		var rep reply
 		if len(body) > 0 && body[0] == '{' {
 			if err := json.Unmarshal(body, &rep.Response); err != nil {
@@ -290,10 +300,14 @@ func (p *Peer) Call(ctx context.Context, req *Request) (*Response, error) {
 			lastErr = err
 			continue
 		}
-		rep, err := p.exchange(c, req, maxFrame)
+		rep, err := p.exchange(ctx, c, req, maxFrame)
 		if err != nil {
-			brk.Record(false)
 			c.Close()
+			if ctx.Err() != nil {
+				brk.Abandon()
+				return nil, ctx.Err()
+			}
+			brk.Record(false)
 			lastErr = err
 			continue
 		}
@@ -314,11 +328,7 @@ func (p *Peer) Call(ctx context.Context, req *Request) (*Response, error) {
 // together retry in lockstep; the uniform draw over [0, window] spreads
 // the retry wave out.
 func backoff(n int) time.Duration {
-	d := backoffBase << (n - 1)
-	if d > backoffCap {
-		d = backoffCap
-	}
-	return backoffJitter(d)
+	return backoffJitter(min(backoffBase<<(n-1), backoffCap))
 }
 
 // backoffJitter draws the actual sleep given the window. A package

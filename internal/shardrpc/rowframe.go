@@ -142,18 +142,9 @@ func decodeRowFrame(p []byte) (rows []WireTuple, done bool, err error) {
 	bad := func(format string, args ...any) ([]WireTuple, bool, error) {
 		return nil, false, fmt.Errorf("%w: %s", errRowFrame, fmt.Sprintf(format, args...))
 	}
-	if len(p) < rowHeaderLen+rowTrailer {
-		return bad("%d bytes is shorter than an empty frame", len(p))
-	}
-	if string(p[:4]) != rowMagic {
-		return bad("magic %q", p[:4])
-	}
-	if p[4] != rowVersion {
-		return bad("version %d, this build reads %d", p[4], rowVersion)
-	}
-	body := p[:len(p)-rowTrailer]
-	if want, got := le.Uint32(p[len(body):]), crc32.Checksum(body, castagnoli); want != got {
-		return bad("checksum %08x, payload sums to %08x", want, got)
+	body, why := openFrame(p, rowMagic, rowVersion, rowHeaderLen+rowTrailer)
+	if why != "" {
+		return bad("%s", why)
 	}
 	if p[5]&^rowFlagDone != 0 || p[6] != 0 || p[7] != 0 {
 		return bad("unknown flags %02x %02x %02x", p[5], p[6], p[7])
@@ -215,6 +206,24 @@ func decodeRowFrame(p []byte) (rows []WireTuple, done bool, err error) {
 		return bad("%d bytes after the last row", len(body))
 	}
 	return rows, done, nil
+}
+
+// openFrame checks a payload's least length, magic, version and
+// checksum, and returns it without the checksum, or why it fails.
+func openFrame(p []byte, magic string, version byte, least int) (body []byte, why string) {
+	switch {
+	case len(p) < least:
+		return nil, fmt.Sprintf("%d bytes is shorter than an empty frame", len(p))
+	case string(p[:4]) != magic:
+		return nil, fmt.Sprintf("magic %q", p[:4])
+	case p[4] != version:
+		return nil, fmt.Sprintf("version %d, this build reads %d", p[4], version)
+	}
+	body = p[:len(p)-rowTrailer]
+	if want, got := le.Uint32(p[len(body):]), crc32.Checksum(body, castagnoli); want != got {
+		return nil, fmt.Sprintf("checksum %08x, payload sums to %08x", want, got)
+	}
+	return body, ""
 }
 
 // cutString splits a length-prefixed string off the front of b.

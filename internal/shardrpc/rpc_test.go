@@ -141,26 +141,55 @@ func serveSharded(t *testing.T, rel *relation.Relation, shards, servers int, str
 	return sharded, fleet, rr
 }
 
+// TestFrameRoundTrip: a pull and a next survive their request frame bit
+// for bit, and a hello its JSON frame; a hostile length prefix is
+// refused, not allocated.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	in := Request{Verb: VerbPull, Relation: "r", Shard: 3, Access: api.AccessDistance,
 		Query: []float64{1.5, math.Nextafter(2, 3)}, Offset: 17, Batch: 64}
-	if err := writeFrame(&buf, &in); err != nil {
-		t.Fatal(err)
-	}
-	var out Request
-	if err := readFrame(&buf, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Verb != in.Verb || out.Shard != in.Shard || out.Offset != in.Offset ||
-		math.Float64bits(out.Query[1]) != math.Float64bits(in.Query[1]) {
-		t.Fatalf("frame round trip: got %+v, want %+v", out, in)
+	next := in
+	next.Verb = VerbNext
+	hello := Request{Verb: VerbHello}
+	for _, req := range []*Request{&in, &next, &hello} {
+		frame, err := req.AppendFrame(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := readPayload(bytes.NewReader(frame), maxFrame, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if binary := body[0] != '{'; binary != (req != &hello) {
+			t.Fatalf("%s: payload starts %q", req.Verb, body[:4])
+		}
+		out, err := decodeRequest(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := *req
+		if req == &next {
+			want = Request{Verb: VerbNext, Batch: in.Batch} // a next carries only its batch
+		}
+		if out.Verb != want.Verb || out.Shard != want.Shard || out.Offset != want.Offset ||
+			out.Batch != want.Batch || out.Relation != want.Relation || out.Access != want.Access ||
+			len(out.Query) != len(want.Query) {
+			t.Fatalf("frame round trip: got %+v, want %+v", out, want)
+		}
+		if len(out.Query) > 0 && math.Float64bits(out.Query[1]) != math.Float64bits(in.Query[1]) {
+			t.Fatalf("query bits changed: %v", out.Query)
+		}
 	}
 	// A hostile length prefix must be refused, not allocated.
-	var hdr bytes.Buffer
-	hdr.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if err := readFrame(&hdr, &out); err == nil {
+	if _, err := readPayload(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}), maxFrame, nil); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+	// pull and next are binary or nothing.
+	for _, verb := range []string{VerbPull, VerbNext} {
+		_, err := decodeRequest([]byte(`{"verb":"` + verb + `","relation":"r","batch":4}`))
+		var apiErr *api.Error
+		if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
+			t.Fatalf("JSON %s: err = %v, want CodeBadRequest", verb, err)
+		}
 	}
 }
 

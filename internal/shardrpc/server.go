@@ -130,9 +130,9 @@ func (s *Server) handle(conn net.Conn) {
 		// stream is the connection's current shard stream (VerbNext target),
 		// closed when it ends, is replaced, or the connection goes.
 		stream relation.KeyedSource
-		// frame is the connection's row-frame buffer, reused by every
-		// pull/next it answers.
-		frame []byte
+		// buf is the connection's one frame buffer: a request is read into
+		// it, then its response is built in it and written in one write.
+		buf []byte
 	)
 	defer func() {
 		closeStream(stream)
@@ -142,20 +142,25 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	for {
-		var req Request
-		if err := readFrame(conn, &req); err != nil {
+		p, err := readPayload(conn, maxFrame, buf)
+		if err != nil {
 			return
 		}
+		req, err := decodeRequest(p)
+		var apiErr *api.Error
+		if err != nil && !errors.As(err, &apiErr) {
+			return // not a request: drop the connection, the client retries
+		}
 		var resp Response
-		var err error
 		rows := false // answer with a row frame of stream, not with resp
-		switch req.Verb {
-		case VerbPing:
+		switch {
+		case err != nil:
+		case req.Verb == VerbPing:
 			// Empty success response.
-		case VerbHello:
+		case req.Verb == VerbHello:
 			h := s.backend.Hello()
 			resp.Hello = &h
-		case VerbPull:
+		case req.Verb == VerbPull:
 			closeStream(stream)
 			stream, err = s.backend.OpenShard(req.Relation, req.Shard, req.Access, req.Query)
 			if err == nil {
@@ -166,7 +171,7 @@ func (s *Server) handle(conn net.Conn) {
 				stream = nil
 			}
 			rows = err == nil
-		case VerbNext:
+		case req.Verb == VerbNext:
 			if stream == nil {
 				err = api.Errorf(api.CodeBadRequest, "next without an open stream on this connection")
 			}
@@ -176,7 +181,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if rows {
 			var done bool
-			frame, done, err = appendRowFrame(frame, stream, batchSize(req.Batch))
+			buf, done, err = appendRowFrame(p, stream, batchSize(req.Batch))
 			if done || err != nil {
 				closeStream(stream)
 				stream = nil
@@ -185,12 +190,12 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			resp.Err, rows = asWireError(err), false
 		}
-		if rows {
-			_, err = conn.Write(frame)
-		} else {
-			err = writeFrame(conn, &resp)
+		if !rows {
+			if buf, err = appendJSONFrame(p[:0], &resp); err != nil {
+				return
+			}
 		}
-		if err != nil {
+		if _, err = conn.Write(buf); err != nil {
 			return
 		}
 	}

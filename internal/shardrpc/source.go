@@ -1,9 +1,11 @@
 package shardrpc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"repro/api"
@@ -52,9 +54,10 @@ type RemoteSource struct {
 	offset   int // rows consumed from the stream (resume point)
 	done     bool
 
-	// Hedge budget: hedges stay under ~10% of exchanges.
+	// Hedge budget: hedges stay under ~10% of exchanges. A hedge lane
+	// counts itself from its own goroutine.
 	pulls  int
-	hedges int
+	hedges atomic.Int64
 }
 
 // OpenRemoteShard builds the stream of one shard of a discovered remote
@@ -293,121 +296,145 @@ func (r *RemoteSource) unreachable(lastErr error) error {
 		r.shard, r.relName, maxAttempts, lastErr)
 }
 
-// exchResult is one lane of a (possibly hedged) exchange.
-type exchResult struct {
-	rep   *reply
-	err   error
-	conn  net.Conn
-	peer  *Peer
-	hedge bool
-}
-
 // exchangeHedged performs one exchange on the checked-out connection,
-// hedging it against another replica when the primary's response is
-// slower than the hedge trigger: the hedge re-pulls the SAME offset on
-// its own connection, and the first complete response wins. Because
-// shard streams are deterministic and offset-addressed, the output is
-// byte-identical whichever lane wins. On success r.conn/r.peer hold the
-// winning lane's connection; on failure the connection state is cleared.
+// on the caller's goroutine. When the policy allows, a hedge re-pulls
+// the same offset from another replica if the primary is slower than
+// the trigger; the first lane to succeed wins and interrupts the other.
+// Shard streams are deterministic and offset-addressed, so the output
+// is byte-identical whichever lane wins. On success r.conn/r.peer hold
+// the winning lane's connection; on failure they are cleared.
 func (r *RemoteSource) exchangeHedged(req *Request) (*reply, error) {
 	r.pulls++
 	primary, pconn := r.peer, r.conn
+	r.conn, r.peer = nil, nil
 	limit := pullFrameLimit(req.Batch, r.parent.Dim())
-	results := make(chan exchResult, 2)
-	inflight := 1
-	go func() {
-		rep, err := primary.exchange(pconn, req, limit)
-		results <- exchResult{rep: rep, err: err, conn: pconn, peer: primary}
-	}()
-
-	var hedgeC <-chan time.Time
-	if r.hedgeAllowed() {
-		t := time.NewTimer(r.hedgeDelay(primary, req.Batch))
-		defer t.Stop()
-		hedgeC = t.C
+	ctx, h := r.ctx, r.armHedge(req, primary, limit)
+	if h != nil {
+		ctx = h.ctx
+		defer h.stop()
 	}
-
-	for {
-		select {
-		case res := <-results:
-			inflight--
-			if res.err == nil {
-				res.peer.Breaker().Record(true)
-				if res.hedge {
-					res.peer.HedgeWins.Add(1)
-				}
-				r.conn, r.peer = res.conn, res.peer
-				r.abandon(results, inflight, res.conn)
-				return res.rep, nil
-			}
-			res.peer.Breaker().Record(false)
-			if res.conn != nil {
-				res.conn.Close()
-			}
-			if inflight > 0 {
-				continue // the other lane may still win
-			}
-			r.conn, r.peer = nil, nil
-			return nil, res.err
-		case <-hedgeC:
-			hedgeC = nil
-			hp := r.pickHedgePeer(primary)
-			if hp == nil {
-				continue
-			}
-			inflight++
-			r.hedges++
-			hp.Hedges.Add(1)
-			hreq := *req
-			hreq.Verb = VerbPull
-			hreq.Offset = r.offset
-			go func() {
-				c, err := hp.get(r.ctx)
-				if err != nil {
-					results <- exchResult{err: err, peer: hp, hedge: true}
-					return
-				}
-				rep, err := hp.exchange(c, &hreq, limit)
-				results <- exchResult{rep: rep, err: err, conn: c, peer: hp, hedge: true}
-			}()
-		case <-r.ctx.Done():
-			// Closing the primary connection unblocks its exchange; the
-			// drainer reaps whatever is still in flight.
-			pconn.Close()
-			r.conn, r.peer = nil, nil
-			r.abandon(results, inflight, nil)
-			return nil, r.ctx.Err()
+	rep, err := primary.exchange(ctx, pconn, req, limit)
+	if settle(ctx, primary, pconn, err, err == nil && h.claim()) {
+		r.conn, r.peer = pconn, primary
+		return rep, nil
+	}
+	if h.wait() {
+		if h.conn != nil && r.ctx.Err() == nil {
+			r.conn, r.peer = h.conn, h.peer
+			return h.rep, nil
 		}
+		if h.conn != nil {
+			h.conn.Close()
+		}
+		err = cmp.Or(h.err, err)
 	}
+	if r.ctx.Err() != nil {
+		return nil, r.ctx.Err()
+	}
+	return nil, err
 }
 
-// abandon reaps n still-in-flight lanes in the background: their
-// connections are closed (never pooled — their framing state is
-// unknown), any half-open probe slot is released without a verdict,
-// and their outcomes are not held against the peer (the loss may be
-// one we induced by closing the winner race).
-func (r *RemoteSource) abandon(results chan exchResult, n int, keep net.Conn) {
-	if n <= 0 {
-		return
+// settle closes out one lane of an exchange and reports whether it won.
+// A lane that lost or failed closes its connection; its peer's breaker
+// hears a failure only if the lane failed on its own, not cancelled.
+func settle(ctx context.Context, p *Peer, c net.Conn, err error, won bool) bool {
+	if won {
+		p.Breaker().Record(true)
+		return true
 	}
-	go func() {
-		for i := 0; i < n; i++ {
-			res := <-results
-			if res.conn != nil && res.conn != keep {
-				res.conn.Close()
-			}
-			if res.peer != nil {
-				res.peer.Breaker().Abandon()
-			}
+	if c != nil {
+		c.Close()
+	}
+	if err != nil && ctx.Err() == nil {
+		p.Breaker().Record(false)
+	} else {
+		p.Breaker().Abandon()
+	}
+	return false
+}
+
+// hedge is one exchange's armed hedge: a timer whose goroutine, the only
+// one an exchange starts, runs the hedge lane. Both lanes run under ctx,
+// which the winner cancels to interrupt the loser through its deadline.
+type hedge struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	timer  *time.Timer
+	won    atomic.Bool
+	done   chan struct{} // closed once a fired lane has settled
+	// The fired lane's outcome, read after done when the primary did not
+	// win: conn is set when the lane won, err when it failed.
+	rep  *reply
+	err  error
+	conn net.Conn
+	peer *Peer
+}
+
+// armHedge starts the hedge timer for one exchange, or returns nil when
+// this fetch may not hedge.
+func (r *RemoteSource) armHedge(req *Request, primary *Peer, limit int) *hedge {
+	if !r.hedgeAllowed() {
+		return nil
+	}
+	h := &hedge{done: make(chan struct{})}
+	h.ctx, h.cancel = context.WithCancel(r.ctx)
+	hreq := *req
+	hreq.Verb, hreq.Offset = VerbPull, r.offset
+	from := r.ownerIdx
+	h.timer = time.AfterFunc(r.hedgeDelay(primary, req.Batch), func() {
+		defer close(h.done)
+		if h.peer = r.pickHedgePeer(primary, from); h.peer == nil {
+			return
 		}
-	}()
+		r.hedges.Add(1)
+		h.peer.Hedges.Add(1)
+		c, err := h.peer.get(h.ctx)
+		if err == nil {
+			h.rep, err = h.peer.exchange(h.ctx, c, &hreq, limit)
+		}
+		if settle(h.ctx, h.peer, c, err, err == nil && h.claim()) {
+			h.peer.HedgeWins.Add(1)
+			h.conn = c
+		}
+		h.err = err
+	})
+	return h
+}
+
+// claim makes the calling lane the winner and interrupts the other,
+// reporting false when the other lane won first. With no hedge the
+// primary always wins.
+func (h *hedge) claim() bool {
+	if h == nil {
+		return true
+	}
+	if h.won.Swap(true) {
+		return false
+	}
+	h.cancel()
+	return true
+}
+
+// wait reports whether the hedge fired, once its lane has settled.
+func (h *hedge) wait() bool {
+	if h == nil || h.timer.Stop() {
+		return false
+	}
+	<-h.done
+	return true
+}
+
+// stop disarms the timer and interrupts a lane still running.
+func (h *hedge) stop() {
+	h.timer.Stop()
+	h.cancel()
 }
 
 // hedgeAllowed reports whether this fetch may hedge: hedging on, more
 // than one replica, and the budget (~10% of exchanges, with one free)
 // not yet spent.
 func (r *RemoteSource) hedgeAllowed() bool {
-	return !r.hedge.Disable && len(r.owners) > 1 && r.hedges*10 < r.pulls+9
+	return !r.hedge.Disable && len(r.owners) > 1 && int(r.hedges.Load())*10 < r.pulls+9
 }
 
 // hedgeDelay is the trigger for hedging one exchange of batch rows: the
@@ -421,10 +448,10 @@ func (r *RemoteSource) hedgeDelay(primary *Peer, batch int) time.Duration {
 }
 
 // pickHedgePeer returns a replica other than the primary whose breaker
-// admits a request, or nil.
-func (r *RemoteSource) pickHedgePeer(primary *Peer) *Peer {
+// admits a request, scanning from owner index from, or nil.
+func (r *RemoteSource) pickHedgePeer(primary *Peer, from int) *Peer {
 	for i := 0; i < len(r.owners); i++ {
-		p := r.owners[(r.ownerIdx+i)%len(r.owners)]
+		p := r.owners[(from+i)%len(r.owners)]
 		if p == primary {
 			continue
 		}

@@ -14,26 +14,32 @@
 // server's stream cursor), and a retry after a broken connection resumes
 // byte-identically by re-pulling at the recorded offset.
 //
-// Two payload encodings share the frame. Requests, hello, ping and every
-// error response are JSON: control-plane messages, small and rare. The
-// rows of a successful pull/next travel as one binary row frame
-// (rowframe.go): fixed-width Float64bits for every key, score and
-// coordinate, so the exact bit pattern survives the wire — which is what
-// makes a coordinator's k-way merge byte-identical to a single-node run —
-// closed by a CRC-32C, because a flipped byte inside a float is still a
-// float. A reader tells the two apart by the first payload byte ('{' or
-// the row magic). There is no negotiation: every peer of a deployment
-// runs identical binaries over identical data, and a coordinator that
-// meets anything else fails loudly at its first pull. Pull sizes ramp
-// (source.go), so the wire carries what a merge consumes, not 512 rows
-// per opened shard.
+// Two payload encodings share the frame. The data plane is binary: a
+// pull or next is one request frame (below) and the rows answering it
+// one row frame (rowframe.go), both fixed-width little-endian with every
+// float as its Float64bits, so the exact bit pattern survives the wire
+// — which is what makes a coordinator's k-way merge byte-identical to a
+// single-node run — and both closed by a CRC-32C, because a flipped byte
+// inside a float is still a float. JSON is left to the control plane:
+// hello, ping and every error response, small and rare; a pull or next
+// sent as JSON is refused. A reader tells the encodings apart by the
+// first payload byte ('{' or a frame's magic). There is no negotiation:
+// every peer of a deployment runs identical binaries over identical
+// data, and a coordinator that meets anything else fails loudly at its
+// first pull. Each frame leaves in one write and is read greedily into
+// a reused buffer, and the client runs the exchange on the caller's
+// goroutine (source.go). Pull sizes ramp, so the wire carries what a
+// merge consumes, not 512 rows per opened shard.
 package shardrpc
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 
 	"repro/api"
@@ -140,57 +146,152 @@ const (
 // a reader allocate unboundedly.
 const maxFrame = 64 << 20
 
-// writeFrame writes one length-prefixed JSON frame.
-func writeFrame(w io.Writer, v any) error {
+// appendJSONFrame appends v as one length-prefixed JSON frame.
+func appendJSONFrame(dst []byte, v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("shardrpc: encode frame: %w", err)
+		return dst, fmt.Errorf("shardrpc: encode frame: %w", err)
 	}
 	if len(body) > maxFrame {
-		return fmt.Errorf("shardrpc: frame of %d bytes exceeds the %d-byte limit", len(body), maxFrame)
+		return dst, fmt.Errorf("shardrpc: frame of %d bytes exceeds the %d-byte limit", len(body), maxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(body))), body...), nil
 }
 
-// readPayload reads one frame's payload into buf (from its start; nil is
-// fine), refusing a length prefix over limit before allocating anything
-// for it. Past buf's capacity the buffer grows only as bytes arrive
-// (never by more than it already holds, 64 KiB at first), so a prefix
-// that lies costs its sender real bytes, not the reader memory.
+// AppendFrame appends req as the one length-prefixed frame it travels
+// in: a binary request frame for pull and next, JSON for every other
+// verb.
+func (req *Request) AppendFrame(dst []byte) ([]byte, error) {
+	if req.Verb != VerbPull && req.Verb != VerbNext {
+		return appendJSONFrame(dst, req)
+	}
+	verb := byte(slices.Index(reqVerbs[:], req.Verb))
+	if req.Verb == VerbNext {
+		req = &Request{Batch: req.Batch}
+	}
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
+	dst = append(dst, reqMagic...)
+	dst = append(dst, reqVersion, verb, 0, 0)
+	dst = le.AppendUint32(dst, uint32(req.Shard))
+	dst = le.AppendUint32(dst, uint32(req.Batch))
+	dst = le.AppendUint64(dst, uint64(req.Offset))
+	dst = appendString(appendString(dst, req.Access), req.Relation)
+	dst = le.AppendUint32(dst, uint32(len(req.Query)))
+	for _, c := range req.Query {
+		dst = le.AppendUint64(dst, math.Float64bits(c))
+	}
+	dst = le.AppendUint32(dst, crc32.Checksum(dst[start+4:], castagnoli))
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst, nil
+}
+
+// The request frame: the payload of every pull and next, little-endian
+// like the row frame.
+//
+//	off  size  field
+//	  0     4  magic "PRXQ"
+//	  4     1  version (1)
+//	  5     1  verb: 1 = pull, 2 = next
+//	  6     2  reserved, zero
+//	  8     4  shard
+//	 12     4  batch (0: the server's DefaultBatch)
+//	 16     8  offset (rows to skip; the resume point)
+//	 24   4+n  access: length, bytes
+//	  …   4+n  relation: length, bytes
+//	  …     4  dim: query coordinates (0 for score access)
+//	  …  8·dim Float64bits(coordinate)
+//	  …     4  CRC-32C (Castagnoli) of every payload byte before it
+//
+// A next continues the connection's stream and carries only its batch:
+// every other field is zero or empty.
+const (
+	reqMagic   = "PRXQ"
+	reqVersion = 1
+)
+
+var (
+	reqVerbs        = [...]string{1: VerbPull, 2: VerbNext}     // by verb byte
+	errRequestFrame = errors.New("shardrpc: bad request frame") // wraps every refusal
+)
+
+// decodeRequest parses one request payload; a JSON pull or next yields a
+// CodeBadRequest *api.Error, any other error a payload that is no
+// request. A frame's checksum is verified before any field is trusted,
+// and what it accepts re-encodes to the same bytes.
+func decodeRequest(p []byte) (req Request, err error) {
+	if len(p) > 0 && p[0] == '{' {
+		if err := json.Unmarshal(p, &req); err != nil {
+			return req, fmt.Errorf("shardrpc: decode frame: %w", err)
+		}
+		if req.Verb == VerbPull || req.Verb == VerbNext {
+			return req, api.Errorf(api.CodeBadRequest, "a %s travels as a binary request frame, not JSON", req.Verb)
+		}
+		return req, nil
+	}
+	bad := func(format string, args ...any) (Request, error) {
+		return Request{}, fmt.Errorf("%w: %s", errRequestFrame, fmt.Sprintf(format, args...))
+	}
+	body, why := openFrame(p, reqMagic, reqVersion, 24+4+4+4+rowTrailer)
+	if why != "" {
+		return bad("%s", why)
+	}
+	offset := le.Uint64(p[16:])
+	if int(p[5]) >= len(reqVerbs) || p[5] == 0 || p[6] != 0 || p[7] != 0 || offset > math.MaxInt {
+		return bad("verb %d, reserved %02x %02x, offset %d", p[5], p[6], p[7], offset)
+	}
+	req = Request{Verb: reqVerbs[p[5]], Shard: int(le.Uint32(p[8:])), Batch: int(le.Uint32(p[12:])), Offset: int(offset)}
+	ok := false
+	if req.Access, body, ok = cutString(body[24:]); ok {
+		req.Relation, body, ok = cutString(body)
+	}
+	if !ok || len(body) < 4 || len(body)-4 != 8*int(le.Uint32(body)) {
+		return bad("strings or query truncated")
+	}
+	if body = body[4:]; len(body) > 0 {
+		req.Query = make([]float64, len(body)/8)
+		for i := range req.Query {
+			req.Query[i] = math.Float64frombits(le.Uint64(body[8*i:]))
+		}
+	}
+	if req.Verb == VerbNext && (req.Shard != 0 || req.Offset != 0 || req.Access != "" || req.Relation != "" || req.Query != nil) {
+		return bad("a next carries only its batch")
+	}
+	return req, nil
+}
+
+// readPayload reads one frame into buf (from its start; nil is fine) and
+// returns its payload, moved to buf's start. It reads greedily, as much
+// as the buffer holds: each side sends one frame and then waits for the
+// other's, so a frame arrives in one read once the buffer has grown to
+// it, and bytes past the frame are a protocol error. A length prefix
+// over limit is refused before anything is allocated for it. Past buf's
+// capacity the buffer grows only as bytes arrive (never by more than it
+// already holds, 64 KiB at first), so a prefix that lies costs its
+// sender real bytes, not the reader memory.
 func readPayload(r io.Reader, limit int, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > limit {
-		return nil, fmt.Errorf("shardrpc: frame of %d bytes exceeds the %d-byte limit", n, limit)
-	}
-	buf = buf[:0]
-	for len(buf) < n {
-		chunk := min(n-len(buf), max(len(buf), 64<<10))
-		buf = slices.Grow(buf, chunk)[:len(buf)+chunk]
-		if _, err := io.ReadFull(r, buf[len(buf)-chunk:]); err != nil {
+	buf = buf[:cap(buf)]
+	have, end := 0, 4 // end: the frame's length, prefix included, once read
+	for have < end {
+		if have == len(buf) {
+			buf = slices.Grow(buf[:have], min(max(have, 64<<10), end-have))
+			buf = buf[:cap(buf)]
+		}
+		n, err := r.Read(buf[have:])
+		if have += n; have >= 4 {
+			if end = 4 + int(binary.BigEndian.Uint32(buf)); end-4 > limit {
+				return nil, fmt.Errorf("shardrpc: frame of %d bytes exceeds the %d-byte limit", end-4, limit)
+			}
+		}
+		if have > end {
+			return nil, fmt.Errorf("shardrpc: %d bytes past the end of a frame", have-end)
+		}
+		if err != nil && have < end {
+			if err == io.EOF && have > 0 {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
 	}
-	return buf, nil
-}
-
-// readFrame reads one length-prefixed JSON frame into v.
-func readFrame(r io.Reader, v any) error {
-	body, err := readPayload(r, maxFrame, nil)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("shardrpc: decode frame: %w", err)
-	}
-	return nil
+	return buf[:copy(buf, buf[4:end])], nil
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -51,12 +52,16 @@ import (
 //	                   server; the next rpc-live-response block must
 //	                   equal the actual response frame's JSON
 //	rpc-live-response  see rpc-live-request
-//	rpc-live-hex       answers an rpc-live-request block like
-//	                   rpc-live-response, for requests answered by a
-//	                   binary row frame: the block is an annotated hex
-//	                   dump (bytes, then "#" and a comment, per line)
-//	                   that must equal the response frame byte for byte,
-//	                   length prefix included
+//	rpc-live-frame     the block is an annotated hex dump (bytes, then
+//	                   "#" and a comment, per line) of a binary request
+//	                   frame, length prefix included. Read by the layout
+//	                   the document gives, its request must encode to
+//	                   exactly these bytes; they are then sent to the
+//	                   fixture shard server, every rpc-live-frame on one
+//	                   connection, so a next continues the pull before it
+//	rpc-live-hex       answers an rpc-live-frame block: an annotated hex
+//	                   dump that must equal the response frame byte for
+//	                   byte, length prefix included
 func TestAPIDoc(t *testing.T) {
 	blocks := parseDocBlocks(t, "../docs/API.md")
 	if len(blocks) == 0 {
@@ -64,6 +69,11 @@ func TestAPIDoc(t *testing.T) {
 	}
 	srv := docFixtureServer(t)
 	rpcPeer := docShardServer(t)
+	rpcConn, err := net.Dial("tcp", rpcPeer.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rpcConn.Close()
 	counts := map[string]int{}
 	var pendingLive *docBlock
 	for i := range blocks {
@@ -132,9 +142,12 @@ func TestAPIDoc(t *testing.T) {
 			requireLive(t, b, pendingLive, "rpc-live-request")
 			checkLiveRPC(t, rpcPeer, pendingLive, b)
 			pendingLive = nil
+		case "rpc-live-frame":
+			checkRequestFrame(t, b)
+			pendingLive = &blocks[i]
 		case "rpc-live-hex":
-			requireLive(t, b, pendingLive, "rpc-live-request")
-			checkLiveRPCHex(t, rpcPeer.Addr, pendingLive, b)
+			requireLive(t, b, pendingLive, "rpc-live-frame")
+			checkLiveRPCHex(t, rpcConn, pendingLive, b)
 			pendingLive = nil
 		default:
 			t.Errorf("docs/API.md:%d: unknown doctest mode %q", b.line, b.mode)
@@ -144,7 +157,7 @@ func TestAPIDoc(t *testing.T) {
 		t.Errorf("docs/API.md:%d: %s block without its answer block", pendingLive.line, pendingLive.mode)
 	}
 	// The reference must keep covering the core shapes.
-	for _, mode := range []string{"request", "events", "error", "live-response", "live-events", "rpc-request", "rpc-response", "rpc-live-response", "rpc-live-hex"} {
+	for _, mode := range []string{"request", "events", "error", "live-response", "live-events", "rpc-request", "rpc-response", "rpc-live-response", "rpc-live-frame", "rpc-live-hex"} {
 		if counts[mode] == 0 {
 			t.Errorf("docs/API.md documents no %s example", mode)
 		}
@@ -374,28 +387,70 @@ func checkLiveRPC(t *testing.T, peer *shardrpc.Peer, reqB *docBlock, respB docBl
 	}
 }
 
-// checkLiveRPCHex sends the documented request as one frame over a raw
-// connection to the fixture shard server and compares the response
-// frame, length prefix included, with the documented hex dump.
-func checkLiveRPCHex(t *testing.T, addr string, reqB *docBlock, hexB docBlock) {
+// docHex reads an annotated hex dump: on each line, the bytes before "#".
+func docHex(t *testing.T, b docBlock) []byte {
 	t.Helper()
-	var want []byte
-	for _, line := range strings.Split(hexB.text, "\n") {
+	var out []byte
+	for _, line := range strings.Split(b.text, "\n") {
 		data, _, _ := strings.Cut(line, "#")
-		b, err := hex.DecodeString(strings.Join(strings.Fields(data), ""))
+		bs, err := hex.DecodeString(strings.Join(strings.Fields(data), ""))
 		if err != nil {
-			t.Errorf("docs/API.md:%d: hex dump line %q: %v", hexB.line, line, err)
-			return
+			t.Fatalf("docs/API.md:%d: hex dump line %q: %v", b.line, line, err)
 		}
-		want = append(want, b...)
+		out = append(out, bs...)
 	}
-	conn, err := net.Dial("tcp", addr)
+	return out
+}
+
+// checkRequestFrame reads a documented request frame by the layout
+// docs/API.md gives for it — independently of the shardrpc decoder — and
+// checks that the client's encoder turns that request into exactly the
+// documented bytes.
+func checkRequestFrame(t *testing.T, b docBlock) {
+	t.Helper()
+	frame := docHex(t, b)
+	le := binary.LittleEndian
+	req, ok := func() (req shardrpc.Request, ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		p := frame[4:]
+		verbs := map[byte]string{1: shardrpc.VerbPull, 2: shardrpc.VerbNext}
+		req = shardrpc.Request{Verb: verbs[p[5]], Shard: int(le.Uint32(p[8:])), Batch: int(le.Uint32(p[12:])), Offset: int(le.Uint64(p[16:]))}
+		p = p[24:]
+		str := func() string {
+			n := int(le.Uint32(p))
+			s := string(p[4 : 4+n])
+			p = p[4+n:]
+			return s
+		}
+		req.Access, req.Relation = str(), str()
+		for dim := int(le.Uint32(p)); len(req.Query) < dim; {
+			req.Query = append(req.Query, math.Float64frombits(le.Uint64(p[4+8*len(req.Query):])))
+		}
+		return req, string(frame[4:8]) == "PRXQ"
+	}()
+	if !ok {
+		t.Errorf("docs/API.md:%d: the documented bytes are not a request frame by the documented layout", b.line)
+		return
+	}
+	enc, err := req.AppendFrame(nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("docs/API.md:%d: %+v does not encode: %v", b.line, req, err)
+	} else if !bytes.Equal(enc, frame) {
+		t.Errorf("docs/API.md:%d: the client encodes %+v differently.\nencoder:\n%s", b.line, req, hex.Dump(enc))
 	}
-	defer conn.Close()
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(reqB.text)))
-	if _, err := conn.Write(append(frame, reqB.text...)); err != nil {
+}
+
+// checkLiveRPCHex sends a documented request frame over conn to the
+// fixture shard server and compares the response frame, length prefix
+// included, with the documented hex dump.
+func checkLiveRPCHex(t *testing.T, conn net.Conn, reqB *docBlock, hexB docBlock) {
+	t.Helper()
+	want := docHex(t, hexB)
+	if _, err := conn.Write(docHex(t, *reqB)); err != nil {
 		t.Fatal(err)
 	}
 	have := make([]byte, 4)

@@ -79,7 +79,8 @@ type Config struct {
 	// SpillDir and SpillMemBytes are ignored: every query the executor
 	// runs consumes at most K results, and such a session never carries a
 	// spill tier (proxrank.Options.BoundedToK). They stay only while the
-	// benchmark harness still sets them, and leave with ROADMAP item 3(a).
+	// benchmark harness still sets them, and leave with the ROADMAP item
+	// "`bench/` follows the code".
 	SpillDir      string
 	SpillMemBytes int
 }
