@@ -25,9 +25,10 @@ import (
 // BenchmarkHotPath runs the engine hot-path suite shared with the
 // committed BENCH_core.json snapshot (cmd/proxbench -core-out): batch
 // TopK under both bounds, incremental session Next, a sharded-merge
-// query over per-shard R-trees, the R-tree stream, and
-// FormationDeep (the proxserve benchmark's single_engine shape, deep
-// prefixes under a K-bounded buffer).
+// query over per-shard R-trees, the R-tree stream, FormationDeep (the
+// proxserve benchmark's single_engine shape, deep prefixes under a
+// K-bounded buffer) and ScoreDeep (its score class, prefixes a thousand
+// deep).
 // benchstat on `-bench=HotPath` before/after a change is the
 // canonical way to claim a hot-path win.
 func BenchmarkHotPath(b *testing.B) {

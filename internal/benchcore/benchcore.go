@@ -3,10 +3,11 @@
 // snapshot (`proxbench -core-out`) measure exactly the same workloads:
 // batch TopK (tight and corner bounds), incremental session Next, a
 // sharded-merge query over per-shard R-trees, the R-tree distance stream
-// itself, a top-20 over prefixes hundreds of tuples deep, and the grid
-// partitioning of one relation. The JSON snapshot is the perf trajectory record —
-// regenerate it on the same class of hardware before claiming a win or a
-// regression (see EXPERIMENTS.md).
+// itself, top-20s over prefixes hundreds (distance) and a thousand (score
+// access) tuples deep, and the grid partitioning of one relation. The
+// JSON snapshot is the perf trajectory record — regenerate it on the same
+// class of hardware before claiming a win or a regression (see
+// EXPERIMENTS.md).
 package benchcore
 
 import (
@@ -40,6 +41,7 @@ func Specs() []Spec {
 		{Name: "RTreeOpenFirst", Bench: BenchRTreeOpenFirst},
 		{Name: "RTreePrefix100", Bench: BenchRTreePrefix100},
 		{Name: "FormationDeep", Bench: BenchFormationDeep},
+		{Name: "ScoreDeep", Bench: BenchScoreDeep},
 		{Name: "PartitionGrid", Bench: BenchPartitionGrid},
 	}
 }
@@ -267,6 +269,32 @@ func BenchFormationDeep(b *testing.B) {
 			opts.Algorithm = proxrank.CBRR
 		}
 		if _, err := proxrank.TopKFromSources(q, sources, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchScoreDeep is the proxserve benchmark's single_engine score class:
+// top-20 TBPA over score access, weights 1 / 0.05 / 0.05, on the 2 × 20 000
+// × dim 4 relations in AutoShardCount grid shards. A query pulls some
+// 2 400 tuples, so what a pull costs as the prefix deepens shows here.
+func BenchScoreDeep(b *testing.B) {
+	ixs, queries := rtreeSetup()
+	inputs := make([]proxrank.Input, len(ixs))
+	for i, ix := range ixs {
+		rel := ix.Relation()
+		g, err := proxrank.NewShardedRelation(rel, proxrank.AutoShardCount(rel.Len()), proxrank.GridPartition)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs[i] = g
+	}
+	opts := proxrank.Options{K: 20, Algorithm: proxrank.TBPA, Access: proxrank.ScoreAccess,
+		Weights: proxrank.Weights{Ws: 1, Wq: 0.05, Wmu: 0.05}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := proxrank.TopKInputs(queries[i%len(queries)], inputs, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/pqueue"
 	"repro/internal/relation"
 	"repro/internal/vec"
 )
@@ -33,9 +34,10 @@ type relState struct {
 	// solo holds each prefix tuple's separable upper contribution
 	// (agg.Function.SoloBound), parallel to tuples; soloMax is its running
 	// maximum and soloAbsMax the running maximum magnitude (the scale of
-	// the floating-point error a sum of solo terms can carry). bySolo lists
-	// the prefix ranks by descending solo: the order in which a pruned
-	// level's survivors form a prefix (see candidates). All four drive
+	// the floating-point error a sum of solo terms can carry). bySolo is a
+	// max-heap of the prefix ranks by descending solo, then ascending rank,
+	// read in that order (walk): the order in which a pruned level's
+	// survivors form a prefix (see candidates). All four drive
 	// score-floor pruning during formation and the score-access tight
 	// bound's walk (tightScoreBounder.extend), so every engine keeps them,
 	// pruned or not.
@@ -43,11 +45,94 @@ type relState struct {
 	soloMax    float64
 	soloAbsMax float64
 	bySolo     []int32
+	// front is the frontier of the current walk; cands is the relation's
+	// candidate list while formation descends into it (see candidates).
+	front []int32
+	cands []int32
 	// qterm caches each prefix tuple's centroid-independent score term
 	// (agg.Function.QTerm), parallel to tuples; the columnar input of
 	// the batched scoring kernel. Empty when block scoring is off.
 	qterm []float64
 }
+
+// prefixCols is a session's relation states and the slab their tuple
+// columns were first carved from: the one record Close hands to colPool,
+// so the next session reuses the columns at the capacity they grew to.
+type prefixCols struct {
+	rels []*relState
+	slab []relation.Tuple
+}
+
+var colPool sync.Pool
+
+// maxRecycledDepth bounds the prefixes whose columns colPool keeps. A
+// pool should hold entries of about one size: deeper columns (an open
+// session thousands of results in; the deepest K = 20 score-access query
+// of the benchmark reads about 1 740) are left to the collector.
+const maxRecycledDepth = 2048
+
+// recycle hands a closed session's columns to colPool; the engine reads
+// no prefix afterwards. Tuples are zeroed, so none — vector, ID, mapped
+// relfile bytes — outlives its session, and the sources are dropped; the
+// slab is zeroed too, since a segment a column outgrew shares its array
+// with the neighbouring columns.
+func (e *Engine) recycle() {
+	keep := true
+	clear(e.cols.slab)
+	for _, rs := range e.rels {
+		keep = keep && rs.depth() <= maxRecycledDepth
+		clear(rs.tuples)
+		*rs = relState{tuples: rs.tuples[:0], dists: rs.dists[:0], solo: rs.solo[:0],
+			qterm: rs.qterm[:0], bySolo: rs.bySolo[:0], front: rs.front, cands: rs.cands}
+	}
+	if keep {
+		colPool.Put(e.cols)
+	}
+	e.cols, e.rels = nil, nil
+}
+
+// pushSolo adds the newest rank to the bySolo heap. It is the largest
+// rank so far, so it rises past strictly smaller solos only and stays
+// behind every rank of at least its solo.
+func (rs *relState) pushSolo() {
+	rs.bySolo = append(rs.bySolo, int32(len(rs.solo)-1))
+	pqueue.SiftUp(rs.bySolo, rs.rankBefore)
+}
+
+// walk starts a read of bySolo in its order, the m-th rank for O(log m)
+// at any depth: the frontier holds the positions whose parents were read,
+// itself a heap under the same order. The next walk starts afresh.
+func (rs *relState) walk() { rs.front = append(rs.front[:0], 0) }
+
+// next returns the walk's next rank, false once bySolo is read out; the
+// position read gives its slot to its first child and pushes its second.
+func (rs *relState) next() (int32, bool) {
+	f, h := rs.front, rs.bySolo
+	if len(f) == 0 || len(h) == 0 {
+		return 0, false
+	}
+	top := f[0]
+	if c := 2*top + 1; int(c) < len(h) {
+		f[0] = c
+	} else {
+		f[0], f = f[len(f)-1], f[:len(f)-1]
+	}
+	pqueue.SiftDown(f, rs.frontBefore)
+	if c := 2*top + 2; int(c) < len(h) {
+		f = append(f, c)
+		pqueue.SiftUp(f, rs.frontBefore)
+	}
+	rs.front = f
+	return h[top], true
+}
+
+// rankBefore is bySolo's order: solo descending, then rank ascending.
+func (rs *relState) rankBefore(a, b int32) bool {
+	return rs.solo[a] > rs.solo[b] || rs.solo[a] == rs.solo[b] && a < b
+}
+
+// frontBefore orders a walk's frontier: heap positions by their ranks.
+func (rs *relState) frontBefore(p, q int32) bool { return rs.rankBefore(rs.bySolo[p], rs.bySolo[q]) }
 
 // depth returns p_i.
 func (r *relState) depth() int { return len(r.tuples) }
@@ -114,6 +199,7 @@ type Engine struct {
 	dim   int
 	kind  relation.AccessKind
 	rels  []*relState
+	cols  *prefixCols // the record rels live in, for recycle
 	arena *combArena
 	// buf is the output buffer O of Algorithm 1, which every formed
 	// combination is offered to: a bounded consumer of K entries in a batch
@@ -144,10 +230,6 @@ type Engine struct {
 	sufBound  []float64 // sufBound[i]: Σ soloMax over levels ≥ i (skip excluded)
 	sufCount  []int64   // sufCount[i]: Π depth over levels ≥ i (skip excluded)
 	pruneMag  float64   // Σ soloAbsMax: term-magnitude scale for pruneSlack
-	// scrCands[i] is level i's candidate list (see candidates); one list
-	// per level, because an outer level's list stays live while the inner
-	// levels fill theirs.
-	scrCands [][]int32
 	// Block-mode scratch: per-slot cached qterms, the kernel's working
 	// storage, and the per-block column/output buffers.
 	scrQterms []float64
@@ -213,7 +295,14 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 		}
 	}
 
+	// A session reuses a closed one's columns (Engine.recycle) if it can.
 	n := len(sources)
+	var cols *prefixCols
+	if session {
+		if c, _ := colPool.Get().(*prefixCols); c != nil && len(c.rels) == n {
+			cols = c
+		}
+	}
 	e := &Engine{
 		opts:      opts,
 		q:         opts.Query.Clone(),
@@ -237,8 +326,10 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 		return c
 	}
 	colTotal := 0
-	for i := range sources {
-		colTotal += colCap(i)
+	if cols == nil {
+		for i := range sources {
+			colTotal += colCap(i)
+		}
 	}
 
 	// Every float64 the engine owns — formation scratch, block-kernel
@@ -247,11 +338,7 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	// per buffer. Columns take zero-length full-capacity views (the
 	// three-index slices below), so an append that outgrows its segment
 	// relocates that column without touching its neighbors.
-	cols := 2 // dists, solo
-	if blockSize > 0 {
-		cols++ // qterm
-	}
-	nf := n + (n + 1) + dim + cols*colTotal
+	nf := n + (n + 1) + dim + 3*colTotal // dists, solo, qterm
 	if blockSize > 0 {
 		nf += 2*blockSize + n
 	}
@@ -263,15 +350,14 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	e.scrMu = vec.Vector(takeN(dim))
 
 	// Vector-view scratch shares one backing array the same way, and
-	// scrRanks shares its int32 slab with the per-level candidate lists and
-	// the per-relation bySolo orders (all growable column views).
+	// scrRanks shares its int32 slab with the per-relation bySolo heaps,
+	// walk frontiers and candidate lists (all growable column views).
 	nv := n + blockSize
 	vecs := make([]vec.Vector, nv)
 	e.scrXs = vecs[:n:n]
-	i32 := make([]int32, n+2*colTotal)
+	i32 := make([]int32, n+3*colTotal)
 	takeRanks := func(c int) []int32 { s := i32[:0:c]; i32 = i32[c:]; return s }
 	e.scrRanks = takeRanks(n)[:n]
-	e.scrCands = make([][]int32, n)
 
 	if blockSize > 0 {
 		e.scrQterms = takeN(n)
@@ -284,27 +370,24 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 		e.blkScr.Ensure(dim, blockSize)
 	}
 
-	// The relation states live in one backing array and their tuple
-	// columns in one slab; the float columns come from the slab above.
-	states := make([]relState, n)
-	e.rels = make([]*relState, n)
-	tupSlab := make([]relation.Tuple, colTotal)
-	for i, s := range sources {
-		c := colCap(i)
-		rs := &states[i]
-		rs.index = i
-		rs.src = s
-		rs.maxScore = s.Relation().MaxScore
-		rs.tuples = tupSlab[:0:c]
-		tupSlab = tupSlab[c:]
-		rs.dists = takeCol(c)
-		e.scrCands[i] = takeRanks(c)
-		rs.solo = takeCol(c)
-		rs.bySolo = takeRanks(c)
-		if blockSize > 0 {
-			rs.qterm = takeCol(c)
+	// Fresh relation states live in one backing array and their tuple
+	// columns in one slab; the other columns come from the slabs above.
+	if cols == nil {
+		cols = &prefixCols{rels: make([]*relState, n), slab: make([]relation.Tuple, colTotal)}
+		states, tupSlab := make([]relState, n), cols.slab
+		for i := range states {
+			c := colCap(i)
+			rs := &states[i]
+			rs.tuples, tupSlab = tupSlab[:0:c], tupSlab[c:]
+			rs.dists, rs.solo, rs.qterm = takeCol(c), takeCol(c), takeCol(c)
+			rs.bySolo, rs.front, rs.cands = takeRanks(c), takeRanks(c), takeRanks(c)
+			cols.rels[i] = rs
 		}
-		e.rels[i] = rs
+	}
+	e.cols, e.rels = cols, cols.rels
+	for i, s := range sources {
+		rs := e.rels[i]
+		rs.index, rs.src, rs.maxScore = i, s, s.Relation().MaxScore
 	}
 
 	// Select the bounding scheme. The tight bound needs the quadratic
@@ -495,11 +578,7 @@ func (e *Engine) step(ri int) error {
 		rs.qterm = append(rs.qterm, qt)
 	}
 	rs.solo = append(rs.solo, solo)
-	// The new rank goes behind every rank of at least its solo.
-	at := sort.Search(len(rs.bySolo), func(j int) bool { return rs.solo[rs.bySolo[j]] < solo })
-	rs.bySolo = append(rs.bySolo, 0)
-	copy(rs.bySolo[at+1:], rs.bySolo[at:])
-	rs.bySolo[at] = int32(len(rs.solo) - 1)
+	rs.pushSolo()
 	if len(rs.solo) == 1 || solo > rs.soloMax {
 		rs.soloMax = solo
 	}
@@ -633,7 +712,7 @@ func pruneSlack(floor, mag float64) float64 {
 // best completion partial + solo[r] + sufBound[i+1] reaches floor − slack;
 // float addition is monotone, so walking bySolo (descending solo) and
 // stopping at the first failure finds exactly the set a scan of the prefix
-// would, at the cost of the survivors instead of the depth. Everything
+// would, at O(log) per survivor instead of the depth. Everything
 // behind the stop is the cut: charged to CombinationsPruned in one step,
 // then dropped, or kept as one deferredCut when the buffer has a cuts
 // store (an open session). This is the only place a tail is cut. The
@@ -645,7 +724,7 @@ func (e *Engine) candidates(i, skip int, partial float64) []int32 {
 		return e.expansion(i, partial)
 	}
 	rs := e.rels[i]
-	out := e.scrCands[i][:0]
+	out := rs.cands[:0]
 	floor, pruned := negInf, false
 	if e.prune {
 		floor, pruned = e.buf.floor()
@@ -653,7 +732,8 @@ func (e *Engine) candidates(i, skip int, partial float64) []int32 {
 	if pruned {
 		bar := floor - pruneSlack(floor, e.pruneMag)
 		sufB := e.sufBound[i+1]
-		for _, r := range rs.bySolo {
+		rs.walk()
+		for r, ok := rs.next(); ok; r, ok = rs.next() {
 			if partial+rs.solo[r]+sufB < bar {
 				break
 			}
@@ -671,7 +751,7 @@ func (e *Engine) candidates(i, skip int, partial float64) []int32 {
 			out = append(out, int32(r))
 		}
 	}
-	e.scrCands[i] = out // keep any growth for the next formation
+	rs.cands = out // keep any growth for the next formation
 	return out
 }
 
@@ -713,13 +793,13 @@ func (e *Engine) expandCut(c deferredCut) {
 func (e *Engine) expansion(i int, partial float64) []int32 {
 	c, rs := &e.exp, e.rels[i]
 	depth := e.buf.cuts.arena.ranksAt(c.slot)[e.n+i]
-	out := e.scrCands[i][:0]
+	out := rs.cands[:0]
 	for r := int32(0); r < depth; r++ {
 		if i != int(c.level) || partial+rs.solo[r]+c.sufB < c.bar {
 			out = append(out, r)
 		}
 	}
-	e.scrCands[i] = out
+	rs.cands = out
 	return out
 }
 

@@ -315,9 +315,9 @@ func TestScoredCandidatesCeiling(t *testing.T) {
 }
 
 // TestStepDoesNotAllocate: on a warmed engine a pull allocates nothing —
-// the per-level candidate lists and the bySolo orders grow by amortised
-// append like every other prefix column, never per formation. n = 3 puts
-// a pruned outer level above the block level.
+// the candidate lists, the bySolo heaps and their walk frontiers grow by
+// amortised append like every other prefix column, never per formation.
+// n = 3 puts a pruned outer level above the block level.
 func TestStepDoesNotAllocate(t *testing.T) {
 	in := fixedInstance(rand.New(rand.NewSource(3)), 3, 2000, 3, 10)
 	it, err := NewIterator(in.sources(t, relation.DistanceAccess), Options{
@@ -342,6 +342,36 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	// doublings that may fall inside the window do not count.
 	if allocs := testing.AllocsPerRun(90, step); allocs != 0 {
 		t.Fatalf("step allocates %v times per pull on a warmed engine", allocs)
+	}
+}
+
+// TestDeepScoreStepDoesNotAllocate is TestStepDoesNotAllocate for a
+// score-access TBPA session shaped like the benchmark's score class, two
+// relations pulled a thousand deep: formation's walk and the tight
+// bound's walk over the bySolo heaps allocate nothing per pull either.
+func TestDeepScoreStepDoesNotAllocate(t *testing.T) {
+	in := fixedInstance(rand.New(rand.NewSource(3)), 2, 4000, 4, 20)
+	it, err := NewIterator(in.sources(t, relation.ScoreAccess), Options{
+		Algorithm: TBPA, Query: in.q, Agg: in.fn, MaxBuffered: in.k,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	e := it.e
+	step := func() {
+		if err := e.step(e.pull.choose(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		step()
+	}
+	if e.stats.CombinationsPruned == 0 || e.stats.QPSolves == 0 {
+		t.Fatal("warm-up never pruned or never solved: the fixture does not exercise both walks")
+	}
+	if allocs := testing.AllocsPerRun(90, step); allocs != 0 {
+		t.Fatalf("step allocates %v times per pull on a warmed score-access engine", allocs)
 	}
 }
 

@@ -502,8 +502,8 @@ func (it *Iterator) DrainBest() (Combination, bool) {
 	return it.emitBest(), true
 }
 
-// Close ends the session: it discards the file tier's segments, then
-// closes every source that implements relation.Closer. Idempotent, and
+// Close ends the session: it discards the file tier's segments, closes
+// every relation.Closer source and recycles the columns. Idempotent, and
 // clean after any terminal state, an I/O-poisoned one included. Afterwards
 // Next fails with an error wrapping os.ErrClosed and DrainBest yields
 // nothing; Stats, Threshold and Emitted keep their last values.
@@ -520,6 +520,7 @@ func (it *Iterator) Close() {
 			c.Close()
 		}
 	}
+	it.e.recycle()
 }
 
 // Buffered returns the number of scored combinations awaiting emission;

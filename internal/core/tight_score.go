@@ -190,7 +190,8 @@ func (b *tightScoreBounder) extend(oi int, accT, accSolo float64) {
 	if oi >= w.pos {
 		xi = oi + 1
 	}
-	for _, r := range rs.bySolo {
+	rs.walk()
+	for r, ok := rs.next(); ok; r, ok = rs.next() {
 		if leaf {
 			b.e.stats.PartialsTracked++
 		}

@@ -1,7 +1,8 @@
 // Package pqueue provides generic binary heaps used by the engine: the
 // top-K output buffer and the lazy bound heaps of the tight bounding
-// scheme. (The R-tree's nearest-neighbor traversal keeps its own inlined
-// heap of 16-byte items; see internal/rtree.)
+// scheme, and (SiftUp, SiftDown) the sifts of the heaps it keeps in its
+// own slab columns. (The R-tree's nearest-neighbor traversal keeps its
+// own inlined heap of 16-byte items; see internal/rtree.)
 //
 // Heap is a plain priority queue ordered by a user-supplied less function.
 // Dense additionally tracks element positions, so that the priority stored
@@ -38,7 +39,7 @@ func (h *Heap[T]) Grow(n int) {
 // Push inserts x.
 func (h *Heap[T]) Push(x T) {
 	h.items = append(h.items, x)
-	h.up(len(h.items) - 1)
+	SiftUp(h.items, h.less)
 }
 
 // Peek returns the highest-priority element without removing it.
@@ -62,9 +63,7 @@ func (h *Heap[T]) Pop() (top T, ok bool) {
 	var zero T
 	h.items[last] = zero
 	h.items = h.items[:last]
-	if len(h.items) > 0 {
-		h.down(0)
-	}
+	SiftDown(h.items, h.less)
 	return top, true
 }
 
@@ -81,33 +80,24 @@ func (h *Heap[T]) Clear() {
 	h.items = h.items[:0]
 }
 
-func (h *Heap[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
-			return
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
+// SiftUp restores the heap order of h under less after an element was
+// appended, and SiftDown after its first element was replaced: Heap's
+// Push and Pop, for a heap kept in a caller's own slice.
+func SiftUp[T any](h []T, less func(a, b T) bool) {
+	for i := len(h) - 1; i > 0 && less(h[i], h[(i-1)/2]); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
 	}
 }
 
-func (h *Heap[T]) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
+func SiftDown[T any](h []T, less func(a, b T) bool) {
+	for i, c := 0, 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
+		}
+		if !less(h[c], h[i]) {
 			return
 		}
-		best := l
-		if r < n && h.less(h.items[r], h.items[l]) {
-			best = r
-		}
-		if !h.less(h.items[best], h.items[i]) {
-			return
-		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
-		i = best
+		h[i], h[c] = h[c], h[i]
 	}
 }
 
