@@ -3,12 +3,11 @@ package api
 // Tracing model. A request carrying trace=true gets back, alongside its
 // ordinary results, a structured account of where the time went and
 // what the engine did to certify the answer: per-phase wall times,
-// every source pull with its depth, every bound update, and the buffer
-// events (spills, revivals) of the run. Batch responses carry it in
-// Response.Trace; streams append one terminal trace event after the
-// summary. The same structure is what the server's slow-query log
-// emits, so a trace captured interactively and one logged in production
-// are directly comparable.
+// every source pull with its depth, and every bound update of the run.
+// Batch responses carry it in Response.Trace; streams append one
+// terminal trace event after the summary. The same structure is what the
+// server's slow-query log emits, so a trace captured interactively and
+// one logged in production are directly comparable.
 //
 // The flag is a transport concern: it is excluded from the canonical
 // encoding, so a traced request shares cache entries and coalesces with
@@ -62,9 +61,6 @@ type Trace struct {
 	Pulls []TracePull `json:"pulls,omitempty"`
 	// Bounds records each stopping-threshold recomputation.
 	Bounds []TraceBound `json:"bounds,omitempty"`
-	// Buffer records session-buffer pressure events (spills to the slab,
-	// revivals back into the heap).
-	Buffer []TraceBuffer `json:"buffer,omitempty"`
 	// DroppedEvents counts detail events the recorder discarded after
 	// its per-kind retention cap — the trace is truncated, not the run.
 	DroppedEvents int64 `json:"droppedEvents,omitempty"`
@@ -98,13 +94,4 @@ type TraceBound struct {
 	// Threshold is the new bound; absent when it is not finite (±Inf is
 	// not representable in JSON), matching Cost.Threshold.
 	Threshold *float64 `json:"threshold,omitempty"`
-}
-
-// TraceBuffer is one session-buffer pressure event.
-type TraceBuffer struct {
-	// Action is spill (heap overflow pushed combinations to the slab) or
-	// revive (slab combinations re-entered the heap).
-	Action string `json:"action"`
-	// Count is how many combinations the event moved.
-	Count int `json:"count"`
 }

@@ -28,9 +28,11 @@ type relState struct {
 	index     int
 	src       relation.Source
 	tuples    []relation.Tuple // P_i in access order
-	dists     []float64        // distance from q, parallel to tuples
 	exhausted bool
 	maxScore  float64
+	// first and last are δ(x(R_i[1]), q) and δ(x(R_i[p_i]), q): the only
+	// distances from q the bounds read (firstDist, lastDist).
+	first, last float64
 	// solo holds each prefix tuple's separable upper contribution
 	// (agg.Function.SoloBound), parallel to tuples; soloMax is its running
 	// maximum and soloAbsMax the running maximum magnitude (the scale of
@@ -82,7 +84,7 @@ func (e *Engine) recycle() {
 	for _, rs := range e.rels {
 		keep = keep && rs.depth() <= maxRecycledDepth
 		clear(rs.tuples)
-		*rs = relState{tuples: rs.tuples[:0], dists: rs.dists[:0], solo: rs.solo[:0],
+		*rs = relState{tuples: rs.tuples[:0], solo: rs.solo[:0],
 			qterm: rs.qterm[:0], bySolo: rs.bySolo[:0], front: rs.front, cands: rs.cands}
 	}
 	if keep {
@@ -139,19 +141,9 @@ func (r *relState) depth() int { return len(r.tuples) }
 
 // firstDist and lastDist are δ(x(R_i[1]), q) and δ(x(R_i[p_i]), q), both 0
 // when nothing was extracted (paper convention).
-func (r *relState) firstDist() float64 {
-	if len(r.dists) == 0 {
-		return 0
-	}
-	return r.dists[0]
-}
+func (r *relState) firstDist() float64 { return r.first }
 
-func (r *relState) lastDist() float64 {
-	if len(r.dists) == 0 {
-		return 0
-	}
-	return r.dists[len(r.dists)-1]
-}
+func (r *relState) lastDist() float64 { return r.last }
 
 // firstScore and lastScore are σ(R_i[1]) and σ(R_i[p_i]); σ_max when
 // nothing was extracted (the best any unseen tuple could have).
@@ -209,7 +201,6 @@ type Engine struct {
 	pull  puller
 	stats Stats
 	t     float64 // current upper bound
-	pulls int64   // global access counter (epoch for lazy bounds)
 	// prune turns score-floor pruning on. blockSize > 0 turns the batched
 	// kernel on: the innermost enumeration level scores candidate blocks of
 	// that width in one kernel call over the columnar qterm/vector state
@@ -333,12 +324,12 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	}
 
 	// Every float64 the engine owns — formation scratch, block-kernel
-	// lanes, and the per-relation dists/solo/qterm columns — is carved
+	// lanes, and the per-relation solo/qterm columns — is carved
 	// from one slab, so construction costs one allocation instead of one
 	// per buffer. Columns take zero-length full-capacity views (the
 	// three-index slices below), so an append that outgrows its segment
 	// relocates that column without touching its neighbors.
-	nf := n + (n + 1) + dim + 3*colTotal // dists, solo, qterm
+	nf := n + (n + 1) + dim + 2*colTotal // solo, qterm
 	if blockSize > 0 {
 		nf += 2*blockSize + n
 	}
@@ -379,7 +370,7 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 			c := colCap(i)
 			rs := &states[i]
 			rs.tuples, tupSlab = tupSlab[:0:c], tupSlab[c:]
-			rs.dists, rs.solo, rs.qterm = takeCol(c), takeCol(c), takeCol(c)
+			rs.solo, rs.qterm = takeCol(c), takeCol(c)
 			rs.bySolo, rs.front, rs.cands = takeRanks(c), takeRanks(c), takeRanks(c)
 			cols.rels[i] = rs
 		}
@@ -557,7 +548,6 @@ func (e *Engine) step(ri int) error {
 	if err != nil {
 		return fmt.Errorf("core: access to relation %d (%s): %w", ri, rs.src.Relation().Name, err)
 	}
-	e.pulls++
 	e.stats.Depths[ri]++
 	e.stats.SumDepths++
 
@@ -573,7 +563,10 @@ func (e *Engine) step(ri int) error {
 	e.formCombinations(ri, tup, solo, qt)
 
 	rs.tuples = append(rs.tuples, tup)
-	rs.dists = append(rs.dists, dist)
+	if len(rs.tuples) == 1 {
+		rs.first = dist
+	}
+	rs.last = dist
 	if e.blockSize > 0 {
 		rs.qterm = append(rs.qterm, qt)
 	}

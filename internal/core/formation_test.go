@@ -139,6 +139,72 @@ func TestFormationCountersPinned(t *testing.T) {
 	}
 }
 
+// boundCounters is one row of the pinned bound table.
+type boundCounters struct {
+	qpSolves, partials, boundUpdates int64
+}
+
+// pinnedBounds holds Engine.Run's tight-bound counters as recorded at
+// commit 834ed7e (subset heaps on an indexed heap), in the iteration
+// order of TestBoundCountersPinned.
+var pinnedBounds = []boundCounters{
+	{159, 50, 49},    // n=2 distance TBRR eager=false
+	{698, 50, 49},    // n=2 distance TBRR eager=true
+	{139, 44, 43},    // n=2 distance TBPA eager=false
+	{537, 44, 43},    // n=2 distance TBPA eager=true
+	{11, 284, 283},   // n=2 score TBRR eager=false
+	{11, 284, 283},   // n=2 score TBRR eager=true
+	{11, 270, 269},   // n=2 score TBPA eager=false
+	{11, 270, 269},   // n=2 score TBPA eager=true
+	{575, 397, 33},   // n=3 distance TBRR eager=false
+	{2123, 397, 33},  // n=3 distance TBRR eager=true
+	{436, 288, 28},   // n=3 distance TBPA eager=false
+	{1367, 288, 28},  // n=3 distance TBPA eager=true
+	{39, 304, 95},    // n=3 score TBRR eager=false
+	{39, 304, 95},    // n=3 score TBRR eager=true
+	{39, 271, 84},    // n=3 score TBPA eager=false
+	{39, 271, 84},    // n=3 score TBPA eager=true
+	{2551, 2048, 30}, // n=4 distance TBRR eager=false
+	{7230, 2048, 30}, // n=4 distance TBRR eager=true
+	{1927, 1496, 27}, // n=4 distance TBPA eager=false
+	{4951, 1496, 27}, // n=4 distance TBPA eager=true
+	{138, 384, 56},   // n=4 score TBRR eager=false
+	{138, 384, 56},   // n=4 score TBRR eager=true
+	{138, 380, 55},   // n=4 score TBPA eager=false
+	{138, 380, 55},   // n=4 score TBPA eager=true
+}
+
+// TestBoundCountersPinned holds the tight bounds' upkeep counters to the
+// recorded values, row for row: n ∈ {2, 3, 4}, both access kinds, TBRR
+// and TBPA, the lazy schedule and Algorithm 2 (EagerBounds). Any rewrite
+// of the subset heaps or the score walk must solve, form and update
+// exactly as many times.
+func TestBoundCountersPinned(t *testing.T) {
+	var got []boundCounters
+	var rows []string
+	for _, shape := range []struct{ n, size int }{{2, 400}, {3, 40}, {4, 14}} {
+		in := fixedInstance(rand.New(rand.NewSource(int64(1600+shape.n))), shape.n, shape.size, 3, 8)
+		for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
+			for _, algo := range []Algorithm{TBRR, TBPA} {
+				for _, eager := range []bool{false, true} {
+					st := runAlgo(t, in, kind, Options{Algorithm: algo, EagerBounds: eager}).Stats
+					got = append(got, boundCounters{st.QPSolves, st.PartialsTracked, st.BoundUpdates})
+					rows = append(rows, fmt.Sprintf("\t{%d, %d, %d}, // n=%d %v %v eager=%v",
+						st.QPSolves, st.PartialsTracked, st.BoundUpdates, shape.n, kind, algo, eager))
+				}
+			}
+		}
+	}
+	if len(got) != len(pinnedBounds) {
+		t.Fatalf("pinned table has %d rows, run produced %d:\n%s", len(pinnedBounds), len(got), strings.Join(rows, "\n"))
+	}
+	for i := range got {
+		if got[i] != pinnedBounds[i] {
+			t.Errorf("row %d: got %+v, pinned %+v (%s)", i, got[i], pinnedBounds[i], strings.TrimSpace(rows[i]))
+		}
+	}
+}
+
 // TestSatMulMatchesRepeatedSatAdd: the one-step tail charge of candidates
 // equals what the linear scan charged — count separate satAdds of the
 // subtree size — including once the counter saturates.

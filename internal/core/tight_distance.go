@@ -23,8 +23,10 @@ import (
 //
 // A partial is named by its ranks, as a buffered combination is: the
 // ranks of a subset's partials live in one per-subset combArena slot each
-// (slot = partial id = heap id), beside a value slice of sumT and epoch;
-// the cached bound is the partial's heap key. computeBound rebuilds the
+// (slot = partial id), beside a value slice of sumT and epoch; the cached
+// bound lives only in the partial's heap entry. The lazy schedule re-keys
+// only a heap's root, so a heap is a plain slice of (bound, id) entries
+// on pqueue's sifts, with no position table. computeBound rebuilds the
 // seen vectors and ν from the engine's prefixes into scratch when it
 // solves, and every bound evaluation runs through per-bounder scratch
 // buffers and qp.Eval, making the steady-state hot path allocation-free.
@@ -54,18 +56,27 @@ type tightDistBounder struct {
 
 // subsetState holds PC(M) for one proper subset M.
 type subsetState struct {
-	partials   []distPartial         // index = partial id = heap id
-	ranks      combArena             // slot id: the partial's ranks, member order
-	heap       pqueue.Dense[float64] // max-heap: partial id -> cached bound
-	deltaEpoch int64                 // pull counter when an unseen δ last changed
+	partials   []distPartial // index = partial id
+	ranks      combArena     // slot id: the partial's ranks, member order
+	heap       []boundItem   // max-heap of every partial's cached bound
+	deltaEpoch int           // SumDepths when an unseen δ last changed
 }
 
 // distPartial is one partial combination τ ∈ PC(M); its ranks are slot id
-// of the owning subset's arena, its cached bound t(τ) is its heap key.
+// of the owning subset's arena, its cached bound t(τ) is in its heap entry.
 type distPartial struct {
 	sumT  float64 // Σ w_s·T(σ) over seen tuples
-	epoch int64   // pull counter at last bound computation
+	epoch int     // SumDepths at last bound computation
 }
+
+// boundItem is a subset heap entry: partial id's cached bound t(τ).
+type boundItem struct {
+	bound float64
+	id    int32
+}
+
+// boundAbove orders a subset heap: the larger cached bound first.
+func boundAbove(a, c boundItem) bool { return a.bound > c.bound }
 
 func newTightDistBounder(e *Engine, quad agg.Quadratic) *tightDistBounder {
 	ws, wq, wmu := quad.Weights()
@@ -96,18 +107,17 @@ func newTightDistBounder(e *Engine, quad agg.Quadratic) *tightDistBounder {
 	b.subsets = make([]subsetState, len(b.members))
 	for mask := range b.subsets {
 		b.subsets[mask].ranks.n = len(b.members[mask])
-		b.subsets[mask].heap = pqueue.MakeDense[float64](func(a, c float64) bool { return a > c })
 	}
 	// The empty partial ⟨⟩ exists from the start; its bound is refreshed on
 	// first use (epoch -1 forces a recomputation).
 	b.subsets[0].partials = []distPartial{{epoch: -1}}
-	b.subsets[0].heap.Push(0, posInf)
+	b.subsets[0].heap = []boundItem{{bound: posInf}}
 	e.stats.PartialsTracked++
 	return b
 }
 
 func (b *tightDistBounder) register(ri int) {
-	epoch := b.e.pulls
+	epoch := b.e.stats.SumDepths
 	bit := 1 << ri
 	b.stale = true
 	for mask := range b.subsets {
@@ -119,16 +129,21 @@ func (b *tightDistBounder) register(ri int) {
 		b.extendSubset(mask, ri)
 	}
 	if b.e.opts.EagerBounds {
-		// Paper Algorithm 2: recompute every stale affected partial now.
+		// Paper Algorithm 2: recompute every stale affected partial now,
+		// in place, then restore each heap's order.
 		for mask := range b.subsets {
 			if mask&bit != 0 || !b.completes(mask) {
 				continue
 			}
 			ss := &b.subsets[mask]
-			for id := range ss.partials {
-				if ss.partials[id].epoch < ss.deltaEpoch {
-					b.resolve(mask, id)
+			for i := range ss.heap {
+				if it := &ss.heap[i]; ss.partials[it.id].epoch < ss.deltaEpoch {
+					ss.partials[it.id].epoch = epoch
+					it.bound = b.computeBound(mask, int(it.id))
 				}
+			}
+			for i := 2; i <= len(ss.heap); i++ {
+				pqueue.SiftUp(ss.heap[:i], boundAbove)
 			}
 		}
 	}
@@ -154,7 +169,7 @@ func (b *tightDistBounder) extendSubset(mask, ri int) {
 		const seed = 64
 		ss.partials = make([]distPartial, 0, seed)
 		ss.ranks.ranks = make([]int32, 0, seed*len(members))
-		ss.heap.Grow(seed)
+		ss.heap = make([]boundItem, 0, seed)
 	}
 	rk := b.rankBuf[:len(members)]
 	for bi := range base.partials {
@@ -162,9 +177,10 @@ func (b *tightDistBounder) extendSubset(mask, ri int) {
 		copy(rk, br[:pos])
 		rk[pos] = tauRank
 		copy(rk[pos+1:], br[pos:])
-		id := int(ss.ranks.alloc(rk))
-		ss.partials = append(ss.partials, distPartial{sumT: base.partials[bi].sumT + tauT, epoch: b.e.pulls})
-		ss.heap.Push(id, b.computeBound(mask, id))
+		id := ss.ranks.alloc(rk)
+		ss.partials = append(ss.partials, distPartial{sumT: base.partials[bi].sumT + tauT, epoch: b.e.stats.SumDepths})
+		ss.heap = append(ss.heap, boundItem{b.computeBound(mask, int(id)), id})
+		pqueue.SiftUp(ss.heap, boundAbove)
 		b.e.stats.PartialsTracked++
 	}
 }
@@ -172,25 +188,19 @@ func (b *tightDistBounder) extendSubset(mask, ri int) {
 // tM returns max{t(τ) : τ ∈ PC(M)} with lazy top-refresh: cached bounds
 // are upper bounds of current ones (δ only grows), so once the heap top is
 // fresh it dominates every other cached — hence every other true — bound.
+// A stale top is re-solved in place and sifted down.
 func (b *tightDistBounder) tM(mask int) float64 {
 	ss := &b.subsets[mask]
-	for {
-		id, cached, ok := ss.heap.Peek()
-		if !ok {
-			return negInf
+	for len(ss.heap) > 0 {
+		top := &ss.heap[0]
+		if ss.partials[top.id].epoch >= ss.deltaEpoch {
+			return top.bound
 		}
-		if ss.partials[id].epoch >= ss.deltaEpoch {
-			return cached
-		}
-		b.resolve(mask, id)
+		ss.partials[top.id].epoch = b.e.stats.SumDepths
+		top.bound = b.computeBound(mask, int(top.id))
+		pqueue.SiftDown(ss.heap, boundAbove)
 	}
-}
-
-// resolve recomputes the cached bound of partial id of M and rekeys it.
-func (b *tightDistBounder) resolve(mask, id int) {
-	ss := &b.subsets[mask]
-	ss.partials[id].epoch = b.e.pulls
-	ss.heap.Update(id, b.computeBound(mask, id))
+	return negInf
 }
 
 // seen rebuilds partial id of M from the engine's prefixes into scratch:

@@ -76,121 +76,44 @@ func TestQuickHeapSorts(t *testing.T) {
 	}
 }
 
-func TestIndexedBasic(t *testing.T) {
-	h := NewIndexed[float64](func(a, b float64) bool { return a > b }) // max-heap
-	h.Push(10, 1.5)
-	h.Push(20, 9.5)
-	h.Push(30, 4.5)
-	if k, v, _ := h.Peek(); k != 20 || v != 9.5 {
-		t.Fatalf("Peek = %d %v", k, v)
-	}
-	h.Update(10, 100)
-	if k, _, _ := h.Peek(); k != 10 {
-		t.Fatalf("after Update peek key = %d", k)
-	}
-	if k, v, ok := h.Pop(); !ok || k != 10 || v != 100 {
-		t.Fatalf("Pop = %d %v %v", k, v, ok)
-	}
-	k, v, ok := h.Pop()
-	if !ok || k != 20 || v != 9.5 {
-		t.Fatalf("Pop = %d %v %v", k, v, ok)
-	}
-	if h.Len() != 1 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-}
-
-func TestIndexedDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate key did not panic")
-		}
-	}()
-	h := NewIndexed[int](intMin)
-	h.Push(1, 1)
-	h.Push(1, 2)
-}
-
-func TestIndexedUpdateMissingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("update missing key did not panic")
-		}
-	}()
-	NewIndexed[int](intMin).Update(5, 1)
-}
-
-// Property: under a random sequence of push/update/pop operations the
-// indexed heap always pops the true maximum remaining value.
-func TestQuickIndexedMatchesOracle(t *testing.T) {
+// Property: a heap kept in a caller's slice by SiftUp and SiftDown alone
+// always has its maximum at the root, under pushes (append and sift up),
+// root re-keys (overwrite and sift down), and re-keys anywhere followed by
+// a rebuild that sifts up each prefix in turn.
+func TestQuickSiftsKeepMaxAtRoot(t *testing.T) {
+	above := func(a, b float64) bool { return a > b }
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		h := NewIndexed[float64](func(a, b float64) bool { return a > b })
-		oracle := map[int]float64{}
-		nextKey := 0
+		var h []float64
 		for op := 0; op < 300; op++ {
 			switch r.Intn(4) {
-			case 0, 1: // push
-				v := r.Float64()
-				h.Push(nextKey, v)
-				oracle[nextKey] = v
-				nextKey++
-			case 2: // update random existing
-				if len(oracle) == 0 {
-					continue
+			case 0, 1:
+				h = append(h, r.Float64())
+				SiftUp(h, above)
+			case 2:
+				if len(h) > 0 {
+					h[0] = r.Float64()
+					SiftDown(h, above)
 				}
-				k := randomKey(r, oracle)
-				v := r.Float64() * 2
-				h.Update(k, v)
-				oracle[k] = v
-			case 3: // pop: the value the previous step's peek check vouched for
-				k, v, ok := h.Pop()
-				if ok != (len(oracle) > 0) || (ok && v != oracle[k]) {
+			case 3:
+				for i := range h {
+					if r.Intn(2) == 0 {
+						h[i] = r.Float64()
+					}
+				}
+				for i := 2; i <= len(h); i++ {
+					SiftUp(h[:i], above)
+				}
+			}
+			for _, x := range h {
+				if x > h[0] {
 					return false
 				}
-				delete(oracle, k)
 			}
-			// Check the peek against oracle max.
-			if len(oracle) == 0 {
-				if _, _, ok := h.Peek(); ok {
-					return false
-				}
-				continue
-			}
-			wantV := -1.0
-			for _, v := range oracle {
-				if v > wantV {
-					wantV = v
-				}
-			}
-			_, v, ok := h.Peek()
-			if !ok || v != wantV {
-				return false
-			}
-		}
-		// Drain and check descending order.
-		prev := 1e18
-		for h.Len() > 0 {
-			_, v, _ := h.Pop()
-			if v > prev {
-				return false
-			}
-			prev = v
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
-}
-
-func randomKey(r *rand.Rand, m map[int]float64) int {
-	i := r.Intn(len(m))
-	for k := range m {
-		if i == 0 {
-			return k
-		}
-		i--
-	}
-	panic("unreachable")
 }

@@ -63,11 +63,6 @@ type Config struct {
 	// catching up at the last instant still delays the engine by at
 	// most this much in total.
 	StreamBlockTimeout time.Duration
-	// Registry receives every metric family the executor registers
-	// (exposed by the HTTP layer at GET /metrics). Nil gets a private
-	// registry, still reachable via Executor.Registry() — sharing one
-	// registry across executors panics on the duplicate families.
-	Registry *obs.Registry
 	// SlowQueryThreshold, when positive, logs every request whose total
 	// duration reaches it as one SlowQuery JSON line on SlowQueryLog.
 	// The log line carries the same per-phase trace structure a traced
@@ -274,11 +269,7 @@ func NewExecutor(cat *Catalog, cfg Config) *Executor {
 		flight: &flightGroup{calls: make(map[string]*flightCall)},
 		bins:   &broker.Instruments{},
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	x.m = newMetrics(reg, x)
+	x.m = newMetrics(obs.NewRegistry(), x)
 	// Histogram hooks before the first topic attaches (Instruments
 	// contract): lag and blocked-wait distributions ride the same
 	// struct the gauges read.
@@ -288,8 +279,8 @@ func NewExecutor(cat *Catalog, cfg Config) *Executor {
 	return x
 }
 
-// Registry returns the metrics registry this executor reports into —
-// Config.Registry when one was supplied, a private registry otherwise.
+// Registry returns the executor's own metrics registry, which every
+// metric family it registers reports into (served at GET /metrics).
 func (x *Executor) Registry() *obs.Registry { return x.m.reg }
 
 // AttachFleet wires a coordinator's peer fleet into this executor's

@@ -10,7 +10,7 @@ import (
 )
 
 // maxTraceEvents bounds each per-kind event list a trace recorder
-// retains (pulls, bounds, buffer events): a pathological run could
+// retains (pulls, bounds): a pathological run could
 // otherwise make one traced query allocate without limit. Overflow is
 // counted, not silently dropped — Trace.DroppedEvents reports it.
 const maxTraceEvents = 4096
@@ -24,7 +24,6 @@ type traceRecorder struct {
 	mu      sync.Mutex
 	pulls   []api.TracePull
 	bounds  []api.TraceBound
-	buffer  []api.TraceBuffer
 	dropped int64
 	// observePull, when set, feeds the traced-run pull-duration
 	// histogram alongside the trace itself.
@@ -63,15 +62,10 @@ func (r *traceRecorder) TraceBound(sumDepths int, threshold float64) {
 	r.bounds = append(r.bounds, b)
 }
 
-func (r *traceRecorder) TraceBuffer(action string, count int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buffer) >= maxTraceEvents {
-		r.dropped++
-		return
-	}
-	r.buffer = append(r.buffer, api.TraceBuffer{Action: action, Count: count})
-}
+// TraceBuffer records nothing: every session the executor runs is
+// bounded to K (proxrank.Options.BoundedToK), and such a session's buffer
+// neither spills nor revives, so the engine never calls it.
+func (r *traceRecorder) TraceBuffer(action string, count int) {}
 
 // snapshot copies the recorded detail into t. Safe to call while the
 // engine may still be running (slow-query logging on a failure path);
@@ -81,7 +75,6 @@ func (r *traceRecorder) snapshot(t *api.Trace) {
 	defer r.mu.Unlock()
 	t.Pulls = append([]api.TracePull(nil), r.pulls...)
 	t.Bounds = append([]api.TraceBound(nil), r.bounds...)
-	t.Buffer = append([]api.TraceBuffer(nil), r.buffer...)
 	t.DroppedEvents = r.dropped
 }
 
