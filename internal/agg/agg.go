@@ -1,5 +1,7 @@
-// Package agg defines the aggregation functions of proximity rank join
-// (paper eq. (1)) and the reference Euclidean sum instantiation (eq. (2)):
+// Package agg defines the aggregation functions of proximity rank join.
+// An aggregation is the sum over the n joined tuples of a per-tuple term
+// (paper eq. (2), the sum instance of eq. (1)); the reference Euclidean
+// sum is
 //
 //	S(τ) = Σ_i  w_s·T(σ(τ_i)) − w_q·‖x(τ_i)−q‖² − w_µ·‖x(τ_i)−µ(τ)‖²
 //
@@ -10,9 +12,10 @@
 //
 // Function is the whole contract an aggregation meets — both reference
 // aggregations implement all of it, and the engine asserts nothing
-// further. The corner bounding scheme works for any Function; the tight
-// bounding scheme additionally requires the Quadratic interface, which
-// exposes the weights of the closed-form geometry.
+// further. The corner bounding scheme works for any Function: its caps are
+// SoloBound at a corner, summed. The tight bounding scheme additionally
+// requires the Quadratic interface, which exposes the weights of the
+// closed-form geometry.
 package agg
 
 import (
@@ -23,19 +26,15 @@ import (
 	"repro/internal/vec"
 )
 
-// Function is an aggregation function in the shape of paper eq. (1): a
-// per-relation proximity weighting g_i combined by a monotone f, together
-// with the three evaluation forms the engine runs it through — scoring
-// into a caller-owned centroid buffer, a separable per-tuple upper bound,
-// and a batched kernel over candidate blocks. Score is the definition;
-// the other forms must agree with it as documented on each method.
+// Function is an aggregation function in the shape of paper eq. (2): the
+// sum of one term per joined tuple, each monotone non-decreasing in the
+// tuple's score and non-increasing in its distances to the query and to
+// the centroid. It offers the evaluation forms the engine runs it
+// through — scoring into a caller-owned centroid buffer, a separable
+// per-tuple upper bound, and a batched kernel over candidate blocks.
+// Score is the definition; the other forms must agree with it as
+// documented on each method.
 type Function interface {
-	// G is the proximity weighting g_i: monotone non-decreasing in sigma,
-	// non-increasing in the query distance dq and the centroid distance dmu.
-	G(i int, sigma, dq, dmu float64) float64
-	// F combines the n proximity weighted scores; monotone non-decreasing
-	// in every argument.
-	F(parts []float64) float64
 	// Score evaluates the full combination: distances are derived from the
 	// query q and the centroid of xs.
 	Score(q vec.Vector, sigmas []float64, xs []vec.Vector) float64
@@ -48,9 +47,11 @@ type Function interface {
 	//
 	//	Score(q, σ, x) ≤ Σ_i SoloBound(i, σ_i, δ(x_i, q))
 	//
-	// For the reference aggregations the bound is G with the centroid
-	// distance zeroed — the centroid term only ever subtracts. The engine
-	// uses this to prune cross-product subtrees during combination
+	// For the reference aggregations the bound is slot i's term with the
+	// centroid distance zeroed — the centroid term only ever subtracts. It
+	// must be non-decreasing in sigma and non-increasing in dq: the corner
+	// bound reads it at a corner of what is still unseen. The engine also
+	// uses it to prune cross-product subtrees during combination
 	// formation: a partial combination whose best possible completion (its
 	// seen tuples' solo terms plus the per-relation maxima of the unseen
 	// slots) cannot reach the current score floor is cut without being
@@ -68,12 +69,10 @@ type Function interface {
 	// ScoreScratch call per candidate (see block.go).
 	ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
 		candQ []float64, candXs []vec.Vector, scr *BlockScratch, out []float64)
-	// Metric is the distance δ the function's G consumes; distance-based
+	// Metric is the distance δ the query term consumes; distance-based
 	// access must stream tuples in increasing order of this metric for the
 	// bounding schemes to be correct.
 	Metric() vec.Metric
-	// Name identifies the function in reports.
-	Name() string
 }
 
 // Quadratic is implemented by aggregation functions whose geometry is the
@@ -163,20 +162,6 @@ func (e *EuclideanSum) TransformScore(sigma float64) float64 {
 // Weights implements Quadratic.
 func (e *EuclideanSum) Weights() (ws, wq, wmu float64) { return e.W.Ws, e.W.Wq, e.W.Wmu }
 
-// G implements Function: g(σ, y, z) = w_s·T(σ) − w_q·y² − w_µ·z².
-func (e *EuclideanSum) G(_ int, sigma, dq, dmu float64) float64 {
-	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*dq*dq - e.W.Wmu*dmu*dmu
-}
-
-// F implements Function: the sum combiner.
-func (e *EuclideanSum) F(parts []float64) float64 {
-	var s float64
-	for _, p := range parts {
-		s += p
-	}
-	return s
-}
-
 // Score implements Function using the mean centroid.
 func (e *EuclideanSum) Score(q vec.Vector, sigmas []float64, xs []vec.Vector) float64 {
 	if len(sigmas) != len(xs) || len(xs) == 0 {
@@ -205,9 +190,9 @@ func (e *EuclideanSum) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vec
 	return s
 }
 
-// SoloBound implements Function: g with the centroid distance zeroed.
-// The dropped −w_µ·dmu² term is never positive, so the sum of solo bounds
-// dominates the full score.
+// SoloBound implements Function: the slot term with the centroid
+// distance zeroed. The dropped −w_µ·dmu² term is never positive, so the
+// sum of solo bounds dominates the full score.
 func (e *EuclideanSum) SoloBound(_ int, sigma, dq float64) float64 {
 	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*dq*dq
 }
@@ -215,8 +200,8 @@ func (e *EuclideanSum) SoloBound(_ int, sigma, dq float64) float64 {
 // Metric implements Function.
 func (e *EuclideanSum) Metric() vec.Metric { return vec.Euclidean{} }
 
-// Name implements Function.
-func (e *EuclideanSum) Name() string {
+// String labels the function in reports.
+func (e *EuclideanSum) String() string {
 	return fmt.Sprintf("euclidean-sum(ws=%g,wq=%g,wmu=%g,%s)", e.W.Ws, e.W.Wq, e.W.Wmu, e.Transform)
 }
 
@@ -243,22 +228,14 @@ func NewCosineProximity(w Weights, transform ScoreTransform) (*CosineProximity, 
 	return &CosineProximity{W: w, Transform: transform}, nil
 }
 
-// G implements Function; dq and dmu are cosine dissimilarities in [0, 2].
-func (c *CosineProximity) G(_ int, sigma, dq, dmu float64) float64 {
+// g is the slot term w_s·T(σ) − w_q·dq − w_µ·dmu; dq and dmu are cosine
+// dissimilarities in [0, 2].
+func (c *CosineProximity) g(sigma, dq, dmu float64) float64 {
 	t := sigma
 	if c.Transform == LogScore {
 		t = math.Log(sigma)
 	}
 	return c.W.Ws*t - c.W.Wq*dq - c.W.Wmu*dmu
-}
-
-// F implements Function.
-func (c *CosineProximity) F(parts []float64) float64 {
-	var s float64
-	for _, p := range parts {
-		s += p
-	}
-	return s
 }
 
 // Score implements Function with the mean centroid.
@@ -269,7 +246,7 @@ func (c *CosineProximity) Score(q vec.Vector, sigmas []float64, xs []vec.Vector)
 	mu := vec.Mean(xs...)
 	var s float64
 	for i, x := range xs {
-		s += c.G(i, sigmas[i], c.metric.Distance(x, q), c.metric.Distance(x, mu))
+		s += c.g(sigmas[i], c.metric.Distance(x, q), c.metric.Distance(x, mu))
 	}
 	return s
 }
@@ -282,7 +259,7 @@ func (c *CosineProximity) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.
 	vec.MeanInto(mu, xs)
 	var s float64
 	for i, x := range xs {
-		s += c.G(i, sigmas[i], c.metric.Distance(x, q), c.metric.Distance(x, mu))
+		s += c.g(sigmas[i], c.metric.Distance(x, q), c.metric.Distance(x, mu))
 	}
 	return s
 }
@@ -290,14 +267,14 @@ func (c *CosineProximity) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.
 // SoloBound implements Function: g with the centroid dissimilarity
 // zeroed (cosine dissimilarity is non-negative, so the dropped term only
 // subtracts).
-func (c *CosineProximity) SoloBound(i int, sigma, dq float64) float64 {
-	return c.G(i, sigma, dq, 0)
+func (c *CosineProximity) SoloBound(_ int, sigma, dq float64) float64 {
+	return c.g(sigma, dq, 0)
 }
 
 // Metric implements Function.
 func (c *CosineProximity) Metric() vec.Metric { return c.metric }
 
-// Name implements Function.
-func (c *CosineProximity) Name() string {
+// String labels the function in reports.
+func (c *CosineProximity) String() string {
 	return fmt.Sprintf("cosine-proximity(ws=%g,wq=%g,wmu=%g,%s)", c.W.Ws, c.W.Wq, c.W.Wmu, c.Transform)
 }

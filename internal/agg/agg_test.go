@@ -93,21 +93,6 @@ func TestTransforms(t *testing.T) {
 	}
 }
 
-func TestGAndFConsistentWithScore(t *testing.T) {
-	e := MustEuclideanSum(Weights{Ws: 2, Wq: 0.5, Wmu: 3}, LogScore)
-	q := vec.Of(1, -1)
-	xs := []vec.Vector{vec.Of(0, 0), vec.Of(2, 2), vec.Of(-1, 3)}
-	sigmas := []float64{0.5, 0.9, 0.2}
-	mu := vec.Mean(xs...)
-	parts := make([]float64, len(xs))
-	for i := range xs {
-		parts[i] = e.G(i, sigmas[i], xs[i].Dist(q), xs[i].Dist(mu))
-	}
-	if got, want := e.F(parts), e.Score(q, sigmas, xs); !almostEq(got, want, 1e-12) {
-		t.Fatalf("F∘G = %v, Score = %v", got, want)
-	}
-}
-
 func TestScorePanicsOnMismatch(t *testing.T) {
 	e := MustEuclideanSum(DefaultWeights(), LogScore)
 	defer func() {
@@ -118,8 +103,9 @@ func TestScorePanicsOnMismatch(t *testing.T) {
 	e.Score(vec.Of(0), []float64{1}, nil)
 }
 
-// Property: monotonicity required by eq. (1) — G non-decreasing in σ,
-// non-increasing in both distances; F non-decreasing componentwise.
+// Property: the monotonicity the corner bound relies on — SoloBound
+// non-decreasing in σ and non-increasing in the query distance, so its
+// value at a corner caps every tuple still unseen.
 func TestQuickMonotonicity(t *testing.T) {
 	fns := []Function{
 		MustEuclideanSum(Weights{Ws: 1.5, Wq: 0.7, Wmu: 2}, LogScore),
@@ -130,24 +116,14 @@ func TestQuickMonotonicity(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		sigma := 0.05 + r.Float64()*0.9
 		dq := r.Float64() * 3
-		dmu := r.Float64() * 3
 		dSigma := r.Float64() * 0.05
 		dDist := r.Float64()
 		for _, fn := range fns {
-			base := fn.G(0, sigma, dq, dmu)
-			if fn.G(0, sigma+dSigma, dq, dmu) < base-1e-12 {
+			base := fn.SoloBound(0, sigma, dq)
+			if fn.SoloBound(0, sigma+dSigma, dq) < base-1e-12 {
 				return false
 			}
-			if fn.G(0, sigma, dq+dDist, dmu) > base+1e-12 {
-				return false
-			}
-			if fn.G(0, sigma, dq, dmu+dDist) > base+1e-12 {
-				return false
-			}
-			parts := []float64{r.NormFloat64(), r.NormFloat64()}
-			fBase := fn.F(parts)
-			parts[0] += dDist
-			if fn.F(parts) < fBase-1e-12 {
+			if fn.SoloBound(0, sigma, dq+dDist) > base+1e-12 {
 				return false
 			}
 		}
@@ -247,10 +223,10 @@ func TestCosineProximityScore(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if MustEuclideanSum(DefaultWeights(), LogScore).Name() == "" {
+	if MustEuclideanSum(DefaultWeights(), LogScore).String() == "" {
 		t.Error("empty euclidean name")
 	}
-	if mustCosine(DefaultWeights(), LogScore).Name() == "" {
+	if mustCosine(DefaultWeights(), LogScore).String() == "" {
 		t.Error("empty cosine name")
 	}
 }

@@ -164,7 +164,7 @@ func (c *CosineProximity) ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Ve
 		// Cosine dissimilarity is bitwise symmetric (commutative dot and
 		// product), so distance-from-fixed-x over the centroid column is
 		// the scalar Distance(x, µ) exactly.
-		vec.DistanceBatch(c.metric, dist, mus, xs[i])
+		vec.CosineDistances(dist, mus, xs[i])
 		qt := qterms[i]
 		for j := 0; j < b; j++ {
 			out[j] += qt - c.W.Wmu*dist[j]

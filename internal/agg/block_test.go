@@ -57,8 +57,8 @@ func TestScoreBlockBitIdentity(t *testing.T) {
 			scalarXs[vary] = candXs[j]
 			want := fn.ScoreScratch(q, scalarSig, scalarXs, mu)
 			if math.Float64bits(out[j]) != math.Float64bits(want) {
-				t.Fatalf("trial %d (%s, n=%d d=%d vary=%d block=%d lane %d): block %v, scalar %v",
-					trial, fn.Name(), n, d, vary, blockW, j, out[j], want)
+				t.Fatalf("trial %d (%v, n=%d d=%d vary=%d block=%d lane %d): block %v, scalar %v",
+					trial, fn, n, d, vary, blockW, j, out[j], want)
 			}
 		}
 	}

@@ -49,7 +49,7 @@ func TestScoreScratchBitIdentical(t *testing.T) {
 			want := fn.Score(q, sigmas, xs)
 			got := fn.ScoreScratch(q, sigmas, xs, mu)
 			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("%s: ScoreScratch %v != Score %v", fn.Name(), got, want)
+				t.Fatalf("%v: ScoreScratch %v != Score %v", fn, got, want)
 			}
 		}
 	}
@@ -71,7 +71,7 @@ func TestSoloBoundDominatesScore(t *testing.T) {
 			}
 			score := fn.Score(q, sigmas, xs)
 			if score > ub+1e-9*(1+math.Abs(ub)) {
-				t.Fatalf("%s: score %v exceeds solo bound %v", fn.Name(), score, ub)
+				t.Fatalf("%v: score %v exceeds solo bound %v", fn, score, ub)
 			}
 		}
 	}

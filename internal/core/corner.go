@@ -7,20 +7,21 @@ import "repro/internal/relation"
 // access). It is correct for any monotone aggregation but not tight, so
 // algorithms built on it are not instance-optimal (Theorems 3.1 and C.1).
 //
-// Each relation's two caps change only when it is pulled — the seen cap
-// on its first pull, the unseen cap on every pull — so register refreshes
-// the pulled relation's, with the same G arguments the formulas name,
-// and a read of the bound only combines cached values through F.
+// Each cap is a solo bound read at a corner: the aggregation is a sum of
+// per-tuple terms and the centroid term only subtracts, so relation j's
+// caps are SoloBound at the best score and distance it has left. They
+// change only when the relation is pulled — the seen cap on its first
+// pull, the unseen cap on every pull — so register refreshes the pulled
+// relation's, and a read of the bound only sums cached values.
 type cornerBounder struct {
 	e      *Engine
-	parts  []float64 // scratch for f's arguments
 	seen   []float64 // seen[j] is seenCap of R_j
 	unseen []float64 // unseen[j] is unseenCap of R_j
 }
 
 func newCornerBounder(e *Engine) *cornerBounder {
-	fs := make([]float64, 3*e.n)
-	c := &cornerBounder{e: e, parts: fs[:e.n:e.n], seen: fs[e.n : 2*e.n : 2*e.n], unseen: fs[2*e.n:]}
+	fs := make([]float64, 2*e.n)
+	c := &cornerBounder{e: e, seen: fs[:e.n:e.n], unseen: fs[e.n:]}
 	for j, rs := range e.rels {
 		c.seen[j] = c.seenCap(rs)
 		c.unseen[j] = c.unseenCap(rs)
@@ -53,31 +54,37 @@ func (c *cornerBounder) threshold() float64 {
 	return t
 }
 
-// potential computes t_i = f(S̄_1, …, S_i, …, S̄_n): the bound on
-// combinations whose unseen member comes from relation i.
+// potential computes t_i = S̄_1 + … + S_i + … + S̄_n, summed in relation
+// order: the bound on combinations whose unseen member comes from
+// relation i.
 func (c *cornerBounder) potential(i int) float64 {
 	if c.e.rels[i].exhausted {
 		return negInf
 	}
-	copy(c.parts, c.seen)
-	c.parts[i] = c.unseen[i]
-	return c.e.opts.Agg.F(c.parts)
+	var t float64
+	for j, s := range c.seen {
+		if j == i {
+			s = c.unseen[i]
+		}
+		t += s
+	}
+	return t
 }
 
 // seenCap is S̄_j: the best proximity weighted score any tuple of R_j can
 // attain, anchored at the first accessed tuple.
 func (c *cornerBounder) seenCap(rs *relState) float64 {
 	if c.e.kind == relation.DistanceAccess {
-		return c.e.opts.Agg.G(rs.index, rs.maxScore, rs.firstDist(), 0)
+		return c.e.opts.Agg.SoloBound(rs.index, rs.maxScore, rs.firstDist())
 	}
-	return c.e.opts.Agg.G(rs.index, rs.firstScore(), 0, 0)
+	return c.e.opts.Agg.SoloBound(rs.index, rs.firstScore(), 0)
 }
 
 // unseenCap is S_i: the best proximity weighted score an unseen tuple of
 // R_i can attain, anchored at the last accessed tuple.
 func (c *cornerBounder) unseenCap(rs *relState) float64 {
 	if c.e.kind == relation.DistanceAccess {
-		return c.e.opts.Agg.G(rs.index, rs.maxScore, rs.lastDist(), 0)
+		return c.e.opts.Agg.SoloBound(rs.index, rs.maxScore, rs.lastDist())
 	}
-	return c.e.opts.Agg.G(rs.index, rs.lastScore(), 0, 0)
+	return c.e.opts.Agg.SoloBound(rs.index, rs.lastScore(), 0)
 }

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
 	"math/rand"
 	"runtime"
 	"runtime/metrics"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/agg"
 	"repro/internal/datagen"
@@ -201,6 +205,165 @@ func TestBoundCountersPinned(t *testing.T) {
 	for i := range got {
 		if got[i] != pinnedBounds[i] {
 			t.Errorf("row %d: got %+v, pinned %+v (%s)", i, got[i], pinnedBounds[i], strings.TrimSpace(rows[i]))
+		}
+	}
+}
+
+// transcript is a Tracer that hashes a run's pull sequence: every pull's
+// relation and depth, every threshold with the access depth it was set
+// at, each as a tagged 8-byte word.
+type transcript struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func (tr *transcript) word(v uint64) {
+	binary.LittleEndian.PutUint64(tr.buf[:], v)
+	tr.h.Write(tr.buf[:])
+}
+
+func (tr *transcript) TracePull(relation, depth int, _ time.Duration) {
+	tr.word(0)
+	tr.word(uint64(relation))
+	tr.word(uint64(depth))
+}
+
+func (tr *transcript) TraceBound(sumDepths int, threshold float64) {
+	tr.word(1)
+	tr.word(uint64(sumDepths))
+	tr.word(math.Float64bits(threshold))
+}
+
+func (tr *transcript) TraceBuffer(string, int) {}
+
+// pinnedTranscripts holds the first 8 bytes of each run's transcript
+// digest as recorded at commit 038d1cc, in the iteration order of
+// TestPullTranscriptPinned.
+var pinnedTranscripts = []uint64{
+	0xb635115457281a61, // n=2 distance CBRR(HRJN) eager=false
+	0xb635115457281a61, // n=2 distance CBRR(HRJN) eager=true
+	0x0e7ea393d5b1cd8c, // n=2 distance CBPA(HRJN*) eager=false
+	0x0e7ea393d5b1cd8c, // n=2 distance CBPA(HRJN*) eager=true
+	0x348c1d2bcac63731, // n=2 distance TBRR eager=false
+	0x348c1d2bcac63731, // n=2 distance TBRR eager=true
+	0x9654e5f634db7ef3, // n=2 distance TBPA eager=false
+	0x9654e5f634db7ef3, // n=2 distance TBPA eager=true
+	0x48edcd142a92b511, // n=2 score CBRR(HRJN) eager=false
+	0x48edcd142a92b511, // n=2 score CBRR(HRJN) eager=true
+	0x16181a01690e36a9, // n=2 score CBPA(HRJN*) eager=false
+	0x16181a01690e36a9, // n=2 score CBPA(HRJN*) eager=true
+	0x3eaead3e1fede402, // n=2 score TBRR eager=false
+	0x3eaead3e1fede402, // n=2 score TBRR eager=true
+	0x8bdfaa4066d5ec8c, // n=2 score TBPA eager=false
+	0x8bdfaa4066d5ec8c, // n=2 score TBPA eager=true
+	0xfdbc6438624b6cf0, // n=3 distance CBRR(HRJN) eager=false
+	0xfdbc6438624b6cf0, // n=3 distance CBRR(HRJN) eager=true
+	0x5d6c06e6c98299dc, // n=3 distance CBPA(HRJN*) eager=false
+	0x5d6c06e6c98299dc, // n=3 distance CBPA(HRJN*) eager=true
+	0x63dcacf121b24252, // n=3 distance TBRR eager=false
+	0x63dcacf121b24252, // n=3 distance TBRR eager=true
+	0xed8d42735cf06872, // n=3 distance TBPA eager=false
+	0xed8d42735cf06872, // n=3 distance TBPA eager=true
+	0xc0cdb1d92b5bd6ff, // n=3 score CBRR(HRJN) eager=false
+	0xc0cdb1d92b5bd6ff, // n=3 score CBRR(HRJN) eager=true
+	0x932b3a7aea4099cd, // n=3 score CBPA(HRJN*) eager=false
+	0x932b3a7aea4099cd, // n=3 score CBPA(HRJN*) eager=true
+	0x0f9f00f94a3f40d6, // n=3 score TBRR eager=false
+	0x0f9f00f94a3f40d6, // n=3 score TBRR eager=true
+	0x18239c09eb8ecbdb, // n=3 score TBPA eager=false
+	0x18239c09eb8ecbdb, // n=3 score TBPA eager=true
+	0x27cd695e94f56f14, // n=4 distance CBRR(HRJN) eager=false
+	0x27cd695e94f56f14, // n=4 distance CBRR(HRJN) eager=true
+	0xb03dde77d3aa166a, // n=4 distance CBPA(HRJN*) eager=false
+	0xb03dde77d3aa166a, // n=4 distance CBPA(HRJN*) eager=true
+	0xbd01e0cb47e9e66d, // n=4 distance TBRR eager=false
+	0xbd01e0cb47e9e66d, // n=4 distance TBRR eager=true
+	0x690996204a765716, // n=4 distance TBPA eager=false
+	0x690996204a765716, // n=4 distance TBPA eager=true
+	0x2a8a73d917161aa0, // n=4 score CBRR(HRJN) eager=false
+	0x2a8a73d917161aa0, // n=4 score CBRR(HRJN) eager=true
+	0xa7282b6701a7db2e, // n=4 score CBPA(HRJN*) eager=false
+	0xa7282b6701a7db2e, // n=4 score CBPA(HRJN*) eager=true
+	0xd46e63a411c2271e, // n=4 score TBRR eager=false
+	0xd46e63a411c2271e, // n=4 score TBRR eager=true
+	0xa3214150faabc913, // n=4 score TBPA eager=false
+	0xa3214150faabc913, // n=4 score TBPA eager=true
+	0xba74f22d9fbc2e53, // cosine n=3 distance CBRR(HRJN) eager=false
+	0xba74f22d9fbc2e53, // cosine n=3 distance CBRR(HRJN) eager=true
+	0xb43a0e5be6636f9e, // cosine n=3 distance CBPA(HRJN*) eager=false
+	0xb43a0e5be6636f9e, // cosine n=3 distance CBPA(HRJN*) eager=true
+	0xba74f22d9fbc2e53, // cosine n=3 distance TBRR eager=false
+	0xba74f22d9fbc2e53, // cosine n=3 distance TBRR eager=true
+	0xb43a0e5be6636f9e, // cosine n=3 distance TBPA eager=false
+	0xb43a0e5be6636f9e, // cosine n=3 distance TBPA eager=true
+	0xa35bcd7b86a529cf, // cosine n=3 score CBRR(HRJN) eager=false
+	0xa35bcd7b86a529cf, // cosine n=3 score CBRR(HRJN) eager=true
+	0x765f585583f8d905, // cosine n=3 score CBPA(HRJN*) eager=false
+	0x765f585583f8d905, // cosine n=3 score CBPA(HRJN*) eager=true
+	0xa35bcd7b86a529cf, // cosine n=3 score TBRR eager=false
+	0xa35bcd7b86a529cf, // cosine n=3 score TBRR eager=true
+	0x765f585583f8d905, // cosine n=3 score TBPA eager=false
+	0x765f585583f8d905, // cosine n=3 score TBPA eager=true
+}
+
+// TestPullTranscriptPinned holds Engine.Run's whole pull sequence to the
+// recorded digests, row for row: fixedInstance at n ∈ {2, 3, 4} and one
+// CosineProximity instance, both access kinds, all four algorithms, the
+// lazy schedule and Algorithm 2. Each digest covers every pull, every
+// threshold's bits, each result's score bits and ranks, and the final
+// threshold and DNF flag, so a rewrite of a bound or a pull strategy that
+// moves any of them, even by one ulp, fails here.
+func TestPullTranscriptPinned(t *testing.T) {
+	cos, err := agg.NewCosineProximity(agg.Weights{Ws: 1, Wq: 0.5, Wmu: 0.25}, agg.LogScore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cosIn := fixedInstance(rand.New(rand.NewSource(1605)), 3, 30, 3, 8)
+	cosIn.fn = cos
+	insts := []struct {
+		name string
+		in   instance
+	}{
+		{"n=2", fixedInstance(rand.New(rand.NewSource(1602)), 2, 400, 3, 8)},
+		{"n=3", fixedInstance(rand.New(rand.NewSource(1603)), 3, 40, 3, 8)},
+		{"n=4", fixedInstance(rand.New(rand.NewSource(1604)), 4, 14, 3, 8)},
+		{"cosine n=3", cosIn},
+	}
+	var got []uint64
+	var rows []string
+	for _, c := range insts {
+		for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
+			for _, algo := range Algorithms {
+				for _, eager := range []bool{false, true} {
+					tr := &transcript{h: sha256.New()}
+					res := runAlgo(t, c.in, kind, Options{Algorithm: algo, EagerBounds: eager, Tracer: tr})
+					for _, comb := range res.Combinations {
+						tr.word(2)
+						tr.word(math.Float64bits(comb.Score))
+						for _, rk := range comb.Ranks {
+							tr.word(uint64(rk))
+						}
+					}
+					tr.word(3)
+					tr.word(math.Float64bits(res.Threshold))
+					if res.DNF {
+						tr.word(1)
+					} else {
+						tr.word(0)
+					}
+					d := binary.BigEndian.Uint64(tr.h.Sum(nil))
+					got = append(got, d)
+					rows = append(rows, fmt.Sprintf("\t0x%016x, // %s %v %v eager=%v", d, c.name, kind, algo, eager))
+				}
+			}
+		}
+	}
+	if len(got) != len(pinnedTranscripts) {
+		t.Fatalf("pinned table has %d rows, run produced %d:\n%s", len(pinnedTranscripts), len(got), strings.Join(rows, "\n"))
+	}
+	for i := range got {
+		if got[i] != pinnedTranscripts[i] {
+			t.Errorf("row %d: got %#016x, pinned %#016x (%s)", i, got[i], pinnedTranscripts[i], strings.TrimSpace(rows[i]))
 		}
 	}
 }

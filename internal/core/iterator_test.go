@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/agg"
 	"repro/internal/relation"
 )
 
@@ -89,6 +91,98 @@ func TestQuickIteratorPrefixMatchesOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuickOpenSessionMatchesFullSort: an open session drained to the end
+// is the fully sorted cross product, past K and through both buffer tiers.
+// For every access kind, algorithm and bound schedule, under the default
+// window and under a three-entry window whose evictions go to segment
+// files and come back, the stream has the oracle's length and, position by
+// position, its score bits; within each run of equal scores it holds the
+// same combinations (access ranks and storage ranks order ties
+// differently, so only the multiset of tuple-ID vectors is compared).
+func TestQuickOpenSessionMatchesFullSort(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	var insts []instance
+	for i := 0; i < 40; i++ {
+		insts = append(insts, randomInstance(r, 3, 6))
+	}
+	insts = append(insts, degenerateInstances()...)
+	cos, err := agg.NewCosineProximity(agg.Weights{Ws: 1, Wq: 1, Wmu: 0.5}, agg.IdentityScore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cosIn := randomInstance(r, 3, 6)
+	cosIn.fn = cos
+	insts = append(insts, cosIn)
+
+	ids := func(c Combination) string {
+		parts := make([]string, len(c.Tuples))
+		for i, tp := range c.Tuples {
+			parts[i] = tp.ID
+		}
+		return strings.Join(parts, "\x00")
+	}
+	dir := t.TempDir()
+	var spilled int64
+	for ii, in := range insts {
+		want, err := NaiveStream(in.rels, in.q, in.fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
+			for _, algo := range Algorithms {
+				for _, eager := range []bool{false, true} {
+					for _, window := range []Options{{}, {MaxBuffered: 3, SpillDir: dir, SpillMemBytes: 256}} {
+						opts := window
+						opts.K, opts.Algorithm, opts.EagerBounds = in.k, algo, eager
+						opts.Query, opts.Agg = in.q, in.fn
+						it, err := NewIterator(in.sources(t, kind), opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var got []Combination
+						for {
+							c, err := it.Next()
+							if err != nil {
+								if !errors.Is(err, ErrIteratorDone) {
+									t.Fatalf("instance %d %v %v eager=%v window=%d: %v", ii, kind, algo, eager, window.MaxBuffered, err)
+								}
+								break
+							}
+							got = append(got, c)
+						}
+						spilled += it.Stats().SpilledBytes
+						it.Close()
+						where := fmt.Sprintf("instance %d %v %v eager=%v window=%d", ii, kind, algo, eager, window.MaxBuffered)
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d results, full sort has %d", where, len(got), len(want))
+						}
+						for lo := 0; lo < len(want); {
+							bits := math.Float64bits(want[lo].Score)
+							hi := lo
+							var g, w []string
+							for ; hi < len(want) && math.Float64bits(want[hi].Score) == bits; hi++ {
+								if gb := math.Float64bits(got[hi].Score); gb != bits {
+									t.Fatalf("%s: result %d scores %v, full sort %v", where, hi, got[hi].Score, want[hi].Score)
+								}
+								g, w = append(g, ids(got[hi])), append(w, ids(want[hi]))
+							}
+							slices.Sort(g)
+							slices.Sort(w)
+							if !slices.Equal(g, w) {
+								t.Fatalf("%s: results %d..%d tie at %v with %q, full sort has %q", where, lo, hi-1, want[lo].Score, g, w)
+							}
+							lo = hi
+						}
+					}
+				}
+			}
+		}
+	}
+	if spilled == 0 {
+		t.Fatal("no case wrote a spill segment")
 	}
 }
 

@@ -197,7 +197,7 @@ func TestExtendWalkOrder(t *testing.T) {
 			continue
 		}
 		for _, algo := range []Algorithm{TBRR, TBPA} {
-			name := fmt.Sprintf("case %d (n=%d, %s, %v)", ci, len(in.rels), in.fn.Name(), algo)
+			name := fmt.Sprintf("case %d (n=%d, %v, %v)", ci, len(in.rels), in.fn, algo)
 			var heapLog, listLog []float64
 			open := func(log *[]float64) *Engine {
 				fn := transformLog{in.fn.(*agg.EuclideanSum), log}

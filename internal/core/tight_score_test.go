@@ -367,7 +367,7 @@ func TestQuickScoreBoundWalkExact(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	for ci, in := range scoreWalkInstances(r) {
 		for _, algo := range []Algorithm{TBRR, TBPA} {
-			name := fmt.Sprintf("case %d (n=%d, %s, %v)", ci, len(in.rels), in.fn.Name(), algo)
+			name := fmt.Sprintf("case %d (n=%d, %v, %v)", ci, len(in.rels), in.fn, algo)
 			opts := Options{K: in.k, Algorithm: algo, Query: in.q, Agg: in.fn}
 			e, err := NewEngine(in.sources(t, relation.ScoreAccess), opts)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,6 +211,55 @@ func TestPartialDegradesDeadShard(t *testing.T) {
 	}
 	if !soft.Exhausted() {
 		t.Fatal("degraded source should read as exhausted to the merge")
+	}
+}
+
+// TestFailoverBeforeBackoff: a fetch whose first owner is dead fails over
+// to the live replica at once — no backoff sleep — and streams exactly the
+// rows a local shard stream gives; a lone dead owner still backs off
+// before each of its maxAttempts − 1 retries.
+func TestFailoverBeforeBackoff(t *testing.T) {
+	var sleeps atomic.Int32
+	pinJitter(t, func(time.Duration) time.Duration { sleeps.Add(1); return 0 })
+	rel := testRelation(t, "pts", 11, 20, 2)
+	sharded, err := relation.Partition(rel, 1, relation.HashPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewPeer(startServer(t, &testBackend{
+		name: "live",
+		rels: map[string]*relation.Sharded{"pts": sharded},
+		owns: func(int) bool { return true },
+	}))
+	t.Cleanup(live.Close)
+	_, rr := deadRemote(t, NewPeer(deadAddr(t)), live)
+
+	src, err := OpenRemoteShard(context.Background(), rel, rr, 0, api.AccessScore, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainKeyed(t, src, 1<<20)
+	if n := sleeps.Load(); n != 0 {
+		t.Fatalf("failover to an untried replica slept %d times, want 0", n)
+	}
+	local, err := sharded.ShardSource(0, relation.ScoreAccess, nil, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := drainKeyed(t, local.(relation.KeyedSource), 1<<20); !rowsEqual(got, want) {
+		t.Fatalf("failed-over stream has %d rows differing from the local stream's %d", len(got), len(want))
+	}
+
+	_, lone := deadRemote(t, NewPeer(deadAddr(t)))
+	src, err = OpenRemoteShard(context.Background(), rel, lone, 0, api.AccessScore, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := src.NextKeyed(); err == nil {
+		t.Fatal("a lone dead owner served a row")
+	}
+	if n := sleeps.Load(); n != maxAttempts-1 {
+		t.Fatalf("lone dead owner slept %d times, want %d", n, maxAttempts-1)
 	}
 }
 

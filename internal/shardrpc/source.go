@@ -208,8 +208,12 @@ func (r *RemoteSource) NextKeyed() (relation.Tuple, float64, int, error) {
 func (r *RemoteSource) fetch() error {
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := sleepCtx(r.ctx, backoff(attempt)); err != nil {
+		// Fail over before backing off: the first len(owners) attempts
+		// each reach an owner this fetch has not tried, so they run at
+		// once; only a return to a tried owner waits. A lone owner keeps
+		// the plain backoff schedule.
+		if n := attempt - len(r.owners) + 1; n > 0 {
+			if err := sleepCtx(r.ctx, backoff(n)); err != nil {
 				return err
 			}
 		}

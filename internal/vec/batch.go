@@ -1,7 +1,5 @@
 package vec
 
-import "math"
-
 // Batch kernels over columns of vectors.
 //
 // The scoring hot path of the engine evaluates blocks of candidate
@@ -84,67 +82,14 @@ func MeanAccumulate(acc Vector, vs []Vector) Vector {
 	return acc
 }
 
-// DistanceBatch sets dst[j] = m.Distance(vs[j], q) for every j, with
-// specialized single-pass loops for the built-in metrics. dst must have
-// len(vs). Results are bit-identical to the scalar Distance calls.
-func DistanceBatch(m Metric, dst []float64, vs []Vector, q Vector) {
+// CosineDistances sets dst[j] = CosineDistance{}.Distance(vs[j], q) for
+// every j. dst must have len(vs). One q norm serves the whole block: the
+// scalar call recomputes it per element, but the recomputation is
+// deterministic, so hoisting it changes no bits.
+func CosineDistances(dst []float64, vs []Vector, q Vector) {
 	_ = dst[:len(vs)]
-	switch m.(type) {
-	case Euclidean:
-		Dist2Into(dst, vs, q)
-		for j := range dst[:len(vs)] {
-			dst[j] = math.Sqrt(dst[j])
-		}
-	case Manhattan:
-		d := len(q)
-		for j, v := range vs {
-			v.mustMatch(q)
-			v = v[:d]
-			var s float64
-			for i, x := range v {
-				s += math.Abs(x - q[i])
-			}
-			dst[j] = s
-		}
-	case Chebyshev:
-		d := len(q)
-		for j, v := range vs {
-			v.mustMatch(q)
-			v = v[:d]
-			var s float64
-			for i, x := range v {
-				if diff := math.Abs(x - q[i]); diff > s {
-					s = diff
-				}
-			}
-			dst[j] = s
-		}
-	case CosineDistance:
-		// One q norm for the whole block: the scalar call recomputes it per
-		// element, but the recomputation is deterministic, so hoisting it
-		// changes no bits.
-		nq := q.Norm()
-		for j, v := range vs {
-			dst[j] = cosineDistanceWith(v, q, nq)
-		}
-	default:
-		for j, v := range vs {
-			dst[j] = m.Distance(v, q)
-		}
+	nq := q.Norm()
+	for j, v := range vs {
+		dst[j] = cosineDistanceWith(v, q, nq)
 	}
-}
-
-// cosineDistanceWith is CosineDistance.Distance with b's norm precomputed.
-func cosineDistanceWith(a, b Vector, nb float64) float64 {
-	na := a.Norm()
-	if na < 1e-300 || nb < 1e-300 {
-		return 1
-	}
-	c := a.Dot(b) / (na * nb)
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return 1 - c
 }
