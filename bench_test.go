@@ -1,18 +1,20 @@
 package proxrank_test
 
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (Figure 3(a)-(l)), plus ablation benchmarks for the design
+// Benchmark harness: BenchmarkFig, one sub-benchmark per panel of the
+// paper's Figure 3 (3a-3l), plus ablation benchmarks for the design
 // choices (R-tree vs sorted access, tight vs corner bound; lazy vs eager
 // bound maintenance is what the CPU panels 3(d)-(l) measure).
 //
-// The figure benchmarks execute the corresponding experiment at reduced
-// repetition (experiments.QuickSettings) and report the headline series as
-// custom metrics, so `go test -bench=Fig` regenerates the whole study.
+// BenchmarkFig takes its panels from experiments.Registry and runs each
+// at reduced repetition (experiments.QuickSettings), so
+// `go test -bench=Fig` regenerates the whole study and a new panel needs
+// no new benchmark function.
 // Absolute seconds differ from the 2010 testbed; the shapes are what is
 // reproduced (see EXPERIMENTS.md).
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	proxrank "repro"
@@ -37,34 +39,24 @@ func BenchmarkHotPath(b *testing.B) {
 	}
 }
 
-// benchFigure runs one figure panel per iteration.
-func benchFigure(b *testing.B, id string) {
-	fig, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown figure %s", id)
-	}
+// BenchmarkFig runs each Figure 3 panel of the registry once per
+// iteration, as a sub-benchmark named by its panel ID.
+func BenchmarkFig(b *testing.B) {
 	st := experiments.QuickSettings()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fig.Run(st); err != nil {
-			b.Fatal(err)
+	for _, fig := range experiments.Registry() {
+		if !strings.HasPrefix(fig.ID, "3") {
+			continue // Tables 1-3 are not Figure 3 panels
 		}
+		b.Run(fig.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := fig.Run(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig03a(b *testing.B) { benchFigure(b, "3a") }
-func BenchmarkFig03b(b *testing.B) { benchFigure(b, "3b") }
-func BenchmarkFig03c(b *testing.B) { benchFigure(b, "3c") }
-func BenchmarkFig03d(b *testing.B) { benchFigure(b, "3d") }
-func BenchmarkFig03e(b *testing.B) { benchFigure(b, "3e") }
-func BenchmarkFig03f(b *testing.B) { benchFigure(b, "3f") }
-func BenchmarkFig03g(b *testing.B) { benchFigure(b, "3g") }
-func BenchmarkFig03h(b *testing.B) { benchFigure(b, "3h") }
-func BenchmarkFig03i(b *testing.B) { benchFigure(b, "3i") }
-func BenchmarkFig03j(b *testing.B) { benchFigure(b, "3j") }
-func BenchmarkFig03k(b *testing.B) { benchFigure(b, "3k") }
-func BenchmarkFig03l(b *testing.B) { benchFigure(b, "3l") }
 
 // benchRels builds a default synthetic instance once per benchmark.
 func benchRels(b *testing.B, n, baseTuples int) ([]*proxrank.Relation, proxrank.Vector) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -132,7 +133,35 @@ func TestQuickScoreGeoIsOptimal(t *testing.T) {
 
 // TestQuickEpsilonApproximation: with slack ε the engine may stop earlier
 // but every returned score is within ε of the exact one at the same rank.
+// The guarantee is held on both ways a query runs: Engine.Run, and the
+// bounded session every served query is (NewIterator with MaxBuffered =
+// K, read until ErrIteratorPastBound), for all four algorithms under
+// both bound schedules.
 func TestQuickEpsilonApproximation(t *testing.T) {
+	// session returns the first K results of a bounded session and its
+	// sumDepths.
+	session := func(in instance, kind relation.AccessKind, opts Options) ([]Combination, int) {
+		opts.K, opts.Query, opts.Agg, opts.MaxBuffered = in.k, in.q, in.fn, in.k
+		it, err := NewIterator(in.sources(t, kind), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []Combination
+		for {
+			c, err := it.Next()
+			if errors.Is(err, ErrIteratorPastBound) || errors.Is(err, ErrIteratorDone) {
+				return out, it.Stats().SumDepths
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, c)
+		}
+	}
+	batch := func(in instance, kind relation.AccessKind, opts Options) ([]Combination, int) {
+		res := runAlgo(t, in, kind, opts)
+		return res.Combinations, res.Stats.SumDepths
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstance(r, 3, 6)
@@ -142,16 +171,30 @@ func TestQuickEpsilonApproximation(t *testing.T) {
 		}
 		for _, eps := range []float64{0.5, 2.0} {
 			for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
-				res := runAlgo(t, in, kind, Options{Algorithm: TBPA, Epsilon: eps})
-				exactRes := runAlgo(t, in, kind, Options{Algorithm: TBPA})
-				if res.Stats.SumDepths > exactRes.Stats.SumDepths {
-					return false // approximation may never cost more I/O
-				}
-				for i := range res.Combinations {
-					if exact[i].Score-res.Combinations[i].Score > eps+1e-7 {
-						t.Logf("seed %d eps %v: rank %d score %v vs exact %v",
-							seed, eps, i, res.Combinations[i].Score, exact[i].Score)
-						return false
+				for _, algo := range Algorithms {
+					for _, eager := range []bool{false, true} {
+						for _, path := range []struct {
+							name string
+							run  func(instance, relation.AccessKind, Options) ([]Combination, int)
+						}{{"Run", batch}, {"session", session}} {
+							got, depths := path.run(in, kind, Options{Algorithm: algo, EagerBounds: eager, Epsilon: eps})
+							_, exactDepths := path.run(in, kind, Options{Algorithm: algo, EagerBounds: eager})
+							where := fmt.Sprintf("seed %d eps %v %v %v eager=%v %s", seed, eps, kind, algo, eager, path.name)
+							if len(got) != len(exact) {
+								t.Logf("%s: %d results, want %d", where, len(got), len(exact))
+								return false
+							}
+							if depths > exactDepths {
+								t.Logf("%s: sumDepths %d > exact %d", where, depths, exactDepths)
+								return false // approximation may never cost more I/O
+							}
+							for i := range got {
+								if exact[i].Score-got[i].Score > eps+1e-7 {
+									t.Logf("%s: rank %d score %v vs exact %v", where, i, got[i].Score, exact[i].Score)
+									return false
+								}
+							}
+						}
 					}
 				}
 			}

@@ -2,13 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cities"
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // tinySettings keep the smoke tests fast.
@@ -80,6 +83,90 @@ func TestRunSyntheticPointBasic(t *testing.T) {
 	}
 	if s.SumDepths <= 0 {
 		t.Fatalf("sumDepths = %v", s.SumDepths)
+	}
+}
+
+// TestZeroRepsRunOnce: a zero Settings.Reps runs one repetition per
+// point, as RunCity always did; zero runs would render every cell as DNF.
+// (BaseTuples is the one field a data set cannot do without.)
+func TestZeroRepsRunOnce(t *testing.T) {
+	s, err := RunSyntheticPoint(Settings{BaseTuples: 80}, DefaultPoint(), core.TBPA, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Runs != 1 || s.DNFs != 0 || s.SumDepths <= 0 {
+		t.Fatalf("runs=%d dnfs=%d sumDepths=%v, want one finished run", s.Runs, s.DNFs, s.SumDepths)
+	}
+	if c := depthsCell(s); c == "DNF" {
+		t.Fatalf("cell at Settings{} reads %s", c)
+	}
+}
+
+// results turns canned runs into summarize's repetition function.
+func results(runs ...core.Result) func(rep int) (core.Result, error) {
+	return func(rep int) (core.Result, error) { return runs[rep], nil }
+}
+
+func TestSummarizeAverages(t *testing.T) {
+	s, err := summarize(2, results(
+		core.Result{Stats: core.Stats{SumDepths: 10, CombinationsFormed: 100, QPSolves: 4,
+			TotalTime: 2 * time.Second, BoundTime: time.Second}},
+		core.Result{Stats: core.Stats{SumDepths: 20, CombinationsFormed: 300, QPSolves: 8,
+			TotalTime: 4 * time.Second, BoundTime: 2 * time.Second}},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Runs != 2 || s.DNFs != 0 {
+		t.Fatalf("runs/dnfs = %d/%d", s.Runs, s.DNFs)
+	}
+	if s.SumDepths != 15 || s.CombinationsFormed != 200 || s.QPSolves != 6 {
+		t.Fatalf("averages wrong: %+v", s)
+	}
+	if s.TotalSeconds != 3 || s.BoundSeconds != 1.5 {
+		t.Fatalf("time averages wrong: %+v", s)
+	}
+}
+
+func TestSummarizeExcludesDNF(t *testing.T) {
+	s, err := summarize(2, results(
+		core.Result{Stats: core.Stats{SumDepths: 10}},
+		core.Result{DNF: true, Stats: core.Stats{SumDepths: 99999}},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.DNFs != 1 || s.Runs != 2 {
+		t.Fatalf("dnfs/runs = %d/%d", s.DNFs, s.Runs)
+	}
+	if s.SumDepths != 10 {
+		t.Fatalf("DNF polluted the mean: %v", s.SumDepths)
+	}
+}
+
+func TestSummarizeEmptyAndAllDNF(t *testing.T) {
+	s, err := summarize(0, results(core.Result{Stats: core.Stats{SumDepths: 7}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Runs != 1 || s.SumDepths != 7 {
+		t.Fatalf("zero reps: %+v, want one run", s)
+	}
+	s, err = summarize(2, results(core.Result{DNF: true}, core.Result{DNF: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.SumDepths != 0 || s.DNFs != 2 || depthsCell(s) != "DNF" {
+		t.Fatalf("all-DNF summary: %+v", s)
+	}
+}
+
+func TestGain(t *testing.T) {
+	if g := gain(100, 70); g != 30 {
+		t.Errorf("gain = %v", g)
+	}
+	if g := gain(0, 5); g != 0 {
+		t.Errorf("gain with zero base = %v", g)
 	}
 }
 
@@ -197,15 +284,17 @@ func TestTableCells(t *testing.T) {
 // must not print as the point's value unmarked (Fig. 3(h) read TBRR 150.7
 // at n = 3 and 134.0 at n = 4 — fewer survivors, not a cheaper join).
 func TestPartlyDNFCellsAreMarked(t *testing.T) {
-	collect := func(dnfs, runs int) stats.Summary {
-		var col stats.Collector
-		for i := 0; i < runs; i++ {
-			col.Add(stats.Sample{SumDepths: 140, TotalTime: 2 * time.Millisecond,
-				BoundTime: time.Millisecond, DNF: i < dnfs})
+	collect := func(dnfs, runs int) Summary {
+		s, err := summarize(runs, func(rep int) (core.Result, error) {
+			return core.Result{DNF: rep < dnfs, Stats: core.Stats{SumDepths: 140,
+				TotalTime: 2 * time.Millisecond, BoundTime: time.Millisecond}}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return col.Summarize()
+		return s
 	}
-	cells := func(s stats.Summary) []string {
+	cells := func(s Summary) []string {
 		return []string{depthsCell(s), cpuCell(s, core.CBPA), cpuCell(s, core.TBPA)}
 	}
 	want := []string{"140.0", "2.00ms", "2.00ms(1.00ms)"}
@@ -234,5 +323,92 @@ func TestQuickAndDefaultSettings(t *testing.T) {
 	}
 	if q.Reps >= d.Reps || q.BaseTuples >= d.BaseTuples {
 		t.Error("quick settings are not quicker")
+	}
+}
+
+// studyPin is one row of the pinned study: a panel's ID and the first
+// 8 bytes of the sha256 of its rendered table.
+type studyPin struct {
+	id     string
+	digest uint64
+}
+
+// pinnedStudy holds every panel of Registry() rendered at the settings
+// of TestEveryFigureRuns, plus the registry's (ID, Title) list, as
+// recorded at commit bb14ab9.
+var pinnedStudy = []studyPin{
+	{"3a", 0xc2b8d4a3a4af4672},
+	{"3b", 0x99d1bef35a99442e},
+	{"3c", 0x598dcd8c5777403e},
+	{"3d", 0xe1039f6164574ea7},
+	{"3e", 0xda40bf0fc5f82c78},
+	{"3f", 0xc73787cb086ffb13},
+	{"3g", 0xc31fc5e3ba6f99af},
+	{"3h", 0xd4b2fbb6cba07a86},
+	{"3i", 0x204c270feb02e62e},
+	{"3j", 0xb18f642a5219f08d},
+	{"3k", 0x74b9083fdbad3d97},
+	{"3l", 0x6123ec063c7bbdbf},
+	{"t1", 0xa80547c72ae77fd9},
+	{"t2", 0xa3d6b7592c235f89},
+	{"t3", 0x5ea2472a1a319424},
+	{"registry", 0xc980c2f05249aa3a},
+}
+
+var (
+	durationRe = regexp.MustCompile(`[0-9]+(\.[0-9]+)?(s|ms|µs)`)
+	spacesRe   = regexp.MustCompile(` +`)
+)
+
+// TestStudyPinned holds the rendered study to the recorded digests,
+// panel for panel: every title, header, row label, cell and note of
+// Figure 3 and Tables 1–3. A CPU panel is hashed with each duration
+// replaced by T and runs of spaces collapsed, so only its timings and
+// the column padding they cause may move.
+func TestStudyPinned(t *testing.T) {
+	st := tinySettings()
+	st.Reps = 1
+	st.BaseTuples = 80
+	st.MaxSumDepths = 300
+	st.MaxCombinations = 60_000
+	cpu := map[string]bool{"3d": true, "3e": true, "3f": true, "3j": true, "3k": true, "3l": true}
+	digest := func(s string) uint64 {
+		sum := sha256.Sum256([]byte(s))
+		return binary.BigEndian.Uint64(sum[:8])
+	}
+	var got []studyPin
+	var rendered []string
+	var reg strings.Builder
+	for _, fig := range Registry() {
+		fmt.Fprintf(&reg, "%s\t%s\n", fig.ID, fig.Title)
+		tbl, err := fig.Run(st)
+		if err != nil {
+			t.Fatalf("figure %s: %v", fig.ID, err)
+		}
+		var buf bytes.Buffer
+		if err := tbl.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if cpu[fig.ID] {
+			out = spacesRe.ReplaceAllString(durationRe.ReplaceAllString(out, "T"), " ")
+		}
+		got = append(got, studyPin{fig.ID, digest(out)})
+		rendered = append(rendered, out)
+	}
+	got = append(got, studyPin{"registry", digest(reg.String())})
+	rendered = append(rendered, reg.String())
+
+	var rows []string
+	for _, p := range got {
+		rows = append(rows, fmt.Sprintf("\t{%q, 0x%016x},", p.id, p.digest))
+	}
+	if len(got) != len(pinnedStudy) {
+		t.Fatalf("pinned study has %d rows, run produced %d:\n%s", len(pinnedStudy), len(got), strings.Join(rows, "\n"))
+	}
+	for i := range got {
+		if got[i] != pinnedStudy[i] {
+			t.Errorf("row %d: got %+v, pinned %+v (%s)\n%s", i, got[i], pinnedStudy[i], strings.TrimSpace(rows[i]), rendered[i])
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cities"
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // Figure is one reproducible experiment of the paper's Figure 3.
@@ -18,25 +17,49 @@ type Figure struct {
 	Run func(st Settings) (*Table, error)
 }
 
+// metric is what a Figure 3 panel plots for each algorithm.
+type metric int
+
+const (
+	sumDepths metric = iota // tuples accessed, the I/O panels
+	cpuTime                 // total CPU time with its updateBound share
+)
+
+// panel is one Figure 3 panel: a sweep over one axis of Table 2, or over
+// the five city data sets when axis is nil, plotting one metric.
+type panel struct {
+	id, title, heading string
+	axis               *axis
+	metric             metric
+}
+
+// panels is Figure 3 in paper order.
+var panels = []panel{
+	{"3a", "Fig 3(a): sumDepths vs number of top results K", "Fig 3(a): sumDepths vs K (n=2, d=2, rho=100)", &kAxis, sumDepths},
+	{"3b", "Fig 3(b): sumDepths vs number of dimensions d", "Fig 3(b): sumDepths vs d (K=10, n=2, rho=100)", &dimAxis, sumDepths},
+	{"3c", "Fig 3(c): sumDepths vs density rho", "Fig 3(c): sumDepths vs density (K=10, n=2, d=2)", &densityAxis, sumDepths},
+	{"3d", "Fig 3(d): total CPU time vs K (with bound fraction)", "Fig 3(d): CPU time vs K (n=2, d=2, rho=100)", &kAxis, cpuTime},
+	{"3e", "Fig 3(e): total CPU time vs d (with bound fraction)", "Fig 3(e): CPU time vs d (K=10, n=2, rho=100)", &dimAxis, cpuTime},
+	{"3f", "Fig 3(f): total CPU time vs rho (with bound fraction)", "Fig 3(f): CPU time vs density (K=10, n=2, d=2)", &densityAxis, cpuTime},
+	{"3g", "Fig 3(g): sumDepths vs skewness rho1/rho2", "Fig 3(g): sumDepths vs skewness (K=10, n=2, d=2, rho=100)", &skewAxis, sumDepths},
+	{"3h", "Fig 3(h): sumDepths vs number of relations n", "Fig 3(h): sumDepths vs number of relations (K=10, d=2, rho=100)", &nAxis, sumDepths},
+	{"3i", "Fig 3(i): sumDepths on the five city data sets", "Fig 3(i): sumDepths on city data sets (n=3, K=10)", nil, sumDepths},
+	{"3j", "Fig 3(j): total CPU time vs skewness", "Fig 3(j): CPU time vs skewness (K=10, n=2, d=2, rho=100)", &skewAxis, cpuTime},
+	{"3k", "Fig 3(k): total CPU time vs number of relations n", "Fig 3(k): CPU time vs number of relations (K=10, d=2, rho=100)", &nAxis, cpuTime},
+	{"3l", "Fig 3(l): total CPU time on the five city data sets", "Fig 3(l): CPU time on city data sets (n=3, K=10)", nil, cpuTime},
+}
+
 // Registry returns all figure runners in paper order.
 func Registry() []Figure {
-	return []Figure{
-		{ID: "3a", Title: "Fig 3(a): sumDepths vs number of top results K", Run: fig3a},
-		{ID: "3b", Title: "Fig 3(b): sumDepths vs number of dimensions d", Run: fig3b},
-		{ID: "3c", Title: "Fig 3(c): sumDepths vs density rho", Run: fig3c},
-		{ID: "3d", Title: "Fig 3(d): total CPU time vs K (with bound fraction)", Run: fig3d},
-		{ID: "3e", Title: "Fig 3(e): total CPU time vs d (with bound fraction)", Run: fig3e},
-		{ID: "3f", Title: "Fig 3(f): total CPU time vs rho (with bound fraction)", Run: fig3f},
-		{ID: "3g", Title: "Fig 3(g): sumDepths vs skewness rho1/rho2", Run: fig3g},
-		{ID: "3h", Title: "Fig 3(h): sumDepths vs number of relations n", Run: fig3h},
-		{ID: "3i", Title: "Fig 3(i): sumDepths on the five city data sets", Run: fig3i},
-		{ID: "3j", Title: "Fig 3(j): total CPU time vs skewness", Run: fig3j},
-		{ID: "3k", Title: "Fig 3(k): total CPU time vs number of relations n", Run: fig3k},
-		{ID: "3l", Title: "Fig 3(l): total CPU time on the five city data sets", Run: fig3l},
-		{ID: "t1", Title: "Table 1: worked-example combination scores", Run: table1},
-		{ID: "t2", Title: "Table 2: operating parameter grid", Run: table2},
-		{ID: "t3", Title: "Table 3: partial combinations and tight bounds", Run: table3},
+	reg := make([]Figure, 0, len(panels)+3)
+	for _, p := range panels {
+		reg = append(reg, Figure{ID: p.id, Title: p.title, Run: p.run})
 	}
+	return append(reg,
+		Figure{ID: "t1", Title: "Table 1: worked-example combination scores", Run: table1},
+		Figure{ID: "t2", Title: "Table 2: operating parameter grid", Run: table2},
+		Figure{ID: "t3", Title: "Table 3: partial combinations and tight bounds", Run: table3},
+	)
 }
 
 // ByID returns the figure runner with the given ID.
@@ -49,11 +72,91 @@ func ByID(id string) (Figure, bool) {
 	return Figure{}, false
 }
 
+// run renders the panel: one row per point of its sweep, one column per
+// algorithm.
+func (p panel) run(st Settings) (*Table, error) {
+	t := &Table{Title: p.heading}
+	var labels []string
+	var point func(i int, a core.Algorithm) (Summary, error)
+	eager := p.metric == cpuTime && st.EagerCPU
+	if p.axis != nil {
+		t.Header = []string{p.axis.column}
+		for _, v := range p.axis.values {
+			labels = append(labels, fmt.Sprintf("%s=%g", p.axis.label, v))
+		}
+		point = func(i int, a core.Algorithm) (Summary, error) {
+			return RunSyntheticPoint(st, p.axis.point(p.axis.values[i]), a, eager)
+		}
+	} else {
+		t.Header = []string{"city"}
+		all := cities.All()
+		for _, c := range all {
+			labels = append(labels, c.Code)
+		}
+		cst := st
+		if p.metric == sumDepths {
+			cst.Reps = 1 // sumDepths is deterministic per city
+		}
+		point = func(i int, a core.Algorithm) (Summary, error) { return RunCity(cst, all[i], a, eager) }
+	}
+	if p.metric == sumDepths {
+		t.Header = append(t.Header, "CBRR(HRJN)", "CBPA(HRJN*)", "TBRR", "TBPA")
+	} else {
+		t.Header = append(t.Header, "CBRR total", "CBPA total", "TBRR total(bound)", "TBPA total(bound)")
+	}
+
+	// cbpa and tbpa are the last row's sumDepths on a synthetic sweep and
+	// their sums over the cities.
+	var cbpa, tbpa float64
+	for i, label := range labels {
+		row := []string{label}
+		if p.axis != nil {
+			cbpa, tbpa = 0, 0
+		}
+		for _, a := range algorithms {
+			s, err := point(i, a)
+			if err != nil {
+				return nil, err
+			}
+			if p.metric == cpuTime {
+				row = append(row, cpuCell(s, a))
+				continue
+			}
+			row = append(row, depthsCell(s))
+			switch a {
+			case core.CBPA:
+				cbpa += s.SumDepths
+			case core.TBPA:
+				tbpa += s.SumDepths
+			}
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	switch {
+	case p.metric == cpuTime && p.axis != nil:
+		t.Notes = append(t.Notes, "parenthesized value: time inside updateBound (lighter stacked bar in the paper)")
+	case p.metric == sumDepths && p.axis == nil:
+		t.Notes = append(t.Notes, fmt.Sprintf("average: TBPA saves %.0f%% of accesses vs CBPA", gain(cbpa, tbpa)))
+	case p.metric == sumDepths && cbpa > 0:
+		t.Notes = append(t.Notes, fmt.Sprintf("last row: TBPA saves %.0f%% of accesses vs CBPA", gain(cbpa, tbpa)))
+	}
+	return t, nil
+}
+
+// gain returns the relative improvement of b over a in percent, where
+// smaller is better: 100·(a−b)/a.
+func gain(a, b float64) float64 {
+	if a == 0 {
+		return 0
+	}
+	return 100 * (a - b) / a
+}
+
 // dnfCell renders one point's cell: v is the mean over the repetitions
 // that finished, so a point where some did not says how many — a bare
 // mean of the survivors would read as a cheaper join — and a point where
 // none did reads DNF.
-func dnfCell(s stats.Summary, v string) string {
+func dnfCell(s Summary, v string) string {
 	switch {
 	case s.DNFs == s.Runs:
 		return "DNF"
@@ -64,235 +167,14 @@ func dnfCell(s stats.Summary, v string) string {
 }
 
 // depthsCell is a cell of the sumDepths panels.
-func depthsCell(s stats.Summary) string { return dnfCell(s, cell(s.SumDepths)) }
+func depthsCell(s Summary) string { return dnfCell(s, cell(s.SumDepths)) }
 
 // cpuCell is a cell of the CPU panels: total time, with the updateBound
 // fraction in parentheses for the tight-bound algorithms.
-func cpuCell(s stats.Summary, a core.Algorithm) string {
+func cpuCell(s Summary, a core.Algorithm) string {
 	v := secCell(s.TotalSeconds)
 	if a.Bound() == core.TightBound {
 		v = fmt.Sprintf("%s(%s)", v, secCell(s.BoundSeconds))
 	}
 	return dnfCell(s, v)
-}
-
-// sweepDepths renders a sumDepths table with one row per parameter value
-// and one column per algorithm.
-func sweepDepths(st Settings, title, param string, values []string, point func(i int) Point) (*Table, error) {
-	t := &Table{Title: title, Header: []string{param, "CBRR(HRJN)", "CBPA(HRJN*)", "TBRR", "TBPA"}}
-	var lastCBPA, lastTBPA float64
-	for i, label := range values {
-		row := []string{label}
-		for _, a := range algorithms {
-			s, err := RunSyntheticPoint(st, point(i), a, false)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, depthsCell(s))
-			if a == core.CBPA {
-				lastCBPA = s.SumDepths
-			}
-			if a == core.TBPA {
-				lastTBPA = s.SumDepths
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	if lastCBPA > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("last row: TBPA saves %.0f%% of accesses vs CBPA",
-			stats.Gain(lastCBPA, lastTBPA)))
-	}
-	return t, nil
-}
-
-// sweepCPU renders a CPU-time table (total with the updateBound fraction),
-// the stacked-bar content of the paper's panels.
-func sweepCPU(st Settings, title, param string, values []string, point func(i int) Point) (*Table, error) {
-	t := &Table{
-		Title:  title,
-		Header: []string{param, "CBRR total", "CBPA total", "TBRR total(bound)", "TBPA total(bound)"},
-	}
-	for i, label := range values {
-		row := []string{label}
-		for _, a := range algorithms {
-			s, err := RunSyntheticPoint(st, point(i), a, st.EagerCPU)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, cpuCell(s, a))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
-		"parenthesized value: time inside updateBound (lighter stacked bar in the paper)")
-	return t, nil
-}
-
-func fig3a(st Settings) (*Table, error) {
-	labels := make([]string, len(KValues))
-	for i, k := range KValues {
-		labels[i] = fmt.Sprintf("K=%d", k)
-	}
-	return sweepDepths(st, "Fig 3(a): sumDepths vs K (n=2, d=2, rho=100)", "K", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.K = KValues[i]
-		return p
-	})
-}
-
-func fig3b(st Settings) (*Table, error) {
-	labels := make([]string, len(DimValues))
-	for i, d := range DimValues {
-		labels[i] = fmt.Sprintf("d=%d", d)
-	}
-	return sweepDepths(st, "Fig 3(b): sumDepths vs d (K=10, n=2, rho=100)", "d", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.Dim = DimValues[i]
-		return p
-	})
-}
-
-func fig3c(st Settings) (*Table, error) {
-	labels := make([]string, len(DensityValues))
-	for i, r := range DensityValues {
-		labels[i] = fmt.Sprintf("rho=%g", r)
-	}
-	return sweepDepths(st, "Fig 3(c): sumDepths vs density (K=10, n=2, d=2)", "rho", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.Density = DensityValues[i]
-		return p
-	})
-}
-
-func fig3d(st Settings) (*Table, error) {
-	labels := make([]string, len(KValues))
-	for i, k := range KValues {
-		labels[i] = fmt.Sprintf("K=%d", k)
-	}
-	return sweepCPU(st, "Fig 3(d): CPU time vs K (n=2, d=2, rho=100)", "K", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.K = KValues[i]
-		return p
-	})
-}
-
-func fig3e(st Settings) (*Table, error) {
-	labels := make([]string, len(DimValues))
-	for i, d := range DimValues {
-		labels[i] = fmt.Sprintf("d=%d", d)
-	}
-	return sweepCPU(st, "Fig 3(e): CPU time vs d (K=10, n=2, rho=100)", "d", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.Dim = DimValues[i]
-		return p
-	})
-}
-
-func fig3f(st Settings) (*Table, error) {
-	labels := make([]string, len(DensityValues))
-	for i, r := range DensityValues {
-		labels[i] = fmt.Sprintf("rho=%g", r)
-	}
-	return sweepCPU(st, "Fig 3(f): CPU time vs density (K=10, n=2, d=2)", "rho", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.Density = DensityValues[i]
-		return p
-	})
-}
-
-func fig3g(st Settings) (*Table, error) {
-	labels := make([]string, len(SkewValues))
-	for i, s := range SkewValues {
-		labels[i] = fmt.Sprintf("skew=%g", s)
-	}
-	return sweepDepths(st, "Fig 3(g): sumDepths vs skewness (K=10, n=2, d=2, rho=100)", "rho1/rho2", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.Skew = SkewValues[i]
-		return p
-	})
-}
-
-func fig3h(st Settings) (*Table, error) {
-	labels := make([]string, len(NValues))
-	for i, n := range NValues {
-		labels[i] = fmt.Sprintf("n=%d", n)
-	}
-	return sweepDepths(st, "Fig 3(h): sumDepths vs number of relations (K=10, d=2, rho=100)", "n", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.N = NValues[i]
-		return p
-	})
-}
-
-func fig3i(st Settings) (*Table, error) {
-	t := &Table{
-		Title:  "Fig 3(i): sumDepths on city data sets (n=3, K=10)",
-		Header: []string{"city", "CBRR(HRJN)", "CBPA(HRJN*)", "TBRR", "TBPA"},
-	}
-	var cbpaSum, tbpaSum float64
-	for _, city := range cities.All() {
-		row := []string{city.Code}
-		for _, a := range algorithms {
-			st1 := st
-			st1.Reps = 1 // sumDepths is deterministic per city
-			s, err := RunCity(st1, city, a, false)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, depthsCell(s))
-			if a == core.CBPA {
-				cbpaSum += s.SumDepths
-			}
-			if a == core.TBPA {
-				tbpaSum += s.SumDepths
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("average: TBPA saves %.0f%% of accesses vs CBPA",
-		stats.Gain(cbpaSum, tbpaSum)))
-	return t, nil
-}
-
-func fig3j(st Settings) (*Table, error) {
-	labels := make([]string, len(SkewValues))
-	for i, s := range SkewValues {
-		labels[i] = fmt.Sprintf("skew=%g", s)
-	}
-	return sweepCPU(st, "Fig 3(j): CPU time vs skewness (K=10, n=2, d=2, rho=100)", "rho1/rho2", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.Skew = SkewValues[i]
-		return p
-	})
-}
-
-func fig3k(st Settings) (*Table, error) {
-	labels := make([]string, len(NValues))
-	for i, n := range NValues {
-		labels[i] = fmt.Sprintf("n=%d", n)
-	}
-	return sweepCPU(st, "Fig 3(k): CPU time vs number of relations (K=10, d=2, rho=100)", "n", labels, func(i int) Point {
-		p := DefaultPoint()
-		p.N = NValues[i]
-		return p
-	})
-}
-
-func fig3l(st Settings) (*Table, error) {
-	t := &Table{
-		Title:  "Fig 3(l): CPU time on city data sets (n=3, K=10)",
-		Header: []string{"city", "CBRR total", "CBPA total", "TBRR total(bound)", "TBPA total(bound)"},
-	}
-	for _, city := range cities.All() {
-		row := []string{city.Code}
-		for _, a := range algorithms {
-			s, err := RunCity(st, city, a, st.EagerCPU)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, cpuCell(s, a))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
 }

@@ -7,19 +7,36 @@ package experiments
 
 import "repro/internal/core"
 
+// axis is one operating parameter of Table 2: the values the paper
+// tests, each set on DefaultPoint() in turn.
+type axis struct {
+	name   string // Table 2's row
+	column string // the sweep table's first heading
+	label  string // a row label is label=value
+	values []float64
+	set    func(p *Point, v float64)
+}
+
 // Table 2 — operating parameters (defaults in bold in the paper).
 var (
-	// KValues is the number of results sweep (default 10).
-	KValues = []int{1, 10, 50}
-	// DimValues is the dimensionality sweep (default 2).
-	DimValues = []int{1, 2, 4, 8, 16}
-	// DensityValues is the tuple density sweep (default 100).
-	DensityValues = []float64{20, 50, 100, 200}
-	// SkewValues is the ρ1/ρ2 sweep (default 1).
-	SkewValues = []float64{1, 2, 4, 8}
-	// NValues is the number-of-relations sweep (default 2).
-	NValues = []int{2, 3, 4}
+	kAxis = axis{"number of results K", "K", "K", []float64{1, 10, 50},
+		func(p *Point, v float64) { p.K = int(v) }}
+	dimAxis = axis{"number of dimensions d", "d", "d", []float64{1, 2, 4, 8, 16},
+		func(p *Point, v float64) { p.Dim = int(v) }}
+	densityAxis = axis{"density rho", "rho", "rho", []float64{20, 50, 100, 200},
+		func(p *Point, v float64) { p.Density = v }}
+	skewAxis = axis{"skewness rho1/rho2", "rho1/rho2", "skew", []float64{1, 2, 4, 8},
+		func(p *Point, v float64) { p.Skew = v }}
+	nAxis = axis{"number of relations n", "n", "n", []float64{2, 3, 4},
+		func(p *Point, v float64) { p.N = int(v) }}
 )
+
+// point is DefaultPoint() with this axis at v.
+func (a *axis) point(v float64) Point {
+	p := DefaultPoint()
+	a.set(&p, v)
+	return p
+}
 
 // Point is one synthetic operating point.
 type Point struct {
@@ -37,7 +54,8 @@ func DefaultPoint() Point {
 
 // Settings control experiment execution (not the problem itself).
 type Settings struct {
-	// Reps is the number of seeded data sets averaged per point (paper: 10).
+	// Reps is the number of seeded data sets averaged per point (paper:
+	// 10); zero runs one.
 	Reps int
 	// BaseTuples is the per-relation size of an unskewed relation.
 	BaseTuples int

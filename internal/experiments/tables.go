@@ -62,17 +62,23 @@ func table1(Settings) (*Table, error) {
 	return t, nil
 }
 
+// table2Axes are Table 2's rows in the paper's order.
+var table2Axes = []*axis{&kAxis, &dimAxis, &densityAxis, &skewAxis, &nAxis}
+
 func table2(Settings) (*Table, error) {
 	t := &Table{
 		Title:  "Table 2: operating parameters (defaults marked *)",
 		Header: []string{"parameter", "tested values"},
-		Rows: [][]string{
-			{"number of results K", "1, 10*, 50"},
-			{"number of dimensions d", "1, 2*, 4, 8, 16"},
-			{"density rho", "20, 50, 100*, 200"},
-			{"skewness rho1/rho2", "1*, 2, 4, 8"},
-			{"number of relations n", "2*, 3, 4"},
-		},
+	}
+	for _, a := range table2Axes {
+		values := make([]string, len(a.values))
+		for i, v := range a.values {
+			values[i] = fmt.Sprintf("%g", v)
+			if a.point(v) == DefaultPoint() {
+				values[i] += "*"
+			}
+		}
+		t.Rows = append(t.Rows, []string{a.name, strings.Join(values, ", ")})
 	}
 	return t, nil
 }
