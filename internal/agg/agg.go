@@ -42,25 +42,30 @@ type Function interface {
 	// avoiding the per-combination centroid allocation on the formation hot
 	// path. The result must be bit-identical to Score.
 	ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64
-	// SoloBound returns an upper bound on tuple i's contribution to any
-	// combination containing it; dq is the Metric distance to the query:
+	// SoloBound is the corner bound's per-relation cap: an upper bound on
+	// the term of any tuple with score at most sigma and Metric distance
+	// to the query at least dq, the slot term with the centroid distance
+	// zeroed (the centroid term only ever subtracts):
 	//
-	//	Score(q, σ, x) ≤ Σ_i SoloBound(i, σ_i, δ(x_i, q))
+	//	Score(q, σ, x) ≤ Σ_i SoloBound(σ_i, δ(x_i, q))
 	//
-	// For the reference aggregations the bound is slot i's term with the
-	// centroid distance zeroed — the centroid term only ever subtracts. It
-	// must be non-decreasing in sigma and non-increasing in dq: the corner
-	// bound reads it at a corner of what is still unseen. The engine also
-	// uses it to prune cross-product subtrees during combination
-	// formation: a partial combination whose best possible completion (its
-	// seen tuples' solo terms plus the per-relation maxima of the unseen
-	// slots) cannot reach the current score floor is cut without being
-	// materialized.
-	SoloBound(i int, sigma, dq float64) float64
+	// It must be non-decreasing in sigma and non-increasing in dq: the
+	// corner bound reads it at a corner of what is still unseen.
+	SoloBound(sigma, dq float64) float64
 	// QTerm returns the centroid-independent part of slot i's term for a
 	// tuple with the given score and feature vector: exactly the value
 	// the ScoreScratch accumulation adds before subtracting the weighted
-	// centroid distance.
+	// centroid distance. It is the engine's one per-tuple term, the block
+	// kernel's cached column and the bound formation prunes with: a
+	// partial combination whose best possible completion (its seen
+	// tuples' QTerms plus the per-relation maxima of the unseen slots)
+	// cannot reach the current score floor is cut without being
+	// materialized. The sum is sound because a slot adds
+	// fl(QTerm − w_µ·d_µ) ≤ QTerm to the score, so only summation rounding
+	// separates Σ QTerm from the score, and a slack scaled by the terms'
+	// magnitude covers it. SoloBound at the tuple's own distance would not
+	// do: σ − fl(√D)² can sit an ulp of D below σ − D, which no slack
+	// scaled by the terms covers once σ and D nearly cancel.
 	QTerm(i int, sigma float64, x, q vec.Vector) float64
 	// ScoreBlock scores len(out) combinations that agree with (qterms,
 	// xs) on every slot except vary, where candidate j places the tuple
@@ -193,7 +198,7 @@ func (e *EuclideanSum) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vec
 // SoloBound implements Function: the slot term with the centroid
 // distance zeroed. The dropped −w_µ·dmu² term is never positive, so the
 // sum of solo bounds dominates the full score.
-func (e *EuclideanSum) SoloBound(_ int, sigma, dq float64) float64 {
+func (e *EuclideanSum) SoloBound(sigma, dq float64) float64 {
 	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*dq*dq
 }
 
@@ -267,7 +272,7 @@ func (c *CosineProximity) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.
 // SoloBound implements Function: g with the centroid dissimilarity
 // zeroed (cosine dissimilarity is non-negative, so the dropped term only
 // subtracts).
-func (c *CosineProximity) SoloBound(_ int, sigma, dq float64) float64 {
+func (c *CosineProximity) SoloBound(sigma, dq float64) float64 {
 	return c.g(sigma, dq, 0)
 }
 

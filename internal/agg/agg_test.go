@@ -119,11 +119,11 @@ func TestQuickMonotonicity(t *testing.T) {
 		dSigma := r.Float64() * 0.05
 		dDist := r.Float64()
 		for _, fn := range fns {
-			base := fn.SoloBound(0, sigma, dq)
-			if fn.SoloBound(0, sigma+dSigma, dq) < base-1e-12 {
+			base := fn.SoloBound(sigma, dq)
+			if fn.SoloBound(sigma+dSigma, dq) < base-1e-12 {
 				return false
 			}
-			if fn.SoloBound(0, sigma, dq+dDist) > base+1e-12 {
+			if fn.SoloBound(sigma, dq+dDist) > base+1e-12 {
 				return false
 			}
 		}

@@ -67,7 +67,7 @@ func TestSoloBoundDominatesScore(t *testing.T) {
 		for _, fn := range testFunctions(r) {
 			var ub float64
 			for i, x := range xs {
-				ub += fn.SoloBound(i, sigmas[i], fn.Metric().Distance(x, q))
+				ub += fn.SoloBound(sigmas[i], fn.Metric().Distance(x, q))
 			}
 			score := fn.Score(q, sigmas, xs)
 			if score > ub+1e-9*(1+math.Abs(ub)) {

@@ -75,16 +75,16 @@ func (c *cornerBounder) potential(i int) float64 {
 // attain, anchored at the first accessed tuple.
 func (c *cornerBounder) seenCap(rs *relState) float64 {
 	if c.e.kind == relation.DistanceAccess {
-		return c.e.opts.Agg.SoloBound(rs.index, rs.maxScore, rs.firstDist())
+		return c.e.opts.Agg.SoloBound(rs.maxScore, rs.firstDist())
 	}
-	return c.e.opts.Agg.SoloBound(rs.index, rs.firstScore(), 0)
+	return c.e.opts.Agg.SoloBound(rs.firstScore(), 0)
 }
 
 // unseenCap is S_i: the best proximity weighted score an unseen tuple of
 // R_i can attain, anchored at the last accessed tuple.
 func (c *cornerBounder) unseenCap(rs *relState) float64 {
 	if c.e.kind == relation.DistanceAccess {
-		return c.e.opts.Agg.SoloBound(rs.index, rs.maxScore, rs.lastDist())
+		return c.e.opts.Agg.SoloBound(rs.maxScore, rs.lastDist())
 	}
-	return c.e.opts.Agg.SoloBound(rs.index, rs.lastScore(), 0)
+	return c.e.opts.Agg.SoloBound(rs.lastScore(), 0)
 }

@@ -33,14 +33,15 @@ type relState struct {
 	// first and last are δ(x(R_i[1]), q) and δ(x(R_i[p_i]), q): the only
 	// distances from q the bounds read (firstDist, lastDist).
 	first, last float64
-	// solo holds each prefix tuple's separable upper contribution
-	// (agg.Function.SoloBound), parallel to tuples; soloMax is its running
-	// maximum and soloAbsMax the running maximum magnitude (the scale of
-	// the floating-point error a sum of solo terms can carry). bySolo is a
-	// max-heap of the prefix ranks by descending solo, then ascending rank,
-	// read in that order (walk): the order in which a pruned level's
-	// survivors form a prefix (see candidates). All four drive
-	// score-floor pruning during formation and the score-access tight
+	// solo holds each prefix tuple's term (agg.Function.QTerm: the exact
+	// float every score of the tuple adds before subtracting its centroid
+	// term), parallel to tuples; the block kernel reads it too. soloMax is
+	// its running maximum and soloAbsMax the running maximum magnitude (the
+	// scale of the floating-point error a sum of solo terms can carry).
+	// bySolo is a max-heap of the prefix ranks by descending solo, then
+	// ascending rank, read in that order (walk): the order in which a
+	// pruned level's survivors form a prefix (see candidates). All four
+	// drive score-floor pruning during formation and the score-access tight
 	// bound's walk (tightScoreBounder.extend), so every engine keeps them,
 	// pruned or not.
 	solo       []float64
@@ -51,10 +52,6 @@ type relState struct {
 	// candidate list while formation descends into it (see candidates).
 	front []int32
 	cands []int32
-	// qterm caches each prefix tuple's centroid-independent score term
-	// (agg.Function.QTerm), parallel to tuples; the columnar input of
-	// the batched scoring kernel. Empty when block scoring is off.
-	qterm []float64
 }
 
 // prefixCols is a session's relation states and the slab their tuple
@@ -84,8 +81,8 @@ func (e *Engine) recycle() {
 	for _, rs := range e.rels {
 		keep = keep && rs.depth() <= maxRecycledDepth
 		clear(rs.tuples)
-		*rs = relState{tuples: rs.tuples[:0], solo: rs.solo[:0],
-			qterm: rs.qterm[:0], bySolo: rs.bySolo[:0], front: rs.front, cands: rs.cands}
+		*rs = relState{tuples: rs.tuples[:0], solo: rs.solo[:0], bySolo: rs.bySolo[:0],
+			front: rs.front, cands: rs.cands}
 	}
 	if keep {
 		colPool.Put(e.cols)
@@ -203,7 +200,7 @@ type Engine struct {
 	t     float64 // current upper bound
 	// prune turns score-floor pruning on. blockSize > 0 turns the batched
 	// kernel on: the innermost enumeration level scores candidate blocks of
-	// that width in one kernel call over the columnar qterm/vector state
+	// that width in one kernel call over the columnar solo/vector state
 	// instead of one leaf at a time. Both are on in every run but the
 	// identity suites' oracles (Options.disablePrune, disableBlock).
 	prune     bool
@@ -216,18 +213,18 @@ type Engine struct {
 	// Formation scratch, reused across every formCombinations call.
 	scrRanks  []int32
 	scrSigmas []float64
+	scrSolos  []float64 // the fixed slots' solo terms, the block kernel's qterms
 	scrXs     []vec.Vector
 	scrMu     vec.Vector
 	sufBound  []float64 // sufBound[i]: Σ soloMax over levels ≥ i (skip excluded)
 	sufCount  []int64   // sufCount[i]: Π depth over levels ≥ i (skip excluded)
 	pruneMag  float64   // Σ soloAbsMax: term-magnitude scale for pruneSlack
-	// Block-mode scratch: per-slot cached qterms, the kernel's working
-	// storage, and the per-block column/output buffers.
-	scrQterms []float64
-	blkScr    agg.BlockScratch
-	blkQ      []float64
-	blkXs     []vec.Vector
-	blkOut    []float64
+	// Block-mode scratch: the kernel's working storage and the per-block
+	// column/output buffers.
+	blkScr agg.BlockScratch
+	blkQ   []float64
+	blkXs  []vec.Vector
+	blkOut []float64
 	// Emission arenas: materialize carves public Combination slices from
 	// these in chunks instead of allocating two slices per result.
 	matTuples []relation.Tuple
@@ -324,19 +321,20 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	}
 
 	// Every float64 the engine owns — formation scratch, block-kernel
-	// lanes, and the per-relation solo/qterm columns — is carved
-	// from one slab, so construction costs one allocation instead of one
-	// per buffer. Columns take zero-length full-capacity views (the
+	// lanes, and the per-relation solo columns — is carved from one
+	// slab, so construction costs one allocation instead of one per
+	// buffer. Columns take zero-length full-capacity views (the
 	// three-index slices below), so an append that outgrows its segment
 	// relocates that column without touching its neighbors.
-	nf := n + (n + 1) + dim + 2*colTotal // solo, qterm
+	nf := 2*n + (n + 1) + dim + colTotal
 	if blockSize > 0 {
-		nf += 2*blockSize + n
+		nf += 2 * blockSize
 	}
 	floats := make([]float64, nf)
 	takeN := func(k int) []float64 { s := floats[:k:k]; floats = floats[k:]; return s }
 	takeCol := func(c int) []float64 { s := floats[:0:c]; floats = floats[c:]; return s }
 	e.scrSigmas = takeN(n)
+	e.scrSolos = takeN(n)
 	e.sufBound = takeN(n + 1)
 	e.scrMu = vec.Vector(takeN(dim))
 
@@ -351,7 +349,6 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	e.scrRanks = takeRanks(n)[:n]
 
 	if blockSize > 0 {
-		e.scrQterms = takeN(n)
 		e.blkQ = takeN(blockSize)
 		e.blkOut = takeN(blockSize)
 		e.blkXs = vecs[n : n+blockSize : n+blockSize]
@@ -370,7 +367,7 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 			c := colCap(i)
 			rs := &states[i]
 			rs.tuples, tupSlab = tupSlab[:0:c], tupSlab[c:]
-			rs.solo, rs.qterm = takeCol(c), takeCol(c)
+			rs.solo = takeCol(c)
 			rs.bySolo, rs.front, rs.cands = takeRanks(c), takeRanks(c), takeRanks(c)
 			cols.rels[i] = rs
 		}
@@ -551,25 +548,18 @@ func (e *Engine) step(ri int) error {
 	e.stats.Depths[ri]++
 	e.stats.SumDepths++
 
-	// One distance evaluation serves formation, the prefix statistics the
-	// bounders read, and the separable term.
+	// dist is the prefix statistic the bounders read; solo is the term
+	// every combination of the tuple adds.
 	dist := e.opts.Agg.Metric().Distance(tup.Vec, e.q)
-	solo := e.opts.Agg.SoloBound(ri, tup.Score, dist)
-	var qt float64
-	if e.blockSize > 0 {
-		qt = e.opts.Agg.QTerm(ri, tup.Score, tup.Vec, e.q)
-	}
+	solo := e.opts.Agg.QTerm(ri, tup.Score, tup.Vec, e.q)
 
-	e.formCombinations(ri, tup, solo, qt)
+	e.formCombinations(ri, tup, solo)
 
 	rs.tuples = append(rs.tuples, tup)
 	if len(rs.tuples) == 1 {
 		rs.first = dist
 	}
 	rs.last = dist
-	if e.blockSize > 0 {
-		rs.qterm = append(rs.qterm, qt)
-	}
 	rs.solo = append(rs.solo, solo)
 	rs.pushSolo()
 	if len(rs.solo) == 1 || solo > rs.soloMax {
@@ -600,10 +590,10 @@ func (e *Engine) step(ri int) error {
 // member to the output buffer (Algorithm 1 lines 6-7). The whole product
 // counts into Stats.CombinationsFormed up front, so the paper's cost
 // metric and the MaxCombinations cap semantics are unchanged by pruning:
-// subtrees whose best possible completion (by the aggregation's
-// SoloBound) cannot beat the buffer's score floor are cut before
-// materialization and tallied again in CombinationsPruned.
-func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo, qt float64) {
+// subtrees whose best possible completion (the sum of their tuples' solo
+// terms, see agg.Function.QTerm) cannot beat the buffer's score floor are
+// cut before materialization and tallied again in CombinationsPruned.
+func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo float64) {
 	for _, rs := range e.rels {
 		if rs.index != ri && rs.depth() == 0 {
 			return
@@ -614,9 +604,7 @@ func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo, qt float64) 
 	e.scrRanks[ri] = int32(e.rels[ri].depth())
 	e.scrSigmas[ri] = tup.Score
 	e.scrXs[ri] = tup.Vec
-	if e.blockSize > 0 {
-		e.scrQterms[ri] = qt
-	}
+	e.scrSolos[ri] = solo
 	e.setLastVar(ri)
 	// Suffix tables over the remaining levels: the best additional solo
 	// mass and the number of leaves below each level. pruneMag collects the
@@ -661,9 +649,7 @@ func (e *Engine) place(i int, r int32) {
 	e.scrRanks[i] = r
 	e.scrSigmas[i] = rs.tuples[r].Score
 	e.scrXs[i] = rs.tuples[r].Vec
-	if e.blockSize > 0 {
-		e.scrQterms[i] = rs.qterm[r]
-	}
+	e.scrSolos[i] = rs.solo[r]
 }
 
 // satAdd adds counter deltas with saturation at MaxInt64, matching the
@@ -833,10 +819,10 @@ func (e *Engine) scoreBlocks(i int, cands []int32) {
 		chunk := cands[start:end]
 		w := len(chunk)
 		for j, r := range chunk {
-			e.blkQ[j] = rs.qterm[r]
+			e.blkQ[j] = rs.solo[r]
 			e.blkXs[j] = rs.tuples[r].Vec
 		}
-		e.opts.Agg.ScoreBlock(e.q, e.scrQterms, e.scrXs, i, e.blkQ[:w], e.blkXs[:w], &e.blkScr, e.blkOut[:w])
+		e.opts.Agg.ScoreBlock(e.q, e.scrSolos, e.scrXs, i, e.blkQ[:w], e.blkXs[:w], &e.blkScr, e.blkOut[:w])
 		for j, r := range chunk {
 			e.scrRanks[i] = r
 			e.buf.offer(e.blkOut[j], e.scrRanks)

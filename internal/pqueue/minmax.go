@@ -25,15 +25,6 @@ func NewMinMax[T any](less func(a, b T) bool) *MinMax[T] {
 // Len returns the number of queued elements.
 func (h *MinMax[T]) Len() int { return len(h.items) }
 
-// Grow reserves capacity for at least n total elements.
-func (h *MinMax[T]) Grow(n int) {
-	if cap(h.items) < n {
-		items := make([]T, len(h.items), n)
-		copy(items, h.items)
-		h.items = items
-	}
-}
-
 // Push inserts x.
 func (h *MinMax[T]) Push(x T) {
 	h.items = append(h.items, x)
@@ -75,15 +66,6 @@ func (h *MinMax[T]) PopMax() (top T, ok bool) {
 // Items returns the backing slice in heap order (not sorted). The caller
 // must not mutate it.
 func (h *MinMax[T]) Items() []T { return h.items }
-
-// Clear empties the heap, retaining capacity.
-func (h *MinMax[T]) Clear() {
-	var zero T
-	for i := range h.items {
-		h.items[i] = zero
-	}
-	h.items = h.items[:0]
-}
 
 // maxIndex returns the index of the maximum element (len > 0).
 func (h *MinMax[T]) maxIndex() int {

@@ -32,10 +32,6 @@ func TestMinMaxBasic(t *testing.T) {
 	if h.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", h.Len())
 	}
-	h.Clear()
-	if h.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", h.Len())
-	}
 }
 
 // TestMinMaxAgainstSort drives random mixed operations and checks every

@@ -2,8 +2,10 @@
 // the top-K output buffer, and (SiftUp, SiftDown) the sifts of the heaps
 // it keeps in its own slices: the bySolo rank heaps and the tight
 // distance bound's subset heaps of (bound, id) entries, whose root alone
-// is re-keyed. (The R-tree's nearest-neighbor traversal keeps its own
-// inlined heap of 16-byte items; see internal/rtree.)
+// is re-keyed. Two heaps stay inlined where they are: the R-tree's
+// nearest-neighbor traversal keeps its own heap of 16-byte items (see
+// internal/rtree), and relation.MergedSource its heap of shard heads,
+// which SiftUp/SiftDown with a comparator closure measured slower.
 //
 // Heap is a plain priority queue ordered by a user-supplied less function.
 package pqueue
@@ -23,15 +25,6 @@ func New[T any](less func(a, b T) bool) *Heap[T] {
 
 // Len returns the number of queued elements.
 func (h *Heap[T]) Len() int { return len(h.items) }
-
-// Grow reserves capacity for at least n total elements.
-func (h *Heap[T]) Grow(n int) {
-	if cap(h.items) < n {
-		items := make([]T, len(h.items), n)
-		copy(items, h.items)
-		h.items = items
-	}
-}
 
 // Push inserts x.
 func (h *Heap[T]) Push(x T) {
@@ -67,15 +60,6 @@ func (h *Heap[T]) Pop() (top T, ok bool) {
 // Items returns the backing slice in heap order (not sorted). The caller
 // must not mutate it.
 func (h *Heap[T]) Items() []T { return h.items }
-
-// Clear empties the heap, retaining capacity.
-func (h *Heap[T]) Clear() {
-	var zero T
-	for i := range h.items {
-		h.items[i] = zero
-	}
-	h.items = h.items[:0]
-}
 
 // SiftUp restores the heap order of h under less after an element was
 // appended, and SiftDown after its first element was replaced: Heap's

@@ -39,20 +39,6 @@ func TestHeapBasic(t *testing.T) {
 	}
 }
 
-func TestHeapClear(t *testing.T) {
-	h := New(intMin)
-	h.Push(1)
-	h.Push(2)
-	h.Clear()
-	if h.Len() != 0 {
-		t.Fatal("Clear left elements")
-	}
-	h.Push(7)
-	if top, _ := h.Pop(); top != 7 {
-		t.Fatal("heap unusable after Clear")
-	}
-}
-
 // Property: heap pop order equals sorted order for random inputs.
 func TestQuickHeapSorts(t *testing.T) {
 	f := func(xs []int) bool {
