@@ -8,8 +8,8 @@
 // Arrivals are open-loop (Poisson): queries are launched on a schedule
 // that does not slow down when the server does, which is what exposes
 // queueing — a closed loop would politely wait and hide it. Arrivals
-// that would exceed -max-inflight are shed and counted rather than
-// queued, keeping the generator honest.
+// that would exceed maxInflight outstanding requests are shed and
+// counted rather than queued, keeping the generator honest.
 //
 // The query mix is controlled by -stream (fraction streamed), -hot
 // (fraction drawn from a small hot set, which turns into cache hits and
@@ -67,7 +67,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -138,10 +137,10 @@ type options struct {
 
 	rate              float64
 	duration, timeout time.Duration
-	hotSet, maxInfl   int
+	hotSet            int
 	rels, jsonOut     string
 	seed              int64
-	slowN, slowBuf    int
+	slowN             int
 	slowRead          time.Duration
 	maxErrFr          float64
 	maxResident       int64
@@ -167,7 +166,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	fs.IntVar(&o.hotSet, "hot-set", 4, "number of distinct hot query vectors")
 	fs.StringVar(&o.rels, "rel", "", "comma-separated relation names (default: first two of GET /v1/relations)")
 	fs.Int64Var(&o.seed, "seed", 1, "RNG seed for arrivals and query vectors")
-	fs.IntVar(&o.maxInfl, "max-inflight", 512, "cap on concurrently outstanding requests; arrivals beyond are shed")
 	fs.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-request client timeout")
 	fs.Float64Var(&g.spread, "query-spread", 0.02, "radius of random query vectors around the base point")
 	fs.Func("query-base", "comma-separated base query vector (default: city landmark for -selfserve, origin otherwise)",
@@ -175,7 +173,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	fs.StringVar(&g.overflow, "overflow", "", "overflow policy sent on stream requests: block, drop, or empty for the server default")
 	fs.IntVar(&o.slowN, "slow-clients", 0, "deliberately slow stream readers pinned to the hottest query")
 	fs.DurationVar(&o.slowRead, "slow-read", 200*time.Millisecond, "per-event stall of a slow client")
-	fs.IntVar(&o.slowBuf, "slow-rcvbuf", 4096, "slow clients' socket receive buffer (small = real TCP backpressure)")
 	fs.StringVar(&o.jsonOut, "json", "", "also write the report as JSON to this file")
 	fs.Float64Var(&o.maxErrFr, "max-error-rate", 1.0, "exit nonzero when failed requests exceed this fraction (CI gate; 0 = any error fails)")
 
@@ -300,16 +297,12 @@ func drive(o *options, stdout io.Writer) error {
 	}
 	log.Printf("targeting %s, relations %v, rate %.0f/s for %v", base, gen.relations, o.rate, o.duration)
 
-	statsBefore, err := fetchStats(client, base)
-	if err != nil {
-		return fmt.Errorf("reading /v1/stats: %w", err)
-	}
 	metricsBefore, err := scrapeMetrics(client, base)
 	if err != nil {
 		return err
 	}
 
-	gen.inflight = make(chan struct{}, max(1, o.maxInfl))
+	gen.inflight = make(chan struct{}, maxInflight)
 	rng := rand.New(rand.NewSource(o.seed))
 	gen.hot = make([][]float64, max(1, o.hotSet))
 	for i := range gen.hot {
@@ -349,7 +342,7 @@ func drive(o *options, stdout io.Writer) error {
 	// regular traffic on that key.
 	var slowDropped atomic.Int64
 	slowHTTP := &http.Client{Transport: &http.Transport{
-		DialContext:     smallRcvbufDialer(o.slowBuf).DialContext,
+		DialContext:     smallRcvbufDialer(slowRcvbuf).DialContext,
 		MaxIdleConns:    o.slowN,
 		IdleConnTimeout: time.Second,
 	}}
@@ -370,16 +363,12 @@ func drive(o *options, stdout io.Writer) error {
 	cancel()
 	background.Wait()
 
-	statsAfter, err := fetchStats(client, base)
-	if err != nil {
-		return fmt.Errorf("reading /v1/stats: %w", err)
-	}
 	metricsAfter, err := scrapeMetrics(client, base)
 	if err != nil {
 		return err
 	}
 
-	rep := gen.report(elapsed, statsBefore, statsAfter, slowDropped.Load())
+	rep := gen.report(elapsed, metricsAfter.counterDeltas(metricsBefore), slowDropped.Load())
 	rep.ServerDuration = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_duration_seconds"))
 	rep.ServerTTFE = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_ttfe_seconds"))
 	rep.ResidentPeakBytes = residentPeak.Load()
@@ -671,37 +660,13 @@ func pickRelations(client *http.Client, base, flagVal string) ([]string, error) 
 	return []string{body.Relations[0].Name, body.Relations[1].Name}, nil
 }
 
-// fetchStats reads GET /v1/stats into the server's own document type.
-func fetchStats(client *http.Client, base string) (service.StatsResponse, error) {
-	var st service.StatsResponse
-	resp, err := client.Get(base + "/v1/stats")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
-}
-
-// statGauges are the int64 fields of the stats document that read an
-// instant or a peak, not a running total: "after minus before" of them
-// means nothing, so the report keeps their after-run reading.
-var statGauges = map[string]bool{"InFlight": true, "Queued": true, "StreamSubscribers": true, "StreamPeakLag": true}
-
-// subCounters subtracts b from a on every int64 counter, the embedded
-// executor snapshot included, so a counter the server adds is reported
-// without a line here.
-func subCounters(a, b reflect.Value) {
-	for i := 0; i < a.NumField(); i++ {
-		switch f := a.Field(i); {
-		case statGauges[a.Type().Field(i).Name]:
-		case f.Kind() == reflect.Int64:
-			f.SetInt(f.Int() - b.Field(i).Int())
-		case f.Kind() == reflect.Struct:
-			subCounters(f, b.Field(i))
-		}
-	}
-}
+// maxInflight caps concurrently outstanding requests: arrivals beyond
+// it are shed. slowRcvbuf is the slow clients' socket receive buffer,
+// small so that they exert real TCP backpressure.
+const (
+	maxInflight = 512
+	slowRcvbuf  = 4096
+)
 
 // generator owns the load loop and its measurements.
 type generator struct {
@@ -990,18 +955,20 @@ func summarize(ns []float64) latencyMs {
 
 // report is the run's full output, printable and JSON-serializable.
 type report struct {
-	ElapsedSec   float64               `json:"elapsedSec"`
-	OfferedRPS   float64               `json:"offeredRps"`
-	AchievedRPS  float64               `json:"achievedRps"`
-	Shed         int64                 `json:"shed"`
-	Errors       int                   `json:"errors"`
-	ErrorsByCode map[string]int        `json:"errorsByCode,omitempty"`
-	FirstError   string                `json:"firstError,omitempty"`
-	Batch        latencyMs             `json:"batch"`
-	Stream       latencyMs             `json:"stream"`
-	TTFE         latencyMs             `json:"ttfe"`
-	SlowDropped  int64                 `json:"slowClientDrops"`
-	Server       service.StatsResponse `json:"serverDelta"`
+	ElapsedSec   float64        `json:"elapsedSec"`
+	OfferedRPS   float64        `json:"offeredRps"`
+	AchievedRPS  float64        `json:"achievedRps"`
+	Shed         int64          `json:"shed"`
+	Errors       int            `json:"errors"`
+	ErrorsByCode map[string]int `json:"errorsByCode,omitempty"`
+	FirstError   string         `json:"firstError,omitempty"`
+	Batch        latencyMs      `json:"batch"`
+	Stream       latencyMs      `json:"stream"`
+	TTFE         latencyMs      `json:"ttfe"`
+	SlowDropped  int64          `json:"slowClientDrops"`
+	// Server is the run's growth of every /metrics counter family,
+	// summed over label sets (see counterDeltas).
+	Server map[string]float64 `json:"serverDelta"`
 	// ServerDuration/ServerTTFE are the run's deltas of the server's own
 	// /metrics histograms (all modes and cache states folded together) —
 	// the executor's view of the same requests the client percentiles
@@ -1014,10 +981,9 @@ type report struct {
 	ResidentPeakBytes int64 `json:"residentPeakBytes,omitempty"`
 }
 
-func (g *generator) report(elapsed time.Duration, before, after service.StatsResponse, slowDropped int64) report {
+func (g *generator) report(elapsed time.Duration, server map[string]float64, slowDropped int64) report {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	subCounters(reflect.ValueOf(&after).Elem(), reflect.ValueOf(before))
 	done := len(g.batchNs) + len(g.strmNs)
 	r := report{
 		ElapsedSec:   elapsed.Seconds(),
@@ -1030,7 +996,7 @@ func (g *generator) report(elapsed time.Duration, before, after service.StatsRes
 		Stream:       summarize(g.strmNs),
 		TTFE:         summarize(g.ttfeNs),
 		SlowDropped:  slowDropped,
-		Server:       after,
+		Server:       server,
 	}
 	if g.firstEr != nil {
 		r.FirstError = g.firstEr.Error()
@@ -1072,16 +1038,18 @@ func (r report) print(w io.Writer) {
 	}
 	srow("server latency", r.ServerDuration)
 	srow("server TTFE", r.ServerTTFE)
-	d := r.Server
+	d := func(family string) int64 { return int64(r.Server["proxrank_"+family+"_total"]) }
+	queries, hits := d("queries"), d("cache_hits")
 	fmt.Fprintf(w, "  server delta: queries %d, cacheHits %d (%.0f%%), coalesced %d, engineRuns %d\n",
-		d.Queries, d.CacheHits, pct(d.CacheHits, d.Queries), d.Coalesced, d.EngineRuns)
+		queries, hits, pct(hits, queries), d("coalesced"), d("engine_runs"))
 	fmt.Fprintf(w, "                brokered %d, midRunAttaches %d, slowSubscriberDrops %d, rejected %d, canceled %d\n",
-		d.StreamsBrokered, d.MidRunAttaches, d.SlowSubscriberDrops, d.Rejected, d.Canceled)
-	if d.RemoteStreamsOpened > 0 || d.ShardsPruned > 0 {
+		d("streams_brokered"), d("stream_midrun_attaches"), d("stream_dropped"), d("rejected"), d("canceled"))
+	if opened, pruned := d("remote_streams_opened"), d("shards_pruned"); opened > 0 || pruned > 0 {
+		fetched, consumed := d("rpc_rows"), d("remote_rows_consumed")
 		fmt.Fprintf(w, "                remoteStreamsOpened %d, shardsPruned %d (%.0f%% of remote shard sources)\n",
-			d.RemoteStreamsOpened, d.ShardsPruned, pct(d.ShardsPruned, d.ShardsPruned+d.RemoteStreamsOpened))
+			opened, pruned, pct(pruned, pruned+opened))
 		fmt.Fprintf(w, "                remoteRowsFetched %d for %d consumed (%.1f fetched per row used)\n",
-			d.RemoteRowsFetched, d.RemoteRowsConsumed, float64(d.RemoteRowsFetched)/float64(max(d.RemoteRowsConsumed, 1)))
+			fetched, consumed, float64(fetched)/float64(max(consumed, 1)))
 	}
 	if r.SlowDropped > 0 {
 		fmt.Fprintf(w, "  slow clients dropped by overflow policy: %d\n", r.SlowDropped)

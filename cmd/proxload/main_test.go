@@ -124,7 +124,7 @@ func TestFlagTable(t *testing.T) {
 }
 
 // TestFlagSurface: the flag set is the regression surface of ci.yml and
-// the studies in EXPERIMENTS.md — 38 flags, and -h is not a failure.
+// the studies in EXPERIMENTS.md — 36 flags, and -h is not a failure.
 func TestFlagSurface(t *testing.T) {
 	var stdout, usage bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &usage); code != 0 {
@@ -136,8 +136,8 @@ func TestFlagSurface(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 38 {
-		t.Fatalf("%d flags, want 38:\n%s", flags, usage.String())
+	if flags != 36 {
+		t.Fatalf("%d flags, want 36:\n%s", flags, usage.String())
 	}
 }
 
@@ -169,11 +169,12 @@ func TestRunSelfServe(t *testing.T) {
 			if err := json.Unmarshal(buf, &rep); err != nil {
 				t.Fatal(err)
 			}
-			if rep.Errors != 0 || rep.Batch.Count+rep.Stream.Count == 0 || rep.Server.Queries == 0 {
-				t.Fatalf("report: errors %d, batch %d, stream %d, server queries %d", rep.Errors, rep.Batch.Count, rep.Stream.Count, rep.Server.Queries)
+			queries, opened := rep.Server["proxrank_queries_total"], rep.Server["proxrank_remote_streams_opened_total"]
+			if rep.Errors != 0 || rep.Batch.Count+rep.Stream.Count == 0 || queries == 0 {
+				t.Fatalf("report: errors %d, batch %d, stream %d, server queries %v", rep.Errors, rep.Batch.Count, rep.Stream.Count, queries)
 			}
-			if coord := strings.Contains(tc.args, "coord:"); coord != (rep.Server.RemoteStreamsOpened > 0) {
-				t.Fatalf("remoteStreamsOpened %d on a run with coordinator=%v", rep.Server.RemoteStreamsOpened, coord)
+			if coord := strings.Contains(tc.args, "coord:"); coord != (opened > 0) {
+				t.Fatalf("remote streams opened %v on a run with coordinator=%v", opened, coord)
 			}
 		})
 	}
@@ -305,37 +306,34 @@ func TestHistSnap(t *testing.T) {
 	}
 }
 
-// TestSubCounters: counters are reported as the run's delta, at every
-// nesting depth; the four gauges keep their after-run reading — "after
+// TestCounterDeltas: the server delta is the run's growth of every
+// counter family, summed over label sets; gauges are left out — "after
 // minus before" of an instant or a peak means nothing, and the -json
 // report used to carry exactly that.
-func TestSubCounters(t *testing.T) {
-	var before, after service.StatsResponse
-	before.Queries, after.Queries = 100, 160
-	before.EngineRuns, after.EngineRuns = 40, 55
-	before.RemoteRowsFetched, after.RemoteRowsFetched = 1000, 1750 // outer struct
-	before.InFlight, after.InFlight = 5, 2
-	before.Queued, after.Queued = 3, 1
-	before.StreamSubscribers, after.StreamSubscribers = 4, 4
-	before.StreamPeakLag, after.StreamPeakLag = 64, 64
-	before.CacheEntries, after.CacheEntries = 10, 30 // int, not a counter: left alone
-	before.Relations, after.Relations = 3, 3
-	after.Peers = []service.PeerStats{{Addr: "a:1", Rows: 1750}}
-
-	subCounters(reflect.ValueOf(&after).Elem(), reflect.ValueOf(before))
-
-	var want service.StatsResponse
-	want.Queries, want.EngineRuns, want.RemoteRowsFetched = 60, 15, 750
-	want.InFlight, want.Queued, want.StreamSubscribers, want.StreamPeakLag = 2, 1, 4, 64
-	want.CacheEntries, want.Relations = 30, 3
-	want.Peers = []service.PeerStats{{Addr: "a:1", Rows: 1750}}
-	if !reflect.DeepEqual(after, want) {
-		t.Fatalf("delta %+v\nwant  %+v", after, want)
+func TestCounterDeltas(t *testing.T) {
+	before := &metricsSnap{scalar: map[string]float64{
+		"proxrank_queries_total":     100,
+		"proxrank_engine_runs_total": 40,
+		"proxrank_rpc_rows_total":    1000, // summed over two peers
+		"proxrank_in_flight":         5,
+		"proxrank_stream_peak_lag":   64,
+	}}
+	after := &metricsSnap{scalar: map[string]float64{
+		"proxrank_queries_total":        160,
+		"proxrank_engine_runs_total":    55,
+		"proxrank_rpc_rows_total":       1750,
+		"proxrank_engine_seconds_total": 0.5, // absent before: all new
+		"proxrank_in_flight":            2,
+		"proxrank_stream_peak_lag":      64,
+		"proxrank_catalog_relations":    3,
+	}}
+	want := map[string]float64{
+		"proxrank_queries_total":        60,
+		"proxrank_engine_runs_total":    15,
+		"proxrank_rpc_rows_total":       750,
+		"proxrank_engine_seconds_total": 0.5,
 	}
-	// Every gauge named is a field the document really has.
-	for name := range statGauges {
-		if _, ok := reflect.TypeOf(service.StatsSnapshot{}).FieldByName(name); !ok {
-			t.Errorf("statGauges names %s, which StatsSnapshot does not have", name)
-		}
+	if got := after.counterDeltas(before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("delta %v\nwant  %v", got, want)
 	}
 }

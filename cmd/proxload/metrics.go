@@ -3,7 +3,8 @@ package main
 // The /metrics scrape: proxload reads the server's Prometheus exposition
 // before and after the run, validates it (a malformed exposition fails
 // the run — this is the CI gate on the metrics endpoint), and derives
-// server-side latency percentiles from the histogram deltas. Client and
+// server-side latency percentiles from the histogram deltas and the
+// report's server delta from the counter families. Client and
 // server percentiles answer different questions — the client numbers
 // include connection setup, HTTP framing, and generator scheduling; the
 // server histograms see only what the executor did — so the report
@@ -116,6 +117,19 @@ func (s *metricsSnap) delta(before *metricsSnap, family string) histSnap {
 		d.sum -= b.sum
 		for le, c := range b.buckets {
 			d.buckets[le] -= c
+		}
+	}
+	return d
+}
+
+// counterDeltas is the growth of every counter family (a name ending
+// in _total) since an earlier scrape, summed over its label sets. Gauges
+// are left out: after minus before of an instant or a peak means nothing.
+func (s *metricsSnap) counterDeltas(before *metricsSnap) map[string]float64 {
+	d := make(map[string]float64)
+	for name, v := range s.scalar {
+		if strings.HasSuffix(name, "_total") {
+			d[name] = v - before.scalar[name]
 		}
 	}
 	return d

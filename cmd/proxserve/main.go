@@ -37,7 +37,7 @@
 //
 // Endpoints: queries speak the versioned api.Request model on POST
 // /v1/query and /v1/query/stream, beside relation management, /v1/healthz
-// (liveness), /v1/readyz (readiness), /v1/stats and /metrics. The route
+// (liveness), /v1/readyz (readiness) and /metrics. The route
 // table is kept once, on service.Server; docs/API.md is the wire
 // reference.
 //

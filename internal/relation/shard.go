@@ -105,7 +105,9 @@ func (b ShardBounds) DistanceLowerBound(q vec.Vector) float64 {
 	if b.Min != nil {
 		d = max(d, math.Sqrt(rtree.Rect{Min: b.Min, Max: b.Max}.MinDist2(q)))
 	}
-	if d <= 0 {
+	// A ball whose distance and radius both overflow yields Inf − Inf:
+	// NaN bounds nothing, so it falls to 0 with the negative bounds.
+	if !(d > 0) {
 		return 0
 	}
 	return d * (1 - boundSlack)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -426,8 +427,9 @@ func (f *Fleet) Close() {
 // relation remote views. It fails loudly on disagreement — peers that
 // report different metadata for the same relation name have not loaded
 // identical data identically, and merging their streams would corrupt
-// results — and on partial coverage (a shard no responding peer owns),
-// because a coordinator missing a shard can never certify a top-K.
+// results — on partial coverage (a shard no responding peer owns),
+// because a coordinator missing a shard can never certify a top-K, and on
+// metadata no query could use (see checkRelation).
 func (f *Fleet) Discover(ctx context.Context) (map[string]*RemoteRelation, error) {
 	if len(f.peers) == 0 {
 		return nil, fmt.Errorf("shardrpc: fleet has no peers")
@@ -442,6 +444,9 @@ func (f *Fleet) Discover(ctx context.Context) (map[string]*RemoteRelation, error
 			return nil, fmt.Errorf("shardrpc: peer %s answered hello without a body", p.Addr)
 		}
 		for _, ri := range resp.Hello.Relations {
+			if err := checkRelation(ri); err != nil {
+				return nil, fmt.Errorf("shardrpc: peer %s: %w", p.Addr, err)
+			}
 			r, ok := rels[ri.Name]
 			if !ok {
 				r = &RemoteRelation{
@@ -461,9 +466,6 @@ func (f *Fleet) Discover(ctx context.Context) (map[string]*RemoteRelation, error
 					ri.Name, p.Addr, ri.MaxScore, ri.Dim, ri.Tuples, ri.Shards, r.MaxScore, r.Dim, r.Tuples, r.Shards)
 			}
 			for _, own := range ri.Owned {
-				if own.Index < 0 || own.Index >= r.Shards {
-					return nil, fmt.Errorf("shardrpc: peer %s owns shard %d of relation %q, out of range [0,%d)", p.Addr, own.Index, ri.Name, r.Shards)
-				}
 				if prev, seen := r.Bounds[own.Index]; seen && !boundsEqual(prev, own.Bounds) {
 					return nil, fmt.Errorf("shardrpc: peers disagree on the bounds of relation %q shard %d", ri.Name, own.Index)
 				}
@@ -480,6 +482,43 @@ func (f *Fleet) Discover(ctx context.Context) (map[string]*RemoteRelation, error
 		}
 	}
 	return rels, nil
+}
+
+// checkRelation refuses one relation of a hello that the coordinator
+// cannot use. A hello is input from outside the process, and each of
+// these would otherwise pass discovery and panic a query later: a
+// relation that makes no stub, a shard count below one, an owned shard
+// out of range, bounds of another dimensionality, a non-finite bound or
+// a negative radius.
+func checkRelation(ri RelationInfo) error {
+	if _, err := relation.NewStub(ri.Name, ri.MaxScore, ri.Dim, ri.Tuples); err != nil {
+		return err
+	}
+	if ri.Shards < 1 {
+		return fmt.Errorf("relation %q: shard count %d must be at least 1", ri.Name, ri.Shards)
+	}
+	for _, own := range ri.Owned {
+		b := own.Bounds
+		switch {
+		case own.Index < 0 || own.Index >= ri.Shards:
+			return fmt.Errorf("owns shard %d of relation %q, out of range [0,%d)", own.Index, ri.Name, ri.Shards)
+		case len(b.Centroid) != ri.Dim || (b.Min == nil) != (b.Max == nil) || b.Min != nil && (len(b.Min) != ri.Dim || len(b.Max) != ri.Dim):
+			return fmt.Errorf("relation %q shard %d: bounds are not of dimension %d", ri.Name, own.Index, ri.Dim)
+		case !(b.Radius >= 0) || !finite(b.Radius, b.MaxScore) || !finite(b.Centroid...) || !finite(b.Min...) || !finite(b.Max...):
+			return fmt.Errorf("relation %q shard %d: bounds must be finite with a radius of at least 0", ri.Name, own.Index)
+		}
+	}
+	return nil
+}
+
+// finite reports whether no x is infinite or NaN.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return false
+		}
+	}
+	return true
 }
 
 // boundsEqual compares every field a coordinator prunes by: two owners of

@@ -35,10 +35,10 @@ func (x *Executor) applyDeadline(ctx context.Context, req *api.Request, fallback
 // query that cannot start before its deadline is shed rather than queued
 // forever. A query that would have to wait is first admission-checked
 // against the queue-depth watermark (Config.AdmissionQueue): past it the
-// query is shed immediately with CodeOverloaded — a fast 503 the client
+// query is shed immediately with api.CodeOverloaded — a fast 503 the client
 // can retry elsewhere beats queueing into a deadline it cannot meet.
 // The release func is nil exactly when an error is returned.
-func (x *Executor) acquireSlot(ctx context.Context) (func(), *APIError) {
+func (x *Executor) acquireSlot(ctx context.Context) (func(), *api.Error) {
 	claim := func() func() {
 		x.inFlight.Add(1)
 		return func() {
@@ -58,7 +58,7 @@ func (x *Executor) acquireSlot(ctx context.Context) (func(), *APIError) {
 		if depth := x.queued.Add(1); depth > int64(limit) {
 			x.queued.Add(-1)
 			x.rejected.Add(1)
-			return nil, apiErrorf(CodeOverloaded, "server overloaded: %d queries already queued (limit %d)", depth-1, limit)
+			return nil, api.Errorf(api.CodeOverloaded, "server overloaded: %d queries already queued (limit %d)", depth-1, limit)
 		}
 	} else {
 		x.queued.Add(1)
@@ -76,6 +76,6 @@ func (x *Executor) acquireSlot(ctx context.Context) (func(), *APIError) {
 			return nil, asAPIError(ctx.Err())
 		}
 		x.rejected.Add(1)
-		return nil, apiErrorf(CodeOverloaded, "no worker available before the deadline: %v", ctx.Err())
+		return nil, api.Errorf(api.CodeOverloaded, "no worker available before the deadline: %v", ctx.Err())
 	}
 }

@@ -45,7 +45,6 @@ import (
 //	               fixture server; the next live-events block must equal
 //	               the actual NDJSON lines (volatile cost timings zeroed)
 //	live-events    see live-stream
-//	stats-peers    the block decodes strictly into /v1/stats' peers array
 //	rpc-request    the block decodes strictly into shardrpc.Request
 //	rpc-response   the block decodes strictly into shardrpc.Response
 //	rpc-live-request   the block is sent as a frame to the fixture shard
@@ -119,14 +118,6 @@ func TestAPIDoc(t *testing.T) {
 			requireLive(t, b, pendingLive, "live-stream")
 			checkLiveStream(t, srv, pendingLive, b)
 			pendingLive = nil
-		case "stats-peers":
-			var st struct {
-				Peers []service.PeerStats `json:"peers"`
-			}
-			strictDecode(t, b, &st)
-			if len(st.Peers) == 0 || st.Peers[0].Addr == "" || st.Peers[0].Rows == 0 {
-				t.Errorf("docs/API.md:%d: peers example shows no peer with its rows", b.line)
-			}
 		case "rpc-request":
 			var req shardrpc.Request
 			strictDecode(t, b, &req)
@@ -164,25 +155,44 @@ func TestAPIDoc(t *testing.T) {
 	}
 }
 
-// TestAPIDocStatsTable: every field GET /v1/stats serves is named in
-// docs/API.md, so a counter cannot be added without its table row.
-func TestAPIDocStatsTable(t *testing.T) {
+// TestAPIDocMetricsTable: every family GET /metrics serves, on the
+// fixture node and on a coordinator over the fixture shard server, is
+// named in docs/API.md, so a counter cannot be added without its table
+// row.
+func TestAPIDocMetricsTable(t *testing.T) {
 	raw, err := os.ReadFile("../docs/API.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(docFixtureServer(t).URL + "/v1/stats")
+	coord, err := service.Open(context.Background(), service.NewCatalog(), service.NodeConfig{Peers: []string{docShardServer(t).Addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var stats map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	for field := range stats {
-		if !bytes.Contains(raw, []byte("`"+field+"`")) {
-			t.Errorf("docs/API.md does not document the /v1/stats field %q", field)
+	t.Cleanup(coord.Close)
+	coordSrv := httptest.NewServer(coord.Handler())
+	t.Cleanup(coordSrv.Close)
+	for _, url := range []string{docFixtureServer(t).URL, coordSrv.URL} {
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		families := 0
+		for _, line := range strings.Split(string(body), "\n") {
+			if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				name, _, _ = strings.Cut(name, " ")
+				families++
+				if !bytes.Contains(raw, []byte("`"+name+"`")) {
+					t.Errorf("docs/API.md does not document the /metrics family %q", name)
+				}
+			}
+		}
+		if families == 0 {
+			t.Fatalf("%s/metrics served no families", url)
 		}
 	}
 }

@@ -146,7 +146,7 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 		// Legal only in the extreme schedule where the overflow policy
 		// dropped the leader before its first delivery; anything else
 		// means a follower's completion unparked the stalled client.
-		if asAPIError(err).Code != CodeOverloaded {
+		if asAPIError(err).Code != api.CodeOverloaded {
 			t.Fatalf("stalled leader returned early: %v", err)
 		}
 		leaderDone <- err
@@ -176,8 +176,8 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 	// (K+1 events versus a buffer of 4), which surfaces as overloaded on
 	// that subscriber alone.
 	close(stalled.release)
-	if err := <-leaderDone; asAPIError(err).Code != CodeOverloaded {
-		t.Fatalf("stalled leader error = %v, want %s", err, CodeOverloaded)
+	if err := <-leaderDone; asAPIError(err).Code != api.CodeOverloaded {
+		t.Fatalf("stalled leader error = %v, want %s", err, api.CodeOverloaded)
 	}
 
 	st := x.Stats()
@@ -333,8 +333,8 @@ func TestBrokeredBlockPolicyBoundsDelay(t *testing.T) {
 		t.Errorf("slowSubscriberDrops = %d, want 1", st.SlowSubscriberDrops)
 	}
 	close(stalled.release)
-	if err := <-done; asAPIError(err).Code != CodeOverloaded {
-		t.Fatalf("stalled client error = %v, want %s", err, CodeOverloaded)
+	if err := <-done; asAPIError(err).Code != api.CodeOverloaded {
+		t.Fatalf("stalled client error = %v, want %s", err, api.CodeOverloaded)
 	}
 }
 
@@ -365,8 +365,8 @@ func TestBrokeredLeaderDisconnectDoesNotAbortRun(t *testing.T) {
 			go func() { done <- lead(x, ctx, baseRequest(names)) }()
 			<-g.started
 			cancel() // client disconnects mid-run
-			if err := <-done; asAPIError(err).Code != CodeCanceled {
-				t.Fatalf("disconnected leader error = %v, want %s", err, CodeCanceled)
+			if err := <-done; asAPIError(err).Code != api.CodeCanceled {
+				t.Fatalf("disconnected leader error = %v, want %s", err, api.CodeCanceled)
 			}
 			close(g.open)
 
@@ -425,8 +425,8 @@ func TestBrokeredFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	close(g.open)
 
-	if err := <-leaderDone; asAPIError(err).Code != CodeTimeout {
-		t.Fatalf("leader error = %v, want %s", err, CodeTimeout)
+	if err := <-leaderDone; asAPIError(err).Code != api.CodeTimeout {
+		t.Fatalf("leader error = %v, want %s", err, api.CodeTimeout)
 	}
 	select {
 	case err := <-followerDone:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	proxrank "repro"
+	"repro/api"
 	"repro/internal/shardrpc"
 )
 
@@ -147,13 +148,13 @@ func (c *Catalog) Replace(name string, rel *proxrank.Relation, shards int, strat
 
 func (c *Catalog) admit(name string, rel *proxrank.Relation, shards int, strategy proxrank.PartitionStrategy, replace bool) error {
 	if name == "" {
-		return apiErrorf(CodeBadRequest, "relation name must not be empty")
+		return api.Errorf(api.CodeBadRequest, "relation name must not be empty")
 	}
 	if rel == nil {
-		return apiErrorf(CodeBadRequest, "relation %q: nil relation", name)
+		return api.Errorf(api.CodeBadRequest, "relation %q: nil relation", name)
 	}
 	if rel.Name != name {
-		return apiErrorf(CodeBadRequest, "catalog name %q differs from relation name %q", name, rel.Name)
+		return api.Errorf(api.CodeBadRequest, "catalog name %q differs from relation name %q", name, rel.Name)
 	}
 	if shards == 0 {
 		shards = proxrank.AutoShardCount(rel.Len())
@@ -165,7 +166,7 @@ func (c *Catalog) admit(name string, rel *proxrank.Relation, shards int, strateg
 		_, taken := c.entries[name]
 		c.mu.RUnlock()
 		if taken {
-			return apiErrorf(CodeConflict, "relation %q is already registered", name)
+			return api.Errorf(api.CodeConflict, "relation %q is already registered", name)
 		}
 	}
 	// Partitioning and index construction are the expensive part; do them
@@ -176,7 +177,7 @@ func (c *Catalog) admit(name string, rel *proxrank.Relation, shards int, strateg
 	buildStart := time.Now()
 	sharded, err := proxrank.NewShardedRelation(rel, shards, strategy)
 	if err != nil {
-		return apiErrorf(CodeBadRequest, "relation %q: %v", name, err)
+		return api.Errorf(api.CodeBadRequest, "relation %q: %v", name, err)
 	}
 	c.observeBuild(sharded.NumShards(), time.Since(buildStart))
 	return c.install(name, &Entry{sharded: sharded, loadedAt: time.Now()}, replace)
@@ -199,7 +200,7 @@ func (c *Catalog) install(name string, e *Entry, replace bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[name]; ok && !replace {
-		return apiErrorf(CodeConflict, "relation %q is already registered", name)
+		return api.Errorf(api.CodeConflict, "relation %q is already registered", name)
 	}
 	c.nextGen++
 	e.gen = c.nextGen
@@ -213,17 +214,17 @@ func (c *Catalog) install(name string, e *Entry, replace bool) error {
 // ownership map; the query path resolves its shards to RemoteSources.
 func (c *Catalog) RegisterRemote(name string, rr *shardrpc.RemoteRelation) error {
 	if name == "" {
-		return apiErrorf(CodeBadRequest, "relation name must not be empty")
+		return api.Errorf(api.CodeBadRequest, "relation name must not be empty")
 	}
 	if rr == nil {
-		return apiErrorf(CodeBadRequest, "relation %q: nil remote relation", name)
+		return api.Errorf(api.CodeBadRequest, "relation %q: nil remote relation", name)
 	}
 	if rr.Name != name {
-		return apiErrorf(CodeBadRequest, "catalog name %q differs from relation name %q", name, rr.Name)
+		return api.Errorf(api.CodeBadRequest, "catalog name %q differs from relation name %q", name, rr.Name)
 	}
 	stub, err := rr.Stub()
 	if err != nil {
-		return apiErrorf(CodeBadRequest, "relation %q: %v", name, err)
+		return api.Errorf(api.CodeBadRequest, "relation %q: %v", name, err)
 	}
 	return c.install(name, &Entry{stub: stub, remote: rr, loadedAt: time.Now()}, false)
 }
@@ -254,20 +255,20 @@ func (c *Catalog) LoadCSVFileSharded(name, path string, maxScore float64, shards
 // touch.
 func (c *Catalog) LoadRelFile(name, path string) error {
 	if name == "" {
-		return apiErrorf(CodeBadRequest, "relation name must not be empty")
+		return api.Errorf(api.CodeBadRequest, "relation name must not be empty")
 	}
 	c.mu.RLock()
 	_, taken := c.entries[name]
 	c.mu.RUnlock()
 	if taken {
-		return apiErrorf(CodeConflict, "relation %q is already registered", name)
+		return api.Errorf(api.CodeConflict, "relation %q is already registered", name)
 	}
 	c.building.Add(1)
 	defer c.building.Add(-1)
 	buildStart := time.Now()
 	sharded, err := proxrank.LoadRelFile(path, name)
 	if err != nil {
-		return apiErrorf(CodeBadRequest, "relation %q: %v", name, err)
+		return api.Errorf(api.CodeBadRequest, "relation %q: %v", name, err)
 	}
 	c.relfileOpens.Add(1)
 	c.observeBuild(sharded.NumShards(), time.Since(buildStart))
@@ -278,13 +279,13 @@ func (c *Catalog) LoadRelFile(name, path string) error {
 // (the relfile_open_total metric).
 func (c *Catalog) RelFileOpens() int64 { return c.relfileOpens.Load() }
 
-// Get returns the entry for name, or a CodeNotFound error.
+// Get returns the entry for name, or an api.CodeNotFound error.
 func (c *Catalog) Get(name string) (*Entry, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	e, ok := c.entries[name]
 	if !ok {
-		return nil, apiErrorf(CodeNotFound, "relation %q is not registered", name)
+		return nil, api.Errorf(api.CodeNotFound, "relation %q is not registered", name)
 	}
 	return e, nil
 }
@@ -297,7 +298,7 @@ func (c *Catalog) Resolve(names []string) ([]*Entry, error) {
 	for i, name := range names {
 		e, ok := c.entries[name]
 		if !ok {
-			return nil, apiErrorf(CodeNotFound, "relation %q is not registered", name)
+			return nil, api.Errorf(api.CodeNotFound, "relation %q is not registered", name)
 		}
 		out[i] = e
 	}

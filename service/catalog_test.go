@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	proxrank "repro"
+	"repro/api"
 )
 
 // testRelation builds a deterministic random relation.
@@ -32,8 +33,8 @@ func testRelation(t testing.TB, name string, seed int64, size, dim int) *proxran
 	return rel
 }
 
-func codeOf(err error) ErrorCode {
-	var ae *APIError
+func codeOf(err error) api.ErrorCode {
+	var ae *api.Error
 	if errors.As(err, &ae) {
 		return ae.Code
 	}
@@ -50,23 +51,23 @@ func TestCatalogRegisterEvict(t *testing.T) {
 	steps := []struct {
 		name     string
 		op       func() error
-		wantCode ErrorCode // "" means success
+		wantCode api.ErrorCode // "" means success
 	}{
-		{"register empty name", func() error { return c.Register("", rel) }, CodeBadRequest},
-		{"register nil relation", func() error { return c.Register("hotels", nil) }, CodeBadRequest},
-		{"register name mismatch", func() error { return c.Register("lodging", rel) }, CodeBadRequest},
+		{"register empty name", func() error { return c.Register("", rel) }, api.CodeBadRequest},
+		{"register nil relation", func() error { return c.Register("hotels", nil) }, api.CodeBadRequest},
+		{"register name mismatch", func() error { return c.Register("lodging", rel) }, api.CodeBadRequest},
 		{"register hotels", func() error { return c.Register("hotels", rel) }, ""},
-		{"register duplicate", func() error { return c.Register("hotels", rel2) }, CodeConflict},
+		{"register duplicate", func() error { return c.Register("hotels", rel2) }, api.CodeConflict},
 		{"get hotels", func() error { _, err := c.Get("hotels"); return err }, ""},
-		{"get unknown", func() error { _, err := c.Get("nope"); return err }, CodeNotFound},
-		{"resolve pair fails on missing", func() error { _, err := c.Resolve([]string{"hotels", "nope"}); return err }, CodeNotFound},
+		{"get unknown", func() error { _, err := c.Get("nope"); return err }, api.CodeNotFound},
+		{"resolve pair fails on missing", func() error { _, err := c.Resolve([]string{"hotels", "nope"}); return err }, api.CodeNotFound},
 		{"evict hotels", func() error {
 			if !c.Evict("hotels") {
 				return errors.New("evict reported not-registered")
 			}
 			return nil
 		}, ""},
-		{"get after evict", func() error { _, err := c.Get("hotels"); return err }, CodeNotFound},
+		{"get after evict", func() error { _, err := c.Get("hotels"); return err }, api.CodeNotFound},
 		{"evict again is false", func() error {
 			if c.Evict("hotels") {
 				return errors.New("second evict reported registered")

@@ -172,17 +172,17 @@ func TestChaosDegradedByteIdentity(t *testing.T) {
 	// a clean structured failure on both paths.
 	forbid := &api.Request{Query: []float64{0.2, -0.3}, Relations: []string{"A", "B"}, K: 5, Partial: api.PartialForbid}
 	if _, err := coord.Execute(context.Background(), forbid); !isUnavailable(err) {
-		t.Fatalf("batch partial=forbid: got %v, want %s", err, CodeUnavailable)
+		t.Fatalf("batch partial=forbid: got %v, want %s", err, api.CodeUnavailable)
 	}
 	err = coord.ExecuteStream(context.Background(), forbid, func(api.ResultEvent) error { return nil })
 	if !isUnavailable(err) {
-		t.Fatalf("stream partial=forbid: got %v, want %s", err, CodeUnavailable)
+		t.Fatalf("stream partial=forbid: got %v, want %s", err, api.CodeUnavailable)
 	}
 }
 
 func isUnavailable(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Code == CodeUnavailable
+	var ae *api.Error
+	return errors.As(err, &ae) && ae.Code == api.CodeUnavailable
 }
 
 // TestChaosHedgeRescuesStalledReplica: a replica that stalls one pull
@@ -369,24 +369,6 @@ func TestChaosBreakerOnMetrics(t *testing.T) {
 	}
 	if !strings.Contains(body, "proxrank_hedges_total") || !strings.Contains(body, "proxrank_hedge_wins_total") {
 		t.Fatal("hedge metric families missing from the exposition")
-	}
-
-	// /v1/stats mirrors the same view in its per-peer JSON.
-	var stats struct {
-		Peers []PeerStats `json:"peers"`
-	}
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	found := false
-	for _, p := range stats.Peers {
-		if p.Addr == dead.Addr {
-			found = true
-			if p.Breaker != "open" || p.BreakerOpens < 1 {
-				t.Fatalf("stats for dead peer: breaker=%q opens=%d, want open/>=1", p.Breaker, p.BreakerOpens)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("dead peer %s missing from /v1/stats peers", dead.Addr)
 	}
 }
 

@@ -261,29 +261,22 @@ func TestDistributedPruning(t *testing.T) {
 // pull, so rows fetched stay within 4 × rows consumed + 16 per opened
 // stream (a fixed 512-row pull would ship each 400-row shard whole), and
 // a shard the bounds prune appears on neither side: it costs zero rows.
-// Both sides are read where operators read them — /v1/stats and
-// /metrics. The counts themselves are pinned: they are settled where the
-// session ends, and moving that must not move them.
+// Both sides are read in process — the executor's snapshot and the
+// peers' row counters — and /metrics must serve the same totals. The
+// counts themselves are pinned: they are settled where the session ends,
+// and moving that must not move them.
 func TestDistributedOverFetchBounded(t *testing.T) {
 	f := newDistFixture(t, 2, 2400, 6, 2, proxrank.GridPartition)
 	ts := httptest.NewServer(f.node.Handler())
 	t.Cleanup(ts.Close)
 
-	type wireStats struct {
-		StatsSnapshot
-		RemoteRowsFetched int64       `json:"remoteRowsFetched"`
-		Peers             []PeerStats `json:"peers"`
-	}
-	read := func() (st wireStats) {
-		getJSON(t, ts.URL+"/v1/stats", &st)
-		var perPeer int64
-		for _, p := range st.Peers {
-			perPeer += p.Rows
+	// read returns the coordinator's snapshot and the rows its peers sent.
+	read := func() (StatsSnapshot, int64) {
+		var rows int64
+		for _, p := range f.fleet.Peers() {
+			rows += p.Rows.Load()
 		}
-		if perPeer != st.RemoteRowsFetched {
-			t.Fatalf("remoteRowsFetched %d is not the sum of the peers' rows %d", st.RemoteRowsFetched, perPeer)
-		}
-		return st
+		return f.coord.Stats(), rows
 	}
 	for _, tc := range []struct {
 		name                     string
@@ -293,7 +286,7 @@ func TestDistributedOverFetchBounded(t *testing.T) {
 		{"center", &api.Request{Query: []float64{0, 0}, Relations: f.names, K: 20}, 4, 8, 285},
 		{"edge", &api.Request{Query: []float64{-2.5, -2.5}, Relations: f.names, K: 2}, 2, 10, 28},
 	} {
-		before := read()
+		before, fetchedBefore := read()
 		want, err := f.local.Execute(context.Background(), tc.req)
 		if err != nil {
 			t.Fatal(err)
@@ -305,8 +298,8 @@ func TestDistributedOverFetchBounded(t *testing.T) {
 		if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
 			t.Fatalf("%s: coordinator differs from local\nlocal:       %s\ncoordinator: %s", tc.name, w, g)
 		}
-		after := read()
-		fetched := after.RemoteRowsFetched - before.RemoteRowsFetched
+		after, fetchedAfter := read()
+		fetched := fetchedAfter - fetchedBefore
 		consumed := after.RemoteRowsConsumed - before.RemoteRowsConsumed
 		opened := after.RemoteStreamsOpened - before.RemoteStreamsOpened
 		pruned := after.ShardsPruned - before.ShardsPruned
@@ -326,22 +319,22 @@ func TestDistributedOverFetchBounded(t *testing.T) {
 	}
 
 	body := getBody(t, ts.URL+"/metrics")
-	total := read()
+	total, fetched := read()
 	for name, want := range map[string]int64{
 		"proxrank_remote_rows_consumed_total":  total.RemoteRowsConsumed,
 		"proxrank_remote_streams_opened_total": total.RemoteStreamsOpened,
 		"proxrank_shards_pruned_total":         total.ShardsPruned,
 	} {
 		if got := metricValue(t, body, name, ""); int64(got) != want {
-			t.Fatalf("%s = %v, /v1/stats says %d", name, got, want)
+			t.Fatalf("%s = %v, Stats says %d", name, got, want)
 		}
 	}
 	var perPeer float64
 	for _, p := range f.fleet.Peers() {
 		perPeer += metricValue(t, body, "proxrank_rpc_rows_total", p.Addr)
 	}
-	if int64(perPeer) != total.RemoteRowsFetched {
-		t.Fatalf("proxrank_rpc_rows_total sums to %v, /v1/stats says %d", perPeer, total.RemoteRowsFetched)
+	if int64(perPeer) != fetched {
+		t.Fatalf("proxrank_rpc_rows_total sums to %v, the peers' row counters to %d", perPeer, fetched)
 	}
 }
 
@@ -433,9 +426,9 @@ func TestDistributedPeerDeath(t *testing.T) {
 	if err == nil {
 		t.Fatal("partial=forbid query over a dead, unreplicated peer succeeded")
 	}
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.Code != CodeUnavailable {
-		t.Fatalf("got %v, want *APIError with code %q", err, CodeUnavailable)
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.Code != api.CodeUnavailable {
+		t.Fatalf("got %v, want *api.Error with code %q", err, api.CodeUnavailable)
 	}
 
 	// The default policy degrades instead: the query completes over the
@@ -489,7 +482,7 @@ func TestDistributedReplicaFailover(t *testing.T) {
 
 // TestCoordinatorEndpoints: /v1/relations reports per-peer ownership,
 // /v1/healthz reports per-peer health and degrades (status only, still
-// 200) when a peer is down, /v1/stats carries the remote counters.
+// 200) when a peer is down, /metrics carries the remote counters.
 func TestCoordinatorEndpoints(t *testing.T) {
 	f := newDistFixture(t, 2, 80, 4, 2, proxrank.HashPartition)
 	for _, p := range f.fleet.Peers() {
@@ -523,25 +516,18 @@ func TestCoordinatorEndpoints(t *testing.T) {
 		t.Fatalf("healthy fleet: %+v", health)
 	}
 
-	// Run one query so the stats carry remote counters.
+	// Run one query so the metrics carry remote counters.
 	req := &api.Request{Query: []float64{0, 0}, Relations: f.names, K: 3}
 	if _, err := f.coord.Execute(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	var stats struct {
-		StatsSnapshot
-		Peers []PeerStats `json:"peers"`
+	body := getBody(t, ts.URL+"/metrics")
+	var pulls float64
+	for _, p := range f.fleet.Peers() {
+		pulls += metricValue(t, body, "proxrank_rpc_pulls_total", p.Addr)
 	}
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if len(stats.Peers) != 2 {
-		t.Fatalf("stats peers: %+v", stats.Peers)
-	}
-	var pulls int64
-	for _, p := range stats.Peers {
-		pulls += p.Pulls
-	}
-	if pulls == 0 || stats.RemoteStreamsOpened == 0 {
-		t.Fatalf("remote counters empty after a query: pulls=%d opened=%d", pulls, stats.RemoteStreamsOpened)
+	if opened := metricValue(t, body, "proxrank_remote_streams_opened_total", ""); pulls == 0 || opened == 0 {
+		t.Fatalf("remote counters empty after a query: pulls=%v opened=%v", pulls, opened)
 	}
 
 	// Kill a peer: healthz degrades but stays a 200 liveness signal.
@@ -564,7 +550,7 @@ func TestCoordinatorEndpoints(t *testing.T) {
 	}
 
 	// The pruning counter is exposed on /metrics under its canonical name.
-	body := getBody(t, ts.URL+"/metrics")
+	body = getBody(t, ts.URL+"/metrics")
 	if !strings.Contains(body, "proxrank_shards_pruned_total") ||
 		!strings.Contains(body, "proxrank_rpc_pull_duration_seconds") {
 		t.Fatal("metrics exposition is missing the fleet families")

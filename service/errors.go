@@ -8,50 +8,21 @@ import (
 	"repro/api"
 )
 
-// The service's error model is the transport-neutral one defined by the
-// api package; these aliases keep the historical service names working
-// while guaranteeing there is exactly one error vocabulary across
-// transports.
-type (
-	// ErrorCode classifies API failures.
-	ErrorCode = api.ErrorCode
-	// APIError is the structured error of the serving layer.
-	APIError = api.Error
-)
-
-// Error codes, re-exported from the api package.
-const (
-	CodeBadRequest  = api.CodeBadRequest
-	CodeNotFound    = api.CodeNotFound
-	CodeConflict    = api.CodeConflict
-	CodeTimeout     = api.CodeTimeout
-	CodeCanceled    = api.CodeCanceled
-	CodeOverloaded  = api.CodeOverloaded
-	CodeDNF         = api.CodeDNF
-	CodeInternal    = api.CodeInternal
-	CodeUnavailable = api.CodeUnavailable
-)
-
-// apiErrorf builds an APIError with a formatted message.
-func apiErrorf(code ErrorCode, format string, args ...any) *APIError {
-	return api.Errorf(code, format, args...)
-}
-
-// asAPIError coerces any error into an APIError, classifying context
+// asAPIError coerces any error into an api.Error, classifying context
 // cancellation, deadline expiry, and capped (DNF) runs along the way.
-func asAPIError(err error) *APIError {
-	var ae *APIError
+func asAPIError(err error) *api.Error {
+	var ae *api.Error
 	if errors.As(err, &ae) {
 		return ae
 	}
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		return apiErrorf(CodeTimeout, "%v", err)
+		return api.Errorf(api.CodeTimeout, "%v", err)
 	case errors.Is(err, context.Canceled):
-		return apiErrorf(CodeCanceled, "%v", err)
+		return api.Errorf(api.CodeCanceled, "%v", err)
 	case errors.Is(err, proxrank.ErrDNF):
-		return apiErrorf(CodeDNF, "%v", err)
+		return api.Errorf(api.CodeDNF, "%v", err)
 	default:
-		return apiErrorf(CodeInternal, "%v", err)
+		return api.Errorf(api.CodeInternal, "%v", err)
 	}
 }

@@ -25,7 +25,7 @@ type Config struct {
 	Workers int
 	// AdmissionQueue bounds how many queries may wait for a worker slot
 	// at once; past the watermark new arrivals are shed immediately with
-	// CodeOverloaded (HTTP 503 + Retry-After) instead of queueing into a
+	// api.CodeOverloaded (HTTP 503 + Retry-After) instead of queueing into a
 	// deadline they cannot meet. 0 takes 4×Workers; negative disables the
 	// watermark (queries queue until their own deadline, the legacy
 	// behavior).
@@ -121,10 +121,11 @@ func ParseStreamOverflow(s string) (string, error) {
 
 // EventSink receives streaming result events in order. A sink returning
 // an error ends that consumer's stream; the executor treats it as the
-// caller going away (CodeCanceled).
+// caller going away (api.CodeCanceled).
 type EventSink func(api.ResultEvent) error
 
-// StatsSnapshot is the executor's cumulative view served by GET /v1/stats.
+// StatsSnapshot is the executor's cumulative counters read in process;
+// GET /metrics serves the same values as proxrank_* families.
 type StatsSnapshot struct {
 	Queries      int64 `json:"queries"`
 	Streamed     int64 `json:"streamed"`
@@ -175,7 +176,7 @@ type StatsSnapshot struct {
 	ShardsPruned        int64 `json:"shardsPruned"`
 	// RemoteRowsConsumed counts rows the merges actually took from remote
 	// shard streams — the useful share of the rows the peers sent (the
-	// coordinator's /v1/stats reports those as remoteRowsFetched).
+	// coordinator's /metrics reports those as proxrank_rpc_rows_total).
 	RemoteRowsConsumed int64 `json:"remoteRowsConsumed"`
 }
 
@@ -221,7 +222,6 @@ type Executor struct {
 	engineRuns        atomic.Int64
 	streamsBrokered   atomic.Int64
 	midRunAttaches    atomic.Int64
-	slowDrops         atomic.Int64
 	totalSumDepths    atomic.Int64
 	totalCombinations atomic.Int64
 	totalBoundUpdates atomic.Int64
@@ -308,7 +308,7 @@ func (x *Executor) Stats() StatsSnapshot {
 		EngineRuns:          x.engineRuns.Load(),
 		StreamsBrokered:     x.streamsBrokered.Load(),
 		MidRunAttaches:      x.midRunAttaches.Load(),
-		SlowSubscriberDrops: x.slowDrops.Load(),
+		SlowSubscriberDrops: x.bins.DroppedBlock.Load() + x.bins.DroppedDrop.Load(),
 		StreamSubscribers:   x.bins.Subscribers.Load(),
 		StreamPeakLag:       x.bins.PeakLag.Load(),
 		StreamBlockedMicros: x.bins.BlockedNanos.Load() / 1e3,
@@ -329,7 +329,7 @@ func (x *Executor) Stats() StatsSnapshot {
 // normalization happens on a private copy (callers may legally share one
 // request across concurrent queries), which is returned for canonical
 // cache keying.
-func (x *Executor) prepare(req *api.Request) (*api.Request, proxrank.Vector, proxrank.Options, []*Entry, *APIError) {
+func (x *Executor) prepare(req *api.Request) (*api.Request, proxrank.Vector, proxrank.Options, []*Entry, *api.Error) {
 	// Shallow copy is enough: Normalize rewrites fields of the copy and
 	// only ever replaces (never writes through) the Weights pointer.
 	norm := *req
@@ -344,7 +344,7 @@ func (x *Executor) prepare(req *api.Request) (*api.Request, proxrank.Vector, pro
 	for _, e := range entries {
 		rel := e.Relation()
 		if rel.Dim() != len(norm.Query) {
-			return nil, nil, proxrank.Options{}, nil, apiErrorf(CodeBadRequest, "relation %q has dim %d, query has dim %d",
+			return nil, nil, proxrank.Options{}, nil, api.Errorf(api.CodeBadRequest, "relation %q has dim %d, query has dim %d",
 				rel.Name, rel.Dim(), len(norm.Query))
 		}
 	}
@@ -394,13 +394,13 @@ func (x *Executor) execute(ctx context.Context, req *api.Request, wire func([]by
 // any event, so transports can still answer with a plain error; once
 // events have flowed, a failure is returned after them and the transport
 // appends it in-band. A sink that fails is the client going away: the
-// call returns CodeCanceled, whichever stage was feeding it.
+// call returns api.CodeCanceled, whichever stage was feeding it.
 //
 // The engine never runs at the sink's pace (see lead): this consumer
 // drains the run's topic at its own, and one that falls a full buffer
 // behind is handled by the overflow policy (Config.StreamOverflow,
 // overridable per request) — blocked-then-dropped or dropped
-// immediately, the drop surfacing as CodeOverloaded on that subscriber
+// immediately, the drop surfacing as api.CodeOverloaded on that subscriber
 // only.
 func (x *Executor) ExecuteStream(ctx context.Context, req *api.Request, sink EventSink) error {
 	return x.executeStream(ctx, req, sink, nil)
@@ -541,7 +541,7 @@ func (x *Executor) serve(ctx context.Context, req *api.Request, o *queryObs, sin
 		// degraded gets the failure it asked for, not the leader's partial
 		// answer.
 		if c.ans.resp.Degraded && !partial {
-			return nil, apiErrorf(CodeUnavailable,
+			return nil, api.Errorf(api.CodeUnavailable,
 				"query degraded: %d shard(s) had no reachable replica and the request forbids partial results",
 				len(c.ans.resp.ShardsMissing))
 		}
@@ -556,7 +556,7 @@ func (x *Executor) serve(ctx context.Context, req *api.Request, o *queryObs, sin
 // run walks away with its own ctx. A private run is coupled to its one
 // caller's ctx and counts the cancellation itself, so that caller waits
 // on done alone.
-func (x *Executor) await(ctx context.Context, c *flightCall) *APIError {
+func (x *Executor) await(ctx context.Context, c *flightCall) *api.Error {
 	abandon := ctx.Done()
 	if c.key == "" {
 		abandon = nil

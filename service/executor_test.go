@@ -138,7 +138,7 @@ func TestExecutorExpiredContext(t *testing.T) {
 		_, err := x.Execute(ctx, req)
 		elapsed := time.Since(start)
 		cancel()
-		if code := codeOf(err); code != CodeTimeout && code != CodeCanceled {
+		if code := codeOf(err); code != api.CodeTimeout && code != api.CodeCanceled {
 			t.Fatalf("iteration %d: err %v (code %q), want timeout/canceled", i, err, code)
 		}
 		if elapsed > 2*time.Second {
@@ -210,7 +210,7 @@ func TestExecutorMidRunTimeout(t *testing.T) {
 	req.Query = []float64{0.001, 0, 0} // different cacheable identity
 	start := time.Now()
 	_, err = x.Execute(context.Background(), req)
-	if codeOf(err) != CodeTimeout {
+	if codeOf(err) != api.CodeTimeout {
 		t.Fatalf("err = %v, want timeout", err)
 	}
 	if el := time.Since(start); el > 2*time.Second {
@@ -245,26 +245,26 @@ func TestExecutorValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*api.Request)
-		code ErrorCode
+		code api.ErrorCode
 	}{
-		{"no query", func(r *api.Request) { r.Query = nil }, CodeBadRequest},
-		{"NaN query", func(r *api.Request) { r.Query = []float64{0.1, nan()} }, CodeBadRequest},
-		{"one relation", func(r *api.Request) { r.Relations = names[:1] }, CodeBadRequest},
-		{"unknown relation", func(r *api.Request) { r.Relations = []string{names[0], "ghost"} }, CodeNotFound},
-		{"k zero", func(r *api.Request) { r.K = 0 }, CodeBadRequest},
-		{"k over limit", func(r *api.Request) { r.K = DefaultMaxK + 1 }, CodeBadRequest},
-		{"bad algorithm", func(r *api.Request) { r.Algorithm = "quantum" }, CodeBadRequest},
-		{"bad access", func(r *api.Request) { r.Access = "random" }, CodeBadRequest},
-		{"bad transform", func(r *api.Request) { r.Transform = "sqrt" }, CodeBadRequest},
-		{"negative weight", func(r *api.Request) { r.Weights = &api.Weights{Ws: -1, Wq: 1, Wmu: 1} }, CodeBadRequest},
-		{"infinite weight", func(r *api.Request) { r.Weights = &api.Weights{Ws: inf(), Wq: 1, Wmu: 1} }, CodeBadRequest},
-		{"all-zero weights", func(r *api.Request) { r.Weights = &api.Weights{} }, CodeBadRequest},
-		{"negative epsilon", func(r *api.Request) { r.Epsilon = -0.5 }, CodeBadRequest},
-		{"infinite epsilon", func(r *api.Request) { r.Epsilon = inf() }, CodeBadRequest},
-		{"negative timeout", func(r *api.Request) { r.TimeoutMillis = -5 }, CodeBadRequest},
-		{"negative maxSumDepths", func(r *api.Request) { r.MaxSumDepths = -100 }, CodeBadRequest},
-		{"negative maxCombinations", func(r *api.Request) { r.MaxCombinations = -1 }, CodeBadRequest},
-		{"dim mismatch", func(r *api.Request) { r.Query = []float64{1, 2, 3} }, CodeBadRequest},
+		{"no query", func(r *api.Request) { r.Query = nil }, api.CodeBadRequest},
+		{"NaN query", func(r *api.Request) { r.Query = []float64{0.1, nan()} }, api.CodeBadRequest},
+		{"one relation", func(r *api.Request) { r.Relations = names[:1] }, api.CodeBadRequest},
+		{"unknown relation", func(r *api.Request) { r.Relations = []string{names[0], "ghost"} }, api.CodeNotFound},
+		{"k zero", func(r *api.Request) { r.K = 0 }, api.CodeBadRequest},
+		{"k over limit", func(r *api.Request) { r.K = DefaultMaxK + 1 }, api.CodeBadRequest},
+		{"bad algorithm", func(r *api.Request) { r.Algorithm = "quantum" }, api.CodeBadRequest},
+		{"bad access", func(r *api.Request) { r.Access = "random" }, api.CodeBadRequest},
+		{"bad transform", func(r *api.Request) { r.Transform = "sqrt" }, api.CodeBadRequest},
+		{"negative weight", func(r *api.Request) { r.Weights = &api.Weights{Ws: -1, Wq: 1, Wmu: 1} }, api.CodeBadRequest},
+		{"infinite weight", func(r *api.Request) { r.Weights = &api.Weights{Ws: inf(), Wq: 1, Wmu: 1} }, api.CodeBadRequest},
+		{"all-zero weights", func(r *api.Request) { r.Weights = &api.Weights{} }, api.CodeBadRequest},
+		{"negative epsilon", func(r *api.Request) { r.Epsilon = -0.5 }, api.CodeBadRequest},
+		{"infinite epsilon", func(r *api.Request) { r.Epsilon = inf() }, api.CodeBadRequest},
+		{"negative timeout", func(r *api.Request) { r.TimeoutMillis = -5 }, api.CodeBadRequest},
+		{"negative maxSumDepths", func(r *api.Request) { r.MaxSumDepths = -100 }, api.CodeBadRequest},
+		{"negative maxCombinations", func(r *api.Request) { r.MaxCombinations = -1 }, api.CodeBadRequest},
+		{"dim mismatch", func(r *api.Request) { r.Query = []float64{1, 2, 3} }, api.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		req := baseRequest(names)

@@ -34,10 +34,9 @@ const maxRelationBody = 32 << 20
 //	GET    /v1/healthz          — liveness probe (200 while the process runs)
 //	GET    /v1/readyz           — readiness probe (503 while the catalog
 //	                              builds or a shard has no live replica)
-//	GET    /v1/stats            — cumulative serving counters
-//	GET    /metrics             — Prometheus text exposition of the same
-//	                              counters plus latency/TTFE/engine-cost
-//	                              histograms
+//	GET    /metrics             — Prometheus text exposition: the
+//	                              cumulative serving counters plus
+//	                              latency/TTFE/engine-cost histograms
 //
 // Every error produced by the handlers carries the structured body
 // {"error":{"code":..., "message":...}}; unmatched paths and methods are
@@ -48,7 +47,7 @@ type Server struct {
 	start time.Time
 	mux   *http.ServeMux
 	// fleet, when set (coordinator mode), adds per-peer health to
-	// /v1/healthz and per-peer RPC counters to /v1/stats.
+	// /v1/healthz and /v1/readyz.
 	fleet *shardrpc.Fleet
 }
 
@@ -62,7 +61,6 @@ func NewServer(cat *Catalog, exec *Executor) *Server {
 	s.mux.HandleFunc("DELETE /v1/relations/{name}", s.handleEvictRelation)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.Handle("GET /metrics", exec.Registry().Handler())
 	return s
 }
@@ -72,9 +70,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // AttachFleet marks this server a coordinator over fleet: /v1/healthz
 // gains per-peer health (with degraded, not failed, reporting when a
-// peer is down), /v1/stats gains per-peer RPC counters, and the
-// executor's registry gains the per-peer metric families. Call once,
-// before serving.
+// peer is down), and the executor's registry gains the per-peer metric
+// families. Call once, before serving.
 func (s *Server) AttachFleet(fleet *shardrpc.Fleet) {
 	s.fleet = fleet
 	s.exec.AttachFleet(fleet)
@@ -88,8 +85,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	if err != nil {
 		status = http.StatusInternalServerError
 		body, _ = encodeJSON(struct {
-			Error *APIError `json:"error"`
-		}{apiErrorf(CodeInternal, "encoding response: %v", err)})
+			Error *api.Error `json:"error"`
+		}{api.Errorf(api.CodeInternal, "encoding response: %v", err)})
 	}
 	writeBody(w, status, body)
 }
@@ -107,11 +104,11 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 // server that just told them its queue is full.
 func writeError(w http.ResponseWriter, err error) {
 	ae := asAPIError(err)
-	if ae.Code == CodeOverloaded {
+	if ae.Code == api.CodeOverloaded {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, ae.Code.HTTPStatus(), struct {
-		Error *APIError `json:"error"`
+		Error *api.Error `json:"error"`
 	}{ae})
 }
 
@@ -125,14 +122,14 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (*api.Request, bool) 
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, apiErrorf(CodeBadRequest, "request body exceeds %d bytes", maxRequestBody))
+			writeError(w, api.Errorf(api.CodeBadRequest, "request body exceeds %d bytes", maxRequestBody))
 			return nil, false
 		}
-		writeError(w, apiErrorf(CodeBadRequest, "invalid JSON body: %v", err))
+		writeError(w, api.Errorf(api.CodeBadRequest, "invalid JSON body: %v", err))
 		return nil, false
 	}
 	if dec.More() {
-		writeError(w, apiErrorf(CodeBadRequest, "request body must hold exactly one JSON object"))
+		writeError(w, api.Errorf(api.CodeBadRequest, "request body must hold exactly one JSON object"))
 		return nil, false
 	}
 	return &req, true
@@ -221,14 +218,14 @@ func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) 
 	q := r.URL.Query()
 	name := q.Get("name")
 	if name == "" {
-		writeError(w, apiErrorf(CodeBadRequest, "query parameter %q is required", "name"))
+		writeError(w, api.Errorf(api.CodeBadRequest, "query parameter %q is required", "name"))
 		return
 	}
 	maxScore := 0.0
 	if v := q.Get("maxScore"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeError(w, apiErrorf(CodeBadRequest, "bad maxScore %q: %v", v, err))
+			writeError(w, api.Errorf(api.CodeBadRequest, "bad maxScore %q: %v", v, err))
 			return
 		}
 		maxScore = f
@@ -237,14 +234,14 @@ func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) 
 	if v := q.Get("shards"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, apiErrorf(CodeBadRequest, "bad shards %q: want a non-negative integer (0 = auto)", v))
+			writeError(w, api.Errorf(api.CodeBadRequest, "bad shards %q: want a non-negative integer (0 = auto)", v))
 			return
 		}
 		shards = n
 	}
 	strategy, err := proxrank.ParsePartitionStrategy(q.Get("strategy"))
 	if err != nil {
-		writeError(w, apiErrorf(CodeBadRequest, "%v", err))
+		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, maxRelationBody)
@@ -252,10 +249,10 @@ func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) 
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, apiErrorf(CodeBadRequest, "relation body exceeds %d bytes", maxRelationBody))
+			writeError(w, api.Errorf(api.CodeBadRequest, "relation body exceeds %d bytes", maxRelationBody))
 			return
 		}
-		writeError(w, apiErrorf(CodeBadRequest, "%v", err))
+		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
 	}
 	if err := s.cat.RegisterSharded(name, rel, shards, strategy); err != nil {
@@ -278,7 +275,7 @@ func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) 
 func (s *Server) handleEvictRelation(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !s.cat.Evict(name) {
-		writeError(w, apiErrorf(CodeNotFound, "relation %q is not registered", name))
+		writeError(w, api.Errorf(api.CodeNotFound, "relation %q is not registered", name))
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {
@@ -416,57 +413,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	reply(true, "")
-}
-
-// PeerStats is one fleet peer's cumulative RPC counters in /v1/stats.
-type PeerStats struct {
-	Addr  string `json:"addr"`
-	Pulls int64  `json:"pulls"`
-	// Rows counts tuple rows the peer sent in pull/next responses.
-	Rows       int64 `json:"rows"`
-	Retries    int64 `json:"retries"`
-	Reconnects int64 `json:"reconnects"`
-	Hedges     int64 `json:"hedges"`
-	HedgeWins  int64 `json:"hedgeWins"`
-	// Breaker is the peer's circuit-breaker position (closed, open,
-	// half-open); BreakerOpens counts its transitions into open.
-	Breaker      string `json:"breaker"`
-	BreakerOpens int64  `json:"breakerOpens"`
-}
-
-// StatsResponse is the GET /v1/stats document: the executor's cumulative
-// snapshot beside the catalog's size and, on a coordinator, the fleet's
-// per-peer counters.
-type StatsResponse struct {
-	StatsSnapshot
-	Relations   int `json:"relations"`
-	TotalShards int `json:"totalShards"`
-	// RemoteRowsFetched sums the peers' rows: with the snapshot's
-	// remoteRowsConsumed, how much of what the wire carried the merges
-	// used.
-	RemoteRowsFetched int64       `json:"remoteRowsFetched"`
-	Peers             []PeerStats `json:"peers,omitempty"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	var peers []PeerStats
-	var fetched int64
-	if s.fleet != nil {
-		for _, p := range s.fleet.Peers() {
-			rows := p.Rows.Load()
-			fetched += rows
-			peers = append(peers, PeerStats{
-				Addr:         p.Addr,
-				Pulls:        p.Pulls.Load(),
-				Rows:         rows,
-				Retries:      p.Retries.Load(),
-				Reconnects:   p.Reconnects.Load(),
-				Hedges:       p.Hedges.Load(),
-				HedgeWins:    p.HedgeWins.Load(),
-				Breaker:      p.Breaker().State().String(),
-				BreakerOpens: p.Breaker().Opens(),
-			})
-		}
-	}
-	writeJSON(w, http.StatusOK, StatsResponse{s.exec.Stats(), s.cat.Len(), s.cat.TotalShards(), fetched, peers})
 }

@@ -150,10 +150,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	} else if rels := m["relations"].([]any); len(rels) != 2 {
 		t.Fatalf("relations: %v", m)
 	}
-	if code, m := get("/v1/stats"); code != 200 {
-		t.Fatalf("stats: %d %v", code, m)
-	} else if _, ok := m["cacheHits"]; !ok {
-		t.Fatalf("stats body missing counters: %v", m)
+	// The counters have one surface, /metrics: /v1/stats is the router's 404.
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats: %d, want 404", resp.StatusCode)
 	}
 
 	// Unknown relation → 404 with a structured body.
@@ -167,13 +171,13 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("unknown relation: status %d: %s", resp.StatusCode, data)
 	}
 	var apiBody struct {
-		Error *APIError `json:"error"`
+		Error *api.Error `json:"error"`
 	}
 	if err := json.Unmarshal(data, &apiBody); err != nil || apiBody.Error == nil {
 		t.Fatalf("unstructured error body: %s", data)
 	}
-	if apiBody.Error.Code != CodeNotFound {
-		t.Fatalf("error code %q, want %q", apiBody.Error.Code, CodeNotFound)
+	if apiBody.Error.Code != api.CodeNotFound {
+		t.Fatalf("error code %q, want %q", apiBody.Error.Code, api.CodeNotFound)
 	}
 
 	// Malformed JSON → 400.
@@ -203,7 +207,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		if err := json.Unmarshal(unknown, &apiBody); err != nil || apiBody.Error == nil {
 			t.Fatalf("unknown field %q: unstructured error body: %s", field, unknown)
 		}
-		if r3.StatusCode != http.StatusBadRequest || apiBody.Error.Code != CodeBadRequest ||
+		if r3.StatusCode != http.StatusBadRequest || apiBody.Error.Code != api.CodeBadRequest ||
 			!strings.Contains(apiBody.Error.Message, `unknown field "`+field+`"`) {
 			t.Fatalf("unknown field %q: status %d: %s", field, r3.StatusCode, unknown)
 		}
@@ -317,9 +321,9 @@ func TestHTTPTimeoutStatus(t *testing.T) {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, data)
 	}
 	var body struct {
-		Error *APIError `json:"error"`
+		Error *api.Error `json:"error"`
 	}
-	if err := json.Unmarshal(data, &body); err != nil || body.Error == nil || body.Error.Code != CodeTimeout {
+	if err := json.Unmarshal(data, &body); err != nil || body.Error == nil || body.Error.Code != api.CodeTimeout {
 		t.Fatalf("timeout body: %s", data)
 	}
 }

@@ -28,7 +28,7 @@ import (
 // (always set) when neither the request nor the server configures one,
 // so a blocking source cannot pin a slot forever. A private run serves
 // one caller and keeps that caller's already-deadlined context.
-func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Vector, opts proxrank.Options, entries []*Entry, c *flightCall, stream bool) (sub *broker.Sub[api.ResultEvent], aerr *APIError) {
+func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Vector, opts proxrank.Options, entries []*Entry, c *flightCall, stream bool) (sub *broker.Sub[api.ResultEvent], aerr *api.Error) {
 	started := false
 	defer func() {
 		if started {
@@ -37,7 +37,7 @@ func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Ve
 		if aerr == nil {
 			// A panic is unwinding through setup: retire the flight so
 			// followers retry instead of waiting on a key that never settles.
-			aerr = apiErrorf(CodeInternal, "query leader aborted")
+			aerr = api.Errorf(api.CodeInternal, "query leader aborted")
 		}
 		x.flight.leave(c, nil, aerr)
 	}()
@@ -74,7 +74,7 @@ func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Ve
 			// panic here would kill the whole process, not one query.
 			if r := recover(); r != nil {
 				x.failed.Add(1)
-				ans.resp, err = nil, apiErrorf(CodeInternal, "query leader panicked: %v", r)
+				ans.resp, err = nil, api.Errorf(api.CodeInternal, "query leader panicked: %v", r)
 			}
 			// The session ends here, on every exit — q.Close, the pruning
 			// counters, the slot — and before the flight settles: a batch
@@ -90,7 +90,7 @@ func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Ve
 		if runErr != nil {
 			aerr := asAPIError(runErr)
 			err = aerr
-			if aerr.Code != CodeTimeout && aerr.Code != CodeCanceled {
+			if aerr.Code != api.CodeTimeout && aerr.Code != api.CodeCanceled {
 				x.failed.Add(1)
 			} else if shared || !stream {
 				// A private stream's cancellation is its one client's own,
@@ -118,17 +118,12 @@ func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Ve
 // the slice is allocated at its K ceiling and must never grow, which
 // would strand the published pointers on the old backing array.
 func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxrank.Options, entries []*Entry, missing func() []api.MissingShard, topic *broker.Topic[api.ResultEvent]) (*api.Response, error) {
-	publish := func(ev api.ResultEvent) {
-		if n := topic.Publish(ev); n > 0 {
-			x.slowDrops.Add(int64(n))
-		}
-	}
 	results := make([]api.Combination, 0, opts.K)
 	gap := x.m.newGapObserver(opts.Algorithm)
 	dnf, err := q.Drain(ctx, func(c proxrank.Combination) {
 		gap()
 		results = append(results, wireCombination(c, entries))
-		publish(api.ResultEvent{Type: api.EventResult, Rank: len(results), Result: &results[len(results)-1]})
+		topic.Publish(api.ResultEvent{Type: api.EventResult, Rank: len(results), Result: &results[len(results)-1]})
 	})
 	if err != nil {
 		return nil, err
@@ -139,7 +134,7 @@ func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxr
 		x.degraded.Add(1)
 	}
 	x.recordOutcome(stats)
-	publish(api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, false)})
+	topic.Publish(api.ResultEvent{Type: api.EventSummary, Summary: summaryOf(resp, false)})
 	return resp, nil
 }
 
@@ -164,7 +159,7 @@ func summaryOf(resp *api.Response, cached bool) *api.Summary {
 func (x *Executor) delivered(err error) error {
 	if err != nil {
 		x.canceled.Add(1)
-		return apiErrorf(CodeCanceled, "stream sink: %v", err)
+		return api.Errorf(api.CodeCanceled, "stream sink: %v", err)
 	}
 	return nil
 }
@@ -194,7 +189,7 @@ func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent
 		case errors.Is(err, broker.ErrDone):
 			return false, nil
 		case errors.Is(err, broker.ErrSlowSubscriber):
-			return false, apiErrorf(CodeOverloaded, "stream consumer too slow: fell more than %d events behind the engine", x.cfg.StreamBuffer)
+			return false, api.Errorf(api.CodeOverloaded, "stream consumer too slow: fell more than %d events behind the engine", x.cfg.StreamBuffer)
 		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 			x.canceled.Add(1)
 			return false, asAPIError(err)

@@ -105,9 +105,9 @@ func TestBrokeredSinkFailureIsCancellation(t *testing.T) {
 				cat, names := testSetup(t, 2, 24, 2)
 				x := NewExecutor(cat, Config{Workers: 2, CacheSize: 16})
 				err := run(t, x, baseRequest(names), sink)
-				var ae *APIError
-				if !errors.As(err, &ae) || ae.Code != CodeCanceled {
-					t.Fatalf("error = %#v, want an *APIError with code %s", err, CodeCanceled)
+				var ae *api.Error
+				if !errors.As(err, &ae) || ae.Code != api.CodeCanceled {
+					t.Fatalf("error = %#v, want an *api.Error with code %s", err, api.CodeCanceled)
 				}
 				waitIdle(t, x)
 				if st := x.Stats(); st.Canceled != 1 || st.Failed != 0 {
@@ -250,8 +250,8 @@ func TestBrokeredNoCacheStream(t *testing.T) {
 		}()
 		<-g.started
 		cancel()
-		if err := <-done; asAPIError(err).Code != CodeCanceled {
-			t.Fatalf("disconnected client error = %v, want %s", err, CodeCanceled)
+		if err := <-done; asAPIError(err).Code != api.CodeCanceled {
+			t.Fatalf("disconnected client error = %v, want %s", err, api.CodeCanceled)
 		}
 		close(g.open)
 		waitIdle(t, x)
@@ -308,8 +308,8 @@ func TestEnginePanicIsContained(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond) // let the follower join the flight
 	close(g.open)
-	if err := <-leaderDone; codeOf(err) != CodeInternal {
-		t.Fatalf("batch leader error = %v, want %s", err, CodeInternal)
+	if err := <-leaderDone; codeOf(err) != api.CodeInternal {
+		t.Fatalf("batch leader error = %v, want %s", err, api.CodeInternal)
 	}
 	<-followerDone
 	if followerErr != nil {
@@ -326,8 +326,8 @@ func TestEnginePanicIsContained(t *testing.T) {
 	req := baseRequest2(names, 5)
 	arm.Store(true)
 	events, err := collectEvents(t, x, req)
-	if codeOf(err) != CodeInternal {
-		t.Fatalf("stream leader error = %v (after %d events), want %s", err, len(events), CodeInternal)
+	if codeOf(err) != api.CodeInternal {
+		t.Fatalf("stream leader error = %v (after %d events), want %s", err, len(events), api.CodeInternal)
 	}
 	if st := x.Stats(); st.Failed != 2 || st.InFlight != 0 {
 		t.Fatalf("after a stream-led panic: failed=%d inFlight=%d, want 2/0", st.Failed, st.InFlight)

@@ -63,14 +63,14 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 		// and returns its error.
 		then func(cancel context.CancelFunc)
 		call func(ctx context.Context, x *Executor, req *api.Request, idle func()) error
-		want ErrorCode
+		want api.ErrorCode
 	}{
 		{name: "complete", req: request(3)},
 		{name: "DNF cap", req: func() *api.Request { r := request(3); r.MaxSumDepths = 60; return r }()},
 		{
 			name: "deadline", req: func() *api.Request { r := request(3); r.TimeoutMillis = 20; return r }(),
 			then: func(context.CancelFunc) { time.Sleep(40 * time.Millisecond) },
-			want: CodeTimeout,
+			want: api.CodeTimeout,
 		},
 		{
 			name: "cancelled private stream", req: request(3),
@@ -80,7 +80,7 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 				idle()
 				return err
 			},
-			want: CodeCanceled,
+			want: api.CodeCanceled,
 		},
 		{
 			name: "dropped slow subscriber", req: func() *api.Request { r := request(8); r.Overflow = api.OverflowDrop; return r }(),
@@ -96,12 +96,12 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 					return nil
 				})
 			},
-			want: CodeOverloaded,
+			want: api.CodeOverloaded,
 		},
 		{
 			name: "engine panic", req: request(3),
 			then: func(context.CancelFunc) { panic("source exploded") },
-			want: CodeInternal,
+			want: api.CodeInternal,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

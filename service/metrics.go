@@ -30,9 +30,9 @@ const (
 // proxrank_query/proxrank_stream (executor), proxrank_engine (core, fed
 // through Stats and the CollectTimings/Tracer plumbing),
 // proxrank_cache/proxrank_workers (serving resources), and
-// proxrank_catalog (catalog). Counters that mirror the legacy /v1/stats
-// snapshot are func-backed readers of the same executor atomics, so the
-// two surfaces cannot drift apart.
+// proxrank_catalog (catalog). Counters are func-backed readers of the
+// executor atomics Executor.Stats reads, so the in-process snapshot and
+// /metrics cannot drift apart.
 type metrics struct {
 	reg *obs.Registry
 
@@ -95,8 +95,7 @@ func newMetrics(reg *obs.Registry, x *Executor) *metrics {
 		"Partitioning plus index-build wall time per relation registration.",
 		obs.ExpBuckets(1e-4, 4, 12))
 
-	// Func-backed mirrors of the /v1/stats snapshot: one source of
-	// truth, two surfaces.
+	// Func-backed readers of the atomics Executor.Stats snapshots.
 	c := func(name, help string, a *atomic.Int64) {
 		reg.CounterFunc(name, help, func() float64 { return float64(a.Load()) })
 	}

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"net"
-	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -125,12 +124,8 @@ func TestOpenBothRoles(t *testing.T) {
 		t.Fatalf("two-role node differs from a single node\nsingle: %s\nnode:   %s", w, g)
 	}
 
-	ts := httptest.NewServer(both.Handler())
-	t.Cleanup(ts.Close)
-	var stats StatsResponse
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if len(stats.Peers) != 1 || stats.Peers[0].Addr != data.RPCAddr || stats.Peers[0].Rows == 0 {
-		t.Fatalf("stats peers %+v, want the one data server with the rows it sent", stats.Peers)
+	if peers := both.Fleet.Peers(); len(peers) != 1 || peers[0].Addr != data.RPCAddr || peers[0].Rows.Load() == 0 {
+		t.Fatalf("fleet peers %+v, want the one data server with the rows it sent", peers)
 	}
 }
 

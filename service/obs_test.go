@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -166,11 +168,48 @@ func TestMetricsInvariants(t *testing.T) {
 	}
 }
 
-// TestStatsAndMetricsAgree asserts the two observability surfaces are
-// fed by the same counters: after a workload, GET /v1/stats and GET
-// /metrics report identical numbers.
+// statsFamilies maps every StatsSnapshot field to the /metrics family
+// that serves it, with the factor taking the family's unit to the
+// field's (seconds to micros).
+var statsFamilies = map[string]struct {
+	family string
+	scale  float64
+}{
+	"Queries":             {"proxrank_queries_total", 1},
+	"Streamed":            {"proxrank_queries_streamed_total", 1},
+	"Completed":           {"proxrank_queries_completed_total", 1},
+	"CacheHits":           {"proxrank_cache_hits_total", 1},
+	"CacheMisses":         {"proxrank_cache_misses_total", 1},
+	"Coalesced":           {"proxrank_coalesced_total", 1},
+	"CacheEntries":        {"proxrank_cache_entries", 1},
+	"Canceled":            {"proxrank_canceled_total", 1},
+	"BadRequests":         {"proxrank_bad_requests_total", 1},
+	"Failed":              {"proxrank_failed_total", 1},
+	"Rejected":            {"proxrank_rejected_total", 1},
+	"InFlight":            {"proxrank_in_flight", 1},
+	"Queued":              {"proxrank_queued", 1},
+	"Degraded":            {"proxrank_degraded_queries_total", 1},
+	"EngineRuns":          {"proxrank_engine_runs_total", 1},
+	"StreamsBrokered":     {"proxrank_streams_brokered_total", 1},
+	"MidRunAttaches":      {"proxrank_stream_midrun_attaches_total", 1},
+	"SlowSubscriberDrops": {"proxrank_stream_dropped_total", 1},
+	"StreamSubscribers":   {"proxrank_stream_subscribers", 1},
+	"StreamPeakLag":       {"proxrank_stream_peak_lag", 1},
+	"StreamBlockedMicros": {"proxrank_stream_blocked_seconds_total", 1e6},
+	"TotalSumDepths":      {"proxrank_engine_sum_depths_total", 1},
+	"TotalCombinations":   {"proxrank_engine_combinations_total", 1},
+	"TotalBoundUpdates":   {"proxrank_engine_bound_updates_total", 1},
+	"TotalEngineMicros":   {"proxrank_engine_seconds_total", 1e6},
+	"RemoteStreamsOpened": {"proxrank_remote_streams_opened_total", 1},
+	"ShardsPruned":        {"proxrank_shards_pruned_total", 1},
+	"RemoteRowsConsumed":  {"proxrank_remote_rows_consumed_total", 1},
+}
+
+// TestStatsAndMetricsAgree asserts /metrics serves every field of the
+// in-process snapshot: after a workload, Executor.Stats and GET /metrics
+// report identical numbers, and a field without a family fails.
 func TestStatsAndMetricsAgree(t *testing.T) {
-	srv, names, _ := testServer(t)
+	srv, names, exec := testServer(t)
 	for i := 0; i < 3; i++ {
 		req := &api.Request{Query: []float64{0.02 * float64(i), 0.2}, Relations: names, K: 4}
 		body, _ := json.Marshal(req)
@@ -182,46 +221,34 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		resp.Body.Close()
 		drainStream(t, srv.URL, req)
 	}
-
-	resp, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	if resp, _, err := postTopK(srv.URL, &api.Request{Query: []float64{0, 0}, Relations: []string{"nope", "nada"}, K: 1}); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown relations: %v %v", resp, err)
 	}
-	var st StatsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 
+	st := exec.Stats()
 	body := scrape(t, srv.URL)
-	pairs := []struct {
-		family string
-		stat   int64
-	}{
-		{"proxrank_queries_total", st.Queries},
-		{"proxrank_queries_streamed_total", st.Streamed},
-		{"proxrank_cache_hits_total", st.CacheHits},
-		{"proxrank_cache_misses_total", st.CacheMisses},
-		{"proxrank_coalesced_total", st.Coalesced},
-		{"proxrank_engine_runs_total", st.EngineRuns},
-		{"proxrank_streams_brokered_total", st.StreamsBrokered},
-		{"proxrank_stream_subscribers", st.StreamSubscribers},
-		{"proxrank_stream_peak_lag", st.StreamPeakLag},
-	}
-	for _, p := range pairs {
-		if got := familySum(t, body, p.family); got != float64(p.stat) {
-			t.Errorf("%s = %v, /v1/stats says %d", p.family, got, p.stat)
+	v := reflect.ValueOf(st)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		m, ok := statsFamilies[name]
+		if !ok {
+			t.Errorf("StatsSnapshot.%s has no /metrics family", name)
+			continue
 		}
+		stat := float64(v.Field(i).Int())
+		// Scaled families read the same atomic in another unit: the
+		// snapshot truncates to whole micros.
+		if got := familySum(t, body, m.family) * m.scale; math.Abs(got-stat) > m.scale/1e6 {
+			t.Errorf("%s = %v, Stats().%s = %v", m.family, got, name, stat)
+		}
+	}
+	if st.Queries != 7 || st.BadRequests != 1 || st.EngineRuns == 0 || st.TotalSumDepths == 0 {
+		t.Errorf("workload not counted: %+v", st)
 	}
 	// Every stream above ran to completion and was drained, so no
 	// subscriber may linger.
 	if st.StreamSubscribers != 0 {
 		t.Errorf("streamSubscribers = %d after all streams drained", st.StreamSubscribers)
-	}
-	// The blocked-time surfaces share one atomic (micros vs seconds).
-	blockedSec := familySum(t, body, "proxrank_stream_blocked_seconds_total")
-	if diff := blockedSec*1e6 - float64(st.StreamBlockedMicros); diff > 1 || diff < -1 {
-		t.Errorf("blocked seconds %v vs micros %d diverge", blockedSec, st.StreamBlockedMicros)
 	}
 }
 

@@ -95,10 +95,10 @@ func TestCatalogLoadRelFile(t *testing.T) {
 	}
 
 	// Error paths: a missing file is a bad request, a taken name a conflict.
-	if err := fileCat.LoadRelFile("C", filepath.Join(t.TempDir(), "nope.prox")); codeOf(err) != CodeBadRequest {
+	if err := fileCat.LoadRelFile("C", filepath.Join(t.TempDir(), "nope.prox")); codeOf(err) != api.CodeBadRequest {
 		t.Fatalf("missing file: %v", err)
 	}
-	if err := fileCat.LoadRelFile("A", pathA); codeOf(err) != CodeConflict {
+	if err := fileCat.LoadRelFile("A", pathA); codeOf(err) != api.CodeConflict {
 		t.Fatalf("duplicate load: %v", err)
 	}
 }
@@ -228,7 +228,7 @@ func TestCatalogRelFileConcurrentEvict(t *testing.T) {
 				if err != nil {
 					// The instant between Evict and re-load legally 404s;
 					// anything else is a real failure.
-					if codeOf(err) != CodeNotFound {
+					if codeOf(err) != api.CodeNotFound {
 						select {
 						case errc <- err:
 						default:

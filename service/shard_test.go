@@ -162,7 +162,7 @@ func TestExecutorFollowerDeadline(t *testing.T) {
 		// under test never arose on this host.
 		t.Skip("leader run finished too fast to outlive the follower deadline")
 	}
-	if code := codeOf(err); code != CodeTimeout {
+	if code := codeOf(err); code != api.CodeTimeout {
 		t.Fatalf("follower err %v (code %q), want timeout", err, code)
 	}
 	if elapsed > 2*time.Second {
@@ -208,7 +208,7 @@ func TestExecutorSingleFlightLeaderFailure(t *testing.T) {
 
 // TestHTTPShardedParityAndManagement drives the full HTTP surface:
 // register a relation sharded and unsharded via POST /v1/relations,
-// verify shard counts in /v1/relations and /v1/stats, compare top-k
+// verify shard counts in /v1/relations and /metrics, compare top-k
 // byte-for-byte, then delete + re-register under the same name and
 // verify generation-based cache invalidation.
 func TestHTTPShardedParityAndManagement(t *testing.T) {
@@ -276,7 +276,7 @@ func TestHTTPShardedParityAndManagement(t *testing.T) {
 		t.Fatalf("nameless register answered %d, want 400", resp.StatusCode)
 	}
 
-	// Shard counts surfaced in /v1/relations and /v1/stats.
+	// Shard counts surfaced in /v1/relations and /metrics.
 	relResp, err := http.Get(srv.URL + "/v1/relations")
 	if err != nil {
 		t.Fatal(err)
@@ -291,21 +291,10 @@ func TestHTTPShardedParityAndManagement(t *testing.T) {
 	if len(rels.Relations) != 2 || rels.Relations[0].Shards < 4 || rels.Relations[1].Shards != 1 {
 		t.Fatalf("GET /v1/relations = %+v", rels.Relations)
 	}
-	statsResp, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		StatsSnapshot
-		Relations   int `json:"relations"`
-		TotalShards int `json:"totalShards"`
-	}
-	if err := json.NewDecoder(statsResp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	statsResp.Body.Close()
-	if stats.Relations != 2 || stats.TotalShards != rels.Relations[0].Shards+rels.Relations[1].Shards {
-		t.Fatalf("GET /v1/stats shard view = %+v", stats)
+	metrics := scrape(t, srv.URL)
+	relations, shards := familySum(t, metrics, "proxrank_catalog_relations"), familySum(t, metrics, "proxrank_catalog_shards")
+	if relations != 2 || int(shards) != rels.Relations[0].Shards+rels.Relations[1].Shards {
+		t.Fatalf("GET /metrics shard view: %v relations, %v shards", relations, shards)
 	}
 
 	// HTTP-layer parity: the sharded catalog's answer must match an

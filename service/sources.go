@@ -21,7 +21,7 @@ import (
 // results (certified prefix plus DNF drain) — so peak memory is O(K),
 // and the session is a bounded consumer: no spill tier, whatever the
 // request's bufferPolicy says.
-func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, partial bool) (*proxrank.Query, func() []api.MissingShard, func(), *APIError) {
+func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, partial bool) (*proxrank.Query, func() []api.MissingShard, func(), *api.Error) {
 	release, aerr := x.acquireSlot(ctx)
 	if aerr != nil {
 		return nil, nil, nil, aerr
@@ -83,7 +83,7 @@ func wireAccess(kind proxrank.AccessKind) string {
 // non-nil, also on error. missing must be called by the goroutine that
 // drove the engine, after the run finishes and before the sources are
 // discarded.
-func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, query proxrank.Vector, entries []*Entry, partial bool) ([]proxrank.Source, func() []api.MissingShard, func(), *APIError) {
+func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, query proxrank.Vector, entries []*Entry, partial bool) ([]proxrank.Source, func() []api.MissingShard, func(), *api.Error) {
 	var remotes []*shardrpc.RemoteSource
 	missing := func() []api.MissingShard {
 		var out []api.MissingShard
@@ -109,9 +109,9 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 		x.remoteConsumed.Add(consumed)
 	}
 
-	fail := func(err error) ([]proxrank.Source, func() []api.MissingShard, func(), *APIError) {
+	fail := func(err error) ([]proxrank.Source, func() []api.MissingShard, func(), *api.Error) {
 		settle()
-		return nil, nil, func() {}, apiErrorf(CodeInternal, "%v", err)
+		return nil, nil, func() {}, api.Errorf(api.CodeInternal, "%v", err)
 	}
 	sources := make([]proxrank.Source, len(entries))
 	for i, e := range entries {

@@ -122,11 +122,11 @@ func TestExecuteStreamValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate func(*api.Request)
-		code   ErrorCode
+		code   api.ErrorCode
 	}{
-		{"bad k", func(r *api.Request) { r.K = 0 }, CodeBadRequest},
-		{"unknown relation", func(r *api.Request) { r.Relations = []string{"A", "ghost"} }, CodeNotFound},
-		{"dim mismatch", func(r *api.Request) { r.Query = []float64{1, 2, 3} }, CodeBadRequest},
+		{"bad k", func(r *api.Request) { r.K = 0 }, api.CodeBadRequest},
+		{"unknown relation", func(r *api.Request) { r.Relations = []string{"A", "ghost"} }, api.CodeNotFound},
+		{"dim mismatch", func(r *api.Request) { r.Query = []float64{1, 2, 3} }, api.CodeBadRequest},
 	} {
 		req := baseRequest(names)
 		tc.mutate(req)
@@ -238,7 +238,7 @@ func readEvent(t *testing.T, br *bufio.Reader) (api.ResultEvent, json.RawMessage
 		Type   api.EventType   `json:"type"`
 		Rank   int             `json:"rank"`
 		Result json.RawMessage `json:"result"`
-		Error  *APIError       `json:"error"`
+		Error  *api.Error      `json:"error"`
 	}
 	if err := json.Unmarshal(line, &ev); err != nil {
 		t.Fatalf("bad stream line %q: %v", line, err)

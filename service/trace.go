@@ -139,7 +139,7 @@ func (o *queryObs) firstEvent() {
 }
 
 // outcomeLabel folds an error into the bounded outcome vocabulary: "ok"
-// or the APIError code (itself a closed enum).
+// or the api.Error code (itself a closed enum).
 func outcomeLabel(err error) string {
 	if err == nil {
 		return labelOutcomeOK
