@@ -20,9 +20,6 @@ const (
 	TransformLog      = "log"
 	TransformIdentity = "identity"
 
-	OverflowBlock = "block"
-	OverflowDrop  = "drop"
-
 	// BufferPrune and BufferSpill are the two values Request.BufferPolicy
 	// accepts. Both are ignored; they leave with the field (the ROADMAP
 	// item "`bench/` follows the code").
@@ -74,15 +71,6 @@ type Request struct {
 	// still sends it, and leaves with the ROADMAP item "`bench/` follows
 	// the code".
 	BufferPolicy string `json:"bufferPolicy,omitempty"`
-	// Overflow picks this client's stream-delivery overflow policy when
-	// the server brokers stream delivery: "block" asks the engine to wait
-	// (up to the server's block deadline) when this client falls a full
-	// delivery buffer behind, "drop" asks to be disconnected instead so
-	// the engine is never delayed. Empty defers to the server default.
-	// Delivery concern: ignored by batch endpoints and not part of the
-	// canonical encoding, so requests differing only here share cache
-	// entries and coalesce.
-	Overflow string `json:"overflow,omitempty"`
 	// TimeoutMillis overrides the server's default per-query deadline.
 	// Transport concern: not part of the canonical encoding.
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`

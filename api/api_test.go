@@ -53,8 +53,6 @@ func TestNormalizeAliases(t *testing.T) {
 		{"TBRR case", func(r *Request) { r.Algorithm = "TbRr" }, func(r *Request) bool { return r.Algorithm == AlgorithmTBRR }},
 		{"id->identity", func(r *Request) { r.Transform = "id" }, func(r *Request) bool { return r.Transform == TransformIdentity }},
 		{"SCORE case", func(r *Request) { r.Access = "Score" }, func(r *Request) bool { return r.Access == AccessScore }},
-		{"DROP case", func(r *Request) { r.Overflow = "Drop" }, func(r *Request) bool { return r.Overflow == OverflowDrop }},
-		{"empty overflow stays empty", func(r *Request) { r.Overflow = "" }, func(r *Request) bool { return r.Overflow == "" }},
 	}
 	for _, tc := range cases {
 		r := validRequest()
@@ -88,7 +86,6 @@ func TestNormalizeRejects(t *testing.T) {
 		{"bad algorithm", func(r *Request) { r.Algorithm = "quantum" }},
 		{"bad access", func(r *Request) { r.Access = "random" }},
 		{"bad transform", func(r *Request) { r.Transform = "sqrt" }},
-		{"bad overflow", func(r *Request) { r.Overflow = "buffer" }},
 		{"negative weight", func(r *Request) { r.Weights = &Weights{Ws: -1, Wq: 1, Wmu: 1} }},
 		{"NaN weight", func(r *Request) { r.Weights = &Weights{Ws: nan, Wq: 1, Wmu: 1} }},
 		{"infinite weight", func(r *Request) { r.Weights = &Weights{Ws: inf, Wq: 1, Wmu: 1} }},
@@ -160,9 +157,8 @@ func TestCanonicalEquivalence(t *testing.T) {
 		func(r *Request) { r.Access = "Distance" },
 		func(r *Request) { r.Transform = "" },
 		func(r *Request) { r.Weights = &Weights{Ws: 1, Wq: 1, Wmu: 1} },
-		func(r *Request) { r.TimeoutMillis = 5000 },    // transport knob: excluded
-		func(r *Request) { r.NoCache = true },          // transport knob: excluded
-		func(r *Request) { r.Overflow = OverflowDrop }, // delivery knob: excluded
+		func(r *Request) { r.TimeoutMillis = 5000 }, // transport knob: excluded
+		func(r *Request) { r.NoCache = true },       // transport knob: excluded
 		// Ignored by servers: excluded, so caching/coalescing across it
 		// is sound.
 		func(r *Request) { r.BufferPolicy = BufferSpill },

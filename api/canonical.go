@@ -9,9 +9,8 @@ import (
 // deterministic string covering exactly the fields the answer depends on
 // — version, k, algorithm, access, transform, weights, epsilon, the
 // period/cap knobs, the query vector bit-exactly, and the relation list.
-// The transport, delivery and engine-tuning fields that never change the
-// answer (BufferPolicy, Overflow, TimeoutMillis, NoCache, Trace,
-// Partial) are excluded, so requests differing only in them share one
+// The transport and engine-tuning fields that never change the answer
+// (BufferPolicy, TimeoutMillis, NoCache, Trace, Partial) are excluded, so requests differing only in them share one
 // encoding: servers ignore BufferPolicy, and a degraded answer is never
 // cached, so both Partial settings can share an entry.
 //

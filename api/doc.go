@@ -16,10 +16,10 @@
 // structurally equal; Canonical then encodes exactly the answer-affecting
 // fields into the deterministic string that servers use as their cache
 // and single-flight key. The fields that never change the answer
-// (BufferPolicy, Overflow, TimeoutMillis, NoCache, Trace, Partial) are
-// validated but excluded from the encoding, so requests differing only
-// in how they want the answer computed or delivered share one cache
-// entry and coalesce into one engine run.
+// (BufferPolicy, TimeoutMillis, NoCache, Trace, Partial) are validated
+// but excluded from the encoding, so requests differing only in how they
+// want the answer computed or delivered share one cache entry and
+// coalesce into one engine run.
 //
 // Streaming consumers receive the same answer as a sequence of
 // ResultEvent values — K result events in rank order, then one summary —

@@ -29,7 +29,6 @@ var requestSurface = []struct {
 	{"maxSumDepths", func(r *Request) { r.MaxSumDepths++ }, true},
 	{"maxCombinations", func(r *Request) { r.MaxCombinations++ }, true},
 	{"bufferPolicy", func(r *Request) { r.BufferPolicy = BufferSpill }, false},
-	{"overflow", func(r *Request) { r.Overflow = OverflowDrop }, false},
 	{"timeoutMillis", func(r *Request) { r.TimeoutMillis++ }, false},
 	{"noCache", func(r *Request) { r.NoCache = !r.NoCache }, false},
 	{"trace", func(r *Request) { r.Trace = !r.Trace }, false},

@@ -95,17 +95,6 @@ func (r *Request) Normalize(limits Limits) *Error {
 			return Errorf(CodeBadRequest, "at least one weight must be positive")
 		}
 	}
-	switch strings.ToLower(r.Overflow) {
-	case "":
-		// Empty stays empty: it means "server default", which only the
-		// serving layer knows.
-	case OverflowBlock:
-		r.Overflow = OverflowBlock
-	case OverflowDrop:
-		r.Overflow = OverflowDrop
-	default:
-		return Errorf(CodeBadRequest, "unknown overflow policy %q (want block|drop)", r.Overflow)
-	}
 	switch strings.ToLower(r.Partial) {
 	case "", PartialAllow:
 		r.Partial = PartialAllow

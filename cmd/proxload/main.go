@@ -3,7 +3,7 @@
 // concurrency: end-to-end latency percentiles, time-to-first-event on
 // the streaming endpoint (the ranked-enumeration cost metric: how soon
 // does the first certified result reach a client), cache-hit and
-// coalesce rates, and the broker's slow-subscriber drops.
+// coalesce rates.
 //
 // Arrivals are open-loop (Poisson): queries are launched on a schedule
 // that does not slow down when the server does, which is what exposes
@@ -23,13 +23,11 @@
 //	proxload -selfserve -rate 500 -duration 5s -stream 0.5 -slow-clients 4
 //
 // -selfserve spins up an in-process proxserve and drives it over a real
-// TCP socket, so a delivery-broker study needs no external setup: the
-// -stream-buffer/-stream-overflow/-stream-block-timeout flags configure
-// the in-process server exactly like proxserve. What it serves (bundled
-// city data, -selfserve-tuples synthetic relations, either one from
-// -selfserve-relfile mmap-backed files) and how it is deployed
-// (-topology) are independent choices; a combination that cannot be
-// built is refused, exit status 2, never quietly replaced.
+// TCP socket, so a delivery-broker study needs no external setup. What
+// it serves (bundled city data, -selfserve-tuples synthetic relations,
+// either one from -selfserve-relfile mmap-backed files) and how it is
+// deployed (-topology) are independent choices; a combination that
+// cannot be built is refused, exit status 2, never quietly replaced.
 //
 // -topology coord:N upgrades -selfserve to a distributed deployment: N
 // in-process shard servers (each owning every Nth shard of every
@@ -170,7 +168,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	fs.Float64Var(&g.spread, "query-spread", 0.02, "radius of random query vectors around the base point")
 	fs.Func("query-base", "comma-separated base query vector (default: city landmark for -selfserve, origin otherwise)",
 		func(v string) (err error) { g.baseVec, err = vec.Parse(v); return err })
-	fs.StringVar(&g.overflow, "overflow", "", "overflow policy sent on stream requests: block, drop, or empty for the server default")
 	fs.IntVar(&o.slowN, "slow-clients", 0, "deliberately slow stream readers pinned to the hottest query")
 	fs.DurationVar(&o.slowRead, "slow-read", 200*time.Millisecond, "per-event stall of a slow client")
 	fs.StringVar(&o.jsonOut, "json", "", "also write the report as JSON to this file")
@@ -178,9 +175,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 
 	// In-process server knobs, mirroring proxserve.
 	fs.IntVar(&c.Workers, "workers", 0, "selfserve: max concurrent engine executions (0 = GOMAXPROCS)")
-	fs.IntVar(&c.StreamBuffer, "stream-buffer", service.DefaultStreamBuffer, "selfserve: stream delivery buffer (events a client may lag behind the engine)")
-	fs.StringVar(&c.StreamOverflow, "stream-overflow", service.DefaultStreamOverflow, "selfserve: server-side overflow policy (block|drop)")
-	fs.DurationVar(&c.StreamBlockTimeout, "stream-block-timeout", service.DefaultStreamBlockTimeout, "selfserve: engine wait on block-policy laggards")
 	fs.IntVar(&c.CacheSize, "cache", service.DefaultCacheSize, "selfserve: LRU result-cache capacity")
 	fs.IntVar(&o.sndbuf, "server-sndbuf", 0, "selfserve: cap accepted connections' send buffers (0 = kernel default; loopback autotuning otherwise hides slow readers)")
 
@@ -210,10 +204,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 			return nil, errors.New("-topology/-identity-check/-chaos/-replicas require -selfserve")
 		}
 		return o, nil
-	}
-	// The same check proxserve runs: a typo must not quietly mean block.
-	if c.StreamOverflow, err = service.ParseStreamOverflow(c.StreamOverflow); err != nil {
-		return nil, fmt.Errorf("-stream-overflow: %v", err)
 	}
 	if o.topoName == "single" {
 		if t.chaos != nil || t.replicas != 1 {
@@ -270,8 +260,8 @@ func drive(o *options, stdout io.Writer) error {
 		if o.data.tuples > 0 {
 			what = fmt.Sprintf("synthetic %d tuples × dim %d", o.data.tuples, o.data.dim)
 		}
-		log.Printf("selfserve: in-process proxserve on %s (%s, relfile=%v, topology %s, %d replica(s)/shard, streamBuffer %d)",
-			gen.base, what, o.data.relfile, o.topoName, o.topo.replicas, o.cfg.StreamBuffer)
+		log.Printf("selfserve: in-process proxserve on %s (%s, relfile=%v, topology %s, %d replica(s)/shard)",
+			gen.base, what, o.data.relfile, o.topoName, o.topo.replicas)
 		if o.topo.chaos != nil {
 			log.Printf("CHAOS: injecting faults into shard server 0 (%d rule(s))", len(o.topo.chaos.Rules()))
 		}
@@ -340,7 +330,6 @@ func drive(o *options, stdout io.Writer) error {
 	// Slow clients: the adversarial subscribers. They all chase the
 	// hottest query so they coalesce with (and pre-broker, delay) the
 	// regular traffic on that key.
-	var slowDropped atomic.Int64
 	slowHTTP := &http.Client{Transport: &http.Transport{
 		DialContext:     smallRcvbufDialer(slowRcvbuf).DialContext,
 		MaxIdleConns:    o.slowN,
@@ -352,7 +341,7 @@ func drive(o *options, stdout io.Writer) error {
 		slowRng := rand.New(rand.NewSource(o.seed + 1000 + int64(i)))
 		go func() {
 			defer background.Done()
-			gen.slowClient(ctx, slowHTTP, slowRng, o.slowRead, &slowDropped)
+			gen.slowClient(ctx, slowHTTP, slowRng, o.slowRead)
 		}()
 	}
 
@@ -368,7 +357,7 @@ func drive(o *options, stdout io.Writer) error {
 		return err
 	}
 
-	rep := gen.report(elapsed, metricsAfter.counterDeltas(metricsBefore), slowDropped.Load())
+	rep := gen.report(elapsed, metricsAfter.counterDeltas(metricsBefore))
 	rep.ServerDuration = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_duration_seconds"))
 	rep.ServerTTFE = summarizeHist(metricsAfter.delta(metricsBefore, "proxrank_query_ttfe_seconds"))
 	rep.ResidentPeakBytes = residentPeak.Load()
@@ -675,7 +664,6 @@ type generator struct {
 	relations []string
 	k         int
 	access    string
-	overflow  string
 	streamFr  float64
 	hotFr     float64
 	hot       [][]float64
@@ -764,7 +752,7 @@ func (g *generator) run(ctx context.Context, rng *rand.Rand, rate float64) {
 
 // body builds the request JSON once per arrival.
 func (g *generator) body(vec []float64) []byte {
-	req := api.Request{Query: vec, Relations: g.relations, K: g.k, Access: g.access, Overflow: g.overflow}
+	req := api.Request{Query: vec, Relations: g.relations, K: g.k, Access: g.access}
 	buf, _ := json.Marshal(&req)
 	return buf
 }
@@ -870,9 +858,8 @@ func (g *generator) record(err error, ok func()) {
 // client the broker protects everyone else from. Each connection streams
 // a fresh vector and publishes it as the live hot key, so this client is
 // the single-flight leader of a query the regular traffic is busy
-// coalescing on. Overflow drops (overloaded status or in-band error
-// events) are counted, not failed.
-func (g *generator) slowClient(ctx context.Context, client *http.Client, rng *rand.Rand, slowRead time.Duration, dropped *atomic.Int64) {
+// coalescing on. It reads every event of its answer, however slowly.
+func (g *generator) slowClient(ctx context.Context, client *http.Client, rng *rand.Rand, slowRead time.Duration) {
 	for ctx.Err() == nil {
 		vec := g.randVec(rng)
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -894,8 +881,7 @@ func (g *generator) slowClient(ctx context.Context, client *http.Client, rng *ra
 		br := bufio.NewReader(resp.Body)
 		published := false
 		for {
-			line, rerr := br.ReadBytes('\n')
-			if rerr != nil {
+			if _, err := br.ReadBytes('\n'); err != nil {
 				break
 			}
 			if !published {
@@ -906,10 +892,6 @@ func (g *generator) slowClient(ctx context.Context, client *http.Client, rng *ra
 				// key first.
 				published = true
 				g.hotLive.Store(&vec)
-			}
-			if bytes.Contains(line, []byte(`"error"`)) && bytes.Contains(line, []byte("overloaded")) {
-				dropped.Add(1)
-				break
 			}
 			select {
 			case <-ctx.Done():
@@ -965,7 +947,6 @@ type report struct {
 	Batch        latencyMs      `json:"batch"`
 	Stream       latencyMs      `json:"stream"`
 	TTFE         latencyMs      `json:"ttfe"`
-	SlowDropped  int64          `json:"slowClientDrops"`
 	// Server is the run's growth of every /metrics counter family,
 	// summed over label sets (see counterDeltas).
 	Server map[string]float64 `json:"serverDelta"`
@@ -981,7 +962,7 @@ type report struct {
 	ResidentPeakBytes int64 `json:"residentPeakBytes,omitempty"`
 }
 
-func (g *generator) report(elapsed time.Duration, server map[string]float64, slowDropped int64) report {
+func (g *generator) report(elapsed time.Duration, server map[string]float64) report {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	done := len(g.batchNs) + len(g.strmNs)
@@ -995,7 +976,6 @@ func (g *generator) report(elapsed time.Duration, server map[string]float64, slo
 		Batch:        summarize(g.batchNs),
 		Stream:       summarize(g.strmNs),
 		TTFE:         summarize(g.ttfeNs),
-		SlowDropped:  slowDropped,
 		Server:       server,
 	}
 	if g.firstEr != nil {
@@ -1042,17 +1022,14 @@ func (r report) print(w io.Writer) {
 	queries, hits := d("queries"), d("cache_hits")
 	fmt.Fprintf(w, "  server delta: queries %d, cacheHits %d (%.0f%%), coalesced %d, engineRuns %d\n",
 		queries, hits, pct(hits, queries), d("coalesced"), d("engine_runs"))
-	fmt.Fprintf(w, "                brokered %d, midRunAttaches %d, slowSubscriberDrops %d, rejected %d, canceled %d\n",
-		d("streams_brokered"), d("stream_midrun_attaches"), d("stream_dropped"), d("rejected"), d("canceled"))
+	fmt.Fprintf(w, "                brokered %d, midRunAttaches %d, rejected %d, canceled %d\n",
+		d("streams_brokered"), d("stream_midrun_attaches"), d("rejected"), d("canceled"))
 	if opened, pruned := d("remote_streams_opened"), d("shards_pruned"); opened > 0 || pruned > 0 {
 		fetched, consumed := d("rpc_rows"), d("remote_rows_consumed")
 		fmt.Fprintf(w, "                remoteStreamsOpened %d, shardsPruned %d (%.0f%% of remote shard sources)\n",
 			opened, pruned, pct(pruned, pruned+opened))
 		fmt.Fprintf(w, "                remoteRowsFetched %d for %d consumed (%.1f fetched per row used)\n",
 			fetched, consumed, float64(fetched)/float64(max(consumed, 1)))
-	}
-	if r.SlowDropped > 0 {
-		fmt.Fprintf(w, "  slow clients dropped by overflow policy: %d\n", r.SlowDropped)
 	}
 	if r.ResidentPeakBytes > 0 {
 		fmt.Fprintf(w, "  server resident peak: %.1f MiB\n", float64(r.ResidentPeakBytes)/(1<<20))

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	proxrank "repro"
-	"repro/api"
 	"repro/service"
 )
 
@@ -39,7 +38,6 @@ func TestFlagTable(t *testing.T) {
 		{name: "chaos on a single node", args: "-selfserve -chaos verb=pull;action=reset", wantErr: "-chaos/-replicas need -topology coord:N"},
 		{name: "replicas on a single node", args: "-selfserve -replicas 2", wantErr: "-chaos/-replicas need -topology coord:N"},
 		{name: "chaos malformed", args: "-selfserve -topology coord:2 -chaos verb", wantErr: "invalid value"},
-		{name: "overflow typo", args: "-selfserve -stream-overflow blok", wantErr: `-stream-overflow: stream overflow policy "blok": want block or drop`},
 		{name: "strategy typo", args: "-selfserve -shard-strategy ring", wantErr: "ring"},
 		{name: "query-base malformed", args: "-query-base 1,x", wantErr: "invalid value"},
 
@@ -58,10 +56,7 @@ func TestFlagTable(t *testing.T) {
 			if o.data != want || o.topo != (topology{replicas: 1}) {
 				t.Errorf("data %+v topo %+v, want %+v", o.data, o.topo, want)
 			}
-			wantCfg := service.Config{
-				CacheSize: service.DefaultCacheSize, DefaultTimeout: 10 * time.Second, StreamBuffer: service.DefaultStreamBuffer,
-				StreamOverflow: api.OverflowBlock, StreamBlockTimeout: service.DefaultStreamBlockTimeout,
-			}
+			wantCfg := service.Config{CacheSize: service.DefaultCacheSize, DefaultTimeout: 10 * time.Second}
 			if o.cfg != wantCfg {
 				t.Errorf("config %+v, want %+v", o.cfg, wantCfg)
 			}
@@ -95,9 +90,8 @@ func TestFlagTable(t *testing.T) {
 				t.Errorf("topo %+v identity %v duration %v rate %v", o.topo, o.identity, o.duration, o.rate)
 			}
 		}},
-		{name: "server knobs", args: "-selfserve -stream-buffer 4 -stream-overflow Drop -stream-block-timeout 20ms -server-sndbuf 4096 -timeout 3s", check: func(t *testing.T, o *options) {
-			if o.cfg.StreamBuffer != 4 || o.cfg.StreamOverflow != api.OverflowDrop || o.cfg.StreamBlockTimeout != 20*time.Millisecond ||
-				o.sndbuf != 4096 || o.cfg.DefaultTimeout != 3*time.Second || o.timeout != 3*time.Second {
+		{name: "server knobs", args: "-selfserve -server-sndbuf 4096 -timeout 3s", check: func(t *testing.T, o *options) {
+			if o.sndbuf != 4096 || o.cfg.DefaultTimeout != 3*time.Second || o.timeout != 3*time.Second {
 				t.Errorf("cfg %+v sndbuf %d timeout %v", o.cfg, o.sndbuf, o.timeout)
 			}
 		}},
@@ -124,7 +118,7 @@ func TestFlagTable(t *testing.T) {
 }
 
 // TestFlagSurface: the flag set is the regression surface of ci.yml and
-// the studies in EXPERIMENTS.md — 36 flags, and -h is not a failure.
+// the studies in EXPERIMENTS.md — 32 flags, and -h is not a failure.
 func TestFlagSurface(t *testing.T) {
 	var stdout, usage bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &usage); code != 0 {
@@ -136,8 +130,8 @@ func TestFlagSurface(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 36 {
-		t.Fatalf("%d flags, want 36:\n%s", flags, usage.String())
+	if flags != 32 {
+		t.Fatalf("%d flags, want 32:\n%s", flags, usage.String())
 	}
 }
 
@@ -312,11 +306,11 @@ func TestHistSnap(t *testing.T) {
 // report used to carry exactly that.
 func TestCounterDeltas(t *testing.T) {
 	before := &metricsSnap{scalar: map[string]float64{
-		"proxrank_queries_total":     100,
-		"proxrank_engine_runs_total": 40,
-		"proxrank_rpc_rows_total":    1000, // summed over two peers
-		"proxrank_in_flight":         5,
-		"proxrank_stream_peak_lag":   64,
+		"proxrank_queries_total":      100,
+		"proxrank_engine_runs_total":  40,
+		"proxrank_rpc_rows_total":     1000, // summed over two peers
+		"proxrank_in_flight":          5,
+		"proxrank_stream_subscribers": 3,
 	}}
 	after := &metricsSnap{scalar: map[string]float64{
 		"proxrank_queries_total":        160,
@@ -324,7 +318,7 @@ func TestCounterDeltas(t *testing.T) {
 		"proxrank_rpc_rows_total":       1750,
 		"proxrank_engine_seconds_total": 0.5, // absent before: all new
 		"proxrank_in_flight":            2,
-		"proxrank_stream_peak_lag":      64,
+		"proxrank_stream_subscribers":   1,
 		"proxrank_catalog_relations":    3,
 	}}
 	want := map[string]float64{

@@ -9,9 +9,9 @@
 // — via the global -shards flag or a per-relation ":N" suffix on -rel.
 //
 // Stream delivery is brokered: the engine runs each streamed query to
-// completion at engine speed into a bounded per-query buffer and a slow
-// client drains at its own pace without holding a worker slot, governed
-// by -stream-buffer, -stream-overflow, and -stream-block-timeout.
+// completion at engine speed into a per-query log of at most K + 1
+// events, and a slow client drains it at its own pace without holding a
+// worker slot or delaying any other client.
 //
 // Distributed serving splits one logical deployment across processes:
 // shard servers load the full data set but serve only the shards they
@@ -143,12 +143,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	fs.IntVar(&c.MaxK, "maxk", service.DefaultMaxK, "largest accepted K")
 	fs.IntVar(&o.shards, "shards", 1, "default shard count per relation (partitioned indexes, merged per query)")
 	fs.StringVar(&strategy, "shard-strategy", "hash", "partitioning strategy: hash or grid")
-	fs.IntVar(&c.StreamBuffer, "stream-buffer", service.DefaultStreamBuffer,
-		"stream delivery buffer: events a client may lag behind the engine")
-	fs.StringVar(&c.StreamOverflow, "stream-overflow", service.DefaultStreamOverflow,
-		"policy for a stream client that falls a full buffer behind: block (wait, then drop) or drop (immediately)")
-	fs.DurationVar(&c.StreamBlockTimeout, "stream-block-timeout", service.DefaultStreamBlockTimeout,
-		"total time the engine will wait on one block-policy laggard before dropping it")
 	fs.StringVar(&o.debugAddr, "debug-addr", "",
 		"listen address for the net/http/pprof profiling endpoints (empty = disabled); keep it off public interfaces")
 	fs.DurationVar(&c.SlowQueryThreshold, "slow-query", 0,
@@ -203,9 +197,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	}
 	if o.strategy, err = proxrank.ParsePartitionStrategy(strategy); err != nil {
 		return nil, err
-	}
-	if c.StreamOverflow, err = service.ParseStreamOverflow(c.StreamOverflow); err != nil {
-		return nil, fmt.Errorf("-stream-overflow: %v", err)
 	}
 	switch {
 	case o.shards < 1:

@@ -39,7 +39,6 @@ func TestFlagTable(t *testing.T) {
 		{name: "fault-spec malformed", args: "-city SF -shard-server -fault-spec verb", chaos: true, wantErr: "invalid value"},
 		{name: "coordinator without peers", args: "-coordinator", wantErr: "-coordinator needs -peers"},
 		{name: "nothing to serve", args: "", wantErr: "no relations to serve"},
-		{name: "overflow typo", args: "-city SF -stream-overflow blok", wantErr: `-stream-overflow: stream overflow policy "blok": want block or drop`},
 		{name: "strategy typo", args: "-city SF -shard-strategy ring", wantErr: "ring"},
 		{name: "zero shards", args: "-city SF -shards 0", wantErr: "-shards 0 must be at least 1"},
 		{name: "rel without path", args: "-rel hotels", wantErr: "want name=path.csv[:shards]"},
@@ -49,8 +48,7 @@ func TestFlagTable(t *testing.T) {
 		{name: "defaults", args: "-city SF -city ny", check: func(t *testing.T, o *options) {
 			want := service.Config{
 				CacheSize: service.DefaultCacheSize, DefaultTimeout: 10 * time.Second, MaxTimeout: service.DefaultMaxTimeout,
-				MaxK: service.DefaultMaxK, StreamBuffer: service.DefaultStreamBuffer, StreamOverflow: api.OverflowBlock,
-				StreamBlockTimeout: service.DefaultStreamBlockTimeout, SlowQueryLog: o.node.SlowQueryLog,
+				MaxK: service.DefaultMaxK, SlowQueryLog: o.node.SlowQueryLog,
 			}
 			if !reflect.DeepEqual(o.node.Config, want) {
 				t.Errorf("config %+v, want %+v", o.node.Config, want)
@@ -68,11 +66,10 @@ func TestFlagTable(t *testing.T) {
 				t.Errorf("roles leaked into a single node: rpc %q, node %+v", o.rpcAddr, o.node)
 			}
 		}},
-		{name: "executor knobs", args: "-city SF -workers 3 -cache -1 -timeout 2s -max-timeout 5s -maxk 7 -stream-buffer 9 -stream-overflow DROP " +
-			"-stream-block-timeout 50ms -slow-query 1ms -debug-addr 127.0.0.1:6060 -addr :9", check: func(t *testing.T, o *options) {
+		{name: "executor knobs", args: "-city SF -workers 3 -cache -1 -timeout 2s -max-timeout 5s -maxk 7 " +
+			"-slow-query 1ms -debug-addr 127.0.0.1:6060 -addr :9", check: func(t *testing.T, o *options) {
 			want := service.Config{
 				Workers: 3, CacheSize: -1, DefaultTimeout: 2 * time.Second, MaxTimeout: 5 * time.Second, MaxK: 7,
-				StreamBuffer: 9, StreamOverflow: api.OverflowDrop, StreamBlockTimeout: 50 * time.Millisecond,
 				SlowQueryThreshold: time.Millisecond, SlowQueryLog: o.node.SlowQueryLog,
 			}
 			if !reflect.DeepEqual(o.node.Config, want) {
@@ -153,7 +150,7 @@ func TestFlagTable(t *testing.T) {
 }
 
 // TestFlagSurface: the flag set is the regression surface of ci.yml and
-// the studies in EXPERIMENTS.md — 23 flags, and -h is not a failure.
+// the studies in EXPERIMENTS.md — 20 flags, and -h is not a failure.
 func TestFlagSurface(t *testing.T) {
 	var usage bytes.Buffer
 	if code := run(context.Background(), []string{"-h"}, &usage); code != 0 {
@@ -165,8 +162,8 @@ func TestFlagSurface(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 23 {
-		t.Fatalf("%d flags, want 23:\n%s", flags, usage.String())
+	if flags != 20 {
+		t.Fatalf("%d flags, want 20:\n%s", flags, usage.String())
 	}
 }
 

@@ -54,14 +54,10 @@ func (x *Executor) acquireSlot(ctx context.Context) (func(), *api.Error) {
 	// Every slot is busy: this query queues. Shed it at the watermark —
 	// the count below includes this query, so depth > limit means the
 	// queue was already full when it arrived.
-	if limit := x.cfg.AdmissionQueue; limit > 0 {
-		if depth := x.queued.Add(1); depth > int64(limit) {
-			x.queued.Add(-1)
-			x.rejected.Add(1)
-			return nil, api.Errorf(api.CodeOverloaded, "server overloaded: %d queries already queued (limit %d)", depth-1, limit)
-		}
-	} else {
-		x.queued.Add(1)
+	if depth := x.queued.Add(1); depth > int64(x.cfg.AdmissionQueue) {
+		x.queued.Add(-1)
+		x.rejected.Add(1)
+		return nil, api.Errorf(api.CodeOverloaded, "server overloaded: %d queries already queued (limit %d)", depth-1, x.cfg.AdmissionQueue)
 	}
 	defer x.queued.Add(-1)
 	select {

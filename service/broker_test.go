@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -47,37 +49,29 @@ func waitStat(t *testing.T, read func() int64, want int64, what string) {
 	t.Fatalf("%s never reached %d (now %d)", what, want, read())
 }
 
-// TestStalledSubscriberDoesNotBlockEngine is the PR's regression test: a
-// deliberately stalled stream sink must not delay a concurrently
+// TestStalledSubscriberDoesNotBlockEngine is the delivery regression
+// test: a deliberately stalled stream sink must not delay a concurrently
 // coalesced batch Execute or a second stream follower — the engine runs
-// to completion at engine speed, both followers observe the full result
-// set while the slow client is still parked on its first event, and the
-// results are byte-identical to the batch path.
+// to completion at engine speed and both followers observe the full
+// result set while the slow client is still parked on its first event.
+// The run publishes K + 1 = 101 events the stalled client has not read,
+// and once released that client still receives the whole answer,
+// byte-identical to the batch path.
 func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 	cat, names := testSetup(t, 2, 24, 2)
 	x := NewExecutor(cat, Config{
-		Workers:      1, // one slot: decoupling must free it for everyone else
-		CacheSize:    16,
-		StreamBuffer: 4,
-		// Block policy: the engine waits briefly for live consumers (the
-		// honest followers) but a stalled one is dropped after at most
-		// StreamBlockTimeout — the "buffer bound" of the regression.
-		StreamOverflow:     api.OverflowBlock,
-		StreamBlockTimeout: 100 * time.Millisecond,
+		Workers:   1, // one slot: decoupling must free it for everyone else
+		CacheSize: 16,
 	})
 	g := newGate()
 	x.wrapSource = func(s proxrank.Source) proxrank.Source { return gatedSource{Source: s, g: g} }
 
 	req := baseRequest(names)
-	req.K = 8
+	req.K = 100
 
 	stalled := newStallSink()
 	leaderDone := make(chan error, 1)
-	leaderExited := make(chan struct{})
-	go func() {
-		leaderDone <- x.ExecuteStream(context.Background(), req, stalled.sink)
-		close(leaderExited)
-	}()
+	go func() { leaderDone <- x.ExecuteStream(context.Background(), req, stalled.sink) }()
 	<-g.started // the leader owns the flight key and the engine is mid-run
 
 	// Second stream follower: attaches to the live topic mid-run.
@@ -113,12 +107,6 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 			case <-stalled.entered:
 				close(g.open)
 				return
-			case <-leaderExited:
-				// Extreme scheduling only: the overflow policy dropped the
-				// leader before its first delivery. The engine still must
-				// run free for the followers.
-				close(g.open)
-				return
 			case g.permits <- struct{}{}:
 				time.Sleep(time.Millisecond)
 			}
@@ -143,13 +131,7 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 	}
 	select {
 	case err := <-leaderDone:
-		// Legal only in the extreme schedule where the overflow policy
-		// dropped the leader before its first delivery; anything else
-		// means a follower's completion unparked the stalled client.
-		if asAPIError(err).Code != api.CodeOverloaded {
-			t.Fatalf("stalled leader returned early: %v", err)
-		}
-		leaderDone <- err
+		t.Fatalf("stalled leader returned while parked: %v", err)
 	default: // still parked, as intended
 	}
 
@@ -172,12 +154,26 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 		t.Fatalf("brokered results differ from the library's own answer:\n%v\n%v", batchResp.Results, ref)
 	}
 
-	// Release the slow client: it was dropped by the overflow policy
-	// (K+1 events versus a buffer of 4), which surfaces as overloaded on
-	// that subscriber alone.
+	// Release the slow client: nobody dropped it, so it reads the whole
+	// answer, every byte the batch caller got.
 	close(stalled.release)
-	if err := <-leaderDone; asAPIError(err).Code != api.CodeOverloaded {
-		t.Fatalf("stalled leader error = %v, want %s", err, api.CodeOverloaded)
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("stalled leader: %v", err)
+	}
+	leader, aerr := api.CollectStream(stalled.events)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	got, err := json.Marshal(leader.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(batchResp.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leader.Results) != req.K || !bytes.Equal(got, want) {
+		t.Fatalf("released leader collected %d results, differing from the batch answer:\n%s\n%s", len(leader.Results), got, want)
 	}
 
 	st := x.Stats()
@@ -186,9 +182,6 @@ func TestStalledSubscriberDoesNotBlockEngine(t *testing.T) {
 	}
 	if st.StreamsBrokered != 1 {
 		t.Errorf("streamsBrokered = %d, want 1", st.StreamsBrokered)
-	}
-	if st.SlowSubscriberDrops != 1 {
-		t.Errorf("slowSubscriberDrops = %d, want 1", st.SlowSubscriberDrops)
 	}
 }
 
@@ -237,23 +230,14 @@ func baseRequest2(names []string, k int) *api.Request {
 // client finally drains.
 func TestBrokeredSlotReleasedAtEnumerationEnd(t *testing.T) {
 	cat, names := testSetup(t, 2, 24, 2)
-	x := NewExecutor(cat, Config{
-		Workers:        1,
-		CacheSize:      16,
-		StreamBuffer:   4,
-		StreamOverflow: api.OverflowDrop,
-	})
+	x := NewExecutor(cat, Config{Workers: 1, CacheSize: 16})
 
 	req := baseRequest(names)
 	req.K = 8
 	stalled := newStallSink()
 	leaderDone := make(chan error, 1)
 	go func() { leaderDone <- x.ExecuteStream(context.Background(), req, stalled.sink) }()
-	select {
-	case <-stalled.entered: // parked on its first event, engine free-running
-	case err := <-leaderDone: // or already dropped by overflow — engine free either way
-		leaderDone <- err
-	}
+	<-stalled.entered // parked on its first event, engine free-running
 
 	// A different query (distinct K → distinct key) needs the only slot.
 	other := baseRequest(names)
@@ -277,22 +261,13 @@ func TestBrokeredSlotReleasedAtEnumerationEnd(t *testing.T) {
 // worker slot at enumeration end.
 func TestBrokeredCacheDisabledStillDecouples(t *testing.T) {
 	cat, names := testSetup(t, 2, 24, 2)
-	x := NewExecutor(cat, Config{
-		Workers:        1,
-		CacheSize:      -1,
-		StreamBuffer:   4,
-		StreamOverflow: api.OverflowDrop,
-	})
+	x := NewExecutor(cat, Config{Workers: 1, CacheSize: -1})
 	req := baseRequest(names)
 	req.K = 8
 	stalled := newStallSink()
 	done := make(chan error, 1)
 	go func() { done <- x.ExecuteStream(context.Background(), req, stalled.sink) }()
-	select {
-	case <-stalled.entered: // parked on its first event
-	case err := <-done: // or already dropped by overflow
-		done <- err
-	}
+	<-stalled.entered // parked on its first event
 
 	other := baseRequest(names)
 	other.K = 2
@@ -305,37 +280,6 @@ func TestBrokeredCacheDisabledStillDecouples(t *testing.T) {
 	}
 	close(stalled.release)
 	<-done
-}
-
-// TestBrokeredBlockPolicyBoundsDelay: under the block policy the engine
-// waits at most the configured block timeout per publish for a stalled
-// subscriber, then drops it and completes — delay bounded by the buffer,
-// not by the client.
-func TestBrokeredBlockPolicyBoundsDelay(t *testing.T) {
-	cat, names := testSetup(t, 2, 24, 2)
-	x := NewExecutor(cat, Config{
-		Workers:            2,
-		CacheSize:          16,
-		StreamBuffer:       2,
-		StreamOverflow:     api.OverflowBlock,
-		StreamBlockTimeout: 30 * time.Millisecond,
-	})
-	req := baseRequest(names)
-	req.K = 8
-	stalled := newStallSink()
-	done := make(chan error, 1)
-	go func() { done <- x.ExecuteStream(context.Background(), req, stalled.sink) }()
-
-	// The run must complete (observable as a cache entry) despite the
-	// stalled subscriber: one blocked publish, one drop, then free run.
-	waitStat(t, func() int64 { return int64(x.Stats().CacheEntries) }, 1, "cacheEntries")
-	if st := x.Stats(); st.SlowSubscriberDrops != 1 {
-		t.Errorf("slowSubscriberDrops = %d, want 1", st.SlowSubscriberDrops)
-	}
-	close(stalled.release)
-	if err := <-done; asAPIError(err).Code != api.CodeOverloaded {
-		t.Fatalf("stalled client error = %v, want %s", err, api.CodeOverloaded)
-	}
 }
 
 // TestBrokeredLeaderDisconnectDoesNotAbortRun: once a run is

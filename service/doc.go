@@ -18,15 +18,14 @@
 //     and a single-flight group so identical concurrent misses run the
 //     engine once. Every query takes one path: whoever leads a flight
 //     call starts its engine, which runs to completion at engine speed —
-//     publishing events into a bounded per-run topic (internal/broker)
-//     and releasing its worker slot when enumeration finishes — and
-//     every caller is a consumer of that call. A batch caller (Execute)
-//     waits for the settled response; a stream caller (ExecuteStream)
-//     drains the topic at its own pace, a follower arriving mid-run
-//     replaying the certified prefix before tailing live events. A
-//     consumer that falls a full buffer behind is handled by the
-//     configured overflow policy (block briefly then drop, or drop
-//     immediately).
+//     publishing events into a per-run log of at most K + 1 events
+//     (internal/broker) and releasing its worker slot when enumeration
+//     finishes — and every caller is a consumer of that call. A batch
+//     caller (Execute) waits for the settled response; a stream caller
+//     (ExecuteStream) drains the log at its own pace, a follower
+//     arriving mid-run replaying the certified prefix before tailing
+//     live events. Publishing never waits on a consumer, so however far
+//     one falls behind it delays nobody and still receives every event.
 //
 //   - Server: the HTTP JSON front end — batch and NDJSON streaming query
 //     endpoints, runtime relation management, health and stats. See the

@@ -2,10 +2,8 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,9 +24,7 @@ type Config struct {
 	// AdmissionQueue bounds how many queries may wait for a worker slot
 	// at once; past the watermark new arrivals are shed immediately with
 	// api.CodeOverloaded (HTTP 503 + Retry-After) instead of queueing into a
-	// deadline they cannot meet. 0 takes 4×Workers; negative disables the
-	// watermark (queries queue until their own deadline, the legacy
-	// behavior).
+	// deadline they cannot meet. A value ≤ 0 takes 4×Workers.
 	AdmissionQueue int
 	// DefaultTimeout is the per-query deadline applied when the request
 	// carries none (0 = no default deadline).
@@ -44,25 +40,6 @@ type Config struct {
 	// MaxK rejects requests asking for more than this many results
 	// (0 = DefaultMaxK).
 	MaxK int
-	// StreamBuffer is the stream delivery broker's per-subscriber lag
-	// window, in events: how far the engine may run ahead of a stream
-	// consumer before the overflow policy intervenes (0 =
-	// DefaultStreamBuffer).
-	StreamBuffer int
-	// StreamOverflow is the default policy for a stream subscriber that
-	// exhausts its lag window: api.OverflowBlock (the default — the
-	// engine waits up to StreamBlockTimeout, then drops the subscriber)
-	// or api.OverflowDrop (the subscriber is dropped immediately and the
-	// engine never waits). A request may override it per subscriber via
-	// api.Request.Overflow.
-	StreamOverflow string
-	// StreamBlockTimeout is each block-policy subscriber's cumulative
-	// block budget: the total time the engine will ever wait on that
-	// subscriber across its stream before dropping it (0 =
-	// DefaultStreamBlockTimeout). Cumulative, so a consumer that keeps
-	// catching up at the last instant still delays the engine by at
-	// most this much in total.
-	StreamBlockTimeout time.Duration
 	// SlowQueryThreshold, when positive, logs every request whose total
 	// duration reaches it as one SlowQuery JSON line on SlowQueryLog.
 	// The log line carries the same per-phase trace structure a traced
@@ -92,32 +69,14 @@ const DefaultMaxTimeout = time.Minute
 // unset.
 const DefaultCacheSize = 1024
 
-// DefaultStreamBuffer is the broker's per-subscriber lag window when
-// Config.StreamBuffer is unset: the engine may publish this many events
-// beyond what a subscriber has consumed before overflow handling kicks
-// in.
-const DefaultStreamBuffer = 64
-
-// DefaultStreamBlockTimeout is the cumulative per-subscriber block
-// budget when Config.StreamBlockTimeout is unset.
-const DefaultStreamBlockTimeout = time.Second
-
-// DefaultStreamOverflow is the subscriber overflow policy when
-// Config.StreamOverflow is unset: wait briefly, then drop. Blocking
-// first keeps honest-but-momentarily-unscheduled consumers attached even
-// when the engine publishes much faster than any sink can read.
-const DefaultStreamOverflow = api.OverflowBlock
-
-// ParseStreamOverflow reads a -stream-overflow flag value, block or drop
-// in any case. NewExecutor folds anything else to the default, so a
-// binary that wants a typo refused rather than served calls this first.
-func ParseStreamOverflow(s string) (string, error) {
-	switch policy := strings.ToLower(s); policy {
-	case api.OverflowBlock, api.OverflowDrop:
-		return policy, nil
-	}
-	return "", fmt.Errorf("stream overflow policy %q: want %s or %s", s, api.OverflowBlock, api.OverflowDrop)
-}
+// DefaultStreamBuffer and DefaultStreamBlockTimeout configure nothing:
+// vestiges of the removed stream lag window, kept while the benchmark
+// harness still passes them to broker.New, leaving with the ROADMAP item
+// "`bench/` follows the code".
+const (
+	DefaultStreamBuffer       = 64
+	DefaultStreamBlockTimeout = time.Second
+)
 
 // EventSink receives streaming result events in order. A sink returning
 // an error ends that consumer's stream; the executor treats it as the
@@ -152,23 +111,13 @@ type StatsSnapshot struct {
 	// live topic mid-run (replaying the certified prefix, tailing live
 	// events) instead of waiting for the leader to finish.
 	MidRunAttaches int64 `json:"midRunAttaches"`
-	// SlowSubscriberDrops counts stream subscribers disconnected by the
-	// overflow policy for consuming slower than the delivery buffer
-	// allows.
-	SlowSubscriberDrops int64 `json:"slowSubscriberDrops"`
 	// StreamSubscribers is the number of stream subscriptions attached
 	// right now, across every live topic.
 	StreamSubscribers int64 `json:"streamSubscribers"`
-	// StreamPeakLag is the largest subscriber lag (in buffered events)
-	// any publish has ever observed.
-	StreamPeakLag int64 `json:"streamPeakLag"`
-	// StreamBlockedMicros is the cumulative time engine publishes spent
-	// parked on block-policy laggards.
-	StreamBlockedMicros int64 `json:"streamBlockedMicros"`
-	TotalSumDepths      int64 `json:"totalSumDepths"`
-	TotalCombinations   int64 `json:"totalCombinations"`
-	TotalBoundUpdates   int64 `json:"totalBoundUpdates"`
-	TotalEngineMicros   int64 `json:"totalEngineMicros"`
+	TotalSumDepths    int64 `json:"totalSumDepths"`
+	TotalCombinations int64 `json:"totalCombinations"`
+	TotalBoundUpdates int64 `json:"totalBoundUpdates"`
+	TotalEngineMicros int64 `json:"totalEngineMicros"`
 	// RemoteStreamsOpened counts remote shard streams a query actually
 	// pulled from; ShardsPruned counts those whose bound proved the shard
 	// could not contribute, so the coordinator never opened them.
@@ -194,7 +143,7 @@ type Executor struct {
 	flight *flightGroup
 
 	// m is the metric instrument set; bins the broker instruments every
-	// run's topic attaches, so delivery health aggregates across runs.
+	// run's topic attaches, so the subscriber gauge spans runs.
 	m    *metrics
 	bins *broker.Instruments
 	// slowMu serializes slow-query log lines (the sink is shared).
@@ -236,7 +185,7 @@ func NewExecutor(cat *Catalog, cfg Config) *Executor {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.AdmissionQueue == 0 {
+	if cfg.AdmissionQueue <= 0 {
 		cfg.AdmissionQueue = 4 * cfg.Workers
 	}
 	if cfg.CacheSize == 0 {
@@ -248,19 +197,6 @@ func NewExecutor(cat *Catalog, cfg Config) *Executor {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
 	}
-	if cfg.StreamBuffer <= 0 {
-		cfg.StreamBuffer = DefaultStreamBuffer
-	}
-	if cfg.StreamBlockTimeout <= 0 {
-		cfg.StreamBlockTimeout = DefaultStreamBlockTimeout
-	}
-	// Fold the policy to its two legal values once, here, so subPolicy
-	// never has to interpret free-form strings. Case is forgiven ("Drop"
-	// means drop); anything else gets the safe default.
-	var err error
-	if cfg.StreamOverflow, err = ParseStreamOverflow(cfg.StreamOverflow); err != nil {
-		cfg.StreamOverflow = DefaultStreamOverflow
-	}
 	x := &Executor{
 		cat:    cat,
 		cfg:    cfg,
@@ -270,11 +206,6 @@ func NewExecutor(cat *Catalog, cfg Config) *Executor {
 		bins:   &broker.Instruments{},
 	}
 	x.m = newMetrics(obs.NewRegistry(), x)
-	// Histogram hooks before the first topic attaches (Instruments
-	// contract): lag and blocked-wait distributions ride the same
-	// struct the gauges read.
-	x.bins.ObserveLag = x.m.observeLag
-	x.bins.ObserveBlocked = x.m.observeBlocked
 	x.m.registerCatalog(cat)
 	return x
 }
@@ -308,10 +239,7 @@ func (x *Executor) Stats() StatsSnapshot {
 		EngineRuns:          x.engineRuns.Load(),
 		StreamsBrokered:     x.streamsBrokered.Load(),
 		MidRunAttaches:      x.midRunAttaches.Load(),
-		SlowSubscriberDrops: x.bins.DroppedBlock.Load() + x.bins.DroppedDrop.Load(),
 		StreamSubscribers:   x.bins.Subscribers.Load(),
-		StreamPeakLag:       x.bins.PeakLag.Load(),
-		StreamBlockedMicros: x.bins.BlockedNanos.Load() / 1e3,
 		TotalSumDepths:      x.totalSumDepths.Load(),
 		TotalCombinations:   x.totalCombinations.Load(),
 		TotalBoundUpdates:   x.totalBoundUpdates.Load(),
@@ -397,11 +325,8 @@ func (x *Executor) execute(ctx context.Context, req *api.Request, wire func([]by
 // call returns api.CodeCanceled, whichever stage was feeding it.
 //
 // The engine never runs at the sink's pace (see lead): this consumer
-// drains the run's topic at its own, and one that falls a full buffer
-// behind is handled by the overflow policy (Config.StreamOverflow,
-// overridable per request) — blocked-then-dropped or dropped
-// immediately, the drop surfacing as api.CodeOverloaded on that subscriber
-// only.
+// drains the run's topic at its own, and however far it falls behind it
+// delays nobody else and still receives every event.
 func (x *Executor) ExecuteStream(ctx context.Context, req *api.Request, sink EventSink) error {
 	return x.executeStream(ctx, req, sink, nil)
 }
@@ -515,7 +440,7 @@ func (x *Executor) serve(ctx context.Context, req *api.Request, o *queryObs, sin
 			x.midRunAttaches.Add(1)
 			o.cache = api.CacheCoalesced
 			o.phase(api.PhaseFlight)
-			retry, err := x.drainSub(ctx, topic.Subscribe(x.subPolicy(req)), sink, true)
+			retry, err := x.drainSub(ctx, topic.Subscribe(broker.PolicyBlock), sink, true)
 			if retry {
 				// The run failed before this follower saw anything: like a
 				// follower of a settled failure, retry — a leader error may
@@ -568,17 +493,4 @@ func (x *Executor) await(ctx context.Context, c *flightCall) *api.Error {
 		x.canceled.Add(1)
 		return asAPIError(ctx.Err())
 	}
-}
-
-// subPolicy maps the request's overflow choice (or the server default)
-// onto the broker's policy enum.
-func (x *Executor) subPolicy(req *api.Request) broker.Policy {
-	choice := req.Overflow
-	if choice == "" {
-		choice = x.cfg.StreamOverflow
-	}
-	if choice == api.OverflowDrop {
-		return broker.PolicyDrop
-	}
-	return broker.PolicyBlock
 }

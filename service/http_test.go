@@ -194,8 +194,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	// that left the request model — "blockSize" (the engine's block width
 	// is a constant), "dominancePeriod" (the engine has no such test),
 	// "maxBuffered" (the server bounds every buffer to K), "boundPeriod"
-	// (the bound is read on every pull).
-	for _, field := range []string{"kay", "blockSize", "dominancePeriod", "maxBuffered", "boundPeriod"} {
+	// (the bound is read on every pull), "overflow" (a stream reader is
+	// never dropped, so there is no policy to pick).
+	for _, field := range []string{"kay", "blockSize", "dominancePeriod", "maxBuffered", "boundPeriod", "overflow"} {
 		r3, err := http.Post(srv.URL+"/v1/query", "application/json",
 			strings.NewReader(`{"query":[0,0],"relations":["A","B"],"k":1,"`+field+`":2}`))
 		if err != nil {

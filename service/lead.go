@@ -16,8 +16,7 @@ import (
 // publish into the call's topic, cache the response, hand back the slot
 // and the sources the moment enumeration finishes, then settle the
 // flight and close the topic. A streaming leader gets its own
-// subscription, attached before the first publish so its lag window
-// covers the whole run; a batch leader waits on the call like a follower.
+// subscription; a batch leader waits on the call like a follower.
 //
 // A shared run (c.key set) is detached from its leader's cancellation:
 // a leader whose client goes away must not abort work that followers
@@ -51,11 +50,12 @@ func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Ve
 	}
 
 	x.engineRuns.Add(1)
-	topic := broker.New[api.ResultEvent](x.cfg.StreamBuffer, x.cfg.StreamBlockTimeout)
+	// The log's room is the run's whole output: K results and a summary.
+	topic := broker.New[api.ResultEvent](opts.K+1, 0)
 	topic.Attach(x.bins)
 	if stream {
 		x.streamsBrokered.Add(1)
-		sub = topic.Subscribe(x.subPolicy(req))
+		sub = topic.Subscribe(broker.PolicyBlock)
 	}
 	// Published before the engine starts: from here on stream followers
 	// attach mid-run.
@@ -109,14 +109,13 @@ func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Ve
 
 // publishRun drives the engine to completion at engine speed, publishing
 // every certified result (and the DNF best-effort tail, matching the
-// batch contract) plus the trailing summary into the topic. Overflowing
-// subscribers are dropped by the topic per their policy; the run itself
-// never waits on a consumer beyond that consumer's cumulative block
-// budget. An engine failure comes back raw — the caller decides how to
-// classify and count it. Each result event points at its element of the
-// response's Results, so a combination is converted to wire form once;
-// the slice is allocated at its K ceiling and must never grow, which
-// would strand the published pointers on the old backing array.
+// batch contract) plus the trailing summary into the topic, which never
+// waits on a consumer. An engine failure comes back raw — the caller
+// decides how to classify and count it. Each result event points at its
+// element of the response's Results, so a combination is converted to
+// wire form once; the slice is allocated at its K ceiling and must never
+// grow, which would strand the published pointers on the old backing
+// array.
 func (x *Executor) publishRun(ctx context.Context, q *proxrank.Query, opts proxrank.Options, entries []*Entry, missing func() []api.MissingShard, topic *broker.Topic[api.ResultEvent]) (*api.Response, error) {
 	results := make([]api.Combination, 0, opts.K)
 	gap := x.m.newGapObserver(opts.Algorithm)
@@ -171,8 +170,7 @@ func (x *Executor) delivered(err error) error {
 // failed before this consumer delivered anything — a follower's cue to
 // retry the flight instead of inheriting the leader's failure.
 func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent], sink EventSink, markCached bool) (retry bool, _ error) {
-	// Detach on every exit so an abandoned subscription never constrains
-	// the engine.
+	// Detach on every exit: the subscriber gauge counts live consumers.
 	defer sub.Cancel()
 	for delivered := 0; ; delivered++ {
 		ev, err := sub.Next(ctx)
@@ -188,8 +186,6 @@ func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent
 			}
 		case errors.Is(err, broker.ErrDone):
 			return false, nil
-		case errors.Is(err, broker.ErrSlowSubscriber):
-			return false, api.Errorf(api.CodeOverloaded, "stream consumer too slow: fell more than %d events behind the engine", x.cfg.StreamBuffer)
 		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 			x.canceled.Add(1)
 			return false, asAPIError(err)

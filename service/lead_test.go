@@ -215,17 +215,13 @@ dripping:
 func TestBrokeredNoCacheStream(t *testing.T) {
 	t.Run("stalled sink frees the slot", func(t *testing.T) {
 		cat, names := testSetup(t, 2, 24, 2)
-		x := NewExecutor(cat, Config{Workers: 1, CacheSize: 16, StreamBuffer: 4, StreamOverflow: api.OverflowDrop})
+		x := NewExecutor(cat, Config{Workers: 1, CacheSize: 16})
 		req := baseRequestNoCache(names)
 		req.K = 8
 		stalled := newStallSink()
 		done := make(chan error, 1)
 		go func() { done <- x.ExecuteStream(context.Background(), req, stalled.sink) }()
-		select {
-		case <-stalled.entered: // parked on its first event
-		case err := <-done: // or already dropped by overflow
-			done <- err
-		}
+		<-stalled.entered // parked on its first event
 		other := baseRequest(names)
 		other.K = 2
 		other.TimeoutMillis = 5000
@@ -369,10 +365,10 @@ func TestStatsSettledWhenExecuteReturns(t *testing.T) {
 
 // TestNoGoroutineLeakAfterMixedTraffic: every run owns one goroutine and
 // every exit path ends it — batch, stream, private, abandoned by a
-// cancelled caller, or dropped by the overflow policy.
+// cancelled caller, or read to the end by a slow sink.
 func TestNoGoroutineLeakAfterMixedTraffic(t *testing.T) {
 	cat, names := testSetup(t, 2, 40, 2)
-	x := NewExecutor(cat, Config{Workers: 4, CacheSize: 8, StreamBuffer: 2, StreamOverflow: api.OverflowDrop})
+	x := NewExecutor(cat, Config{Workers: 4, CacheSize: 8})
 	discard := func(api.ResultEvent) error { return nil }
 	baseline := runtime.NumGoroutine()
 
@@ -396,7 +392,7 @@ func TestNoGoroutineLeakAfterMixedTraffic(t *testing.T) {
 				cancel()
 				_, _ = x.Execute(ctx, req)
 			case 4:
-				// A sink slower than a 2-event window: dropped mid-run.
+				// A sink slower than the engine: it reads the whole run.
 				_ = x.ExecuteStream(context.Background(), req, func(api.ResultEvent) error {
 					time.Sleep(2 * time.Millisecond)
 					return nil

@@ -41,8 +41,8 @@ func (s spillWatch) Next() (proxrank.Tuple, error) {
 // consumer, so even a "spill" request against a server with a spill
 // directory and a 64-byte watermark creates nothing there: not while it
 // runs, not when its slot comes back. For a batch caller that is the
-// moment Execute returns; a stream caller that walked away or was dropped
-// can return before its run notices, so those cases wait for the slot.
+// moment Execute returns; a stream caller that walked away can return
+// before its run notices, so that case waits for the slot.
 // Segment cleanup at Close is core's TestSpillClosedSessionsLeaveNothing.
 func TestSessionEndLeavesNoSegments(t *testing.T) {
 	cat := NewCatalog()
@@ -83,22 +83,6 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 			want: api.CodeCanceled,
 		},
 		{
-			name: "dropped slow subscriber", req: func() *api.Request { r := request(8); r.Overflow = api.OverflowDrop; return r }(),
-			call: func(ctx context.Context, x *Executor, req *api.Request, idle func()) error {
-				// The sink sits on the first event until the run is over:
-				// the engine drops it and finishes without it.
-				stalled := false
-				return x.ExecuteStream(ctx, req, func(api.ResultEvent) error {
-					if !stalled {
-						stalled = true
-						idle()
-					}
-					return nil
-				})
-			},
-			want: api.CodeOverloaded,
-		},
-		{
 			name: "engine panic", req: request(3),
 			then: func(context.CancelFunc) { panic("source exploded") },
 			want: api.CodeInternal,
@@ -106,7 +90,7 @@ func TestSessionEndLeavesNoSegments(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "spill")
-			x := NewExecutor(cat, Config{Workers: 2, CacheSize: -1, SpillDir: dir, SpillMemBytes: 64, StreamBuffer: 1})
+			x := NewExecutor(cat, Config{Workers: 2, CacheSize: -1, SpillDir: dir, SpillMemBytes: 64})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var pulls atomic.Int64

@@ -49,10 +49,6 @@ type metrics struct {
 	// sumDepths/pruneRatio: per-run engine cost distributions.
 	sumDepths  *obs.Histogram
 	pruneRatio *obs.Histogram
-	// streamLag/streamBlocked: broker send pacing — max subscriber lag
-	// per publish, and each blocked-publish wait.
-	streamLag     *obs.Histogram
-	streamBlocked *obs.Histogram
 	// indexBuild: catalog registration index-build wall time.
 	indexBuild *obs.Histogram
 }
@@ -85,12 +81,6 @@ func newMetrics(reg *obs.Registry, x *Executor) *metrics {
 	m.pruneRatio = reg.Histogram("proxrank_engine_prune_ratio",
 		"Fraction of formed combinations cut by score-floor pruning, per engine run.",
 		ratioBuckets)
-	m.streamLag = reg.Histogram("proxrank_stream_lag_events",
-		"Maximum subscriber lag (events) observed at each publish.",
-		obs.ExpBuckets(1, 2, 10))
-	m.streamBlocked = reg.Histogram("proxrank_stream_blocked_seconds",
-		"Engine publish waits on block-policy stream laggards.",
-		obs.ExpBuckets(1e-4, 4, 10))
 	m.indexBuild = reg.Histogram("proxrank_catalog_index_build_seconds",
 		"Partitioning plus index-build wall time per relation registration.",
 		obs.ExpBuckets(1e-4, 4, 12))
@@ -137,19 +127,9 @@ func newMetrics(reg *obs.Registry, x *Executor) *metrics {
 		"Resident set size of this process (0 where /proc is unavailable). With mmap-backed relations this stays flat however large the catalog's files are.",
 		func() float64 { return float64(residentBytes()) })
 
-	// Broker delivery: the same Instruments the stats snapshot reads.
-	ins := x.bins
+	// Broker delivery: the same gauge the stats snapshot reads.
 	reg.GaugeFunc("proxrank_stream_subscribers", "Currently attached stream subscribers.",
-		func() float64 { return float64(ins.Subscribers.Load()) })
-	reg.GaugeFunc("proxrank_stream_peak_lag", "Largest subscriber lag (events) ever observed.",
-		func() float64 { return float64(ins.PeakLag.Load()) })
-	reg.CounterFunc("proxrank_stream_blocked_seconds_total",
-		"Cumulative engine publish time spent parked on block-policy laggards.",
-		func() float64 { return float64(ins.BlockedNanos.Load()) / 1e9 })
-	dropped := reg.CounterFuncVec("proxrank_stream_dropped_total",
-		"Stream subscribers disconnected by the overflow policy.", "policy")
-	dropped.Bind(func() float64 { return float64(ins.DroppedBlock.Load()) }, "block")
-	dropped.Bind(func() float64 { return float64(ins.DroppedDrop.Load()) }, "drop")
+		func() float64 { return float64(x.bins.Subscribers.Load()) })
 
 	return m
 }
@@ -211,11 +191,8 @@ func (m *metrics) registerFleet(fleet *shardrpc.Fleet) {
 	}
 }
 
-// observeLag and observeBlocked are the broker's histogram hooks;
 // observePull is the traced-run engine hook.
-func (m *metrics) observeLag(lag int)             { m.streamLag.Observe(float64(lag)) }
-func (m *metrics) observeBlocked(d time.Duration) { m.streamBlocked.ObserveDuration(d.Seconds()) }
-func (m *metrics) observePull(d time.Duration)    { m.pull.ObserveDuration(d.Seconds()) }
+func (m *metrics) observePull(d time.Duration) { m.pull.ObserveDuration(d.Seconds()) }
 
 // newGapObserver returns a closure one streamed run calls per emitted
 // result; from the second call on it observes the delay since the

@@ -192,10 +192,7 @@ var statsFamilies = map[string]struct {
 	"EngineRuns":          {"proxrank_engine_runs_total", 1},
 	"StreamsBrokered":     {"proxrank_streams_brokered_total", 1},
 	"MidRunAttaches":      {"proxrank_stream_midrun_attaches_total", 1},
-	"SlowSubscriberDrops": {"proxrank_stream_dropped_total", 1},
 	"StreamSubscribers":   {"proxrank_stream_subscribers", 1},
-	"StreamPeakLag":       {"proxrank_stream_peak_lag", 1},
-	"StreamBlockedMicros": {"proxrank_stream_blocked_seconds_total", 1e6},
 	"TotalSumDepths":      {"proxrank_engine_sum_depths_total", 1},
 	"TotalCombinations":   {"proxrank_engine_combinations_total", 1},
 	"TotalBoundUpdates":   {"proxrank_engine_bound_updates_total", 1},
@@ -207,7 +204,8 @@ var statsFamilies = map[string]struct {
 
 // TestStatsAndMetricsAgree asserts /metrics serves every field of the
 // in-process snapshot: after a workload, Executor.Stats and GET /metrics
-// report identical numbers, and a field without a family fails.
+// report identical numbers for all 25 fields, and a field without a
+// family, or a family without a field, fails.
 func TestStatsAndMetricsAgree(t *testing.T) {
 	srv, names, exec := testServer(t)
 	for i := 0; i < 3; i++ {
@@ -228,6 +226,9 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	st := exec.Stats()
 	body := scrape(t, srv.URL)
 	v := reflect.ValueOf(st)
+	if v.NumField() != 25 || len(statsFamilies) != 25 {
+		t.Errorf("StatsSnapshot has %d fields and statsFamilies %d entries, want 25 each", v.NumField(), len(statsFamilies))
+	}
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
 		m, ok := statsFamilies[name]
