@@ -211,10 +211,11 @@ func sortedSources(dst []Source, shards []shard, q vec.Vector, metric vec.Metric
 
 // autoShardTarget is the tuples-per-shard the admission heuristic aims
 // for: small enough that a shard's R-tree builds in milliseconds (measured
-// on the proxserve benchmark: ≈ 5 ms of bulk load for a 7 500-tuple dim-8
-// shard, 7–9 ms for the first distance read of a relfile shard, page
-// faults included) and bounding metadata stays selective, large enough
-// that the k-way merge over shard heads stays shallow.
+// on a 2-CPU container: ≈ 3 ms of bulk load for a 7 500-tuple dim-8
+// shard, and on the proxserve benchmark 2.2–3.8 ms for the first distance
+// read of such a relfile shard, page faults included) and bounding
+// metadata stays selective, large enough that the k-way merge over shard
+// heads stays shallow.
 const autoShardTarget = 8192
 
 // AutoShardCount picks a shard count from a relation's size: one shard

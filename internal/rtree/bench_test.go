@@ -33,23 +33,47 @@ func BenchmarkKNearest10(b *testing.B) {
 	}
 }
 
-// A small planar set, then the two operating points of the proxserve
-// benchmark: a 20 000-tuple dim-4 relation (single_engine, coord3_wire)
-// and a 7 500-tuple dim-8 relfile shard (relfile_spill).
+// A small planar set, then the shapes the proxserve benchmark serves
+// distance reads from: the 20 000-tuple dim-4 relation of single_engine
+// and coord3_wire, and a 7 500-tuple dim-8 relfile shard (relfile_spill).
 var benchShapes = []struct {
 	name string
 	n, d int
 }{{"10000x2", 10_000, 2}, {"20000x4", 20_000, 4}, {"7500x8", 7_500, 8}}
 
+// BenchmarkBulkLoad builds benchShapes and the trees the benchmark's
+// set-up actually builds from its 20 000 × dim 4 relation: catalog
+// admission's 3 shards of ≈ 6 667 (AutoShardCount) and coord3_wire's 12
+// grid shards of ≈ 1 667 on the shard servers. Two shapes keep the
+// selection's worst cases visible: every point equal (the tiling order is
+// the ids alone) and points sorted on every axis.
 func BenchmarkBulkLoad(b *testing.B) {
+	type shape struct {
+		name string
+		pts  []vec.Vector
+	}
+	var shapes []shape
 	for _, s := range benchShapes {
+		shapes = append(shapes, shape{s.name, benchPoints(s.n, s.d)})
+	}
+	equal, presorted := make([]vec.Vector, 20_000), make([]vec.Vector, 20_000)
+	for i := range equal {
+		equal[i] = vec.Of(1, 2, 3, 4)
+		presorted[i] = vec.Of(float64(i), float64(i), float64(i), float64(i))
+	}
+	shapes = append(shapes,
+		shape{"6667x4", benchPoints(6_667, 4)},
+		shape{"1667x4", benchPoints(1_667, 4)},
+		shape{"20000x4-equal", equal},
+		shape{"20000x4-presorted", presorted})
+	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {
-			pts := benchPoints(s.n, s.d)
-			vals := make([]int, len(pts))
+			d := s.pts[0].Dim()
+			vals := make([]int, len(s.pts))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BulkLoad(s.d, pts, vals)
+				BulkLoad(d, s.pts, vals)
 			}
 		})
 	}

@@ -219,9 +219,15 @@ func pushFixture() (*Tree[int], []vec.Vector) {
 	return uniformFixture(20000, 4, 20000)
 }
 
-// uniformFixture is n points and 20 queries drawn uniformly from the unit
-// cube of dimension d with the given seed.
+// uniformFixture is a tree over n points and 20 queries drawn uniformly
+// from the unit cube of dimension d with the given seed.
 func uniformFixture(n, d int, seed int64) (*Tree[int], []vec.Vector) {
+	pts, queries := uniformPoints(n, d, seed)
+	return BulkLoad(d, pts, make([]int, len(pts))), queries
+}
+
+// uniformPoints is uniformFixture's n points and 20 queries.
+func uniformPoints(n, d int, seed int64) (pts, queries []vec.Vector) {
 	r := rand.New(rand.NewSource(seed))
 	draw := func() vec.Vector {
 		p := vec.New(d)
@@ -230,15 +236,15 @@ func uniformFixture(n, d int, seed int64) (*Tree[int], []vec.Vector) {
 		}
 		return p
 	}
-	pts := make([]vec.Vector, n)
+	pts = make([]vec.Vector, n)
 	for i := range pts {
 		pts[i] = draw()
 	}
-	queries := make([]vec.Vector, 20)
+	queries = make([]vec.Vector, 20)
 	for i := range queries {
 		queries[i] = draw()
 	}
-	return BulkLoad(d, pts, make([]int, len(pts))), queries
+	return pts, queries
 }
 
 // prefixPushes returns the heap pushes and leaf opens that k-neighbour

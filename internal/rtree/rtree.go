@@ -15,6 +15,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/vec"
@@ -55,6 +56,15 @@ func (t *Tree[T]) Dim() int { return t.dim }
 // have dim coordinates. The points are copied once, into leaf order; the
 // tree keeps no reference to pts.
 func BulkLoad[T any](dim int, pts []vec.Vector, values []T) *Tree[T] {
+	return bulkLoad(dim, pts, values, strTile)
+}
+
+// tiler orders run's ids 0..len(run)-1 into Sort-Tile-Recursive order under
+// keys. BulkLoad uses strTile; bulkLoad takes the tiler as a parameter so a
+// test can build through a reference one.
+type tiler func(run []keyed, keys tileKeys)
+
+func bulkLoad[T any](dim int, pts []vec.Vector, values []T, tile tiler) *Tree[T] {
 	if dim <= 0 {
 		panic("rtree: dimension must be positive")
 	}
@@ -75,15 +85,14 @@ func BulkLoad[T any](dim int, pts []vec.Vector, values []T) *Tree[T] {
 		return t
 	}
 
-	order := make([]int32, n)
-	col := make([]float64, n)
-	strTile(order, dim, col, func(i int32, axis int) float64 { return pts[i][axis] })
+	order := make([]keyed, n)
+	tile(order, tileKeys{dim: dim, pts: pts})
 
 	t.pts = make([]float64, n*dim)
 	t.vals = make([]T, n)
-	for e, i := range order {
-		copy(t.pts[e*dim:], pts[i])
-		t.vals[e] = values[i]
+	for e, o := range order {
+		copy(t.pts[e*dim:], pts[o.id])
+		t.vals[e] = values[o.id]
 	}
 	t.leaves = nodesFor(n)
 	// level holds one box (lo then hi) per node of the level being packed.
@@ -105,13 +114,11 @@ func BulkLoad[T any](dim int, pts []vec.Vector, values []T) *Tree[T] {
 		// Tile this level's nodes by box midpoint, then cut the order into
 		// parents; each parent's entries land contiguously in the slabs.
 		order = order[:count]
-		strTile(order, dim, col, func(k int32, axis int) float64 {
-			box := level[int(k)*2*dim:]
-			return (box[axis] + box[dim+axis]) / 2
-		})
+		tile(order, tileKeys{dim: dim, boxes: level})
 		parents := nodesFor(count)
 		next := emptyBoxes(parents, dim)
-		for i, k := range order {
+		for i, o := range order {
+			k := o.id
 			box := level[int(k)*2*dim:][:2*dim]
 			t.boxes = append(t.boxes, box...)
 			t.child = append(t.child, int32(base)+k)
@@ -149,42 +156,129 @@ func extend(box, lo, hi []float64) {
 	}
 }
 
-// strTile fills ids with 0..len(ids)-1 in Sort-Tile-Recursive order under
-// key: sort on the first axis, cut the order into slabs, recurse on the
-// next axis inside each slab. A slab is a whole number of nodes, so when
-// the caller cuts the final order into consecutive runs of nodeCap no node
-// straddles two tiles. col is scratch indexed by id; the sort reads keys
-// from it rather than through key, which is called once per id and axis.
-// Equal keys order by id, which makes the comparison a total order: the
-// result depends on the input alone, not on the sort algorithm, and the
-// unstable sort is free to be the fast one.
-func strTile(ids []int32, dim int, col []float64, key func(id int32, axis int) float64) {
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	strTileAxis(ids, 0, dim, col, key)
+// tileKeys is what a tiler reads keys from: a point's coordinates at the
+// leaf level, a node box's midpoint at every level above. It is a value
+// holding no closure, so handing it to a tiler allocates nothing.
+type tileKeys struct {
+	dim   int
+	pts   []vec.Vector // the points, when tiling leaves
+	boxes []float64    // else the level's node boxes, lo then hi
 }
 
-func strTileAxis(ids []int32, axis, dim int, col []float64, key func(id int32, axis int) float64) {
-	if len(ids) <= nodeCap || axis >= dim {
-		return
+// key returns entry id's key on axis.
+func (k tileKeys) key(id int32, axis int) float64 {
+	if k.pts != nil {
+		return k.pts[id][axis]
 	}
-	for _, id := range ids {
-		col[id] = key(id, axis)
-	}
-	slices.SortFunc(ids, func(a, b int32) int {
-		switch x, y := col[a], col[b]; {
-		case x < y:
+	box := k.boxes[int(id)*2*k.dim:]
+	return (box[axis] + box[k.dim+axis]) / 2
+}
+
+// keyed is one entry of the tiling scratch: an entry id and its key on the
+// axis being tiled.
+type keyed struct {
+	key float64
+	id  int32
+}
+
+// before orders entries by key, equal keys by id. Ids are distinct, so on
+// keys that are not NaN this is a total order: a tiling under it depends on
+// the input alone, not on how the entries were selected or sorted.
+func (a keyed) before(b keyed) bool { return a.key < b.key || a.key == b.key && a.id < b.id }
+
+// sortKeyed sorts run into the tiling order.
+func sortKeyed(run []keyed) {
+	slices.SortFunc(run, func(a, b keyed) int {
+		switch {
+		case a.before(b):
 			return -1
-		case x > y:
+		case b.before(a):
 			return 1
 		}
-		return int(a - b)
+		return 0
 	})
-	nodes := nodesFor(len(ids))
+}
+
+// strTile orders run's ids 0..len(run)-1 in Sort-Tile-Recursive order under
+// keys: cut the entries into slabs on the first axis, then recurse on the
+// next axis inside each slab. A slab is a whole number of nodes, so when
+// the caller cuts the final order into consecutive runs of nodeCap no node
+// straddles two tiles. Only a run that no later axis re-tiles is sorted —
+// one of at most nodeCap entries, or one on the last axis — and its order
+// is the node's entry order; every other run is cut by selection, which
+// yields the same slabs a sort would because before is a total order. A key
+// is read once per id and tiled axis.
+func strTile(run []keyed, keys tileKeys) {
+	for i := range run {
+		run[i].id = int32(i)
+	}
+	if len(run) > nodeCap {
+		strTileAxis(run, 0, keys)
+	}
+}
+
+// strTileAxis tiles a run of more than nodeCap entries from axis on.
+func strTileAxis(run []keyed, axis int, keys tileKeys) {
+	for i := range run {
+		run[i].key = keys.key(run[i].id, axis)
+	}
+	dim := keys.dim
+	if axis == dim-1 {
+		sortKeyed(run)
+		return
+	}
+	nodes := nodesFor(len(run))
 	slabs := int(math.Ceil(math.Pow(float64(nodes), 1/float64(dim-axis))))
 	size := (nodes + slabs - 1) / slabs * nodeCap
-	for start := 0; start < len(ids); start += size {
-		strTileAxis(ids[start:min(start+size, len(ids))], axis+1, dim, col, key)
+	cutSlabs(run, 0, size, 2*bits.Len(uint(len(run))))
+	for start := 0; start < len(run); start += size {
+		if slab := run[start:min(start+size, len(run))]; len(slab) <= nodeCap {
+			sortKeyed(slab)
+		} else {
+			strTileAxis(slab, axis+1, keys)
+		}
+	}
+}
+
+// cutSlabs reorders run, which starts at position off of its axis's run,
+// so that every position that is a multiple of size divides smaller
+// entries from larger ones: each slab then holds exactly the entries a
+// sort would put there, in no particular order. Each round is one Hoare
+// partition around the entry at the cut nearest the middle (Hoare's FIND
+// pivot), after which only the sides with a cut still inside them go on:
+// O(n log s) for s slabs, not a sort's O(n log n). rounds is the
+// partition depth left, as in introsort; a range that runs out of it is
+// sorted instead, so no input costs more than O(n log n).
+func cutSlabs(run []keyed, off, size, rounds int) {
+	for {
+		first := (off/size + 1) * size             // first cut past run's head
+		last := (off + len(run) - 1) / size * size // last cut before its end
+		if first > last {
+			return
+		}
+		if rounds == 0 {
+			sortKeyed(run)
+			return
+		}
+		rounds--
+		k := (off + len(run)/2 + size/2) / size * size
+		pivot := run[min(max(k, first), last)-off]
+		i, j := 0, len(run)-1
+		for i <= j {
+			for run[i].before(pivot) {
+				i++
+			}
+			for pivot.before(run[j]) {
+				j--
+			}
+			if i <= j {
+				run[i], run[j] = run[j], run[i]
+				i++
+				j--
+			}
+		}
+		// run[:j+1] holds no entry after the pivot and run[i:] none before it.
+		cutSlabs(run[:j+1], off, size, rounds)
+		run, off = run[i:], off+i
 	}
 }
