@@ -288,38 +288,16 @@ var pinnedTranscripts = []uint64{
 	0xd46e63a411c2271e, // n=4 score TBRR eager=true
 	0xa3214150faabc913, // n=4 score TBPA eager=false
 	0xa3214150faabc913, // n=4 score TBPA eager=true
-	0xba74f22d9fbc2e53, // cosine n=3 distance CBRR(HRJN) eager=false
-	0xba74f22d9fbc2e53, // cosine n=3 distance CBRR(HRJN) eager=true
-	0xb43a0e5be6636f9e, // cosine n=3 distance CBPA(HRJN*) eager=false
-	0xb43a0e5be6636f9e, // cosine n=3 distance CBPA(HRJN*) eager=true
-	0xba74f22d9fbc2e53, // cosine n=3 distance TBRR eager=false
-	0xba74f22d9fbc2e53, // cosine n=3 distance TBRR eager=true
-	0xb43a0e5be6636f9e, // cosine n=3 distance TBPA eager=false
-	0xb43a0e5be6636f9e, // cosine n=3 distance TBPA eager=true
-	0xa35bcd7b86a529cf, // cosine n=3 score CBRR(HRJN) eager=false
-	0xa35bcd7b86a529cf, // cosine n=3 score CBRR(HRJN) eager=true
-	0x765f585583f8d905, // cosine n=3 score CBPA(HRJN*) eager=false
-	0x765f585583f8d905, // cosine n=3 score CBPA(HRJN*) eager=true
-	0xa35bcd7b86a529cf, // cosine n=3 score TBRR eager=false
-	0xa35bcd7b86a529cf, // cosine n=3 score TBRR eager=true
-	0x765f585583f8d905, // cosine n=3 score TBPA eager=false
-	0x765f585583f8d905, // cosine n=3 score TBPA eager=true
 }
 
 // TestPullTranscriptPinned holds Engine.Run's whole pull sequence to the
-// recorded digests, row for row: fixedInstance at n ∈ {2, 3, 4} and one
-// CosineProximity instance, both access kinds, all four algorithms, the
+// recorded digests, row for row: fixedInstance at n ∈ {2, 3, 4}, both
+// access kinds, all four algorithms, the
 // lazy schedule and Algorithm 2. Each digest covers every pull, every
 // threshold's bits, each result's score bits and ranks, and the final
 // threshold and DNF flag, so a rewrite of a bound or a pull strategy that
 // moves any of them, even by one ulp, fails here.
 func TestPullTranscriptPinned(t *testing.T) {
-	cos, err := agg.NewCosineProximity(agg.Weights{Ws: 1, Wq: 0.5, Wmu: 0.25}, agg.LogScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cosIn := fixedInstance(rand.New(rand.NewSource(1605)), 3, 30, 3, 8)
-	cosIn.fn = cos
 	insts := []struct {
 		name string
 		in   instance
@@ -327,7 +305,6 @@ func TestPullTranscriptPinned(t *testing.T) {
 		{"n=2", fixedInstance(rand.New(rand.NewSource(1602)), 2, 400, 3, 8)},
 		{"n=3", fixedInstance(rand.New(rand.NewSource(1603)), 3, 40, 3, 8)},
 		{"n=4", fixedInstance(rand.New(rand.NewSource(1604)), 4, 14, 3, 8)},
-		{"cosine n=3", cosIn},
 	}
 	var got []uint64
 	var rows []string

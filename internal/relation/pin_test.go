@@ -30,18 +30,18 @@ type pin struct{ shards, merged, bounds, relfile string }
 // bytes do. Regenerate an entry from the failure message, and only for a
 // change that means to alter what it pins.
 var pinned = map[string]pin{
-	"tied/hash/1": {"8f0845272d3635a675cc5cdaa98d3b758cfc941e8c06517532928b2f6479f97c", "9424f88a15af9bbb0eea8966a66001a09205c1bb298247ce57b6b1bb2e7ad19b", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
-	"tied/hash/5": {"5b612c94bc4c265eab1045859bc8d32f7805059d972e02768791231eb09a8fef", "955bfebfa373a25d583442ae8423576a72f4dd08273f18d24fd6364cfd3ab8db", "87ed14acb7a8a17e2fb277a434257531e74f11b01077eb96f8c9f519c4fdd062", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
-	"tied/grid/1": {"8f0845272d3635a675cc5cdaa98d3b758cfc941e8c06517532928b2f6479f97c", "9424f88a15af9bbb0eea8966a66001a09205c1bb298247ce57b6b1bb2e7ad19b", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
-	"tied/grid/5": {"87706c6a3af8f3bc750d887ed39c4e631ef83fc5d3b16e16de60b340c55958d2", "955bfebfa373a25d583442ae8423576a72f4dd08273f18d24fd6364cfd3ab8db", "33fd4524175783679a205fe2661977b2af4adcf9e7353a96190994d318dad6b8", "0091cf3de65819453348f49089ad9cb3cb0e9cf735d211bea0a603320063468d"},
-	"dim8/hash/1": {"6086dc15b5aec5623727e8320cf5a4f29a87cc1655bef4e65f7de2949ad82db2", "8162a085bfffb416959011481587ea8575f983872ff0187e73b0f61a56a514e7", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
-	"dim8/hash/5": {"f3b5254cf4654e3e462dbe00e4a0885c7e8ed292e63432a3dbbeccb3d496d338", "34e4ed2c0ff430906359123d308904b824701d879c670a910d2f50d809914ff1", "14237cd990803eba67a9652eec7bb89b96a39c6f08843db8350d0372a318c14c", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
-	"dim8/grid/1": {"6086dc15b5aec5623727e8320cf5a4f29a87cc1655bef4e65f7de2949ad82db2", "8162a085bfffb416959011481587ea8575f983872ff0187e73b0f61a56a514e7", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
-	"dim8/grid/5": {"b39b1d0af1fa5649ab56b21d8fb63a88cae0232e1ce20ac6c461992baa86b440", "34e4ed2c0ff430906359123d308904b824701d879c670a910d2f50d809914ff1", "35a51167050f4ae06291c5dfb22e84bd28e20c9f62a0561575d27878ad9f90e7", "33b344f89a1887b02352189bc9cb1fdbd6ebf8fd952632761f9b891a6024a4c4"},
+	"tied/hash/1": {"089a97fef05a5664e457b11358fd80aaf20a26cfe1e3e639e3116867331a7fd7", "f81686c6af09ff82f1a1d24cb328cc747afc68dd0ffb33052c71afe5ed92bff9", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
+	"tied/hash/5": {"6fa46b3fb22748804b132cc7043cdda217dd2691b2f9b7f03a76527e21efa621", "160d9f12e5bf7394b1290338800c9ac0ca5070b12852e3f2096f7b880018c89a", "87ed14acb7a8a17e2fb277a434257531e74f11b01077eb96f8c9f519c4fdd062", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
+	"tied/grid/1": {"089a97fef05a5664e457b11358fd80aaf20a26cfe1e3e639e3116867331a7fd7", "f81686c6af09ff82f1a1d24cb328cc747afc68dd0ffb33052c71afe5ed92bff9", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
+	"tied/grid/5": {"543fc49e05abc5888b87805b3c8a052190908f6e491308498e4853b13b37fcff", "160d9f12e5bf7394b1290338800c9ac0ca5070b12852e3f2096f7b880018c89a", "33fd4524175783679a205fe2661977b2af4adcf9e7353a96190994d318dad6b8", "0091cf3de65819453348f49089ad9cb3cb0e9cf735d211bea0a603320063468d"},
+	"dim8/hash/1": {"8c7bec1d0d1ef343669ddd7f1203cd6af6efa2edc99948a0268cb6d78328d675", "ff33f6428e588820f8575a4694b381d352dde0889ca84a42e49a1d052caceff5", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
+	"dim8/hash/5": {"f620fbd682f1ea2f1b145d8cc662c8db7160203633f9e2746b8de2dfde6f2865", "b28cb83a76793e269e0e4ad783728ffb6c04663e130a7eab95aa5345c7e2bb37", "14237cd990803eba67a9652eec7bb89b96a39c6f08843db8350d0372a318c14c", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
+	"dim8/grid/1": {"8c7bec1d0d1ef343669ddd7f1203cd6af6efa2edc99948a0268cb6d78328d675", "ff33f6428e588820f8575a4694b381d352dde0889ca84a42e49a1d052caceff5", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
+	"dim8/grid/5": {"b6520d7e360d2211230df2f1110db007676b78355040f92dc8fea6ef6dc8d62b", "b28cb83a76793e269e0e4ad783728ffb6c04663e130a7eab95aa5345c7e2bb37", "35a51167050f4ae06291c5dfb22e84bd28e20c9f62a0561575d27878ad9f90e7", "33b344f89a1887b02352189bc9cb1fdbd6ebf8fd952632761f9b891a6024a4c4"},
 }
 
 // transcribe writes every stream s serves — score access, then per query
-// R-tree, sorted and sorted-cosine distance access — as one line per
+// R-tree and sorted distance access — as one line per
 // pulled tuple: ID, merge-key bits and parent ordinal (zeroes where a
 // k-way merge does not report them). Each shard's stream goes into
 // shardH, the merged one into mergedH.
@@ -102,7 +102,6 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 	for i, q := range queries {
 		stream(fmt.Sprintf("q%d rtree", i), relation.DistanceAccess, q, nil, true)
 		stream(fmt.Sprintf("q%d sorted", i), relation.DistanceAccess, q, nil, false)
-		stream(fmt.Sprintf("q%d sorted-cosine", i), relation.DistanceAccess, q, vec.CosineDistance{}, false)
 	}
 }
 
