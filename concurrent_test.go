@@ -47,11 +47,11 @@ func TestStreamFromSourcesKindValidation(t *testing.T) {
 	}
 }
 
-// mustOpen opens in's stream through OpenSource (Euclidean metric),
-// failing the test on error.
+// mustOpen opens in's stream through OpenSource, failing the test on
+// error.
 func mustOpen(t testing.TB, in proxrank.Input, access proxrank.AccessKind, q proxrank.Vector) proxrank.Source {
 	t.Helper()
-	s, err := proxrank.OpenSource(in, access, q, nil)
+	s, err := proxrank.OpenSource(in, access, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestConcurrentSharedIndexQueries(t *testing.T) {
 	open := func(access proxrank.AccessKind) ([]proxrank.Source, error) {
 		sources := make([]proxrank.Source, len(indexes))
 		for i, ix := range indexes {
-			s, err := proxrank.OpenSource(ix, access, q, nil)
+			s, err := proxrank.OpenSource(ix, access, q)
 			if err != nil {
 				return nil, err
 			}

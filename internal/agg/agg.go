@@ -10,12 +10,14 @@
 // arithmetic mean, which is the arg-min of the summed squared Euclidean
 // distances used by the quadratic form.
 //
-// Function is the whole contract an aggregation meets — both reference
-// aggregations implement all of it, and the engine asserts nothing
-// further. The corner bounding scheme works for any Function: its caps are
-// SoloBound at a corner, summed. The tight bounding scheme additionally
-// requires the Quadratic interface, which exposes the weights of the
-// closed-form geometry.
+// Function is the whole contract an aggregation meets, and EuclideanSum
+// is the one aggregation. The corner bounding scheme reads it through
+// SoloBound (its caps are SoloBound at a corner, summed); the tight
+// bounding scheme reads the weights and the score transform, which fix
+// the closed-form geometry of ray reduction and the 1-D QP. Proximity by
+// direction alone needs no second aggregation: between unit vectors
+// ‖a−b‖² = 2(1 − cos(a, b)), so unit-normalized inputs make the squared
+// Euclidean terms compare directions.
 package agg
 
 import (
@@ -43,7 +45,7 @@ type Function interface {
 	// path. The result must be bit-identical to Score.
 	ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64
 	// SoloBound is the corner bound's per-relation cap: an upper bound on
-	// the term of any tuple with score at most sigma and Metric distance
+	// the term of any tuple with score at most sigma and Euclidean distance
 	// to the query at least dq, the slot term with the centroid distance
 	// zeroed (the centroid term only ever subtracts):
 	//
@@ -74,18 +76,6 @@ type Function interface {
 	// ScoreScratch call per candidate (see block.go).
 	ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
 		candQ []float64, candXs []vec.Vector, scr *BlockScratch, out []float64)
-	// Metric is the distance δ the query term consumes; distance-based
-	// access must stream tuples in increasing order of this metric for the
-	// bounding schemes to be correct.
-	Metric() vec.Metric
-}
-
-// Quadratic is implemented by aggregation functions whose geometry is the
-// quadratic Euclidean form of eq. (2); it unlocks the tight bounding
-// machinery (ray reduction + 1-D QP). It is the one optional capability:
-// CosineProximity is a Function but not Quadratic.
-type Quadratic interface {
-	Function
 	// Weights returns (w_s, w_q, w_µ).
 	Weights() (ws, wq, wmu float64)
 	// TransformScore applies the score transform T (ln or identity).
@@ -154,7 +144,7 @@ func MustEuclideanSum(w Weights, transform ScoreTransform) *EuclideanSum {
 	return e
 }
 
-// TransformScore implements Quadratic. A log transform of σ = 0 is −∞;
+// TransformScore implements Function. A log transform of σ = 0 is −∞;
 // relation validation keeps scores strictly positive so this stays finite
 // in normal operation.
 func (e *EuclideanSum) TransformScore(sigma float64) float64 {
@@ -164,7 +154,7 @@ func (e *EuclideanSum) TransformScore(sigma float64) float64 {
 	return math.Log(sigma)
 }
 
-// Weights implements Quadratic.
+// Weights implements Function.
 func (e *EuclideanSum) Weights() (ws, wq, wmu float64) { return e.W.Ws, e.W.Wq, e.W.Wmu }
 
 // Score implements Function using the mean centroid.
@@ -202,84 +192,7 @@ func (e *EuclideanSum) SoloBound(sigma, dq float64) float64 {
 	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*dq*dq
 }
 
-// Metric implements Function.
-func (e *EuclideanSum) Metric() vec.Metric { return vec.Euclidean{} }
-
 // String labels the function in reports.
 func (e *EuclideanSum) String() string {
 	return fmt.Sprintf("euclidean-sum(ws=%g,wq=%g,wmu=%g,%s)", e.W.Ws, e.W.Wq, e.W.Wmu, e.Transform)
-}
-
-// CosineProximity scores combinations with cosine dissimilarity in place of
-// squared Euclidean distance — the extension named as future work in the
-// paper's conclusion:
-//
-//	S(τ) = Σ_i w_s·T(σ_i) − w_q·cosdist(x_i, q) − w_µ·cosdist(x_i, µ)
-//
-// It implements Function but not Quadratic: the tight bound's closed-form
-// geometry does not apply, so engines fall back to the (correct but looser)
-// corner bound for this aggregation.
-type CosineProximity struct {
-	W         Weights
-	Transform ScoreTransform
-	metric    vec.CosineDistance
-}
-
-// NewCosineProximity validates the weights and returns the aggregation.
-func NewCosineProximity(w Weights, transform ScoreTransform) (*CosineProximity, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return &CosineProximity{W: w, Transform: transform}, nil
-}
-
-// g is the slot term w_s·T(σ) − w_q·dq − w_µ·dmu; dq and dmu are cosine
-// dissimilarities in [0, 2].
-func (c *CosineProximity) g(sigma, dq, dmu float64) float64 {
-	t := sigma
-	if c.Transform == LogScore {
-		t = math.Log(sigma)
-	}
-	return c.W.Ws*t - c.W.Wq*dq - c.W.Wmu*dmu
-}
-
-// Score implements Function with the mean centroid.
-func (c *CosineProximity) Score(q vec.Vector, sigmas []float64, xs []vec.Vector) float64 {
-	if len(sigmas) != len(xs) || len(xs) == 0 {
-		panic("agg: sigmas/xs mismatch or empty")
-	}
-	mu := vec.Mean(xs...)
-	var s float64
-	for i, x := range xs {
-		s += c.g(sigmas[i], c.metric.Distance(x, q), c.metric.Distance(x, mu))
-	}
-	return s
-}
-
-// ScoreScratch implements Function (see EuclideanSum.ScoreScratch).
-func (c *CosineProximity) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64 {
-	if len(sigmas) != len(xs) || len(xs) == 0 {
-		panic("agg: sigmas/xs mismatch or empty")
-	}
-	vec.MeanInto(mu, xs)
-	var s float64
-	for i, x := range xs {
-		s += c.g(sigmas[i], c.metric.Distance(x, q), c.metric.Distance(x, mu))
-	}
-	return s
-}
-
-// SoloBound implements Function: g with the centroid dissimilarity
-// zeroed (cosine dissimilarity is non-negative, so the dropped term only
-// subtracts).
-func (c *CosineProximity) SoloBound(sigma, dq float64) float64 {
-	return c.g(sigma, dq, 0)
-}
-
-// Metric implements Function.
-func (c *CosineProximity) Metric() vec.Metric { return c.metric }
-
-// String labels the function in reports.
-func (c *CosineProximity) String() string {
-	return fmt.Sprintf("cosine-proximity(ws=%g,wq=%g,wmu=%g,%s)", c.W.Ws, c.W.Wq, c.W.Wmu, c.Transform)
 }

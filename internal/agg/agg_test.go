@@ -71,9 +71,6 @@ func TestWeightsValidate(t *testing.T) {
 	if _, err := NewEuclideanSum(Weights{Ws: -1}, LogScore); err == nil {
 		t.Error("NewEuclideanSum accepted bad weights")
 	}
-	if _, err := NewCosineProximity(Weights{Wq: -1}, LogScore); err == nil {
-		t.Error("NewCosineProximity accepted bad weights")
-	}
 }
 
 func TestTransforms(t *testing.T) {
@@ -110,7 +107,6 @@ func TestQuickMonotonicity(t *testing.T) {
 	fns := []Function{
 		MustEuclideanSum(Weights{Ws: 1.5, Wq: 0.7, Wmu: 2}, LogScore),
 		MustEuclideanSum(Weights{Ws: 1, Wq: 1, Wmu: 1}, IdentityScore),
-		mustCosine(Weights{Ws: 1, Wq: 1, Wmu: 1}, IdentityScore),
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -132,14 +128,6 @@ func TestQuickMonotonicity(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func mustCosine(w Weights, tr ScoreTransform) *CosineProximity {
-	c, err := NewCosineProximity(w, tr)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Property: translation invariance of EuclideanSum when query and points
@@ -207,26 +195,8 @@ func TestQuickSpreadPenalty(t *testing.T) {
 	}
 }
 
-func TestCosineProximityScore(t *testing.T) {
-	c := mustCosine(Weights{Ws: 1, Wq: 1, Wmu: 1}, IdentityScore)
-	q := vec.Of(1, 0)
-	// Both points aligned with the query: only score terms remain.
-	got := c.Score(q, []float64{0.5, 0.5}, []vec.Vector{vec.Of(2, 0), vec.Of(3, 0)})
-	if !almostEq(got, 1.0, 1e-9) {
-		t.Fatalf("aligned score = %v, want 1.0", got)
-	}
-	// An orthogonal point is penalized.
-	lower := c.Score(q, []float64{0.5, 0.5}, []vec.Vector{vec.Of(2, 0), vec.Of(0, 3)})
-	if lower >= got {
-		t.Fatalf("orthogonal score %v not below aligned %v", lower, got)
-	}
-}
-
 func TestNames(t *testing.T) {
 	if MustEuclideanSum(DefaultWeights(), LogScore).String() == "" {
 		t.Error("empty euclidean name")
-	}
-	if mustCosine(DefaultWeights(), LogScore).String() == "" {
-		t.Error("empty cosine name")
 	}
 }

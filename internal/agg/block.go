@@ -1,10 +1,6 @@
 package agg
 
-import (
-	"math"
-
-	"repro/internal/vec"
-)
+import "repro/internal/vec"
 
 // Block scoring: the engine's combination-formation hot path evaluates,
 // at the innermost enumeration level, a run of candidate combinations
@@ -129,45 +125,6 @@ func (e *EuclideanSum) ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vecto
 		qt := qterms[i]
 		for j := 0; j < b; j++ {
 			out[j] += qt - e.W.Wmu*dist[j]
-		}
-	}
-}
-
-// QTerm implements Function: w_s·T(σ) − w_q·cosdist(x, q).
-func (c *CosineProximity) QTerm(i int, sigma float64, x, q vec.Vector) float64 {
-	t := sigma
-	if c.Transform == LogScore {
-		t = math.Log(sigma)
-	}
-	return c.W.Ws*t - c.W.Wq*c.metric.Distance(x, q)
-}
-
-// ScoreBlock implements Function.
-func (c *CosineProximity) ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
-	candQ []float64, candXs []vec.Vector, scr *BlockScratch, out []float64) {
-	n := len(xs)
-	b := len(out)
-	scr.ensure(len(q), b)
-	scr.centroids(xs, vary, candXs[:b])
-	mus := scr.mus[:b]
-	dist := scr.dist[:b]
-	for j := range out {
-		out[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		if i == vary {
-			for j := 0; j < b; j++ {
-				out[j] += candQ[j] - c.W.Wmu*c.metric.Distance(candXs[j], mus[j])
-			}
-			continue
-		}
-		// Cosine dissimilarity is bitwise symmetric (commutative dot and
-		// product), so distance-from-fixed-x over the centroid column is
-		// the scalar Distance(x, µ) exactly.
-		vec.CosineDistances(dist, mus, xs[i])
-		qt := qterms[i]
-		for j := 0; j < b; j++ {
-			out[j] += qt - c.W.Wmu*dist[j]
 		}
 	}
 }

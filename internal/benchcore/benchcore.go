@@ -223,7 +223,7 @@ func benchRTreePrefix(b *testing.B, k int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, err := proxrank.OpenSource(ix, proxrank.DistanceAccess, queries[i%len(queries)], nil)
+		src, err := proxrank.OpenSource(ix, proxrank.DistanceAccess, queries[i%len(queries)])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func BenchFormationDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
 		for j, ix := range ixs {
-			src, err := proxrank.OpenSource(ix, proxrank.DistanceAccess, q, nil)
+			src, err := proxrank.OpenSource(ix, proxrank.DistanceAccess, q)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -116,7 +116,7 @@ func shardedSources(t *testing.T, shs []*relation.Sharded, in instance, kind rel
 	for i, sh := range shs {
 		perShard := make([]relation.Source, sh.NumShards())
 		for j := 0; j < sh.NumShards(); j++ {
-			src, err := sh.ShardSource(j, kind, in.q, in.fn.Metric(), true)
+			src, err := sh.ShardSource(j, kind, in.q, nil, true)
 			if err != nil {
 				t.Fatal(err)
 			}

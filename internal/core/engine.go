@@ -378,20 +378,14 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 		rs.index, rs.src, rs.maxScore = i, s, s.Relation().MaxScore
 	}
 
-	// Select the bounding scheme. The tight bound needs the quadratic
-	// geometry; otherwise fall back to the corner bound (still correct).
-	wantTight := opts.Algorithm.Bound() == TightBound
-	quad, isQuad := opts.Agg.(agg.Quadratic)
+	// Select the bounding scheme.
 	switch {
-	case wantTight && isQuad && kind == relation.DistanceAccess:
-		e.bound = newTightDistBounder(e, quad)
-	case wantTight && isQuad && kind == relation.ScoreAccess:
-		e.bound = newTightScoreBounder(e, quad)
-	case wantTight:
-		e.stats.BoundDowngraded = true
-		fallthrough
-	default:
+	case opts.Algorithm.Bound() != TightBound:
 		e.bound = newCornerBounder(e)
+	case kind == relation.DistanceAccess:
+		e.bound = newTightDistBounder(e, opts.Agg)
+	default:
+		e.bound = newTightScoreBounder(e, opts.Agg)
 	}
 	if opts.Algorithm.Pull() == PotentialAdaptive {
 		e.pull = &potentialAdaptive{}
@@ -550,7 +544,7 @@ func (e *Engine) step(ri int) error {
 
 	// dist is the prefix statistic the bounders read; solo is the term
 	// every combination of the tuple adds.
-	dist := e.opts.Agg.Metric().Distance(tup.Vec, e.q)
+	dist := tup.Vec.Dist(e.q)
 	solo := e.opts.Agg.QTerm(ri, tup.Score, tup.Vec, e.q)
 
 	e.formCombinations(ri, tup, solo)

@@ -68,7 +68,7 @@ func (in instance) sources(t testing.TB, kind relation.AccessKind) []relation.So
 	t.Helper()
 	out := make([]relation.Source, len(in.rels))
 	for i, rel := range in.rels {
-		s, err := relation.OpenSource(rel, kind, in.q, in.fn.Metric())
+		s, err := relation.OpenSource(rel, kind, in.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func (in instance) sources(t testing.TB, kind relation.AccessKind) []relation.So
 // scoreSource opens rel's score stream.
 func scoreSource(t testing.TB, rel *relation.Relation) relation.Source {
 	t.Helper()
-	s, err := relation.OpenSource(rel, relation.ScoreAccess, nil, nil)
+	s, err := relation.OpenSource(rel, relation.ScoreAccess, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,30 +465,6 @@ func TestEngineDepthAccounting(t *testing.T) {
 	}
 	if res.Stats.SumDepths != sum {
 		t.Fatalf("SumDepths %d != Σ %d", res.Stats.SumDepths, sum)
-	}
-}
-
-// TestEngineCosineFallsBackToCorner: a non-quadratic aggregation with a
-// tight-bound algorithm must downgrade to the corner bound and still agree
-// with the oracle.
-func TestEngineCosineFallsBackToCorner(t *testing.T) {
-	cos, err := agg.NewCosineProximity(agg.Weights{Ws: 1, Wq: 1, Wmu: 1}, agg.IdentityScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(9))
-	in := randomInstance(r, 2, 6)
-	in.fn = cos
-	res := runAlgo(t, in, relation.DistanceAccess, Options{Algorithm: TBPA})
-	if !res.Stats.BoundDowngraded {
-		t.Fatal("expected BoundDowngraded for cosine aggregation")
-	}
-	want, err := Naive(in.rels, in.q, cos, in.k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameScores(scoresOf(res.Combinations), scoresOf(want), 1e-9) {
-		t.Fatalf("cosine results diverge: %v vs %v", scoresOf(res.Combinations), scoresOf(want))
 	}
 }
 

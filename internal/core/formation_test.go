@@ -472,7 +472,7 @@ func deepSources(t testing.TB, ixs []*relation.Sharded, q vec.Vector) []relation
 	t.Helper()
 	out := make([]relation.Source, len(ixs))
 	for i, ix := range ixs {
-		s, err := relation.OpenSource(ix, relation.DistanceAccess, q, nil)
+		s, err := relation.OpenSource(ix, relation.DistanceAccess, q)
 		if err != nil {
 			t.Fatal(err)
 		}

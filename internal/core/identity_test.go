@@ -74,9 +74,6 @@ func statsIdentical(a, b Stats) error {
 	if a.PartialsTracked != b.PartialsTracked {
 		return fmt.Errorf("partialsTracked %d vs %d", a.PartialsTracked, b.PartialsTracked)
 	}
-	if a.BoundDowngraded != b.BoundDowngraded {
-		return fmt.Errorf("boundDowngraded %v vs %v", a.BoundDowngraded, b.BoundDowngraded)
-	}
 	return nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/agg"
 	"repro/internal/relation"
 )
 
@@ -109,13 +108,6 @@ func TestQuickOpenSessionMatchesFullSort(t *testing.T) {
 		insts = append(insts, randomInstance(r, 3, 6))
 	}
 	insts = append(insts, degenerateInstances()...)
-	cos, err := agg.NewCosineProximity(agg.Weights{Ws: 1, Wq: 1, Wmu: 0.5}, agg.IdentityScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cosIn := randomInstance(r, 3, 6)
-	cosIn.fn = cos
-	insts = append(insts, cosIn)
 
 	ids := func(c Combination) string {
 		parts := make([]string, len(c.Tuples))

@@ -36,7 +36,7 @@ func distanceSources(t testing.TB, rels []*relation.Relation, q vec.Vector) []re
 	t.Helper()
 	out := make([]relation.Source, len(rels))
 	for i, r := range rels {
-		s, err := relation.OpenSource(r, relation.DistanceAccess, q, nil)
+		s, err := relation.OpenSource(r, relation.DistanceAccess, q)
 		if err != nil {
 			t.Fatal(err)
 		}

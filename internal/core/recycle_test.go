@@ -95,7 +95,7 @@ func (l *listWalkBounder) register(ri int) {
 	b := l.tightScoreBounder
 	rs := b.e.rels[ri]
 	tau := rs.tuples[len(rs.tuples)-1]
-	c := b.ws * b.quad.TransformScore(tau.Score)
+	c := b.ws * b.fn.TransformScore(tau.Score)
 	b.caps[ri] = c
 	if m := math.Abs(c) + b.wq*tau.Vec.Dist2(b.e.q); m > b.mag[ri] {
 		b.mag[ri] = m
@@ -180,7 +180,7 @@ func (l *listWalkBounder) extend(oi int, accT, accSolo float64) {
 		}
 		t := rs.tuples[r]
 		w.xs[xi] = t.Vec
-		l.extend(oi+1, accT+b.ws*b.quad.TransformScore(t.Score), accSolo+rs.solo[r])
+		l.extend(oi+1, accT+b.ws*b.fn.TransformScore(t.Score), accSolo+rs.solo[r])
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 type tightDistBounder struct {
 	subsetLattice
 	e           *Engine
-	quad        agg.Quadratic
+	fn          agg.Function
 	ws, wq, wmu float64
 	subsets     []subsetState // by mask
 	baseDir     vec.Vector    // fallback ray direction when ν = q or m = 0
@@ -78,12 +78,12 @@ type boundItem struct {
 // boundAbove orders a subset heap: the larger cached bound first.
 func boundAbove(a, c boundItem) bool { return a.bound > c.bound }
 
-func newTightDistBounder(e *Engine, quad agg.Quadratic) *tightDistBounder {
-	ws, wq, wmu := quad.Weights()
+func newTightDistBounder(e *Engine, fn agg.Function) *tightDistBounder {
+	ws, wq, wmu := fn.Weights()
 	b := &tightDistBounder{
-		e:    e,
-		quad: quad,
-		ws:   ws, wq: wq, wmu: wmu,
+		e:  e,
+		fn: fn,
+		ws: ws, wq: wq, wmu: wmu,
 		rankBuf: make([]int32, e.n),
 		ptsBuf:  make([]vec.Vector, e.n),
 	}
@@ -102,7 +102,7 @@ func newTightDistBounder(e *Engine, quad agg.Quadratic) *tightDistBounder {
 	b.unseenSlab = take(e.n * e.dim)
 	b.baseDir[0] = 1
 	for j, rs := range e.rels {
-		b.capMax[j] = ws * quad.TransformScore(rs.maxScore)
+		b.capMax[j] = ws * fn.TransformScore(rs.maxScore)
 	}
 	b.subsets = make([]subsetState, len(b.members))
 	for mask := range b.subsets {
@@ -162,7 +162,7 @@ func (b *tightDistBounder) extendSubset(mask, ri int) {
 	}
 	rs := b.e.rels[ri]
 	tauRank := int32(rs.depth() - 1)
-	tauT := b.ws * b.quad.TransformScore(rs.tuples[tauRank].Score)
+	tauT := b.ws * b.fn.TransformScore(rs.tuples[tauRank].Score)
 	if cap(ss.partials) == 0 && len(base.partials) > 0 {
 		// First extension of this subset: reserve room for a batch of
 		// partials so the arena and heap are not regrown once per early id.

@@ -36,7 +36,7 @@ import (
 type tightScoreBounder struct {
 	subsetLattice
 	e           *Engine
-	quad        agg.Quadratic
+	fn          agg.Function
 	ws, wq, wmu float64
 	// bestGeo[mask] is the best geometric bound part over PC(M), −∞ while
 	// PC(M) is empty.
@@ -72,17 +72,17 @@ type scoreWalk struct {
 	bar float64 // bestGeo − pruneSlack: a separable bound below it is skipped
 }
 
-func newTightScoreBounder(e *Engine, quad agg.Quadratic) *tightScoreBounder {
-	ws, wq, wmu := quad.Weights()
+func newTightScoreBounder(e *Engine, fn agg.Function) *tightScoreBounder {
+	ws, wq, wmu := fn.Weights()
 	full := 1 << e.n
 	// Every float the bounder owns — the per-relation and per-subset
 	// columns and the geo scratch — is carved from one slab.
 	fs := make([]float64, 3*e.n+(full-1)+4*e.dim)
 	take := func(k int) []float64 { s := fs[:k:k]; fs = fs[k:]; return s }
 	b := &tightScoreBounder{
-		e:    e,
-		quad: quad,
-		ws:   ws, wq: wq, wmu: wmu,
+		e:  e,
+		fn: fn,
+		ws: ws, wq: wq, wmu: wmu,
 		caps:     take(e.n),
 		mag:      take(e.n),
 		bestGeo:  take(full - 1),
@@ -99,7 +99,7 @@ func newTightScoreBounder(e *Engine, quad agg.Quadratic) *tightScoreBounder {
 	}
 	b.subsetLattice = newSubsetLattice(e.n, b)
 	for j, rs := range e.rels {
-		b.caps[j] = ws * quad.TransformScore(rs.maxScore)
+		b.caps[j] = ws * fn.TransformScore(rs.maxScore)
 	}
 	// The empty partial: all n points at the optimum y* = q, zero distance
 	// penalties, zero seen score.
@@ -114,7 +114,7 @@ func newTightScoreBounder(e *Engine, quad agg.Quadratic) *tightScoreBounder {
 func (b *tightScoreBounder) register(ri int) {
 	rs := b.e.rels[ri]
 	tau := rs.tuples[len(rs.tuples)-1]
-	c := b.ws * b.quad.TransformScore(tau.Score)
+	c := b.ws * b.fn.TransformScore(tau.Score)
 	b.caps[ri] = c
 	if m := math.Abs(c) + b.wq*tau.Vec.Dist2(b.e.q); m > b.mag[ri] {
 		b.mag[ri] = m
@@ -200,7 +200,7 @@ func (b *tightScoreBounder) extend(oi int, accT, accSolo float64) {
 		}
 		t := rs.tuples[r]
 		w.xs[xi] = t.Vec
-		b.extend(oi+1, accT+b.ws*b.quad.TransformScore(t.Score), accSolo+rs.solo[r])
+		b.extend(oi+1, accT+b.ws*b.fn.TransformScore(t.Score), accSolo+rs.solo[r])
 	}
 }
 

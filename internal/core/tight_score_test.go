@@ -55,8 +55,7 @@ func TestQuickScoreGeoIsOptimal(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstance(r, 3, 5)
-		quad := in.fn.(agg.Quadratic)
-		ws, wq, wmu := quad.Weights()
+		ws, wq, wmu := in.fn.Weights()
 		e, err := NewEngine(in.sources(t, relation.ScoreAccess), Options{
 			K: in.k, Algorithm: TBRR, Query: in.q, Agg: in.fn,
 		})
@@ -95,7 +94,7 @@ func TestQuickScoreGeoIsOptimal(t *testing.T) {
 				}
 				tup := rs.tuples[r.Intn(rs.depth())]
 				xs = append(xs, tup.Vec)
-				sumT += ws * quad.TransformScore(tup.Score)
+				sumT += ws * in.fn.TransformScore(tup.Score)
 			}
 			if !okAll {
 				continue
@@ -268,7 +267,7 @@ func newRefScoreBounder(e *Engine) *refScoreBounder {
 	return r
 }
 
-func (r *refScoreBounder) wsT(sigma float64) float64 { return r.b.ws * r.b.quad.TransformScore(sigma) }
+func (r *refScoreBounder) wsT(sigma float64) float64 { return r.b.ws * r.b.fn.TransformScore(sigma) }
 
 func (r *refScoreBounder) register(ri int) {
 	e := r.b.e

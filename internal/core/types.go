@@ -134,9 +134,8 @@ type Options struct {
 	Algorithm Algorithm
 	// Query is the target vector q.
 	Query vec.Vector
-	// Agg is the aggregation function; the tight bound requires it to
-	// implement agg.Quadratic (the engine falls back to the corner bound
-	// otherwise and records the downgrade in Stats.BoundDowngraded).
+	// Agg is the aggregation function: in production the paper's
+	// agg.EuclideanSum, which both bounding schemes read.
 	Agg agg.Function
 	// EagerBounds recomputes every affected partial-combination bound on
 	// each pull, exactly as paper Algorithm 2; the default (false) uses a
@@ -265,9 +264,6 @@ type Stats struct {
 	// score access, the partials the tight bound's walk reaches, since the
 	// subtrees it skips are never formed.
 	PartialsTracked int64
-	// BoundDowngraded is set when a tight bound was requested but the
-	// aggregation is not Quadratic, so the corner bound was used.
-	BoundDowngraded bool
 	// TotalTime is wall-clock for the whole run; BoundTime is the fraction
 	// spent in updateBound (the stacked bars of Fig. 3(d)-(l)).
 	TotalTime time.Duration

@@ -74,7 +74,7 @@ func defaultAgg() agg.Function {
 func runOnce(st Settings, rels []*relation.Relation, opts core.Options) (core.Result, error) {
 	sources := make([]relation.Source, len(rels))
 	for i, rel := range rels {
-		s, err := relation.OpenSource(rel, relation.DistanceAccess, opts.Query, opts.Agg.Metric())
+		s, err := relation.OpenSource(rel, relation.DistanceAccess, opts.Query)
 		if err != nil {
 			return core.Result{}, err
 		}

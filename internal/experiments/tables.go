@@ -91,7 +91,7 @@ func table3(Settings) (*Table, error) {
 	q := vec.Of(0, 0)
 	sources := make([]relation.Source, len(rels))
 	for i, r := range rels {
-		s, err := relation.OpenSource(r, relation.DistanceAccess, q, nil)
+		s, err := relation.OpenSource(r, relation.DistanceAccess, q)
 		if err != nil {
 			return nil, err
 		}

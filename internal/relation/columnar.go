@@ -138,10 +138,8 @@ func (sh *shard) rtree() *rtree.Tree[nnRef] {
 // Sharded): the score order is a cursor over the columns; a distance
 // order is an incremental R-tree traversal when the shards own trees
 // (useRTree: true from Sharded, false from a plain relation, whose tree
-// would be built and thrown away per call) and the metric is Euclidean
-// (nil = Euclidean) — the R-tree orders by Euclidean distance and nothing
-// else — and a full sort under the metric otherwise.
-func openShards(dst []Source, shards []shard, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) error {
+// would be built and thrown away per call), and a full sort otherwise.
+func openShards(dst []Source, shards []shard, kind AccessKind, q vec.Vector, useRTree bool) error {
 	if kind == ScoreAccess {
 		for i := range shards {
 			dst[i] = &colScoreSource{rel: shards[i].rel, cols: shards[i].cols}
@@ -151,24 +149,21 @@ func openShards(dst []Source, shards []shard, kind AccessKind, q vec.Vector, met
 	if rel := shards[0].rel; q.Dim() != rel.dim {
 		return fmt.Errorf("relation %q: query dim %d, want %d", rel.Name, q.Dim(), rel.dim)
 	}
-	if metric == nil {
-		metric = vec.Euclidean{}
-	}
-	if _, euclidean := metric.(vec.Euclidean); euclidean && useRTree {
+	if useRTree {
 		for i := range shards {
 			sh := &shards[i]
 			dst[i] = &rtreeSource{rel: sh.rel, cols: sh.cols, it: sh.rtree().NearestNeighbors(q)}
 		}
 		return nil
 	}
-	sortedSources(dst, shards, q, metric)
+	sortedSources(dst, shards, q)
 	return nil
 }
 
 // openOne is openShards over a one-shard run.
-func openOne(one []shard, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
+func openOne(one []shard, kind AccessKind, q vec.Vector, useRTree bool) (Source, error) {
 	var dst [1]Source
-	err := openShards(dst[:], one, kind, q, metric, useRTree)
+	err := openShards(dst[:], one, kind, q, useRTree)
 	return dst[0], err
 }
 
@@ -178,7 +173,7 @@ func openOne(one []shard, kind AccessKind, q vec.Vector, metric vec.Metric, useR
 // instead of five allocations a shard. The streams are what per-shard
 // construction would emit — only the placement of their backing memory
 // differs. Per query O(n log n); the R-tree route is the scalable one.
-func sortedSources(dst []Source, shards []shard, q vec.Vector, metric vec.Metric) {
+func sortedSources(dst []Source, shards []shard, q vec.Vector) {
 	total, maxLen := 0, 0
 	for i := range shards {
 		n := shards[i].cols.Len()
@@ -195,7 +190,7 @@ func sortedSources(dst []Source, shards []shard, q vec.Vector, metric vec.Metric
 		sh := &shards[i]
 		kss := ks[:sh.cols.Len()]
 		for j := range kss {
-			kss[j] = sortKey{key: metric.Distance(sh.cols.Vec(j), q), ord: sh.cols.Ordinal(j), idx: j}
+			kss[j] = sortKey{key: sh.cols.Vec(j).Dist(q), ord: sh.cols.Ordinal(j), idx: j}
 		}
 		sortKeys(kss)
 		end := off + len(kss)

@@ -234,7 +234,7 @@ func TestShardBoundNeverExceedsFirstKey(t *testing.T) {
 // branchyLowerBound is DistanceLowerBound with the rectangle's distance
 // summed the branchy way, a term only for the axes q lies outside of.
 func branchyLowerBound(b ShardBounds, q vec.Vector) float64 {
-	d := vec.Euclidean{}.Distance(vec.Vector(b.Centroid), q)*(1-boundSlack) - b.Radius*(1+boundSlack)
+	d := vec.Vector(b.Centroid).Dist(q)*(1-boundSlack) - b.Radius*(1+boundSlack)
 	if b.Min != nil {
 		var s float64
 		for i := range q {

@@ -41,7 +41,7 @@ func oneShard(t testing.TB, rel *Relation) *Sharded {
 // error.
 func mustOpen(t testing.TB, in Input, kind AccessKind, q vec.Vector) Source {
 	t.Helper()
-	src, err := OpenSource(in, kind, q, nil)
+	src, err := OpenSource(in, kind, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestOneShardSharedTraversals(t *testing.T) {
 		wg.Add(1)
 		go func(q vec.Vector) {
 			defer wg.Done()
-			src, err := OpenSource(ix, DistanceAccess, q, nil)
+			src, err := OpenSource(ix, DistanceAccess, q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -79,7 +79,7 @@ func TestOneShardSharedTraversals(t *testing.T) {
 			if src.Kind() != DistanceAccess || src.Relation() != rel {
 				t.Errorf("query %v: stream kind %v over %q, want distance over %q", q, src.Kind(), src.Relation().Name, rel.Name)
 			}
-			want, err := OpenSource(rel, DistanceAccess, q, vec.Euclidean{})
+			want, err := OpenSource(rel, DistanceAccess, q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -96,7 +96,7 @@ func TestOneShardSharedTraversals(t *testing.T) {
 // a distance query of the wrong dimensionality.
 func TestOneShardDimMismatch(t *testing.T) {
 	ix := oneShard(t, randomRelation(t, 7, 10, 2))
-	if _, err := OpenSource(ix, DistanceAccess, vec.Of(1, 2, 3), nil); err == nil {
+	if _, err := OpenSource(ix, DistanceAccess, vec.Of(1, 2, 3)); err == nil {
 		t.Fatal("OpenSource accepted a 3-d query over a 2-d relation")
 	}
 }

@@ -17,7 +17,7 @@ type Input interface {
 	InputRelation() *Relation
 	// openSource builds one ordered stream for the given access
 	// configuration, over whichever access path the input owns.
-	openSource(kind AccessKind, q vec.Vector, metric vec.Metric) (Source, error)
+	openSource(kind AccessKind, q vec.Vector) (Source, error)
 }
 
 // InputRelation implements Input: a relation is its own logical relation.
@@ -26,7 +26,7 @@ func (r *Relation) InputRelation() *Relation { return r }
 // openSource implements Input for a plain relation: a one-shard run over
 // the relation as it stands. It owns no index, so a distance stream is a
 // full sort and a score stream a cursor over columns it sorts first.
-func (r *Relation) openSource(kind AccessKind, q vec.Vector, metric vec.Metric) (Source, error) {
+func (r *Relation) openSource(kind AccessKind, q vec.Vector) (Source, error) {
 	if r.IsStub() {
 		return nil, fmt.Errorf("relation %q: cannot open a local source over a remote stub", r.Name)
 	}
@@ -34,21 +34,19 @@ func (r *Relation) openSource(kind AccessKind, q vec.Vector, metric vec.Metric) 
 	if kind == ScoreAccess {
 		one[0].cols = scoreOrdered(r, wholeGroup(len(r.tuples)))
 	}
-	return openOne(one[:], kind, q, metric, false)
+	return openOne(one[:], kind, q, false)
 }
 
 // OpenSource builds the ordered stream of in for one access
 // configuration, and is the one way to open one: the score order when
-// kind is ScoreAccess, otherwise a distance order from q under metric
-// (nil = Euclidean). The access path follows from the input, not from a
-// knob. A *Sharded owns its indexes — the R-trees Partition built, or a
-// relfile's, built on first use — and streams incremental
-// nearest-neighbor traversals under the Euclidean metric; an index built
-// once over a whole relation is a one-shard Partition. A plain *Relation
-// owns none and is sorted in full on every call. The R-tree orders by
-// Euclidean distance only, so any other metric sorts, whatever the input.
-// Every path emits the same canonical sequence; a sharded input returns a
+// kind is ScoreAccess, otherwise the Euclidean distance order from q. The
+// access path follows from the input, not from a knob. A *Sharded owns
+// its indexes — the R-trees Partition built, or a relfile's, built on
+// first use — and streams incremental nearest-neighbor traversals; an
+// index built once over a whole relation is a one-shard Partition. A
+// plain *Relation owns none and is sorted in full on every call. Every
+// path emits the same canonical sequence; a sharded input returns a
 // merged stream over its shards. Safe for concurrent use.
-func OpenSource(in Input, kind AccessKind, q vec.Vector, metric vec.Metric) (Source, error) {
-	return in.openSource(kind, q, metric)
+func OpenSource(in Input, kind AccessKind, q vec.Vector) (Source, error) {
+	return in.openSource(kind, q)
 }

@@ -33,7 +33,7 @@ func BenchmarkMergedSource(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sources := make([]Source, sh.NumShards())
 				for s := range sources {
-					src, err := sh.ShardSource(s, bc.kind, q, vec.Euclidean{}, false)
+					src, err := sh.ShardSource(s, bc.kind, q, nil, false)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -74,20 +74,20 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 			fmt.Fprintf(h, "%s %016x %d\n", tu.ID, math.Float64bits(key), ord)
 		}
 	}
-	stream := func(label string, kind relation.AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) {
+	stream := func(label string, kind relation.AccessKind, q vec.Vector, useRTree bool) {
 		t.Helper()
 		for i := 0; i < s.NumShards(); i++ {
-			src, err := s.ShardSource(i, kind, q, metric, useRTree)
+			src, err := s.ShardSource(i, kind, q, nil, useRTree)
 			drain(shardH, fmt.Sprintf("%s shard %d", label, i), src, err)
 		}
-		// OpenSource picks the R-tree for a sharded input under the Euclidean
-		// metric; the sorted Euclidean merge it no longer reaches stays pinned
-		// through the same Merge over explicitly sorted shard streams.
-		if kind == relation.DistanceAccess && metric == nil && !useRTree {
+		// OpenSource picks the R-tree for a sharded input; the sorted merge
+		// it no longer reaches stays pinned through the same Merge over
+		// explicitly sorted shard streams.
+		if kind == relation.DistanceAccess && !useRTree {
 			shards := make([]relation.Source, s.NumShards())
 			for i := range shards {
 				var err error
-				if shards[i], err = s.ShardSource(i, kind, q, metric, false); err != nil {
+				if shards[i], err = s.ShardSource(i, kind, q, nil, false); err != nil {
 					t.Fatalf("%s shard %d: %v", label, i, err)
 				}
 			}
@@ -95,13 +95,13 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 			drain(mergedH, label+" merged", src, err)
 			return
 		}
-		src, err := relation.OpenSource(s, kind, q, metric)
+		src, err := relation.OpenSource(s, kind, q)
 		drain(mergedH, label+" merged", src, err)
 	}
-	stream("score", relation.ScoreAccess, nil, nil, false)
+	stream("score", relation.ScoreAccess, nil, false)
 	for i, q := range queries {
-		stream(fmt.Sprintf("q%d rtree", i), relation.DistanceAccess, q, nil, true)
-		stream(fmt.Sprintf("q%d sorted", i), relation.DistanceAccess, q, nil, false)
+		stream(fmt.Sprintf("q%d rtree", i), relation.DistanceAccess, q, true)
+		stream(fmt.Sprintf("q%d sorted", i), relation.DistanceAccess, q, false)
 	}
 }
 

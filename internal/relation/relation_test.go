@@ -84,7 +84,7 @@ func drain(t *testing.T, s Source) []Tuple {
 
 func TestDistanceSourceOrder(t *testing.T) {
 	r := testRelation(t)
-	s, err := OpenSource(r, DistanceAccess, vec.Of(0, 0), nil)
+	s, err := OpenSource(r, DistanceAccess, vec.Of(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestScoreSourceOrder(t *testing.T) {
 
 func TestDistanceSourceDimMismatch(t *testing.T) {
 	r := testRelation(t)
-	if _, err := OpenSource(r, DistanceAccess, vec.Of(0), nil); err == nil {
+	if _, err := OpenSource(r, DistanceAccess, vec.Of(0)); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
 }
@@ -149,8 +149,8 @@ func TestQuickRTreeSourceMatchesSorted(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s1, err1 := OpenSource(rel, DistanceAccess, q, nil)
-		s2, err2 := OpenSource(ix, DistanceAccess, q, nil)
+		s1, err1 := OpenSource(rel, DistanceAccess, q)
+		s2, err2 := OpenSource(ix, DistanceAccess, q)
 		if err1 != nil || err2 != nil {
 			return false
 		}

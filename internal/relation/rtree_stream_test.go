@@ -138,7 +138,7 @@ func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
 					t.Errorf("query %d shard %d, twin R-tree vs sort: %v", g, i, err)
 				}
 			}
-			merged, err := OpenSource(cols, DistanceAccess, q, nil)
+			merged, err := OpenSource(cols, DistanceAccess, q)
 			if err != nil {
 				t.Error(err)
 				return

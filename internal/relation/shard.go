@@ -89,10 +89,9 @@ const boundSlack = 1e-9
 // DistanceLowerBound returns a sound lower bound on the Euclidean
 // distance from q to any tuple in the shard: the larger of d(q,centroid)
 // − radius and the distance from q to the rectangle, floored at 0 and
-// deflated by boundSlack. Valid only for the plain Euclidean metric (the
-// triangle inequality is what makes the ball sound). The rectangle is
-// the tighter of the two for a box-shaped shard; the ball stays because
-// .prox files store and verify it.
+// deflated by boundSlack. The triangle inequality is what makes the ball
+// sound. The rectangle is the tighter of the two for a box-shaped shard;
+// the ball stays because .prox files store and verify it.
 //
 // The ball's operands are slackened apart, the distance down and the
 // radius up, before they are subtracted: the difference cancels, so a
@@ -101,7 +100,7 @@ const boundSlack = 1e-9
 // monotone in every rounding step (rtree.Rect.MinDist2) and needs none of
 // its own; the closing factor is the one slack applied to both.
 func (b ShardBounds) DistanceLowerBound(q vec.Vector) float64 {
-	d := vec.Euclidean{}.Distance(vec.Vector(b.Centroid), q)*(1-boundSlack) - b.Radius*(1+boundSlack)
+	d := vec.Vector(b.Centroid).Dist(q)*(1-boundSlack) - b.Radius*(1+boundSlack)
 	if b.Min != nil {
 		d = max(d, math.Sqrt(rtree.Rect{Min: b.Min, Max: b.Max}.MinDist2(q)))
 	}
@@ -138,7 +137,7 @@ func computeBounds(r *Relation, group []int) ShardBounds {
 	}
 	b.Centroid = c
 	for _, ord := range group {
-		if d := (vec.Euclidean{}).Distance(r.tuples[ord].Vec, c); d > b.Radius {
+		if d := r.tuples[ord].Vec.Dist(c); d > b.Radius {
 			b.Radius = d
 		}
 	}
@@ -392,12 +391,14 @@ func (s *Sharded) ShardBounds(i int) ShardBounds { return s.shards[i].bounds }
 // configuration. The streams of all shards under one configuration merge
 // back into the canonical relation order via Merge. useRTree false sorts
 // the shard instead of traversing its R-tree — same stream, and no caller
-// outside the tests asks for it (OpenSource never does).
-func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, metric vec.Metric, useRTree bool) (Source, error) {
+// outside the tests asks for it (OpenSource never does). The distance is
+// always Euclidean: metric is ignored, and stays in the signature only
+// because the benchmark module (bench/) passes it.
+func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, _ vec.Metric, useRTree bool) (Source, error) {
 	if i < 0 || i >= len(s.shards) {
 		return nil, fmt.Errorf("relation %q: shard %d out of range [0,%d)", s.parent.Name, i, len(s.shards))
 	}
-	return openOne(s.shards[i:i+1], kind, q, metric, useRTree)
+	return openOne(s.shards[i:i+1], kind, q, useRTree)
 }
 
 // Merge k-way-merges one stream per shard (as produced by ShardSource,
@@ -426,15 +427,15 @@ func (s *Sharded) Merge(sources []Source) (Source, error) {
 }
 
 // openSource implements Input: per-shard streams merged into one. Every
-// shard owns an R-tree, so that is what a Euclidean distance stream reads.
+// shard owns an R-tree, so that is what a distance stream reads.
 // A sole shard's stream is the whole stream, opened without the merge's
 // slice.
-func (s *Sharded) openSource(kind AccessKind, q vec.Vector, metric vec.Metric) (Source, error) {
+func (s *Sharded) openSource(kind AccessKind, q vec.Vector) (Source, error) {
 	if len(s.shards) == 1 {
-		return openOne(s.shards, kind, q, metric, true)
+		return openOne(s.shards, kind, q, true)
 	}
 	sources := make([]Source, len(s.shards))
-	if err := openShards(sources, s.shards, kind, q, metric, true); err != nil {
+	if err := openShards(sources, s.shards, kind, q, true); err != nil {
 		return nil, err
 	}
 	return s.Merge(sources)

@@ -53,13 +53,13 @@ func TestMergedSourceProperty(t *testing.T) {
 			trial, size, dim, s.NumShards(), shards, strategy)
 
 		wantScore := drain(t, mustOpen(t, rel, ScoreAccess, nil))
-		gotScore, err := OpenSource(s, ScoreAccess, nil, nil)
+		gotScore, err := OpenSource(s, ScoreAccess, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameSequence(t, label+" score", drain(t, gotScore), wantScore)
 
-		wantSorted, err := OpenSource(rel, DistanceAccess, q, nil)
+		wantSorted, err := OpenSource(rel, DistanceAccess, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +69,11 @@ func TestMergedSourceProperty(t *testing.T) {
 		}
 		sameSequence(t, label+" distance-sorted", drain(t, gotSorted), drain(t, wantSorted))
 
-		wantTree, err := OpenSource(oneShard(t, rel), DistanceAccess, q, nil)
+		wantTree, err := OpenSource(oneShard(t, rel), DistanceAccess, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTree, err := OpenSource(s, DistanceAccess, q, nil)
+		gotTree, err := OpenSource(s, DistanceAccess, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,7 @@ func TestMergedSourceMatchesUnsharded(t *testing.T) {
 			label := strategy.String() + "/" + product
 
 			wantScore := drain(t, mustOpen(t, rel, ScoreAccess, nil))
-			gotSrc, err := OpenSource(s, ScoreAccess, nil, nil)
+			gotSrc, err := OpenSource(s, ScoreAccess, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestMergedSourceMatchesUnsharded(t *testing.T) {
 			}
 			sameSequence(t, label+"/score", drain(t, gotSrc), wantScore)
 
-			wantSorted, err := OpenSource(rel, DistanceAccess, q, nil)
+			wantSorted, err := OpenSource(rel, DistanceAccess, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,11 +167,11 @@ func TestMergedSourceMatchesUnsharded(t *testing.T) {
 			}
 			sameSequence(t, label+"/distance-sorted", drain(t, gotSorted), drain(t, wantSorted))
 
-			wantRTree, err := OpenSource(oneShard(t, rel), DistanceAccess, q, nil)
+			wantRTree, err := OpenSource(oneShard(t, rel), DistanceAccess, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mergedRTree, err := OpenSource(s, DistanceAccess, q, nil)
+			mergedRTree, err := OpenSource(s, DistanceAccess, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func mergedSorted(s *Sharded, q vec.Vector) (Source, error) {
 func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 	rel := tieRelation(t, 23, 80, 2)
 	q := vec.Of(2, 2)
-	sorted, err := OpenSource(rel, DistanceAccess, q, vec.Euclidean{})
+	sorted, err := OpenSource(rel, DistanceAccess, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 
 	for product, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
 		for _, useRTree := range []bool{true, false} {
-			src, err := s.ShardSource(0, DistanceAccess, q, vec.Euclidean{}, useRTree)
+			src, err := s.ShardSource(0, DistanceAccess, q, nil, useRTree)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +347,7 @@ func TestParallelShardBuildsAndQueries(t *testing.T) {
 		wg.Add(2)
 		go func(b int, s *Sharded) {
 			defer wg.Done()
-			src, err := OpenSource(s, ScoreAccess, nil, nil)
+			src, err := OpenSource(s, ScoreAccess, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -356,7 +356,7 @@ func TestParallelShardBuildsAndQueries(t *testing.T) {
 		}(b, s)
 		go func(b int, s *Sharded) {
 			defer wg.Done()
-			src, err := OpenSource(s, DistanceAccess, q, nil)
+			src, err := OpenSource(s, DistanceAccess, q)
 			if err != nil {
 				t.Error(err)
 				return

@@ -477,7 +477,7 @@ func (f *File) validateContent() error {
 		v.bounds.Min, v.bounds.Max = relation.EmptyRect(f.dim)
 		for i := 0; i < v.n; i++ {
 			x := vec.Vector(v.vecs[i*f.dim : (i+1)*f.dim])
-			if d := (vec.Euclidean{}).Distance(x, c); d > maxDist {
+			if d := x.Dist(c); d > maxDist {
 				maxDist = d
 			}
 			relation.ExtendRect(v.bounds.Min, v.bounds.Max, x)

@@ -91,7 +91,7 @@ func (it *NNIterator[T]) Release() {
 //
 // A point's squared distance is accumulated in coordinate order exactly as
 // vec.Vector.Dist2 does, so the distance returned has the same bits as
-// vec.Euclidean{}.Distance(p, q) — what lets a traversal stand in for a
+// p.Dist(q) — what lets a traversal stand in for a
 // full sort byte for byte.
 func (it *NNIterator[T]) Next() (value T, dist float64, ok bool) {
 	t, q := it.tree, it.query

@@ -148,7 +148,7 @@ var oracleSizes = []int{0, 1, 15, 16, 17, 255, 256, 257, 5000}
 
 // TestNNOracle compares the traversal with brute force over dims 1–8 and
 // sizes around every node-capacity boundary: every value exactly once,
-// distances non-decreasing, each bit-equal to vec.Euclidean's, and the
+// distances non-decreasing, each bit-equal to Vector.Dist's, and the
 // distance sequence bit-equal to the sorted brute-force one. Queries sit on
 // a grid point (ties), on a stored point (distance zero) and off-grid.
 func TestNNOracle(t *testing.T) {
@@ -174,7 +174,7 @@ func TestNNOracle(t *testing.T) {
 			for _, q := range queries {
 				want := make([]float64, n)
 				for i, p := range pts {
-					want[i] = vec.Euclidean{}.Distance(p, q)
+					want[i] = p.Dist(q)
 				}
 				slices.Sort(want)
 				seen := make([]bool, n)
@@ -191,8 +191,8 @@ func TestNNOracle(t *testing.T) {
 						t.Fatalf("dim %d n %d q %v: value %d emitted twice or past the end (rank %d)", d, n, q, v, rank)
 					}
 					seen[v] = true
-					if own := (vec.Euclidean{}).Distance(pts[v], q); math.Float64bits(dist) != math.Float64bits(own) {
-						t.Fatalf("dim %d n %d q %v: value %d at %x, metric says %x", d, n, q, v, math.Float64bits(dist), math.Float64bits(own))
+					if own := pts[v].Dist(q); math.Float64bits(dist) != math.Float64bits(own) {
+						t.Fatalf("dim %d n %d q %v: value %d at %x, Dist says %x", d, n, q, v, math.Float64bits(dist), math.Float64bits(own))
 					}
 					if math.Float64bits(dist) != math.Float64bits(want[rank]) {
 						t.Fatalf("dim %d n %d q %v: rank %d at %v, brute force has %v", d, n, q, rank, dist, want[rank])

@@ -81,15 +81,3 @@ func MeanAccumulate(acc Vector, vs []Vector) Vector {
 	}
 	return acc
 }
-
-// CosineDistances sets dst[j] = CosineDistance{}.Distance(vs[j], q) for
-// every j. dst must have len(vs). One q norm serves the whole block: the
-// scalar call recomputes it per element, but the recomputation is
-// deterministic, so hoisting it changes no bits.
-func CosineDistances(dst []float64, vs []Vector, q Vector) {
-	_ = dst[:len(vs)]
-	nq := q.Norm()
-	for j, v := range vs {
-		dst[j] = cosineDistanceWith(v, q, nq)
-	}
-}

@@ -87,25 +87,6 @@ func FuzzSubDot(f *testing.F) {
 	})
 }
 
-// FuzzCosineDistances checks the batched cosine kernel against a loop of
-// scalar CosineDistance calls, bitwise.
-func FuzzCosineDistances(f *testing.F) {
-	seedCorpus(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q, vs := vectorsFromBytes(data)
-		if len(vs) == 0 {
-			return
-		}
-		got := make([]float64, len(vs))
-		CosineDistances(got, vs, q)
-		for j, v := range vs {
-			if want := (CosineDistance{}).Distance(v, q); math.Float64bits(got[j]) != math.Float64bits(want) {
-				t.Fatalf("batch[%d] = %v, scalar %v", j, got[j], want)
-			}
-		}
-	})
-}
-
 // FuzzMeanAccumulate checks that the factored accumulation phase composes
 // back to MeanInto (and Mean) bit for bit.
 func FuzzMeanAccumulate(f *testing.F) {

@@ -262,42 +262,17 @@ func TestQuickProjectionBound(t *testing.T) {
 }
 
 func TestMetrics(t *testing.T) {
-	if got := (Euclidean{}).Distance(Of(0, 0), Of(3, 4)); got != 5 {
-		t.Errorf("Euclidean.Distance = %v, want 5", got)
-	}
-}
-
-func TestCosineDistance(t *testing.T) {
-	cd := CosineDistance{}
-	if got := cd.Distance(Of(1, 0), Of(2, 0)); !almostEq(got, 0, 1e-12) {
-		t.Errorf("parallel cosine distance = %v", got)
-	}
-	if got := cd.Distance(Of(1, 0), Of(0, 5)); !almostEq(got, 1, 1e-12) {
-		t.Errorf("orthogonal cosine distance = %v", got)
-	}
-	if got := cd.Distance(Of(1, 0), Of(-1, 0)); !almostEq(got, 2, 1e-12) {
-		t.Errorf("antiparallel cosine distance = %v", got)
-	}
-	if got := cd.Distance(Of(0, 0), Of(1, 0)); got != 1 {
-		t.Errorf("zero-vector cosine distance = %v, want 1", got)
+	if got := Of(0, 0).Dist(Of(3, 4)); got != 5 {
+		t.Errorf("Dist = %v, want 5", got)
 	}
 }
 
 func TestMetricSymmetryQuick(t *testing.T) {
-	metrics := []Metric{Euclidean{}, CosineDistance{}}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		d := 1 + r.Intn(6)
 		a, b := randomVec(r, d), randomVec(r, d)
-		for _, m := range metrics {
-			if math.Abs(m.Distance(a, b)-m.Distance(b, a)) > 1e-12 {
-				return false
-			}
-			if m.Distance(a, a) > 1e-12 {
-				return false
-			}
-		}
-		return true
+		return math.Abs(a.Dist(b)-b.Dist(a)) <= 1e-12 && a.Dist(a) <= 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

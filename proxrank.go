@@ -19,8 +19,6 @@ import (
 type (
 	// Vector is a point in the feature space R^d.
 	Vector = vec.Vector
-	// Metric is a distance function on vectors.
-	Metric = vec.Metric
 	// Tuple is one scored, located object of a relation.
 	Tuple = relation.Tuple
 	// Relation is an immutable input collection with a known maximum score.
@@ -126,11 +124,6 @@ type Options struct {
 	Weights Weights
 	// Transform defaults to LogScore.
 	Transform ScoreTransform
-	// Proximity selects cosine dissimilarity instead of squared Euclidean
-	// distance when true (the paper's future-work extension). The engine
-	// then uses the corner bound, as the tight bound's closed-form
-	// geometry is Euclidean.
-	CosineProximity bool
 	// Epsilon relaxes the stopping test: the run may finish earlier and
 	// every returned combination scores within Epsilon of any combination
 	// it displaced. 0 means exact top-K.
@@ -184,14 +177,14 @@ func NewRelation(name string, maxScore float64, tuples []Tuple) (*Relation, erro
 }
 
 // OpenSource opens the ordered stream of in for one access kind — by
-// increasing metric distance from query (nil metric = Euclidean), or by
-// decreasing score, where query and metric are ignored — for
+// increasing Euclidean distance from query, or by decreasing score, where
+// query is ignored — for
 // TopKFromSources and NewQuerySources. It is safe for concurrent use. A
 // plain relation is sorted on every call; a ShardedRelation streams from
 // the indexes it built once, so a relation queried repeatedly is best
 // held as NewShardedRelation(rel, 1, HashPartition).
-func OpenSource(in Input, access AccessKind, query Vector, metric Metric) (Source, error) {
-	return relation.OpenSource(in, access, query, metric)
+func OpenSource(in Input, access AccessKind, query Vector) (Source, error) {
+	return relation.OpenSource(in, access, query)
 }
 
 // NewShardedRelation partitions rel into at most shards shards under the
@@ -200,7 +193,7 @@ func OpenSource(in Input, access AccessKind, query Vector, metric Metric) (Sourc
 // query over it — TopKInputs, NewQueryInputs, or the service layer —
 // returns byte-identical results to the unsharded relation, while
 // bounding per-shard index memory and enabling parallel builds. A
-// sharded input owns its indexes, so Euclidean distance access over it
+// sharded input owns its indexes, so distance access over it
 // streams from the shard R-trees where a plain relation is sorted per
 // query. Fewer shards may be returned when some would be empty.
 func NewShardedRelation(rel *Relation, shards int, strategy PartitionStrategy) (*ShardedRelation, error) {
@@ -267,9 +260,6 @@ func (o Options) aggregation() (agg.Function, error) {
 	w := o.Weights
 	if w == (Weights{}) {
 		w = agg.DefaultWeights()
-	}
-	if o.CosineProximity {
-		return agg.NewCosineProximity(w, o.Transform)
 	}
 	return agg.NewEuclideanSum(w, o.Transform)
 }
@@ -350,10 +340,10 @@ func relationInputs(rels []*Relation) []Input {
 // kind, over the access path the input owns (see relation.OpenSource): a
 // sharded input streams a merge of its per-shard R-trees, a plain
 // relation is sorted in full.
-func buildSources(query Vector, inputs []Input, opts Options, fn agg.Function) ([]Source, error) {
+func buildSources(query Vector, inputs []Input, opts Options) ([]Source, error) {
 	sources := make([]Source, len(inputs))
 	for i, in := range inputs {
-		s, err := relation.OpenSource(in, opts.Access, query, fn.Metric())
+		s, err := relation.OpenSource(in, opts.Access, query)
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,8 @@ package proxrank_test
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -78,9 +76,6 @@ func TestTopKAgreesAcrossConfigurations(t *testing.T) {
 		for _, access := range []proxrank.AccessKind{proxrank.DistanceAccess, proxrank.ScoreAccess} {
 			opts := proxrank.Options{K: 4, Algorithm: algo, Access: access}
 			for _, kind := range kinds {
-				if !kind.serves(opts) {
-					continue
-				}
 				res, err := kind.topK(q, opts)
 				if err != nil {
 					t.Fatalf("%v/%v/%s: %v", algo, access, kind.name, err)
@@ -125,89 +120,6 @@ func TestMustTopKPanics(t *testing.T) {
 		}
 	}()
 	proxrank.MustTopK(proxrank.Vector{0, 0}, rels, proxrank.Options{K: 0})
-}
-
-func TestCosineProximityOption(t *testing.T) {
-	rels := smallRelations(t)
-	q := proxrank.Vector{1, 1}
-	res, err := proxrank.TopK(q, rels, proxrank.Options{
-		K: 2, CosineProximity: true, Transform: proxrank.IdentityScore,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.BoundDowngraded {
-		t.Error("cosine proximity should report the corner-bound fallback")
-	}
-	want, err := proxrank.NaiveTopK(q, rels, proxrank.Options{
-		K: 2, CosineProximity: true, Transform: proxrank.IdentityScore,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(res.Combinations[i].Score-want[i].Score) > 1e-9 {
-			t.Fatalf("cosine scores diverge from oracle")
-		}
-	}
-}
-
-// TestCosineProximityIgnoresRTree: the R-tree orders by Euclidean distance
-// only, so under cosine proximity an input that owns R-trees must not
-// stream from them — sharded inputs and their relfile twins return the
-// oracle's answer and exactly what the plain relations, which can only
-// sort, return, for every algorithm.
-func TestCosineProximityIgnoresRTree(t *testing.T) {
-	algos := []proxrank.Algorithm{proxrank.CBRR, proxrank.CBPA, proxrank.TBRR, proxrank.TBPA}
-	for seed := int64(1); seed <= 30; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		rels := make([]*proxrank.Relation, 2)
-		for i := range rels {
-			tuples := make([]proxrank.Tuple, 60)
-			for j := range tuples {
-				tuples[j] = proxrank.Tuple{
-					ID:    fmt.Sprintf("r%d-%02d", i, j),
-					Score: 0.05 + 0.95*r.Float64(),
-					Vec:   proxrank.Vector{r.NormFloat64(), r.NormFloat64()},
-				}
-			}
-			rel, err := proxrank.NewRelation(fmt.Sprintf("R%d", i), 1, tuples)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rels[i] = rel
-		}
-		q := proxrank.Vector{r.NormFloat64(), r.NormFloat64()}
-		kinds := inputKinds(t, rels, 4)
-		for _, algo := range algos {
-			opts := proxrank.Options{K: 5, Algorithm: algo, CosineProximity: true}
-			oracle, err := proxrank.NaiveTopK(q, rels, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sorted, err := proxrank.TopK(q, rels, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, kind := range kinds {
-				if !kind.serves(opts) {
-					continue
-				}
-				res, err := kind.topK(q, opts)
-				if err != nil {
-					t.Fatalf("seed %d %v %s: %v", seed, algo, kind.name, err)
-				}
-				if !reflect.DeepEqual(res.Combinations, sorted.Combinations) {
-					t.Fatalf("seed %d %v %s: owning an R-tree changed the answer", seed, algo, kind.name)
-				}
-				for i, w := range oracle {
-					if math.Abs(res.Combinations[i].Score-w.Score) > 1e-9 {
-						t.Fatalf("seed %d %v %s: rank %d scores %v, oracle %v", seed, algo, kind.name, i, res.Combinations[i].Score, w.Score)
-					}
-				}
-			}
-		}
-	}
 }
 
 func TestSyntheticAndCityDatasets(t *testing.T) {

@@ -100,16 +100,16 @@ func NewQuery(req *api.Request, inputs ...Input) (*Query, error) {
 }
 
 // NewQueryInputs is the Options-level session constructor, for callers
-// holding typed options (cosine proximity, a tracer, a spill directory)
+// holding typed options (a tracer, a spill directory)
 // rather than a wire request. Sharded inputs are read through a lazy k-way merge of
 // their shard streams, so consuming a prefix of the output still pays
 // only that prefix's I/O.
 func NewQueryInputs(query Vector, inputs []Input, opts Options) (*Query, error) {
-	fn, err := opts.aggregation()
-	if err != nil {
+	// Bad weights fail before any source is opened.
+	if _, err := opts.aggregation(); err != nil {
 		return nil, err
 	}
-	sources, err := buildSources(query, inputs, opts, fn)
+	sources, err := buildSources(query, inputs, opts)
 	if err != nil {
 		return nil, err
 	}

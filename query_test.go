@@ -203,7 +203,7 @@ func TestQueryDeliversBeforeExhaustion(t *testing.T) {
 	pulls := 0
 	var sources []proxrank.Source
 	for _, rel := range rels {
-		src, err := proxrank.OpenSource(rel, proxrank.DistanceAccess, q, nil)
+		src, err := proxrank.OpenSource(rel, proxrank.DistanceAccess, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,7 +133,7 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 			}
 			src = merged
 		} else {
-			local, err := relation.OpenSource(e.Sharded(), opts.Access, query, nil)
+			local, err := relation.OpenSource(e.Sharded(), opts.Access, query)
 			if err != nil {
 				return fail(err)
 			}

@@ -41,22 +41,18 @@ func shardTestRelation(t testing.TB, name string, seed int64, size, dim int) *pr
 // return the same bytes for the same query.
 type inputKind struct {
 	name string
-	// serves reports whether the kind can answer under opts.
-	serves func(opts proxrank.Options) bool
-	topK   func(q proxrank.Vector, opts proxrank.Options) (proxrank.Result, error)
+	topK func(q proxrank.Vector, opts proxrank.Options) (proxrank.Result, error)
 }
 
 // inputKinds builds every kind of input over rels, the plain relations
 // (sorted per query) first: their partitions under each strategy (merged
 // per-shard R-trees), the relfile twin of each partition (mapped columns,
 // R-trees built on first use), and one shared one-shard partition per
-// relation whose streams OpenSource opens for TopKFromSources — under the
-// Euclidean metric, so it serves no cosine query.
+// relation whose streams OpenSource opens for TopKFromSources.
 func inputKinds(t testing.TB, rels []*proxrank.Relation, shards int) []inputKind {
 	t.Helper()
-	always := func(proxrank.Options) bool { return true }
 	overInputs := func(name string, inputs []proxrank.Input) inputKind {
-		return inputKind{name, always, func(q proxrank.Vector, opts proxrank.Options) (proxrank.Result, error) {
+		return inputKind{name, func(q proxrank.Vector, opts proxrank.Options) (proxrank.Result, error) {
 			return proxrank.TopKInputs(q, inputs, opts)
 		}}
 	}
@@ -94,12 +90,11 @@ func inputKinds(t testing.TB, rels []*proxrank.Relation, shards int) []inputKind
 		indexes[i] = ix
 	}
 	return append(kinds, inputKind{
-		name:   "one-shard-sources",
-		serves: func(opts proxrank.Options) bool { return !opts.CosineProximity },
+		name: "one-shard-sources",
 		topK: func(q proxrank.Vector, opts proxrank.Options) (proxrank.Result, error) {
 			sources := make([]proxrank.Source, len(indexes))
 			for i, ix := range indexes {
-				src, err := proxrank.OpenSource(ix, opts.Access, q, nil)
+				src, err := proxrank.OpenSource(ix, opts.Access, q)
 				if err != nil {
 					return proxrank.Result{}, err
 				}
@@ -131,9 +126,6 @@ func TestTopKShardedMatchesUnsharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, kind := range kinds[1:] {
-			if !kind.serves(opts) {
-				continue
-			}
 			got, err := kind.topK(query, opts)
 			if err != nil {
 				t.Fatal(err)
