@@ -33,7 +33,8 @@ import (
 // tuple's score and non-increasing in its distances to the query and to
 // the centroid. It offers the evaluation forms the engine runs it
 // through — scoring into a caller-owned centroid buffer, a separable
-// per-tuple upper bound, and a batched kernel over candidate blocks.
+// per-tuple upper bound, a batched kernel over candidate blocks, and the
+// weights and score transform the tight bounds are built from.
 // Score is the definition; the other forms must agree with it as
 // documented on each method.
 type Function interface {

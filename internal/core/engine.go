@@ -378,7 +378,6 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 		rs.index, rs.src, rs.maxScore = i, s, s.Relation().MaxScore
 	}
 
-	// Select the bounding scheme.
 	switch {
 	case opts.Algorithm.Bound() != TightBound:
 		e.bound = newCornerBounder(e)
