@@ -30,24 +30,27 @@ type pin struct{ shards, merged, bounds, relfile string }
 // bytes do. Regenerate an entry from the failure message, and only for a
 // change that means to alter what it pins.
 var pinned = map[string]pin{
-	"tied/hash/1": {"089a97fef05a5664e457b11358fd80aaf20a26cfe1e3e639e3116867331a7fd7", "f81686c6af09ff82f1a1d24cb328cc747afc68dd0ffb33052c71afe5ed92bff9", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
-	"tied/hash/5": {"6fa46b3fb22748804b132cc7043cdda217dd2691b2f9b7f03a76527e21efa621", "160d9f12e5bf7394b1290338800c9ac0ca5070b12852e3f2096f7b880018c89a", "87ed14acb7a8a17e2fb277a434257531e74f11b01077eb96f8c9f519c4fdd062", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
-	"tied/grid/1": {"089a97fef05a5664e457b11358fd80aaf20a26cfe1e3e639e3116867331a7fd7", "f81686c6af09ff82f1a1d24cb328cc747afc68dd0ffb33052c71afe5ed92bff9", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
-	"tied/grid/5": {"543fc49e05abc5888b87805b3c8a052190908f6e491308498e4853b13b37fcff", "160d9f12e5bf7394b1290338800c9ac0ca5070b12852e3f2096f7b880018c89a", "33fd4524175783679a205fe2661977b2af4adcf9e7353a96190994d318dad6b8", "0091cf3de65819453348f49089ad9cb3cb0e9cf735d211bea0a603320063468d"},
-	"dim8/hash/1": {"8c7bec1d0d1ef343669ddd7f1203cd6af6efa2edc99948a0268cb6d78328d675", "ff33f6428e588820f8575a4694b381d352dde0889ca84a42e49a1d052caceff5", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
-	"dim8/hash/5": {"f620fbd682f1ea2f1b145d8cc662c8db7160203633f9e2746b8de2dfde6f2865", "b28cb83a76793e269e0e4ad783728ffb6c04663e130a7eab95aa5345c7e2bb37", "14237cd990803eba67a9652eec7bb89b96a39c6f08843db8350d0372a318c14c", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
-	"dim8/grid/1": {"8c7bec1d0d1ef343669ddd7f1203cd6af6efa2edc99948a0268cb6d78328d675", "ff33f6428e588820f8575a4694b381d352dde0889ca84a42e49a1d052caceff5", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
-	"dim8/grid/5": {"b6520d7e360d2211230df2f1110db007676b78355040f92dc8fea6ef6dc8d62b", "b28cb83a76793e269e0e4ad783728ffb6c04663e130a7eab95aa5345c7e2bb37", "35a51167050f4ae06291c5dfb22e84bd28e20c9f62a0561575d27878ad9f90e7", "33b344f89a1887b02352189bc9cb1fdbd6ebf8fd952632761f9b891a6024a4c4"},
+	"tied/hash/1": {"ea0c4f35547732bf80378e494e7b97bcd611b6fa31155e279cd8eff679fee9da", "21d03023bd808055538a3924ca99d7b5848c88119b013d6e973f663f46304700", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
+	"tied/hash/5": {"49f4ae8bbf1aa503abab2fad3a24499e46910396df45b9d8ad46aa2ee725d5ea", "3f43fa1acfadfe775e061e5446311778bb11dbc8130e1faf5a5fa1ec8785a864", "87ed14acb7a8a17e2fb277a434257531e74f11b01077eb96f8c9f519c4fdd062", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
+	"tied/grid/1": {"ea0c4f35547732bf80378e494e7b97bcd611b6fa31155e279cd8eff679fee9da", "21d03023bd808055538a3924ca99d7b5848c88119b013d6e973f663f46304700", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
+	"tied/grid/5": {"2dc14c80c34a0e8dac358d7762c89648a9dbeca4d7c095ff35780384d5d2e1a8", "3f43fa1acfadfe775e061e5446311778bb11dbc8130e1faf5a5fa1ec8785a864", "33fd4524175783679a205fe2661977b2af4adcf9e7353a96190994d318dad6b8", "0091cf3de65819453348f49089ad9cb3cb0e9cf735d211bea0a603320063468d"},
+	"dim8/hash/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
+	"dim8/hash/5": {"9284667496c5fc943448dbd9fc8714b0030e6fe736168f34d855c134672b7a68", "4231d02967b19e29288848183b461555c5c73f15ef4168295461f93f19d3ee6a", "14237cd990803eba67a9652eec7bb89b96a39c6f08843db8350d0372a318c14c", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
+	"dim8/grid/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
+	"dim8/grid/5": {"136aa91e7a8c2e30c49b5ee4e41e521607d3d6098ac2121236b680e3b2f5d401", "4231d02967b19e29288848183b461555c5c73f15ef4168295461f93f19d3ee6a", "35a51167050f4ae06291c5dfb22e84bd28e20c9f62a0561575d27878ad9f90e7", "33b344f89a1887b02352189bc9cb1fdbd6ebf8fd952632761f9b891a6024a4c4"},
 }
 
 // transcribe writes every stream s serves — score access, then per query
 // R-tree and sorted distance access — as one line per
-// pulled tuple: ID, merge-key bits and parent ordinal (zeroes where a
-// k-way merge does not report them). Each shard's stream goes into
-// shardH, the merged one into mergedH.
+// pulled tuple: ID, key bits and parent ordinal (zeroes where a k-way
+// merge does not report them). A score row's key is the source's merge
+// key; a distance row's is the tuple's squared distance to the query,
+// recomputed here, so the line says what order held whatever the source
+// keyed it by. Each shard's stream goes into shardH, the merged one into
+// mergedH.
 func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, queries []vec.Vector) {
 	t.Helper()
-	drain := func(h hash.Hash, label string, src relation.Source, err error) {
+	drain := func(h hash.Hash, label string, q vec.Vector, src relation.Source, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -71,6 +74,9 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+			if q != nil {
+				key = tu.Vec.Dist2(q)
+			}
 			fmt.Fprintf(h, "%s %016x %d\n", tu.ID, math.Float64bits(key), ord)
 		}
 	}
@@ -78,7 +84,7 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 		t.Helper()
 		for i := 0; i < s.NumShards(); i++ {
 			src, err := s.ShardSource(i, kind, q, nil, useRTree)
-			drain(shardH, fmt.Sprintf("%s shard %d", label, i), src, err)
+			drain(shardH, fmt.Sprintf("%s shard %d", label, i), q, src, err)
 		}
 		// OpenSource picks the R-tree for a sharded input; the sorted merge
 		// it no longer reaches stays pinned through the same Merge over
@@ -92,11 +98,11 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 				}
 			}
 			src, err := s.Merge(shards)
-			drain(mergedH, label+" merged", src, err)
+			drain(mergedH, label+" merged", q, src, err)
 			return
 		}
 		src, err := relation.OpenSource(s, kind, q)
-		drain(mergedH, label+" merged", src, err)
+		drain(mergedH, label+" merged", q, src, err)
 	}
 	stream("score", relation.ScoreAccess, nil, false)
 	for i, q := range queries {
