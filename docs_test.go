@@ -275,6 +275,25 @@ func typeName(e ast.Expr) string {
 	return ""
 }
 
+// TestChangesEntryLength holds every CHANGES.md entry — a line that
+// starts "PR n" — to 1 500 characters: an entry says what changed and
+// where to look, and its tables and proofs belong in the documents it
+// points to. The entries written longer before the cap are exempt, by
+// name; from PR 52 on, none is.
+func TestChangesEntryLength(t *testing.T) {
+	const limit = 1500
+	exempt := []string{"PR 4", "PR 5", "PR 6", "PR 7", "PR 9", "PR 10", "PR 11",
+		"PR 12", "PR 14", "PR 15", "PR 16", "PR 17", "PR 18", "PR 20", "PR 35",
+		"PR 40", "PR 45", "PR 46", "PR 50"}
+	entry := regexp.MustCompile(`^PR \d+`)
+	for i, line := range strings.Split(readDoc(t, "CHANGES.md"), "\n") {
+		label := entry.FindString(line)
+		if n := len([]rune(line)); label != "" && n > limit && !slices.Contains(exempt, label) {
+			t.Errorf("CHANGES.md:%d: the %s entry is %d characters, over %d", i+1, label, n, limit)
+		}
+	}
+}
+
 func readDoc(t *testing.T, name string) string {
 	t.Helper()
 	raw, err := os.ReadFile(name)

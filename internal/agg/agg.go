@@ -11,11 +11,11 @@
 // distances used by the quadratic form.
 //
 // Function is the whole contract an aggregation meets, and EuclideanSum
-// is the one aggregation. The corner bounding scheme reads it through
-// SoloBound (its caps are SoloBound at a corner, summed); the tight
-// bounding scheme reads the weights and the score transform, which fix
-// the closed-form geometry of ray reduction and the 1-D QP. Proximity by
-// direction alone needs no second aggregation: between unit vectors
+// is the one aggregation. SoloBound is its one per-tuple term: the
+// engine sums it at each seen tuple and the corner bound reads it at a
+// corner of what is unseen. The tight bounding scheme reads the weights
+// and the score transform, which fix the closed-form geometry of ray
+// reduction and the 1-D QP. Proximity by direction alone needs no second aggregation: between unit vectors
 // ‖a−b‖² = 2(1 − cos(a, b)), so unit-normalized inputs make the squared
 // Euclidean terms compare directions.
 package agg
@@ -32,8 +32,8 @@ import (
 // sum of one term per joined tuple, each monotone non-decreasing in the
 // tuple's score and non-increasing in its distances to the query and to
 // the centroid. It offers the evaluation forms the engine runs it
-// through — scoring into a caller-owned centroid buffer, a separable
-// per-tuple upper bound, a batched kernel over candidate blocks, and the
+// through — scoring into a caller-owned centroid buffer, the separable
+// per-tuple term, a batched kernel over candidate blocks, and the
 // weights and score transform the tight bounds are built from.
 // Score is the definition; the other forms must agree with it as
 // documented on each method.
@@ -45,34 +45,18 @@ type Function interface {
 	// avoiding the per-combination centroid allocation on the formation hot
 	// path. The result must be bit-identical to Score.
 	ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64
-	// SoloBound is the corner bound's per-relation cap: an upper bound on
-	// the term of any tuple with score at most sigma and Euclidean distance
-	// to the query at least dq, the slot term with the centroid distance
-	// zeroed (the centroid term only ever subtracts):
-	//
-	//	Score(q, σ, x) ≤ Σ_i SoloBound(σ_i, δ(x_i, q))
-	//
-	// It must be non-decreasing in sigma and non-increasing in dq: the
-	// corner bound reads it at a corner of what is still unseen.
-	SoloBound(sigma, dq float64) float64
-	// QTerm returns the centroid-independent part of slot i's term for a
-	// tuple with the given score and feature vector: exactly the value
-	// the ScoreScratch accumulation adds before subtracting the weighted
-	// centroid distance. It is the engine's one per-tuple term, the block
-	// kernel's cached column and the bound formation prunes with: a
-	// partial combination whose best possible completion (its seen
-	// tuples' QTerms plus the per-relation maxima of the unseen slots)
-	// cannot reach the current score floor is cut without being
-	// materialized. The sum is sound because a slot adds
-	// fl(QTerm − w_µ·d_µ) ≤ QTerm to the score, so only summation rounding
-	// separates Σ QTerm from the score, and a slack scaled by the terms'
-	// magnitude covers it. SoloBound at the tuple's own distance would not
-	// do: σ − fl(√D)² can sit an ulp of D below σ − D, which no slack
-	// scaled by the terms covers once σ and D nearly cancel.
-	QTerm(i int, sigma float64, x, q vec.Vector) float64
+	// SoloBound is the term of a tuple with score sigma and squared
+	// distance d2 to the query, the centroid distance zeroed. At a tuple's
+	// own σ and x.Dist2(q) it is exactly what ScoreScratch adds before
+	// subtracting the weighted centroid distance, so, float addition being
+	// monotone, Score(q, σ, x) ≤ Σ_i SoloBound(σ_i, x_i.Dist2(q)) summed in
+	// slot order, bit for bit. It must be non-decreasing in sigma and
+	// non-increasing in d2 in floating point: the corner bound reads it at
+	// the best score left and the least squared distance, a key.
+	SoloBound(sigma, d2 float64) float64
 	// ScoreBlock scores len(out) combinations that agree with (qterms,
 	// xs) on every slot except vary, where candidate j places the tuple
-	// with cached term candQ[j] and vector candXs[j]. qterms[vary] and
+	// with cached solo term candQ[j] and vector candXs[j]. qterms[vary] and
 	// xs[vary] are ignored. Scores land in out, bit-identical to a
 	// ScoreScratch call per candidate (see block.go).
 	ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
@@ -186,11 +170,11 @@ func (e *EuclideanSum) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vec
 	return s
 }
 
-// SoloBound implements Function: the slot term with the centroid
-// distance zeroed. The dropped −w_µ·dmu² term is never positive, so the
-// sum of solo bounds dominates the full score.
-func (e *EuclideanSum) SoloBound(sigma, dq float64) float64 {
-	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*dq*dq
+// SoloBound implements Function: w_s·T(σ) − w_q·d2, the first two
+// operands of the ScoreScratch slot term. The dropped −w_µ·dmu² term is
+// never positive, so the sum of solo bounds dominates the full score.
+func (e *EuclideanSum) SoloBound(sigma, d2 float64) float64 {
+	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*d2
 }
 
 // String labels the function in reports.

@@ -101,8 +101,8 @@ func TestScorePanicsOnMismatch(t *testing.T) {
 }
 
 // Property: the monotonicity the corner bound relies on — SoloBound
-// non-decreasing in σ and non-increasing in the query distance, so its
-// value at a corner caps every tuple still unseen.
+// non-decreasing in σ and non-increasing in the squared query distance, so
+// its value at a corner caps every tuple still unseen.
 func TestQuickMonotonicity(t *testing.T) {
 	fns := []Function{
 		MustEuclideanSum(Weights{Ws: 1.5, Wq: 0.7, Wmu: 2}, LogScore),
@@ -111,15 +111,15 @@ func TestQuickMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		sigma := 0.05 + r.Float64()*0.9
-		dq := r.Float64() * 3
+		d2 := r.Float64() * 9
 		dSigma := r.Float64() * 0.05
 		dDist := r.Float64()
 		for _, fn := range fns {
-			base := fn.SoloBound(sigma, dq)
-			if fn.SoloBound(sigma+dSigma, dq) < base-1e-12 {
+			base := fn.SoloBound(sigma, d2)
+			if fn.SoloBound(sigma+dSigma, d2) < base-1e-12 {
 				return false
 			}
-			if fn.SoloBound(sigma, dq+dDist) > base+1e-12 {
+			if fn.SoloBound(sigma, d2+dDist) > base+1e-12 {
 				return false
 			}
 		}

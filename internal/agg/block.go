@@ -11,10 +11,10 @@ import "repro/internal/vec"
 // The contract is bitwise identity with the scalar path, which two
 // observations make possible:
 //
-//   - Each slot's term splits as qterm − w_µ·dist(x, µ): qterm (the
-//     score-transform and query-distance part) does not depend on the
-//     centroid, so it can be computed once per pulled tuple and cached in
-//     a per-relation column. Go evaluates a − b − c as (a−b) − c, so the
+//   - Each slot's term splits as qterm − w_µ·dist(x, µ): qterm, the
+//     tuple's SoloBound at its squared distance to the query, does not
+//     depend on the centroid, so it can be computed once per pulled tuple
+//     and cached in a per-relation column. Go evaluates a − b − c as (a−b) − c, so the
 //     cached (a−b) reproduces the inline expression bit for bit.
 //   - The centroid mean accumulates the slot vectors in index order, so
 //     the partial sum over the fixed slots before the varying one is a
@@ -94,10 +94,10 @@ func (s *BlockScratch) centroids(xs []vec.Vector, vary int, candXs []vec.Vector)
 	}
 }
 
-// QTerm implements Function: w_s·T(σ) − w_q·‖x−q‖², the first two
-// operands of the ScoreScratch slot term.
+// QTerm is SoloBound at x's squared distance to q; the slot index is
+// ignored.
 func (e *EuclideanSum) QTerm(_ int, sigma float64, x, q vec.Vector) float64 {
-	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*x.Dist2(q)
+	return e.SoloBound(sigma, x.Dist2(q))
 }
 
 // ScoreBlock implements Function.

@@ -10,8 +10,9 @@ import (
 
 // TestScoreBlockBitIdentity: for both score transforms, every block
 // width, every varying slot, and random geometry, ScoreBlock must equal a
-// loop of ScoreScratch calls bit for bit — with qterms produced by QTerm,
-// exactly as the engine caches them.
+// loop of ScoreScratch calls bit for bit — with qterms produced by
+// SoloBound at each tuple's squared distance, exactly as the engine
+// caches them.
 func TestScoreBlockBitIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	aggs := []Function{
@@ -32,7 +33,7 @@ func TestScoreBlockBitIdentity(t *testing.T) {
 		for i := 0; i < n; i++ {
 			sigmas[i] = 0.1 + r.Float64()*5
 			xs[i] = randVec(r, d)
-			qterms[i] = fn.QTerm(i, sigmas[i], xs[i], q)
+			qterms[i] = fn.SoloBound(sigmas[i], xs[i].Dist2(q))
 		}
 		candSig := make([]float64, blockW)
 		candXs := make([]vec.Vector, blockW)
@@ -40,7 +41,7 @@ func TestScoreBlockBitIdentity(t *testing.T) {
 		for j := 0; j < blockW; j++ {
 			candSig[j] = 0.1 + r.Float64()*5
 			candXs[j] = randVec(r, d)
-			candQ[j] = fn.QTerm(vary, candSig[j], candXs[j], q)
+			candQ[j] = fn.SoloBound(candSig[j], candXs[j].Dist2(q))
 		}
 
 		var scr BlockScratch

@@ -54,9 +54,11 @@ func TestScoreScratchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSoloBoundDominatesScore: the separable per-tuple bounds must sum to
-// at least the full combination score — the soundness condition of
-// score-floor pruning.
+// TestSoloBoundDominatesScore: the per-tuple terms at each tuple's squared
+// distance, summed in slot order, are at least the full combination score
+// with no slack — each is the very operand the score subtracts a centroid
+// term from, and float addition is monotone. It is the soundness
+// condition of score-floor pruning and of the corner bound.
 func TestSoloBoundDominatesScore(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 200; trial++ {
@@ -66,10 +68,10 @@ func TestSoloBoundDominatesScore(t *testing.T) {
 		for _, fn := range testFunctions(r) {
 			var ub float64
 			for i, x := range xs {
-				ub += fn.SoloBound(sigmas[i], x.Dist(q))
+				ub += fn.SoloBound(sigmas[i], x.Dist2(q))
 			}
 			score := fn.Score(q, sigmas, xs)
-			if score > ub+1e-9*(1+math.Abs(ub)) {
+			if score > ub {
 				t.Fatalf("%v: score %v exceeds solo bound %v", fn, score, ub)
 			}
 		}

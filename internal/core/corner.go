@@ -75,7 +75,7 @@ func (c *cornerBounder) potential(i int) float64 {
 // attain, anchored at the first accessed tuple.
 func (c *cornerBounder) seenCap(rs *relState) float64 {
 	if c.e.kind == relation.DistanceAccess {
-		return c.e.opts.Agg.SoloBound(rs.maxScore, rs.firstDist())
+		return c.e.opts.Agg.SoloBound(rs.maxScore, rs.first)
 	}
 	return c.e.opts.Agg.SoloBound(rs.firstScore(), 0)
 }
@@ -84,7 +84,7 @@ func (c *cornerBounder) seenCap(rs *relState) float64 {
 // R_i can attain, anchored at the last accessed tuple.
 func (c *cornerBounder) unseenCap(rs *relState) float64 {
 	if c.e.kind == relation.DistanceAccess {
-		return c.e.opts.Agg.SoloBound(rs.maxScore, rs.lastDist())
+		return c.e.opts.Agg.SoloBound(rs.maxScore, rs.last)
 	}
 	return c.e.opts.Agg.SoloBound(rs.lastScore(), 0)
 }

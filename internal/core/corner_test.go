@@ -80,11 +80,11 @@ func TestCornerDistanceAccessFormulas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// t_1 = g(1, lastDist(R1)=4, 0) + g(1, firstDist(R2)=1, 0) = −16 − 1.
+	// t_1 = g(1, last(R1)=16, 0) + g(1, first(R2)=1, 0) = −16 − 1.
 	if got := c.potential(0); math.Abs(got-(-17)) > 1e-12 {
 		t.Errorf("t_1 = %v, want -17", got)
 	}
-	// t_2 = g(1, firstDist(R1)=3, 0) + g(1, lastDist(R2)=1, 0) = −9 − 1.
+	// t_2 = g(1, first(R1)=9, 0) + g(1, last(R2)=1, 0) = −9 − 1.
 	if got := c.potential(1); math.Abs(got-(-10)) > 1e-12 {
 		t.Errorf("t_2 = %v, want -10", got)
 	}

@@ -30,12 +30,14 @@ type relState struct {
 	tuples    []relation.Tuple // P_i in access order
 	exhausted bool
 	maxScore  float64
-	// first and last are δ(x(R_i[1]), q) and δ(x(R_i[p_i]), q): the only
-	// distances from q the bounds read (firstDist, lastDist).
+	// first and last are the squared distances from q of R_i[1] and
+	// R_i[p_i], the keys a distance stream ordered them by, 0 before the
+	// first pull (paper convention): the only distances the bounds read.
 	first, last float64
-	// solo holds each prefix tuple's term (agg.Function.QTerm: the exact
-	// float every score of the tuple adds before subtracting its centroid
-	// term), parallel to tuples; the block kernel reads it too. soloMax is
+	// solo holds each prefix tuple's term (agg.Function.SoloBound at its
+	// score and squared distance: the exact float every score of the tuple
+	// adds before subtracting its centroid term), parallel to tuples; the
+	// block kernel reads it too. soloMax is
 	// its running maximum and soloAbsMax the running maximum magnitude (the
 	// scale of the floating-point error a sum of solo terms can carry).
 	// bySolo is a max-heap of the prefix ranks by descending solo, then
@@ -135,12 +137,6 @@ func (rs *relState) frontBefore(p, q int32) bool { return rs.rankBefore(rs.bySol
 
 // depth returns p_i.
 func (r *relState) depth() int { return len(r.tuples) }
-
-// firstDist and lastDist are δ(x(R_i[1]), q) and δ(x(R_i[p_i]), q), both 0
-// when nothing was extracted (paper convention).
-func (r *relState) firstDist() float64 { return r.first }
-
-func (r *relState) lastDist() float64 { return r.last }
 
 // firstScore and lastScore are σ(R_i[1]) and σ(R_i[p_i]); σ_max when
 // nothing was extracted (the best any unseen tuple could have).
@@ -491,12 +487,16 @@ func (e *Engine) emit() (Combination, bool) {
 }
 
 // satisfied implements the stopping test of Algorithm 1 line 3: the buffer
-// holds K combinations whose worst score — its floor — is at least the
-// bound (less the optional approximation slack).
+// holds K combinations whose worst score — its floor — is certified.
 func (e *Engine) satisfied() bool {
 	kth, full := e.buf.floor()
-	return full && kth >= e.t-e.opts.Epsilon-1e-9
+	return full && e.certifies(kth)
 }
+
+// certifies is the one emission test of runs and sessions: score is at
+// least the bound less the approximation slack ε. No absolute term: a
+// fixed one forgives nothing at large magnitudes, everything at small.
+func (e *Engine) certifies(score float64) bool { return score >= e.t-e.opts.Epsilon }
 
 func (e *Engine) capped() bool {
 	if e.opts.MaxSumDepths > 0 && e.stats.SumDepths >= e.opts.MaxSumDepths {
@@ -541,18 +541,18 @@ func (e *Engine) step(ri int) error {
 	e.stats.Depths[ri]++
 	e.stats.SumDepths++
 
-	// dist is the prefix statistic the bounders read; solo is the term
+	// d2 is the prefix statistic the bounders read; solo is the term
 	// every combination of the tuple adds.
-	dist := tup.Vec.Dist(e.q)
-	solo := e.opts.Agg.QTerm(ri, tup.Score, tup.Vec, e.q)
+	d2 := tup.Vec.Dist2(e.q)
+	solo := e.opts.Agg.SoloBound(tup.Score, d2)
 
 	e.formCombinations(ri, tup, solo)
 
 	rs.tuples = append(rs.tuples, tup)
 	if len(rs.tuples) == 1 {
-		rs.first = dist
+		rs.first = d2
 	}
-	rs.last = dist
+	rs.last = d2
 	rs.solo = append(rs.solo, solo)
 	rs.pushSolo()
 	if len(rs.solo) == 1 || solo > rs.soloMax {
@@ -584,7 +584,7 @@ func (e *Engine) step(ri int) error {
 // counts into Stats.CombinationsFormed up front, so the paper's cost
 // metric and the MaxCombinations cap semantics are unchanged by pruning:
 // subtrees whose best possible completion (the sum of their tuples' solo
-// terms, see agg.Function.QTerm) cannot beat the buffer's score floor are
+// terms, see agg.Function.SoloBound) cannot beat the buffer's score floor are
 // cut before materialization and tallied again in CombinationsPruned.
 func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo float64) {
 	for _, rs := range e.rels {

@@ -440,7 +440,7 @@ func (it *Iterator) NextContext(ctx context.Context) (Combination, error) {
 			it.err = it.e.buf.err
 			return Combination{}, it.err
 		}
-		if ok && best.score >= it.e.t-it.e.opts.Epsilon-1e-9 {
+		if ok && it.e.certifies(best.score) {
 			return it.emitBest(), nil
 		}
 		if it.done {

@@ -214,7 +214,7 @@ func TestPaperExample32Reconstruction(t *testing.T) {
 
 	// Partial τ2^(1) (mask {2} = bit 1): y1* = [√2/2, √2/2], y3* = [2, 2].
 	id := findPartial(t, b, 2, "t2_1")
-	lower := []float64{e.rels[0].lastDist(), e.rels[2].lastDist()}
+	lower := []float64{math.Sqrt(e.rels[0].last), math.Sqrt(e.rels[2].last)}
 	if math.Abs(lower[0]-1) > 1e-12 || math.Abs(lower[1]-2*math.Sqrt2) > 1e-12 {
 		t.Fatalf("δ = %v, want (1, 2√2)", lower)
 	}

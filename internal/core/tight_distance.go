@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/agg"
 	"repro/internal/pqueue"
 	"repro/internal/qp"
@@ -244,9 +246,10 @@ func (b *tightDistBounder) computeBound(mask, id int) float64 {
 	for k, x := range xs {
 		fixed[k] = vec.SubDot(x, e.q, dir)
 	}
+	// The 1-D problem's constraints are radii: the engine's one root.
 	lower := b.lowerBuf[:len(unseen)]
 	for k, j := range unseen {
-		lower[k] = e.rels[j].lastDist()
+		lower[k] = math.Sqrt(e.rels[j].last)
 	}
 	sol, err := qp.Eval(b.wq, b.wmu, fixed, lower, &b.qpScr)
 	if err != nil {

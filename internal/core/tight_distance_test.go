@@ -75,7 +75,7 @@ func TestQuickTightnessWitness(t *testing.T) {
 				unseen := b.unseen[mask]
 				lower := make([]float64, len(unseen))
 				for k, j := range unseen {
-					lower[k] = e.rels[j].lastDist()
+					lower[k] = math.Sqrt(e.rels[j].last)
 				}
 				sol, err := qpSolve14(b.wq, b.wmu, fixed, lower)
 				if err != nil {
@@ -92,7 +92,7 @@ func TestQuickTightnessWitness(t *testing.T) {
 				for k, j := range unseen {
 					y := e.q.AddScaled(sol[k], dir)
 					// Feasibility: the witness respects distance access.
-					if y.Dist(e.q) < e.rels[j].lastDist()-1e-9 {
+					if y.Dist2(e.q) < e.rels[j].last*(1-1e-9) {
 						return false
 					}
 					sigmas = append(sigmas, e.rels[j].maxScore)

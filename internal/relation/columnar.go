@@ -190,7 +190,7 @@ func sortedSources(dst []Source, shards []shard, q vec.Vector) {
 		sh := &shards[i]
 		kss := ks[:sh.cols.Len()]
 		for j := range kss {
-			kss[j] = sortKey{key: sh.cols.Vec(j).Dist(q), ord: sh.cols.Ordinal(j), idx: j}
+			kss[j] = sortKey{key: sh.cols.Vec(j).Dist2(q), ord: sh.cols.Ordinal(j), idx: j}
 		}
 		sortKeys(kss)
 		end := off + len(kss)

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -176,7 +177,7 @@ func boundQueries(r *rand.Rand, lo, hi []float64) []vec.Vector {
 // TestShardBoundNeverExceedsFirstKey is the soundness of shard pruning on
 // the bits the merge compares: whatever the relation (dims 1–8, tied
 // coordinates, duplicates, one-tuple shards whose rectangle is a point),
-// strategy, shard count and query position, DistanceLowerBound is at most
+// strategy, shard count and query position, Dist2LowerBound is at most
 // the first key both of the shard's distance streams emit, and a merge
 // over streams held latent at that bound emits what the eager merge does.
 func TestShardBoundNeverExceedsFirstKey(t *testing.T) {
@@ -196,7 +197,7 @@ func TestShardBoundNeverExceedsFirstKey(t *testing.T) {
 				eager := make([]Source, s.NumShards())
 				lazy := make([]KeyedSource, s.NumShards())
 				for i := range eager {
-					bound := s.ShardBounds(i).DistanceLowerBound(q)
+					bound := s.ShardBounds(i).Dist2LowerBound(q)
 					for _, useRTree := range []bool{true, false} {
 						src, err := s.ShardSource(i, DistanceAccess, q, nil, useRTree)
 						if err != nil {
@@ -231,10 +232,84 @@ func TestShardBoundNeverExceedsFirstKey(t *testing.T) {
 	}
 }
 
-// branchyLowerBound is DistanceLowerBound with the rectangle's distance
+// FuzzShardKeyLowerBound is that soundness at every magnitude: the
+// relations and queries TestShardBoundNeverExceedsFirstKey draws, scaled
+// by 2^exp, from where squared distances go subnormal to where they
+// overflow to +Inf. Every key both distance streams of a shard emit is
+// the tuple's Dist2 bit for bit, and Dist2LowerBound is at most each.
+func FuzzShardKeyLowerBound(f *testing.F) {
+	for _, exp := range []int16{0, -520, -540, -560, -1000, 500, 511, 512, 513, 600} {
+		f.Add(int64(23), uint8(2), uint8(40), uint8(5), exp)
+	}
+	f.Add(int64(7), uint8(7), uint8(89), uint8(15), int16(-537))
+	f.Fuzz(func(t *testing.T, seed int64, dim, size, shards uint8, exp int16) {
+		r := rand.New(rand.NewSource(seed))
+		d := 1 + int(dim)%8
+		scale := func(v vec.Vector) vec.Vector {
+			out := vec.New(len(v))
+			for c, x := range v {
+				out[c] = math.Ldexp(x, int(exp))
+			}
+			return out
+		}
+		base := decimalRelation(t, r, 1+int(size)%90, d)
+		tuples := make([]Tuple, base.Len())
+		for i := range tuples {
+			tuples[i] = base.At(i)
+			tuples[i].Vec = scale(tuples[i].Vec)
+		}
+		rel, err := New("scaled", base.MaxScore, tuples)
+		if err != nil {
+			t.Skip(err) // coordinates overflowed
+		}
+		for _, strategy := range []PartitionStrategy{HashPartition, GridPartition} {
+			s, err := Partition(rel, 1+int(shards)%16, strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < s.NumShards(); i++ {
+				b := s.ShardBounds(i)
+				far := vec.New(d)
+				for c := range far {
+					far[c] = 0.1 * float64(r.Intn(41)-20)
+				}
+				for qi, q := range append(boundQueries(r, b.Min, b.Max), vec.New(d), scale(far)) {
+					bound := b.Dist2LowerBound(q)
+					if !(bound >= 0) {
+						t.Fatalf("%v shard %d query %d: bound %v", strategy, i, qi, bound)
+					}
+					for _, useRTree := range []bool{false, true} {
+						src, err := s.ShardSource(i, DistanceAccess, q, nil, useRTree)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for {
+							tu, key, _, err := src.(KeyedSource).NextKeyed()
+							if errors.Is(err, ErrExhausted) {
+								break
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							if d2 := tu.Vec.Dist2(q); math.Float64bits(key) != math.Float64bits(d2) {
+								t.Fatalf("%v shard %d query %d (rtree=%v): %s keyed %v, Dist2 %v", strategy, i, qi, useRTree, tu.ID, key, d2)
+							}
+							if bound > key {
+								t.Fatalf("%v shard %d query %d (rtree=%v): bound %v exceeds %s's key %v; bounds %+v, q %v",
+									strategy, i, qi, useRTree, bound, tu.ID, key, b, q)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// branchyLowerBound is Dist2LowerBound with the rectangle's distance
 // summed the branchy way, a term only for the axes q lies outside of.
 func branchyLowerBound(b ShardBounds, q vec.Vector) float64 {
-	d := vec.Vector(b.Centroid).Dist(q)*(1-boundSlack) - b.Radius*(1+boundSlack)
+	d2 := ShardBounds{Centroid: b.Centroid, Radius: b.Radius}.Dist2LowerBound(q)
 	if b.Min != nil {
 		var s float64
 		for i := range q {
@@ -247,12 +322,11 @@ func branchyLowerBound(b ShardBounds, q vec.Vector) float64 {
 				s += x * x
 			}
 		}
-		d = max(d, math.Sqrt(s))
+		if s >= 0x1p-1022 {
+			d2 = max(d2, s)
+		}
 	}
-	if d <= 0 {
-		return 0
-	}
-	return d * (1 - boundSlack)
+	return d2
 }
 
 // TestShardBoundMatchesBranchyRect: the branch-free rectangle distance
@@ -284,7 +358,7 @@ func TestShardBoundMatchesBranchyRect(t *testing.T) {
 				negZero[c] = math.Copysign(0, -1)
 			}
 			for qi, q := range append(boundQueries(r, b.Min, b.Max), zero, negZero) {
-				got, want := b.DistanceLowerBound(q), branchyLowerBound(b, q)
+				got, want := b.Dist2LowerBound(q), branchyLowerBound(b, q)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("trial %d shard %d query %d: bound %v, branchy %v", trial, i, qi, got, want)
 				}

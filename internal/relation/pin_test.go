@@ -30,10 +30,10 @@ type pin struct{ shards, merged, bounds, relfile string }
 // bytes do. Regenerate an entry from the failure message, and only for a
 // change that means to alter what it pins.
 var pinned = map[string]pin{
-	"tied/hash/1": {"ea0c4f35547732bf80378e494e7b97bcd611b6fa31155e279cd8eff679fee9da", "21d03023bd808055538a3924ca99d7b5848c88119b013d6e973f663f46304700", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
-	"tied/hash/5": {"49f4ae8bbf1aa503abab2fad3a24499e46910396df45b9d8ad46aa2ee725d5ea", "3f43fa1acfadfe775e061e5446311778bb11dbc8130e1faf5a5fa1ec8785a864", "87ed14acb7a8a17e2fb277a434257531e74f11b01077eb96f8c9f519c4fdd062", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
-	"tied/grid/1": {"ea0c4f35547732bf80378e494e7b97bcd611b6fa31155e279cd8eff679fee9da", "21d03023bd808055538a3924ca99d7b5848c88119b013d6e973f663f46304700", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
-	"tied/grid/5": {"2dc14c80c34a0e8dac358d7762c89648a9dbeca4d7c095ff35780384d5d2e1a8", "3f43fa1acfadfe775e061e5446311778bb11dbc8130e1faf5a5fa1ec8785a864", "33fd4524175783679a205fe2661977b2af4adcf9e7353a96190994d318dad6b8", "0091cf3de65819453348f49089ad9cb3cb0e9cf735d211bea0a603320063468d"},
+	"tied/hash/1": {"bd34f1af547fd1e7ac62b93c74f063372d807111cbcdbb134414872400696116", "8e90dd23e31d6dce8977c12e5f9dd76b5449129361e7eb1cc3cd4f310e707dcb", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
+	"tied/hash/5": {"4592bd20d54ea351167c7a9471099b488d20ee9f95be90c2fd9f4bd961a08575", "d8e43137b4c7a9d3430ce07836b5241afc8ab8816ec970286eeb9da0d5f32836", "87ed14acb7a8a17e2fb277a434257531e74f11b01077eb96f8c9f519c4fdd062", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
+	"tied/grid/1": {"bd34f1af547fd1e7ac62b93c74f063372d807111cbcdbb134414872400696116", "8e90dd23e31d6dce8977c12e5f9dd76b5449129361e7eb1cc3cd4f310e707dcb", "579c08f1a96a24fdeb680de5a588b61b6f604854801d68a631eb646d1ca0c9aa", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
+	"tied/grid/5": {"2dc14c80c34a0e8dac358d7762c89648a9dbeca4d7c095ff35780384d5d2e1a8", "d8e43137b4c7a9d3430ce07836b5241afc8ab8816ec970286eeb9da0d5f32836", "33fd4524175783679a205fe2661977b2af4adcf9e7353a96190994d318dad6b8", "0091cf3de65819453348f49089ad9cb3cb0e9cf735d211bea0a603320063468d"},
 	"dim8/hash/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
 	"dim8/hash/5": {"9284667496c5fc943448dbd9fc8714b0030e6fe736168f34d855c134672b7a68", "4231d02967b19e29288848183b461555c5c73f15ef4168295461f93f19d3ee6a", "14237cd990803eba67a9652eec7bb89b96a39c6f08843db8350d0372a318c14c", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
 	"dim8/grid/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "5e4c09a29868e2bd8e3537090c3c460f7468563e3892366eaea057cc7e834624", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
@@ -45,9 +45,9 @@ var pinned = map[string]pin{
 // pulled tuple: ID, key bits and parent ordinal (zeroes where a k-way
 // merge does not report them). A score row's key is the source's merge
 // key; a distance row's is the tuple's squared distance to the query,
-// recomputed here, so the line says what order held whatever the source
-// keyed it by. Each shard's stream goes into shardH, the merged one into
-// mergedH.
+// recomputed here, so the line says what order held, and a keyed
+// distance source must have reported those very bits. Each shard's
+// stream goes into shardH, the merged one into mergedH.
 func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, queries []vec.Vector) {
 	t.Helper()
 	drain := func(h hash.Hash, label string, q vec.Vector, src relation.Source, err error) {
@@ -75,7 +75,11 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 				t.Fatalf("%s: %v", label, err)
 			}
 			if q != nil {
-				key = tu.Vec.Dist2(q)
+				d2 := tu.Vec.Dist2(q)
+				if keyed != nil && math.Float64bits(key) != math.Float64bits(d2) {
+					t.Fatalf("%s: %s keyed %v, its squared distance is %v", label, tu.ID, key, d2)
+				}
+				key = d2
 			}
 			fmt.Fprintf(h, "%s %016x %d\n", tu.ID, math.Float64bits(key), ord)
 		}

@@ -168,8 +168,9 @@ type Closer interface {
 
 // KeyedSource is the contract merged shard streams rely on: alongside
 // each tuple, the source reports the ascending sort key its order is
-// defined by (distance, or negated score for score access) and the
-// tuple's ordinal in the parent relation. Ordinals break key ties with a
+// defined by and the tuple's ordinal in the parent relation. A distance
+// stream's key is the tuple's squared distance to the query, with the bits
+// of Vec.Dist2(q); a score stream's is the negated score. Ordinals break key ties with a
 // total order every shard of one relation agrees on, which is what makes
 // a k-way merge of shard streams byte-identical to the unsharded stream
 // (see MergedSource).
@@ -198,7 +199,7 @@ type BoundedSource interface {
 	KeyedSource
 	// KeyLowerBound returns b with b <= key for every tuple the source
 	// will emit. The bound must stay sound under floating-point rounding
-	// (see ShardBounds.DistanceLowerBound for the slack discipline);
+	// (see ShardBounds.Dist2LowerBound for the slack discipline);
 	// an overestimate can reorder emissions across shards.
 	KeyLowerBound() float64
 }
@@ -266,9 +267,9 @@ func sortKeys(ks []sortKey) {
 //
 // The raw traversal breaks exact-distance ties by heap insertion order,
 // which depends on tree structure. rtreeSource re-orders each run of
-// equal distances by parent ordinal instead, so that every distance
-// source — full sort, one shard's R-tree, or merged shard R-trees —
-// emits one canonical (distance, ordinal) sequence.
+// equal squared distances by parent ordinal instead, so that every
+// distance source — full sort, one shard's R-tree, or merged shard
+// R-trees — emits one canonical (squared distance, ordinal) sequence.
 type rtreeSource struct {
 	rel     *Relation
 	cols    Columns
@@ -291,7 +292,7 @@ type nnRef struct {
 // nnHit is one materialized traversal result.
 type nnHit struct {
 	nnRef
-	dist float64
+	dist2 float64
 }
 
 func (s *rtreeSource) Next() (Tuple, error) {
@@ -305,8 +306,8 @@ func (s *rtreeSource) take() (nnHit, bool) {
 		s.hasLook = false
 		return s.look, true
 	}
-	ref, d, ok := s.it.Next()
-	return nnHit{nnRef: ref, dist: d}, ok
+	ref, d2, ok := s.it.Next()
+	return nnHit{nnRef: ref, dist2: d2}, ok
 }
 
 // NextKeyed implements KeyedSource.
@@ -324,7 +325,7 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 			if !ok {
 				break
 			}
-			if h.dist != first.dist {
+			if h.dist2 != first.dist2 {
 				s.look, s.hasLook = h, true
 				break
 			}
@@ -341,7 +342,7 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 	}
 	h := s.batch[s.pos]
 	s.pos++
-	return s.cols.Tuple(int(h.idx)), h.dist, int(h.ord), nil
+	return s.cols.Tuple(int(h.idx)), h.dist2, int(h.ord), nil
 }
 
 // Close implements Closer: every later read reports ErrExhausted, and the

@@ -86,30 +86,28 @@ type ShardBounds struct {
 // per-operation error while costing nothing measurable in pruning power.
 const boundSlack = 1e-9
 
-// DistanceLowerBound returns a sound lower bound on the Euclidean
-// distance from q to any tuple in the shard: the larger of d(q,centroid)
-// − radius and the distance from q to the rectangle, floored at 0 and
-// deflated by boundSlack. The triangle inequality is what makes the ball
-// sound. The rectangle is the tighter of the two for a box-shaped shard;
-// the ball stays because .prox files store and verify it.
-//
-// The ball's operands are slackened apart, the distance down and the
-// radius up, before they are subtracted: the difference cancels, so a
-// slack relative to it alone does not cover their rounding when q lies
-// within a few ulps of the ball's surface. The rectangle's distance is
-// monotone in every rounding step (rtree.Rect.MinDist2) and needs none of
-// its own; the closing factor is the one slack applied to both.
-func (b ShardBounds) DistanceLowerBound(q vec.Vector) float64 {
-	d := vec.Vector(b.Centroid).Dist(q)*(1-boundSlack) - b.Radius*(1+boundSlack)
+// Dist2LowerBound returns a sound lower bound on the squared Euclidean
+// distance from q to any tuple in the shard, the key its distance stream
+// starts at: the larger of the rectangle's squared distance and the
+// ball's (d(q, centroid) − radius)². The rectangle's rounds monotonically
+// in Vec.Dist2's order (rtree.Rect.MinDist2) and needs no slack. The
+// ball's radius is a distance, so its operands are slackened apart before
+// the subtraction, which cancels near the ball's surface, and the square
+// once more; an overflowing centroid distance bounds nothing. Below the
+// normal range, where rounding is absolute, the bound is 0.
+func (b ShardBounds) Dist2LowerBound(q vec.Vector) float64 {
+	var d2 float64
+	dc := vec.Vector(b.Centroid).Dist(q)
+	if d := dc*(1-boundSlack) - b.Radius*(1+boundSlack); d > 0 && !math.IsInf(dc, 1) {
+		d2 = d * d * (1 - boundSlack)
+	}
 	if b.Min != nil {
-		d = max(d, math.Sqrt(rtree.Rect{Min: b.Min, Max: b.Max}.MinDist2(q)))
+		d2 = max(d2, rtree.Rect{Min: b.Min, Max: b.Max}.MinDist2(q))
 	}
-	// A ball whose distance and radius both overflow yields Inf − Inf:
-	// NaN bounds nothing, so it falls to 0 with the negative bounds.
-	if !(d > 0) {
-		return 0
+	if !(d2 >= 0x1p-1022) {
+		return 0 // subnormal, or NaN from a NaN corner
 	}
-	return d * (1 - boundSlack)
+	return d2
 }
 
 // computeBounds derives the bounding metadata of the shard holding the

@@ -206,8 +206,8 @@ func TestLoadsFileWrittenBeforeRectangles(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, key, _, err := src.(relation.KeyedSource).NextKeyed()
-			if b := loaded.ShardBounds(i); err != nil || len(b.Min) != rel.Dim() || b.DistanceLowerBound(q) > key {
-				t.Fatalf("shard %d from %v: bounds %+v give %v, first key %v (err %v)", i, q, b, b.DistanceLowerBound(q), key, err)
+			if b := loaded.ShardBounds(i); err != nil || len(b.Min) != rel.Dim() || b.Dist2LowerBound(q) > key {
+				t.Fatalf("shard %d from %v: bounds %+v give %v, first key %v (err %v)", i, q, b, b.Dist2LowerBound(q), key, err)
 			}
 		}
 	}

@@ -29,8 +29,8 @@ func (r Rect) Contains(p vec.Vector) bool {
 	return true
 }
 
-// KNearest returns the k closest points to q with their distances (fewer
-// if the tree is smaller).
+// KNearest returns the k closest points to q with their squared distances
+// (fewer if the tree is smaller).
 func (t *Tree[T]) KNearest(q vec.Vector, k int) (values []T, dists []float64) {
 	it := t.NearestNeighbors(q)
 	for len(values) < k {

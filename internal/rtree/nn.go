@@ -86,14 +86,14 @@ func (it *NNIterator[T]) Release() {
 	}
 }
 
-// Next returns the next closest point's payload and its Euclidean distance.
-// ok is false once all points have been produced.
+// Next returns the next closest point's payload and its squared Euclidean
+// distance. ok is false once all points have been produced.
 //
 // A point's squared distance is accumulated in coordinate order exactly as
-// vec.Vector.Dist2 does, so the distance returned has the same bits as
-// p.Dist(q) — what lets a traversal stand in for a
-// full sort byte for byte.
-func (it *NNIterator[T]) Next() (value T, dist float64, ok bool) {
+// vec.Vector.Dist2 does, so the value returned has the same bits as
+// p.Dist2(q) — what lets a traversal stand in for a full sort byte for
+// byte.
+func (it *NNIterator[T]) Next() (value T, dist2 float64, ok bool) {
 	t, q := it.tree, it.query
 	dim := len(q)
 	var d2 [nodeCap]float64 // the open leaf's squared distances
@@ -111,7 +111,7 @@ func (it *NNIterator[T]) Next() (value T, dist float64, ok bool) {
 			} else {
 				it.pop()
 			}
-			return t.vals[e], math.Sqrt(top.dist2), true
+			return t.vals[e], top.dist2, true
 		}
 		if id := int(top.ref); id < t.leaves {
 			// Open the leaf: its cursor takes the node's place.

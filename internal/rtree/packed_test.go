@@ -174,7 +174,7 @@ func TestNNOracle(t *testing.T) {
 			for _, q := range queries {
 				want := make([]float64, n)
 				for i, p := range pts {
-					want[i] = p.Dist(q)
+					want[i] = p.Dist2(q)
 				}
 				slices.Sort(want)
 				seen := make([]bool, n)
@@ -191,8 +191,8 @@ func TestNNOracle(t *testing.T) {
 						t.Fatalf("dim %d n %d q %v: value %d emitted twice or past the end (rank %d)", d, n, q, v, rank)
 					}
 					seen[v] = true
-					if own := pts[v].Dist(q); math.Float64bits(dist) != math.Float64bits(own) {
-						t.Fatalf("dim %d n %d q %v: value %d at %x, Dist says %x", d, n, q, v, math.Float64bits(dist), math.Float64bits(own))
+					if own := pts[v].Dist2(q); math.Float64bits(dist) != math.Float64bits(own) {
+						t.Fatalf("dim %d n %d q %v: value %d at %x, Dist2 says %x", d, n, q, v, math.Float64bits(dist), math.Float64bits(own))
 					}
 					if math.Float64bits(dist) != math.Float64bits(want[rank]) {
 						t.Fatalf("dim %d n %d q %v: rank %d at %v, brute force has %v", d, n, q, rank, dist, want[rank])
@@ -208,7 +208,7 @@ func TestBulkLoadCopiesPoints(t *testing.T) {
 	pts := []vec.Vector{vec.Of(1, 1), vec.Of(5, 5)}
 	tr := BulkLoad(2, pts, []int{0, 1})
 	pts[0][0], pts[0][1] = 100, 100
-	if v, d, _ := tr.NearestNeighbors(vec.Of(0, 0)).Next(); v != 0 || d != math.Sqrt2 {
+	if v, d, _ := tr.NearestNeighbors(vec.Of(0, 0)).Next(); v != 0 || d != 2 {
 		t.Fatalf("nearest = %d at %v after the input moved", v, d)
 	}
 }

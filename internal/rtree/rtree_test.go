@@ -140,10 +140,10 @@ func TestBulkLoadAndKNearest(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return pts[idx[a]].Dist(q) < pts[idx[b]].Dist(q) })
+	sort.Slice(idx, func(a, b int) bool { return pts[idx[a]].Dist2(q) < pts[idx[b]].Dist2(q) })
 	for i := 0; i < 10; i++ {
-		if math.Abs(dists[i]-pts[idx[i]].Dist(q)) > 1e-12 {
-			t.Fatalf("kNN #%d: got %d at %v, want %d at %v", i, got[i], dists[i], idx[i], pts[idx[i]].Dist(q))
+		if math.Abs(dists[i]-pts[idx[i]].Dist2(q)) > 1e-12 {
+			t.Fatalf("kNN #%d: got %d at %v, want %d at %v", i, got[i], dists[i], idx[i], pts[idx[i]].Dist2(q))
 		}
 	}
 }
@@ -233,7 +233,7 @@ func TestQuickNNMatchesBruteForce(t *testing.T) {
 			if seen[v] {
 				return false // duplicate
 			}
-			if dist != pts[v].Dist(q) {
+			if dist != pts[v].Dist2(q) {
 				return false // wrong distance
 			}
 			seen[v] = true

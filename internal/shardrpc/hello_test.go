@@ -105,7 +105,7 @@ func FuzzHelloDecode(f *testing.F) {
 				t.Fatalf("accepted relation makes no stub: %v", err)
 			}
 			for _, own := range ri.Owned {
-				if d := own.Bounds.DistanceLowerBound(vec.New(ri.Dim)); math.IsNaN(d) {
+				if d := own.Bounds.Dist2LowerBound(vec.New(ri.Dim)); math.IsNaN(d) {
 					t.Fatalf("shard %d: distance bound NaN from %+v", own.Index, own.Bounds)
 				}
 				if math.IsNaN(-own.Bounds.MaxScore) {

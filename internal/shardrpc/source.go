@@ -93,7 +93,7 @@ func OpenRemoteShard(ctx context.Context, parent *relation.Relation, rr *RemoteR
 		// minimum, not derived arithmetic.
 		bound = -bounds.MaxScore
 	default:
-		bound = bounds.DistanceLowerBound(query)
+		bound = bounds.Dist2LowerBound(query)
 	}
 	ramp := batch <= 0
 	if ramp {
