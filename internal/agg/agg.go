@@ -15,9 +15,10 @@
 // engine sums it at each seen tuple and the corner bound reads it at a
 // corner of what is unseen. The tight bounding scheme reads the weights
 // and the score transform, which fix the closed-form geometry of ray
-// reduction and the 1-D QP. Proximity by direction alone needs no second aggregation: between unit vectors
-// ‖a−b‖² = 2(1 − cos(a, b)), so unit-normalized inputs make the squared
-// Euclidean terms compare directions.
+// reduction and the 1-D QP. Proximity by direction alone needs no second
+// aggregation: between unit vectors ‖a−b‖² = 2(1 − cos(a, b)), so
+// unit-normalized inputs make the squared Euclidean terms compare
+// directions.
 package agg
 
 import (

@@ -14,8 +14,9 @@ import "repro/internal/vec"
 //   - Each slot's term splits as qterm − w_µ·dist(x, µ): qterm, the
 //     tuple's SoloBound at its squared distance to the query, does not
 //     depend on the centroid, so it can be computed once per pulled tuple
-//     and cached in a per-relation column. Go evaluates a − b − c as (a−b) − c, so the
-//     cached (a−b) reproduces the inline expression bit for bit.
+//     and cached in a per-relation column. Go evaluates a − b − c as
+//     (a−b) − c, so the cached (a−b) reproduces the inline expression bit
+//     for bit.
 //   - The centroid mean accumulates the slot vectors in index order, so
 //     the partial sum over the fixed slots before the varying one is a
 //     shared prefix: computed once per block, then extended per candidate

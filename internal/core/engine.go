@@ -37,9 +37,9 @@ type relState struct {
 	// solo holds each prefix tuple's term (agg.Function.SoloBound at its
 	// score and squared distance: the exact float every score of the tuple
 	// adds before subtracting its centroid term), parallel to tuples; the
-	// block kernel reads it too. soloMax is
-	// its running maximum and soloAbsMax the running maximum magnitude (the
-	// scale of the floating-point error a sum of solo terms can carry).
+	// block kernel reads it too. soloMax is its running maximum and
+	// soloAbsMax the running maximum magnitude (the scale of the
+	// floating-point error a sum of solo terms can carry).
 	// bySolo is a max-heap of the prefix ranks by descending solo, then
 	// ascending rank, read in that order (walk): the order in which a
 	// pruned level's survivors form a prefix (see candidates). All four
@@ -584,8 +584,8 @@ func (e *Engine) step(ri int) error {
 // counts into Stats.CombinationsFormed up front, so the paper's cost
 // metric and the MaxCombinations cap semantics are unchanged by pruning:
 // subtrees whose best possible completion (the sum of their tuples' solo
-// terms, see agg.Function.SoloBound) cannot beat the buffer's score floor are
-// cut before materialization and tallied again in CombinationsPruned.
+// terms, see agg.Function.SoloBound) cannot beat the buffer's score floor
+// are cut before materialization and tallied again in CombinationsPruned.
 func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo float64) {
 	for _, rs := range e.rels {
 		if rs.index != ri && rs.depth() == 0 {

@@ -92,7 +92,7 @@ func TestQuickTightnessWitness(t *testing.T) {
 				for k, j := range unseen {
 					y := e.q.AddScaled(sol[k], dir)
 					// Feasibility: the witness respects distance access.
-					if y.Dist2(e.q) < e.rels[j].last*(1-1e-9) {
+					if y.Dist(e.q) < math.Sqrt(e.rels[j].last)-1e-9 {
 						return false
 					}
 					sigmas = append(sigmas, e.rels[j].maxScore)
