@@ -10,15 +10,13 @@
 // arithmetic mean, which is the arg-min of the summed squared Euclidean
 // distances used by the quadratic form.
 //
-// Function is the whole contract an aggregation meets, and EuclideanSum
-// is the one aggregation. SoloBound is its one per-tuple term: the
-// engine sums it at each seen tuple and the corner bound reads it at a
-// corner of what is unseen. The tight bounding scheme reads the weights
-// and the score transform, which fix the closed-form geometry of ray
-// reduction and the 1-D QP. Proximity by direction alone needs no second
-// aggregation: between unit vectors ‖a−b‖² = 2(1 − cos(a, b)), so
-// unit-normalized inputs make the squared Euclidean terms compare
-// directions.
+// EuclideanSum is the one aggregation. SoloBound is its one per-tuple
+// term: the engine sums it at each seen tuple in the order a score adds
+// them, the corner bound reads it at a corner of what is unseen, and the
+// tight bounds fold it with the centroid and unseen-query terms they
+// subtract. Proximity by direction alone needs no second aggregation:
+// between unit vectors ‖a−b‖² = 2(1 − cos(a, b)), so unit-normalized
+// inputs make the squared Euclidean terms compare directions.
 package agg
 
 import (
@@ -28,45 +26,6 @@ import (
 
 	"repro/internal/vec"
 )
-
-// Function is an aggregation function in the shape of paper eq. (2): the
-// sum of one term per joined tuple, each monotone non-decreasing in the
-// tuple's score and non-increasing in its distances to the query and to
-// the centroid. It offers the evaluation forms the engine runs it
-// through — scoring into a caller-owned centroid buffer, the separable
-// per-tuple term, a batched kernel over candidate blocks, and the
-// weights and score transform the tight bounds are built from.
-// Score is the definition; the other forms must agree with it as
-// documented on each method.
-type Function interface {
-	// Score evaluates the full combination: distances are derived from the
-	// query q and the centroid of xs.
-	Score(q vec.Vector, sigmas []float64, xs []vec.Vector) float64
-	// ScoreScratch is Score with mu (len = dim) as centroid scratch space,
-	// avoiding the per-combination centroid allocation on the formation hot
-	// path. The result must be bit-identical to Score.
-	ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64
-	// SoloBound is the term of a tuple with score sigma and squared
-	// distance d2 to the query, the centroid distance zeroed. At a tuple's
-	// own σ and x.Dist2(q) it is exactly what ScoreScratch adds before
-	// subtracting the weighted centroid distance, so, float addition being
-	// monotone, Score(q, σ, x) ≤ Σ_i SoloBound(σ_i, x_i.Dist2(q)) summed in
-	// slot order, bit for bit. It must be non-decreasing in sigma and
-	// non-increasing in d2 in floating point: the corner bound reads it at
-	// the best score left and the least squared distance, a key.
-	SoloBound(sigma, d2 float64) float64
-	// ScoreBlock scores len(out) combinations that agree with (qterms,
-	// xs) on every slot except vary, where candidate j places the tuple
-	// with cached solo term candQ[j] and vector candXs[j]. qterms[vary] and
-	// xs[vary] are ignored. Scores land in out, bit-identical to a
-	// ScoreScratch call per candidate (see block.go).
-	ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
-		candQ []float64, candXs []vec.Vector, scr *BlockScratch, out []float64)
-	// Weights returns (w_s, w_q, w_µ).
-	Weights() (ws, wq, wmu float64)
-	// TransformScore applies the score transform T (ln or identity).
-	TransformScore(sigma float64) float64
-}
 
 // ScoreTransform selects how σ enters the aggregation.
 type ScoreTransform int
@@ -130,9 +89,9 @@ func MustEuclideanSum(w Weights, transform ScoreTransform) *EuclideanSum {
 	return e
 }
 
-// TransformScore implements Function. A log transform of σ = 0 is −∞;
-// relation validation keeps scores strictly positive so this stays finite
-// in normal operation.
+// TransformScore applies the score transform T (ln or identity). A log
+// transform of σ = 0 is −∞; relation validation keeps scores strictly
+// positive so this stays finite in normal operation.
 func (e *EuclideanSum) TransformScore(sigma float64) float64 {
 	if e.Transform == IdentityScore {
 		return sigma
@@ -140,10 +99,9 @@ func (e *EuclideanSum) TransformScore(sigma float64) float64 {
 	return math.Log(sigma)
 }
 
-// Weights implements Function.
-func (e *EuclideanSum) Weights() (ws, wq, wmu float64) { return e.W.Ws, e.W.Wq, e.W.Wmu }
-
-// Score implements Function using the mean centroid.
+// Score evaluates the full combination: distances are derived from the
+// query q and the mean centroid of xs. It is the definition the other
+// evaluation forms agree with.
 func (e *EuclideanSum) Score(q vec.Vector, sigmas []float64, xs []vec.Vector) float64 {
 	if len(sigmas) != len(xs) || len(xs) == 0 {
 		panic("agg: sigmas/xs mismatch or empty")
@@ -156,9 +114,10 @@ func (e *EuclideanSum) Score(q vec.Vector, sigmas []float64, xs []vec.Vector) fl
 	return s
 }
 
-// ScoreScratch implements Function: the operation sequence matches
-// Score exactly (MeanInto mirrors Mean bit-for-bit), only the centroid
-// buffer is caller-owned.
+// ScoreScratch is Score with mu (len = dim) as centroid scratch space,
+// avoiding the per-combination centroid allocation on the formation hot
+// path: the operation sequence matches Score exactly (MeanInto mirrors
+// Mean bit-for-bit), so the result is bit-identical.
 func (e *EuclideanSum) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vector, mu vec.Vector) float64 {
 	if len(sigmas) != len(xs) || len(xs) == 0 {
 		panic("agg: sigmas/xs mismatch or empty")
@@ -171,9 +130,16 @@ func (e *EuclideanSum) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vec
 	return s
 }
 
-// SoloBound implements Function: w_s·T(σ) − w_q·d2, the first two
-// operands of the ScoreScratch slot term. The dropped −w_µ·dmu² term is
-// never positive, so the sum of solo bounds dominates the full score.
+// SoloBound is w_s·T(σ) − w_q·d2, the term of a tuple with score sigma
+// and squared distance d2 to the query, the centroid distance zeroed. At
+// a tuple's own σ and x.Dist2(q) it is exactly the first two operands of
+// the slot term ScoreScratch adds before subtracting the weighted
+// centroid distance, so, rounded addition being monotone in each operand
+// and fl(a − b) ≤ a for b ≥ 0, Score(q, σ, x) ≤ Σ_i SoloBound(σ_i,
+// x_i.Dist2(q)) summed from 0 in slot order, bit for bit. It is
+// non-decreasing in sigma and non-increasing in d2 in floating point: the
+// corner bound reads it at the best score left and the least squared
+// distance, a key. SoloBound(σ, 0) has the bits of w_s·T(σ).
 func (e *EuclideanSum) SoloBound(sigma, d2 float64) float64 {
 	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*d2
 }

@@ -104,7 +104,7 @@ func TestScorePanicsOnMismatch(t *testing.T) {
 // non-decreasing in σ and non-increasing in the squared query distance, so
 // its value at a corner caps every tuple still unseen.
 func TestQuickMonotonicity(t *testing.T) {
-	fns := []Function{
+	fns := []*EuclideanSum{
 		MustEuclideanSum(Weights{Ws: 1.5, Wq: 0.7, Wmu: 2}, LogScore),
 		MustEuclideanSum(Weights{Ws: 1, Wq: 1, Wmu: 1}, IdentityScore),
 	}

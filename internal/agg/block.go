@@ -4,7 +4,7 @@ import "repro/internal/vec"
 
 // Block scoring: the engine's combination-formation hot path evaluates,
 // at the innermost enumeration level, a run of candidate combinations
-// that share every slot except one. Function.ScoreBlock turns that run
+// that share every slot except one. EuclideanSum.ScoreBlock turns that run
 // into a single kernel call over columnar state instead of one
 // ScoreScratch call per leaf.
 //
@@ -101,7 +101,11 @@ func (e *EuclideanSum) QTerm(_ int, sigma float64, x, q vec.Vector) float64 {
 	return e.SoloBound(sigma, x.Dist2(q))
 }
 
-// ScoreBlock implements Function.
+// ScoreBlock scores len(out) combinations that agree with (qterms, xs)
+// on every slot except vary, where candidate j places the tuple with
+// cached solo term candQ[j] and vector candXs[j]. qterms[vary] and
+// xs[vary] are ignored. Scores land in out, bit-identical to a
+// ScoreScratch call per candidate.
 func (e *EuclideanSum) ScoreBlock(q vec.Vector, qterms []float64, xs []vec.Vector, vary int,
 	candQ []float64, candXs []vec.Vector, scr *BlockScratch, out []float64) {
 	n := len(xs)

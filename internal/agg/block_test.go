@@ -15,7 +15,7 @@ import (
 // caches them.
 func TestScoreBlockBitIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
-	aggs := []Function{
+	aggs := []*EuclideanSum{
 		MustEuclideanSum(Weights{Ws: 1, Wq: 1, Wmu: 1}, LogScore),
 		MustEuclideanSum(Weights{Ws: 2, Wq: 0.5, Wmu: 3}, IdentityScore),
 	}

@@ -26,9 +26,9 @@ func randomCombo(r *rand.Rand, n, d int) (q vec.Vector, sigmas []float64, xs []v
 	return q, sigmas, xs
 }
 
-func testFunctions(r *rand.Rand) []Function {
+func testFunctions(r *rand.Rand) []*EuclideanSum {
 	w := Weights{Ws: 0.1 + 2*r.Float64(), Wq: 0.1 + 2*r.Float64(), Wmu: 2 * r.Float64()}
-	return []Function{
+	return []*EuclideanSum{
 		MustEuclideanSum(w, LogScore),
 		MustEuclideanSum(w, IdentityScore),
 	}

@@ -73,17 +73,17 @@ func (t *topK) sorted() []Combination {
 
 // deferredCut is one subtree Engine.candidates cut below the floor of an
 // open session, kept as a record instead of dropped. Its members are the
-// ranks below the recorded depth of the cut level that fail the
-// cut test partial + solo[r] + sufB ≥ bar, crossed with every inner
-// level's prefix as deep as it was at cut time, under the fixed ranks of
-// the outer levels and the pulled slot. Replaying the test with the same
+// ranks below the recorded depth of the cut level that fail the cut test
+// reach(level, partial + solo[r]) ≥ key, crossed with every inner level's
+// prefix as deep as it was at cut time, under the fixed ranks of the
+// outer levels and the pulled slot. Replaying the test with the same
 // operands recomputes the tail bit for bit, so nothing is enumerated until
-// Engine.expandCut. By pruneSlack's argument every member scores strictly
-// below key, the floor the cut was made against.
+// Engine.expandCut. No member scores above its reach, so every member
+// scores strictly below key, the floor the cut was made against.
 type deferredCut struct {
-	key, partial, sufB, bar float64
-	level, skip             int32
-	slot                    int32 // cutHeap.arena: n fixed ranks, then n prefix depths
+	key, partial float64
+	level, skip  int32
+	slot         int32 // cutHeap.arena: n fixed ranks, then n prefix depths
 }
 
 // cutHeap holds an open session's deferred cuts, best key first.

@@ -11,9 +11,9 @@ import (
 	"repro/internal/vec"
 )
 
-// matchFullSort runs in under distance access with each of algos through
-// a batch run, a bounded session (MaxBuffered = K) and an open session,
-// and holds each to the full sort of the cross product: the batch run and
+// matchFullSort runs in under both access kinds with each of algos
+// through a batch run, a bounded session (MaxBuffered = K) and an open
+// session, and holds each to the full sort of the cross product: the batch run and
 // the bounded session to its first K, the open session to all of it,
 // position by position, in score bits and tuple IDs. The instances it is
 // given have no tied scores, so the order is unique.
@@ -30,21 +30,23 @@ func matchFullSort(t *testing.T, in instance, algos []Algorithm) {
 		}
 		return strings.Join(parts, " ")
 	}
-	for _, algo := range algos {
-		for _, mb := range []int{-1, in.k, 0} {
-			surface := fmt.Sprintf("%v, maxBuffered %d", algo, mb)
-			run := runSurface(t, in, relation.DistanceAccess, Options{Algorithm: algo}, mb)
-			w := want
-			if mb != 0 {
-				w = want[:in.k]
-			}
-			if len(run.combs) != len(w) {
-				t.Fatalf("%s: %d results, full sort has %d", surface, len(run.combs), len(w))
-			}
-			for i, c := range run.combs {
-				if math.Float64bits(c.Score) != math.Float64bits(w[i].Score) || ids(c) != ids(w[i]) {
-					t.Errorf("%s: result %d is [%s] at %g, full sort has [%s] at %g (threshold %g, depths %v)",
-						surface, i, ids(c), c.Score, ids(w[i]), w[i].Score, run.threshold, run.stats.Depths)
+	for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
+		for _, algo := range algos {
+			for _, mb := range []int{-1, in.k, 0} {
+				surface := fmt.Sprintf("%v, %v, maxBuffered %d", algo, kind, mb)
+				run := runSurface(t, in, kind, Options{Algorithm: algo}, mb)
+				w := want
+				if mb != 0 {
+					w = want[:in.k]
+				}
+				if len(run.combs) != len(w) {
+					t.Fatalf("%s: %d results, full sort has %d", surface, len(run.combs), len(w))
+				}
+				for i, c := range run.combs {
+					if math.Float64bits(c.Score) != math.Float64bits(w[i].Score) || ids(c) != ids(w[i]) {
+						t.Errorf("%s: result %d is [%s] at %g, full sort has [%s] at %g (threshold %g, depths %v)",
+							surface, i, ids(c), c.Score, ids(w[i]), w[i].Score, run.threshold, run.stats.Depths)
+					}
 				}
 			}
 		}
@@ -68,17 +70,18 @@ func TestStoppingTestHasNoAbsoluteSlack(t *testing.T) {
 	matchFullSort(t, instance{rels: []*relation.Relation{r0, r1}, q: vec.New(2), fn: fn, k: 1}, Algorithms)
 }
 
-// TestCornerCapHoldsWhereScoreAndDistanceCancel: every tuple sits at p,
-// whose squared distance D from the query is about 1e9, and every score is
-// D or D + u, u = ulp(D), so each term σ − D is 0 or u. R0 holds σ ∈ {D,
-// D + u} under σ_max = D + u, R1 holds σ = D under σ_max = D; the true
-// top-1 pairs R0's D + u with R1's tuple and scores u. A corner cap read
-// at a rounded distance squared back, fl(√D)², sat an ulp of D below the
-// term a score adds, so the bound fell to −u under the buffered 0 and
-// CBRR stopped one pull early. The tight bounders are left out: they
-// score reconstructed points, whose squared distances round either way,
-// and still certify the 0 here.
-func TestCornerCapHoldsWhereScoreAndDistanceCancel(t *testing.T) {
+// TestBoundsHoldWhereScoreAndDistanceCancel: every tuple sits at p, whose
+// squared distance D from the query is about 1e9, and every score is D or
+// D + u, u = ulp(D), so each term σ − D is 0 or u. R0 holds σ ∈ {D, D + u}
+// under σ_max = D + u, R1 holds σ = D under σ_max = D; the true top-1
+// pairs R0's D + u with R1's tuple and scores u. All four algorithms must
+// return it under both access kinds. A corner cap read at a rounded
+// distance squared back, fl(√D)², sat an ulp of D below the term a score
+// adds, so the bound fell to −u under the buffered 0 and CBRR stopped one
+// pull early. The distance tight bound summed the score terms w_s·T(σ)
+// and the query terms apart, not the solo terms a score adds, and TBRR
+// and TBPA certified the 0 at t = 0.
+func TestBoundsHoldWhereScoreAndDistanceCancel(t *testing.T) {
 	p := vec.Of(22360.003655, 22360.5)
 	q := vec.New(2)
 	d := p.Dist2(q)
@@ -91,5 +94,5 @@ func TestCornerCapHoldsWhereScoreAndDistanceCancel(t *testing.T) {
 		{ID: "r1-0", Score: d, Vec: p},
 	})
 	fn := agg.MustEuclideanSum(agg.DefaultWeights(), agg.IdentityScore)
-	matchFullSort(t, instance{rels: []*relation.Relation{r0, r1}, q: q, fn: fn, k: 1}, []Algorithm{CBRR, CBPA})
+	matchFullSort(t, instance{rels: []*relation.Relation{r0, r1}, q: q, fn: fn, k: 1}, Algorithms)
 }

@@ -34,22 +34,19 @@ type relState struct {
 	// R_i[p_i], the keys a distance stream ordered them by, 0 before the
 	// first pull (paper convention): the only distances the bounds read.
 	first, last float64
-	// solo holds each prefix tuple's term (agg.Function.SoloBound at its
-	// score and squared distance: the exact float every score of the tuple
-	// adds before subtracting its centroid term), parallel to tuples; the
-	// block kernel reads it too. soloMax is its running maximum and
-	// soloAbsMax the running maximum magnitude (the scale of the
-	// floating-point error a sum of solo terms can carry).
+	// solo holds each prefix tuple's term (agg.EuclideanSum.SoloBound at
+	// its score and squared distance: the exact float every score of the
+	// tuple adds before subtracting its centroid term), parallel to tuples;
+	// the block kernel reads it too. soloMax is its running maximum.
 	// bySolo is a max-heap of the prefix ranks by descending solo, then
 	// ascending rank, read in that order (walk): the order in which a
-	// pruned level's survivors form a prefix (see candidates). All four
+	// pruned level's survivors form a prefix (see candidates). All three
 	// drive score-floor pruning during formation and the score-access tight
 	// bound's walk (tightScoreBounder.extend), so every engine keeps them,
 	// pruned or not.
-	solo       []float64
-	soloMax    float64
-	soloAbsMax float64
-	bySolo     []int32
+	solo    []float64
+	soloMax float64
+	bySolo  []int32
 	// front is the frontier of the current walk; cands is the relation's
 	// candidate list while formation descends into it (see candidates).
 	front []int32
@@ -212,9 +209,10 @@ type Engine struct {
 	scrSolos  []float64 // the fixed slots' solo terms, the block kernel's qterms
 	scrXs     []vec.Vector
 	scrMu     vec.Vector
-	sufBound  []float64 // sufBound[i]: Σ soloMax over levels ≥ i (skip excluded)
-	sufCount  []int64   // sufCount[i]: Π depth over levels ≥ i (skip excluded)
-	pruneMag  float64   // Σ soloAbsMax: term-magnitude scale for pruneSlack
+	// levelMax[i] is the largest solo term level i can place: soloMax, or
+	// the pulled tuple's solo at its own level (see reach).
+	levelMax []float64
+	sufCount []int64 // sufCount[i]: Π depth over levels ≥ i (skip excluded)
 	// Block-mode scratch: the kernel's working storage and the per-block
 	// column/output buffers.
 	blkScr agg.BlockScratch
@@ -322,7 +320,7 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	// buffer. Columns take zero-length full-capacity views (the
 	// three-index slices below), so an append that outgrows its segment
 	// relocates that column without touching its neighbors.
-	nf := 2*n + (n + 1) + dim + colTotal
+	nf := 3*n + dim + colTotal
 	if blockSize > 0 {
 		nf += 2 * blockSize
 	}
@@ -331,7 +329,7 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	takeCol := func(c int) []float64 { s := floats[:0:c]; floats = floats[c:]; return s }
 	e.scrSigmas = takeN(n)
 	e.scrSolos = takeN(n)
-	e.sufBound = takeN(n + 1)
+	e.levelMax = takeN(n)
 	e.scrMu = vec.Vector(takeN(dim))
 
 	// Vector-view scratch shares one backing array the same way, and
@@ -378,9 +376,9 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	case opts.Algorithm.Bound() != TightBound:
 		e.bound = newCornerBounder(e)
 	case kind == relation.DistanceAccess:
-		e.bound = newTightDistBounder(e, opts.Agg)
+		e.bound = newTightDistBounder(e)
 	default:
-		e.bound = newTightScoreBounder(e, opts.Agg)
+		e.bound = newTightScoreBounder(e)
 	}
 	if opts.Algorithm.Pull() == PotentialAdaptive {
 		e.pull = &potentialAdaptive{}
@@ -558,9 +556,6 @@ func (e *Engine) step(ri int) error {
 	if len(rs.solo) == 1 || solo > rs.soloMax {
 		rs.soloMax = solo
 	}
-	if a := math.Abs(solo); a > rs.soloAbsMax {
-		rs.soloAbsMax = a
-	}
 
 	var bStart time.Time
 	if e.opts.CollectTimings {
@@ -583,9 +578,10 @@ func (e *Engine) step(ri int) error {
 // member to the output buffer (Algorithm 1 lines 6-7). The whole product
 // counts into Stats.CombinationsFormed up front, so the paper's cost
 // metric and the MaxCombinations cap semantics are unchanged by pruning:
-// subtrees whose best possible completion (the sum of their tuples' solo
-// terms, see agg.Function.SoloBound) cannot beat the buffer's score floor
-// are cut before materialization and tallied again in CombinationsPruned.
+// subtrees whose best possible completion (their tuples' solo terms,
+// folded as a score adds them, see reach) cannot reach the buffer's score
+// floor are cut before materialization and tallied again in
+// CombinationsPruned.
 func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo float64) {
 	for _, rs := range e.rels {
 		if rs.index != ri && rs.depth() == 0 {
@@ -599,14 +595,10 @@ func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo float64) {
 	e.scrXs[ri] = tup.Vec
 	e.scrSolos[ri] = solo
 	e.setLastVar(ri)
-	// Suffix tables over the remaining levels: the best additional solo
-	// mass and the number of leaves below each level. pruneMag collects the
-	// largest term magnitude any partial sum can contain, which sets the
-	// scale of its floating-point error (see pruneSlack).
-	var sb float64
+	// Each level's best solo term, and the number of leaves below each
+	// level.
 	sc := int64(1)
-	mag := math.Abs(solo)
-	e.sufBound[e.n] = 0
+	e.levelMax[ri] = solo
 	e.sufCount[e.n] = 1
 	for i := e.n - 1; i >= 0; i-- {
 		if i != ri {
@@ -615,15 +607,12 @@ func (e *Engine) formCombinations(ri int, tup relation.Tuple, solo float64) {
 			// at all), and a wrapped count would corrupt CombinationsFormed
 			// and defeat the MaxCombinations cap.
 			sc = satMul(sc, int64(e.rels[i].depth()))
-			sb += e.rels[i].soloMax
-			mag += e.rels[i].soloAbsMax
+			e.levelMax[i] = e.rels[i].soloMax
 		}
-		e.sufBound[i] = sb
 		e.sufCount[i] = sc
 	}
-	e.pruneMag = mag
 	e.stats.CombinationsFormed = satAdd(e.stats.CombinationsFormed, sc)
-	e.enumerate(0, ri, solo)
+	e.enumerate(0, ri, 0)
 }
 
 // setLastVar records the innermost level that varies when ri is the
@@ -663,28 +652,27 @@ func satMul(a, b int64) int64 {
 	return a * b
 }
 
-// pruneSlack is the safety margin under the score floor that keeps
-// pruning conservative against floating-point divergence between the
-// incremental solo sums and the full aggregation: a subtree is cut only
-// when its upper bound is below floor − slack, so rounding can never
-// prune a combination the buffer would have admitted (admitting a doomed
-// one is harmless — offer rejects it exactly as before). The margin
-// scales with the magnitude of the summed terms (mag), not just the
-// floor: solo terms can be many orders larger than the scores they
-// cancel to, and the summation error follows the terms. 1e-9 relative
-// overshoots the actual ~1e-15-per-term error by six orders while still
-// being far below any meaningful score separation.
-func pruneSlack(floor, mag float64) float64 {
-	return 1e-9 * (1 + math.Abs(floor) + mag)
+// reach is the best score a member of level i's candidate can attain:
+// v, the fold of the outer levels' solo terms and the candidate's, then
+// each inner level's levelMax added in level order. That is the order
+// ScoreScratch and ScoreBlock add the slot terms in, from 0, and each
+// slot term is its solo term less a centroid term, so, fl(a − b) ≤ a for
+// b ≥ 0 and rounded addition being monotone in each operand, no member
+// scores above its reach, bit for bit.
+func (e *Engine) reach(i int, v float64) float64 {
+	for _, m := range e.levelMax[i+1:] {
+		v += m
+	}
+	return v
 }
 
 // candidates returns, in rank order, the ranks of level i that formation
-// descends into below the partial solo sum of the outer levels. Without a
-// score floor that is the whole prefix. With one it is the ranks r whose
-// best completion partial + solo[r] + sufBound[i+1] reaches floor − slack;
-// float addition is monotone, so walking bySolo (descending solo) and
-// stopping at the first failure finds exactly the set a scan of the prefix
-// would, at O(log) per survivor instead of the depth. Everything
+// descends into below the folded solo terms of the outer levels, partial.
+// Without a score floor that is the whole prefix. With one it is the ranks
+// r whose reach(i, partial + solo[r]) is at least the floor; reach is
+// monotone in solo[r], so walking bySolo (descending solo) and stopping
+// at the first failure finds exactly the set a scan of the prefix would,
+// at O(log) per survivor instead of the depth. Everything
 // behind the stop is the cut: charged to CombinationsPruned in one step,
 // then dropped, or kept as one deferredCut when the buffer has a cuts
 // store (an open session). This is the only place a tail is cut. The
@@ -702,11 +690,9 @@ func (e *Engine) candidates(i, skip int, partial float64) []int32 {
 		floor, pruned = e.buf.floor()
 	}
 	if pruned {
-		bar := floor - pruneSlack(floor, e.pruneMag)
-		sufB := e.sufBound[i+1]
 		rs.walk()
 		for r, ok := rs.next(); ok; r, ok = rs.next() {
-			if partial+rs.solo[r]+sufB < bar {
+			if e.reach(i, partial+rs.solo[r]) < floor {
 				break
 			}
 			out = append(out, r)
@@ -714,7 +700,7 @@ func (e *Engine) candidates(i, skip int, partial float64) []int32 {
 		if cut := len(rs.bySolo) - len(out); cut > 0 {
 			e.stats.CombinationsPruned = satAdd(e.stats.CombinationsPruned, satMul(int64(cut), e.sufCount[i+1]))
 			if e.buf.cuts != nil {
-				e.deferCut(deferredCut{key: floor, partial: partial, sufB: sufB, bar: bar, level: int32(i), skip: int32(skip)})
+				e.deferCut(deferredCut{key: floor, partial: partial, level: int32(i), skip: int32(skip)})
 			}
 		}
 		slices.Sort(out)
@@ -745,12 +731,21 @@ func (e *Engine) deferCut(c deferredCut) {
 // path — the same fixed slots, the same block level, so the same scores
 // bit for bit — and offers each to the buffer. The members were counted in
 // CombinationsFormed when the record was cut, so nothing is counted here.
+// The inner levels' levelMax is recomputed from the recorded depths: a
+// solo column only grows, so the maximum of its first depth terms is the
+// soloMax the cut read.
 func (e *Engine) expandCut(c deferredCut) {
 	p := e.buf.cuts.arena.ranksAt(c.slot)
 	for j := 0; j < int(c.level); j++ {
 		e.place(j, p[j])
 	}
 	e.place(int(c.skip), p[c.skip])
+	for j := int(c.level) + 1; j < e.n; j++ {
+		if j != int(c.skip) {
+			e.levelMax[j] = slices.Max(e.rels[j].solo[:p[e.n+j]])
+		}
+	}
+	e.levelMax[c.skip] = e.scrSolos[c.skip]
 	e.setLastVar(int(c.skip))
 	e.exp, e.expanding = c, true
 	e.enumerate(int(c.level), int(c.skip), c.partial)
@@ -767,7 +762,7 @@ func (e *Engine) expansion(i int, partial float64) []int32 {
 	depth := e.buf.cuts.arena.ranksAt(c.slot)[e.n+i]
 	out := rs.cands[:0]
 	for r := int32(0); r < depth; r++ {
-		if i != int(c.level) || partial+rs.solo[r]+c.sufB < c.bar {
+		if i != int(c.level) || e.reach(i, partial+rs.solo[r]) < c.key {
 			out = append(out, r)
 		}
 	}
@@ -775,15 +770,16 @@ func (e *Engine) expansion(i int, partial float64) []int32 {
 	return out
 }
 
-// enumerate recurses over relation levels, carrying the partial solo sum
-// of the chosen tuples.
+// enumerate recurses over relation levels, carrying partial: the solo
+// terms of the tuples fixed at levels before i, folded from 0 in level
+// order, the pulled tuple's at its own level.
 func (e *Engine) enumerate(i, skip int, partial float64) {
 	if i == e.n {
 		e.buf.offer(e.opts.Agg.ScoreScratch(e.q, e.scrSigmas, e.scrXs, e.scrMu), e.scrRanks)
 		return
 	}
 	if i == skip {
-		e.enumerate(i+1, skip, partial)
+		e.enumerate(i+1, skip, partial+e.scrSolos[skip])
 		return
 	}
 	rs := e.rels[i]

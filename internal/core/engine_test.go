@@ -18,7 +18,7 @@ import (
 type instance struct {
 	rels []*relation.Relation
 	q    vec.Vector
-	fn   agg.Function
+	fn   *agg.EuclideanSum
 	k    int
 }
 

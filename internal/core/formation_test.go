@@ -239,57 +239,60 @@ func (tr *transcript) TraceBuffer(string, int) {}
 // pinnedTranscripts holds the first 8 bytes of each run's transcript
 // digest as recorded at commit 038d1cc, in the iteration order of
 // TestPullTranscriptPinned. The distance CBRR and CBPA rows were
-// re-recorded when corner caps came to be read at squared-distance keys:
-// only their threshold bits moved.
+// re-recorded when corner caps came to be read at squared-distance keys,
+// and the 22 tight rows that moved when both tight bounds came to fold
+// the score's own solo terms (n = 2 distance TBRR and TBPA, n = 2 score
+// TBPA, n = 3 and 4 TBRR and TBPA under both access kinds): in both, only
+// their threshold bits moved.
 var pinnedTranscripts = []uint64{
 	0xb1fc5156b8a2a9a2, // n=2 distance CBRR(HRJN) eager=false
 	0xb1fc5156b8a2a9a2, // n=2 distance CBRR(HRJN) eager=true
 	0xdd0fcf9a7f15d115, // n=2 distance CBPA(HRJN*) eager=false
 	0xdd0fcf9a7f15d115, // n=2 distance CBPA(HRJN*) eager=true
-	0x348c1d2bcac63731, // n=2 distance TBRR eager=false
-	0x348c1d2bcac63731, // n=2 distance TBRR eager=true
-	0x9654e5f634db7ef3, // n=2 distance TBPA eager=false
-	0x9654e5f634db7ef3, // n=2 distance TBPA eager=true
+	0x07ef41936dcee37b, // n=2 distance TBRR eager=false
+	0x07ef41936dcee37b, // n=2 distance TBRR eager=true
+	0x21b9ce5501806de3, // n=2 distance TBPA eager=false
+	0x21b9ce5501806de3, // n=2 distance TBPA eager=true
 	0x48edcd142a92b511, // n=2 score CBRR(HRJN) eager=false
 	0x48edcd142a92b511, // n=2 score CBRR(HRJN) eager=true
 	0x16181a01690e36a9, // n=2 score CBPA(HRJN*) eager=false
 	0x16181a01690e36a9, // n=2 score CBPA(HRJN*) eager=true
 	0x3eaead3e1fede402, // n=2 score TBRR eager=false
 	0x3eaead3e1fede402, // n=2 score TBRR eager=true
-	0x8bdfaa4066d5ec8c, // n=2 score TBPA eager=false
-	0x8bdfaa4066d5ec8c, // n=2 score TBPA eager=true
+	0xa1deef6e06ca877c, // n=2 score TBPA eager=false
+	0xa1deef6e06ca877c, // n=2 score TBPA eager=true
 	0x4478004beddf32f4, // n=3 distance CBRR(HRJN) eager=false
 	0x4478004beddf32f4, // n=3 distance CBRR(HRJN) eager=true
 	0xf3e6b9c0027e4f98, // n=3 distance CBPA(HRJN*) eager=false
 	0xf3e6b9c0027e4f98, // n=3 distance CBPA(HRJN*) eager=true
-	0x63dcacf121b24252, // n=3 distance TBRR eager=false
-	0x63dcacf121b24252, // n=3 distance TBRR eager=true
-	0xed8d42735cf06872, // n=3 distance TBPA eager=false
-	0xed8d42735cf06872, // n=3 distance TBPA eager=true
+	0x2e87eefe5b231652, // n=3 distance TBRR eager=false
+	0x2e87eefe5b231652, // n=3 distance TBRR eager=true
+	0x62798744733d6f8d, // n=3 distance TBPA eager=false
+	0x62798744733d6f8d, // n=3 distance TBPA eager=true
 	0xc0cdb1d92b5bd6ff, // n=3 score CBRR(HRJN) eager=false
 	0xc0cdb1d92b5bd6ff, // n=3 score CBRR(HRJN) eager=true
 	0x932b3a7aea4099cd, // n=3 score CBPA(HRJN*) eager=false
 	0x932b3a7aea4099cd, // n=3 score CBPA(HRJN*) eager=true
-	0x0f9f00f94a3f40d6, // n=3 score TBRR eager=false
-	0x0f9f00f94a3f40d6, // n=3 score TBRR eager=true
-	0x18239c09eb8ecbdb, // n=3 score TBPA eager=false
-	0x18239c09eb8ecbdb, // n=3 score TBPA eager=true
+	0xc4937a734acafa60, // n=3 score TBRR eager=false
+	0xc4937a734acafa60, // n=3 score TBRR eager=true
+	0x192c2f2be50fa371, // n=3 score TBPA eager=false
+	0x192c2f2be50fa371, // n=3 score TBPA eager=true
 	0x8105552e06a4e03b, // n=4 distance CBRR(HRJN) eager=false
 	0x8105552e06a4e03b, // n=4 distance CBRR(HRJN) eager=true
 	0x3ca1cf9dd8596ac4, // n=4 distance CBPA(HRJN*) eager=false
 	0x3ca1cf9dd8596ac4, // n=4 distance CBPA(HRJN*) eager=true
-	0xbd01e0cb47e9e66d, // n=4 distance TBRR eager=false
-	0xbd01e0cb47e9e66d, // n=4 distance TBRR eager=true
-	0x690996204a765716, // n=4 distance TBPA eager=false
-	0x690996204a765716, // n=4 distance TBPA eager=true
+	0xb85b2ed30b722433, // n=4 distance TBRR eager=false
+	0xb85b2ed30b722433, // n=4 distance TBRR eager=true
+	0x262b29dbc5508936, // n=4 distance TBPA eager=false
+	0x262b29dbc5508936, // n=4 distance TBPA eager=true
 	0x2a8a73d917161aa0, // n=4 score CBRR(HRJN) eager=false
 	0x2a8a73d917161aa0, // n=4 score CBRR(HRJN) eager=true
 	0xa7282b6701a7db2e, // n=4 score CBPA(HRJN*) eager=false
 	0xa7282b6701a7db2e, // n=4 score CBPA(HRJN*) eager=true
-	0xd46e63a411c2271e, // n=4 score TBRR eager=false
-	0xd46e63a411c2271e, // n=4 score TBRR eager=true
-	0xa3214150faabc913, // n=4 score TBPA eager=false
-	0xa3214150faabc913, // n=4 score TBPA eager=true
+	0xd96f5f5d1e6ac949, // n=4 score TBRR eager=false
+	0xd96f5f5d1e6ac949, // n=4 score TBRR eager=true
+	0x3bb557edc45936a1, // n=4 score TBPA eager=false
+	0x3bb557edc45936a1, // n=4 score TBPA eager=true
 }
 
 // TestPullTranscriptPinned holds Engine.Run's whole pull sequence to the
@@ -453,7 +456,7 @@ func TestPruneFloorSurvivesEmission(t *testing.T) {
 // deepFixture is the shape of the benchmark's single_engine workload:
 // 2 relations × 20 000 tuples × dim 4, each a one-shard partition behind
 // its shared R-tree, unit weights.
-func deepFixture(t testing.TB) ([]*relation.Sharded, agg.Function) {
+func deepFixture(t testing.TB) ([]*relation.Sharded, *agg.EuclideanSum) {
 	t.Helper()
 	cfg := datagen.Defaults()
 	cfg.Dim, cfg.BaseTuples, cfg.Seed = 4, 20_000, 11

@@ -12,7 +12,7 @@ import (
 	"repro/internal/vec"
 )
 
-func mustAgg(t *testing.T, ws, wq, wmu float64) agg.Function {
+func mustAgg(t *testing.T, ws, wq, wmu float64) *agg.EuclideanSum {
 	t.Helper()
 	fn, err := agg.NewEuclideanSum(agg.Weights{Ws: ws, Wq: wq, Wmu: wmu}, agg.IdentityScore)
 	if err != nil {

@@ -539,7 +539,7 @@ func (it *Iterator) Threshold() float64 { return it.e.t }
 
 // NaiveStream is the oracle for Iterator tests: the fully sorted cross
 // product.
-func NaiveStream(rels []*relation.Relation, q vec.Vector, fn agg.Function) ([]Combination, error) {
+func NaiveStream(rels []*relation.Relation, q vec.Vector, fn *agg.EuclideanSum) ([]Combination, error) {
 	total := 1
 	for _, r := range rels {
 		total *= r.Len()

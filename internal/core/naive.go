@@ -12,7 +12,7 @@ import (
 // It is the correctness oracle for the ProxRJ algorithms and the "read
 // everything" baseline of the paper's motivation: its sumDepths is always
 // Σ|R_i|.
-func Naive(rels []*relation.Relation, q vec.Vector, fn agg.Function, k int) ([]Combination, error) {
+func Naive(rels []*relation.Relation, q vec.Vector, fn *agg.EuclideanSum, k int) ([]Combination, error) {
 	if len(rels) < 2 {
 		return nil, ErrNoRelations
 	}

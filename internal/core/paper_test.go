@@ -45,7 +45,7 @@ func distanceSources(t testing.TB, rels []*relation.Relation, q vec.Vector) []re
 	return out
 }
 
-func defaultAgg() agg.Function {
+func defaultAgg() *agg.EuclideanSum {
 	return agg.MustEuclideanSum(agg.DefaultWeights(), agg.LogScore)
 }
 

@@ -153,24 +153,31 @@ func TestQuickPruneByteIdentityCancellingTerms(t *testing.T) {
 
 // FuzzPruneByteIdentity searches cancelling instances for a pruned run
 // that differs from its unpruned twin. Inputs: the shared point, the
-// score offsets in ulps of D (each byte mod 9; the first half go to R0,
-// the rest to R1), the algorithm and the access kind.
+// score offsets in ulps of D (each byte mod 9, cut into one run per
+// relation, the first runs the longer), the number of relations (2, 3 or 4: past 2 a cut's reach
+// folds inner levels, and open sessions defer and expand such cuts), the
+// algorithm and the access kind.
 func FuzzPruneByteIdentity(f *testing.F) {
-	f.Add(22360.001462, 22360.5, []byte{0, 1, 0}, uint8(CBRR), false)
-	f.Add(22360.001462, 22360.5, []byte{0, 1, 0}, uint8(TBRR), false)
-	f.Fuzz(func(t *testing.T, x, y float64, offs []byte, algo uint8, score bool) {
+	f.Add(22360.001462, 22360.5, []byte{0, 1, 0}, uint8(0), uint8(CBRR), false)
+	f.Add(22360.001462, 22360.5, []byte{0, 1, 0}, uint8(0), uint8(TBRR), false)
+	f.Add(22360.001462, 22360.5, []byte{0, 1, 0, 3, 2, 1, 4, 0}, uint8(2), uint8(TBPA), true)
+	f.Fuzz(func(t *testing.T, x, y float64, offs []byte, rels, algo uint8, score bool) {
 		if len(offs) > 12 {
 			offs = offs[:12]
 		}
-		if len(offs) < 2 {
-			t.Skip("two relations need two tuples")
+		n := 2 + int(rels%3)
+		if len(offs) < n {
+			t.Skip("every relation needs a tuple")
 		}
 		ks := make([]int, len(offs))
 		for i, b := range offs {
 			ks[i] = int(b % 9)
 		}
-		half := (len(ks) + 1) / 2
-		in, ok := cancellingInstance(vec.Vector{x, y}, [][]int{ks[:half], ks[half:]}, 1)
+		runs := make([][]int, n)
+		for i := range runs {
+			runs[i] = ks[(i*len(ks)+n-1)/n : ((i+1)*len(ks)+n-1)/n]
+		}
+		in, ok := cancellingInstance(vec.Vector{x, y}, runs, 1)
 		if !ok {
 			t.Skip("no valid relation")
 		}
@@ -182,4 +189,64 @@ func FuzzPruneByteIdentity(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestCutIsExact: formation and the score walk cut on the fold of the
+// very solo terms a score adds, with no slack under the floor. Scores are
+// plain sums (identity transform, w_q = w_µ = 0), each just a few ulps of
+// δ = 2⁻⁴⁰ apart, far inside any relative 1e-9 band.
+//
+// Formation, K = 2, round robin over score access: after a0·b0·c0 (3)
+// and a1·b0·c0 (3 − δ) fill the buffer, the pull of b1 (1 − 2δ) forms
+// R0 × {b1} × R2, whose best member reaches 3 − 2δ, below the floor
+// 3 − δ: both of its subtrees are cut, and CombinationsPruned counts them.
+//
+// Score walk, K = 2, TBRR: the partial ⟨a1⟩ of subset {R0} has geo equal
+// to its solo, 1 − δ, below bestGeo = 1 of ⟨a0⟩, so it is never solved:
+// two geo evaluations, ⟨a0⟩ and ⟨b0⟩. Either way the answers equal the
+// unpruned twin's and the full sort's.
+func TestCutIsExact(t *testing.T) {
+	const delta = 0x1p-40
+	fn := agg.MustEuclideanSum(agg.Weights{Ws: 1}, agg.IdentityScore)
+	rel := func(name string, scores ...float64) *relation.Relation {
+		tuples := make([]relation.Tuple, len(scores))
+		for j, s := range scores {
+			tuples[j] = relation.Tuple{ID: fmt.Sprintf("%s-%d", name, j), Score: s, Vec: vec.Of(0)}
+		}
+		return relation.MustNew(name, scores[0], tuples)
+	}
+	q := vec.Of(0)
+	formation := instance{rels: []*relation.Relation{
+		rel("a", 1, 1-delta), rel("b", 1, 1-2*delta), rel("c", 1),
+	}, q: q, fn: fn, k: 2}
+	walk := instance{rels: []*relation.Relation{
+		rel("a", 1, 1-delta), rel("b", 1, 0.5),
+	}, q: q, fn: fn, k: 2}
+	for _, c := range []struct {
+		name   string
+		in     instance
+		algo   Algorithm
+		pruned int64
+		solves int64
+	}{
+		{"formation", formation, CBRR, 2, 0},
+		{"walk", walk, TBRR, 2, 2},
+	} {
+		res := runAlgo(t, c.in, relation.ScoreAccess, Options{Algorithm: c.algo})
+		st := res.Stats
+		if st.CombinationsPruned != c.pruned || st.QPSolves != c.solves {
+			t.Errorf("%s: %d pruned and %d geo evaluations, want %d and %d",
+				c.name, st.CombinationsPruned, st.QPSolves, c.pruned, c.solves)
+		}
+		if err := pruneInvisible(t, c.in, relation.ScoreAccess, c.algo); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		want, err := Naive(c.in.rels, q, fn, c.in.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := combosIdentical(res.Combinations, want); err != nil {
+			t.Errorf("%s: against the full sort: %v", c.name, err)
+		}
+	}
 }

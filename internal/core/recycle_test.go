@@ -13,7 +13,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/agg"
 	"repro/internal/relation"
 )
 
@@ -69,19 +68,6 @@ func TestQuickWalkOrder(t *testing.T) {
 	}
 }
 
-// transformLog is an aggregation that logs its TransformScore calls. The
-// score-access tight bound makes one per pulled tuple and one per tuple
-// its walk fixes, so the log is the order in which the walk reached them.
-type transformLog struct {
-	*agg.EuclideanSum
-	log *[]float64
-}
-
-func (l transformLog) TransformScore(sigma float64) float64 {
-	*l.log = append(*l.log, sigma)
-	return l.EuclideanSum.TransformScore(sigma)
-}
-
 // listWalkBounder is the score-access tight bound walking a stably sorted
 // list of each relation's ranks, as extend did before bySolo became a
 // heap. It borrows its engine's tightScoreBounder for everything but
@@ -93,13 +79,7 @@ type listWalkBounder struct {
 
 func (l *listWalkBounder) register(ri int) {
 	b := l.tightScoreBounder
-	rs := b.e.rels[ri]
-	tau := rs.tuples[len(rs.tuples)-1]
-	c := b.ws * b.fn.TransformScore(tau.Score)
-	b.caps[ri] = c
-	if m := math.Abs(c) + b.wq*tau.Vec.Dist2(b.e.q); m > b.mag[ri] {
-		b.mag[ri] = m
-	}
+	b.caps[ri] = b.e.opts.Agg.SoloBound(b.e.rels[ri].lastScore(), 0)
 	b.stale = true
 	l.sorted = l.sorted[:0]
 	for _, rj := range b.e.rels {
@@ -123,7 +103,6 @@ func (l *listWalkBounder) extendSubset(mask, ri int) {
 	w := &b.walk
 	w.mask = mask
 	w.others = w.others[:0]
-	w.mag = b.mag[ri]
 	for k, j := range b.members[mask] {
 		if j == ri {
 			w.pos = k
@@ -133,39 +112,29 @@ func (l *listWalkBounder) extendSubset(mask, ri int) {
 			return
 		}
 		w.others = append(w.others, j)
-		w.mag += b.mag[j]
 	}
 	rs := b.e.rels[ri]
 	last := rs.depth() - 1
 	w.xs[w.pos] = rs.tuples[last].Vec
-	w.tauT = b.caps[ri]
-	var sb float64
-	for k := len(w.others) - 1; k >= 0; k-- {
-		w.suf[k] = sb
-		sb += b.e.rels[w.others[k]].soloMax
-	}
-	w.bar = b.bestGeo[mask] - pruneSlack(b.bestGeo[mask], w.mag)
 	if len(w.others) == 0 {
 		b.e.stats.PartialsTracked++
-		if rs.solo[last] < w.bar {
+		if rs.solo[last] < b.bestGeo[mask] {
 			return
 		}
 	}
-	l.extend(0, 0, rs.solo[last])
+	l.extend(0, rs.solo[last])
 }
 
-func (l *listWalkBounder) extend(oi int, accT, accSolo float64) {
+func (l *listWalkBounder) extend(oi int, acc float64) {
 	b := l.tightScoreBounder
 	w := &b.walk
 	if oi == len(w.others) {
-		if g := b.geo(w.xs[:len(w.others)+1], accT+w.tauT); g > b.bestGeo[w.mask] {
+		if g := b.geo(w.xs[:len(w.others)+1], acc); g > b.bestGeo[w.mask] {
 			b.bestGeo[w.mask] = g
-			w.bar = g - pruneSlack(g, w.mag)
 		}
 		return
 	}
 	rs := b.e.rels[w.others[oi]]
-	suf := w.suf[oi]
 	leaf := oi == len(w.others)-1
 	xi := oi
 	if oi >= w.pos {
@@ -175,21 +144,24 @@ func (l *listWalkBounder) extend(oi int, accT, accSolo float64) {
 		if leaf {
 			b.e.stats.PartialsTracked++
 		}
-		if accSolo+rs.solo[r]+suf < w.bar {
+		v := acc + rs.solo[r]
+		reach := v
+		for _, j := range w.others[oi+1:] {
+			reach += b.e.rels[j].soloMax
+		}
+		if reach < b.bestGeo[w.mask] {
 			return
 		}
-		t := rs.tuples[r]
-		w.xs[xi] = t.Vec
-		l.extend(oi+1, accT+b.ws*b.fn.TransformScore(t.Score), accSolo+rs.solo[r])
+		w.xs[xi] = rs.tuples[r].Vec
+		l.extend(oi+1, v)
 	}
 }
 
 // TestExtendWalkOrder: at n = 3 and n = 4, the score-access bound's walk
-// over the bySolo heaps reaches the same partials in the same order as a
-// walk over stably sorted lists. Two engines run in lockstep, one with
-// listWalkBounder; after every pull the tuples each walk fixed (in
-// order), PartialsTracked, QPSolves and every subset's bestGeo must agree
-// bit for bit.
+// over the bySolo heaps reaches the same partials as a walk over stably
+// sorted lists. Two engines run in lockstep, one with listWalkBounder;
+// after every pull PartialsTracked, QPSolves and every subset's bestGeo
+// must agree bit for bit.
 func TestExtendWalkOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for ci, in := range scoreWalkInstances(r) {
@@ -198,16 +170,14 @@ func TestExtendWalkOrder(t *testing.T) {
 		}
 		for _, algo := range []Algorithm{TBRR, TBPA} {
 			name := fmt.Sprintf("case %d (n=%d, %v, %v)", ci, len(in.rels), in.fn, algo)
-			var heapLog, listLog []float64
-			open := func(log *[]float64) *Engine {
-				fn := transformLog{in.fn.(*agg.EuclideanSum), log}
-				e, err := NewEngine(in.sources(t, relation.ScoreAccess), Options{K: in.k, Algorithm: algo, Query: in.q, Agg: fn})
+			open := func() *Engine {
+				e, err := NewEngine(in.sources(t, relation.ScoreAccess), Options{K: in.k, Algorithm: algo, Query: in.q, Agg: in.fn})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return e
 			}
-			e, oracle := open(&heapLog), open(&listLog)
+			e, oracle := open(), open()
 			b := e.bound.(*tightScoreBounder)
 			ref := &listWalkBounder{tightScoreBounder: oracle.bound.(*tightScoreBounder)}
 			oracle.bound = ref
@@ -219,15 +189,11 @@ func TestExtendWalkOrder(t *testing.T) {
 				if ri < 0 {
 					break
 				}
-				heapLog, listLog = heapLog[:0], listLog[:0]
 				if err := e.step(ri); err != nil {
 					t.Fatal(err)
 				}
 				if err := oracle.step(ri); err != nil {
 					t.Fatal(err)
-				}
-				if !slices.Equal(heapLog, listLog) {
-					t.Fatalf("%s pull %d: walk fixed scores %v, reference %v", name, pull, heapLog, listLog)
 				}
 				if e.stats.PartialsTracked != oracle.stats.PartialsTracked || e.stats.QPSolves != oracle.stats.QPSolves {
 					t.Fatalf("%s pull %d: %d partials and %d solves, reference %d and %d", name, pull,

@@ -150,7 +150,7 @@ func deferredMembersBelowKey(t *testing.T, in instance, kind relation.AccessKind
 	return records, true
 }
 
-// TestSpillDeferredMembersBelowKey is pruneSlack's argument as a property:
+// TestSpillDeferredMembersBelowKey is reach's argument as a property:
 // every member of every deferred record — recomputed from the record's
 // operands, not remembered — scores strictly below the floor it was cut
 // against, and the records hold exactly the cut. Random instances over

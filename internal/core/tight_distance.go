@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/agg"
 	"repro/internal/pqueue"
 	"repro/internal/qp"
 	"repro/internal/vec"
@@ -25,7 +24,7 @@ import (
 //
 // A partial is named by its ranks, as a buffered combination is: the
 // ranks of a subset's partials live in one per-subset combArena slot each
-// (slot = partial id), beside a value slice of sumT and epoch; the cached
+// (slot = partial id), beside a value slice of solo and epoch; the cached
 // bound lives only in the partial's heap entry. The lazy schedule re-keys
 // only a heap's root, so a heap is a plain slice of (bound, id) entries
 // on pqueue's sifts, with no position table. computeBound rebuilds the
@@ -34,14 +33,10 @@ import (
 // buffers and qp.Eval, making the steady-state hot path allocation-free.
 type tightDistBounder struct {
 	subsetLattice
-	e           *Engine
-	fn          agg.Function
-	ws, wq, wmu float64
-	subsets     []subsetState // by mask
-	baseDir     vec.Vector    // fallback ray direction when ν = q or m = 0
-	// capMax[j] is w_s·T(σ_max) of R_j: an unseen member's score term,
-	// constant for the run.
-	capMax []float64
+	e       *Engine
+	wq, wmu float64
+	subsets []subsetState // by mask
+	baseDir vec.Vector    // fallback ray direction when ν = q or m = 0
 	// Scratch: the rank vector of a partial being formed, and for
 	// computeBound the seen vectors followed by the reconstructed unseen
 	// points.
@@ -67,7 +62,7 @@ type subsetState struct {
 // distPartial is one partial combination τ ∈ PC(M); its ranks are slot id
 // of the owning subset's arena, its cached bound t(τ) is in its heap entry.
 type distPartial struct {
-	sumT  float64 // Σ w_s·T(σ) over seen tuples
+	solo  float64 // its base partial's solo plus its newest tuple's solo term
 	epoch int     // SumDepths at last bound computation
 }
 
@@ -80,19 +75,18 @@ type boundItem struct {
 // boundAbove orders a subset heap: the larger cached bound first.
 func boundAbove(a, c boundItem) bool { return a.bound > c.bound }
 
-func newTightDistBounder(e *Engine, fn agg.Function) *tightDistBounder {
-	ws, wq, wmu := fn.Weights()
+func newTightDistBounder(e *Engine) *tightDistBounder {
 	b := &tightDistBounder{
-		e:  e,
-		fn: fn,
-		ws: ws, wq: wq, wmu: wmu,
+		e:       e,
+		wq:      e.opts.Agg.W.Wq,
+		wmu:     e.opts.Agg.W.Wmu,
 		rankBuf: make([]int32, e.n),
 		ptsBuf:  make([]vec.Vector, e.n),
 	}
 	b.subsetLattice = newSubsetLattice(e.n, b)
 	// All float scratch — ray directions, per-relation columns and the
 	// unseen reconstruction points — comes from one slab.
-	fs := make([]float64, 4*e.dim+3*e.n+e.n*e.dim)
+	fs := make([]float64, 4*e.dim+2*e.n+e.n*e.dim)
 	take := func(k int) []float64 { s := fs[:k:k]; fs = fs[k:]; return s }
 	b.baseDir = vec.Vector(take(e.dim))
 	b.dirBuf = vec.Vector(take(e.dim))
@@ -100,12 +94,8 @@ func newTightDistBounder(e *Engine, fn agg.Function) *tightDistBounder {
 	b.muBuf = vec.Vector(take(e.dim))
 	b.fixedBuf = take(e.n)
 	b.lowerBuf = take(e.n)
-	b.capMax = take(e.n)
 	b.unseenSlab = take(e.n * e.dim)
 	b.baseDir[0] = 1
-	for j, rs := range e.rels {
-		b.capMax[j] = ws * fn.TransformScore(rs.maxScore)
-	}
 	b.subsets = make([]subsetState, len(b.members))
 	for mask := range b.subsets {
 		b.subsets[mask].ranks.n = len(b.members[mask])
@@ -164,7 +154,7 @@ func (b *tightDistBounder) extendSubset(mask, ri int) {
 	}
 	rs := b.e.rels[ri]
 	tauRank := int32(rs.depth() - 1)
-	tauT := b.ws * b.fn.TransformScore(rs.tuples[tauRank].Score)
+	tauSolo := rs.solo[tauRank]
 	if cap(ss.partials) == 0 && len(base.partials) > 0 {
 		// First extension of this subset: reserve room for a batch of
 		// partials so the arena and heap are not regrown once per early id.
@@ -180,7 +170,7 @@ func (b *tightDistBounder) extendSubset(mask, ri int) {
 		rk[pos] = tauRank
 		copy(rk[pos+1:], br[pos:])
 		id := ss.ranks.alloc(rk)
-		ss.partials = append(ss.partials, distPartial{sumT: base.partials[bi].sumT + tauT, epoch: b.e.stats.SumDepths})
+		ss.partials = append(ss.partials, distPartial{solo: base.partials[bi].solo + tauSolo, epoch: b.e.stats.SumDepths})
 		ss.heap = append(ss.heap, boundItem{b.computeBound(mask, int(id)), id})
 		pqueue.SiftUp(ss.heap, boundAbove)
 		b.e.stats.PartialsTracked++
@@ -221,7 +211,9 @@ func (b *tightDistBounder) seen(mask, id int) (xs []vec.Vector, nu vec.Vector) {
 }
 
 // computeBound solves problem (12) for partial id of M via the Theorem 3.4
-// reduction and returns t(τ). All working storage comes from the bounder
+// reduction and returns t(τ): the partial's solo, plus SoloBound(σ_max_j,
+// ‖y_j−q‖²) for each reconstructed unseen point y_j, less every point's
+// centroid term. All working storage comes from the bounder
 // scratch; the evaluation is bit-identical to the allocating formulation
 // it replaced (SubDot ≡ Sub+Dot, ScaleInPlace ≡ Scale, AddScaledInto ≡
 // AddScaled, MeanInto ≡ Mean — each replays the same floating-point
@@ -263,17 +255,15 @@ func (b *tightDistBounder) computeBound(mask, id int) float64 {
 	// vectors and evaluate the true objective (12) there; this restores
 	// the perpendicular residual terms the 1-D form drops.
 	pts := xs
-	for k := range unseen {
-		pt := vec.Vector(b.unseenSlab[k*e.dim : (k+1)*e.dim])
-		pts = append(pts, vec.AddScaledInto(pt, e.q, sol.Unseen[k], dir))
-	}
-	val := b.subsets[mask].partials[id].sumT
-	for _, j := range unseen {
-		val += b.capMax[j]
+	val := b.subsets[mask].partials[id].solo
+	for k, j := range unseen {
+		pt := vec.AddScaledInto(vec.Vector(b.unseenSlab[k*e.dim:(k+1)*e.dim]), e.q, sol.Unseen[k], dir)
+		pts = append(pts, pt)
+		val += e.opts.Agg.SoloBound(e.rels[j].maxScore, pt.Dist2(e.q))
 	}
 	mu := vec.MeanInto(b.muBuf, pts)
 	for _, pt := range pts {
-		val -= b.wq*pt.Dist2(e.q) + b.wmu*pt.Dist2(mu)
+		val -= b.wmu * pt.Dist2(mu)
 	}
 	return val
 }

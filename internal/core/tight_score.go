@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/agg"
-	"repro/internal/vec"
-)
+import "repro/internal/vec"
 
 // tightScoreBounder implements the tight bound for score-based access
 // (paper Appendix C). The completion problem (39) is unconstrained in the
@@ -19,35 +14,32 @@ import (
 // best geometric value per subset must be retained (Algorithm 3's
 // τ_best^M bookkeeping) — no partial list is stored at all.
 //
-// A pull pays only for what it changed. register computes the pulled
-// tuple's w_s·T(σ) once — the relation's new unseen cap and the walk's
-// seen term for τ — and marks the lattice's t_M values stale; the next
-// threshold recomputes them into ts, which potential then reads.
-// The walk over the new partials PC(M−{i}) × {τ} is branch-and-bound:
-// geo only subtracts non-negative terms from the seen score sum, so the
-// separable sum of the engine's solo terms bounds it from above, and a
-// partial, or a whole subtree of them, whose separable bound cannot beat
-// bestGeo is never evaluated. bestGeo is a maximum, so it is bit-equal to
-// the one a walk over every partial would keep.
+// A pull pays only for what it changed. register reads the pulled
+// tuple's SoloBound(σ, 0) = w_s·T(σ), the relation's new unseen cap, and
+// marks the lattice's t_M values stale; the next threshold recomputes
+// them into ts, which potential then reads.
+// The walk over the new partials PC(M−{i}) × {τ} is branch-and-bound.
+// A partial's geo starts from acc, its members' solo terms folded (τ's
+// first, then the others in member order), and only subtracts
+// non-negative terms from it, so geo ≤ acc bit for bit; a partial, or a
+// whole subtree of them, whose acc — or, for a subtree, the fold with
+// each inner level's soloMax — is below bestGeo is never evaluated.
+// bestGeo is a maximum, so it is bit-equal to the one a walk over every
+// partial would keep.
 //
 // The geometric evaluations run through per-bounder scratch (centroid,
 // optimal completion point, reconstruction list), so the steady state
 // allocates nothing per partial.
 type tightScoreBounder struct {
 	subsetLattice
-	e           *Engine
-	fn          agg.Function
-	ws, wq, wmu float64
+	e       *Engine
+	wq, wmu float64
 	// bestGeo[mask] is the best geometric bound part over PC(M), −∞ while
 	// PC(M) is empty.
 	bestGeo []float64
-	// caps[j] is w_s·T(σ) of R_j's last pulled tuple, or of σ_max before
-	// its first pull: the unseen cap of eq. (40). mag[j] is the running
-	// maximum of |w_s·T(σ)| + w_q·‖x−q‖² over R_j's prefix: the scale of
-	// the floating-point error in a geo value or a separable sum, which
-	// sets the walk's pruneSlack.
+	// caps[j] is SoloBound(σ, 0) = w_s·T(σ) of R_j's last pulled tuple, or
+	// of σ_max before its first pull: the unseen cap of eq. (40).
 	caps []float64
-	mag  []float64
 	// geo scratch, reused across every geometric evaluation.
 	nuBuf    vec.Vector
 	diffBuf  vec.Vector
@@ -64,27 +56,19 @@ type scoreWalk struct {
 	others []int        // M − {i} in member order: the levels of the walk
 	xs     []vec.Vector // the partial being formed, member order
 	pos    int          // position of the pulled relation within xs
-	tauT   float64      // w_s·T(σ) of the pulled tuple
-	// suf[k] is Σ soloMax over the levels inside level k (others[k+1:]):
-	// the best separable completion of a partial fixed through level k.
-	suf []float64
-	mag float64 // Σ mag over M
-	bar float64 // bestGeo − pruneSlack: a separable bound below it is skipped
 }
 
-func newTightScoreBounder(e *Engine, fn agg.Function) *tightScoreBounder {
-	ws, wq, wmu := fn.Weights()
+func newTightScoreBounder(e *Engine) *tightScoreBounder {
 	full := 1 << e.n
 	// Every float the bounder owns — the per-relation and per-subset
 	// columns and the geo scratch — is carved from one slab.
-	fs := make([]float64, 3*e.n+(full-1)+4*e.dim)
+	fs := make([]float64, e.n+(full-1)+4*e.dim)
 	take := func(k int) []float64 { s := fs[:k:k]; fs = fs[k:]; return s }
 	b := &tightScoreBounder{
-		e:  e,
-		fn: fn,
-		ws: ws, wq: wq, wmu: wmu,
+		e:        e,
+		wq:       e.opts.Agg.W.Wq,
+		wmu:      e.opts.Agg.W.Wmu,
 		caps:     take(e.n),
-		mag:      take(e.n),
 		bestGeo:  take(full - 1),
 		nuBuf:    take(e.dim),
 		diffBuf:  take(e.dim),
@@ -94,12 +78,11 @@ func newTightScoreBounder(e *Engine, fn agg.Function) *tightScoreBounder {
 		walk: scoreWalk{
 			others: make([]int, 0, e.n),
 			xs:     make([]vec.Vector, e.n),
-			suf:    take(e.n),
 		},
 	}
 	b.subsetLattice = newSubsetLattice(e.n, b)
 	for j, rs := range e.rels {
-		b.caps[j] = ws * fn.TransformScore(rs.maxScore)
+		b.caps[j] = e.opts.Agg.SoloBound(rs.maxScore, 0)
 	}
 	// The empty partial: all n points at the optimum y* = q, zero distance
 	// penalties, zero seen score.
@@ -112,13 +95,7 @@ func newTightScoreBounder(e *Engine, fn agg.Function) *tightScoreBounder {
 }
 
 func (b *tightScoreBounder) register(ri int) {
-	rs := b.e.rels[ri]
-	tau := rs.tuples[len(rs.tuples)-1]
-	c := b.ws * b.fn.TransformScore(tau.Score)
-	b.caps[ri] = c
-	if m := math.Abs(c) + b.wq*tau.Vec.Dist2(b.e.q); m > b.mag[ri] {
-		b.mag[ri] = m
-	}
+	b.caps[ri] = b.e.opts.Agg.SoloBound(b.e.rels[ri].lastScore(), 0)
 	b.stale = true
 	for mask := range b.bestGeo {
 		if mask&(1<<ri) != 0 {
@@ -133,7 +110,6 @@ func (b *tightScoreBounder) extendSubset(mask, ri int) {
 	w := &b.walk
 	w.mask = mask
 	w.others = w.others[:0]
-	w.mag = b.mag[ri]
 	for k, j := range b.members[mask] {
 		if j == ri {
 			w.pos = k
@@ -143,48 +119,37 @@ func (b *tightScoreBounder) extendSubset(mask, ri int) {
 			return // PC(M − {ri}) is empty
 		}
 		w.others = append(w.others, j)
-		w.mag += b.mag[j]
 	}
 	rs := b.e.rels[ri]
 	last := rs.depth() - 1
 	w.xs[w.pos] = rs.tuples[last].Vec
-	w.tauT = b.caps[ri]
-	var sb float64
-	for k := len(w.others) - 1; k >= 0; k-- {
-		w.suf[k] = sb
-		sb += b.e.rels[w.others[k]].soloMax
-	}
-	w.bar = b.bestGeo[mask] - pruneSlack(b.bestGeo[mask], w.mag)
 	if len(w.others) == 0 {
 		// M = {ri}: the one new partial is ⟨τ⟩.
 		b.e.stats.PartialsTracked++
-		if rs.solo[last] < w.bar {
+		if rs.solo[last] < b.bestGeo[mask] {
 			return
 		}
 	}
-	b.extend(0, 0, rs.solo[last])
+	b.extend(0, rs.solo[last])
 }
 
-// extend walks level oi of the product, carrying the seen score sum accT
-// (summed in member order, τ's term last, exactly as geo always received
-// it) and the separable sum accSolo of the tuples fixed so far. Each level
-// is walked by descending solo, so the first candidate whose separable
-// bound — accSolo, its solo, and the best completion of the levels inside
-// it — falls below the bar ends the level: neither it nor anything behind
-// it, nor any partial below them, can raise bestGeo. PartialsTracked
-// counts the partials the walk reaches, each then either solved or
-// rejected on its own separable bound.
-func (b *tightScoreBounder) extend(oi int, accT, accSolo float64) {
+// extend walks level oi of the product, carrying acc, the solo terms of
+// τ and of the tuples fixed so far, folded in that order. Each level is
+// walked by descending solo, so the first candidate whose reach — acc,
+// its solo, then each inner level's soloMax, folded in order — falls
+// below bestGeo ends the level: neither it nor anything behind it, nor
+// any partial below them, can raise bestGeo. PartialsTracked counts the
+// partials the walk reaches, each then either solved or rejected on its
+// own reach.
+func (b *tightScoreBounder) extend(oi int, acc float64) {
 	w := &b.walk
 	if oi == len(w.others) {
-		if g := b.geo(w.xs[:len(w.others)+1], accT+w.tauT); g > b.bestGeo[w.mask] {
+		if g := b.geo(w.xs[:len(w.others)+1], acc); g > b.bestGeo[w.mask] {
 			b.bestGeo[w.mask] = g
-			w.bar = g - pruneSlack(g, w.mag)
 		}
 		return
 	}
 	rs := b.e.rels[w.others[oi]]
-	suf := w.suf[oi]
 	leaf := oi == len(w.others)-1
 	xi := oi
 	if oi >= w.pos {
@@ -195,21 +160,26 @@ func (b *tightScoreBounder) extend(oi int, accT, accSolo float64) {
 		if leaf {
 			b.e.stats.PartialsTracked++
 		}
-		if accSolo+rs.solo[r]+suf < w.bar {
+		v := acc + rs.solo[r]
+		reach := v
+		for _, j := range w.others[oi+1:] {
+			reach += b.e.rels[j].soloMax
+		}
+		if reach < b.bestGeo[w.mask] {
 			return
 		}
-		t := rs.tuples[r]
-		w.xs[xi] = t.Vec
-		b.extend(oi+1, accT+b.ws*b.fn.TransformScore(t.Score), accSolo+rs.solo[r])
+		w.xs[xi] = rs.tuples[r].Vec
+		b.extend(oi+1, v)
 	}
 }
 
-// geo evaluates the geometric part of the bound: seen transformed scores
-// plus the distance penalties at the closed-form optimal completion. The
-// scratch-based evaluation replays the allocating formulation's
+// geo evaluates the geometric part of the bound: acc, the partial's solo
+// terms folded, less the query terms of the unseen points at the
+// closed-form optimal completion y*, then every point's centroid term.
+// The scratch-based evaluation replays the allocating formulation's
 // floating-point operation sequence exactly (MeanInto ≡ Mean,
 // AddScaledInto ≡ AddScaled over SubInto ≡ Sub).
-func (b *tightScoreBounder) geo(xs []vec.Vector, sumT float64) float64 {
+func (b *tightScoreBounder) geo(xs []vec.Vector, acc float64) float64 {
 	e := b.e
 	m := len(xs)
 	n := e.n
@@ -230,9 +200,12 @@ func (b *tightScoreBounder) geo(xs []vec.Vector, sumT float64) float64 {
 		pts = append(pts, ystar)
 	}
 	mu := vec.MeanInto(b.muBuf, pts)
-	val := sumT
+	val := acc
+	for k := 0; k < u; k++ {
+		val -= b.wq * ystar.Dist2(e.q)
+	}
 	for _, pt := range pts {
-		val -= b.wq*pt.Dist2(e.q) + b.wmu*pt.Dist2(mu)
+		val -= b.wmu * pt.Dist2(mu)
 	}
 	e.stats.QPSolves++
 	return val

@@ -16,7 +16,8 @@ import (
 // TestScoreBoundClosedFormC1 checks the closed form of Appendix C.2 on the
 // Theorem C.1 instance: for the partial τ1^(1) (x = [1], σ = 1) with n = 2
 // and unit weights, the optimal unseen location is y* = 1/3 and the
-// geometric bound value is −4/3 − (seen score term 0).
+// geometric bound value is −4/3: the seen solo term ln 1 − 1 = −1, less
+// the unseen query term 1/9 and the centroid terms 2/9.
 func TestScoreBoundClosedFormC1(t *testing.T) {
 	r1 := relation.MustNew("R1", 1, []relation.Tuple{
 		{ID: "a", Score: 1, Vec: vec.Of(1)},
@@ -38,7 +39,7 @@ func TestScoreBoundClosedFormC1(t *testing.T) {
 	b := e.bound.(*tightScoreBounder)
 
 	// Closed form: y* = q + (ν−q)·m·wµ/(m·wµ + n·wq) = 1·1/(1+2) = 1/3.
-	geo := b.geo([]vec.Vector{vec.Of(1)}, 0)
+	geo := b.geo([]vec.Vector{vec.Of(1)}, e.rels[0].solo[0])
 	if math.Abs(geo-(-4.0/3.0)) > 1e-9 {
 		t.Fatalf("geo = %v, want -4/3 (optimum at y* = 1/3)", geo)
 	}
@@ -55,7 +56,7 @@ func TestQuickScoreGeoIsOptimal(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInstance(r, 3, 5)
-		ws, wq, wmu := in.fn.Weights()
+		ws, wq, wmu := in.fn.W.Ws, in.fn.W.Wq, in.fn.W.Wmu
 		e, err := NewEngine(in.sources(t, relation.ScoreAccess), Options{
 			K: in.k, Algorithm: TBRR, Query: in.q, Agg: in.fn,
 		})
@@ -84,7 +85,7 @@ func TestQuickScoreGeoIsOptimal(t *testing.T) {
 				continue
 			}
 			xs := make([]vec.Vector, 0, m)
-			var sumT float64
+			var sumT, acc float64
 			okAll := true
 			for _, j := range members {
 				rs := e.rels[j]
@@ -95,11 +96,12 @@ func TestQuickScoreGeoIsOptimal(t *testing.T) {
 				tup := rs.tuples[r.Intn(rs.depth())]
 				xs = append(xs, tup.Vec)
 				sumT += ws * in.fn.TransformScore(tup.Score)
+				acc += in.fn.SoloBound(tup.Score, tup.Vec.Dist2(e.q))
 			}
 			if !okAll {
 				continue
 			}
-			geo := b.geo(xs, sumT)
+			geo := b.geo(xs, acc)
 			// Any random placement of the unseen points must not beat geo.
 			u := e.n - m
 			for trial := 0; trial < 15; trial++ {
@@ -246,7 +248,7 @@ func BenchmarkScoreBound(b *testing.B) {
 
 // refScoreBounder is the score-access tight bound as Appendix C states it,
 // with no shortcut: every pull evaluates geo for every partial of
-// PC(M−{i}) × {τ}, and every read of a cap takes its logarithm afresh. It
+// PC(M−{i}) × {τ}, and every read of a cap takes its SoloBound afresh. It
 // borrows a tightScoreBounder only for geo and its scratch.
 type refScoreBounder struct {
 	b         *tightScoreBounder
@@ -267,8 +269,6 @@ func newRefScoreBounder(e *Engine) *refScoreBounder {
 	return r
 }
 
-func (r *refScoreBounder) wsT(sigma float64) float64 { return r.b.ws * r.b.fn.TransformScore(sigma) }
-
 func (r *refScoreBounder) register(ri int) {
 	e := r.b.e
 	tau := e.rels[ri].tuples[e.rels[ri].depth()-1]
@@ -277,12 +277,14 @@ func (r *refScoreBounder) register(ri int) {
 			continue
 		}
 		xs := r.xs[:len(members)]
-		// walk fixes member k and recurses; the pulled member is τ, and its
-		// score term is added last, as the engine's walk adds it.
+		// walk fixes member k and recurses, folding each member's solo term
+		// at its score and squared distance; the pulled member is τ, and its
+		// term comes first, as the engine's walk adds it.
+		solo := func(t relation.Tuple) float64 { return e.opts.Agg.SoloBound(t.Score, t.Vec.Dist2(e.q)) }
 		var walk func(k int, acc float64)
 		walk = func(k int, acc float64) {
 			if k == len(members) {
-				if g := r.b.geo(xs, acc+r.wsT(tau.Score)); g > r.best[mask] {
+				if g := r.b.geo(xs, acc); g > r.best[mask] {
 					r.best[mask] = g
 				}
 				r.any[mask] = true
@@ -296,10 +298,10 @@ func (r *refScoreBounder) register(ri int) {
 			}
 			for _, t := range e.rels[j].tuples {
 				xs[k] = t.Vec
-				walk(k+1, acc+r.wsT(t.Score))
+				walk(k+1, acc+solo(t))
 			}
 		}
-		walk(0, 0)
+		walk(0, solo(tau))
 	}
 }
 
@@ -311,7 +313,7 @@ func (r *refScoreBounder) tsM(mask int) float64 {
 	}
 	v := r.best[mask]
 	for _, j := range r.b.unseen[mask] {
-		v += r.wsT(r.b.e.rels[j].lastScore())
+		v += r.b.e.opts.Agg.SoloBound(r.b.e.rels[j].lastScore(), 0)
 	}
 	return v
 }
@@ -384,8 +386,8 @@ func scoreWalkInstances(r *rand.Rand) []instance {
 			levels := []float64{0.25, 0.5, 1}
 			rels, q = gen(n, sizes[n], d, func() float64 { return levels[r.Intn(len(levels))] },
 				func() float64 { return float64(r.Intn(3) - 1) }, 1)
-			// Without the µ term, geo is its separable bound up to rounding:
-			// the walk's slack is all that keeps a tie from being skipped.
+			// Without the µ term y* = q, so geo is exactly its acc: a
+			// partial whose reach ties bestGeo must still be walked.
 			both(rels, q, agg.Weights{Ws: 1, Wq: 0.5, Wmu: 0.25 * float64(trial%2)}, k)
 			rels, q = gen(n, sizes[n], d, func() float64 { return 1 + r.Float64()*1e6 },
 				func() float64 { return r.NormFloat64() * 1e3 }, 1e6+1)
@@ -393,7 +395,7 @@ func scoreWalkInstances(r *rand.Rand) []instance {
 		}
 	}
 	for _, in := range degenerateInstances() {
-		w := in.fn.(*agg.EuclideanSum).W
+		w := in.fn.W
 		both(in.rels, in.q, w, in.k)
 	}
 	return out

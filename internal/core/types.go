@@ -130,13 +130,13 @@ func (a Algorithm) ShortName() string {
 type Options struct {
 	// K is the number of top combinations to return (must be ≥ 1).
 	K int
-	// Algorithm selects the bound/pull pair; default CBRR.
+	// Algorithm selects the bound/pull pair; the zero value is TBPA.
 	Algorithm Algorithm
 	// Query is the target vector q.
 	Query vec.Vector
-	// Agg is the aggregation function: in production the paper's
-	// agg.EuclideanSum, which both bounding schemes read.
-	Agg agg.Function
+	// Agg is the aggregation function, the paper's eq. (2) sum; every
+	// bound reads its SoloBound terms.
+	Agg *agg.EuclideanSum
 	// EagerBounds recomputes every affected partial-combination bound on
 	// each pull, exactly as paper Algorithm 2; the default (false) uses a
 	// lazy max-heap that yields identical thresholds with fewer QP solves.
@@ -255,7 +255,8 @@ type Stats struct {
 	// SpilledBytes counts bytes written to spill segment files; zero when
 	// the spill heap never reached the watermark.
 	SpilledBytes int64
-	// BoundUpdates counts updateBound invocations (one per pull).
+	// BoundUpdates counts bound updates: one register and threshold read
+	// per pulled tuple.
 	BoundUpdates int64
 	// QPSolves counts tight-bound optimizations (problem (14) instances,
 	// or eq. (41) evaluations under score access).
@@ -265,7 +266,8 @@ type Stats struct {
 	// subtrees it skips are never formed.
 	PartialsTracked int64
 	// TotalTime is wall-clock for the whole run; BoundTime is the fraction
-	// spent in updateBound (the stacked bars of Fig. 3(d)-(l)).
+	// spent updating the bound, registering a pull or an exhaustion and
+	// reading the threshold (the stacked bars of Fig. 3(d)-(l)).
 	TotalTime time.Duration
 	BoundTime time.Duration
 }

@@ -22,7 +22,7 @@ type metric int
 
 const (
 	sumDepths metric = iota // tuples accessed, the I/O panels
-	cpuTime                 // total CPU time with its updateBound share
+	cpuTime                 // total CPU time with its bound-update share
 )
 
 // panel is one Figure 3 panel: a sweep over one axis of Table 2, or over
@@ -169,8 +169,9 @@ func dnfCell(s Summary, v string) string {
 // depthsCell is a cell of the sumDepths panels.
 func depthsCell(s Summary) string { return dnfCell(s, cell(s.SumDepths)) }
 
-// cpuCell is a cell of the CPU panels: total time, with the updateBound
-// fraction in parentheses for the tight-bound algorithms.
+// cpuCell is a cell of the CPU panels: total time, with the share spent
+// updating the bound (Stats.BoundTime) in parentheses for the tight-bound
+// algorithms.
 func cpuCell(s Summary, a core.Algorithm) string {
 	v := secCell(s.TotalSeconds)
 	if a.Bound() == core.TightBound {

@@ -65,7 +65,7 @@ func summarize(reps int, run func(rep int) (core.Result, error)) (Summary, error
 
 // defaultAgg is the aggregation of paper eq. (2) with the Example 2.1
 // weights (w_s = w_q = w_µ = 1).
-func defaultAgg() agg.Function {
+func defaultAgg() *agg.EuclideanSum {
 	return agg.MustEuclideanSum(agg.DefaultWeights(), agg.LogScore)
 }
 
@@ -141,6 +141,6 @@ func RunCity(st Settings, city cities.City, algo core.Algorithm, eager bool) (Su
 // compete with the score term, as any deployment tuning would do. 2000
 // makes "a district away" (≈ 0.05°) cost about five units of log-score —
 // the evening-planner regime where proximity genuinely matters.
-func cityAgg() agg.Function {
+func cityAgg() *agg.EuclideanSum {
 	return agg.MustEuclideanSum(agg.Weights{Ws: 1, Wq: 2000, Wmu: 2000}, agg.LogScore)
 }

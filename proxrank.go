@@ -256,7 +256,7 @@ func AutoShardCount(tuples int) int {
 	return relation.AutoShardCount(tuples)
 }
 
-func (o Options) aggregation() (agg.Function, error) {
+func (o Options) aggregation() (*agg.EuclideanSum, error) {
 	w := o.Weights
 	if w == (Weights{}) {
 		w = agg.DefaultWeights()
@@ -264,7 +264,7 @@ func (o Options) aggregation() (agg.Function, error) {
 	return agg.NewEuclideanSum(w, o.Transform)
 }
 
-func (o Options) engineOptions(query Vector, fn agg.Function) core.Options {
+func (o Options) engineOptions(query Vector, fn *agg.EuclideanSum) core.Options {
 	return core.Options{
 		K:               o.K,
 		Algorithm:       o.Algorithm,
