@@ -31,18 +31,38 @@ type Columns interface {
 	Ordinal(i int) int
 }
 
-// heapColumns is the heap-resident Columns: tuple headers in canonical
-// score order beside their parent ordinals. Vectors, IDs and attribute
-// maps are shared with the relation the tuples came from.
+// heapColumns is the heap-resident Columns, laid out in canonical score
+// order so that a score stream reads it front to back: one head per
+// tuple, every vector at offset dim·i of one slab, and the parent
+// ordinals. IDs and attribute maps are shared with the relation the
+// tuples came from; the vectors are copied into the slab.
 type heapColumns struct {
-	tuples []Tuple
-	ords   []int
+	heads []tupleHead
+	vecs  []float64
+	ords  []int32
+	dim   int
 }
 
-func (c *heapColumns) Len() int             { return len(c.tuples) }
-func (c *heapColumns) Tuple(i int) Tuple    { return c.tuples[i] }
-func (c *heapColumns) Vec(i int) vec.Vector { return c.tuples[i].Vec }
-func (c *heapColumns) Ordinal(i int) int    { return c.ords[i] }
+// tupleHead is a Tuple less its vector.
+type tupleHead struct {
+	ID    string
+	Score float64
+	Attrs map[string]string
+}
+
+func (c *heapColumns) Len() int { return len(c.heads) }
+
+func (c *heapColumns) Tuple(i int) Tuple {
+	h := &c.heads[i]
+	return Tuple{ID: h.ID, Score: h.Score, Vec: c.Vec(i), Attrs: h.Attrs}
+}
+
+// Vec returns a view of the slab, capacity clipped so an append copies.
+func (c *heapColumns) Vec(i int) vec.Vector {
+	return vec.Vector(c.vecs[i*c.dim : (i+1)*c.dim : (i+1)*c.dim])
+}
+
+func (c *heapColumns) Ordinal(i int) int { return int(c.ords[i]) }
 
 // scoreOrdered copies the tuples of r that group names (by parent
 // ordinal) into canonical score order.
@@ -52,9 +72,17 @@ func scoreOrdered(r *Relation, group []int) *heapColumns {
 		ks[j] = sortKey{key: -r.tuples[ord].Score, ord: ord}
 	}
 	sortKeys(ks)
-	c := &heapColumns{tuples: make([]Tuple, len(ks)), ords: make([]int, len(ks))}
+	c := &heapColumns{
+		heads: make([]tupleHead, len(ks)),
+		vecs:  make([]float64, len(ks)*r.dim),
+		ords:  make([]int32, len(ks)),
+		dim:   r.dim,
+	}
 	for j, k := range ks {
-		c.tuples[j], c.ords[j] = r.tuples[k.ord], k.ord
+		t := &r.tuples[k.ord]
+		c.heads[j] = tupleHead{ID: t.ID, Score: t.Score, Attrs: t.Attrs}
+		copy(c.vecs[j*r.dim:], t.Vec)
+		c.ords[j] = int32(k.ord)
 	}
 	return c
 }
@@ -152,7 +180,8 @@ func openShards(dst []Source, shards []shard, kind AccessKind, q vec.Vector, use
 	if useRTree {
 		for i := range shards {
 			sh := &shards[i]
-			dst[i] = &rtreeSource{rel: sh.rel, cols: sh.cols, it: sh.rtree().NearestNeighbors(q)}
+			tree := sh.rtree()
+			dst[i] = &rtreeSource{rel: sh.rel, cols: sh.cols, tree: tree, it: tree.NearestNeighbors(q)}
 		}
 		return nil
 	}

@@ -263,7 +263,10 @@ func sortKeys(ks []sortKey) {
 }
 
 // rtreeSource serves distance-based access through an R-tree's incremental
-// nearest-neighbor traversal, so no global sort is ever materialized.
+// nearest-neighbor traversal, so no global sort is ever materialized. A
+// tuple's Vec is a view of the tree's leaf slab, the memory the traversal
+// just read its distance from, never the shard's columns: on a relfile
+// shard, a distance stream's vectors do not alias the mapping.
 //
 // The raw traversal breaks exact-distance ties by heap insertion order,
 // which depends on tree structure. rtreeSource re-orders each run of
@@ -273,6 +276,7 @@ func sortKeys(ks []sortKey) {
 type rtreeSource struct {
 	rel     *Relation
 	cols    Columns
+	tree    *rtree.Tree[nnRef]
 	it      *rtree.NNIterator[nnRef]
 	look    nnHit // one-item lookahead past the current tie run
 	hasLook bool
@@ -289,9 +293,12 @@ type nnRef struct {
 	ord uint32
 }
 
-// nnHit is one materialized traversal result.
+// nnHit is one materialized traversal result: the tree entry that holds
+// it, its payload and its squared distance. Pointer-free, so a tie run
+// buffers without allocating.
 type nnHit struct {
 	nnRef
+	e     int32
 	dist2 float64
 }
 
@@ -306,8 +313,11 @@ func (s *rtreeSource) take() (nnHit, bool) {
 		s.hasLook = false
 		return s.look, true
 	}
-	ref, d2, ok := s.it.Next()
-	return nnHit{nnRef: ref, dist2: d2}, ok
+	e, d2, ok := s.it.NextEntry()
+	if !ok {
+		return nnHit{}, false
+	}
+	return nnHit{nnRef: s.tree.Value(e), e: int32(e), dist2: d2}, true
 }
 
 // NextKeyed implements KeyedSource.
@@ -342,7 +352,9 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 	}
 	h := s.batch[s.pos]
 	s.pos++
-	return s.cols.Tuple(int(h.idx)), h.dist2, int(h.ord), nil
+	t := s.cols.Tuple(int(h.idx))
+	t.Vec = s.tree.Point(int(h.e))
+	return t, h.dist2, int(h.ord), nil
 }
 
 // Close implements Closer: every later read reports ErrExhausted, and the

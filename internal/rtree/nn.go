@@ -15,23 +15,50 @@ import (
 // point of that leaf not yet returned. A cursor is one sorted run in the
 // queue: popping it returns its point and re-keys it in place at the
 // leaf's next point, so a leaf costs one push however many of its points
-// are returned, and a point never returned costs none. The queue is a
-// binary heap of 16-byte pointer-free items kept inline; a steady-state
-// Next allocates nothing but the amortised growth of that slice, and a
-// traversal whose owner calls Release hands the slice to the next one.
+// are returned, and a point never returned costs none. A leaf's squared
+// distances are computed once, when it opens, into the traversal's
+// scratch; its cursor advances by rescanning them. The queue is a binary
+// heap of 16-byte pointer-free items kept inline; a steady-state Next
+// allocates nothing but the amortised growth of the queue and the leaf
+// scratch, and a traversal whose owner calls Release hands both to the
+// next one.
 type NNIterator[T any] struct {
 	tree   *Tree[T]
 	query  []float64
 	heap   []nnItem
-	seq    uint32 // items pushed so far
-	opened uint32 // leaves opened so far
+	leaves []openLeaf // the opened leaves, in opening order
+	scr    *nnScratch // where heap and leaves go back on Release
+	seq    uint32     // items pushed so far
+	opened uint32     // leaves opened so far
+	dists  uint32     // point distances computed so far
 }
 
 // nnItem is one queued node or leaf cursor.
 type nnItem struct {
 	dist2 float64
-	ref   int32  // node id, or ^index of a leaf cursor's current point entry
-	seq   uint32 // push order, the last tiebreaker
+	// ref is a node id, or for a cursor ^(slot·nodeCap + j): entry j of
+	// the leaf opened into leaves[slot].
+	ref int32
+	seq uint32 // push order, the last tiebreaker
+}
+
+// openLeaf is one opened leaf: its first entry and the squared distances
+// of its points to the query, computed when it opened.
+type openLeaf struct {
+	base int32
+	d2   [nodeCap]float64
+}
+
+// nnScratch is a traversal's reusable memory. A first neighbour costs
+// about nodeCap pushes per inner level, so 128 queue items (2 KiB) and 8
+// open leaves live in the struct itself: a fresh traversal allocates it
+// once and gets there without growing either slice. Past that they grow
+// on the heap, and Release keeps them at the size they grew to.
+type nnScratch struct {
+	heap    []nnItem
+	leaves  []openLeaf
+	heapBuf [128]nnItem
+	leafBuf [8]openLeaf
 }
 
 // before orders the queue: by squared distance, nodes before cursors at
@@ -53,74 +80,86 @@ func (t *Tree[T]) NearestNeighbors(q vec.Vector) *NNIterator[T] {
 	if q.Dim() != t.dim {
 		panic("rtree: query dimension mismatch")
 	}
-	// A first neighbour costs about nodeCap pushes per inner level; 128
-	// items (2 KiB) get a traversal there without regrowing the heap.
-	var heap []nnItem
-	if released, _ := heapPool.Get().(*[]nnItem); released != nil {
-		heap = *released
-	} else {
-		heap = make([]nnItem, 0, 128)
+	s, _ := scratchPool.Get().(*nnScratch)
+	if s == nil {
+		s = new(nnScratch)
+		s.heap, s.leaves = s.heapBuf[:0], s.leafBuf[:0]
 	}
-	it := &NNIterator[T]{tree: t, query: q.Clone(), heap: heap}
+	it := &NNIterator[T]{tree: t, query: q.Clone(), heap: s.heap, leaves: s.leaves, scr: s}
 	if t.Len() > 0 {
 		it.push(0, t.root)
 	}
 	return it
 }
 
-// heapPool holds the queues of released traversals. A shard server opens a
-// traversal per remote stream and most end after one batch of rows: their
-// queues (2 KiB, more once grown) were a quarter of what a coordinator
-// topology allocated per query, and the collector's cycles are its
-// latency tail.
-var heapPool sync.Pool
+// scratchPool holds the scratch of released traversals. A shard server
+// opens a traversal per remote stream and most end after one batch of
+// rows: their queues (2 KiB, more once grown) were a quarter of what a
+// coordinator topology allocated per query, and the collector's cycles
+// are its latency tail.
+var scratchPool sync.Pool
 
 // Release ends the traversal — Next reports no more points — and hands
-// its queue to a later NearestNeighbors. For owners that know when a
+// its scratch to a later NearestNeighbors. For owners that know when a
 // traversal is over; one that is merely dropped is collected as before.
 func (it *NNIterator[T]) Release() {
-	if it.heap != nil {
-		heap := it.heap[:0]
-		it.heap = nil
-		heapPool.Put(&heap)
+	if s := it.scr; s != nil {
+		s.heap, s.leaves = it.heap[:0], it.leaves[:0]
+		it.heap, it.leaves, it.scr = nil, nil, nil
+		scratchPool.Put(s)
 	}
 }
 
 // Next returns the next closest point's payload and its squared Euclidean
 // distance. ok is false once all points have been produced.
+func (it *NNIterator[T]) Next() (value T, dist2 float64, ok bool) {
+	e, dist2, ok := it.NextEntry()
+	if ok {
+		value = it.tree.vals[e]
+	}
+	return value, dist2, ok
+}
+
+// NextEntry is Next reporting where the point is stored instead of its
+// payload: the entry e whose payload is Value(e) and whose coordinates
+// are Point(e), the memory the traversal just read its distance from.
 //
 // A point's squared distance is accumulated in coordinate order exactly as
 // vec.Vector.Dist2 does, so the value returned has the same bits as
 // p.Dist2(q) — what lets a traversal stand in for a full sort byte for
 // byte.
-func (it *NNIterator[T]) Next() (value T, dist2 float64, ok bool) {
+func (it *NNIterator[T]) NextEntry() (e int, dist2 float64, ok bool) {
 	t, q := it.tree, it.query
 	dim := len(q)
-	var d2 [nodeCap]float64 // the open leaf's squared distances
 	for len(it.heap) > 0 {
 		top := it.heap[0]
 		if top.ref < 0 {
 			// A cursor: return its point, then move it to the leaf's
 			// next point in (distance, entry) order, or retire it.
-			e := int(^top.ref)
-			base := e / nodeCap * nodeCap
-			n := leafDist2(&d2, t.pts[base*dim:min(base+nodeCap, len(t.vals))*dim], q)
-			if j := nextInLeaf(d2[:n], top.dist2, e-base); j >= 0 {
-				it.heap[0] = nnItem{dist2: d2[j], ref: ^int32(base + j), seq: top.seq}
+			c := int(^top.ref)
+			slot, j := c/nodeCap, c%nodeCap
+			leaf := &it.leaves[slot]
+			base := int(leaf.base)
+			if k := nextInLeaf(leaf.d2[:min(nodeCap, len(t.vals)-base)], top.dist2, j); k >= 0 {
+				it.heap[0] = nnItem{dist2: leaf.d2[k], ref: ^int32(slot*nodeCap + k), seq: top.seq}
 				it.down()
 			} else {
 				it.pop()
 			}
-			return t.vals[e], top.dist2, true
+			return base + j, top.dist2, true
 		}
 		if id := int(top.ref); id < t.leaves {
-			// Open the leaf: its cursor takes the node's place.
-			base := id * nodeCap
-			n := leafDist2(&d2, t.pts[base*dim:min(base+nodeCap, len(t.vals))*dim], q)
-			j := nextInLeaf(d2[:n], 0, -1)
-			it.heap[0] = nnItem{dist2: d2[j], ref: ^int32(base + j), seq: it.seq}
+			// Open the leaf: its distances fill a new slot, and its
+			// cursor takes the node's place.
+			base, slot := id*nodeCap, len(it.leaves)
+			it.leaves = append(it.leaves, openLeaf{base: int32(base)})
+			leaf := &it.leaves[slot]
+			n := leafDist2(&leaf.d2, t.pts[base*dim:min(base+nodeCap, len(t.vals))*dim], q)
+			j := nextInLeaf(leaf.d2[:n], 0, -1)
+			it.heap[0] = nnItem{dist2: leaf.d2[j], ref: ^int32(slot*nodeCap + j), seq: it.seq}
 			it.seq++
 			it.opened++
+			it.dists += uint32(n)
 			it.down()
 		} else {
 			it.pop()
@@ -131,7 +170,7 @@ func (it *NNIterator[T]) Next() (value T, dist2 float64, ok bool) {
 			}
 		}
 	}
-	return value, 0, false
+	return 0, 0, false
 }
 
 // leafDist2 fills d2 with the squared distances from q to the points

@@ -308,6 +308,26 @@ func TestNextDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestLeafDistOncePerOpen: a leaf's squared distances are computed when it
+// opens and never again. Recomputing them for every point a cursor returns
+// took 16 × (opens + returns) over the same drain; either way the drain
+// is the traversal TestNNOracle holds to brute force.
+func TestLeafDistOncePerOpen(t *testing.T) {
+	tr, queries := pushFixture() // 20 000 points: every leaf is full
+	for _, q := range queries {
+		it := tr.NearestNeighbors(q)
+		for i := 0; i < 200; i++ {
+			if _, _, ok := it.Next(); !ok {
+				t.Fatal("drain ended early")
+			}
+		}
+		if it.opened == 0 || it.dists != nodeCap*it.opened {
+			t.Fatalf("200-point drain: %d point distances for %d leaves opened, want %d", it.dists, it.opened, nodeCap*it.opened)
+		}
+		it.Release()
+	}
+}
+
 // TestBulkLoadAllocations: the build allocates slabs and sort scratch, not
 // objects per point (the pointer tree took 2.26 M allocations here).
 func TestBulkLoadAllocations(t *testing.T) {

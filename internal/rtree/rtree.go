@@ -51,6 +51,15 @@ func (t *Tree[T]) Len() int { return len(t.vals) }
 // Dim returns the tree's dimensionality.
 func (t *Tree[T]) Dim() int { return t.dim }
 
+// Value returns the payload of point entry e (see NNIterator.NextEntry).
+func (t *Tree[T]) Value(e int) T { return t.vals[e] }
+
+// Point returns the coordinates of point entry e as a view of the tree's
+// leaf slab: read-only, capacity clipped so an append copies.
+func (t *Tree[T]) Point(e int) vec.Vector {
+	return vec.Vector(t.pts[e*t.dim : (e+1)*t.dim : (e+1)*t.dim])
+}
+
 // BulkLoad builds a tree over point data with the Sort-Tile-Recursive (STR)
 // algorithm. pts and values must have equal length and every point must
 // have dim coordinates. The points are copied once, into leaf order; the
