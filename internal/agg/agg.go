@@ -141,7 +141,20 @@ func (e *EuclideanSum) ScoreScratch(q vec.Vector, sigmas []float64, xs []vec.Vec
 // corner bound reads it at the best score left and the least squared
 // distance, a key. SoloBound(σ, 0) has the bits of w_s·T(σ).
 func (e *EuclideanSum) SoloBound(sigma, d2 float64) float64 {
-	return e.W.Ws*e.TransformScore(sigma) - e.W.Wq*d2
+	return e.Solo(e.ScoreTerm(sigma), d2)
+}
+
+// ScoreTerm is w_s·T(σ), the part of SoloBound that reads the score:
+// SoloBound(σ, d2) is Solo(ScoreTerm(σ), d2) bit for bit, so a caller
+// that reads one score at several distances takes T once.
+func (e *EuclideanSum) ScoreTerm(sigma float64) float64 {
+	return e.W.Ws * e.TransformScore(sigma)
+}
+
+// Solo is SoloBound from a score term: term − w_q·d2. Solo(term, 0) is
+// term, since x − 0 = x.
+func (e *EuclideanSum) Solo(term, d2 float64) float64 {
+	return term - e.W.Wq*d2
 }
 
 // String labels the function in reports.

@@ -77,3 +77,23 @@ func TestSoloBoundDominatesScore(t *testing.T) {
 		}
 	}
 }
+
+// TestScoreTermFactorsSoloBound: the engine transforms a score once and
+// reads it at several distances through Solo. Each value must have the
+// bits of the one-call form w_s·T(σ) − w_q·d2, at d2 = 0 too.
+func TestScoreTermFactorsSoloBound(t *testing.T) {
+	r := rand.New(rand.NewSource(55))
+	for i := 0; i < 2000; i++ {
+		for _, fn := range testFunctions(r) {
+			sigma, d2 := 0.01+r.Float64(), r.ExpFloat64()
+			term := fn.ScoreTerm(sigma)
+			want := fn.W.Ws*fn.TransformScore(sigma) - fn.W.Wq*d2
+			if got := fn.Solo(term, d2); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v: Solo(ScoreTerm(%v), %v) = %v, one-call form %v", fn, sigma, d2, got, want)
+			}
+			if got := fn.SoloBound(sigma, 0); math.Float64bits(got) != math.Float64bits(term) {
+				t.Fatalf("%v: SoloBound(%v, 0) = %v, ScoreTerm %v", fn, sigma, got, term)
+			}
+		}
+	}
+}

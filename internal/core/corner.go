@@ -75,16 +75,16 @@ func (c *cornerBounder) potential(i int) float64 {
 // attain, anchored at the first accessed tuple.
 func (c *cornerBounder) seenCap(rs *relState) float64 {
 	if c.e.kind == relation.DistanceAccess {
-		return c.e.opts.Agg.SoloBound(rs.maxScore, rs.first)
+		return c.e.opts.Agg.Solo(rs.maxTerm, rs.first)
 	}
-	return c.e.opts.Agg.SoloBound(rs.firstScore(), 0)
+	return rs.firstTerm
 }
 
 // unseenCap is S_i: the best proximity weighted score an unseen tuple of
 // R_i can attain, anchored at the last accessed tuple.
 func (c *cornerBounder) unseenCap(rs *relState) float64 {
 	if c.e.kind == relation.DistanceAccess {
-		return c.e.opts.Agg.SoloBound(rs.maxScore, rs.last)
+		return c.e.opts.Agg.Solo(rs.maxTerm, rs.last)
 	}
-	return c.e.opts.Agg.SoloBound(rs.lastScore(), 0)
+	return rs.lastTerm
 }

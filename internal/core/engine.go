@@ -29,11 +29,15 @@ type relState struct {
 	src       relation.Source
 	tuples    []relation.Tuple // P_i in access order
 	exhausted bool
-	maxScore  float64
 	// first and last are the squared distances from q of R_i[1] and
 	// R_i[p_i], the keys a distance stream ordered them by, 0 before the
 	// first pull (paper convention): the only distances the bounds read.
 	first, last float64
+	// maxTerm is w_s·T(σ_max) (agg.EuclideanSum.ScoreTerm); firstTerm and
+	// lastTerm are w_s·T of σ(R_i[1]) and σ(R_i[p_i]), maxTerm before the
+	// first pull (the best any unseen tuple could have): the only score
+	// terms the bounds read, each transformed once.
+	maxTerm, firstTerm, lastTerm float64
 	// solo holds each prefix tuple's term (agg.EuclideanSum.SoloBound at
 	// its score and squared distance: the exact float every score of the
 	// tuple adds before subtracting its centroid term), parallel to tuples;
@@ -134,22 +138,6 @@ func (rs *relState) frontBefore(p, q int32) bool { return rs.rankBefore(rs.bySol
 
 // depth returns p_i.
 func (r *relState) depth() int { return len(r.tuples) }
-
-// firstScore and lastScore are σ(R_i[1]) and σ(R_i[p_i]); σ_max when
-// nothing was extracted (the best any unseen tuple could have).
-func (r *relState) firstScore() float64 {
-	if len(r.tuples) == 0 {
-		return r.maxScore
-	}
-	return r.tuples[0].Score
-}
-
-func (r *relState) lastScore() float64 {
-	if len(r.tuples) == 0 {
-		return r.maxScore
-	}
-	return r.tuples[len(r.tuples)-1].Score
-}
 
 // bounder is the BS component of the ProxRJ template: registration
 // integrates a new tuple or an exhaustion, threshold reads the bound they
@@ -369,7 +357,9 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	e.cols, e.rels = cols, cols.rels
 	for i, s := range sources {
 		rs := e.rels[i]
-		rs.index, rs.src, rs.maxScore = i, s, s.Relation().MaxScore
+		rs.index, rs.src = i, s
+		rs.maxTerm = opts.Agg.ScoreTerm(s.Relation().MaxScore)
+		rs.firstTerm, rs.lastTerm = rs.maxTerm, rs.maxTerm
 	}
 
 	switch {
@@ -540,17 +530,19 @@ func (e *Engine) step(ri int) error {
 	e.stats.SumDepths++
 
 	// d2 is the prefix statistic the bounders read; solo is the term
-	// every combination of the tuple adds.
+	// every combination of the tuple adds, from its score term, which the
+	// bounders read too.
 	d2 := tup.Vec.Dist2(e.q)
-	solo := e.opts.Agg.SoloBound(tup.Score, d2)
+	term := e.opts.Agg.ScoreTerm(tup.Score)
+	solo := e.opts.Agg.Solo(term, d2)
 
 	e.formCombinations(ri, tup, solo)
 
 	rs.tuples = append(rs.tuples, tup)
 	if len(rs.tuples) == 1 {
-		rs.first = d2
+		rs.first, rs.firstTerm = d2, term
 	}
-	rs.last = d2
+	rs.last, rs.lastTerm = d2, term
 	rs.solo = append(rs.solo, solo)
 	rs.pushSolo()
 	if len(rs.solo) == 1 || solo > rs.soloMax {

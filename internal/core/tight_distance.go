@@ -259,7 +259,7 @@ func (b *tightDistBounder) computeBound(mask, id int) float64 {
 	for k, j := range unseen {
 		pt := vec.AddScaledInto(vec.Vector(b.unseenSlab[k*e.dim:(k+1)*e.dim]), e.q, sol.Unseen[k], dir)
 		pts = append(pts, pt)
-		val += e.opts.Agg.SoloBound(e.rels[j].maxScore, pt.Dist2(e.q))
+		val += e.opts.Agg.Solo(e.rels[j].maxTerm, pt.Dist2(e.q))
 	}
 	mu := vec.MeanInto(b.muBuf, pts)
 	for _, pt := range pts {

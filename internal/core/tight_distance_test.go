@@ -95,7 +95,7 @@ func TestQuickTightnessWitness(t *testing.T) {
 					if y.Dist(e.q) < math.Sqrt(e.rels[j].last)-1e-9 {
 						return false
 					}
-					sigmas = append(sigmas, e.rels[j].maxScore)
+					sigmas = append(sigmas, e.rels[j].src.Relation().MaxScore)
 					xs = append(xs, y)
 				}
 				want := in.fn.Score(e.q, sigmas, xs)

@@ -15,7 +15,8 @@ import "repro/internal/vec"
 // τ_best^M bookkeeping) — no partial list is stored at all.
 //
 // A pull pays only for what it changed. register reads the pulled
-// tuple's SoloBound(σ, 0) = w_s·T(σ), the relation's new unseen cap, and
+// tuple's score term w_s·T(σ) = SoloBound(σ, 0), which the engine took
+// once for the pull, as the relation's new unseen cap, and
 // marks the lattice's t_M values stale; the next threshold recomputes
 // them into ts, which potential then reads.
 // The walk over the new partials PC(M−{i}) × {τ} is branch-and-bound.
@@ -37,7 +38,7 @@ type tightScoreBounder struct {
 	// bestGeo[mask] is the best geometric bound part over PC(M), −∞ while
 	// PC(M) is empty.
 	bestGeo []float64
-	// caps[j] is SoloBound(σ, 0) = w_s·T(σ) of R_j's last pulled tuple, or
+	// caps[j] is w_s·T(σ) = SoloBound(σ, 0) of R_j's last pulled tuple, or
 	// of σ_max before its first pull: the unseen cap of eq. (40).
 	caps []float64
 	// geo scratch, reused across every geometric evaluation.
@@ -82,7 +83,7 @@ func newTightScoreBounder(e *Engine) *tightScoreBounder {
 	}
 	b.subsetLattice = newSubsetLattice(e.n, b)
 	for j, rs := range e.rels {
-		b.caps[j] = e.opts.Agg.SoloBound(rs.maxScore, 0)
+		b.caps[j] = rs.maxTerm
 	}
 	// The empty partial: all n points at the optimum y* = q, zero distance
 	// penalties, zero seen score.
@@ -95,7 +96,7 @@ func newTightScoreBounder(e *Engine) *tightScoreBounder {
 }
 
 func (b *tightScoreBounder) register(ri int) {
-	b.caps[ri] = b.e.opts.Agg.SoloBound(b.e.rels[ri].lastScore(), 0)
+	b.caps[ri] = b.e.rels[ri].lastTerm
 	b.stale = true
 	for mask := range b.bestGeo {
 		if mask&(1<<ri) != 0 {
