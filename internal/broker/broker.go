@@ -175,6 +175,15 @@ func (s *Sub[T]) Next(ctx context.Context) (T, error) {
 	}
 }
 
+// Ready reports whether Next would return without waiting: an event is
+// pending, or the Topic is closed.
+func (s *Sub[T]) Ready() bool {
+	t := s.topic
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return s.cursor < len(t.events) || t.closed
+}
+
 // Cancel detaches the subscriber: it leaves the Subscribers gauge, once
 // however often Cancel is called. It is safe after Close, and a
 // canceled subscriber may keep reading the history.

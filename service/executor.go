@@ -295,7 +295,7 @@ func (x *Executor) Execute(ctx context.Context, req *api.Request) (*api.Response
 func (x *Executor) execute(ctx context.Context, req *api.Request, wire func([]byte) error) (*api.Response, error) {
 	x.queries.Add(1)
 	o := x.beginObs(labelModeBatch, req)
-	resp, err := x.serve(ctx, req, o, nil, wire)
+	resp, err := x.serve(ctx, req, o, nil, wire, nil)
 	if resp != nil {
 		o.noteDegraded(resp.Degraded, resp.ShardsMissing)
 	}
@@ -328,13 +328,16 @@ func (x *Executor) execute(ctx context.Context, req *api.Request, wire func([]by
 // drains the run's topic at its own, and however far it falls behind it
 // delays nobody else and still receives every event.
 func (x *Executor) ExecuteStream(ctx context.Context, req *api.Request, sink EventSink) error {
-	return x.executeStream(ctx, req, sink, nil)
+	return x.executeStream(ctx, req, sink, nil, nil)
 }
 
 // executeStream is ExecuteStream for a transport: a replay reaches wire
 // as its result and summary lines in one piece, not sink as events. Live
-// events, and a traced request's trace event, still go to sink.
-func (x *Executor) executeStream(ctx context.Context, req *api.Request, sink EventSink, wire func([]byte) error) error {
+// events, and a traced request's trace event, still go to sink, and idle,
+// when set, is called each time the drain of live events is about to
+// wait for the engine: the moment a transport that buffers its writes
+// flushes them.
+func (x *Executor) executeStream(ctx context.Context, req *api.Request, sink EventSink, wire func([]byte) error, idle func()) error {
 	x.queries.Add(1)
 	x.streamed.Add(1)
 	o := x.beginObs(labelModeStream, req)
@@ -347,7 +350,7 @@ func (x *Executor) executeStream(ctx context.Context, req *api.Request, sink Eve
 		}
 		return sink(ev)
 	}
-	_, err := x.serve(ctx, req, o, wrapped, wire)
+	_, err := x.serve(ctx, req, o, wrapped, wire, idle)
 	o.finish(req, err)
 	if err == nil && req.Trace {
 		// The terminal trace event rides this subscriber's own sink after
@@ -366,8 +369,9 @@ func (x *Executor) executeStream(ctx context.Context, req *api.Request, sink Eve
 // the response when the call has already settled or the cache had it. A
 // request that must not share — NoCache, or a server with no cache —
 // leads a private call: no coalescing, nothing stored. o records phase
-// spans and carries a traced request's recorder; only a replay uses wire.
-func (x *Executor) serve(ctx context.Context, req *api.Request, o *queryObs, sink EventSink, wire func([]byte) error) (*api.Response, error) {
+// spans and carries a traced request's recorder; only a replay uses wire,
+// and only a drain idle.
+func (x *Executor) serve(ctx context.Context, req *api.Request, o *queryObs, sink EventSink, wire func([]byte) error, idle func()) (*api.Response, error) {
 	norm, query, opts, entries, aerr := x.prepare(req)
 	if aerr != nil {
 		// Client mistakes are tracked apart from Failed so the latter
@@ -419,7 +423,7 @@ func (x *Executor) serve(ctx context.Context, req *api.Request, o *queryObs, sin
 			if sink != nil {
 				// The leader's drain overlaps its own engine run, so the
 				// span from here to completion is delivery time.
-				_, err := x.drainSub(ctx, sub, sink, false)
+				_, err := x.drainSub(ctx, sub, sink, idle, false)
 				o.phase(api.PhaseDrain)
 				return nil, err
 			}
@@ -440,7 +444,7 @@ func (x *Executor) serve(ctx context.Context, req *api.Request, o *queryObs, sin
 			x.midRunAttaches.Add(1)
 			o.cache = api.CacheCoalesced
 			o.phase(api.PhaseFlight)
-			retry, err := x.drainSub(ctx, topic.Subscribe(broker.PolicyBlock), sink, true)
+			retry, err := x.drainSub(ctx, topic.Subscribe(broker.PolicyBlock), sink, idle, true)
 			if retry {
 				// The run failed before this follower saw anything: like a
 				// follower of a settled failure, retry — a leader error may

@@ -163,10 +163,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleQueryStream answers POST /v1/query/stream with NDJSON: one
 // api.ResultEvent per line, the first result flushed as soon as the
 // engine certifies it, a summary line last; a replayed answer's lines
-// are already encoded and go out in one write. Failures before the first
-// event are ordinary structured errors with a proper status; failures
-// after it are appended in-band as an error event (the status line has
-// already been sent).
+// are already encoded and go out in one write. Later lines are flushed
+// when the drain would wait for the engine and once the stream ends, not
+// one by one: a burst of certified results leaves in one write. Failures
+// before the first event are ordinary structured errors with a proper
+// status; failures after it are appended in-band as an error event (the
+// status line has already been sent).
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	req, ok := decodeRequest(w, r)
 	if !ok {
@@ -175,26 +177,36 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	w.Header().Set("Content-Type", "application/x-ndjson") // writeError resets it
-	wrote := false
-	flushed := func(err error) error {
-		wrote = true
-		if err == nil && flusher != nil {
+	wrote, unflushed := false, false
+	flush := func() {
+		if unflushed && flusher != nil {
 			flusher.Flush()
 		}
+		unflushed = false
+	}
+	written := func(err error) error {
+		if err == nil {
+			unflushed = true
+			if !wrote {
+				flush()
+			}
+		}
+		wrote = true
 		return err
 	}
-	sink := func(ev api.ResultEvent) error { return flushed(enc.Encode(ev)) }
+	sink := func(ev api.ResultEvent) error { return written(enc.Encode(ev)) }
 	wire := func(lines []byte) error {
 		_, err := w.Write(lines)
-		return flushed(err)
+		return written(err)
 	}
-	if err := s.exec.executeStream(r.Context(), req, sink, wire); err != nil {
+	defer flush()
+	if err := s.exec.executeStream(r.Context(), req, sink, wire, flush); err != nil {
 		if !wrote {
 			writeError(w, err)
 			return
 		}
 		// Best effort: the client may already be gone.
-		_ = enc.Encode(api.ResultEvent{Type: api.EventError, Error: asAPIError(err)})
+		_ = written(enc.Encode(api.ResultEvent{Type: api.EventError, Error: asAPIError(err)}))
 	}
 }
 

@@ -168,11 +168,15 @@ func (x *Executor) delivered(err error) error {
 // summary on a copy (events are shared across subscribers) the way
 // replayResponse marks a replay. retry reports that the run itself
 // failed before this consumer delivered anything — a follower's cue to
-// retry the flight instead of inheriting the leader's failure.
-func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent], sink EventSink, markCached bool) (retry bool, _ error) {
+// retry the flight instead of inheriting the leader's failure. idle, when
+// set, is called before each read that would wait for the engine.
+func (x *Executor) drainSub(ctx context.Context, sub *broker.Sub[api.ResultEvent], sink EventSink, idle func(), markCached bool) (retry bool, _ error) {
 	// Detach on every exit: the subscriber gauge counts live consumers.
 	defer sub.Cancel()
 	for delivered := 0; ; delivered++ {
+		if idle != nil && !sub.Ready() {
+			idle()
+		}
 		ev, err := sub.Next(ctx)
 		switch {
 		case err == nil:

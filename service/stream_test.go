@@ -443,3 +443,56 @@ func mapCompact(t *testing.T, raws []json.RawMessage) [][]byte {
 	}
 	return out
 }
+
+// flushCounter is a ResponseWriter that counts its flushes; before its
+// first it runs hold, which may stall the reader as a slow client would.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+	hold    func()
+}
+
+func (f *flushCounter) Flush() {
+	if f.flushes == 0 && f.hold != nil {
+		f.hold()
+	}
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestHTTPStreamCoalescesFlushes: the first result is flushed at once;
+// later lines only when the drain would wait for the engine, and when
+// the stream ends. Here the first flush is held until the run has
+// finished, so every later line is pending by then and the K = 20 answer
+// leaves in two flushes (a flush a line made 22).
+func TestHTTPStreamCoalescesFlushes(t *testing.T) {
+	cat, names := testSetup(t, 2, 40, 2)
+	exec := NewExecutor(cat, Config{Workers: 2, CacheSize: 16, DefaultTimeout: time.Minute})
+	h := NewServer(cat, exec).Handler()
+	req := baseRequest2(names, 20)
+	req.NoCache = true
+	body, _ := json.Marshal(req)
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder(), hold: func() {
+		for deadline := time.Now().Add(10 * time.Second); exec.Stats().InFlight != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the run never finished")
+				return
+			}
+		}
+	}}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query/stream", bytes.NewReader(body)))
+	br := bufio.NewReader(bytes.NewReader(w.Body.Bytes()))
+	results := 0
+	for ev, _ := readEvent(t, br); ev.Type != api.EventSummary; ev, _ = readEvent(t, br) {
+		if ev.Type != api.EventResult {
+			t.Fatalf("unexpected %q event", ev.Type)
+		}
+		results++
+	}
+	if results != 20 {
+		t.Fatalf("%d results, want 20", results)
+	}
+	if w.flushes < 1 || w.flushes > 3 {
+		t.Fatalf("%d flushes for a 22-line stream, want at most 3", w.flushes)
+	}
+}
