@@ -134,7 +134,7 @@ func (p panel) run(st Settings) (*Table, error) {
 	}
 	switch {
 	case p.metric == cpuTime && p.axis != nil:
-		t.Notes = append(t.Notes, "parenthesized value: time inside updateBound (lighter stacked bar in the paper)")
+		t.Notes = append(t.Notes, "parenthesized value: time updating the bound, Stats.BoundTime (lighter stacked bar in the paper)")
 	case p.metric == sumDepths && p.axis == nil:
 		t.Notes = append(t.Notes, fmt.Sprintf("average: TBPA saves %.0f%% of accesses vs CBPA", gain(cbpa, tbpa)))
 	case p.metric == sumDepths && cbpa > 0:
