@@ -340,14 +340,14 @@ var pinnedStudy = []studyPin{
 	{"3a", 0xc2b8d4a3a4af4672},
 	{"3b", 0x99d1bef35a99442e},
 	{"3c", 0x598dcd8c5777403e},
-	{"3d", 0xe1039f6164574ea7},
-	{"3e", 0xda40bf0fc5f82c78},
-	{"3f", 0xc73787cb086ffb13},
+	{"3d", 0x1c54c35d0dc231d7},
+	{"3e", 0xe7b7b221992c412c},
+	{"3f", 0x99e06f5cea6fbe4d},
 	{"3g", 0xc31fc5e3ba6f99af},
 	{"3h", 0xd4b2fbb6cba07a86},
 	{"3i", 0x204c270feb02e62e},
-	{"3j", 0xb18f642a5219f08d},
-	{"3k", 0x74b9083fdbad3d97},
+	{"3j", 0x3e3e56988483e965},
+	{"3k", 0xde8bc19e284db5e6},
 	{"3l", 0x6123ec063c7bbdbf},
 	{"t1", 0xa80547c72ae77fd9},
 	{"t2", 0xa3d6b7592c235f89},
