@@ -139,22 +139,22 @@ type shard struct {
 // heap relation never pays it on a query.
 type lazyRTree struct {
 	once sync.Once
-	tree *rtree.Tree[nnRef]
+	tree *rtree.Tree[int32]
 }
 
 // rtree returns the shard's R-tree, bulk-loading it on first use. The
 // tree copies each vector once into its own slab, so it never pins a file
-// mapping.
-func (sh *shard) rtree() *rtree.Tree[nnRef] {
+// mapping; a point's payload is its storage index, four bytes.
+func (sh *shard) rtree() *rtree.Tree[int32] {
 	sh.lazy.once.Do(func() {
 		n := sh.cols.Len()
 		pts := make([]vec.Vector, n)
-		refs := make([]nnRef, n)
+		idx := make([]int32, n)
 		for i := range pts {
 			pts[i] = sh.cols.Vec(i)
-			refs[i] = nnRef{idx: int32(i), ord: uint32(sh.cols.Ordinal(i))}
+			idx[i] = int32(i)
 		}
-		sh.lazy.tree = rtree.BulkLoad(sh.rel.dim, pts, refs)
+		sh.lazy.tree = rtree.BulkLoad(sh.rel.dim, pts, idx)
 	})
 	return sh.lazy.tree
 }

@@ -11,4 +11,4 @@ var (
 
 // ShardTree is shard i's R-tree, built on first use as a distance stream
 // would build it.
-func ShardTree(s *Sharded, i int) *rtree.Tree[nnRef] { return s.shards[i].rtree() }
+func ShardTree(s *Sharded, i int) *rtree.Tree[int32] { return s.shards[i].rtree() }

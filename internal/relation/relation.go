@@ -276,30 +276,20 @@ func sortKeys(ks []sortKey) {
 type rtreeSource struct {
 	rel     *Relation
 	cols    Columns
-	tree    *rtree.Tree[nnRef]
-	it      *rtree.NNIterator[nnRef]
+	tree    *rtree.Tree[int32] // payload: the point's storage index
+	it      *rtree.NNIterator[int32]
 	look    nnHit // one-item lookahead past the current tie run
 	hasLook bool
 	batch   []nnHit // current equal-distance run, ordinal-sorted
 	pos     int     // next unread element of batch
 }
 
-// nnRef is the R-tree's payload: a tuple's storage index beside its
-// parent-relation ordinal, so ordering a tie run reads nothing but the
-// traversal's own results. Eight pointer-free bytes a tuple; ordinals are
-// 32-bit as in the relfile ordinal column.
-type nnRef struct {
-	idx int32
-	ord uint32
-}
-
 // nnHit is one materialized traversal result: the tree entry that holds
-// it, its payload and its squared distance. Pointer-free, so a tie run
-// buffers without allocating.
+// it, the tuple's storage index and its squared distance. Pointer-free,
+// so a tie run buffers without allocating.
 type nnHit struct {
-	nnRef
-	e     int32
-	dist2 float64
+	e, idx int32
+	dist2  float64
 }
 
 func (s *rtreeSource) Next() (Tuple, error) {
@@ -317,7 +307,7 @@ func (s *rtreeSource) take() (nnHit, bool) {
 	if !ok {
 		return nnHit{}, false
 	}
-	return nnHit{nnRef: s.tree.Value(e), e: int32(e), dist2: d2}, true
+	return nnHit{e: int32(e), idx: s.tree.Value(e), dist2: d2}, true
 }
 
 // NextKeyed implements KeyedSource.
@@ -345,7 +335,7 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 		// insertion sort gives the canonical order without the reflection
 		// swapper sort.Slice allocates; tie runs are short in practice.
 		for i := 1; i < len(s.batch); i++ {
-			for j := i; j > 0 && s.batch[j].ord < s.batch[j-1].ord; j-- {
+			for j := i; j > 0 && s.ord(s.batch[j]) < s.ord(s.batch[j-1]); j-- {
 				s.batch[j], s.batch[j-1] = s.batch[j-1], s.batch[j]
 			}
 		}
@@ -354,8 +344,11 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 	s.pos++
 	t := s.cols.Tuple(int(h.idx))
 	t.Vec = s.tree.Point(int(h.e))
-	return t, h.dist2, int(h.ord), nil
+	return t, h.dist2, s.ord(h), nil
 }
+
+// ord is a hit's parent ordinal.
+func (s *rtreeSource) ord(h nnHit) int { return s.cols.Ordinal(int(h.idx)) }
 
 // Close implements Closer: every later read reports ErrExhausted, and the
 // traversal's queue goes to the next one opened. A stream that is merely

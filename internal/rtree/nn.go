@@ -49,16 +49,20 @@ type openLeaf struct {
 	d2   [nodeCap]float64
 }
 
-// nnScratch is a traversal's reusable memory. A first neighbour costs
-// about nodeCap pushes per inner level, so 128 queue items (2 KiB) and 8
-// open leaves live in the struct itself: a fresh traversal allocates it
-// once and gets there without growing either slice. Past that they grow
-// on the heap, and Release keeps them at the size they grew to.
+// maxPooledLeaves caps the leaf slots a released traversal hands on, so
+// that deep traversals do not leave every pooled scratch at their size:
+// on the 20 000 × dim 4 relations of a K = 20 workload, half of the
+// traversals open at most 15 leaves and 99 % at most 66.
+const maxPooledLeaves = 32
+
+// nnScratch is a traversal's reusable memory: its queue and its leaf
+// slots. A first neighbour costs about nodeCap pushes per inner level, so
+// a fresh queue has room for 128 items (2 KiB); 16 leaf slots are 2 KiB
+// more. Release keeps the queue at the size it grew to, the leaf slots up
+// to maxPooledLeaves.
 type nnScratch struct {
-	heap    []nnItem
-	leaves  []openLeaf
-	heapBuf [128]nnItem
-	leafBuf [8]openLeaf
+	heap   []nnItem
+	leaves []openLeaf
 }
 
 // before orders the queue: by squared distance, nodes before cursors at
@@ -82,8 +86,7 @@ func (t *Tree[T]) NearestNeighbors(q vec.Vector) *NNIterator[T] {
 	}
 	s, _ := scratchPool.Get().(*nnScratch)
 	if s == nil {
-		s = new(nnScratch)
-		s.heap, s.leaves = s.heapBuf[:0], s.leafBuf[:0]
+		s = &nnScratch{heap: make([]nnItem, 0, 128), leaves: make([]openLeaf, 0, 16)}
 	}
 	it := &NNIterator[T]{tree: t, query: q.Clone(), heap: s.heap, leaves: s.leaves, scr: s}
 	if t.Len() > 0 {
@@ -96,7 +99,8 @@ func (t *Tree[T]) NearestNeighbors(q vec.Vector) *NNIterator[T] {
 // opens a traversal per remote stream and most end after one batch of
 // rows: their queues (2 KiB, more once grown) were a quarter of what a
 // coordinator topology allocated per query, and the collector's cycles
-// are its latency tail.
+// are its latency tail. A pooled *nnScratch goes back without the slice
+// header a pooled slice would allocate.
 var scratchPool sync.Pool
 
 // Release ends the traversal — Next reports no more points — and hands
@@ -104,7 +108,10 @@ var scratchPool sync.Pool
 // traversal is over; one that is merely dropped is collected as before.
 func (it *NNIterator[T]) Release() {
 	if s := it.scr; s != nil {
-		s.heap, s.leaves = it.heap[:0], it.leaves[:0]
+		s.heap = it.heap[:0]
+		if cap(it.leaves) <= maxPooledLeaves {
+			s.leaves = it.leaves[:0]
+		}
 		it.heap, it.leaves, it.scr = nil, nil, nil
 		scratchPool.Put(s)
 	}
