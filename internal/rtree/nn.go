@@ -50,10 +50,12 @@ type openLeaf struct {
 }
 
 // maxPooledLeaves caps the leaf slots a released traversal hands on, so
-// that deep traversals do not leave every pooled scratch at their size:
-// on the 20 000 × dim 4 relations of a K = 20 workload, half of the
-// traversals open at most 15 leaves and 99 % at most 66.
-const maxPooledLeaves = 32
+// that one very deep traversal does not leave every pooled scratch at its
+// size. Typical ones stay well under it: on the 20 000 × dim 4 relations
+// of a K = 20 workload 99 % of the traversals open at most 66 leaves, and
+// one over a 7 500-point dim-8 shard opens about 210 for 100 points.
+// With a cap of 32, each such traversal regrew its slots from scratch.
+const maxPooledLeaves = 512
 
 // nnScratch is a traversal's reusable memory: its queue and its leaf
 // slots. A first neighbour costs about nodeCap pushes per inner level, so
