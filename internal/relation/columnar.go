@@ -10,19 +10,23 @@ import (
 
 // Columns is the read-only storage every shard reads from: tuples
 // addressed by storage index, each beside its ordinal in the parent
-// relation. Partition builds it on the heap; internal/relfile provides it
-// over a memory-mapped file, where Tuple and Vec may return views aliasing
-// the mapping — that implementation must keep the mapping valid for as
-// long as the Columns value is reachable.
+// relation. Partition builds it on the heap, every vector in one slab at
+// dim·i, so Tuple and Vec return views of that slab; internal/relfile
+// provides it over a memory-mapped file, where Tuple and Vec may return
+// views aliasing the mapping — that implementation must keep the mapping
+// valid for as long as the Columns value is reachable.
 //
 // A shard's storage order IS the canonical score-access order — scores
 // non-increasing, ties by ascending parent ordinal — so its score stream
-// is a cursor, not a sort.
+// is a cursor, not a sort, that reads the columns front to back. A
+// distance stream reads them only for a tuple's ID, score and attributes:
+// its vectors are views of the shard's R-tree leaf slab.
 type Columns interface {
 	// Len returns the shard's tuple count.
 	Len() int
 	// Tuple materializes the i-th tuple. ID and Vec may alias backing
-	// storage; Attrs may be built per call (nil when the tuple has none).
+	// storage, which is read-only; Attrs may be built per call (nil when
+	// the tuple has none).
 	Tuple(i int) Tuple
 	// Vec returns the i-th feature vector without materializing the rest
 	// of the tuple (index builds touch only vectors).
@@ -35,26 +39,32 @@ type Columns interface {
 // order so that a score stream reads it front to back: one head per
 // tuple, every vector at offset dim·i of one slab, and the parent
 // ordinals. IDs and attribute maps are shared with the relation the
-// tuples came from; the vectors are copied into the slab.
+// tuples came from; the vectors are copied into the slab. A head is 24
+// bytes, a vector 8·dim, an ordinal 4: at dim 4, 4 bytes a tuple less
+// than a Tuple and an int ordinal.
 type heapColumns struct {
 	heads []tupleHead
+	attrs []map[string]string // nil when no tuple of the shard has any
 	vecs  []float64
 	ords  []int32
 	dim   int
 }
 
-// tupleHead is a Tuple less its vector.
+// tupleHead is what a Tuple holds besides its vector and attributes.
 type tupleHead struct {
 	ID    string
 	Score float64
-	Attrs map[string]string
 }
 
 func (c *heapColumns) Len() int { return len(c.heads) }
 
 func (c *heapColumns) Tuple(i int) Tuple {
 	h := &c.heads[i]
-	return Tuple{ID: h.ID, Score: h.Score, Vec: c.Vec(i), Attrs: h.Attrs}
+	t := Tuple{ID: h.ID, Score: h.Score, Vec: c.Vec(i)}
+	if c.attrs != nil {
+		t.Attrs = c.attrs[i]
+	}
+	return t
 }
 
 // Vec returns a view of the slab, capacity clipped so an append copies.
@@ -80,9 +90,15 @@ func scoreOrdered(r *Relation, group []int) *heapColumns {
 	}
 	for j, k := range ks {
 		t := &r.tuples[k.ord]
-		c.heads[j] = tupleHead{ID: t.ID, Score: t.Score, Attrs: t.Attrs}
+		c.heads[j] = tupleHead{ID: t.ID, Score: t.Score}
 		copy(c.vecs[j*r.dim:], t.Vec)
 		c.ords[j] = int32(k.ord)
+		if t.Attrs != nil {
+			if c.attrs == nil {
+				c.attrs = make([]map[string]string, len(ks))
+			}
+			c.attrs[j] = t.Attrs
+		}
 	}
 	return c
 }
