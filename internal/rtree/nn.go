@@ -15,18 +15,19 @@ import (
 // point of that leaf not yet returned. A cursor is one sorted run in the
 // queue: popping it returns its point and re-keys it in place at the
 // leaf's next point, so a leaf costs one push however many of its points
-// are returned, and a point never returned costs none. A leaf's squared
-// distances are computed once, when it opens, into the traversal's
-// scratch; its cursor advances by rescanning them. The queue is a binary
-// heap of 16-byte pointer-free items kept inline; a steady-state Next
-// allocates nothing but the amortised growth of the queue and the leaf
-// scratch, and a traversal whose owner calls Release hands both to the
-// next one.
+// are returned, and a point never returned costs none. Opening a leaf
+// computes its squared distances to find the cursor's first point; most
+// opened leaves return nothing. A leaf's first point returned computes
+// them once more, into a slot of the traversal's scratch, and the
+// cursor's later advances rescan that slot. The queue is a binary heap of
+// 16-byte pointer-free items kept inline; a steady-state Next allocates
+// nothing but the amortised growth of the queue and the slots, and a
+// traversal whose owner calls Release hands both to the next one.
 type NNIterator[T any] struct {
 	tree   *Tree[T]
 	query  []float64
 	heap   []nnItem
-	leaves []openLeaf // the opened leaves, in opening order
+	leaves []openLeaf // the leaves that returned a point, in that order
 	scr    *nnScratch // where heap and leaves go back on Release
 	seq    uint32     // items pushed so far
 	opened uint32     // leaves opened so far
@@ -36,14 +37,19 @@ type NNIterator[T any] struct {
 // nnItem is one queued node or leaf cursor.
 type nnItem struct {
 	dist2 float64
-	// ref is a node id, or for a cursor ^(slot·nodeCap + j): entry j of
-	// the leaf opened into leaves[slot].
+	// ref is a node id, or for a cursor ^e, e the entry of its current
+	// point, until its leaf's distances are cached, and ^(cachedRef +
+	// slot·nodeCap + j) after: entry j of the leaf cached in leaves[slot].
 	ref int32
 	seq uint32 // push order, the last tiebreaker
 }
 
-// openLeaf is one opened leaf: its first entry and the squared distances
-// of its points to the query, computed when it opened.
+// cachedRef marks a cursor whose leaf's distances are cached; entries
+// lie below it (maxPoints).
+const cachedRef = 1 << 30
+
+// openLeaf is a leaf that returned a point: its first entry and the
+// squared distances of its points to the query.
 type openLeaf struct {
 	base int32
 	d2   [nodeCap]float64
@@ -51,11 +57,10 @@ type openLeaf struct {
 
 // maxPooledLeaves caps the leaf slots a released traversal hands on, so
 // that one very deep traversal does not leave every pooled scratch at its
-// size. Typical ones stay well under it: on the 20 000 × dim 4 relations
-// of a K = 20 workload 99 % of the traversals open at most 66 leaves, and
-// one over a 7 500-point dim-8 shard opens about 210 for 100 points.
-// With a cap of 32, each such traversal regrew its slots from scratch.
-const maxPooledLeaves = 512
+// size. A traversal takes a slot per leaf that returns a point, at most
+// one per point returned, so one that returns up to 128 points keeps its
+// slots pooled.
+const maxPooledLeaves = 128
 
 // nnScratch is a traversal's reusable memory: its queue and its leaf
 // slots. A first neighbour costs about nodeCap pushes per inner level, so
@@ -144,13 +149,23 @@ func (it *NNIterator[T]) NextEntry() (e int, dist2 float64, ok bool) {
 		top := it.heap[0]
 		if top.ref < 0 {
 			// A cursor: return its point, then move it to the leaf's
-			// next point in (distance, entry) order, or retire it.
-			c := int(^top.ref)
-			slot, j := c/nodeCap, c%nodeCap
-			leaf := &it.leaves[slot]
+			// next point in (distance, entry) order, or retire it. The
+			// leaf's first point returned caches its distances in a slot.
+			var leaf *openLeaf
+			var slot, j int
+			if c := int(^top.ref); c < cachedRef {
+				base := c / nodeCap * nodeCap
+				slot, j = len(it.leaves), c-base
+				it.leaves = append(it.leaves, openLeaf{base: int32(base)})
+				leaf = &it.leaves[slot]
+				it.dists += uint32(leafDist2(&leaf.d2, t.pts[base*dim:min(base+nodeCap, len(t.vals))*dim], q))
+			} else {
+				slot, j = (c-cachedRef)/nodeCap, (c-cachedRef)%nodeCap
+				leaf = &it.leaves[slot]
+			}
 			base := int(leaf.base)
 			if k := nextInLeaf(leaf.d2[:min(nodeCap, len(t.vals)-base)], top.dist2, j); k >= 0 {
-				it.heap[0] = nnItem{dist2: leaf.d2[k], ref: ^int32(slot*nodeCap + k), seq: top.seq}
+				it.heap[0] = nnItem{dist2: leaf.d2[k], ref: ^int32(cachedRef + slot*nodeCap + k), seq: top.seq}
 				it.down()
 			} else {
 				it.pop()
@@ -158,14 +173,12 @@ func (it *NNIterator[T]) NextEntry() (e int, dist2 float64, ok bool) {
 			return base + j, top.dist2, true
 		}
 		if id := int(top.ref); id < t.leaves {
-			// Open the leaf: its distances fill a new slot, and its
-			// cursor takes the node's place.
-			base, slot := id*nodeCap, len(it.leaves)
-			it.leaves = append(it.leaves, openLeaf{base: int32(base)})
-			leaf := &it.leaves[slot]
-			n := leafDist2(&leaf.d2, t.pts[base*dim:min(base+nodeCap, len(t.vals))*dim], q)
-			j := nextInLeaf(leaf.d2[:n], 0, -1)
-			it.heap[0] = nnItem{dist2: leaf.d2[j], ref: ^int32(slot*nodeCap + j), seq: it.seq}
+			// Open the leaf: its cursor takes the node's place.
+			var d2 [nodeCap]float64
+			base := id * nodeCap
+			n := leafDist2(&d2, t.pts[base*dim:min(base+nodeCap, len(t.vals))*dim], q)
+			j := nextInLeaf(d2[:n], 0, -1)
+			it.heap[0] = nnItem{dist2: d2[j], ref: ^int32(base + j), seq: it.seq}
 			it.seq++
 			it.opened++
 			it.dists += uint32(n)

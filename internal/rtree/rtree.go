@@ -42,6 +42,11 @@ type Tree[T any] struct {
 	first  []int32   // entry range of each inner node, one sentinel at the end
 }
 
+// maxPoints bounds a tree's size so that a leaf cursor's ref fits an
+// int32 both as an entry and, once its leaf's distances are cached, as
+// cachedRef plus a slot's entries (nnItem).
+const maxPoints = cachedRef - nodeCap
+
 // nodesFor returns how many nodes hold the given number of entries.
 func nodesFor(entries int) int { return (entries + nodeCap - 1) / nodeCap }
 
@@ -80,7 +85,7 @@ func bulkLoad[T any](dim int, pts []vec.Vector, values []T, tile tiler) *Tree[T]
 	if len(pts) != len(values) {
 		panic("rtree: pts/values length mismatch")
 	}
-	if len(pts) > math.MaxInt32 {
+	if len(pts) > maxPoints {
 		panic("rtree: more points than entry ids")
 	}
 	for i, p := range pts {
