@@ -18,9 +18,11 @@
 //   - Tuple, Relation: the data model; New validates scores against the
 //     relation's σ_max and fixes the canonical base order.
 //   - Columns: the one shard storage — tuples in canonical score order
-//     beside their parent ordinals, on the heap (Partition) or over a
-//     mapped file (AssembleSharded, internal/relfile). A plain relation
-//     reads as one shard in its own storage order.
+//     beside their parent ordinals, on the heap (Partition: heads, one
+//     vector slab, int32 ordinals, attributes apart) or over a mapped
+//     file (AssembleSharded, internal/relfile). A plain relation reads
+//     as one shard in its own storage order. A streamed tuple's Vec may
+//     alias the columns or a shard R-tree's leaf slab, and is read-only.
 //   - OpenSource, openShards (input.go, columnar.go): OpenSource is the
 //     one way to open a stream, and openShards the one place an access
 //     path is chosen, from the input, never from an option — a cursor
