@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 )
 
@@ -9,19 +10,24 @@ import (
 // shared by pointer): one slot per canonical request, stamped with the
 // catalog generation its answer was computed on (see newestGen). A lookup
 // under another generation is a miss whose run replaces the slot in
-// place, so an answer a catalog write outdated goes — with the relation
-// it pins — when its key is next asked, or else when the LRU reaches it.
+// place. An answer's vectors alias the index and column memory of the
+// entries it was computed on, so an answer a catalog write outdated is
+// not left for the LRU to reach: the first answer stored on a newer
+// generation drops every slot computed on an older entry of one of its
+// relations (dropOutdated).
 type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
+	mu     sync.Mutex
+	cap    int
+	order  *list.List // front = most recently used
+	items  map[string]*list.Element
+	newest uint64 // the newest generation an answer was stored on
 }
 
 type cacheSlot struct {
-	key string
-	gen uint64
-	val *answer
+	key     string
+	gen     uint64
+	entries []*Entry // what the answer was computed on
+	val     *answer
 }
 
 // newResultCache returns a cache holding up to capacity answers;
@@ -53,27 +59,56 @@ func (c *resultCache) get(key string, gen uint64) (*answer, bool) {
 	return el.Value.(*cacheSlot).val, true
 }
 
-// put stores an answer computed on generation gen — unless the slot holds
-// a newer one's — evicting the least recently used slot beyond capacity.
-func (c *resultCache) put(key string, gen uint64, val *answer) {
+// put stores an answer computed on entries — unless the slot holds a
+// newer generation's — evicting the least recently used slot beyond
+// capacity.
+func (c *resultCache) put(key string, entries []*Entry, val *answer) {
 	if c.cap <= 0 {
 		return
 	}
+	gen := newestGen(entries)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if gen > c.newest {
+		c.newest = gen
+		c.dropOutdated(entries)
+	}
 	if el, ok := c.items[key]; ok {
 		if slot := el.Value.(*cacheSlot); slot.gen <= gen {
-			slot.gen, slot.val = gen, val
+			slot.gen, slot.entries, slot.val = gen, entries, val
 			c.order.MoveToFront(el)
 		}
 		return
 	}
-	c.items[key] = c.order.PushFront(&cacheSlot{key: key, gen: gen, val: val})
+	c.items[key] = c.order.PushFront(&cacheSlot{key: key, gen: gen, entries: entries, val: val})
 	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.items, last.Value.(*cacheSlot).key)
+		c.remove(c.order.Back())
 	}
+}
+
+// dropOutdated removes every slot computed on an older entry of a
+// relation current holds: no lookup can match its generation again.
+// current is one catalog snapshot (Resolve), so a slot's entry of the
+// same name is either one of current or older. Callers hold c.mu.
+func (c *resultCache) dropOutdated(current []*Entry) {
+	for el := c.order.Front(); el != nil; {
+		next := el.Next()
+		for _, old := range el.Value.(*cacheSlot).entries {
+			if slices.ContainsFunc(current, func(e *Entry) bool {
+				return e.gen > old.gen && e.Relation().Name == old.Relation().Name
+			}) {
+				c.remove(el)
+				break
+			}
+		}
+		el = next
+	}
+}
+
+// remove drops one slot. Callers hold c.mu.
+func (c *resultCache) remove(el *list.Element) {
+	c.order.Remove(el)
+	delete(c.items, el.Value.(*cacheSlot).key)
 }
 
 // len returns the number of cached answers.

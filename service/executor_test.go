@@ -327,3 +327,36 @@ func TestCacheKeyNoCollision(t *testing.T) {
 		t.Fatalf("distinct relation lists collided in the cache key: %q", k1)
 	}
 }
+
+// TestCacheDropsReplacedGenerations: the first answer stored after a
+// catalog replace drops the answers computed on the replaced entry —
+// no lookup could match them again, and their vectors alias its index
+// memory — and keeps the answers over relations that were not replaced.
+func TestCacheDropsReplacedGenerations(t *testing.T) {
+	cat, names := testSetup(t, 3, 40, 2)
+	x := NewExecutor(cat, Config{Workers: 2, CacheSize: 8})
+	run := func(rels ...string) {
+		t.Helper()
+		req := baseRequest(rels)
+		if _, err := x.Execute(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(names[0], names[1])
+	run(names[1], names[2])
+	e, err := cat.Get(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Replace(names[0], e.Relation(), 1, proxrank.HashPartition); err != nil {
+		t.Fatal(err)
+	}
+	run(names[0], names[2])
+	if n := x.cache.len(); n != 2 {
+		t.Fatalf("cache holds %d answers after the replace, want 2: the one over %s and %s was outdated", n, names[0], names[1])
+	}
+	run(names[1], names[2]) // still cached: B and C were not replaced
+	if hits := x.Stats().CacheHits; hits != 1 {
+		t.Fatalf("%d cache hits, want 1", hits)
+	}
+}

@@ -101,7 +101,7 @@ func (x *Executor) lead(ctx context.Context, req *api.Request, query proxrank.Ve
 			// Degraded responses are never cached (the shard may come back
 			// any moment); followers still share this run's outcome through
 			// the flight and re-check their own partial policy.
-			x.cache.put(req.Canonical(), newestGen(entries), ans)
+			x.cache.put(req.Canonical(), entries, ans)
 		}
 	}()
 	return sub, nil
