@@ -57,6 +57,9 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 		}
 		fmt.Fprintf(h, "%s\n", label)
 		keyed, _ := src.(relation.KeyedSource)
+		if _, merge := src.(*relation.MergedSource); merge {
+			keyed = nil // a merge's rows are pinned without its key and ordinal
+		}
 		for {
 			var (
 				tu  relation.Tuple
