@@ -383,9 +383,12 @@ func TestReleaseRecyclesQueue(t *testing.T) {
 			t.Fatalf("query %d: Next after Release produced a point", i)
 		}
 	}
-	// 3 = iterator + query clone + the pool's slice header; an unreleased
-	// open that reads 16 points costs those two plus the queue and its
-	// growth. A collection mid-run empties the pool, so leave slack.
+	// 2 = iterator + query clone: the scratch goes back to the pool as a
+	// pointer, so neither its queue nor a slice header is allocated. An
+	// unreleased open that reads 16 points costs those two plus the queue
+	// and its growth. A collection mid-run empties the pool, so leave slack;
+	// the race detector's pool drops a quarter of what it is handed, which
+	// costs the three allocations of a fresh scratch (raceSlack).
 	allocs := testing.AllocsPerRun(200, func() {
 		it := tr.NearestNeighbors(queries[1])
 		for i := 0; i < 16; i++ {
@@ -393,7 +396,7 @@ func TestReleaseRecyclesQueue(t *testing.T) {
 		}
 		it.Release()
 	})
-	if allocs > 3.5 {
-		t.Fatalf("open, 16 steps, release: %v allocations, want 3", allocs)
+	if allocs > 2.5+raceSlack {
+		t.Fatalf("open, 16 steps, release: %v allocations, want 2", allocs)
 	}
 }
