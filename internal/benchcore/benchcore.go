@@ -215,8 +215,10 @@ func BenchShardedMerge(b *testing.B) {
 	}
 }
 
-// benchRTreePrefix opens a distance stream on the shared index and pulls
-// its first k tuples, one query point after another.
+// benchRTreePrefix opens a distance stream on the shared index, pulls
+// its first k tuples and closes it, one query point after another. A
+// session closes its streams, so a closed stream's cost is the one a
+// query pays: its traversal scratch goes to the next open.
 func benchRTreePrefix(b *testing.B, k int) {
 	ixs, queries := rtreeSetup()
 	ix := ixs[0]
@@ -232,6 +234,7 @@ func benchRTreePrefix(b *testing.B, k int) {
 				b.Fatal(err)
 			}
 		}
+		src.(interface{ Close() }).Close()
 	}
 }
 
