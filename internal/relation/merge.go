@@ -44,6 +44,7 @@ type MergedSource struct {
 	// failed refill so a retry re-pulls the same shard without skipping or
 	// duplicating tuples.
 	pending bool
+	read    int // inputs read at least once (see InputsRead)
 }
 
 // mergeHead is one shard's current front tuple — or, for a latent
@@ -141,11 +142,13 @@ func (m *MergedSource) prime(src KeyedSource) error {
 	}
 	t, key, ord, err := src.NextKeyed()
 	if errors.Is(err, ErrExhausted) {
+		m.read++
 		return nil
 	}
 	if err != nil {
 		return err
 	}
+	m.read++
 	m.heads = append(m.heads, mergeHead{src: src, t: t, key: key, ord: ord})
 	m.siftUp(len(m.heads) - 1)
 	return nil
@@ -188,31 +191,40 @@ func (m *MergedSource) refillRoot() error {
 func (m *MergedSource) materializeRoot() error {
 	t, key, ord, err := m.heads[0].src.NextKeyed()
 	if errors.Is(err, ErrExhausted) {
+		m.read++
 		m.retireRoot()
 		return nil
 	}
 	if err != nil {
 		return err
 	}
+	m.read++
 	h := &m.heads[0]
 	h.t, h.key, h.ord, h.latent = t, key, ord, false
 	m.siftDown(0)
 	return nil
 }
 
-// Next implements Source. Access errors from a shard propagate as-is and
-// leave the merge consistent: a retry re-pulls the failed shard without
-// skipping or duplicating tuples.
+// Next implements Source.
 func (m *MergedSource) Next() (Tuple, error) {
+	t, _, _, err := m.NextKeyed()
+	return t, err
+}
+
+// NextKeyed implements KeyedSource: the emitted head's key and parent
+// ordinal, so a merge can itself be the input of another merge. Access
+// errors from a shard propagate as-is and leave the merge consistent: a
+// retry re-pulls the failed shard without skipping or duplicating tuples.
+func (m *MergedSource) NextKeyed() (Tuple, float64, int, error) {
 	for m.primed < len(m.inputs) {
 		if err := m.prime(m.inputs[m.primed]); err != nil {
-			return Tuple{}, err
+			return Tuple{}, 0, 0, err
 		}
 		m.primed++
 	}
 	if m.pending {
 		if err := m.refillRoot(); err != nil {
-			return Tuple{}, err
+			return Tuple{}, 0, 0, err
 		}
 	}
 	// A latent head at the root means the merge has advanced to a shard's
@@ -221,15 +233,22 @@ func (m *MergedSource) Next() (Tuple, error) {
 	// head (or retire the shard and promote one).
 	for len(m.heads) > 0 && m.heads[0].latent {
 		if err := m.materializeRoot(); err != nil {
-			return Tuple{}, err
+			return Tuple{}, 0, 0, err
 		}
 	}
 	if len(m.heads) == 0 {
-		return Tuple{}, ErrExhausted
+		return Tuple{}, 0, 0, ErrExhausted
 	}
 	m.pending = true
-	return m.heads[0].t, nil
+	h := &m.heads[0]
+	return h.t, h.key, h.ord, nil
 }
+
+// InputsRead returns how many inputs the merge has read so far. A
+// latent input is read only once the merge's frontier reaches its bound,
+// so of bounded inputs at most those whose bound lies at or below the
+// last key emitted have been read.
+func (m *MergedSource) InputsRead() int { return m.read }
 
 // Close implements Closer: it closes every input that has a Close — opened,
 // latent or retired alike — and ends the merge, so later reads report

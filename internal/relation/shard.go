@@ -399,6 +399,91 @@ func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, _ vec.Metric
 	return openOne(s.shards[i:i+1], kind, q, useRTree)
 }
 
+// OpenShardSet opens the canonical stream of a set of shards, named by
+// ascending index, for one access configuration: what the merge of the
+// whole relation emits, restricted to the tuples of those shards. One
+// shard is that shard's stream, exactly as ShardSource opens it. Several
+// are a MergedSource whose every input is latent at its shard's key
+// bound — ShardBounds.Dist2LowerBound(q) under distance access, −MaxScore
+// under score access — and opened on its first read, so a shard whose
+// bound the stream never reaches is never traversed. A shard server
+// answers one remote pull with it.
+func (s *Sharded) OpenShardSet(shards []int, kind AccessKind, q vec.Vector) (KeyedSource, error) {
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("relation %q: an empty shard set", s.parent.Name)
+	}
+	for j, i := range shards {
+		if i < 0 || i >= len(s.shards) {
+			return nil, fmt.Errorf("relation %q: shard %d out of range [0,%d)", s.parent.Name, i, len(s.shards))
+		}
+		if j > 0 && i <= shards[j-1] {
+			return nil, fmt.Errorf("relation %q: shard set %v is not ascending", s.parent.Name, shards)
+		}
+	}
+	if kind == DistanceAccess && q.Dim() != s.parent.dim {
+		return nil, fmt.Errorf("relation %q: query dim %d, want %d", s.parent.Name, q.Dim(), s.parent.dim)
+	}
+	if len(shards) == 1 {
+		src, err := openOne(s.shards[shards[0]:shards[0]+1], kind, q, true)
+		if err != nil {
+			return nil, err
+		}
+		return src.(KeyedSource), nil
+	}
+	latent := make([]latentShard, len(shards))
+	inputs := make([]KeyedSource, len(shards))
+	for j, i := range shards {
+		bound := -s.shards[i].bounds.MaxScore
+		if kind == DistanceAccess {
+			bound = s.shards[i].bounds.Dist2LowerBound(q)
+		}
+		latent[j] = latentShard{one: s.shards[i : i+1], kind: kind, q: q, bound: bound}
+		inputs[j] = &latent[j]
+	}
+	return newMergedSource(s.parent, kind, inputs), nil
+}
+
+// latentShard is one input of a shard-set stream: a BoundedSource at its
+// shard's key bound that opens the shard's stream on its first read.
+type latentShard struct {
+	one   []shard // the shard, as the one-element run openOne takes
+	kind  AccessKind
+	q     vec.Vector
+	bound float64
+	src   KeyedSource // nil until the first read
+}
+
+// NextKeyed implements KeyedSource.
+func (l *latentShard) NextKeyed() (Tuple, float64, int, error) {
+	if l.src == nil {
+		src, err := openOne(l.one, l.kind, l.q, true)
+		if err != nil {
+			return Tuple{}, 0, 0, err
+		}
+		l.src = src.(KeyedSource)
+	}
+	return l.src.NextKeyed()
+}
+
+// Next implements Source.
+func (l *latentShard) Next() (Tuple, error) {
+	t, _, _, err := l.NextKeyed()
+	return t, err
+}
+
+// KeyLowerBound implements BoundedSource.
+func (l *latentShard) KeyLowerBound() float64 { return l.bound }
+
+// Close implements Closer: it closes the shard's stream if one was opened.
+func (l *latentShard) Close() {
+	if c, ok := l.src.(Closer); ok {
+		c.Close()
+	}
+}
+
+func (l *latentShard) Kind() AccessKind    { return l.kind }
+func (l *latentShard) Relation() *Relation { return l.one[0].rel }
+
 // Merge k-way-merges one stream per shard (as produced by ShardSource,
 // in shard order) into a single stream in the canonical relation order.
 // A single-shard set passes its stream through untouched.
