@@ -207,6 +207,7 @@ type reply struct {
 	Response
 	rows []WireTuple
 	done bool // stream exhausted; no VerbNext needed
+	read int  // shards of the pulled set the server has read
 }
 
 // framePool holds the buffers exchanges write and read their frames in.
@@ -257,7 +258,7 @@ func (p *Peer) exchange(ctx context.Context, c net.Conn, req *Request, limit int
 			}
 			return &rep, nil
 		}
-		rep.rows, rep.done, err = decodeRowFrame(body)
+		rep.rows, rep.done, rep.read, err = decodeRowFrame(body)
 		return &rep, err
 	}()
 	d := time.Since(start)
@@ -361,6 +362,11 @@ type RemoteRelation struct {
 	Shards   int
 	// Owners[s] lists the peers serving shard s, in fleet order.
 	Owners map[int][]*Peer
+	// Groups partitions the shards by identical Owners lists, each group
+	// ascending and the groups in order of their first shard: what one
+	// remote stream may name. Under ring ownership a group is the shards
+	// that share s % peers. Discover sets it.
+	Groups [][]int
 	// Bounds[s] is shard s's bounding metadata.
 	Bounds map[int]relation.ShardBounds
 	// Hedge is the hedging policy sources over this relation inherit
@@ -480,8 +486,24 @@ func (f *Fleet) Discover(ctx context.Context) (map[string]*RemoteRelation, error
 				return nil, fmt.Errorf("shardrpc: no peer owns shard %d of relation %q — the fleet cannot answer queries over it", s, name)
 			}
 		}
+		r.Groups = ownerGroups(r.Owners, r.Shards)
 	}
 	return rels, nil
+}
+
+// ownerGroups partitions shards [0, n) by identical owner lists: each
+// group ascending, the groups in order of their first shard.
+func ownerGroups(owners map[int][]*Peer, n int) [][]int {
+	var groups [][]int
+	for s := 0; s < n; s++ {
+		g := slices.IndexFunc(groups, func(g []int) bool { return slices.Equal(owners[g[0]], owners[s]) })
+		if g < 0 {
+			groups = append(groups, nil)
+			g = len(groups) - 1
+		}
+		groups[g] = append(groups[g], s)
+	}
+	return groups
 }
 
 // checkRelation refuses one relation of a hello that the coordinator

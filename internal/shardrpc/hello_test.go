@@ -16,8 +16,8 @@ type helloBackend struct{ hello HelloInfo }
 
 func (b helloBackend) Hello() HelloInfo { return b.hello }
 
-func (b helloBackend) OpenShard(relName string, shard int, _ string, _ []float64) (relation.KeyedSource, error) {
-	return nil, api.Errorf(api.CodeNotFound, "shard %d of %q is not served here", shard, relName)
+func (b helloBackend) OpenShards(relName string, shards []int, _ string, _ []float64) (relation.KeyedSource, error) {
+	return nil, api.Errorf(api.CodeNotFound, "shards %v of %q are not served here", shards, relName)
 }
 
 // wellFormedHello is one dim-2 relation in one owned shard, ball and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -499,5 +500,63 @@ func TestHedgeRampedStream(t *testing.T) {
 	}
 	if issued, won := hedges(); issued == 0 || won == 0 {
 		t.Fatalf("primary stalled: %d hedges issued, %d won", issued, won)
+	}
+}
+
+// TestSetStreamFailover: a stream over a set of shards that both peers
+// hold loses its connection mid-stream — its first next is reset — and
+// fails over to the other replica, which re-opens the set at the
+// stream's offset. The rows are the local merge of the set, byte for
+// byte, and the stream ends having read every shard of the set.
+func TestSetStreamFailover(t *testing.T) {
+	rel := testRelation(t, "pts", 7, 300, 2)
+	sharded, err := relation.Partition(rel, 6, relation.GridPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := func(name string) *testBackend {
+		return &testBackend{
+			name: name,
+			rels: map[string]*relation.Sharded{"pts": sharded},
+			owns: func(int) bool { return true },
+		}
+	}
+	inj, err := faultinject.Parse("verb=next;action=reset;nth=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := NewFleet([]string{startFaultedServer(t, backend("flaky"), inj), startServer(t, backend("steady"))})
+	fleet.Hedge = HedgePolicy{Disable: true}
+	t.Cleanup(fleet.Close)
+	remotes, err := fleet.Discover(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := remotes["pts"]
+	if want := [][]int{{0, 1, 2, 3, 4, 5}}; !reflect.DeepEqual(rr.Groups, want) {
+		t.Fatalf("groups %v, want %v: both peers own every shard", rr.Groups, want)
+	}
+	q := []float64{0.5, 0.5}
+	src, err := OpenRemoteShards(context.Background(), rel, rr, rr.Groups[0], api.AccessDistance, q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainKeyed(t, src, 1<<20)
+	local, err := sharded.OpenShardSet(rr.Groups[0], relation.DistanceAccess, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := drainKeyed(t, local, 1<<20); !rowsEqual(got, want) {
+		t.Fatalf("failed-over set stream has %d rows differing from the local merge's %d", len(got), len(want))
+	}
+	if n := inj.Fired(); n != 1 {
+		t.Fatalf("reset fired %d times, want 1", n)
+	}
+	steady := fleet.Peers()[1]
+	if steady.Pulls.Load() == 0 || src.peerRetriesTotal() == 0 {
+		t.Fatalf("the stream did not fail over: %d exchanges with the replica, %d retries", steady.Pulls.Load(), src.peerRetriesTotal())
+	}
+	if read := src.ShardsRead(); read != len(rr.Groups[0]) {
+		t.Fatalf("drained set stream read %d of %d shards", read, len(rr.Groups[0]))
 	}
 }

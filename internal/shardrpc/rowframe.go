@@ -17,12 +17,14 @@ import (
 //
 //	off  size  field
 //	  0     4  magic "PRXR"
-//	  4     1  version (1)
+//	  4     1  version (2)
 //	  5     1  flags: bit 0 = done (stream exhausted, no next needed)
 //	  6     2  reserved, zero
 //	  8     4  rows
 //	 12     4  dim (coordinates per row; 0 when rows is 0)
-//	 16     …  rows, each:
+//	 16     4  shards read: of the pulled set, how many the server's
+//	           merge has read so far (the rest it has not needed)
+//	 20     …  rows, each:
 //	             8      Float64bits(key)
 //	             8      ordinal in the parent relation
 //	             8      Float64bits(score)
@@ -34,11 +36,12 @@ import (
 //
 // The checksum is what turns a flipped byte into a retry: JSON rejected
 // most corruption syntactically, a bare float payload would decode it.
+// Version 1 had no shards-read field.
 const (
 	rowMagic     = "PRXR"
-	rowVersion   = 1
+	rowVersion   = 2
 	rowFlagDone  = 1
-	rowHeaderLen = 16
+	rowHeaderLen = 20
 	rowNumLen    = 8 + 8 + 8 // key, ordinal, score
 	rowMinText   = 4 + 4     // empty id, no attrs
 	rowTrailer   = 4
@@ -71,7 +74,8 @@ func pullFrameLimit(batch, dim int) int {
 func appendRowFrame(buf []byte, src relation.KeyedSource, batch int) (frame []byte, done bool, err error) {
 	dst := append(buf[:0], 0, 0, 0, 0) // length prefix, patched below
 	dst = append(dst, rowMagic...)
-	dst = append(dst, rowVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) // flags, rows, dim patched below
+	dst = append(dst, rowVersion, 0, 0, 0)
+	dst = append(dst, make([]byte, rowHeaderLen-8)...) // rows, dim, shards read: patched below
 	rows, dim := 0, 0
 	var keys []string
 	for rows < batch {
@@ -122,9 +126,19 @@ func appendRowFrame(buf []byte, src relation.KeyedSource, batch int) (frame []by
 	}
 	le.PutUint32(payload[8:], uint32(rows))
 	le.PutUint32(payload[12:], uint32(dim))
+	le.PutUint32(payload[16:], uint32(shardsRead(src)))
 	dst = le.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
 	binary.BigEndian.PutUint32(dst, uint32(len(dst)-4))
 	return dst, done, nil
+}
+
+// shardsRead is how many shards of its set a stream has read: a merge's
+// count of inputs read, or 1 for one shard's own stream.
+func shardsRead(src relation.KeyedSource) int {
+	if m, ok := src.(*relation.MergedSource); ok {
+		return m.InputsRead()
+	}
+	return 1
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -138,9 +152,10 @@ var errRowFrame = errors.New("shardrpc: bad row frame")
 // before trusting any field, sizes every allocation by bytes the payload
 // actually holds (so a forged count cannot out-allocate the frame that
 // carries it), and carves all coordinates of the batch from one slab.
-func decodeRowFrame(p []byte) (rows []WireTuple, done bool, err error) {
-	bad := func(format string, args ...any) ([]WireTuple, bool, error) {
-		return nil, false, fmt.Errorf("%w: %s", errRowFrame, fmt.Sprintf(format, args...))
+// read is the frame's shards-read field.
+func decodeRowFrame(p []byte) (rows []WireTuple, done bool, read int, err error) {
+	bad := func(format string, args ...any) ([]WireTuple, bool, int, error) {
+		return nil, false, 0, fmt.Errorf("%w: %s", errRowFrame, fmt.Sprintf(format, args...))
 	}
 	body, why := openFrame(p, rowMagic, rowVersion, rowHeaderLen+rowTrailer)
 	if why != "" {
@@ -150,7 +165,7 @@ func decodeRowFrame(p []byte) (rows []WireTuple, done bool, err error) {
 		return bad("unknown flags %02x %02x %02x", p[5], p[6], p[7])
 	}
 	done = p[5]&rowFlagDone != 0
-	n, dim := int(le.Uint32(p[8:])), int(le.Uint32(p[12:]))
+	n, dim, read := int(le.Uint32(p[8:])), int(le.Uint32(p[12:])), int(le.Uint32(p[16:]))
 	body = body[rowHeaderLen:]
 	// dim first, so the product below cannot overflow.
 	if dim > len(body)/8 || n > len(body)/(rowNumLen+8*dim+rowMinText) {
@@ -205,7 +220,7 @@ func decodeRowFrame(p []byte) (rows []WireTuple, done bool, err error) {
 	if len(body) != 0 {
 		return bad("%d bytes after the last row", len(body))
 	}
-	return rows, done, nil
+	return rows, done, read, nil
 }
 
 // openFrame checks a payload's least length, magic, version and

@@ -112,7 +112,7 @@ func TestRowFrameRoundTrip(t *testing.T) {
 		if batch <= len(rows) {
 			want, wantDone = rows[:batch], false
 		}
-		got, done, err := decodeRowFrame(encodeRows(t, rows, batch))
+		got, done, _, err := decodeRowFrame(encodeRows(t, rows, batch))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -121,7 +121,7 @@ func TestRowFrameRoundTrip(t *testing.T) {
 		}
 	}
 	// Zero rows + done: what a pull at an offset past the end answers.
-	got, done, err := decodeRowFrame(encodeRows(t, nil, 8))
+	got, done, _, err := decodeRowFrame(encodeRows(t, nil, 8))
 	if err != nil || !done || len(got) != 0 {
 		t.Fatalf("empty stream: rows %d done %v err %v", len(got), done, err)
 	}
@@ -156,7 +156,7 @@ func TestRowFrameRejects(t *testing.T) {
 	valid := func() []byte { return encodeRows(t, rows, 8) }
 	cases := map[string]func(p []byte) []byte{
 		"bad magic":       func(p []byte) []byte { p[0] = 'Q'; return reseal(p) },
-		"bad version":     func(p []byte) []byte { p[4] = 2; return reseal(p) },
+		"bad version":     func(p []byte) []byte { p[4] = rowVersion - 1; return reseal(p) },
 		"unknown flag":    func(p []byte) []byte { p[5] |= 0x80; return reseal(p) },
 		"reserved set":    func(p []byte) []byte { p[6] = 1; return reseal(p) },
 		"count overflow":  func(p []byte) []byte { le.PutUint32(p[8:], math.MaxUint32); return reseal(p) },
@@ -173,11 +173,11 @@ func TestRowFrameRejects(t *testing.T) {
 		"json":            func([]byte) []byte { return []byte(`{"tuples":[]}`) },
 	}
 	for name, forge := range cases {
-		if _, _, err := decodeRowFrame(forge(valid())); !errors.Is(err, errRowFrame) {
+		if _, _, _, err := decodeRowFrame(forge(valid())); !errors.Is(err, errRowFrame) {
 			t.Errorf("%s: err = %v, want errRowFrame", name, err)
 		}
 	}
-	if _, _, err := decodeRowFrame(valid()); err != nil {
+	if _, _, _, err := decodeRowFrame(valid()); err != nil {
 		t.Fatalf("the unforged frame: %v", err)
 	}
 }
@@ -196,7 +196,7 @@ func TestRowFrameForgedCountAllocatesNothing(t *testing.T) {
 	for attempt := 0; attempt < 5 && least > 4<<10; attempt++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := decodeRowFrame(p)
+		_, _, _, err := decodeRowFrame(p)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatal("forged count accepted")
@@ -290,7 +290,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // action does is caught by the checksum for both access kinds.
 func TestCorruptedFrameRejected(t *testing.T) {
 	for i, p := range fuzzSeeds(t) {
-		_, _, err := decodeRowFrame(p)
+		_, _, _, err := decodeRowFrame(p)
 		if corrupted := i%2 == 1; corrupted != (err != nil) {
 			t.Fatalf("seed %d (corrupted=%v): err = %v", i, corrupted, err)
 		} else if corrupted && !strings.Contains(err.Error(), "checksum") {
@@ -311,7 +311,7 @@ func FuzzRowFrameDecode(f *testing.F) {
 	f.Add(encodeRows(f, []WireTuple{{ID: "é", Vec: []float64{math.Copysign(0, -1)}, Attrs: map[string]string{"k": "v"}}}, 4))
 	f.Add([]byte(`{"err":{"code":"not_found","message":"x"}}`))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		rows, _, err := decodeRowFrame(p)
+		rows, _, _, err := decodeRowFrame(p)
 		if err != nil {
 			if !errors.Is(err, errRowFrame) {
 				t.Fatalf("refusal is not an errRowFrame: %v", err)
@@ -325,9 +325,58 @@ func FuzzRowFrameDecode(f *testing.F) {
 		if len(rows)*(rowNumLen+rowMinText)+8*coords > len(p) {
 			t.Fatalf("%d rows with %d coordinates decoded out of %d bytes", len(rows), coords, len(p))
 		}
-		again, done, err := decodeRowFrame(encodeRows(t, rows, len(rows)+1))
+		again, done, _, err := decodeRowFrame(encodeRows(t, rows, len(rows)+1))
 		if err != nil || !done || !sameRows(again, rows) {
 			t.Fatalf("decoded rows do not survive a re-encode: err %v", err)
 		}
 	})
+}
+
+// TestRowFrameShardsRead: a row frame carries how many shards of the
+// pulled set the server's merge has read, batch by batch, and a frame
+// drained from one shard's own stream says 1. The field is the merge's
+// count at the moment the frame was cut, so it only grows, and it
+// reaches the whole set once the stream is done.
+func TestRowFrameShardsRead(t *testing.T) {
+	rel := testRelation(t, "pts", 7, 300, 2)
+	sharded, err := relation.Partition(rel, 6, relation.GridPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := sharded.OpenShardSet([]int{2}, relation.DistanceAccess, []float64{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, _, err := appendRowFrame(nil, one, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, read, err := decodeRowFrame(frame[4:]); err != nil || read != 1 {
+		t.Fatalf("one shard's stream: read %d, err %v; want 1", read, err)
+	}
+	set := []int{0, 2, 3, 5}
+	src, err := sharded.OpenShardSet(set, relation.DistanceAccess, []float64{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := src.(*relation.MergedSource)
+	last, partial := 0, false
+	for done := false; !done; {
+		var frame []byte
+		if frame, done, err = appendRowFrame(nil, src, 4); err != nil {
+			t.Fatal(err)
+		}
+		_, gotDone, read, err := decodeRowFrame(frame[4:])
+		if err != nil || gotDone != done {
+			t.Fatalf("decode: done %v, want %v, err %v", gotDone, done, err)
+		}
+		if read != merged.InputsRead() || read < last || read > len(set) {
+			t.Fatalf("frame says %d shards read, the merge %d, the last frame %d", read, merged.InputsRead(), last)
+		}
+		partial = partial || read < len(set)
+		last = read
+	}
+	if last != len(set) || !partial {
+		t.Fatalf("the set's frames read %d of %d shards at the end (some frame below the set: %v)", last, len(set), partial)
+	}
 }

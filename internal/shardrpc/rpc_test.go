@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -72,23 +74,21 @@ func (b *testBackend) Hello() HelloInfo {
 	return h
 }
 
-func (b *testBackend) OpenShard(relName string, shard int, access string, query []float64) (relation.KeyedSource, error) {
+func (b *testBackend) OpenShards(relName string, shards []int, access string, query []float64) (relation.KeyedSource, error) {
 	s, ok := b.rels[relName]
 	if !ok {
 		return nil, api.Errorf(api.CodeNotFound, "relation %q is not registered", relName)
 	}
-	if shard < 0 || shard >= s.NumShards() || !b.owns(shard) {
-		return nil, api.Errorf(api.CodeNotFound, "shard %d of %q is not served here", shard, relName)
+	for _, shard := range shards {
+		if shard < 0 || shard >= s.NumShards() || !b.owns(shard) {
+			return nil, api.Errorf(api.CodeNotFound, "shard %d of %q is not served here", shard, relName)
+		}
 	}
 	kind, err := kindOf(access)
 	if err != nil {
 		return nil, api.Errorf(api.CodeBadRequest, "%v", err)
 	}
-	src, err := s.ShardSource(shard, kind, query, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	return src.(relation.KeyedSource), nil
+	return s.OpenShardSet(shards, kind, query)
 }
 
 // startServer runs a server over backend on a loopback port.
@@ -145,7 +145,7 @@ func serveSharded(t *testing.T, rel *relation.Relation, shards, servers int, str
 // for bit, and a hello its JSON frame; a hostile length prefix is
 // refused, not allocated.
 func TestFrameRoundTrip(t *testing.T) {
-	in := Request{Verb: VerbPull, Relation: "r", Shard: 3, Access: api.AccessDistance,
+	in := Request{Verb: VerbPull, Relation: "r", Shards: []int{3}, Access: api.AccessDistance,
 		Query: []float64{1.5, math.Nextafter(2, 3)}, Offset: 17, Batch: 64}
 	next := in
 	next.Verb = VerbNext
@@ -170,7 +170,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if req == &next {
 			want = Request{Verb: VerbNext, Batch: in.Batch} // a next carries only its batch
 		}
-		if out.Verb != want.Verb || out.Shard != want.Shard || out.Offset != want.Offset ||
+		if out.Verb != want.Verb || !slices.Equal(out.Shards, want.Shards) || out.Offset != want.Offset ||
 			out.Batch != want.Batch || out.Relation != want.Relation || out.Access != want.Access ||
 			len(out.Query) != len(want.Query) {
 			t.Fatalf("frame round trip: got %+v, want %+v", out, want)
@@ -474,6 +474,73 @@ func TestRemoteMergeByteIdentity(t *testing.T) {
 					wt.ID, math.Float64bits(wt.Score), gt.ID, math.Float64bits(gt.Score))
 			}
 		}
+	}
+}
+
+// TestSetStreamMergeByteIdentity: under ring ownership of 12 shards on 3
+// peers, discovery groups the shards that share s % 3, and one stream
+// per group, merged, is the local relation's merge row for row — key
+// bits and ordinals included — under both access kinds. A corner prefix
+// leaves the far shards of every group unread, on the server too.
+func TestSetStreamMergeByteIdentity(t *testing.T) {
+	sharded, _, rr := serveSharded(t, uniformRelation(t, 19, 2400, 2), 12, 3, relation.GridPartition)
+	if want := [][]int{{0, 3, 6, 9}, {1, 4, 7, 10}, {2, 5, 8, 11}}; !reflect.DeepEqual(rr.Groups, want) {
+		t.Fatalf("groups %v, want %v", rr.Groups, want)
+	}
+	stub, err := rr.Stub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(access string, q []float64) (*relation.MergedSource, []*RemoteSource) {
+		t.Helper()
+		kind, _ := kindOf(access)
+		inputs := make([]relation.KeyedSource, len(rr.Groups))
+		remotes := make([]*RemoteSource, len(rr.Groups))
+		for g, shards := range rr.Groups {
+			rs, err := OpenRemoteShards(context.Background(), stub, rr, shards, access, q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs[g], remotes[g] = rs, rs
+		}
+		merged, err := relation.NewMergedSource(stub, kind, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return merged, remotes
+	}
+	for _, access := range []string{api.AccessDistance, api.AccessScore} {
+		for _, q := range [][]float64{{0.5, 0.5}, {0.03, 0.97}} {
+			kind, _ := kindOf(access)
+			local, err := relation.OpenSource(sharded, kind, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote, remotes := open(access, q)
+			want, got := drainKeyed(t, local.(relation.KeyedSource), 1<<20), drainKeyed(t, remote, 1<<20)
+			if !rowsEqual(got, want) {
+				t.Fatalf("%s %v: %d rows over set streams differ from the local merge's %d", access, q, len(got), len(want))
+			}
+			for _, rs := range remotes {
+				if rs.ShardsRead() != len(rs.Shards()) {
+					t.Fatalf("%s %v: drained set %v read %d shards", access, q, rs.Shards(), rs.ShardsRead())
+				}
+			}
+		}
+	}
+	merged, remotes := open(api.AccessDistance, []float64{0.03, 0.03})
+	for i := 0; i < 4; i++ {
+		if _, err := merged.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := 0
+	for _, rs := range remotes {
+		read += rs.ShardsRead()
+		rs.Close()
+	}
+	if read == 0 || read > 4 {
+		t.Fatalf("a corner prefix read %d of 12 shards over its set streams, want 1 to 4", read)
 	}
 }
 

@@ -17,16 +17,19 @@ type Backend interface {
 	// Hello describes the server: relations, partition layout, owned
 	// shards and their bounds.
 	Hello() HelloInfo
-	// OpenShard opens the canonical keyed stream of one owned shard for
-	// one access configuration. Errors are returned to the client as
-	// structured api.Errors (an unowned shard or unknown relation should
-	// yield api.CodeNotFound).
-	OpenShard(relName string, shard int, access string, query []float64) (relation.KeyedSource, error)
+	// OpenShards opens the canonical keyed stream of a set of owned
+	// shards, named ascending, for one access configuration: the merge of
+	// their streams, or the one shard's own stream. A stream that merges
+	// should be a *relation.MergedSource, whose count of inputs read the
+	// row frames report. Errors are returned to the client as structured
+	// api.Errors (an unowned shard or unknown relation should yield
+	// api.CodeNotFound).
+	OpenShards(relName string, shards []int, access string, query []float64) (relation.KeyedSource, error)
 }
 
 // Server accepts shardrpc connections and answers them from a Backend.
 // Each connection is handled by one goroutine and carries at most one
-// open shard stream (the target of VerbNext).
+// open stream (the target of VerbNext).
 type Server struct {
 	backend Backend
 
@@ -127,7 +130,7 @@ func (s *Server) Close() {
 // relation, bad verb) are answered in-band and do not end the loop.
 func (s *Server) handle(conn net.Conn) {
 	var (
-		// stream is the connection's current shard stream (VerbNext target),
+		// stream is the connection's current stream (VerbNext target),
 		// closed when it ends, is replaced, or the connection goes.
 		stream relation.KeyedSource
 		// buf is the connection's one frame buffer: a request is read into
@@ -162,7 +165,7 @@ func (s *Server) handle(conn net.Conn) {
 			resp.Hello = &h
 		case req.Verb == VerbPull:
 			closeStream(stream)
-			stream, err = s.backend.OpenShard(req.Relation, req.Shard, req.Access, req.Query)
+			stream, err = s.backend.OpenShards(req.Relation, req.Shards, req.Access, req.Query)
 			if err == nil {
 				err = skip(stream, req.Offset)
 			}

@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -12,21 +14,24 @@ import (
 	"repro/internal/relation"
 )
 
-// RemoteSource streams one remote shard as a relation.BoundedSource: the
-// engine and merge layers cannot tell it from a local shard stream. It
-// pulls batches over a checked-out peer connection, resumes
-// byte-identically after a broken connection by re-pulling at its
-// consumed offset (failing over to a replica owner when one exists), and
-// reports its shard's key lower bound so MergedSource defers opening it
-// — the mechanism behind distance-aware shard pruning. A RemoteSource is
-// single-stream state and must not be shared across goroutines.
+// RemoteSource streams a set of remote shards that share their owners as
+// one relation.BoundedSource: the canonical merge of the set, which the
+// server computes, so the engine and merge layers cannot tell it from a
+// local merge of those shards. It pulls batches over a checked-out peer
+// connection, resumes byte-identically after a broken connection by
+// re-pulling at its consumed offset (failing over to a replica owner
+// when one exists), and reports the least key lower bound of its shards
+// so MergedSource defers opening it — the mechanism behind
+// distance-aware shard pruning, which the server's merge carries on
+// within the set. A RemoteSource is single-stream state and must not be
+// shared across goroutines.
 type RemoteSource struct {
 	parent *relation.Relation // metadata stub of the logical relation
 	kind   relation.AccessKind
 	bound  float64
 
 	relName string
-	shard   int
+	shards  []int // the set, ascending
 	access  string
 	query   []float64
 	batch   int  // rows the next exchange asks for
@@ -39,10 +44,13 @@ type RemoteSource struct {
 	// query with opened still false was pruned — the merge never needed
 	// any key at or past its bound.
 	opened bool
+	// read is the largest count of the set's shards the server reported
+	// its merge had read (see ShardsRead).
+	read int
 
 	// partial lets the source degrade instead of failing: when every
 	// replica is unreachable or open-circuit, the stream ends early and
-	// missing records that its shard's tail was abandoned.
+	// missing records that its set's tail was abandoned.
 	partial bool
 	missing bool
 
@@ -60,16 +68,18 @@ type RemoteSource struct {
 	hedges atomic.Int64
 }
 
-// OpenRemoteShard builds the stream of one shard of a discovered remote
-// relation. parent must be the stub (or local twin) of the logical
-// relation; access is the wire access name (api.AccessDistance or
-// api.AccessScore) with query set for distance access. Nothing is sent
-// until the first read — constructing a RemoteSource is free, which is
-// what lets a coordinator set up every shard's source and let the merge
-// decide which ones to actually open. A positive batch fixes the rows
-// asked for per exchange; batch <= 0 ramps them from rampStart up to
-// DefaultBatch, so a shard the merge takes a few rows from ships a few.
-func OpenRemoteShard(ctx context.Context, parent *relation.Relation, rr *RemoteRelation, shard int, access string, query []float64, batch int) (*RemoteSource, error) {
+// OpenRemoteShards builds the stream of a set of shards of a discovered
+// remote relation, named ascending, that share one owner list (one of
+// rr.Groups, or any part of one). parent must be the stub (or local
+// twin) of the logical relation; access is the wire access name
+// (api.AccessDistance or api.AccessScore) with query set for distance
+// access. Nothing is sent until the first read — constructing a
+// RemoteSource is free, which is what lets a coordinator set up every
+// set's source and let the merge decide which ones to actually open. A
+// positive batch fixes the rows asked for per exchange; batch <= 0 ramps
+// them from rampStart up to DefaultBatch, so a set the merge takes a few
+// rows from ships a few.
+func OpenRemoteShards(ctx context.Context, parent *relation.Relation, rr *RemoteRelation, shards []int, access string, query []float64, batch int) (*RemoteSource, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -77,23 +87,33 @@ func OpenRemoteShard(ctx context.Context, parent *relation.Relation, rr *RemoteR
 	if err != nil {
 		return nil, err
 	}
-	owners := rr.Owners[shard]
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("shardrpc: an empty shard set of relation %q", rr.Name)
+	}
+	owners := rr.Owners[shards[0]]
 	if len(owners) == 0 {
-		return nil, fmt.Errorf("shardrpc: no peer owns shard %d of relation %q", shard, rr.Name)
+		return nil, fmt.Errorf("shardrpc: no peer owns shard %d of relation %q", shards[0], rr.Name)
 	}
-	bounds, ok := rr.Bounds[shard]
-	if !ok {
-		return nil, fmt.Errorf("shardrpc: no bounds for shard %d of relation %q", shard, rr.Name)
-	}
-	var bound float64
-	switch kind {
-	case relation.ScoreAccess:
-		// Score streams ascend in key −score; the shard's true σ_max gives
-		// the exact first key. No slack needed: the bound is a recorded
-		// minimum, not derived arithmetic.
-		bound = -bounds.MaxScore
-	default:
-		bound = bounds.Dist2LowerBound(query)
+	bound := math.Inf(1)
+	for j, s := range shards {
+		if j > 0 && s <= shards[j-1] {
+			return nil, fmt.Errorf("shardrpc: shard set %v of relation %q is not ascending", shards, rr.Name)
+		}
+		if !slices.Equal(rr.Owners[s], owners) {
+			return nil, fmt.Errorf("shardrpc: shards %d and %d of relation %q have different owners", shards[0], s, rr.Name)
+		}
+		bounds, ok := rr.Bounds[s]
+		if !ok {
+			return nil, fmt.Errorf("shardrpc: no bounds for shard %d of relation %q", s, rr.Name)
+		}
+		if kind == relation.ScoreAccess {
+			// Score streams ascend in key −score; the shard's true σ_max
+			// gives the exact first key. No slack needed: the bound is a
+			// recorded minimum, not derived arithmetic.
+			bound = min(bound, -bounds.MaxScore)
+		} else {
+			bound = min(bound, bounds.Dist2LowerBound(query))
+		}
 	}
 	ramp := batch <= 0
 	if ramp {
@@ -104,7 +124,7 @@ func OpenRemoteShard(ctx context.Context, parent *relation.Relation, rr *RemoteR
 		kind:    kind,
 		bound:   bound,
 		relName: rr.Name,
-		shard:   shard,
+		shards:  shards,
 		access:  access,
 		query:   query,
 		batch:   batch,
@@ -113,6 +133,11 @@ func OpenRemoteShard(ctx context.Context, parent *relation.Relation, rr *RemoteR
 		ctx:     ctx,
 		hedge:   rr.Hedge,
 	}, nil
+}
+
+// OpenRemoteShard is OpenRemoteShards over the one shard.
+func OpenRemoteShard(ctx context.Context, parent *relation.Relation, rr *RemoteRelation, shard int, access string, query []float64, batch int) (*RemoteSource, error) {
+	return OpenRemoteShards(ctx, parent, rr, []int{shard}, access, query, batch)
 }
 
 // The ramp: the first exchange asks for rampStart rows, each successful
@@ -146,28 +171,45 @@ func (r *RemoteSource) Relation() *relation.Relation { return r.parent }
 func (r *RemoteSource) KeyLowerBound() float64 { return r.bound }
 
 // Opened reports whether the stream was ever read. False after a query
-// completes means the shard was pruned.
+// completes means every shard of the set was pruned.
 func (r *RemoteSource) Opened() bool { return r.opened }
+
+// ShardsRead reports how many of the set's shards the stream read: none
+// when it was never opened, and otherwise the server's count — every
+// shard of a set opened but never answered, which cannot be shown to
+// have pruned any. The rest of the set was pruned by the server's merge.
+// The server merges a batch ahead of what the coordinator consumes, so
+// it may count a shard the coordinator's own merge would not have
+// reached.
+func (r *RemoteSource) ShardsRead() int {
+	switch {
+	case !r.opened:
+		return 0
+	case r.read == 0:
+		return len(r.shards)
+	}
+	return r.read
+}
 
 // Consumed returns how many rows the stream has delivered.
 func (r *RemoteSource) Consumed() int { return r.offset }
 
-// Shard returns the shard index this source streams.
-func (r *RemoteSource) Shard() int { return r.shard }
+// Shards returns the shard indices this source streams, ascending.
+func (r *RemoteSource) Shards() []int { return r.shards }
 
 // RelationName returns the logical relation this source streams.
 func (r *RemoteSource) RelationName() string { return r.relName }
 
 // SetPartial switches the source into partial mode: when every replica
-// of its shard is unreachable or open-circuit, the stream ends early
+// of its set is unreachable or open-circuit, the stream ends early
 // (reporting Missing) instead of failing the query. The default —
 // partial off — fails with CodeUnavailable as strict callers expect.
 func (r *RemoteSource) SetPartial(ok bool) { r.partial = ok }
 
-// Missing reports whether the source abandoned its shard: partial mode
+// Missing reports whether the source abandoned its set: partial mode
 // was on and every replica was down when more rows were needed. A
 // missing source's delivered prefix is still exact; only the tail (or,
-// when it never connected, the whole shard) is absent.
+// when it never connected, the whole set) is absent.
 func (r *RemoteSource) Missing() bool { return r.missing }
 
 // Next implements relation.Source.
@@ -241,7 +283,7 @@ func (r *RemoteSource) fetch() error {
 		req := Request{
 			Verb:     verb,
 			Relation: r.relName,
-			Shard:    r.shard,
+			Shards:   r.shards,
 			Access:   r.access,
 			Query:    r.query,
 			Offset:   r.offset,
@@ -262,6 +304,7 @@ func (r *RemoteSource) fetch() error {
 			return rep.Err
 		}
 		r.buf, r.pos, r.done = rep.rows, 0, rep.done
+		r.read = min(max(r.read, rep.read), len(r.shards))
 		if r.done {
 			r.release()
 		} else if r.ramp {
@@ -296,8 +339,8 @@ func (r *RemoteSource) unreachable(lastErr error) error {
 		return nil
 	}
 	return api.Errorf(api.CodeUnavailable,
-		"shard %d of relation %q unreachable after %d attempts (last error: %v)",
-		r.shard, r.relName, maxAttempts, lastErr)
+		"shards %v of relation %q unreachable after %d attempts (last error: %v)",
+		r.shards, r.relName, maxAttempts, lastErr)
 }
 
 // exchangeHedged performs one exchange on the checked-out connection,

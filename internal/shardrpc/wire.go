@@ -47,15 +47,16 @@ import (
 )
 
 // Protocol verbs. Verbs other than VerbNext are stateless with respect
-// to the connection; VerbNext continues the shard stream opened by the
-// most recent VerbPull on the same connection.
+// to the connection; VerbNext continues the stream opened by the most
+// recent VerbPull on the same connection.
 const (
 	// VerbHello asks the server to describe itself: which relations it
 	// holds, how they are partitioned, which shards it owns, and each
 	// owned shard's bounding metadata.
 	VerbHello = "hello"
-	// VerbPull opens a shard stream at an offset and returns the first
-	// batch of (key, ordinal, tuple) rows in canonical order.
+	// VerbPull opens the stream of a set of shards at an offset and
+	// returns the first batch of (key, ordinal, tuple) rows in canonical
+	// order: the merge of the set's shards.
 	VerbPull = "pull"
 	// VerbNext returns the next batch of the connection's current stream.
 	VerbNext = "next"
@@ -67,9 +68,9 @@ const (
 // depends on Verb.
 type Request struct {
 	Verb string `json:"verb"`
-	// Pull fields.
+	// Pull fields. Shards names the set a pull streams, ascending.
 	Relation string    `json:"relation,omitempty"`
-	Shard    int       `json:"shard,omitempty"`
+	Shards   []int     `json:"shards,omitempty"`
 	Access   string    `json:"access,omitempty"` // api.AccessDistance or api.AccessScore
 	Query    []float64 `json:"query,omitempty"`  // distance access only
 	Offset   int       `json:"offset,omitempty"` // rows to skip (resume point)
@@ -173,9 +174,12 @@ func (req *Request) AppendFrame(dst []byte) ([]byte, error) {
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
 	dst = append(dst, reqMagic...)
 	dst = append(dst, reqVersion, verb, 0, 0)
-	dst = le.AppendUint32(dst, uint32(req.Shard))
 	dst = le.AppendUint32(dst, uint32(req.Batch))
 	dst = le.AppendUint64(dst, uint64(req.Offset))
+	dst = le.AppendUint32(dst, uint32(len(req.Shards)))
+	for _, s := range req.Shards {
+		dst = le.AppendUint32(dst, uint32(s))
+	}
 	dst = appendString(appendString(dst, req.Access), req.Relation)
 	dst = le.AppendUint32(dst, uint32(len(req.Query)))
 	for _, c := range req.Query {
@@ -191,23 +195,27 @@ func (req *Request) AppendFrame(dst []byte) ([]byte, error) {
 //
 //	off  size  field
 //	  0     4  magic "PRXQ"
-//	  4     1  version (1)
+//	  4     1  version (2)
 //	  5     1  verb: 1 = pull, 2 = next
 //	  6     2  reserved, zero
-//	  8     4  shard
-//	 12     4  batch (0: the server's DefaultBatch)
-//	 16     8  offset (rows to skip; the resume point)
-//	 24   4+n  access: length, bytes
+//	  8     4  batch (0: the server's DefaultBatch)
+//	 12     8  offset (rows to skip; the resume point)
+//	 20     4  shards: how many the set names (at least 1 for a pull)
+//	 24   4·n  shard indices, strictly ascending
+//	  …   4+n  access: length, bytes
 //	  …   4+n  relation: length, bytes
 //	  …     4  dim: query coordinates (0 for score access)
 //	  …  8·dim Float64bits(coordinate)
 //	  …     4  CRC-32C (Castagnoli) of every payload byte before it
 //
-// A next continues the connection's stream and carries only its batch:
-// every other field is zero or empty.
+// A pull streams the canonical merge of the shards it names; version 1
+// named one shard where version 2 names a set. A next continues the
+// connection's stream and carries only its batch: every other field is
+// zero or empty.
 const (
 	reqMagic   = "PRXQ"
-	reqVersion = 1
+	reqVersion = 2
+	reqFixed   = 20 // bytes before the shard count
 )
 
 var (
@@ -232,17 +240,31 @@ func decodeRequest(p []byte) (req Request, err error) {
 	bad := func(format string, args ...any) (Request, error) {
 		return Request{}, fmt.Errorf("%w: %s", errRequestFrame, fmt.Sprintf(format, args...))
 	}
-	body, why := openFrame(p, reqMagic, reqVersion, 24+4+4+4+rowTrailer)
+	body, why := openFrame(p, reqMagic, reqVersion, reqFixed+4+4+4+4+rowTrailer)
 	if why != "" {
 		return bad("%s", why)
 	}
-	offset := le.Uint64(p[16:])
+	offset := le.Uint64(p[12:])
 	if int(p[5]) >= len(reqVerbs) || p[5] == 0 || p[6] != 0 || p[7] != 0 || offset > math.MaxInt {
 		return bad("verb %d, reserved %02x %02x, offset %d", p[5], p[6], p[7], offset)
 	}
-	req = Request{Verb: reqVerbs[p[5]], Shard: int(le.Uint32(p[8:])), Batch: int(le.Uint32(p[12:])), Offset: int(offset)}
+	req = Request{Verb: reqVerbs[p[5]], Batch: int(le.Uint32(p[8:])), Offset: int(offset)}
+	body = body[reqFixed:]
+	n := int(le.Uint32(body))
+	if body = body[4:]; n > len(body)/4 {
+		return bad("%d shards cannot fit %d bytes", n, len(body))
+	}
+	if n > 0 {
+		req.Shards = make([]int, n)
+		for i := range req.Shards {
+			req.Shards[i] = int(le.Uint32(body[4*i:]))
+			if i > 0 && req.Shards[i] <= req.Shards[i-1] {
+				return bad("shard %d after %d: a set names each shard once, ascending", req.Shards[i], req.Shards[i-1])
+			}
+		}
+	}
 	ok := false
-	if req.Access, body, ok = cutString(body[24:]); ok {
+	if req.Access, body, ok = cutString(body[4*n:]); ok {
 		req.Relation, body, ok = cutString(body)
 	}
 	if !ok || len(body) < 4 || len(body)-4 != 8*int(le.Uint32(body)) {
@@ -254,8 +276,11 @@ func decodeRequest(p []byte) (req Request, err error) {
 			req.Query[i] = math.Float64frombits(le.Uint64(body[8*i:]))
 		}
 	}
-	if req.Verb == VerbNext && (req.Shard != 0 || req.Offset != 0 || req.Access != "" || req.Relation != "" || req.Query != nil) {
+	if req.Verb == VerbNext && (req.Shards != nil || req.Offset != 0 || req.Access != "" || req.Relation != "" || req.Query != nil) {
 		return bad("a next carries only its batch")
+	}
+	if req.Verb == VerbPull && req.Shards == nil {
+		return bad("a pull names no shard")
 	}
 	return req, nil
 }

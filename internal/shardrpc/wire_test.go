@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -104,9 +105,75 @@ func TestExchangeOneWritePerFrame(t *testing.T) {
 
 // docRequests are the request frames docs/API.md documents.
 var docRequests = []Request{
-	{Verb: VerbPull, Relation: "hotels", Access: api.AccessScore, Batch: 16},
-	{Verb: VerbPull, Relation: "hotels", Access: api.AccessDistance, Query: []float64{0.1, 0}, Batch: 1},
+	{Verb: VerbPull, Relation: "hotels", Shards: []int{0}, Access: api.AccessScore, Batch: 16},
+	{Verb: VerbPull, Relation: "hotels", Shards: []int{0}, Access: api.AccessDistance, Query: []float64{0.1, 0}, Batch: 1},
 	{Verb: VerbNext, Batch: 2},
+}
+
+// setRequests name sets of several shards, as a coordinator's pull of one
+// peer's shards does.
+var setRequests = []Request{
+	{Verb: VerbPull, Relation: "pts", Shards: []int{0, 3, 6, 9}, Access: api.AccessDistance, Query: []float64{0.5, -2}, Offset: 40, Batch: 64},
+	{Verb: VerbPull, Relation: "pts", Shards: []int{1, 2, 70000}, Access: api.AccessScore, Batch: 512},
+}
+
+// TestRequestFrameShardSet: a pull's shard set survives its frame in
+// order, and a set that repeats or reorders a shard, a pull that names
+// none, a next that names any, a count the payload cannot hold and a
+// version-1 frame are each refused as a bad request frame.
+func TestRequestFrameShardSet(t *testing.T) {
+	for _, req := range setRequests {
+		frame, err := req.AppendFrame(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeRequest(frame[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Shards, req.Shards) || got.Offset != req.Offset || got.Batch != req.Batch || got.Relation != req.Relation {
+			t.Fatalf("round trip: got %+v, want %+v", got, req)
+		}
+	}
+	encode := func(req Request) []byte {
+		frame, err := req.AppendFrame(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame[4:]
+	}
+	pull := setRequests[0]
+	with := func(shards ...int) Request {
+		r := pull
+		r.Shards = shards
+		return r
+	}
+	cases := map[string][]byte{
+		"repeated":     encode(with(0, 3, 3, 9)),
+		"out of order": encode(with(0, 6, 3, 9)),
+		"descending":   encode(with(9, 6)),
+		"no shard":     encode(with()),
+		"next with shards": func() []byte {
+			p := encode(Request{Verb: VerbNext, Batch: 2})
+			p = append(p[:reqFixed:reqFixed], append(le.AppendUint32(le.AppendUint32(nil, 1), 4), p[reqFixed+4:]...)...)
+			return reseal(p)
+		}(),
+		"count overflow": func() []byte {
+			p := encode(pull)
+			le.PutUint32(p[reqFixed:], math.MaxUint32)
+			return reseal(p)
+		}(),
+		"version 1": func() []byte {
+			p := encode(pull)
+			p[4] = reqVersion - 1
+			return reseal(p)
+		}(),
+	}
+	for name, p := range cases {
+		if req, err := decodeRequest(p); !errors.Is(err, errRequestFrame) {
+			t.Errorf("%s: decoded %+v, err %v; want errRequestFrame", name, req, err)
+		}
+	}
 }
 
 // TestRequestFrameForgedDimAllocatesNothing: a query dimension of 4
@@ -142,7 +209,7 @@ func TestRequestFrameForgedDimAllocatesNothing(t *testing.T) {
 // frame re-encodes to the same bytes (a JSON request, to a frame that
 // decodes and re-encodes to itself).
 func FuzzRequestFrameDecode(f *testing.F) {
-	for _, req := range docRequests {
+	for _, req := range append(docRequests, setRequests...) {
 		frame, err := req.AppendFrame(nil)
 		if err != nil {
 			f.Fatal(err)

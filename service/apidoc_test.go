@@ -428,8 +428,11 @@ func checkRequestFrame(t *testing.T, b docBlock) {
 		}()
 		p := frame[4:]
 		verbs := map[byte]string{1: shardrpc.VerbPull, 2: shardrpc.VerbNext}
-		req = shardrpc.Request{Verb: verbs[p[5]], Shard: int(le.Uint32(p[8:])), Batch: int(le.Uint32(p[12:])), Offset: int(le.Uint64(p[16:]))}
-		p = p[24:]
+		req = shardrpc.Request{Verb: verbs[p[5]], Batch: int(le.Uint32(p[8:])), Offset: int(le.Uint64(p[12:]))}
+		for n := int(le.Uint32(p[20:])); len(req.Shards) < n; {
+			req.Shards = append(req.Shards, int(le.Uint32(p[24+4*len(req.Shards):])))
+		}
+		p = p[24+4*len(req.Shards):]
 		str := func() string {
 			n := int(le.Uint32(p))
 			s := string(p[4 : 4+n])

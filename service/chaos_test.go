@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -177,6 +178,84 @@ func TestChaosDegradedByteIdentity(t *testing.T) {
 	err = coord.ExecuteStream(context.Background(), forbid, func(api.ResultEvent) error { return nil })
 	if !isUnavailable(err) {
 		t.Fatalf("stream partial=forbid: got %v, want %s", err, api.CodeUnavailable)
+	}
+}
+
+// TestChaosSetStreamFailover: with every shard on 2 of 3 peers, a
+// coordinator's stream over one peer's set of shards loses its
+// connection mid-stream — that peer resets its first next — and fails
+// over to the replica, which re-opens the set at the stream's offset:
+// the answer stays byte-identical to the single-node twin.
+func TestChaosSetStreamFailover(t *testing.T) {
+	rels := chaosRels(t, 600)
+	const shards = 12
+	reset := &faultinject.Rule{Verb: shardrpc.VerbNext, Action: faultinject.ActionReset, Nth: 1}
+	servers := make([]*Node, 3)
+	for i := range servers {
+		var inj *faultinject.Injector
+		if i == 0 {
+			inj = faultinject.New(reset)
+		}
+		servers[i] = openShardServer(t, rels, shards, proxrank.GridPartition, Ownership{Index: i, Count: 3, Replicas: 2}, inj)
+	}
+	coord := chaosCoord(t, servers, shardrpc.HedgePolicy{Disable: true})
+	twin := localTwin(t, rels, shards, proxrank.GridPartition)
+	req := &api.Request{Query: []float64{0.1, -0.2}, Relations: []string{"A", "B"}, K: 40}
+	want, err := twin.Execute(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := coord.Executor.Execute(context.Background(), req)
+	if err != nil {
+		t.Fatalf("failover query failed: %v", err)
+	}
+	if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
+		t.Fatalf("failed-over answer differs\nlocal:       %s\ncoordinator: %s", w, g)
+	}
+	if reset.Fired() != 1 {
+		t.Fatalf("the reset fired %d times: no stream read past its first batch on peer 0", reset.Fired())
+	}
+	var retries int64
+	for _, p := range coord.Fleet.Peers() {
+		retries += p.Retries.Load()
+	}
+	if retries == 0 || got.Degraded {
+		t.Fatalf("%d retries, degraded %v: the stream did not fail over cleanly", retries, got.Degraded)
+	}
+}
+
+// TestChaosSetStreamMissing: with every shard on 2 of 3 peers and two
+// adjacent peers down, the set both of them hold has no replica left:
+// the degraded answer lists each of its shards in shardsMissing, and
+// only those, and is exactly the top-K over the other shards.
+func TestChaosSetStreamMissing(t *testing.T) {
+	rels := chaosRels(t, 600)
+	const shards = 12
+	servers := make([]*Node, 3)
+	for i := range servers {
+		servers[i] = openShardServer(t, rels, shards, proxrank.GridPartition, Ownership{Index: i, Count: 3, Replicas: 2}, nil)
+	}
+	coord := chaosCoord(t, servers, shardrpc.HedgePolicy{Disable: true}).Executor
+	servers[0].Close()
+	servers[1].Close() // shards s%3 == 0 are held by peers 0 and 1 only
+	req := &api.Request{Query: []float64{0.1, -0.2}, Relations: []string{"A", "B"}, K: 40}
+	resp, err := coord.Execute(context.Background(), req)
+	if err != nil {
+		t.Fatalf("degraded query failed: %v", err)
+	}
+	var wantMissing []api.MissingShard
+	for _, name := range req.Relations {
+		for s := 0; s < shards; s += 3 {
+			wantMissing = append(wantMissing, api.MissingShard{Relation: name, Shard: s})
+		}
+	}
+	if !resp.Degraded || !reflect.DeepEqual(resp.ShardsMissing, wantMissing) {
+		t.Fatalf("degraded %v, shardsMissing %v; want %v", resp.Degraded, resp.ShardsMissing, wantMissing)
+	}
+	twin := localTwin(t, rels, shards, proxrank.GridPartition)
+	want := survivorResults(t, twin, req, func(s int) bool { return s%3 != 0 })
+	if w, g := marshalResults(t, want.Results), marshalResults(t, resp.Results); w != g {
+		t.Fatalf("degraded results differ from the surviving-shard answer\nsurvivors: %s\ndegraded:  %s", w, g)
 	}
 }
 

@@ -256,6 +256,67 @@ func TestDistributedPruning(t *testing.T) {
 	}
 }
 
+// TestDistributedOneStreamPerPeer: a coordinator over 3 peers × 12 grid
+// shards a relation opens at most one stream per (peer, relation) per
+// query — each peer counts the pulls it is sent — answers byte-identically
+// to the single-node twin, and settles every shard as read or pruned.
+func TestDistributedOneStreamPerPeer(t *testing.T) {
+	cfg := proxrank.DefaultSyntheticConfig()
+	cfg.Dim, cfg.BaseTuples, cfg.Seed = 4, 2400, 5
+	rels, err := proxrank.SyntheticRelations(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards, peers = 12, 3
+	var names []string
+	for _, rel := range rels {
+		names = append(names, rel.Name)
+	}
+	servers := make([]*Node, peers)
+	pulls := make([]*faultinject.Rule, peers)
+	for i := range servers {
+		// A zero delay changes nothing; the rule only counts what it matches.
+		pulls[i] = &faultinject.Rule{Verb: shardrpc.VerbPull, Action: faultinject.ActionDelay}
+		servers[i] = openShardServer(t, rels, shards, proxrank.GridPartition, Ownership{Index: i, Count: peers}, faultinject.New(pulls[i]))
+	}
+	local := NewExecutor(shardedCatalog(t, rels, shards, proxrank.GridPartition), nodeTestConfig)
+	node := openNode(t, NewCatalog(), NodeConfig{Peers: rpcAddrs(servers)})
+	corner := 0.44 * cfg.SideLength()
+	for _, req := range []*api.Request{
+		{Query: []float64{0, 0, 0, 0}, Relations: names, K: 20},
+		{Query: []float64{corner, -corner, -corner, corner}, Relations: names, K: 2},
+		{Query: []float64{0.1, 0.2, -0.1, 0}, Relations: names, K: 10, Access: api.AccessScore},
+		{Query: []float64{-corner, 0, corner, 0}, Relations: names, K: 5, Algorithm: "cbrr"},
+	} {
+		before := node.Executor.Stats()
+		fired := make([]int64, peers)
+		for i, r := range pulls {
+			fired[i] = r.Fired()
+		}
+		want, err := local.Execute(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := node.Executor.Execute(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, g := CanonicalResponse(want), CanonicalResponse(got); w != g {
+			t.Fatalf("%v: coordinator differs from local\nlocal:       %s\ncoordinator: %s", req.Query, w, g)
+		}
+		for i, r := range pulls {
+			if n := r.Fired() - fired[i]; n > int64(len(rels)) {
+				t.Fatalf("%v: peer %d was sent %d pulls for %d relations", req.Query, i, n, len(rels))
+			}
+		}
+		after := node.Executor.Stats()
+		read, pruned := after.RemoteStreamsOpened-before.RemoteStreamsOpened, after.ShardsPruned-before.ShardsPruned
+		if read+pruned != int64(shards*len(rels)) || read == 0 {
+			t.Fatalf("%v: %d shards read + %d pruned, want %d in all", req.Query, read, pruned, shards*len(rels))
+		}
+	}
+}
+
 // TestDistributedOverFetchBounded pins what a query pays on the wire to
 // what its merges consume. Every opened stream ramps from a 16-row first
 // pull, so rows fetched stay within 4 × rows consumed + 16 per opened
@@ -283,7 +344,7 @@ func TestDistributedOverFetchBounded(t *testing.T) {
 		req                      *api.Request
 		opened, pruned, consumed int64
 	}{
-		{"center", &api.Request{Query: []float64{0, 0}, Relations: f.names, K: 20}, 4, 8, 285},
+		{"center", &api.Request{Query: []float64{0, 0}, Relations: f.names, K: 20}, 8, 4, 285},
 		{"edge", &api.Request{Query: []float64{-2.5, -2.5}, Relations: f.names, K: 2}, 2, 10, 28},
 	} {
 		before, fetchedBefore := read()

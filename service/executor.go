@@ -118,9 +118,10 @@ type StatsSnapshot struct {
 	TotalCombinations int64 `json:"totalCombinations"`
 	TotalBoundUpdates int64 `json:"totalBoundUpdates"`
 	TotalEngineMicros int64 `json:"totalEngineMicros"`
-	// RemoteStreamsOpened counts remote shard streams a query actually
-	// pulled from; ShardsPruned counts those whose bound proved the shard
-	// could not contribute, so the coordinator never opened them.
+	// RemoteStreamsOpened counts remote shards a query read — one stream
+	// per peer carries a set of shards, and its peer reports how many of
+	// them its merge reached; ShardsPruned counts the rest, whose bound
+	// proved the shard could not contribute, so no merge read it.
 	RemoteStreamsOpened int64 `json:"remoteStreamsOpened"`
 	ShardsPruned        int64 `json:"shardsPruned"`
 	// RemoteRowsConsumed counts rows the merges actually took from remote

@@ -103,8 +103,8 @@ func newMetrics(reg *obs.Registry, x *Executor) *metrics {
 	c("proxrank_engine_runs_total", "Engine executions started.", &x.engineRuns)
 	c("proxrank_streams_brokered_total", "Engine runs started by a streaming request.", &x.streamsBrokered)
 	c("proxrank_stream_midrun_attaches_total", "Coalesced stream followers that attached to a live topic mid-run.", &x.midRunAttaches)
-	c("proxrank_shards_pruned_total", "Remote shards whose bound proved they could not contribute, so their streams were never opened.", &x.shardsPruned)
-	c("proxrank_remote_streams_opened_total", "Remote shard streams a query actually pulled from.", &x.remoteOpened)
+	c("proxrank_shards_pruned_total", "Remote shards whose bound proved they could not contribute, so no merge read them: the coordinator's merge never opened their peer's stream, or the peer's merge of its shards never reached them.", &x.shardsPruned)
+	c("proxrank_remote_streams_opened_total", "Remote shards a query read: shards of an opened peer stream that the peer's merge reached.", &x.remoteOpened)
 	c("proxrank_remote_rows_consumed_total", "Rows the merges took from remote shard streams (compare proxrank_rpc_rows_total, the rows fetched).", &x.remoteConsumed)
 	c("proxrank_engine_sum_depths_total", "Cumulative access depth across completed runs.", &x.totalSumDepths)
 	c("proxrank_engine_combinations_total", "Cumulative combinations formed across completed runs.", &x.totalCombinations)

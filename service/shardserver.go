@@ -125,9 +125,9 @@ func (b *ShardBackend) Hello() shardrpc.HelloInfo {
 	return h
 }
 
-// OpenShard implements shardrpc.Backend: the canonical keyed stream of
-// one owned shard.
-func (b *ShardBackend) OpenShard(relName string, shard int, access string, query []float64) (relation.KeyedSource, error) {
+// OpenShards implements shardrpc.Backend: the canonical keyed stream of
+// a set of owned shards (see relation.Sharded.OpenShardSet).
+func (b *ShardBackend) OpenShards(relName string, shards []int, access string, query []float64) (relation.KeyedSource, error) {
 	e, err := b.cat.Get(relName)
 	if err != nil {
 		return nil, err
@@ -135,11 +135,13 @@ func (b *ShardBackend) OpenShard(relName string, shard int, access string, query
 	if e.IsRemote() {
 		return nil, api.Errorf(api.CodeBadRequest, "relation %q is remote here; shard servers serve local data only", relName)
 	}
-	if shard < 0 || shard >= e.Shards() {
-		return nil, api.Errorf(api.CodeNotFound, "relation %q has no shard %d", relName, shard)
-	}
-	if !b.own.Owns(shard) {
-		return nil, api.Errorf(api.CodeNotFound, "shard %d of relation %q is not served here", shard, relName)
+	for _, shard := range shards {
+		if shard < 0 || shard >= e.Shards() {
+			return nil, api.Errorf(api.CodeNotFound, "relation %q has no shard %d", relName, shard)
+		}
+		if !b.own.Owns(shard) {
+			return nil, api.Errorf(api.CodeNotFound, "shard %d of relation %q is not served here", shard, relName)
+		}
 	}
 	var kind proxrank.AccessKind
 	switch access {
@@ -153,15 +155,11 @@ func (b *ShardBackend) OpenShard(relName string, shard int, access string, query
 	default:
 		return nil, api.Errorf(api.CodeBadRequest, "unknown access kind %q", access)
 	}
-	src, err := e.Sharded().ShardSource(shard, kind, query, nil, true)
+	src, err := e.Sharded().OpenShardSet(shards, kind, query)
 	if err != nil {
-		return nil, api.Errorf(api.CodeInternal, "open shard %d of %q: %v", shard, relName, err)
+		return nil, api.Errorf(api.CodeBadRequest, "open shards %v of %q: %v", shards, relName, err)
 	}
-	ks, ok := src.(relation.KeyedSource)
-	if !ok {
-		return nil, api.Errorf(api.CodeInternal, "shard %d of %q: stream %T carries no merge keys", shard, relName, src)
-	}
-	return ks, nil
+	return src, nil
 }
 
 var _ shardrpc.Backend = (*ShardBackend)(nil)

@@ -69,27 +69,31 @@ func wireAccess(kind proxrank.AccessKind) string {
 // out the only documented source failure; anything surfacing here is a
 // server-side problem, which the caller reports as internal.
 //
-// Remote entries (coordinator mode) resolve each shard to a
-// shardrpc.RemoteSource — constructed lazily, so nothing touches the
-// network here — and merge them with the same k-way merge local shards
-// use. partial puts every remote source in partial mode: a shard whose
-// every replica is unreachable ends its stream early (and is reported by
-// the returned missing collector) instead of failing the query. The
-// returned cleanup must run once the engine is done with the sources: it
-// releases remote connections and settles the pruning and over-fetch
-// accounting (a remote source the merge never opened is a pruned shard;
-// the rows it took from the others are the consumed side of rows
-// fetched ÷ rows consumed). It is always
-// non-nil, also on error. missing must be called by the goroutine that
-// drove the engine, after the run finishes and before the sources are
-// discarded.
+// Remote entries (coordinator mode) resolve each group of shards that
+// share an owner list (shardrpc.RemoteRelation.Groups: one per peer under
+// ring ownership) to one shardrpc.RemoteSource — constructed lazily, so
+// nothing touches the network here — whose server merges the group, and
+// merge the groups with the same k-way merge local shards use. partial
+// puts every remote source in partial mode: a group whose every replica
+// is unreachable ends its stream early (and each of its shards is
+// reported by the returned missing collector) instead of failing the
+// query. The returned cleanup must run once the engine is done with the
+// sources: it releases remote connections and settles the pruning and
+// over-fetch accounting per shard (a shard no merge read — the
+// coordinator's or its server's — is pruned; the rows the merge took
+// from the groups are the consumed side of rows fetched ÷ rows
+// consumed). It is always non-nil, also on error. missing must be called
+// by the goroutine that drove the engine, after the run finishes and
+// before the sources are discarded.
 func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, query proxrank.Vector, entries []*Entry, partial bool) ([]proxrank.Source, func() []api.MissingShard, func(), *api.Error) {
 	var remotes []*shardrpc.RemoteSource
 	missing := func() []api.MissingShard {
 		var out []api.MissingShard
 		for _, rs := range remotes {
 			if rs.Missing() {
-				out = append(out, api.MissingShard{Relation: rs.RelationName(), Shard: rs.Shard()})
+				for _, s := range rs.Shards() {
+					out = append(out, api.MissingShard{Relation: rs.RelationName(), Shard: s})
+				}
 			}
 		}
 		return out
@@ -97,11 +101,9 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 	settle := func() {
 		var opened, pruned, consumed int64
 		for _, rs := range remotes {
-			if rs.Opened() {
-				opened++
-			} else {
-				pruned++
-			}
+			read := rs.ShardsRead()
+			opened += int64(read)
+			pruned += int64(len(rs.Shards()) - read)
 			consumed += int64(rs.Consumed())
 		}
 		x.remoteOpened.Add(opened)
@@ -117,15 +119,15 @@ func (x *Executor) buildSources(ctx context.Context, opts proxrank.Options, quer
 	for i, e := range entries {
 		var src proxrank.Source
 		if rr := e.Remote(); rr != nil {
-			inputs := make([]relation.KeyedSource, rr.Shards)
-			for s := 0; s < rr.Shards; s++ {
-				rs, err := shardrpc.OpenRemoteShard(ctx, e.Relation(), rr, s, wireAccess(opts.Access), query, 0)
+			inputs := make([]relation.KeyedSource, len(rr.Groups))
+			for g, shards := range rr.Groups {
+				rs, err := shardrpc.OpenRemoteShards(ctx, e.Relation(), rr, shards, wireAccess(opts.Access), query, 0)
 				if err != nil {
 					return fail(err)
 				}
 				rs.SetPartial(partial)
 				remotes = append(remotes, rs)
-				inputs[s] = rs
+				inputs[g] = rs
 			}
 			merged, err := relation.NewMergedSource(e.Relation(), opts.Access, inputs)
 			if err != nil {
