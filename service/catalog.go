@@ -211,7 +211,9 @@ func (c *Catalog) install(name string, e *Entry, replace bool) error {
 // RegisterRemote names a relation whose shards live on fleet peers
 // (coordinator mode). The entry carries only metadata — a stub relation
 // built from what the peers agreed on during discovery — and the shard
-// ownership map; the query path resolves its shards to RemoteSources.
+// ownership map; the query path resolves each of its owner groups to a
+// RemoteSource, so the groups must cover the shards, as Discover builds
+// them.
 func (c *Catalog) RegisterRemote(name string, rr *shardrpc.RemoteRelation) error {
 	if name == "" {
 		return api.Errorf(api.CodeBadRequest, "relation name must not be empty")
@@ -225,6 +227,13 @@ func (c *Catalog) RegisterRemote(name string, rr *shardrpc.RemoteRelation) error
 	stub, err := rr.Stub()
 	if err != nil {
 		return api.Errorf(api.CodeBadRequest, "relation %q: %v", name, err)
+	}
+	grouped := 0
+	for _, g := range rr.Groups {
+		grouped += len(g)
+	}
+	if grouped != rr.Shards {
+		return api.Errorf(api.CodeBadRequest, "relation %q: owner groups name %d of its %d shards", name, grouped, rr.Shards)
 	}
 	return c.install(name, &Entry{stub: stub, remote: rr, loadedAt: time.Now()}, false)
 }

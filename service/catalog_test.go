@@ -8,6 +8,7 @@ import (
 
 	proxrank "repro"
 	"repro/api"
+	"repro/internal/shardrpc"
 )
 
 // testRelation builds a deterministic random relation.
@@ -75,6 +76,9 @@ func TestCatalogRegisterEvict(t *testing.T) {
 			return nil
 		}, ""},
 		{"re-register after evict", func() error { return c.Register("hotels", rel2) }, ""},
+		{"register remote without owner groups", func() error {
+			return c.RegisterRemote("far", &shardrpc.RemoteRelation{Name: "far", MaxScore: 1, Dim: 2, Tuples: 10, Shards: 2})
+		}, api.CodeBadRequest},
 	}
 	for _, step := range steps {
 		err := step.op()
