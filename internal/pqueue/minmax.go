@@ -63,10 +63,6 @@ func (h *MinMax[T]) PopMax() (top T, ok bool) {
 	return h.removeAt(h.maxIndex()), true
 }
 
-// Items returns the backing slice in heap order (not sorted). The caller
-// must not mutate it.
-func (h *MinMax[T]) Items() []T { return h.items }
-
 // maxIndex returns the index of the maximum element (len > 0).
 func (h *MinMax[T]) maxIndex() int {
 	switch len(h.items) {

@@ -104,7 +104,7 @@ func scoreOrdered(r *Relation, group []int) *heapColumns {
 }
 
 // wholeGroup is the group naming all n tuples of a relation in storage
-// order.
+// order, and the set naming all n shards of a Sharded: 0, 1, …, n−1.
 func wholeGroup(n int) []int {
 	g := make([]int, n)
 	for i := range g {
@@ -175,78 +175,43 @@ func (sh *shard) rtree() *rtree.Tree[int32] {
 	return sh.lazy.tree
 }
 
-// openShards opens one stream per shard into dst for one access
-// configuration. It is the only place an access path is chosen, for
-// partitioned and plain relations alike (a plain relation is a one-shard
-// run, and an index built once over a whole relation is a one-shard
-// Sharded): the score order is a cursor over the columns; a distance
-// order is an incremental R-tree traversal when the shards own trees
-// (useRTree: true from Sharded, false from a plain relation, whose tree
-// would be built and thrown away per call), and a full sort otherwise.
-func openShards(dst []Source, shards []shard, kind AccessKind, q vec.Vector, useRTree bool) error {
+// open opens the shard's stream for one access configuration. It is the
+// only place an access path is chosen, for partitioned and plain
+// relations alike (a plain relation is a one-shard run, and an index
+// built once over a whole relation is a one-shard Sharded): the score
+// order is a cursor over the columns; a distance order is an incremental
+// R-tree traversal when the shard owns a tree (useRTree: true from
+// Sharded, false from a plain relation, whose tree would be built and
+// thrown away per call), and a full sort otherwise.
+func (sh *shard) open(kind AccessKind, q vec.Vector, useRTree bool) (KeyedSource, error) {
 	if kind == ScoreAccess {
-		for i := range shards {
-			dst[i] = &colScoreSource{rel: shards[i].rel, cols: shards[i].cols}
-		}
-		return nil
+		return &colScoreSource{rel: sh.rel, cols: sh.cols}, nil
 	}
-	if rel := shards[0].rel; q.Dim() != rel.dim {
-		return fmt.Errorf("relation %q: query dim %d, want %d", rel.Name, q.Dim(), rel.dim)
+	if q.Dim() != sh.rel.dim {
+		return nil, fmt.Errorf("relation %q: query dim %d, want %d", sh.rel.Name, q.Dim(), sh.rel.dim)
 	}
 	if useRTree {
-		for i := range shards {
-			sh := &shards[i]
-			tree := sh.rtree()
-			dst[i] = &rtreeSource{rel: sh.rel, cols: sh.cols, tree: tree, it: tree.NearestNeighbors(q)}
-		}
-		return nil
+		tree := sh.rtree()
+		return &rtreeSource{rel: sh.rel, cols: sh.cols, tree: tree, it: tree.NearestNeighbors(q)}, nil
 	}
-	sortedSources(dst, shards, q)
-	return nil
+	return sh.sortedSource(q), nil
 }
 
-// openOne is openShards over a one-shard run.
-func openOne(one []shard, kind AccessKind, q vec.Vector, useRTree bool) (Source, error) {
-	var dst [1]Source
-	err := openShards(dst[:], one, kind, q, useRTree)
-	return dst[0], err
-}
-
-// sortedSources builds the sorted distance stream of every shard in one
-// pass over shared slabs: one tuple/key/ordinal column set for all
-// shards, one reused sort scratch, and one sliceSource backing array,
-// instead of five allocations a shard. The streams are what per-shard
-// construction would emit — only the placement of their backing memory
-// differs. Per query O(n log n); the R-tree route is the scalable one.
-func sortedSources(dst []Source, shards []shard, q vec.Vector) {
-	total, maxLen := 0, 0
-	for i := range shards {
-		n := shards[i].cols.Len()
-		total += n
-		maxLen = max(maxLen, n)
+// sortedSource materializes the shard's distance order: keys sorted once,
+// tuples gathered once in final order. Per query O(n log n); the R-tree
+// route is the scalable one.
+func (sh *shard) sortedSource(q vec.Vector) *sliceSource {
+	n := sh.cols.Len()
+	ks := make([]sortKey, n)
+	for j := range ks {
+		ks[j] = sortKey{key: sh.cols.Vec(j).Dist2(q), ord: sh.cols.Ordinal(j), idx: j}
 	}
-	states := make([]sliceSource, len(shards))
-	ordSlab := make([]Tuple, total)
-	keySlab := make([]float64, total)
-	ordsSlab := make([]int, total)
-	ks := make([]sortKey, maxLen)
-	off := 0
-	for i := range shards {
-		sh := &shards[i]
-		kss := ks[:sh.cols.Len()]
-		for j := range kss {
-			kss[j] = sortKey{key: sh.cols.Vec(j).Dist2(q), ord: sh.cols.Ordinal(j), idx: j}
-		}
-		sortKeys(kss)
-		end := off + len(kss)
-		st := &states[i]
-		*st = sliceSource{rel: sh.rel, ord: ordSlab[off:end:end], keys: keySlab[off:end:end], ords: ordsSlab[off:end:end]}
-		for j, k := range kss {
-			st.ord[j], st.keys[j], st.ords[j] = sh.cols.Tuple(k.idx), k.key, k.ord
-		}
-		dst[i] = st
-		off = end
+	sortKeys(ks)
+	src := &sliceSource{rel: sh.rel, ord: make([]Tuple, n), keys: make([]float64, n), ords: make([]int, n)}
+	for j, k := range ks {
+		src.ord[j], src.keys[j], src.ords[j] = sh.cols.Tuple(k.idx), k.key, k.ord
 	}
+	return src
 }
 
 // autoShardTarget is the tuples-per-shard the admission heuristic aims
@@ -305,8 +270,7 @@ func AssembleSharded(parent *Relation, shards []FileShard, strategy PartitionStr
 	if total != parent.Len() {
 		return nil, fmt.Errorf("relation %q: shards hold %d tuples, parent advertises %d", parent.Name, total, parent.Len())
 	}
-	s := &Sharded{parent: parent, strategy: strategy}
-	s.shards = make([]shard, len(shards))
+	s := &Sharded{parent: parent, strategy: strategy, shards: make([]shard, len(shards)), all: wholeGroup(len(shards))}
 	for i, fs := range shards {
 		s.shards[i] = shard{rel: shardRel(parent, i, len(shards), fs.Cols.Len()), cols: fs.Cols, bounds: fs.Bounds}
 	}

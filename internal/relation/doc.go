@@ -23,15 +23,18 @@
 //     file (AssembleSharded, internal/relfile). A plain relation reads
 //     as one shard in its own storage order. A streamed tuple's Vec may
 //     alias the columns or a shard R-tree's leaf slab, and is read-only.
-//   - OpenSource, openShards (input.go, columnar.go): OpenSource is the
-//     one way to open a stream, and openShards the one place an access
-//     path is chosen, from the input, never from an option — a cursor
-//     over the columns for score access; for distance access an
+//   - OpenSource, shard.open (input.go, columnar.go): OpenSource is the
+//     one way to open a stream, and a shard's open the one place an
+//     access path is chosen, from the input, never from an option — a
+//     cursor over the columns for score access; for distance access an
 //     incremental traversal of the R-trees a Sharded owns (from Partition
 //     or a relfile), and a full sort for a plain Relation. An index built
 //     once over a whole relation is a one-shard Partition.
-//   - Partition, Sharded, MergedSource: hash or grid partitioning,
-//     parallel per-shard builds, and the ordinal-aware merge that
-//     restores the canonical order across shard streams.
+//   - Partition, Sharded, OpenShardSet, MergedSource: hash or grid
+//     partitioning, parallel per-shard builds, and the ordinal-aware
+//     merge that restores the canonical order across shard streams.
+//     Every stream over several shards — a local relation's, a shard
+//     server's set — is OpenShardSet's merge, each shard latent at its
+//     key bound until the merge reaches it.
 //   - CSV reading for data import (ReadCSV and friends).
 package relation

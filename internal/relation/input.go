@@ -30,11 +30,11 @@ func (r *Relation) openSource(kind AccessKind, q vec.Vector) (Source, error) {
 	if r.IsStub() {
 		return nil, fmt.Errorf("relation %q: cannot open a local source over a remote stub", r.Name)
 	}
-	one := [1]shard{{rel: r, cols: (*storageOrder)(r)}}
+	sh := &shard{rel: r, cols: (*storageOrder)(r)}
 	if kind == ScoreAccess {
-		one[0].cols = scoreOrdered(r, wholeGroup(len(r.tuples)))
+		sh.cols = scoreOrdered(r, wholeGroup(len(r.tuples)))
 	}
-	return openOne(one[:], kind, q, false)
+	return sh.open(kind, q, false)
 }
 
 // OpenSource builds the ordered stream of in for one access

@@ -3,6 +3,7 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // MergedSource k-way-merges N ordered shard streams into one Source that
@@ -12,33 +13,30 @@ import (
 // across shards, the merged sequence is the unique canonical order of the
 // parent relation — byte-identical to the unsharded stream.
 //
-// Pulling is lazy: nothing is read at construction, the heap is primed
-// on the first Next, and a shard is re-pulled only after its head has
-// been emitted. Draining a prefix of the merged stream therefore costs
-// at most len(prefix)+N underlying reads.
+// Every head starts latent, standing in for its input's first unread
+// tuple: an input that implements BoundedSource at its key lower bound,
+// any other at −∞. A latent head is read only when it reaches the heap
+// root, and a shard is re-pulled only after its head has been emitted,
+// so draining a prefix of the merged stream costs at most len(prefix)+N
+// underlying reads. The −∞ heads are all read before the first emission,
+// in input order. A latent head's ordinal is negative (−1 for a bound),
+// so at a key tie it sorts before every real head. Every real key of a
+// bounded input is >= its bound, so no emission can precede the point
+// where the input is read, while an input whose bound the merge never
+// reaches is never read at all. For shard streams this deferral is
+// distance-aware shard pruning: a shard, local or remote, is opened only
+// when the merge provably needs keys at or past its bound.
 //
-// Inputs that implement BoundedSource are primed without a read: they
-// enter the heap as a latent head at their key lower bound (ordinal −1,
-// so at key ties the latent head sorts before every real head) and are
-// first read only when that bound reaches the heap root. Every real key
-// of such a source is >= its bound, so no emission the eager merge would
-// have made can precede the materialization point — the output is
-// byte-identical — while a source whose bound the merge never reaches is
-// never read at all. For remote shard streams this deferral is
-// distance-aware shard pruning: the coordinator opens a remote stream
-// only when the merge provably needs keys at or past the shard's bound.
-//
-// The heap is inlined and preallocated to the shard count, and the
-// steady-state emit path is allocation-free: the root head is emitted by
-// peek, then overwritten in place by its shard's next tuple and restored
-// with a single sift-down — one fixup per tuple instead of the pop+push
-// pair of a generic heap, and no re-boxing of the head struct.
+// The heap is inlined and sized to the shard count at construction, and
+// the steady-state emit path is allocation-free: the root head is emitted
+// by peek, then overwritten in place by its shard's next tuple and
+// restored with a single sift-down — one fixup per tuple instead of the
+// pop+push pair of a generic heap, and no re-boxing of the head struct.
 type MergedSource struct {
 	rel    *Relation
 	kind   AccessKind
 	inputs []KeyedSource
 	heads  []mergeHead // binary min-heap by (key, ord)
-	primed int         // inputs [0,primed) have contributed their first head
 	// pending marks that heads[0] was emitted by the previous Next and must
 	// be refilled (or retired) before the next emit. Kept set across a
 	// failed refill so a retry re-pulls the same shard without skipping or
@@ -47,29 +45,34 @@ type MergedSource struct {
 	read    int // inputs read at least once (see InputsRead)
 }
 
-// mergeHead is one shard's current front tuple — or, for a latent
-// bounded source, the virtual head standing in for its first unread
-// tuple.
+// mergeHead is one shard's current front tuple — or, while latent, the
+// virtual head standing in for its first unread tuple.
 type mergeHead struct {
 	src KeyedSource
 	t   Tuple
 	key float64
 	ord int
-	// latent marks a bounded source that has not been read yet: key is
-	// its lower bound, ord is −1, and t is zero. The source is read (and
-	// the head becomes real) only when it reaches the heap root.
+	// latent marks an input that has not been read yet: key is its lower
+	// bound, ord is negative, and t is zero. The input is read (and the
+	// head becomes real) only when it reaches the heap root.
 	latent bool
 }
 
 // newMergedSource builds the merged stream over per-shard sources that
-// all share one access kind.
+// all share one access kind, every head latent (see the type comment).
 func newMergedSource(parent *Relation, kind AccessKind, inputs []KeyedSource) *MergedSource {
-	return &MergedSource{
-		rel:    parent,
-		kind:   kind,
-		inputs: inputs,
-		heads:  make([]mergeHead, 0, len(inputs)),
+	m := &MergedSource{rel: parent, kind: kind, inputs: inputs, heads: make([]mergeHead, len(inputs))}
+	for i, src := range inputs {
+		h := &m.heads[i]
+		h.src, h.key, h.ord, h.latent = src, math.Inf(-1), i-len(inputs)-1, true
+		if b, ok := src.(BoundedSource); ok {
+			h.key, h.ord = b.KeyLowerBound(), -1
+		}
 	}
+	for i := len(m.heads)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
+	return m
 }
 
 // NewMergedSource merges externally-constructed keyed streams — remote
@@ -101,17 +104,6 @@ func (m *MergedSource) less(a, b *mergeHead) bool {
 	return a.ord < b.ord
 }
 
-func (m *MergedSource) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !m.less(&m.heads[i], &m.heads[parent]) {
-			return
-		}
-		m.heads[i], m.heads[parent] = m.heads[parent], m.heads[i]
-		i = parent
-	}
-}
-
 func (m *MergedSource) siftDown(i int) {
 	n := len(m.heads)
 	for {
@@ -129,29 +121,6 @@ func (m *MergedSource) siftDown(i int) {
 		m.heads[i], m.heads[least] = m.heads[least], m.heads[i]
 		i = least
 	}
-}
-
-// prime enters src into the heap: bounded sources as a latent head
-// without a read, everything else by reading its first tuple (an
-// already-exhausted shard is retired silently).
-func (m *MergedSource) prime(src KeyedSource) error {
-	if b, ok := src.(BoundedSource); ok {
-		m.heads = append(m.heads, mergeHead{src: src, key: b.KeyLowerBound(), ord: -1, latent: true})
-		m.siftUp(len(m.heads) - 1)
-		return nil
-	}
-	t, key, ord, err := src.NextKeyed()
-	if errors.Is(err, ErrExhausted) {
-		m.read++
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	m.read++
-	m.heads = append(m.heads, mergeHead{src: src, t: t, key: key, ord: ord})
-	m.siftUp(len(m.heads) - 1)
-	return nil
 }
 
 // retireRoot drops the root head (its shard is exhausted) and restores
@@ -185,11 +154,14 @@ func (m *MergedSource) refillRoot() error {
 }
 
 // materializeRoot reads the first tuple of the latent root and turns its
-// virtual head real (or retires the shard if it turns out empty). On a
-// transient read error the head stays latent at the root, so a retry
-// re-attempts the same source without skipping or reordering anything.
+// virtual head real (or retires the shard if it turns out empty). A
+// latentShard hands over the stream it just opened, so every later read
+// of the shard skips the wrapper. On a transient read error the head
+// stays latent at the root, so a retry re-attempts the same source
+// without skipping or reordering anything.
 func (m *MergedSource) materializeRoot() error {
-	t, key, ord, err := m.heads[0].src.NextKeyed()
+	h := &m.heads[0]
+	t, key, ord, err := h.src.NextKeyed()
 	if errors.Is(err, ErrExhausted) {
 		m.read++
 		m.retireRoot()
@@ -199,7 +171,9 @@ func (m *MergedSource) materializeRoot() error {
 		return err
 	}
 	m.read++
-	h := &m.heads[0]
+	if l, ok := h.src.(*latentShard); ok {
+		h.src = l.src
+	}
 	h.t, h.key, h.ord, h.latent = t, key, ord, false
 	m.siftDown(0)
 	return nil
@@ -229,21 +203,15 @@ func (m *MergedSource) NextKeyed() (Tuple, float64, int, error) {
 // from a shard propagate as-is and leave the merge consistent: a retry
 // re-pulls the failed shard without skipping or duplicating tuples.
 func (m *MergedSource) advance() error {
-	for m.primed < len(m.inputs) {
-		if err := m.prime(m.inputs[m.primed]); err != nil {
-			return err
-		}
-		m.primed++
-	}
 	if m.pending {
 		if err := m.refillRoot(); err != nil {
 			return err
 		}
 	}
 	// A latent head at the root means the merge has advanced to a shard's
-	// lower bound: its true first tuple may now be due, so read it. The
-	// loop re-checks because materialization can surface another latent
-	// head (or retire the shard and promote one).
+	// lower bound (−∞ for an unbounded input): its true first tuple may now
+	// be due, so read it. The loop re-checks because materialization can
+	// surface another latent head (or retire the shard and promote one).
 	for len(m.heads) > 0 && m.heads[0].latent {
 		if err := m.materializeRoot(); err != nil {
 			return err
@@ -271,7 +239,7 @@ func (m *MergedSource) Close() {
 			c.Close()
 		}
 	}
-	m.heads, m.primed, m.pending = nil, len(m.inputs), false
+	m.heads, m.pending = nil, false
 }
 
 // Kind implements Source.

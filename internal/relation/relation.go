@@ -192,9 +192,9 @@ type KeyedSource interface {
 // front of the merge. A latent source whose bound is never reached is
 // never read at all; for remote shard streams that is distance-aware
 // shard pruning with zero wire traffic, and the emitted sequence is
-// provably identical to eagerly priming every source (every real key of
-// the source is >= the bound, so no emission could have preceded the
-// materialization point).
+// provably identical to reading every source's first tuple up front
+// (every real key of the source is >= the bound, so no emission could
+// have preceded the materialization point).
 type BoundedSource interface {
 	KeyedSource
 	// KeyLowerBound returns b with b <= key for every tuple the source
@@ -205,7 +205,7 @@ type BoundedSource interface {
 }
 
 // sliceSource streams one shard's tuples in a materialized distance order
-// (see sortedSources).
+// (see shard.sortedSource).
 type sliceSource struct {
 	rel  *Relation
 	ord  []Tuple

@@ -172,6 +172,7 @@ func ExtendRect(lo, hi []float64, v vec.Vector) {
 type Sharded struct {
 	parent   *Relation
 	shards   []shard
+	all      []int // every shard index, ascending: the set openSource opens
 	strategy PartitionStrategy
 }
 
@@ -216,7 +217,7 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 		groups = [][]int{wholeGroup(len(r.tuples))}
 	}
 
-	s := &Sharded{parent: r, strategy: strategy, shards: make([]shard, len(groups))}
+	s := &Sharded{parent: r, strategy: strategy, shards: make([]shard, len(groups)), all: wholeGroup(len(groups))}
 	// Sorting and index construction dominate partitioning cost; build
 	// every shard concurrently. Bounds sum in group order, before the
 	// columns re-order the tuples by score.
@@ -396,7 +397,7 @@ func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, _ vec.Metric
 	if i < 0 || i >= len(s.shards) {
 		return nil, fmt.Errorf("relation %q: shard %d out of range [0,%d)", s.parent.Name, i, len(s.shards))
 	}
-	return openOne(s.shards[i:i+1], kind, q, useRTree)
+	return s.shards[i].open(kind, q, useRTree)
 }
 
 // OpenShardSet opens the canonical stream of a set of shards, named by
@@ -406,8 +407,9 @@ func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, _ vec.Metric
 // are a MergedSource whose every input is latent at its shard's key
 // bound — ShardBounds.Dist2LowerBound(q) under distance access, −MaxScore
 // under score access — and opened on its first read, so a shard whose
-// bound the stream never reaches is never traversed. A shard server
-// answers one remote pull with it.
+// bound the stream never reaches is never traversed. Every stream over
+// more than one shard is one: a local relation's over all of its shards,
+// and a shard server's over the set a remote pull names.
 func (s *Sharded) OpenShardSet(shards []int, kind AccessKind, q vec.Vector) (KeyedSource, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("relation %q: an empty shard set", s.parent.Name)
@@ -424,29 +426,27 @@ func (s *Sharded) OpenShardSet(shards []int, kind AccessKind, q vec.Vector) (Key
 		return nil, fmt.Errorf("relation %q: query dim %d, want %d", s.parent.Name, q.Dim(), s.parent.dim)
 	}
 	if len(shards) == 1 {
-		src, err := openOne(s.shards[shards[0]:shards[0]+1], kind, q, true)
-		if err != nil {
-			return nil, err
-		}
-		return src.(KeyedSource), nil
+		return s.shards[shards[0]].open(kind, q, true)
 	}
 	latent := make([]latentShard, len(shards))
 	inputs := make([]KeyedSource, len(shards))
 	for j, i := range shards {
-		bound := -s.shards[i].bounds.MaxScore
+		sh := &s.shards[i]
+		bound := -sh.bounds.MaxScore
 		if kind == DistanceAccess {
-			bound = s.shards[i].bounds.Dist2LowerBound(q)
+			bound = sh.bounds.Dist2LowerBound(q)
 		}
-		latent[j] = latentShard{one: s.shards[i : i+1], kind: kind, q: q, bound: bound}
+		latent[j] = latentShard{sh: sh, kind: kind, q: q, bound: bound}
 		inputs[j] = &latent[j]
 	}
 	return newMergedSource(s.parent, kind, inputs), nil
 }
 
 // latentShard is one input of a shard-set stream: a BoundedSource at its
-// shard's key bound that opens the shard's stream on its first read.
+// shard's key bound that opens the shard's stream on its first read. The
+// merge then reads that stream directly (see MergedSource.materializeRoot).
 type latentShard struct {
-	one   []shard // the shard, as the one-element run openOne takes
+	sh    *shard
 	kind  AccessKind
 	q     vec.Vector
 	bound float64
@@ -456,11 +456,11 @@ type latentShard struct {
 // NextKeyed implements KeyedSource.
 func (l *latentShard) NextKeyed() (Tuple, float64, int, error) {
 	if l.src == nil {
-		src, err := openOne(l.one, l.kind, l.q, true)
+		src, err := l.sh.open(l.kind, l.q, true)
 		if err != nil {
 			return Tuple{}, 0, 0, err
 		}
-		l.src = src.(KeyedSource)
+		l.src = src
 	}
 	return l.src.NextKeyed()
 }
@@ -482,11 +482,13 @@ func (l *latentShard) Close() {
 }
 
 func (l *latentShard) Kind() AccessKind    { return l.kind }
-func (l *latentShard) Relation() *Relation { return l.one[0].rel }
+func (l *latentShard) Relation() *Relation { return l.sh.rel }
 
 // Merge k-way-merges one stream per shard (as produced by ShardSource,
 // in shard order) into a single stream in the canonical relation order.
-// A single-shard set passes its stream through untouched.
+// A single-shard set passes its stream through untouched. Only the
+// benchmark module (bench/) and tests call it; OpenSource merges through
+// OpenShardSet.
 func (s *Sharded) Merge(sources []Source) (Source, error) {
 	if len(sources) != len(s.shards) {
 		return nil, fmt.Errorf("relation %q: merging %d sources across %d shards", s.parent.Name, len(sources), len(s.shards))
@@ -494,32 +496,23 @@ func (s *Sharded) Merge(sources []Source) (Source, error) {
 	if len(sources) == 1 {
 		return sources[0], nil
 	}
-	kind := sources[0].Kind()
 	ks := make([]KeyedSource, len(sources))
 	for i, src := range sources {
 		k, ok := src.(KeyedSource)
 		if !ok {
 			return nil, fmt.Errorf("relation %q: source %d (%T) is not a shard stream", s.parent.Name, i, src)
 		}
-		if src.Kind() != kind {
-			return nil, fmt.Errorf("relation %q: source %d has access kind %v, source 0 has %v", s.parent.Name, i, src.Kind(), kind)
-		}
 		ks[i] = k
 	}
-	return newMergedSource(s.parent, kind, ks), nil
-}
-
-// openSource implements Input: per-shard streams merged into one. Every
-// shard owns an R-tree, so that is what a distance stream reads.
-// A sole shard's stream is the whole stream, opened without the merge's
-// slice.
-func (s *Sharded) openSource(kind AccessKind, q vec.Vector) (Source, error) {
-	if len(s.shards) == 1 {
-		return openOne(s.shards, kind, q, true)
-	}
-	sources := make([]Source, len(s.shards))
-	if err := openShards(sources, s.shards, kind, q, true); err != nil {
+	merged, err := NewMergedSource(s.parent, sources[0].Kind(), ks)
+	if err != nil {
 		return nil, err
 	}
-	return s.Merge(sources)
+	return merged, nil
+}
+
+// openSource implements Input: the shard set of every shard. Every shard
+// owns an R-tree, so that is what a distance stream reads.
+func (s *Sharded) openSource(kind AccessKind, q vec.Vector) (Source, error) {
+	return s.OpenShardSet(s.all, kind, q)
 }

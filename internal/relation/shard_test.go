@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -225,7 +226,10 @@ func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 }
 
 // TestMergedSourceLazyPulls: a merged stream that is only partially
-// consumed must not read past one head per shard beyond what it emitted.
+// consumed must not read past one head per shard beyond what it emitted,
+// and reads each unbounded input exactly once before its first emission.
+// An unbounded input whose first read fails leaves the merge retryable:
+// the retry emits what a merge that never failed does.
 func TestMergedSourceLazyPulls(t *testing.T) {
 	rel := tieRelation(t, 29, 60, 2)
 	s, err := Partition(rel, 4, HashPartition)
@@ -233,13 +237,20 @@ func TestMergedSourceLazyPulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := s.NumShards()
-	counted := make([]*CountingSource, n)
-	sources := make([]Source, n)
-	for i := 0; i < n; i++ {
-		src, err := s.ShardSource(i, ScoreAccess, nil, nil, false)
-		if err != nil {
-			t.Fatal(err)
+	streams := func() []Source {
+		sources := make([]Source, n)
+		for i := range sources {
+			src, err := s.ShardSource(i, ScoreAccess, nil, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources[i] = src
 		}
+		return sources
+	}
+	counted := make([]*CountingSource, n)
+	sources := streams()
+	for i, src := range sources {
 		// CountingSource is not a shard stream, so count beneath the merge
 		// by re-wrapping: pull through the counting layer via a tiny local
 		// keyed adapter.
@@ -251,8 +262,16 @@ func TestMergedSourceLazyPulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := merged.Next(); err != nil {
+		t.Fatal(err)
+	}
+	for j, c := range counted {
+		if c.Reads != 1 {
+			t.Fatalf("input %d read %d times before the first emission, want 1", j, c.Reads)
+		}
+	}
 	const prefix = 10
-	for i := 0; i < prefix; i++ {
+	for i := 1; i < prefix; i++ {
 		if _, err := merged.Next(); err != nil {
 			t.Fatal(err)
 		}
@@ -263,6 +282,72 @@ func TestMergedSourceLazyPulls(t *testing.T) {
 	}
 	if max := prefix + n; reads > max {
 		t.Fatalf("merged prefix of %d pulled %d underlying tuples, want at most %d", prefix, reads, max)
+	}
+
+	want, err := s.Merge(streams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources = streams()
+	sources[2] = &failOnce{KeyedSource: sources[2].(KeyedSource)}
+	flaky, err := s.Merge(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flaky.Next(); !errors.Is(err, errFailOnce) {
+		t.Fatalf("first read past a failing input: %v, want %v", err, errFailOnce)
+	}
+	sameSequence(t, "merge retried past a failed first read", drain(t, flaky), drain(t, want))
+}
+
+// errFailOnce is failOnce's fault.
+var errFailOnce = errors.New("injected first-read fault")
+
+// failOnce fails its first read, then reads its source.
+type failOnce struct {
+	KeyedSource
+	failed bool
+}
+
+func (f *failOnce) NextKeyed() (Tuple, float64, int, error) {
+	if !f.failed {
+		f.failed = true
+		return Tuple{}, 0, 0, errFailOnce
+	}
+	return f.KeyedSource.NextKeyed()
+}
+
+// TestShardSetMergeReadsShardsDirectly: once a shard of a shard-set
+// merge has been read, its head holds the shard's own stream, never the
+// latentShard that opened it, so no read after the first passes through
+// a wrapper.
+func TestShardSetMergeReadsShardsDirectly(t *testing.T) {
+	s, err := Partition(tieRelation(t, 37, 240, 2), 12, GridPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []AccessKind{ScoreAccess, DistanceAccess} {
+		src, err := OpenSource(s, kind, vec.Of(1.5, 2.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := src.(*MergedSource)
+		for n := 0; ; n++ {
+			if _, err := m.Next(); errors.Is(err, ErrExhausted) {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range m.heads {
+				if _, wrapped := h.src.(*latentShard); wrapped != h.latent {
+					t.Fatalf("%v, row %d: a head (latent %v) reads through a %T", kind, n, h.latent, h.src)
+				}
+			}
+		}
+		if m.InputsRead() != s.NumShards() {
+			t.Fatalf("%v: drained after reading %d of %d shards", kind, m.InputsRead(), s.NumShards())
+		}
+		m.Close()
 	}
 }
 

@@ -67,6 +67,11 @@ func TestQuerySessionMatchesTopK(t *testing.T) {
 	if got := batch.Stats.SumDepths; got != pullsAtK {
 		t.Errorf("session paid %d accesses for K, batch paid %d", pullsAtK, got)
 	}
+	// The session still holds scored combinations for ranks past K, never
+	// more than its peak.
+	if b, peak := sess.Buffered(), sess.Stats().PeakBuffered; b < 1 || b > peak {
+		t.Errorf("Buffered = %d after 5 results, peak %d", b, peak)
+	}
 
 	// Enumerate past K on the same engine state: ranks 6..10 must match
 	// the oracle, and resuming must not have restarted the input streams
