@@ -52,11 +52,6 @@ func (a *combArena) ranksAt(s int32) []int32 {
 	return a.ranks[int(s)*a.n : (int(s)+1)*a.n]
 }
 
-// slots returns the number of live (allocated, unreleased) slots.
-func (a *combArena) slots() int {
-	return len(a.ranks)/a.n - len(a.free)
-}
-
 // lexLess32 is lexicographic order on rank vectors.
 func lexLess32(a, b []int32) bool {
 	for i := range a {

@@ -123,18 +123,6 @@ func (c *storageOrder) Tuple(i int) Tuple    { return c.tuples[i] }
 func (c *storageOrder) Vec(i int) vec.Vector { return c.tuples[i].Vec }
 func (c *storageOrder) Ordinal(i int) int    { return i }
 
-// FileShard describes one shard of a relation assembled from external
-// columnar storage: the columns themselves plus the bounding metadata
-// computed at build time. The ball is stored, not recomputed, because
-// computeBounds sums vectors in the partitioner's group order and
-// re-deriving it over the score-ordered columns would drift the float
-// bits advertised to coordinators; the rectangle is order-independent
-// and may be derived from the columns (ExtendRect).
-type FileShard struct {
-	Cols   Columns
-	Bounds ShardBounds
-}
-
 // shard is one piece of a partitioned relation: its storage, the bounds
 // it advertises, and its R-tree. rel carries the shard's name, σ_max and
 // dimensionality to the streams opened over it; it is the caller's own
@@ -241,12 +229,13 @@ func AutoShardCount(tuples int) int {
 // AssembleSharded builds a Sharded over prebuilt shards in external
 // columnar storage. Unlike Partition it copies no tuples and sorts
 // nothing: each shard's storage order is already the canonical score
-// order (the loader validated it), bounds come stored from the file, and
-// R-trees build lazily on first distance access. parent is typically a
-// metadata-only stub (NewStub) — the engine reconstructs emitted tuples
-// from its own pulled prefixes, never from the parent's tuple storage,
-// which is what lets a loaded relation's tuples stay on disk.
-func AssembleSharded(parent *Relation, shards []FileShard, strategy PartitionStrategy) (*Sharded, error) {
+// order (the loader validated it), bounds derive from the columns as
+// Partition's do, and R-trees build lazily on first distance access.
+// parent is typically a metadata-only stub (NewStub) — the engine
+// reconstructs emitted tuples from its own pulled prefixes, never from
+// the parent's tuple storage, which is what lets a loaded relation's
+// tuples stay on disk.
+func AssembleSharded(parent *Relation, shards []Columns, strategy PartitionStrategy) (*Sharded, error) {
 	if parent == nil {
 		return nil, fmt.Errorf("relation: cannot assemble a nil relation")
 	}
@@ -257,11 +246,11 @@ func AssembleSharded(parent *Relation, shards []FileShard, strategy PartitionStr
 		return nil, fmt.Errorf("relation %q: shard count %d exceeds the maximum %d", parent.Name, len(shards), maxShards)
 	}
 	total := 0
-	for i, fs := range shards {
-		if fs.Cols == nil {
+	for i, cols := range shards {
+		if cols == nil {
 			return nil, fmt.Errorf("relation %q: shard %d has no columns", parent.Name, i)
 		}
-		n := fs.Cols.Len()
+		n := cols.Len()
 		if n < 1 {
 			return nil, fmt.Errorf("relation %q: shard %d is empty", parent.Name, i)
 		}
@@ -271,8 +260,8 @@ func AssembleSharded(parent *Relation, shards []FileShard, strategy PartitionStr
 		return nil, fmt.Errorf("relation %q: shards hold %d tuples, parent advertises %d", parent.Name, total, parent.Len())
 	}
 	s := &Sharded{parent: parent, strategy: strategy, shards: make([]shard, len(shards)), all: wholeGroup(len(shards))}
-	for i, fs := range shards {
-		s.shards[i] = shard{rel: shardRel(parent, i, len(shards), fs.Cols.Len()), cols: fs.Cols, bounds: fs.Bounds}
+	for i, cols := range shards {
+		s.shards[i] = shard{rel: shardRel(parent, i, len(shards), cols.Len()), cols: cols, bounds: boundsOf(cols)}
 	}
 	return s, nil
 }

@@ -34,7 +34,7 @@ func flatRelation(t testing.TB, size, dim int) *Relation {
 
 // decimalRelation is tieRelation's shape — few distinct values an axis, one
 // tuple in four an exact duplicate — on coordinates that are tenths, which
-// binary floats cannot hold: every centroid, radius and distance rounds,
+// binary floats cannot hold: every distance rounds,
 // where tieRelation's small integers mostly compute exactly and so cannot
 // show a bound that is unsound only in its last bits.
 func decimalRelation(t testing.TB, r *rand.Rand, size, dim int) *Relation {
@@ -309,24 +309,21 @@ func FuzzShardKeyLowerBound(f *testing.F) {
 // branchyLowerBound is Dist2LowerBound with the rectangle's distance
 // summed the branchy way, a term only for the axes q lies outside of.
 func branchyLowerBound(b ShardBounds, q vec.Vector) float64 {
-	d2 := ShardBounds{Centroid: b.Centroid, Radius: b.Radius}.Dist2LowerBound(q)
-	if b.Min != nil {
-		var s float64
-		for i := range q {
-			switch {
-			case q[i] < b.Min[i]:
-				x := b.Min[i] - q[i]
-				s += x * x
-			case q[i] > b.Max[i]:
-				x := q[i] - b.Max[i]
-				s += x * x
-			}
-		}
-		if s >= 0x1p-1022 {
-			d2 = max(d2, s)
+	var s float64
+	for i := range q {
+		switch {
+		case q[i] < b.Min[i]:
+			x := b.Min[i] - q[i]
+			s += x * x
+		case q[i] > b.Max[i]:
+			x := q[i] - b.Max[i]
+			s += x * x
 		}
 	}
-	return d2
+	if !(s >= 0x1p-1022) {
+		return 0
+	}
+	return s
 }
 
 // TestShardBoundMatchesBranchyRect: the branch-free rectangle distance

@@ -30,14 +30,14 @@ type pin struct{ shards, merged, bounds, relfile string }
 // bytes do. Regenerate an entry from the failure message, and only for a
 // change that means to alter what it pins.
 var pinned = map[string]pin{
-	"tied/hash/1": {"bd34f1af547fd1e7ac62b93c74f063372d807111cbcdbb134414872400696116", "8e90dd23e31d6dce8977c12e5f9dd76b5449129361e7eb1cc3cd4f310e707dcb", "2a0500755e82a4309e2260041100ff1f0cc5197ccf702435e8d16629d44e83bf", "a33607138ee89c7e7530a6e0e77047847cad6e872b0ee05d134cec2658184ff6"},
-	"tied/hash/5": {"4592bd20d54ea351167c7a9471099b488d20ee9f95be90c2fd9f4bd961a08575", "d8e43137b4c7a9d3430ce07836b5241afc8ab8816ec970286eeb9da0d5f32836", "a0ea9b1fcca4f572d84f804d3f62710463569101050ff241d0c2f8d81679a05f", "4535e8ae86ec56e4c24d2d129bbef10cced2bd64733a13ec90ef21f69579804c"},
-	"tied/grid/1": {"bd34f1af547fd1e7ac62b93c74f063372d807111cbcdbb134414872400696116", "8e90dd23e31d6dce8977c12e5f9dd76b5449129361e7eb1cc3cd4f310e707dcb", "2a0500755e82a4309e2260041100ff1f0cc5197ccf702435e8d16629d44e83bf", "c4effafc4d8093368accf405d99e757ddb132c6fb76636a5087385bef32b5b10"},
-	"tied/grid/5": {"2dc14c80c34a0e8dac358d7762c89648a9dbeca4d7c095ff35780384d5d2e1a8", "d8e43137b4c7a9d3430ce07836b5241afc8ab8816ec970286eeb9da0d5f32836", "22fae3e505fd09eb5593c9a4285bcd8aaf1ee91d54e1cb076886bcfdef9c5721", "0091cf3de65819453348f49089ad9cb3cb0e9cf735d211bea0a603320063468d"},
-	"dim8/hash/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "9248f65a778581a94f72bb84e9436089064ce9676509438bc233c2942f360888", "f854f023c863b93ea683767fc13b0d0eefcbbee003af6aac4fd1e7d8f870e115"},
-	"dim8/hash/5": {"9284667496c5fc943448dbd9fc8714b0030e6fe736168f34d855c134672b7a68", "4231d02967b19e29288848183b461555c5c73f15ef4168295461f93f19d3ee6a", "a88b8a427dbec6092569423debb51afb128193b6aea7a26b636dfeaeb5b2c140", "b4ff345b64c208ef79ab1c4c20e5b5643c7475e0581b4992d68039f4574d0242"},
-	"dim8/grid/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "9248f65a778581a94f72bb84e9436089064ce9676509438bc233c2942f360888", "54381671a69f79dc3b6120a58323b4fc5a49815c70395f41a95f08423f663320"},
-	"dim8/grid/5": {"136aa91e7a8c2e30c49b5ee4e41e521607d3d6098ac2121236b680e3b2f5d401", "4231d02967b19e29288848183b461555c5c73f15ef4168295461f93f19d3ee6a", "a2e089e27c7de90156775630e8b23b9dbe7a21524f40ef55159476db9e98e9f4", "33b344f89a1887b02352189bc9cb1fdbd6ebf8fd952632761f9b891a6024a4c4"},
+	"tied/hash/1": {"bd34f1af547fd1e7ac62b93c74f063372d807111cbcdbb134414872400696116", "8e90dd23e31d6dce8977c12e5f9dd76b5449129361e7eb1cc3cd4f310e707dcb", "2a0500755e82a4309e2260041100ff1f0cc5197ccf702435e8d16629d44e83bf", "02b42d69784274c3b5a598ca38f28514260862bf4f29ad4ee5f135739ef30a25"},
+	"tied/hash/5": {"4592bd20d54ea351167c7a9471099b488d20ee9f95be90c2fd9f4bd961a08575", "d8e43137b4c7a9d3430ce07836b5241afc8ab8816ec970286eeb9da0d5f32836", "a0ea9b1fcca4f572d84f804d3f62710463569101050ff241d0c2f8d81679a05f", "4edfd48251516e57ef661270d7e4be9b7934571abcf13d8734a76d439a710818"},
+	"tied/grid/1": {"bd34f1af547fd1e7ac62b93c74f063372d807111cbcdbb134414872400696116", "8e90dd23e31d6dce8977c12e5f9dd76b5449129361e7eb1cc3cd4f310e707dcb", "2a0500755e82a4309e2260041100ff1f0cc5197ccf702435e8d16629d44e83bf", "d38f51cfd5f7bb0f0fe4dbf0863eb06dfa3ff5afe0164d5fc5c19a480e54712e"},
+	"tied/grid/5": {"2dc14c80c34a0e8dac358d7762c89648a9dbeca4d7c095ff35780384d5d2e1a8", "d8e43137b4c7a9d3430ce07836b5241afc8ab8816ec970286eeb9da0d5f32836", "22fae3e505fd09eb5593c9a4285bcd8aaf1ee91d54e1cb076886bcfdef9c5721", "34b92eea26e0a3f0b3148776d1d28d9f8c7601007788c1246269031fe3249949"},
+	"dim8/hash/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "9248f65a778581a94f72bb84e9436089064ce9676509438bc233c2942f360888", "5b736ac742b0471fdc6733444e7d9fd6b43f0167376f361cf6bcc7ab6945a461"},
+	"dim8/hash/5": {"9284667496c5fc943448dbd9fc8714b0030e6fe736168f34d855c134672b7a68", "4231d02967b19e29288848183b461555c5c73f15ef4168295461f93f19d3ee6a", "a88b8a427dbec6092569423debb51afb128193b6aea7a26b636dfeaeb5b2c140", "0b420b1718b1864e59974910811b1d6eb0a8a850eb93b31dd15d87684d0bffb2"},
+	"dim8/grid/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "9248f65a778581a94f72bb84e9436089064ce9676509438bc233c2942f360888", "3d09967c9fdd2c5f48aa9d54b41082ced3795898d2f42315c395d203ba43742e"},
+	"dim8/grid/5": {"136aa91e7a8c2e30c49b5ee4e41e521607d3d6098ac2121236b680e3b2f5d401", "4231d02967b19e29288848183b461555c5c73f15ef4168295461f93f19d3ee6a", "a2e089e27c7de90156775630e8b23b9dbe7a21524f40ef55159476db9e98e9f4", "8e83303fb09124eee9f923c839d76bb053d00eea8a480823e1a1d1c4e4ac425a"},
 }
 
 // transcribe writes every stream s serves — score access, then per query
@@ -139,8 +139,8 @@ func boundsDigest(s *relation.Sharded) string {
 // fixtures × {hash, grid} × {1, 5 shards} against pinned: the partitioned
 // relation's two stream transcripts, the same two over its relfile
 // mapped back, the float bits of every ShardBounds field — the same from
-// the partitioner and from the file, which stores no rectangle and
-// derives it — and the sha256 of the relfile itself, which the mapped
+// the partitioner and from the file, which stores no bounds and derives
+// them — and the sha256 of the relfile itself, which the mapped
 // relation re-encodes to.
 func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
 	tied := relation.TieRelation(t, 41, 150, 2)

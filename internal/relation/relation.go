@@ -199,8 +199,8 @@ type BoundedSource interface {
 	KeyedSource
 	// KeyLowerBound returns b with b <= key for every tuple the source
 	// will emit. The bound must stay sound under floating-point rounding
-	// (see ShardBounds.Dist2LowerBound for the slack discipline);
-	// an overestimate can reorder emissions across shards.
+	// (ShardBounds.Dist2LowerBound rounds in the order the keys it bounds
+	// do); an overestimate can reorder emissions across shards.
 	KeyLowerBound() float64
 }
 

@@ -22,9 +22,9 @@ func columnsTwin(t testing.TB, ram *Sharded) *Sharded {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := make([]FileShard, ram.NumShards())
+	shards := make([]Columns, ram.NumShards())
 	for i := range shards {
-		shards[i] = FileShard{Cols: ram.ShardColumns(i), Bounds: ram.ShardBounds(i)}
+		shards[i] = ram.ShardColumns(i)
 	}
 	twin, err := AssembleSharded(stub, shards, ram.Strategy())
 	if err != nil {

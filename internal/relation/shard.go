@@ -54,21 +54,16 @@ func ParsePartitionStrategy(name string) (PartitionStrategy, error) {
 // bookkeeping dwarfs any conceivable win.
 const maxShards = 1 << 16
 
-// ShardBounds is one shard's bounding metadata: a bounding ball
-// (centroid + radius) and the minimum bounding rectangle of its vectors,
-// and its true maximum score. From it a coordinator derives, without
-// touching the shard's tuples, a lower bound on any sort key the shard
-// can produce — the basis for distance-aware shard pruning (the
-// partition-pruning idea of the MapReduce kNN-join literature applied to
-// rank-join sources).
+// ShardBounds is one shard's bounding metadata: the minimum bounding
+// rectangle of its vectors, its true maximum score and its size, all a
+// function of its columns (boundsOf). From it a coordinator derives,
+// without touching the shard's tuples, a lower bound on any sort key the
+// shard can produce (KeyLowerBound) — the basis for distance-aware shard
+// pruning (the partition-pruning idea of the MapReduce kNN-join
+// literature applied to rank-join sources).
 type ShardBounds struct {
-	// Centroid is the mean of the shard's vectors.
-	Centroid []float64 `json:"centroid"`
-	// Radius is the maximum Euclidean distance from Centroid to any
-	// tuple in the shard.
-	Radius float64 `json:"radius"`
 	// Min and Max are the corners of the shard's minimum bounding
-	// rectangle. Bounds built without them (nil) are a ball only.
+	// rectangle.
 	Min []float64 `json:"min"`
 	Max []float64 `json:"max"`
 	// MaxScore is the largest tuple score present in the shard (its
@@ -78,66 +73,39 @@ type ShardBounds struct {
 	Tuples int `json:"tuples"`
 }
 
-// boundSlack shrinks derived lower bounds by a relative hair so that
-// floating-point rounding in the centroid/radius/triangle-inequality
-// arithmetic can never push a bound above a shard's true minimum key —
-// which would reorder a byte-identical merge. The true bound inequality
-// holds exactly in real arithmetic; 1e-9 relative dwarfs the ~1e-15
-// per-operation error while costing nothing measurable in pruning power.
-const boundSlack = 1e-9
-
 // Dist2LowerBound returns a sound lower bound on the squared Euclidean
 // distance from q to any tuple in the shard, the key its distance stream
-// starts at: the larger of the rectangle's squared distance and the
-// ball's (d(q, centroid) − radius)². The rectangle's rounds monotonically
-// in Vec.Dist2's order (rtree.Rect.MinDist2) and needs no slack. The
-// ball's radius is a distance, so its operands are slackened apart before
-// the subtraction, which cancels near the ball's surface, and the square
-// once more; an overflowing centroid distance bounds nothing. Below the
-// normal range, where rounding is absolute, the bound is 0.
+// starts at: the rectangle's squared distance, which rounds monotonically
+// in Vec.Dist2's order (rtree.Rect.MinDist2) and so needs no slack. Below
+// the normal range, where rounding is absolute, the bound is 0.
 func (b ShardBounds) Dist2LowerBound(q vec.Vector) float64 {
-	var d2 float64
-	dc := vec.Vector(b.Centroid).Dist(q)
-	if d := dc*(1-boundSlack) - b.Radius*(1+boundSlack); d > 0 && !math.IsInf(dc, 1) {
-		d2 = d * d * (1 - boundSlack)
-	}
-	if b.Min != nil {
-		d2 = max(d2, rtree.Rect{Min: b.Min, Max: b.Max}.MinDist2(q))
-	}
+	d2 := rtree.Rect{Min: b.Min, Max: b.Max}.MinDist2(q)
 	if !(d2 >= 0x1p-1022) {
 		return 0 // subnormal, or NaN from a NaN corner
 	}
 	return d2
 }
 
-// computeBounds derives the bounding metadata of the shard holding the
-// tuples of r that group names — at least one — summing in group order:
-// the centroid's float bits, which a coordinator cross-checks, depend on
-// it. The rectangle's do not (ExtendRect is order-independent), so a
-// relfile re-derives it bit-exactly from its score-ordered columns.
-func computeBounds(r *Relation, group []int) ShardBounds {
-	n := len(group)
-	b := ShardBounds{Tuples: n, MaxScore: math.Inf(-1)}
-	c := make([]float64, r.dim)
-	b.Min, b.Max = EmptyRect(r.dim)
-	for _, ord := range group {
-		t := r.tuples[ord]
-		for d := 0; d < r.dim; d++ {
-			c[d] += t.Vec[d]
-		}
-		ExtendRect(b.Min, b.Max, t.Vec)
-		if t.Score > b.MaxScore {
-			b.MaxScore = t.Score
-		}
+// KeyLowerBound returns the lower bound on the merge key of the shard's
+// stream under one access: −MaxScore, the exact first key of a score
+// stream, or Dist2LowerBound(q) under distance access.
+func (b ShardBounds) KeyLowerBound(kind AccessKind, q vec.Vector) float64 {
+	if kind == ScoreAccess {
+		return -b.MaxScore
 	}
-	for d := range c {
-		c[d] /= float64(n)
-	}
-	b.Centroid = c
-	for _, ord := range group {
-		if d := r.tuples[ord].Vec.Dist(c); d > b.Radius {
-			b.Radius = d
-		}
+	return b.Dist2LowerBound(q)
+}
+
+// boundsOf derives the bounds of the shard stored in cols, which hold at
+// least one tuple in score order. Min and max are exact and commutative,
+// so the rectangle has the same bits whatever order the vectors are
+// stored in: a relfile re-derives the partitioner's bounds.
+func boundsOf(cols Columns) ShardBounds {
+	n := cols.Len()
+	b := ShardBounds{MaxScore: cols.Tuple(0).Score, Tuples: n}
+	b.Min, b.Max = EmptyRect(cols.Vec(0).Dim())
+	for i := 0; i < n; i++ {
+		ExtendRect(b.Min, b.Max, cols.Vec(i))
 	}
 	return b
 }
@@ -219,8 +187,7 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 
 	s := &Sharded{parent: r, strategy: strategy, shards: make([]shard, len(groups)), all: wholeGroup(len(groups))}
 	// Sorting and index construction dominate partitioning cost; build
-	// every shard concurrently. Bounds sum in group order, before the
-	// columns re-order the tuples by score.
+	// every shard concurrently.
 	var wg sync.WaitGroup
 	for i, g := range groups {
 		sh := &s.shards[i]
@@ -228,8 +195,8 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 		wg.Add(1)
 		go func(g []int) {
 			defer wg.Done()
-			sh.bounds = computeBounds(r, g)
 			sh.cols = scoreOrdered(r, g)
+			sh.bounds = boundsOf(sh.cols)
 			sh.rtree()
 		}(g)
 	}
@@ -264,9 +231,9 @@ func hashGroups(r *Relation, n int) [][]int {
 // widest extent, the len·⌊n/2⌋/n smallest under (coordinate, ordinal)
 // going left with ⌊n/2⌋ boxes and the rest right with the others. That
 // order is total, so the boxes are a function of the tuples alone, and
-// every box lists its ordinals ascending: computeBounds sums in that
-// order. Boxes, unlike runs of a cell ordering, have rectangles that do
-// not overlap beyond shared faces — what lets ShardBounds' rectangle prune.
+// every box lists its ordinals ascending. Boxes, unlike runs of a cell
+// ordering, have rectangles that do not overlap beyond shared faces —
+// what lets ShardBounds' rectangle prune.
 func gridGroups(r *Relation, n int) [][]int {
 	items := make([]cutItem, len(r.tuples))
 	for i := range items {
@@ -405,11 +372,10 @@ func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, _ vec.Metric
 // whole relation emits, restricted to the tuples of those shards. One
 // shard is that shard's stream, exactly as ShardSource opens it. Several
 // are a MergedSource whose every input is latent at its shard's key
-// bound — ShardBounds.Dist2LowerBound(q) under distance access, −MaxScore
-// under score access — and opened on its first read, so a shard whose
-// bound the stream never reaches is never traversed. Every stream over
-// more than one shard is one: a local relation's over all of its shards,
-// and a shard server's over the set a remote pull names.
+// bound (ShardBounds.KeyLowerBound) and opened on its first read, so a
+// shard whose bound the stream never reaches is never traversed. Every
+// stream over more than one shard is one: a local relation's over all of
+// its shards, and a shard server's over the set a remote pull names.
 func (s *Sharded) OpenShardSet(shards []int, kind AccessKind, q vec.Vector) (KeyedSource, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("relation %q: an empty shard set", s.parent.Name)
@@ -432,11 +398,7 @@ func (s *Sharded) OpenShardSet(shards []int, kind AccessKind, q vec.Vector) (Key
 	inputs := make([]KeyedSource, len(shards))
 	for j, i := range shards {
 		sh := &s.shards[i]
-		bound := -sh.bounds.MaxScore
-		if kind == DistanceAccess {
-			bound = sh.bounds.Dist2LowerBound(q)
-		}
-		latent[j] = latentShard{sh: sh, kind: kind, q: q, bound: bound}
+		latent[j] = latentShard{sh: sh, kind: kind, q: q, bound: sh.bounds.KeyLowerBound(kind, q)}
 		inputs[j] = &latent[j]
 	}
 	return newMergedSource(s.parent, kind, inputs), nil

@@ -20,12 +20,9 @@ func (f *File) Load(name string) (*relation.Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := make([]relation.FileShard, len(f.views))
+	shards := make([]relation.Columns, len(f.views))
 	for i := range f.views {
-		shards[i] = relation.FileShard{
-			Cols:   &shardView{f: f, d: &f.views[i], dim: f.dim},
-			Bounds: f.views[i].bounds,
-		}
+		shards[i] = &shardView{f: f, d: &f.views[i], dim: f.dim}
 	}
 	return relation.AssembleSharded(parent, shards, f.strategy)
 }

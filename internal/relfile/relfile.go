@@ -10,11 +10,10 @@
 //	  magic "PROXREL1" | version u32 | strategy u32 | dim u32 | shards u32
 //	  tuples u64 | maxScore f64 | dirOff u64 | dirLen u64
 //	  dirCRC u32 | headerCRC u32
-//	shard directory (shards × (104 + 8·dim) B, CRC-guarded)
-//	  per shard: tuple count, absolute offsets of its seven regions,
-//	  region CRC, and the stored bounding metadata (radius, max score,
-//	  centroid) advertised to coordinators; the bounding rectangle
-//	  advertised beside it is derived from the vectors at Open
+//	shard directory (shards × 88 B, CRC-guarded)
+//	  per shard: tuple count u64 | offsets u64 of scores, vecs, ords,
+//	  idOffs, idBytes | idBytes length u64 | offsets u64 of attrOffs,
+//	  attrBytes | attrBytes length u64 | region CRC u32 | 4 zero bytes
 //	per-shard regions (8-byte aligned, zero-padded between)
 //	  scores  n × f64   rank slab: non-increasing, ties by ordinal
 //	  vecs    n × dim × f64
@@ -24,6 +23,13 @@
 //	  attrOffs (n+1) × u32 into attrBytes
 //	  attrBytes per-tuple blobs: count u32, then sorted (klen u32, key,
 //	  vlen u32, value) pairs; empty blob = no attributes
+//
+// A version-1 file's directory entries are 16 + 8·dim bytes longer: a
+// bounding ball (radius, then the shard's max score, then the centroid)
+// that Open skips, the directory checksum still covering it. Write emits
+// version 2 only, which stores no shard bounds: for either version,
+// relation.AssembleSharded derives each shard's rectangle, max score and
+// size from the mapped columns, as Partition does from its heap columns.
 //
 // All integers and float bit patterns are little-endian; checksums are
 // CRC-32C (Castagnoli). Every shard's storage order is the canonical
@@ -38,11 +44,10 @@
 // Open validates the whole file — header and directory checksums, region
 // alignment, bounds and non-overlap of every directory entry, per-shard
 // CRCs, the ordinal permutation, score order, offset-table monotonicity,
-// attribute blob structure, and the stored radius against the mapped
-// vectors — before handing out any view, so a later read can never step
-// outside the mapping. Checksums detect accidental corruption; the
-// format is not hardened against adversarial files beyond never reading
-// out of bounds.
+// and attribute blob structure — before handing out any view, so a later
+// read can never step outside the mapping. Checksums detect accidental
+// corruption; the format is not hardened against adversarial files
+// beyond never reading out of bounds.
 //
 // # Mapping lifetime
 //
@@ -68,7 +73,6 @@ import (
 	"unsafe"
 
 	"repro/internal/relation"
-	"repro/internal/vec"
 )
 
 // Format constants. These are wire-stable: bump Version on any
@@ -76,8 +80,10 @@ import (
 const (
 	// Magic is the 8-byte file signature.
 	Magic = "PROXREL1"
-	// Version is the current format version.
-	Version = 1
+	// Version is the format version Write emits. Open also reads version
+	// 1, whose directory entries carry a bounding ball (see the package
+	// comment).
+	Version = 2
 	// HeaderSize is the fixed header length in bytes.
 	HeaderSize = 64
 	// Extension is the conventional file suffix; the catalog and
@@ -97,14 +103,20 @@ func corruptf(format string, args ...any) error {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// entrySize is the directory entry length for one shard.
-func entrySize(dim int) int { return 104 + 8*dim }
+// entrySize is the directory entry length for one shard in a file of
+// the given version.
+func entrySize(version, dim int) int {
+	if version == 1 {
+		return 104 + 8*dim
+	}
+	return 88
+}
 
 // align8 rounds up to the next multiple of 8.
 func align8(x uint64) uint64 { return (x + 7) &^ 7 }
 
 // shardData is one parsed, validated shard: typed views into the
-// mapping plus the stored bounds.
+// mapping.
 type shardData struct {
 	n         int
 	scores    []float64
@@ -114,7 +126,6 @@ type shardData struct {
 	idBytes   []byte
 	attrOffs  []uint32
 	attrBytes []byte
-	bounds    relation.ShardBounds
 }
 
 // File is an opened, fully validated relation file. Its views alias the
@@ -218,9 +229,6 @@ func (f *File) Shards() int { return len(f.views) }
 // Strategy returns the partition strategy the shards were built under.
 func (f *File) Strategy() relation.PartitionStrategy { return f.strategy }
 
-// ShardBounds returns shard i's stored bounding metadata.
-func (f *File) ShardBounds(i int) relation.ShardBounds { return f.views[i].bounds }
-
 // parse validates data (which must be 8-byte aligned) and builds the
 // typed views. It never reads outside data.
 func parse(data []byte) (*File, error) {
@@ -233,8 +241,9 @@ func parse(data []byte) (*File, error) {
 	if crc32.Checksum(data[0:60], castagnoli) != binary.LittleEndian.Uint32(data[60:64]) {
 		return nil, corruptf("header checksum mismatch")
 	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != Version {
-		return nil, corruptf("unsupported version %d (want %d)", v, Version)
+	version := int(binary.LittleEndian.Uint32(data[8:12]))
+	if version != 1 && version != Version {
+		return nil, corruptf("unsupported version %d (want 1 or %d)", version, Version)
 	}
 	strategyRaw := binary.LittleEndian.Uint32(data[12:16])
 	if strategyRaw > uint32(relation.GridPartition) {
@@ -263,7 +272,7 @@ func parse(data []byte) (*File, error) {
 	if dirOff != HeaderSize {
 		return nil, corruptf("directory offset %d, want %d", dirOff, HeaderSize)
 	}
-	if want := uint64(shards) * uint64(entrySize(dim)); dirLen != want {
+	if want := uint64(shards) * uint64(entrySize(version, dim)); dirLen != want {
 		return nil, corruptf("directory length %d, want %d for %d shards", dirLen, want, shards)
 	}
 	dir, err := region(data, dirOff, dirLen, "directory")
@@ -295,7 +304,7 @@ func parse(data []byte) (*File, error) {
 
 	sum := uint64(0)
 	for s := 0; s < shards; s++ {
-		e := dir[s*entrySize(dim) : (s+1)*entrySize(dim)]
+		e := dir[s*entrySize(version, dim) : (s+1)*entrySize(version, dim)]
 		n64 := binary.LittleEndian.Uint64(e[0:8])
 		if n64 < 1 || n64 > tuples {
 			return nil, corruptf("shard %d: tuple count %d out of range", s, n64)
@@ -345,22 +354,6 @@ func parse(data []byte) (*File, error) {
 		if crc.Sum32() != binary.LittleEndian.Uint32(e[80:84]) {
 			return nil, corruptf("shard %d: region checksum mismatch", s)
 		}
-		radius := math.Float64frombits(binary.LittleEndian.Uint64(e[88:96]))
-		shardMax := math.Float64frombits(binary.LittleEndian.Uint64(e[96:104]))
-		if math.IsNaN(radius) || math.IsInf(radius, 0) || radius < 0 {
-			return nil, corruptf("shard %d: radius %v out of range", s, radius)
-		}
-		if math.IsNaN(shardMax) || shardMax <= 0 || shardMax > maxScore {
-			return nil, corruptf("shard %d: shard max score %v outside (0, %v]", s, shardMax, maxScore)
-		}
-		centroid := make([]float64, dim)
-		for d := 0; d < dim; d++ {
-			c := math.Float64frombits(binary.LittleEndian.Uint64(e[104+8*d : 112+8*d]))
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return nil, corruptf("shard %d: non-finite centroid", s)
-			}
-			centroid[d] = c
-		}
 		f.views[s] = shardData{
 			n:         n,
 			scores:    f64view(regions[0], n),
@@ -370,12 +363,6 @@ func parse(data []byte) (*File, error) {
 			idBytes:   regions[4],
 			attrOffs:  u32view(regions[5], n+1),
 			attrBytes: regions[6],
-			bounds: relation.ShardBounds{
-				Centroid: centroid,
-				Radius:   radius,
-				MaxScore: shardMax,
-				Tuples:   n,
-			},
 		}
 	}
 	if sum != tuples {
@@ -420,8 +407,7 @@ func u32view(b []byte, n int) []uint32 {
 // validateContent checks the per-tuple invariants the engine relies on:
 // finite scores within (0, σ_max], finite vectors, canonical storage
 // order, a consistent ordinal permutation across shards, monotone
-// offset tables, well-formed attribute blobs, and the stored radius
-// matching the mapped vectors.
+// offset tables, and well-formed attribute blobs.
 func (f *File) validateContent() error {
 	seen := make([]bool, f.tuples)
 	for s := range f.views {
@@ -451,9 +437,6 @@ func (f *File) validateContent() error {
 				return corruptf("shard %d: non-finite vector component", s)
 			}
 		}
-		if v.scores[0] != v.bounds.MaxScore {
-			return corruptf("shard %d: stored max score %v, best tuple scores %v", s, v.bounds.MaxScore, v.scores[0])
-		}
 		if err := checkOffsets(v.idOffs, len(v.idBytes), s, "id"); err != nil {
 			return err
 		}
@@ -464,26 +447,6 @@ func (f *File) validateContent() error {
 			if err := checkAttrBlob(v.attrBytes[v.attrOffs[i]:v.attrOffs[i+1]], s, i); err != nil {
 				return err
 			}
-		}
-		// The radius is order-independent (a max over per-tuple distances
-		// to the stored centroid), so it must reproduce bit-exactly from
-		// the mapped vectors — the deepest corruption check we can run
-		// without the writer's original tuple order. The same walk derives
-		// the bounding rectangle, which the directory has no field for: min
-		// and max are order-independent too, so it comes out with the bits
-		// the partitioner computed.
-		maxDist := 0.0
-		c := vec.Vector(v.bounds.Centroid)
-		v.bounds.Min, v.bounds.Max = relation.EmptyRect(f.dim)
-		for i := 0; i < v.n; i++ {
-			x := vec.Vector(v.vecs[i*f.dim : (i+1)*f.dim])
-			if d := x.Dist(c); d > maxDist {
-				maxDist = d
-			}
-			relation.ExtendRect(v.bounds.Min, v.bounds.Max, x)
-		}
-		if maxDist != v.bounds.Radius {
-			return corruptf("shard %d: stored radius %v, vectors reach %v", s, v.bounds.Radius, maxDist)
 		}
 	}
 	return nil

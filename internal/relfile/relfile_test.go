@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -92,7 +93,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// compareSharded checks stored bounds bit-for-bit against the
+// compareSharded checks the loaded bounds bit-for-bit against the
 // partitioner's and every loaded tuple against the original relation by
 // parent ordinal, plus the canonical storage order within each shard.
 func compareSharded(t *testing.T, rel *relation.Relation, orig *relation.Sharded, f *File, loaded *relation.Sharded) {
@@ -103,16 +104,13 @@ func compareSharded(t *testing.T, rel *relation.Relation, orig *relation.Sharded
 	seen := make([]bool, rel.Len())
 	for i := 0; i < orig.NumShards(); i++ {
 		ob, lb := orig.ShardBounds(i), loaded.ShardBounds(i)
-		if math.Float64bits(ob.Radius) != math.Float64bits(lb.Radius) ||
-			math.Float64bits(ob.MaxScore) != math.Float64bits(lb.MaxScore) ||
-			ob.Tuples != lb.Tuples {
+		if math.Float64bits(ob.MaxScore) != math.Float64bits(lb.MaxScore) || ob.Tuples != lb.Tuples {
 			t.Fatalf("shard %d bounds drifted: %+v vs %+v", i, ob, lb)
 		}
-		for d := range ob.Centroid {
-			if math.Float64bits(ob.Centroid[d]) != math.Float64bits(lb.Centroid[d]) ||
-				math.Float64bits(ob.Min[d]) != math.Float64bits(lb.Min[d]) ||
+		for d := range ob.Min {
+			if math.Float64bits(ob.Min[d]) != math.Float64bits(lb.Min[d]) ||
 				math.Float64bits(ob.Max[d]) != math.Float64bits(lb.Max[d]) {
-				t.Fatalf("shard %d centroid or rectangle drifted: %+v vs %+v", i, ob, lb)
+				t.Fatalf("shard %d rectangle drifted: %+v vs %+v", i, ob, lb)
 			}
 		}
 		view := &shardView{f: f, d: &f.views[i], dim: f.dim}
@@ -157,10 +155,12 @@ func compareSharded(t *testing.T, rel *relation.Relation, orig *relation.Sharded
 
 // TestLoadsFileWrittenBeforeRectangles: testdata/grid4_bab7b5c.prox is
 // testRelation(23, 60, 3) in 4 grid shards as relfile.Write encoded it at
-// commit bab7b5c — shards that are runs of a cell ordering, and no
-// rectangle anywhere in the format. It must still open, answer every
-// stream as the relation itself does, advertise a rectangle derived from
-// its vectors, and re-encode to its own bytes.
+// commit bab7b5c — a version-1 file: shards that are runs of a cell
+// ordering, a bounding ball in every directory entry, and no rectangle
+// anywhere in the format. It must still open, answer every stream as the
+// relation itself does, and advertise a rectangle derived from its
+// vectors; its ball bytes stay under the directory checksum. It
+// re-encodes as version 2, and that file round-trips to its own bytes.
 func TestLoadsFileWrittenBeforeRectangles(t *testing.T) {
 	const path = "testdata/grid4_bab7b5c.prox"
 	rel := testRelation(t, 23, 60, 3)
@@ -211,16 +211,45 @@ func TestLoadsFileWrittenBeforeRectangles(t *testing.T) {
 			}
 		}
 	}
-	again := filepath.Join(t.TempDir(), "again.prox")
-	if err := Write(again, loaded); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v := binary.LittleEndian.Uint32(raw[8:12]); v != 1 {
+		t.Fatalf("fixture is version %d, want 1", v)
+	}
+	ball := append([]byte(nil), raw...)
+	ball[HeaderSize+88] ^= 0x01 // shard 0's radius
+	if _, err := Decode(ball); err == nil || !strings.Contains(err.Error(), "directory checksum") {
+		t.Fatalf("a flipped ball byte: %v, want the directory checksum refusal", err)
+	}
+
+	v2 := filepath.Join(t.TempDir(), "v2.prox")
+	if err := Write(v2, loaded); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(want[8:12]); v != Version {
+		t.Fatalf("the fixture re-encodes as version %d, want %d", v, Version)
+	}
+	f2, err := Open(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	reloaded, err := f2.Load("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := filepath.Join(t.TempDir(), "again.prox")
+	if err := Write(again, reloaded); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("re-encoding the fixture changed its bytes (err %v)", err)
+		t.Fatalf("re-encoding the version-2 file changed its bytes (err %v)", err)
 	}
 }
 
@@ -350,8 +379,8 @@ func TestCorruptFiles(t *testing.T) {
 			return b
 		}, "region checksum"},
 		{"overlapping directory entries", func(b []byte) []byte {
-			e0 := b[HeaderSize : HeaderSize+uint64(entrySize(dim))]
-			e1 := b[HeaderSize+uint64(entrySize(dim)) : HeaderSize+2*uint64(entrySize(dim))]
+			e0 := b[HeaderSize : HeaderSize+uint64(entrySize(Version, dim))]
+			e1 := b[HeaderSize+uint64(entrySize(Version, dim)) : HeaderSize+2*uint64(entrySize(Version, dim))]
 			// Point shard 1's score region into shard 0's and recompute
 			// shard 1's CRC so only the overlap is wrong.
 			binary.LittleEndian.PutUint64(e1[8:16], binary.LittleEndian.Uint64(e0[8:16]))
@@ -380,13 +409,6 @@ func TestCorruptFiles(t *testing.T) {
 			reseal(b)
 			return b
 		}, ""},
-		{"radius mismatch", func(b []byte) []byte {
-			e := b[HeaderSize:]
-			r := math.Float64frombits(binary.LittleEndian.Uint64(e[88:96]))
-			binary.LittleEndian.PutUint64(e[88:96], math.Float64bits(r+1))
-			reseal(b)
-			return b
-		}, "radius"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

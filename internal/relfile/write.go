@@ -18,10 +18,10 @@ import (
 // It is a straight dump of each shard's Columns, which are already in the
 // canonical score-access order — score descending, ties by ascending
 // parent ordinal — so the loader can stream score access without
-// sorting, and the bounds the partitioner computed are stored verbatim
-// (never recomputed, where the float summation order would differ). Any
-// Sharded encodes, a loaded relfile included: re-encoding one reproduces
-// its bytes.
+// sorting. No bounds are stored: the loader derives them from the
+// columns. Any Sharded encodes, a loaded relfile included: re-encoding a
+// version-2 file reproduces its bytes, and a version-1 file re-encodes
+// as version 2.
 func Write(path string, s *relation.Sharded) error {
 	if s == nil {
 		return fmt.Errorf("relfile: cannot write a nil relation")
@@ -29,14 +29,13 @@ func Write(path string, s *relation.Sharded) error {
 	parent := s.Relation()
 	dim := parent.Dim()
 	shards := s.NumShards()
-	dirLen := uint64(shards) * uint64(entrySize(dim))
+	dirLen := uint64(shards) * uint64(entrySize(Version, dim))
 	dataOff := align8(HeaderSize + dirLen)
 
 	type encShard struct {
 		regions [7][]byte
 		offs    [7]uint64
 		crc     uint32
-		bounds  relation.ShardBounds
 		n       int
 	}
 	enc := make([]encShard, shards)
@@ -47,7 +46,7 @@ func Write(path string, s *relation.Sharded) error {
 		if err != nil {
 			return fmt.Errorf("relfile: relation %q shard %d: %w", parent.Name, i, err)
 		}
-		e := encShard{regions: regions, n: cols.Len(), bounds: s.ShardBounds(i)}
+		e := encShard{regions: regions, n: cols.Len()}
 		for r := range e.regions {
 			e.offs[r] = off
 			off = align8(off + uint64(len(e.regions[r])))
@@ -62,7 +61,7 @@ func Write(path string, s *relation.Sharded) error {
 
 	dir := make([]byte, dirLen)
 	for i, e := range enc {
-		d := dir[i*entrySize(dim):]
+		d := dir[i*entrySize(Version, dim):]
 		binary.LittleEndian.PutUint64(d[0:8], uint64(e.n))
 		for r := 0; r < 5; r++ {
 			binary.LittleEndian.PutUint64(d[8+8*r:16+8*r], e.offs[r])
@@ -72,11 +71,6 @@ func Write(path string, s *relation.Sharded) error {
 		binary.LittleEndian.PutUint64(d[64:72], e.offs[6])
 		binary.LittleEndian.PutUint64(d[72:80], uint64(len(e.regions[6])))
 		binary.LittleEndian.PutUint32(d[80:84], e.crc)
-		binary.LittleEndian.PutUint64(d[88:96], math.Float64bits(e.bounds.Radius))
-		binary.LittleEndian.PutUint64(d[96:104], math.Float64bits(e.bounds.MaxScore))
-		for dd := 0; dd < dim; dd++ {
-			binary.LittleEndian.PutUint64(d[104+8*dd:112+8*dd], math.Float64bits(e.bounds.Centroid[dd]))
-		}
 	}
 
 	hdr := make([]byte, HeaderSize)

@@ -510,8 +510,8 @@ func ownerGroups(owners map[int][]*Peer, n int) [][]int {
 // cannot use. A hello is input from outside the process, and each of
 // these would otherwise pass discovery and panic a query later: a
 // relation that makes no stub, a shard count below one, an owned shard
-// out of range, bounds of another dimensionality, a non-finite bound or
-// a negative radius.
+// out of range, a rectangle missing or of another dimensionality, or a
+// non-finite bound.
 func checkRelation(ri RelationInfo) error {
 	if _, err := relation.NewStub(ri.Name, ri.MaxScore, ri.Dim, ri.Tuples); err != nil {
 		return err
@@ -524,10 +524,10 @@ func checkRelation(ri RelationInfo) error {
 		switch {
 		case own.Index < 0 || own.Index >= ri.Shards:
 			return fmt.Errorf("owns shard %d of relation %q, out of range [0,%d)", own.Index, ri.Name, ri.Shards)
-		case len(b.Centroid) != ri.Dim || (b.Min == nil) != (b.Max == nil) || b.Min != nil && (len(b.Min) != ri.Dim || len(b.Max) != ri.Dim):
-			return fmt.Errorf("relation %q shard %d: bounds are not of dimension %d", ri.Name, own.Index, ri.Dim)
-		case !(b.Radius >= 0) || !finite(b.Radius, b.MaxScore) || !finite(b.Centroid...) || !finite(b.Min...) || !finite(b.Max...):
-			return fmt.Errorf("relation %q shard %d: bounds must be finite with a radius of at least 0", ri.Name, own.Index)
+		case len(b.Min) != ri.Dim || len(b.Max) != ri.Dim:
+			return fmt.Errorf("relation %q shard %d: bounds have no rectangle of dimension %d", ri.Name, own.Index, ri.Dim)
+		case !finite(b.MaxScore) || !finite(b.Min...) || !finite(b.Max...):
+			return fmt.Errorf("relation %q shard %d: bounds must be finite", ri.Name, own.Index)
 		}
 	}
 	return nil
@@ -547,6 +547,5 @@ func finite(xs ...float64) bool {
 // one shard that differ in any of them would be merged under whichever
 // bound discovery saw last.
 func boundsEqual(a, b relation.ShardBounds) bool {
-	return a.Radius == b.Radius && a.MaxScore == b.MaxScore && a.Tuples == b.Tuples &&
-		slices.Equal(a.Centroid, b.Centroid) && slices.Equal(a.Min, b.Min) && slices.Equal(a.Max, b.Max)
+	return a.MaxScore == b.MaxScore && a.Tuples == b.Tuples && slices.Equal(a.Min, b.Min) && slices.Equal(a.Max, b.Max)
 }

@@ -20,20 +20,20 @@ func (b helloBackend) OpenShards(relName string, shards []int, _ string, _ []flo
 	return nil, api.Errorf(api.CodeNotFound, "shards %v of %q are not served here", shards, relName)
 }
 
-// wellFormedHello is one dim-2 relation in one owned shard, ball and
-// rectangle both present.
+// wellFormedHello is one dim-2 relation in one owned shard with its
+// rectangle.
 func wellFormedHello() RelationInfo {
 	return RelationInfo{
 		Name: "pts", MaxScore: 1, Dim: 2, Tuples: 10, Shards: 1,
 		Owned: []OwnedShard{{Index: 0, Bounds: relation.ShardBounds{
-			Centroid: []float64{0, 0}, Radius: 1, Min: []float64{-1, -1}, Max: []float64{1, 1}, MaxScore: 1, Tuples: 10,
+			Min: []float64{-1, -1}, Max: []float64{1, 1}, MaxScore: 1, Tuples: 10,
 		}}},
 	}
 }
 
 // TestDiscoverRefusesMalformedHello: a hello is input from outside the
 // process, and discovery must refuse metadata a query would later panic
-// on — a negative shard count sizes a slice, a short centroid or corner
+// on — a negative shard count sizes a slice, a missing or short corner
 // is indexed by the query's dimension.
 func TestDiscoverRefusesMalformedHello(t *testing.T) {
 	for _, tc := range []struct {
@@ -42,13 +42,14 @@ func TestDiscoverRefusesMalformedHello(t *testing.T) {
 		ok     bool
 	}{
 		{"well formed", func(*RelationInfo) {}, true},
-		{"ball only", func(ri *RelationInfo) { ri.Owned[0].Bounds.Min, ri.Owned[0].Bounds.Max = nil, nil }, true},
+		{"no rectangle", func(ri *RelationInfo) { ri.Owned[0].Bounds.Min, ri.Owned[0].Bounds.Max = nil, nil }, false},
+		{"rectangle of dimension 3", func(ri *RelationInfo) {
+			ri.Owned[0].Bounds.Min, ri.Owned[0].Bounds.Max = []float64{-1, -1, -1}, []float64{1, 1, 1}
+		}, false},
 		{"negative shard count", func(ri *RelationInfo) { ri.Shards, ri.Owned = -3, nil }, false},
-		{"short centroid", func(ri *RelationInfo) { ri.Owned[0].Bounds.Centroid = []float64{0} }, false},
 		{"short min", func(ri *RelationInfo) { ri.Owned[0].Bounds.Min = []float64{-1} }, false},
 		{"short max", func(ri *RelationInfo) { ri.Owned[0].Bounds.Max = []float64{1} }, false},
 		{"min without max", func(ri *RelationInfo) { ri.Owned[0].Bounds.Max = nil }, false},
-		{"negative radius", func(ri *RelationInfo) { ri.Owned[0].Bounds.Radius = -1 }, false},
 		{"owned shard out of range", func(ri *RelationInfo) { ri.Owned[0].Index = 1 }, false},
 		{"zero dimensions", func(ri *RelationInfo) { ri.Dim = 0 }, false},
 		{"no max score", func(ri *RelationInfo) { ri.MaxScore = 0 }, false},
@@ -84,13 +85,13 @@ func FuzzHelloDecode(f *testing.F) {
 	}
 	seed(func(*RelationInfo) {})
 	seed(func(ri *RelationInfo) { ri.Shards, ri.Owned = -3, nil })
-	seed(func(ri *RelationInfo) { ri.Owned[0].Bounds.Centroid = []float64{0} })
+	seed(func(ri *RelationInfo) { ri.Owned[0].Bounds.Min, ri.Owned[0].Bounds.Max = nil, nil })
 	seed(func(ri *RelationInfo) { ri.Owned[0].Bounds.Min = []float64{-1} })
-	// A ball past the largest float: the distance and the slackened radius
-	// both overflow.
+	// A rectangle at the largest float: its squared distance from the
+	// origin overflows.
 	seed(func(ri *RelationInfo) {
 		b := &ri.Owned[0].Bounds
-		b.Centroid, b.Radius, b.Min, b.Max = []float64{math.MaxFloat64, 0}, math.MaxFloat64, nil, nil
+		b.Min, b.Max = []float64{math.MaxFloat64, 0}, []float64{math.MaxFloat64, 0}
 	})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var resp Response

@@ -688,7 +688,7 @@ func TestDeadPeerCleanError(t *testing.T) {
 	rr := &RemoteRelation{
 		Name: "pts", MaxScore: 1.0, Dim: 2, Tuples: 10, Shards: 1,
 		Owners: map[int][]*Peer{0: {peer}},
-		Bounds: map[int]relation.ShardBounds{0: {Centroid: []float64{0, 0}, Radius: 1, MaxScore: 1, Tuples: 10}},
+		Bounds: map[int]relation.ShardBounds{0: {Min: []float64{-1, -1}, Max: []float64{1, 1}, MaxScore: 1, Tuples: 10}},
 	}
 	rs, err := OpenRemoteShard(context.Background(), stub, rr, 0, api.AccessScore, nil, 0)
 	if err != nil {
@@ -737,9 +737,9 @@ func (b skewedBackend) Hello() HelloInfo {
 }
 
 // TestDiscoverRejectsRectangleDisagreement: two owners of one shard that
-// agree on its ball and differ on its rectangle must fail discovery — the
-// coordinator prunes by the rectangle, so merging them would prune by
-// whichever replica answered hello last.
+// agree on its size and max score and differ on its rectangle must fail
+// discovery — the coordinator prunes by the rectangle, so merging them
+// would prune by whichever replica answered hello last.
 func TestDiscoverRejectsRectangleDisagreement(t *testing.T) {
 	s, err := relation.Partition(testRelation(t, "pts", 5, 40, 2), 2, relation.GridPartition)
 	if err != nil {

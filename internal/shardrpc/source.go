@@ -106,14 +106,7 @@ func OpenRemoteShards(ctx context.Context, parent *relation.Relation, rr *Remote
 		if !ok {
 			return nil, fmt.Errorf("shardrpc: no bounds for shard %d of relation %q", s, rr.Name)
 		}
-		if kind == relation.ScoreAccess {
-			// Score streams ascend in key −score; the shard's true σ_max
-			// gives the exact first key. No slack needed: the bound is a
-			// recorded minimum, not derived arithmetic.
-			bound = min(bound, -bounds.MaxScore)
-		} else {
-			bound = min(bound, bounds.Dist2LowerBound(query))
-		}
+		bound = min(bound, bounds.KeyLowerBound(kind, query))
 	}
 	ramp := batch <= 0
 	if ramp {
