@@ -3,7 +3,7 @@
 // snapshot (`proxbench -core-out`) measure exactly the same workloads:
 // batch TopK (tight and corner bounds), incremental session Next, a
 // sharded-merge query over per-shard R-trees, the R-tree distance stream
-// itself, top-20s over prefixes hundreds (distance) and a thousand (score
+// itself and the scan that replaces it from dimension 8, top-20s over prefixes hundreds (distance) and a thousand (score
 // access) tuples deep, and the grid partitioning of one relation. The
 // JSON snapshot is the perf trajectory record — regenerate it on the same
 // class of hardware before claiming a win or a regression (see
@@ -40,6 +40,7 @@ func Specs() []Spec {
 		{Name: "ShardedMerge", Bench: BenchShardedMerge},
 		{Name: "RTreeOpenFirst", Bench: BenchRTreeOpenFirst},
 		{Name: "RTreePrefix100", Bench: BenchRTreePrefix100},
+		{Name: "ScanPrefix165", Bench: BenchScanPrefix165},
 		{Name: "FormationDeep", Bench: BenchFormationDeep},
 		{Name: "ScoreDeep", Bench: BenchScoreDeep},
 		{Name: "PartitionGrid", Bench: BenchPartitionGrid},
@@ -84,6 +85,10 @@ var (
 	rtreeOnce    sync.Once
 	rtreeIndexes []*proxrank.ShardedRelation // one shard per relation
 	rtreeQueries []proxrank.Vector
+
+	scanOnce    sync.Once
+	scanShard   *proxrank.ShardedRelation // one dim-8 shard
+	scanQueries []proxrank.Vector
 )
 
 func batchSetup() ([]*proxrank.Relation, proxrank.Vector) {
@@ -246,6 +251,60 @@ func BenchRTreeOpenFirst(b *testing.B) { benchRTreePrefix(b, 1) }
 // BenchRTreePrefix100 is the steady-state step: open and pull 100 tuples,
 // a typical depth for one relation of a top-10 query.
 func BenchRTreePrefix100(b *testing.B) { benchRTreePrefix(b, 100) }
+
+// scanSetup is one 7 500-tuple dim-8 shard of Gaussian vectors, the shard
+// size of a 30 000-tuple relation in four, and 64 Gaussian queries.
+func scanSetup() (*proxrank.ShardedRelation, []proxrank.Vector) {
+	scanOnce.Do(func() {
+		r := rand.New(rand.NewSource(13))
+		gauss := func() proxrank.Vector {
+			v := make(proxrank.Vector, 8)
+			for c := range v {
+				v[c] = r.NormFloat64()
+			}
+			return v
+		}
+		tuples := make([]proxrank.Tuple, 7500)
+		for i := range tuples {
+			tuples[i] = proxrank.Tuple{ID: fmt.Sprintf("s%d", i), Score: 0.01 + 0.99*r.Float64(), Vec: gauss()}
+		}
+		rel, err := proxrank.NewRelation("scan", 1, tuples)
+		if err != nil {
+			panic(err)
+		}
+		if scanShard, err = proxrank.NewShardedRelation(rel, 1, proxrank.GridPartition); err != nil {
+			panic(err)
+		}
+		scanQueries = make([]proxrank.Vector, 64)
+		for i := range scanQueries {
+			scanQueries[i] = gauss()
+		}
+	})
+	return scanShard, scanQueries
+}
+
+// BenchScanPrefix165 is a distance stream from dimension 8, where a shard
+// scans its columns instead of traversing an R-tree: open one 7 500-tuple
+// shard's stream, pull 165 tuples and close it, one query after another.
+// A closed scan hands its key buffers to the next open, so what is left
+// is the stream itself.
+func BenchScanPrefix165(b *testing.B) {
+	ix, queries := scanSetup()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := proxrank.OpenSource(ix, proxrank.DistanceAccess, queries[i%len(queries)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 165; j++ {
+			if _, err := src.Next(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		src.(interface{ Close() }).Close()
+	}
+}
 
 // BenchFormationDeep is the proxserve benchmark's single_engine shape as a
 // library call: top-20 (TBPA, then CBRR on every third query) over

@@ -19,8 +19,10 @@ import (
 // A shard's storage order IS the canonical score-access order — scores
 // non-increasing, ties by ascending parent ordinal — so its score stream
 // is a cursor, not a sort, that reads the columns front to back. A
-// distance stream reads them only for a tuple's ID, score and attributes:
-// its vectors are views of the shard's R-tree leaf slab.
+// distance stream below dimension 8 reads them only for a tuple's ID,
+// score and attributes: its vectors are views of the shard's R-tree leaf
+// slab. From dimension 8 it scans them (VecSlab), and its vectors are the
+// columns' own views.
 type Columns interface {
 	// Len returns the shard's tuple count.
 	Len() int
@@ -33,6 +35,10 @@ type Columns interface {
 	Vec(i int) vec.Vector
 	// Ordinal returns the i-th tuple's ordinal in the parent relation.
 	Ordinal(i int) int
+	// VecSlab returns every vector in storage order as one slab, vector i
+	// at dim·i, read-only; or nil when the vectors are not stored in one
+	// (a plain relation's). A scan reads it in one pass.
+	VecSlab() []float64
 }
 
 // heapColumns is the heap-resident Columns, laid out in canonical score
@@ -73,6 +79,8 @@ func (c *heapColumns) Vec(i int) vec.Vector {
 }
 
 func (c *heapColumns) Ordinal(i int) int { return int(c.ords[i]) }
+
+func (c *heapColumns) VecSlab() []float64 { return c.vecs[:len(c.vecs):len(c.vecs)] }
 
 // scoreOrdered copies the tuples of r that group names (by parent
 // ordinal) into canonical score order.
@@ -122,9 +130,10 @@ func (c *storageOrder) Len() int             { return len(c.tuples) }
 func (c *storageOrder) Tuple(i int) Tuple    { return c.tuples[i] }
 func (c *storageOrder) Vec(i int) vec.Vector { return c.tuples[i].Vec }
 func (c *storageOrder) Ordinal(i int) int    { return i }
+func (c *storageOrder) VecSlab() []float64   { return nil }
 
 // shard is one piece of a partitioned relation: its storage, the bounds
-// it advertises, and its R-tree. rel carries the shard's name, σ_max and
+// it advertises, and, below dimension 8, its R-tree. rel carries the shard's name, σ_max and
 // dimensionality to the streams opened over it; it is the caller's own
 // relation when the shard is the whole of it, a metadata stub otherwise.
 type shard struct {
@@ -140,7 +149,8 @@ type shard struct {
 // vector in leaf order (8·dim bytes a tuple) plus about a sixteenth of
 // that again in inner boxes. sync.Once makes the build safe under
 // concurrent first queries. Partition forces the build, so a registered
-// heap relation never pays it on a query.
+// heap relation never pays it on a query. A shard of dimension 8 or more
+// scans instead (scanMinDim) and never builds one.
 type lazyRTree struct {
 	once sync.Once
 	tree *rtree.Tree[int32]
@@ -170,7 +180,8 @@ func (sh *shard) rtree() *rtree.Tree[int32] {
 // order is a cursor over the columns; a distance order is an incremental
 // R-tree traversal when the shard owns a tree (useRTree: true from
 // Sharded, false from a plain relation, whose tree would be built and
-// thrown away per call), and a full sort otherwise.
+// thrown away per call) below dimension scanMinDim, and a scan of the
+// columns otherwise.
 func (sh *shard) open(kind AccessKind, q vec.Vector, useRTree bool) (KeyedSource, error) {
 	if kind == ScoreAccess {
 		return &colScoreSource{rel: sh.rel, cols: sh.cols}, nil
@@ -178,37 +189,21 @@ func (sh *shard) open(kind AccessKind, q vec.Vector, useRTree bool) (KeyedSource
 	if q.Dim() != sh.rel.dim {
 		return nil, fmt.Errorf("relation %q: query dim %d, want %d", sh.rel.Name, q.Dim(), sh.rel.dim)
 	}
-	if useRTree {
+	if useRTree && sh.rel.dim < scanMinDim {
 		tree := sh.rtree()
 		return &rtreeSource{rel: sh.rel, cols: sh.cols, tree: tree, it: tree.NearestNeighbors(q)}, nil
 	}
-	return sh.sortedSource(q), nil
-}
-
-// sortedSource materializes the shard's distance order: keys sorted once,
-// tuples gathered once in final order. Per query O(n log n); the R-tree
-// route is the scalable one.
-func (sh *shard) sortedSource(q vec.Vector) *sliceSource {
-	n := sh.cols.Len()
-	ks := make([]sortKey, n)
-	for j := range ks {
-		ks[j] = sortKey{key: sh.cols.Vec(j).Dist2(q), ord: sh.cols.Ordinal(j), idx: j}
-	}
-	sortKeys(ks)
-	src := &sliceSource{rel: sh.rel, ord: make([]Tuple, n), keys: make([]float64, n), ords: make([]int, n)}
-	for j, k := range ks {
-		src.ord[j], src.keys[j], src.ords[j] = sh.cols.Tuple(k.idx), k.key, k.ord
-	}
-	return src
+	return newScanSource(sh.rel, sh.cols, q), nil
 }
 
 // autoShardTarget is the tuples-per-shard the admission heuristic aims
 // for: small enough that a shard's R-tree builds in milliseconds (measured
-// on a 2-CPU container: ≈ 3 ms of bulk load for a 7 500-tuple dim-8
-// shard, and on the proxserve benchmark 2.2–3.8 ms for the first distance
-// read of such a relfile shard, page faults included) and bounding
-// metadata stays selective, large enough that the k-way merge over shard
-// heads stays shallow.
+// on a 2-CPU container: ≈ 2 ms of bulk load for a 6 667-tuple dim-4
+// shard) and a scan from dimension 8 keys a shard in well under one (60–
+// 90 µs to the first tuple of a 7 500-tuple dim-8 shard, where the tree
+// it no longer builds took ≈ 3.3 ms), and bounding metadata stays
+// selective; large enough that the k-way merge over shard heads stays
+// shallow.
 const autoShardTarget = 8192
 
 // AutoShardCount picks a shard count from a relation's size: one shard
@@ -230,7 +225,8 @@ func AutoShardCount(tuples int) int {
 // columnar storage. Unlike Partition it copies no tuples and sorts
 // nothing: each shard's storage order is already the canonical score
 // order (the loader validated it), bounds derive from the columns as
-// Partition's do, and R-trees build lazily on first distance access.
+// Partition's do, and R-trees, below dimension 8, build lazily on first
+// distance access.
 // parent is typically a metadata-only stub (NewStub) — the engine
 // reconstructs emitted tuples from its own pulled prefixes, never from
 // the parent's tuple storage, which is what lets a loaded relation's

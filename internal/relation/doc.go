@@ -22,14 +22,18 @@
 //     vector slab, int32 ordinals, attributes apart) or over a mapped
 //     file (AssembleSharded, internal/relfile). A plain relation reads
 //     as one shard in its own storage order. A streamed tuple's Vec may
-//     alias the columns or a shard R-tree's leaf slab, and is read-only.
+//     alias the columns (a mapping, on a relfile) or a shard R-tree's
+//     leaf slab, and is read-only.
 //   - OpenSource, shard.open (input.go, columnar.go): OpenSource is the
 //     one way to open a stream, and a shard's open the one place an
-//     access path is chosen, from the input, never from an option — a
-//     cursor over the columns for score access; for distance access an
-//     incremental traversal of the R-trees a Sharded owns (from Partition
-//     or a relfile), and a full sort for a plain Relation. An index built
-//     once over a whole relation is a one-shard Partition.
+//     access path is chosen, from the input and its dimension, never
+//     from an option — a cursor over the columns for score access; for
+//     distance access an incremental traversal of the R-trees a Sharded
+//     owns below dimension 8 (from Partition or a relfile), and the scan
+//     (scan.go) for a plain Relation and for every shard from dimension
+//     8: one pass keys every tuple, then rounds of growing size sort the
+//     keys up to a sampled bound. An index built once over a whole
+//     relation is a one-shard Partition.
 //   - Partition, Sharded, OpenShardSet, MergedSource: hash or grid
 //     partitioning, parallel per-shard builds, and the ordinal-aware
 //     merge that restores the canonical order across shard streams.

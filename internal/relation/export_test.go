@@ -7,6 +7,7 @@ import "repro/internal/rtree"
 var (
 	TieRelation  = tieRelation
 	Dim8Relation = dim8Relation
+	Dim4Relation = dim4Relation
 )
 
 // ShardTree is shard i's R-tree, built on first use as a distance stream

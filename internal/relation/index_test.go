@@ -50,7 +50,7 @@ func mustOpen(t testing.TB, in Input, kind AccessKind, q vec.Vector) Source {
 
 // TestOneShardSharedTraversals runs many concurrent traversals over one
 // shared one-shard partition, each opened through OpenSource, and checks
-// each against the plain relation's full-sort stream for the same query:
+// each against the plain relation's scan for the same query:
 // the same tuples in the same order, score and distance bits and
 // ordinals included.
 func TestOneShardSharedTraversals(t *testing.T) {
@@ -85,7 +85,7 @@ func TestOneShardSharedTraversals(t *testing.T) {
 				return
 			}
 			if err := sameKeyedStream(src, want); err != nil {
-				t.Errorf("query %v: one-shard R-tree vs full sort: %v", q, err)
+				t.Errorf("query %v: one-shard R-tree vs scan: %v", q, err)
 			}
 		}(q)
 	}

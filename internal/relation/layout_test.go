@@ -88,12 +88,11 @@ func TestHeapColumnsLayout(t *testing.T) {
 	}
 }
 
-// TestRTreeStreamVecIsTreeView: every tuple a shard's R-tree stream emits
-// carries a vector bit-equal to its column's, as a view of the tree's
-// leaf slab — not of the columns, so on a relfile shard it does not alias
-// the mapping.
-func TestRTreeStreamVecIsTreeView(t *testing.T) {
-	ram, err := relation.Partition(relation.Dim8Relation(t, 7, 900), 3, relation.GridPartition)
+// ramAndRelfile partitions rel into 3 grid shards and maps the same
+// shards back from a relfile written to a temporary directory.
+func ramAndRelfile(t *testing.T, rel *relation.Relation) map[string]*relation.Sharded {
+	t.Helper()
+	ram, err := relation.Partition(rel, 3, relation.GridPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +104,22 @@ func TestRTreeStreamVecIsTreeView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	mapped, err := f.Load("dim8")
+	t.Cleanup(func() { f.Close() })
+	mapped, err := f.Load(rel.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := vec.Of(0.5, -0.25, 1, 0, 0.75, -1, 0.125, 2)
+	return map[string]*relation.Sharded{"ram": ram, "relfile": mapped}
+}
+
+// TestRTreeStreamVecIsTreeView: every tuple a dim-4 shard's R-tree stream
+// emits carries a vector bit-equal to its column's, as a view of the
+// tree's leaf slab — not of the columns, so on a relfile shard it does
+// not alias the mapping.
+func TestRTreeStreamVecIsTreeView(t *testing.T) {
+	q := vec.Of(0.5, -0.25, 1, 0)
 	dim := q.Dim()
-	for name, s := range map[string]*relation.Sharded{"ram": ram, "relfile": mapped} {
+	for name, s := range ramAndRelfile(t, relation.Dim4Relation(t, 7, 900)) {
 		for i := 0; i < s.NumShards(); i++ {
 			cols := s.ShardColumns(i)
 			idx := make(map[int]int, cols.Len())
@@ -143,6 +150,53 @@ func TestRTreeStreamVecIsTreeView(t *testing.T) {
 				}
 				if p := addr(tu.Vec); p < treeLo || p >= treeHi || p >= colsLo && p < colsHi {
 					t.Fatalf("%s shard %d: %s's vector is not a view of the tree slab", name, i, tu.ID)
+				}
+				if cap(tu.Vec) != dim {
+					t.Fatalf("%s shard %d: %s's vector has capacity %d, want %d", name, i, tu.ID, cap(tu.Vec), dim)
+				}
+			}
+		}
+	}
+}
+
+// TestScanStreamVecIsColumnView is TestRTreeStreamVecIsTreeView at dim 8,
+// where a shard scans: every tuple a distance stream emits carries its
+// column's own view — a view of the heap slab, or on a relfile shard of
+// the mapping, which is never unmapped on the serving path — with its
+// capacity clipped to the vector.
+func TestScanStreamVecIsColumnView(t *testing.T) {
+	q := vec.Of(0.5, -0.25, 1, 0, 0.75, -1, 0.125, 2)
+	dim := q.Dim()
+	for name, s := range ramAndRelfile(t, relation.Dim8Relation(t, 7, 900)) {
+		for i := 0; i < s.NumShards(); i++ {
+			cols := s.ShardColumns(i)
+			idx := make(map[int]int, cols.Len())
+			for j := 0; j < cols.Len(); j++ {
+				idx[cols.Ordinal(j)] = j
+			}
+			slab := cols.VecSlab()
+			if len(slab) != dim*cols.Len() || addr(slab) != addr(cols.Vec(0)) {
+				t.Fatalf("%s shard %d: VecSlab holds %d floats at %#x, want %d at vector 0's %#x",
+					name, i, len(slab), addr(slab), dim*cols.Len(), addr(cols.Vec(0)))
+			}
+			src, err := s.ShardSource(i, relation.DistanceAccess, q, nil, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyed := src.(relation.KeyedSource)
+			for n := 0; ; n++ {
+				tu, _, ord, err := keyed.NextKeyed()
+				if errors.Is(err, relation.ErrExhausted) {
+					if n != cols.Len() {
+						t.Fatalf("%s shard %d: %d tuples streamed, want %d", name, i, n, cols.Len())
+					}
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := cols.Vec(idx[ord]); addr(tu.Vec) != addr(want) {
+					t.Fatalf("%s shard %d: %s's vector is not its column's view", name, i, tu.ID)
 				}
 				if cap(tu.Vec) != dim {
 					t.Fatalf("%s shard %d: %s's vector has capacity %d, want %d", name, i, tu.ID, cap(tu.Vec), dim)

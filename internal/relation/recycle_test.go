@@ -46,7 +46,7 @@ func recycleFixture(t *testing.T) (plain []*proxrank.Relation, sharded []proxran
 // queries over shared sharded inputs; each Run ends in Query.Close, which
 // hands the six traversal queues of its merged R-tree streams to whoever
 // opens next, so nearly every traversal runs on a queue another query left
-// behind — and every answer still equals the full-sort path's, score bits
+// behind — and every answer still equals the plain relations' scan, score bits
 // and depths included. Under -race this is the check that a queue handed
 // back through Close has one owner. An open session does the same at its
 // own Close and is over afterwards; a session nobody closes hands nothing

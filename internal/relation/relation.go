@@ -204,43 +204,14 @@ type BoundedSource interface {
 	KeyLowerBound() float64
 }
 
-// sliceSource streams one shard's tuples in a materialized distance order
-// (see shard.sortedSource).
-type sliceSource struct {
-	rel  *Relation
-	ord  []Tuple
-	keys []float64 // ascending merge key per position
-	ords []int     // parent-relation ordinal per position
-	pos  int
-}
-
-func (s *sliceSource) Next() (Tuple, error) {
-	t, _, _, err := s.NextKeyed()
-	return t, err
-}
-
-// NextKeyed implements KeyedSource.
-func (s *sliceSource) NextKeyed() (Tuple, float64, int, error) {
-	if s.pos >= len(s.ord) {
-		return Tuple{}, 0, 0, ErrExhausted
-	}
-	i := s.pos
-	s.pos++
-	return s.ord[i], s.keys[i], s.ords[i], nil
-}
-
-func (s *sliceSource) Kind() AccessKind    { return DistanceAccess }
-func (s *sliceSource) Relation() *Relation { return s.rel }
-
-// sortKey is the sort unit of every materialized access order: a tuple's
-// ascending merge key, the parent-relation ordinal that breaks key ties,
-// and the tuple's storage index. Pointer-free, so sorting moves 24 bytes
-// an element past the garbage collector's write barriers; the tuples are
-// gathered once, in final order.
+// sortKey is the sort unit of a materialized score order: a tuple's
+// ascending merge key and the parent-relation ordinal that breaks key
+// ties. Pointer-free, so sorting moves 16 bytes an element past the
+// garbage collector's write barriers; the tuples are gathered once, in
+// final order.
 type sortKey struct {
 	key float64
 	ord int
-	idx int
 }
 
 // sortKeys orders by (key, ordinal) ascending. Ordinals are unique within
@@ -262,17 +233,18 @@ func sortKeys(ks []sortKey) {
 	})
 }
 
-// rtreeSource serves distance-based access through an R-tree's incremental
-// nearest-neighbor traversal, so no global sort is ever materialized. A
-// tuple's Vec is a view of the tree's leaf slab, the memory the traversal
-// just read its distance from, never the shard's columns: on a relfile
-// shard, a distance stream's vectors do not alias the mapping.
+// rtreeSource serves distance-based access below dimension 8 through an
+// R-tree's incremental nearest-neighbor traversal, so no global sort is
+// ever materialized. A tuple's Vec is a view of the tree's leaf slab, the
+// memory the traversal just read its distance from, never the shard's
+// columns: on a relfile shard of dimension below 8, a distance stream's
+// vectors do not alias the mapping (a scan's do, see scanSource).
 //
 // The raw traversal breaks exact-distance ties by heap insertion order,
 // which depends on tree structure. rtreeSource re-orders each run of
 // equal squared distances by parent ordinal instead, so that every
-// distance source — full sort, one shard's R-tree, or merged shard
-// R-trees — emits one canonical (squared distance, ordinal) sequence.
+// distance source — a scan, one shard's R-tree, or merged shard streams —
+// emits one canonical (squared distance, ordinal) sequence.
 type rtreeSource struct {
 	rel     *Relation
 	cols    Columns

@@ -35,13 +35,22 @@ func columnsTwin(t testing.TB, ram *Sharded) *Sharded {
 
 // dim8Relation mixes Gaussian vectors with a coarse grid and exact
 // duplicates, so a dim-8 stream has both long untied stretches and
-// exact-distance tie runs.
+// exact-distance tie runs. From dimension 8 a shard scans; dim4Relation
+// is the same mix at dimension 4, where a shard streams its R-tree.
 func dim8Relation(t testing.TB, seed int64, size int) *Relation {
+	return mixedRelation(t, 8, seed, size)
+}
+
+func dim4Relation(t testing.TB, seed int64, size int) *Relation {
+	return mixedRelation(t, 4, seed, size)
+}
+
+func mixedRelation(t testing.TB, dim int, seed int64, size int) *Relation {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	tuples := make([]Tuple, size)
 	for i := range tuples {
-		v := vec.New(8)
+		v := vec.New(dim)
 		switch {
 		case i > 0 && i%9 == 0:
 			v = tuples[r.Intn(i)].Vec
@@ -56,7 +65,7 @@ func dim8Relation(t testing.TB, seed int64, size int) *Relation {
 		}
 		tuples[i] = Tuple{ID: fmt.Sprintf("t%04d", i), Score: 0.1 + 0.1*float64(r.Intn(9)), Vec: v}
 	}
-	rel, err := New("dim8", 1.0, tuples)
+	rel, err := New(fmt.Sprintf("dim%d", dim), 1.0, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,74 +106,88 @@ func sameKeyedStream(got, want Source) error {
 	}
 }
 
-// TestConcurrentRTreeStreamsMatchSorted: at dim 8, every shard's R-tree
-// stream — over a Partition product and over its AssembleSharded twin —
-// equals the full-sort stream element for element, key bits and ordinals
-// included, and so do the merged streams. Eight goroutines traverse the
-// same shared (and, on the twin's side, lazily built) indexes at once, so
-// under -race this is also the shared-read-only-tree check.
+// TestConcurrentRTreeStreamsMatchSorted: at dims 4 (R-tree) and 8
+// (scan), every shard's distance stream — over a Partition product and
+// over its AssembleSharded twin — equals the oracle's full sort element
+// for element, key bits and ordinals included, and so do the merged
+// streams. Eight goroutines read the same shared columns and (at dim 4,
+// on the twin's side lazily built) indexes at once, so under -race this
+// is also the shared-read-only check of both paths.
 func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
-	rel := dim8Relation(t, 5, 3000)
-	ram, err := Partition(rel, 3, GridPartition)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := columnsTwin(t, ram)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(g)))
-			q := vec.New(8)
-			for c := range q {
-				q[c] = r.NormFloat64()
-			}
-			if g%2 == 0 {
-				q = rel.At(r.Intn(rel.Len())).Vec // coincident with a tuple
-			}
-			open := func(s *Sharded, i int, useRTree bool) Source {
-				src, err := s.ShardSource(i, DistanceAccess, q, nil, useRTree)
+	for _, dim := range []int{4, 8} {
+		rel := mixedRelation(t, dim, 5, 3000)
+		ram, err := Partition(rel, 3, GridPartition)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := columnsTwin(t, ram)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(g)))
+				q := vec.New(dim)
+				for c := range q {
+					q[c] = r.NormFloat64()
+				}
+				if g%2 == 0 {
+					q = rel.At(r.Intn(rel.Len())).Vec // coincident with a tuple
+				}
+				for i := 0; i < ram.NumShards(); i++ {
+					for name, s := range map[string]*Sharded{"Partition": ram, "twin": cols} {
+						src, err := s.ShardSource(i, DistanceAccess, q, nil, true)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if err := sameKeyedStream(src, sortedShard(ram, i, q)); err != nil {
+							t.Errorf("dim %d query %d shard %d, %s stream vs sort: %v", dim, g, i, name, err)
+						}
+					}
+				}
+				merged, err := OpenSource(cols, DistanceAccess, q)
 				if err != nil {
 					t.Error(err)
+					return
 				}
-				return src
-			}
-			for i := 0; i < ram.NumShards(); i++ {
-				if err := sameKeyedStream(open(ram, i, true), open(ram, i, false)); err != nil {
-					t.Errorf("query %d shard %d, Partition R-tree vs sort: %v", g, i, err)
+				sorted, err := mergedSorted(ram, q)
+				if err != nil {
+					t.Error(err)
+					return
 				}
-				if err := sameKeyedStream(open(cols, i, true), open(ram, i, false)); err != nil {
-					t.Errorf("query %d shard %d, twin R-tree vs sort: %v", g, i, err)
+				if err := sameKeyedStream(merged, sorted); err != nil {
+					t.Errorf("dim %d query %d, merged twin streams vs merged sorts: %v", dim, g, err)
 				}
-			}
-			merged, err := OpenSource(cols, DistanceAccess, q)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			sorted, err := mergedSorted(ram, q)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := sameKeyedStream(merged, sorted); err != nil {
-				t.Errorf("query %d, merged twin R-trees vs merged sorts: %v", g, err)
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestReleasedRTreeStreamsRecycle: what a shard server does to its
-// connections' streams. Four goroutines open a shard's R-tree stream, read
-// a prefix (stopping inside a tie run as often as not), release it and
-// open the next, so every traversal after the first few runs on a queue
-// some other query left behind — and each prefix still equals the full-sort
-// stream's, key bits and ordinals included. A released stream is over.
-// Under -race this is the check that a recycled queue has one owner.
+// connections' streams. Four goroutines open a dim-4 shard's R-tree
+// stream, read a prefix (stopping inside a tie run as often as not),
+// release it and open the next, so every traversal after the first few
+// runs on a queue some other query left behind — and each prefix still
+// equals the full sort's, key bits and ordinals included. A released
+// stream is over. Under -race this is the check that a recycled queue has
+// one owner.
 func TestReleasedRTreeStreamsRecycle(t *testing.T) {
-	rel := dim8Relation(t, 6, 2000)
+	releasedStreamsRecycle[*rtreeSource](t, dim4Relation(t, 6, 2000))
+}
+
+// TestReleasedScanStreamsRecycle is TestReleasedRTreeStreamsRecycle at
+// dim 8, where every stream is a scan on key buffers some other stream
+// closed.
+func TestReleasedScanStreamsRecycle(t *testing.T) {
+	releasedStreamsRecycle[*scanSource](t, dim8Relation(t, 6, 2000))
+}
+
+func releasedStreamsRecycle[S interface {
+	KeyedSource
+	Closer
+}](t *testing.T, rel *Relation) {
 	s, err := Partition(rel, 3, GridPartition)
 	if err != nil {
 		t.Fatal(err)
@@ -178,15 +201,16 @@ func TestReleasedRTreeStreamsRecycle(t *testing.T) {
 			for round := 0; round < 60; round++ {
 				q := rel.At(r.Intn(rel.Len())).Vec
 				shard, depth := r.Intn(s.NumShards()), 1+r.Intn(200)
-				got, err := s.ShardSource(shard, DistanceAccess, q, nil, true)
+				src, err := s.ShardSource(shard, DistanceAccess, q, nil, true)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				want, _ := s.ShardSource(shard, DistanceAccess, q, nil, false)
+				got := src.(S)
+				want := sortedShard(s, shard, q)
 				for i := 0; i < depth; i++ {
-					gt, gk, go_, gerr := pullKeyed(got)
-					wt, wk, wo, werr := pullKeyed(want)
+					gt, gk, go_, gerr := got.NextKeyed()
+					wt, wk, wo, werr := want.NextKeyed()
 					if gerr != nil || werr != nil {
 						if !errors.Is(gerr, ErrExhausted) || !errors.Is(werr, ErrExhausted) {
 							t.Errorf("goroutine %d round %d rank %d: errors %v vs %v", g, round, i, gerr, werr)
@@ -194,12 +218,12 @@ func TestReleasedRTreeStreamsRecycle(t *testing.T) {
 						break
 					}
 					if gt.ID != wt.ID || math.Float64bits(gk) != math.Float64bits(wk) || go_ != wo {
-						t.Errorf("goroutine %d round %d rank %d: (%s, %v, %d) on a recycled queue, (%s, %v, %d) sorted",
+						t.Errorf("goroutine %d round %d rank %d: (%s, %v, %d) on recycled buffers, (%s, %v, %d) sorted",
 							g, round, i, gt.ID, gk, go_, wt.ID, wk, wo)
 						return
 					}
 				}
-				got.(*rtreeSource).Close()
+				got.Close()
 				if _, err := got.Next(); !errors.Is(err, ErrExhausted) {
 					t.Errorf("goroutine %d round %d: read after Close: %v", g, round, err)
 				}
@@ -210,20 +234,23 @@ func TestReleasedRTreeStreamsRecycle(t *testing.T) {
 }
 
 // TestRTreeSourceDrainDoesNotAllocate pins the per-pull cost of a warmed
-// R-tree stream at zero allocations, over a Partition product and its
-// AssembleSharded twin. The source is warmed past the traversal's peak so
-// the iterator's heap has stopped growing; what is left is the tie-run
-// buffer, which must be reused rather than re-sliced away.
+// dim-4 R-tree stream at zero allocations, over a Partition product and
+// its AssembleSharded twin. The source is warmed past the traversal's
+// peak so the iterator's heap has stopped growing; what is left is the
+// tie-run buffer, which must be reused rather than re-sliced away.
 func TestRTreeSourceDrainDoesNotAllocate(t *testing.T) {
-	rel := dim8Relation(t, 9, 1000)
+	rel := dim4Relation(t, 9, 1000)
 	ram, err := Partition(rel, 1, HashPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
-		src, err := s.ShardSource(0, DistanceAccess, vec.New(8), nil, true)
+		src, err := s.ShardSource(0, DistanceAccess, vec.New(4), nil, true)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, ok := src.(*rtreeSource); !ok {
+			t.Fatalf("%s: a dim-4 shard streams %T, want its R-tree", name, src)
 		}
 		drain := func(n int) {
 			for i := 0; i < n; i++ {
@@ -237,6 +264,50 @@ func TestRTreeSourceDrainDoesNotAllocate(t *testing.T) {
 		// measure: two drains of 200, ending exactly at the last tuple.
 		if allocs := testing.AllocsPerRun(1, func() { drain(200) }); allocs != 0 {
 			t.Errorf("%s: a 200-tuple drain of a warmed source allocates %v times", name, allocs)
+		}
+	}
+}
+
+// TestScanSourceDrainDoesNotAllocate: once the pool holds key buffers as
+// large as the shard's, a dim-8 scan stream allocates only itself at open
+// and nothing to key, sort and emit every tuple, over a Partition product
+// and its AssembleSharded twin. The race detector's pool drops buffers at
+// random, so the count is checked without it.
+func TestScanSourceDrainDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rel := dim8Relation(t, 9, 1000)
+	ram, err := Partition(rel, 1, HashPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := rel.At(17).Vec
+	for name, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
+		open := func() *scanSource {
+			src, err := s.ShardSource(0, DistanceAccess, q, nil, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src.(*scanSource)
+		}
+		drain := func() {
+			src := open()
+			for n := 0; ; n++ {
+				if _, err := src.Next(); errors.Is(err, ErrExhausted) {
+					if n != rel.Len() {
+						t.Fatalf("%s: %d tuples drained, want %d", name, n, rel.Len())
+					}
+					break
+				} else if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			src.Close()
+		}
+		drain()
+		if allocs := testing.AllocsPerRun(10, drain); allocs != 1 {
+			t.Errorf("%s: open, drain and close of a warmed scan allocate %v times, want 1 (the stream)", name, allocs)
 		}
 	}
 }

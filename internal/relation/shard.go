@@ -131,7 +131,8 @@ func ExtendRect(lo, hi []float64, v vec.Vector) {
 }
 
 // Sharded is a relation partitioned into shards, each one Columns in
-// score order with its own R-tree, shared read-only across queries.
+// score order with, below dimension 8, its own R-tree, shared read-only
+// across queries.
 // Query-time streams are per-shard sources k-way-merged back into one
 // canonical order (see MergedSource), so a sharded relation answers
 // byte-identically to its unsharded form while bounding per-shard index
@@ -145,8 +146,8 @@ type Sharded struct {
 }
 
 // Partition splits r into at most n shards under the given strategy and
-// builds each shard's score-ordered columns, bounds and R-tree in
-// parallel. Fewer than n shards are returned when the strategy leaves
+// builds each shard's score-ordered columns, bounds and, below dimension
+// 8, R-tree in parallel. Fewer than n shards are returned when the strategy leaves
 // some empty (n exceeding the tuple count, or hash skew). A sole shard
 // serves r itself: ShardRelation(0) is r, untouched.
 func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error) {
@@ -197,7 +198,9 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 			defer wg.Done()
 			sh.cols = scoreOrdered(r, g)
 			sh.bounds = boundsOf(sh.cols)
-			sh.rtree()
+			if r.dim < scanMinDim {
+				sh.rtree()
+			}
 		}(g)
 	}
 	wg.Wait()
@@ -355,9 +358,10 @@ func (s *Sharded) ShardBounds(i int) ShardBounds { return s.shards[i].bounds }
 
 // ShardSource opens the ordered stream of shard i for one access
 // configuration. The streams of all shards under one configuration merge
-// back into the canonical relation order via Merge. useRTree false sorts
+// back into the canonical relation order via Merge. useRTree false scans
 // the shard instead of traversing its R-tree — same stream, and no caller
-// outside the tests asks for it (OpenSource never does). The distance is
+// outside the tests asks for it (OpenSource never does); from dimension 8
+// every distance stream is the scan. The distance is
 // always Euclidean: metric is ignored, and stays in the signature only
 // because the benchmark module (bench/) passes it.
 func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, _ vec.Metric, useRTree bool) (Source, error) {
@@ -473,8 +477,9 @@ func (s *Sharded) Merge(sources []Source) (Source, error) {
 	return merged, nil
 }
 
-// openSource implements Input: the shard set of every shard. Every shard
-// owns an R-tree, so that is what a distance stream reads.
+// openSource implements Input: the shard set of every shard, each
+// streaming distance order from its R-tree below dimension 8 and from a
+// scan of its columns above.
 func (s *Sharded) openSource(kind AccessKind, q vec.Vector) (Source, error) {
 	return s.OpenShardSet(s.all, kind, q)
 }

@@ -184,35 +184,31 @@ func TestMergedSourceMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// mergedSorted merges the full-sort distance streams of s's shards: the
-// plan OpenSource never picks for a sharded input, whose shards own
-// R-trees, and the reference the R-tree merge is compared with.
+// mergedSorted merges the oracle's full-sort distance streams of s's
+// shards (sortedShard): the reference every merged distance stream is
+// compared with.
 func mergedSorted(s *Sharded, q vec.Vector) (Source, error) {
 	sources := make([]Source, s.NumShards())
 	for i := range sources {
-		src, err := s.ShardSource(i, DistanceAccess, q, nil, false)
-		if err != nil {
-			return nil, err
-		}
-		sources[i] = src
+		sources[i] = sortedShard(s, i, q)
 	}
 	return s.Merge(sources)
 }
 
 // TestCanonicalDistanceOrderAcrossBackends: with ordinal tie-batching,
-// the R-tree traversal and the full sort agree on one canonical
-// sequence even in the presence of exact distance ties — over the plain
-// relation, a one-shard Partition product and its AssembleSharded twin.
+// the R-tree traversal and the scan agree on one canonical sequence even
+// in the presence of exact distance ties — over the plain relation, a
+// one-shard Partition product and its AssembleSharded twin.
 func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 	rel := tieRelation(t, 23, 80, 2)
 	q := vec.Of(2, 2)
-	sorted, err := OpenSource(rel, DistanceAccess, q)
+	scan, err := OpenSource(rel, DistanceAccess, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := drain(t, sorted)
+	want := drain(t, scan)
 	ram := oneShard(t, rel)
-	sameSequence(t, "one-shard OpenSource vs sort", drain(t, mustOpen(t, ram, DistanceAccess, q)), want)
+	sameSequence(t, "one-shard OpenSource vs scan", drain(t, mustOpen(t, ram, DistanceAccess, q)), want)
 
 	for product, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
 		for _, useRTree := range []bool{true, false} {
@@ -220,7 +216,7 @@ func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameSequence(t, fmt.Sprintf("%s shard, rtree=%v, vs sort", product, useRTree), drain(t, src), want)
+			sameSequence(t, fmt.Sprintf("%s shard, rtree=%v, vs scan", product, useRTree), drain(t, src), want)
 		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 // not a file one — the same file can register under any name, like a
 // CSV). The parent relation is a metadata-only stub: no tuple is copied
 // onto the heap, score access streams the slabs in storage order, and
-// R-trees for distance access build lazily per shard on first use. The
+// distance access scans the vector slab from dimension 8 and below it
+// traverses an R-tree built lazily per shard on first use. The
 // returned relation aliases the mapping — see the package comment for
 // why the serving path never closes a File.
 func (f *File) Load(name string) (*relation.Sharded, error) {
@@ -38,9 +39,15 @@ type shardView struct {
 
 func (v *shardView) Len() int { return v.d.n }
 
+// Vec returns a view of the mapped slab, capacity clipped so an append
+// copies instead of writing past the vector.
 func (v *shardView) Vec(i int) vec.Vector {
-	return vec.Vector(v.d.vecs[i*v.dim : (i+1)*v.dim])
+	return vec.Vector(v.d.vecs[i*v.dim : (i+1)*v.dim : (i+1)*v.dim])
 }
+
+// VecSlab returns the shard's mapped vector region: what a distance scan
+// reads, so a scan stream's vectors alias the mapping.
+func (v *shardView) VecSlab() []float64 { return v.d.vecs[:len(v.d.vecs):len(v.d.vecs)] }
 
 func (v *shardView) Ordinal(i int) int { return int(v.d.ords[i]) }
 

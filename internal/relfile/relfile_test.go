@@ -311,6 +311,36 @@ func TestWriteRejectsUnencodable(t *testing.T) {
 	}
 }
 
+// TestWriteModeFollowsUmask: a written relfile has the permission bits
+// os.Create gives a file in the same directory — 0666 less the umask —
+// so a server running as another user can map what a generator wrote.
+func TestWriteModeFollowsUmask(t *testing.T) {
+	path, _ := writeTemp(t, testRelation(t, 2, 16, 2), 1, relation.GridPartition)
+	sibling, err := os.Create(filepath.Join(filepath.Dir(path), "sibling"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling.Close()
+	var perm [2]os.FileMode
+	for i, p := range []string{path, sibling.Name()} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm[i] = st.Mode().Perm()
+	}
+	if perm[0] != perm[1] {
+		t.Fatalf("relfile written %v, os.Create makes %v", perm[0], perm[1])
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("directory holds %d entries after Write, want the relfile and the sibling", len(entries))
+	}
+}
+
 // reseal recomputes the directory and header checksums after a test
 // mutated file bytes, so the corruption under test is the only
 // inconsistency left.

@@ -3,11 +3,13 @@ package relfile
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math"
+	"math/rand/v2"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/relation"
@@ -86,7 +88,7 @@ func Write(path string, s *relation.Sharded) error {
 	binary.LittleEndian.PutUint32(hdr[56:60], crc32.Checksum(dir, castagnoli))
 	binary.LittleEndian.PutUint32(hdr[60:64], crc32.Checksum(hdr[0:60], castagnoli))
 
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	tmp, err := createBeside(path)
 	if err != nil {
 		return fmt.Errorf("relfile: %w", err)
 	}
@@ -132,6 +134,19 @@ func Write(path string, s *relation.Sharded) error {
 		return fmt.Errorf("relfile: %w", err)
 	}
 	return nil
+}
+
+// createBeside creates a new file with a unique name in path's directory,
+// for Write to fill and rename into place. It asks for mode 0666 less the
+// umask, as os.Create does, where os.CreateTemp's 0600 would leave the
+// relation readable by its writer alone.
+func createBeside(path string) (*os.File, error) {
+	for try := 0; ; try++ {
+		f, err := os.OpenFile(fmt.Sprintf("%s.tmp%d", path, rand.Uint32()), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o666)
+		if !errors.Is(err, fs.ErrExist) || try == 100 {
+			return f, err
+		}
+	}
 }
 
 // encodeShard builds one shard's seven region buffers, tuples in storage

@@ -197,37 +197,10 @@ func (it *NNIterator[T]) NextEntry() (e int, dist2 float64, ok bool) {
 
 // leafDist2 fills d2 with the squared distances from q to the points
 // stored in pts (at most nodeCap of them, len(q) coordinates each) and
-// returns how many there are. Four points go at a time, on four
-// independent sums; each sum still starts at zero and adds d·d in
-// coordinate order, as vec.Vector.Dist2 does, so every value has its bits.
+// returns how many there are, each with the bits of vec.Vector.Dist2.
 func leafDist2(d2 *[nodeCap]float64, pts, q []float64) int {
-	dim := len(q)
-	n := len(pts) / dim
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		p0 := pts[j*dim:][:dim]
-		p1 := pts[(j+1)*dim:][:dim]
-		p2 := pts[(j+2)*dim:][:dim]
-		p3 := pts[(j+3)*dim:][:dim]
-		var s0, s1, s2, s3 float64
-		for i, x := range q {
-			a, b, c, d := p0[i]-x, p1[i]-x, p2[i]-x, p3[i]-x
-			s0 += a * a
-			s1 += b * b
-			s2 += c * c
-			s3 += d * d
-		}
-		d2[j], d2[j+1], d2[j+2], d2[j+3] = s0, s1, s2, s3
-	}
-	for ; j < n; j++ {
-		p := pts[j*dim:][:dim]
-		var s float64
-		for i, x := range q {
-			d := p[i] - x
-			s += d * d
-		}
-		d2[j] = s
-	}
+	n := len(pts) / len(q)
+	vec.Dist2Slab(d2[:n], pts, q)
 	return n
 }
 

@@ -31,6 +31,42 @@ func Dist2Into(dst []float64, vs []Vector, q Vector) {
 	}
 }
 
+// Dist2Slab sets dst[j] to the squared distance from q to the j-th vector
+// of slab, which holds len(dst) vectors of len(q) coordinates each, one
+// after another: Dist2Into over a slab of vectors instead of a slice of
+// them. Four vectors go at a time, on four independent sums; each sum
+// still starts at zero and adds d·d in coordinate order, as Dist2 does,
+// so every value has its bits.
+func Dist2Slab(dst, slab []float64, q Vector) {
+	dim := len(q)
+	slab = slab[:len(dst)*dim]
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		p0 := slab[j*dim:][:dim]
+		p1 := slab[(j+1)*dim:][:dim]
+		p2 := slab[(j+2)*dim:][:dim]
+		p3 := slab[(j+3)*dim:][:dim]
+		var s0, s1, s2, s3 float64
+		for i, x := range q {
+			a, b, c, d := p0[i]-x, p1[i]-x, p2[i]-x, p3[i]-x
+			s0 += a * a
+			s1 += b * b
+			s2 += c * c
+			s3 += d * d
+		}
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(dst); j++ {
+		p := slab[j*dim:][:dim]
+		var s float64
+		for i, x := range q {
+			d := p[i] - x
+			s += d * d
+		}
+		dst[j] = s
+	}
+}
+
 // SubDot returns (a − b)·w without materializing the difference: the
 // addition order matches a.Sub(b).Dot(w), so the result is bit-identical.
 func SubDot(a, b, w Vector) float64 {

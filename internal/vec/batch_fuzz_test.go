@@ -63,11 +63,20 @@ func FuzzDist2Into(f *testing.F) {
 		if len(vs) == 0 {
 			return
 		}
-		got := make([]float64, len(vs))
+		got, slabbed := make([]float64, len(vs)), make([]float64, len(vs))
 		Dist2Into(got, vs, q)
+		var slab []float64
+		for _, v := range vs {
+			slab = append(slab, v...)
+		}
+		Dist2Slab(slabbed, slab, q)
 		for j, v := range vs {
-			if want := v.Dist2(q); math.Float64bits(got[j]) != math.Float64bits(want) {
+			want := v.Dist2(q)
+			if math.Float64bits(got[j]) != math.Float64bits(want) {
 				t.Fatalf("Dist2Into[%d] = %v, scalar %v", j, got[j], want)
+			}
+			if math.Float64bits(slabbed[j]) != math.Float64bits(want) {
+				t.Fatalf("Dist2Slab[%d] = %v, scalar %v", j, slabbed[j], want)
 			}
 		}
 	})

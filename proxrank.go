@@ -180,22 +180,25 @@ func NewRelation(name string, maxScore float64, tuples []Tuple) (*Relation, erro
 // increasing Euclidean distance from query, or by decreasing score, where
 // query is ignored — for
 // TopKFromSources and NewQuerySources. It is safe for concurrent use. A
-// plain relation is sorted on every call; a ShardedRelation streams from
-// the indexes it built once, so a relation queried repeatedly is best
-// held as NewShardedRelation(rel, 1, HashPartition).
+// plain relation is scanned on every call, its tuples copied into score
+// order for score access; a ShardedRelation streams from the columns and,
+// below dimension 8, the R-trees it built once (from dimension 8 its
+// distance streams scan the columns), so a relation queried repeatedly is
+// best held as NewShardedRelation(rel, 1, HashPartition).
 func OpenSource(in Input, access AccessKind, query Vector) (Source, error) {
 	return relation.OpenSource(in, access, query)
 }
 
 // NewShardedRelation partitions rel into at most shards shards under the
-// given strategy and builds every shard's R-tree and score order in
-// parallel. The result is immutable and safe for concurrent use, and any
+// given strategy and builds every shard's score order and, below
+// dimension 8, R-tree in parallel. The result is immutable and safe for concurrent use, and any
 // query over it — TopKInputs, NewQueryInputs, or the service layer —
 // returns byte-identical results to the unsharded relation, while
 // bounding per-shard index memory and enabling parallel builds. A
-// sharded input owns its indexes, so distance access over it
-// streams from the shard R-trees where a plain relation is sorted per
-// query. Fewer shards may be returned when some would be empty.
+// sharded input owns its indexes, so distance access over it streams
+// from the shard R-trees below dimension 8, and from a scan of each
+// shard's vectors from it, as a plain relation's does. Fewer shards may
+// be returned when some would be empty.
 func NewShardedRelation(rel *Relation, shards int, strategy PartitionStrategy) (*ShardedRelation, error) {
 	return relation.Partition(rel, shards, strategy)
 }
@@ -338,8 +341,8 @@ func relationInputs(rels []*Relation) []Input {
 
 // buildSources constructs one source per input for the configured access
 // kind, over the access path the input owns (see relation.OpenSource): a
-// sharded input streams a merge of its per-shard R-trees, a plain
-// relation is sorted in full.
+// sharded input streams a merge of its shards' streams, a plain relation
+// is scanned.
 func buildSources(query Vector, inputs []Input, opts Options) ([]Source, error) {
 	sources := make([]Source, len(inputs))
 	for i, in := range inputs {

@@ -45,7 +45,7 @@ type inputKind struct {
 }
 
 // inputKinds builds every kind of input over rels, the plain relations
-// (sorted per query) first: their partitions under each strategy (merged
+// (scanned per query) first: their partitions under each strategy (merged
 // per-shard R-trees), the relfile twin of each partition (mapped columns,
 // R-trees built on first use), and one shared one-shard partition per
 // relation whose streams OpenSource opens for TopKFromSources.
