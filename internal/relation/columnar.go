@@ -133,9 +133,10 @@ func (c *storageOrder) Ordinal(i int) int    { return i }
 func (c *storageOrder) VecSlab() []float64   { return nil }
 
 // shard is one piece of a partitioned relation: its storage, the bounds
-// it advertises, and, below dimension 8, its R-tree. rel carries the shard's name, σ_max and
-// dimensionality to the streams opened over it; it is the caller's own
-// relation when the shard is the whole of it, a metadata stub otherwise.
+// it advertises, and, below dimension 8, its R-tree. rel carries the
+// shard's name, σ_max and dimensionality to the streams opened over it;
+// it is the caller's own relation when the shard is the whole of it, a
+// metadata stub otherwise.
 type shard struct {
 	rel    *Relation
 	cols   Columns

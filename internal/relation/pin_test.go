@@ -41,7 +41,9 @@ var pinned = map[string]pin{
 }
 
 // transcribe writes every stream s serves — score access, then per query
-// R-tree and sorted distance access — as one line per
+// distance access with useRTree true and false (the R-tree and the scan
+// below dimension 8, the scan twice from it; the labels keep the names
+// "rtree" and "sorted" the digests were recorded under) — as one line per
 // pulled tuple: ID, key bits and parent ordinal (zeroes where a k-way
 // merge does not report them). A score row's key is the source's merge
 // key; a distance row's is the tuple's squared distance to the query,
@@ -93,9 +95,8 @@ func transcribe(t *testing.T, shardH, mergedH hash.Hash, s *relation.Sharded, qu
 			src, err := s.ShardSource(i, kind, q, nil, useRTree)
 			drain(shardH, fmt.Sprintf("%s shard %d", label, i), q, src, err)
 		}
-		// OpenSource picks the R-tree for a sharded input; the sorted merge
-		// it no longer reaches stays pinned through the same Merge over
-		// explicitly sorted shard streams.
+		// OpenSource opens each shard with useRTree true; the merge of
+		// useRTree-false streams stays pinned through Merge.
 		if kind == relation.DistanceAccess && !useRTree {
 			shards := make([]relation.Source, s.NumShards())
 			for i := range shards {

@@ -13,7 +13,7 @@ import (
 // order by scanning its vectors (scanSource) instead of traversing an
 // R-tree, and builds no tree. At dim 8 a best-first traversal opens about
 // half the leaves of a shard to return a few hundred points; below it the
-// tree wins (docs/runs/pr62.md has the crossover).
+// tree wins (BenchmarkDistanceStream measures the crossover).
 const scanMinDim = 8
 
 // scanSource streams a shard in distance order from one pass over its
@@ -49,7 +49,7 @@ type scanSource struct {
 // scanHit is one key of a round: its distKey and storage index.
 type scanHit struct {
 	key uint64
-	idx int32
+	idx int
 }
 
 // scanScratch is a scan stream's reusable memory: a copy of the query,
@@ -104,7 +104,7 @@ func (s *scanSource) NextKeyed() (Tuple, float64, int, error) {
 		}
 		s.nextRound()
 	}
-	i := int(scr.round[s.pos].idx)
+	i := scr.round[s.pos].idx
 	s.pos++
 	return s.cols.Tuple(i), scr.keys[i], s.cols.Ordinal(i), nil
 }
@@ -152,7 +152,7 @@ func (s *scanSource) nextRound() {
 	round := scr.round[:0]
 	for i, k := range scr.keys {
 		if d := distKey(k); d-s.from <= hi-s.from {
-			round = append(round, scanHit{key: d, idx: int32(i)})
+			round = append(round, scanHit{key: d, idx: i})
 		}
 	}
 	slices.SortFunc(round, func(a, b scanHit) int { return cmp.Compare(a.key, b.key) })
@@ -169,7 +169,7 @@ func (s *scanSource) nextRound() {
 }
 
 // ord is a hit's parent ordinal.
-func (s *scanSource) ord(h scanHit) int { return s.cols.Ordinal(int(h.idx)) }
+func (s *scanSource) ord(h scanHit) int { return s.cols.Ordinal(h.idx) }
 
 // Close implements Closer: every later read reports ErrExhausted, and the
 // stream's buffers go to the next one opened.

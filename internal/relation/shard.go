@@ -147,9 +147,9 @@ type Sharded struct {
 
 // Partition splits r into at most n shards under the given strategy and
 // builds each shard's score-ordered columns, bounds and, below dimension
-// 8, R-tree in parallel. Fewer than n shards are returned when the strategy leaves
-// some empty (n exceeding the tuple count, or hash skew). A sole shard
-// serves r itself: ShardRelation(0) is r, untouched.
+// 8, R-tree in parallel. Fewer than n shards are returned when the
+// strategy leaves some empty (n exceeding the tuple count, or hash skew).
+// A sole shard serves r itself: ShardRelation(0) is r, untouched.
 func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error) {
 	if r == nil {
 		return nil, fmt.Errorf("relation: cannot partition a nil relation")
