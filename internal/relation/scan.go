@@ -42,7 +42,6 @@ type scanSource struct {
 	from  uint64 // the least distKey the next round collects
 	last  bool   // the round in scr.round is the last
 	step  int    // the size the next round aims at
-	want  int    // keys emitted once the next round is drained, about
 	pos   int    // next unread element of scr.round
 }
 
@@ -81,7 +80,7 @@ func newScanSource(rel *Relation, cols Columns, q vec.Vector) *scanSource {
 		scr = &scanScratch{}
 	}
 	scr.q = append(scr.q[:0], q...)
-	return &scanSource{rel: rel, cols: cols, scr: scr, step: scanFirstRound, want: scanFirstRound}
+	return &scanSource{rel: rel, cols: cols, scr: scr, step: scanFirstRound}
 }
 
 func (s *scanSource) Next() (Tuple, error) {
@@ -131,16 +130,18 @@ func (s *scanSource) computeKeys() {
 }
 
 // nextRound collects and sorts the next round's keys: those from s.from
-// up to a sampled bound that about s.want keys lie at or below, or every
-// key left when the sample has no such bound.
+// up to a sampled bound that about want keys lie at or below — the keys
+// of every round so far, 32 + 64 + … + s.step — or every key left when
+// the sample has no such bound.
 func (s *scanSource) nextRound() {
 	scr := s.scr
 	n, m := len(scr.keys), len(scr.sample)
+	want := 2*s.step - scanFirstRound
 	hi := uint64(math.MaxUint64)
-	if s.want < n {
+	if want < n {
 		// The sample's j-th least key has about (j+1)·n/(m+1) keys at or
 		// below it.
-		j := (s.want*(m+1)+n-1)/n - 1
+		j := (want*(m+1)+n-1)/n - 1
 		for j < m && scr.sample[j] < s.from {
 			j++
 		}
@@ -165,7 +166,6 @@ func (s *scanSource) nextRound() {
 	}
 	scr.round, s.pos = round, 0
 	s.from, s.step = hi+1, 2*s.step
-	s.want += s.step
 }
 
 // ord is a hit's parent ordinal.
