@@ -19,10 +19,11 @@ import (
 // A shard's storage order IS the canonical score-access order — scores
 // non-increasing, ties by ascending parent ordinal — so its score stream
 // is a cursor, not a sort, that reads the columns front to back. A
-// distance stream below dimension 8 reads them only for a tuple's ID,
-// score and attributes: its vectors are views of the shard's R-tree leaf
-// slab. From dimension 8 it scans them (VecSlab), and its vectors are the
-// columns' own views.
+// distance stream over a shard's R-tree reads them only for a tuple's ID,
+// score and attributes: its vectors are views of the tree's leaf slab. A
+// shard that scans (shard.scans: from dimension 8, up to autoShardTarget
+// tuples) reads every vector (VecSlab), and its vectors are the columns'
+// own views.
 type Columns interface {
 	// Len returns the shard's tuple count.
 	Len() int
@@ -150,8 +151,8 @@ type shard struct {
 // vector in leaf order (8·dim bytes a tuple) plus about a sixteenth of
 // that again in inner boxes. sync.Once makes the build safe under
 // concurrent first queries. Partition forces the build, so a registered
-// heap relation never pays it on a query. A shard of dimension 8 or more
-// scans instead (scanMinDim) and never builds one.
+// heap relation never pays it on a query. A shard that scans (from
+// dimension 8, up to autoShardTarget tuples) never builds one.
 type lazyRTree struct {
 	once sync.Once
 	tree *rtree.Tree[int32]
@@ -181,8 +182,8 @@ func (sh *shard) rtree() *rtree.Tree[int32] {
 // order is a cursor over the columns; a distance order is an incremental
 // R-tree traversal when the shard owns a tree (useRTree: true from
 // Sharded, false from a plain relation, whose tree would be built and
-// thrown away per call) below dimension scanMinDim, and a scan of the
-// columns otherwise.
+// thrown away per call) and the shard does not scan (shard.scans), and a
+// scan of the columns otherwise.
 func (sh *shard) open(kind AccessKind, q vec.Vector, useRTree bool) (KeyedSource, error) {
 	if kind == ScoreAccess {
 		return &colScoreSource{rel: sh.rel, cols: sh.cols}, nil
@@ -190,7 +191,7 @@ func (sh *shard) open(kind AccessKind, q vec.Vector, useRTree bool) (KeyedSource
 	if q.Dim() != sh.rel.dim {
 		return nil, fmt.Errorf("relation %q: query dim %d, want %d", sh.rel.Name, q.Dim(), sh.rel.dim)
 	}
-	if useRTree && sh.rel.dim < scanMinDim {
+	if useRTree && !sh.scans() {
 		tree := sh.rtree()
 		return &rtreeSource{rel: sh.rel, cols: sh.cols, tree: tree, it: tree.NearestNeighbors(q)}, nil
 	}
@@ -204,7 +205,9 @@ func (sh *shard) open(kind AccessKind, q vec.Vector, useRTree bool) (KeyedSource
 // 90 µs to the first tuple of a 7 500-tuple dim-8 shard, where the tree
 // it no longer builds took ≈ 3.3 ms), and bounding metadata stays
 // selective; large enough that the k-way merge over shard heads stays
-// shallow.
+// shallow. It is also the largest shard that scans (shard.scans): at
+// 30 000 dim-8 tuples the scan no longer beats the tree, and at 100 000
+// the tree is 2–6× faster.
 const autoShardTarget = 8192
 
 // AutoShardCount picks a shard count from a relation's size: one shard
@@ -226,8 +229,8 @@ func AutoShardCount(tuples int) int {
 // columnar storage. Unlike Partition it copies no tuples and sorts
 // nothing: each shard's storage order is already the canonical score
 // order (the loader validated it), bounds derive from the columns as
-// Partition's do, and R-trees, below dimension 8, build lazily on first
-// distance access.
+// Partition's do, and the R-trees of shards that do not scan build lazily
+// on first distance access.
 // parent is typically a metadata-only stub (NewStub) — the engine
 // reconstructs emitted tuples from its own pulled prefixes, never from
 // the parent's tuple storage, which is what lets a loaded relation's

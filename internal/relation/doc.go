@@ -29,10 +29,10 @@
 //     access path is chosen, from the input and its dimension, never
 //     from an option — a cursor over the columns for score access; for
 //     distance access an incremental traversal of the R-trees a Sharded
-//     owns below dimension 8 (from Partition or a relfile), and the scan
-//     (scan.go) for a plain Relation and for every shard from dimension
-//     8: one pass keys every tuple, then rounds of growing size sort the
-//     keys up to a sampled bound. An index built once over a whole
+//     owns (from Partition or a relfile), and the scan (scan.go) for a
+//     plain Relation and for every shard of dimension 8 and up that holds
+//     at most autoShardTarget tuples: one pass keys every tuple, then
+//     rounds of growing size sort the keys up to a sampled bound. An index built once over a whole
 //     relation is a one-shard Partition.
 //   - Partition, Sharded, OpenShardSet, MergedSource: hash or grid
 //     partitioning, parallel per-shard builds, and the ordinal-aware

@@ -40,12 +40,12 @@ func (r *Relation) openSource(kind AccessKind, q vec.Vector) (Source, error) {
 // OpenSource builds the ordered stream of in for one access
 // configuration, and is the one way to open one: the score order when
 // kind is ScoreAccess, otherwise the Euclidean distance order from q. The
-// access path follows from the input, not from a knob. Below dimension 8
-// a *Sharded owns its indexes — the R-trees Partition built, or a
-// relfile's, built on first use — and streams incremental
-// nearest-neighbor traversals; an index built once over a whole relation
-// is a one-shard Partition. A plain *Relation owns none, and from
-// dimension 8 no shard does: their distance streams scan the vectors,
+// access path follows from the input, not from a knob. A *Sharded owns
+// its indexes — the R-trees Partition built, or a relfile's, built on
+// first use — and streams incremental nearest-neighbor traversals; an
+// index built once over a whole relation is a one-shard Partition. A
+// plain *Relation owns none, and neither does a shard of dimension 8 and
+// up with at most autoShardTarget tuples: their distance streams scan the vectors,
 // keying every tuple once and sorting the keys in growing rounds. Every
 // path emits the same canonical sequence; a sharded input returns a
 // merged stream over its shards. Safe for concurrent use.

@@ -233,12 +233,13 @@ func sortKeys(ks []sortKey) {
 	})
 }
 
-// rtreeSource serves distance-based access below dimension 8 through an
-// R-tree's incremental nearest-neighbor traversal, so no global sort is
-// ever materialized. A tuple's Vec is a view of the tree's leaf slab, the
-// memory the traversal just read its distance from, never the shard's
-// columns: on a relfile shard of dimension below 8, a distance stream's
-// vectors do not alias the mapping (a scan's do, see scanSource).
+// rtreeSource serves distance-based access to a shard that does not scan
+// (shard.scans) through an R-tree's incremental nearest-neighbor
+// traversal, so no global sort is ever materialized. A tuple's Vec is a
+// view of the tree's leaf slab, the memory the traversal just read its
+// distance from, never the shard's columns: on a relfile shard that does
+// not scan, a distance stream's vectors do not alias the mapping (a
+// scan's do, see scanSource).
 //
 // The raw traversal breaks exact-distance ties by heap insertion order,
 // which depends on tree structure. rtreeSource re-orders each run of

@@ -9,12 +9,20 @@ import (
 	"repro/internal/vec"
 )
 
-// scanMinDim is the dimension from which a shard streams its distance
-// order by scanning its vectors (scanSource) instead of traversing an
-// R-tree, and builds no tree. At dim 8 a best-first traversal opens about
-// half the leaves of a shard to return a few hundred points; below it the
-// tree wins (BenchmarkDistanceStream measures the crossover).
+// scanMinDim is the dimension from which a shard of at most
+// autoShardTarget tuples streams its distance order by scanning its
+// vectors (scanSource) instead of traversing an R-tree, and builds no
+// tree. At dim 8 a best-first traversal opens about half the leaves of a
+// shard to return a few hundred points; below it the tree wins, and so it
+// does on larger shards, whose keying a scan pays in full on every query
+// (BenchmarkDistanceStream measures both crossovers).
 const scanMinDim = 8
+
+// scans reports whether the shard's distance stream is a scan of its
+// columns rather than a traversal of its R-tree.
+func (sh *shard) scans() bool {
+	return sh.rel.dim >= scanMinDim && sh.cols.Len() <= autoShardTarget
+}
 
 // scanSource streams a shard in distance order from one pass over its
 // vectors, with no index. Its first read computes every tuple's squared
@@ -156,20 +164,17 @@ func (s *scanSource) nextRound() {
 			round = append(round, scanHit{key: d, idx: i})
 		}
 	}
-	slices.SortFunc(round, func(a, b scanHit) int { return cmp.Compare(a.key, b.key) })
-	// Order each run of equal keys by parent ordinal. Ordinals are unique,
-	// so an insertion sort gives the canonical order; runs are short.
-	for i := 1; i < len(round); i++ {
-		for j := i; j > 0 && round[j].key == round[j-1].key && s.ord(round[j]) < s.ord(round[j-1]); j-- {
-			round[j], round[j-1] = round[j-1], round[j]
+	// Ordinals are unique, so (key, ordinal) is a total order and an
+	// unstable sort gives the canonical one.
+	slices.SortFunc(round, func(a, b scanHit) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(s.cols.Ordinal(a.idx), s.cols.Ordinal(b.idx))
+	})
 	scr.round, s.pos = round, 0
 	s.from, s.step = hi+1, 2*s.step
 }
-
-// ord is a hit's parent ordinal.
-func (s *scanSource) ord(h scanHit) int { return s.cols.Ordinal(h.idx) }
 
 // Close implements Closer: every later read reports ErrExhausted, and the
 // stream's buffers go to the next one opened.

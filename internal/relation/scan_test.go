@@ -83,17 +83,19 @@ const (
 	scanCoincident                 // the query is a tuple's vector
 	scanOverflow                   // some squared distances overflow to +Inf
 	scanNaN                        // a NaN query coordinate: every key NaN
+	scanShared                     // nine tuples in ten share one vector
 	scanCases
 )
 
 func (c scanCase) String() string {
-	return [...]string{"plain", "coincident", "overflow", "nan"}[c]
+	return [...]string{"plain", "coincident", "overflow", "nan", "shared"}[c]
 }
 
 // scanFixture draws size tuples of dimension dim: Gaussian vectors, a
-// share dup of them exact copies of an earlier tuple's, and under
+// share dup of them exact copies of an earlier tuple's, under
 // scanOverflow every fifth tuple at 1e155 on one axis, whose squared
-// distance to any Gaussian query is +Inf. It returns the shard columns
+// distance to any Gaussian query is +Inf, and under scanShared nine in
+// ten copies of the first tuple's, one run of equal keys. It returns the shard columns
 // (a one-shard Partition's, or empty ones for size 0), the plain
 // relation (nil for size 0) and the query.
 func scanFixture(t testing.TB, dim, size int, seed int64, dup float64, c scanCase) (*Relation, Columns, *Relation, vec.Vector) {
@@ -102,7 +104,9 @@ func scanFixture(t testing.TB, dim, size int, seed int64, dup float64, c scanCas
 	tuples := make([]Tuple, size)
 	for i := range tuples {
 		v := vec.New(dim)
-		if i > 0 && r.Float64() < dup {
+		if c == scanShared && i > 0 && r.Float64() < 0.9 {
+			v = tuples[0].Vec
+		} else if i > 0 && r.Float64() < dup {
 			v = tuples[r.Intn(i)].Vec
 		} else {
 			for d := range v {
@@ -220,6 +224,40 @@ func TestPartitionBuildsNoTreeFromDim8(t *testing.T) {
 				if built, want := s.shards[i].lazy.tree != nil, dim < scanMinDim; built != want {
 					t.Errorf("dim %d %s shard %d: tree built %v, want %v", dim, name, i, built, want)
 				}
+			}
+		}
+	}
+}
+
+// TestLargeShardKeepsTree: from dimension 8 a shard of autoShardTarget
+// tuples scans and builds no tree, while one tuple more keeps its tree —
+// Partition builds it, the AssembleSharded twin on its first read — and
+// streams it; both emit the oracle's sequence.
+func TestLargeShardKeepsTree(t *testing.T) {
+	for _, dim := range []int{8, 12} {
+		for _, size := range []int{autoShardTarget, autoShardTarget + 1} {
+			ram, err := Partition(mixedRelation(t, dim, 5, size), 1, HashPartition)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTree := size > autoShardTarget
+			q := vec.New(dim)
+			for name, s := range map[string]*Sharded{"Partition": ram, "twin": columnsTwin(t, ram)} {
+				label := fmt.Sprintf("dim %d size %d %s", dim, size, name)
+				if err := sameKeyedStream(mustOpen(t, s, DistanceAccess, q), sortedShard(s, 0, q)); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if built := s.shards[0].lazy.tree != nil; built != wantTree {
+					t.Errorf("%s: tree built %v, want %v", label, built, wantTree)
+				}
+				src, err := s.shards[0].open(DistanceAccess, q, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, isTree := src.(*rtreeSource); isTree != wantTree {
+					t.Errorf("%s: streams %T, want a tree %v", label, src, wantTree)
+				}
+				src.(Closer).Close()
 			}
 		}
 	}

@@ -131,8 +131,8 @@ func ExtendRect(lo, hi []float64, v vec.Vector) {
 }
 
 // Sharded is a relation partitioned into shards, each one Columns in
-// score order with, below dimension 8, its own R-tree, shared read-only
-// across queries.
+// score order with its own R-tree (none for a shard that scans:
+// shard.scans), shared read-only across queries.
 // Query-time streams are per-shard sources k-way-merged back into one
 // canonical order (see MergedSource), so a sharded relation answers
 // byte-identically to its unsharded form while bounding per-shard index
@@ -198,7 +198,7 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 			defer wg.Done()
 			sh.cols = scoreOrdered(r, g)
 			sh.bounds = boundsOf(sh.cols)
-			if r.dim < scanMinDim {
+			if !sh.scans() {
 				sh.rtree()
 			}
 		}(g)
@@ -360,8 +360,8 @@ func (s *Sharded) ShardBounds(i int) ShardBounds { return s.shards[i].bounds }
 // configuration. The streams of all shards under one configuration merge
 // back into the canonical relation order via Merge. useRTree false scans
 // the shard instead of traversing its R-tree — same stream, and no caller
-// outside the tests asks for it (OpenSource never does); from dimension 8
-// every distance stream is the scan. The distance is
+// outside the tests asks for it (OpenSource never does); a shard that
+// scans (shard.scans) always streams the scan. The distance is
 // always Euclidean: metric is ignored, and stays in the signature only
 // because the benchmark module (bench/) passes it.
 func (s *Sharded) ShardSource(i int, kind AccessKind, q vec.Vector, _ vec.Metric, useRTree bool) (Source, error) {
@@ -478,8 +478,8 @@ func (s *Sharded) Merge(sources []Source) (Source, error) {
 }
 
 // openSource implements Input: the shard set of every shard, each
-// streaming distance order from its R-tree below dimension 8 and from a
-// scan of its columns above.
+// streaming distance order from its R-tree, or from a scan of its
+// columns when it scans (shard.scans).
 func (s *Sharded) openSource(kind AccessKind, q vec.Vector) (Source, error) {
 	return s.OpenShardSet(s.all, kind, q)
 }

@@ -12,8 +12,9 @@ import (
 // not a file one — the same file can register under any name, like a
 // CSV). The parent relation is a metadata-only stub: no tuple is copied
 // onto the heap, score access streams the slabs in storage order, and
-// distance access scans the vector slab from dimension 8 and below it
-// traverses an R-tree built lazily per shard on first use. The
+// distance access traverses an R-tree built lazily per shard on first
+// use, or, on a shard of dimension 8 and up with at most 8 192 tuples,
+// scans the vector slab. The
 // returned relation aliases the mapping — see the package comment for
 // why the serving path never closes a File.
 func (f *File) Load(name string) (*relation.Sharded, error) {

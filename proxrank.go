@@ -181,24 +181,24 @@ func NewRelation(name string, maxScore float64, tuples []Tuple) (*Relation, erro
 // query is ignored — for
 // TopKFromSources and NewQuerySources. It is safe for concurrent use. A
 // plain relation is scanned on every call, its tuples copied into score
-// order for score access; a ShardedRelation streams from the columns and,
-// below dimension 8, the R-trees it built once (from dimension 8 its
-// distance streams scan the columns), so a relation queried repeatedly is
-// best held as NewShardedRelation(rel, 1, HashPartition).
+// order for score access; a ShardedRelation streams from the columns and
+// the R-trees it built once (a shard of dimension 8 and up with at most
+// 8 192 tuples scans its columns instead), so a relation queried
+// repeatedly is best held as NewShardedRelation(rel, 1, HashPartition).
 func OpenSource(in Input, access AccessKind, query Vector) (Source, error) {
 	return relation.OpenSource(in, access, query)
 }
 
 // NewShardedRelation partitions rel into at most shards shards under the
-// given strategy and builds every shard's score order and, below
-// dimension 8, R-tree in parallel. The result is immutable and safe for concurrent use, and any
+// given strategy and builds every shard's score order and R-tree in
+// parallel. The result is immutable and safe for concurrent use, and any
 // query over it — TopKInputs, NewQueryInputs, or the service layer —
 // returns byte-identical results to the unsharded relation, while
 // bounding per-shard index memory and enabling parallel builds. A
 // sharded input owns its indexes, so distance access over it streams
-// from the shard R-trees below dimension 8, and from a scan of each
-// shard's vectors from it, as a plain relation's does. Fewer shards may
-// be returned when some would be empty.
+// from the shard R-trees; a shard of dimension 8 and up with at most
+// 8 192 tuples builds none and scans its vectors, as a plain relation
+// does. Fewer shards may be returned when some would be empty.
 func NewShardedRelation(rel *Relation, shards int, strategy PartitionStrategy) (*ShardedRelation, error) {
 	return relation.Partition(rel, shards, strategy)
 }
