@@ -122,7 +122,7 @@ func BenchmarkAccessRTree(b *testing.B) {
 	rels, q := benchRels(b, 2, 2000)
 	inputs := make([]proxrank.Input, len(rels))
 	for i, rel := range rels {
-		s, err := proxrank.NewShardedRelation(rel, 1, proxrank.HashPartition)
+		s, err := proxrank.NewShardedRelation(rel, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

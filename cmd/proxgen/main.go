@@ -31,17 +31,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("proxgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		out      = fs.String("out", ".", "output directory")
-		city     = fs.String("city", "", "emit a simulated city dataset instead of synthetic data")
-		n        = fs.Int("n", 2, "number of relations")
-		d        = fs.Int("d", 2, "feature dimensions")
-		density  = fs.Float64("density", 100, "tuples per volume unit (rho)")
-		skew     = fs.Float64("skew", 1, "density multiplier of relation 1 (rho1/rho2)")
-		tuples   = fs.Int("tuples", 400, "tuples per unskewed relation")
-		seed     = fs.Int64("seed", 0, "generator seed")
-		format   = fs.String("format", "csv", "output format: csv or relfile (.prox, columnar, opened O(1) by proxserve)")
-		shards   = fs.Int("shards", 0, "relfile shard count (0 = auto from relation size)")
-		strategy = fs.String("shard-strategy", "hash", "relfile partition strategy: hash or grid")
+		out     = fs.String("out", ".", "output directory")
+		city    = fs.String("city", "", "emit a simulated city dataset instead of synthetic data")
+		n       = fs.Int("n", 2, "number of relations")
+		d       = fs.Int("d", 2, "feature dimensions")
+		density = fs.Float64("density", 100, "tuples per volume unit (rho)")
+		skew    = fs.Float64("skew", 1, "density multiplier of relation 1 (rho1/rho2)")
+		tuples  = fs.Int("tuples", 400, "tuples per unskewed relation")
+		seed    = fs.Int64("seed", 0, "generator seed")
+		format  = fs.String("format", "csv", "output format: csv or relfile (.prox, columnar, opened O(1) by proxserve)")
+		shards  = fs.Int("shards", 0, "relfile grid shard count (0 = auto from relation size)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -57,11 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *format != "csv" && *format != "relfile" {
 		return fail("unknown -format %q (want csv or relfile)", *format)
 	}
-	strat, err := proxrank.ParsePartitionStrategy(*strategy)
-	if err != nil {
-		return fail("%v", err)
-	}
-
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return fail("%v", err)
 	}
@@ -94,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if count == 0 {
 				count = proxrank.AutoShardCount(rel.Len())
 			}
-			sharded, err := proxrank.NewShardedRelation(rel, count, strat)
+			sharded, err := proxrank.NewShardedRelation(rel, count)
 			if err != nil {
 				return fail("partitioning %s: %v", rel.Name, err)
 			}
@@ -102,8 +96,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err := proxrank.SaveRelFile(path, sharded); err != nil {
 				return fail("writing %s: %v", path, err)
 			}
-			fmt.Fprintf(stdout, "wrote %s (%d tuples, dim %d, %d shards, %s)\n",
-				path, rel.Len(), rel.Dim(), sharded.NumShards(), *strategy)
+			fmt.Fprintf(stdout, "wrote %s (%d tuples, dim %d, %d grid shards)\n",
+				path, rel.Len(), rel.Dim(), sharded.NumShards())
 			continue
 		}
 		path := filepath.Join(*out, sanitize(rel.Name)+".csv")

@@ -19,7 +19,7 @@ func runArgs(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestFlagSurface: the flag set is what README and the verify notes
-// drive — 11 flags, -h is not a failure, an unknown flag is a refusal,
+// drive — 10 flags, -h is not a failure, an unknown flag is a refusal,
 // and a value the command itself refuses exits 1 having written nothing.
 func TestFlagSurface(t *testing.T) {
 	code, _, usage := runArgs("-h")
@@ -32,7 +32,7 @@ func TestFlagSurface(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	want := "-city -d -density -format -n -out -seed -shard-strategy -shards -skew -tuples"
+	want := "-city -d -density -format -n -out -seed -shards -skew -tuples"
 	if got := strings.Join(flags, " "); got != want {
 		t.Fatalf("flags %q, want %q", got, want)
 	}
@@ -41,7 +41,6 @@ func TestFlagSurface(t *testing.T) {
 	}
 	for _, tc := range []struct{ args, wantErr string }{
 		{"-format parquet", `unknown -format "parquet"`},
-		{"-shard-strategy round-robin", "round-robin"},
 		{"-city ZZ", "ZZ"},
 		{"-n 0", "relations"},
 	} {
@@ -103,13 +102,13 @@ func TestSameSeedSameBytes(t *testing.T) {
 			}
 			return rel
 		}},
-		{"relfile", []string{"-shards", "3", "-shard-strategy", "grid"}, func(t *testing.T, path string) proxrank.Input {
+		{"relfile", []string{"-shards", "3"}, func(t *testing.T, path string) proxrank.Input {
 			s, err := proxrank.LoadRelFile(path, "R1")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.NumShards() != 3 || s.Strategy() != proxrank.GridPartition || !s.FileBacked() {
-				t.Fatalf("loaded %d %v shards, file-backed %v; asked for 3 grid shards on disk", s.NumShards(), s.Strategy(), s.FileBacked())
+			if s.NumShards() != 3 || !s.FileBacked() {
+				t.Fatalf("loaded %d shards, file-backed %v; asked for 3 shards on disk", s.NumShards(), s.FileBacked())
 			}
 			return s
 		}},

@@ -31,7 +31,7 @@
 //
 // -topology coord:N upgrades -selfserve to a distributed deployment: N
 // in-process shard servers (each owning every Nth shard of every
-// relation, partitioned per -shards/-shard-strategy; -replicas r gives
+// relation, partitioned into -shards grid boxes; -replicas r gives
 // every shard r consecutive owners) behind a coordinator that prunes
 // unreachable shards by their advertised bounds and merges the rest
 // over the wire. The same latency/TTFE study then measures the
@@ -109,7 +109,6 @@ type dataSpec struct {
 	tuples, dim int
 	relfile     bool
 	shards      int // 0 = picked from each relation's size
-	strategy    proxrank.PartitionStrategy
 }
 
 // topology says how -selfserve deploys it: one node (servers == 0), or
@@ -149,7 +148,6 @@ type options struct {
 func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	o := &options{gen: &generator{}}
 	g, c, d := o.gen, &o.cfg, &o.data
-	var strategy string
 	fs := flag.NewFlagSet("proxload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&o.addr, "addr", "http://localhost:8080", "base URL of the target proxserve")
@@ -189,7 +187,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	// Distributed selfserve knobs.
 	fs.StringVar(&o.topoName, "topology", "single", `selfserve deployment: "single" or "coord:N" (N in-process shard servers behind a coordinator)`)
 	fs.IntVar(&d.shards, "shards", 6, "selfserve coord topology: shards per relation (single: only when given; otherwise picked from each relation's size)")
-	fs.StringVar(&strategy, "shard-strategy", "grid", "selfserve coord topology: partition strategy (hash|grid) (single: only when given; otherwise hash, grid for relfiles)")
 	fs.IntVar(&o.topo.replicas, "replicas", 1, "selfserve coord topology: consecutive-peer owners per shard (the r of proxserve -own i/n/r)")
 	fs.BoolVar(&o.identity, "identity-check", false, "selfserve: replay fixed queries against a single-node twin and exit nonzero on any byte difference")
 	fs.Func("chaos", "selfserve coord topology: fault-injection spec applied to the first shard server (same grammar as proxserve -fault-spec); pair with -replicas 2 to study hedging and failover under load",
@@ -209,18 +206,14 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 		if t.chaos != nil || t.replicas != 1 {
 			return nil, errors.New("-chaos/-replicas need -topology coord:N: a single node has no shard server to fault or replicate")
 		}
-		// -shards/-shard-strategy default to the coord topology's layout. A
-		// single node keeps what it always ran — a shard count picked from
-		// each relation's size, hash-partitioned in RAM and grid-partitioned
-		// in relfiles — unless the command line says otherwise (Visit tells
-		// given from default).
+		// -shards defaults to the coord topology's layout. A single node
+		// keeps what it always ran — a shard count picked from each
+		// relation's size — unless the command line says otherwise (Visit
+		// tells given from default).
 		given := make(map[string]bool)
 		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 		if !given["shards"] {
 			d.shards = 0
-		}
-		if !given["shard-strategy"] && !d.relfile {
-			strategy = "hash"
 		}
 	} else {
 		if _, err := fmt.Sscanf(o.topoName, "coord:%d", &t.servers); err != nil || t.servers < 1 {
@@ -229,9 +222,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 		if t.replicas < 1 || t.replicas > t.servers {
 			return nil, fmt.Errorf("-replicas %d: want 1 <= r <= %d shard servers", t.replicas, t.servers)
 		}
-	}
-	if d.strategy, err = proxrank.ParsePartitionStrategy(strategy); err != nil {
-		return nil, err
 	}
 	return o, nil
 }
@@ -428,7 +418,7 @@ func newDataset(d dataSpec) (*dataset, error) {
 	if !d.relfile {
 		ds.fill = func(cat *service.Catalog) error {
 			for _, rel := range rels {
-				if err := cat.RegisterSharded(rel.Name, rel, d.shards, d.strategy); err != nil {
+				if err := cat.RegisterSharded(rel.Name, rel, d.shards); err != nil {
 					return err
 				}
 			}
@@ -447,7 +437,7 @@ func newDataset(d dataSpec) (*dataset, error) {
 		if shards == 0 {
 			shards = proxrank.AutoShardCount(rel.Len())
 		}
-		sharded, err := proxrank.NewShardedRelation(rel, shards, d.strategy)
+		sharded, err := proxrank.NewShardedRelation(rel, shards)
 		if err == nil {
 			paths[rel.Name] = filepath.Join(dir, fmt.Sprintf("r%d%s", i, proxrank.RelFileExtension))
 			err = proxrank.SaveRelFile(paths[rel.Name], sharded)

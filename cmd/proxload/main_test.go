@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	proxrank "repro"
 	"repro/service"
 )
 
@@ -38,7 +37,6 @@ func TestFlagTable(t *testing.T) {
 		{name: "chaos on a single node", args: "-selfserve -chaos verb=pull;action=reset", wantErr: "-chaos/-replicas need -topology coord:N"},
 		{name: "replicas on a single node", args: "-selfserve -replicas 2", wantErr: "-chaos/-replicas need -topology coord:N"},
 		{name: "chaos malformed", args: "-selfserve -topology coord:2 -chaos verb", wantErr: "invalid value"},
-		{name: "strategy typo", args: "-selfserve -shard-strategy ring", wantErr: "ring"},
 		{name: "query-base malformed", args: "-query-base 1,x", wantErr: "invalid value"},
 
 		{name: "external target", args: "-addr http://h:1 -k 2 -hot 0 -query-spread 0.001 -query-base 37.81,-122.51 -max-error-rate 0", check: func(t *testing.T, o *options) {
@@ -49,10 +47,9 @@ func TestFlagTable(t *testing.T) {
 			}
 		}},
 		{name: "single defaults", args: "-selfserve", check: func(t *testing.T, o *options) {
-			// A single node picks the shard count from the relation's size
-			// and hash-partitions: the -shards/-shard-strategy defaults are
-			// the coord topology's.
-			want := dataSpec{city: "SF", dim: 8, shards: 0, strategy: proxrank.HashPartition}
+			// A single node picks the shard count from the relation's size:
+			// the -shards default is the coord topology's.
+			want := dataSpec{city: "SF", dim: 8, shards: 0}
 			if o.data != want || o.topo != (topology{replicas: 1}) {
 				t.Errorf("data %+v topo %+v, want %+v", o.data, o.topo, want)
 			}
@@ -62,24 +59,24 @@ func TestFlagTable(t *testing.T) {
 			}
 		}},
 		{name: "single relfile", args: "-selfserve -selfserve-tuples 60000 -selfserve-dim 8 -selfserve-relfile -cache -1 -workers 4", check: func(t *testing.T, o *options) {
-			want := dataSpec{city: "SF", tuples: 60000, dim: 8, relfile: true, shards: 0, strategy: proxrank.GridPartition}
+			want := dataSpec{city: "SF", tuples: 60000, dim: 8, relfile: true, shards: 0}
 			if o.data != want || o.cfg.CacheSize != -1 || o.cfg.Workers != 4 {
 				t.Errorf("data %+v cfg %+v, want %+v", o.data, o.cfg, want)
 			}
 		}},
-		{name: "single with an explicit layout", args: "-selfserve -shards 3 -shard-strategy grid -identity-check", check: func(t *testing.T, o *options) {
-			if o.data.shards != 3 || o.data.strategy != proxrank.GridPartition || !o.identity {
-				t.Errorf("data %+v identity %v: an explicit -shards/-shard-strategy must take effect", o.data, o.identity)
+		{name: "single with an explicit layout", args: "-selfserve -shards 3 -identity-check", check: func(t *testing.T, o *options) {
+			if o.data.shards != 3 || !o.identity {
+				t.Errorf("data %+v identity %v: an explicit -shards must take effect", o.data, o.identity)
 			}
 		}},
 		{name: "coord defaults", args: "-selfserve -topology coord:3", check: func(t *testing.T, o *options) {
-			want := dataSpec{city: "SF", dim: 8, shards: 6, strategy: proxrank.GridPartition}
+			want := dataSpec{city: "SF", dim: 8, shards: 6}
 			if o.data != want || o.topo != (topology{servers: 3, replicas: 1}) {
 				t.Errorf("data %+v topo %+v", o.data, o.topo)
 			}
 		}},
-		{name: "coord over synthetic relfiles", args: "-selfserve -topology coord:2 -selfserve-tuples 2000 -selfserve-dim 4 -selfserve-relfile -shards 5 -shard-strategy hash", check: func(t *testing.T, o *options) {
-			want := dataSpec{city: "SF", tuples: 2000, dim: 4, relfile: true, shards: 5, strategy: proxrank.HashPartition}
+		{name: "coord over synthetic relfiles", args: "-selfserve -topology coord:2 -selfserve-tuples 2000 -selfserve-dim 4 -selfserve-relfile -shards 5", check: func(t *testing.T, o *options) {
+			want := dataSpec{city: "SF", tuples: 2000, dim: 4, relfile: true, shards: 5}
 			if o.data != want || o.topo.servers != 2 {
 				t.Errorf("data %+v topo %+v, want %+v: the data source is independent of the topology", o.data, o.topo, want)
 			}
@@ -118,7 +115,7 @@ func TestFlagTable(t *testing.T) {
 }
 
 // TestFlagSurface: the flag set is the regression surface of ci.yml and
-// the studies in EXPERIMENTS.md — 32 flags, and -h is not a failure.
+// the studies in EXPERIMENTS.md — 31 flags, and -h is not a failure.
 func TestFlagSurface(t *testing.T) {
 	var stdout, usage bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &usage); code != 0 {
@@ -130,8 +127,8 @@ func TestFlagSurface(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 32 {
-		t.Fatalf("%d flags, want 32:\n%s", flags, usage.String())
+	if flags != 31 {
+		t.Fatalf("%d flags, want 31:\n%s", flags, usage.String())
 	}
 }
 

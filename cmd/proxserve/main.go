@@ -4,9 +4,10 @@
 // concurrent queries through a bounded executor with per-query deadlines
 // and an LRU result cache.
 //
-// Relations can be partitioned into shards — per-shard indexes built in
-// parallel at load, streams merged per query with byte-identical results
-// — via the global -shards flag or a per-relation ":N" suffix on -rel.
+// Relations can be partitioned into shards — size-balanced grid boxes,
+// per-shard indexes built in parallel at load, streams merged per query
+// with byte-identical results — via the global -shards flag or a
+// per-relation ":N" suffix on -rel.
 //
 // Stream delivery is brokered: the engine runs each streamed query to
 // completion at engine speed into a per-query log of at most K + 1
@@ -20,13 +21,13 @@
 // their shard streams into byte-identical answers — skipping (pruning)
 // every remote shard whose bounding metadata proves it cannot
 // contribute. All servers must load identical data with identical
-// -shards and -shard-strategy so the global partition agrees.
+// -shards so the global partition agrees.
 //
 // Usage:
 //
 //	proxserve -addr :8080 -city SF
 //	proxserve -rel hotels=hotels.csv -rel food=food.csv -workers 8
-//	proxserve -city NY -shards 8 -shard-strategy grid
+//	proxserve -city NY -shards 8
 //	proxserve -rel hotels=hotels.csv:4 -rel food=food.csv
 //	proxserve -rel hotels=hotels.prox -rel food=food.prox
 //
@@ -116,7 +117,6 @@ type options struct {
 	rels            [][2]string // -rel, as name and path[:shards]
 	cities          []string
 	shards          int
-	strategy        proxrank.PartitionStrategy
 	// node lacks only its RPCListener, which start binds on rpcAddr —
 	// empty without -shard-server — behind faults when -fault-spec is set.
 	node         service.NodeConfig
@@ -131,7 +131,7 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	c := &o.node.Config
 	c.SlowQueryLog = stderr
 	var shardServer, coordinator bool
-	var strategy, peers string
+	var peers string
 	var hedgeAfter time.Duration
 	fs := flag.NewFlagSet("proxserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -142,7 +142,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 	fs.DurationVar(&c.MaxTimeout, "max-timeout", service.DefaultMaxTimeout, "cap on client-requested timeoutMillis")
 	fs.IntVar(&c.MaxK, "maxk", service.DefaultMaxK, "largest accepted K")
 	fs.IntVar(&o.shards, "shards", 1, "default shard count per relation (partitioned indexes, merged per query)")
-	fs.StringVar(&strategy, "shard-strategy", "hash", "partitioning strategy: hash or grid")
 	fs.StringVar(&o.debugAddr, "debug-addr", "",
 		"listen address for the net/http/pprof profiling endpoints (empty = disabled); keep it off public interfaces")
 	fs.DurationVar(&c.SlowQueryThreshold, "slow-query", 0,
@@ -193,9 +192,6 @@ func parseFlags(args []string, stderr io.Writer) (_ *options, err error) {
 		}
 	})
 	if err != nil {
-		return nil, err
-	}
-	if o.strategy, err = proxrank.ParsePartitionStrategy(strategy); err != nil {
 		return nil, err
 	}
 	switch {
@@ -252,7 +248,7 @@ func loadCatalog(o *options) (*service.Catalog, error) {
 			registered(name, "mmap from "+path)
 			continue
 		}
-		if err := cat.LoadCSVFileSharded(name, path, 0, shards, o.strategy); err != nil {
+		if err := cat.LoadCSVFileSharded(name, path, 0, shards); err != nil {
 			return nil, err
 		}
 		registered(name, "from "+path)
@@ -263,7 +259,7 @@ func loadCatalog(o *options) (*service.Catalog, error) {
 			return nil, err
 		}
 		for _, rel := range cityRels {
-			if err := cat.RegisterSharded(rel.Name, rel, o.shards, o.strategy); err != nil {
+			if err := cat.RegisterSharded(rel.Name, rel, o.shards); err != nil {
 				return nil, err
 			}
 			registered(rel.Name, "landmark "+landmark)

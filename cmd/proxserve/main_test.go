@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	proxrank "repro"
 	"repro/api"
 	"repro/internal/shardrpc"
 	"repro/service"
@@ -39,7 +38,6 @@ func TestFlagTable(t *testing.T) {
 		{name: "fault-spec malformed", args: "-city SF -shard-server -fault-spec verb", chaos: true, wantErr: "invalid value"},
 		{name: "coordinator without peers", args: "-coordinator", wantErr: "-coordinator needs -peers"},
 		{name: "nothing to serve", args: "", wantErr: "no relations to serve"},
-		{name: "strategy typo", args: "-city SF -shard-strategy ring", wantErr: "ring"},
 		{name: "zero shards", args: "-city SF -shards 0", wantErr: "-shards 0 must be at least 1"},
 		{name: "rel without path", args: "-rel hotels", wantErr: "want name=path.csv[:shards]"},
 		{name: "ownership out of range", args: "-city SF -shard-server -own 2/2", wantErr: "want 0 <= i < n"},
@@ -53,8 +51,8 @@ func TestFlagTable(t *testing.T) {
 			if !reflect.DeepEqual(o.node.Config, want) {
 				t.Errorf("config %+v, want %+v", o.node.Config, want)
 			}
-			if o.addr != ":8080" || o.debugAddr != "" || o.shards != 1 || o.strategy != proxrank.HashPartition {
-				t.Errorf("addr %q debug %q shards %d strategy %v", o.addr, o.debugAddr, o.shards, o.strategy)
+			if o.addr != ":8080" || o.debugAddr != "" || o.shards != 1 {
+				t.Errorf("addr %q debug %q shards %d", o.addr, o.debugAddr, o.shards)
 			}
 			if !reflect.DeepEqual(o.cities, []string{"SF", "ny"}) {
 				t.Errorf("cities %v", o.cities)
@@ -85,11 +83,11 @@ func TestFlagTable(t *testing.T) {
 			}
 		}},
 		// The three command lines of the CI multi-process smoke.
-		{name: "shard server (ci.yml)", args: "-city SF -shards 6 -shard-strategy grid -shard-server -own 1/2 -rpc-addr 127.0.0.1:9202 -addr 127.0.0.1:9102",
+		{name: "shard server (ci.yml)", args: "-city SF -shards 6 -shard-server -own 1/2 -rpc-addr 127.0.0.1:9202 -addr 127.0.0.1:9102",
 			check: func(t *testing.T, o *options) {
 				if o.rpcAddr != "127.0.0.1:9202" || o.node.Own != (service.Ownership{Index: 1, Count: 2, Replicas: 1}) ||
-					o.shards != 6 || o.strategy != proxrank.GridPartition || o.node.Peers != nil {
-					t.Errorf("rpc %q own %+v shards %d strategy %v peers %v", o.rpcAddr, o.node.Own, o.shards, o.strategy, o.node.Peers)
+					o.shards != 6 || o.node.Peers != nil {
+					t.Errorf("rpc %q own %+v shards %d peers %v", o.rpcAddr, o.node.Own, o.shards, o.node.Peers)
 				}
 			}},
 		{name: "shard server defaults", args: "-city SF -shard-server", check: func(t *testing.T, o *options) {
@@ -150,7 +148,7 @@ func TestFlagTable(t *testing.T) {
 }
 
 // TestFlagSurface: the flag set is the regression surface of ci.yml and
-// the studies in EXPERIMENTS.md — 20 flags, and -h is not a failure.
+// the studies in EXPERIMENTS.md — 19 flags, and -h is not a failure.
 func TestFlagSurface(t *testing.T) {
 	var usage bytes.Buffer
 	if code := run(context.Background(), []string{"-h"}, &usage); code != 0 {
@@ -162,8 +160,8 @@ func TestFlagSurface(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 20 {
-		t.Fatalf("%d flags, want 20:\n%s", flags, usage.String())
+	if flags != 19 {
+		t.Fatalf("%d flags, want 19:\n%s", flags, usage.String())
 	}
 }
 
@@ -222,7 +220,7 @@ func requireRefused(t *testing.T, addr string) {
 // a single node; a shard server (also a full node over HTTP); a
 // coordinator over that shard server. After stop nothing listens.
 func TestNodeRoles(t *testing.T) {
-	data := []string{"-city", "SF", "-shards", "6", "-shard-strategy", "grid", "-addr", "127.0.0.1:0"}
+	data := []string{"-city", "SF", "-shards", "6", "-addr", "127.0.0.1:0"}
 	single := startArgs(t, data...)
 	want := askReady(t, single)
 

@@ -81,7 +81,7 @@ func TestConcurrentSharedIndexQueries(t *testing.T) {
 
 	indexes := make([]proxrank.Input, len(rels))
 	for i, rel := range rels {
-		if indexes[i], err = proxrank.NewShardedRelation(rel, 1, proxrank.HashPartition); err != nil {
+		if indexes[i], err = proxrank.NewShardedRelation(rel, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -106,7 +106,7 @@ func shardSetup() ([]proxrank.Input, proxrank.Vector) {
 		rels, q := mustRels(2, 2000, 42)
 		inputs := make([]proxrank.Input, len(rels))
 		for i, r := range rels {
-			sharded, err := proxrank.NewShardedRelation(r, 8, proxrank.HashPartition)
+			sharded, err := proxrank.NewShardedRelation(r, 8)
 			if err != nil {
 				panic(err)
 			}
@@ -129,7 +129,7 @@ func rtreeSetup() ([]*proxrank.ShardedRelation, []proxrank.Vector) {
 			panic(err)
 		}
 		for _, rel := range rels {
-			ix, err := proxrank.NewShardedRelation(rel, 1, proxrank.HashPartition)
+			ix, err := proxrank.NewShardedRelation(rel, 1)
 			if err != nil {
 				panic(err)
 			}
@@ -206,9 +206,10 @@ func BenchSessionNext(b *testing.B) {
 	}
 }
 
-// BenchShardedMerge runs the batch query over hash-sharded relations
-// (8 shards each), so every pull crosses the k-way merge of the per-shard
-// R-tree streams: the source plan a single node opens for a query.
+// BenchShardedMerge runs the batch query over relations cut into 8 grid
+// shards each, so every pull crosses the k-way merge of the per-shard
+// R-tree streams, each shard latent until the merge reaches its box: the
+// source plan a single node opens for a query.
 func BenchShardedMerge(b *testing.B) {
 	inputs, q := shardSetup()
 	b.ReportAllocs()
@@ -272,7 +273,7 @@ func scanSetup() (*proxrank.ShardedRelation, []proxrank.Vector) {
 		if err != nil {
 			panic(err)
 		}
-		if scanShard, err = proxrank.NewShardedRelation(rel, 1, proxrank.GridPartition); err != nil {
+		if scanShard, err = proxrank.NewShardedRelation(rel, 1); err != nil {
 			panic(err)
 		}
 		scanQueries = make([]proxrank.Vector, 64)
@@ -345,7 +346,7 @@ func BenchScoreDeep(b *testing.B) {
 	inputs := make([]proxrank.Input, len(ixs))
 	for i, ix := range ixs {
 		rel := ix.Relation()
-		g, err := proxrank.NewShardedRelation(rel, proxrank.AutoShardCount(rel.Len()), proxrank.GridPartition)
+		g, err := proxrank.NewShardedRelation(rel, proxrank.AutoShardCount(rel.Len()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -372,7 +373,7 @@ func BenchPartitionGrid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := proxrank.NewShardedRelation(rel, 12, proxrank.GridPartition); err != nil {
+		if _, err := proxrank.NewShardedRelation(rel, 12); err != nil {
 			b.Fatal(err)
 		}
 	}

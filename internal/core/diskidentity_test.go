@@ -80,12 +80,12 @@ func (s *seqTracer) sameAs(o *seqTracer) error {
 // relfileSharded round-trips every relation of the instance through the
 // relfile format: partition in memory, write, mmap back, load. The
 // returned relations hold no tuples on the Go heap.
-func relfileSharded(t *testing.T, in instance, shards int, strategy relation.PartitionStrategy) []*relation.Sharded {
+func relfileSharded(t *testing.T, in instance, shards int) []*relation.Sharded {
 	t.Helper()
 	dir := t.TempDir()
 	out := make([]*relation.Sharded, len(in.rels))
 	for i, rel := range in.rels {
-		s, err := relation.Partition(rel, shards, strategy)
+		s, err := relation.Partition(rel, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,13 +222,9 @@ func TestDiskIdentity(t *testing.T) {
 		opts.MaxBuffered = 1 + r.Intn(5)
 		opts.SpillDir = t.TempDir()
 		shards := 1 + r.Intn(3)
-		strategy := relation.HashPartition
-		if r.Intn(2) == 0 {
-			strategy = relation.GridPartition
-		}
 
 		ram := runDisk(t, c.in.sources(t, c.kind), c.in, opts)
-		disk := relfileSharded(t, c.in, shards, strategy)
+		disk := relfileSharded(t, c.in, shards)
 
 		fromDisk := runDisk(t, shardedSources(t, disk, c.in, c.kind), c.in, opts)
 		fromDisk.mustMatch(t, fmt.Sprintf("case %d (%v,%v,%d shards) relfile", ci, opts.Algorithm, c.kind, shards), ram)

@@ -466,7 +466,7 @@ func deepFixture(t testing.TB) ([]*relation.Sharded, *agg.EuclideanSum) {
 	}
 	ixs := make([]*relation.Sharded, len(rels))
 	for i, rel := range rels {
-		if ixs[i], err = relation.Partition(rel, 1, relation.HashPartition); err != nil {
+		if ixs[i], err = relation.Partition(rel, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ func (c *closeCounter) Close() { c.closed++ }
 // closed merge is over.
 func TestCloseReachesEveryStream(t *testing.T) {
 	rel := tieRelation(t, 29, 60, 2)
-	s, err := Partition(rel, 4, HashPartition)
+	s, err := Partition(rel, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,7 +235,7 @@ func AutoShardCount(tuples int) int {
 // reconstructs emitted tuples from its own pulled prefixes, never from
 // the parent's tuple storage, which is what lets a loaded relation's
 // tuples stay on disk.
-func AssembleSharded(parent *Relation, shards []Columns, strategy PartitionStrategy) (*Sharded, error) {
+func AssembleSharded(parent *Relation, shards []Columns) (*Sharded, error) {
 	if parent == nil {
 		return nil, fmt.Errorf("relation: cannot assemble a nil relation")
 	}
@@ -259,7 +259,7 @@ func AssembleSharded(parent *Relation, shards []Columns, strategy PartitionStrat
 	if total != parent.Len() {
 		return nil, fmt.Errorf("relation %q: shards hold %d tuples, parent advertises %d", parent.Name, total, parent.Len())
 	}
-	s := &Sharded{parent: parent, strategy: strategy, shards: make([]shard, len(shards)), all: wholeGroup(len(shards))}
+	s := &Sharded{parent: parent, shards: make([]shard, len(shards)), all: wholeGroup(len(shards))}
 	for i, cols := range shards {
 		s.shards[i] = shard{rel: shardRel(parent, i, len(shards), cols.Len()), cols: cols, bounds: boundsOf(cols)}
 	}

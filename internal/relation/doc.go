@@ -34,7 +34,7 @@
 //     at most autoShardTarget tuples: one pass keys every tuple, then
 //     rounds of growing size sort the keys up to a sampled bound. An index built once over a whole
 //     relation is a one-shard Partition.
-//   - Partition, Sharded, OpenShardSet, MergedSource: hash or grid
+//   - Partition, Sharded, OpenShardSet, MergedSource: grid (median-cut)
 //     partitioning, parallel per-shard builds, and the ordinal-aware
 //     merge that restores the canonical order across shard streams.
 //     Every stream over several shards — a local relation's, a shard

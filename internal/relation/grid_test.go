@@ -85,7 +85,7 @@ func referenceBoxes(r *Relation, group []int, n int) [][]int {
 	return append(referenceBoxes(r, sorted[:k], n/2), referenceBoxes(r, sorted[k:], n-n/2)...)
 }
 
-// TestGridBoxes: the grid strategy is a partition into size-balanced
+// TestGridBoxes: Partition's grid is a partition into size-balanced
 // boxes, and the quickselect that cuts them picks exactly the groups a
 // full sort would — over 20 seeds, dimensions 1–6, ties on every axis,
 // 2–16 shards, more shards than tuples, and all-identical vectors.
@@ -113,7 +113,7 @@ func TestGridBoxes(t *testing.T) {
 				}
 			}
 
-			s, err := Partition(rel, n, GridPartition)
+			s, err := Partition(rel, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func boundQueries(r *rand.Rand, lo, hi []float64) []vec.Vector {
 // TestShardBoundNeverExceedsFirstKey is the soundness of shard pruning on
 // the bits the merge compares: whatever the relation (dims 1–8, tied
 // coordinates, duplicates, one-tuple shards whose rectangle is a point),
-// strategy, shard count and query position, Dist2LowerBound is at most
+// layout (grid boxes or overlapping shards), shard count and query position, Dist2LowerBound is at most
 // the first key both of the shard's distance streams emit, and a merge
 // over streams held latent at that bound emits what the eager merge does.
 func TestShardBoundNeverExceedsFirstKey(t *testing.T) {
@@ -186,14 +186,11 @@ func TestShardBoundNeverExceedsFirstKey(t *testing.T) {
 		dim := 1 + trial%8
 		rel := decimalRelation(t, r, 1+r.Intn(90), dim)
 		n := 1 + trial%16
-		for _, strategy := range []PartitionStrategy{HashPartition, GridPartition} {
-			s, err := Partition(rel, n, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, l := range BothLayouts(t, rel, n) {
+			s := l.Sharded
 			b := s.ShardBounds(r.Intn(s.NumShards()))
 			for qi, q := range boundQueries(r, b.Min, b.Max) {
-				label := fmt.Sprintf("trial %d (size=%d dim=%d %v/%d) query %d", trial, rel.Len(), dim, strategy, s.NumShards(), qi)
+				label := fmt.Sprintf("trial %d (size=%d dim=%d %s/%d) query %d", trial, rel.Len(), dim, l.Name, s.NumShards(), qi)
 				eager := make([]Source, s.NumShards())
 				lazy := make([]KeyedSource, s.NumShards())
 				for i := range eager {
@@ -207,6 +204,7 @@ func TestShardBoundNeverExceedsFirstKey(t *testing.T) {
 							t.Fatalf("%s: shard %d (rtree=%v) bound %v exceeds first key %v (err %v)", label, i, useRTree, bound, key, err)
 						}
 					}
+					var err error
 					if eager[i], err = s.ShardSource(i, DistanceAccess, q, nil, true); err != nil {
 						t.Fatal(err)
 					}
@@ -262,11 +260,8 @@ func FuzzShardKeyLowerBound(f *testing.F) {
 		if err != nil {
 			t.Skip(err) // coordinates overflowed
 		}
-		for _, strategy := range []PartitionStrategy{HashPartition, GridPartition} {
-			s, err := Partition(rel, 1+int(shards)%16, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, l := range BothLayouts(t, rel, 1+int(shards)%16) {
+			s := l.Sharded
 			for i := 0; i < s.NumShards(); i++ {
 				b := s.ShardBounds(i)
 				far := vec.New(d)
@@ -276,7 +271,7 @@ func FuzzShardKeyLowerBound(f *testing.F) {
 				for qi, q := range append(boundQueries(r, b.Min, b.Max), vec.New(d), scale(far)) {
 					bound := b.Dist2LowerBound(q)
 					if !(bound >= 0) {
-						t.Fatalf("%v shard %d query %d: bound %v", strategy, i, qi, bound)
+						t.Fatalf("%s shard %d query %d: bound %v", l.Name, i, qi, bound)
 					}
 					for _, useRTree := range []bool{false, true} {
 						src, err := s.ShardSource(i, DistanceAccess, q, nil, useRTree)
@@ -292,11 +287,11 @@ func FuzzShardKeyLowerBound(f *testing.F) {
 								t.Fatal(err)
 							}
 							if d2 := tu.Vec.Dist2(q); math.Float64bits(key) != math.Float64bits(d2) {
-								t.Fatalf("%v shard %d query %d (rtree=%v): %s keyed %v, Dist2 %v", strategy, i, qi, useRTree, tu.ID, key, d2)
+								t.Fatalf("%s shard %d query %d (rtree=%v): %s keyed %v, Dist2 %v", l.Name, i, qi, useRTree, tu.ID, key, d2)
 							}
 							if bound > key {
-								t.Fatalf("%v shard %d query %d (rtree=%v): bound %v exceeds %s's key %v; bounds %+v, q %v",
-									strategy, i, qi, useRTree, bound, tu.ID, key, b, q)
+								t.Fatalf("%s shard %d query %d (rtree=%v): bound %v exceeds %s's key %v; bounds %+v, q %v",
+									l.Name, i, qi, useRTree, bound, tu.ID, key, b, q)
 							}
 						}
 					}
@@ -344,7 +339,7 @@ func TestShardBoundMatchesBranchyRect(t *testing.T) {
 		default:
 			rel = flatRelation(t, size, dim)
 		}
-		s, err := Partition(rel, 1+trial%16, GridPartition)
+		s, err := Partition(rel, 1+trial%16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func randomRelation(t *testing.T, seed int64, size, dim int) *Relation {
 // Partition, its score order and R-tree built up front.
 func oneShard(t testing.TB, rel *Relation) *Sharded {
 	t.Helper()
-	s, err := Partition(rel, 1, HashPartition)
+	s, err := Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,33 +55,31 @@ func attrsRelation(t *testing.T) *relation.Relation {
 func TestHeapColumnsLayout(t *testing.T) {
 	rel := attrsRelation(t)
 	dim := rel.Dim()
-	for _, strategy := range []relation.PartitionStrategy{relation.HashPartition, relation.GridPartition} {
-		for _, n := range []int{1, 4} {
-			s, err := relation.Partition(rel, n, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < s.NumShards(); i++ {
-				label := fmt.Sprintf("%v/%d shard %d", strategy, n, i)
-				cols := s.ShardColumns(i)
-				base := addr(cols.Vec(0))
-				for j := 0; j < cols.Len(); j++ {
-					v := cols.Vec(j)
-					if len(v) != dim || cap(v) != dim {
-						t.Fatalf("%s: Vec(%d) has len %d cap %d, want %d", label, j, len(v), cap(v), dim)
-					}
-					if got, want := addr(v), base+uintptr(j*dim*8); got != want {
-						t.Fatalf("%s: Vec(%d) at slab offset %d bytes, want %d", label, j, got-base, want-base)
-					}
-					old := rel.At(cols.Ordinal(j))
-					tu := cols.Tuple(j)
-					if tu.ID != old.ID || math.Float64bits(tu.Score) != math.Float64bits(old.Score) ||
-						!sameBits(tu.Vec, old.Vec) || !sameBits(v, old.Vec) || addr(tu.Vec) != addr(v) {
-						t.Fatalf("%s: Tuple(%d) = %+v, parent tuple %d is %+v", label, j, tu, cols.Ordinal(j), old)
-					}
-					if reflect.ValueOf(tu.Attrs).UnsafePointer() != reflect.ValueOf(old.Attrs).UnsafePointer() {
-						t.Fatalf("%s: Tuple(%d) does not share its parent's attribute map", label, j)
-					}
+	for _, n := range []int{1, 4} {
+		s, err := relation.Partition(rel, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.NumShards(); i++ {
+			label := fmt.Sprintf("%d shards, shard %d", n, i)
+			cols := s.ShardColumns(i)
+			base := addr(cols.Vec(0))
+			for j := 0; j < cols.Len(); j++ {
+				v := cols.Vec(j)
+				if len(v) != dim || cap(v) != dim {
+					t.Fatalf("%s: Vec(%d) has len %d cap %d, want %d", label, j, len(v), cap(v), dim)
+				}
+				if got, want := addr(v), base+uintptr(j*dim*8); got != want {
+					t.Fatalf("%s: Vec(%d) at slab offset %d bytes, want %d", label, j, got-base, want-base)
+				}
+				old := rel.At(cols.Ordinal(j))
+				tu := cols.Tuple(j)
+				if tu.ID != old.ID || math.Float64bits(tu.Score) != math.Float64bits(old.Score) ||
+					!sameBits(tu.Vec, old.Vec) || !sameBits(v, old.Vec) || addr(tu.Vec) != addr(v) {
+					t.Fatalf("%s: Tuple(%d) = %+v, parent tuple %d is %+v", label, j, tu, cols.Ordinal(j), old)
+				}
+				if reflect.ValueOf(tu.Attrs).UnsafePointer() != reflect.ValueOf(old.Attrs).UnsafePointer() {
+					t.Fatalf("%s: Tuple(%d) does not share its parent's attribute map", label, j)
 				}
 			}
 		}
@@ -92,7 +90,7 @@ func TestHeapColumnsLayout(t *testing.T) {
 // shards back from a relfile written to a temporary directory.
 func ramAndRelfile(t *testing.T, rel *relation.Relation) map[string]*relation.Sharded {
 	t.Helper()
-	ram, err := relation.Partition(rel, 3, relation.GridPartition)
+	ram, err := relation.Partition(rel, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,17 @@ import (
 // benchmark are dominated by per-shard stream construction, not by the
 // per-tuple merge work.
 //
-// The score and distance cases merge ShardSource streams with Merge, as
-// the benchmark module does. The OpenSource cases time what a query opens
+// The score and distance cases merge the ShardSource streams of 8 grid
+// shards with Merge, as the benchmark module does, and close the merge
+// as a query closes its streams, so distance buffers go back to their
+// pool. The OpenSource cases time what a query opens
 // over a 20 000-tuple dim-4 relation cut into 3 or 12 grid shards — the
 // shard-set merge, each shard latent at its bound — to its first tuple
 // and through a 350-tuple prefix.
 func BenchmarkMergedSource(b *testing.B) {
 	const size, dim, shards = 1024, 3, 8
 	rel := tieRelation(b, 3, size, dim)
-	sh, err := Partition(rel, shards, HashPartition)
+	sh, err := Partition(rel, shards)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,6 +67,7 @@ func BenchmarkMergedSource(b *testing.B) {
 				if n != size {
 					b.Fatalf("drained %d tuples, want %d", n, size)
 				}
+				merged.(Closer).Close()
 			}
 		})
 	}
@@ -76,7 +79,7 @@ func BenchmarkMergedSource(b *testing.B) {
 		queries[i] = vec.Of(r.Float64(), r.Float64(), r.Float64(), r.Float64())
 	}
 	for _, n := range []int{3, 12} {
-		grid, err := Partition(uniform, n, GridPartition)
+		grid, err := Partition(uniform, n)
 		if err != nil {
 			b.Fatal(err)
 		}

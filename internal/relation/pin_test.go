@@ -3,12 +3,15 @@ package relation_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/relation"
@@ -30,12 +33,8 @@ type pin struct{ shards, merged, bounds, relfile string }
 // bytes do. Regenerate an entry from the failure message, and only for a
 // change that means to alter what it pins.
 var pinned = map[string]pin{
-	"tied/hash/1": {"bd34f1af547fd1e7ac62b93c74f063372d807111cbcdbb134414872400696116", "8e90dd23e31d6dce8977c12e5f9dd76b5449129361e7eb1cc3cd4f310e707dcb", "2a0500755e82a4309e2260041100ff1f0cc5197ccf702435e8d16629d44e83bf", "02b42d69784274c3b5a598ca38f28514260862bf4f29ad4ee5f135739ef30a25"},
-	"tied/hash/5": {"4592bd20d54ea351167c7a9471099b488d20ee9f95be90c2fd9f4bd961a08575", "d8e43137b4c7a9d3430ce07836b5241afc8ab8816ec970286eeb9da0d5f32836", "a0ea9b1fcca4f572d84f804d3f62710463569101050ff241d0c2f8d81679a05f", "4edfd48251516e57ef661270d7e4be9b7934571abcf13d8734a76d439a710818"},
 	"tied/grid/1": {"bd34f1af547fd1e7ac62b93c74f063372d807111cbcdbb134414872400696116", "8e90dd23e31d6dce8977c12e5f9dd76b5449129361e7eb1cc3cd4f310e707dcb", "2a0500755e82a4309e2260041100ff1f0cc5197ccf702435e8d16629d44e83bf", "d38f51cfd5f7bb0f0fe4dbf0863eb06dfa3ff5afe0164d5fc5c19a480e54712e"},
 	"tied/grid/5": {"2dc14c80c34a0e8dac358d7762c89648a9dbeca4d7c095ff35780384d5d2e1a8", "d8e43137b4c7a9d3430ce07836b5241afc8ab8816ec970286eeb9da0d5f32836", "22fae3e505fd09eb5593c9a4285bcd8aaf1ee91d54e1cb076886bcfdef9c5721", "34b92eea26e0a3f0b3148776d1d28d9f8c7601007788c1246269031fe3249949"},
-	"dim8/hash/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "9248f65a778581a94f72bb84e9436089064ce9676509438bc233c2942f360888", "5b736ac742b0471fdc6733444e7d9fd6b43f0167376f361cf6bcc7ab6945a461"},
-	"dim8/hash/5": {"9284667496c5fc943448dbd9fc8714b0030e6fe736168f34d855c134672b7a68", "4231d02967b19e29288848183b461555c5c73f15ef4168295461f93f19d3ee6a", "a88b8a427dbec6092569423debb51afb128193b6aea7a26b636dfeaeb5b2c140", "0b420b1718b1864e59974910811b1d6eb0a8a850eb93b31dd15d87684d0bffb2"},
 	"dim8/grid/1": {"a7427f1b94985960b4f67638bf4390f8786d2fb08726a929d3400e0572ecd70d", "4a26fa351fbd7aa457f6f764d9329f07b63572350d7e71a2007f15a452d89da6", "9248f65a778581a94f72bb84e9436089064ce9676509438bc233c2942f360888", "3d09967c9fdd2c5f48aa9d54b41082ced3795898d2f42315c395d203ba43742e"},
 	"dim8/grid/5": {"136aa91e7a8c2e30c49b5ee4e41e521607d3d6098ac2121236b680e3b2f5d401", "4231d02967b19e29288848183b461555c5c73f15ef4168295461f93f19d3ee6a", "a2e089e27c7de90156775630e8b23b9dbe7a21524f40ef55159476db9e98e9f4", "8e83303fb09124eee9f923c839d76bb053d00eea8a480823e1a1d1c4e4ac425a"},
 }
@@ -137,12 +136,14 @@ func boundsDigest(s *relation.Sharded) string {
 }
 
 // TestPinnedStreamsBoundsAndRelfileBytes checks tie-heavy dim-2 and dim-8
-// fixtures × {hash, grid} × {1, 5 shards} against pinned: the partitioned
+// fixtures in {1, 5} grid shards against pinned: the partitioned
 // relation's two stream transcripts, the same two over its relfile
 // mapped back, the float bits of every ShardBounds field — the same from
 // the partitioner and from the file, which stores no bounds and derives
 // them — and the sha256 of the relfile itself, which the mapped
-// relation re-encodes to.
+// relation re-encodes to. Each fixture's 5 overlapping shards
+// (HashSharded), whose heads interleave where grid boxes' do not, must
+// merge to the 5 grid shards' pinned merged transcript.
 func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
 	tied := relation.TieRelation(t, 41, 150, 2)
 	dim8 := relation.Dim8Relation(t, 43, 400)
@@ -154,69 +155,156 @@ func TestPinnedStreamsBoundsAndRelfileBytes(t *testing.T) {
 		{dim8, []vec.Vector{vec.New(8), dim8.At(17).Vec}},
 	}
 	for _, fx := range fixtures {
-		for _, strategy := range []relation.PartitionStrategy{relation.HashPartition, relation.GridPartition} {
-			for _, shards := range []int{1, 5} {
-				name := fmt.Sprintf("%s/%v/%d", fx.rel.Name, strategy, shards)
-				t.Run(name, func(t *testing.T) {
-					s, err := relation.Partition(fx.rel, shards, strategy)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if s.NumShards() != shards {
-						t.Fatalf("%d shards, want %d", s.NumShards(), shards)
-					}
-					var got pin
-
-					shardH, mergedH := sha256.New(), sha256.New()
-					transcribe(t, shardH, mergedH, s, fx.queries)
-					got.shards = fmt.Sprintf("%x", shardH.Sum(nil))
-					got.merged = fmt.Sprintf("%x", mergedH.Sum(nil))
-
-					got.bounds = boundsDigest(s)
-
-					path := filepath.Join(t.TempDir(), "pin.prox")
-					if err := relfile.Write(path, s); err != nil {
-						t.Fatal(err)
-					}
-					raw, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got.relfile = fmt.Sprintf("%x", sha256.Sum256(raw))
-
-					if got != pinned[name] {
-						t.Errorf("pin moved; got\n\t%q: {%q, %q, %q, %q},\nwant\n\t%+v", name, got.shards, got.merged, got.bounds, got.relfile, pinned[name])
-					}
-
-					f, err := relfile.Open(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer f.Close()
-					loaded, err := f.Load(fx.rel.Name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if mapped := boundsDigest(loaded); mapped != got.bounds {
-						t.Errorf("mapped relfile bounds %s, heap %s", mapped, got.bounds)
-					}
-					again := filepath.Join(t.TempDir(), "again.prox")
-					if err := relfile.Write(again, loaded); err != nil {
-						t.Fatal(err)
-					}
-					if rewritten, err := os.ReadFile(again); err != nil || !bytes.Equal(rewritten, raw) {
-						t.Errorf("re-encoding the mapped relfile changed its bytes (err %v)", err)
-					}
-					shardH, mergedH = sha256.New(), sha256.New()
-					transcribe(t, shardH, mergedH, loaded, fx.queries)
-					if mapped := fmt.Sprintf("%x", shardH.Sum(nil)); mapped != got.shards {
-						t.Errorf("mapped relfile shard streams %s, heap %s", mapped, got.shards)
-					}
-					if mapped := fmt.Sprintf("%x", mergedH.Sum(nil)); mapped != got.merged {
-						t.Errorf("mapped relfile merged streams %s, heap %s", mapped, got.merged)
-					}
-				})
-			}
+		for _, shards := range []int{1, 5} {
+			name := fmt.Sprintf("%s/grid/%d", fx.rel.Name, shards)
+			t.Run(name, func(t *testing.T) {
+				s, err := relation.Partition(fx.rel, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.NumShards() != shards {
+					t.Fatalf("%d shards, want %d", s.NumShards(), shards)
+				}
+				if got := pinOf(t, s, fx.queries); got != pinned[name] {
+					t.Errorf("pin moved; got\n\t%q: {%q, %q, %q, %q},\nwant\n\t%+v", name, got.shards, got.merged, got.bounds, got.relfile, pinned[name])
+				}
+			})
 		}
+		t.Run(fx.rel.Name+"/overlap/5", func(t *testing.T) {
+			s := relation.HashSharded(t, fx.rel, 5)
+			if s.NumShards() != 5 {
+				t.Fatalf("%d shards, want 5", s.NumShards())
+			}
+			if got, want := pinOf(t, s, fx.queries).merged, pinned[fx.rel.Name+"/grid/5"].merged; got != want {
+				t.Errorf("overlapping shards merge to %s, grid shards pinned at %s", got, want)
+			}
+		})
+	}
+}
+
+// pinOf digests s as pinned records it, after checking that its relfile
+// mapped back advertises the same bounds, re-encodes to the same bytes and
+// serves the same transcripts.
+func pinOf(t *testing.T, s *relation.Sharded, queries []vec.Vector) pin {
+	t.Helper()
+	var got pin
+	shardH, mergedH := sha256.New(), sha256.New()
+	transcribe(t, shardH, mergedH, s, queries)
+	got.shards = fmt.Sprintf("%x", shardH.Sum(nil))
+	got.merged = fmt.Sprintf("%x", mergedH.Sum(nil))
+
+	got.bounds = boundsDigest(s)
+
+	path := filepath.Join(t.TempDir(), "pin.prox")
+	if err := relfile.Write(path, s); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.relfile = fmt.Sprintf("%x", sha256.Sum256(raw))
+
+	f, err := relfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := f.Load(s.Relation().Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapped := boundsDigest(loaded); mapped != got.bounds {
+		t.Errorf("mapped relfile bounds %s, heap %s", mapped, got.bounds)
+	}
+	again := filepath.Join(t.TempDir(), "again.prox")
+	if err := relfile.Write(again, loaded); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten, err := os.ReadFile(again); err != nil || !bytes.Equal(rewritten, raw) {
+		t.Errorf("re-encoding the mapped relfile changed its bytes (err %v)", err)
+	}
+	shardH, mergedH = sha256.New(), sha256.New()
+	transcribe(t, shardH, mergedH, loaded, queries)
+	if mapped := fmt.Sprintf("%x", shardH.Sum(nil)); mapped != got.shards {
+		t.Errorf("mapped relfile shard streams %s, heap %s", mapped, got.shards)
+	}
+	if mapped := fmt.Sprintf("%x", mergedH.Sum(nil)); mapped != got.merged {
+		t.Errorf("mapped relfile merged streams %s, heap %s", mapped, got.merged)
+	}
+	return got
+}
+
+// TestRelfileOfLayoutZeroServesItsShards: a relfile whose header carries
+// layout word 0, the word of a file written when shards could be cut by a
+// hash of tuple IDs, opens, and its overlapping shards stream what the
+// unsharded relation does under both access kinds. Word 2 names no
+// layout and is refused as corrupt.
+func TestRelfileOfLayoutZeroServesItsShards(t *testing.T) {
+	rel := relation.TieRelation(t, 41, 150, 2)
+	path := filepath.Join(t.TempDir(), "hash.prox")
+	if err := relfile.Write(path, relation.HashSharded(t, rel, 5)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if word := binary.LittleEndian.Uint32(raw[12:16]); word != 1 {
+		t.Fatalf("Write emitted layout word %d, want 1", word)
+	}
+	withLayout := func(word uint32) string {
+		b := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(b[12:16], word)
+		binary.LittleEndian.PutUint32(b[60:64], crc32.Checksum(b[0:60], crc32.MakeTable(crc32.Castagnoli)))
+		p := filepath.Join(t.TempDir(), fmt.Sprintf("layout%d.prox", word))
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if _, err := relfile.Open(withLayout(2)); !errors.Is(err, relfile.ErrCorrupt) {
+		t.Fatalf("layout word 2 opened with error %v, want ErrCorrupt", err)
+	}
+	f, err := relfile.Open(withLayout(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old, err := f.Load(rel.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.NumShards() != 5 {
+		t.Fatalf("%d shards, want 5", old.NumShards())
+	}
+	drain := func(in relation.Input, kind relation.AccessKind, q vec.Vector) []relation.Tuple {
+		t.Helper()
+		src, err := relation.OpenSource(in, kind, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []relation.Tuple
+		for {
+			tu, err := src.Next()
+			if errors.Is(err, relation.ErrExhausted) {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, tu)
+		}
+	}
+	check := func(kind relation.AccessKind, q vec.Vector) {
+		t.Helper()
+		got, want := drain(old, kind, q), drain(rel, kind, q)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v %v: the layout-0 file streams %d tuples unlike the unsharded relation's %d", kind, q, len(got), len(want))
+		}
+	}
+	check(relation.ScoreAccess, nil)
+	for _, q := range []vec.Vector{vec.Of(1.3, 2.1), vec.Of(2, 2), vec.Of(-40, 40)} {
+		check(relation.DistanceAccess, q)
 	}
 }

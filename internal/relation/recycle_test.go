@@ -32,7 +32,7 @@ func recycleFixture(t *testing.T) (plain []*proxrank.Relation, sharded []proxran
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := proxrank.NewShardedRelation(rel, 3, proxrank.GridPartition)
+		s, err := proxrank.NewShardedRelation(rel, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -145,7 +145,7 @@ func TestQuickRTreeSourceMatchesSorted(t *testing.T) {
 		for j := range q {
 			q[j] = r.NormFloat64()
 		}
-		ix, err := Partition(rel, 1, HashPartition)
+		ix, err := Partition(rel, 1)
 		if err != nil {
 			return false
 		}

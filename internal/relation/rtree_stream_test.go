@@ -26,7 +26,7 @@ func columnsTwin(t testing.TB, ram *Sharded) *Sharded {
 	for i := range shards {
 		shards[i] = ram.ShardColumns(i)
 	}
-	twin, err := AssembleSharded(stub, shards, ram.Strategy())
+	twin, err := AssembleSharded(stub, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func sameKeyedStream(got, want Source) error {
 func TestConcurrentRTreeStreamsMatchSorted(t *testing.T) {
 	for _, dim := range []int{4, 8} {
 		rel := mixedRelation(t, dim, 5, 3000)
-		ram, err := Partition(rel, 3, GridPartition)
+		ram, err := Partition(rel, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func releasedStreamsRecycle[S interface {
 	KeyedSource
 	Closer
 }](t *testing.T, rel *Relation) {
-	s, err := Partition(rel, 3, GridPartition)
+	s, err := Partition(rel, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func releasedStreamsRecycle[S interface {
 // tie-run buffer, which must be reused rather than re-sliced away.
 func TestRTreeSourceDrainDoesNotAllocate(t *testing.T) {
 	rel := dim4Relation(t, 9, 1000)
-	ram, err := Partition(rel, 1, HashPartition)
+	ram, err := Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestScanSourceDrainDoesNotAllocate(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	rel := dim8Relation(t, 9, 1000)
-	ram, err := Partition(rel, 1, HashPartition)
+	ram, err := Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestScanSourceDrainDoesNotAllocate(t *testing.T) {
 // a cursor over its columns — nothing is allocated per pull once it is
 // open.
 func TestScoreSourceDrainDoesNotAllocate(t *testing.T) {
-	s, err := Partition(dim8Relation(t, 9, 1000), 2, HashPartition)
+	s, err := Partition(dim8Relation(t, 9, 1000), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

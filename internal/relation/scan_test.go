@@ -139,7 +139,7 @@ func scanFixture(t testing.TB, dim, size int, seed int64, dup float64, c scanCas
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Partition(rel, 1, HashPartition)
+	s, err := Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func FuzzScanStream(f *testing.F) {
 // dimension 8 the twin's first read builds its trees.
 func TestPartitionBuildsNoTreeFromDim8(t *testing.T) {
 	for _, dim := range []int{4, 8, 12} {
-		ram, err := Partition(mixedRelation(t, dim, 3, 600), 3, GridPartition)
+		ram, err := Partition(mixedRelation(t, dim, 3, 600), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestPartitionBuildsNoTreeFromDim8(t *testing.T) {
 func TestLargeShardKeepsTree(t *testing.T) {
 	for _, dim := range []int{8, 12} {
 		for _, size := range []int{autoShardTarget, autoShardTarget + 1} {
-			ram, err := Partition(mixedRelation(t, dim, 5, size), 1, HashPartition)
+			ram, err := Partition(mixedRelation(t, dim, 5, size), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

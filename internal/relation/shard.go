@@ -4,51 +4,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/rtree"
 	"repro/internal/vec"
 )
-
-// PartitionStrategy selects how Partition assigns tuples to shards.
-type PartitionStrategy int
-
-const (
-	// HashPartition spreads tuples across shards by a hash of their ID:
-	// size-balanced in expectation, oblivious to geometry. The right
-	// default for score access and mixed workloads.
-	HashPartition PartitionStrategy = iota
-	// GridPartition packs spatially close tuples into the same shard:
-	// size-balanced axis-aligned boxes by recursive median cut (the
-	// spatial-partitioning idea of MapReduce kNN joins). Per-shard R-trees
-	// stay compact, a distance query drains mostly one shard's stream, and
-	// a coordinator prunes the boxes its query is far from.
-	GridPartition
-)
-
-// String implements fmt.Stringer.
-func (s PartitionStrategy) String() string {
-	switch s {
-	case HashPartition:
-		return "hash"
-	case GridPartition:
-		return "grid"
-	}
-	return fmt.Sprintf("PartitionStrategy(%d)", int(s))
-}
-
-// ParsePartitionStrategy maps a case-insensitive name to a strategy; the
-// empty string selects HashPartition.
-func ParsePartitionStrategy(name string) (PartitionStrategy, error) {
-	switch strings.ToLower(name) {
-	case "", "hash":
-		return HashPartition, nil
-	case "grid":
-		return GridPartition, nil
-	}
-	return 0, fmt.Errorf("relation: unknown partition strategy %q (want hash|grid)", name)
-}
 
 // maxShards bounds requested shard counts; beyond this the per-shard
 // bookkeeping dwarfs any conceivable win.
@@ -139,18 +99,20 @@ func ExtendRect(lo, hi []float64, v vec.Vector) {
 // memory and enabling parallel builds and distribution across shard
 // servers.
 type Sharded struct {
-	parent   *Relation
-	shards   []shard
-	all      []int // every shard index, ascending: the set openSource opens
-	strategy PartitionStrategy
+	parent *Relation
+	shards []shard
+	all    []int // every shard index, ascending: the set openSource opens
 }
 
-// Partition splits r into at most n shards under the given strategy and
-// builds each shard's score-ordered columns, bounds and, below dimension
-// 8, R-tree in parallel. Fewer than n shards are returned when the
-// strategy leaves some empty (n exceeding the tuple count, or hash skew).
+// Partition splits r into at most n size-balanced axis-aligned boxes by
+// recursive median cut (gridGroups, the spatial partitioning of MapReduce
+// kNN joins) and builds each shard's score-ordered columns, bounds and,
+// below dimension 8, R-tree in parallel. Each shard's rectangle covers one
+// box, so a distance stream drains mostly the shards near its query and a
+// merge or coordinator leaves the others unopened. Fewer than n shards
+// are returned when some would be empty (n exceeding the tuple count).
 // A sole shard serves r itself: ShardRelation(0) is r, untouched.
-func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error) {
+func Partition(r *Relation, n int) (*Sharded, error) {
 	if r == nil {
 		return nil, fmt.Errorf("relation: cannot partition a nil relation")
 	}
@@ -165,14 +127,7 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 	}
 	var groups [][]int
 	if n > 1 {
-		switch strategy {
-		case HashPartition:
-			groups = hashGroups(r, n)
-		case GridPartition:
-			groups = gridGroups(r, n)
-		default:
-			return nil, fmt.Errorf("relation %q: unknown partition strategy %v", r.Name, strategy)
-		}
+		groups = gridGroups(r, n)
 	}
 	// Drop empty shards; a merge over empty streams is pure overhead.
 	kept := groups[:0]
@@ -186,7 +141,7 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 		groups = [][]int{wholeGroup(len(r.tuples))}
 	}
 
-	s := &Sharded{parent: r, strategy: strategy, shards: make([]shard, len(groups)), all: wholeGroup(len(groups))}
+	s := &Sharded{parent: r, shards: make([]shard, len(groups)), all: wholeGroup(len(groups))}
 	// Sorting and index construction dominate partitioning cost; build
 	// every shard concurrently.
 	var wg sync.WaitGroup
@@ -205,28 +160,6 @@ func Partition(r *Relation, n int, strategy PartitionStrategy) (*Sharded, error)
 	}
 	wg.Wait()
 	return s, nil
-}
-
-// fnv64a is the FNV-1a hash, inlined to keep tuple assignment
-// allocation-free.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// hashGroups assigns tuple i to shard fnv64a(ID) mod n, preserving
-// storage order within each group.
-func hashGroups(r *Relation, n int) [][]int {
-	groups := make([][]int, n)
-	for i, t := range r.tuples {
-		g := int(fnv64a(t.ID) % uint64(n))
-		groups[g] = append(groups[g], i)
-	}
-	return groups
 }
 
 // gridGroups cuts r into n size-balanced axis-aligned boxes by recursive
@@ -323,9 +256,6 @@ func (s *Sharded) InputRelation() *Relation { return s.parent }
 
 // NumShards returns the number of non-empty shards.
 func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Strategy returns the partition strategy the shards were built under.
-func (s *Sharded) Strategy() PartitionStrategy { return s.strategy }
 
 // FileBacked reports whether the shards read from external columnar
 // storage (AssembleSharded) rather than the heap columns Partition builds.

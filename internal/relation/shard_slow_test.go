@@ -12,7 +12,7 @@ import (
 
 // TestMergedSourceProperty is the heavyweight randomized form of the
 // ordering invariant: across random relations (varying size, dimension,
-// tie density), shard counts, strategies, and access kinds, a merged
+// tie density), shard counts, grid or overlapping shards, and access kinds, a merged
 // stream of random shards must emit exactly the sequence of the
 // unsharded source. Gated behind -tags=slow; the always-on tests cover
 // the same invariant on fixed seeds.
@@ -40,17 +40,14 @@ func TestMergedSourceProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		shards := 1 + r.Intn(9)
-		strategy := PartitionStrategy(r.Intn(2))
-		s, err := Partition(rel, shards, strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := BothLayouts(t, rel, shards)[r.Intn(2)]
+		s := l.Sharded
 		q := vec.New(dim)
 		for c := range q {
 			q[c] = r.NormFloat64() * float64(gridVals)
 		}
-		label := fmt.Sprintf("trial %d (size=%d dim=%d shards=%d/%d %v)",
-			trial, size, dim, s.NumShards(), shards, strategy)
+		label := fmt.Sprintf("trial %d (size=%d dim=%d shards=%d/%d %s)",
+			trial, size, dim, s.NumShards(), shards, l.Name)
 
 		wantScore := drain(t, mustOpen(t, rel, ScoreAccess, nil))
 		gotScore, err := OpenSource(s, ScoreAccess, nil)

@@ -56,33 +56,31 @@ func sameSequence(t *testing.T, label string, got, want []Tuple) {
 }
 
 // TestPartitionCoversEveryTuple: shards are a true partition — disjoint,
-// complete, and size-consistent — under both strategies.
+// complete, and size-consistent.
 func TestPartitionCoversEveryTuple(t *testing.T) {
 	rel := tieRelation(t, 11, 97, 2)
-	for _, strategy := range []PartitionStrategy{HashPartition, GridPartition} {
-		s, err := Partition(rel, 5, strategy)
-		if err != nil {
-			t.Fatal(err)
+	s, err := Partition(rel, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NumShards() < 2 {
+		t.Fatalf("%d shards from 97 tuples, want several", s.NumShards())
+	}
+	seen := make(map[string]int)
+	total := 0
+	for i := 0; i < s.NumShards(); i++ {
+		sh := s.ShardColumns(i)
+		total += sh.Len()
+		for j := 0; j < sh.Len(); j++ {
+			seen[sh.Tuple(j).ID]++
 		}
-		if s.NumShards() < 2 {
-			t.Fatalf("%v: %d shards from 97 tuples, want several", strategy, s.NumShards())
-		}
-		seen := make(map[string]int)
-		total := 0
-		for i := 0; i < s.NumShards(); i++ {
-			sh := s.ShardColumns(i)
-			total += sh.Len()
-			for j := 0; j < sh.Len(); j++ {
-				seen[sh.Tuple(j).ID]++
-			}
-		}
-		if total != rel.Len() {
-			t.Fatalf("%v: shard sizes sum to %d, want %d (sizes %v)", strategy, total, rel.Len(), s.ShardSizes())
-		}
-		for id, n := range seen {
-			if n != 1 {
-				t.Fatalf("%v: tuple %s appears in %d shards", strategy, id, n)
-			}
+	}
+	if total != rel.Len() {
+		t.Fatalf("shard sizes sum to %d, want %d (sizes %v)", total, rel.Len(), s.ShardSizes())
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("tuple %s appears in %d shards", id, n)
 		}
 	}
 }
@@ -94,7 +92,7 @@ func TestPartitionCoversEveryTuple(t *testing.T) {
 func TestPartitionDegenerateCounts(t *testing.T) {
 	rel := tieRelation(t, 13, 6, 2)
 	before := rel.Tuples()
-	one, err := Partition(rel, 1, GridPartition)
+	one, err := Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,39 +112,36 @@ func TestPartitionDegenerateCounts(t *testing.T) {
 			t.Fatalf("shard columns break the (score desc, ordinal asc) order at %d", i)
 		}
 	}
-	many, err := Partition(rel, 50, GridPartition)
+	many, err := Partition(rel, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := many.NumShards(); got > rel.Len() || got < 1 {
 		t.Fatalf("50-way partition of 6 tuples yielded %d shards", got)
 	}
-	if _, err := Partition(rel, 0, HashPartition); err == nil {
+	if _, err := Partition(rel, 0); err == nil {
 		t.Fatal("Partition accepted shard count 0")
 	}
-	if _, err := Partition(nil, 2, HashPartition); err == nil {
+	if _, err := Partition(nil, 2); err == nil {
 		t.Fatal("Partition accepted a nil relation")
 	}
 }
 
 // TestMergedSourceMatchesUnsharded is the ordering-invariant acceptance
-// test at the relation layer: for both access kinds, both strategies,
-// and all three distance backends, a merged stream over ≥4 shards — a
-// Partition product's and its AssembleSharded twin's — must be
-// byte-identical to the unsharded stream, ties included.
+// test at the relation layer: for both access kinds, grid and
+// overlapping shards, and all three distance backends, a merged stream
+// over ≥4 shards — the layout's own and its AssembleSharded twin's —
+// must be byte-identical to the unsharded stream, ties included.
 func TestMergedSourceMatchesUnsharded(t *testing.T) {
 	rel := tieRelation(t, 17, 120, 2)
 	q := vec.Of(1.3, 2.1)
-	for _, strategy := range []PartitionStrategy{HashPartition, GridPartition} {
-		ram, err := Partition(rel, 4, strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, l := range BothLayouts(t, rel, 4) {
+		ram := l.Sharded
 		if ram.NumShards() < 4 {
-			t.Fatalf("%v: got %d shards, want 4", strategy, ram.NumShards())
+			t.Fatalf("%s: got %d shards, want 4", l.Name, ram.NumShards())
 		}
 		for product, s := range map[string]*Sharded{"partition": ram, "twin": columnsTwin(t, ram)} {
-			label := strategy.String() + "/" + product
+			label := l.Name + "/" + product
 
 			wantScore := drain(t, mustOpen(t, rel, ScoreAccess, nil))
 			gotSrc, err := OpenSource(s, ScoreAccess, nil)
@@ -228,7 +223,7 @@ func TestCanonicalDistanceOrderAcrossBackends(t *testing.T) {
 // the retry emits what a merge that never failed does.
 func TestMergedSourceLazyPulls(t *testing.T) {
 	rel := tieRelation(t, 29, 60, 2)
-	s, err := Partition(rel, 4, HashPartition)
+	s, err := Partition(rel, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +313,7 @@ func (f *failOnce) NextKeyed() (Tuple, float64, int, error) {
 // latentShard that opened it, so no read after the first passes through
 // a wrapper.
 func TestShardSetMergeReadsShardsDirectly(t *testing.T) {
-	s, err := Partition(tieRelation(t, 37, 240, 2), 12, GridPartition)
+	s, err := Partition(tieRelation(t, 37, 240, 2), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +361,7 @@ func (c countingKeyed) NextKeyed() (Tuple, float64, int, error) {
 // shard streams, wrong counts, and mixed kinds are all refused.
 func TestMergeRejectsForeignSources(t *testing.T) {
 	rel := tieRelation(t, 31, 40, 2)
-	s, err := Partition(rel, 3, HashPartition)
+	s, err := Partition(rel, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +404,7 @@ func TestParallelShardBuildsAndQueries(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			s, err := Partition(rel, 2+b, PartitionStrategy(b%2))
+			s, err := Partition(rel, 2+b)
 			if err != nil {
 				t.Error(err)
 				return
@@ -446,20 +441,4 @@ func TestParallelShardBuildsAndQueries(t *testing.T) {
 		}(b, s)
 	}
 	wg.Wait()
-}
-
-// TestPartitionStrategyParse round-trips the strategy names.
-func TestPartitionStrategyParse(t *testing.T) {
-	for _, s := range []PartitionStrategy{HashPartition, GridPartition} {
-		got, err := ParsePartitionStrategy(s.String())
-		if err != nil || got != s {
-			t.Fatalf("ParsePartitionStrategy(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if got, err := ParsePartitionStrategy(""); err != nil || got != HashPartition {
-		t.Fatalf("empty strategy = %v, %v; want hash", got, err)
-	}
-	if _, err := ParsePartitionStrategy("mod"); err == nil {
-		t.Fatal("ParsePartitionStrategy accepted an unknown name")
-	}
 }

@@ -13,24 +13,22 @@ import (
 )
 
 // TestOpenShardSetIsMergeOfItsShards: over every non-empty subset of a
-// 5-shard partition, and over its relfile mapped back, OpenShardSet
-// emits what NewMergedSource does over the same shards' ShardSource
-// streams — tuple, key bits and ordinal, element for element — under
-// both access kinds. OpenSource over a 1-, 3- and 12-shard grid partition
-// and its relfile twin, the shard set of every shard, emits what Merge
-// does over the ShardSource streams. After every element, no set has read
-// a shard whose bound lies above the key it just emitted.
+// 5-shard grid partition and of 5 overlapping shards, and over each one's
+// relfile mapped back, OpenShardSet emits what NewMergedSource does over
+// the same shards' ShardSource streams — tuple, key bits and ordinal,
+// element for element — under both access kinds. OpenSource over a 1-,
+// 3- and 12-shard grid partition and its relfile twin, the shard set of
+// every shard, emits what Merge does over the ShardSource streams. After
+// every element, no set has read a shard whose bound lies above the key
+// it just emitted.
 func TestOpenShardSetIsMergeOfItsShards(t *testing.T) {
 	rel := relation.TieRelation(t, 41, 150, 2)
 	queries := []vec.Vector{vec.Of(1.3, 2.1), vec.Of(2, 2), vec.Of(-40, 40)}
-	for _, strategy := range []relation.PartitionStrategy{relation.HashPartition, relation.GridPartition} {
-		heap, err := relation.Partition(rel, 5, strategy)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, l := range relation.BothLayouts(t, rel, 5) {
+		heap := l.Sharded
 		for tier, s := range map[string]*relation.Sharded{"heap": heap, "relfile": relfileTwin(t, heap)} {
 			if s.NumShards() != 5 {
-				t.Fatalf("%v/%s: %d shards, want 5", strategy, tier, s.NumShards())
+				t.Fatalf("%s/%s: %d shards, want 5", l.Name, tier, s.NumShards())
 			}
 			for set := 1; set < 1<<5; set++ {
 				var shards []int
@@ -41,7 +39,7 @@ func TestOpenShardSetIsMergeOfItsShards(t *testing.T) {
 				}
 				checkSet := func(kind relation.AccessKind, q vec.Vector) {
 					t.Helper()
-					name := fmt.Sprintf("%v/%s/%v/%v/%v", strategy, tier, shards, kind, q)
+					name := fmt.Sprintf("%s/%s/%v/%v/%v", l.Name, tier, shards, kind, q)
 					inputs, bounds := shardStreams(t, s, shards, kind, q)
 					want, err := relation.NewMergedSource(s.Relation(), kind, inputs)
 					if err != nil {
@@ -61,7 +59,7 @@ func TestOpenShardSetIsMergeOfItsShards(t *testing.T) {
 		}
 	}
 	for _, n := range []int{1, 3, 12} {
-		heap, err := relation.Partition(rel, n, relation.GridPartition)
+		heap, err := relation.Partition(rel, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +189,7 @@ func sameMerge(t *testing.T, name string, got, want relation.KeyedSource, bounds
 // TestOpenShardSetRefuses: an empty set, an index out of range, one
 // repeated or out of order, and a query of another dimension.
 func TestOpenShardSetRefuses(t *testing.T) {
-	s, err := relation.Partition(relation.TieRelation(t, 41, 150, 2), 5, relation.GridPartition)
+	s, err := relation.Partition(relation.TieRelation(t, 41, 150, 2), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

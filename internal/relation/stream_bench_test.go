@@ -41,7 +41,7 @@ func benchDistanceStream(b *testing.B, dim, size int) {
 		}
 		tuples[i] = Tuple{ID: fmt.Sprintf("t%d", i), Score: 0.5, Vec: v}
 	}
-	s, err := Partition(MustNew("bench", 1, tuples), 1, HashPartition)
+	s, err := Partition(MustNew("bench", 1, tuples), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

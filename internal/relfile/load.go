@@ -26,7 +26,7 @@ func (f *File) Load(name string) (*relation.Sharded, error) {
 	for i := range f.views {
 		shards[i] = &shardView{f: f, d: &f.views[i], dim: f.dim}
 	}
-	return relation.AssembleSharded(parent, shards, f.strategy)
+	return relation.AssembleSharded(parent, shards)
 }
 
 // shardView adapts one parsed shard to relation.Columns. It retains its

@@ -7,7 +7,7 @@
 // # File layout
 //
 //	header (64 B)
-//	  magic "PROXREL1" | version u32 | strategy u32 | dim u32 | shards u32
+//	  magic "PROXREL1" | version u32 | layout u32 | dim u32 | shards u32
 //	  tuples u64 | maxScore f64 | dirOff u64 | dirLen u64
 //	  dirCRC u32 | headerCRC u32
 //	shard directory (shards × 88 B, CRC-guarded)
@@ -36,10 +36,16 @@
 // score-access order — scores non-increasing, equal scores by ascending
 // parent ordinal — which is the order relation.Partition keeps its heap
 // columns in, so Write dumps them as they are and a loaded shard streams
-// score access with no sort. The grid/hash partitioner's shard
-// assignment maps one shard to one contiguous run of file regions;
-// per-shard index builds and shardrpc bounding metadata read straight
-// from those regions.
+// score access with no sort. Each shard is one contiguous run of file
+// regions; per-shard index builds and shardrpc bounding metadata read
+// straight from those regions.
+//
+// The layout word says how the shards were cut. Write emits 1, the
+// grid partitioner's boxes. A file written before grid was the only
+// partitioner may carry 0, a hash of tuple IDs, whose shards each span
+// the whole space; Open accepts it and its shards serve as they are,
+// answering exactly as grid shards do, only pruning less. Any other
+// word is corrupt.
 //
 // Open validates the whole file — header and directory checksums, region
 // alignment, bounds and non-overlap of every directory entry, per-shard
@@ -71,8 +77,6 @@ import (
 	"sort"
 	"sync"
 	"unsafe"
-
-	"repro/internal/relation"
 )
 
 // Format constants. These are wire-stable: bump Version on any
@@ -86,6 +90,10 @@ const (
 	Version = 2
 	// HeaderSize is the fixed header length in bytes.
 	HeaderSize = 64
+	// gridLayout is the header's layout word for grid-partitioned shards,
+	// the only layout Write emits; Open also reads 0 (see the package
+	// comment).
+	gridLayout = 1
 	// Extension is the conventional file suffix; the catalog and
 	// proxserve recognize it to select the relfile loader.
 	Extension = ".prox"
@@ -140,7 +148,6 @@ type File struct {
 	dim      int
 	tuples   int
 	maxScore float64
-	strategy relation.PartitionStrategy
 	views    []shardData
 }
 
@@ -226,9 +233,6 @@ func (f *File) MaxScore() float64 { return f.maxScore }
 // Shards returns the shard count.
 func (f *File) Shards() int { return len(f.views) }
 
-// Strategy returns the partition strategy the shards were built under.
-func (f *File) Strategy() relation.PartitionStrategy { return f.strategy }
-
 // parse validates data (which must be 8-byte aligned) and builds the
 // typed views. It never reads outside data.
 func parse(data []byte) (*File, error) {
@@ -245,9 +249,8 @@ func parse(data []byte) (*File, error) {
 	if version != 1 && version != Version {
 		return nil, corruptf("unsupported version %d (want 1 or %d)", version, Version)
 	}
-	strategyRaw := binary.LittleEndian.Uint32(data[12:16])
-	if strategyRaw > uint32(relation.GridPartition) {
-		return nil, corruptf("unknown partition strategy %d", strategyRaw)
+	if layout := binary.LittleEndian.Uint32(data[12:16]); layout > gridLayout {
+		return nil, corruptf("unknown partition layout %d", layout)
 	}
 	dim := int(binary.LittleEndian.Uint32(data[16:20]))
 	shards := int(binary.LittleEndian.Uint32(data[20:24]))
@@ -288,7 +291,6 @@ func parse(data []byte) (*File, error) {
 		dim:      dim,
 		tuples:   int(tuples),
 		maxScore: maxScore,
-		strategy: relation.PartitionStrategy(strategyRaw),
 		views:    make([]shardData, shards),
 	}
 	// Interval bookkeeping for the non-overlap check: header, directory,

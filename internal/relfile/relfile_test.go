@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
@@ -50,9 +51,9 @@ func testRelation(t testing.TB, seed int64, n, dim int) *relation.Relation {
 
 // writeTemp partitions rel, writes it as a relfile, and returns the
 // path plus the in-memory Sharded it encoded.
-func writeTemp(t *testing.T, rel *relation.Relation, shards int, strategy relation.PartitionStrategy) (string, *relation.Sharded) {
+func writeTemp(t *testing.T, rel *relation.Relation, shards int) (string, *relation.Sharded) {
 	t.Helper()
-	s, err := relation.Partition(rel, shards, strategy)
+	s, err := relation.Partition(rel, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +64,22 @@ func writeTemp(t *testing.T, rel *relation.Relation, shards int, strategy relati
 	return path, s
 }
 
+// TestRoundTrip writes grid shards, as Partition cuts them, and shards
+// cut by a hash of tuple IDs (hashSharded), whose rectangles overlap, and
+// maps each back: the layouts a relfile of layout word 1 and 0 holds.
 func TestRoundTrip(t *testing.T) {
-	for _, strategy := range []relation.PartitionStrategy{relation.HashPartition, relation.GridPartition} {
+	for i, layout := range []struct {
+		name string
+		cut  func(t *testing.T, rel *relation.Relation, n int) *relation.Sharded
+	}{{"hash", hashSharded}, {"grid", partition}} {
 		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v-%d", strategy, shards), func(t *testing.T) {
-				rel := testRelation(t, int64(shards)*100+int64(strategy), 83, 3)
-				path, orig := writeTemp(t, rel, shards, strategy)
+			t.Run(fmt.Sprintf("%s-%d", layout.name, shards), func(t *testing.T) {
+				rel := testRelation(t, int64(shards)*100+int64(i), 83, 3)
+				orig := layout.cut(t, rel, shards)
+				path := filepath.Join(t.TempDir(), "rel.prox")
+				if err := Write(path, orig); err != nil {
+					t.Fatal(err)
+				}
 				f, err := Open(path)
 				if err != nil {
 					t.Fatal(err)
@@ -77,8 +88,8 @@ func TestRoundTrip(t *testing.T) {
 				if f.Dim() != rel.Dim() || f.Tuples() != rel.Len() || f.Shards() != orig.NumShards() {
 					t.Fatalf("metadata mismatch: dim=%d tuples=%d shards=%d", f.Dim(), f.Tuples(), f.Shards())
 				}
-				if f.MaxScore() != rel.MaxScore || f.Strategy() != strategy {
-					t.Fatalf("maxScore=%v strategy=%v", f.MaxScore(), f.Strategy())
+				if f.MaxScore() != rel.MaxScore {
+					t.Fatalf("maxScore=%v", f.MaxScore())
 				}
 				loaded, err := f.Load("t")
 				if err != nil {
@@ -92,6 +103,57 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func partition(t *testing.T, rel *relation.Relation, n int) *relation.Sharded {
+	t.Helper()
+	s, err := relation.Partition(rel, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// hashSharded cuts rel into at most n shards by an FNV-1a hash of each
+// tuple's ID and assembles them over heap columns: shards that each span
+// about the whole space, as a file of layout word 0 holds them.
+func hashSharded(t *testing.T, rel *relation.Relation, n int) *relation.Sharded {
+	t.Helper()
+	tuples := make([][]relation.Tuple, n)
+	ords := make([][]int, n)
+	for i := 0; i < rel.Len(); i++ {
+		tu := rel.At(i)
+		h := fnv.New64a()
+		h.Write([]byte(tu.ID))
+		g := h.Sum64() % uint64(n)
+		tuples[g], ords[g] = append(tuples[g], tu), append(ords[g], i)
+	}
+	var shards []relation.Columns
+	for g := range tuples {
+		if len(tuples[g]) == 0 {
+			continue
+		}
+		sub, err := relation.New(rel.Name, rel.MaxScore, tuples[g])
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, parentOrdinals{partition(t, sub, 1).ShardColumns(0), ords[g]})
+	}
+	s, err := relation.AssembleSharded(rel, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// parentOrdinals maps the ordinals of a sub-relation's columns to the
+// parent's. The sub-relation keeps the parent's order, so its score ties
+// stay ordered by parent ordinal.
+type parentOrdinals struct {
+	relation.Columns
+	ords []int
+}
+
+func (c parentOrdinals) Ordinal(i int) int { return c.ords[c.Columns.Ordinal(i)] }
 
 // compareSharded checks the loaded bounds bit-for-bit against the
 // partitioner's and every loaded tuple against the original relation by
@@ -169,8 +231,8 @@ func TestLoadsFileWrittenBeforeRectangles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if f.Shards() != 4 || f.Strategy() != relation.GridPartition || f.Tuples() != rel.Len() || f.Dim() != rel.Dim() {
-		t.Fatalf("fixture metadata: %d shards, %v, %d tuples, dim %d", f.Shards(), f.Strategy(), f.Tuples(), f.Dim())
+	if f.Shards() != 4 || f.Tuples() != rel.Len() || f.Dim() != rel.Dim() {
+		t.Fatalf("fixture metadata: %d shards, %d tuples, dim %d", f.Shards(), f.Tuples(), f.Dim())
 	}
 	loaded, err := f.Load("t")
 	if err != nil {
@@ -255,7 +317,7 @@ func TestLoadsFileWrittenBeforeRectangles(t *testing.T) {
 
 func TestDecodeMatchesOpen(t *testing.T) {
 	rel := testRelation(t, 7, 31, 2)
-	path, _ := writeTemp(t, rel, 3, relation.GridPartition)
+	path, _ := writeTemp(t, rel, 3)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +345,7 @@ func TestWriteRejectsUnencodable(t *testing.T) {
 	}
 	for _, shards := range []int{1, 3} {
 		rel := testRelation(t, 1, 16, 2)
-		path, _ := writeTemp(t, rel, shards, relation.GridPartition)
+		path, _ := writeTemp(t, rel, shards)
 		f, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
@@ -315,7 +377,7 @@ func TestWriteRejectsUnencodable(t *testing.T) {
 // os.Create gives a file in the same directory — 0666 less the umask —
 // so a server running as another user can map what a generator wrote.
 func TestWriteModeFollowsUmask(t *testing.T) {
-	path, _ := writeTemp(t, testRelation(t, 2, 16, 2), 1, relation.GridPartition)
+	path, _ := writeTemp(t, testRelation(t, 2, 16, 2), 1)
 	sibling, err := os.Create(filepath.Join(filepath.Dir(path), "sibling"))
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +416,7 @@ func reseal(data []byte) {
 
 func TestCorruptFiles(t *testing.T) {
 	rel := testRelation(t, 3, 41, 2)
-	path, _ := writeTemp(t, rel, 2, relation.HashPartition)
+	path, _ := writeTemp(t, rel, 2)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +529,7 @@ func TestCorruptFiles(t *testing.T) {
 // every prefix must fail cleanly, never panic or over-read.
 func TestTruncationSweep(t *testing.T) {
 	rel := testRelation(t, 9, 23, 2)
-	path, _ := writeTemp(t, rel, 2, relation.GridPartition)
+	path, _ := writeTemp(t, rel, 2)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +543,7 @@ func TestTruncationSweep(t *testing.T) {
 
 func FuzzRelFileDecode(f *testing.F) {
 	rel := testRelation(f, 11, 19, 2)
-	s, err := relation.Partition(rel, 2, relation.HashPartition)
+	s, err := relation.Partition(rel, 2)
 	if err != nil {
 		f.Fatal(err)
 	}

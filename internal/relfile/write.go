@@ -22,8 +22,9 @@ import (
 // parent ordinal — so the loader can stream score access without
 // sorting. No bounds are stored: the loader derives them from the
 // columns. Any Sharded encodes, a loaded relfile included: re-encoding a
-// version-2 file reproduces its bytes, and a version-1 file re-encodes
-// as version 2.
+// version-2 file of layout 1 reproduces its bytes, a version-1 file
+// re-encodes as version 2, and a file of layout 0 as layout 1 over the
+// same shards.
 func Write(path string, s *relation.Sharded) error {
 	if s == nil {
 		return fmt.Errorf("relfile: cannot write a nil relation")
@@ -78,7 +79,7 @@ func Write(path string, s *relation.Sharded) error {
 	hdr := make([]byte, HeaderSize)
 	copy(hdr[0:8], Magic)
 	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(s.Strategy()))
+	binary.LittleEndian.PutUint32(hdr[12:16], gridLayout)
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(dim))
 	binary.LittleEndian.PutUint32(hdr[20:24], uint32(shards))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(parent.Len()))

@@ -468,7 +468,7 @@ func (f *Fleet) Discover(ctx context.Context) (map[string]*RemoteRelation, error
 				rels[ri.Name] = r
 			} else if r.MaxScore != ri.MaxScore || r.Dim != ri.Dim || r.Tuples != ri.Tuples || r.Shards != ri.Shards {
 				return nil, fmt.Errorf(
-					"shardrpc: peers disagree on relation %q (peer %s reports maxScore=%v dim=%d tuples=%d shards=%d, fleet has maxScore=%v dim=%d tuples=%d shards=%d); all shard servers must load identical data with identical -shards/-shard-strategy",
+					"shardrpc: peers disagree on relation %q (peer %s reports maxScore=%v dim=%d tuples=%d shards=%d, fleet has maxScore=%v dim=%d tuples=%d shards=%d); all shard servers must load identical data with identical -shards",
 					ri.Name, p.Addr, ri.MaxScore, ri.Dim, ri.Tuples, ri.Shards, r.MaxScore, r.Dim, r.Tuples, r.Shards)
 			}
 			for _, own := range ri.Owned {

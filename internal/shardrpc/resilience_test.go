@@ -102,7 +102,7 @@ func TestCallCancellationMidRetry(t *testing.T) {
 func deadRemote(t *testing.T, owners ...*Peer) (*relation.Relation, *RemoteRelation) {
 	t.Helper()
 	rel := testRelation(t, "pts", 11, 20, 2)
-	sharded, err := relation.Partition(rel, 1, relation.HashPartition)
+	sharded, err := relation.Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFailoverBeforeBackoff(t *testing.T) {
 	var sleeps atomic.Int32
 	pinJitter(t, func(time.Duration) time.Duration { sleeps.Add(1); return 0 })
 	rel := testRelation(t, "pts", 11, 20, 2)
-	sharded, err := relation.Partition(rel, 1, relation.HashPartition)
+	sharded, err := relation.Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func startFaultedServer(t *testing.T, backend Backend, inj *faultinject.Injector
 // the rows a healthy direct stream yields.
 func TestHedgedPullRescuesStalledReplica(t *testing.T) {
 	rel := testRelation(t, "pts", 7, 90, 2)
-	sharded, err := relation.Partition(rel, 2, relation.HashPartition)
+	sharded, err := relation.Partition(rel, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestHedgeTriggerScalesWithBatch(t *testing.T) {
 // stream's.
 func TestHedgeRampedStream(t *testing.T) {
 	rel := testRelation(t, "pts", 7, 2600, 2)
-	sharded, err := relation.Partition(rel, 1, relation.HashPartition)
+	sharded, err := relation.Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestHedgeRampedStream(t *testing.T) {
 // byte, and the stream ends having read every shard of the set.
 func TestSetStreamFailover(t *testing.T) {
 	rel := testRelation(t, "pts", 7, 300, 2)
-	sharded, err := relation.Partition(rel, 6, relation.GridPartition)
+	sharded, err := relation.Partition(rel, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

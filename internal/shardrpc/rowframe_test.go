@@ -267,7 +267,7 @@ func TestRowTextLimit(t *testing.T) {
 // relation, each with its faultinject-corrupted twin.
 func fuzzSeeds(t testing.TB) [][]byte {
 	rel := testRelation(t, "pts", 7, 90, 2)
-	sharded, err := relation.Partition(rel, 2, relation.HashPartition)
+	sharded, err := relation.Partition(rel, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func FuzzRowFrameDecode(f *testing.F) {
 // reaches the whole set once the stream is done.
 func TestRowFrameShardsRead(t *testing.T) {
 	rel := testRelation(t, "pts", 7, 300, 2)
-	sharded, err := relation.Partition(rel, 6, relation.GridPartition)
+	sharded, err := relation.Partition(rel, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

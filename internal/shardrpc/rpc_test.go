@@ -106,16 +106,16 @@ func startServer(t *testing.T, backend Backend) (addr string) {
 // shardedFixture partitions a tie-heavy relation and serves it from n
 // servers, server i owning shard s when s%n == i, returning the fleet
 // and the discovered remote view.
-func shardedFixture(t *testing.T, shards, servers int, strategy relation.PartitionStrategy) (*relation.Sharded, *Fleet, *RemoteRelation) {
+func shardedFixture(t *testing.T, shards, servers int) (*relation.Sharded, *Fleet, *RemoteRelation) {
 	t.Helper()
-	return serveSharded(t, testRelation(t, "pts", 7, 90, 2), shards, servers, strategy)
+	return serveSharded(t, testRelation(t, "pts", 7, 90, 2), shards, servers)
 }
 
 // serveSharded is shardedFixture over a relation of the caller's, which
 // must be named "pts".
-func serveSharded(t *testing.T, rel *relation.Relation, shards, servers int, strategy relation.PartitionStrategy) (*relation.Sharded, *Fleet, *RemoteRelation) {
+func serveSharded(t *testing.T, rel *relation.Relation, shards, servers int) (*relation.Sharded, *Fleet, *RemoteRelation) {
 	t.Helper()
-	sharded, err := relation.Partition(rel, shards, strategy)
+	sharded, err := relation.Partition(rel, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func rowsEqual(a, b []keyedRow) bool {
 // TestRemoteStreamByteIdentity: every shard streamed over the wire is
 // bit-for-bit the local shard stream, for both access kinds.
 func TestRemoteStreamByteIdentity(t *testing.T) {
-	sharded, _, rr := shardedFixture(t, 4, 2, relation.HashPartition)
+	sharded, _, rr := shardedFixture(t, 4, 2)
 	stub, err := rr.Stub()
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestRemoteStreamByteIdentity(t *testing.T) {
 // prefix is bit-for-bit the local stream's, and a frame shorter than the
 // one its buffer last held carries nothing of it. Run under -race.
 func TestAbandonedStreamsRecycle(t *testing.T) {
-	sharded, _, rr := shardedFixture(t, 4, 2, relation.GridPartition)
+	sharded, _, rr := shardedFixture(t, 4, 2)
 	stub, err := rr.Stub()
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func rampExchanges(rows, start int) int {
 // one exchange more. A positive batch keeps the fixed size.
 func TestRampedStreamByteIdentity(t *testing.T) {
 	rel := testRelation(t, "pts", 7, 3000, 2)
-	sharded, err := relation.Partition(rel, 1, relation.HashPartition)
+	sharded, err := relation.Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestRampedStreamByteIdentity(t *testing.T) {
 // is bit-for-bit the merge over local ones, and bounded (latent) priming
 // changes nothing.
 func TestRemoteMergeByteIdentity(t *testing.T) {
-	sharded, _, rr := shardedFixture(t, 5, 2, relation.GridPartition)
+	sharded, _, rr := shardedFixture(t, 5, 2)
 	stub, err := rr.Stub()
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +483,7 @@ func TestRemoteMergeByteIdentity(t *testing.T) {
 // bits and ordinals included — under both access kinds. A corner prefix
 // leaves the far shards of every group unread, on the server too.
 func TestSetStreamMergeByteIdentity(t *testing.T) {
-	sharded, _, rr := serveSharded(t, uniformRelation(t, 19, 2400, 2), 12, 3, relation.GridPartition)
+	sharded, _, rr := serveSharded(t, uniformRelation(t, 19, 2400, 2), 12, 3)
 	if want := [][]int{{0, 3, 6, 9}, {1, 4, 7, 10}, {2, 5, 8, 11}}; !reflect.DeepEqual(rr.Groups, want) {
 		t.Fatalf("groups %v, want %v", rr.Groups, want)
 	}
@@ -571,7 +571,7 @@ func uniformRelation(t testing.TB, seed int64, size, dim int) *relation.Relation
 // cell ordering bounded by balls).
 func TestRemoteMergePrunesFarShards(t *testing.T) {
 	for _, dim := range []int{2, 4} {
-		sharded, _, rr := serveSharded(t, uniformRelation(t, 19, 2400, dim), 12, 3, relation.GridPartition)
+		sharded, _, rr := serveSharded(t, uniformRelation(t, 19, 2400, dim), 12, 3)
 		stub, err := rr.Stub()
 		if err != nil {
 			t.Fatal(err)
@@ -615,7 +615,7 @@ func TestRemoteMergePrunesFarShards(t *testing.T) {
 // invisible — the source redials and re-pulls at its offset, and the
 // delivered rows stay bit-for-bit identical.
 func TestRemoteSourceResume(t *testing.T) {
-	sharded, _, rr := shardedFixture(t, 3, 1, relation.HashPartition)
+	sharded, _, rr := shardedFixture(t, 3, 1)
 	stub, err := rr.Stub()
 	if err != nil {
 		t.Fatal(err)
@@ -706,11 +706,11 @@ func TestDeadPeerCleanError(t *testing.T) {
 func TestDiscoverRejectsDisagreement(t *testing.T) {
 	relA := testRelation(t, "pts", 1, 40, 2)
 	relB := testRelation(t, "pts", 2, 44, 2) // different tuple count
-	sa, err := relation.Partition(relA, 2, relation.HashPartition)
+	sa, err := relation.Partition(relA, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := relation.Partition(relB, 2, relation.HashPartition)
+	sb, err := relation.Partition(relB, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,7 +741,7 @@ func (b skewedBackend) Hello() HelloInfo {
 // discovery — the coordinator prunes by the rectangle, so merging them
 // would prune by whichever replica answered hello last.
 func TestDiscoverRejectsRectangleDisagreement(t *testing.T) {
-	s, err := relation.Partition(testRelation(t, "pts", 5, 40, 2), 2, relation.GridPartition)
+	s, err := relation.Partition(testRelation(t, "pts", 5, 40, 2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,7 +762,7 @@ func TestDiscoverRejectsRectangleDisagreement(t *testing.T) {
 // TestDiscoverRejectsCoverageGaps: a shard nobody owns fails discovery.
 func TestDiscoverRejectsCoverageGaps(t *testing.T) {
 	rel := testRelation(t, "pts", 3, 40, 2)
-	s, err := relation.Partition(rel, 4, relation.HashPartition)
+	s, err := relation.Partition(rel, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -778,7 +778,7 @@ func TestDiscoverRejectsCoverageGaps(t *testing.T) {
 // TestScoreBoundIsFirstKey: the advertised score bound equals the true
 // first key of the shard stream — exactness the latent merge relies on.
 func TestScoreBoundIsFirstKey(t *testing.T) {
-	sharded, _, rr := shardedFixture(t, 4, 2, relation.HashPartition)
+	sharded, _, rr := shardedFixture(t, 4, 2)
 	stub, err := rr.Stub()
 	if err != nil {
 		t.Fatal(err)
@@ -802,43 +802,41 @@ func TestScoreBoundIsFirstKey(t *testing.T) {
 
 // TestDistanceBoundIsSound: the distance bound a coordinator derives from
 // bounds that crossed the wire must lower-bound the shard's true first
-// key, under both strategies, for queries anywhere — random, on each
-// shard's rectangle corners and faces, an ulp outside it, and far away.
+// key, for queries anywhere — random, on each shard's rectangle corners
+// and faces, an ulp outside it, and far away.
 func TestDistanceBoundIsSound(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
-	for _, strategy := range []relation.PartitionStrategy{relation.HashPartition, relation.GridPartition} {
-		for _, shards := range []int{1, 5, 12} {
-			sharded, _, rr := shardedFixture(t, shards, 2, strategy)
-			stub, err := rr.Stub()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var queries [][]float64
-			for trial := 0; trial < 10; trial++ {
-				queries = append(queries, []float64{rnd.Float64() * 6, rnd.Float64() * 6})
-			}
+	for _, shards := range []int{1, 5, 12} {
+		sharded, _, rr := shardedFixture(t, shards, 2)
+		stub, err := rr.Stub()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var queries [][]float64
+		for trial := 0; trial < 10; trial++ {
+			queries = append(queries, []float64{rnd.Float64() * 6, rnd.Float64() * 6})
+		}
+		for s := 0; s < sharded.NumShards(); s++ {
+			b := rr.Bounds[s]
+			queries = append(queries, b.Min, b.Max,
+				[]float64{b.Max[0], (b.Min[1] + b.Max[1]) / 2},
+				[]float64{math.Nextafter(b.Min[0], math.Inf(-1)), b.Min[1]},
+				[]float64{b.Max[0] + 1e6, b.Min[1] - 1e6})
+		}
+		for qi, q := range queries {
 			for s := 0; s < sharded.NumShards(); s++ {
-				b := rr.Bounds[s]
-				queries = append(queries, b.Min, b.Max,
-					[]float64{b.Max[0], (b.Min[1] + b.Max[1]) / 2},
-					[]float64{math.Nextafter(b.Min[0], math.Inf(-1)), b.Min[1]},
-					[]float64{b.Max[0] + 1e6, b.Min[1] - 1e6})
-			}
-			for qi, q := range queries {
-				for s := 0; s < sharded.NumShards(); s++ {
-					rs, err := OpenRemoteShard(context.Background(), stub, rr, s, api.AccessDistance, q, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					bound := rs.KeyLowerBound()
-					_, key, _, err := rs.NextKeyed()
-					if err != nil {
-						t.Fatal(err)
-					}
-					rs.Close()
-					if bound > key {
-						t.Fatalf("%v/%d query %d %v shard %d: bound %v exceeds first key %v", strategy, shards, qi, q, s, bound, key)
-					}
+				rs, err := OpenRemoteShard(context.Background(), stub, rr, s, api.AccessDistance, q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := rs.KeyLowerBound()
+				_, key, _, err := rs.NextKeyed()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs.Close()
+				if bound > key {
+					t.Fatalf("%d shards, query %d %v shard %d: bound %v exceeds first key %v", shards, qi, q, s, bound, key)
 				}
 			}
 		}

@@ -32,7 +32,7 @@ func (c *countingConn) Write(b []byte) (int, error) {
 // on the server, and a reader refuses bytes past the frame it reads.
 func TestExchangeOneWritePerFrame(t *testing.T) {
 	rel := testRelation(t, "pts", 7, 90, 2)
-	sharded, err := relation.Partition(rel, 1, relation.HashPartition)
+	sharded, err := relation.Partition(rel, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,6 @@ type (
 	// orders that is byte-identical to the unsharded stream (see
 	// NewShardedRelation).
 	ShardedRelation = relation.Sharded
-	// PartitionStrategy selects how NewShardedRelation assigns tuples to
-	// shards (HashPartition or GridPartition).
-	PartitionStrategy = relation.PartitionStrategy
 	// Input is anything TopKInputs can query: a *Relation or a
 	// *ShardedRelation.
 	Input = relation.Input
@@ -87,20 +84,16 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("proxrank: unknown algorithm %q (want cbrr|cbpa|tbrr|tbpa)", s)
 }
 
-// Partition strategies.
-const (
-	// HashPartition spreads tuples across shards by a hash of their ID.
-	HashPartition = relation.HashPartition
-	// GridPartition packs spatially close tuples into the same shard:
-	// size-balanced axis-aligned boxes.
-	GridPartition = relation.GridPartition
-)
+// PartitionStrategy is the type of the argument NewShardedRelation,
+// Catalog.RegisterSharded and Catalog.Replace accept and ignore: every
+// partition is grid, size-balanced axis-aligned boxes by recursive median
+// cut. It and GridPartition stay only while the benchmark harness still
+// passes GridPartition, and leave with the ROADMAP item "`bench/` follows
+// the code".
+type PartitionStrategy int
 
-// ParsePartitionStrategy maps a case-insensitive name — hash, grid — to a
-// PartitionStrategy. The empty string selects HashPartition.
-func ParsePartitionStrategy(s string) (PartitionStrategy, error) {
-	return relation.ParsePartitionStrategy(s)
-}
+// GridPartition is the one PartitionStrategy, a vestige like its type.
+const GridPartition PartitionStrategy = 1
 
 // Score transforms.
 const (
@@ -184,23 +177,26 @@ func NewRelation(name string, maxScore float64, tuples []Tuple) (*Relation, erro
 // order for score access; a ShardedRelation streams from the columns and
 // the R-trees it built once (a shard of dimension 8 and up with at most
 // 8 192 tuples scans its columns instead), so a relation queried
-// repeatedly is best held as NewShardedRelation(rel, 1, HashPartition).
+// repeatedly is best held as NewShardedRelation(rel, 1).
 func OpenSource(in Input, access AccessKind, query Vector) (Source, error) {
 	return relation.OpenSource(in, access, query)
 }
 
-// NewShardedRelation partitions rel into at most shards shards under the
-// given strategy and builds every shard's score order and R-tree in
-// parallel. The result is immutable and safe for concurrent use, and any
-// query over it — TopKInputs, NewQueryInputs, or the service layer —
-// returns byte-identical results to the unsharded relation, while
-// bounding per-shard index memory and enabling parallel builds. A
-// sharded input owns its indexes, so distance access over it streams
-// from the shard R-trees; a shard of dimension 8 and up with at most
-// 8 192 tuples builds none and scans its vectors, as a plain relation
-// does. Fewer shards may be returned when some would be empty.
-func NewShardedRelation(rel *Relation, shards int, strategy PartitionStrategy) (*ShardedRelation, error) {
-	return relation.Partition(rel, shards, strategy)
+// NewShardedRelation partitions rel into at most shards size-balanced
+// axis-aligned boxes by recursive median cut and builds every shard's
+// score order and R-tree in parallel; a shard's rectangle lets a
+// distance stream leave the shards far from its query unopened. Any
+// PartitionStrategy argument is ignored. The result is immutable and
+// safe for concurrent use, and any query over it — TopKInputs,
+// NewQueryInputs, or the service layer — returns byte-identical results
+// to the unsharded relation, while bounding per-shard index memory and
+// enabling parallel builds. A sharded input owns its indexes, so distance
+// access over it streams from the shard R-trees; a shard of dimension 8
+// and up with at most 8 192 tuples builds none and scans its vectors, as
+// a plain relation does. Fewer shards may be returned when some would be
+// empty.
+func NewShardedRelation(rel *Relation, shards int, _ ...PartitionStrategy) (*ShardedRelation, error) {
+	return relation.Partition(rel, shards)
 }
 
 // ReadRelationCSV parses a relation from CSV ("id,score,x1,...,xd[,attr...]").

@@ -234,7 +234,7 @@ func TestQueryDeliversBeforeExhaustion(t *testing.T) {
 // the batch one.
 func TestSourceKindMismatchSharded(t *testing.T) {
 	rels, q := syntheticPair(t, 16, 30)
-	sharded, err := proxrank.NewShardedRelation(rels[0], 4, proxrank.HashPartition)
+	sharded, err := proxrank.NewShardedRelation(rels[0], 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,17 +123,18 @@ func NewCatalog() *Catalog {
 // errors always cite rel.Name, so a diverging catalog name would surface
 // names clients cannot resolve back.
 func (c *Catalog) Register(name string, rel *proxrank.Relation) error {
-	return c.RegisterSharded(name, rel, 1, proxrank.HashPartition)
+	return c.RegisterSharded(name, rel, 1)
 }
 
 // RegisterSharded is Register with a shard count: the relation is
-// partitioned under strategy and every shard's indexes are built in
-// parallel, all outside the catalog lock. Queries over the entry stream
-// a per-shard merge that answers byte-identically to a single-shard
-// registration. A shard count of 0 asks admission to pick one from the
-// relation's size (proxrank.AutoShardCount).
-func (c *Catalog) RegisterSharded(name string, rel *proxrank.Relation, shards int, strategy proxrank.PartitionStrategy) error {
-	return c.admit(name, rel, shards, strategy, false)
+// partitioned into grid shards (proxrank.NewShardedRelation) and every
+// shard's indexes are built in parallel, all outside the catalog lock.
+// Queries over the entry stream a per-shard merge that answers
+// byte-identically to a single-shard registration. A shard count of 0
+// asks admission to pick one from the relation's size
+// (proxrank.AutoShardCount). Any PartitionStrategy argument is ignored.
+func (c *Catalog) RegisterSharded(name string, rel *proxrank.Relation, shards int, _ ...proxrank.PartitionStrategy) error {
+	return c.admit(name, rel, shards, false)
 }
 
 // Replace is RegisterSharded for a name that may already be taken: the
@@ -142,11 +143,12 @@ func (c *Catalog) RegisterSharded(name string, rel *proxrank.Relation, shards in
 // new queries (and cache keys) see the new one. With shards == 0 the
 // shard count is re-derived from the new relation's size — a relation
 // that grew since its last registration is re-sharded on the way in.
-func (c *Catalog) Replace(name string, rel *proxrank.Relation, shards int, strategy proxrank.PartitionStrategy) error {
-	return c.admit(name, rel, shards, strategy, true)
+// Any PartitionStrategy argument is ignored.
+func (c *Catalog) Replace(name string, rel *proxrank.Relation, shards int, _ ...proxrank.PartitionStrategy) error {
+	return c.admit(name, rel, shards, true)
 }
 
-func (c *Catalog) admit(name string, rel *proxrank.Relation, shards int, strategy proxrank.PartitionStrategy, replace bool) error {
+func (c *Catalog) admit(name string, rel *proxrank.Relation, shards int, replace bool) error {
 	if name == "" {
 		return api.Errorf(api.CodeBadRequest, "relation name must not be empty")
 	}
@@ -175,7 +177,7 @@ func (c *Catalog) admit(name string, rel *proxrank.Relation, shards int, strateg
 	c.building.Add(1)
 	defer c.building.Add(-1)
 	buildStart := time.Now()
-	sharded, err := proxrank.NewShardedRelation(rel, shards, strategy)
+	sharded, err := proxrank.NewShardedRelation(rel, shards)
 	if err != nil {
 		return api.Errorf(api.CodeBadRequest, "relation %q: %v", name, err)
 	}
@@ -241,17 +243,17 @@ func (c *Catalog) RegisterRemote(name string, rr *shardrpc.RemoteRelation) error
 // LoadCSVFile reads a relation from a CSV file and registers it under
 // name as a single shard. Pass maxScore 0 to infer σ_max from the data.
 func (c *Catalog) LoadCSVFile(name, path string, maxScore float64) error {
-	return c.LoadCSVFileSharded(name, path, maxScore, 1, proxrank.HashPartition)
+	return c.LoadCSVFileSharded(name, path, maxScore, 1)
 }
 
 // LoadCSVFileSharded reads a relation from a CSV file and registers it
 // partitioned into shards.
-func (c *Catalog) LoadCSVFileSharded(name, path string, maxScore float64, shards int, strategy proxrank.PartitionStrategy) error {
+func (c *Catalog) LoadCSVFileSharded(name, path string, maxScore float64, shards int) error {
 	rel, err := proxrank.LoadRelationCSV(path, name, maxScore)
 	if err != nil {
 		return fmt.Errorf("catalog: load %q: %w", name, err)
 	}
-	return c.RegisterSharded(name, rel, shards, strategy)
+	return c.RegisterSharded(name, rel, shards)
 }
 
 // LoadRelFile memory-maps a relfile-format relation (.prox, written by

@@ -46,9 +46,9 @@ func chaosCoord(t testing.TB, servers []*Node, hedge shardrpc.HedgePolicy) *Node
 
 // localTwin registers the same relations locally, for byte-identity
 // comparisons against a distributed deployment.
-func localTwin(t testing.TB, rels []*proxrank.Relation, shards int, strategy proxrank.PartitionStrategy) *Executor {
+func localTwin(t testing.TB, rels []*proxrank.Relation, shards int) *Executor {
 	t.Helper()
-	return NewExecutor(shardedCatalog(t, rels, shards, strategy), nodeTestConfig)
+	return NewExecutor(shardedCatalog(t, rels, shards), nodeTestConfig)
 }
 
 // survivorResults computes the exact answer a degraded query must give:
@@ -115,7 +115,7 @@ func TestChaosDegradedByteIdentity(t *testing.T) {
 	const shards = 4
 	servers := make([]*Node, 2)
 	for i := range servers {
-		servers[i] = openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{Index: i, Count: 2}, nil)
+		servers[i] = openShardServer(t, rels, shards, Ownership{Index: i, Count: 2}, nil)
 	}
 	coord := chaosCoord(t, servers, shardrpc.HedgePolicy{}).Executor
 	servers[1].Close() // shards s with s%2 == 1 lose their only replica
@@ -140,7 +140,7 @@ func TestChaosDegradedByteIdentity(t *testing.T) {
 		t.Fatalf("resultsCertified %d != %d results", resp.ResultsCertified, len(resp.Results))
 	}
 
-	twin := localTwin(t, rels, shards, proxrank.HashPartition)
+	twin := localTwin(t, rels, shards)
 	want := survivorResults(t, twin, req, func(s int) bool { return s%2 == 0 })
 	if w, g := marshalResults(t, want.Results), marshalResults(t, resp.Results); w != g {
 		t.Fatalf("degraded results differ from the surviving-shard answer\nsurvivors: %s\ndegraded:  %s", w, g)
@@ -196,10 +196,10 @@ func TestChaosSetStreamFailover(t *testing.T) {
 		if i == 0 {
 			inj = faultinject.New(reset)
 		}
-		servers[i] = openShardServer(t, rels, shards, proxrank.GridPartition, Ownership{Index: i, Count: 3, Replicas: 2}, inj)
+		servers[i] = openShardServer(t, rels, shards, Ownership{Index: i, Count: 3, Replicas: 2}, inj)
 	}
 	coord := chaosCoord(t, servers, shardrpc.HedgePolicy{Disable: true})
-	twin := localTwin(t, rels, shards, proxrank.GridPartition)
+	twin := localTwin(t, rels, shards)
 	req := &api.Request{Query: []float64{0.1, -0.2}, Relations: []string{"A", "B"}, K: 40}
 	want, err := twin.Execute(context.Background(), req)
 	if err != nil {
@@ -233,7 +233,7 @@ func TestChaosSetStreamMissing(t *testing.T) {
 	const shards = 12
 	servers := make([]*Node, 3)
 	for i := range servers {
-		servers[i] = openShardServer(t, rels, shards, proxrank.GridPartition, Ownership{Index: i, Count: 3, Replicas: 2}, nil)
+		servers[i] = openShardServer(t, rels, shards, Ownership{Index: i, Count: 3, Replicas: 2}, nil)
 	}
 	coord := chaosCoord(t, servers, shardrpc.HedgePolicy{Disable: true}).Executor
 	servers[0].Close()
@@ -252,7 +252,7 @@ func TestChaosSetStreamMissing(t *testing.T) {
 	if !resp.Degraded || !reflect.DeepEqual(resp.ShardsMissing, wantMissing) {
 		t.Fatalf("degraded %v, shardsMissing %v; want %v", resp.Degraded, resp.ShardsMissing, wantMissing)
 	}
-	twin := localTwin(t, rels, shards, proxrank.GridPartition)
+	twin := localTwin(t, rels, shards)
 	want := survivorResults(t, twin, req, func(s int) bool { return s%3 != 0 })
 	if w, g := marshalResults(t, want.Results), marshalResults(t, resp.Results); w != g {
 		t.Fatalf("degraded results differ from the surviving-shard answer\nsurvivors: %s\ndegraded:  %s", w, g)
@@ -273,11 +273,11 @@ func TestChaosHedgeRescuesStalledReplica(t *testing.T) {
 	const shards = 2
 	stall := &faultinject.Rule{Verb: "pull", Action: faultinject.ActionDelay, Delay: 2500 * time.Millisecond, Times: 1}
 	inj := faultinject.New(stall)
-	slow := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
-	fast := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, nil)
+	slow := openShardServer(t, rels, shards, Ownership{}, inj)
+	fast := openShardServer(t, rels, shards, Ownership{}, nil)
 	node := chaosCoord(t, []*Node{slow, fast}, shardrpc.HedgePolicy{After: 25 * time.Millisecond})
 	coord, fleet := node.Executor, node.Fleet
-	twin := localTwin(t, rels, shards, proxrank.HashPartition)
+	twin := localTwin(t, rels, shards)
 
 	req := &api.Request{Query: []float64{0.4, 0.1}, Relations: []string{"A", "B"}, K: 4}
 	start := time.Now()
@@ -321,10 +321,10 @@ func TestChaosCorruptFrameRetried(t *testing.T) {
 	const shards = 2
 	corrupt := &faultinject.Rule{Verb: "pull", Action: faultinject.ActionCorrupt, Times: 1}
 	inj := faultinject.New(corrupt)
-	server := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
+	server := openShardServer(t, rels, shards, Ownership{}, inj)
 	node := chaosCoord(t, []*Node{server}, shardrpc.HedgePolicy{Disable: true})
 	coord, fleet := node.Executor, node.Fleet
-	twin := localTwin(t, rels, shards, proxrank.HashPartition)
+	twin := localTwin(t, rels, shards)
 	peer := fleet.Peers()[0]
 	var mu sync.Mutex
 	var refused []error
@@ -408,7 +408,7 @@ func TestChaosBreakerOnMetrics(t *testing.T) {
 	const shards = 4
 	servers := make([]*Node, 2)
 	for i := range servers {
-		servers[i] = openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{Index: i, Count: 2}, nil)
+		servers[i] = openShardServer(t, rels, shards, Ownership{Index: i, Count: 2}, nil)
 	}
 	node := chaosCoord(t, servers, shardrpc.HedgePolicy{})
 	coord, fleet := node.Executor, node.Fleet
@@ -529,7 +529,7 @@ func TestChaosReadyz(t *testing.T) {
 	run := func(t *testing.T, own func(i int) Ownership, wantReadyAfterKill bool) {
 		servers := make([]*Node, 2)
 		for i := range servers {
-			servers[i] = openShardServer(t, rels, shards, proxrank.HashPartition, own(i), nil)
+			servers[i] = openShardServer(t, rels, shards, own(i), nil)
 		}
 		ts := httptest.NewServer(chaosCoord(t, servers, shardrpc.HedgePolicy{}).Handler())
 		t.Cleanup(ts.Close)
@@ -587,10 +587,10 @@ func TestChaosInjectorHeals(t *testing.T) {
 	const shards = 2
 	reset := &faultinject.Rule{Verb: "pull", Action: faultinject.ActionReset}
 	inj := faultinject.New(reset)
-	healthy := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, nil)
-	faulted := openShardServer(t, rels, shards, proxrank.HashPartition, Ownership{}, inj)
+	healthy := openShardServer(t, rels, shards, Ownership{}, nil)
+	faulted := openShardServer(t, rels, shards, Ownership{}, inj)
 	coord := chaosCoord(t, []*Node{faulted, healthy}, shardrpc.HedgePolicy{Disable: true}).Executor
-	twin := localTwin(t, rels, shards, proxrank.HashPartition)
+	twin := localTwin(t, rels, shards)
 
 	req := &api.Request{Query: []float64{0.0, 0.7}, Relations: []string{"A", "B"}, K: 3}
 	want, err := twin.Execute(context.Background(), req)

@@ -26,12 +26,12 @@ import (
 // caching off, so identity checks compare engine answers.
 var nodeTestConfig = Config{Workers: 2, CacheSize: -1}
 
-// shardedCatalog registers rels partitioned into shards under strategy.
-func shardedCatalog(t testing.TB, rels []*proxrank.Relation, shards int, strategy proxrank.PartitionStrategy) *Catalog {
+// shardedCatalog registers rels partitioned into shards.
+func shardedCatalog(t testing.TB, rels []*proxrank.Relation, shards int) *Catalog {
 	t.Helper()
 	cat := NewCatalog()
 	for _, rel := range rels {
-		if err := cat.RegisterSharded(rel.Name, rel, shards, strategy); err != nil {
+		if err := cat.RegisterSharded(rel.Name, rel, shards); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func openNode(t testing.TB, cat *Catalog, cfg NodeConfig) *Node {
 
 // openShardServer serves rels from one shard-server node on a loopback
 // port, behind a fault-injecting listener when inj is set.
-func openShardServer(t testing.TB, rels []*proxrank.Relation, shards int, strategy proxrank.PartitionStrategy, own Ownership, inj *faultinject.Injector) *Node {
+func openShardServer(t testing.TB, rels []*proxrank.Relation, shards int, own Ownership, inj *faultinject.Injector) *Node {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -63,7 +63,7 @@ func openShardServer(t testing.TB, rels []*proxrank.Relation, shards int, strate
 	if inj != nil {
 		ln = inj.Listener(ln)
 	}
-	return openNode(t, shardedCatalog(t, rels, shards, strategy), NodeConfig{RPCListener: ln, Own: own})
+	return openNode(t, shardedCatalog(t, rels, shards), NodeConfig{RPCListener: ln, Own: own})
 }
 
 // rpcAddrs lists the shard RPC addresses of servers, in order.
@@ -96,26 +96,26 @@ type distFixture struct {
 // newDistFixture partitions nRels tie-prone relations into shards and
 // serves them from nServers shard servers (server i owns shard s when
 // s%n == i), plus a coordinator and a single-node twin.
-func newDistFixture(t testing.TB, nRels, size, shards, nServers int, strategy proxrank.PartitionStrategy) *distFixture {
+func newDistFixture(t testing.TB, nRels, size, shards, nServers int) *distFixture {
 	t.Helper()
 	rels := make([]*proxrank.Relation, nRels)
 	for i := range rels {
 		rels[i] = testRelation(t, string(rune('A'+i)), int64(300+i), size, 2)
 	}
-	return newDistFixtureOver(t, rels, shards, nServers, strategy)
+	return newDistFixtureOver(t, rels, shards, nServers)
 }
 
 // newDistFixtureOver is newDistFixture over relations of the caller's.
-func newDistFixtureOver(t testing.TB, rels []*proxrank.Relation, shards, nServers int, strategy proxrank.PartitionStrategy) *distFixture {
+func newDistFixtureOver(t testing.TB, rels []*proxrank.Relation, shards, nServers int) *distFixture {
 	t.Helper()
 	f := &distFixture{rels: rels}
 	for _, rel := range rels {
 		f.names = append(f.names, rel.Name)
 	}
 	for i := 0; i < nServers; i++ {
-		f.servers = append(f.servers, openShardServer(t, f.rels, shards, strategy, Ownership{Index: i, Count: nServers}, nil))
+		f.servers = append(f.servers, openShardServer(t, f.rels, shards, Ownership{Index: i, Count: nServers}, nil))
 	}
-	f.local = NewExecutor(shardedCatalog(t, f.rels, shards, strategy), nodeTestConfig)
+	f.local = NewExecutor(shardedCatalog(t, f.rels, shards), nodeTestConfig)
 	f.coordCat = NewCatalog()
 	f.node = openNode(t, f.coordCat, NodeConfig{Peers: rpcAddrs(f.servers)})
 	f.coord, f.fleet = f.node.Executor, f.node.Fleet
@@ -175,7 +175,7 @@ func getBody(t testing.TB, url string) string {
 // byte-identically to a single node across algorithms × access kinds ×
 // batch/stream consumption — scores, order, stats, and event sequence.
 func TestDistributedByteIdentity(t *testing.T) {
-	f := newDistFixture(t, 2, 120, 5, 3, proxrank.GridPartition)
+	f := newDistFixture(t, 2, 120, 5, 3)
 	queries := [][]float64{{0.2, -0.1}, {1.4, 1.1}, {-2.0, 0.4}}
 	for _, algo := range []string{"cbrr", "cbpa", "tbrr", "tbpa"} {
 		for _, access := range []string{api.AccessDistance, api.AccessScore} {
@@ -227,7 +227,7 @@ func TestDistributedPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newDistFixtureOver(t, rels, 12, 3, proxrank.GridPartition)
+	f := newDistFixtureOver(t, rels, 12, 3)
 	corner := 0.44 * cfg.SideLength()
 	req := &api.Request{
 		Query:     []float64{corner, -corner, -corner, corner},
@@ -277,9 +277,9 @@ func TestDistributedOneStreamPerPeer(t *testing.T) {
 	for i := range servers {
 		// A zero delay changes nothing; the rule only counts what it matches.
 		pulls[i] = &faultinject.Rule{Verb: shardrpc.VerbPull, Action: faultinject.ActionDelay}
-		servers[i] = openShardServer(t, rels, shards, proxrank.GridPartition, Ownership{Index: i, Count: peers}, faultinject.New(pulls[i]))
+		servers[i] = openShardServer(t, rels, shards, Ownership{Index: i, Count: peers}, faultinject.New(pulls[i]))
 	}
-	local := NewExecutor(shardedCatalog(t, rels, shards, proxrank.GridPartition), nodeTestConfig)
+	local := NewExecutor(shardedCatalog(t, rels, shards), nodeTestConfig)
 	node := openNode(t, NewCatalog(), NodeConfig{Peers: rpcAddrs(servers)})
 	corner := 0.44 * cfg.SideLength()
 	for _, req := range []*api.Request{
@@ -327,7 +327,7 @@ func TestDistributedOneStreamPerPeer(t *testing.T) {
 // counts themselves are pinned: they are settled where the session ends,
 // and moving that must not move them.
 func TestDistributedOverFetchBounded(t *testing.T) {
-	f := newDistFixture(t, 2, 2400, 6, 2, proxrank.GridPartition)
+	f := newDistFixture(t, 2, 2400, 6, 2)
 	ts := httptest.NewServer(f.node.Handler())
 	t.Cleanup(ts.Close)
 
@@ -405,7 +405,7 @@ func TestDistributedOverFetchBounded(t *testing.T) {
 // the single-node twin. It is the test the race detector is pointed at
 // (CI runs it with -race -count=10).
 func TestDistributedConcurrentQueries(t *testing.T) {
-	f := newDistFixture(t, 2, 600, 6, 2, proxrank.GridPartition)
+	f := newDistFixture(t, 2, 600, 6, 2)
 	queries := [][]float64{{0, 0}, {-2.5, -2.5}, {1, -1}, {0.3, 2}}
 	want := make([]string, len(queries))
 	for i, q := range queries {
@@ -445,8 +445,8 @@ func TestDistributedConcurrentQueries(t *testing.T) {
 // the test of the shadowing rule: the catalog already holds A when the
 // node is opened over a fleet serving A and B, so only B arrives remote.
 func TestDistributedMixedLocalRemote(t *testing.T) {
-	f := newDistFixture(t, 2, 100, 4, 2, proxrank.HashPartition)
-	mixedCat := shardedCatalog(t, f.rels[:1], 4, proxrank.HashPartition)
+	f := newDistFixture(t, 2, 100, 4, 2)
+	mixedCat := shardedCatalog(t, f.rels[:1], 4)
 	node := openNode(t, mixedCat, NodeConfig{Peers: rpcAddrs(f.servers)})
 	if !reflect.DeepEqual(node.Shadowed, []string{"A"}) {
 		t.Fatalf("shadowed %v, want [A]: the local copy must win", node.Shadowed)
@@ -476,7 +476,7 @@ func TestDistributedMixedLocalRemote(t *testing.T) {
 // results — never a hang or a corrupt partial answer — and as a marked
 // degraded response under the default partial policy.
 func TestDistributedPeerDeath(t *testing.T) {
-	f := newDistFixture(t, 2, 80, 4, 2, proxrank.HashPartition)
+	f := newDistFixture(t, 2, 80, 4, 2)
 	for _, p := range f.fleet.Peers() {
 		p.DialTimeout = 200 * time.Millisecond
 		p.PullTimeout = 500 * time.Millisecond
@@ -516,7 +516,7 @@ func TestDistributedReplicaFailover(t *testing.T) {
 	var servers []*Node
 	for i := 0; i < 2; i++ {
 		// Ownership{}: both servers own everything.
-		servers = append(servers, openShardServer(t, rels, 4, proxrank.HashPartition, Ownership{}, nil))
+		servers = append(servers, openShardServer(t, rels, 4, Ownership{}, nil))
 	}
 	node := openNode(t, NewCatalog(), NodeConfig{Peers: rpcAddrs(servers)})
 	coord := node.Executor
@@ -524,7 +524,7 @@ func TestDistributedReplicaFailover(t *testing.T) {
 		p.DialTimeout = 200 * time.Millisecond
 		p.PullTimeout = 500 * time.Millisecond
 	}
-	local := localTwin(t, rels, 4, proxrank.HashPartition)
+	local := localTwin(t, rels, 4)
 
 	servers[0].Close() // first-choice owner dies; replica carries on
 	req := &api.Request{Query: []float64{0.1, 0.1}, Relations: []string{"A", "B"}, K: 3}
@@ -545,7 +545,7 @@ func TestDistributedReplicaFailover(t *testing.T) {
 // /v1/healthz reports per-peer health and degrades (status only, still
 // 200) when a peer is down, /metrics carries the remote counters.
 func TestCoordinatorEndpoints(t *testing.T) {
-	f := newDistFixture(t, 2, 80, 4, 2, proxrank.HashPartition)
+	f := newDistFixture(t, 2, 80, 4, 2)
 	for _, p := range f.fleet.Peers() {
 		p.DialTimeout = 200 * time.Millisecond
 		p.PullTimeout = 500 * time.Millisecond
@@ -621,7 +621,7 @@ func TestCoordinatorEndpoints(t *testing.T) {
 // TestRemoteScoresBitExact double-checks the JSON wire keeps float bits:
 // the remote response's scores must be bit-identical, not just close.
 func TestRemoteScoresBitExact(t *testing.T) {
-	f := newDistFixture(t, 2, 90, 3, 2, proxrank.HashPartition)
+	f := newDistFixture(t, 2, 90, 3, 2)
 	req := &api.Request{Query: []float64{0.7, -0.3}, Relations: f.names, K: 5}
 	want, err := f.local.Execute(context.Background(), req)
 	if err != nil {

@@ -311,7 +311,7 @@ func inf() float64 {
 // the same segment and could serve each other's cached answers.
 func TestCacheKeyNoCollision(t *testing.T) {
 	entry := func(name string, gen uint64) *Entry {
-		sharded, err := proxrank.NewShardedRelation(testRelation(t, name, int64(gen), 5, 2), 1, proxrank.HashPartition)
+		sharded, err := proxrank.NewShardedRelation(testRelation(t, name, int64(gen), 5, 2), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func TestCacheDropsReplacedGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.Replace(names[0], e.Relation(), 1, proxrank.HashPartition); err != nil {
+	if err := cat.Replace(names[0], e.Relation(), 1); err != nil {
 		t.Fatal(err)
 	}
 	run(names[0], names[2])

@@ -222,8 +222,10 @@ func (s *Server) handleRelations(w http.ResponseWriter, _ *http.Request) {
 //	name     — catalog name (required)
 //	maxScore — σ_max; 0 or absent infers it from the data
 //	shards   — shard count (default 1; 0 auto-picks from relation size)
-//	strategy — partitioning strategy: hash (default) or grid
 //
+// Shards are grid boxes (proxrank.NewShardedRelation); answers do not
+// depend on the partition, so any other parameter, such as a strategy
+// older clients still send, is ignored.
 // A taken name answers 409; evict it first to replace a relation, which
 // bumps the generation: no answer cached on the old one is served again.
 func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) {
@@ -251,11 +253,6 @@ func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) 
 		}
 		shards = n
 	}
-	strategy, err := proxrank.ParsePartitionStrategy(q.Get("strategy"))
-	if err != nil {
-		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
-		return
-	}
 	body := http.MaxBytesReader(w, r.Body, maxRelationBody)
 	rel, err := proxrank.ReadRelationCSV(body, name, maxScore)
 	if err != nil {
@@ -267,7 +264,7 @@ func (s *Server) handleRegisterRelation(w http.ResponseWriter, r *http.Request) 
 		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
 		return
 	}
-	if err := s.cat.RegisterSharded(name, rel, shards, strategy); err != nil {
+	if err := s.cat.RegisterSharded(name, rel, shards); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -345,7 +345,7 @@ func TestEnginePanicIsContained(t *testing.T) {
 // flight, so the instant Execute returns InFlight is zero and the
 // pruning counters already cover the query.
 func TestStatsSettledWhenExecuteReturns(t *testing.T) {
-	f := newDistFixture(t, 2, 160, 6, 2, proxrank.GridPartition)
+	f := newDistFixture(t, 2, 160, 6, 2)
 	total := int64(f.coordCat.TotalShards())
 	for i := 0; i < 20; i++ {
 		req := &api.Request{Query: []float64{-2.5 + float64(i)/4, -2.5}, Relations: f.names, K: 2}

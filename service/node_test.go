@@ -40,11 +40,11 @@ func requireRefused(t testing.TB, addr string) {
 // answer, and every goroutine behind them.
 func TestOpenDiscoveryFailureLeavesNothingBehind(t *testing.T) {
 	rels := chaosRels(t, 40)
-	live := openShardServer(t, rels, 2, proxrank.HashPartition, Ownership{}, nil)
+	live := openShardServer(t, rels, 2, Ownership{}, nil)
 	gone := mustListen(t)
 	dead := gone.Addr().String()
 	gone.Close()
-	cat := shardedCatalog(t, rels, 2, proxrank.HashPartition)
+	cat := shardedCatalog(t, rels, 2)
 	baseline := runtime.NumGoroutine()
 
 	ln := mustListen(t)
@@ -86,9 +86,9 @@ func TestOpenBothRoles(t *testing.T) {
 	ab := chaosRels(t, 60)
 	c := []*proxrank.Relation{testRelation(t, "C", 302, 60, 2)}
 	const shards = 3
-	data := openShardServer(t, ab, shards, proxrank.HashPartition, Ownership{}, nil)
+	data := openShardServer(t, ab, shards, Ownership{}, nil)
 
-	cat := shardedCatalog(t, c, shards, proxrank.HashPartition)
+	cat := shardedCatalog(t, c, shards)
 	hedge := shardrpc.HedgePolicy{After: 7 * time.Millisecond}
 	both := openNode(t, cat, NodeConfig{RPCListener: mustListen(t), Peers: []string{data.RPCAddr}, Hedge: hedge})
 	for name, wantRemote := range map[string]bool{"A": true, "B": true, "C": false} {
@@ -110,7 +110,7 @@ func TestOpenBothRoles(t *testing.T) {
 		t.Fatalf("a coordinator over the two-role node sees %v, want [C]", got)
 	}
 
-	twin := localTwin(t, append(ab, c...), shards, proxrank.HashPartition)
+	twin := localTwin(t, append(ab, c...), shards)
 	req := &api.Request{Query: []float64{0.2, -0.4}, Relations: []string{"A", "B", "C"}, K: 4}
 	want, err := twin.Execute(context.Background(), req)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestOpenBothRoles(t *testing.T) {
 // no-op.
 func TestNodeCloseTwice(t *testing.T) {
 	rels := chaosRels(t, 40)
-	data := openShardServer(t, rels, 2, proxrank.HashPartition, Ownership{}, nil)
+	data := openShardServer(t, rels, 2, Ownership{}, nil)
 	n := openNode(t, NewCatalog(), NodeConfig{RPCListener: mustListen(t), Peers: []string{data.RPCAddr}})
 	n.Close()
 	requireRefused(t, n.RPCAddr)

@@ -17,7 +17,7 @@ import (
 // writeRelFile partitions rel and writes it to a temp .prox file.
 func writeRelFile(t testing.TB, rel *proxrank.Relation, shards int) string {
 	t.Helper()
-	s, err := proxrank.NewShardedRelation(rel, shards, proxrank.GridPartition)
+	s, err := proxrank.NewShardedRelation(rel, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCatalogLoadRelFile(t *testing.T) {
 	pathA := writeRelFile(t, relA, 2)
 
 	ramCat := NewCatalog()
-	if err := ramCat.RegisterSharded("A", relA, 2, proxrank.GridPartition); err != nil {
+	if err := ramCat.RegisterSharded("A", relA, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := ramCat.Register("B", relB); err != nil {
@@ -159,7 +159,7 @@ func TestExecutorIgnoresBufferPolicy(t *testing.T) {
 func TestCatalogAutoShardAdmission(t *testing.T) {
 	cat := NewCatalog()
 	small := testRelation(t, "r", 31, 50, 2)
-	if err := cat.RegisterSharded("r", small, 0, proxrank.HashPartition); err != nil {
+	if err := cat.RegisterSharded("r", small, 0); err != nil {
 		t.Fatal(err)
 	}
 	e1, err := cat.Get("r")
@@ -171,7 +171,7 @@ func TestCatalogAutoShardAdmission(t *testing.T) {
 	}
 
 	grown := testRelation(t, "r", 32, 9000, 2)
-	if err := cat.Replace("r", grown, 0, proxrank.HashPartition); err != nil {
+	if err := cat.Replace("r", grown, 0); err != nil {
 		t.Fatal(err)
 	}
 	e2, err := cat.Get("r")

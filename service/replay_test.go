@@ -316,7 +316,7 @@ func TestCacheReplacesDeadGeneration(t *testing.T) {
 	<-g.started
 	x.wrapSource = nil // runs from here on are not gated
 
-	if err := cat.Replace(names[0], testRelation(t, names[0], 999, 40, 2), 1, proxrank.HashPartition); err != nil {
+	if err := cat.Replace(names[0], testRelation(t, names[0], 999, 40, 2), 1); err != nil {
 		t.Fatal(err)
 	}
 	twin := NewExecutor(cat, Config{CacheSize: -1})
@@ -439,7 +439,7 @@ func TestReplayConcurrentFirstHits(t *testing.T) {
 		defer writer.Done()
 		for j := 1; j <= rounds; j++ {
 			begun.Store(int64(j))
-			if err := cat.Replace(awkwardName, gens[j], 1, proxrank.HashPartition); err != nil {
+			if err := cat.Replace(awkwardName, gens[j], 1); err != nil {
 				t.Error(err)
 				return
 			}

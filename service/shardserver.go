@@ -16,7 +16,7 @@ import (
 // peers owns shard s exactly when Index is one of the r consecutive
 // peers starting at s % Count — so every shard has r owners and the
 // coordinator can fail over or hedge between them. Every peer loads the
-// same data with the same -shards/-shard-strategy, so the global
+// same data with the same -shards, so the global
 // partition (and every tuple's parent ordinal) is agreed on by
 // construction; ownership only decides who answers for each piece. The
 // zero value (Count <= 1) owns everything.

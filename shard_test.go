@@ -45,10 +45,10 @@ type inputKind struct {
 }
 
 // inputKinds builds every kind of input over rels, the plain relations
-// (scanned per query) first: their partitions under each strategy (merged
-// per-shard R-trees), the relfile twin of each partition (mapped columns,
-// R-trees built on first use), and one shared one-shard partition per
-// relation whose streams OpenSource opens for TopKFromSources.
+// (scanned per query) first: their grid partitions (merged per-shard
+// R-trees), the relfile twin of each partition (mapped columns, R-trees
+// built on first use), and one shared one-shard partition per relation
+// whose streams OpenSource opens for TopKFromSources.
 func inputKinds(t testing.TB, rels []*proxrank.Relation, shards int) []inputKind {
 	t.Helper()
 	overInputs := func(name string, inputs []proxrank.Input) inputKind {
@@ -58,32 +58,30 @@ func inputKinds(t testing.TB, rels []*proxrank.Relation, shards int) []inputKind
 	}
 	kinds := []inputKind{overInputs("plain", inputsOf(rels))}
 	dir := t.TempDir()
-	for _, strategy := range []proxrank.PartitionStrategy{proxrank.HashPartition, proxrank.GridPartition} {
-		sharded := make([]proxrank.Input, len(rels))
-		mapped := make([]proxrank.Input, len(rels))
-		for i, rel := range rels {
-			s, err := proxrank.NewShardedRelation(rel, shards, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.NumShards() != shards {
-				t.Fatalf("%v: relation %s has %d shards, want %d", strategy, rel.Name, s.NumShards(), shards)
-			}
-			path := filepath.Join(dir, fmt.Sprintf("%v-%d%s", strategy, i, proxrank.RelFileExtension))
-			if err := proxrank.SaveRelFile(path, s); err != nil {
-				t.Fatal(err)
-			}
-			m, err := proxrank.LoadRelFile(path, rel.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded[i], mapped[i] = s, m
+	sharded := make([]proxrank.Input, len(rels))
+	mapped := make([]proxrank.Input, len(rels))
+	for i, rel := range rels {
+		s, err := proxrank.NewShardedRelation(rel, shards)
+		if err != nil {
+			t.Fatal(err)
 		}
-		kinds = append(kinds, overInputs(strategy.String(), sharded), overInputs(strategy.String()+"-relfile", mapped))
+		if s.NumShards() != shards {
+			t.Fatalf("relation %s has %d shards, want %d", rel.Name, s.NumShards(), shards)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("grid-%d%s", i, proxrank.RelFileExtension))
+		if err := proxrank.SaveRelFile(path, s); err != nil {
+			t.Fatal(err)
+		}
+		m, err := proxrank.LoadRelFile(path, rel.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded[i], mapped[i] = s, m
 	}
+	kinds = append(kinds, overInputs("grid", sharded), overInputs("grid-relfile", mapped))
 	indexes := make([]proxrank.Input, len(rels))
 	for i, rel := range rels {
-		ix, err := proxrank.NewShardedRelation(rel, 1, proxrank.HashPartition)
+		ix, err := proxrank.NewShardedRelation(rel, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +104,9 @@ func inputKinds(t testing.TB, rels []*proxrank.Relation, shards int) []inputKind
 }
 
 // TestTopKShardedMatchesUnsharded is the facade-layer acceptance test:
-// every kind of input — relations partitioned into 4 shards under both
-// strategies, their relfile twins, shared one-shard partitions read
-// through OpenSource — must return
-// byte-identical top-k results (same tuples, same scores, same order) and
+// every kind of input — relations partitioned into 4 grid shards, their
+// relfile twins, shared one-shard partitions read through OpenSource —
+// must return byte-identical top-k results (same tuples, same scores, same order) and
 // read exactly as deep as the plain relations, for both access kinds. The
 // plain relations sort and the rest traverse R-trees, so this is also the
 // sorted-versus-R-tree identity.
@@ -147,7 +144,7 @@ func TestTopKShardedMatchesUnsharded(t *testing.T) {
 func TestTopKInputsMixes(t *testing.T) {
 	relA := shardTestRelation(t, "A", 7, 40, 2)
 	relB := shardTestRelation(t, "B", 8, 50, 2)
-	shardedB, err := proxrank.NewShardedRelation(relB, 4, proxrank.GridPartition)
+	shardedB, err := proxrank.NewShardedRelation(relB, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +163,14 @@ func TestTopKInputsMixes(t *testing.T) {
 // benchShardedCity measures end-to-end TopK latency over the bundled SF
 // city relations at a given shard count (1 = unsharded); EXPERIMENTS.md
 // records the comparison.
-func benchShardedCity(b *testing.B, shards int, strategy proxrank.PartitionStrategy) {
+func benchShardedCity(b *testing.B, shards int) {
 	rels, query, _, err := proxrank.CityDataset("SF")
 	if err != nil {
 		b.Fatal(err)
 	}
 	inputs := make([]proxrank.Input, len(rels))
 	for i, rel := range rels {
-		s, err := proxrank.NewShardedRelation(rel, shards, strategy)
+		s, err := proxrank.NewShardedRelation(rel, shards)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,10 +185,9 @@ func benchShardedCity(b *testing.B, shards int, strategy proxrank.PartitionStrat
 	}
 }
 
-func BenchmarkCityTopKUnsharded(b *testing.B)    { benchShardedCity(b, 1, proxrank.HashPartition) }
-func BenchmarkCityTopKSharded4Hash(b *testing.B) { benchShardedCity(b, 4, proxrank.HashPartition) }
-func BenchmarkCityTopKSharded4Grid(b *testing.B) { benchShardedCity(b, 4, proxrank.GridPartition) }
-func BenchmarkCityTopKSharded8Grid(b *testing.B) { benchShardedCity(b, 8, proxrank.GridPartition) }
+func BenchmarkCityTopKUnsharded(b *testing.B)    { benchShardedCity(b, 1) }
+func BenchmarkCityTopKSharded4Grid(b *testing.B) { benchShardedCity(b, 4) }
+func BenchmarkCityTopKSharded8Grid(b *testing.B) { benchShardedCity(b, 8) }
 
 // benchShardedBuild measures registration-time index construction, where
 // per-shard parallelism is the win.
@@ -199,7 +195,7 @@ func benchShardedBuild(b *testing.B, shards int) {
 	rel := shardTestRelation(b, "big", 1, 200000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := proxrank.NewShardedRelation(rel, shards, proxrank.GridPartition); err != nil {
+		if _, err := proxrank.NewShardedRelation(rel, shards); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -214,11 +210,11 @@ func BenchmarkShardedBuild8(b *testing.B) { benchShardedBuild(b, 8) }
 func TestStreamInputsSharded(t *testing.T) {
 	relA := shardTestRelation(t, "A", 11, 35, 2)
 	relB := shardTestRelation(t, "B", 12, 45, 2)
-	shardedA, err := proxrank.NewShardedRelation(relA, 4, proxrank.HashPartition)
+	shardedA, err := proxrank.NewShardedRelation(relA, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedB, err := proxrank.NewShardedRelation(relB, 4, proxrank.GridPartition)
+	shardedB, err := proxrank.NewShardedRelation(relB, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
