@@ -177,9 +177,10 @@ func boundQueries(r *rand.Rand, lo, hi []float64) []vec.Vector {
 // TestShardBoundNeverExceedsFirstKey is the soundness of shard pruning on
 // the bits the merge compares: whatever the relation (dims 1–8, tied
 // coordinates, duplicates, one-tuple shards whose rectangle is a point),
-// layout (grid boxes or overlapping shards), shard count and query position, Dist2LowerBound is at most
-// the first key both of the shard's distance streams emit, and a merge
-// over streams held latent at that bound emits what the eager merge does.
+// layout (grid boxes or overlapping shards), shard count and query
+// position, Dist2LowerBound is at most the first key both of the shard's
+// distance streams emit, and a merge over streams held latent at that
+// bound emits what the eager merge does.
 func TestShardBoundNeverExceedsFirstKey(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 48; trial++ {

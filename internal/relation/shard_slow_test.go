@@ -12,9 +12,9 @@ import (
 
 // TestMergedSourceProperty is the heavyweight randomized form of the
 // ordering invariant: across random relations (varying size, dimension,
-// tie density), shard counts, grid or overlapping shards, and access kinds, a merged
-// stream of random shards must emit exactly the sequence of the
-// unsharded source. Gated behind -tags=slow; the always-on tests cover
+// tie density), shard counts, grid or overlapping shards, and access
+// kinds, a merged stream of random shards must emit exactly the sequence
+// of the unsharded source. Gated behind -tags=slow; the always-on tests cover
 // the same invariant on fixed seeds.
 func TestMergedSourceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
