@@ -44,8 +44,7 @@
 // from a transport-neutral api.Request, Next delivers results as the
 // bound certifies them (k need not be known up front), and enumeration
 // can continue past the initial K without restarting the run — until the
-// consumer calls Close, which is where a session's sources and spill
-// files are let go. All batch entry points are a session drained to K
+// consumer calls Close, which is where a session's sources are let go. All batch entry points are a session drained to K
 // and closed, so both consumption models share one engine invocation
 // path and identical costs.
 //

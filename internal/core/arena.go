@@ -64,8 +64,7 @@ func lexLess32(a, b []int32) bool {
 
 // before is the one result order: score descending, ties by ascending
 // lexicographic ranks. (score, ranks) keys are unique, so it is a total
-// order — of the window, the spill heap, every segment file and every
-// stream of results.
+// order — of the window, the spill heap and every stream of results.
 func before(score float64, ranks []int32, thanScore float64, thanRanks []int32) bool {
 	if score != thanScore {
 		return score > thanScore

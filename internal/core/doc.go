@@ -25,9 +25,9 @@
 // window (internal/pqueue). A batch run's O is a bounded consumer of K
 // entries whose floor is the K-th best; an Iterator's window is
 // Options.MaxBuffered entries: a bounded consumer drops what it cannot
-// return, an open session keeps it in a spill heap, and with
-// Options.SpillDir in segment files past a watermark. One order, before,
-// ranks every result: score descending, ties by ascending ranks.
+// return, and an open session (MaxBuffered 0) keeps it in an in-memory
+// spill heap. One order, before, ranks every result: score descending,
+// ties by ascending ranks.
 //
 // Iterator (iterator.go) is the ranked-enumeration surface the facade's
 // Stream/Query sessions wrap: Next certifies and emits one combination

@@ -221,7 +221,7 @@ func NewEngine(sources []relation.Source, opts Options) (*Engine, error) {
 
 // newEngine is NewEngine for a batch run or, when session is set, for an
 // Iterator: a session has no K, and its buffer follows from MaxBuffered
-// and SpillDir (sessionWindow).
+// (sessionWindow).
 func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, error) {
 	if len(sources) < 2 {
 		return nil, ErrNoRelations
@@ -237,9 +237,6 @@ func newEngine(sources []relation.Source, opts Options, session bool) (*Engine, 
 	}
 	if opts.MaxBuffered < 0 {
 		return nil, fmt.Errorf("core: MaxBuffered must be non-negative, got %d", opts.MaxBuffered)
-	}
-	if opts.SpillMemBytes < 0 {
-		return nil, fmt.Errorf("core: SpillMemBytes must be non-negative, got %d", opts.SpillMemBytes)
 	}
 	kind := sources[0].Kind()
 	dim := sources[0].Relation().Dim()

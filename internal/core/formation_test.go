@@ -588,8 +588,7 @@ func TestDeepScoreStepDoesNotAllocate(t *testing.T) {
 
 // BenchmarkOpenSession is what open enumeration costs: the first 100,
 // 2 000, 20 000 and 100 000 results of a TBPA session that leaves
-// MaxBuffered at 0, over deepFixture, cycling three query points; the two
-// deep points run again with a SpillDir ("+tier", the default watermark).
+// MaxBuffered at 0, over deepFixture, cycling three query points.
 // Beside time and allocations it reports the peak live heap (the
 // runtime's post-GC figure, sampled every 1 024 results and once, forced,
 // at the end) and the entries spilled per session. Run it at the parent
@@ -610,29 +609,18 @@ func BenchmarkOpenSession(b *testing.B) {
 		metrics.Read(live)
 		return live[0].Value.Uint64()
 	}
-	for _, c := range []struct {
-		n    int
-		tier bool
-	}{{100, false}, {2000, false}, {20000, false}, {20000, true}, {100000, false}, {100000, true}} {
-		name := fmt.Sprint(c.n)
-		if c.tier {
-			name += "+tier"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, n := range []int{100, 2000, 20000, 100000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			b.ReportAllocs()
 			var peak uint64
 			var spilled int64
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
-				opts := Options{Algorithm: TBPA, Query: q, Agg: fn}
-				if c.tier {
-					opts.SpillDir = b.TempDir()
-				}
-				it, err := NewIterator(deepSources(b, ixs, q), opts)
+				it, err := NewIterator(deepSources(b, ixs, q), Options{Algorithm: TBPA, Query: q, Agg: fn})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for j := 0; j < c.n; j++ {
+				for j := 0; j < n; j++ {
 					if _, err := it.Next(); err != nil {
 						b.Fatal(err)
 					}

@@ -221,11 +221,10 @@ func drainIterator(t *testing.T, in instance, kind relation.AccessKind, opts Opt
 // oracleOptions is the session every buffer suite is held to: pruning off
 // and a window wider than any test's cross product, so nothing is ever cut,
 // evicted or spilled — every formed combination waits in the one ranked
-// heap until it is emitted. (The SpillDir is what makes a positive window
-// open; the tier never writes.)
-func oracleOptions(t *testing.T, opts Options) Options {
+// heap until it is emitted.
+func oracleOptions(opts Options) Options {
 	opts.disablePrune = true
-	opts.MaxBuffered, opts.SpillDir = 1<<30, t.TempDir()
+	opts.window = 1 << 30
 	return opts
 }
 
@@ -249,8 +248,8 @@ func statsAfter(t *testing.T, in instance, kind relation.AccessKind, opts Option
 }
 
 // TestQuickSessionBufferByteIdentity: the session window is invisible in
-// the stream. An open session — the default window, or a small one with a
-// file tier — reproduces the oracle's stream in full (emissions, terminal
+// the stream. An open session — the default window, or a small one —
+// reproduces the oracle's stream in full (emissions, terminal
 // condition, drain order); a bounded consumer reproduces the first
 // MaxBuffered results and the drained-to-K batch contract under DNF caps,
 // then refuses to go on (ErrIteratorPastBound); and every run pulls
@@ -259,7 +258,7 @@ func statsAfter(t *testing.T, in instance, kind relation.AccessKind, opts Option
 func TestQuickSessionBufferByteIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(2718))
 	for ci, c := range identityCases(r, 8) {
-		base := oracleOptions(t, c.opts)
+		base := oracleOptions(c.opts)
 		baseEmit, baseDrain, baseErr, baseStats := drainIterator(t, c.in, c.kind, base)
 
 		opEmit, opDrain, opErr, opStats := drainIterator(t, c.in, c.kind, c.opts)
@@ -277,8 +276,7 @@ func TestQuickSessionBufferByteIdentity(t *testing.T) {
 		}
 
 		spill := c.opts
-		spill.MaxBuffered = 1 + r.Intn(5)
-		spill.SpillDir = t.TempDir()
+		spill.window = 1 + r.Intn(5)
 		spEmit, spDrain, spErr, spStats := drainIterator(t, c.in, c.kind, spill)
 		if !errors.Is(spErr, baseErr) {
 			t.Fatalf("case %d: spill terminal %v vs %v", ci, spErr, baseErr)
@@ -329,8 +327,8 @@ func TestQuickSessionBufferByteIdentity(t *testing.T) {
 		// A spill session's deferred records are not buffered entries, so its
 		// peak need not reach the prune twin's; what it buffers is its heap,
 		// never above the cap, plus what it spilled.
-		if spStats.SpilledCombinations > 0 && int64(spStats.PeakBuffered) > int64(spill.MaxBuffered)+spStats.SpilledCombinations {
-			t.Fatalf("case %d: implausible peak: spill %d > cap %d + spilled %d", ci, spStats.PeakBuffered, spill.MaxBuffered, spStats.SpilledCombinations)
+		if spStats.SpilledCombinations > 0 && int64(spStats.PeakBuffered) > int64(spill.window)+spStats.SpilledCombinations {
+			t.Fatalf("case %d: implausible peak: spill %d > cap %d + spilled %d", ci, spStats.PeakBuffered, spill.window, spStats.SpilledCombinations)
 		}
 	}
 }

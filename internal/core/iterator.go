@@ -24,12 +24,12 @@ import (
 // Engine.candidates). What becomes of what the window does not keep
 // follows from the run's declaration:
 //
-//   - A bounded consumer (a batch run; a session with MaxBuffered > 0 and
-//     no SpillDir) drops it: a cut subtree, and an offer the full heap
-//     rejects. Exact for the first max results in O(max) memory, and the
-//     Iterator refuses to go past them (ErrIteratorPastBound).
-//   - An open session (MaxBuffered 0, or a SpillDir) keeps it: an eviction
-//     or an offer below the window moves to the spill heap, and a cut
+//   - A bounded consumer (a batch run; a session with MaxBuffered > 0)
+//     drops it: a cut subtree, and an offer the full heap rejects. Exact
+//     for the first max results in O(max) memory, and the Iterator
+//     refuses to go past them (ErrIteratorPastBound).
+//   - An open session (MaxBuffered 0) keeps it in memory: an eviction or
+//     an offer below the window moves to the spill heap, and a cut
 //     subtree becomes one deferredCut, expanded only when emission reaches
 //     its key. Once the window drains, revival pops the best spilled
 //     entries back into a fresh one (keep is max again). Exact for open
@@ -59,21 +59,12 @@ type sessionBuffer struct {
 	// spill holds an open session's spilled entries, best first, in the
 	// arena like the window's: an entry moves between the two as a slot,
 	// and is ordered by heap operations only — revival pays for what it
-	// takes, not for what it leaves. spilled counts them together with
-	// what the tier's segment files still hold.
+	// takes, not for what it leaves. spilled is its length.
 	spill       *pqueue.Heap[combRef]
 	spilled     int
 	hasBoundary bool
 	boundScore  float64
 	boundRanks  []int32
-
-	// tier is the file tier of a session with a SpillDir: once the spill
-	// heap holds the tier's watermark, it moves to one sorted segment file,
-	// and revival merges the segment streams with the heap. err poisons
-	// the session on the first segment I/O failure; Iterator surfaces it
-	// instead of emitting.
-	tier *spillTier
-	err  error
 }
 
 // openWindow is the window of an open session that leaves MaxBuffered at
@@ -101,25 +92,22 @@ func newSessionBuffer(arena *combArena, max int, stats *Stats, cuts *cutHeap) *s
 	return b
 }
 
-// sessionWindow builds e's buffer as an Iterator's: a window of
-// MaxBuffered entries, or openWindow when that is 0, and open — spilled
-// entries, deferred records, the file tier under a SpillDir — unless
-// MaxBuffered alone bounds the session.
+// sessionWindow builds e's buffer as an Iterator's: a bounded consumer's
+// window of MaxBuffered entries when that is positive, and otherwise an
+// open session's — spilled entries and deferred records — behind a window
+// of openWindow entries (or the test-only Options.window).
 func sessionWindow(e *Engine) *sessionBuffer {
 	opts := e.opts
-	window := opts.MaxBuffered
+	if opts.MaxBuffered > 0 {
+		return newSessionBuffer(e.arena, opts.MaxBuffered, &e.stats, nil)
+	}
+	window := opts.window
 	if window == 0 {
 		window = openWindow
-	}
-	if opts.MaxBuffered > 0 && opts.SpillDir == "" {
-		return newSessionBuffer(e.arena, window, &e.stats, nil)
 	}
 	b := newSessionBuffer(e.arena, window, &e.stats, newCutHeap(e.n))
 	b.tracer = opts.Tracer
 	b.expand = e.expandCut
-	if opts.SpillDir != "" {
-		b.tier = newSpillTier(opts.SpillDir, e.n, opts.SpillMemBytes, &e.stats, opts.spillFault)
-	}
 	return b
 }
 
@@ -138,35 +126,13 @@ func (b *sessionBuffer) setBoundary(score float64, ranks []int32) {
 	b.hasBoundary = true
 }
 
-// spillRef moves a slot to the spill heap, and the heap to a segment file
-// once it holds the tier's watermark.
+// spillRef moves a slot to the spill heap.
 func (b *sessionBuffer) spillRef(ref combRef) {
 	b.spill.Push(ref)
 	b.spilled++
 	b.stats.SpilledCombinations++
 	if b.tracer != nil {
 		b.tracer.TraceBuffer(TraceActionSpill, 1)
-	}
-	if b.tier != nil && b.err == nil && b.spill.Len() >= b.tier.watermark {
-		b.flush()
-	}
-}
-
-// flush writes the spill heap, popped best first, as one segment file and
-// releases its slots. A failure poisons the session — a file tier that
-// cannot write cannot stay exact.
-func (b *sessionBuffer) flush() {
-	n, m := b.arena.n, b.spill.Len()
-	scores := make([]float64, m)
-	ranks := make([]int32, m*n)
-	for i := range scores {
-		ref, _ := b.spill.Pop()
-		scores[i] = ref.score
-		copy(ranks[i*n:(i+1)*n], b.arena.ranksAt(ref.slot))
-		b.arena.release(ref.slot)
-	}
-	if err := b.tier.flush(scores, ranks); err != nil {
-		b.err = err
 	}
 }
 
@@ -248,7 +214,7 @@ func (b *sessionBuffer) cutFirst(best combRef, ok bool) bool {
 // key exceeds it are expanded first, and spilled entries are revived when
 // the ranked heap has drained.
 func (b *sessionBuffer) peekBest() (combRef, bool) {
-	for b.err == nil {
+	for {
 		best, ok := b.heap.PeekMax()
 		switch {
 		case b.cutFirst(best, ok):
@@ -260,7 +226,6 @@ func (b *sessionBuffer) peekBest() (combRef, bool) {
 			return best, ok
 		}
 	}
-	return b.heap.PeekMax()
 }
 
 // popBest removes and returns the best retained combination. The caller
@@ -282,73 +247,26 @@ func (b *sessionBuffer) popBest() (combRef, bool) {
 // (keep = max), so the floor is back on once it is full. A deferred record
 // ranks like a spilled entry at its key: peekBest expands it instead of
 // reviving when its key exceeds the best spilled entry, and before handing
-// out a revived entry below it. Revival is a k-way selection over the
-// spill heap and the sorted segment streams; (score, ranks) keys are
-// unique, so it takes exactly the entries, in the order, that a global
-// sort would.
+// out a revived entry below it. (score, ranks) keys are unique, so the
+// spill heap's pops are exactly the entries, in the order, that a global
+// sort would take.
 func (b *sessionBuffer) revive() {
-	if b.err != nil || b.spilled == 0 {
-		return
-	}
 	take := min(b.spilled, b.max)
 	if b.tracer != nil {
 		b.tracer.TraceBuffer(TraceActionRevive, take)
 	}
-	for pushed := 0; pushed < take; pushed++ {
-		score, ranks, seg, err := b.bestSpilled()
-		if err != nil {
-			b.err = err
-			return
-		}
-		if seg == nil {
-			ref, _ := b.spill.Pop()
-			b.heap.Push(ref)
-		} else {
-			b.heap.Push(combRef{slot: b.arena.alloc(ranks), score: score})
-			seg.loaded = false
-		}
-		b.spilled--
+	for range take {
+		ref, _ := b.spill.Pop()
+		b.heap.Push(ref)
 	}
-	if b.tier != nil {
-		b.tier.compact()
-	}
+	b.spilled -= take
 	b.keep = b.max
-	if b.spilled == 0 {
+	top, ok := b.spill.Peek()
+	if !ok {
 		b.hasBoundary = false
 		return
 	}
-	score, ranks, _, err := b.bestSpilled()
-	if err != nil {
-		b.err = err
-		return
-	}
-	b.setBoundary(score, ranks)
-}
-
-// bestSpilled returns the best spilled entry — the spill heap's top, or
-// the head of segment seg — without consuming it. The returned ranks
-// alias the arena or the segment's head buffer and must be copied
-// (arena.alloc and setBoundary do) before the next call.
-func (b *sessionBuffer) bestSpilled() (score float64, ranks []int32, seg *spillSegment, err error) {
-	top, have := b.spill.Peek()
-	if have {
-		score, ranks = top.score, b.arena.ranksAt(top.slot)
-	}
-	if b.tier != nil {
-		for _, s := range b.tier.segs {
-			ok, err := b.tier.ensureHead(s)
-			if err != nil {
-				return 0, nil, nil, err
-			}
-			if ok && (!have || before(s.head, s.headRanks, score, ranks)) {
-				score, ranks, seg, have = s.head, s.headRanks, s, true
-			}
-		}
-	}
-	if !have {
-		return 0, nil, nil, fmt.Errorf("core: spill accounting lost entries")
-	}
-	return score, ranks, seg, nil
+	b.setBoundary(top.score, b.arena.ranksAt(top.slot))
 }
 
 // Iterator is the pipelined form of the ProxRJ operator: instead of a
@@ -366,8 +284,8 @@ func (b *sessionBuffer) bestSpilled() (score float64, ranks []int32, seg *spillS
 // (see sessionBuffer).
 //
 // A session ends in Close, whenever its consumer decides it is over; what
-// the session holds outside the heap — spill segments, the sources'
-// connections and traversal queues — is let go there and nowhere else.
+// the session holds outside the heap — the sources' connections and
+// traversal queues — is let go there and nowhere else.
 type Iterator struct {
 	e       *Engine
 	emitted int64
@@ -386,10 +304,10 @@ var ErrIteratorDone = errors.New("core: iterator exhausted")
 var ErrIteratorDNF = errors.New("core: iterator aborted by MaxSumDepths/MaxCombinations cap")
 
 // ErrIteratorPastBound is returned by Next once a bounded consumer — a
-// session with MaxBuffered > 0 and no SpillDir — has taken MaxBuffered
-// results, emitted and drained together: its buffer dropped what ranks
-// below them, so a further result could be wrong. A session that must
-// enumerate past the bound is an open one: MaxBuffered 0, or a SpillDir.
+// session with MaxBuffered > 0 — has taken MaxBuffered results, emitted
+// and drained together: its buffer dropped what ranks below them, so a
+// further result could be wrong. A session that must enumerate past the
+// bound is an open one: MaxBuffered 0.
 var ErrIteratorPastBound = errors.New("core: iterator: bounded consumer has taken MaxBuffered results")
 
 // errIteratorClosed is what Next returns after Close.
@@ -434,12 +352,6 @@ func (it *Iterator) NextContext(ctx context.Context) (Combination, error) {
 		// batch stopping test, so a K-prefix of the stream pulls exactly
 		// what the batch run would.
 		best, ok := it.e.buf.peekBest()
-		if it.e.buf.err != nil {
-			// A file tier failure (write or revival) forfeits exactness;
-			// poison the iterator rather than emit a possibly wrong order.
-			it.err = it.e.buf.err
-			return Combination{}, it.err
-		}
 		if ok && it.e.certifies(best.score) {
 			return it.emitBest(), nil
 		}
@@ -493,28 +405,24 @@ func (it *Iterator) pastBound() bool {
 // consumer's drain stops where its Next would fail with
 // ErrIteratorPastBound.
 func (it *Iterator) DrainBest() (Combination, bool) {
-	if it.pastBound() {
+	if it.pastBound() || it.err == errIteratorClosed {
 		return Combination{}, false
 	}
-	if _, ok := it.e.buf.peekBest(); !ok || it.e.buf.err != nil {
+	if _, ok := it.e.buf.peekBest(); !ok {
 		return Combination{}, false
 	}
 	return it.emitBest(), true
 }
 
-// Close ends the session: it discards the file tier's segments, closes
-// every relation.Closer source and recycles the columns. Idempotent, and
-// clean after any terminal state, an I/O-poisoned one included. Afterwards
-// Next fails with an error wrapping os.ErrClosed and DrainBest yields
-// nothing; Stats, Threshold and Emitted keep their last values.
+// Close ends the session: it closes every relation.Closer source and
+// recycles the columns. Idempotent, and clean after any terminal state.
+// Afterwards Next fails with an error wrapping os.ErrClosed and DrainBest
+// yields nothing; Stats, Threshold and Emitted keep their last values.
 func (it *Iterator) Close() {
 	if it.err == errIteratorClosed {
 		return
 	}
-	it.err, it.e.buf.err = errIteratorClosed, errIteratorClosed
-	if it.e.buf.tier != nil {
-		it.e.buf.tier.discard()
-	}
+	it.err = errIteratorClosed
 	for _, rs := range it.e.rels {
 		if c, ok := rs.src.(relation.Closer); ok {
 			c.Close()

@@ -94,10 +94,10 @@ func TestQuickIteratorPrefixMatchesOracle(t *testing.T) {
 }
 
 // TestQuickOpenSessionMatchesFullSort: an open session drained to the end
-// is the fully sorted cross product, past K and through both buffer tiers.
+// is the fully sorted cross product, past K and through the spill heap.
 // For every access kind, algorithm and bound schedule, under the default
-// window and under a three-entry window whose evictions go to segment
-// files and come back, the stream has the oracle's length and, position by
+// window and under a three-entry window whose evictions are spilled and
+// revived, the stream has the oracle's length and, position by
 // position, its score bits; within each run of equal scores it holds the
 // same combinations (access ranks and storage ranks order ties
 // differently, so only the multiset of tuple-ID vectors is compared).
@@ -116,7 +116,6 @@ func TestQuickOpenSessionMatchesFullSort(t *testing.T) {
 		}
 		return strings.Join(parts, "\x00")
 	}
-	dir := t.TempDir()
 	var spilled int64
 	for ii, in := range insts {
 		want, err := NaiveStream(in.rels, in.q, in.fn)
@@ -126,7 +125,7 @@ func TestQuickOpenSessionMatchesFullSort(t *testing.T) {
 		for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
 			for _, algo := range Algorithms {
 				for _, eager := range []bool{false, true} {
-					for _, window := range []Options{{}, {MaxBuffered: 3, SpillDir: dir, SpillMemBytes: 256}} {
+					for _, window := range []Options{{}, {window: 3}} {
 						opts := window
 						opts.K, opts.Algorithm, opts.EagerBounds = in.k, algo, eager
 						opts.Query, opts.Agg = in.q, in.fn
@@ -139,15 +138,15 @@ func TestQuickOpenSessionMatchesFullSort(t *testing.T) {
 							c, err := it.Next()
 							if err != nil {
 								if !errors.Is(err, ErrIteratorDone) {
-									t.Fatalf("instance %d %v %v eager=%v window=%d: %v", ii, kind, algo, eager, window.MaxBuffered, err)
+									t.Fatalf("instance %d %v %v eager=%v window=%d: %v", ii, kind, algo, eager, window.window, err)
 								}
 								break
 							}
 							got = append(got, c)
 						}
-						spilled += it.Stats().SpilledBytes
+						spilled += it.Stats().SpilledCombinations
 						it.Close()
-						where := fmt.Sprintf("instance %d %v %v eager=%v window=%d", ii, kind, algo, eager, window.MaxBuffered)
+						where := fmt.Sprintf("instance %d %v %v eager=%v window=%d", ii, kind, algo, eager, window.window)
 						if len(got) != len(want) {
 							t.Fatalf("%s: %d results, full sort has %d", where, len(got), len(want))
 						}
@@ -174,7 +173,7 @@ func TestQuickOpenSessionMatchesFullSort(t *testing.T) {
 		}
 	}
 	if spilled == 0 {
-		t.Fatal("no case wrote a spill segment")
+		t.Fatal("no case spilled")
 	}
 }
 
@@ -260,8 +259,8 @@ func TestIteratorThresholdMonotone(t *testing.T) {
 	}
 }
 
-// TestBoundedConsumerRefusesPastBound: a session with MaxBuffered = k and
-// no SpillDir, on every identity case whose stream runs past k, gives its
+// TestBoundedConsumerRefusesPastBound: a session with MaxBuffered = k, on
+// every identity case whose stream runs past k, gives its
 // first k results exactly as the oracle does, then fails every
 // further Next with ErrIteratorPastBound and drains nothing. Lifting the
 // bound on the same session shows what the error replaces: the buffer
@@ -273,7 +272,7 @@ func TestBoundedConsumerRefusesPastBound(t *testing.T) {
 	checked, wrong := 0, 0
 	for ci, c := range identityCases(r, 8) {
 		k := c.in.k
-		want, _, _, _ := drainIterator(t, c.in, c.kind, oracleOptions(t, c.opts))
+		want, _, _, _ := drainIterator(t, c.in, c.kind, oracleOptions(c.opts))
 		if len(want) <= k {
 			continue
 		}
@@ -323,58 +322,51 @@ func TestBoundedConsumerRefusesPastBound(t *testing.T) {
 // algorithm and access kind, its ranked heap never holds more than
 // openWindow entries, its floor cuts subtrees into deferred records, it
 // spills and revives — and its whole stream is still the oracle's, result
-// for result and pull for pull. Given a SpillDir and a small watermark,
-// the same default window also writes segments and reads them back.
+// for result and pull for pull.
 func TestOpenSessionGetsTheWindow(t *testing.T) {
 	in := fixedInstance(rand.New(rand.NewSource(32)), 2, 110, 2, 10)
 	for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
 		for _, algo := range Algorithms {
-			want, _, wantErr, wantStats := drainIterator(t, in, kind, oracleOptions(t, Options{Algorithm: algo}))
-			for _, spillDir := range []string{"", t.TempDir()} {
-				label := fmt.Sprintf("%v/%v/tier=%v", algo, kind, spillDir != "")
-				tr := &seqTracer{}
-				it, err := NewIterator(in.sources(t, kind), Options{
-					Algorithm: algo, Query: in.q, Agg: in.fn, Tracer: tr,
-					SpillDir: spillDir, SpillMemBytes: 64 * spillEntrySize(2),
-				})
+			want, _, wantErr, wantStats := drainIterator(t, in, kind, oracleOptions(Options{Algorithm: algo}))
+			label := fmt.Sprintf("%v/%v", algo, kind)
+			tr := &seqTracer{}
+			it, err := NewIterator(in.sources(t, kind), Options{
+				Algorithm: algo, Query: in.q, Agg: in.fn, Tracer: tr,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Combination
+			for {
+				c, err := it.Next()
 				if err != nil {
-					t.Fatal(err)
-				}
-				var got []Combination
-				for {
-					c, err := it.Next()
-					if err != nil {
-						if !errors.Is(err, wantErr) {
-							t.Fatalf("%s: terminal %v, want %v", label, err, wantErr)
-						}
-						break
+					if !errors.Is(err, wantErr) {
+						t.Fatalf("%s: terminal %v, want %v", label, err, wantErr)
 					}
-					got = append(got, c)
-					if l := it.e.buf.heap.Len(); l > openWindow {
-						t.Fatalf("%s: window holds %d entries", label, l)
-					}
+					break
 				}
-				it.Close()
-				if err := combosIdentical(got, want); err != nil {
-					t.Fatalf("%s: stream vs oracle: %v", label, err)
+				got = append(got, c)
+				if l := it.e.buf.heap.Len(); l > openWindow {
+					t.Fatalf("%s: window holds %d entries", label, l)
 				}
-				st := it.Stats()
-				if err := statsIdentical(st, wantStats); err != nil {
-					t.Fatalf("%s: %v", label, err)
+			}
+			it.Close()
+			if err := combosIdentical(got, want); err != nil {
+				t.Fatalf("%s: stream vs oracle: %v", label, err)
+			}
+			st := it.Stats()
+			if err := statsIdentical(st, wantStats); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			revived := 0
+			for _, b := range tr.bufs {
+				if b.action == TraceActionRevive {
+					revived++
 				}
-				revived := 0
-				for _, b := range tr.bufs {
-					if b.action == TraceActionRevive {
-						revived++
-					}
-				}
-				if st.CombinationsPruned == 0 || st.SpilledCombinations == 0 || revived == 0 {
-					t.Fatalf("%s: pruned %d, spilled %d, revived %d times: the window never engaged",
-						label, st.CombinationsPruned, st.SpilledCombinations, revived)
-				}
-				if (spillDir != "") != (st.SpilledBytes > 0) {
-					t.Fatalf("%s: %d segment bytes written", label, st.SpilledBytes)
-				}
+			}
+			if st.CombinationsPruned == 0 || st.SpilledCombinations == 0 || revived == 0 {
+				t.Fatalf("%s: pruned %d, spilled %d, revived %d times: the window never engaged",
+					label, st.CombinationsPruned, st.SpilledCombinations, revived)
 			}
 		}
 	}

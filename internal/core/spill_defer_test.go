@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +11,8 @@ import (
 )
 
 // boundedRun is a session drained to K: certified emissions, then — after a
-// DNF cap — the best-effort drain, at most K in all.
+// DNF cap — the best-effort drain, at most K in all. The session is a
+// bounded consumer of K results, or an open one with a K-entry window.
 type boundedRun struct {
 	out               []Combination
 	stats             Stats
@@ -21,12 +20,16 @@ type boundedRun struct {
 	expanded, revived int
 }
 
-func drainBounded(t *testing.T, c identityCase, spillDir string) boundedRun {
+func drainBounded(t *testing.T, c identityCase, open bool) boundedRun {
 	t.Helper()
 	k := c.in.k
 	opts := c.opts
 	opts.Query, opts.Agg = c.in.q, c.in.fn
-	opts.MaxBuffered, opts.SpillDir = k, spillDir
+	if open {
+		opts.window = k
+	} else {
+		opts.MaxBuffered = k
+	}
 	tr := &seqTracer{}
 	opts.Tracer = tr
 	it, err := NewIterator(c.in.sources(t, c.kind), opts)
@@ -68,19 +71,19 @@ func drainBounded(t *testing.T, c identityCase, spillDir string) boundedRun {
 	return run
 }
 
-// TestSpillBoundedCountsLikePrune: drained to K with MaxBuffered = K, a
-// session with a spill tier does the work of its twin without one, the
-// bounded consumer — the same pulls and bound, the
-// same cuts, the same scored count, bit-equal results — because its heap
-// evolves identically and it keeps every cut as a deferred record that
-// emission never reaches: no record is expanded and nothing is revived.
-// Only SpilledCombinations, SpilledBytes and PeakBuffered may differ.
+// TestSpillBoundedCountsLikePrune: drained to K, an open session with a
+// K-entry window does the work of its twin, the bounded consumer of K
+// results — the same pulls and bound, the same cuts, the same scored
+// count, bit-equal results — because its heap evolves identically and it
+// keeps every cut as a deferred record that emission never reaches: no
+// record is expanded and nothing is revived. Only SpilledCombinations and
+// PeakBuffered may differ.
 func TestSpillBoundedCountsLikePrune(t *testing.T) {
 	r := rand.New(rand.NewSource(2929))
 	deferred := 0
 	for ci, c := range identityCases(r, 8) {
-		prune := drainBounded(t, c, "")
-		spill := drainBounded(t, c, t.TempDir())
+		prune := drainBounded(t, c, false)
+		spill := drainBounded(t, c, true)
 		label := func() string { return c.opts.Algorithm.String() + "/" + c.kind.String() }
 		if err := combosIdentical(spill.out, prune.out); err != nil {
 			t.Fatalf("case %d (%s): results: %v", ci, label(), err)
@@ -104,30 +107,27 @@ func TestSpillBoundedCountsLikePrune(t *testing.T) {
 	}
 }
 
-// deferredMembersBelowKey drives a spill session to its cap (so no record
-// has been expanded yet), then expands every record into an open buffer
-// whose window never fills — no floor, no eviction — and drains it after
-// each record: each member must score strictly below its record's key,
-// and the members must number exactly what candidates charged to
-// CombinationsPruned. It returns how many records there were.
+// deferredMembersBelowKey drives an open session to its window's size in
+// results (so no record has been expanded yet), then expands every record
+// into an open buffer whose window never fills — no floor, no eviction —
+// and drains it after each record: each member must score strictly below
+// its record's key, and the members must number exactly what candidates
+// charged to CombinationsPruned. It returns how many records there were.
 func deferredMembersBelowKey(t *testing.T, in instance, kind relation.AccessKind, opts Options) (int, bool) {
 	t.Helper()
 	opts.Query, opts.Agg = in.q, in.fn
-	opts.SpillDir = t.TempDir()
 	it, err := NewIterator(in.sources(t, kind), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	for i := 0; i < opts.MaxBuffered; i++ {
+	for i := 0; i < opts.window; i++ {
 		if _, err := it.Next(); err != nil {
 			break
 		}
 	}
-	session := it.e.buf
-	defer func() { it.e.buf = session }() // Close discards the session's tier
 	var scratch Stats
-	collect := newSessionBuffer(it.e.arena, math.MaxInt, &scratch, session.cuts)
+	collect := newSessionBuffer(it.e.arena, math.MaxInt, &scratch, it.e.buf.cuts)
 	it.e.buf = collect
 	records, members := collect.cuts.heap.Len(), int64(0)
 	for collect.cuts.heap.Len() > 0 {
@@ -165,7 +165,7 @@ func TestSpillDeferredMembersBelowKey(t *testing.T) {
 		if r.Intn(2) == 0 {
 			kind = relation.ScoreAccess
 		}
-		opts := Options{Algorithm: Algorithms[r.Intn(len(Algorithms))], MaxBuffered: 1 + r.Intn(4)}
+		opts := Options{Algorithm: Algorithms[r.Intn(len(Algorithms))], window: 1 + r.Intn(4)}
 		n, ok := deferredMembersBelowKey(t, in, kind, opts)
 		records += n
 		return ok
@@ -176,7 +176,7 @@ func TestSpillDeferredMembersBelowKey(t *testing.T) {
 	for ii, in := range degenerateInstances() {
 		for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
 			for _, algo := range Algorithms {
-				n, ok := deferredMembersBelowKey(t, in, kind, Options{Algorithm: algo, MaxBuffered: in.k})
+				n, ok := deferredMembersBelowKey(t, in, kind, Options{Algorithm: algo, window: in.k})
 				if !ok {
 					t.Fatalf("degenerate instance %d (%v, %v)", ii, algo, kind)
 				}
@@ -190,19 +190,18 @@ func TestSpillDeferredMembersBelowKey(t *testing.T) {
 }
 
 // TestSpillPastCapExpandsAndRevives is the open-enumeration half of the
-// contract: a spill session driven far past MaxBuffered with a one-entry
-// watermark expands its deferred records, writes segments and reads them
-// back, and still emits exactly the oracle's stream.
+// contract: an open session with a two-entry window, driven far past it,
+// expands its deferred records, spills and revives, and still emits
+// exactly the oracle's stream.
 func TestSpillPastCapExpandsAndRevives(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	in := fixedInstance(r, 3, 7, 2, 4)
 	for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
 		base := Options{Algorithm: TBPA}
-		wantEmit, wantDrain, wantErr, _ := drainIterator(t, in, kind, oracleOptions(t, base))
+		wantEmit, wantDrain, wantErr, _ := drainIterator(t, in, kind, oracleOptions(base))
 
 		opts := base
-		opts.MaxBuffered = 2
-		opts.SpillDir, opts.SpillMemBytes = t.TempDir(), 1
+		opts.window = 2
 		opts.Query, opts.Agg = in.q, in.fn
 		tr := &seqTracer{}
 		opts.Tracer = tr
@@ -234,39 +233,10 @@ func TestSpillPastCapExpandsAndRevives(t *testing.T) {
 			}
 		}
 		st := it.Stats()
-		if expanded == 0 || st.SpilledBytes == 0 || revived == 0 {
-			t.Fatalf("%v: expanded %d records, wrote %d segment bytes, revived %d times: the case checks nothing",
-				kind, expanded, st.SpilledBytes, revived)
+		if expanded == 0 || st.SpilledCombinations == 0 || revived == 0 {
+			t.Fatalf("%v: expanded %d records, spilled %d, revived %d times: the case checks nothing",
+				kind, expanded, st.SpilledCombinations, revived)
 		}
 		it.Close()
-	}
-}
-
-// TestSpillTierIdleTouchesNothing: the file tier does no I/O until it has
-// a segment to write. A spill session that never reaches its watermark,
-// pointed at a directory that does not exist, leaves it absent after
-// Close.
-func TestSpillTierIdleTouchesNothing(t *testing.T) {
-	r := rand.New(rand.NewSource(4242))
-	in := randomInstance(r, 2, 14)
-	dir := filepath.Join(t.TempDir(), "never")
-	it, err := NewIterator(in.sources(t, relation.ScoreAccess), Options{
-		Algorithm: TBPA, Query: in.q, Agg: in.fn,
-		MaxBuffered: in.k, SpillDir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < in.k; i++ {
-		if _, err := it.Next(); err != nil {
-			break
-		}
-	}
-	if it.Stats().SpilledBytes != 0 {
-		t.Fatal("fixture reached the default watermark")
-	}
-	it.Close()
-	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("an idle tier touched its directory: %v", err)
 	}
 }

@@ -158,14 +158,14 @@ type Options struct {
 	// window shrinks with every result taken (the best MaxBuffered −
 	// emitted are retained, at least one), and a full window's worst entry
 	// is a score floor below which formation cuts whole subtrees. A
-	// positive MaxBuffered without SpillDir is a bounded consumer: what the
-	// window does not retain is dropped, and once emitted plus drained
-	// results reach MaxBuffered, Next fails with ErrIteratorPastBound and
-	// DrainBest yields nothing. Otherwise the session is open and exact
-	// however far it enumerates: what the window does not retain is kept
-	// (spilled entries in a heap, cut subtrees as deferred records), and
-	// 0 selects a 1 024-entry window. Batch engines (Run) ignore it —
-	// their buffer is K by construction.
+	// positive MaxBuffered is a bounded consumer: what the window does not
+	// retain is dropped, and once emitted plus drained results reach
+	// MaxBuffered, Next fails with ErrIteratorPastBound and DrainBest
+	// yields nothing. MaxBuffered 0 is an open session, exact however far
+	// it enumerates: what its 1 024-entry window does not retain is kept
+	// in memory (spilled entries in a heap, cut subtrees as deferred
+	// records). Batch engines (Run) ignore it — their buffer is K by
+	// construction.
 	MaxBuffered int
 	// CollectTimings enables the per-pull wall-clock sampling behind
 	// Stats.BoundTime (the stacked bars of Fig. 3(d)-(l)). Off by default
@@ -176,16 +176,6 @@ type Options struct {
 	// access with its depth and wall time, every threshold update, every
 	// buffer pressure event. Nil costs one pointer check per pull.
 	Tracer Tracer
-	// SpillDir, when non-empty, makes the session open (see MaxBuffered)
-	// and gives it a file tier: once the spill heap holds SpillMemBytes
-	// worth of entries, it is written, sorted, to a compact columnar
-	// segment file under SpillDir, and revival merges the heap with the
-	// segment streams. Spilled entries then take resident memory
-	// O(SpillMemBytes) however far the enumeration outruns the consumer.
-	SpillDir string
-	// SpillMemBytes is the file tier's watermark, in entries of their
-	// segment size (8 + 4n bytes); 0 selects DefaultSpillMemBytes.
-	SpillMemBytes int
 	// disablePrune turns score-floor pruning off. Test-only: the unpruned
 	// run is the byte-identity oracle for the pruned one.
 	disablePrune bool
@@ -198,15 +188,11 @@ type Options struct {
 	// to show results are byte-identical at every width — the batch kernels
 	// replay the scalar operation sequence exactly.
 	blockSize int
-	// spillFault, when non-nil, is called before each entry written to a
-	// spill segment. Test-only: returning an error simulates a crash
-	// mid-segment — the torn file is left behind and the session poisons.
-	spillFault func() error
+	// window overrides openWindow, an open session's window, when
+	// positive. Test-only: a small window drives eviction, spilling,
+	// deferral and revival on small inputs.
+	window int
 }
-
-// DefaultSpillMemBytes is the file tier's watermark when Options.SpillDir
-// is set and SpillMemBytes is 0.
-const DefaultSpillMemBytes = 4 << 20
 
 // DefaultBlockSize is the width of the batched scoring kernel: at the
 // innermost enumeration level, surviving candidate combinations are scored
@@ -245,15 +231,15 @@ type Stats struct {
 	// them; they stay counted here.
 	CombinationsPruned int64
 	// PeakBuffered is the high-water mark of retained combinations (the
-	// output buffer plus, for open sessions, the spill heap and segments;
-	// deferred records count only once expanded).
+	// output buffer plus, for open sessions, the spill heap; deferred
+	// records count only once expanded).
 	PeakBuffered int
 	// SpilledCombinations counts combinations moved to the spill heap of
 	// an open session: the window's evictions, and offers (deferred record
 	// members among them) that land below it.
 	SpilledCombinations int64
-	// SpilledBytes counts bytes written to spill segment files; zero when
-	// the spill heap never reached the watermark.
+	// SpilledBytes is always zero: the engine writes no files. It is a
+	// vestige kept until ROADMAP item 18(a), because bench/ reads it.
 	SpilledBytes int64
 	// BoundUpdates counts bound updates: one register and threshold read
 	// per pulled tuple.

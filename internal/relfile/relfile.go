@@ -31,8 +31,10 @@
 // relation.AssembleSharded derives each shard's rectangle, max score and
 // size from the mapped columns, as Partition does from its heap columns.
 //
-// All integers and float bit patterns are little-endian; checksums are
-// CRC-32C (Castagnoli). Every shard's storage order is the canonical
+// All integers and float bit patterns are little-endian, and the column
+// views read them as native words, so a big-endian host refuses every
+// file (ErrHostByteOrder) rather than map byte-swapped values; checksums
+// are CRC-32C (Castagnoli). Every shard's storage order is the canonical
 // score-access order — scores non-increasing, equal scores by ascending
 // parent ordinal — which is the order relation.Partition keeps its heap
 // columns in, so Write dumps them as they are and a loaded shard streams
@@ -104,6 +106,17 @@ const (
 // errors.Is.
 var ErrCorrupt = errors.New("relfile: corrupt file")
 
+// ErrHostByteOrder is returned by Open and Decode on a big-endian host:
+// the file's columns are little-endian words that the views read in
+// place, so such a host would see byte-swapped scores and vectors. It
+// does not wrap ErrCorrupt — the file may well be sound.
+var ErrHostByteOrder = errors.New("relfile: host is big-endian; relation files map little-endian words")
+
+// hostLittleEndian reports whether the host's native word order is the
+// format's. A variable, not a constant, so a test can take the
+// big-endian path on a little-endian host.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // corruptf builds a structured validation error wrapping ErrCorrupt.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), ErrCorrupt)
@@ -153,6 +166,9 @@ type File struct {
 
 // Open maps the file at path read-only and validates it end to end.
 func Open(path string) (*File, error) {
+	if !hostLittleEndian {
+		return nil, fmt.Errorf("relfile: %s: %w", path, ErrHostByteOrder)
+	}
 	h, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("relfile: %w", err)
@@ -189,6 +205,9 @@ func Open(path string) (*File, error) {
 // bytes are copied into 8-byte-aligned storage first, so data of any
 // alignment — including fuzzer inputs — is safe.
 func Decode(data []byte) (*File, error) {
+	if !hostLittleEndian {
+		return nil, ErrHostByteOrder
+	}
 	aligned, hold := alignedCopy(data)
 	f, err := parse(aligned)
 	if err != nil {

@@ -591,3 +591,23 @@ func FuzzRelFileDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestBigEndianHostRefuses: on a big-endian host, Open and Decode refuse a
+// sound file with ErrHostByteOrder, not ErrCorrupt, and hand out no view.
+func TestBigEndianHostRefuses(t *testing.T) {
+	path, _ := writeTemp(t, testRelation(t, 5, 20, 2), 2)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(saved bool) { hostLittleEndian = saved }(hostLittleEndian)
+	hostLittleEndian = false
+	f, err := Open(path)
+	if !errors.Is(err, ErrHostByteOrder) || errors.Is(err, ErrCorrupt) || f != nil {
+		t.Fatalf("Open on a big-endian host: %v, %v", f, err)
+	}
+	f, err = Decode(raw)
+	if !errors.Is(err, ErrHostByteOrder) || errors.Is(err, ErrCorrupt) || f != nil {
+		t.Fatalf("Decode on a big-endian host: %v, %v", f, err)
+	}
+}

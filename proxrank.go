@@ -128,14 +128,13 @@ type Options struct {
 	// MaxBuffered is a session's window of formed-but-unemitted
 	// combinations held in ranked form: it retains the best MaxBuffered −
 	// emitted (at least one), and formation skips whole subtrees below
-	// the worst of them. A positive MaxBuffered without SpillDir is a
-	// bounded consumer: it drops what it cannot return, and once it has
-	// delivered MaxBuffered results (Next and DrainBest together) Next
-	// fails with ErrPastBound. The batch TopK* entry points default it to
-	// K, which keeps peak memory O(K) with byte-identical results.
-	// Otherwise the session is open and enumerates exactly for as long as
-	// it is read, keeping what the window does not hold; 0 selects a
-	// 1 024-entry window.
+	// the worst of them. A positive MaxBuffered is a bounded consumer: it
+	// drops what it cannot return, and once it has delivered MaxBuffered
+	// results (Next and DrainBest together) Next fails with ErrPastBound.
+	// The batch TopK* entry points default it to K, which keeps peak
+	// memory O(K) with byte-identical results. MaxBuffered 0 is an open
+	// session: it enumerates exactly for as long as it is read, keeping in
+	// memory what its 1 024-entry window does not hold.
 	MaxBuffered int
 	// CollectTimings enables the per-pull wall-clock sampling behind
 	// Stats.BoundTime. Off by default: the timers measurably tax every
@@ -147,15 +146,12 @@ type Options struct {
 	// buffer pressure event. The hook behind per-query tracing; nil (the
 	// default) costs one pointer check per pull.
 	Tracer Tracer
-	// SpillDir, when non-empty, makes the session open and gives it a
-	// file tier: what the window evicts moves to checksummed, sorted
-	// segment files under SpillDir past SpillMemBytes, so open
-	// enumeration over huge cross products stays exact at flat resident
-	// memory. Cleared by BoundedToK.
+	// SpillDir is ignored: the engine writes no files, and MaxBuffered
+	// alone decides whether a session is open. It is a vestige kept until
+	// ROADMAP item 18(a), because bench/ sets it.
 	SpillDir string
-	// SpillMemBytes is the file tier's watermark: the spilled entries,
-	// at 8 + 4n bytes each, held in memory before a segment is written
-	// (0 = core.DefaultSpillMemBytes).
+	// SpillMemBytes is ignored, like SpillDir, and kept until ROADMAP
+	// item 18(a) for the same reason.
 	SpillMemBytes int
 }
 
@@ -275,25 +271,20 @@ func (o Options) engineOptions(query Vector, fn *agg.EuclideanSum) core.Options 
 		MaxBuffered:     o.MaxBuffered,
 		CollectTimings:  o.CollectTimings,
 		Tracer:          o.Tracer,
-		SpillDir:        o.SpillDir,
-		SpillMemBytes:   o.SpillMemBytes,
 	}
 }
 
 // BoundedToK returns the options of a bounded consumer, a run that
 // consumes at most K results: bounding MaxBuffered to K keeps the output
 // byte-identical while keeping O(K) peak heap memory (an open session
-// keeps what its window evicts), and SpillDir is cleared, since a
-// consumer that stops at K never reads what an open session would
-// keep. An explicit MaxBuffered wins. Every at-most-K consumer — the
-// batch TopK* entry points, the service executor, the CLI — applies
-// exactly this rule; a session that may enumerate past K must not, or
-// it fails with ErrPastBound there.
+// keeps what its window evicts). An explicit MaxBuffered wins. Every
+// at-most-K consumer — the batch TopK* entry points, the service
+// executor, the CLI — applies exactly this rule; a session that may
+// enumerate past K must not, or it fails with ErrPastBound there.
 func (o Options) BoundedToK() Options {
 	if o.MaxBuffered == 0 && o.K > 0 {
 		o.MaxBuffered = o.K
 	}
-	o.SpillDir = ""
 	return o
 }
 
@@ -409,7 +400,7 @@ func NaiveTopK(query Vector, rels []*Relation, opts Options) ([]Combination, err
 var ErrDNF = errors.New("proxrank: run aborted by MaxSumDepths/MaxCombinations cap")
 
 // ErrPastBound is returned by Query.Next once a bounded consumer — a
-// session with MaxBuffered > 0 and no SpillDir — has delivered
+// session with MaxBuffered > 0 — has delivered
 // MaxBuffered results: what ranks below them was dropped, so the session
 // refuses to answer rather than answer wrong.
 var ErrPastBound = core.ErrIteratorPastBound

@@ -68,8 +68,8 @@ func OptionsFromRequest(req *api.Request, limits ...api.Limits) (Vector, Options
 // invocation path.
 //
 // A session ends in Close — the consumer decides when — which lets go of
-// what it holds outside the heap: spill segment files, remote
-// connections, R-tree traversal queues. Run closes by itself; every other
+// what it holds outside the heap: remote connections, R-tree traversal
+// queues. Run closes by itself; every other
 // way of consuming leaves the session open for more.
 //
 // A Query is single-goroutine; concurrent sessions over shared
@@ -100,10 +100,10 @@ func NewQuery(req *api.Request, inputs ...Input) (*Query, error) {
 }
 
 // NewQueryInputs is the Options-level session constructor, for callers
-// holding typed options (a tracer, a spill directory)
-// rather than a wire request. Sharded inputs are read through a lazy k-way merge of
-// their shard streams, so consuming a prefix of the output still pays
-// only that prefix's I/O.
+// holding typed options (a tracer, say) rather than a wire request.
+// Sharded inputs are read through a lazy k-way merge of their shard
+// streams, so consuming a prefix of the output still pays only that
+// prefix's I/O.
 func NewQueryInputs(query Vector, inputs []Input, opts Options) (*Query, error) {
 	// Bad weights fail before any source is opened.
 	if _, err := opts.aggregation(); err != nil {
@@ -124,10 +124,10 @@ func NewQueryInputs(query Vector, inputs []Input, opts Options) (*Query, error) 
 // point (TopK*, NewQuery*) funnels through it, so validation cannot drift
 // between consumption models.
 //
-// A session is open unless MaxBuffered alone bounds it: an open session
-// keeps every formed-but-unemitted combination (a ranked window, a spill
-// heap, deferred subtrees, segment files under SpillDir), a bounded
-// consumer keeps only the MaxBuffered it may return. Epsilon relaxes
+// A session is open when MaxBuffered is 0: it keeps every
+// formed-but-unemitted combination in memory (a ranked window, a spill
+// heap, deferred subtrees). A positive MaxBuffered is a bounded consumer,
+// which keeps only the MaxBuffered it may return. Epsilon relaxes
 // per-result certification exactly as it relaxes the batch stopping
 // test.
 func NewQuerySources(query Vector, sources []Source, opts Options) (*Query, error) {
@@ -277,8 +277,7 @@ func (q *Query) DrainBest(n int) []Combination {
 	return out
 }
 
-// Close ends the session: spill segments are removed and every source
-// with a Close method (the library's own R-tree and merged streams, remote
+// Close ends the session: every source with a Close method (the library's own R-tree and merged streams, remote
 // shard streams, a caller's) is closed. Idempotent. Afterwards Next fails
 // with an error wrapping os.ErrClosed; Stats, Threshold and Emitted stay
 // readable.

@@ -3,6 +3,7 @@ package proxrank_test
 import (
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 
@@ -256,5 +257,55 @@ func TestSourceKindMismatchSharded(t *testing.T) {
 	// Sanity: the same sources are accepted when the options agree.
 	if _, err := proxrank.NewQuerySources(q, mkSources(), proxrank.Options{K: 3, Access: proxrank.ScoreAccess}); err != nil {
 		t.Errorf("consistent access kind rejected: %v", err)
+	}
+}
+
+// TestSpillDirIsIgnored: Options.SpillDir and SpillMemBytes decide
+// nothing. MaxBuffered alone picks the session: at 2 it is a bounded
+// consumer that refuses its third result, at 0 an open one that
+// enumerates the whole cross product in the oracle's order. Neither
+// writes anything under SpillDir.
+func TestSpillDirIsIgnored(t *testing.T) {
+	rels, q := syntheticPair(t, 17, 50)
+	dir := t.TempDir()
+
+	bounded, err := proxrank.NewQueryInputs(q, inputsOf(rels), proxrank.Options{K: 1, MaxBuffered: 2, SpillDir: dir, SpillMemBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bounded.Next(3); len(got) != 2 || !errors.Is(err, proxrank.ErrPastBound) {
+		t.Fatalf("bounded Next(3): %d results, %v; want 2 and ErrPastBound", len(got), err)
+	}
+	bounded.Close()
+
+	total := rels[0].Len() * rels[1].Len()
+	oracle, err := proxrank.NaiveTopK(q, rels, proxrank.Options{K: total})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := proxrank.NewQueryInputs(q, inputsOf(rels), proxrank.Options{K: 1, SpillDir: dir, SpillMemBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := open.Next(total + 1)
+	open.Close()
+	if !errors.Is(err, proxrank.ErrStreamDone) || len(all) != total {
+		t.Fatalf("open session: %d of %d results, %v", len(all), total, err)
+	}
+	for i, c := range all {
+		if c.Score != oracle[i].Score || !reflect.DeepEqual(c.Tuples, oracle[i].Tuples) {
+			t.Fatalf("rank %d: %v, oracle %v", i+1, c, oracle[i])
+		}
+	}
+	if open.Stats().SpilledCombinations == 0 {
+		t.Fatal("the open session never spilled: the check reaches no spill heap")
+	}
+
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("sessions left %d entries under SpillDir", len(left))
 	}
 }

@@ -48,11 +48,9 @@ type Config struct {
 	// SlowQueryLog is where slow-query lines go. Nil disables logging
 	// even when the threshold is set.
 	SlowQueryLog io.Writer
-	// SpillDir and SpillMemBytes are ignored: every query the executor
-	// runs consumes at most K results, and such a session never carries a
-	// spill tier (proxrank.Options.BoundedToK). They stay only while the
-	// benchmark harness still sets them, and leave with the ROADMAP item
-	// "`bench/` follows the code".
+	// SpillDir and SpillMemBytes are ignored: the engine writes no
+	// files. They stay only while the benchmark harness still sets them,
+	// and leave with ROADMAP item 18(a), "`bench/` follows the code".
 	SpillDir      string
 	SpillMemBytes int
 }

@@ -19,8 +19,8 @@ import (
 //
 // The session buffer is bounded to K — a query delivers at most K
 // results (certified prefix plus DNF drain) — so peak memory is O(K),
-// and the session is a bounded consumer: no spill tier, whatever the
-// request's bufferPolicy says.
+// and the session is a bounded consumer: nothing is spilled, whatever
+// the request's bufferPolicy says.
 func (x *Executor) openSession(ctx context.Context, query proxrank.Vector, opts proxrank.Options, entries []*Entry, partial bool) (*proxrank.Query, func() []api.MissingShard, func(), *api.Error) {
 	release, aerr := x.acquireSlot(ctx)
 	if aerr != nil {
