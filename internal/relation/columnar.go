@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/rtree"
@@ -12,33 +13,39 @@ import (
 // addressed by storage index, each beside its ordinal in the parent
 // relation. Partition builds it on the heap, every vector in one slab at
 // dim·i, so Tuple and Vec return views of that slab; internal/relfile
-// provides it over a memory-mapped file, where Tuple and Vec may return
-// views aliasing the mapping — that implementation must keep the mapping
-// valid for as long as the Columns value is reachable.
+// provides it over a memory-mapped file, whose Vec and VecSlab are views
+// of the mapping, valid while the Columns value is reachable, and whose
+// Tuple copies: a tuple outlives the columns it came from, so only
+// storage the garbage collector owns may back it.
 //
 // A shard's storage order IS the canonical score-access order — scores
 // non-increasing, ties by ascending parent ordinal — so its score stream
 // is a cursor, not a sort, that reads the columns front to back. A
 // distance stream over a shard's R-tree reads them only for a tuple's ID,
-// score and attributes: its vectors are views of the tree's leaf slab. A
-// shard that scans (shard.scans: from dimension 8, up to autoShardTarget
-// tuples) reads every vector (VecSlab), and its vectors are the columns'
-// own views.
+// score and attributes (Head): its vectors are views of the tree's leaf
+// slab. A shard that scans (shard.scans: from dimension 8, up to
+// autoShardTarget tuples) keys every vector (VecSlab) and emits the
+// columns' Tuples.
 type Columns interface {
 	// Len returns the shard's tuple count.
 	Len() int
-	// Tuple materializes the i-th tuple. ID and Vec may alias backing
-	// storage, which is read-only; Attrs may be built per call (nil when
+	// Tuple materializes the i-th tuple. Its ID and Vec are read-only and
+	// may be shared with the columns, but only where the garbage
+	// collector owns the memory; Attrs may be built per call (nil when
 	// the tuple has none).
 	Tuple(i int) Tuple
+	// Head is Tuple without the vector: its Vec is nil.
+	Head(i int) Tuple
 	// Vec returns the i-th feature vector without materializing the rest
-	// of the tuple (index builds touch only vectors).
+	// of the tuple (index builds touch only vectors). It may be a view
+	// that is valid only while the columns are reachable.
 	Vec(i int) vec.Vector
 	// Ordinal returns the i-th tuple's ordinal in the parent relation.
 	Ordinal(i int) int
 	// VecSlab returns every vector in storage order as one slab, vector i
-	// at dim·i, read-only; or nil when the vectors are not stored in one
-	// (a plain relation's). A scan reads it in one pass.
+	// at dim·i, read-only and, like Vec, valid only while the columns are
+	// reachable; or nil when the vectors are not stored in one (a plain
+	// relation's). A scan reads it in one pass.
 	VecSlab() []float64
 }
 
@@ -66,8 +73,14 @@ type tupleHead struct {
 func (c *heapColumns) Len() int { return len(c.heads) }
 
 func (c *heapColumns) Tuple(i int) Tuple {
+	t := c.Head(i)
+	t.Vec = c.Vec(i)
+	return t
+}
+
+func (c *heapColumns) Head(i int) Tuple {
 	h := &c.heads[i]
-	t := Tuple{ID: h.ID, Score: h.Score, Vec: c.Vec(i)}
+	t := Tuple{ID: h.ID, Score: h.Score}
 	if c.attrs != nil {
 		t.Attrs = c.attrs[i]
 	}
@@ -133,6 +146,12 @@ func (c *storageOrder) Vec(i int) vec.Vector { return c.tuples[i].Vec }
 func (c *storageOrder) Ordinal(i int) int    { return i }
 func (c *storageOrder) VecSlab() []float64   { return nil }
 
+func (c *storageOrder) Head(i int) Tuple {
+	t := c.tuples[i]
+	t.Vec = nil
+	return t
+}
+
 // shard is one piece of a partitioned relation: its storage, the bounds
 // it advertises, and, below dimension 8, its R-tree. rel carries the
 // shard's name, σ_max and dimensionality to the streams opened over it;
@@ -159,8 +178,9 @@ type lazyRTree struct {
 }
 
 // rtree returns the shard's R-tree, bulk-loading it on first use. The
-// tree copies each vector once into its own slab, so it never pins a file
-// mapping; a point's payload is its storage index, four bytes.
+// tree copies each vector once into its own slab, so its points are heap
+// memory even on a mapped shard; a point's payload is its storage index,
+// four bytes.
 func (sh *shard) rtree() *rtree.Tree[int32] {
 	sh.lazy.once.Do(func() {
 		n := sh.cols.Len()
@@ -171,6 +191,7 @@ func (sh *shard) rtree() *rtree.Tree[int32] {
 			idx[i] = int32(i)
 		}
 		sh.lazy.tree = rtree.BulkLoad(sh.rel.dim, pts, idx)
+		runtime.KeepAlive(sh.cols) // BulkLoad read its views
 	})
 	return sh.lazy.tree
 }

@@ -22,8 +22,8 @@
 //     vector slab, int32 ordinals, attributes apart) or over a mapped
 //     file (AssembleSharded, internal/relfile). A plain relation reads
 //     as one shard in its own storage order. A streamed tuple's Vec may
-//     alias the columns (a mapping, on a relfile) or a shard R-tree's
-//     leaf slab, and is read-only.
+//     alias heap columns or a shard R-tree's leaf slab, and is
+//     read-only; on a relfile it is a heap copy, never the mapping.
 //   - OpenSource, shard.open (input.go, columnar.go): OpenSource is the
 //     one way to open a stream, and a shard's open the one place an
 //     access path is chosen, from the input and its dimension, never

@@ -158,10 +158,11 @@ func TestRTreeStreamVecIsTreeView(t *testing.T) {
 }
 
 // TestScanStreamVecIsColumnView is TestRTreeStreamVecIsTreeView at dim 8,
-// where a shard scans: every tuple a distance stream emits carries its
-// column's own view — a view of the heap slab, or on a relfile shard of
-// the mapping, which is never unmapped on the serving path — with its
-// capacity clipped to the vector.
+// where a shard scans, and for score access too: every tuple either
+// stream emits carries a vector bit-equal to its column's, with its
+// capacity clipped to the vector. On the heap it is the column's own
+// view; a relfile shard's is a heap copy that lies outside the mapping,
+// so the tuple stays valid after the mapping is unmapped.
 func TestScanStreamVecIsColumnView(t *testing.T) {
 	q := vec.Of(0.5, -0.25, 1, 0, 0.75, -1, 0.125, 2)
 	dim := q.Dim()
@@ -177,27 +178,39 @@ func TestScanStreamVecIsColumnView(t *testing.T) {
 				t.Fatalf("%s shard %d: VecSlab holds %d floats at %#x, want %d at vector 0's %#x",
 					name, i, len(slab), addr(slab), dim*cols.Len(), addr(cols.Vec(0)))
 			}
-			src, err := s.ShardSource(i, relation.DistanceAccess, q, nil, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			keyed := src.(relation.KeyedSource)
-			for n := 0; ; n++ {
-				tu, _, ord, err := keyed.NextKeyed()
-				if errors.Is(err, relation.ErrExhausted) {
-					if n != cols.Len() {
-						t.Fatalf("%s shard %d: %d tuples streamed, want %d", name, i, n, cols.Len())
-					}
-					break
-				}
+			slabLo, slabHi := addr(slab), addr(slab)+uintptr(8*len(slab))
+			for _, kind := range []relation.AccessKind{relation.DistanceAccess, relation.ScoreAccess} {
+				src, err := s.ShardSource(i, kind, q, nil, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := cols.Vec(idx[ord]); addr(tu.Vec) != addr(want) {
-					t.Fatalf("%s shard %d: %s's vector is not its column's view", name, i, tu.ID)
-				}
-				if cap(tu.Vec) != dim {
-					t.Fatalf("%s shard %d: %s's vector has capacity %d, want %d", name, i, tu.ID, cap(tu.Vec), dim)
+				keyed := src.(relation.KeyedSource)
+				for n := 0; ; n++ {
+					tu, _, ord, err := keyed.NextKeyed()
+					if errors.Is(err, relation.ErrExhausted) {
+						if n != cols.Len() {
+							t.Fatalf("%s shard %d: %d tuples streamed, want %d", name, i, n, cols.Len())
+						}
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := cols.Vec(idx[ord])
+					if name == "ram" && addr(tu.Vec) != addr(want) {
+						t.Fatalf("%s shard %d: %s's vector is not its column's view", name, i, tu.ID)
+					}
+					if name == "relfile" {
+						if p := addr(tu.Vec); p >= slabLo && p < slabHi {
+							t.Fatalf("%s shard %d, %v access: %s's vector aliases the mapping", name, i, kind, tu.ID)
+						}
+						if !sameBits(tu.Vec, want) {
+							t.Fatalf("%s shard %d, %v access: %s streamed %v, its column holds %v", name, i, kind, tu.ID, tu.Vec, want)
+						}
+					}
+					if cap(tu.Vec) != dim {
+						t.Fatalf("%s shard %d: %s's vector has capacity %d, want %d", name, i, tu.ID, cap(tu.Vec), dim)
+					}
 				}
 			}
 		}

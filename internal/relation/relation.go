@@ -237,9 +237,8 @@ func sortKeys(ks []sortKey) {
 // (shard.scans) through an R-tree's incremental nearest-neighbor
 // traversal, so no global sort is ever materialized. A tuple's Vec is a
 // view of the tree's leaf slab, the memory the traversal just read its
-// distance from, never the shard's columns: on a relfile shard that does
-// not scan, a distance stream's vectors do not alias the mapping (a
-// scan's do, see scanSource).
+// distance from, never the shard's columns (it reads only their Head), so
+// a relfile shard's tree stream copies no vector per tuple.
 //
 // The raw traversal breaks exact-distance ties by heap insertion order,
 // which depends on tree structure. rtreeSource re-orders each run of
@@ -315,7 +314,7 @@ func (s *rtreeSource) NextKeyed() (Tuple, float64, int, error) {
 	}
 	h := s.batch[s.pos]
 	s.pos++
-	t := s.cols.Tuple(int(h.idx))
+	t := s.cols.Head(int(h.idx))
 	t.Vec = s.tree.Point(int(h.e))
 	return t, h.dist2, s.ord(h), nil
 }

@@ -3,6 +3,7 @@ package relation
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -38,8 +39,9 @@ func (sh *shard) scans() bool {
 // Keys compare as bit patterns with the sign cleared (distKey), as the
 // R-tree traversal's leaves order them: a squared distance is never
 // negative, +Inf (a sum that overflowed) sorts after every finite key and
-// a NaN, which only a NaN query makes, last. A tuple's Vec is its
-// column's view, so on a relfile shard it aliases the mapping.
+// a NaN, which only a NaN query makes, last. A tuple is its columns'
+// Tuple: on the heap its Vec is the slab's view, on a relfile shard a
+// copy, so no emitted vector aliases a mapping.
 type scanSource struct {
 	rel  *Relation
 	cols Columns
@@ -122,6 +124,7 @@ func (s *scanSource) computeKeys() {
 	scr.keys = slices.Grow(scr.keys[:0], n)[:n]
 	if slab := s.cols.VecSlab(); slab != nil {
 		vec.Dist2Slab(scr.keys, slab, scr.q)
+		runtime.KeepAlive(s.cols)
 	} else {
 		for i := range scr.keys {
 			scr.keys[i] = s.cols.Vec(i).Dist2(scr.q)

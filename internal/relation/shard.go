@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -62,11 +63,12 @@ func (b ShardBounds) KeyLowerBound(kind AccessKind, q vec.Vector) float64 {
 // stored in: a relfile re-derives the partitioner's bounds.
 func boundsOf(cols Columns) ShardBounds {
 	n := cols.Len()
-	b := ShardBounds{MaxScore: cols.Tuple(0).Score, Tuples: n}
+	b := ShardBounds{MaxScore: cols.Head(0).Score, Tuples: n}
 	b.Min, b.Max = EmptyRect(cols.Vec(0).Dim())
 	for i := 0; i < n; i++ {
 		ExtendRect(b.Min, b.Max, cols.Vec(i))
 	}
+	runtime.KeepAlive(cols) // the last ExtendRect read a view
 	return b
 }
 

@@ -59,14 +59,20 @@
 //
 // # Mapping lifetime
 //
-// Loaded relations hand out tuple IDs and vectors that alias the mapping
-// (zero-copy). The mapping therefore stays alive for the life of the
-// process unless Close is called explicitly — the serving path never
-// closes: query results, cached responses, and in-flight sessions may
-// all still reference mapped bytes after a catalog eviction, and an
-// address-space mapping of clean file-backed pages costs no resident
-// memory the OS cannot reclaim. Close is for tools and tests that know
-// no view escapes.
+// A mapping lives exactly as long as Go can reach it. Every relation a
+// File loads, and every stream over one, holds the *File, and Open
+// registers Close as its finalizer, so the mapping is unmapped once the
+// last of them is collected: a catalog eviction or a re-load leaves the
+// old generation to the collector, not to the process's lifetime. Nothing
+// handed out past the relation aliases mapped bytes — a tuple's ID,
+// attributes and vector are heap copies — so a query result, a cached
+// response or a stream event stays valid after its relation is gone. Only
+// the index builds and the distance scan read the mapping in place
+// (shardView.Vec, VecSlab), and they hold the relation while they do; a
+// function that reads such a slab past its last use of the owner keeps it
+// alive with runtime.KeepAlive. MappedBytes reports the bytes currently
+// mapped. An explicit Close unmaps at once and invalidates every view:
+// it is for tools and tests that know nothing reads the File again.
 package relfile
 
 import (
@@ -76,8 +82,10 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -123,6 +131,15 @@ func corruptf(format string, args ...any) error {
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// mappedBytes is the size of every file Open has mapped and Close (called
+// explicitly or by the finalizer) has not yet unmapped.
+var mappedBytes atomic.Int64
+
+// MappedBytes returns the bytes of relation files currently mapped by
+// Open, in this process: it rises at Open and falls when a File is
+// closed, explicitly or once nothing reaches it.
+func MappedBytes() int64 { return mappedBytes.Load() }
 
 // entrySize is the directory entry length for one shard in a file of
 // the given version.
@@ -198,6 +215,8 @@ func Open(path string) (*File, error) {
 		return nil, fmt.Errorf("relfile: %s: %w", path, err)
 	}
 	f.unmap, f.hold = unmap, hold
+	mappedBytes.Add(size)
+	runtime.SetFinalizer(f, (*File).Close)
 	return f, nil
 }
 
@@ -226,16 +245,20 @@ func alignedCopy(b []byte) ([]byte, any) {
 	return out, words
 }
 
-// Close unmaps the file. Tools and tests only: every view handed out —
-// including relations from Load and any tuple they produced — becomes
-// invalid. The serving path never calls Close; see the package comment.
+// Close unmaps the file and clears its finalizer. Every view handed out
+// — relations from Load and the streams over them — becomes
+// invalid, so only a caller that knows none is read again calls it; the
+// serving path leaves unmapping to the finalizer (see the package
+// comment). Tuples already produced stay valid: they own their bytes.
 func (f *File) Close() error {
 	f.closeOne.Do(func() {
+		runtime.SetFinalizer(f, nil)
 		f.views = nil
-		f.data = nil
 		if f.unmap != nil {
+			mappedBytes.Add(-int64(len(f.data)))
 			f.closeErr = f.unmap()
 		}
+		f.data = nil
 	})
 	return f.closeErr
 }

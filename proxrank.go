@@ -233,8 +233,9 @@ func SaveRelFile(path string, s *ShardedRelation) error {
 // lazily on first use, and shard bounds come stored from the file — so
 // queries over it are byte-identical to the in-memory relation it was
 // built from while resident memory stays flat in the relation size. The
-// mapping stays alive for as long as the relation (or any tuple view it
-// produced) is reachable.
+// mapping stays alive for as long as the relation, or a stream over it,
+// is reachable, and is unmapped once the collector finds neither; the
+// tuples it produces own their bytes and outlive it.
 func LoadRelFile(path, name string) (*ShardedRelation, error) {
 	f, err := relfile.Open(path)
 	if err != nil {

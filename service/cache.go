@@ -10,11 +10,13 @@ import (
 // shared by pointer): one slot per canonical request, stamped with the
 // catalog generation its answer was computed on (see newestGen). A lookup
 // under another generation is a miss whose run replaces the slot in
-// place. An answer's vectors alias the index and column memory of the
-// entries it was computed on, so an answer a catalog write outdated is
-// not left for the LRU to reach: the first answer stored on a newer
-// generation drops every slot computed on an older entry of one of its
-// relations (dropOutdated).
+// place. A slot names the relations and generations it was computed on
+// but holds no entry, so a cached answer keeps no evicted generation
+// reachable, nor the file mapping behind a relfile one. An answer over a
+// heap relation does alias its index and column memory, so an answer a
+// catalog write outdated is not left for the LRU to reach: the first
+// answer stored on a newer generation drops every slot computed on an
+// older entry of one of its relations (dropOutdated).
 type resultCache struct {
 	mu     sync.Mutex
 	cap    int
@@ -24,10 +26,16 @@ type resultCache struct {
 }
 
 type cacheSlot struct {
-	key     string
-	gen     uint64
-	entries []*Entry // what the answer was computed on
-	val     *answer
+	key  string
+	gen  uint64
+	rels []relGen // what the answer was computed on
+	val  *answer
+}
+
+// relGen names one catalog entry: its relation and generation.
+type relGen struct {
+	name string
+	gen  uint64
 }
 
 // newResultCache returns a cache holding up to capacity answers;
@@ -67,6 +75,10 @@ func (c *resultCache) put(key string, entries []*Entry, val *answer) {
 		return
 	}
 	gen := newestGen(entries)
+	rels := make([]relGen, len(entries))
+	for i, e := range entries {
+		rels[i] = relGen{name: e.Relation().Name, gen: e.gen}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen > c.newest {
@@ -75,12 +87,12 @@ func (c *resultCache) put(key string, entries []*Entry, val *answer) {
 	}
 	if el, ok := c.items[key]; ok {
 		if slot := el.Value.(*cacheSlot); slot.gen <= gen {
-			slot.gen, slot.entries, slot.val = gen, entries, val
+			slot.gen, slot.rels, slot.val = gen, rels, val
 			c.order.MoveToFront(el)
 		}
 		return
 	}
-	c.items[key] = c.order.PushFront(&cacheSlot{key: key, gen: gen, entries: entries, val: val})
+	c.items[key] = c.order.PushFront(&cacheSlot{key: key, gen: gen, rels: rels, val: val})
 	for c.order.Len() > c.cap {
 		c.remove(c.order.Back())
 	}
@@ -93,9 +105,9 @@ func (c *resultCache) put(key string, entries []*Entry, val *answer) {
 func (c *resultCache) dropOutdated(current []*Entry) {
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
-		for _, old := range el.Value.(*cacheSlot).entries {
+		for _, old := range el.Value.(*cacheSlot).rels {
 			if slices.ContainsFunc(current, func(e *Entry) bool {
-				return e.gen > old.gen && e.Relation().Name == old.Relation().Name
+				return e.gen > old.gen && e.Relation().Name == old.name
 			}) {
 				c.remove(el)
 				break

@@ -261,9 +261,10 @@ func (c *Catalog) LoadCSVFileSharded(name, path string, maxScore float64, shards
 // materialized: shard layout, indexes' inputs, and bounding metadata are
 // served straight from the mapping, so admission is O(validation) rather
 // than O(sort), and resident memory stays flat however large the file
-// is. The mapping stays valid for the life of the process — eviction
-// drops the catalog slot, never the pages in-flight queries may still
-// touch.
+// is. Eviction drops the catalog slot; queries that resolved the entry
+// keep its mapping while they run, and it is unmapped once nothing
+// reaches the entry. Answers never alias it: their tuples own their
+// bytes.
 func (c *Catalog) LoadRelFile(name, path string) error {
 	if name == "" {
 		return api.Errorf(api.CodeBadRequest, "relation name must not be empty")

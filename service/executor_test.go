@@ -330,8 +330,9 @@ func TestCacheKeyNoCollision(t *testing.T) {
 
 // TestCacheDropsReplacedGenerations: the first answer stored after a
 // catalog replace drops the answers computed on the replaced entry —
-// no lookup could match them again, and their vectors alias its index
-// memory — and keeps the answers over relations that were not replaced.
+// no lookup could match them again, and over a heap relation their
+// vectors alias its index memory (a relfile answer's own their bytes) —
+// and keeps the answers over relations that were not replaced.
 func TestCacheDropsReplacedGenerations(t *testing.T) {
 	cat, names := testSetup(t, 3, 40, 2)
 	x := NewExecutor(cat, Config{Workers: 2, CacheSize: 8})

@@ -43,7 +43,6 @@ func (s spillWatch) Next() (proxrank.Tuple, error) {
 // runs, not when its slot comes back. For a batch caller that is the
 // moment Execute returns; a stream caller that walked away can return
 // before its run notices, so that case waits for the slot.
-// Segment cleanup at Close is core's TestSpillClosedSessionsLeaveNothing.
 func TestSessionEndLeavesNoSegments(t *testing.T) {
 	cat := NewCatalog()
 	for i, name := range []string{"A", "B"} {

@@ -7,6 +7,7 @@ import (
 
 	proxrank "repro"
 	"repro/internal/obs"
+	"repro/internal/relfile"
 	"repro/internal/shardrpc"
 )
 
@@ -144,6 +145,8 @@ func (m *metrics) registerCatalog(cat *Catalog) {
 		func() float64 { return float64(cat.TotalShards()) })
 	m.reg.CounterFunc("relfile_open_total", "Relfile mappings opened by the catalog (LoadRelFile admissions).",
 		func() float64 { return float64(cat.RelFileOpens()) })
+	m.reg.GaugeFunc("relfile_mapped_bytes", "Bytes of relfile mappings currently mapped in this process: a mapping is unmapped once no relation or stream over it is reachable.",
+		func() float64 { return float64(relfile.MappedBytes()) })
 	cat.SetBuildObserver(func(_ int, d time.Duration) {
 		m.indexBuild.ObserveDuration(d.Seconds())
 	})

@@ -6,12 +6,15 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	proxrank "repro"
 	"repro/api"
+	"repro/internal/relfile"
 )
 
 // writeRelFile partitions rel and writes it to a temp .prox file.
@@ -193,8 +196,10 @@ func TestCatalogAutoShardAdmission(t *testing.T) {
 // TestCatalogRelFileConcurrentEvict hammers evict + re-load of an
 // mmap-backed relation while queries run against it from several
 // goroutines (run under -race in CI). Queries that resolved the old
-// generation finish on it — the mapping outlives eviction, so answers
-// are identical across generations of the same file and nothing tears.
+// generation finish on it — they hold the entry, and the entry holds its
+// mapping — so answers are identical across generations of the same file
+// and nothing tears. TestCatalogRelFileChurnUnmaps adds the cache and
+// the collector.
 func TestCatalogRelFileConcurrentEvict(t *testing.T) {
 	relA := testRelation(t, "A", 41, 400, 2)
 	relB := testRelation(t, "B", 42, 300, 2)
@@ -266,6 +271,149 @@ func TestCatalogRelFileConcurrentEvict(t *testing.T) {
 	}
 	if succeeded.Load() == 0 {
 		t.Fatal("no query completed during the churn")
+	}
+	if opens := cat.RelFileOpens(); opens != int64(churns)+1 {
+		t.Fatalf("RelFileOpens = %d, want %d", opens, churns+1)
+	}
+}
+
+// settleMapped collects garbage until relfile.MappedBytes reads want, and
+// fails if it never does: finalizers run on their own goroutine after the
+// cycle that found their File unreachable.
+func settleMapped(t *testing.T, want int64) {
+	t.Helper()
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < 200 && relfile.MappedBytes() != want; i++ {
+		time.Sleep(time.Millisecond)
+		runtime.GC()
+	}
+	if got := relfile.MappedBytes(); got != want {
+		t.Fatalf("relfile mappings hold %d bytes after collecting, want %d", got, want)
+	}
+}
+
+// TestCatalogRelFileChurnUnmaps is TestCatalogRelFileConcurrentEvict with
+// the result cache on and a collection after every re-load, over dim-8
+// relations whose shards scan: an evicted generation is unmapped once its
+// last query settles, and the answers computed on it, cached ones among
+// them, are read again after their mapping is gone and still equal the
+// heap twin's bit for bit. After the churn exactly one generation, the
+// registered one, stays mapped, and evicting it unmaps it though the
+// cache still holds answers computed on it.
+func TestCatalogRelFileChurnUnmaps(t *testing.T) {
+	settleMapped(t, 0)
+	relA := testRelation(t, "A", 43, 400, 8)
+	relB := testRelation(t, "B", 44, 300, 8)
+	pathA := writeRelFile(t, relA, 3)
+	st, err := os.Stat(pathA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := []float64{0.2, 0.1, -0.3, 0, 0.5, -0.1, 0.05, 0.4}
+	reqs := []*api.Request{
+		{Query: q, Relations: []string{"A", "B"}, K: 5},
+		{Query: q, Relations: []string{"A", "B"}, K: 5, Access: "score"},
+	}
+	twin := NewCatalog()
+	if err := twin.Register("A", relA); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Register("B", relB); err != nil {
+		t.Fatal(err)
+	}
+	heap := NewExecutor(twin, Config{Workers: 1, CacheSize: -1})
+	want := make([]string, len(reqs))
+	for i, req := range reqs {
+		resp, err := heap.Execute(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = resultsKey(t, resp)
+	}
+
+	cat := NewCatalog()
+	if err := cat.LoadRelFile("A", pathA); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Register("B", relB); err != nil {
+		t.Fatal(err)
+	}
+	x := NewExecutor(cat, Config{Workers: 4, CacheSize: 16})
+
+	// kept holds each querier's cached answers, read again once their
+	// generations are unmapped.
+	type keptAnswer struct {
+		resp *api.Response
+		req  int
+	}
+	kept := make([][]keptAnswer, 4)
+	var stop atomic.Bool
+	var succeeded, cachedKept atomic.Int64
+	errc := make(chan error, 16)
+	var wg sync.WaitGroup
+	for g := range kept {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; !stop.Load(); n++ {
+				i := n % len(reqs)
+				resp, err := x.Execute(context.Background(), reqs[i])
+				if err != nil {
+					if codeOf(err) != api.CodeNotFound {
+						select {
+						case errc <- err:
+						default:
+						}
+					}
+					continue
+				}
+				if got := resultsKey(t, resp); got != want[i] {
+					select {
+					case errc <- errors.New("answer diverged from the heap twin:\n" + got + "\nwant:\n" + want[i]):
+					default:
+					}
+				}
+				succeeded.Add(1)
+				if resp.Cached && len(kept[g]) < 64 {
+					kept[g] = append(kept[g], keptAnswer{resp, i})
+					cachedKept.Add(1)
+				}
+			}
+		}(g)
+	}
+	churns := 0
+	for deadline := 0; (succeeded.Load() < 50 || cachedKept.Load() < 8 || churns < 25) && deadline < 10_000; deadline++ {
+		cat.Evict("A")
+		if err := cat.LoadRelFile("A", pathA); err != nil {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatal(err)
+		}
+		runtime.GC()
+		churns++
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if cachedKept.Load() == 0 {
+		t.Fatal("no cached answer was served during the churn")
+	}
+	settleMapped(t, st.Size())
+	cat.Evict("A")
+	settleMapped(t, 0)
+	if x.cache.len() == 0 {
+		t.Fatal("the cache holds no answer over the evicted relation")
+	}
+	for _, answers := range kept {
+		for _, a := range answers {
+			if got := resultsKey(t, a.resp); got != want[a.req] {
+				t.Fatalf("cached answer changed after its mapping was unmapped:\n%s\nwant:\n%s", got, want[a.req])
+			}
+		}
 	}
 	if opens := cat.RelFileOpens(); opens != int64(churns)+1 {
 		t.Fatalf("RelFileOpens = %d, want %d", opens, churns+1)
